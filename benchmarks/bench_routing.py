@@ -1,23 +1,20 @@
-"""Benchmark ROUTE — epoch-cached routing tables vs per-hop view assembly.
+"""Benchmark ROUTE — greedy routing over the epoch-cached routing tables.
 
-Builds two structurally identical overlays (same seed, same bulk-loaded
-positions) differing only in ``use_routing_cache``, routes the same batch
-of random object pairs through both, verifies the answers are
-byte-identical (owners and hop counts), and reports the throughput ratio.
-The cached path serves every hop from the overlay's epoch-invalidated flat
-routing tables; the uncached path assembles a fresh ``NeighborView`` per
-hop, as the code did before the cache landed.
+Bulk-loads one overlay, routes a batch of random object pairs twice — a
+cold pass that builds every routing table it touches and a warm pass
+served entirely from the cache — verifies that every route ends at its
+destination and that both passes answer identically (owners and hop
+counts), and reports cold and warm throughput.
 
 Two entry points:
 
 * ``pytest benchmarks/bench_routing.py`` — the pytest-benchmark wrapper
-  (workload scaled by ``REPRO_BENCH_SCALE``), asserting the canonical
-  ≥ 3x speedup at full scale;
+  (workload scaled by ``REPRO_BENCH_SCALE``), asserting a conservative
+  absolute warm-throughput floor;
 * ``python benchmarks/bench_routing.py --objects 5000 --output
   benchmarks/BENCH_routing.json`` — the standalone runner emitting the
-  JSON bench record; exits non-zero when parity fails or the speedup
-  drops below ``--min-speedup`` (CI smoke runs use 1.0: cached must never
-  be slower).
+  JSON bench record; exits non-zero when the answer check fails
+  (``check_bench.py`` gates the warm throughput against the record).
 """
 
 from __future__ import annotations
@@ -46,70 +43,56 @@ def run_routing_bench(num_objects: int = DEFAULT_OBJECTS,
                       num_pairs: int = DEFAULT_PAIRS,
                       seed: int = DEFAULT_SEED,
                       num_long_links: int = 1) -> dict:
-    """Route the same pair batch cached and uncached; return the record."""
+    """Route the same pair batch cold then warm; return the record."""
     positions = generate_position_array(
         UniformDistribution(), num_objects, RandomSource(seed))
+    overlay = VoroNet(VoroNetConfig(n_max=4 * num_objects,
+                                    num_long_links=num_long_links, seed=seed))
+    overlay.bulk_load(positions)
+    pairs = list(generate_routing_pairs(
+        overlay.object_ids(), num_pairs, RandomSource(seed + 1)))
+    # First pass: builds every table it touches (the one-off cost a static
+    # overlay pays once).
+    started = time.perf_counter()
+    cold_results = overlay.route_many(pairs)
+    cold = time.perf_counter() - started
+    # Second pass: steady state — what every subsequent batch costs.
+    started = time.perf_counter()
+    results = overlay.route_many(pairs)
+    steady = time.perf_counter() - started
 
-    cold = {}
-    steady = {}
-    answers = {}
-    for use_cache in (True, False):
-        config = VoroNetConfig(n_max=4 * num_objects,
-                               num_long_links=num_long_links, seed=seed,
-                               use_routing_cache=use_cache)
-        overlay = VoroNet(config)
-        overlay.bulk_load(positions)
-        pairs = list(generate_routing_pairs(
-            overlay.object_ids(), num_pairs, RandomSource(seed + 1)))
-        # First pass: for the cached variant this builds every table it
-        # touches (the one-off cost a static overlay pays once); the
-        # uncached variant gets the identical pass so both timings see the
-        # same interpreter/branch warm-up.
-        started = time.perf_counter()
-        results = overlay.route_many(pairs)
-        cold[use_cache] = time.perf_counter() - started
-        # Second pass: steady state — what every subsequent batch costs.
-        started = time.perf_counter()
-        results = overlay.route_many(pairs)
-        steady[use_cache] = time.perf_counter() - started
-        answers[use_cache] = [(r.owner, r.hops) for r in results]
-
-    identical = answers[True] == answers[False]
+    identical = (all(r.success for r in results)
+                 and [(r.owner, r.hops) for r in results]
+                 == [(r.owner, r.hops) for r in cold_results])
     return {
         "benchmark": "routing_cache",
         "objects": num_objects,
         "pairs": num_pairs,
         "num_long_links": num_long_links,
         "seed": seed,
-        "seconds_cached": round(steady[True], 4),
-        "seconds_cached_cold": round(cold[True], 4),
-        "seconds_uncached": round(steady[False], 4),
-        "routes_per_second_cached": round(num_pairs / steady[True], 1),
-        "routes_per_second_uncached": round(num_pairs / steady[False], 1),
-        "speedup": round(steady[False] / steady[True], 2),
-        "speedup_cold": round(cold[False] / cold[True], 2),
+        "seconds_cached": round(steady, 4),
+        "seconds_cached_cold": round(cold, 4),
+        "routes_per_second_cached": round(num_pairs / steady, 1),
         "owners_and_hops_identical": identical,
-        "mean_hops": round(sum(h for _o, h in answers[True]) / num_pairs, 3),
+        "mean_hops": round(sum(r.hops for r in results) / num_pairs, 3),
     }
 
 
 def format_routing_bench(record: dict) -> str:
     """One-paragraph human rendering of a bench record."""
     return (
-        f"Routing cache @ {record['objects']} objects, "
+        f"Routing @ {record['objects']} objects, "
         f"{record['pairs']} pairs (k={record['num_long_links']}): "
-        f"uncached {record['seconds_uncached']:.2f}s "
-        f"({record['routes_per_second_uncached']:.0f}/s), "
-        f"cached {record['seconds_cached']:.2f}s "
-        f"({record['routes_per_second_cached']:.0f}/s) — "
-        f"{record['speedup']:.1f}x steady, {record['speedup_cold']:.1f}x cold; "
+        f"cold {record['seconds_cached_cold']:.2f}s, "
+        f"warm {record['seconds_cached']:.2f}s "
+        f"({record['routes_per_second_cached']:.0f}/s); "
         f"owners/hops identical: {record['owners_and_hops_identical']}, "
         f"mean hops: {record['mean_hops']}"
     )
 
 
-def test_routing_cache_speedup(benchmark, bench_scale):
-    """Cached routing beats per-hop view assembly with identical answers."""
+def test_routing_cache_throughput(benchmark, bench_scale):
+    """Warm routing clears an absolute floor with identical cold/warm answers."""
     from conftest import run_once
 
     num_objects = max(1000, int(round(DEFAULT_OBJECTS * bench_scale)))
@@ -121,24 +104,22 @@ def test_routing_cache_speedup(benchmark, bench_scale):
     benchmark.extra_info.update(record)
 
     assert record["owners_and_hops_identical"]
-    # The canonical 5000-object record shows >3.5x; leave headroom for
-    # small scales and noisy CI machines.
-    assert record["speedup"] >= 2.0
+    # The canonical 5000-object record shows ~49 000 routes/s; a tenth of
+    # it (the CI gate's floor) leaves headroom for noisy machines and is
+    # still above what per-hop view assembly reached (~4 900 routes/s).
+    assert record["routes_per_second_cached"] >= 4900
 
 
 def main(argv=None) -> int:
     """Entry point of ``python benchmarks/bench_routing.py``."""
     parser = argparse.ArgumentParser(
-        description="Benchmark cached greedy routing against per-hop view assembly.")
+        description="Benchmark greedy routing over the cached routing tables.")
     parser.add_argument("--objects", type=int, default=DEFAULT_OBJECTS,
                         help=f"overlay size (default {DEFAULT_OBJECTS})")
     parser.add_argument("--pairs", type=int, default=DEFAULT_PAIRS,
                         help=f"routed pairs (default {DEFAULT_PAIRS})")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser.add_argument("--long-links", type=int, default=1)
-    parser.add_argument("--min-speedup", type=float, default=None,
-                        help="fail when the cached/uncached ratio drops below "
-                             "this (CI smoke uses 1.0)")
     parser.add_argument("--output", type=Path, default=None,
                         help="write the JSON bench record here")
     args = parser.parse_args(argv)
@@ -149,11 +130,7 @@ def main(argv=None) -> int:
     if args.output is not None:
         args.output.write_text(json.dumps(record, indent=2) + "\n")
         print(f"record written to {args.output}")
-    ok = record["owners_and_hops_identical"]
-    if args.min_speedup is not None and record["speedup"] < args.min_speedup:
-        print(f"FAIL: speedup {record['speedup']} < required {args.min_speedup}")
-        ok = False
-    return 0 if ok else 1
+    return 0 if record["owners_and_hops_identical"] else 1
 
 
 if __name__ == "__main__":

@@ -79,7 +79,11 @@ REGISTRY: Tuple[Bench, ...] = (
           (Floor("speedup", 0.25),)),
     Bench("routing_cache", "bench_routing", "BENCH_routing.json",
           ("--objects", "400", "--pairs", "400"),
-          (Floor("speedup", 0.10),)),
+          # Warm throughput rises at smoke scale (shorter routes: ~74k/s
+          # here against the canonical 49k/s at N=5000).  0.3 puts the
+          # floor at ~15k/s: 5x headroom for loaded CI runners, and over
+          # the ~9k/s per-hop view assembly reaches at this scale.
+          (Floor("routes_per_second_cached", 0.30),)),
     Bench("protocol_bulk_join", "bench_protocol_bulk_join",
           "BENCH_protocol_bulk_join.json",
           ("--objects", "400"),
@@ -90,15 +94,15 @@ REGISTRY: Tuple[Bench, ...] = (
           (Floor("steady_state_liveness.reduction", 0.50),)),
     Bench("engine", "bench_engine", "BENCH_engine.json",
           ("--objects", "500", "--churn-ops", "60", "--repeat", "2"),
-          (Floor("speedup", 0.40), Floor("optimized_messages_per_sec", 0.10))),
+          (Floor("optimized_messages_per_sec", 0.10),)),
     Bench("shard_scale", "bench_shard_scale", "BENCH_shard_scale.json",
           ("--sizes", "4000", "16000", "--warm-tables", "500",
-           "--churn-events", "10", "--pairs", "2000", "--workers", "2"),
-          # Canonical reduction at N=10^6 is ~5000x; at the 16k smoke
-          # scale the coarser shard grid yields ~100x.  0.005 puts the
-          # floor at ~25x: far under honest smoke runs, far over the
-          # ~1x a broken per-shard invalidation would produce.
-          (Floor("rebuild_reduction_at_largest", 0.005),)),
+           "--churn-events", "10", "--pairs", "2000"),
+          # Canonical survival at N=10^6 is 0.9998; at the 16k smoke
+          # scale the coarser shard grid yields ~0.99.  0.9 puts the
+          # floor at ~0.9: under honest smoke runs, far over the ~0.05
+          # a broken per-shard invalidation would produce.
+          (Floor("warm_table_survival_at_largest", 0.9),)),
     Bench("serving", "bench_serving", "BENCH_serving.json",
           ("--objects", "2500", "--queries", "5000",
            "--protocol-objects", "200", "--protocol-queries", "600",

@@ -26,8 +26,11 @@ __all__ = ["VoroNetConfig", "DEFAULT_N_MAX", "DEFAULT_SHARD_OCCUPANCY"]
 #: Default maximum overlay size used when the caller does not specify one.
 DEFAULT_N_MAX = 100_000
 
-#: Target number of objects per Morton shard when the shard level is
-#: derived from ``n_max`` (see ``VoroNetConfig.effective_shard_level``).
+#: Target number of objects per Morton shard (see
+#: ``VoroNetConfig.effective_shard_level``).  Smaller shards mean finer
+#: invalidation (less rebuild work per churn event) but more epoch
+#: bookkeeping per overlay-wide invalidation; 512 keeps both costs
+#: negligible from 10³ to 10⁷ objects.
 DEFAULT_SHARD_OCCUPANCY = 512
 
 #: Deepest supported shard level (kept in sync with repro.core.shards;
@@ -63,41 +66,6 @@ class VoroNetConfig:
     allow_overflow:
         Permit joining more than ``n_max`` objects (the routing bound then
         no longer applies; used by the dynamic-``N_max`` experiments).
-    use_locate_index:
-        Seed point location (``owner_of``) and the default entry points of
-        lookups and queries from the overlay's grid-bucket locate index
-        (:class:`~repro.geometry.locate_grid.LocateGrid`).  Results are
-        unaffected (the index only provides *hints*, and joins always route
-        from their introducer regardless); lookup/query hop counts shrink
-        because requests enter near their target.  Disable to model every
-        request entering the overlay at a uniformly random peer.
-    use_routing_cache:
-        Serve greedy forwarding from the overlay's epoch-invalidated flat
-        routing tables (see the :mod:`repro.core.overlay` module docstring
-        for the invalidation contract).  Results are identical with the
-        cache on or off — only the per-hop constant factor changes; the
-        switch exists so parity tests and benchmarks can compare the two
-        paths on the same overlay structure.
-    use_node_routing_cache:
-        Protocol-mode analogue of ``use_routing_cache``: each
-        :class:`~repro.simulation.protocol.ProtocolNode` serves greedy
-        forwarding from a flat candidate block cached against its local
-        view epoch (bumped by every view-mutating message handler) instead
-        of assembling a candidate dict per hop.  Answers and hop counts are
-        identical either way; disable to keep the per-hop assembly baseline
-        for parity tests.
-    shard_level:
-        Morton prefix depth of the sharded node store: the unit square is
-        split into ``4 ** shard_level`` Z-order shards, each carrying its
-        own routing-table epoch, so churn only invalidates tables in the
-        touched shards.  ``0`` is the flat-store baseline (one shard, one
-        epoch — the pre-shard behaviour); ``None`` (default) derives the
-        level from ``n_max`` and ``shard_occupancy``.
-    shard_occupancy:
-        Target objects per shard used when deriving ``shard_level`` from
-        ``n_max``.  Smaller shards mean finer invalidation (less rebuild
-        work per churn event) but more epoch bookkeeping per overlay-wide
-        invalidation; 512 keeps both costs negligible from 10³ to 10⁷.
     track_paths:
         Record full routing paths in :class:`~repro.core.routing.RouteResult`
         objects (memory-heavier; useful for debugging and examples).
@@ -112,11 +80,6 @@ class VoroNetConfig:
     maintain_close_neighbors: bool = True
     maintain_back_links: bool = True
     allow_overflow: bool = False
-    use_locate_index: bool = True
-    use_routing_cache: bool = True
-    use_node_routing_cache: bool = True
-    shard_level: Optional[int] = None
-    shard_occupancy: int = DEFAULT_SHARD_OCCUPANCY
     track_paths: bool = False
     seed: Optional[int] = None
 
@@ -131,14 +94,6 @@ class VoroNetConfig:
             raise ValueError(
                 f"d_min must lie in (0, sqrt(2)), got {self.d_min}"
             )
-        if self.shard_level is not None and not 0 <= self.shard_level <= _MAX_SHARD_LEVEL:
-            raise ValueError(
-                f"shard_level must lie in [0, {_MAX_SHARD_LEVEL}], got {self.shard_level}"
-            )
-        if self.shard_occupancy < 1:
-            raise ValueError(
-                f"shard_occupancy must be >= 1, got {self.shard_occupancy}"
-            )
 
     @property
     def effective_d_min(self) -> float:
@@ -151,16 +106,14 @@ class VoroNetConfig:
     def effective_shard_level(self) -> int:
         """The Morton shard level actually used by the overlay's node store.
 
-        Explicit ``shard_level`` wins; otherwise the smallest level whose
-        ``4 ** level`` shards keep the *dimensioned* population
-        (``n_max``) at or under ``shard_occupancy`` objects per shard.
-        Small overlays (``n_max <= shard_occupancy``) derive level 0 — a
-        single shard, behaviourally identical to the pre-shard global
-        epoch — so sharding never perturbs unit-scale experiments.
+        The unit square is split into ``4 ** level`` Z-order shards, each
+        carrying its own routing-table epoch, so churn only invalidates
+        tables in the touched shards.  The level is the smallest one whose
+        shards keep the *dimensioned* population (``n_max``) at or under
+        ``DEFAULT_SHARD_OCCUPANCY`` objects per shard; small overlays
+        (``n_max <= DEFAULT_SHARD_OCCUPANCY``) get a single shard.
         """
-        if self.shard_level is not None:
-            return self.shard_level
-        target_shards = self.n_max // self.shard_occupancy
+        target_shards = self.n_max // DEFAULT_SHARD_OCCUPANCY
         level = 0
         while (1 << (2 * level)) < target_shards and level < _MAX_SHARD_LEVEL:
             level += 1

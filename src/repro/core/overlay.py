@@ -50,10 +50,9 @@ MUST call :meth:`invalidate_routing_tables` afterwards — with the touched
 object ids when it knows them, bare otherwise — or cached tables go
 stale; the shared kernel, :class:`LocateGrid` and the sharded store are
 kept exactly in sync by the same entry points.  Cache hits never change
-results — with ``use_routing_cache`` disabled the same answers come from
-per-hop view assembly, which is what the parity tests assert, and
-``shard_level=0`` (one shard) reproduces the historical global-epoch
-behaviour exactly.
+results: the parity tests route every request a second time with a
+reference router that assembles :meth:`VoroNet.neighbor_view` per hop and
+require identical owners and hop counts.
 """
 
 from __future__ import annotations
@@ -176,9 +175,9 @@ class VoroNet:
     def locate_index(self) -> LocateGrid:
         """The grid-bucket locate index (read-only use recommended).
 
-        Always kept in sync with the membership; whether it *seeds* point
-        location and default entry points is governed by
-        :attr:`VoroNetConfig.use_locate_index`.
+        Always kept in sync with the membership; it seeds point location
+        (:meth:`owner_of`) and the default entry points of lookups and
+        queries (:meth:`query_entry_point`).
         """
         return self._locate_index
 
@@ -277,8 +276,7 @@ class VoroNet:
         neighbour ids (``vn ∪ cn ∪ LRn`` minus self, or without ``LRn`` for
         the Delaunay-only variant, sorted for determinism) and the aligned
         ``(k, 2)`` float64 position array.  Cached against the epoch of
-        the object's shard when the configuration enables the routing
-        cache; always equal to a freshly assembled
+        the object's shard; always equal to a freshly assembled
         :attr:`~repro.core.neighbors.NeighborView.routing_neighbors`.
         """
         return self._entry_arrays(self._routing_entry(object_id, use_long_links))
@@ -300,21 +298,6 @@ class VoroNet:
                                   dtype=np.float64).reshape(len(block), 2)
         return entry[1], entry[2]
 
-    def _routing_block(self, object_id: int,
-                       use_long_links: bool) -> List[Tuple[int, float, float]]:
-        """Flat ``(id, x, y)`` scan block of one object's routing table.
-
-        The list form of :meth:`routing_table`, cached in the same entry;
-        the greedy hot loop scans it inline for the O(1)-size views of the
-        paper and switches to the numpy arrays past a size threshold.  The
-        cache-hit path is deliberately flat — one dict probe, one
-        shard-epoch compare — because it runs once per forwarding hop.
-        """
-        entry = self._routing_tables[use_long_links].get(object_id)
-        if entry is not None and entry[0] == self._store.epochs[entry[4]]:
-            return entry[3]
-        return self._routing_entry(object_id, use_long_links)[3]
-
     def _routing_entry(self, object_id: int, use_long_links: bool) -> list:
         entry = self._routing_tables[use_long_links].get(object_id)
         epochs = self._store.epochs
@@ -332,12 +315,11 @@ class VoroNet:
             block = [(cid,) + nodes[cid].position for cid in sorted(candidates)]
         except KeyError as exc:
             # A view referencing a departed object (e.g. crash damage before
-            # repair) fails the same way the per-hop assembly path does.
+            # repair) surfaces as the overlay's own lookup error.
             raise ObjectNotFoundError(exc.args[0]) from None
         shard = self._store.shard_of(object_id)
         entry = [epochs[shard], None, None, block, shard]
-        if self._config.use_routing_cache:
-            self._routing_tables[use_long_links][object_id] = entry
+        self._routing_tables[use_long_links][object_id] = entry
         return entry
 
     def degree_histogram(self) -> Dict[int, int]:
@@ -365,31 +347,28 @@ class VoroNet:
     def owner_of(self, point: Point, hint: Optional[int] = None) -> int:
         """The object whose Voronoi region contains ``point``.
 
-        When no ``hint`` is given and the locate index is enabled, the
-        kernel descent is seeded with a near-target vertex from the grid,
-        making the location effectively constant time.  The result is the
-        exact owner either way.
+        When no ``hint`` is given the kernel descent is seeded with a
+        near-target vertex from the locate grid, making the location
+        effectively constant time.  The result is the exact owner either
+        way.
         """
         if not self._nodes:
             raise EmptyOverlayError("the overlay holds no objects")
-        if hint is None and self._config.use_locate_index:
+        if hint is None:
             hint = self._locate_index.hint(point)
         return self._triangulation.nearest_vertex(point, hint=hint)
 
     def query_entry_point(self, point: Point) -> int:
         """The object a request targeting ``point`` enters the overlay at.
 
-        With the locate index enabled this is a nearby object (constant
-        expected routing work); otherwise a uniformly random one, modelling
-        a request arriving at an arbitrary peer as in the paper.
+        A nearby object from the locate grid, so the request costs constant
+        expected routing work.  To model a request arriving at an arbitrary
+        peer as in the paper, pass :meth:`random_object_id` as the
+        ``start``/``introducer`` of the operation instead.
         """
         if not self._nodes:
             raise EmptyOverlayError("the overlay holds no objects")
-        if self._config.use_locate_index:
-            hint = self._locate_index.hint(point)
-            if hint is not None:
-                return hint
-        return self._sample_object_id()
+        return self._locate_index.hint(point)
 
     def objects_within(self, point: Point, radius: float) -> List[int]:
         """Ids of every object within ``radius`` of ``point`` (exact, grid-backed)."""
@@ -420,7 +399,6 @@ class VoroNet:
     # ------------------------------------------------------------------
     def insert(self, position: Point, object_id: Optional[int] = None, *,
                introducer: Optional[int] = None,
-               hinted: bool = False,
                host: Optional[str] = None) -> int:
         """Publish a new object at ``position`` and return its id.
 
@@ -429,14 +407,10 @@ class VoroNet:
         the owner of the region containing ``position``; the owner carves
         out the new region and hands over the relevant state; the new object
         then discovers its close neighbours and establishes its long-range
-        links by routing to freshly drawn target points.
-
-        With ``hinted=True`` (and the locate index enabled) the default
-        introducer is taken from the locate index instead of drawn at
-        random, so the join's routing phase is O(1) expected hops.  The
-        resulting structure is identical — only the reported join routing
-        cost changes — but the default stays ``False`` so measured join
-        costs keep reflecting the paper's random-introducer protocol.
+        links by routing to freshly drawn target points.  The resulting
+        structure does not depend on the introducer — only the reported
+        join routing cost does (``introducer=query_entry_point(position)``
+        makes the routing phase O(1) expected hops).
 
         Raises
         ------
@@ -464,8 +438,6 @@ class VoroNet:
                 start = introducer
                 if start not in self._nodes:
                     raise ObjectNotFoundError(start)
-            elif hinted:
-                start = self.query_entry_point(position)
             else:
                 # Section 3.3's default: the join routes from a uniformly
                 # random introducer, so measured join costs reflect the
@@ -622,10 +594,10 @@ class VoroNet:
     def lookup(self, point: Point, start: Optional[int] = None) -> RouteResult:
         """Find the object responsible for ``point`` by greedy routing.
 
-        ``start`` defaults to the locate-index entry point when the index is
-        enabled (constant expected hops), otherwise to a random object,
-        modelling a request entering the overlay at an arbitrary peer.  The
-        returned owner is exact in both cases.
+        ``start`` defaults to the locate-index entry point (constant
+        expected hops); pass :meth:`random_object_id` to model a request
+        entering the overlay at an arbitrary peer.  The returned owner is
+        exact for every start.
         """
         if not self._nodes:
             raise EmptyOverlayError("the overlay holds no objects")
@@ -686,8 +658,8 @@ class VoroNet:
     def insert_many(self, positions: Iterable[Point]) -> List[int]:
         """Publish many objects in sequence; returns their ids in order.
 
-        Every object joins through the full routed protocol (random or
-        grid-hinted introducer, greedy route, routed long links).  For
+        Every object joins through the full routed protocol (random
+        introducer, greedy route, routed long links).  For
         building large overlays from a known batch of positions,
         :meth:`bulk_load` produces the same structure orders of magnitude
         faster.

@@ -164,8 +164,7 @@ def _route_to(overlay: "VoroNet", point: Point,
     if len(overlay) == 0:
         raise EmptyOverlayError("cannot query an empty overlay")
     if start is None:
-        # Grid-hinted entry when the locate index is enabled, random peer
-        # otherwise — the same policy as VoroNet.lookup.
+        # Grid-hinted entry, the same policy as VoroNet.lookup.
         start = overlay.query_entry_point(point)
     return greedy_route(overlay, start, point)
 

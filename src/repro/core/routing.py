@@ -103,41 +103,32 @@ def missed_route(source: int, target) -> RouteResult:
                        final_distance=float("inf"))
 
 
-#: Block size beyond which the cached greedy step uses the numpy argmin
-#: instead of the inline scan.  The paper's views are O(1) (≈ 6 Voronoi +
-#: close + k long links), where ufunc dispatch overhead dwarfs the work;
-#: dense close-neighbour cliques and large k cross over.
+#: Block size beyond which a greedy step uses the numpy argmin instead of
+#: the inline scan.  The paper's views are O(1) (≈ 6 Voronoi + close + k
+#: long links), where ufunc dispatch overhead dwarfs the work; dense
+#: close-neighbour cliques and large k cross over.
 _VECTOR_ARGMIN_THRESHOLD = 48
 
 
-def _vector_step(overlay: "VoroNet", current: int, tx: float, ty: float,
-                 use_long_links: bool, best_d: float) -> tuple:
-    """Vectorised argmin over the cached ``(k, 2)`` position block."""
-    ids, positions = overlay.routing_table(current, use_long_links)
-    dx = positions[:, 0] - tx
-    dy = positions[:, 1] - ty
-    distances = dx * dx + dy * dy
-    index = distances.argmin()
-    d = distances[index]
-    if d < best_d:
-        return int(ids[index]), float(d)
-    return None, best_d
+def _greedy_step(overlay: "VoroNet", current: int, target: Point,
+                 use_long_links: bool) -> Optional[int]:
+    """Neighbour of ``current`` strictly closer to ``target``, or ``None``.
 
-
-def _cached_step(overlay: "VoroNet", current: int, tx: float, ty: float,
-                 use_long_links: bool, best_d: float
-                 ) -> tuple:
-    """One greedy step over the epoch-cached routing table of ``current``.
-
-    Returns ``(next_id, next_d)`` — the candidate strictly closer to the
-    target than ``best_d`` (squared) and its squared distance, or
-    ``(None, best_d)`` at a local minimum.  Small blocks are scanned
-    inline; large ones go through the vectorised argmin over the cached
-    ``(k, 2)`` position array.
+    One argmin over the epoch-cached routing table of ``current``: small
+    blocks are scanned inline, large ones go through the vectorised argmin
+    over the cached ``(k, 2)`` position array.
     """
-    block = overlay._routing_block(current, use_long_links)
+    tx, ty = target
+    best_d = distance_sq(overlay.position_of(current), target)
+    entry = overlay._routing_entry(current, use_long_links)
+    block = entry[3]
     if len(block) >= _VECTOR_ARGMIN_THRESHOLD:
-        return _vector_step(overlay, current, tx, ty, use_long_links, best_d)
+        ids, positions = overlay._entry_arrays(entry)
+        dx = positions[:, 0] - tx
+        dy = positions[:, 1] - ty
+        distances = dx * dx + dy * dy
+        index = distances.argmin()
+        return int(ids[index]) if distances[index] < best_d else None
     best = None
     for cid, x, y in block:
         dx = x - tx
@@ -145,35 +136,6 @@ def _cached_step(overlay: "VoroNet", current: int, tx: float, ty: float,
         d = dx * dx + dy * dy
         if d < best_d:
             best, best_d = cid, d
-    return best, best_d
-
-
-def _greedy_step(overlay: "VoroNet", current: int, target: Point,
-                 use_long_links: bool) -> Optional[int]:
-    """Neighbour of ``current`` strictly closer to ``target``, or ``None``.
-
-    With the routing cache enabled (the default) the step is one argmin
-    over the object's epoch-cached flat routing table; otherwise the view
-    is assembled per hop as the paper's message-level protocol would,
-    scanning the same candidate set.  Both paths forward only on a
-    *strictly* smaller distance, so they terminate at the same owner.
-    """
-    best_d = distance_sq(overlay.position_of(current), target)
-    if overlay.config.use_routing_cache:
-        return _cached_step(overlay, current, target[0], target[1],
-                            use_long_links, best_d)[0]
-    best = None
-    view = overlay.neighbor_view(current)
-    candidates = view.routing_neighbors if use_long_links else (
-        set(view.voronoi) | set(view.close)
-    )
-    # Sorted scan, like the cached tables: on exact distance ties both
-    # paths forward to the lowest-id minimal candidate, keeping the
-    # cache-on/cache-off parity contract exact (not just almost-surely).
-    for neighbor in sorted(candidates):
-        d = distance_sq(overlay.position_of(neighbor), target)
-        if d < best_d:
-            best, best_d = neighbor, d
     return best
 
 
@@ -213,72 +175,58 @@ def greedy_route(overlay: "VoroNet", source: int, target: Point, *,
     path = [source] if record else None
     current = source
     hops = 0
-    if overlay.config.use_routing_cache:
-        # Hot loop over the epoch-cached tables: the squared distance of the
-        # chosen candidate is carried into the next hop and the block scan
-        # is inlined, so each hop costs one dict probe plus one pass over an
-        # O(1)-size block — no per-hop view assembly, no re-measuring of the
-        # current object, no per-hop function calls.
-        tx, ty = target
-        cx, cy = overlay.position_of(current)
-        current_d = (cx - tx) * (cx - tx) + (cy - ty) * (cy - ty)
-        # The per-shard epoch list is hoisted once (it is mutated in
-        # place, never replaced, so the reference stays live), and each
-        # entry carries its shard index at build time: the per-hop cache
-        # probe is one dict.get, one list index and one int compare, with
-        # no method-call or key-tuple overhead.
-        tables = overlay._routing_tables[use_long_links]
-        epochs = overlay._store.epochs
-        build_entry = overlay._routing_entry
-        while True:
-            entry = tables.get(current)
-            if entry is None or entry[0] != epochs[entry[4]]:
-                entry = build_entry(current, use_long_links)
-            block = entry[3]
-            nxt = None
-            if len(block) >= _VECTOR_ARGMIN_THRESHOLD:
-                # Vectorised argmin straight off the entry the loop already
-                # holds — no second cache resolution.
-                ids, positions = overlay._entry_arrays(entry)
-                dx = positions[:, 0] - tx
-                dy = positions[:, 1] - ty
-                distances = dx * dx + dy * dy
-                index = distances.argmin()
-                d = distances[index]
+    # Hot loop over the epoch-cached tables: the squared distance of the
+    # chosen candidate is carried into the next hop and the block scan
+    # is inlined, so each hop costs one dict probe plus one pass over an
+    # O(1)-size block — no per-hop view assembly, no re-measuring of the
+    # current object, no per-hop function calls.
+    tx, ty = target
+    cx, cy = overlay.position_of(current)
+    current_d = (cx - tx) * (cx - tx) + (cy - ty) * (cy - ty)
+    # The per-shard epoch list is hoisted once (it is mutated in
+    # place, never replaced, so the reference stays live), and each
+    # entry carries its shard index at build time: the per-hop cache
+    # probe is one dict.get, one list index and one int compare, with
+    # no method-call or key-tuple overhead.
+    tables = overlay._routing_tables[use_long_links]
+    epochs = overlay._store.epochs
+    build_entry = overlay._routing_entry
+    while True:
+        entry = tables.get(current)
+        if entry is None or entry[0] != epochs[entry[4]]:
+            entry = build_entry(current, use_long_links)
+        block = entry[3]
+        nxt = None
+        if len(block) >= _VECTOR_ARGMIN_THRESHOLD:
+            # Vectorised argmin straight off the entry the loop already
+            # holds — no second cache resolution.
+            ids, positions = overlay._entry_arrays(entry)
+            dx = positions[:, 0] - tx
+            dy = positions[:, 1] - ty
+            distances = dx * dx + dy * dy
+            index = distances.argmin()
+            d = distances[index]
+            if d < current_d:
+                current_d = float(d)
+                nxt = int(ids[index])
+        else:
+            for cid, x, y in block:
+                dx = x - tx
+                dy = y - ty
+                d = dx * dx + dy * dy
                 if d < current_d:
-                    current_d = float(d)
-                    nxt = int(ids[index])
-            else:
-                for cid, x, y in block:
-                    dx = x - tx
-                    dy = y - ty
-                    d = dx * dx + dy * dy
-                    if d < current_d:
-                        current_d = d
-                        nxt = cid
-            if nxt is None:
-                break
-            current = nxt
-            hops += 1
-            if record:
-                path.append(current)
-            if hops > limit:
-                raise RoutingError(
-                    f"greedy route from {source} to {target} exceeded {limit} hops"
-                )
-    else:
-        while True:
-            nxt = _greedy_step(overlay, current, target, use_long_links)
-            if nxt is None:
-                break
-            current = nxt
-            hops += 1
-            if record:
-                path.append(current)
-            if hops > limit:
-                raise RoutingError(
-                    f"greedy route from {source} to {target} exceeded {limit} hops"
-                )
+                    current_d = d
+                    nxt = cid
+        if nxt is None:
+            break
+        current = nxt
+        hops += 1
+        if record:
+            path.append(current)
+        if hops > limit:
+            raise RoutingError(
+                f"greedy route from {source} to {target} exceeded {limit} hops"
+            )
     return RouteResult(
         source=source,
         target=target,

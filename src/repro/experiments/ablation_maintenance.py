@@ -65,13 +65,10 @@ def run_maintenance_experiment(scale: float | None = None,
     for index, size in enumerate(sizes):
         rng = RandomSource(seed + index)
         positions = generate_objects(UniformDistribution(), size + probe_count, rng)
-        # use_locate_index=False: this experiment measures the paper's
-        # protocol costs, so every operation must enter the overlay at a
-        # random peer — no grid-hinted entry-point shortcuts, now or under
-        # any future default-entry policy.
+        # This experiment measures the paper's protocol costs: insert()
+        # routes every join from a uniformly random introducer.
         overlay = VoroNet(VoroNetConfig(
-            n_max=CAPACITY_HEADROOM * (size + probe_count), seed=seed + index,
-            use_locate_index=False))
+            n_max=CAPACITY_HEADROOM * (size + probe_count), seed=seed + index))
         overlay.insert_many(positions[:size])
         overlay.stats.reset()
         # Measure a batch of fresh joins at this size...

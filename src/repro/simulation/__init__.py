@@ -29,9 +29,8 @@ oracle handles:
 * **Per-node routing cache** — each ``ProtocolNode`` serves greedy
   forwarding from a flat candidate block cached against its local view
   epoch, the protocol-mode analogue of the oracle's epoch-cached routing
-  tables.  ``VoroNetConfig.use_node_routing_cache`` (default ``True``)
-  switches back to per-hop candidate-dict assembly for parity testing;
-  answers and hop counts are identical either way.
+  tables; the block always equals the node's freshly assembled
+  ``routing_candidates()``.
 
 Fault injection and self-healing
 --------------------------------
@@ -57,9 +56,8 @@ timeouts with idempotent, version-stamped retries under a
 Jepsen-style harness: ``CrashScheduleFuzzer`` crashes victims at exact
 global message indices — multi-crash sequences and partition windows
 armed the same way — and asserts convergence back to clean views, with
-every failure replayable from its serialized ``FuzzTrace`` (the classic
-single-crash ``(seed, message_index, victim_rank)`` triple is the
-one-event special case; see ``TESTING.md``).
+every failure replayable from its serialized ``FuzzTrace`` (see
+``TESTING.md``).
 
 Partitions and merge
 --------------------
@@ -106,7 +104,6 @@ from repro.simulation.faults import (
 )
 from repro.simulation.fuzz import (
     CrashEvent,
-    CrashSchedule,
     CrashScheduleFuzzer,
     FuzzOutcome,
     FuzzSweepReport,
@@ -169,7 +166,6 @@ __all__ = [
     "QueryReport",
     "TimeoutPolicy",
     "CrashEvent",
-    "CrashSchedule",
     "CrashScheduleFuzzer",
     "FuzzOutcome",
     "FuzzSweepReport",

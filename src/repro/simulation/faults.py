@@ -36,8 +36,8 @@ Four pieces compose the subsystem:
   probed, crossed probes suppress the redundant ``PONG``) and probes
   long-link/back-link edges on a deterministic sampling stride instead of
   every round — an order-of-magnitude cheaper steady state for a bounded
-  increase in detection latency; the full-probe default stays
-  byte-identical to the original detector for parity tests.
+  increase in detection latency; with the defaults every reference is
+  probed every round.
 * :class:`RepairProtocol` — the crash-mode extension of the Section 3.3
   departure protocol.  Where a graceful leaver *pushes* its state out, the
   repair protocol lets the survivors *pull* the overlay back together in
@@ -547,9 +547,9 @@ class ProtocolCrashInjector:  # simlint: ignore[SIM003] — one per experiment, 
 class HeartbeatConfig:
     """Parameters of the liveness subsystem.
 
-    The defaults reproduce the original full-probe detector exactly (the
-    parity suite pins this); the two switches below implement the
-    steady-state cost rework:
+    With the defaults every node probes its full reference set every round
+    (the parity suite pins the emitted messages); the switches below trade
+    detection latency for steady-state cost:
 
     Attributes
     ----------
@@ -710,18 +710,6 @@ class HeartbeatDetector:  # simlint: ignore[SIM003] — one per experiment, not 
         del self._round_starts[:-2]
         self._outstanding = {}
         pings = 0
-        if (not config.piggyback and config.sample_fraction >= 1.0
-                and not config.adaptive_backoff):
-            # Full-probe mode: byte-identical to the original detector.
-            for object_id, node in list(simulator.nodes.items()):
-                peers = node.monitored_peers()
-                if not peers:
-                    continue
-                self._outstanding[object_id] = peers
-                for peer in sorted(peers):
-                    simulator.send(node, peer, "PING", {"round": self._round})
-                    pings += 1
-            return pings
         piggyback = config.piggyback
         period = config.sample_period
         threshold = config.miss_threshold

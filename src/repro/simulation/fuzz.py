@@ -3,13 +3,12 @@
 The engine's virtual clock and the seeded :class:`~repro.simulation.faults.
 FaultPlane` make every protocol run perfectly replayable; this module
 turns that determinism into a correctness harness.  A
-:class:`CrashSchedule` names the classic experiment — *with this seed,
-crash a victim at exactly this global message index* — and a
-:class:`FuzzTrace` generalises it to an ordered sequence of
-:class:`CrashEvent`\\ s (multi-crash, victim by rank *or* "whoever sent
-the armed message", i.e. the coordinator of the operation in flight) and
+:class:`FuzzTrace` names one experiment — *with this seed, fire these
+faults at exactly these global message indices* — as an ordered sequence
+of :class:`CrashEvent`\\ s (victim by rank *or* "whoever sent the armed
+message", i.e. the coordinator of the operation in flight) and
 :class:`PartitionEvent`\\ s (a partition window opened at an exact
-message index).  :class:`CrashScheduleFuzzer` runs either end to end:
+message index).  :class:`CrashScheduleFuzzer` runs a trace end to end:
 build an overlay through ``bulk_join``, churn it with sequential joins
 and leaves, fire the faults wherever their indices land (mid-carve,
 mid-close-discovery, mid-search, mid-hand-over — the triggers sit inside
@@ -24,8 +23,7 @@ live ids (by rank) or the armed message's sender (coordinator), and
 partition members are the first ``ceil(fraction · n)`` of the sorted
 live ids, so no population knowledge is needed in advance.
 :attr:`FuzzOutcome.fingerprint` digests the final overlay state so
-replays can be checked byte-identical.  Single-crash traces keep the
-legacy ``(seed, message_index, victim_rank)`` triple as a short form.
+replays can be checked byte-identical.
 
 Two drivers share the harness:
 
@@ -61,7 +59,6 @@ from repro.workloads.distributions import UniformDistribution
 from repro.workloads.generators import generate_objects
 
 __all__ = [
-    "CrashSchedule",
     "CrashEvent",
     "PartitionEvent",
     "FuzzTrace",
@@ -73,42 +70,12 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class CrashSchedule:
-    """One crash experiment: seed, global message index, victim rank.
-
-    ``message_index`` is 1-based over every message the run sends (the
-    :meth:`Network.at_message <repro.simulation.network.Network.at_message>`
-    contract); ``None`` runs the schedule fault-free — the baseline that
-    sizes the index range for sweeps.  ``victim_rank`` selects the victim
-    as ``sorted(live ids)[rank % population]`` at the moment the trigger
-    fires, so the whole experiment replays from these three values.
-    """
-
-    seed: int
-    message_index: Optional[int]
-    victim_rank: int = 0
-
-    def __post_init__(self) -> None:
-        if self.message_index is not None and self.message_index < 1:
-            raise ValueError(
-                f"message_index must be >= 1, got {self.message_index}")
-        if self.victim_rank < 0:
-            raise ValueError(
-                f"victim_rank must be >= 0, got {self.victim_rank}")
-
-    def as_triple(self) -> Tuple[int, Optional[int], int]:
-        """The replay triple ``(seed, message_index, victim_rank)``."""
-        return (self.seed, self.message_index, self.victim_rank)
-
-
-@dataclass(frozen=True)
 class CrashEvent:
     """Crash one victim when the ``at_message``-th global send occurs.
 
     ``victim`` selects the resolution rule at fire time:
 
-    * ``"rank"`` — ``sorted(live ids)[victim_rank % population]``, the
-      legacy schedule semantics;
+    * ``"rank"`` — ``sorted(live ids)[victim_rank % population]``;
     * ``"coordinator"`` — the *sender of the armed message itself*: the
       node driving whatever multi-message operation that send belongs
       to.  Crashing the coordinator mid-conversation is the adversarial
@@ -144,9 +111,9 @@ class PartitionEvent:
     At fire time the first ``ceil(fraction · n)`` of the sorted live ids
     (at least one node is always left on each side) are isolated from
     the rest for ``duration`` of virtual time from the current clock —
-    the legacy clock-windowed :class:`~repro.simulation.faults.
-    PartitionSpec`, so messages crossing the cut feed the fault plane
-    and in-flight semantics follow the pinned send-time rule.  The
+    a clock-windowed :class:`~repro.simulation.faults.PartitionSpec`, so
+    messages crossing the cut feed the fault plane and in-flight
+    semantics follow the pinned send-time rule.  The
     harness heals any window still open when the heal phase starts; the
     repair machinery must then converge the overlay exactly as it does
     after crashes.
@@ -184,8 +151,7 @@ class FuzzTrace:
     failure artifact: everything the run did — which victims died, which
     nodes were cut, in which protocol phase — derives from it, because
     every resolution rule is a pure function of (seed, event list, fire
-    time).  A single rank-victim :class:`CrashEvent` round-trips to the
-    legacy ``(seed, message_index, victim_rank)`` triple.
+    time).  A trace with no events is the fault-free baseline run.
     """
 
     seed: int
@@ -216,29 +182,18 @@ class FuzzTrace:
                 raise ValueError(f"unknown trace event kind: {kind!r}")
         return FuzzTrace(seed=int(data["seed"]), events=tuple(events))
 
-    def as_schedule(self) -> CrashSchedule:
-        """The legacy-triple view: first crash event, or fault-free."""
-        for event in self.events:
-            if isinstance(event, CrashEvent):
-                return CrashSchedule(seed=self.seed,
-                                     message_index=event.at_message,
-                                     victim_rank=event.victim_rank)
-        return CrashSchedule(seed=self.seed, message_index=None)
-
 
 @dataclass(frozen=True)
 class FuzzOutcome:
     """Everything one trace run produced (all derivable from the trace).
 
-    ``schedule``/``victim``/``crash_phase`` keep the legacy single-crash
-    view (first crash event); ``trace``/``victims``/``phase_marks`` carry
-    the full story for multi-fault runs.  ``phase_marks`` records the
-    global message count at which each protocol phase began — the sweep
-    uses the fault-free run's marks to aim partition windows at the
-    churn phase.
+    ``victim``/``crash_phase`` describe the first crash that fired;
+    ``victims`` lists every one.  ``phase_marks`` records the global
+    message count at which each protocol phase began — the sweep uses the
+    fault-free run's marks to aim partition windows at the churn phase.
     """
 
-    schedule: CrashSchedule
+    trace: FuzzTrace
     converged: bool
     victim: Optional[int]
     crash_phase: Optional[str]
@@ -252,11 +207,15 @@ class FuzzOutcome:
     operation_retries: int
     fingerprint: str
     error: Optional[str] = None
-    trace: Optional[FuzzTrace] = None
     victims: Tuple[int, ...] = ()
     partitions_opened: int = 0
     partitions_healed: int = 0
     phase_marks: Tuple[Tuple[str, int], ...] = ()
+
+    @property
+    def seed(self) -> int:
+        """The seed of the trace this outcome came from."""
+        return self.trace.seed
 
     @property
     def failed(self) -> bool:
@@ -266,10 +225,8 @@ class FuzzOutcome:
     def as_dict(self) -> Dict[str, object]:
         """JSON-ready summary — the shape the CI artifact stores."""
         return {
-            "seed": self.schedule.seed,
-            "message_index": self.schedule.message_index,
-            "victim_rank": self.schedule.victim_rank,
-            "trace": self.trace.as_dict() if self.trace is not None else None,
+            "seed": self.seed,
+            "trace": self.trace.as_dict(),
             "victim": self.victim,
             "victims": list(self.victims),
             "crash_phase": self.crash_phase,
@@ -310,16 +267,16 @@ class FuzzSweepReport:
 
 
 class CrashScheduleFuzzer:  # simlint: ignore[SIM003] — one per campaign, not per message
-    """Runs crash schedules against fresh, fully seeded simulators.
+    """Runs fault traces against fresh, fully seeded simulators.
 
-    Parameters size the experiment each schedule runs: ``num_objects``
+    Parameters size the experiment each trace runs: ``num_objects``
     bulk-joined to build, ``churn_events`` sequential joins/leaves (two
     joins for every leave, mirroring the churn harness rates), then up to
     ``max_heal_cycles`` detect→repair cycles, each bounded by
     ``max_detection_rounds`` heartbeat rounds and the repairer's
     ``max_repair_rounds``.  ``min_population`` stops the trigger from
-    amputating an overlay too small to repair (the schedule records the
-    skip; the run still must converge fault-free).
+    amputating an overlay too small to repair (the crash is skipped; the
+    run still must converge fault-free).
     """
 
     def __init__(self, *, num_objects: int = 20, churn_events: int = 8,
@@ -347,8 +304,7 @@ class CrashScheduleFuzzer:  # simlint: ignore[SIM003] — one per campaign, not 
     # ------------------------------------------------------------------
     def baseline_messages(self, seed: int) -> int:
         """Total messages of the fault-free run — the index range for sweeps."""
-        return self.run_schedule(
-            CrashSchedule(seed=seed, message_index=None)).messages
+        return self.run_trace(FuzzTrace(seed)).messages
 
     @staticmethod
     def _fingerprint(simulator: ProtocolSimulator) -> str:
@@ -365,20 +321,9 @@ class CrashScheduleFuzzer:  # simlint: ignore[SIM003] — one per campaign, not 
                 f":{links}:{node.view_version}".encode())
         return digest.hexdigest()
 
-    def run_schedule(self, schedule: CrashSchedule) -> FuzzOutcome:
-        """Run one legacy single-crash schedule; delegates to :meth:`run_trace`."""
-        events: Tuple[FuzzEvent, ...] = ()
-        if schedule.message_index is not None:
-            events = (CrashEvent(at_message=schedule.message_index,
-                                 victim_rank=schedule.victim_rank),)
-        return self.run_trace(FuzzTrace(seed=schedule.seed, events=events),
-                              _schedule=schedule)
-
-    def run_trace(self, trace: FuzzTrace, *,
-                  _schedule: Optional[CrashSchedule] = None) -> FuzzOutcome:
+    def run_trace(self, trace: FuzzTrace) -> FuzzOutcome:
         """Run one trace end to end; never raises — errors are reported."""
         seed = trace.seed
-        schedule = _schedule if _schedule is not None else trace.as_schedule()
         capacity = 4 * (self.num_objects + self.churn_events + 8)
         config = VoroNetConfig(n_max=capacity,
                                num_long_links=self.num_long_links, seed=seed)
@@ -505,7 +450,7 @@ class CrashScheduleFuzzer:  # simlint: ignore[SIM003] — one per campaign, not 
             error = f"{type(exc).__name__}: {exc}"
 
         return FuzzOutcome(
-            schedule=schedule,
+            trace=trace,
             converged=converged,
             victim=crash_info["victim"],
             crash_phase=crash_info["phase"],
@@ -521,7 +466,6 @@ class CrashScheduleFuzzer:  # simlint: ignore[SIM003] — one per campaign, not 
                 simulator.metrics.counter("operation_retries")),
             fingerprint=self._fingerprint(simulator),
             error=error,
-            trace=trace,
             victims=tuple(victims),
             partitions_opened=partitions_opened[0],
             partitions_healed=partitions_healed,
@@ -547,8 +491,7 @@ class CrashScheduleFuzzer:  # simlint: ignore[SIM003] — one per campaign, not 
         live protocol operations rather than the batched construction.
         Every draw comes from the master stream in a fixed order — the
         whole sweep replays from ``master_seed`` alone, and each failure
-        from its own serialized trace; with the default ``crashes=1`` and
-        no partitions the derived traces are exactly the legacy triples.
+        from its own serialized trace.
         """
         if schedules < 1:
             raise ValueError(f"schedules must be >= 1, got {schedules}")
@@ -561,8 +504,7 @@ class CrashScheduleFuzzer:  # simlint: ignore[SIM003] — one per campaign, not 
             sub_seed = master.integer(0, 2**31 - 1)
             rank = master.integer(0, 1 << 16)
             if sub_seed not in baselines:
-                baselines[sub_seed] = self.run_schedule(
-                    CrashSchedule(seed=sub_seed, message_index=None))
+                baselines[sub_seed] = self.run_trace(FuzzTrace(sub_seed))
             baseline = baselines[sub_seed]
             total = max(1, baseline.messages)
             index = master.integer(1, total + 1)
@@ -609,18 +551,6 @@ class CrashScheduleFuzzer:  # simlint: ignore[SIM003] — one per campaign, not 
 # ----------------------------------------------------------------------
 # CLI
 # ----------------------------------------------------------------------
-def _parse_replay(text: str) -> CrashSchedule:
-    """Parse a ``SEED:INDEX:RANK`` replay triple (INDEX may be ``none``)."""
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(
-            f"expected SEED:INDEX:RANK, got {text!r}")
-    seed, index_text, rank = parts
-    index = None if index_text.lower() == "none" else int(index_text)
-    return CrashSchedule(seed=int(seed), message_index=index,
-                         victim_rank=int(rank))
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point of ``python -m repro.simulation.fuzz``; returns exit code."""
     parser = argparse.ArgumentParser(
@@ -630,14 +560,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="master seed of the sweep (default 0)")
     parser.add_argument("--schedules", type=int, default=50,
                         help="number of schedules to derive (default 50)")
-    parser.add_argument("--replay", type=_parse_replay, action="append",
-                        metavar="SEED:INDEX:RANK", default=[],
-                        help="replay one failing triple instead of sweeping "
-                             "(repeatable; INDEX 'none' runs fault-free)")
     parser.add_argument("--replay-trace", type=str, action="append",
                         metavar="PATH", default=[],
                         help="replay serialized traces from a JSON file "
-                             "(one trace dict, a list of them, or a failure "
+                             "instead of sweeping (one trace dict, a list of them, or a failure "
                              "artifact written by --output; repeatable)")
     parser.add_argument("--objects", type=int, default=20,
                         help="overlay size each schedule builds (default 20)")
@@ -660,26 +586,19 @@ def main(argv: Optional[List[str]] = None) -> int:
                                  churn_events=args.churn)
 
     def describe(outcome: FuzzOutcome) -> str:
-        trace = outcome.trace
-        shape = (f"{len(trace.events)} events" if trace is not None
-                 and len(trace.events) != 1 else "1 event")
+        count = len(outcome.trace.events)
+        shape = "1 event" if count == 1 else f"{count} events"
         victims = (f"victims={list(outcome.victims)}"
                    if len(outcome.victims) > 1
                    else f"victim={outcome.victim}")
-        return (f"seed={outcome.schedule.seed} {shape} {victims} "
+        return (f"seed={outcome.seed} {shape} {victims} "
                 f"partitions={outcome.partitions_opened} "
                 f"phase={outcome.crash_phase} "
                 f"fingerprint={outcome.fingerprint[:16]}"
                 + (f" error={outcome.error}" if outcome.error else ""))
 
-    if args.replay or args.replay_trace:
+    if args.replay_trace:
         traces: List[FuzzTrace] = []
-        for schedule in args.replay:
-            events: Tuple[FuzzEvent, ...] = ()
-            if schedule.message_index is not None:
-                events = (CrashEvent(at_message=schedule.message_index,
-                                     victim_rank=schedule.victim_rank),)
-            traces.append(FuzzTrace(seed=schedule.seed, events=events))
         for path in args.replay_trace:
             with open(path, "r", encoding="utf-8") as handle:
                 data = json.load(handle)

@@ -41,9 +41,9 @@ Per-node routing cache
 Greedy forwarding reads each node's candidates from a lazily built flat
 ``(id, x, y)`` block cached against the node's :attr:`ProtocolNode.view_epoch`,
 which every view-mutating message handler bumps — the protocol-mode
-analogue of the oracle's epoch-cached routing tables.  The
-``use_node_routing_cache`` configuration switch keeps the per-hop dict
-assembly baseline for parity tests; answers are identical either way.
+analogue of the oracle's epoch-cached routing tables.  The block always
+equals the freshly assembled :meth:`ProtocolNode.routing_candidates`,
+which is what the parity tests compare it against.
 
 Fault tolerance
 ---------------
@@ -177,8 +177,7 @@ class TimeoutPolicy:
     expiry the operation's retry hook re-issues its idempotent,
     version-stamped messages and the window is stretched by ``backoff``;
     after ``max_retries`` expiries the operation is abandoned and surfaced
-    as a ``timed_out`` outcome.  ``enabled=False`` restores the pre-hardening
-    behaviour (no watchdogs are ever armed).
+    as a ``timed_out`` outcome.
     """
 
     join_timeout: float = 12.0
@@ -186,7 +185,6 @@ class TimeoutPolicy:
     long_link_timeout: float = 12.0
     max_retries: int = 3
     backoff: float = 2.0
-    enabled: bool = True
 
     def __post_init__(self) -> None:
         for name in ("join_timeout", "close_timeout", "long_link_timeout"):
@@ -333,20 +331,12 @@ class ProtocolNode:
         best = None
         best_d = (px - tx) * (px - tx) + (py - ty) * (py - ty)
         suspects = self.suspects if self.suspects else None
-        if self.simulator.config.use_node_routing_cache:
-            for neighbor, x, y in self.routing_block():
-                if suspects is not None and neighbor in suspects:
-                    continue
-                d = (x - tx) * (x - tx) + (y - ty) * (y - ty)
-                if d < best_d:
-                    best, best_d = neighbor, d
-        else:
-            for neighbor, (x, y) in self.routing_candidates().items():
-                if suspects is not None and neighbor in suspects:
-                    continue
-                d = (x - tx) * (x - tx) + (y - ty) * (y - ty)
-                if d < best_d:
-                    best, best_d = neighbor, d
+        for neighbor, x, y in self.routing_block():
+            if suspects is not None and neighbor in suspects:
+                continue
+            d = (x - tx) * (x - tx) + (y - ty) * (y - ty)
+            if d < best_d:
+                best, best_d = neighbor, d
         return best
 
     def view_size(self) -> int:
@@ -1083,9 +1073,9 @@ class ProtocolSimulator:  # simlint: ignore[SIM003] — one per experiment, not 
         subject crashed), and the window is stretched by the policy's
         backoff.  After ``max_retries`` expiries — or a declined retry —
         the operation is abandoned and ``fail()`` (if any) runs.  Tracking
-        is idempotent per key; with timeouts disabled this is a no-op.
+        is idempotent per key.
         """
-        if not self.timeouts.enabled or key in self._pending_ops:
+        if key in self._pending_ops:
             return
         op = _PendingOperation(key, timeout, retry, fail)
         self._pending_ops[key] = op

@@ -172,18 +172,6 @@ class TestHintedPointLocation:
             for start in starts:
                 assert overlay.lookup(point, start=start).owner == hinted_owner
 
-    def test_disabled_locate_index_same_owners(self, numpy_rng):
-        positions = generate_objects(UniformDistribution(), 150, RandomSource(33))
-        hinted = VoroNet(VoroNetConfig(n_max=600, seed=33))
-        hinted.bulk_load(positions)
-        unhinted = VoroNet(VoroNetConfig(n_max=600, seed=33,
-                                         use_locate_index=False))
-        unhinted.bulk_load(positions)
-        for _ in range(40):
-            point = tuple(numpy_rng.random(2))
-            assert hinted.owner_of(point) == unhinted.owner_of(point)
-            assert hinted.lookup(point).owner == unhinted.lookup(point).owner
-
     def test_route_many_matches_individual_routes(self, overlay):
         rng = RandomSource(35)
         ids = overlay.object_ids()
@@ -201,13 +189,14 @@ class TestHintedPointLocation:
         assert [r.owner for r in results] == [overlay.owner_of(p) for p in points]
 
     def test_hinted_insert_same_structure_as_random_introducer(self, numpy_rng):
-        """insert(hinted=True) carves the same regions, just cheaper joins."""
+        """A grid-hinted introducer carves the same regions, just cheaper joins."""
         points = [tuple(p) for p in numpy_rng.random((80, 2))]
         plain = VoroNet(VoroNetConfig(n_max=320, seed=41))
         hinted = VoroNet(VoroNetConfig(n_max=320, seed=41))
         for p in points:
             plain.insert(p)
-            hinted.insert(p, hinted=True)
+            hinted.insert(p, introducer=(hinted.query_entry_point(p)
+                                         if len(hinted) else None))
         assert adjacency_of(hinted.triangulation) == adjacency_of(plain.triangulation)
         for oid in plain.object_ids():
             assert hinted.node(oid).close_neighbors == plain.node(oid).close_neighbors

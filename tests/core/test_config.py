@@ -1,10 +1,12 @@
 """Unit tests for VoroNetConfig."""
 
 import math
+from dataclasses import fields
 
 import pytest
 
 from repro.core.config import DEFAULT_N_MAX, VoroNetConfig
+from repro.simulation.protocol import TimeoutPolicy
 
 
 class TestDefaults:
@@ -76,3 +78,13 @@ class TestWithUpdates:
     def test_with_updates_validates(self):
         with pytest.raises(ValueError):
             VoroNetConfig().with_updates(n_max=-5)
+
+
+def test_option_budget():
+    """The exact knob sets: a new option must be a deliberate, reviewed diff."""
+    assert {f.name for f in fields(VoroNetConfig)} == {
+        "n_max", "num_long_links", "d_min", "maintain_close_neighbors",
+        "maintain_back_links", "allow_overflow", "track_paths", "seed"}
+    assert {f.name for f in fields(TimeoutPolicy)} == {
+        "join_timeout", "close_timeout", "long_link_timeout", "max_retries",
+        "backoff"}

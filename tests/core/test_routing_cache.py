@@ -3,12 +3,13 @@
 Three layers of protection for the routing hot path:
 
 * a Hypothesis *stateful* machine interleaving inserts, removes, bulk
-  loads and long-link churn, asserting after every step that each cached
-  table equals a freshly assembled view (the module-level contract of
-  :mod:`repro.core.overlay`);
+  loads, crash+repair and long-link churn, asserting after every step
+  that each cached table equals a freshly assembled view (the
+  module-level contract of :mod:`repro.core.overlay`) and that routes
+  match the per-hop reference router of ``tests/reference_router.py``;
 * a churn stress test at N≈500 keeping ``owner_of`` / ``lookup`` /
-  ``route`` answers identical with the cache on vs. off through
-  alternating insert/remove/link-reset bursts (locate-grid and table
+  ``route`` answers identical to the reference router through alternating
+  insert/remove/crash/link-reset bursts (locate-grid and table
   invalidation under churn);
 * direct parity regressions for ``route`` / ``route_many`` /
   ``lookup_many`` and the Algorithm 5 stopping rule.
@@ -23,8 +24,23 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 from repro.core import VoroNet, VoroNetConfig
 from repro.core.errors import DuplicateObjectError
 from repro.core.routing import route_with_stopping_rule
+from repro.simulation.failures import CrashInjector
 from repro.utils.rng import RandomSource
 from repro.workloads.generators import generate_routing_pairs
+
+from reference_router import assert_routes_match_reference, reference_greedy_route
+
+
+def many_shard_config(n_max, **fields):
+    """A config with ``n_max``'s close-neighbour radius but 64 shards.
+
+    With the few shards a small ``n_max`` derives, almost every targeted
+    invalidation also bumps the shard of its neighbours, which would mask
+    a missing invalidation call elsewhere.
+    """
+    return VoroNetConfig(n_max=32768,
+                         d_min=VoroNetConfig(n_max=n_max).effective_d_min,
+                         **fields)
 
 
 def fresh_routing_sets(overlay, object_id):
@@ -56,8 +72,9 @@ class RoutingCacheMachine(RuleBasedStateMachine):
 
     def __init__(self):
         super().__init__()
-        self.overlay = VoroNet(VoroNetConfig(
-            n_max=64, allow_overflow=True, num_long_links=2, seed=1202))
+        self.overlay = VoroNet(many_shard_config(
+            64, num_long_links=2, seed=1202))
+        self.injector = CrashInjector(self.overlay, RandomSource(1203))
         self.last_epoch = self.overlay.topology_epoch
 
     def _pick(self, token):
@@ -89,6 +106,12 @@ class RoutingCacheMachine(RuleBasedStateMachine):
     def churn_long_links(self, token):
         self.overlay.reset_long_links(self._pick(token))
 
+    @precondition(lambda self: len(self.overlay) > 3)
+    @rule(token=st.integers(min_value=0))
+    def crash_and_repair(self, token):
+        self.injector.crash(self._pick(token))
+        self.injector.repair()
+
     @invariant()
     def epoch_is_monotone(self):
         epoch = self.overlay.topology_epoch
@@ -99,134 +122,108 @@ class RoutingCacheMachine(RuleBasedStateMachine):
     def tables_equal_fresh_views(self):
         assert_tables_match_views(self.overlay)
 
+    @invariant()
+    def routes_equal_reference(self):
+        ids = self.overlay.object_ids()
+        for source in ids[:1] + ids[-1:]:
+            for target in ((0.5, 0.5), self.overlay.position_of(ids[len(ids) // 2])):
+                for use_long_links in (True, False):
+                    assert_routes_match_reference(
+                        self.overlay,
+                        self.overlay.route(source, target,
+                                           use_long_links=use_long_links),
+                        use_long_links)
+
 
 TestRoutingCacheStateful = RoutingCacheMachine.TestCase
 TestRoutingCacheStateful.settings = settings(
     max_examples=15, stateful_step_count=25, deadline=None)
 
 
-def _twin_overlays(num_long_links=1, seed=2024, n_max=2000):
-    """Two structurally identical overlays, one cached, one not.
-
-    Both consume their internal RNGs in the same order for the same
-    operation sequence, so their structures stay byte-identical and any
-    divergence in answers is the cache's fault.
-    """
-    overlays = []
-    for use_cache in (True, False):
-        overlays.append(VoroNet(VoroNetConfig(
-            n_max=n_max, num_long_links=num_long_links, seed=seed,
-            use_routing_cache=use_cache)))
-    return overlays
-
-
 class TestChurnStress:
     def test_churn_bursts_keep_answers_identical(self):
-        """Alternating insert/remove/link-churn bursts at N≈500: owner_of,
-        lookup and route answer identically with the cache on vs. off, and
+        """Alternating insert/remove/crash/link-churn bursts at N≈500:
+        owner_of, lookup and route answer like the reference router, and
         the locate grid stays exactly in sync."""
-        cached, uncached = _twin_overlays(seed=501)
+        overlay = VoroNet(many_shard_config(2000, seed=501))
         pool = np.random.default_rng(501)
-        batch = [tuple(p) for p in pool.random((500, 2))]
-        cached.bulk_load(batch)
-        uncached.bulk_load(batch)
+        overlay.bulk_load([tuple(p) for p in pool.random((500, 2))])
+        injector = CrashInjector(overlay, RandomSource(502))
 
         probe_rng = np.random.default_rng(777)
         for burst in range(3):
-            # Removal burst: the same ids leave both overlays.
-            ids = cached.object_ids()
-            doomed = probe_rng.choice(ids, size=40, replace=False)
-            for object_id in doomed:
-                cached.remove(int(object_id))
-                uncached.remove(int(object_id))
-            # Insert burst (routed joins; both overlays draw identically).
+            ids = overlay.object_ids()
+            doomed = probe_rng.choice(ids, size=44, replace=False)
+            for object_id in doomed[:40]:
+                overlay.remove(int(object_id))
+            for object_id in doomed[40:]:
+                injector.crash(int(object_id))
+            injector.repair()
             for point in pool.random((40, 2)):
-                cached.insert(tuple(point))
-                uncached.insert(tuple(point))
-            # Long-link churn burst.
-            ids = cached.object_ids()
+                overlay.insert(tuple(point))
+            ids = overlay.object_ids()
             for object_id in probe_rng.choice(ids, size=10, replace=False):
-                cached.reset_long_links(int(object_id))
-                uncached.reset_long_links(int(object_id))
+                overlay.reset_long_links(int(object_id))
 
-            # The two overlays must still be structurally identical …
-            assert cached.object_ids() == uncached.object_ids()
-            # … the locate grid exactly in sync with the membership …
-            assert set(cached.object_ids()) == {
-                oid for oid in cached.object_ids()
-                if oid in cached.locate_index}
-            assert len(cached.locate_index) == len(cached)
-            # … and every answer identical, cache on vs. off.
-            ids = cached.object_ids()
+            # The locate grid is exactly in sync with the membership …
+            ids = overlay.object_ids()
+            assert all(oid in overlay.locate_index for oid in ids)
+            assert len(overlay.locate_index) == len(overlay)
+            # … and every answer equals the reference router's.
             for point in probe_rng.random((30, 2)):
-                point = tuple(point)
-                assert cached.owner_of(point) == uncached.owner_of(point)
-                lookup_c = cached.lookup(point)
-                lookup_u = uncached.lookup(point)
-                assert lookup_c.owner == lookup_u.owner
-                assert lookup_c.hops == lookup_u.hops
+                lookup = overlay.lookup(tuple(point))
+                assert_routes_match_reference(overlay, lookup)
+                assert lookup.owner == overlay.owner_of(tuple(point))
             for a, b in [probe_rng.choice(ids, size=2, replace=False)
                          for _ in range(30)]:
-                route_c = cached.route(int(a), int(b))
-                route_u = uncached.route(int(a), int(b))
-                assert route_c.owner == route_u.owner
-                assert route_c.hops == route_u.hops
+                assert_routes_match_reference(overlay,
+                                              overlay.route(int(a), int(b)))
 
-        assert cached.check_consistency() == []
-        assert_tables_match_views(cached)
+        assert overlay.check_consistency() == []
+        assert_tables_match_views(overlay)
 
 
 class TestCacheParity:
     @pytest.fixture(scope="class")
-    def twins(self):
-        cached, uncached = _twin_overlays(num_long_links=2, seed=88)
-        pool = np.random.default_rng(88)
-        for point in pool.random((150, 2)):
-            cached.insert(tuple(point))
-            uncached.insert(tuple(point))
-        return cached, uncached
+    def overlay(self):
+        overlay = VoroNet(VoroNetConfig(n_max=2000, num_long_links=2, seed=88))
+        for point in np.random.default_rng(88).random((150, 2)):
+            overlay.insert(tuple(point))
+        return overlay
 
     @pytest.mark.parametrize("use_long_links", [True, False])
-    def test_route_parity(self, twins, use_long_links):
-        cached, uncached = twins
-        ids = cached.object_ids()
+    def test_route_parity(self, overlay, use_long_links):
+        ids = overlay.object_ids()
         rng = np.random.default_rng(5)
         for a, b in [rng.choice(ids, size=2, replace=False) for _ in range(40)]:
-            route_c = cached.route(int(a), int(b), use_long_links=use_long_links)
-            route_u = uncached.route(int(a), int(b), use_long_links=use_long_links)
-            assert route_c.owner == route_u.owner
-            assert route_c.hops == route_u.hops
+            assert_routes_match_reference(
+                overlay,
+                overlay.route(int(a), int(b), use_long_links=use_long_links),
+                use_long_links)
 
     @pytest.mark.parametrize("use_long_links", [True, False])
-    def test_route_many_parity(self, twins, use_long_links):
-        cached, uncached = twins
+    def test_route_many_parity(self, overlay, use_long_links):
         pairs = list(generate_routing_pairs(
-            cached.object_ids(), 60, RandomSource(6)))
-        results_c = cached.route_many(pairs, use_long_links=use_long_links)
-        results_u = uncached.route_many(pairs, use_long_links=use_long_links)
-        assert [(r.owner, r.hops) for r in results_c] == \
-            [(r.owner, r.hops) for r in results_u]
+            overlay.object_ids(), 60, RandomSource(6)))
+        for result in overlay.route_many(pairs, use_long_links=use_long_links):
+            assert_routes_match_reference(overlay, result, use_long_links)
 
-    def test_lookup_many_parity(self, twins):
-        cached, uncached = twins
+    def test_lookup_many_parity(self, overlay):
         points = [tuple(p) for p in np.random.default_rng(7).random((60, 2))]
-        results_c = cached.lookup_many(points)
-        results_u = uncached.lookup_many(points)
-        assert [(r.owner, r.hops) for r in results_c] == \
-            [(r.owner, r.hops) for r in results_u]
+        for result in overlay.lookup_many(points):
+            assert_routes_match_reference(overlay, result)
 
-    def test_stopping_rule_parity(self, twins):
-        """The Algorithm 5 stopping rule fires at the same hop either way."""
-        cached, uncached = twins
-        ids = cached.object_ids()
+    def test_stopping_rule_parity(self, overlay):
+        """The Algorithm 5 stopping rule walks a prefix of the reference path."""
+        ids = overlay.object_ids()
         rng = np.random.default_rng(8)
         for _ in range(40):
             source = int(rng.choice(ids))
             target = tuple(rng.random(2))
-            early_c = route_with_stopping_rule(cached, source, target)
-            early_u = route_with_stopping_rule(uncached, source, target)
-            assert early_c.owner == early_u.owner
-            assert early_c.hops == early_u.hops
+            early = route_with_stopping_rule(overlay, source, target)
+            path = reference_greedy_route(overlay, source, target)
+            assert early.hops < len(path)
+            assert early.owner == path[early.hops]
 
 
 class TestEpochContract:
@@ -272,13 +269,4 @@ class TestEpochContract:
         overlay.remove(ids[0])
         assert not any(ids[0] in variant
                        for variant in overlay._routing_tables.values())
-        assert_tables_match_views(overlay)
-
-    def test_cache_disabled_stores_nothing(self):
-        overlay = VoroNet(VoroNetConfig(
-            n_max=64, seed=12, use_routing_cache=False))
-        overlay.bulk_load([(0.1, 0.1), (0.9, 0.1), (0.5, 0.9), (0.5, 0.4)])
-        for object_id in overlay.object_ids():
-            overlay.routing_table(object_id)
-        assert all(not variant for variant in overlay._routing_tables.values())
         assert_tables_match_views(overlay)

@@ -4,12 +4,13 @@ Four layers:
 
 * unit tests of :class:`ShardedNodeStore` (Morton codes, swap-remove,
   locators, epoch bump semantics, range partitioning);
-* **sharded vs flat equivalence** — twin overlays differing only in
-  ``shard_level`` answer byte-identically (owners, hops, views) through
-  churn: sharding changes *when tables rebuild*, never what they contain;
+* **sharded vs reference equivalence** — a 64-shard overlay answers like
+  the per-hop reference router of ``tests/reference_router.py`` (owners,
+  hops) through churn that crosses shard boundaries: sharding changes
+  *when tables rebuild*, never what they contain;
 * **per-shard invalidation** — churn inside one shard leaves warm tables
   of a distant shard untouched (``routing_table_rebuilds`` stays flat),
-  while the flat-store baseline rebuilds all of them;
+  while a single-shard overlay rebuilds all of them;
 * a Hypothesis suite hammering shard-*boundary* inserts/removes (points
   on and around the 2^level grid lines, where clamping and code
   assignment could disagree).
@@ -22,6 +23,8 @@ from hypothesis import strategies as st
 
 from repro.core import VoroNet, VoroNetConfig
 from repro.core.shards import MAX_SHARD_LEVEL, ShardedNodeStore, morton_shard_codes
+
+from reference_router import assert_routes_match_reference
 
 
 class TestMortonCodes:
@@ -176,62 +179,39 @@ class TestRangePartitioning:
             store.shard_ranges(0)
 
 
-def _twin_overlays(seed=3100, n_max=4096, shard_level=3):
-    """Two overlays differing only in shard level (sharded vs flat)."""
-    overlays = []
-    for level in (shard_level, 0):
-        overlays.append(VoroNet(VoroNetConfig(
-            n_max=n_max, num_long_links=1, seed=seed, shard_level=level)))
-    return overlays
-
-
 class TestShardedFlatEquivalence:
     def test_answers_identical_through_churn(self):
-        """Owners, hops and views stay byte-identical between the sharded
-        store and the flat baseline through bulk load + churn bursts."""
-        sharded, flat = _twin_overlays()
-        assert sharded.shard_store.num_shards == 64
-        assert flat.shard_store.num_shards == 1
+        """Owners and hops equal the reference router's through bulk load +
+        churn bursts spread over every shard."""
+        # n_max = 64 · DEFAULT_SHARD_OCCUPANCY derives 64 shards.
+        overlay = VoroNet(VoroNetConfig(n_max=32768, num_long_links=1, seed=3100))
+        assert overlay.shard_store.num_shards == 64
         pool = np.random.default_rng(31)
-        batch = [tuple(p) for p in pool.random((300, 2))]
-        sharded.bulk_load(batch)
-        flat.bulk_load(batch)
+        overlay.bulk_load([tuple(p) for p in pool.random((300, 2))])
 
         probe = np.random.default_rng(32)
         for _ in range(2):
-            ids = sharded.object_ids()
+            ids = overlay.object_ids()
             for object_id in probe.choice(ids, size=20, replace=False):
-                sharded.remove(int(object_id))
-                flat.remove(int(object_id))
+                overlay.remove(int(object_id))
             for point in pool.random((20, 2)):
-                sharded.insert(tuple(point))
-                flat.insert(tuple(point))
+                overlay.insert(tuple(point))
 
-            assert sharded.object_ids() == flat.object_ids()
-            ids = sharded.object_ids()
-            for object_id in probe.choice(ids, size=25, replace=False):
-                view_s = sharded.neighbor_view(int(object_id))
-                view_f = flat.neighbor_view(int(object_id))
-                assert view_s == view_f
+            ids = overlay.object_ids()
             for point in probe.random((25, 2)):
-                point = tuple(point)
-                assert sharded.owner_of(point) == flat.owner_of(point)
-                lookup_s = sharded.lookup(point)
-                lookup_f = flat.lookup(point)
-                assert (lookup_s.owner, lookup_s.hops) == \
-                    (lookup_f.owner, lookup_f.hops)
+                lookup = overlay.lookup(tuple(point))
+                assert_routes_match_reference(overlay, lookup)
+                assert lookup.owner == overlay.owner_of(tuple(point))
             for a, b in [probe.choice(ids, size=2, replace=False)
                          for _ in range(25)]:
-                route_s = sharded.route(int(a), int(b))
-                route_f = flat.route(int(a), int(b))
-                assert (route_s.owner, route_s.hops) == \
-                    (route_f.owner, route_f.hops)
+                assert_routes_match_reference(overlay,
+                                              overlay.route(int(a), int(b)))
 
-        assert sharded.check_consistency() == []
-        assert flat.check_consistency() == []
+        assert overlay.check_consistency() == []
 
     def test_store_tracks_membership_through_churn(self):
-        overlay = VoroNet(VoroNetConfig(n_max=1024, seed=33, shard_level=2))
+        overlay = VoroNet(VoroNetConfig(n_max=8192, seed=33))
+        assert overlay.shard_store.num_shards == 16
         ids = overlay.bulk_load(
             [tuple(p) for p in np.random.default_rng(33).random((80, 2))])
         store = overlay.shard_store
@@ -245,8 +225,11 @@ class TestShardedFlatEquivalence:
                 *overlay.position_of(object_id))
 
 
-def _corner_overlay(shard_level):
+def _corner_overlay(n_max=4096):
     """Filler grid plus dense corner clusters A (0.1,0.1) and B (0.9,0.9).
+
+    The default ``n_max`` derives 16 shards (level 2); ``n_max=512`` a
+    single one.
 
     The filler keeps Delaunay adjacency local, so churn inside cluster A
     cannot touch cluster B's forwarding candidates; ``num_long_links=0``
@@ -254,7 +237,7 @@ def _corner_overlay(shard_level):
     square.
     """
     overlay = VoroNet(VoroNetConfig(
-        n_max=4096, num_long_links=0, seed=77, shard_level=shard_level))
+        n_max=n_max, num_long_links=0, seed=77))
     filler = [((i + 0.5) / 12, (j + 0.5) / 12)
               for i in range(12) for j in range(12)]
     rng = np.random.default_rng(77)
@@ -267,7 +250,7 @@ def _corner_overlay(shard_level):
 
 class TestPerShardInvalidation:
     def test_churn_in_one_shard_leaves_distant_tables_warm(self):
-        overlay, b_ids = _corner_overlay(shard_level=2)
+        overlay, b_ids = _corner_overlay()
         for object_id in b_ids:
             overlay.routing_table(object_id)
         # Insert + remove inside cluster A, far from every B shard.  (The
@@ -281,7 +264,8 @@ class TestPerShardInvalidation:
         assert overlay.stats.routing_table_rebuilds == before
 
     def test_flat_baseline_rebuilds_everything(self):
-        overlay, b_ids = _corner_overlay(shard_level=0)
+        overlay, b_ids = _corner_overlay(n_max=512)
+        assert overlay.shard_store.num_shards == 1
         for object_id in b_ids:
             overlay.routing_table(object_id)
         victim = overlay.insert((0.1, 0.12))
@@ -289,13 +273,13 @@ class TestPerShardInvalidation:
         before = overlay.stats.routing_table_rebuilds
         for object_id in b_ids:
             overlay.routing_table(object_id)
-        # The global epoch invalidated every warm table.
+        # The single shard's epoch invalidated every warm table.
         assert overlay.stats.routing_table_rebuilds == before + len(b_ids)
 
     def test_churn_inside_shard_does_invalidate_it(self):
         """Sanity check that the targeted bump is not simply never firing:
         churn next to cluster B must rebuild B's tables."""
-        overlay, b_ids = _corner_overlay(shard_level=2)
+        overlay, b_ids = _corner_overlay()
         for object_id in b_ids:
             overlay.routing_table(object_id)
         victim = overlay.insert((0.9, 0.91))
@@ -348,9 +332,10 @@ class TestShardBoundaryHypothesis:
         rng = np.random.default_rng(seed)
         snapped = np.round(rng.random((24, 2)) * 8) / 8
         jitter = (rng.random((24, 2)) - 0.5) * 1e-6
-        points = np.clip(snapped + jitter, 0.0, 1.0)
+        # Clipping can fold two jittered corner points onto one position.
+        points = np.unique(np.clip(snapped + jitter, 0.0, 1.0), axis=0)
         overlay = VoroNet(VoroNetConfig(
-            n_max=2048, seed=seed, shard_level=3, num_long_links=1))
+            n_max=32768, seed=seed, num_long_links=1))  # level 3
         ids = []
         for point in points:
             ids.append(overlay.insert(tuple(point)))

@@ -47,8 +47,8 @@ class TestConfig:
 
 class TestParityWhenDisabled:
     def test_disabled_config_matches_legacy_full_probe(self):
-        """With the knob off the detector must take the byte-identical
-        legacy full-probe path — same counters on twin overlays."""
+        """With the knob off the detector sends exactly the default
+        full-probe traffic — same counters on twin overlays."""
         counters = []
         for adaptive in (False, None):
             simulator = build_simulator(count=80, seed=21)

@@ -247,8 +247,9 @@ class TestHeartbeatConfig:
                               config=HeartbeatConfig())
 
     def test_full_probe_config_is_byte_identical_to_kwargs(self):
-        """Parity pin: with piggyback/sampling off, the optimized detector
-        takes the legacy code path — identical counters on twin overlays."""
+        """Parity pin: with piggyback/sampling off, a config-built detector
+        sends exactly what a kwargs-built one does — identical counters on
+        twin overlays."""
         counters = []
         for construct in ("kwargs", "config"):
             simulator = build_simulator(count=80, seed=21)

@@ -1,7 +1,7 @@
 """Tests of the crash-at-any-message fuzzing harness.
 
-Three layers: unit checks of the schedule/outcome plumbing and the CLI,
-replay determinism (the same triple produces byte-identical outcomes —
+Three layers: unit checks of the trace/outcome plumbing and the CLI,
+replay determinism (the same trace produces byte-identical outcomes —
 the property every failure report relies on), and a Hypothesis stateful
 machine that interleaves joins, leaves and armed crash triggers against a
 live simulator, healing and asserting clean convergence — Hypothesis
@@ -24,7 +24,6 @@ from repro.simulation.faults import (
 )
 from repro.simulation.fuzz import (
     CrashEvent,
-    CrashSchedule,
     CrashScheduleFuzzer,
     FuzzTrace,
     PartitionEvent,
@@ -42,22 +41,13 @@ from repro.workloads.generators import generate_objects
 class TestSchedule:
     def test_validation(self):
         with pytest.raises(ValueError):
-            CrashSchedule(seed=1, message_index=0)
-        with pytest.raises(ValueError):
-            CrashSchedule(seed=1, message_index=5, victim_rank=-1)
-        with pytest.raises(ValueError):
             CrashScheduleFuzzer(num_objects=2)
         with pytest.raises(ValueError):
             CrashScheduleFuzzer().run_sweep(0, 0)
 
-    def test_triple_round_trips(self):
-        schedule = CrashSchedule(seed=9, message_index=42, victim_rank=3)
-        assert schedule.as_triple() == (9, 42, 3)
-
     def test_baseline_runs_fault_free(self):
         fuzzer = CrashScheduleFuzzer(num_objects=10, churn_events=4)
-        outcome = fuzzer.run_schedule(
-            CrashSchedule(seed=17, message_index=None))
+        outcome = fuzzer.run_trace(FuzzTrace(seed=17))
         assert outcome.victim is None
         assert outcome.crash_phase is None
         assert outcome.converged
@@ -69,9 +59,8 @@ class TestSchedule:
     def test_crash_fires_and_converges(self):
         fuzzer = CrashScheduleFuzzer(num_objects=14, churn_events=4)
         baseline = fuzzer.baseline_messages(23)
-        outcome = fuzzer.run_schedule(
-            CrashSchedule(seed=23, message_index=baseline // 2,
-                          victim_rank=5))
+        outcome = fuzzer.run_trace(FuzzTrace(seed=23, events=(
+            CrashEvent(at_message=baseline // 2, victim_rank=5),)))
         assert outcome.victim is not None
         assert outcome.crash_phase in ("build", "churn", "heal")
         assert outcome.converged, outcome
@@ -79,8 +68,8 @@ class TestSchedule:
 
     def test_outcome_as_dict_is_json_ready(self):
         fuzzer = CrashScheduleFuzzer(num_objects=10, churn_events=2)
-        outcome = fuzzer.run_schedule(
-            CrashSchedule(seed=3, message_index=30, victim_rank=1))
+        outcome = fuzzer.run_trace(FuzzTrace(seed=3, events=(
+            CrashEvent(at_message=30, victim_rank=1),)))
         json.dumps(outcome.as_dict())  # must not raise
 
 
@@ -90,9 +79,10 @@ class TestSchedule:
 class TestReplayDeterminism:
     def test_same_triple_same_fingerprint(self):
         fuzzer = CrashScheduleFuzzer(num_objects=14, churn_events=6)
-        schedule = CrashSchedule(seed=31, message_index=120, victim_rank=9)
-        first = fuzzer.run_schedule(schedule)
-        second = fuzzer.run_schedule(schedule)
+        trace = FuzzTrace(seed=31, events=(
+            CrashEvent(at_message=120, victim_rank=9),))
+        first = fuzzer.run_trace(trace)
+        second = fuzzer.run_trace(trace)
         assert first.fingerprint == second.fingerprint
         assert first == second
 
@@ -108,8 +98,7 @@ class TestReplayDeterminism:
         fuzzer = CrashScheduleFuzzer(num_objects=12, churn_events=4)
         report = fuzzer.run_sweep(77, 20)
         assert report.schedules_run == 20
-        assert report.converged, [f.schedule.as_triple()
-                                  for f in report.failures]
+        assert report.converged, [f.trace.as_dict() for f in report.failures]
         assert report.crashes_fired > 0
 
 
@@ -141,17 +130,6 @@ class TestFuzzTrace:
         with pytest.raises(ValueError):
             FuzzTrace.from_dict({"seed": 1, "events": [{"kind": "meteor"}]})
 
-    def test_single_crash_trace_equals_legacy_schedule(self):
-        fuzzer = CrashScheduleFuzzer(num_objects=12, churn_events=4)
-        schedule = CrashSchedule(seed=19, message_index=90, victim_rank=2)
-        legacy = fuzzer.run_schedule(schedule)
-        trace = FuzzTrace(seed=19, events=(
-            CrashEvent(at_message=90, victim_rank=2),))
-        assert trace.as_schedule() == schedule
-        modern = fuzzer.run_trace(trace)
-        assert modern.fingerprint == legacy.fingerprint
-        assert modern.victims == legacy.victims
-
     def test_multi_crash_sequence_converges(self):
         fuzzer = CrashScheduleFuzzer(num_objects=16, churn_events=4)
         total = fuzzer.baseline_messages(29)
@@ -166,8 +144,7 @@ class TestFuzzTrace:
 
     def test_partition_window_armed_at_message_index(self):
         fuzzer = CrashScheduleFuzzer(num_objects=14, churn_events=4)
-        baseline = fuzzer.run_schedule(CrashSchedule(seed=23,
-                                                     message_index=None))
+        baseline = fuzzer.run_trace(FuzzTrace(seed=23))
         marks = dict(baseline.phase_marks)
         trace = FuzzTrace(seed=23, events=(
             PartitionEvent(at_message=marks["churn"] + 2, fraction=0.3,
@@ -189,8 +166,7 @@ class TestFuzzTrace:
         converged, or a populated divergence surface — never a hang.
         """
         fuzzer = CrashScheduleFuzzer(num_objects=14, churn_events=4)
-        baseline = fuzzer.run_schedule(CrashSchedule(seed=23,
-                                                     message_index=None))
+        baseline = fuzzer.run_trace(FuzzTrace(seed=23))
         marks = dict(baseline.phase_marks)
         trace = FuzzTrace(seed=23, events=(
             CrashEvent(at_message=marks["heal"] + 3, victim="coordinator"),))
@@ -329,14 +305,11 @@ class TestCli:
         assert "4 schedules" in out
         assert "0 failures" in out
 
-    def test_replay_smoke(self, capsys):
-        assert main(["--replay", "5:40:2", "--objects", "10",
-                     "--churn", "2"]) == 0
-        out = capsys.readouterr().out
-        assert out.startswith("ok seed=5")
-
-    def test_replay_fault_free_index(self, capsys):
-        assert main(["--replay", "5:none:0", "--objects", "10",
+    def test_replay_fault_free_index(self, tmp_path, capsys):
+        path = tmp_path / "baseline.json"
+        path.write_text(json.dumps(FuzzTrace(seed=5).as_dict()),
+                        encoding="utf-8")
+        assert main(["--replay-trace", str(path), "--objects", "10",
                      "--churn", "2"]) == 0
         assert "victim=None" in capsys.readouterr().out
 
@@ -345,10 +318,6 @@ class TestCli:
         assert main(["--seed", "5", "--schedules", "2", "--objects", "10",
                      "--churn", "2", "--output", str(artifact)]) == 0
         assert not artifact.exists()
-
-    def test_replay_parse_errors(self):
-        with pytest.raises(SystemExit):
-            main(["--replay", "not-a-triple"])
 
     def test_replay_trace_file(self, tmp_path, capsys):
         trace = FuzzTrace(seed=5, events=(

@@ -4,12 +4,13 @@ The protocol-level mirror of :mod:`tests.core.test_routing_cache`:
 
 * a Hypothesis *stateful* machine interleaving joins, bulk joins, leaves
   and queries, asserting after every step that each node's cached flat
-  block equals its freshly assembled candidate dict and that view epochs
-  never move backwards;
-* twin simulators (cache on vs. off) fed identical operation sequences,
-  asserting byte-identical query owners and hop counts;
+  block equals its freshly assembled candidate dict, that every node
+  forwards like ``reference_next_hop`` (``tests/reference_router.py``)
+  and that view epochs never move backwards;
+* a simulator churned through joins, bulk joins and leaves whose query
+  owners and hop counts equal a walk of the reference next-hop rule;
 * direct checks of the epoch/invalidation contract (`touch_view` on every
-  view-mutating handler, no block stored when the cache is disabled).
+  view-mutating handler).
 """
 
 import numpy as np
@@ -22,6 +23,8 @@ from repro.simulation.protocol import ProtocolSimulator
 from repro.utils.rng import RandomSource
 from repro.workloads.distributions import UniformDistribution
 from repro.workloads.generators import generate_objects
+
+from reference_router import reference_next_hop
 
 
 def assert_blocks_match_candidates(simulator):
@@ -86,66 +89,50 @@ class NodeRoutingCacheMachine(RuleBasedStateMachine):
     def blocks_equal_fresh_candidates(self):
         assert_blocks_match_candidates(self.simulator)
 
+    @invariant()
+    def next_hops_equal_reference(self):
+        for object_id in self.simulator.object_ids():
+            node = self.simulator.node(object_id)
+            for target in ((0.5, 0.5), (0.1, 0.9)):
+                assert node.greedy_next_hop(target) == \
+                    reference_next_hop(node, target)
+
 
 TestNodeRoutingCacheStateful = NodeRoutingCacheMachine.TestCase
 TestNodeRoutingCacheStateful.settings = settings(
     max_examples=15, stateful_step_count=25, deadline=None)
 
 
-def _twin_simulators(seed=88, n_max=2000, num_long_links=2):
-    """Two structurally identical simulators, one cached, one not."""
-    simulators = []
-    for use_cache in (True, False):
-        simulators.append(ProtocolSimulator(VoroNetConfig(
-            n_max=n_max, num_long_links=num_long_links, seed=seed,
-            use_node_routing_cache=use_cache), seed=seed))
-    return simulators
-
-
 class TestCacheParity:
     def test_identical_answers_through_churn(self):
-        """Joins, bulk joins, leaves and queries answer identically with the
-        node cache on vs. off."""
-        cached, uncached = _twin_simulators(seed=505)
-        positions = generate_objects(UniformDistribution(), 260, RandomSource(505))
-        cached.bulk_join(positions[:200])
-        uncached.bulk_join(positions[:200])
-        for position in positions[200:]:
-            report_c = cached.join(position)
-            report_u = uncached.join(position)
-            assert (report_c.object_id, report_c.routing_hops) == \
-                (report_u.object_id, report_u.routing_hops)
-
-        probe_rng = np.random.default_rng(606)
-        ids = cached.object_ids()
-        for victim in probe_rng.choice(ids, size=30, replace=False):
-            report_c = cached.leave(int(victim))
-            report_u = uncached.leave(int(victim))
-            assert report_c.messages == report_u.messages
-
-        for point in probe_rng.random((40, 2)):
-            point = tuple(point)
-            start = int(probe_rng.choice(cached.object_ids()))
-            answer_c = cached.query(point, start=start)
-            answer_u = uncached.query(point, start=start)
-            assert answer_c.owner == answer_u.owner
-            assert answer_c.routing_hops == answer_u.routing_hops
-            assert answer_c.messages == answer_u.messages
-
-        assert cached.verify_views() == []
-        assert uncached.verify_views() == []
-        assert_blocks_match_candidates(cached)
-
-    def test_disabled_cache_builds_no_blocks(self):
-        """With the switch off, greedy hops never materialise a block."""
+        """After joins, bulk joins and leaves, queries answer like a walk of
+        the reference next-hop rule over the nodes' fresh candidates."""
         simulator = ProtocolSimulator(VoroNetConfig(
-            n_max=128, seed=42, use_node_routing_cache=False), seed=42)
-        simulator.bulk_join(generate_objects(
-            UniformDistribution(), 40, RandomSource(42)))
-        for _ in range(10):
-            simulator.query(tuple(np.random.default_rng(1).random(2)))
-        assert all(simulator.node(oid)._block is None
-                   for oid in simulator.object_ids())
+            n_max=2000, num_long_links=2, seed=505), seed=505)
+        positions = generate_objects(UniformDistribution(), 260, RandomSource(505))
+        simulator.bulk_join(positions[:200])
+        probe_rng = np.random.default_rng(606)
+        for burst in (positions[200:230], positions[230:]):
+            for position in burst:
+                simulator.join(position)
+            ids = simulator.object_ids()
+            for victim in probe_rng.choice(ids, size=15, replace=False):
+                simulator.leave(int(victim))
+
+            for point in probe_rng.random((20, 2)):
+                point = tuple(point)
+                start = int(probe_rng.choice(simulator.object_ids()))
+                owner, hops = start, 0
+                while True:
+                    nxt = reference_next_hop(simulator.node(owner), point)
+                    if nxt is None:
+                        break
+                    owner, hops = nxt, hops + 1
+                answer = simulator.query(point, start=start)
+                assert (answer.owner, answer.routing_hops) == (owner, hops)
+
+        assert simulator.verify_views() == []
+        assert_blocks_match_candidates(simulator)
 
 
 class TestEpochContract:

@@ -146,9 +146,15 @@ class TestTimeoutPolicy:
             TimeoutPolicy(backoff=0.5)
 
     def test_defaults_enabled(self):
+        """The default policy retries, and tracked operations are armed."""
         policy = TimeoutPolicy()
-        assert policy.enabled
         assert policy.max_retries >= 1
+        simulator = build_simulator(count=4, seed=2)
+        key = ("join", 99)
+        simulator.start_operation(key, policy.join_timeout, lambda: False)
+        assert simulator.pending_operations() == [key]
+        simulator.finish_operation(key)
+        assert simulator.engine.quiescent
 
 
 # ----------------------------------------------------------------------
@@ -275,14 +281,6 @@ class TestOperationOutcomes:
         injector.crash(object_id)
         assert object_id not in simulator.nodes
         assert second.object_id in simulator.nodes
-
-    def test_disabled_policy_arms_no_watchdogs(self):
-        simulator = build_simulator(
-            count=12, seed=31, timeouts=TimeoutPolicy(enabled=False))
-        report = simulator.join((0.111, 0.222))
-        assert report.outcome == "completed"
-        assert simulator.pending_operations() == []
-        assert simulator.metrics.counter("operation_timeouts") == 0
 
 
 # ----------------------------------------------------------------------
