@@ -38,7 +38,7 @@ from pathlib import Path
 if __name__ == "__main__":  # script mode: make src/ importable without PYTHONPATH
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from repro.simulation.merge import ProtocolMergeHarness
+from repro.simulation.scenario import run_merge_scenario
 
 #: Base overlay size of the canonical record; scenarios derive their own
 #: sizes from it (k-way splits need more members per side).
@@ -47,7 +47,7 @@ DEFAULT_SEED = 4242
 
 
 def scenario_matrix(num_objects: int, seed: int) -> dict:
-    """The benchmarked scenarios: name -> harness parameters."""
+    """The benchmarked scenarios: name -> ``run_merge_scenario`` parameters."""
     return {
         "two_way": dict(num_objects=num_objects, seed=seed,
                         num_sides=2, cycles=1),
@@ -63,12 +63,10 @@ def scenario_matrix(num_objects: int, seed: int) -> dict:
 
 def run_scenario(name: str, params: dict, *, inserts_per_side: int,
                  queries_per_side: int) -> dict:
-    """Run one harness scenario and summarise it as a JSON-safe dict."""
-    harness = ProtocolMergeHarness(inserts_per_side=inserts_per_side,
-                                   queries_per_side=queries_per_side,
-                                   **params)
+    """Run one scenario and summarise it as a JSON-safe dict."""
     started = time.perf_counter()
-    report = harness.run()
+    report = run_merge_scenario(inserts_per_side=inserts_per_side,
+                                queries_per_side=queries_per_side, **params)
     seconds = time.perf_counter() - started
     merges = report.cycle_reports
     return {

@@ -24,7 +24,7 @@ from typing import Dict, List, Sequence
 
 from repro.analysis.plots import format_table
 from repro.experiments.common import env_scale, scaled
-from repro.simulation.faults import ProtocolChurnHarness, ProtocolChurnReport
+from repro.simulation.scenario import HealOutcome, Scenario
 
 __all__ = ["ChurnProtocolResult", "run_ablation_churn_protocol",
            "format_churn_protocol"]
@@ -32,13 +32,13 @@ __all__ = ["ChurnProtocolResult", "run_ablation_churn_protocol",
 
 @dataclass(frozen=True)
 class ChurnProtocolResult:
-    """Per-crash-fraction churn/repair reports on one overlay size."""
+    """Per-crash-fraction heal outcomes on one overlay size."""
 
     overlay_size: int
     churn_events: int
     loss_probability: float
     crash_fractions: List[float]
-    reports: Dict[float, ProtocolChurnReport]
+    reports: Dict[float, HealOutcome]
 
     @property
     def all_converged(self) -> bool:
@@ -66,17 +66,16 @@ def run_ablation_churn_protocol(scale: float | None = None, seed: int = 2007, *,
     scale = env_scale() if scale is None else scale
     size = scaled(800, scale, minimum=64)
     churn_events = scaled(48, scale, minimum=16)
-    reports: Dict[float, ProtocolChurnReport] = {}
+    reports: Dict[float, HealOutcome] = {}
     for index, fraction in enumerate(crash_fractions):
-        harness = ProtocolChurnHarness(
-            num_objects=size,
-            seed=seed + index,
-            churn_events=churn_events,
-            crash_fraction=fraction,
-            loss_probability=loss_probability,
+        scenario = Scenario(num_objects=size, seed=seed + index,
+                            churn_events=churn_events)
+        scenario.build()
+        scenario.churn()
+        scenario.crash(fraction)
+        reports[fraction] = scenario.heal(
             max_repair_rounds=max_repair_rounds,
-        )
-        reports[fraction] = harness.run()
+            loss_probability=loss_probability)
     return ChurnProtocolResult(
         overlay_size=size,
         churn_events=churn_events,
@@ -99,7 +98,7 @@ def format_churn_protocol(result: ChurnProtocolResult) -> str:
         damage = report.damage
         rows.append([
             f"{fraction:.0%}",
-            report.crashed,
+            damage.crashed,
             damage.total_stale_entries,
             damage.affected_objects,
             report.detection_rounds,

@@ -12,12 +12,11 @@ Two trackers complement the streaming percentile estimators:
   accumulated as plottable rows and exported through a
   :class:`~repro.simulation.metrics.MetricsRegistry` so a throughput or
   latency trajectory can be reconstructed after the run.
-* :class:`AvailabilityTracker` — per-side, per-phase query success
-  during a network split, plus heal→converged latencies — the
-  availability story of the partition-merge subsystem: what fraction of
-  queries each side of a split answered while degraded (views still
-  reference the far side) and once stabilised against its own fork, and
-  how long each heal took to reach clean views again.
+
+:class:`~repro.simulation.scenario.AvailabilityTracker` (per-side,
+per-phase query success during a network split, plus heal→converged
+latencies) is defined beside the merge scenario that fills it and
+re-exported here.
 """
 
 from __future__ import annotations
@@ -27,6 +26,9 @@ from typing import Dict, Iterable, List, Optional
 import numpy as np
 
 from repro.simulation.metrics import MetricsRegistry
+# Re-export: the dependency only ever points this way — ``repro.simulation``
+# never imports ``repro.serving``.
+from repro.simulation.scenario import AvailabilityTracker
 
 __all__ = ["LoadTracker", "WindowTracker", "AvailabilityTracker"]
 
@@ -179,79 +181,3 @@ class WindowTracker:
         if self._start is not None and self._queries:
             self._flush()
         return self.snapshots
-
-
-class AvailabilityTracker:
-    """Split-era query availability, per side and phase, plus heal latency.
-
-    The partition-merge harness records every split-era query as
-    ``(side, phase, served)`` — ``phase`` is ``"degraded"`` (the cut is
-    open but views still reference the far side, so walks die crossing
-    it) or ``"stable"`` (each side has repaired against its own fork) —
-    and brackets every heal with :meth:`mark_heal` /
-    :meth:`mark_converged` so time-to-converge is measured on the same
-    virtual clock as the queries.  :meth:`summary` is JSON-safe (string
-    keys throughout) for the benchmark records.
-    """
-
-    __slots__ = ("_served", "_total", "_heals", "_pending_heal")
-
-    def __init__(self) -> None:
-        # (side, phase) -> counts; sides are small ints, phases strings.
-        self._served: Dict[tuple, int] = {}
-        self._total: Dict[tuple, int] = {}
-        self._heals: List[Dict[str, float]] = []
-        self._pending_heal: Optional[float] = None
-
-    def record(self, side: int, phase: str, served: bool) -> None:
-        """Count one split-era query outcome for ``side`` in ``phase``."""
-        key = (side, phase)
-        self._total[key] = self._total.get(key, 0) + 1
-        if served:
-            self._served[key] = self._served.get(key, 0) + 1
-
-    def mark_heal(self, time: float) -> None:
-        """The split healed at virtual ``time``; converge timing starts."""
-        self._pending_heal = float(time)
-
-    def mark_converged(self, time: float) -> None:
-        """Views verified clean at ``time``; closes the pending heal."""
-        if self._pending_heal is None:
-            raise ValueError("mark_converged without a pending mark_heal")
-        self._heals.append({
-            "healed_at": self._pending_heal,
-            "converged_at": float(time),
-            "time_to_converge": float(time) - self._pending_heal,
-        })
-        self._pending_heal = None
-
-    def success_rate(self, phase: Optional[str] = None) -> float:
-        """Served fraction across all sides (optionally one phase)."""
-        total = served = 0
-        for key, count in self._total.items():
-            if phase is not None and key[1] != phase:
-                continue
-            total += count
-            served += self._served.get(key, 0)
-        return served / total if total else 0.0
-
-    def summary(self) -> Dict:
-        """JSON-safe availability summary for benchmark records."""
-        sides: Dict[str, Dict[str, Dict[str, float]]] = {}
-        for key in sorted(self._total):
-            side, phase = key
-            total = self._total[key]
-            served = self._served.get(key, 0)
-            sides.setdefault(str(side), {})[phase] = {
-                "queries": float(total),
-                "served": float(served),
-                "success_rate": served / total if total else 0.0,
-            }
-        times = [heal["time_to_converge"] for heal in self._heals]
-        return {
-            "sides": sides,
-            "degraded_success_rate": self.success_rate("degraded"),
-            "stable_success_rate": self.success_rate("stable"),
-            "heals": list(self._heals),
-            "time_to_converge_max": max(times) if times else 0.0,
-        }

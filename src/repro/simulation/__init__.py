@@ -40,8 +40,9 @@ probabilistic loss/delay, partitions on the virtual clock), heartbeat
 failure detection with per-node suspect lists, and a phased repair
 protocol that heals surviving views — Voronoi scrubs, long-link
 re-resolution through the routed search machinery, close re-discovery —
-entirely through counted messages.  ``ProtocolChurnHarness`` wires it all
-into one reproducible churn/crash/repair experiment; the oracle-mode
+entirely through counted messages.  :mod:`repro.simulation.scenario`'s
+``Scenario`` wires it all into one reproducible, staged experiment
+(build → churn → crash → detect → heal); the oracle-mode
 injectors in :mod:`repro.simulation.failures` remain the fast path for
 damage accounting without message simulation.
 
@@ -53,8 +54,8 @@ timeouts with idempotent, version-stamped retries under a
 ``TimeoutPolicy``; a node dying mid-conversation surfaces as a
 ``timed_out`` outcome instead of wedging the protocol.
 :mod:`repro.simulation.fuzz` turns the simulator's determinism into a
-Jepsen-style harness: ``CrashScheduleFuzzer`` crashes victims at exact
-global message indices — multi-crash sequences and partition windows
+Jepsen-style harness: ``run_trace`` arms a ``Scenario`` to crash victims
+at exact global message indices — multi-crash sequences and partition windows
 armed the same way — and asserts convergence back to clean views, with
 every failure replayable from its serialized ``FuzzTrace`` (see
 ``TESTING.md``).
@@ -68,8 +69,9 @@ accepting inserts against its own tessellation; on heal, the union
 kernel is rebuilt deterministically (lowest-id wins coordinate and
 published-id collisions) and ``MergeProtocol`` floods version-stamped
 ``MERGE_DIGEST`` anti-entropy across the healed cut until views verify
-clean.  ``ProtocolMergeHarness`` drives the scenario matrix (k-way,
-asymmetric, flapping) with per-side availability accounting.
+clean.  ``run_merge_scenario`` scripts the scenario matrix (k-way,
+asymmetric, flapping) on a ``Scenario`` with per-side availability
+accounting.
 """
 
 from repro.simulation.engine import SimulationEngine, Watchdog
@@ -95,8 +97,6 @@ from repro.simulation.faults import (
     HeartbeatConfig,
     HeartbeatDetector,
     PartitionSpec,
-    ProtocolChurnHarness,
-    ProtocolChurnReport,
     ProtocolCrashInjector,
     RepairProtocol,
     RepairReport,
@@ -104,19 +104,18 @@ from repro.simulation.faults import (
 )
 from repro.simulation.fuzz import (
     CrashEvent,
-    CrashScheduleFuzzer,
     FuzzOutcome,
     FuzzSweepReport,
     FuzzTrace,
     PartitionEvent,
+    run_sweep,
+    run_trace,
 )
 from repro.simulation.merge import (
     HealSummary,
-    MergeHarnessReport,
     MergeProtocol,
     MergeReport,
     PartitionRuntime,
-    ProtocolMergeHarness,
 )
 from repro.simulation.protocol import (
     BulkJoinReport,
@@ -125,6 +124,14 @@ from repro.simulation.protocol import (
     ProtocolSimulator,
     QueryReport,
     TimeoutPolicy,
+)
+from repro.simulation.scenario import (
+    AvailabilityTracker,
+    HealOutcome,
+    MergeScenarioReport,
+    Scenario,
+    measure_steady_state_liveness,
+    run_merge_scenario,
 )
 
 __all__ = [
@@ -148,17 +155,13 @@ __all__ = [
     "HeartbeatDetector",
     "PartitionSpec",
     "SplitSpec",
-    "ProtocolChurnHarness",
-    "ProtocolChurnReport",
     "ProtocolCrashInjector",
     "RepairProtocol",
     "RepairReport",
     "HealSummary",
-    "MergeHarnessReport",
     "MergeProtocol",
     "MergeReport",
     "PartitionRuntime",
-    "ProtocolMergeHarness",
     "ProtocolSimulator",
     "BulkJoinReport",
     "JoinReport",
@@ -166,9 +169,16 @@ __all__ = [
     "QueryReport",
     "TimeoutPolicy",
     "CrashEvent",
-    "CrashScheduleFuzzer",
     "FuzzOutcome",
     "FuzzSweepReport",
     "FuzzTrace",
     "PartitionEvent",
+    "run_sweep",
+    "run_trace",
+    "Scenario",
+    "HealOutcome",
+    "measure_steady_state_liveness",
+    "AvailabilityTracker",
+    "MergeScenarioReport",
+    "run_merge_scenario",
 ]

@@ -53,27 +53,23 @@ Four pieces compose the subsystem:
   until no local reference to it survives, so repair messages lost to the
   fault plane are simply re-attempted next round.
 
-:class:`ProtocolChurnHarness` wires the pieces into one reproducible
-experiment — bulk-join a population, churn it gracefully, crash a
-fraction, detect, repair, verify — with per-phase message accounting; the
-``ablation_churn_protocol`` experiment and ``bench_protocol_churn``
-benchmark are thin wrappers around it.
+:class:`~repro.simulation.scenario.Scenario` wires the pieces into one
+reproducible experiment — bulk-join a population, churn it gracefully,
+crash a fraction, detect, repair, verify — with per-phase message
+accounting; the ``ablation_churn_protocol`` experiment and the
+``bench_protocol_churn`` benchmark script its stages.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.core.config import VoroNetConfig
-from repro.simulation.failures import ChurnScheduler, CrashDamageReport
+from repro.simulation.failures import CrashDamageReport
 from repro.simulation.network import Message
 from repro.simulation.protocol import ProtocolSimulator
-from repro.simulation.trace import TraceRecorder
 from repro.utils.rng import RandomSource
-from repro.workloads.distributions import ObjectDistribution, UniformDistribution
-from repro.workloads.generators import generate_objects
 
 __all__ = [
     "FaultDecision",
@@ -85,8 +81,6 @@ __all__ = [
     "HeartbeatDetector",
     "RepairProtocol",
     "RepairReport",
-    "ProtocolChurnHarness",
-    "ProtocolChurnReport",
 ]
 
 
@@ -638,8 +632,8 @@ class HeartbeatDetector:  # simlint: ignore[SIM003] — one per experiment, not 
     the config docstring).  Two driving modes:
 
     * :meth:`run_round` — synchronous: send the probes, drain the engine,
-      sweep the answers.  The repair protocol and the churn harness drive
-      detection this way for bounded, countable rounds.
+      sweep the answers.  The repair protocol and the scenario pipeline
+      drive detection this way for bounded, countable rounds.
     * :meth:`start` — clock-driven: rounds are scheduled every ``interval``
       on the virtual clock (each tick sweeps the previous round before
       probing), composing with other scheduled activity such as churn or
@@ -652,17 +646,9 @@ class HeartbeatDetector:  # simlint: ignore[SIM003] — one per experiment, not 
     _PHASE_B = 40503
 
     def __init__(self, simulator: ProtocolSimulator, *,
-                 interval: Optional[float] = None,
-                 miss_threshold: Optional[int] = None,
                  config: Optional[HeartbeatConfig] = None) -> None:
         if config is None:
-            config = HeartbeatConfig(
-                interval=interval if interval is not None else 8.0,
-                miss_threshold=(miss_threshold if miss_threshold is not None
-                                else 2))
-        elif interval is not None or miss_threshold is not None:
-            raise ValueError(
-                "pass either a HeartbeatConfig or keyword shortcuts, not both")
+            config = HeartbeatConfig()
         self.simulator = simulator
         self.config = config
         self.interval = config.interval
@@ -1241,331 +1227,3 @@ class RepairProtocol:  # simlint: ignore[SIM003] — one per experiment, not per
                             reissued_long_links=self._reissued,
                             phase_messages=totals,
                             residual_suspects=residual)
-
-
-# ----------------------------------------------------------------------
-# the churn + fault harness
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class ProtocolChurnReport:
-    """One full churn/crash/repair experiment, with per-phase accounting.
-
-    ``steady_state_liveness`` (present when the harness was asked to
-    measure it) compares the liveness message cost of heartbeat rounds
-    over the healthy overlay under the full-probe baseline and under
-    piggy-backed/sampled probing — the steady-state overhead the ROADMAP
-    flags, measured on the same population and query traffic.
-    """
-
-    objects_built: int
-    churn_joins: int
-    churn_leaves: int
-    crashed: int
-    damage: CrashDamageReport
-    residual_damage: CrashDamageReport
-    detection_rounds: int
-    repair: RepairReport
-    phase_messages: Dict[str, int]
-    verify_problems: int
-    converged: bool
-    virtual_time: float
-    steady_state_liveness: Optional[Dict[str, float]] = None
-
-
-class ProtocolChurnHarness:  # simlint: ignore[SIM003] — one per experiment, not per message
-    """Wires bulk construction, churn, crashes, detection and repair.
-
-    The experiment is reproducible from its seed: the population layout,
-    the merged churn arrival process, the crash victims and every fault
-    decision derive from seeded random sources, and all activity runs on
-    the virtual clock.  ``loss_probability`` applies during the detection
-    and repair phases (where retry-safety absorbs it), not during
-    construction and churn, whose operations assume reliable delivery —
-    the same assumption the paper's join/leave protocols make.
-
-    Churn is scheduled through :class:`ChurnScheduler`.  A scheduled
-    join/leave drains the engine re-entrantly (``ProtocolSimulator.join``
-    runs its operation to quiescence), which would both nest Python frames
-    unboundedly and let a nested leave pick a victim whose departure is
-    still in flight — so the harness *defers* churn actions through a
-    queue: the scheduled event only enqueues the operation, and the
-    outermost action executes the queue sequentially in arrival order.
-    """
-
-    _CHURN_WINDOW_EVENTS = 24
-
-    def __init__(self, *, num_objects: int = 1000, seed: int = 7,
-                 num_long_links: int = 1,
-                 churn_events: int = 48,
-                 join_rate: float = 2.0, leave_rate: float = 1.0,
-                 crash_fraction: float = 0.1,
-                 loss_probability: float = 0.0,
-                 heartbeat_interval: float = 8.0,
-                 miss_threshold: int = 2,
-                 heartbeat: Optional[HeartbeatConfig] = None,
-                 max_detection_rounds: int = 8,
-                 max_repair_rounds: int = 8,
-                 measure_liveness: bool = False,
-                 liveness_rounds: int = 4,
-                 liveness_queries: int = 25,
-                 liveness_sample_fraction: float = 0.25,
-                 distribution: Optional[ObjectDistribution] = None,
-                 trace: Optional["TraceRecorder"] = None) -> None:
-        if not 0.0 <= crash_fraction < 1.0:
-            raise ValueError(f"crash_fraction must be in [0, 1), got {crash_fraction}")
-        self.num_objects = num_objects
-        self.seed = seed
-        self.churn_events = churn_events
-        self.join_rate = join_rate
-        self.leave_rate = leave_rate
-        self.crash_fraction = crash_fraction
-        self.loss_probability = loss_probability
-        self.max_detection_rounds = max_detection_rounds
-        self.max_repair_rounds = max_repair_rounds
-        self.measure_liveness = measure_liveness
-        self.liveness_rounds = liveness_rounds
-        self.liveness_queries = liveness_queries
-        self.liveness_sample_fraction = liveness_sample_fraction
-        self.distribution = distribution or UniformDistribution()
-        capacity = 4 * (num_objects + churn_events + 8)
-        self.config = VoroNetConfig(n_max=capacity,
-                                    num_long_links=num_long_links, seed=seed)
-        self.faults = FaultPlane(seed=seed + 1)
-        self.simulator = ProtocolSimulator(self.config, seed=seed,
-                                           faults=self.faults, trace=trace)
-        self.rng = RandomSource(seed + 2)
-        if heartbeat is None:
-            heartbeat = HeartbeatConfig(interval=heartbeat_interval,
-                                        miss_threshold=miss_threshold)
-        self.heartbeat_config = heartbeat
-        self.detector = HeartbeatDetector(self.simulator, config=heartbeat)
-        self.repairer = RepairProtocol(self.simulator, detector=self.detector,
-                                       max_rounds=max_repair_rounds)
-        self.injector = ProtocolCrashInjector(self.simulator, rng=self.rng)
-        self.scheduler: Optional[ChurnScheduler] = None
-        self._pending_ops: List[Tuple[str, Optional[Tuple[float, float]]]] = []
-        self._draining = False
-        self._churn_joins = 0
-        self._churn_leaves = 0
-        self._churn_skipped = 0
-
-    # ------------------------------------------------------------------
-    def _churn_done(self) -> bool:
-        # Skipped leaves (population guard) still consume an arrival, so
-        # termination stays exact even when the overlay is tiny; only
-        # genuinely executed operations are *reported*.
-        return (self._churn_joins + self._churn_leaves
-                + self._churn_skipped >= self.churn_events)
-
-    def _enqueue_join(self, position) -> None:
-        if self._churn_done():
-            return
-        self._pending_ops.append(("join", position))
-        self._drain_ops()
-
-    def _enqueue_leave(self) -> None:
-        if self._churn_done():
-            return
-        self._pending_ops.append(("leave", None))
-        self._drain_ops()
-
-    def _drain_ops(self) -> None:
-        if self._draining:
-            return
-        self._draining = True
-        try:
-            while self._pending_ops:
-                # Re-check at execution time: events firing inside a
-                # nested engine drain enqueue against stale counts.
-                if self._churn_done():
-                    self._pending_ops.clear()
-                    break
-                kind, position = self._pending_ops.pop(0)
-                if kind == "join":
-                    self.simulator.join(position)
-                    self._churn_joins += 1
-                else:
-                    ids = self.simulator.object_ids()
-                    if len(ids) > 8:
-                        victim = ids[self.rng.integer(0, len(ids))]
-                        self.simulator.leave(victim)
-                        self._churn_leaves += 1
-                    else:
-                        self._churn_skipped += 1
-        finally:
-            self._draining = False
-
-    def _run_churn(self) -> Tuple[int, int]:
-        if self.churn_events <= 0:
-            return 0, 0
-        scheduler = ChurnScheduler(
-            self.simulator.engine,
-            join=self._enqueue_join,
-            leave=self._enqueue_leave,
-            join_rate=self.join_rate, leave_rate=self.leave_rate,
-            distribution=self.distribution,
-            rng=RandomSource(self.seed + 4),
-        )
-        self.scheduler = scheduler
-        # Arrivals beyond the requested event count are dropped by the
-        # enqueue guards (and any still pending are cancelled below), so
-        # exactly ``churn_events`` operations execute — the reported
-        # counts and phase accounting match the parameter.
-        window = self._CHURN_WINDOW_EVENTS / (self.join_rate + self.leave_rate)
-        for _ in range(4 * self.churn_events):
-            if self._churn_done():
-                break
-            scheduler.start(window)
-            self.simulator.engine.run()
-        scheduler.stop()
-        return self._churn_joins, self._churn_leaves
-
-    def _reset_liveness_bookkeeping(self) -> None:
-        """Clear per-node heartbeat state between liveness measurements."""
-        for node in self.simulator.nodes.values():
-            node.last_heard.clear()
-            node.missed_heartbeats.clear()
-            node.last_contact.clear()
-            node.last_ping_round.clear()
-
-    def measure_steady_state_liveness(self) -> Dict[str, float]:
-        """Liveness message cost over the healthy overlay, both ways.
-
-        Runs ``liveness_rounds`` synchronous heartbeat rounds twice over
-        the current (healthy, loss-free) population — once with the
-        full-probe baseline and once with piggy-backed freshness plus
-        long-link sampling — interleaving ``liveness_queries`` routed
-        point queries per round as the "ordinary protocol traffic" the
-        piggyback mode feeds on (both phases issue the same queries from
-        the same seeded stream, so the comparison is apples to apples).
-        Each phase is preceded by one uncounted warm-up round: steady
-        state is what's being measured, not the cold start.  Returns the
-        PING/PONG counts of both phases and their ratio.
-        """
-        simulator = self.simulator
-        rounds = self.liveness_rounds
-        per_round = self.liveness_queries
-        query_rng = RandomSource(self.seed + 9)
-        # One target batch per (warm-up + measured) round, shared by both
-        # phases so routed traffic is identical.
-        target_batches = [[query_rng.random_point() for _ in range(per_round)]
-                          for _ in range(rounds + 1)]
-
-        def liveness_messages() -> int:
-            kinds = simulator.network.sent_by_kind
-            return kinds.get("PING", 0) + kinds.get("PONG", 0)
-
-        def run_phase(config: HeartbeatConfig) -> int:
-            detector = HeartbeatDetector(simulator, config=config)
-            for target in target_batches[0]:  # warm-up round (uncounted)
-                simulator.query(target)
-            detector.run_round()
-            before = liveness_messages()
-            for batch in target_batches[1:]:
-                for target in batch:
-                    simulator.query(target)
-                detector.run_round()
-            return liveness_messages() - before
-
-        base = HeartbeatConfig(interval=self.heartbeat_config.interval,
-                               miss_threshold=self.heartbeat_config.miss_threshold)
-        full_probe = run_phase(base)
-        self._reset_liveness_bookkeeping()
-        piggyback = run_phase(replace(
-            base, piggyback=True,
-            sample_fraction=self.liveness_sample_fraction))
-        self._reset_liveness_bookkeeping()
-        # The measurement must not change how the experiment's own
-        # detection phase behaves: restore the configured switch.
-        simulator.piggyback_liveness = self.heartbeat_config.piggyback
-        return {
-            "rounds": float(rounds),
-            "queries_per_round": float(per_round),
-            "sample_fraction": self.liveness_sample_fraction,
-            "full_probe_messages": float(full_probe),
-            "piggyback_messages": float(piggyback),
-            # max(1, ·): a zero-message piggyback phase (degenerate tiny
-            # overlay) must not put a non-JSON Infinity in bench records.
-            "reduction": full_probe / max(piggyback, 1),
-        }
-
-    def _all_damage_suspected(self) -> bool:
-        """Does every surviving stale reference sit on a suspect list?"""
-        dead = set(self.injector.crashed)
-        for node in self.simulator.nodes.values():
-            for peer in node.monitored_peers():
-                if peer in dead and peer not in node.suspects:
-                    return False
-        return True
-
-    # ------------------------------------------------------------------
-    def run(self) -> ProtocolChurnReport:
-        """Run the full experiment; every phase's messages are accounted."""
-        simulator = self.simulator
-        network = simulator.network
-        phase_messages: Dict[str, int] = {}
-
-        # ---- build ------------------------------------------------------
-        before = network.messages_sent
-        positions = generate_objects(self.distribution, self.num_objects,
-                                     RandomSource(self.seed + 3))
-        report = simulator.bulk_join(positions)
-        phase_messages["build"] = network.messages_sent - before
-
-        # ---- graceful churn --------------------------------------------
-        before = network.messages_sent
-        churn_joins, churn_leaves = self._run_churn()
-        phase_messages["churn"] = network.messages_sent - before
-
-        # ---- steady-state liveness cost (optional, pre-crash) ----------
-        steady_state = None
-        if self.measure_liveness:
-            before = network.messages_sent
-            steady_state = self.measure_steady_state_liveness()
-            phase_messages["steady_state"] = network.messages_sent - before
-
-        # ---- crash ------------------------------------------------------
-        victims = self.injector.crash_random(
-            int(round(self.crash_fraction * len(simulator))))
-        damage = self.injector.assess_damage()
-
-        # ---- detection --------------------------------------------------
-        self.faults.set_loss(self.loss_probability)
-        before = network.messages_sent
-        detection_rounds = 0
-        while detection_rounds < self.max_detection_rounds:
-            self.detector.run_round()
-            detection_rounds += 1
-            if (detection_rounds >= self.detector.miss_threshold
-                    and self._all_damage_suspected()):
-                break
-        phase_messages["detect"] = network.messages_sent - before
-
-        # ---- repair -----------------------------------------------------
-        before = network.messages_sent
-        repair = self.repairer.repair(self.max_repair_rounds)
-        self.faults.set_loss(0.0)
-        phase_messages["repair"] = network.messages_sent - before
-        for phase, count in repair.phase_messages.items():
-            phase_messages[f"repair:{phase}"] = count
-
-        # ---- verification ----------------------------------------------
-        problems = simulator.verify_views()
-        residual = self.injector.assess_damage()
-        converged = (repair.converged and not problems
-                     and residual.total_stale_entries == 0)
-        simulator.metrics.observe("repair_rounds", repair.rounds)
-        simulator.metrics.observe("detection_rounds", detection_rounds)
-        return ProtocolChurnReport(
-            objects_built=len(report.object_ids),
-            churn_joins=churn_joins, churn_leaves=churn_leaves,
-            crashed=len(victims),
-            damage=damage, residual_damage=residual,
-            detection_rounds=detection_rounds,
-            repair=repair,
-            phase_messages=phase_messages,
-            verify_problems=len(problems),
-            converged=converged,
-            virtual_time=simulator.engine.now,
-            steady_state_liveness=steady_state,
-        )

@@ -8,9 +8,10 @@ faults at exactly these global message indices* — as an ordered sequence
 of :class:`CrashEvent`\\ s (victim by rank *or* "whoever sent the armed
 message", i.e. the coordinator of the operation in flight) and
 :class:`PartitionEvent`\\ s (a partition window opened at an exact
-message index).  :class:`CrashScheduleFuzzer` runs a trace end to end:
-build an overlay through ``bulk_join``, churn it with sequential joins
-and leaves, fire the faults wherever their indices land (mid-carve,
+message index).  :func:`run_trace` runs a trace end to end through the
+stages of a :class:`~repro.simulation.scenario.Scenario`: build an
+overlay through ``bulk_join``, churn it with sequential joins and
+leaves, fire the faults wherever their indices land (mid-carve,
 mid-close-discovery, mid-search, mid-hand-over — the triggers sit inside
 ``Network.send`` itself), then heal any still-open windows and drive
 bounded detect→repair cycles asserting convergence to a clean
@@ -25,7 +26,7 @@ live ids, so no population knowledge is needed in advance.
 :attr:`FuzzOutcome.fingerprint` digests the final overlay state so
 replays can be checked byte-identical.
 
-Two drivers share the harness:
+Two drivers share the pipeline:
 
 * the Hypothesis stateful suite in ``tests/simulation/test_fuzz.py``,
   which shrinks a failing schedule to a minimal one, and
@@ -46,27 +47,29 @@ import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
-from repro.core.config import VoroNetConfig
-from repro.simulation.faults import (
-    FaultPlane,
-    HeartbeatDetector,
-    ProtocolCrashInjector,
-    RepairProtocol,
-)
-from repro.simulation.protocol import ProtocolSimulator, TimeoutPolicy
+from repro.simulation.network import Message
+from repro.simulation.protocol import ProtocolSimulator
+from repro.simulation.scenario import MIN_POPULATION, HealOutcome, Scenario
 from repro.utils.rng import RandomSource
-from repro.workloads.distributions import UniformDistribution
-from repro.workloads.generators import generate_objects
 
 __all__ = [
+    "MAX_HEAL_CYCLES",
+    "MAX_DETECTION_ROUNDS",
     "CrashEvent",
     "PartitionEvent",
     "FuzzTrace",
     "FuzzOutcome",
     "FuzzSweepReport",
-    "CrashScheduleFuzzer",
+    "fingerprint",
+    "run_trace",
+    "run_sweep",
     "main",
 ]
+
+#: Detect→repair cycles a trace run may spend converging, and the
+#: heartbeat rounds each cycle's detection may take.
+MAX_HEAL_CYCLES = 3
+MAX_DETECTION_ROUNDS = 6
 
 
 @dataclass(frozen=True)
@@ -103,6 +106,19 @@ class CrashEvent:
         return {"kind": "crash", "at_message": self.at_message,
                 "victim_rank": self.victim_rank, "victim": self.victim}
 
+    def fire(self, scenario: Scenario, message: Message) -> None:
+        """Resolve the victim now and crash it (the armed-send trigger)."""
+        simulator = scenario.simulator
+        live = sorted(simulator.nodes)
+        if len(live) <= MIN_POPULATION:
+            return  # too small to amputate; run continues fault-free
+        if self.victim == "coordinator" and message.sender in simulator.nodes:
+            victim = message.sender
+        else:
+            victim = live[self.victim_rank % len(live)]
+        scenario.crash_phases.append(scenario.phase)
+        scenario.injector.crash(victim)
+
 
 @dataclass(frozen=True)
 class PartitionEvent:
@@ -113,10 +129,10 @@ class PartitionEvent:
     the rest for ``duration`` of virtual time from the current clock —
     a clock-windowed :class:`~repro.simulation.faults.PartitionSpec`, so
     messages crossing the cut feed the fault plane and in-flight
-    semantics follow the pinned send-time rule.  The
-    harness heals any window still open when the heal phase starts; the
-    repair machinery must then converge the overlay exactly as it does
-    after crashes.
+    semantics follow the pinned send-time rule.
+    :meth:`Scenario.heal <repro.simulation.scenario.Scenario.heal>` closes
+    any window still open when a heal cycle starts; the repair machinery
+    must then converge the overlay exactly as it does after crashes.
     """
 
     at_message: int
@@ -137,6 +153,17 @@ class PartitionEvent:
     def as_dict(self) -> Dict[str, object]:
         return {"kind": "partition", "at_message": self.at_message,
                 "fraction": self.fraction, "duration": self.duration}
+
+    def fire(self, scenario: Scenario, _message: Message) -> None:
+        """Resolve the members now and open the window (the armed-send trigger)."""
+        live = sorted(scenario.simulator.nodes)
+        if len(live) < 2:
+            return  # nothing to cut
+        count = max(1, math.ceil(len(live) * self.fraction))
+        now = scenario.simulator.engine.now
+        scenario.faults.partition(live[:min(count, len(live) - 1)],
+                                  now, now + self.duration)
+        scenario.partitions_opened += 1
 
 
 #: One armed fault of a trace.
@@ -265,287 +292,147 @@ class FuzzSweepReport:
     def converged(self) -> bool:
         return not self.failures
 
+    @property
+    def digest(self) -> str:
+        """SHA-256 over the outcome fingerprints in order: two runs of the
+        same sweep are byte-identical iff this one string matches."""
+        return hashlib.sha256("".join(
+            outcome.fingerprint for outcome in self.outcomes).encode()
+        ).hexdigest()
 
-class CrashScheduleFuzzer:  # simlint: ignore[SIM003] — one per campaign, not per message
-    """Runs fault traces against fresh, fully seeded simulators.
 
-    Parameters size the experiment each trace runs: ``num_objects``
-    bulk-joined to build, ``churn_events`` sequential joins/leaves (two
-    joins for every leave, mirroring the churn harness rates), then up to
-    ``max_heal_cycles`` detect→repair cycles, each bounded by
-    ``max_detection_rounds`` heartbeat rounds and the repairer's
-    ``max_repair_rounds``.  ``min_population`` stops the trigger from
-    amputating an overlay too small to repair (the crash is skipped; the
-    run still must converge fault-free).
+def fingerprint(simulator: ProtocolSimulator) -> str:
+    """Digest of the final overlay state, for byte-identical replays."""
+    digest = hashlib.sha256()
+    digest.update(f"{simulator.network.messages_sent}".encode())
+    digest.update(f"@{simulator.engine.now!r}".encode())
+    for object_id in sorted(simulator.nodes):
+        node = simulator.nodes[object_id]
+        links = ";".join(
+            f"{link.neighbor}@{link.target!r}" for link in node.long_links)
+        digest.update(
+            f"|{object_id}:{sorted(node.voronoi)}:{sorted(node.close)}"
+            f":{links}:{node.view_version}".encode())
+    return digest.hexdigest()
+
+
+def run_trace(trace: FuzzTrace, *, num_objects: int = 20,
+              churn_events: int = 8) -> FuzzOutcome:
+    """Run one trace end to end; protocol errors are reported, not raised.
+
+    ``num_objects`` are bulk-joined, ``churn_events`` sequential joins and
+    leaves follow, then up to :data:`MAX_HEAL_CYCLES` detect→repair cycles
+    of at most :data:`MAX_DETECTION_ROUNDS` heartbeat rounds each must
+    converge the overlay; the trace's events fire wherever their message
+    indices land.
     """
+    scenario = Scenario(num_objects=num_objects, seed=trace.seed,
+                        churn_events=churn_events, events=trace.events)
+    healed: Optional[HealOutcome] = None
+    error: Optional[str] = None
+    try:
+        scenario.build()
+        scenario.churn()
+        healed = scenario.heal(MAX_HEAL_CYCLES,
+                               max_detection_rounds=MAX_DETECTION_ROUNDS)
+    except Exception as exc:  # noqa: BLE001 — counterexamples must be reported, not raised
+        error = f"{type(exc).__name__}: {exc}"
+    simulator = scenario.simulator
+    victims = tuple(scenario.injector.crashed)
+    return FuzzOutcome(
+        trace=trace,
+        converged=healed is not None and healed.converged,
+        victim=victims[0] if victims else None,
+        crash_phase=scenario.crash_phases[0] if victims else None,
+        messages=simulator.network.messages_sent,
+        virtual_time=simulator.engine.now,
+        verify_problems=healed.verify_problems if healed else -1,
+        residual_stale=(healed.residual_damage.total_stale_entries
+                        if healed else -1),
+        pending_operations=healed.pending_operations if healed else (),
+        heal_cycles=healed.cycles if healed else 0,
+        operation_timeouts=int(
+            simulator.metrics.counter("operation_timeouts")),
+        operation_retries=int(
+            simulator.metrics.counter("operation_retries")),
+        fingerprint=fingerprint(simulator),
+        error=error,
+        victims=victims,
+        partitions_opened=scenario.partitions_opened,
+        partitions_healed=healed.partitions_healed if healed else 0,
+        phase_marks=tuple(scenario.phase_marks),
+    )
 
-    def __init__(self, *, num_objects: int = 20, churn_events: int = 8,
-                 num_long_links: int = 1, min_population: int = 6,
-                 max_heal_cycles: int = 3, max_detection_rounds: int = 6,
-                 max_repair_rounds: int = 8,
-                 timeouts: Optional[TimeoutPolicy] = None) -> None:
-        if num_objects < 4:
-            raise ValueError(f"num_objects must be >= 4, got {num_objects}")
-        if min_population < 4:
-            raise ValueError(
-                f"min_population must be >= 4, got {min_population}")
-        if max_heal_cycles < 1:
-            raise ValueError(
-                f"max_heal_cycles must be >= 1, got {max_heal_cycles}")
-        self.num_objects = num_objects
-        self.churn_events = churn_events
-        self.num_long_links = num_long_links
-        self.min_population = min_population
-        self.max_heal_cycles = max_heal_cycles
-        self.max_detection_rounds = max_detection_rounds
-        self.max_repair_rounds = max_repair_rounds
-        self.timeouts = timeouts if timeouts is not None else TimeoutPolicy()
 
-    # ------------------------------------------------------------------
-    def baseline_messages(self, seed: int) -> int:
-        """Total messages of the fault-free run — the index range for sweeps."""
-        return self.run_trace(FuzzTrace(seed)).messages
+def run_sweep(master_seed: int, schedules: int, *, num_objects: int = 20,
+              churn_events: int = 8, crashes: int = 1,
+              partition_fraction: float = 0.0,
+              partition_duration: float = 40.0) -> FuzzSweepReport:
+    """Derive and run ``schedules`` traces from one master seed.
 
-    @staticmethod
-    def _fingerprint(simulator: ProtocolSimulator) -> str:
-        """Digest of the final overlay state, for byte-identical replays."""
-        digest = hashlib.sha256()
-        digest.update(f"{simulator.network.messages_sent}".encode())
-        digest.update(f"@{simulator.engine.now!r}".encode())
-        for object_id in sorted(simulator.nodes):
-            node = simulator.nodes[object_id]
-            links = ";".join(
-                f"{link.neighbor}@{link.target!r}" for link in node.long_links)
-            digest.update(
-                f"|{object_id}:{sorted(node.voronoi)}:{sorted(node.close)}"
-                f":{links}:{node.view_version}".encode())
-        return digest.hexdigest()
-
-    def run_trace(self, trace: FuzzTrace) -> FuzzOutcome:
-        """Run one trace end to end; never raises — errors are reported."""
-        seed = trace.seed
-        capacity = 4 * (self.num_objects + self.churn_events + 8)
-        config = VoroNetConfig(n_max=capacity,
-                               num_long_links=self.num_long_links, seed=seed)
-        faults = FaultPlane(seed=seed + 1)
-        simulator = ProtocolSimulator(config, seed=seed, faults=faults,
-                                      timeouts=self.timeouts)
-        injector = ProtocolCrashInjector(simulator, rng=RandomSource(seed + 2))
-        positions = generate_objects(UniformDistribution(), self.num_objects,
-                                     RandomSource(seed + 3))
-        churn_rng = RandomSource(seed + 4)
-
-        # Triggers fire synchronously inside Network.send, i.e. in the
-        # middle of whatever protocol loop sent the indexed message — a
-        # crash victim dies holding exactly the in-flight state that
-        # message represents, and a partition window opens under it.
-        # `phase` is a cell so triggers can record where the axe fell;
-        # `phase_marks` records the message count at each phase boundary.
-        phase: List[str] = ["build"]
-        phase_marks: List[Tuple[str, int]] = [("build", 0)]
-        crash_info: Dict[str, object] = {"victim": None, "phase": None}
-        victims: List[int] = []
-        partitions_opened: List[int] = [0]
-
-        def enter_phase(name: str) -> None:
-            phase[0] = name
-            phase_marks.append((name, simulator.network.messages_sent))
-
-        def make_crash_trigger(event: CrashEvent):
-            def trigger(message) -> None:
-                live = sorted(simulator.nodes)
-                if len(live) <= self.min_population:
-                    return  # too small to amputate; run continues fault-free
-                if (event.victim == "coordinator"
-                        and message.sender in simulator.nodes):
-                    victim = message.sender
-                else:
-                    victim = live[event.victim_rank % len(live)]
-                if crash_info["victim"] is None:
-                    crash_info["victim"] = victim
-                    crash_info["phase"] = phase[0]
-                victims.append(victim)
-                injector.crash(victim)
-            return trigger
-
-        def make_partition_trigger(event: PartitionEvent):
-            def trigger(_message) -> None:
-                live = sorted(simulator.nodes)
-                if len(live) < 2:
-                    return  # nothing to cut
-                count = max(1, math.ceil(len(live) * event.fraction))
-                members = live[:min(count, len(live) - 1)]
-                now = simulator.engine.now
-                faults.partition(members, now, now + event.duration)
-                partitions_opened[0] += 1
-            return trigger
-
-        for event in trace.events:
-            if isinstance(event, CrashEvent):
-                simulator.network.at_message(event.at_message,
-                                             make_crash_trigger(event))
-            else:
-                simulator.network.at_message(event.at_message,
-                                             make_partition_trigger(event))
-
-        converged = False
-        heal_cycles = 0
-        partitions_healed = 0
-        error: Optional[str] = None
-        verify_problems = -1
-        residual_stale = -1
-        pending: Tuple[Tuple[str, int], ...] = ()
-        try:
-            simulator.bulk_join(positions)
-
-            enter_phase("churn")
-            for _ in range(self.churn_events):
-                if churn_rng.uniform() < 2.0 / 3.0:
-                    simulator.join(churn_rng.random_point())
-                else:
-                    live = sorted(simulator.nodes)
-                    if len(live) > self.min_population:
-                        simulator.leave(
-                            live[churn_rng.integer(0, len(live))])
-
-            enter_phase("heal")
-            detector = HeartbeatDetector(simulator)
-            repairer = RepairProtocol(simulator, detector=detector,
-                                      max_rounds=self.max_repair_rounds)
-            dead = set(injector.crashed)
-
-            def all_damage_suspected() -> bool:
-                for object_id in sorted(simulator.nodes):
-                    node = simulator.nodes[object_id]
-                    for peer in sorted(node.monitored_peers()):
-                        if peer in dead and peer not in node.suspects:
-                            return False
-                return True
-
-            for _ in range(self.max_heal_cycles):
-                heal_cycles += 1
-                # Windows still open are closed at each cycle boundary:
-                # the experiment asserts *post-partition* convergence, and
-                # a window opened by a late-armed event (even by the heal
-                # phase's own messages) must not leave the cut standing
-                # for the remaining cycles to diverge against.
-                partitions_healed += faults.heal_partitions()
-                rounds = 0
-                while rounds < self.max_detection_rounds:
-                    detector.run_round()
-                    rounds += 1
-                    if (rounds >= detector.miss_threshold
-                            and all_damage_suspected()):
-                        break
-                repair = repairer.repair()
-                verify_problems = len(simulator.verify_views())
-                residual_stale = injector.assess_damage().total_stale_entries
-                pending = tuple(simulator.pending_operations())
-                if (repair.converged and verify_problems == 0
-                        and residual_stale == 0 and not pending
-                        and simulator.engine.quiescent):
-                    converged = True
-                    break
-        except Exception as exc:  # noqa: BLE001 — counterexamples must be reported, not raised
-            error = f"{type(exc).__name__}: {exc}"
-
-        return FuzzOutcome(
-            trace=trace,
-            converged=converged,
-            victim=crash_info["victim"],
-            crash_phase=crash_info["phase"],
-            messages=simulator.network.messages_sent,
-            virtual_time=simulator.engine.now,
-            verify_problems=verify_problems,
-            residual_stale=residual_stale,
-            pending_operations=pending,
-            heal_cycles=heal_cycles,
-            operation_timeouts=int(
-                simulator.metrics.counter("operation_timeouts")),
-            operation_retries=int(
-                simulator.metrics.counter("operation_retries")),
-            fingerprint=self._fingerprint(simulator),
-            error=error,
-            victims=tuple(victims),
-            partitions_opened=partitions_opened[0],
-            partitions_healed=partitions_healed,
-            phase_marks=tuple(phase_marks),
-        )
-
-    # ------------------------------------------------------------------
-    def run_sweep(self, master_seed: int, schedules: int, *,
-                  stop_on_failure: bool = False,
-                  crashes: int = 1,
-                  partition_fraction: float = 0.0,
-                  partition_duration: float = 40.0) -> FuzzSweepReport:
-        """Derive and run ``schedules`` traces from one master seed.
-
-        Per trace the master stream draws a sub-seed, a victim rank and a
-        message index uniform over the sub-seed's fault-free message
-        count (measured once per sub-seed), so crashes land anywhere from
-        the first carve to the last churn hand-over.  ``crashes > 1``
-        draws that many independent (index, rank) crash events per trace;
-        ``partition_fraction > 0`` additionally aims one partition window
-        of ``partition_duration`` at the post-build range (the fault-free
-        run's phase marks locate the churn phase), so the window overlaps
-        live protocol operations rather than the batched construction.
-        Every draw comes from the master stream in a fixed order — the
-        whole sweep replays from ``master_seed`` alone, and each failure
-        from its own serialized trace.
-        """
-        if schedules < 1:
-            raise ValueError(f"schedules must be >= 1, got {schedules}")
-        if crashes < 1:
-            raise ValueError(f"crashes must be >= 1, got {crashes}")
-        master = RandomSource(master_seed)
-        baselines: Dict[int, FuzzOutcome] = {}
-        outcomes: List[FuzzOutcome] = []
-        for _ in range(schedules):
-            sub_seed = master.integer(0, 2**31 - 1)
-            rank = master.integer(0, 1 << 16)
-            if sub_seed not in baselines:
-                baselines[sub_seed] = self.run_trace(FuzzTrace(sub_seed))
-            baseline = baselines[sub_seed]
-            total = max(1, baseline.messages)
-            index = master.integer(1, total + 1)
-            events: List[FuzzEvent] = [
-                CrashEvent(at_message=index, victim_rank=rank)]
-            for _extra in range(crashes - 1):
-                extra_rank = master.integer(0, 1 << 16)
-                extra_index = master.integer(1, total + 1)
-                events.append(CrashEvent(at_message=extra_index,
-                                         victim_rank=extra_rank))
-            if partition_fraction > 0.0:
-                churn_start, heal_start = 1, total
-                for name, mark in baseline.phase_marks:
-                    if name == "churn":
-                        churn_start = max(1, mark)
-                    elif name == "heal":
-                        heal_start = max(1, mark)
-                # Aim at [churn_start, heal_start]: the window overlaps
-                # live sequential operations, and the heal phase's cycle
-                # boundaries are guaranteed to close it.
-                part_index = master.integer(
-                    churn_start, max(churn_start + 1, heal_start + 1))
-                events.append(PartitionEvent(at_message=part_index,
-                                             fraction=partition_fraction,
-                                             duration=partition_duration))
-            outcomes.append(self.run_trace(
-                FuzzTrace(seed=sub_seed, events=tuple(events))))
-            if stop_on_failure and outcomes[-1].failed:
-                break
-        failures = tuple(o for o in outcomes if o.failed)
-        return FuzzSweepReport(
-            master_seed=master_seed,
-            schedules_run=len(outcomes),
-            failures=failures,
-            crashes_fired=sum(len(o.victims) for o in outcomes),
-            operation_timeouts=sum(o.operation_timeouts for o in outcomes),
-            operation_retries=sum(o.operation_retries for o in outcomes),
-            outcomes=tuple(outcomes),
-            partitions_opened=sum(o.partitions_opened for o in outcomes),
-            partitions_healed=sum(o.partitions_healed for o in outcomes),
-        )
+    Per trace the master stream draws a sub-seed, a victim rank and a
+    message index uniform over the sub-seed's fault-free message
+    count (measured once per sub-seed), so crashes land anywhere from
+    the first carve to the last churn hand-over.  ``crashes > 1``
+    draws that many independent (index, rank) crash events per trace;
+    ``partition_fraction > 0`` additionally aims one partition window
+    of ``partition_duration`` at the post-build range (the fault-free
+    run's phase marks locate the churn phase), so the window overlaps
+    live protocol operations rather than the batched construction.
+    Every draw comes from the master stream in a fixed order — the
+    whole sweep replays from ``master_seed`` alone, and each failure
+    from its own serialized trace.
+    """
+    if schedules < 1:
+        raise ValueError(f"schedules must be >= 1, got {schedules}")
+    if crashes < 1:
+        raise ValueError(f"crashes must be >= 1, got {crashes}")
+    master = RandomSource(master_seed)
+    baselines: Dict[int, FuzzOutcome] = {}
+    outcomes: List[FuzzOutcome] = []
+    for _ in range(schedules):
+        sub_seed = master.integer(0, 2**31 - 1)
+        rank = master.integer(0, 1 << 16)
+        if sub_seed not in baselines:
+            baselines[sub_seed] = run_trace(
+                FuzzTrace(sub_seed), num_objects=num_objects,
+                churn_events=churn_events)
+        baseline = baselines[sub_seed]
+        total = max(1, baseline.messages)
+        index = master.integer(1, total + 1)
+        events: List[FuzzEvent] = [
+            CrashEvent(at_message=index, victim_rank=rank)]
+        for _extra in range(crashes - 1):
+            extra_rank = master.integer(0, 1 << 16)
+            extra_index = master.integer(1, total + 1)
+            events.append(CrashEvent(at_message=extra_index,
+                                     victim_rank=extra_rank))
+        if partition_fraction > 0.0:
+            marks = dict(baseline.phase_marks)
+            churn_start = max(1, marks.get("churn", 1))
+            heal_start = max(1, marks.get("heal", total))
+            # Aim at [churn_start, heal_start]: the window overlaps
+            # live sequential operations, and the heal phase's cycle
+            # boundaries are guaranteed to close it.
+            part_index = master.integer(
+                churn_start, max(churn_start + 1, heal_start + 1))
+            events.append(PartitionEvent(at_message=part_index,
+                                         fraction=partition_fraction,
+                                         duration=partition_duration))
+        outcomes.append(run_trace(
+            FuzzTrace(seed=sub_seed, events=tuple(events)),
+            num_objects=num_objects, churn_events=churn_events))
+    return FuzzSweepReport(
+        master_seed=master_seed,
+        schedules_run=len(outcomes),
+        failures=tuple(o for o in outcomes if o.failed),
+        crashes_fired=sum(len(o.victims) for o in outcomes),
+        operation_timeouts=sum(o.operation_timeouts for o in outcomes),
+        operation_retries=sum(o.operation_retries for o in outcomes),
+        outcomes=tuple(outcomes),
+        partitions_opened=sum(o.partitions_opened for o in outcomes),
+        partitions_healed=sum(o.partitions_healed for o in outcomes),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -582,9 +469,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="write failing traces as JSON to this path")
     args = parser.parse_args(argv)
 
-    fuzzer = CrashScheduleFuzzer(num_objects=args.objects,
-                                 churn_events=args.churn)
-
     def describe(outcome: FuzzOutcome) -> str:
         count = len(outcome.trace.events)
         shape = "1 event" if count == 1 else f"{count} events"
@@ -610,23 +494,25 @@ def main(argv: Optional[List[str]] = None) -> int:
                 traces.append(FuzzTrace.from_dict(raw))
         failures = []
         for trace in traces:
-            outcome = fuzzer.run_trace(trace)
+            outcome = run_trace(trace, num_objects=args.objects,
+                                churn_events=args.churn)
             status = "FAIL" if outcome.failed else "ok"
             print(f"{status} {describe(outcome)}")
             if outcome.failed:
                 failures.append(outcome)
     else:
-        report = fuzzer.run_sweep(args.seed, args.schedules,
-                                  crashes=args.crashes,
-                                  partition_fraction=args.partition_fraction,
-                                  partition_duration=args.partition_duration)
+        report = run_sweep(args.seed, args.schedules,
+                           num_objects=args.objects, churn_events=args.churn,
+                           crashes=args.crashes,
+                           partition_fraction=args.partition_fraction,
+                           partition_duration=args.partition_duration)
         failures = list(report.failures)
         print(f"{report.schedules_run} schedules from master seed "
               f"{args.seed}: {report.crashes_fired} crashes fired, "
               f"{report.partitions_opened} partitions opened, "
               f"{report.operation_timeouts} operation timeouts, "
               f"{report.operation_retries} retries, "
-              f"{len(failures)} failures")
+              f"{len(failures)} failures, digest={report.digest}")
         for outcome in failures:
             print(f"FAIL {describe(outcome)}")
 

@@ -26,11 +26,11 @@ and how the two (or k) diverged halves become one overlay again:
   :class:`~repro.simulation.faults.RepairProtocol` settles long-link
   retargeting and any stragglers, until ``verify_views()`` is clean.
 
-:class:`ProtocolMergeHarness` wires the whole scenario — split, per-side
-stabilisation (a *scoped* repair against the side kernel), both-side
-inserts and queries (availability measured per side and phase), heal,
-merge, and a final parity check against a never-split oracle overlay
-built from the union — for the test-suite and
+:func:`~repro.simulation.scenario.run_merge_scenario` scripts the whole
+experiment — split, per-side stabilisation (a *scoped* repair against
+the side kernel), both-side inserts and queries (availability measured
+per side and phase), heal, merge, and a final parity check against a
+never-split oracle overlay built from the union — for the test-suite and
 ``benchmarks/bench_partition_merge.py``.
 """
 
@@ -38,31 +38,21 @@ from __future__ import annotations
 
 import copy
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.core.config import VoroNetConfig
 from repro.geometry.delaunay import DelaunayTriangulation, DuplicatePointError
 from repro.geometry.locate_grid import LocateGrid
 from repro.geometry.point import Point
-from repro.serving.observability import AvailabilityTracker
-from repro.simulation.failures import (PartitionDamageReport,
-                                       assess_partition_damage)
-from repro.simulation.faults import (FaultPlane, HeartbeatConfig,
-                                     HeartbeatDetector, RepairProtocol,
-                                     SplitSpec)
+from repro.simulation.faults import (FaultPlane, HeartbeatDetector,
+                                     RepairProtocol, SplitSpec)
 from repro.simulation.protocol import JoinReport, ProtocolSimulator
-from repro.utils.rng import RandomSource
-from repro.workloads.distributions import ObjectDistribution, UniformDistribution
-from repro.workloads.generators import generate_objects
 
 __all__ = [
     "PartitionRuntime",
     "HealSummary",
     "MergeProtocol",
     "MergeReport",
-    "ProtocolMergeHarness",
-    "MergeHarnessReport",
 ]
 
 #: Rounds-per-epoch stride: each merge round floods under a fresh epoch
@@ -475,249 +465,3 @@ class MergeProtocol:  # simlint: ignore[SIM003] — one per heal, not per messag
                                     if union else 0),
             boundary_edges=len(boundary),
             verify_problems=len(problems))
-
-
-@dataclass(frozen=True)
-class MergeHarnessReport:
-    """One full split/serve/heal/merge experiment (possibly flapping)."""
-
-    num_objects: int
-    cycles: int
-    sides: int
-    converged: bool
-    cycle_reports: Tuple[MergeReport, ...]
-    damage_reports: Tuple[PartitionDamageReport, ...]
-    availability: Dict
-    final_verify_problems: int
-    oracle_view_parity: bool
-    routing_parity_queries: int
-    routing_parity_mismatches: int
-    messages: int
-    virtual_time: float
-
-    @property
-    def routing_parity(self) -> bool:
-        return self.routing_parity_mismatches == 0
-
-
-class ProtocolMergeHarness:  # simlint: ignore[SIM003] — one per experiment, not per message
-    """Drives the full partition/merge scenario matrix, reproducibly.
-
-    Each cycle (``cycles > 1`` models flapping partitions): assign every
-    live object a side (seeded shuffle honouring ``side_fractions``),
-    open the split, measure *degraded* availability (queries issued while
-    views still reference the far side feed the fault plane), let
-    detection suspect the cut and run a **scoped repair per side** so
-    each half converges to its own fork, insert ``inserts_per_side``
-    objects on *every* side (minting colliding published ids), measure
-    *stable* per-side availability, then heal and merge.  After the last
-    cycle the overlay must be byte-identical to a never-split oracle
-    tessellation built from the union, including routing parity on
-    sampled lookups.
-    """
-
-    def __init__(self, *, num_objects: int = 120, seed: int = 7,
-                 num_sides: int = 2,
-                 side_fractions: Optional[Sequence[float]] = None,
-                 cycles: int = 1,
-                 inserts_per_side: int = 2,
-                 queries_per_side: int = 12,
-                 degraded_queries_per_side: int = 4,
-                 num_long_links: int = 1,
-                 loss_probability: float = 0.0,
-                 heartbeat_interval: float = 8.0,
-                 miss_threshold: int = 2,
-                 max_detection_rounds: int = 8,
-                 max_side_repair_rounds: int = 6,
-                 max_merge_rounds: int = 4,
-                 max_repair_rounds: int = 8,
-                 parity_queries: int = 32,
-                 in_flight: str = "deliver",
-                 distribution: Optional[ObjectDistribution] = None) -> None:
-        if num_sides < 2:
-            raise ValueError(f"need at least 2 sides, got {num_sides}")
-        if side_fractions is not None:
-            if len(side_fractions) != num_sides:
-                raise ValueError("side_fractions must name every side")
-            if any(f <= 0 for f in side_fractions):
-                raise ValueError("side fractions must be positive")
-        if num_objects < 8 * num_sides:
-            raise ValueError(f"{num_objects} objects cannot sustain "
-                             f"{num_sides} independently serving sides")
-        self.num_objects = num_objects
-        self.seed = seed
-        self.num_sides = num_sides
-        self.side_fractions = (tuple(side_fractions)
-                               if side_fractions is not None else None)
-        self.cycles = cycles
-        self.inserts_per_side = inserts_per_side
-        self.queries_per_side = queries_per_side
-        self.degraded_queries_per_side = degraded_queries_per_side
-        self.loss_probability = loss_probability
-        self.max_detection_rounds = max_detection_rounds
-        self.max_side_repair_rounds = max_side_repair_rounds
-        self.max_merge_rounds = max_merge_rounds
-        self.max_repair_rounds = max_repair_rounds
-        self.parity_queries = parity_queries
-        self.in_flight = in_flight
-        self.distribution = distribution or UniformDistribution()
-        capacity = 4 * (num_objects
-                        + cycles * num_sides * inserts_per_side + 8)
-        self.config = VoroNetConfig(n_max=capacity,
-                                    num_long_links=num_long_links, seed=seed)
-        self.faults = FaultPlane(seed=seed + 1)
-        self.simulator = ProtocolSimulator(self.config, seed=seed,
-                                           faults=self.faults)
-        self.runtime = PartitionRuntime(self.simulator)
-        self.detector = HeartbeatDetector(
-            self.simulator,
-            config=HeartbeatConfig(interval=heartbeat_interval,
-                                   miss_threshold=miss_threshold))
-        self.availability = AvailabilityTracker()
-        self.activity_rng = RandomSource(seed + 5)
-
-    # ------------------------------------------------------------------
-    def _assign_sides(self) -> List[List[int]]:
-        """Seeded side assignment of the live population, every side ≥ 4."""
-        live = sorted(self.simulator.nodes)
-        # Fisher–Yates over the sorted ids with the harness stream: the
-        # assignment depends only on (seed, population), not dict order.
-        for i in range(len(live) - 1, 0, -1):
-            j = self.activity_rng.integer(0, i + 1)
-            live[i], live[j] = live[j], live[i]
-        fractions = self.side_fractions
-        if fractions is None:
-            fractions = tuple(1.0 for _ in range(self.num_sides))
-        total = sum(fractions)
-        sides: List[List[int]] = []
-        offset = 0
-        for index, fraction in enumerate(fractions):
-            if index == self.num_sides - 1:
-                chunk = live[offset:]
-            else:
-                count = max(4, int(round(len(live) * fraction / total)))
-                chunk = live[offset:offset + count]
-            offset += len(chunk)
-            if len(chunk) < 4:
-                raise RuntimeError(f"side {index} too small ({len(chunk)}); "
-                                   f"grow num_objects or rebalance fractions")
-            sides.append(chunk)
-        return sides
-
-    def _cross_side_suspected(self, spec: SplitSpec) -> bool:
-        """Has every monitored cross-side peer landed on a suspect list?"""
-        simulator = self.simulator
-        for object_id in sorted(simulator.nodes):
-            node = simulator.nodes[object_id]
-            own = spec.side_of(object_id)
-            if own is None:
-                continue
-            for peer in node.monitored_peers():
-                peer_side = spec.side_of(peer)
-                if (peer_side is not None and peer_side != own
-                        and peer not in node.suspects):
-                    return False
-        return True
-
-    def _serve_side_queries(self, spec: SplitSpec, phase: str,
-                            count: int) -> None:
-        for index in range(self.num_sides):
-            for _ in range(count):
-                target = self.activity_rng.random_point()
-                answer = self.runtime.side_query(index, target)
-                self.availability.record(index, phase, answer is not None)
-
-    # ------------------------------------------------------------------
-    def run(self) -> MergeHarnessReport:
-        simulator = self.simulator
-        runtime = self.runtime
-        positions = generate_objects(self.distribution, self.num_objects,
-                                     RandomSource(self.seed + 3))
-        simulator.bulk_join(positions)
-        cycle_reports: List[MergeReport] = []
-        damage_reports: List[PartitionDamageReport] = []
-        converged = True
-        for _cycle in range(self.cycles):
-            spec = runtime.open_split(self._assign_sides(),
-                                      in_flight=self.in_flight)
-            damage_reports.append(
-                assess_partition_damage(simulator.nodes, spec.side_of))
-            # Degraded phase: views still reference the far side, so a
-            # walk whose greedy next hop crosses the cut dies silently.
-            self._serve_side_queries(spec, "degraded",
-                                     self.degraded_queries_per_side)
-            # Detection + per-side stabilisation, under the configured
-            # split-era loss (retry-safe machinery only).
-            self.faults.set_loss(self.loss_probability)
-            for _ in range(self.max_detection_rounds):
-                self.detector.run_round()
-                if self._cross_side_suspected(spec):
-                    break
-            for index in range(self.num_sides):
-                with runtime.side(index):
-                    RepairProtocol(simulator, detector=self.detector,
-                                   max_rounds=self.max_side_repair_rounds,
-                                   scope=runtime.side_members(index)).repair()
-            self.faults.set_loss(0.0)
-            # Both-side inserts: every side publishes against its own
-            # fork, minting colliding side-local ids.
-            for _ in range(self.inserts_per_side):
-                for index in range(self.num_sides):
-                    runtime.side_join(index,
-                                      self.activity_rng.random_point())
-            # Stable phase: each side serves from its own tessellation.
-            self._serve_side_queries(spec, "stable", self.queries_per_side)
-            # Heal + merge.
-            summary = runtime.heal()
-            self.availability.mark_heal(simulator.engine.now)
-            self.faults.set_loss(self.loss_probability)
-            merge = MergeProtocol(
-                simulator, summary.spec, epoch_base=summary.epoch,
-                max_rounds=self.max_merge_rounds,
-                max_repair_rounds=self.max_repair_rounds,
-                detector=self.detector)
-            report = merge.run(summary)
-            self.faults.set_loss(0.0)
-            if report.converged:
-                self.availability.mark_converged(simulator.engine.now)
-            cycle_reports.append(report)
-            converged = converged and report.converged
-        # Never-split oracle: one tessellation built from the union
-        # population.  Delaunay triangulations are unique in general
-        # position, so insertion order cannot matter — byte-identical
-        # views here mean the merge truly erased the split.
-        oracle = DelaunayTriangulation()
-        for object_id in sorted(simulator.nodes):
-            oracle.insert(simulator.nodes[object_id].position,
-                          vertex_id=object_id)
-        view_parity = all(
-            set(simulator.nodes[object_id].voronoi)
-            == set(oracle.neighbors(object_id))
-            for object_id in sorted(simulator.nodes))
-        mismatches = 0
-        parity_rng = RandomSource(self.seed + 11)
-        live = sorted(simulator.nodes)
-        for k in range(self.parity_queries):
-            target = parity_rng.random_point()
-            start = live[parity_rng.integer(0, len(live))]
-            query_id = (1 << 41) + k
-            simulator.start_query(target, start=start, query_id=query_id)
-            simulator.engine.run()
-            answer = simulator.query_answers.pop(query_id, None)
-            expected = oracle.nearest_vertex(target)
-            if answer is None or answer["owner"] != expected:
-                mismatches += 1
-        problems = simulator.verify_views()
-        return MergeHarnessReport(
-            num_objects=self.num_objects, cycles=self.cycles,
-            sides=self.num_sides,
-            converged=converged and not problems,
-            cycle_reports=tuple(cycle_reports),
-            damage_reports=tuple(damage_reports),
-            availability=self.availability.summary(),
-            final_verify_problems=len(problems),
-            oracle_view_parity=view_parity,
-            routing_parity_queries=self.parity_queries,
-            routing_parity_mismatches=mismatches,
-            messages=simulator.network.messages_sent,
-            virtual_time=simulator.engine.now)

@@ -2,11 +2,15 @@
 
 import math
 from dataclasses import fields
+from inspect import signature
 
 import pytest
 
 from repro.core.config import DEFAULT_N_MAX, VoroNetConfig
+from repro.simulation.faults import HeartbeatDetector
 from repro.simulation.protocol import TimeoutPolicy
+from repro.simulation.scenario import (Scenario, measure_steady_state_liveness,
+                                       run_merge_scenario)
 
 
 class TestDefaults:
@@ -88,3 +92,24 @@ def test_option_budget():
     assert {f.name for f in fields(TimeoutPolicy)} == {
         "join_timeout", "close_timeout", "long_link_timeout", "max_retries",
         "backoff"}
+
+    def parameters(function):
+        return [name for name in signature(function).parameters
+                if name != "self"]
+
+    # The staged fault-experiment pipeline (23 settable values in all).
+    assert parameters(Scenario.__init__) == [
+        "num_objects", "seed", "churn_events", "heartbeat", "events", "trace"]
+    assert parameters(Scenario.build) == []
+    assert parameters(Scenario.churn) == []
+    assert parameters(Scenario.crash) == ["fraction"]
+    assert parameters(Scenario.detect) == ["until", "max_rounds"]
+    assert parameters(Scenario.heal) == [
+        "max_cycles", "max_detection_rounds", "max_repair_rounds",
+        "loss_probability"]
+    assert parameters(run_merge_scenario) == [
+        "num_objects", "seed", "num_sides", "side_fractions", "cycles",
+        "inserts_per_side", "queries_per_side", "degraded_queries_per_side"]
+    assert parameters(measure_steady_state_liveness) == [
+        "simulator", "rounds", "queries_per_round"]
+    assert parameters(HeartbeatDetector.__init__) == ["simulator", "config"]

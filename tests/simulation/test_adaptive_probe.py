@@ -53,8 +53,7 @@ class TestParityWhenDisabled:
         for adaptive in (False, None):
             simulator = build_simulator(count=80, seed=21)
             if adaptive is None:
-                detector = HeartbeatDetector(simulator, interval=8.0,
-                                             miss_threshold=2)
+                detector = HeartbeatDetector(simulator)
             else:
                 detector = HeartbeatDetector(simulator, config=HeartbeatConfig(
                     interval=8.0, miss_threshold=2, adaptive_backoff=False))
@@ -65,15 +64,13 @@ class TestParityWhenDisabled:
     def test_convergence_unchanged_when_disabled(self):
         """Detection + repair outcome is identical with the knob off."""
         reports = []
-        for config in (None,
+        for config in (HeartbeatConfig(miss_threshold=3),
                        HeartbeatConfig(miss_threshold=3,
                                        adaptive_backoff=False)):
             simulator = build_simulator(count=100, seed=33)
             injector = ProtocolCrashInjector(simulator, rng=RandomSource(3))
             injector.crash_random(10)
-            detector = (HeartbeatDetector(simulator, miss_threshold=3)
-                        if config is None
-                        else HeartbeatDetector(simulator, config=config))
+            detector = HeartbeatDetector(simulator, config=config)
             detector.run_rounds(4)
             report = RepairProtocol(simulator, detector=detector).repair()
             assert report.converged

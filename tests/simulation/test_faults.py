@@ -2,7 +2,8 @@
 
 Covers the fault plane (crash/loss/partition decisions, including a
 Hypothesis pin of seed-determinism), heartbeat detection, the phased
-repair protocol, protocol-vs-oracle crash parity, and the churn harness.
+repair protocol, protocol-vs-oracle crash parity, and the staged
+churn/crash/heal experiment on :class:`~repro.simulation.scenario.Scenario`.
 """
 
 import pytest
@@ -15,15 +16,31 @@ from repro.simulation.faults import (
     FaultPlane,
     HeartbeatConfig,
     HeartbeatDetector,
-    ProtocolChurnHarness,
     ProtocolCrashInjector,
     RepairProtocol,
 )
 from repro.simulation.network import Message
 from repro.simulation.protocol import ProtocolSimulator
+from repro.simulation.scenario import Scenario, measure_steady_state_liveness
 from repro.utils.rng import RandomSource
 from repro.workloads.distributions import UniformDistribution
 from repro.workloads.generators import generate_objects
+
+
+def run_churn_experiment(*, num_objects, seed, churn_events, crash_fraction,
+                         liveness=None, trace=None, heartbeat=None, **heal):
+    """The staged experiment the benchmark and ABL4 script: build, churn,
+    (optionally measure steady-state liveness,) crash, heal."""
+    scenario = Scenario(num_objects=num_objects, seed=seed,
+                        churn_events=churn_events, heartbeat=heartbeat,
+                        trace=trace)
+    scenario.build()
+    joins, leaves = scenario.churn()
+    steady = (measure_steady_state_liveness(scenario.simulator, **liveness)
+              if liveness is not None else None)
+    scenario.crash(crash_fraction)
+    report = scenario.heal(**heal)
+    return scenario, (joins, leaves), steady, report
 
 
 def build_simulator(count=150, seed=77, num_long_links=2, loss=0.0):
@@ -162,13 +179,14 @@ class TestHeartbeatDetector:
     def test_validation(self):
         simulator = build_simulator(count=20, seed=6)
         with pytest.raises(ValueError):
-            HeartbeatDetector(simulator, interval=0.0)
+            HeartbeatDetector(simulator, config=HeartbeatConfig(interval=0.0))
         with pytest.raises(ValueError):
-            HeartbeatDetector(simulator, miss_threshold=0)
+            HeartbeatDetector(simulator,
+                              config=HeartbeatConfig(miss_threshold=0))
 
     def test_healthy_overlay_produces_no_suspects(self):
         simulator = build_simulator(count=60, seed=6)
-        detector = HeartbeatDetector(simulator, miss_threshold=2)
+        detector = HeartbeatDetector(simulator, config=HeartbeatConfig(miss_threshold=2))
         assert detector.run_rounds(3) == []
         assert detector.suspected() == {}
 
@@ -176,7 +194,7 @@ class TestHeartbeatDetector:
         simulator = build_simulator(count=80, seed=7)
         injector = ProtocolCrashInjector(simulator, rng=RandomSource(1))
         victims = set(injector.crash_random(8))
-        detector = HeartbeatDetector(simulator, miss_threshold=3)
+        detector = HeartbeatDetector(simulator, config=HeartbeatConfig(miss_threshold=3))
         assert detector.run_rounds(2) == []          # below the threshold
         created = detector.run_round()               # third miss trips it
         assert created
@@ -191,7 +209,7 @@ class TestHeartbeatDetector:
         simulator = build_simulator(count=80, seed=8)
         injector = ProtocolCrashInjector(simulator, rng=RandomSource(2))
         victims = set(injector.crash_random(10))
-        HeartbeatDetector(simulator, miss_threshold=2).run_rounds(2)
+        HeartbeatDetector(simulator, config=HeartbeatConfig(miss_threshold=2)).run_rounds(2)
         for node in simulator.nodes.values():
             assert not victims & set(node.close)
             assert not {source for source, _ in node.back_links} & victims
@@ -202,8 +220,8 @@ class TestHeartbeatDetector:
         simulator = build_simulator(count=60, seed=10)
         plane = simulator.faults
         isolated = simulator.object_ids()[:6]
-        detector = HeartbeatDetector(simulator, interval=5.0,
-                                     miss_threshold=2)
+        detector = HeartbeatDetector(simulator, config=HeartbeatConfig(
+            interval=5.0, miss_threshold=2))
         start = simulator.engine.now
         plane.partition(isolated, start=start, end=start + 18.0)
         detector.start(duration=20.0)
@@ -241,21 +259,24 @@ class TestHeartbeatConfig:
         assert HeartbeatConfig(sample_fraction=0.1).sample_period == 10
 
     def test_detector_rejects_config_plus_kwargs(self):
+        """One door: the loose ``interval=``/``miss_threshold=`` shortcuts
+        are gone, with or without a config beside them."""
         simulator = build_simulator(count=20, seed=6)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             HeartbeatDetector(simulator, interval=4.0,
                               config=HeartbeatConfig())
+        with pytest.raises(TypeError):
+            HeartbeatDetector(simulator, miss_threshold=3)
 
     def test_full_probe_config_is_byte_identical_to_kwargs(self):
-        """Parity pin: with piggyback/sampling off, a config-built detector
-        sends exactly what a kwargs-built one does — identical counters on
-        twin overlays."""
+        """Parity pin: with piggyback/sampling off, a detector built from
+        an explicit config sends exactly what the default-constructed one
+        does — identical counters on twin overlays."""
         counters = []
-        for construct in ("kwargs", "config"):
+        for construct in ("default", "config"):
             simulator = build_simulator(count=80, seed=21)
-            if construct == "kwargs":
-                detector = HeartbeatDetector(simulator, interval=8.0,
-                                             miss_threshold=2)
+            if construct == "default":
+                detector = HeartbeatDetector(simulator)
             else:
                 detector = HeartbeatDetector(
                     simulator, config=HeartbeatConfig(interval=8.0,
@@ -363,23 +384,19 @@ class TestPiggybackLiveness:
     def test_piggyback_repair_converges_under_heavy_loss(self):
         """The acceptance scenario: 10% crash, 30% loss, piggyback and
         sampling on — detection and repair still converge in budget."""
-        harness = ProtocolChurnHarness(
+        _, _, _, report = run_churn_experiment(
             num_objects=200, seed=33, churn_events=16, crash_fraction=0.1,
             loss_probability=0.3,
             heartbeat=HeartbeatConfig(piggyback=True, sample_fraction=0.25),
             max_detection_rounds=16, max_repair_rounds=32)
-        report = harness.run()
         assert report.converged
         assert report.verify_problems == 0
         assert report.residual_damage.total_stale_entries == 0
 
     def test_steady_state_measurement_reports_reduction(self):
-        harness = ProtocolChurnHarness(num_objects=150, seed=41,
-                                       churn_events=0, crash_fraction=0.1,
-                                       measure_liveness=True,
-                                       liveness_rounds=3, liveness_queries=15)
-        report = harness.run()
-        steady = report.steady_state_liveness
+        _, _, steady, report = run_churn_experiment(
+            num_objects=150, seed=41, churn_events=0, crash_fraction=0.1,
+            liveness=dict(rounds=3, queries_per_round=15))
         assert steady is not None
         assert steady["full_probe_messages"] > 0
         assert steady["piggyback_messages"] > 0
@@ -390,9 +407,9 @@ class TestPiggybackLiveness:
 
     def test_measurement_is_reproducible(self):
         reports = [
-            ProtocolChurnHarness(num_objects=120, seed=43, churn_events=8,
-                                 crash_fraction=0.1, measure_liveness=True,
-                                 liveness_rounds=2, liveness_queries=10).run()
+            run_churn_experiment(
+                num_objects=120, seed=43, churn_events=8, crash_fraction=0.1,
+                liveness=dict(rounds=2, queries_per_round=10))[1:]
             for _ in range(2)
         ]
         assert reports[0] == reports[1]
@@ -454,7 +471,7 @@ class TestProtocolOracleCrashParity:
         assert fixed > 0
         assert oracle_injector.assess_damage().total_stale_entries == 0
 
-        detector = HeartbeatDetector(protocol, miss_threshold=2)
+        detector = HeartbeatDetector(protocol, config=HeartbeatConfig(miss_threshold=2))
         detector.run_rounds(2)
         report = RepairProtocol(protocol, detector=detector).repair()
         assert report.converged
@@ -476,7 +493,7 @@ class TestRepairProtocol:
         injector = ProtocolCrashInjector(simulator, rng=RandomSource(4))
         injector.crash_random(15)
         simulator.faults.set_loss(0.15)
-        detector = HeartbeatDetector(simulator, miss_threshold=2)
+        detector = HeartbeatDetector(simulator, config=HeartbeatConfig(miss_threshold=2))
         detector.run_rounds(3)
         report = RepairProtocol(simulator, detector=detector,
                                 max_rounds=16).repair()
@@ -500,7 +517,7 @@ class TestRepairProtocol:
         _, total_before = close_state(simulator)
         assert total_before > 0
         simulator.faults.set_loss(0.35)
-        detector = HeartbeatDetector(simulator, miss_threshold=2)
+        detector = HeartbeatDetector(simulator, config=HeartbeatConfig(miss_threshold=2))
         detector.run_rounds(4)          # heavy loss: false suspicion forms
         report = RepairProtocol(simulator, detector=detector,
                                 max_rounds=32).repair()
@@ -515,7 +532,7 @@ class TestRepairProtocol:
         simulator = build_simulator(count=120, seed=14)
         injector = ProtocolCrashInjector(simulator, rng=RandomSource(5))
         injector.crash_random(12)
-        detector = HeartbeatDetector(simulator, miss_threshold=2)
+        detector = HeartbeatDetector(simulator, config=HeartbeatConfig(miss_threshold=2))
         detector.run_rounds(2)
         assert RepairProtocol(simulator, detector=detector).repair().converged
         rng = RandomSource(6)
@@ -527,22 +544,23 @@ class TestRepairProtocol:
 
 
 # ----------------------------------------------------------------------
-# the churn harness
+# the staged churn/crash/heal experiment
 # ----------------------------------------------------------------------
 class TestProtocolChurnHarness:
     def test_validation(self):
         with pytest.raises(ValueError):
-            ProtocolChurnHarness(crash_fraction=1.0)
+            Scenario(num_objects=20, seed=1).crash(1.0)
+        with pytest.raises(ValueError):
+            Scenario(num_objects=2, seed=1)
 
     def test_full_cycle_converges_with_accounting(self):
-        harness = ProtocolChurnHarness(num_objects=250, seed=17,
-                                       churn_events=24, crash_fraction=0.1)
-        report = harness.run()
+        _, (joins, leaves), _, report = run_churn_experiment(
+            num_objects=250, seed=17, churn_events=24, crash_fraction=0.1)
         assert report.converged
         assert report.verify_problems == 0
         assert report.residual_damage.total_stale_entries == 0
         assert report.damage.total_stale_entries > 0
-        assert report.churn_joins > 0 and report.churn_leaves > 0
+        assert joins > 0 and leaves > 0
         for phase in ("build", "churn", "detect", "repair"):
             assert report.phase_messages[phase] > 0
         repair_total = sum(count for key, count in report.phase_messages.items()
@@ -552,26 +570,23 @@ class TestProtocolChurnHarness:
     def test_full_cycle_converges_under_heavy_loss(self):
         """30% loss needs a proportionately larger round budget (rounds
         are retry-safe; each one lands a geometric share of the work)."""
-        harness = ProtocolChurnHarness(num_objects=200, seed=33,
-                                       churn_events=16, crash_fraction=0.1,
-                                       loss_probability=0.3,
-                                       max_repair_rounds=32)
-        report = harness.run()
+        _, _, _, report = run_churn_experiment(
+            num_objects=200, seed=33, churn_events=16, crash_fraction=0.1,
+            loss_probability=0.3, max_repair_rounds=32)
         assert report.converged
         assert report.verify_problems == 0
         assert report.residual_damage.total_stale_entries == 0
         assert report.repair.rounds > 1  # loss really made rounds retry
 
     def test_churn_event_count_is_exact(self):
-        harness = ProtocolChurnHarness(num_objects=150, seed=37,
-                                       churn_events=20, crash_fraction=0.05)
-        report = harness.run()
-        assert report.churn_joins + report.churn_leaves == 20
+        _, (joins, leaves), _, _ = run_churn_experiment(
+            num_objects=150, seed=37, churn_events=20, crash_fraction=0.05)
+        assert joins + leaves == 20
 
     def test_reproducible_from_seed(self):
         reports = [
-            ProtocolChurnHarness(num_objects=150, seed=23, churn_events=16,
-                                 crash_fraction=0.1).run()
+            run_churn_experiment(num_objects=150, seed=23, churn_events=16,
+                                 crash_fraction=0.1)[1:]
             for _ in range(2)
         ]
         assert reports[0] == reports[1]
@@ -580,23 +595,20 @@ class TestProtocolChurnHarness:
         from repro.simulation.trace import TraceRecorder
 
         trace = TraceRecorder()
-        harness = ProtocolChurnHarness(num_objects=150, seed=31,
-                                       churn_events=0, crash_fraction=0.1,
-                                       trace=trace)
-        report = harness.run()
+        _, _, _, report = run_churn_experiment(
+            num_objects=150, seed=31, churn_events=0, crash_fraction=0.1,
+            trace=trace)
         counts = trace.counts_by_kind()
-        assert counts["crash"] == report.crashed
+        assert counts["crash"] == report.damage.crashed
         assert counts["repair_round"] == report.repair.rounds
         assert counts["suspect"] >= report.damage.affected_objects
 
-    def test_churn_scheduler_teardown_leaves_engine_quiescent(self):
-        harness = ProtocolChurnHarness(num_objects=120, seed=29,
-                                       churn_events=16, crash_fraction=0.05)
-        harness.run()
-        assert harness.scheduler is not None
-        assert harness.simulator.engine.quiescent
-        # A batched operation is immediately usable after teardown.
-        harness.simulator.bulk_join([(0.123456, 0.654321)])
+    def test_churn_leaves_engine_quiescent(self):
+        scenario, _, _, _ = run_churn_experiment(
+            num_objects=120, seed=29, churn_events=16, crash_fraction=0.05)
+        assert scenario.simulator.engine.quiescent
+        # A batched operation is immediately usable after the experiment.
+        scenario.simulator.bulk_join([(0.123456, 0.654321)])
 
 
 # ----------------------------------------------------------------------

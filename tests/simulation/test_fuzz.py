@@ -4,8 +4,9 @@ Three layers: unit checks of the trace/outcome plumbing and the CLI,
 replay determinism (the same trace produces byte-identical outcomes —
 the property every failure report relies on), and a Hypothesis stateful
 machine that interleaves joins, leaves and armed crash triggers against a
-live simulator, healing and asserting clean convergence — Hypothesis
-shrinks any failing interleaving to a minimal one.
+live :class:`~repro.simulation.scenario.Scenario`, healing through
+``Scenario.heal`` and asserting clean convergence — Hypothesis shrinks
+any failing interleaving to a minimal one.
 """
 
 import json
@@ -15,24 +16,18 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, rule
 
-from repro.core import VoroNetConfig
-from repro.simulation.faults import (
-    FaultPlane,
-    HeartbeatDetector,
-    ProtocolCrashInjector,
-    RepairProtocol,
-)
+from repro.simulation.faults import HeartbeatConfig
 from repro.simulation.fuzz import (
+    MAX_DETECTION_ROUNDS,
+    MAX_HEAL_CYCLES,
     CrashEvent,
-    CrashScheduleFuzzer,
     FuzzTrace,
     PartitionEvent,
     main,
+    run_sweep,
+    run_trace,
 )
-from repro.simulation.protocol import ProtocolSimulator
-from repro.utils.rng import RandomSource
-from repro.workloads.distributions import UniformDistribution
-from repro.workloads.generators import generate_objects
+from repro.simulation.scenario import Scenario
 
 
 # ----------------------------------------------------------------------
@@ -41,13 +36,13 @@ from repro.workloads.generators import generate_objects
 class TestSchedule:
     def test_validation(self):
         with pytest.raises(ValueError):
-            CrashScheduleFuzzer(num_objects=2)
+            run_trace(FuzzTrace(seed=0), num_objects=2)
         with pytest.raises(ValueError):
-            CrashScheduleFuzzer().run_sweep(0, 0)
+            run_sweep(0, 0)
 
     def test_baseline_runs_fault_free(self):
-        fuzzer = CrashScheduleFuzzer(num_objects=10, churn_events=4)
-        outcome = fuzzer.run_trace(FuzzTrace(seed=17))
+        size = dict(num_objects=10, churn_events=4)
+        outcome = run_trace(FuzzTrace(seed=17), **size)
         assert outcome.victim is None
         assert outcome.crash_phase is None
         assert outcome.converged
@@ -57,19 +52,19 @@ class TestSchedule:
         assert outcome.pending_operations == ()
 
     def test_crash_fires_and_converges(self):
-        fuzzer = CrashScheduleFuzzer(num_objects=14, churn_events=4)
-        baseline = fuzzer.baseline_messages(23)
-        outcome = fuzzer.run_trace(FuzzTrace(seed=23, events=(
-            CrashEvent(at_message=baseline // 2, victim_rank=5),)))
+        size = dict(num_objects=14, churn_events=4)
+        baseline = run_trace(FuzzTrace(seed=23), **size).messages
+        outcome = run_trace(FuzzTrace(seed=23, events=(
+            CrashEvent(at_message=baseline // 2, victim_rank=5),)), **size)
         assert outcome.victim is not None
         assert outcome.crash_phase in ("build", "churn", "heal")
         assert outcome.converged, outcome
         assert outcome.residual_stale == 0
 
     def test_outcome_as_dict_is_json_ready(self):
-        fuzzer = CrashScheduleFuzzer(num_objects=10, churn_events=2)
-        outcome = fuzzer.run_trace(FuzzTrace(seed=3, events=(
-            CrashEvent(at_message=30, victim_rank=1),)))
+        size = dict(num_objects=10, churn_events=2)
+        outcome = run_trace(FuzzTrace(seed=3, events=(
+            CrashEvent(at_message=30, victim_rank=1),)), **size)
         json.dumps(outcome.as_dict())  # must not raise
 
 
@@ -78,25 +73,25 @@ class TestSchedule:
 # ----------------------------------------------------------------------
 class TestReplayDeterminism:
     def test_same_triple_same_fingerprint(self):
-        fuzzer = CrashScheduleFuzzer(num_objects=14, churn_events=6)
+        size = dict(num_objects=14, churn_events=6)
         trace = FuzzTrace(seed=31, events=(
             CrashEvent(at_message=120, victim_rank=9),))
-        first = fuzzer.run_trace(trace)
-        second = fuzzer.run_trace(trace)
+        first = run_trace(trace, **size)
+        second = run_trace(trace, **size)
         assert first.fingerprint == second.fingerprint
         assert first == second
 
     def test_sweep_reproducible_from_master_seed(self):
-        fuzzer = CrashScheduleFuzzer(num_objects=10, churn_events=4)
-        first = fuzzer.run_sweep(5, 6)
-        second = fuzzer.run_sweep(5, 6)
+        size = dict(num_objects=10, churn_events=4)
+        first = run_sweep(5, 6, **size)
+        second = run_sweep(5, 6, **size)
         assert [o.fingerprint for o in first.outcomes] == \
                [o.fingerprint for o in second.outcomes]
         assert first.failures == second.failures
 
     def test_sweep_converges(self):
-        fuzzer = CrashScheduleFuzzer(num_objects=12, churn_events=4)
-        report = fuzzer.run_sweep(77, 20)
+        size = dict(num_objects=12, churn_events=4)
+        report = run_sweep(77, 20, **size)
         assert report.schedules_run == 20
         assert report.converged, [f.trace.as_dict() for f in report.failures]
         assert report.crashes_fired > 0
@@ -131,25 +126,25 @@ class TestFuzzTrace:
             FuzzTrace.from_dict({"seed": 1, "events": [{"kind": "meteor"}]})
 
     def test_multi_crash_sequence_converges(self):
-        fuzzer = CrashScheduleFuzzer(num_objects=16, churn_events=4)
-        total = fuzzer.baseline_messages(29)
+        size = dict(num_objects=16, churn_events=4)
+        total = run_trace(FuzzTrace(seed=29), **size).messages
         trace = FuzzTrace(seed=29, events=(
             CrashEvent(at_message=total // 3, victim_rank=1),
             CrashEvent(at_message=2 * total // 3, victim_rank=5)))
-        outcome = fuzzer.run_trace(trace)
+        outcome = run_trace(trace, **size)
         assert outcome.error is None
         assert len(outcome.victims) == 2
         assert len(set(outcome.victims)) == 2        # two distinct deaths
         assert outcome.converged, outcome
 
     def test_partition_window_armed_at_message_index(self):
-        fuzzer = CrashScheduleFuzzer(num_objects=14, churn_events=4)
-        baseline = fuzzer.run_trace(FuzzTrace(seed=23))
+        size = dict(num_objects=14, churn_events=4)
+        baseline = run_trace(FuzzTrace(seed=23), **size)
         marks = dict(baseline.phase_marks)
         trace = FuzzTrace(seed=23, events=(
             PartitionEvent(at_message=marks["churn"] + 2, fraction=0.3,
                            duration=100000.0),))
-        outcome = fuzzer.run_trace(trace)
+        outcome = run_trace(trace, **size)
         assert outcome.error is None
         assert outcome.partitions_opened == 1
         # The window was far too long to lapse on the clock: the heal
@@ -165,33 +160,69 @@ class TestFuzzTrace:
         terminate inside its configured bounds with a defined outcome —
         converged, or a populated divergence surface — never a hang.
         """
-        fuzzer = CrashScheduleFuzzer(num_objects=14, churn_events=4)
-        baseline = fuzzer.run_trace(FuzzTrace(seed=23))
+        size = dict(num_objects=14, churn_events=4)
+        baseline = run_trace(FuzzTrace(seed=23), **size)
         marks = dict(baseline.phase_marks)
         trace = FuzzTrace(seed=23, events=(
             CrashEvent(at_message=marks["heal"] + 3, victim="coordinator"),))
-        outcome = fuzzer.run_trace(trace)
+        outcome = run_trace(trace, **size)
         assert outcome.error is None
         assert outcome.crash_phase == "heal"
         assert len(outcome.victims) == 1
-        assert outcome.heal_cycles <= fuzzer.max_heal_cycles
+        assert outcome.heal_cycles <= MAX_HEAL_CYCLES
         assert outcome.converged, outcome
 
+    def test_crash_during_heal_is_waited_for(self):
+        """A victim that dies *inside* the heal phase is detection's job too.
+
+        Under piggy-backed, sampled probing a late victim takes several
+        rounds to be suspected by every node that references it; the
+        detect loop reads the crash list live, so it must keep going
+        until then instead of leaving at the ``miss_threshold`` minimum
+        with the pre-heal damage (here: none) accounted for.
+        """
+        config = HeartbeatConfig(piggyback=True, sample_fraction=0.25)
+        size = dict(num_objects=30, seed=23, churn_events=4, heartbeat=config)
+        baseline = Scenario(**size)
+        baseline.build()
+        baseline.churn()
+        baseline.heal()
+        heal_start = dict(baseline.phase_marks)["heal"]
+        scenario = Scenario(events=(
+            CrashEvent(at_message=heal_start + 40, victim_rank=5),), **size)
+        scenario.build()
+        scenario.churn()
+        exits = []
+        detect = scenario.detect
+
+        def recording_detect(*args, **kwargs):
+            rounds = detect(*args, **kwargs)
+            exits.append((rounds, scenario.damage_suspected()))
+            return rounds
+
+        scenario.detect = recording_detect
+        outcome = scenario.heal(max_detection_rounds=16)
+        assert scenario.crash_phases == ["heal"]
+        rounds, suspected = exits[0]
+        assert suspected                   # left because the victim is suspected,
+        assert config.miss_threshold < rounds < 16   # not at the minimum or the cap
+        assert outcome.converged
+
     def test_trace_replay_is_deterministic(self):
-        fuzzer = CrashScheduleFuzzer(num_objects=14, churn_events=4)
+        size = dict(num_objects=14, churn_events=4)
         trace = FuzzTrace(seed=31, events=(
             CrashEvent(at_message=60, victim_rank=4),
             PartitionEvent(at_message=100, fraction=0.4, duration=60.0),
             CrashEvent(at_message=150, victim="coordinator")))
-        first = fuzzer.run_trace(trace)
-        second = fuzzer.run_trace(trace)
+        first = run_trace(trace, **size)
+        second = run_trace(trace, **size)
         assert first.fingerprint == second.fingerprint
         assert first == second
 
     def test_sweep_with_partitions_and_multi_crash(self):
-        fuzzer = CrashScheduleFuzzer(num_objects=12, churn_events=4)
-        report = fuzzer.run_sweep(11, 4, crashes=2, partition_fraction=0.3,
-                                  partition_duration=5000.0)
+        size = dict(num_objects=12, churn_events=4)
+        report = run_sweep(11, 4, crashes=2, partition_fraction=0.3,
+                           partition_duration=5000.0, **size)
         assert report.schedules_run == 4
         assert report.partitions_opened == 4
         assert report.partitions_healed == 4     # every window closed
@@ -215,14 +246,10 @@ class CrashRecoveryMachine(RuleBasedStateMachine):
 
     @initialize(seed=st.integers(0, 2**20))
     def setup(self, seed):
-        config = VoroNetConfig(n_max=256, num_long_links=1, seed=seed)
-        self.simulator = ProtocolSimulator(config, seed=seed,
-                                           faults=FaultPlane(seed=seed + 1))
-        self.injector = ProtocolCrashInjector(self.simulator,
-                                              rng=RandomSource(seed + 2))
-        positions = generate_objects(UniformDistribution(), 12,
-                                     RandomSource(seed + 3))
-        self.simulator.bulk_join(positions)
+        # 44 planned membership events: n_max = 4 · (12 + 44 + 8) = 256.
+        self.scenario = Scenario(num_objects=12, seed=seed, churn_events=44)
+        self.simulator = self.scenario.simulator
+        self.scenario.build()
 
     @rule(position=_POSITIONS)
     def join(self, position):
@@ -244,7 +271,7 @@ class CrashRecoveryMachine(RuleBasedStateMachine):
         def trigger(_message):
             live = sorted(simulator.nodes)
             if len(live) > 6:
-                self.injector.crash(live[rank % len(live)])
+                self.scenario.injector.crash(live[rank % len(live)])
 
         simulator.network.at_message(
             simulator.network.messages_sent + 1 + offset, trigger)
@@ -252,36 +279,14 @@ class CrashRecoveryMachine(RuleBasedStateMachine):
 
     @rule()
     def heal_and_verify(self):
-        simulator = self.simulator
-        detector = HeartbeatDetector(simulator)
-        repairer = RepairProtocol(simulator, detector=detector, max_rounds=8)
-        dead = set(self.injector.crashed)
-
-        def all_damage_suspected():
-            for object_id in sorted(simulator.nodes):
-                node = simulator.nodes[object_id]
-                for peer in sorted(node.monitored_peers()):
-                    if peer in dead and peer not in node.suspects:
-                        return False
-            return True
-
-        repair = None
-        for _ in range(3):
-            rounds = 0
-            while rounds < 6:
-                detector.run_round()
-                rounds += 1
-                if (rounds >= detector.miss_threshold
-                        and all_damage_suspected()):
-                    break
-            repair = repairer.repair()
-            if repair.converged and not simulator.verify_views():
-                break
-        assert repair is not None and repair.converged
-        assert simulator.verify_views() == []
-        assert self.injector.assess_damage().total_stale_entries == 0
-        assert simulator.pending_operations() == []
-        assert simulator.engine.quiescent
+        outcome = self.scenario.heal(
+            MAX_HEAL_CYCLES, max_detection_rounds=MAX_DETECTION_ROUNDS)
+        assert outcome.repair.converged
+        assert outcome.verify_problems == 0
+        assert outcome.residual_damage.total_stale_entries == 0
+        assert outcome.pending_operations == ()
+        assert self.simulator.engine.quiescent
+        assert outcome.converged
 
     def teardown(self):
         # Whatever the interleaving left behind must still heal clean.
@@ -304,6 +309,8 @@ class TestCli:
         out = capsys.readouterr().out
         assert "4 schedules" in out
         assert "0 failures" in out
+        digest = run_sweep(5, 4, num_objects=10, churn_events=2).digest
+        assert len(digest) == 64 and out.rstrip().endswith(f"digest={digest}")
 
     def test_replay_fault_free_index(self, tmp_path, capsys):
         path = tmp_path / "baseline.json"

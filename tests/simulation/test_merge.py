@@ -19,7 +19,8 @@ from repro.simulation.engine import SimulationEngine
 from repro.simulation.failures import assess_partition_damage
 from repro.simulation.faults import (FaultPlane, HeartbeatDetector,
                                      RepairProtocol)
-from repro.simulation.merge import MergeProtocol, PartitionRuntime, ProtocolMergeHarness
+from repro.simulation.merge import MergeProtocol, PartitionRuntime
+from repro.simulation.scenario import run_merge_scenario
 from repro.simulation.network import ConstantLatency, Message, Network
 from repro.simulation.protocol import ProtocolSimulator
 from repro.core.config import VoroNetConfig
@@ -297,9 +298,9 @@ class TestPartitionRuntime:
 # ----------------------------------------------------------------------
 def run_harness(**kwargs):
     defaults = dict(num_objects=40, seed=31, queries_per_side=4,
-                    degraded_queries_per_side=2, parity_queries=8)
+                    degraded_queries_per_side=2)
     defaults.update(kwargs)
-    return ProtocolMergeHarness(**defaults).run()
+    return run_merge_scenario(**defaults)
 
 
 class TestMergeHarness:
@@ -354,11 +355,11 @@ class TestMergeHarness:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            ProtocolMergeHarness(num_sides=1)
+            run_merge_scenario(num_sides=1)
         with pytest.raises(ValueError):
-            ProtocolMergeHarness(num_sides=2, side_fractions=(1.0,))
+            run_merge_scenario(num_sides=2, side_fractions=(1.0,))
         with pytest.raises(ValueError):
-            ProtocolMergeHarness(num_objects=10, num_sides=2)
+            run_merge_scenario(num_objects=10, num_sides=2)
 
 
 class TestMergeProtocolUnits:
@@ -407,8 +408,7 @@ def test_merge_matches_never_split_oracle(seed, num_sides, heavy, inserts):
     report = run_harness(seed=seed, num_objects=45, num_sides=num_sides,
                          side_fractions=fractions,
                          inserts_per_side=inserts,
-                         queries_per_side=2, degraded_queries_per_side=1,
-                         parity_queries=6)
+                         queries_per_side=2, degraded_queries_per_side=1)
     assert report.converged
     assert report.oracle_view_parity
     assert report.routing_parity_mismatches == 0
