@@ -6,6 +6,13 @@ join protocol), and verifies the fast path produces the same structure:
 identical Voronoi adjacency, a clean ``check_consistency()`` report, and
 agreement with the scipy reference triangulation.
 
+The record's ``kernel_rebuild`` block times the geometry kernel's
+whole-point-set path — :meth:`DelaunayTriangulation.rebuild`, what every
+departing hull vertex pays — next to ``bulk_insert`` of the same points,
+on the overlay's own point set and at 2x, 4x and 10x its size (the two
+share one Morton-sorted insertion loop, so the ratio should stay near 1
+and the objects/s flat).
+
 Two entry points:
 
 * ``pytest benchmarks/bench_bulk_build.py`` — the pytest-benchmark wrapper
@@ -29,6 +36,7 @@ if __name__ == "__main__":  # script mode: make src/ importable without PYTHONPA
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from repro.core import VoroNet, VoroNetConfig
+from repro.geometry.delaunay import DelaunayTriangulation
 from repro.geometry.scipy_backend import adjacency_of, compare_with_scipy
 from repro.utils.rng import RandomSource
 from repro.workloads.distributions import UniformDistribution
@@ -37,6 +45,43 @@ from repro.workloads.generators import generate_position_array
 #: Overlay size of the canonical record (the acceptance-criterion scale).
 DEFAULT_OBJECTS = 5000
 DEFAULT_SEED = 4242
+#: Kernel sizes of the ``kernel_rebuild.scaling`` rows, as multiples of the
+#: overlay size (5k/10k/20k/50k at the default; the x1 row regenerates the
+#: overlay's own point set).
+REBUILD_SCALES = (1, 2, 4, 10)
+
+
+def run_kernel_rebuild(num_objects: int, seed: int) -> dict:
+    """Time ``rebuild()`` against ``bulk_insert`` of the same points, per size."""
+    scaling = []
+    adjacency_unchanged = True
+    for scale in REBUILD_SCALES:
+        points = [tuple(p) for p in generate_position_array(
+            UniformDistribution(), scale * num_objects, RandomSource(seed))]
+        kernel = DelaunayTriangulation()
+        started = time.perf_counter()
+        kernel.bulk_insert(points)
+        seconds_bulk_insert = time.perf_counter() - started
+        adjacency = adjacency_of(kernel)
+        started = time.perf_counter()
+        kernel.rebuild()
+        seconds_rebuild = time.perf_counter() - started
+        adjacency_unchanged &= adjacency_of(kernel) == adjacency
+        scaling.append({
+            "objects": len(points),
+            "bulk_insert_seconds": round(seconds_bulk_insert, 4),
+            "rebuild_seconds": round(seconds_rebuild, 4),
+            "objects_per_s": round(len(points) / seconds_rebuild, 1),
+            "rebuild_over_bulk_insert": round(
+                seconds_rebuild / seconds_bulk_insert, 2),
+        })
+    return {
+        # The gated number: the largest row is where a rebuild that walks
+        # from one corner (O(sqrt N) per point) falls furthest behind.
+        "objects_per_s": scaling[-1]["objects_per_s"],
+        "adjacency_unchanged": adjacency_unchanged,
+        "scaling": scaling,
+    }
 
 
 def run_bulk_build(num_objects: int = DEFAULT_OBJECTS, seed: int = DEFAULT_SEED,
@@ -72,11 +117,26 @@ def run_bulk_build(num_objects: int = DEFAULT_OBJECTS, seed: int = DEFAULT_SEED,
         "consistency_problems": len(problems),
         "scipy_adjacency_mismatches": len(scipy_mismatches),
         "adjacency_identical_to_sequential": adjacency_identical,
+        "kernel_rebuild": run_kernel_rebuild(num_objects, seed),
     }
+
+
+def structure_ok(record: dict) -> bool:
+    """The record's correctness checks (what the exit code reflects)."""
+    return (record["consistency_problems"] == 0
+            and record["scipy_adjacency_mismatches"] == 0
+            and record["adjacency_identical_to_sequential"]
+            and record["kernel_rebuild"]["adjacency_unchanged"])
 
 
 def format_bulk_build(record: dict) -> str:
     """One-paragraph human rendering of a bench record."""
+    rebuild = record["kernel_rebuild"]
+    rows = "".join(
+        f"\n  rebuild @ {row['objects']}: {row['rebuild_seconds']:.3f}s "
+        f"({row['objects_per_s']:.0f} obj/s, "
+        f"{row['rebuild_over_bulk_insert']:.2f}x bulk_insert)"
+        for row in rebuild["scaling"])
     return (
         f"Bulk build @ {record['objects']} objects "
         f"(k={record['num_long_links']}): "
@@ -84,7 +144,9 @@ def format_bulk_build(record: dict) -> str:
         f"bulk {record['seconds_bulk']:.2f}s — {record['speedup']:.1f}x; "
         f"consistency problems: {record['consistency_problems']}, "
         f"scipy mismatches: {record['scipy_adjacency_mismatches']}, "
-        f"adjacency identical: {record['adjacency_identical_to_sequential']}"
+        f"adjacency identical: {record['adjacency_identical_to_sequential']}; "
+        f"kernel rebuild adjacency unchanged: "
+        f"{rebuild['adjacency_unchanged']}{rows}"
     )
 
 
@@ -98,9 +160,7 @@ def test_bulk_build_speedup(benchmark, bench_scale):
     print(format_bulk_build(record))
     benchmark.extra_info.update(record)
 
-    assert record["consistency_problems"] == 0
-    assert record["scipy_adjacency_mismatches"] == 0
-    assert record["adjacency_identical_to_sequential"]
+    assert structure_ok(record)
     # The canonical 5000-object record shows >5x; leave headroom for small
     # scales and noisy CI machines.
     assert record["speedup"] >= 3.0
@@ -127,10 +187,7 @@ def main(argv=None) -> int:
     # Exit code reflects the *correctness* checks only: the speedup is a
     # recorded measurement (noisy at tiny --objects), asserted against its
     # threshold by the pytest-benchmark wrapper at controlled scale.
-    ok = (record["consistency_problems"] == 0
-          and record["scipy_adjacency_mismatches"] == 0
-          and record["adjacency_identical_to_sequential"])
-    return 0 if ok else 1
+    return 0 if structure_ok(record) else 1
 
 
 if __name__ == "__main__":

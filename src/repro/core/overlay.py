@@ -562,7 +562,7 @@ class VoroNet:
         # sources/holders) separately.
         ex_neighbors = self._triangulation.neighbors(object_id)
         messages = detach_object(self, object_id)
-        self._triangulation.remove(object_id)
+        self._remove_from_kernel(object_id)
         del self._nodes[object_id]
         self._locate_index.discard(object_id)
         self._store.discard(object_id)
@@ -570,6 +570,17 @@ class VoroNet:
         self._routing_tables[False].pop(object_id, None)
         self.invalidate_routing_tables(ex_neighbors)
         self._stats.leaves.record(0, messages)
+
+    def _remove_from_kernel(self, object_id: int) -> None:
+        """Drop a vertex from the tessellation.
+
+        The one place departures (leave, injected crash) reach the kernel,
+        so the one place a hull departure's rebuild is counted.
+        """
+        kernel = self._triangulation
+        rebuilds = kernel.rebuild_count
+        kernel.remove(object_id)
+        self._stats.kernel_rebuilds += kernel.rebuild_count - rebuilds
 
     # ------------------------------------------------------------------
     # routing and lookups

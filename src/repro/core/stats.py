@@ -73,6 +73,12 @@ class OverlayStats:
     shared with the message-level simulator's metrics registry.  Both stay
     zero in fault-free runs.
 
+    ``kernel_rebuilds`` counts departures (leaves and crashes) that took
+    the geometry kernel's slow door: the object sat on the convex hull, so
+    the tessellation was rebuilt from all remaining points — O(N) against
+    the O(1) of an interior departure
+    (:attr:`DelaunayTriangulation.rebuild_count`, as a resettable delta).
+
     ``query_misses`` counts batch queries answered with the defined miss
     result because an endpoint departed before the query was served
     (``route_many(missing="miss")`` under traffic-time churn).
@@ -86,6 +92,7 @@ class OverlayStats:
     routing_table_rebuilds: int = 0
     operation_timeouts: int = 0
     operation_retries: int = 0
+    kernel_rebuilds: int = 0
     query_misses: int = 0
 
     def reset(self) -> None:
@@ -98,13 +105,14 @@ class OverlayStats:
         self.routing_table_rebuilds = 0
         self.operation_timeouts = 0
         self.operation_retries = 0
+        self.kernel_rebuilds = 0
         self.query_misses = 0
 
     def as_dict(self) -> Dict[str, object]:
         """Plain-dict summary: per-operation stat dicts plus flat counters.
 
         Values are per-operation dicts for the operation groups and a bare
-        int for ``routing_table_rebuilds``.
+        int for each flat counter.
         """
         return {
             "joins": self.joins.as_dict(),
@@ -115,6 +123,7 @@ class OverlayStats:
             "routing_table_rebuilds": self.routing_table_rebuilds,
             "operation_timeouts": self.operation_timeouts,
             "operation_retries": self.operation_retries,
+            "kernel_rebuilds": self.kernel_rebuilds,
             "query_misses": self.query_misses,
         }
 

@@ -29,12 +29,26 @@ Operations
   as a fan around the new point.  Ghost triangles use Shewchuk's rule: their
   "circumdisk" is the open half-plane beyond their hull edge plus the open
   edge itself.
-* **Deletion** of an interior vertex removes its star and re-triangulates
-  the resulting star-shaped polygon by Delaunay ear clipping (an ear is
-  clipped when it is convex and its circumcircle is empty of the other
-  polygon vertices).  Deleting a hull vertex falls back to a full rebuild,
-  which is rare for objects spread in the unit square and keeps the code
-  simple and correct.
+* **Batches** — :meth:`~DelaunayTriangulation.bulk_insert`, the first
+  bootstrap and :meth:`~DelaunayTriangulation.rebuild` — go through one
+  loop: the points are sorted along a Morton (Z-order) curve and each
+  insertion is hinted by the previous one, so every location walk is O(1)
+  and the batch is linear in its size.  The order cannot change the result:
+  the Delaunay triangulation of a point set is unique up to the choice of
+  diagonals among exactly cocircular points.
+* **Deletion** has two costs.  An *interior* vertex of degree d is removed
+  locally: its star is deleted and the star-shaped polygon re-triangulated
+  by Delaunay ear clipping (an ear is clipped when it is convex and its
+  circumcircle is empty of the other polygon vertices), O(d²) predicate
+  calls, d ≈ 6.  A *convex-hull* vertex — one whose star touches the
+  infinite vertex — is removed by one :meth:`~DelaunayTriangulation.rebuild`
+  of the N remaining points, O(N) at ``bulk_insert`` speed.  That is not
+  rare enough to ignore: uniform points have O(log N) hull vertices (~25 at
+  N = 10⁴, one departure in ~400), so hull departures set the *mean* cost
+  of a leave while interior ones set its median;
+  :attr:`~DelaunayTriangulation.rebuild_count` says how many a run paid.
+  Ear-clipping the hull star too (O(d), with the infinite vertex as one
+  polygon corner) is the open follow-up.
 * **Point location** (``nearest_vertex``) is greedy descent on the Delaunay
   graph, which provably reaches the vertex whose Voronoi cell contains the
   query point.
@@ -148,6 +162,9 @@ class DelaunayTriangulation:
         # re-walk a vertex star.
         self._version = 0
         self._neighbor_cache: Dict[int, Tuple[int, List[Tuple[int, float, float]]]] = {}
+        #: Calls of :meth:`rebuild` so far — one per departed hull vertex
+        #: plus any made directly.  A plain counter, never reset.
+        self.rebuild_count = 0
         if points:
             for p in points:
                 self.insert(p)
@@ -281,7 +298,13 @@ class DelaunayTriangulation:
         return None
 
     def _try_bootstrap(self) -> None:
-        """Build the initial triangulation once 3 non-collinear points exist."""
+        """Triangulate every registered point, once 3 non-collinear ones exist.
+
+        Seeds one triangle and its three ghosts, then inserts all the other
+        points through :meth:`_insert_sorted`: none when the third
+        non-collinear point has just arrived, N - 3 on a :meth:`rebuild` —
+        linear either way.
+        """
         triple = self._find_non_collinear_triple()
         if triple is None:
             return
@@ -298,8 +321,7 @@ class DelaunayTriangulation:
         self._add_triangle(a, c, INFINITE_VERTEX)
         self._has_triangulation = True
         remaining = [vid for vid in self._points if vid not in (a, b, c)]
-        for vid in remaining:
-            self._insert_into_triangulation(vid, hint=a)
+        self._insert_sorted(remaining, [self._points[vid] for vid in remaining], a)
 
     def _degenerate_neighbors(self, vertex_id: int) -> List[int]:
         """Neighbours when no triangulation exists (≤2 points or all collinear).
@@ -437,20 +459,35 @@ class DelaunayTriangulation:
             if p in first_index:
                 raise DuplicatePointError(p, ids[first_index[p]])
             first_index[p] = index
+        if ids:
+            self._last_vertex = self._insert_sorted(ids, pts, self._last_vertex)
+            self._next_id = max(self._next_id, max(ids) + 1)
+        return ids
+
+    def _insert_sorted(self, ids: Sequence[int], pts: Sequence[Point],
+                       hint: Optional[int]) -> Optional[int]:
+        """Insert validated vertices along the Morton curve; return the last.
+
+        The one whole-batch insertion loop of the kernel, shared by
+        :meth:`bulk_insert` and :meth:`_try_bootstrap` (first bootstrap and
+        :meth:`rebuild`).  Each location walk is hinted by the previous
+        insertion, its neighbour on the curve, so it starts next to its
+        answer whatever the size of the triangulation; ``hint`` seeds the
+        first walk.
+        """
         for index in morton_order(pts):
-            vid = ids[index]
+            vid, point = ids[index], pts[index]
             if self._has_triangulation:
-                # Already validated above: bypass insert()'s re-checks and
-                # go straight to the hinted Bowyer–Watson step.
-                point = pts[index]
+                # Validated by the caller: bypass insert()'s re-checks and
+                # go straight to the hinted Bowyer–Watson step.  Registering
+                # is a no-op for the vertices a rebuild re-inserts.
                 self._points[vid] = point
                 self._coord_index[point] = vid
-                self._next_id = max(self._next_id, vid + 1)
-                self._insert_into_triangulation(vid, hint=None)
-                self._last_vertex = vid
+                self._insert_into_triangulation(vid, hint)
             else:
-                self.insert(pts[index], vertex_id=vid)
-        return ids
+                self.insert(point, vertex_id=vid)
+            hint = vid
+        return hint
 
     def _finite_triangle_at(self, vertex_id: int) -> Triangle:
         """Some finite triangle incident to ``vertex_id``."""
@@ -598,11 +635,15 @@ class DelaunayTriangulation:
     # deletion
     # ------------------------------------------------------------------
     def remove(self, vertex_id: int) -> None:
-        """Remove a vertex and restore the Delaunay property locally.
+        """Remove a vertex and restore the Delaunay property.
 
-        Interior vertices are removed by re-triangulating their star polygon
-        (Delaunay ear clipping); removing a hull vertex or shrinking below
-        three non-collinear points triggers a rebuild of the triangulation.
+        An interior vertex of degree d is removed locally, by re-triangulating
+        its star polygon (Delaunay ear clipping, O(d²) predicate calls).  A
+        vertex on the convex hull — or any vertex of the last four, or one
+        whose star polygon defeats ear clipping — is dropped from the point
+        set and the N remaining points go through one :meth:`rebuild`, O(N);
+        :attr:`rebuild_count` rises by exactly one.  Ids and coordinates of
+        the surviving vertices are untouched either way.
         """
         if vertex_id not in self._points:
             raise KeyError(f"unknown vertex {vertex_id}")
@@ -652,7 +693,18 @@ class DelaunayTriangulation:
         self._fix_last_vertex()
 
     def rebuild(self) -> None:
-        """Rebuild the whole triangulation from the current point set."""
+        """Rebuild the whole triangulation from the current point set.
+
+        Every point is re-inserted along the Morton curve with a rolling
+        hint (:meth:`_insert_sorted`, the loop :meth:`bulk_insert` runs), so
+        a rebuild of N points costs what bulk-inserting them does: linear in
+        N, a constant number of predicate calls per vertex.  The result is
+        the triangulation any other insertion order gives — the Delaunay
+        triangulation is unique up to cocircular ties — though each vertex's
+        :meth:`star_ring` may start at a different neighbour than before.
+        The version advances once, then once per re-inserted vertex.
+        """
+        self.rebuild_count += 1
         self._apex.clear()
         self._vertex_edge.clear()
         self._has_triangulation = False

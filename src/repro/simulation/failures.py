@@ -196,7 +196,7 @@ class CrashInjector:  # simlint: ignore[SIM003] — one per experiment, not per 
         """Crash one object: drop it from the tessellation, skip the protocol."""
         # Bypass VoroNet.remove on purpose: no detach_object, no notifications.
         overlay = self._overlay
-        overlay.triangulation.remove(object_id)
+        overlay._remove_from_kernel(object_id)  # noqa: SLF001
         del overlay._nodes[object_id]  # noqa: SLF001 - deliberate fault injection
         # The *substrate* state (tessellation, locate grid, shard store,
         # caches) is repaired — only the protocol-level hand-overs are

@@ -483,7 +483,7 @@ class ProtocolCrashInjector:  # simlint: ignore[SIM003] — one per experiment, 
         node = simulator.nodes[object_id]
         simulator.network.faults.crash(object_id)
         if simulator.kernel.vertex_at(node.position) == object_id:
-            simulator.kernel.remove(object_id)
+            simulator.remove_vertex(simulator.kernel, object_id)
         simulator.locate.discard(object_id)
         simulator.network.unregister(object_id)
         del simulator.nodes[object_id]

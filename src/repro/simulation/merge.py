@@ -161,7 +161,7 @@ class PartitionRuntime:  # simlint: ignore[SIM003] — one per experiment, not p
         for index, members in enumerate(spec.sides):
             kernel = copy.deepcopy(self._global_kernel)
             for other in sorted(set(kernel.vertex_ids()) - set(members)):
-                kernel.remove(other)
+                simulator.remove_vertex(kernel, other)
             locate = LocateGrid()
             locate.bulk_insert(
                 (object_id, simulator.nodes[object_id].position)
@@ -296,7 +296,7 @@ class PartitionRuntime:  # simlint: ignore[SIM003] — one per experiment, not p
         removals = 0
         for object_id in sorted(kernel.vertex_ids()):
             if object_id not in simulator.nodes:
-                kernel.remove(object_id)
+                simulator.remove_vertex(kernel, object_id)
                 locate.discard(object_id)
                 removals += 1
         inserts = 0

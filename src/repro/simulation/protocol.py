@@ -1632,6 +1632,19 @@ class ProtocolSimulator:  # simlint: ignore[SIM003] — one per experiment, not 
                       {"voronoi": view, "version": version,
                        "new_id": new_id, "new_position": position})
 
+    def remove_vertex(self, kernel: DelaunayTriangulation,
+                      object_id: int) -> None:
+        """Drop a vertex from ``kernel`` (the shared one or a split fork).
+
+        The one place departures — leave, injected crash, split fork, heal
+        — reach a kernel, so the one place a hull departure's rebuild is
+        counted (``kernel_rebuilds``).
+        """
+        rebuilds = kernel.rebuild_count
+        kernel.remove(object_id)
+        if kernel.rebuild_count != rebuilds:
+            self.metrics.increment("kernel_rebuilds")
+
     def leave(self, object_id: int) -> LeaveReport:
         """Withdraw an object through the distributed departure protocol."""
         if object_id not in self.nodes:
@@ -1640,7 +1653,7 @@ class ProtocolSimulator:  # simlint: ignore[SIM003] — one per experiment, not 
         before = self.network.messages_sent
         former_neighbors = [nid for nid in self.kernel.neighbors(object_id)
                             if nid in self.nodes and nid != object_id]
-        self.kernel.remove(object_id)
+        self.remove_vertex(self.kernel, object_id)
         self.locate.discard(object_id)
         version = self.kernel.version
         affected = set(former_neighbors)

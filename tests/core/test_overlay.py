@@ -236,9 +236,10 @@ class TestExportsAndStats:
 
     def test_stats_describe_lines(self, small_overlay):
         # 5 operation groups + routing_table_rebuilds + the two
-        # operation-hardening counters (timeouts, retries) + query_misses.
+        # operation-hardening counters (timeouts, retries) + kernel_rebuilds
+        # + query_misses.
         lines = small_overlay.stats.describe()
-        assert len(lines) == 9
+        assert len(lines) == 10
 
     def test_routing_table_rebuilds_counted_per_epoch_bump(self):
         """The rebuild counter measures exactly the work a topology-epoch

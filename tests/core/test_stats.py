@@ -35,7 +35,7 @@ class TestOverlayStats:
         assert set(stats.as_dict()) == {
             "joins", "leaves", "routes", "queries", "long_link_searches",
             "routing_table_rebuilds", "operation_timeouts",
-            "operation_retries", "query_misses"}
+            "operation_retries", "kernel_rebuilds", "query_misses"}
 
     def test_reset(self):
         stats = OverlayStats()
@@ -43,16 +43,18 @@ class TestOverlayStats:
         stats.routing_table_rebuilds = 7
         stats.operation_timeouts = 2
         stats.operation_retries = 1
+        stats.kernel_rebuilds = 1
         stats.reset()
         assert stats.joins.count == 0
         assert stats.routing_table_rebuilds == 0
         assert stats.operation_timeouts == 0
         assert stats.operation_retries == 0
+        assert stats.kernel_rebuilds == 0
 
     def test_describe_is_human_readable(self):
         stats = OverlayStats()
         stats.routes.record(7, 7)
         lines = stats.describe()
-        assert len(lines) == 9
+        assert len(lines) == 10
         assert any("routes" in line for line in lines)
         assert any("routing_table_rebuilds" in line for line in lines)

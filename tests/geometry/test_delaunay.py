@@ -263,9 +263,80 @@ class TestStructure:
 
     def test_rebuild_preserves_adjacency(self, triangulation):
         before = {v: set(triangulation.neighbors(v)) for v in triangulation.vertex_ids()}
+        triangles = set(triangulation.triangles())
         triangulation.rebuild()
         after = {v: set(triangulation.neighbors(v)) for v in triangulation.vertex_ids()}
         assert before == after
+        assert set(triangulation.triangles()) == triangles
+        # A second rebuild is a fixed point, down to the edge → apex map.
+        apex = dict(triangulation._apex)
+        triangulation.rebuild()
+        triangulation.validate()
+        assert triangulation._apex == apex
+        assert triangulation.rebuild_count == 2
+
+
+class TestRebuildCost:
+    """A deterministic complexity guard: predicate calls, not a stopwatch.
+
+    ``rebuild()`` re-inserts along the Morton curve with a rolling hint, so
+    the location walks cost a constant number of ``orient2d`` evaluations
+    per vertex whatever N is (~10 here).  Re-inserting with one fixed hint
+    reads 82 per vertex at N = 1 000 and 235 at N = 4 000 (it grows like
+    sqrt N).
+    """
+
+    PER_VERTEX_BUDGET = 20
+
+    @staticmethod
+    def uniform_kernel(count):
+        rng = np.random.default_rng(20260929)
+        dt = DelaunayTriangulation()
+        dt.bulk_insert([tuple(p) for p in rng.random((count, 2))])
+        return dt
+
+    @staticmethod
+    def count_orient2d(monkeypatch, operation):
+        import repro.geometry.delaunay as kernel_module
+
+        calls = 0
+        real = kernel_module.orient2d
+
+        def counting(a, b, c):
+            nonlocal calls
+            calls += 1
+            return real(a, b, c)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(kernel_module, "orient2d", counting)
+            operation()
+        return calls
+
+    def test_rebuild_is_linear_in_predicate_calls(self, monkeypatch):
+        per_vertex = {}
+        for count in (1000, 4000):
+            dt = self.uniform_kernel(count)
+            calls = self.count_orient2d(monkeypatch, dt.rebuild)
+            dt.validate()
+            per_vertex[count] = calls / (count - 3)
+            assert per_vertex[count] <= self.PER_VERTEX_BUDGET, per_vertex
+        assert per_vertex[4000] / per_vertex[1000] <= 1.3, per_vertex
+
+    def test_hull_departure_is_one_linear_rebuild(self, monkeypatch):
+        dt = self.uniform_kernel(4000)
+        victim = next(v for v in dt.vertex_ids() if dt.is_hull_vertex(v))
+        before = dt.rebuild_count
+        calls = self.count_orient2d(monkeypatch, lambda: dt.remove(victim))
+        assert dt.rebuild_count == before + 1
+        assert calls / (len(dt) - 3) <= self.PER_VERTEX_BUDGET
+        dt.validate()
+        assert victim not in dt
+
+    def test_interior_departure_does_not_rebuild(self):
+        dt = self.uniform_kernel(400)
+        victim = next(v for v in dt.vertex_ids() if not dt.is_hull_vertex(v))
+        dt.remove(victim)
+        assert dt.rebuild_count == 0
 
 
 class TestStressConfigurations:

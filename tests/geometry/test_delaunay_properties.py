@@ -9,6 +9,9 @@ from repro.geometry.delaunay import DelaunayTriangulation
 from repro.geometry.point import distance_sq
 from repro.geometry.predicates import incircle, orient2d
 from repro.geometry.scipy_backend import compare_with_scipy
+from repro.utils.rng import RandomSource
+from repro.workloads.distributions import PowerLawDistribution
+from repro.workloads.generators import generate_objects
 
 # Coordinates drawn on a coarse grid of floats to exercise degeneracies
 # (collinear triples, cocircular quadruples) much more often than uniform
@@ -106,3 +109,67 @@ def test_nearest_vertex_is_truly_nearest(points, query):
     best = min(dt.vertex_ids(), key=lambda v: distance_sq(dt.point(v), query))
     assert distance_sq(dt.point(reported), query) <= distance_sq(
         dt.point(best), query) + 1e-15
+
+
+# ----------------------------------------------------------------------
+# hull departures: every one goes through rebuild()
+# ----------------------------------------------------------------------
+def _uniform_points(seed):
+    return [tuple(p) for p in np.random.default_rng(seed).random((90, 2))]
+
+
+def _power_law_points(seed):
+    """The skewed placement of the ``oracle_churn`` benchmark workload."""
+    return generate_objects(PowerLawDistribution(alpha=2.0), 90, RandomSource(seed))
+
+
+def _lattice_points(seed):
+    """Collinear hull runs and cocircular quadruples everywhere."""
+    side = 6 + seed
+    return [(i / (side - 1), j / (side - 1)) for i in range(side) for j in range(side)]
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("make_points, general_position", [
+    (_uniform_points, True), (_power_law_points, True), (_lattice_points, False),
+], ids=["uniform", "power-law", "lattice"])
+def test_hull_departures_down_to_three_points(make_points, general_position, seed):
+    """Peeling the hull away leaves the survivors exactly where they were.
+
+    70 % of the victims are hull vertices (each one a ``rebuild()``), the
+    rest arbitrary.  After every removal the structure validates and no
+    survivor changed id or coordinates; on point sets in general position,
+    where the Delaunay triangulation is unique, the edge set also equals
+    that of a triangulation built from scratch by sequential insertion and
+    the one scipy computes.
+    """
+    points = make_points(seed)
+    dt = DelaunayTriangulation()
+    ids = dt.bulk_insert(points)
+    alive = dict(zip(ids, points))
+    rnd = np.random.default_rng(1000 + seed)
+    while len(alive) > 3:
+        candidates = sorted(alive)
+        hull_departure = rnd.random() < 0.7
+        if hull_departure:
+            candidates = [v for v in candidates if dt.is_hull_vertex(v)]
+        victim = candidates[int(rnd.integers(len(candidates)))]
+        version, rebuilds = dt.version, dt.rebuild_count
+        dt.remove(victim)
+        departed = alive.pop(victim)
+
+        dt.validate()
+        assert dt.version > version
+        if hull_departure:
+            assert dt.rebuild_count == rebuilds + 1
+        assert dt.last_vertex in alive
+        assert victim not in dt and dt.vertex_at(departed) is None
+        assert dt.points() == alive
+        for vid, position in alive.items():
+            assert dt.vertex_at(position) == vid
+        if general_position:
+            fresh = DelaunayTriangulation()
+            for vid, position in alive.items():
+                fresh.insert(position, vertex_id=vid)
+            assert set(dt.edges()) == set(fresh.edges())
+            assert compare_with_scipy(dt) == []

@@ -40,6 +40,16 @@ def assert_routes_match_reference(overlay, result, use_long_links=True):
     assert (result.owner, result.hops) == (path[-1], len(path) - 1)
 
 
+def reference_query_walk(simulator, start, target):
+    """``(owner, hops)`` of walking ``reference_next_hop`` from ``start``."""
+    owner, hops = start, 0
+    while True:
+        following = reference_next_hop(simulator.node(owner), target)
+        if following is None:
+            return owner, hops
+        owner, hops = following, hops + 1
+
+
 def reference_next_hop(node, target):
     """Neighbour of a protocol node strictly closer to ``target``, or ``None``.
 

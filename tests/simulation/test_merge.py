@@ -233,6 +233,19 @@ class TestPartitionRuntime:
         with pytest.raises(RuntimeError):
             runtime.open_split([live[:10], live[10:]])     # already open
 
+    def test_fork_rebuilds_reach_the_kernel_rebuilds_metric(self):
+        simulator = build_simulator(count=30, seed=23)
+        runtime = PartitionRuntime(simulator)
+        shared = simulator.kernel
+        runtime.open_split(split_halves(simulator))
+        # Each fork drops the other half, hull vertices included; the
+        # shared kernel is untouched, so only the metric sees the cost.
+        forks = [state.kernel for state in runtime._sides]
+        assert sum(fork.rebuild_count for fork in forks) > 0
+        assert shared.rebuild_count == 0
+        assert (simulator.metrics.counter("kernel_rebuilds")
+                == sum(fork.rebuild_count for fork in forks))
+
     def test_both_side_inserts_mint_colliding_published_ids(self):
         simulator = build_simulator(count=30, seed=24)
         runtime = PartitionRuntime(simulator)

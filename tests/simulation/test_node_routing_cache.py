@@ -24,7 +24,7 @@ from repro.utils.rng import RandomSource
 from repro.workloads.distributions import UniformDistribution
 from repro.workloads.generators import generate_objects
 
-from reference_router import reference_next_hop
+from reference_router import reference_next_hop, reference_query_walk
 
 
 def assert_blocks_match_candidates(simulator):
@@ -122,14 +122,9 @@ class TestCacheParity:
             for point in probe_rng.random((20, 2)):
                 point = tuple(point)
                 start = int(probe_rng.choice(simulator.object_ids()))
-                owner, hops = start, 0
-                while True:
-                    nxt = reference_next_hop(simulator.node(owner), point)
-                    if nxt is None:
-                        break
-                    owner, hops = nxt, hops + 1
+                expected = reference_query_walk(simulator, start, point)
                 answer = simulator.query(point, start=start)
-                assert (answer.owner, answer.routing_hops) == (owner, hops)
+                assert (answer.owner, answer.routing_hops) == expected
 
         assert simulator.verify_views() == []
         assert_blocks_match_candidates(simulator)
