@@ -117,11 +117,12 @@ def replay_plane(log: List[tuple], repeat: int, chunk: int) -> float:
 def time_quiescence(events: int, checks: int) -> float:
     """Seconds for ``checks`` quiescent reads after a mass cancellation.
 
-    The scenario is churn teardown: ``ChurnScheduler.stop`` cancels every
-    pending arrival, then ``bulk_join`` polls ``engine.quiescent`` as its
-    precondition.  The engine answers from its incremental counter (and
-    compacted the queue as cancellations crossed half the entries), so the
-    cost must not grow with the number of cancelled entries.
+    The scenario is a harness teardown: every still-pending scheduled
+    event (heartbeat ticks, watchdogs) is cancelled, then ``bulk_join``
+    polls ``engine.quiescent`` as its precondition.  The engine answers
+    from its incremental counter (and compacted the queue as cancellations
+    crossed half the entries), so the cost must not grow with the number
+    of cancelled entries.
     """
     engine = SimulationEngine()
     scheduled = [engine.schedule(float(index % 97) + 1.0, _noop_thunk)

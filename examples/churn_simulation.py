@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
-"""Churn: joins, graceful departures and crashes under a virtual clock.
+"""Churn: joins, graceful departures and crashes.
 
 Demonstrates the dynamism machinery of the reproduction:
 
 * the message-level protocol simulator handles a burst of distributed
   joins/leaves and reports the per-operation message costs (the O(1)
   maintenance claim of Section 4.2);
-* the discrete-event churn scheduler drives an oracle-mode overlay with
-  Poisson join/leave processes on a virtual clock;
+* a seeded churn trace (:mod:`repro.workloads.churn`) replays joins,
+  graceful leaves and crashes against an oracle-mode overlay in one
+  reproducible stream;
 * the crash injector removes objects *without* running the departure
   protocol, quantifies the dangling state survivors are left with, and runs
   a repair pass — the failure mode the paper's graceful-leave protocol does
@@ -23,10 +24,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core import VoroNet, VoroNetConfig
-from repro.simulation.engine import SimulationEngine
-from repro.simulation.failures import ChurnScheduler, CrashInjector
+from repro.simulation.failures import CrashInjector
 from repro.simulation.protocol import ProtocolSimulator
 from repro.utils.rng import RandomSource
+from repro.workloads.churn import generate_churn_trace, replay_churn
 from repro.workloads.distributions import UniformDistribution
 from repro.workloads.generators import generate_objects
 
@@ -52,30 +53,32 @@ def protocol_level_churn() -> None:
     print(f"  mean view size : {simulator.mean_view_size():.1f} entries\n")
 
 
-def clock_driven_churn() -> None:
-    """Poisson churn against the oracle overlay on a virtual clock."""
-    print("=== clock-driven churn (oracle overlay) ===")
-    engine = SimulationEngine()
+def mixed_churn_trace() -> None:
+    """One seeded stream of joins, graceful leaves and crashes (oracle overlay)."""
+    print("=== seeded churn trace: joins, leaves and crashes (oracle overlay) ===")
     overlay = VoroNet(VoroNetConfig(n_max=5_000, seed=9))
     overlay.insert_many(generate_objects(UniformDistribution(), 400, RandomSource(9)))
+    injector = CrashInjector(overlay, rng=RandomSource(11))
+    trace = generate_churn_trace(600, RandomSource(10), leave_probability=0.3,
+                                 crash_probability=0.1, warmup_joins=0)
+    stale_seen = 0
 
-    def leave() -> None:
-        if len(overlay) > 8:
-            overlay.remove(overlay.random_object_id())
+    def crash_and_repair(victim: int) -> None:
+        # Later joins route over the survivors' views, so the repair pass
+        # has to keep up with the crash stream.
+        nonlocal stale_seen
+        injector.crash(victim)
+        stale_seen += injector.assess_damage().total_stale_entries
+        injector.repair()
 
-    scheduler = ChurnScheduler(
-        engine,
-        join=lambda position: overlay.insert(position),
-        leave=leave,
-        join_rate=3.0,       # three joins per time unit on average
-        leave_rate=2.0,      # two departures per time unit on average
-        rng=RandomSource(10),
-    )
-    scheduler.start(horizon=120.0)
-    engine.run()
-    print(f"after {engine.now:.0f} time units: {scheduler.joins_executed} joins, "
-          f"{scheduler.leaves_executed} leaves, population {len(overlay)}")
-    print(f"  consistency: {'OK' if overlay.check_consistency() == [] else 'PROBLEMS'}")
+    alive = replay_churn(overlay, trace, RandomSource(12), crash=crash_and_repair)
+    print(f"replayed {len(trace)} events: {trace.join_count} joins, "
+          f"{trace.leave_count} leaves, {trace.crash_count} crashes, "
+          f"population {len(alive)}")
+    print(f"  stale entries the crashes left (repaired as they occurred): "
+          f"{stale_seen}")
+    print(f"  consistency: "
+          f"{'OK' if overlay.check_consistency() == [] else 'PROBLEMS'}")
     print(f"  mean join cost over the run: "
           f"{overlay.stats.joins.mean_messages:.1f} messages\n")
 
@@ -111,7 +114,7 @@ def crash_and_repair() -> None:
 
 def main() -> None:
     protocol_level_churn()
-    clock_driven_churn()
+    mixed_churn_trace()
     crash_and_repair()
 
 

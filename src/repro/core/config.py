@@ -104,7 +104,7 @@ class VoroNetConfig:
 
     @property
     def effective_shard_level(self) -> int:
-        """The Morton shard level actually used by the overlay's node store.
+        """The Morton shard level actually used by the overlay's shard map.
 
         The unit square is split into ``4 ** level`` Z-order shards, each
         carrying its own routing-table epoch, so churn only invalidates

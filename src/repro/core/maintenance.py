@@ -19,7 +19,7 @@ Message accounting follows the paper:
 
 from __future__ import annotations
 
-from typing import List, TYPE_CHECKING
+from typing import Collection, Iterable, List, Sized, TYPE_CHECKING, Tuple
 
 from repro.core.neighbors import compute_close_neighbors, register_close_neighbors
 from repro.core.node import BackLink
@@ -270,4 +270,18 @@ def view_consistency_report(overlay: "VoroNet") -> List[str]:
                 problems.append(
                     f"{object_id}: back link from {back_link.source}#{back_link.link_index} "
                     "does not match the source's long link")
+    return problems
+
+
+def membership_report(members: Collection[int],
+                      records: Iterable[Tuple[str, Sized]]) -> List[str]:
+    """Problems for each named id record (``len`` + ``in``) that is not ``members``."""
+    problems: List[str] = []
+    for name, record in records:
+        # Same size and every member present: the id sets are equal.
+        if len(record) != len(members):
+            problems.append(
+                f"{name} holds {len(record)} objects, not the {len(members)} members")
+        problems.extend(f"{object_id}: missing from the {name}"
+                        for object_id in members if object_id not in record)
     return problems

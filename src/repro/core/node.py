@@ -20,7 +20,7 @@ local copies instead, as a real deployment would.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Set, Tuple
+from typing import List, NamedTuple, Optional, Set, Tuple
 
 from repro.geometry.point import Point
 
@@ -50,9 +50,12 @@ class LongLink:
         return (self.target, self.neighbor)
 
 
-@dataclass(frozen=True)
-class BackLink:
-    """A reverse registration: ``source``'s ``link_index``-th long link points at us."""
+class BackLink(NamedTuple):
+    """A reverse registration: ``source``'s ``link_index``-th long link points at us.
+
+    A tuple led by its source, like protocol mode's ``(source, link_index)``
+    keys: the damage census reads either as ``registration[0]``.
+    """
 
     source: int
     link_index: int

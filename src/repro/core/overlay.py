@@ -30,10 +30,10 @@ variant (with long links / Delaunay-only), a candidate-id array aligned
 with a ``(k, 2)`` position array, equal at all times to the freshly
 assembled :attr:`NeighborView.routing_neighbors` of that object.  Tables
 are built lazily by :meth:`VoroNet.routing_table` and invalidated by
-**per-shard epochs**: the substrate is a Morton-range
-:class:`~repro.core.shards.ShardedNodeStore`, every cached entry records
-the epoch of its object's shard at build time, and a mutation bumps only
-the shards of the objects whose forwarding candidates it changed —
+**per-shard epochs**: a :class:`~repro.core.shards.ShardedNodeStore` maps
+each object to its Morton shard, every cached entry records the epoch of
+its object's shard at build time, and a mutation bumps only the shards of
+the objects whose forwarding candidates it changed —
 :meth:`insert`, :meth:`remove`, long-link establishment/churn
 (:meth:`reset_long_links`) and the maintenance procedures
 (close-neighbour registration, back-link hand-over, long-link
@@ -48,11 +48,18 @@ observers that only need "did anything change".  Code that mutates
 :class:`~repro.core.node.ObjectNode` view state outside those entry points
 MUST call :meth:`invalidate_routing_tables` afterwards — with the touched
 object ids when it knows them, bare otherwise — or cached tables go
-stale; the shared kernel, :class:`LocateGrid` and the sharded store are
-kept exactly in sync by the same entry points.  Cache hits never change
+stale.  Cache hits never change
 results: the parity tests route every request a second time with a
 reference router that assembles :meth:`VoroNet.neighbor_view` per hop and
 require identical owners and hop counts.
+
+Membership
+----------
+The kernel, the :class:`LocateGrid`, the shard map and the cached routing
+tables each hold a record per member id.  Records are dropped in one
+place, :meth:`VoroNet.withdraw_substrate` (:meth:`VoroNet.remove` is the
+Section 3.3 hand-over followed by it, an injected crash is it alone), and
+:meth:`VoroNet.check_consistency` reports any that disagree.
 """
 
 from __future__ import annotations
@@ -72,7 +79,8 @@ from repro.core.errors import (
     OverlayFullError,
 )
 from repro.core.long_range import choose_long_range_target, choose_long_range_target_array
-from repro.core.maintenance import bulk_integrate_objects, detach_object, integrate_new_object
+from repro.core.maintenance import (bulk_integrate_objects, detach_object,
+                                    integrate_new_object, membership_report)
 from repro.core.neighbors import NeighborView
 from repro.core.node import ObjectNode
 from repro.core.routing import (RouteResult, greedy_route, missed_route,
@@ -132,9 +140,8 @@ class VoroNet:
         self._next_id = 0
         self._join_counter = itertools.count()
         self._stats = OverlayStats()
-        # Morton-sharded struct-of-arrays substrate: per-shard id/position
-        # blocks plus the per-shard epoch list that scopes routing-table
-        # invalidation (see the module docstring).
+        # id → Morton shard plus the per-shard epoch list that scopes
+        # routing-table invalidation (see the module docstring).
         self._store = ShardedNodeStore(config.effective_shard_level)
         # Epoch-invalidated flat routing tables (see the module docstring):
         # one dict per variant (with long links / Delaunay-only), each
@@ -198,6 +205,10 @@ class VoroNet:
         except KeyError:
             raise ObjectNotFoundError(object_id) from None
 
+    def nodes(self) -> Iterable[ObjectNode]:
+        """The per-object state of every published object (a live view)."""
+        return self._nodes.values()
+
     def position_of(self, object_id: int) -> Point:
         """Coordinates of an object in the attribute space."""
         return self.node(object_id).position
@@ -242,7 +253,7 @@ class VoroNet:
 
     @property
     def shard_store(self) -> ShardedNodeStore:
-        """The Morton-sharded id/position store and its per-shard epochs."""
+        """The id → Morton shard map and its per-shard epochs."""
         return self._store
 
     def invalidate_routing_tables(self,
@@ -562,25 +573,27 @@ class VoroNet:
         # sources/holders) separately.
         ex_neighbors = self._triangulation.neighbors(object_id)
         messages = detach_object(self, object_id)
-        self._remove_from_kernel(object_id)
-        del self._nodes[object_id]
-        self._locate_index.discard(object_id)
-        self._store.discard(object_id)
-        self._routing_tables[True].pop(object_id, None)
-        self._routing_tables[False].pop(object_id, None)
+        self.withdraw_substrate(object_id)
         self.invalidate_routing_tables(ex_neighbors)
         self._stats.leaves.record(0, messages)
 
-    def _remove_from_kernel(self, object_id: int) -> None:
-        """Drop a vertex from the tessellation.
+    def withdraw_substrate(self, object_id: int) -> None:
+        """Forget an object in every membership record, with no hand-over.
 
-        The one place departures (leave, injected crash) reach the kernel,
-        so the one place a hull departure's rebuild is counted.
+        The one place an object stops being a member (and a hull
+        departure's kernel rebuild is counted).  :meth:`remove` wraps it in
+        the hand-over and the ex-neighbour invalidation; bare, it *is* a
+        crash, and the caller owes an overlay-wide invalidation.
         """
         kernel = self._triangulation
         rebuilds = kernel.rebuild_count
         kernel.remove(object_id)
         self._stats.kernel_rebuilds += kernel.rebuild_count - rebuilds
+        del self._nodes[object_id]
+        self._locate_index.discard(object_id)
+        self._store.discard(object_id)
+        self._routing_tables[True].pop(object_id, None)
+        self._routing_tables[False].pop(object_id, None)
 
     # ------------------------------------------------------------------
     # routing and lookups
@@ -830,19 +843,21 @@ class VoroNet:
             self._triangulation.validate()
         except Exception as exc:  # pragma: no cover - defensive
             problems.append(f"triangulation invalid: {exc}")
-        problems.extend(self._store_consistency_report())
+        problems.extend(self._membership_report())
         return problems
 
-    def _store_consistency_report(self) -> List[str]:
-        """Check the sharded store mirrors the node membership exactly."""
-        problems: List[str] = []
+    def _membership_report(self) -> List[str]:
+        """Check every derived record holds exactly the members' ids."""
+        nodes = self._nodes
         store = self._store
-        if len(store) != len(self._nodes):
-            problems.append(
-                f"shard store holds {len(store)} objects, overlay {len(self._nodes)}")
-        for object_id, node in self._nodes.items():
+        problems = membership_report(nodes, (
+            ("kernel", self._triangulation), ("locate grid", self._locate_index),
+            ("shard store", store)))
+        for tables in self._routing_tables.values():
+            problems.extend(f"{object_id}: cached routing table of a non-member"
+                            for object_id in tables if object_id not in nodes)
+        for object_id, node in nodes.items():
             if object_id not in store:
-                problems.append(f"{object_id}: missing from the shard store")
                 continue
             expected = store.shard_of_point(node.position[0], node.position[1])
             if store.shard_of(object_id) != expected:

@@ -1,31 +1,22 @@
-"""Morton-range sharded struct-of-arrays node store.
+"""Morton-sharded epoch domain of the routing-table cache.
 
-The overlay's substrate for million-object populations: object ids and
-positions live in per-shard numpy blocks (struct-of-arrays), and each
-shard carries its own **epoch** — the unit of routing-table invalidation.
-A shard is a Morton (Z-order) prefix of the unit square: at ``level`` L
-the square is a 2^L × 2^L grid whose cells are numbered along the Z-order
-curve, giving ``4^L`` spatially compact, contiguously numbered shards.
+Cached routing tables are invalidated per **shard**, not per overlay: each
+shard carries its own epoch, and :class:`ShardedNodeStore` maps every
+object id to its shard.  A shard is a Morton (Z-order) prefix of the unit
+square: at ``level`` L the square is a 2^L × 2^L grid whose cells are
+numbered along the Z-order curve, giving ``4^L`` spatially compact,
+contiguously numbered shards.
 
 Why Morton prefixes
 -------------------
 * **Locality.** Voronoi adjacency, close neighbours and the targeted
   invalidation sets produced by churn are all spatially local, so one
   join or leave touches O(1) shards regardless of overlay size — the
-  property that lets per-shard epochs replace the global
+  property that lets per-shard epochs replace a global
   ``topology_epoch`` without weakening the invalidation contract.
-* **Range-partitionable.** Shard indices are contiguous along the curve,
-  so a ``[lo, hi)`` shard range is a connected region of the plane;
-  parallel sweeps hand one range per worker and each worker's objects
-  are spatially clustered (warm kernel caches, balanced close-neighbour
-  work).
 * **Cheap to compute.** The shard of a point is two clamps and a table
   lookup; batches are vectorised with the classic part-by-one bit
-  spreading.
-
-Level 0 is a single shard covering the whole square: per-shard epochs
-then degrade exactly to the old global epoch, which is the flat-store
-baseline the parity tests and ``bench_shard_scale`` compare against.
+  spreading.  (Level 0 is one shard: a single global epoch.)
 
 Epoch contract (per shard)
 --------------------------
@@ -49,10 +40,6 @@ __all__ = ["MAX_SHARD_LEVEL", "ShardedNodeStore", "morton_shard_codes"]
 
 #: Deepest supported shard level: 4^8 = 65536 shards, 16-bit Morton codes.
 MAX_SHARD_LEVEL = 8
-
-#: Slot index width inside the packed (shard, slot) locator ints.
-_SLOT_BITS = 40
-_SLOT_MASK = (1 << _SLOT_BITS) - 1
 
 #: 8-bit part-by-one spreading table: _SPREAD[b] interleaves the bits of
 #: ``b`` with zeros (0b1011 -> 0b1000101), so a scalar Morton code is two
@@ -93,23 +80,16 @@ def morton_shard_codes(points: np.ndarray, level: int) -> np.ndarray:
 
 
 class ShardedNodeStore:
-    """Per-shard struct-of-arrays storage of object ids and positions.
+    """The routing cache's epoch domain: ``id → shard`` plus per-shard epochs.
 
-    Each shard holds an amortised-growth ``int64`` id block and an aligned
-    ``(n, 2) float64`` position block; removal is O(1) swap-remove.  A
-    packed locator dict maps object id → (shard, slot) so membership
-    queries and targeted epoch bumps are O(1) per object.
-
-    The store is *secondary* state: the overlay's ``_nodes`` dict remains
-    the source of truth for per-object protocol state (links, back
-    registrations), while this store serves the routing cache's epoch
-    domain, bulk geometry access and shard-range partitioning for
-    parallel workers.  The two are kept in sync by the overlay's mutation
-    entry points (insert / bulk_load / remove / crash injection).
+    Nothing else: object *data* (positions, links) has one owner, the
+    overlay's ``ObjectNode``, and nothing is laid out per shard.  The
+    overlay keeps the map in step with its membership (``insert``,
+    ``bulk_load``, ``withdraw_substrate``) and ``check_consistency``
+    cross-checks the two.
     """
 
-    __slots__ = ("_level", "_num_shards", "_side", "_epochs", "_ids",
-                 "_positions", "_counts", "_locators", "_link_blocks")
+    __slots__ = ("_level", "_num_shards", "_side", "_epochs", "_shards")
 
     def __init__(self, level: int) -> None:
         if not 0 <= level <= MAX_SHARD_LEVEL:
@@ -119,15 +99,7 @@ class ShardedNodeStore:
         self._num_shards = 1 << (2 * level)
         self._side = 1 << level
         self._epochs: List[int] = [0] * self._num_shards
-        self._ids: List[np.ndarray] = [
-            np.empty(0, dtype=np.int64) for _ in range(self._num_shards)]
-        self._positions: List[np.ndarray] = [
-            np.empty((0, 2), dtype=np.float64) for _ in range(self._num_shards)]
-        self._counts: List[int] = [0] * self._num_shards
-        self._locators: Dict[int, int] = {}
-        # shard → (epoch, ids, endpoints) — lazily materialised long-link
-        # SoA blocks, cached against the shard epoch (see shard_link_block).
-        self._link_blocks: Dict[int, Tuple[int, np.ndarray, np.ndarray]] = {}
+        self._shards: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # shard geometry
@@ -170,86 +142,37 @@ class ShardedNodeStore:
 
     def shard_of(self, object_id: int) -> int:
         """Shard currently holding ``object_id`` (KeyError when absent)."""
-        return self._locators[object_id] >> _SLOT_BITS
+        return self._shards[object_id]
 
     def __contains__(self, object_id: int) -> bool:
-        return object_id in self._locators
+        return object_id in self._shards
 
     def __len__(self) -> int:
-        return len(self._locators)
+        return len(self._shards)
 
     # ------------------------------------------------------------------
     # membership
     # ------------------------------------------------------------------
     def insert(self, object_id: int, position: Tuple[float, float]) -> int:
         """Add one object; returns the shard it landed in."""
-        if object_id in self._locators:
+        if object_id in self._shards:
             raise ValueError(f"object id {object_id} already stored")
         shard = self.shard_of_point(position[0], position[1])
-        slot = self._counts[shard]
-        self._ensure_capacity(shard, slot + 1)
-        self._ids[shard][slot] = object_id
-        self._positions[shard][slot, 0] = position[0]
-        self._positions[shard][slot, 1] = position[1]
-        self._counts[shard] = slot + 1
-        self._locators[object_id] = (shard << _SLOT_BITS) | slot
+        self._shards[object_id] = shard
         return shard
 
     def bulk_insert(self, object_ids: Sequence[int],
                     positions: Sequence[Tuple[float, float]]) -> None:
-        """Add a batch in one vectorised pass (shard codes, grouped appends)."""
+        """Add a batch; the shard codes come from one vectorised pass."""
         if not object_ids:
             return
-        ids = np.asarray(object_ids, dtype=np.int64)
-        pts = np.asarray(positions, dtype=np.float64).reshape(len(ids), 2)
-        codes = morton_shard_codes(pts, self._level)
-        order = np.argsort(codes, kind="stable")
-        sorted_codes = codes[order]
-        # Boundaries of each run of equal shard codes in the sorted batch.
-        boundaries = np.flatnonzero(np.diff(sorted_codes)) + 1
-        starts = np.concatenate(([0], boundaries))
-        stops = np.concatenate((boundaries, [len(ids)]))
-        locators = self._locators
-        for start, stop in zip(starts, stops):
-            shard = int(sorted_codes[start])
-            chunk = order[start:stop]
-            base = self._counts[shard]
-            count = base + len(chunk)
-            self._ensure_capacity(shard, count)
-            self._ids[shard][base:count] = ids[chunk]
-            self._positions[shard][base:count] = pts[chunk]
-            self._counts[shard] = count
-            shard_tag = shard << _SLOT_BITS
-            for offset, object_id in enumerate(ids[chunk].tolist()):
-                locators[object_id] = shard_tag | (base + offset)
+        points = np.asarray(positions, dtype=np.float64).reshape(len(object_ids), 2)
+        codes = morton_shard_codes(points, self._level)
+        self._shards.update(zip(object_ids, codes.tolist()))
 
     def discard(self, object_id: int) -> Optional[int]:
-        """Remove one object (swap-remove); returns its shard, or ``None``."""
-        locator = self._locators.pop(object_id, None)
-        if locator is None:
-            return None
-        shard = locator >> _SLOT_BITS
-        slot = locator & _SLOT_MASK
-        last = self._counts[shard] - 1
-        if slot != last:
-            moved_id = int(self._ids[shard][last])
-            self._ids[shard][slot] = moved_id
-            self._positions[shard][slot] = self._positions[shard][last]
-            self._locators[moved_id] = (shard << _SLOT_BITS) | slot
-        self._counts[shard] = last
-        return shard
-
-    def _ensure_capacity(self, shard: int, needed: int) -> None:
-        ids = self._ids[shard]
-        if len(ids) >= needed:
-            return
-        capacity = max(8, len(ids) * 2, needed)
-        new_ids = np.empty(capacity, dtype=np.int64)
-        new_ids[: self._counts[shard]] = ids[: self._counts[shard]]
-        self._ids[shard] = new_ids
-        new_pos = np.empty((capacity, 2), dtype=np.float64)
-        new_pos[: self._counts[shard]] = self._positions[shard][: self._counts[shard]]
-        self._positions[shard] = new_pos
+        """Remove one object; returns its shard, or ``None`` when absent."""
+        return self._shards.pop(object_id, None)
 
     # ------------------------------------------------------------------
     # epochs
@@ -262,12 +185,9 @@ class ShardedNodeStore:
         epoch values do not depend on the iteration order of the input.
         Returns the number of distinct shards bumped.
         """
-        locators = self._locators
-        shards = set()
-        for object_id in object_ids:
-            locator = locators.get(object_id)
-            if locator is not None:
-                shards.add(locator >> _SLOT_BITS)
+        lookup = self._shards.get
+        shards = {lookup(object_id) for object_id in object_ids}
+        shards.discard(None)
         epochs = self._epochs
         for shard in sorted(shards):
             epochs[shard] += 1
@@ -279,94 +199,8 @@ class ShardedNodeStore:
         for shard in range(self._num_shards):
             epochs[shard] += 1
 
-    # ------------------------------------------------------------------
-    # per-shard block access
-    # ------------------------------------------------------------------
-    def shard_count(self, shard: int) -> int:
-        """Number of objects currently stored in ``shard``."""
-        return self._counts[shard]
-
-    def shard_ids(self, shard: int) -> np.ndarray:
-        """Id block of one shard (a live view; do not mutate)."""
-        return self._ids[shard][: self._counts[shard]]
-
-    def shard_positions(self, shard: int) -> np.ndarray:
-        """``(n, 2)`` position block of one shard (a live view; do not mutate)."""
-        return self._positions[shard][: self._counts[shard]]
-
-    def occupancies(self) -> List[int]:
-        """Object count per shard (shard-balance diagnostics)."""
-        return list(self._counts)
-
-    def shard_link_block(self, shard: int, overlay) -> Tuple[np.ndarray, np.ndarray]:
-        """Long-link SoA block of one shard, cached against its epoch.
-
-        Returns ``(ids, endpoints)``: the shard's object ids and an aligned
-        ``(n, k)`` int64 array of their long-link endpoint ids (-1 where a
-        link slot is unset).  Materialised lazily from the overlay's nodes
-        and reused while the shard epoch is unchanged — the same validity
-        domain as the routing tables, so consumers (bulk analytics,
-        shard-range routing workers) never see links that churn already
-        invalidated.
-        """
-        cached = self._link_blocks.get(shard)
-        epoch = self._epochs[shard]
-        if cached is not None and cached[0] == epoch:
-            return cached[1], cached[2]
-        ids = self.shard_ids(shard).copy()
-        k = overlay.config.num_long_links
-        endpoints = np.full((len(ids), max(k, 1)), -1, dtype=np.int64)
-        nodes = overlay._nodes
-        for row, object_id in enumerate(ids.tolist()):
-            for index, link in enumerate(nodes[object_id].long_links):
-                endpoints[row, index] = link.neighbor
-        self._link_blocks[shard] = (epoch, ids, endpoints)
-        return ids, endpoints
-
-    # ------------------------------------------------------------------
-    # range partitioning (parallel sweeps)
-    # ------------------------------------------------------------------
-    def shard_ranges(self, parts: int) -> List[Tuple[int, int]]:
-        """Split the shard index space into ≤ ``parts`` balanced ranges.
-
-        Ranges are contiguous ``[lo, hi)`` intervals of the Morton curve,
-        balanced by current object count, so each worker of a parallel
-        sweep receives a spatially connected region with roughly equal
-        population.  Empty trailing ranges are dropped.
-        """
-        if parts < 1:
-            raise ValueError(f"parts must be >= 1, got {parts}")
-        total = len(self._locators)
-        if total == 0 or parts == 1 or self._num_shards == 1:
-            return [(0, self._num_shards)]
-        target = total / parts
-        ranges: List[Tuple[int, int]] = []
-        lo = 0
-        acc = 0
-        for shard in range(self._num_shards):
-            acc += self._counts[shard]
-            if acc >= target and len(ranges) < parts - 1:
-                ranges.append((lo, shard + 1))
-                lo = shard + 1
-                acc = 0
-        if lo < self._num_shards:
-            ranges.append((lo, self._num_shards))
-        return [r for r in ranges if self._range_count(r) > 0] or [(0, self._num_shards)]
-
-    def _range_count(self, shard_range: Tuple[int, int]) -> int:
-        lo, hi = shard_range
-        return sum(self._counts[lo:hi])
-
-    def ids_in_range(self, lo: int, hi: int) -> np.ndarray:
-        """Concatenated id blocks of shards ``[lo, hi)``."""
-        blocks = [self.shard_ids(s) for s in range(lo, hi) if self._counts[s]]
-        if not blocks:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(blocks)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        occupied = sum(1 for c in self._counts if c)
         return (
             f"ShardedNodeStore(level={self._level}, shards={self._num_shards}, "
-            f"occupied={occupied}, objects={len(self._locators)})"
+            f"objects={len(self._shards)})"
         )

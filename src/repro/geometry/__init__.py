@@ -11,8 +11,6 @@ This package provides everything the overlay needs from geometry:
   the Voronoi-neighbour sets ``vn(o)``,
 * :mod:`repro.geometry.voronoi` — explicit Voronoi cells (vertices, areas)
   clipped to the unit square,
-* :mod:`repro.geometry.convex_hull` — convex hulls used by tests and cell
-  clipping,
 * :mod:`repro.geometry.locate_grid` — a grid-bucket index seeding point
   location and greedy descent with near-target hints,
 * :mod:`repro.geometry.kdtree` — an exact nearest-neighbour oracle used as
@@ -40,7 +38,6 @@ from repro.geometry.predicates import (
 from repro.geometry.delaunay import DelaunayTriangulation, DuplicatePointError
 from repro.geometry.locate_grid import LocateGrid
 from repro.geometry.voronoi import VoronoiCell, voronoi_cell, voronoi_cells
-from repro.geometry.convex_hull import convex_hull
 from repro.geometry.kdtree import KDTree
 from repro.geometry.bounding import UNIT_SQUARE, BoundingBox, clip_polygon_to_box
 
@@ -63,7 +60,6 @@ __all__ = [
     "VoronoiCell",
     "voronoi_cell",
     "voronoi_cells",
-    "convex_hull",
     "KDTree",
     "BoundingBox",
     "UNIT_SQUARE",

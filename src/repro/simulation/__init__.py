@@ -85,7 +85,6 @@ from repro.simulation.network import (
 from repro.simulation.metrics import MetricsRegistry
 from repro.simulation.trace import TraceRecorder
 from repro.simulation.failures import (
-    ChurnScheduler,
     CrashDamageReport,
     CrashInjector,
     PartitionDamageReport,
@@ -144,7 +143,6 @@ __all__ = [
     "UniformLatency",
     "MetricsRegistry",
     "TraceRecorder",
-    "ChurnScheduler",
     "CrashDamageReport",
     "CrashInjector",
     "PartitionDamageReport",

@@ -1,143 +1,67 @@
-"""Churn and failure injection.
+"""Oracle-mode crash injection and the shared stale-reference census.
 
-Two injectors drive dynamism experiments:
+:class:`CrashInjector` removes objects from the oracle overlay *abruptly* —
+the substrate forgets them, but the Section 3.3 leave protocol does not run
+— and reports how much state (dangling long links, stale close neighbours,
+dangling back registrations) the survivors are left with.  The paper gives
+no crash-repair protocol; quantifying the damage is how we exercise the
+limitation it acknowledges.  (Seeded streams mixing graceful churn with
+crashes come from :mod:`repro.workloads.churn`.)
 
-* :class:`ChurnScheduler` replays *graceful* joins and leaves (objects run
-  the departure protocol of Section 3.3) against either the oracle overlay
-  or the protocol simulator, at configurable rates on the virtual clock;
-* :class:`CrashInjector` removes objects *abruptly* — without running the
-  leave protocol — and then reports how much state (dangling long links,
-  stale close neighbours, dangling back registrations) the survivors are
-  left with.  The paper does not give a crash-repair protocol; quantifying
-  the damage is how we exercise the limitation it acknowledges.
-
-Both injectors speak the *oracle* overlay.  The message-level counterpart —
-crash/loss/partition injection through the network layer, heartbeat failure
-detection and the self-healing repair protocol — lives in
-:mod:`repro.simulation.faults`.  :func:`assess_partition_damage` is the
-shared census both the fault harnesses and the partition-merge runtime
-(:mod:`repro.simulation.merge`) use to quantify cross-side divergence in
-the same stale-reference terms as :class:`CrashDamageReport`.
+The message-level counterpart — fault plane, heartbeat detection, repair
+protocol — lives in :mod:`repro.simulation.faults`.  Both modes and the
+partition-merge scenario measure damage with one walk,
+:func:`count_stale_references`: :class:`CrashDamageReport` counts
+references to crashed ids, :class:`PartitionDamageReport` references to
+ids on another side of a split.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import AbstractSet, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.overlay import VoroNet
-from repro.geometry.point import Point
-from repro.simulation.engine import SimulationEngine
-from repro.simulation.events import Event
 from repro.utils.rng import RandomSource
-from repro.workloads.distributions import ObjectDistribution, UniformDistribution
 
-__all__ = ["ChurnScheduler", "CrashInjector", "CrashDamageReport",
-           "PartitionDamageReport", "assess_partition_damage"]
+__all__ = ["CrashInjector", "CrashDamageReport", "PartitionDamageReport",
+           "assess_partition_damage", "count_stale_references",
+           "crash_damage_report"]
 
 
-class ChurnScheduler:  # simlint: ignore[SIM003] — one per experiment, not per message
-    """Schedules graceful joins and leaves on a simulation engine.
+def count_stale_references(views: Iterable[Tuple]) -> Tuple[int, int, int, int, int]:
+    """The reference census every damage report is built from.
 
-    Joins and leaves are drawn from **one merged arrival process**: a
-    single Poisson stream at rate ``join_rate + leave_rate`` whose arrivals
-    are classified join/leave with probability proportional to their rates
-    (the superposition theorem).  Two independent streams — the obvious
-    alternative — share no ordering guarantee when the rates differ: every
-    join would be scheduled before any leave at equal timestamps, and the
-    relative interleaving would drift with the rate ratio instead of being
-    exchangeable.
-
-    Parameters
-    ----------
-    engine:
-        The virtual clock driving the churn.
-    join / leave:
-        Callables performing one join (given a position) / one leave (given
-        nothing; the callee picks the victim).
-    join_rate / leave_rate:
-        Mean number of joins / leaves per unit of virtual time (events are
-        spaced by exponential inter-arrival times).
-    distribution:
-        Placement distribution for joining objects.
+    ``views`` yields one row per live holder: the *set* of ids it must not
+    reference (the crashed ids; the ids on another side of a split), then
+    its Voronoi ids, close ids, long links (``.neighbor``) and back
+    registrations (tuples led by their source).  Returns how many
+    ``(voronoi, close, long-link, back-registration)`` entries name a stale
+    peer and how many holders have at least one.  Stale is a set probe,
+    not a predicate call: the walk sits inside the measured heal cycle.
     """
-
-    def __init__(self, engine: SimulationEngine, *,
-                 join: Callable[[Point], None],
-                 leave: Callable[[], None],
-                 join_rate: float = 1.0,
-                 leave_rate: float = 0.5,
-                 distribution: Optional[ObjectDistribution] = None,
-                 rng: Optional[RandomSource] = None) -> None:
-        if join_rate <= 0 or leave_rate < 0:
-            raise ValueError("join_rate must be > 0 and leave_rate >= 0")
-        self._engine = engine
-        self._join = join
-        self._leave = leave
-        self._join_rate = join_rate
-        self._leave_rate = leave_rate
-        self._distribution = distribution or UniformDistribution()
-        # Interactive/standalone default; experiments pass a seeded stream.
-        self._rng = rng if rng is not None else RandomSource()  # simlint: ignore[SIM002]
-        self._scheduled: List[Event] = []
-        self.joins_executed = 0
-        self.leaves_executed = 0
-
-    def start(self, horizon: float) -> int:
-        """Schedule churn events over the next ``horizon`` time units.
-
-        Times are relative to the engine's *current* clock, so a scheduler
-        can be started on a warm simulator (e.g. after a ``bulk_join``
-        advanced the virtual time).  Returns the number of events
-        scheduled; the handles are kept so :meth:`stop` can cancel them.
-        """
-        begin = self._engine.now
-        total_rate = self._join_rate + self._leave_rate
-        join_share = self._join_rate / total_rate
-        time = begin
-        scheduled = 0
-        while True:
-            time += self._rng.exponential(1.0 / total_rate)
-            if time > begin + horizon:
-                break
-            if self._rng.uniform() < join_share:
-                position = self._distribution.sample(1, self._rng)[0]
-                event = self._engine.schedule_at(time, self._make_join(position),
-                                                 label="churn-join")
-            else:
-                event = self._engine.schedule_at(time, self._make_leave(),
-                                                 label="churn-leave")
-            self._scheduled.append(event)
-            scheduled += 1
-        return scheduled
-
-    def stop(self) -> int:
-        """Cancel every churn event still pending; returns how many.
-
-        Harness teardown calls this so a partially drained schedule cannot
-        leak stale joins/leaves into a later phase (the engine's
-        ``quiescent`` check ignores cancelled events, so batched operations
-        remain usable immediately after stopping).
-        """
-        cancelled = 0
-        for event in self._scheduled:
-            if not event.cancelled and event.time > self._engine.now:
-                cancelled += 1
-            event.cancel()
-        self._scheduled.clear()
-        return cancelled
-
-    def _make_join(self, position: Point) -> Callable[[], None]:
-        def action() -> None:
-            self._join(position)
-            self.joins_executed += 1
-        return action
-
-    def _make_leave(self) -> Callable[[], None]:
-        def action() -> None:
-            self._leave()
-            self.leaves_executed += 1
-        return action
+    voronoi = close = longs = backs = holders = 0
+    for stale, voronoi_ids, close_ids, long_links, back_links in views:
+        hit = False
+        # Ids are distinct within a view, and damage is rare: the C-level
+        # disjointness test settles most views without a Python loop.
+        if voronoi_ids and not stale.isdisjoint(voronoi_ids):
+            voronoi += len(stale.intersection(voronoi_ids))
+            hit = True
+        if close_ids and not stale.isdisjoint(close_ids):
+            close += len(stale.intersection(close_ids))
+            hit = True
+        for link in long_links:
+            if link.neighbor in stale:
+                longs += 1
+                hit = True
+        for registration in back_links:
+            if registration[0] in stale:
+                backs += 1
+                hit = True
+        if hit:
+            holders += 1
+    return voronoi, close, longs, backs, holders
 
 
 @dataclass(frozen=True)
@@ -163,6 +87,20 @@ class CrashDamageReport:
     def total_stale_entries(self) -> int:
         return (self.dangling_long_links + self.stale_close_neighbors
                 + self.dangling_back_links + self.stale_voronoi_entries)
+
+
+def crash_damage_report(crashed: AbstractSet[int],
+                        views: Iterable[Tuple]) -> CrashDamageReport:
+    """Census of references to ``crashed`` ids (oracle and protocol mode)."""
+    voronoi, close, longs, backs, holders = count_stale_references(views)
+    return CrashDamageReport(
+        crashed=len(crashed),
+        dangling_long_links=longs,
+        stale_close_neighbors=close,
+        affected_objects=holders,
+        dangling_back_links=backs,
+        stale_voronoi_entries=voronoi,
+    )
 
 
 class CrashInjector:  # simlint: ignore[SIM003] — one per experiment, not per message
@@ -193,55 +131,23 @@ class CrashInjector:  # simlint: ignore[SIM003] — one per experiment, not per 
         return victims
 
     def crash(self, object_id: int) -> None:
-        """Crash one object: drop it from the tessellation, skip the protocol."""
-        # Bypass VoroNet.remove on purpose: no detach_object, no notifications.
-        overlay = self._overlay
-        overlay._remove_from_kernel(object_id)  # noqa: SLF001
-        del overlay._nodes[object_id]  # noqa: SLF001 - deliberate fault injection
-        # The *substrate* state (tessellation, locate grid, shard store,
-        # caches) is repaired — only the protocol-level hand-overs are
-        # skipped.  Per the overlay's epoch contract, direct mutation must
-        # invalidate the routing tables, or survivors would greedily
-        # forward to crashed ids; likewise the grid and the sharded store
-        # must drop the id or lookups would enter the overlay at a dead
-        # peer.  The invalidation is overlay-wide (bare call): any
-        # survivor, anywhere, may hold a long link at the victim, and a
-        # crash by definition runs none of the hand-overs that would
-        # enumerate them.
-        overlay.locate_index.discard(object_id)
-        overlay.shard_store.discard(object_id)
-        overlay.invalidate_routing_tables()
+        """Crash one object: :meth:`VoroNet.remove` minus the hand-over.
+
+        The invalidation is overlay-wide (bare call): any survivor,
+        anywhere, may hold a long link at the victim, and a crash runs
+        none of the hand-overs that would enumerate them.
+        """
+        self._overlay.withdraw_substrate(object_id)
+        self._overlay.invalidate_routing_tables()
         self._crashed.append(object_id)
 
     def assess_damage(self) -> CrashDamageReport:
         """Count dangling references the crashes left in surviving objects."""
-        overlay = self._overlay
         crashed = set(self._crashed)
-        dangling_links = 0
-        stale_close = 0
-        dangling_back = 0
-        affected = set()
-        for object_id in overlay.object_ids():
-            node = overlay.node(object_id)
-            for link in node.long_links:
-                if link.neighbor in crashed:
-                    dangling_links += 1
-                    affected.add(object_id)
-            for close_id in node.close_neighbors:
-                if close_id in crashed:
-                    stale_close += 1
-                    affected.add(object_id)
-            for back_link in node.back_links:
-                if back_link.source in crashed:
-                    dangling_back += 1
-                    affected.add(object_id)
-        return CrashDamageReport(
-            crashed=len(crashed),
-            dangling_long_links=dangling_links,
-            stale_close_neighbors=stale_close,
-            affected_objects=len(affected),
-            dangling_back_links=dangling_back,
-        )
+        # Voronoi views are derived from the shared kernel: never stale.
+        return crash_damage_report(crashed, (
+            (crashed, (), node.close_neighbors, node.long_links, node.back_links)
+            for node in self._overlay.nodes()))
 
     def repair(self) -> int:
         """Scrub dangling references (a minimal anti-entropy pass).
@@ -313,49 +219,29 @@ class PartitionDamageReport:
 
 
 def assess_partition_damage(nodes: Dict[int, object],
-                            side_of: Callable[[int], Optional[int]],
+                            sides: Sequence[AbstractSet[int]],
                             ) -> PartitionDamageReport:
     """Count the cross-side references a split leaves in protocol views.
 
-    ``nodes`` maps live object ids to protocol nodes (``voronoi`` /
-    ``close`` / ``long_links`` / ``back_links`` attributes, the
-    :class:`~repro.simulation.protocol.ProtocolNode` shape);``side_of``
-    returns a node's side index or ``None`` for unassigned ids (which
-    never count as cross-side, matching ``SplitSpec.separates``).  Used
-    by the merge harness both to measure divergence right after a split
-    opens and to assert the per-side repairs scrubbed every cross
-    reference before heal.
+    ``nodes`` maps live object ids to protocol nodes; ``sides`` are the
+    split's disjoint id sets (``SplitSpec.sides``).  A holder holds a cross
+    reference for every entry naming an id of another side; ids — and
+    holders — on no side never count, matching ``SplitSpec.separates``.
+    The merge scenario measures divergence with it as a split opens.
     """
-    sides = set()
-    cross_voronoi = cross_close = cross_long = cross_back = 0
-    boundary = 0
-    for object_id in sorted(nodes):
-        node = nodes[object_id]
-        own_side = side_of(object_id)
-        if own_side is not None:
-            sides.add(own_side)
-        if own_side is None:
-            continue
-
-        def crosses(peer: int) -> bool:
-            peer_side = side_of(peer)
-            return peer_side is not None and peer_side != own_side  # noqa: B023
-
-        voronoi = sum(1 for peer in node.voronoi
-                      if peer != object_id and crosses(peer))
-        close = sum(1 for peer in node.close if crosses(peer))
-        longs = sum(1 for link in node.long_links
-                    if link.neighbor != object_id and crosses(link.neighbor))
-        backs = sum(1 for source, _index in node.back_links if crosses(source))
-        cross_voronoi += voronoi
-        cross_close += close
-        cross_long += longs
-        cross_back += backs
-        if voronoi or close or longs or backs:
-            boundary += 1
-    return PartitionDamageReport(sides=len(sides),
-                                 cross_voronoi_entries=cross_voronoi,
-                                 cross_close_entries=cross_close,
-                                 cross_long_links=cross_long,
-                                 cross_back_links=cross_back,
-                                 boundary_objects=boundary)
+    assigned = set().union(*sides)
+    views: List[Tuple] = []
+    live_sides = 0
+    for members in sides:
+        across = assigned - members
+        live = [nodes[object_id] for object_id in members if object_id in nodes]
+        live_sides += bool(live)
+        views.extend((across, node.voronoi, node.close, node.long_links,
+                      node.back_links) for node in live)
+    voronoi, close, longs, backs, holders = count_stale_references(views)
+    return PartitionDamageReport(sides=live_sides,
+                                 cross_voronoi_entries=voronoi,
+                                 cross_close_entries=close,
+                                 cross_long_links=longs,
+                                 cross_back_links=backs,
+                                 boundary_objects=holders)

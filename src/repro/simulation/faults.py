@@ -66,7 +66,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.simulation.failures import CrashDamageReport
+from repro.simulation.failures import CrashDamageReport, crash_damage_report
 from repro.simulation.network import Message
 from repro.simulation.protocol import ProtocolSimulator
 from repro.utils.rng import RandomSource
@@ -468,31 +468,19 @@ class ProtocolCrashInjector:  # simlint: ignore[SIM003] — one per experiment, 
     def crash(self, object_id: int) -> None:
         """Crash one object: substrate repaired, protocol hand-overs skipped.
 
-        Safe at *any* message index: a victim caught mid-join may not be
-        carved into the kernel yet, and one caught mid-leave has already
-        withdrawn its region — the kernel removal is therefore conditional
-        on the victim actually backing a vertex.  Multi-message operations
-        the victim was driving are closed out (their watchdogs cancelled);
-        a join still pending surfaces as a ``timed_out`` outcome on the
-        caller's :class:`~repro.simulation.protocol.JoinReport` instead of
-        leaking silently with the victim's starter state.
+        A leave without the hand-over: the simulator's ``uncarve`` and
+        ``detach_node``, and nothing else.  Safe at *any* message index: a
+        victim caught mid-join may not be carved yet, one caught mid-leave
+        has already withdrawn its region, and a join it still had pending
+        surfaces as ``timed_out`` on the caller's
+        :class:`~repro.simulation.protocol.JoinReport`.
         """
         simulator = self._simulator
         if object_id not in simulator.nodes:
             raise KeyError(f"unknown object {object_id}")
-        node = simulator.nodes[object_id]
         simulator.network.faults.crash(object_id)
-        if simulator.kernel.vertex_at(node.position) == object_id:
-            simulator.remove_vertex(simulator.kernel, object_id)
-        simulator.locate.discard(object_id)
-        simulator.network.unregister(object_id)
-        del simulator.nodes[object_id]
-        for kind, owner in simulator.pending_operations():
-            if owner != object_id:
-                continue
-            simulator.finish_operation((kind, owner))
-            if kind == "join":
-                simulator._join_outcomes[object_id] = "timed_out"
+        simulator.uncarve(object_id)
+        simulator.detach_node(object_id)
         self._crashed.append(object_id)
         simulator.trace.record(simulator.engine.now, "crash",
                                object_id=object_id)
@@ -500,38 +488,10 @@ class ProtocolCrashInjector:  # simlint: ignore[SIM003] — one per experiment, 
 
     def assess_damage(self) -> CrashDamageReport:
         """Count stale references the crashes left in surviving views."""
-        simulator = self._simulator
         crashed = set(self._crashed)
-        dangling_links = 0
-        stale_close = 0
-        dangling_back = 0
-        stale_voronoi = 0
-        affected = set()
-        for object_id, node in simulator.nodes.items():
-            for link in node.long_links:
-                if link.neighbor in crashed:
-                    dangling_links += 1
-                    affected.add(object_id)
-            for close_id in node.close:
-                if close_id in crashed:
-                    stale_close += 1
-                    affected.add(object_id)
-            for source, _index in node.back_links:
-                if source in crashed:
-                    dangling_back += 1
-                    affected.add(object_id)
-            for neighbor_id in node.voronoi:
-                if neighbor_id in crashed:
-                    stale_voronoi += 1
-                    affected.add(object_id)
-        return CrashDamageReport(
-            crashed=len(crashed),
-            dangling_long_links=dangling_links,
-            stale_close_neighbors=stale_close,
-            affected_objects=len(affected),
-            dangling_back_links=dangling_back,
-            stale_voronoi_entries=stale_voronoi,
-        )
+        return crash_damage_report(crashed, (
+            (crashed, node.voronoi, node.close, node.long_links, node.back_links)
+            for node in self._simulator.nodes.values()))
 
 
 # ----------------------------------------------------------------------

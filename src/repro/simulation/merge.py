@@ -292,32 +292,28 @@ class PartitionRuntime:  # simlint: ignore[SIM003] — one per experiment, not p
         side_versions = tuple(state.kernel.version for state in self._sides)
         self.faults.heal_partitions()
         kernel = simulator.kernel
-        locate = simulator.locate
         removals = 0
         for object_id in sorted(kernel.vertex_ids()):
             if object_id not in simulator.nodes:
-                simulator.remove_vertex(kernel, object_id)
-                locate.discard(object_id)
+                simulator.uncarve(object_id)
                 removals += 1
         inserts = 0
         conflicts = 0
         for object_id in sorted(simulator.nodes):
             if object_id in kernel:
                 continue
-            node = simulator.nodes[object_id]
+            position = simulator.nodes[object_id].position
             try:
-                kernel.insert(node.position, vertex_id=object_id,
-                              hint=locate.hint(node.position))
+                simulator.carve(object_id, position,
+                                hint=simulator.locate.hint(position))
             except DuplicatePointError:
                 # Region overlap: an earlier (lower) id already carved
                 # these exact coordinates on the other side.  Lowest id
                 # keeps the region; the loser is torn down, exactly as a
                 # duplicate-coordinate join is refused in steady state.
                 conflicts += 1
-                simulator.network.unregister(object_id)
-                del simulator.nodes[object_id]
+                simulator.detach_node(object_id)
                 continue
-            locate.insert(object_id, node.position)
             inserts += 1
         kernel.advance_version(max(side_versions, default=0) + 1)
         # Published-id collisions: objects inserted on different sides

@@ -38,7 +38,7 @@ from __future__ import annotations
 import abc
 from collections import Counter
 from heapq import heappush
-from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
+from typing import TYPE_CHECKING, AbstractSet, Any, Callable, Dict, Optional
 
 from repro.simulation.engine import SimulationEngine
 from repro.utils.rng import RandomSource
@@ -273,6 +273,10 @@ class Network:
     def is_registered(self, node_id: int) -> bool:
         """Whether the node currently has a handler."""
         return node_id in self._handlers
+
+    def registered_ids(self) -> AbstractSet[int]:
+        """Ids of every node that currently has a handler (a live view)."""
+        return self._handlers.keys()
 
     def at_message(self, index: int, action: Callable[[Message], None]) -> None:
         """Run ``action(message)`` when the ``index``-th counted send occurs.

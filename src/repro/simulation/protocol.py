@@ -68,6 +68,7 @@ from typing import (TYPE_CHECKING, Callable, ClassVar, Dict, List, Optional,
 import numpy as np
 
 from repro.core.config import VoroNetConfig
+from repro.core.maintenance import membership_report
 from repro.core.long_range import choose_long_range_target, choose_long_range_target_array
 from repro.geometry.delaunay import DelaunayTriangulation, DuplicatePointError, morton_order
 from repro.geometry.locate_grid import LocateGrid
@@ -1160,6 +1161,38 @@ class ProtocolSimulator:  # simlint: ignore[SIM003] — one per experiment, not 
         self.network.register(object_id, node.handle)
         return node
 
+    def detach_node(self, object_id: int) -> None:
+        """Tear a node down — the one place an object stops being a member.
+
+        Whatever the door (leave, refused or timed-out join, crash,
+        merge-heal loser): the handler goes, voiding in-flight deliveries,
+        the local state goes, and every operation the id still owns is
+        closed out, a pending join surfacing as ``timed_out``.  Idempotent.
+        """
+        self.network.unregister(object_id)
+        self.nodes.pop(object_id, None)
+        for kind, owner in self.pending_operations():
+            if owner == object_id:
+                self.finish_operation((kind, owner))
+                if kind == "join":
+                    self._join_outcomes.setdefault(object_id, "timed_out")
+
+    def carve(self, object_id: int, position: Point,
+              hint: Optional[int] = None) -> None:
+        """Place a region in the live kernel and locate grid (both or neither)."""
+        self.kernel.insert(position, vertex_id=object_id, hint=hint)
+        self.locate.insert(object_id, position)
+
+    def uncarve(self, object_id: int) -> None:
+        """Withdraw a region from the live kernel and locate grid.
+
+        The kernel removal is conditional: a joiner caught before its
+        carve, or a leaver crashed mid-hand-over, backs no vertex.
+        """
+        if object_id in self.kernel:
+            self.remove_vertex(self.kernel, object_id)
+        self.locate.discard(object_id)
+
     def join(self, position: Point, introducer: Optional[int] = None) -> JoinReport:
         """Publish an object through the full distributed join protocol."""
         position = (float(position[0]), float(position[1]))
@@ -1170,8 +1203,7 @@ class ProtocolSimulator:  # simlint: ignore[SIM003] — one per experiment, not 
 
         if len(self.nodes) == 1:
             # First object: nothing to route, no neighbours to discover.
-            self.kernel.insert(position, vertex_id=object_id)
-            self.locate.insert(object_id, position)
+            self.carve(object_id, position)
             self.metrics.increment("joins")
             return JoinReport(object_id=object_id, routing_hops=0, messages=0,
                               virtual_time=self.engine.now)
@@ -1230,10 +1262,8 @@ class ProtocolSimulator:  # simlint: ignore[SIM003] — one per experiment, not 
         view audit re-delivers.
         """
         self._join_outcomes[object_id] = "timed_out"
-        node = self.nodes.get(object_id)
-        if node is not None and self.kernel.vertex_at(node.position) != object_id:
-            self.network.unregister(object_id)
-            del self.nodes[object_id]
+        if object_id in self.nodes and object_id not in self.kernel:
+            self.detach_node(object_id)
 
     def _send_bulk_carve(self, object_id: int, position: Point) -> None:
         """Send (or re-send) one bulk carve request for ``object_id``.
@@ -1249,8 +1279,7 @@ class ProtocolSimulator:  # simlint: ignore[SIM003] — one per experiment, not 
         if introducer is None or introducer not in self.nodes:
             live = sorted(oid for oid in self.nodes if oid != object_id)
             if not live:
-                self.kernel.insert(position, vertex_id=object_id)
-                self.locate.insert(object_id, position)
+                self.carve(object_id, position)
                 self._bulk_owners[object_id] = object_id
                 return
             introducer = live[0]
@@ -1360,8 +1389,7 @@ class ProtocolSimulator:  # simlint: ignore[SIM003] — one per experiment, not 
             # insertion, no messages (its long links come from phase 5).
             first = order[0]
             self._attach_node(ids[first], batch[first])
-            self.kernel.insert(batch[first], vertex_id=ids[first])
-            self.locate.insert(ids[first], batch[first])
+            self.carve(ids[first], batch[first])
             self._bulk_owners[ids[first]] = ids[first]
             start = 1
         for chunk_start in range(start, len(order), chunk_size):
@@ -1376,26 +1404,21 @@ class ProtocolSimulator:  # simlint: ignore[SIM003] — one per experiment, not 
         # fault-free run every batch member carved on the first pass and
         # the audit costs nothing.
         for _ in range(self.timeouts.max_retries):
-            stalled = [i for i in range(len(ids))
-                       if ids[i] in self.nodes
-                       and self.kernel.vertex_at(batch[i]) != ids[i]]
+            stalled = [i for i, oid in enumerate(ids)
+                       if oid in self.nodes and oid not in self.kernel]
             if not stalled:
                 break
             for i in stalled:
                 self._send_bulk_carve(ids[i], batch[i])
             self.engine.run_until_quiescent()
-        timed_out = [oid for i, oid in enumerate(ids)
-                     if oid not in self.nodes
-                     or self.kernel.vertex_at(batch[i]) != oid]
+        timed_out = [oid for oid in ids
+                     if oid not in self.nodes or oid not in self.kernel]
         if timed_out:
             dead = set(timed_out)
-            for object_id in sorted(dead):
-                # Crashed mid-batch, or uncarvable within the budget:
-                # withdraw the attachment so no zombie handler (and no
-                # stray kernel vertex) outlives the batch.
-                if object_id in self.nodes:
-                    self.network.unregister(object_id)
-                    del self.nodes[object_id]
+            for object_id in timed_out:
+                # Crashed mid-batch (already torn down), or uncarvable
+                # within the budget: no zombie handler outlives the batch.
+                self.detach_node(object_id)
             survivors = [(oid, batch[i]) for i, oid in enumerate(ids)
                          if oid not in dead]
             ids = [oid for oid, _position in survivors]
@@ -1596,15 +1619,12 @@ class ProtocolSimulator:  # simlint: ignore[SIM003] — one per experiment, not 
             self.send(owner, new_id, "CREATE_OBJECT", payload)
             return
         try:
-            self.kernel.insert(position, vertex_id=new_id, hint=owner.object_id)
+            self.carve(new_id, position, hint=owner.object_id)
         except DuplicatePointError:
-            # Duplicate coordinates: refuse the join; the node stays isolated.
-            self.finish_operation(("join", new_id))
+            # Duplicate coordinates: refuse the join, tear the joiner down.
             self._join_outcomes[new_id] = "rejected"
-            self.network.unregister(new_id)
-            del self.nodes[new_id]
+            self.detach_node(new_id)
             return
-        self.locate.insert(new_id, position)
         if bulk:
             # Bulk joins distribute consolidated final views, settle back
             # registrations and establish long links in their own phases;
@@ -1636,9 +1656,9 @@ class ProtocolSimulator:  # simlint: ignore[SIM003] — one per experiment, not 
                       object_id: int) -> None:
         """Drop a vertex from ``kernel`` (the shared one or a split fork).
 
-        The one place departures — leave, injected crash, split fork, heal
-        — reach a kernel, so the one place a hull departure's rebuild is
-        counted (``kernel_rebuilds``).
+        The one place departures reach a kernel — :meth:`uncarve` for the
+        live one, the split fork for its copies — so the one place a hull
+        departure's rebuild is counted (``kernel_rebuilds``).
         """
         rebuilds = kernel.rebuild_count
         kernel.remove(object_id)
@@ -1653,8 +1673,7 @@ class ProtocolSimulator:  # simlint: ignore[SIM003] — one per experiment, not 
         before = self.network.messages_sent
         former_neighbors = [nid for nid in self.kernel.neighbors(object_id)
                             if nid in self.nodes and nid != object_id]
-        self.remove_vertex(self.kernel, object_id)
-        self.locate.discard(object_id)
+        self.uncarve(object_id)
         version = self.kernel.version
         affected = set(former_neighbors)
         if len(self.kernel) <= 8 or not self.kernel.has_triangulation:
@@ -1696,13 +1715,11 @@ class ProtocolSimulator:  # simlint: ignore[SIM003] — one per experiment, not 
                 self.send(node, link.neighbor, "BACKLINK_REMOVE",
                           {"source": object_id, "link_index": index})
         self.engine.run()
-        outcome = "completed"
-        if self.nodes.pop(object_id, None) is None:
-            # The leaver crashed while its own hand-over was draining: to
-            # the survivors this became an abrupt crash (the injector tore
-            # the node down), so report the graceful leave as timed out.
-            outcome = "timed_out"
-        self.network.unregister(object_id)
+        # A leaver that crashed while its own hand-over was draining was
+        # already torn down by the injector: to the survivors this became
+        # an abrupt crash, so report the graceful leave as timed out.
+        outcome = "completed" if object_id in self.nodes else "timed_out"
+        self.detach_node(object_id)
         self.metrics.increment("leaves")
         messages = self.network.messages_sent - before
         self.metrics.observe("leave_messages", messages)
@@ -1765,8 +1782,12 @@ class ProtocolSimulator:  # simlint: ignore[SIM003] — one per experiment, not 
     # verification
     # ------------------------------------------------------------------
     def verify_views(self) -> List[str]:
-        """Compare every local view against the shared kernel; list problems."""
-        problems: List[str] = []
+        """Compare every local view against the shared kernel; list problems.
+
+        Membership first, as in ``VoroNet.check_consistency``: kernel, locate
+        grid and handlers ≡ :attr:`nodes`; no operation owned by a non-member.
+        """
+        problems = self._membership_report()
         d_min = self.config.effective_d_min
         for object_id, node in self.nodes.items():
             kernel_neighbors = set(self.kernel.neighbors(object_id))
@@ -1791,6 +1812,16 @@ class ProtocolSimulator:  # simlint: ignore[SIM003] — one per experiment, not 
                     problems.append(
                         f"{object_id}: long link points at {link.neighbor} but "
                         f"{owner} owns the target")
+        return problems
+
+    def _membership_report(self) -> List[str]:
+        nodes = self.nodes
+        problems = membership_report(nodes, (
+            ("kernel", self.kernel), ("locate grid", self.locate),
+            ("handler table", self.network.registered_ids())))
+        problems.extend(f"{owner}: pending {kind} operation of a non-member"
+                        for kind, owner in self.pending_operations()
+                        if owner not in nodes)
         return problems
 
     def mean_view_size(self) -> float:

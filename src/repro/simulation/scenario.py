@@ -543,7 +543,7 @@ def run_merge_scenario(*, num_objects: int = 120, seed: int = 7,
         spec = runtime.open_split(
             _assign_sides(sorted(simulator.nodes), activity, side_fractions))
         damage_reports.append(
-            assess_partition_damage(simulator.nodes, spec.side_of))
+            assess_partition_damage(simulator.nodes, spec.sides))
         # Degraded phase: views still reference the far side, so a walk
         # whose greedy next hop crosses the cut dies silently.
         serve_side_queries("degraded", degraded_queries_per_side)

@@ -1,4 +1,4 @@
-"""Shared utilities: seeded RNG management, validation helpers, logging.
+"""Shared utilities: seeded RNG management and validation helpers.
 
 These modules are intentionally dependency-light so that every other
 subpackage (geometry, simulation, core, ...) can import them without

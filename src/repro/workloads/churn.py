@@ -3,8 +3,9 @@
 The paper's maintenance algorithms (Section 3.3 / 4.2) are exercised by
 replaying traces of object arrivals and departures; this module generates
 such traces with a controllable arrival/departure mix and replays them
-against an overlay, which is what the churn example and the maintenance
-benchmark (ABL3) use.  Traces can also carry *crash* events — abrupt,
+against an oracle overlay — the repo's one oracle churn generator, driven
+by ``examples/churn_simulation.py`` and the end-to-end integration test.
+Traces can also carry *crash* events — abrupt,
 non-graceful departures — which the replay hands to a caller-supplied
 callable (typically ``CrashInjector.crash`` or
 ``ProtocolCrashInjector.crash``), so failure studies can mix graceful and

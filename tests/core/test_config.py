@@ -7,6 +7,7 @@ from inspect import signature
 import pytest
 
 from repro.core.config import DEFAULT_N_MAX, VoroNetConfig
+from repro.core.shards import ShardedNodeStore
 from repro.simulation.faults import HeartbeatDetector
 from repro.simulation.protocol import TimeoutPolicy
 from repro.simulation.scenario import (Scenario, measure_steady_state_liveness,
@@ -113,3 +114,10 @@ def test_option_budget():
     assert parameters(measure_steady_state_liveness) == [
         "simulator", "rounds", "queries_per_round"]
     assert parameters(HeartbeatDetector.__init__) == ["simulator", "config"]
+
+    # The shard map is the routing cache's epoch domain and nothing more:
+    # per-shard object data must arrive with a reader, as a reviewed diff.
+    assert {name for name in vars(ShardedNodeStore)
+            if not name.startswith("_")} == {
+        "level", "num_shards", "epochs", "shard_of_point", "shard_of",
+        "insert", "bulk_insert", "discard", "bump_object_ids", "bump_all"}

@@ -1,9 +1,9 @@
-"""Tests of the Morton-sharded node store and its per-shard epochs.
+"""Tests of the Morton shard map and its per-shard epochs.
 
 Four layers:
 
-* unit tests of :class:`ShardedNodeStore` (Morton codes, swap-remove,
-  locators, epoch bump semantics, range partitioning);
+* unit tests of :class:`ShardedNodeStore` (Morton codes, id → shard
+  membership, epoch bump semantics);
 * **sharded vs reference equivalence** — a 64-shard overlay answers like
   the per-hop reference router of ``tests/reference_router.py`` (owners,
   hops) through churn that crosses shard boundaries: sharding changes
@@ -88,21 +88,6 @@ class TestStoreMembership:
         with pytest.raises(ValueError):
             store.insert(1, (0.8, 0.8))
 
-    def test_swap_remove_keeps_locators_valid(self):
-        store = ShardedNodeStore(1)
-        # Five objects in the same quadrant: removing from the middle
-        # swap-moves the last slot and must re-point its locator.
-        for object_id in range(5):
-            store.insert(object_id, (0.1 + 0.01 * object_id, 0.1))
-        store.discard(1)
-        assert 1 not in store
-        for object_id in (0, 2, 3, 4):
-            shard = store.shard_of(object_id)
-            slot_ids = store.shard_ids(shard)
-            assert object_id in set(slot_ids.tolist())
-        positions = store.shard_positions(store.shard_of_point(0.1, 0.1))
-        assert positions.shape == (4, 2)
-
     def test_bulk_insert_matches_sequential(self):
         rng = np.random.default_rng(3)
         points = rng.random((200, 2))
@@ -114,19 +99,6 @@ class TestStoreMembership:
         assert len(bulk) == len(sequential) == 200
         for object_id in range(200):
             assert bulk.shard_of(object_id) == sequential.shard_of(object_id)
-        assert bulk.occupancies() == sequential.occupancies()
-
-    def test_shard_blocks_align_ids_and_positions(self):
-        store = ShardedNodeStore(2)
-        rng = np.random.default_rng(4)
-        points = rng.random((64, 2))
-        store.bulk_insert(list(range(100, 164)), points)
-        for shard in range(store.num_shards):
-            ids = store.shard_ids(shard)
-            positions = store.shard_positions(shard)
-            assert len(ids) == len(positions) == store.shard_count(shard)
-            for object_id, position in zip(ids.tolist(), positions):
-                assert tuple(position) == tuple(points[object_id - 100])
 
 
 class TestEpochSemantics:
@@ -156,27 +128,6 @@ class TestEpochSemantics:
         store = ShardedNodeStore(1)
         store.bump_all()
         assert store.epochs == [1, 1, 1, 1]
-
-
-class TestRangePartitioning:
-    def test_ranges_cover_curve_and_balance_population(self):
-        store = ShardedNodeStore(3)
-        rng = np.random.default_rng(5)
-        store.bulk_insert(list(range(1000)), rng.random((1000, 2)))
-        ranges = store.shard_ranges(4)
-        assert ranges[0][0] == 0 and ranges[-1][1] == store.num_shards
-        for (_, hi), (lo, _) in zip(ranges, ranges[1:]):
-            assert hi == lo  # contiguous, disjoint
-        counts = [len(store.ids_in_range(lo, hi)) for lo, hi in ranges]
-        assert sum(counts) == 1000
-        assert max(counts) <= 2 * min(counts) + store.num_shards
-
-    def test_single_part_is_whole_curve(self):
-        store = ShardedNodeStore(2)
-        store.insert(1, (0.5, 0.5))
-        assert store.shard_ranges(1) == [(0, store.num_shards)]
-        with pytest.raises(ValueError):
-            store.shard_ranges(0)
 
 
 class TestShardedFlatEquivalence:
@@ -322,8 +273,8 @@ class TestShardBoundaryHypothesis:
         for object_id, point in alive.items():
             assert store.shard_of(object_id) == \
                 store.shard_of_point(point[0], point[1])
-        total = sum(store.shard_count(s) for s in range(store.num_shards))
-        assert total == len(alive)
+        assert all((object_id in store) == (object_id in alive)
+                   for object_id in range(len(points)))
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**16))

@@ -1,14 +1,24 @@
-"""A convex-hull object departs through each of the four departure doors.
+"""Every door an object can leave the overlay through.
 
-Every door ends in ``DelaunayTriangulation.remove`` of a vertex whose star
-touches the infinite vertex, which rebuilds the whole tessellation from the
-remaining points — in Morton order, so every surviving vertex's
-``star_ring`` comes back rotated.  Each door must pay exactly one rebuild
-(``rebuild_count``, surfaced as ``OverlayStats.kernel_rebuilds`` /
-the ``kernel_rebuilds`` metric), leave the overlay consistent, and leave
-routing — warmed before the departure, so served from whatever the caches
-kept — equal to the uncached reference routers hop for hop: cached tables
-must not depend on the order a kernel lists neighbours in.
+**Hull departures** (the first two tests): a convex-hull object departs by
+graceful leave or by crash, in oracle and in protocol mode.  Each ends in
+``DelaunayTriangulation.remove`` of a vertex whose star touches the
+infinite vertex, which rebuilds the whole tessellation from the remaining
+points — in Morton order, so every surviving vertex's ``star_ring`` comes
+back rotated.  Each door must pay exactly one rebuild (``rebuild_count``,
+surfaced as ``OverlayStats.kernel_rebuilds`` / the ``kernel_rebuilds``
+metric), leave the overlay consistent, and leave routing — warmed before
+the departure, so served from whatever the caches kept — equal to the
+uncached reference routers hop for hop: cached tables must not depend on
+the order a kernel lists neighbours in.
+
+**The remaining protocol-mode doors** (the last test): a join that fails
+before its carve, a duplicate-coordinate join, a ``bulk_join`` member
+crashed mid-batch and the loser of a merge-heal coordinate conflict all
+end in the simulator's one node teardown.  After each, the membership
+check inside ``verify_views()`` — ``nodes`` ≡ kernel ≡ locate grid ≡
+handler table, no operation owned by a non-member — must be empty and no
+operation may be left pending.
 """
 
 import numpy as np
@@ -23,7 +33,8 @@ from repro.simulation.faults import (
     ProtocolCrashInjector,
     RepairProtocol,
 )
-from repro.simulation.protocol import ProtocolSimulator
+from repro.simulation.merge import MergeProtocol, PartitionRuntime
+from repro.simulation.protocol import ProtocolSimulator, TimeoutPolicy
 from repro.utils.rng import RandomSource
 from repro.workloads.distributions import UniformDistribution
 from repro.workloads.generators import generate_objects
@@ -83,12 +94,16 @@ def protocol_leave(simulator, victim):
     assert simulator.leave(victim).outcome == "completed"
 
 
-def protocol_crash(simulator, victim):
-    ProtocolCrashInjector(simulator, rng=RandomSource(1)).crash(victim)
+def heal_crashes(simulator):
     detector = HeartbeatDetector(simulator,
                                  config=HeartbeatConfig(miss_threshold=2))
     detector.run_rounds(2)
     assert RepairProtocol(simulator, detector=detector).repair().converged
+
+
+def protocol_crash(simulator, victim):
+    ProtocolCrashInjector(simulator, rng=RandomSource(1)).crash(victim)
+    heal_crashes(simulator)
 
 
 def protocol_queries(simulator, rng):
@@ -118,3 +133,71 @@ def test_protocol_hull_departure(depart):
     assert simulator.metrics.counter("kernel_rebuilds") == 1
     assert simulator.verify_views() == []
     protocol_queries(simulator, rng)
+
+
+def failed_join(simulator):
+    """The ADD_OBJECT walk is lost and the retry budget is zero: the
+    never-carved joiner is torn back down."""
+    simulator.timeouts = TimeoutPolicy(max_retries=0)
+    simulator.faults.set_loss(1.0)
+    far = min(simulator.nodes,
+              key=lambda oid: sum(simulator.nodes[oid].position))
+    report = simulator.join((0.97, 0.97), introducer=far)
+    simulator.faults.set_loss(0.0)
+    assert report.outcome == "timed_out"
+    return report.object_id
+
+
+def duplicate_coordinate_join(simulator):
+    taken = simulator.nodes[min(simulator.nodes)].position
+    report = simulator.join(taken)
+    assert report.outcome == "rejected"
+    return report.object_id
+
+
+def bulk_member_crashed_mid_batch(simulator):
+    injector = ProtocolCrashInjector(simulator, rng=RandomSource(1))
+    batch = generate_objects(UniformDistribution(), 24, RandomSource(SEED + 9))
+    victim = simulator._next_id + 5
+    simulator.network.at_message(simulator.network.messages_sent + 1,
+                                 lambda _message: injector.crash(victim))
+    report = simulator.bulk_join(batch)
+    assert report.timed_out == (victim,)
+    heal_crashes(simulator)
+    return victim
+
+
+def merge_heal_coordinate_conflict(simulator):
+    runtime = PartitionRuntime(simulator)
+    live = sorted(simulator.nodes)
+    runtime.open_split([live[: len(live) // 2], live[len(live) // 2:]])
+    detector = HeartbeatDetector(simulator)
+    detector.run_rounds(8)
+    for index in range(runtime.num_sides):
+        with runtime.side(index):
+            RepairProtocol(simulator, detector=detector,
+                           scope=runtime.side_members(index)).repair()
+    winner, loser = (runtime.side_join(side, (0.4321, 0.5678)).object_id
+                     for side in (0, 1))
+    summary = runtime.heal()
+    assert summary.coordinate_conflicts == 1
+    assert winner in simulator.nodes
+    assert MergeProtocol(simulator, summary.spec,
+                         epoch_base=summary.epoch).run(summary).converged
+    return loser
+
+
+@pytest.mark.parametrize("door", [
+    failed_join, duplicate_coordinate_join, bulk_member_crashed_mid_batch,
+    merge_heal_coordinate_conflict])
+def test_protocol_membership_door(door):
+    simulator = ProtocolSimulator(
+        VoroNetConfig(n_max=4 * OBJECTS, num_long_links=1, seed=SEED),
+        seed=SEED, faults=FaultPlane(seed=SEED + 1))
+    simulator.bulk_join(positions()[:60])
+
+    departed = door(simulator)
+
+    assert departed not in simulator.nodes
+    assert simulator.pending_operations() == []
+    assert simulator.verify_views() == []

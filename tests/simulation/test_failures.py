@@ -1,110 +1,10 @@
-"""Unit tests for churn scheduling and crash injection."""
+"""Unit tests for oracle-mode crash injection."""
 
-import numpy as np
 import pytest
 
 from repro.core import VoroNet, VoroNetConfig
-from repro.simulation.engine import SimulationEngine
-from repro.simulation.failures import ChurnScheduler, CrashInjector
+from repro.simulation.failures import CrashInjector
 from repro.utils.rng import RandomSource
-
-
-class TestChurnScheduler:
-    def test_invalid_rates(self):
-        engine = SimulationEngine()
-        with pytest.raises(ValueError):
-            ChurnScheduler(engine, join=lambda p: None, leave=lambda: None,
-                           join_rate=0.0)
-
-    def test_churn_executes_joins_and_leaves(self):
-        engine = SimulationEngine()
-        overlay = VoroNet(VoroNetConfig(n_max=500, seed=1))
-        for p in np.random.default_rng(1).random((20, 2)):
-            overlay.insert(tuple(p))
-
-        def leave():
-            if len(overlay) > 4:
-                overlay.remove(overlay.random_object_id())
-
-        scheduler = ChurnScheduler(
-            engine,
-            join=lambda p: overlay.insert(p),
-            leave=leave,
-            join_rate=2.0, leave_rate=1.0,
-            rng=RandomSource(2),
-        )
-        scheduler.start(horizon=30.0)
-        engine.run()
-        assert scheduler.joins_executed > 0
-        assert scheduler.leaves_executed > 0
-        assert overlay.check_consistency() == []
-
-    def test_leave_rate_zero_schedules_no_leaves(self):
-        engine = SimulationEngine()
-        counter = {"joins": 0}
-        scheduler = ChurnScheduler(
-            engine, join=lambda p: counter.__setitem__("joins", counter["joins"] + 1),
-            leave=lambda: None, join_rate=1.0, leave_rate=0.0,
-            rng=RandomSource(3),
-        )
-        scheduler.start(horizon=10.0)
-        engine.run()
-        assert scheduler.leaves_executed == 0
-        assert counter["joins"] == scheduler.joins_executed
-
-    def test_merged_stream_interleaves_joins_and_leaves(self):
-        """One merged arrival process: at equal rates the two kinds mix
-        throughout the horizon instead of all joins sorting before all
-        leaves at equal timestamps (the two-stream failure mode)."""
-        engine = SimulationEngine()
-        order = []
-        scheduler = ChurnScheduler(
-            engine,
-            join=lambda p: order.append("join"),
-            leave=lambda: order.append("leave"),
-            join_rate=3.0, leave_rate=3.0,
-            rng=RandomSource(11),
-        )
-        scheduled = scheduler.start(horizon=40.0)
-        engine.run()
-        assert scheduled == len(order)
-        first_leave = order.index("leave")
-        last_join = len(order) - 1 - order[::-1].index("join")
-        assert first_leave < last_join  # genuinely interleaved
-
-    def test_start_is_relative_to_a_warm_clock(self):
-        engine = SimulationEngine()
-        engine.schedule(25.0, lambda: None)
-        engine.run()
-        assert engine.now == 25.0
-        fired = []
-        scheduler = ChurnScheduler(
-            engine, join=lambda p: fired.append(engine.now),
-            leave=lambda: fired.append(engine.now),
-            join_rate=2.0, leave_rate=1.0, rng=RandomSource(4),
-        )
-        scheduler.start(horizon=10.0)
-        engine.run()
-        assert fired
-        assert all(25.0 < time <= 35.0 for time in fired)
-
-    def test_stop_cancels_pending_events(self):
-        engine = SimulationEngine()
-        executed = {"count": 0}
-        scheduler = ChurnScheduler(
-            engine,
-            join=lambda p: executed.__setitem__("count", executed["count"] + 1),
-            leave=lambda: executed.__setitem__("count", executed["count"] + 1),
-            join_rate=2.0, leave_rate=1.0, rng=RandomSource(5),
-        )
-        scheduled = scheduler.start(horizon=30.0)
-        engine.run_until(10.0)
-        ran = executed["count"]
-        cancelled = scheduler.stop()
-        assert cancelled == scheduled - ran
-        engine.run()
-        assert executed["count"] == ran  # nothing stale drained afterwards
-        assert engine.quiescent
 
 
 class TestCrashInjector:
@@ -212,3 +112,20 @@ class TestCrashInjector:
             result = overlay.route(int(a), int(b))
             assert result.success
             assert result.owner not in crashed
+
+    def test_crashed_object_leaves_no_table_behind(self, overlay):
+        """A crash withdraws through the same substrate teardown as a
+        graceful remove, so the victims' cached routing tables go with
+        them — and ``check_consistency`` reports one that does not."""
+        for object_id in overlay.object_ids():
+            overlay.routing_table(object_id)  # warm every table
+        injector = CrashInjector(overlay, rng=RandomSource(1))
+        crashed = injector.crash_random(10)
+        injector.repair()
+        tables = overlay._routing_tables
+        assert not any(victim in variant
+                       for victim in crashed for variant in tables.values())
+        assert overlay.check_consistency() == []
+        tables[True][crashed[0]] = [0, None, None, [], 0]
+        assert overlay.check_consistency() == [
+            f"{crashed[0]}: cached routing table of a non-member"]

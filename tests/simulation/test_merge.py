@@ -194,7 +194,7 @@ class TestPartitionDamage:
         plane = simulator.faults
         sides = split_halves(simulator)
         spec = plane.split(sides, start=simulator.engine.now)
-        report = assess_partition_damage(simulator.nodes, spec.side_of)
+        report = assess_partition_damage(simulator.nodes, spec.sides)
         assert report.sides == 2
         assert report.total_cross_references > 0
         assert report.cross_voronoi_entries > 0
@@ -214,7 +214,7 @@ class TestPartitionDamage:
 
     def test_unassigned_ids_never_counted(self):
         simulator = build_simulator(count=20, seed=22)
-        report = assess_partition_damage(simulator.nodes, lambda _id: None)
+        report = assess_partition_damage(simulator.nodes, [])
         assert report.total_cross_references == 0
         assert report.boundary_objects == 0
 
