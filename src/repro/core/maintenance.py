@@ -19,7 +19,9 @@ Message accounting follows the paper:
 
 from __future__ import annotations
 
-from typing import Collection, Iterable, List, Sized, TYPE_CHECKING, Tuple
+from typing import Iterable, List, Mapping, Sized, TYPE_CHECKING, Tuple
+
+import numpy as np
 
 from repro.core.neighbors import compute_close_neighbors, register_close_neighbors
 from repro.core.node import BackLink
@@ -27,6 +29,7 @@ from repro.geometry.point import distance
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.overlay import VoroNet
+    from repro.geometry.locate_grid import LocateGrid
 
 __all__ = ["integrate_new_object", "bulk_integrate_objects", "detach_object"]
 
@@ -94,9 +97,10 @@ def bulk_integrate_objects(overlay: "VoroNet", object_ids: List[int]) -> int:
     The batch is already in the Delaunay kernel and the locate index when
     this runs, so instead of per-object neighbourhood exploration:
 
-    * close neighbours come from exact grid radius queries (symmetric
-      registration; re-registering an existing pair is a set no-op), which
-      produces exactly the ``cn`` sets Lemma 1's routed discovery would;
+    * close neighbours come from one batched exact grid radius query
+      (:meth:`LocateGrid.within_many`; re-registering an existing pair is
+      a set no-op), which produces exactly the ``cn`` sets Lemma 1's routed
+      discovery would;
     * back-long-range registrations held by *pre-existing* objects are
       re-checked against the updated tessellation and handed to the new
       owner of their target point where ownership changed — the batched
@@ -108,16 +112,25 @@ def bulk_integrate_objects(overlay: "VoroNet", object_ids: List[int]) -> int:
     messages = 0
     new_ids = set(object_ids)
     if overlay.config.maintain_close_neighbors:
-        d_min = overlay.config.effective_d_min
-        for object_id in object_ids:
-            node = overlay.node(object_id)
-            before = len(node.close_neighbors)
-            for candidate in overlay.objects_within(node.position, d_min):
-                if candidate == object_id:
-                    continue
-                node.add_close_neighbor(candidate)
+        locate = overlay.locate_index
+        positions = locate.coordinates(np.asarray(object_ids, dtype=np.int64))
+        pairs_within_batch = 0
+        for index, found in locate.within_many(positions, overlay.config.effective_d_min):
+            object_id = object_ids[index]
+            close = overlay.node(object_id).close_neighbors
+            declared = set(found)
+            declared.discard(object_id)
+            declared -= close
+            close |= declared
+            # Two batch members find each other, each in its own query
+            # (hypot is symmetric); only a pre-existing object has to be
+            # told.  One declaration per new pair either way.
+            pre_existing = declared - new_ids
+            for candidate in sorted(pre_existing):
                 overlay.node(candidate).add_close_neighbor(object_id)
-            messages += len(node.close_neighbors) - before
+            messages += len(pre_existing)
+            pairs_within_batch += len(declared) - len(pre_existing)
+        messages += pairs_within_batch // 2
     if overlay.config.maintain_back_links:
         for object_id in overlay.object_ids():
             if object_id in new_ids:
@@ -273,15 +286,23 @@ def view_consistency_report(overlay: "VoroNet") -> List[str]:
     return problems
 
 
-def membership_report(members: Collection[int],
+def membership_report(nodes: Mapping[int, object], locate: "LocateGrid",
                       records: Iterable[Tuple[str, Sized]]) -> List[str]:
-    """Problems for each named id record (``len`` + ``in``) that is not ``members``."""
+    """Problems for each per-member record that disagrees with ``nodes``.
+
+    ``nodes`` maps member id → node (anything with a ``position``).  The
+    locate grid and every named id record (``len`` + ``in``) must hold
+    exactly the members' ids, and the grid's coordinate column exactly
+    their positions.
+    """
     problems: List[str] = []
-    for name, record in records:
+    for name, record in (("locate grid", locate), *records):
         # Same size and every member present: the id sets are equal.
-        if len(record) != len(members):
+        if len(record) != len(nodes):
             problems.append(
-                f"{name} holds {len(record)} objects, not the {len(members)} members")
+                f"{name} holds {len(record)} objects, not the {len(nodes)} members")
         problems.extend(f"{object_id}: missing from the {name}"
-                        for object_id in members if object_id not in record)
+                        for object_id in nodes if object_id not in record)
+    problems.extend(locate.column_problems(
+        {object_id: node.position for object_id, node in nodes.items()}))
     return problems

@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, Set, TYPE_CHECKING
 
+from repro.core.errors import ObjectNotFoundError
+from repro.geometry.locate_grid import VECTOR_SCAN_THRESHOLD
 from repro.geometry.point import Point, distance
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
@@ -89,6 +91,13 @@ def compute_close_neighbors(overlay: "VoroNet", object_id: int) -> Set[int]:
         candidates.update(overlay.voronoi_neighbors(neighbor))
         candidates.update(overlay.node(neighbor).close_neighbors)
     candidates.discard(object_id)
+    if len(candidates) >= VECTOR_SCAN_THRESHOLD:
+        # A clique's worth of candidates: one gather from the locate grid's
+        # coordinate column and one array filter, same ``<= d_min`` answers.
+        try:
+            return set(overlay.locate_index.select_within(candidates, position, d_min))
+        except KeyError as exc:
+            raise ObjectNotFoundError(exc.args[0]) from None
     return {
         candidate
         for candidate in candidates

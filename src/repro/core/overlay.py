@@ -26,40 +26,53 @@ integration tests.
 Epoch / invalidation contract
 -----------------------------
 Greedy forwarding is served from *flat routing tables*: per object and per
-variant (with long links / Delaunay-only), a candidate-id array aligned
-with a ``(k, 2)`` position array, equal at all times to the freshly
-assembled :attr:`NeighborView.routing_neighbors` of that object.  Tables
-are built lazily by :meth:`VoroNet.routing_table` and invalidated by
-**per-shard epochs**: a :class:`~repro.core.shards.ShardedNodeStore` maps
-each object to its Morton shard, every cached entry records the epoch of
-its object's shard at build time, and a mutation bumps only the shards of
-the objects whose forwarding candidates it changed —
-:meth:`insert`, :meth:`remove`, long-link establishment/churn
-(:meth:`reset_long_links`) and the maintenance procedures
-(close-neighbour registration, back-link hand-over, long-link
+variant (with long links / Delaunay-only), the object's forwarding
+candidates in ascending id order with their positions, equal at all times to
+the freshly assembled :attr:`NeighborView.routing_neighbors` of that object.
+Each table is held in **one representation, chosen by its size** when
+:meth:`VoroNet._routing_entry` builds it: below
+:data:`~repro.geometry.locate_grid.VECTOR_SCAN_THRESHOLD` candidates a list
+of ``(id, x, y)`` tuples that the forwarding loop scans inline; from the
+threshold up an int64 id array aligned with a ``(k, 2)`` position array —
+one gather from the locate grid's coordinate column — that the loop takes
+an ``argmin`` over.  Nothing is converted later; :meth:`VoroNet.routing_table`
+returns the arrays of either form.  Tables are built lazily and
+invalidated by **per-shard epochs**: a
+:class:`~repro.core.shards.ShardedNodeStore` maps each object to its Morton
+shard, every cached entry records the epoch of its object's shard at build
+time, and a mutation bumps only the shards of the objects whose forwarding
+candidates it changed — :meth:`insert`, :meth:`remove`, long-link
+establishment/churn (:meth:`reset_long_links`) and the maintenance
+procedures (close-neighbour registration, back-link hand-over, long-link
 re-delegation) all pass their affected-id sets to
-:meth:`invalidate_routing_tables`, so churn rebuild work scales with
-shard occupancy instead of overlay size.  Overlay-wide events
-(:meth:`bulk_load`, crash injection, external view surgery) call
+:meth:`invalidate_routing_tables`, so churn rebuild work scales with shard
+occupancy instead of overlay size.  Overlay-wide events (:meth:`bulk_load`,
+crash injection, external view surgery) call
 :meth:`invalidate_routing_tables` with no arguments, which bumps every
-shard; :attr:`VoroNet.topology_epoch` remains a monotone generation
-counter of invalidation events (bumped exactly once per call) for
-observers that only need "did anything change".  Code that mutates
+shard; :attr:`VoroNet.topology_epoch` remains a monotone generation counter
+of invalidation events (bumped exactly once per call) for observers that
+only need "did anything change".  Code that mutates
 :class:`~repro.core.node.ObjectNode` view state outside those entry points
 MUST call :meth:`invalidate_routing_tables` afterwards — with the touched
-object ids when it knows them, bare otherwise — or cached tables go
-stale.  Cache hits never change
-results: the parity tests route every request a second time with a
-reference router that assembles :meth:`VoroNet.neighbor_view` per hop and
-require identical owners and hop counts.
+object ids when it knows them, bare otherwise — or cached tables go stale.
+A view that still names a departed object (crash damage before repair)
+fails the build with :class:`ObjectNotFoundError` in either form: a missing
+node, or a ``NaN`` row of the column.  Cache hits never change results: the
+parity tests route every request a second time with a reference router that
+assembles :meth:`VoroNet.neighbor_view` per hop and require identical owners
+and hop counts.
 
 Membership
 ----------
-The kernel, the :class:`LocateGrid`, the shard map and the cached routing
-tables each hold a record per member id.  Records are dropped in one
-place, :meth:`VoroNet.withdraw_substrate` (:meth:`VoroNet.remove` is the
-Section 3.3 hand-over followed by it, an injected crash is it alone), and
-:meth:`VoroNet.check_consistency` reports any that disagree.
+The kernel, the :class:`LocateGrid` buckets, the grid's coordinate column
+(a row per member id — what large routing tables, the close-neighbour
+filter and the bulk radius query gather positions from), the shard map and
+the cached routing tables each hold a record per member id.  Records are
+dropped in one place, :meth:`VoroNet.withdraw_substrate`
+(:meth:`VoroNet.remove` is the Section 3.3 hand-over followed by it, an
+injected crash is it alone), and :meth:`VoroNet.check_consistency` reports
+any that disagree — a member missing from a record, a leftover entry, or a
+column row that is not its node's position.
 """
 
 from __future__ import annotations
@@ -89,7 +102,7 @@ from repro.core.shards import ShardedNodeStore
 from repro.core.stats import OverlayStats
 from repro.geometry.bounding import UNIT_SQUARE, BoundingBox
 from repro.geometry.delaunay import DelaunayTriangulation, DuplicatePointError
-from repro.geometry.locate_grid import LocateGrid
+from repro.geometry.locate_grid import VECTOR_SCAN_THRESHOLD, LocateGrid
 from repro.geometry.point import Point, distance
 from repro.geometry.predicates import point_in_polygon
 from repro.geometry.voronoi import VoronoiCell, voronoi_cell
@@ -145,13 +158,12 @@ class VoroNet:
         self._store = ShardedNodeStore(config.effective_shard_level)
         # Epoch-invalidated flat routing tables (see the module docstring):
         # one dict per variant (with long links / Delaunay-only), each
-        # object_id → [shard epoch at build, candidate ids | None,
-        # (k, 2) positions | None, flat (id, x, y) scan block, shard index].
-        # Two bare-int-keyed dicts instead of one tuple-keyed dict (the hot
-        # loop probes once per forwarding hop), and the numpy arrays are
-        # materialised lazily so join-heavy churn — which invalidates its
-        # shard on every insert — never pays for arrays it immediately
-        # throws away.
+        # object_id → [shard epoch at build, candidate ids, (k, 2)
+        # positions, (id, x, y) scan block, shard index], holding either
+        # the scan block (ids and positions None) or the two arrays (block
+        # None) — one representation per entry, chosen by its size.  Two
+        # bare-int-keyed dicts instead of one tuple-keyed dict: the hot
+        # loop probes once per forwarding hop.
         self._topology_epoch = 0
         self._routing_tables: Dict[bool, Dict[int, list]] = {True: {}, False: {}}
 
@@ -290,24 +302,12 @@ class VoroNet:
         the object's shard; always equal to a freshly assembled
         :attr:`~repro.core.neighbors.NeighborView.routing_neighbors`.
         """
-        return self._entry_arrays(self._routing_entry(object_id, use_long_links))
-
-    @staticmethod
-    def _entry_arrays(entry: list) -> Tuple[np.ndarray, np.ndarray]:
-        """Id/position arrays of a routing entry, materialised on demand.
-
-        Arrays are built lazily into the entry itself so join-heavy churn
-        (which invalidates on every insert) never pays for numpy arrays it
-        immediately throws away; the hot loop passes the entry it already
-        holds, avoiding a second cache resolution.
-        """
-        if entry[1] is None:
-            block = entry[3]
-            entry[1] = np.asarray([cid for cid, _x, _y in block],
-                                  dtype=np.int64)
-            entry[2] = np.asarray([(x, y) for _cid, x, y in block],
-                                  dtype=np.float64).reshape(len(block), 2)
-        return entry[1], entry[2]
+        _epoch, ids, positions, block, _shard = self._routing_entry(object_id, use_long_links)
+        if block is not None:
+            ids = np.asarray([cid for cid, _x, _y in block], dtype=np.int64)
+            positions = np.asarray([(x, y) for _cid, x, y in block],
+                                   dtype=np.float64).reshape(len(block), 2)
+        return ids, positions
 
     def _routing_entry(self, object_id: int, use_long_links: bool) -> list:
         entry = self._routing_tables[use_long_links].get(object_id)
@@ -321,15 +321,21 @@ class VoroNet:
         if use_long_links:
             candidates.update(node.long_link_neighbors())
         candidates.discard(object_id)
-        nodes = self._nodes
+        ids = positions = block = None
         try:
-            block = [(cid,) + nodes[cid].position for cid in sorted(candidates)]
-        except KeyError as exc:
             # A view referencing a departed object (e.g. crash damage before
             # repair) surfaces as the overlay's own lookup error.
+            if len(candidates) >= VECTOR_SCAN_THRESHOLD:
+                ids = np.fromiter(candidates, dtype=np.int64, count=len(candidates))
+                ids.sort()
+                positions = self._locate_index.coordinates(ids)
+            else:
+                nodes = self._nodes
+                block = [(cid,) + nodes[cid].position for cid in sorted(candidates)]
+        except KeyError as exc:
             raise ObjectNotFoundError(exc.args[0]) from None
         shard = self._store.shard_of(object_id)
-        entry = [epochs[shard], None, None, block, shard]
+        entry = [epochs[shard], ids, positions, block, shard]
         self._routing_tables[use_long_links][object_id] = entry
         return entry
 
@@ -549,8 +555,8 @@ class VoroNet:
 
     def _sample_object_id(self) -> int:
         """A uniformly random already-published object id (the introducer)."""
-        ids = list(self._nodes.keys())
-        return ids[self._rng.integer(0, len(ids))]
+        nodes = self._nodes
+        return next(itertools.islice(nodes, self._rng.integer(0, len(nodes)), None))
 
     # ------------------------------------------------------------------
     # departure (leave)
@@ -850,9 +856,8 @@ class VoroNet:
         """Check every derived record holds exactly the members' ids."""
         nodes = self._nodes
         store = self._store
-        problems = membership_report(nodes, (
-            ("kernel", self._triangulation), ("locate grid", self._locate_index),
-            ("shard store", store)))
+        problems = membership_report(nodes, self._locate_index, (
+            ("kernel", self._triangulation), ("shard store", store)))
         for tables in self._routing_tables.values():
             problems.extend(f"{object_id}: cached routing table of a non-member"
                             for object_id in tables if object_id not in nodes)

@@ -103,27 +103,18 @@ def missed_route(source: int, target) -> RouteResult:
                        final_distance=float("inf"))
 
 
-#: Block size beyond which a greedy step uses the numpy argmin instead of
-#: the inline scan.  The paper's views are O(1) (≈ 6 Voronoi + close + k
-#: long links), where ufunc dispatch overhead dwarfs the work; dense
-#: close-neighbour cliques and large k cross over.
-_VECTOR_ARGMIN_THRESHOLD = 48
-
-
 def _greedy_step(overlay: "VoroNet", current: int, target: Point,
                  use_long_links: bool) -> Optional[int]:
     """Neighbour of ``current`` strictly closer to ``target``, or ``None``.
 
-    One argmin over the epoch-cached routing table of ``current``: small
-    blocks are scanned inline, large ones go through the vectorised argmin
-    over the cached ``(k, 2)`` position array.
+    One argmin over the epoch-cached routing table of ``current``, in the
+    form the entry holds: a scan block is walked inline, a position array
+    goes through the vectorised argmin.
     """
     tx, ty = target
     best_d = distance_sq(overlay.position_of(current), target)
-    entry = overlay._routing_entry(current, use_long_links)
-    block = entry[3]
-    if len(block) >= _VECTOR_ARGMIN_THRESHOLD:
-        ids, positions = overlay._entry_arrays(entry)
+    _epoch, ids, positions, block, _shard = overlay._routing_entry(current, use_long_links)
+    if block is None:
         dx = positions[:, 0] - tx
         dy = positions[:, 1] - ty
         distances = dx * dx + dy * dy
@@ -197,10 +188,10 @@ def greedy_route(overlay: "VoroNet", source: int, target: Point, *,
             entry = build_entry(current, use_long_links)
         block = entry[3]
         nxt = None
-        if len(block) >= _VECTOR_ARGMIN_THRESHOLD:
-            # Vectorised argmin straight off the entry the loop already
-            # holds — no second cache resolution.
-            ids, positions = overlay._entry_arrays(entry)
+        if block is None:
+            # A table of VECTOR_SCAN_THRESHOLD or more candidates holds
+            # arrays only: argmin straight off the entry the loop holds.
+            positions = entry[2]
             dx = positions[:, 0] - tx
             dy = positions[:, 1] - ty
             distances = dx * dx + dy * dy
@@ -208,7 +199,7 @@ def greedy_route(overlay: "VoroNet", source: int, target: Point, *,
             d = distances[index]
             if d < current_d:
                 current_d = float(d)
-                nxt = int(ids[index])
+                nxt = int(entry[1][index])
         else:
             for cid, x, y in block:
                 dx = x - tx

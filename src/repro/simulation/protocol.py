@@ -1816,8 +1816,8 @@ class ProtocolSimulator:  # simlint: ignore[SIM003] — one per experiment, not 
 
     def _membership_report(self) -> List[str]:
         nodes = self.nodes
-        problems = membership_report(nodes, (
-            ("kernel", self.kernel), ("locate grid", self.locate),
+        problems = membership_report(nodes, self.locate, (
+            ("kernel", self.kernel),
             ("handler table", self.network.registered_ids())))
         problems.extend(f"{owner}: pending {kind} operation of a non-member"
                         for kind, owner in self.pending_operations()

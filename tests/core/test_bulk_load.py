@@ -12,6 +12,7 @@ import pytest
 
 from repro.core import VoroNet, VoroNetConfig
 from repro.core.errors import DuplicateObjectError, OverlayFullError
+from repro.core.neighbors import brute_force_close_neighbors
 from repro.geometry.kdtree import KDTree
 from repro.geometry.scipy_backend import adjacency_of, compare_with_scipy
 from repro.utils.rng import RandomSource
@@ -78,6 +79,29 @@ class TestIncrementalBulkLoad:
         assert ids == list(range(120, 240))
         assert overlay.check_consistency() == []
         assert compare_with_scipy(overlay.triangulation) == []
+
+    def test_bulk_into_populated_clique_registers_both_directions(self):
+        """Dense buckets take the batched radius query: batch members find
+        each other on their own, pre-existing objects are told in reverse."""
+        rng = np.random.default_rng(29)
+        config = VoroNetConfig(n_max=1000, seed=29)
+        clique = 0.3 + config.effective_d_min * rng.random((160, 2))
+        points = np.vstack([clique, rng.random((80, 2))])
+        positions = [tuple(p) for p in rng.permutation(points).tolist()]
+        overlay = VoroNet(config)
+        overlay.insert_many(positions[:100])
+        overlay.bulk_load(positions[100:])
+        sequential = VoroNet(config)
+        sequential.insert_many(positions)
+        table = overlay.positions()
+        sizes = []
+        for oid in overlay.object_ids():
+            close = overlay.node(oid).close_neighbors
+            assert close == brute_force_close_neighbors(table, oid, config.effective_d_min)
+            assert close == sequential.node(oid).close_neighbors
+            sizes.append(len(close))
+        assert max(sizes) >= 100  # the clique really is one
+        assert overlay.check_consistency() == []
 
     def test_existing_long_links_handed_over(self):
         """A bulk-loaded object stealing a long-link target gets the link."""

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import VoroNet, VoroNetConfig
 from repro.core.maintenance import view_consistency_report
+from repro.simulation.protocol import ProtocolSimulator
 
 
 @pytest.fixture
@@ -99,3 +100,42 @@ class TestAblations:
                 if link.neighbor not in overlay:
                     dangling += 1
         assert dangling > 0
+
+
+def _oracle(points):
+    overlay = VoroNet(VoroNetConfig(n_max=400, seed=19))
+    overlay.bulk_load(points)
+    return overlay.locate_index, overlay.check_consistency, overlay.remove
+
+
+def _protocol(points):
+    simulator = ProtocolSimulator(VoroNetConfig(n_max=400, seed=19), seed=19)
+    simulator.bulk_join(points)
+    return simulator.locate, simulator.verify_views, simulator.leave
+
+
+@pytest.mark.parametrize("build", [_oracle, _protocol])
+class TestCoordinateColumnIsAMembershipRecord:
+    """Routing tables gather positions from the locate grid's column, so the
+    membership check of both modes compares it with the nodes' positions."""
+
+    def test_wrong_row_is_reported(self, build, numpy_rng):
+        locate, check, _ = build([tuple(p) for p in numpy_rng.random((40, 2))])
+        assert check() == []
+        kept = locate._xy[11].copy()
+        locate._xy[11] = (0.5, 0.5)
+        assert [p for p in check() if p.startswith("11: coordinate column")]
+        locate._xy[11] = float("nan")
+        problems = check()
+        assert [p for p in problems if p.startswith("11: coordinate column")]
+        assert [p for p in problems if "finite rows" in p]
+        locate._xy[11] = kept
+        assert check() == []
+
+    def test_row_left_behind_by_a_departure_is_reported(self, build, numpy_rng):
+        locate, check, leave = build([tuple(p) for p in numpy_rng.random((40, 2))])
+        kept = locate._xy[5].copy()
+        leave(5)
+        assert check() == []
+        locate._xy[5] = kept
+        assert check() == ["coordinate column holds 40 finite rows, not the 39 members"]

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from repro.core import VoroNet, VoroNetConfig
+from repro.core.errors import ObjectNotFoundError
 from repro.core.neighbors import (
     NeighborView,
     brute_force_close_neighbors,
     compute_close_neighbors,
 )
+from repro.simulation.failures import CrashInjector
+from repro.utils.rng import RandomSource
 
 
 class TestNeighborView:
@@ -47,13 +50,18 @@ class TestNeighborView:
 class TestCloseNeighborDiscovery:
     @pytest.fixture
     def dense_overlay(self):
-        """An overlay whose d_min is large enough for plenty of close pairs."""
-        overlay = VoroNet(VoroNetConfig(n_max=40, seed=11))
-        rng = np.random.default_rng(11)
-        for p in rng.random((80, 2)):
-            # allow_overflow is off but n_max=40 < 80: use a dedicated config.
-            if len(overlay) >= 40:
-                break
+        """An overlay whose d_min is large enough for plenty of close pairs.
+
+        Every Lemma 1 candidate set here is small enough for the inline
+        filter loop; ``TestCloseNeighborDiscoveryThroughTheColumn`` reruns
+        the class where they are not.
+        """
+        return self._overlay(40, None)
+
+    @staticmethod
+    def _overlay(count, d_min):
+        overlay = VoroNet(VoroNetConfig(n_max=40, d_min=d_min, seed=11, allow_overflow=True))
+        for p in np.random.default_rng(11).random((count, 2)):
             overlay.insert(tuple(p))
         return overlay
 
@@ -73,6 +81,17 @@ class TestCloseNeighborDiscovery:
             expected = brute_force_close_neighbors(positions, oid, d_min)
             assert computed == expected
 
+    def test_departed_candidate_raises_like_a_lookup(self, dense_overlay):
+        """Crash damage (a close entry naming a departed object) fails the
+        filter with the overlay's lookup error on either path."""
+        victim = dense_overlay.object_ids()[5]
+        witness = next(iter(dense_overlay.node(victim).close_neighbors))
+        joiner = next(n for n in dense_overlay.voronoi_neighbors(witness) if n != victim)
+        CrashInjector(dense_overlay, RandomSource(1)).crash(victim)
+        with pytest.raises(ObjectNotFoundError) as raised:
+            compute_close_neighbors(dense_overlay, joiner)
+        assert raised.value.object_id == victim
+
     def test_symmetry(self, dense_overlay):
         for oid in dense_overlay.object_ids():
             for cn in dense_overlay.node(oid).close_neighbors:
@@ -90,3 +109,12 @@ class TestCloseNeighborDiscovery:
     def test_brute_force_excludes_self(self):
         positions = {0: (0.5, 0.5), 1: (0.50001, 0.5)}
         assert brute_force_close_neighbors(positions, 0, 0.1) == {1}
+
+
+class TestCloseNeighborDiscoveryThroughTheColumn(TestCloseNeighborDiscovery):
+    """The same suite with 300 objects and a 0.2 radius: nearly every Lemma 1
+    candidate set is filtered through the locate grid's coordinate column."""
+
+    @pytest.fixture
+    def dense_overlay(self):
+        return self._overlay(300, 0.2)

@@ -264,6 +264,26 @@ class TestExportsAndStats:
     def test_random_object_id_is_member(self, small_overlay):
         assert small_overlay.random_object_id() in small_overlay
 
+    def test_same_seed_gives_the_same_introducer_sequence(self, numpy_rng):
+        """The introducer is the k-th key of the node table for one RNG draw
+        k, with departures leaving holes in the id range."""
+        points = [tuple(p) for p in numpy_rng.random((80, 2))]
+        sampled, indexed = (VoroNet(n_max=400, seed=31) for _ in range(2))
+        for overlay in (sampled, indexed):
+            overlay.bulk_load(points[:60])
+            for object_id in (0, 7, 8, 30, 59):
+                overlay.remove(object_id)
+        introducers = []
+        for point in points[60:]:
+            introducers.append(sampled.random_object_id())
+            ids = indexed.object_ids()
+            assert introducers[-1] == ids[indexed.rng.integer(0, len(ids))]
+            for overlay in (sampled, indexed):
+                overlay.insert(point)  # draws one more introducer each
+        assert len(set(introducers)) > 10
+        assert sampled.object_ids() == indexed.object_ids()
+        assert sampled.stats.joins.total_hops == indexed.stats.joins.total_hops
+
     def test_random_object_id_empty_raises(self):
         with pytest.raises(EmptyOverlayError):
             VoroNet(n_max=4, seed=1).random_object_id()

@@ -12,7 +12,10 @@ Three layers of protection for the routing hot path:
   insert/remove/crash/link-reset bursts (locate-grid and table
   invalidation under churn);
 * direct parity regressions for ``route`` / ``route_many`` /
-  ``lookup_many`` and the Algorithm 5 stopping rule.
+  ``lookup_many`` and the Algorithm 5 stopping rule;
+* a clustered overlay whose tables straddle ``VECTOR_SCAN_THRESHOLD`` — the
+  size at which an entry holds arrays instead of a scan block — kept
+  hop-for-hop equal to the reference router through churn.
 """
 
 import numpy as np
@@ -22,7 +25,8 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from repro.core import VoroNet, VoroNetConfig
-from repro.core.errors import DuplicateObjectError
+from repro.core.errors import DuplicateObjectError, ObjectNotFoundError
+from repro.geometry.locate_grid import VECTOR_SCAN_THRESHOLD
 from repro.core.routing import route_with_stopping_rule
 from repro.simulation.failures import CrashInjector
 from repro.utils.rng import RandomSource
@@ -270,3 +274,101 @@ class TestEpochContract:
         assert not any(ids[0] in variant
                        for variant in overlay._routing_tables.values())
         assert_tables_match_views(overlay)
+
+
+class TestTableForms:
+    """A table is held as a scan block or as arrays, by size; both route alike."""
+
+    CLIQUE = 47  # every member sees the other 46, a few vn and its long links
+
+    @pytest.fixture
+    def clustered(self):
+        """60 spread objects and a clique well inside one ``d_min`` disc."""
+        config = many_shard_config(64, num_long_links=2, seed=41, track_paths=True)
+        overlay = VoroNet(config)
+        rng = np.random.default_rng(41)
+        spread = [tuple(p) for p in rng.random((60, 2))]
+        corner = np.array([0.4, 0.6])
+        side = config.effective_d_min / 4
+        clique = [tuple(corner + side * p) for p in rng.random((self.CLIQUE + 8, 2))]
+        overlay.bulk_load(spread + clique[:self.CLIQUE])
+        return overlay, clique[self.CLIQUE:], rng
+
+    @staticmethod
+    def _table_sizes(overlay):
+        return {len(overlay.routing_table(object_id, use_long_links)[0])
+                for object_id in overlay.object_ids() for use_long_links in (True, False)}
+
+    @staticmethod
+    def _assert_paths_match_reference(overlay, rng):
+        ids = overlay.object_ids()
+        for use_long_links in (True, False):
+            pairs = [(int(a), int(b)) for a, b in rng.choice(ids, size=(12, 2))]
+            for result in overlay.route_many(pairs, use_long_links=use_long_links):
+                assert result.path == reference_greedy_route(
+                    overlay, result.source, result.target, use_long_links)
+
+    def test_tables_straddling_the_threshold_route_like_the_reference(self, clustered):
+        overlay, spare, rng = clustered
+        assert VECTOR_SCAN_THRESHOLD == 48  # the sizes below are built around it
+        clique = overlay.object_ids()[60:]
+        seen = set()
+        # Grow the clique past the threshold one join at a time, churn long
+        # links of members on both sides of it, then shrink it back below.
+        steps = [("insert", point) for point in spare]
+        steps += [("remove", None)] * (len(spare) + 3)
+        for action, point in steps:
+            if action == "insert":
+                clique.append(overlay.insert(point))
+            else:
+                overlay.remove(clique.pop(int(rng.integers(len(clique)))))
+            for object_id in rng.choice(clique, size=3, replace=False).tolist():
+                overlay.reset_long_links(object_id)
+            seen |= self._table_sizes(overlay)
+            assert_tables_match_views(overlay)
+            self._assert_paths_match_reference(overlay, rng)
+        assert {47, 48, 49} <= seen
+        assert overlay.check_consistency() == []
+
+    def test_routing_table_arrays_are_equal_from_either_form(self, clustered):
+        overlay, spare, _ = clustered
+        for point in spare[:4]:
+            overlay.insert(point)
+        forms = {True: 0, False: 0}
+        for object_id in overlay.object_ids():
+            entry = overlay._routing_entry(object_id, True)
+            holds_arrays = entry[3] is None
+            assert holds_arrays == (entry[1] is not None) == (entry[2] is not None)
+            forms[holds_arrays] += 1
+            ids, positions = overlay.routing_table(object_id)
+            assert holds_arrays == (len(ids) >= VECTOR_SCAN_THRESHOLD)
+            assert ids.dtype == np.int64 and positions.dtype == np.float64
+            assert positions.shape == (len(ids), 2)
+            assert ids.tolist() == sorted(overlay.neighbor_view(object_id).routing_neighbors)
+            assert positions.tolist() == [list(overlay.position_of(i)) for i in ids.tolist()]
+        assert forms[True] and forms[False]
+
+    @pytest.mark.parametrize("members", [40, 56])
+    def test_crashed_candidate_fails_the_build_in_either_form(self, members):
+        """Crash damage surfaces as ``ObjectNotFoundError`` naming the victim
+        until ``repair()``, from a scan block and from an array table alike."""
+        config = many_shard_config(64, num_long_links=1, seed=43)
+        overlay = VoroNet(config)
+        rng = np.random.default_rng(43)
+        side = config.effective_d_min / 4
+        overlay.bulk_load([tuple(p) for p in rng.random((30, 2))]
+                          + [tuple(0.5 + side * p) for p in rng.random((members, 2))])
+        witness, victim = overlay.object_ids()[-2:]
+        size = len(overlay.routing_table(witness)[0])
+        assert (size >= VECTOR_SCAN_THRESHOLD) == (members == 56)
+        injector = CrashInjector(overlay, RandomSource(44))
+        injector.crash(victim)
+        for attempt in (lambda: overlay.routing_table(witness),
+                        lambda: overlay.route(witness, (0.1, 0.1))):
+            with pytest.raises(ObjectNotFoundError) as raised:
+                attempt()
+            assert raised.value.object_id == victim
+        injector.repair()
+        assert len(overlay.routing_table(witness)[0]) == size - 1
+        assert_routes_match_reference(overlay, overlay.route(witness, (0.1, 0.1)))
+        assert overlay.check_consistency() == []

@@ -1,9 +1,14 @@
 """Unit tests for the grid-bucket locate index."""
 
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.geometry import locate_grid
 from repro.geometry.kdtree import KDTree
 from repro.geometry.locate_grid import LocateGrid
 from repro.geometry.point import distance
@@ -129,3 +134,166 @@ class TestResizing:
             grid.discard(i)
         assert grid.cells_per_axis < grown
         assert len(grid) == 5
+
+
+def clustered_grid(seed, clique=1000, background=200):
+    """A grid whose densest bucket is a clique of at least ``clique`` ids.
+
+    The grid is sized by *mean* occupancy, so a clique in a square of side
+    5e-4 lands in one bucket: its corner is 0.002 past a multiple of 1/8,
+    and no cell boundary ``k/m`` with ``m <= 31`` (2 000 ids) is that close
+    to one.  The background is uniform, and ids are shuffled so bucket order
+    is not id order.
+    """
+    rng = np.random.default_rng(seed)
+    corner = rng.integers(1, 8, size=2) / 8 + 0.002
+    points = np.vstack([corner + 5e-4 * rng.random((clique, 2)),
+                        rng.random((background, 2))])
+    ids = rng.permutation(len(points))
+    grid = LocateGrid()
+    grid.bulk_insert((int(i), (float(x), float(y))) for i, (x, y) in zip(ids, points))
+    assert max(len(bucket) for bucket in grid._cells.values()) >= clique
+    return grid, {int(i): (float(x), float(y)) for i, (x, y) in zip(ids, points)}
+
+
+def knife_edge_radii(points, rng, count):
+    """``math.hypot`` of stored pairs, and the floats either side of each."""
+    ids = sorted(points)
+    radii = []
+    for a, b in rng.choice(ids, size=(count, 2)):
+        exact = distance(points[int(a)], points[int(b)])
+        radii += [math.nextafter(exact, 0.0), exact, math.nextafter(exact, math.inf)]
+    return radii
+
+
+class TestCoordinateColumn:
+    def test_rows_follow_membership(self, populated_grid):
+        grid, points = populated_grid
+        ids = np.asarray(sorted(points), dtype=np.int64)
+        assert grid.coordinates(ids).tolist() == [list(points[i]) for i in sorted(points)]
+        assert grid.column_problems(points) == []
+        grid.discard(17)
+        with pytest.raises(KeyError) as raised:
+            grid.coordinates(np.asarray([3, 17, 18], dtype=np.int64))
+        assert raised.value.args == (17,)
+        assert len(grid.column_problems(points)) == 2  # 17's row, and the count
+
+    @pytest.mark.parametrize("bad", [-1, 10**6])
+    def test_ids_outside_the_column_are_not_members(self, populated_grid, bad):
+        grid, _ = populated_grid
+        with pytest.raises(KeyError) as raised:
+            grid.coordinates(np.asarray([2, bad], dtype=np.int64))
+        assert raised.value.args == (bad,)
+
+    def test_negative_id_rejected(self):
+        with pytest.raises(ValueError):
+            LocateGrid().insert(-1, (0.5, 0.5))
+
+    def test_column_grows_and_reuses_rows(self):
+        grid = LocateGrid()
+        grid.insert(5000, (0.25, 0.5))
+        grid.insert(3, (0.75, 0.5))
+        grid.discard(3)
+        grid.insert(3, (0.5, 0.125))
+        assert grid.coordinates(np.asarray([5000, 3])).tolist() == [[0.25, 0.5], [0.5, 0.125]]
+        assert grid.column_problems({5000: (0.25, 0.5), 3: (0.5, 0.125)}) == []
+
+    def test_stale_row_is_reported(self, populated_grid):
+        grid, points = populated_grid
+        moved = dict(points)
+        moved[9] = (0.5, 0.5)
+        problems = grid.column_problems(moved)
+        assert len(problems) == 1 and problems[0].startswith("9: coordinate column")
+
+
+class TestDenseBuckets:
+    """The array branches answer exactly what the scalar loops answer.
+
+    ``VECTOR_SCAN_THRESHOLD`` is patched to force every scan one way or the
+    other through the same entry points.
+    """
+
+    @settings(max_examples=12, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_radius_queries_agree(self, seed, data):
+        grid, points = clustered_grid(seed)
+        rng = np.random.default_rng(seed + 1)
+        radius = data.draw(st.one_of(
+            st.sampled_from(knife_edge_radii(points, rng, 4)),
+            st.floats(0.0, 0.05),
+            st.sampled_from([0.0, 5e-4, 2.0])))
+        ids = list(points)
+        queries = [points[i] for i in ids]
+        batched = dict(grid.within_many(queries, radius))
+        assert sorted(batched) == list(range(len(queries)))
+        assert [batched[i] for i in range(len(queries))] == \
+            [grid.within(query, radius) for query in queries]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(locate_grid, "VECTOR_SCAN_THRESHOLD", 10**9)
+            for index in rng.choice(len(queries), size=25, replace=False).tolist():
+                scalar = grid.within(queries[index], radius)
+                assert batched[index] == scalar
+                assert set(scalar) == {i for i, p in points.items()
+                                       if distance(p, queries[index]) <= radius}
+                assert dict(grid.within_many(queries[index:index + 2], radius))[0] == scalar
+
+    def test_knife_edge_radius_is_decided_by_hypot(self):
+        grid, points = clustered_grid(99)
+        rng = np.random.default_rng(100)
+        ids = sorted(points)
+        for a, b in rng.choice(ids, size=(150, 2)).tolist():
+            exact = distance(points[a], points[b])
+            for radius in (math.nextafter(exact, 0.0), exact, math.nextafter(exact, math.inf)):
+                assert (b in grid.within(points[a], radius)) == (exact <= radius)
+                assert (b in grid.select_within(ids, points[a], radius)) == (exact <= radius)
+                assert (b in dict(grid.within_many([points[a]], radius))[0]) == (exact <= radius)
+
+    def test_select_within_keeps_order_and_checks_membership(self):
+        grid, points = clustered_grid(5)
+        ids = list(points)
+        center = points[ids[0]]
+        assert grid.select_within(ids, center, 2e-4) == \
+            [i for i in ids if distance(points[i], center) <= 2e-4]
+        grid.discard(ids[7])
+        with pytest.raises(KeyError) as raised:
+            grid.select_within(ids, center, 2e-4)
+        assert raised.value.args == (ids[7],)
+
+    @pytest.mark.parametrize("threshold", [1, 48, 10**9])
+    def test_hints_match_hint_on_exact_ties(self, monkeypatch, threshold):
+        # Mirror pairs around exactly representable centres: every query on
+        # a centre sees its two nearest candidates at the same distance.
+        step = 2.0 ** -12
+        grid = LocateGrid()
+        points = {}
+        order = np.random.default_rng(3).permutation(240)
+        for slot, vid in enumerate(order.tolist()):
+            k, side = divmod(slot, 2)
+            points[vid] = (0.5 + (3 * k + (1 if side else -1)) * step, 0.5)
+            grid.insert(vid, points[vid])
+        queries = [(0.5 + 3 * k * step, 0.5) for k in range(120)]
+        queries += [(0.5 + 3 * k * step, 0.5 + step) for k in range(120)]
+        queries += [(0.1, 0.9), (2.0, -1.0)]
+        reference = [grid.hint(query) for query in queries]
+        monkeypatch.setattr(locate_grid, "VECTOR_SCAN_THRESHOLD", threshold)
+        assert [grid.hint(query) for query in queries] == reference
+        assert grid.hints(queries) == reference
+        for query, found in zip(queries[:120], reference[:120]):
+            best = min(distance(p, query) for p in points.values())
+            tied = [vid for vid, p in points.items() if distance(p, query) == best]
+            assert len(tied) == 2 and found in tied
+
+    def test_batched_query_memory_stays_bounded(self):
+        """2 000 queries x 2 000 candidates is 4 M pairs; no temporary, and no
+        backlog of result lists, may scale with that (guards ``peak_rss_mb``)."""
+        grid, points = clustered_grid(11, clique=2000, background=0)
+        queries = np.asarray(list(points.values()))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            pairs = sum(len(found) for _, found in grid.within_many(queries, 1e-4))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert pairs > 2000 * 100
+        assert peak < 6 * 2**20

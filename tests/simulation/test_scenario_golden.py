@@ -25,6 +25,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.geometry import locate_grid
 from repro.simulation.fuzz import CrashEvent, run_sweep
 
 BENCH_DIR = Path(__file__).resolve().parents[2] / "benchmarks"
@@ -283,3 +284,26 @@ def test_merge_scenarios_match_the_parent(name):
         name, params, inserts_per_side=2, queries_per_side=6)
     del record["seconds"]
     assert record == MERGE_SCENARIOS[name]
+
+
+@pytest.fixture
+def array_scans(monkeypatch):
+    """Send every locate-grid bucket scan through the array branch.
+
+    At these populations no bucket reaches ``VECTOR_SCAN_THRESHOLD``, so the
+    records above pin the loop branch only.  Protocol mode turns the order
+    of ``LocateGrid.within`` into CLOSE_DECLARE send order and ``hint`` into
+    join entry points; with the threshold at 1 the same records pin that the
+    array branch returns the same ids in the same order.
+    """
+    monkeypatch.setattr(locate_grid, "VECTOR_SCAN_THRESHOLD", 1)
+
+
+@pytest.mark.parametrize("sweep", sorted(SWEEPS))
+def test_fuzz_fingerprints_survive_array_scans(array_scans, sweep):
+    test_fuzz_fingerprints_match_the_parent(sweep)
+
+
+@pytest.mark.parametrize("name", sorted(MERGE_SCENARIOS))
+def test_merge_scenarios_survive_array_scans(array_scans, name):
+    test_merge_scenarios_match_the_parent(name)
