@@ -16,15 +16,12 @@ lookups, and 100% stable-phase availability on every side.  Headline
 gated metrics: ``converged_fraction`` (1.0 — any scenario failing to
 merge is a regression) and ``stable_success_rate_min``.
 
-Two entry points:
-
-* ``pytest benchmarks/bench_partition_merge.py`` — the pytest wrapper at
-  controlled scale, asserting the same convergence bar;
-* ``python benchmarks/bench_partition_merge.py --output
-  benchmarks/BENCH_partition_merge.json`` — the standalone runner
-  emitting the JSON bench record; exits non-zero when any scenario fails
-  to converge, loses oracle/routing parity, or drops stable-phase
-  queries (CI smoke runs shrink ``--objects`` with the same bar).
+``python benchmarks/bench_partition_merge.py --output
+benchmarks/BENCH_partition_merge.json`` emits the JSON record and exits
+non-zero when any scenario fails to converge, loses oracle/routing
+parity, or drops stable-phase queries (tier 1 re-derives the record at a
+smaller ``--objects`` with the same bar, see
+``tests/integration/test_bench_gate.py``).
 """
 
 from __future__ import annotations
@@ -98,10 +95,8 @@ def run_scenario(name: str, params: dict, *, inserts_per_side: int,
     }
 
 
-def run_partition_merge(num_objects: int = DEFAULT_OBJECTS,
-                        seed: int = DEFAULT_SEED,
-                        inserts_per_side: int = 2,
-                        queries_per_side: int = 12) -> dict:
+def run_partition_merge(num_objects: int, seed: int, inserts_per_side: int,
+                        queries_per_side: int) -> dict:
     """Run the full matrix and return the JSON-serialisable bench record."""
     scenarios = {}
     for name, params in scenario_matrix(num_objects, seed).items():
@@ -138,24 +133,13 @@ def run_partition_merge(num_objects: int = DEFAULT_OBJECTS,
 
 
 def record_passes(record: dict) -> bool:
-    """The acceptance bar the exit code (and CI gate) enforces."""
+    """The acceptance bar the exit code enforces."""
     return (record["converged_fraction"] == 1.0
             and record["oracle_parity"]
             and record["routing_parity_mismatches"] == 0
             and record["stable_success_rate_min"] == 1.0)
 
 
-# ----------------------------------------------------------------------
-# pytest entry point
-# ----------------------------------------------------------------------
-def test_partition_merge_matrix_converges():
-    record = run_partition_merge(num_objects=48, queries_per_side=6)
-    assert record_passes(record), record
-
-
-# ----------------------------------------------------------------------
-# standalone runner
-# ----------------------------------------------------------------------
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description="Partition/merge scenario-matrix benchmark.")

@@ -12,13 +12,11 @@ Demonstrates the Morton-shard substrate on one machine:
   whose shard the event touched, so survival approaches 1 as the shard
   grid refines.
 
-Two entry points:
-
-* ``pytest benchmarks/bench_shard_scale.py`` — the CI smoke wrapper
-  (sizes scaled by ``REPRO_BENCH_SCALE``, minutes → seconds);
-* ``python benchmarks/bench_shard_scale.py --sizes 62500 250000 1000000
-  --output benchmarks/BENCH_shard_scale.json`` — the standalone runner
-  that produced the canonical million-object record.
+``python benchmarks/bench_shard_scale.py --sizes 62500 250000 1000000
+--output benchmarks/BENCH_shard_scale.json`` produced the canonical
+million-object record — the one N = 10⁶ datum until the end-to-end
+benchmark (``perf/``) grows a scaling workload; tier 1 re-derives it at
+``--sizes 4000 16000`` (``tests/integration/test_bench_gate.py``).
 """
 
 from __future__ import annotations
@@ -98,10 +96,8 @@ def _route_pairs(overlay: VoroNet, pairs: List[Tuple[int, int]]) -> Tuple[List[i
     return hops, len(results) - len(hops)
 
 
-def run_shard_scale(sizes: Sequence[int] = DEFAULT_SIZES, seed: int = DEFAULT_SEED,
-                    *, warm_tables: int = DEFAULT_WARM_TABLES,
-                    churn_events: int = DEFAULT_CHURN_EVENTS,
-                    num_pairs: int = DEFAULT_PAIRS) -> dict:
+def run_shard_scale(sizes: Sequence[int], seed: int, *, warm_tables: int,
+                    churn_events: int, num_pairs: int) -> dict:
     """Run the shard-scale benchmark; returns the JSON bench record."""
     sizes = sorted(set(int(s) for s in sizes))
     rng = RandomSource(seed)
@@ -179,27 +175,6 @@ def format_shard_scale(record: dict) -> str:
             f"(survival {row['warm_table_survival']:.4f})"
         )
     return "\n".join(lines)
-
-
-def test_shard_scale_smoke(benchmark, bench_scale):
-    """Per-shard epochs leave most of the warm pool warm under churn."""
-    from conftest import run_once
-
-    base = max(2000, int(round(16_000 * bench_scale)))
-    record = run_once(benchmark, run_shard_scale,
-                      sizes=(base // 4, base), warm_tables=500,
-                      churn_events=10, num_pairs=2000)
-    print()
-    print(format_shard_scale(record))
-    benchmark.extra_info.update(record)
-
-    assert record["consistency_problems"] == 0
-    assert record["routing"]["failures"] == 0
-    # A global epoch would rebuild the whole warm pool each event
-    # (survival 0); canonical shows 0.998 at 62k and 0.9998 at 10^6 —
-    # leave headroom for the coarse shard grids of tiny smoke sizes.
-    for row in record["per_size"]:
-        assert row["warm_table_survival"] >= 0.33, row
 
 
 def main(argv=None) -> int:

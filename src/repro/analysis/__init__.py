@@ -6,7 +6,7 @@
 * :mod:`repro.analysis.regression` — the ``log(H)`` vs ``log(log(N))``
   straight-line fit whose slope confirms the ``O(log² N)`` bound (Figure 7),
 * :mod:`repro.analysis.plots` — ASCII rendering of histograms and series for
-  benchmark logs,
+  the experiment runner's output,
 * :mod:`repro.analysis.statistics` — summary-statistics helpers.
 """
 

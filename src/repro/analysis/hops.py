@@ -6,7 +6,7 @@ objects" — i.e. a sweep over overlay sizes, with a batch of random-pair
 greedy routes measured at each size.  :func:`measure_routing` performs one
 such batch; :func:`sweep_overlay_sizes` grows an overlay through a size
 schedule, measuring at every checkpoint, and is the common engine behind
-the Figure 6, 7 and 8 benchmarks.
+the Figure 6 and 7 experiments.
 
 :func:`sweep_protocol_overlay_sizes` is the message-level twin: the
 overlay grows through :meth:`ProtocolSimulator.bulk_join
@@ -96,10 +96,15 @@ def sweep_overlay_sizes(positions: Sequence, checkpoints: Sequence[int],
                         num_pairs: int = 1000,
                         overlay_factory: Optional[Callable[[], VoroNet]] = None,
                         use_long_links: bool = True,
-                        use_bulk_load: bool = False,
                         progress: Optional[Callable[[int], None]] = None
                         ) -> List[RoutingSweepPoint]:
     """Grow an overlay through ``checkpoints`` and measure routing at each.
+
+    The overlay grows between checkpoints through
+    :meth:`~repro.core.overlay.VoroNet.bulk_load`: the Voronoi and close
+    structure of the same objects joining one by one, long links from the
+    same distribution, at a fraction of the construction cost — which is
+    what lets the Figure 5–8 sweeps reach paper scale (N ≥ 10⁴) on laptops.
 
     Parameters
     ----------
@@ -119,13 +124,6 @@ def sweep_overlay_sizes(positions: Sequence, checkpoints: Sequence[int],
     use_long_links:
         Disable to measure the Delaunay-only baseline on the same object
         stream.
-    use_bulk_load:
-        Grow the overlay between checkpoints through
-        :meth:`~repro.core.overlay.VoroNet.bulk_load` instead of sequential
-        routed joins.  The measured routes are unaffected (same Voronoi and
-        close structure, long links from the same distribution), but
-        construction cost drops by an order of magnitude, which is what
-        lets the Figure 5–8 sweeps reach paper scale (N ≥ 10⁴) on laptops.
     progress:
         Optional callback invoked with each completed checkpoint size.
     """
@@ -144,12 +142,8 @@ def sweep_overlay_sizes(positions: Sequence, checkpoints: Sequence[int],
     results: List[RoutingSweepPoint] = []
     inserted = 0
     for checkpoint in checkpoints:
-        if use_bulk_load:
-            overlay.bulk_load([positions[index]
-                               for index in range(inserted, checkpoint)])
-        else:
-            for index in range(inserted, checkpoint):
-                overlay.insert(positions[index])
+        overlay.bulk_load([positions[index]
+                           for index in range(inserted, checkpoint)])
         inserted = checkpoint
         stats = measure_routing(overlay, num_pairs, rng,
                                 use_long_links=use_long_links)

@@ -1,9 +1,9 @@
 """ASCII rendering of histograms, series and tables.
 
-The benchmark harness has no plotting dependency; results are printed as
-text so the figures of the paper can be eyeballed straight from the bench
-logs (`pytest benchmarks/ --benchmark-only -s`) and recorded verbatim in
-``EXPERIMENTS.md``.
+The experiment runner has no plotting dependency; results are printed as
+text so the figures of the paper can be eyeballed straight from the output
+of ``python -m repro.experiments``, beside the scorecard it writes to
+``REPRODUCTION.json``.
 """
 
 from __future__ import annotations

@@ -1,10 +1,11 @@
 """Experiment drivers reproducing every figure of the paper's evaluation.
 
 Each module implements one experiment as a pure library function returning
-a structured result, plus a text formatter.  The benchmark harness
-(``benchmarks/``) and the command-line runner (``python -m
-repro.experiments``) are thin wrappers around these drivers, so the exact
-same code path produces the numbers recorded in ``EXPERIMENTS.md``.
+a structured result, a text formatter, and ``claims(result)``: the claims
+of the paper the experiment judges, as (claim, measured value, holds)
+rows.  The command-line runner (``python -m repro.experiments``) prints
+all three and writes the rows as the scorecard committed in
+``REPRODUCTION.json``.
 
 | Experiment | Paper figure | Driver |
 |---|---|---|
@@ -18,7 +19,7 @@ same code path produces the numbers recorded in ``EXPERIMENTS.md``.
 | Churn/crash repair (protocol) | (ABL4)   | :mod:`repro.experiments.ablation_churn_protocol` |
 
 Every driver accepts a ``scale`` factor: 1.0 is the laptop-sized default
-documented in ``EXPERIMENTS.md``; larger values approach the paper's
+``REPRODUCTION.json`` was recorded at; larger values approach the paper's
 300 000-object runs at correspondingly larger runtimes.
 """
 

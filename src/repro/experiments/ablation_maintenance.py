@@ -21,19 +21,20 @@ import numpy as np
 
 from repro.analysis.plots import format_table
 from repro.core import VoroNet, VoroNetConfig
-from repro.experiments.common import CAPACITY_HEADROOM, env_scale, scaled
+from repro.experiments.common import CAPACITY_HEADROOM, Claim, scaled
 from repro.simulation.protocol import ProtocolSimulator
 from repro.utils.rng import RandomSource
 from repro.workloads.distributions import UniformDistribution
 from repro.workloads.generators import generate_objects
 
-__all__ = ["MaintenanceResult", "run_maintenance_experiment", "format_maintenance"]
+__all__ = ["MaintenanceResult", "run_maintenance_experiment", "format_maintenance", "claims"]
 
 
 @dataclass(frozen=True)
 class MaintenanceResult:
     """Per-size maintenance costs (oracle mode) plus a protocol-mode sample."""
 
+    seed: int
     sizes: List[int]
     join_messages: Dict[int, float]
     join_routing_hops: Dict[int, float]
@@ -43,7 +44,7 @@ class MaintenanceResult:
     protocol_size: int
 
 
-def run_maintenance_experiment(scale: float | None = None,
+def run_maintenance_experiment(scale: float = 1.0,
                                seed: int = 2003, *,
                                use_bulk_join: bool = False) -> MaintenanceResult:
     """Measure join/leave message costs across overlay sizes.
@@ -56,7 +57,6 @@ def run_maintenance_experiment(scale: float | None = None,
     their paper semantics while the ground-truth sample reaches the sizes
     the oracle sweep covers.
     """
-    scale = env_scale() if scale is None else scale
     sizes = [scaled(base, scale) for base in (500, 1000, 2000, 4000)]
     probe_count = scaled(200, scale, minimum=20)
     join_messages: Dict[int, float] = {}
@@ -98,6 +98,7 @@ def run_maintenance_experiment(scale: float | None = None,
     join_reports = [simulator.join(p) for p in positions[protocol_size:]]
     leave_reports = [simulator.leave(r.object_id) for r in join_reports]
     return MaintenanceResult(
+        seed=seed,
         sizes=sizes,
         join_messages=join_messages,
         join_routing_hops=join_hops,
@@ -126,3 +127,23 @@ def format_maintenance(result: MaintenanceResult) -> str:
         f"leave = {result.protocol_leave_messages:.1f} messages"
     )
     return "\n".join(lines)
+
+
+def claims(result: MaintenanceResult) -> List[Claim]:
+    """Section 4.2: joins cost poly-log routing plus O(1); leaves cost O(1)."""
+    smallest, largest = result.sizes[0], result.sizes[-1]
+    size_ratio = largest / smallest
+    join, leave = result.join_messages, result.leave_messages
+    oracle_join = join[result.protocol_size]
+    protocol_join = result.protocol_join_messages
+    return [
+        Claim("join cost grows less than half as fast as the overlay",
+              {size: round(join[size], 1) for size in (smallest, largest)},
+              join[largest] < join[smallest] * size_ratio / 2),
+        Claim("leave cost stays essentially flat across overlay sizes",
+              {size: round(leave[size], 1) for size in (smallest, largest)},
+              leave[largest] < leave[smallest] * 2 + 5),
+        Claim("protocol-mode join messages agree with the oracle accounting within 6x",
+              {"protocol": round(protocol_join, 1), "oracle": round(oracle_join, 1)},
+              protocol_join < 6 * oracle_join and oracle_join < 6 * protocol_join),
+    ]

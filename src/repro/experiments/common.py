@@ -2,10 +2,7 @@
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, NamedTuple
 
 from repro.core import VoroNet, VoroNetConfig
 from repro.utils.rng import RandomSource
@@ -13,13 +10,11 @@ from repro.workloads.distributions import ObjectDistribution
 from repro.workloads.generators import generate_objects
 
 __all__ = [
+    "Claim",
     "scaled",
-    "env_scale",
     "build_overlay",
     "checkpoint_schedule",
     "evaluation_distributions",
-    "parallel_tasks",
-    "resolve_workers",
     "CAPACITY_HEADROOM",
     "EVALUATION_CELLS_PER_AXIS",
 ]
@@ -43,12 +38,19 @@ EVALUATION_CELLS_PER_AXIS = 8
 CAPACITY_HEADROOM = 4
 
 
-def env_scale(default: float = 1.0) -> float:
-    """Experiment scale factor, overridable via ``REPRO_BENCH_SCALE``."""
-    value = os.environ.get("REPRO_BENCH_SCALE")
-    if value is None:
-        return default
-    return max(0.05, float(value))
+class Claim(NamedTuple):
+    """One scorecard row: what the paper claims, what this run measured.
+
+    Every experiment module exposes ``claims(result) -> List[Claim]``; the
+    runner prints the rows after the tables, writes them to
+    ``REPRODUCTION.json`` and exits non-zero when any ``holds`` is false.
+    ``claim`` is the row's identity within its experiment, so its wording
+    must not depend on the scale or the seed.
+    """
+
+    claim: str
+    measured: object
+    holds: bool
 
 
 def scaled(base: int, scale: float, minimum: int = 8) -> int:
@@ -59,16 +61,14 @@ def scaled(base: int, scale: float, minimum: int = 8) -> int:
 def build_overlay(distribution: ObjectDistribution, count: int, seed: int, *,
                   num_long_links: int = 1,
                   maintain_close_neighbors: bool = True,
-                  capacity: int | None = None,
-                  bulk: bool = False) -> VoroNet:
+                  capacity: int | None = None) -> VoroNet:
     """Build an overlay populated with ``count`` objects from a distribution.
 
-    With ``bulk=True`` the overlay is constructed through
-    :meth:`~repro.core.overlay.VoroNet.bulk_load` — identical Voronoi and
-    close-neighbour structure, long links drawn from the same distribution,
-    but without ``count`` routed joins.  Use it whenever the experiment
-    measures properties of the *final* overlay rather than the join process
-    itself.
+    Construction is :meth:`~repro.core.overlay.VoroNet.bulk_load` — the
+    Voronoi and close-neighbour structure of ``count`` routed joins, long
+    links drawn from the same distribution — so this is for experiments
+    that measure the *final* overlay; one that measures the join process
+    itself (ABL3) calls ``insert_many``.
     """
     rng = RandomSource(seed)
     positions = generate_objects(distribution, count, rng)
@@ -79,58 +79,8 @@ def build_overlay(distribution: ObjectDistribution, count: int, seed: int, *,
         seed=seed,
     )
     overlay = VoroNet(config)
-    if bulk:
-        overlay.bulk_load(positions)
-    else:
-        overlay.insert_many(positions)
+    overlay.bulk_load(positions)
     return overlay
-
-
-def resolve_workers(workers: Optional[int], tasks: int) -> int:
-    """Number of worker processes to actually use for ``tasks`` tasks.
-
-    ``workers=None`` consults the ``REPRO_WORKERS`` environment variable
-    (defaulting to 1, i.e. serial); ``workers=0`` or any negative value
-    means "use every CPU".  The result is clamped to the task count — it
-    never pays to fork more processes than there are tasks.
-    """
-    if workers is None:
-        env = os.environ.get("REPRO_WORKERS")
-        workers = int(env) if env else 1
-    if workers <= 0:
-        try:
-            workers = len(os.sched_getaffinity(0))
-        except AttributeError:  # pragma: no cover - non-Linux
-            workers = os.cpu_count() or 1
-    return max(1, min(workers, max(tasks, 1)))
-
-
-def parallel_tasks(func: Callable, arg_tuples: Sequence[Tuple],
-                   workers: Optional[int] = None) -> List:
-    """Run ``func(*args)`` for each tuple, optionally across processes.
-
-    The sweep drivers hand independent work units (one distribution, one
-    shard range, one parameter cell) to this helper; with ``workers > 1``
-    they run in a process pool, otherwise serially in-process.  Results
-    come back in submission order either way, so callers can zip them with
-    their inputs.
-
-    ``func`` must be a **module-level** function and every argument must be
-    picklable — closures and overlay objects cannot cross the process
-    boundary, so tasks receive seeds and configuration primitives and
-    rebuild their state worker-side.  The pool prefers the ``fork`` start
-    method (cheap on Linux, shares the loaded modules read-only) and falls
-    back to ``spawn`` where fork is unavailable.
-    """
-    arg_tuples = list(arg_tuples)
-    workers = resolve_workers(workers, len(arg_tuples))
-    if workers <= 1 or len(arg_tuples) <= 1:
-        return [func(*args) for args in arg_tuples]
-    methods = multiprocessing.get_all_start_methods()
-    context = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
-    with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-        futures = [pool.submit(func, *args) for args in arg_tuples]
-        return [future.result() for future in futures]
 
 
 def evaluation_distributions() -> List[ObjectDistribution]:

@@ -15,22 +15,16 @@ from typing import Dict, List
 
 from repro.analysis.degree import DegreeSummary, degree_summary
 from repro.analysis.plots import ascii_histogram, format_table
-from repro.experiments.common import (
-    build_overlay,
-    env_scale,
-    evaluation_distributions,
-    parallel_tasks,
-    scaled,
-)
-from repro.workloads.distributions import ObjectDistribution
+from repro.experiments.common import Claim, build_overlay, evaluation_distributions, scaled
 
-__all__ = ["Fig5Result", "run_fig5", "format_fig5"]
+__all__ = ["Fig5Result", "run_fig5", "format_fig5", "claims"]
 
 
 @dataclass(frozen=True)
 class Fig5Result:
     """Degree histograms and summaries, one per distribution."""
 
+    seed: int
     overlay_size: int
     histograms: Dict[str, Dict[int, int]]
     summaries: Dict[str, DegreeSummary]
@@ -40,16 +34,7 @@ class Fig5Result:
         return list(self.histograms.keys())
 
 
-def _degree_histogram_task(distribution: ObjectDistribution, count: int,
-                           seed: int):
-    """Build one distribution's overlay and histogram (worker-side unit)."""
-    overlay = build_overlay(distribution, count, seed)
-    histogram = overlay.degree_histogram()
-    return distribution.name, histogram, degree_summary(histogram)
-
-
-def run_fig5(scale: float | None = None, seed: int = 1005, *,
-             workers: int | None = None) -> Fig5Result:
+def run_fig5(scale: float = 1.0, seed: int = 1005) -> Fig5Result:
     """Run the Figure 5 experiment.
 
     Parameters
@@ -59,21 +44,16 @@ def run_fig5(scale: float | None = None, seed: int = 1005, *,
         300 000 — pass ``scale=75`` to match, given time).
     seed:
         Base seed; each distribution gets a distinct derived seed.
-    workers:
-        Worker processes for the four independent overlay builds (``None``
-        reads ``REPRO_WORKERS``; results are worker-count independent).
     """
-    scale = env_scale() if scale is None else scale
     count = scaled(4000, scale)
-    tasks = [(distribution, count, seed + index)
-             for index, distribution in enumerate(evaluation_distributions())]
     histograms: Dict[str, Dict[int, int]] = {}
     summaries: Dict[str, DegreeSummary] = {}
-    for name, histogram, summary in parallel_tasks(_degree_histogram_task,
-                                                   tasks, workers):
-        histograms[name] = histogram
-        summaries[name] = summary
-    return Fig5Result(overlay_size=count, histograms=histograms, summaries=summaries)
+    for index, distribution in enumerate(evaluation_distributions()):
+        histogram = build_overlay(distribution, count, seed + index).degree_histogram()
+        histograms[distribution.name] = histogram
+        summaries[distribution.name] = degree_summary(histogram)
+    return Fig5Result(seed=seed, overlay_size=count, histograms=histograms,
+                      summaries=summaries)
 
 
 def format_fig5(result: Fig5Result) -> str:
@@ -91,3 +71,17 @@ def format_fig5(result: Fig5Result) -> str:
             lines.append(f"[{name}]")
             lines.append(ascii_histogram(result.histograms[name], label="out-degree"))
     return "\n".join(lines)
+
+
+def claims(result: Fig5Result) -> List[Claim]:
+    """Figure 5: the histogram is centred around 6 for every distribution."""
+    rows = []
+    for name, summary in result.summaries.items():
+        rows.append(Claim(f"{name}: mean Voronoi out-degree within [5, 6]",
+                          round(summary.mean, 3), 5.0 <= summary.mean <= 6.0))
+        rows.append(Claim(f"{name}: modal out-degree within [4, 7]",
+                          summary.mode, 4 <= summary.mode <= 7))
+        share = summary.fraction_between(3, 9)
+        rows.append(Claim(f"{name}: over 90% of objects have out-degree in [3, 9]",
+                          round(share, 4), share > 0.9))
+    return rows

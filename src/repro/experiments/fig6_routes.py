@@ -10,6 +10,7 @@ scale.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List
 
@@ -22,10 +23,9 @@ from repro.analysis.plots import ascii_series, format_table
 from repro.core import VoroNet, VoroNetConfig
 from repro.experiments.common import (
     CAPACITY_HEADROOM,
+    Claim,
     checkpoint_schedule,
-    env_scale,
     evaluation_distributions,
-    parallel_tasks,
     scaled,
 )
 from repro.simulation.protocol import ProtocolSimulator
@@ -33,13 +33,14 @@ from repro.utils.rng import RandomSource
 from repro.workloads.distributions import ObjectDistribution
 from repro.workloads.generators import generate_objects
 
-__all__ = ["Fig6Result", "run_fig6", "format_fig6"]
+__all__ = ["Fig6Result", "run_fig6", "format_fig6", "claims"]
 
 
 @dataclass(frozen=True)
 class Fig6Result:
     """Route-length sweeps, one series per distribution."""
 
+    seed: int
     checkpoints: List[int]
     num_pairs: int
     series: Dict[str, List[RoutingSweepPoint]]
@@ -52,14 +53,9 @@ class Fig6Result:
 def _sweep_one_distribution(distribution: ObjectDistribution, index: int,
                             seed: int, max_size: int, checkpoints: List[int],
                             num_pairs: int, num_long_links: int,
-                            use_long_links: bool, use_bulk_load: bool,
-                            use_protocol: bool):
-    """One distribution's full sweep — the unit of work of ``run_fig6``.
-
-    Module-level (not a closure) so :func:`parallel_tasks` can ship it to a
-    worker process; everything it needs is rebuilt worker-side from seeds
-    and primitives.  Returns ``(name, points)``.
-    """
+                            use_long_links: bool,
+                            use_protocol: bool) -> List[RoutingSweepPoint]:
+    """One distribution's full sweep, seeded by its index."""
     rng = RandomSource(seed + index)
     positions = generate_objects(distribution, max_size, rng)
 
@@ -71,7 +67,7 @@ def _sweep_one_distribution(distribution: ObjectDistribution, index: int,
                 seed=seed + 100 + seed_offset,
             ), seed=seed + 100 + seed_offset)
 
-        return distribution.name, sweep_protocol_overlay_sizes(
+        return sweep_protocol_overlay_sizes(
             positions, checkpoints, rng,
             num_pairs=num_pairs,
             simulator_factory=protocol_factory,
@@ -84,21 +80,18 @@ def _sweep_one_distribution(distribution: ObjectDistribution, index: int,
             seed=seed + 100 + seed_offset,
         ))
 
-    return distribution.name, sweep_overlay_sizes(
+    return sweep_overlay_sizes(
         positions, checkpoints, rng,
         num_pairs=num_pairs,
         overlay_factory=factory,
         use_long_links=use_long_links,
-        use_bulk_load=use_bulk_load,
     )
 
 
-def run_fig6(scale: float | None = None, seed: int = 1006, *,
+def run_fig6(scale: float = 1.0, seed: int = 1006, *,
              num_long_links: int = 1,
              use_long_links: bool = True,
-             use_bulk_load: bool = False,
-             use_protocol: bool = False,
-             workers: int | None = None) -> Fig6Result:
+             use_protocol: bool = False) -> Fig6Result:
     """Run the Figure 6 sweep.
 
     Parameters
@@ -108,10 +101,6 @@ def run_fig6(scale: float | None = None, seed: int = 1006, *,
         600 measured pairs per checkpoint (the paper: 300 000 / 30 / 100 000).
     num_long_links / use_long_links:
         Overridden by the Figure 8 and baseline drivers to reuse the sweep.
-    use_bulk_load:
-        Grow the overlay between checkpoints with ``bulk_load`` instead of
-        sequential routed joins — same measured structure, an order of
-        magnitude cheaper to build, enabling paper-scale sweeps (N ≥ 10⁴).
     use_protocol:
         Run the sweep *message-level*: overlays grow through
         ``ProtocolSimulator.bulk_join`` and every measured route is a
@@ -120,27 +109,21 @@ def run_fig6(scale: float | None = None, seed: int = 1006, *,
         batched join pipeline (a sequential-join sweep capped out two
         orders of magnitude lower).  ``use_long_links`` must stay on —
         protocol nodes always route over their full view.
-    workers:
-        Worker processes for the four per-distribution sweeps (they are
-        fully independent: distinct seeds, distinct overlays).  ``None``
-        reads ``REPRO_WORKERS`` (default serial); results are identical to
-        a serial run for any worker count.
     """
-    scale = env_scale() if scale is None else scale
     max_size = scaled(6000, scale)
     checkpoints = checkpoint_schedule(max_size, 6)
     num_pairs = scaled(600, scale, minimum=50)
     if use_protocol and not use_long_links:
         raise ValueError("the protocol-mode sweep always routes over full "
                          "views; use_long_links=False is oracle-only")
-    tasks = [
-        (distribution, index, seed, max_size, checkpoints, num_pairs,
-         num_long_links, use_long_links, use_bulk_load, use_protocol)
+    series: Dict[str, List[RoutingSweepPoint]] = {
+        distribution.name: _sweep_one_distribution(
+            distribution, index, seed, max_size, checkpoints, num_pairs,
+            num_long_links, use_long_links, use_protocol)
         for index, distribution in enumerate(evaluation_distributions())
-    ]
-    series: Dict[str, List[RoutingSweepPoint]] = dict(
-        parallel_tasks(_sweep_one_distribution, tasks, workers))
-    return Fig6Result(checkpoints=checkpoints, num_pairs=num_pairs, series=series)
+    }
+    return Fig6Result(seed=seed, checkpoints=checkpoints, num_pairs=num_pairs,
+                      series=series)
 
 
 def format_fig6(result: Fig6Result) -> str:
@@ -163,3 +146,25 @@ def format_fig6(result: Fig6Result) -> str:
             [p.size for p in uniform], [p.mean_hops for p in uniform],
             x_label="objects", y_label="hops"))
     return "\n".join(lines)
+
+
+def claims(result: Fig6Result) -> List[Claim]:
+    """Figure 6: poly-logarithmic routes, insensitive to the distribution."""
+    smallest, largest = result.checkpoints[0], result.checkpoints[-1]
+    uniform_final = result.series["uniform"][-1].mean_hops
+    rows = []
+    for name in result.series:
+        series = result.mean_hops(name)
+        growth, growth_bound = series[-1] / max(series[0], 1e-9), math.sqrt(largest / smallest)
+        rows.append(Claim(f"{name}: mean hops grow slower than sqrt(N) over the sweep",
+                          {"hops": round(growth, 3), "sqrt(N)": round(growth_bound, 3)},
+                          growth < growth_bound))
+        final, final_bound = series[-1], math.sqrt(largest)
+        rows.append(Claim(f"{name}: final mean hops stay below sqrt(N), the Delaunay-walk regime",
+                          {"mean hops": round(final, 2), "sqrt(N)": round(final_bound, 2)},
+                          final < final_bound))
+        if name != "uniform":
+            # The paper's curves almost coincide; skew may only help at small scale.
+            rows.append(Claim(f"{name}: final mean hops under 1.6x the uniform overlay's",
+                              round(final / uniform_final, 3), final < 1.6 * uniform_final))
+    return rows

@@ -15,27 +15,18 @@ from typing import Dict, List, Sequence
 
 from repro.analysis.hops import HopStatistics, measure_routing
 from repro.analysis.plots import ascii_series, format_table
-from repro.experiments.common import (
-    EVALUATION_CELLS_PER_AXIS,
-    build_overlay,
-    env_scale,
-    parallel_tasks,
-    scaled,
-)
+from repro.experiments.common import EVALUATION_CELLS_PER_AXIS, Claim, build_overlay, scaled
 from repro.utils.rng import RandomSource
-from repro.workloads.distributions import (
-    ObjectDistribution,
-    PowerLawDistribution,
-    UniformDistribution,
-)
+from repro.workloads.distributions import PowerLawDistribution, UniformDistribution
 
-__all__ = ["Fig8Result", "run_fig8", "format_fig8"]
+__all__ = ["Fig8Result", "run_fig8", "format_fig8", "claims"]
 
 
 @dataclass(frozen=True)
 class Fig8Result:
     """Mean route length per (distribution, number of long links)."""
 
+    seed: int
     overlay_size: int
     link_counts: List[int]
     num_pairs: int
@@ -45,18 +36,8 @@ class Fig8Result:
         return [self.results[distribution][k].mean for k in self.link_counts]
 
 
-def _link_count_task(name: str, distribution: ObjectDistribution, count: int,
-                     build_seed: int, measure_seed: int, k: int,
-                     num_pairs: int):
-    """One (distribution, link-count) grid cell — the unit of parallelism."""
-    overlay = build_overlay(distribution, count, build_seed, num_long_links=k)
-    stats = measure_routing(overlay, num_pairs, RandomSource(measure_seed))
-    return name, k, stats
-
-
-def run_fig8(scale: float | None = None, seed: int = 1008, *,
-             link_counts: Sequence[int] = (1, 2, 3, 4, 6, 8, 10),
-             workers: int | None = None) -> Fig8Result:
+def run_fig8(scale: float = 1.0, seed: int = 1008, *,
+             link_counts: Sequence[int] = (1, 2, 3, 4, 6, 8, 10)) -> Fig8Result:
     """Run the Figure 8 experiment.
 
     Parameters
@@ -66,28 +47,21 @@ def run_fig8(scale: float | None = None, seed: int = 1008, *,
         pairs per configuration.
     link_counts:
         Numbers of long links to evaluate (the paper sweeps 1–10).
-    workers:
-        Worker processes for the (distribution × link-count) grid — every
-        cell builds and measures its own overlay, so the grid is
-        embarrassingly parallel (``None`` reads ``REPRO_WORKERS``).
     """
-    scale = env_scale() if scale is None else scale
     count = scaled(3000, scale)
     num_pairs = scaled(500, scale, minimum=50)
     distributions = {
         "uniform": UniformDistribution(),
         "powerlaw-a5": PowerLawDistribution(alpha=5.0, cells_per_axis=EVALUATION_CELLS_PER_AXIS),
     }
-    tasks = []
+    results: Dict[str, Dict[int, HopStatistics]] = {name: {} for name in distributions}
     for d_index, (name, distribution) in enumerate(distributions.items()):
         for k_index, k in enumerate(link_counts):
-            tasks.append((name, distribution, count,
-                          seed + 10 * d_index + k_index,
-                          seed + 500 + 10 * d_index + k_index, k, num_pairs))
-    results: Dict[str, Dict[int, HopStatistics]] = {name: {} for name in distributions}
-    for name, k, stats in parallel_tasks(_link_count_task, tasks, workers):
-        results[name][k] = stats
-    return Fig8Result(overlay_size=count, link_counts=list(link_counts),
+            cell = 10 * d_index + k_index
+            overlay = build_overlay(distribution, count, seed + cell, num_long_links=k)
+            results[name][k] = measure_routing(overlay, num_pairs,
+                                               RandomSource(seed + 500 + cell))
+    return Fig8Result(seed=seed, overlay_size=count, link_counts=list(link_counts),
                       num_pairs=num_pairs, results=results)
 
 
@@ -110,3 +84,23 @@ def format_fig8(result: Fig8Result) -> str:
                                   [uniform[k].mean for k in result.link_counts],
                                   x_label="long links", y_label="hops"))
     return "\n".join(lines)
+
+
+def claims(result: Fig8Result) -> List[Claim]:
+    """Figure 8: more long links help, most significantly up to about 6.
+
+    Reads the fewest, 6 and the most links of the sweep (1, 6 and 10 by
+    default), so ``link_counts`` must include 6.
+    """
+    fewest, most = result.link_counts[0], result.link_counts[-1]
+    rows = []
+    for name, by_count in result.results.items():
+        one, six, ten = by_count[fewest].mean, by_count[6].mean, by_count[most].mean
+        rows.append(Claim(f"{name}: six long links route shorter than the fewest",
+                          {fewest: round(one, 2), 6: round(six, 2)}, six < one))
+        rows.append(Claim(f"{name}: the most long links route shorter than the fewest",
+                          {fewest: round(one, 2), most: round(ten, 2)}, ten < one))
+        rows.append(Claim(f"{name}: the gain beyond six links is smaller than the gain up to six",
+                          {"up to six": round(one - six, 2), "beyond six": round(six - ten, 2)},
+                          six - ten < one - six))
+    return rows

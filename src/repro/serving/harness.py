@@ -143,8 +143,8 @@ def run_shootout(population: int, queries: int, *,
     """Serve every workload's schedule through every system; one record.
 
     ``clock`` (e.g. ``time.perf_counter``) adds wall-clock ``wall_seconds``
-    / ``wall_qps`` to each per-system report — the sustained-throughput
-    numbers the benchmark gates on.  Leave it ``None`` for fully
+    / ``wall_qps`` to each per-system report (informational: ``perf/`` is
+    where serving throughput is gated).  Leave it ``None`` for fully
     deterministic output (tests).  ``keep_windows`` caps how many windowed
     snapshot rows each report retains in the record (0 keeps all).
     """

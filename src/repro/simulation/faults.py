@@ -533,32 +533,12 @@ class HeartbeatConfig:
         long link grows by one period.  A peer with a missed heartbeat or
         on the suspect list is always probed, so suspicion in progress
         resolves at full speed.
-    adaptive_backoff:
-        SWIM-style per-edge backoff on the long-link/back-link tail (the
-        structural core — Voronoi and close neighbours — is still probed
-        every round): each answered probe of a stable edge doubles that
-        edge's stride, up to ``max_stride`` rounds between probes; the
-        first missed probe snaps the stride back to 1, so a suspicion in
-        progress accumulates misses at full speed and detection/repair
-        convergence is unchanged (the parity suite pins this).  On an
-        idle overlay every tail edge settles at ``max_stride`` after
-        ``log2(max_stride)`` answered probes, bringing steady-state probe
-        cost per node per round down to O(Voronoi degree) +
-        tail-degree / ``max_stride``.  The price is worst-case detection
-        latency on a long-stable edge growing by ``max_stride - 1``
-        rounds.  When set it replaces ``sample_fraction`` striding on the
-        tail edges; it composes freely with ``piggyback`` (an edge fresh
-        from piggybacked traffic is still not probed at all).
-    max_stride:
-        Stride ceiling (in rounds) of ``adaptive_backoff``.
     """
 
     interval: float = 8.0
     miss_threshold: int = 2
     piggyback: bool = False
     sample_fraction: float = 1.0
-    adaptive_backoff: bool = False
-    max_stride: int = 8
 
     def __post_init__(self) -> None:
         if self.interval <= 0:
@@ -569,9 +549,6 @@ class HeartbeatConfig:
         if not 0.0 < self.sample_fraction <= 1.0:
             raise ValueError(
                 f"sample_fraction must be in (0, 1], got {self.sample_fraction}")
-        if self.max_stride < 1:
-            raise ValueError(
-                f"max_stride must be >= 1, got {self.max_stride}")
 
     @property
     def sample_period(self) -> int:
@@ -626,12 +603,6 @@ class HeartbeatDetector:  # simlint: ignore[SIM003] — one per experiment, not 
         #: advance the clock, so a time-based window would freeze and a
         #: crash on a quiet overlay would never be probed again.
         self._fresh_round: Dict[Tuple[int, int], int] = {}
-        #: Adaptive-backoff bookkeeping (``config.adaptive_backoff``):
-        #: current probe stride per (prober, peer) tail edge, and the
-        #: round each edge was last probed.  Both age in rounds for the
-        #: same frozen-clock reason as ``_fresh_round``.
-        self._edge_stride: Dict[Tuple[int, int], int] = {}
-        self._edge_last_probe: Dict[Tuple[int, int], int] = {}
         self._era: Optional[int] = None
         if config.piggyback:
             # Stays on for the simulator's lifetime (the measurement
@@ -659,7 +630,6 @@ class HeartbeatDetector:  # simlint: ignore[SIM003] — one per experiment, not 
         piggyback = config.piggyback
         period = config.sample_period
         threshold = config.miss_threshold
-        adaptive = config.adaptive_backoff
         current_round = self._round
         # Contact strictly after the previous round began re-marks an edge
         # fresh (strict: with a frozen clock the previous round's start
@@ -671,7 +641,7 @@ class HeartbeatDetector:  # simlint: ignore[SIM003] — one per experiment, not 
             peers = node.monitored_peers()
             if not peers:
                 continue
-            if period > 1 or adaptive:
+            if period > 1:
                 core = set(node.voronoi)
                 core.update(node.close)
             missed = node.missed_heartbeats
@@ -692,19 +662,10 @@ class HeartbeatDetector:  # simlint: ignore[SIM003] — one per experiment, not 
                         if (fresh is not None
                                 and current_round - fresh < threshold):
                             continue  # within the freshness window
-                    if adaptive:
-                        if peer not in core:
-                            edge = (object_id, peer)
-                            last = self._edge_last_probe.get(edge)
-                            if (last is not None and current_round - last
-                                    < self._edge_stride.get(edge, 1)):
-                                continue  # stable tail edge, backed off
-                    elif (period > 1 and peer not in core
+                    if (period > 1 and peer not in core
                             and not self._edge_due(object_id, peer, period)):
                         continue  # sampled long/back edge, off-stride round
                 probed.add(peer)
-                if adaptive:
-                    self._edge_last_probe[(object_id, peer)] = current_round
                 if piggyback:
                     node.last_ping_round[peer] = (self._era, current_round)
                     simulator.send(node, peer, "PING",
@@ -720,9 +681,6 @@ class HeartbeatDetector:  # simlint: ignore[SIM003] — one per experiment, not 
         """Settle the previous round; returns newly created (prober, suspect)."""
         simulator = self.simulator
         piggyback = self.config.piggyback
-        adaptive = self.config.adaptive_backoff
-        max_stride = self.config.max_stride
-        strides = self._edge_stride
         round_started = self._round_starts[-1] if self._round_starts else -math.inf
         new_suspects: List[Tuple[int, int]] = []
         for object_id, peers in self._outstanding.items():
@@ -731,18 +689,10 @@ class HeartbeatDetector:  # simlint: ignore[SIM003] — one per experiment, not 
                 continue
             for peer in sorted(peers):
                 if node.last_heard.get(peer) == self._round:
-                    if adaptive:  # answered: the edge is stable, back off
-                        edge = (object_id, peer)
-                        strides[edge] = min(strides.get(edge, 1) * 2, max_stride)
                     continue
                 if (piggyback
                         and node.last_contact.get(peer, -math.inf) >= round_started):
-                    if adaptive:
-                        edge = (object_id, peer)
-                        strides[edge] = min(strides.get(edge, 1) * 2, max_stride)
                     continue  # any message during the round is an answer
-                if adaptive:  # missed: probe at full speed until resolved
-                    strides[(object_id, peer)] = 1
                 misses = node.missed_heartbeats.get(peer, 0) + 1
                 node.missed_heartbeats[peer] = misses
                 if misses >= self.miss_threshold and peer not in node.suspects:

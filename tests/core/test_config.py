@@ -8,7 +8,8 @@ import pytest
 
 from repro.core.config import DEFAULT_N_MAX, VoroNetConfig
 from repro.core.shards import ShardedNodeStore
-from repro.simulation.faults import HeartbeatDetector
+from repro.experiments.runner import build_parser
+from repro.simulation.faults import HeartbeatConfig, HeartbeatDetector
 from repro.simulation.protocol import TimeoutPolicy
 from repro.simulation.scenario import (Scenario, measure_steady_state_liveness,
                                        run_merge_scenario)
@@ -114,6 +115,14 @@ def test_option_budget():
     assert parameters(measure_steady_state_liveness) == [
         "simulator", "rounds", "queries_per_round"]
     assert parameters(HeartbeatDetector.__init__) == ["simulator", "config"]
+    # Two liveness policies are in use: full probe (the defaults) and
+    # piggyback + sampling (perf/systems.py).
+    assert {f.name for f in fields(HeartbeatConfig)} == {
+        "interval", "miss_threshold", "piggyback", "sample_fraction"}
+
+    # The evaluation side: one runner, no environment variables.
+    assert {action.dest for action in build_parser()._actions} == {
+        "help", "experiment", "scale", "seed", "output"}
 
     # The shard map is the routing cache's epoch domain and nothing more:
     # per-shard object data must arrive with a reader, as a reviewed diff.

@@ -12,7 +12,8 @@ Three layers of protection for the routing hot path:
   insert/remove/crash/link-reset bursts (locate-grid and table
   invalidation under churn);
 * direct parity regressions for ``route`` / ``route_many`` /
-  ``lookup_many`` and the Algorithm 5 stopping rule;
+  ``lookup_many``, cold against warm passes, and the Algorithm 5 stopping
+  rule;
 * a clustered overlay whose tables straddle ``VECTOR_SCAN_THRESHOLD`` — the
   size at which an entry holds arrays instead of a scan block — kept
   hop-for-hop equal to the reference router through churn.
@@ -211,6 +212,22 @@ class TestCacheParity:
             overlay.object_ids(), 60, RandomSource(6)))
         for result in overlay.route_many(pairs, use_long_links=use_long_links):
             assert_routes_match_reference(overlay, result, use_long_links)
+
+    def test_warm_pass_repeats_the_cold_pass(self):
+        """Routing a batch twice: the second pass builds no table and
+        returns the first pass's owners and hop counts."""
+        overlay = VoroNet(VoroNetConfig(n_max=2000, seed=89))
+        overlay.bulk_load(np.random.default_rng(89).random((500, 2)))
+        pairs = list(generate_routing_pairs(
+            overlay.object_ids(), 200, RandomSource(9)))
+        cold = overlay.route_many(pairs)
+        built = overlay.stats.routing_table_rebuilds
+        assert built > 0
+        warm = overlay.route_many(pairs)
+        assert overlay.stats.routing_table_rebuilds == built
+        assert all(result.success for result in warm)
+        assert ([(r.owner, r.hops) for r in warm]
+                == [(r.owner, r.hops) for r in cold])
 
     def test_lookup_many_parity(self, overlay):
         points = [tuple(p) for p in np.random.default_rng(7).random((60, 2))]

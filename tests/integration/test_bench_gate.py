@@ -1,17 +1,25 @@
-"""Contract tests for the unified bench-regression gate.
+"""Tier-1 gate of the committed benchmark records.
 
-The gate (``benchmarks/check_bench.py``) derives its floors from the
-committed canonical ``BENCH_*.json`` records at run time, so the registry
-and the records can drift apart silently — a renamed metric, a deleted
-record, a tolerance typo — and the breakage would only surface in CI.
-These tests pin the contract: every registered benchmark has a readable
-canonical record, every gated metric resolves in it, and every tolerance
-derives a floor the canonical run itself would clear.
+``benchmarks/`` keeps the records ``perf/`` cannot produce: the
+partition-merge parity matrix, the protocol-churn damage/repair census,
+the serving shoot-out and the N = 10⁶ shard-scale datum.  Each script is
+re-run here at smoke scale through its one entry point, ``main(argv)``;
+the gate is its exit code (the script's own correctness bar) plus the
+record's *deterministic* metrics held to floors derived from the committed
+canonical record::
+
+    floor(metric) = canonical_value x tolerance
+
+Wall-clock numbers are not gated here — throughput belongs to the paired
+``perf/compare.py`` runs against ``BENCHMARK.json``.
 """
 
+import importlib
 import json
 import sys
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Tuple
 
 import pytest
 
@@ -19,52 +27,103 @@ BENCH_DIR = Path(__file__).resolve().parents[2] / "benchmarks"
 if str(BENCH_DIR) not in sys.path:
     sys.path.insert(0, str(BENCH_DIR))
 
-import check_bench  # noqa: E402
+
+@dataclass(frozen=True)
+class Gate:
+    """One gated record: the smoke workload and (metric path, tolerance) floors."""
+
+    name: str
+    argv: Tuple[str, ...]
+    floors: Tuple[Tuple[str, float], ...]
+
+    @property
+    def module(self):
+        return importlib.import_module(f"bench_{self.name}")
+
+    @property
+    def canonical(self) -> dict:
+        return json.loads((BENCH_DIR / f"BENCH_{self.name}.json").read_text())
 
 
-@pytest.fixture(params=check_bench.REGISTRY, ids=lambda b: b.name)
+def resolve(record: dict, metric: str) -> float:
+    """Follow a dotted path into a record."""
+    value = record
+    for part in metric.split("."):
+        value = value[part]
+    return float(value)
+
+
+GATES = (
+    # Every scenario converged, every side served every stable-phase query.
+    Gate("partition_merge", ("--objects", "48", "--queries-per-side", "6"),
+         (("converged_fraction", 1.0), ("stable_success_rate_min", 1.0))),
+    # Piggy-backed + sampled liveness against full-probe heartbeats: 8.0x
+    # fewer messages at the canonical N=1000 and on this overlay alike.
+    Gate("protocol_churn",
+         ("--objects", "300", "--crash-fraction", "0.1", "--max-repair-rounds", "6"),
+         (("steady_state_liveness.reduction", 0.5),)),
+    Gate("serving",
+         ("--objects", "2500", "--queries", "5000",
+          "--protocol-objects", "200", "--protocol-queries", "600",
+          "--parity-objects", "120", "--parity-queries", "300"),
+         (("systems.voronet.uniform.success_rate", 0.99), ("twin_parity.parity", 1.0))),
+    # Canonical survival at N=10^6 is 0.9998; the coarser shard grid at
+    # 16k yields ~0.99, a broken per-shard invalidation ~0.05.
+    Gate("shard_scale",
+         ("--sizes", "4000", "16000", "--warm-tables", "500",
+          "--churn-events", "10", "--pairs", "2000"),
+         (("warm_table_survival_at_largest", 0.9),)),
+)
+
+
+@pytest.fixture(params=GATES, ids=lambda gate: gate.name)
 def bench(request):
     return request.param
 
 
 class TestRegistryContract:
     def test_canonical_record_exists(self, bench):
-        path = BENCH_DIR / bench.canonical
-        assert path.exists(), f"missing canonical record {bench.canonical}"
-        record = json.loads(path.read_text())
-        assert record.get("benchmark") == bench.name
+        assert bench.canonical.get("benchmark") == bench.name
 
     def test_gated_metrics_resolve_in_canonical(self, bench):
-        record = json.loads((BENCH_DIR / bench.canonical).read_text())
-        for floor in bench.floors:
-            value = floor.resolve(record)
-            assert value > 0, (bench.name, floor.metric)
+        canonical = bench.canonical
+        for metric, _ in bench.floors:
+            assert resolve(canonical, metric) > 0, (bench.name, metric)
 
     def test_canonical_clears_its_own_floor(self, bench):
-        """floor = canonical x tolerance with tolerance in (0, 1]: the
-        canonical record must trivially pass its own derived bar."""
-        record = json.loads((BENCH_DIR / bench.canonical).read_text())
-        for floor in bench.floors:
-            assert 0.0 < floor.tolerance <= 1.0
-            value = floor.resolve(record)
-            assert value >= value * floor.tolerance
+        for metric, tolerance in bench.floors:
+            assert 0.0 < tolerance <= 1.0, (bench.name, metric)
 
     def test_bench_module_importable_with_main(self, bench):
-        """Every registered module must import and expose ``main(argv)``
-        (the gate calls it in-process rather than shelling out)."""
-        import importlib
+        """One entry point per script: ``main(argv)`` and no pytest twin."""
+        names = vars(bench.module)
+        assert callable(names.get("main"))
+        assert not [name for name in names if name.startswith("test_")]
 
-        module = importlib.import_module(bench.module)
-        assert callable(getattr(module, "main", None))
+    def test_smoke_run_clears_the_floors(self, bench, tmp_path):
+        smoke_path = tmp_path / f"BENCH_{bench.name}.json"
+        assert bench.module.main([*bench.argv, "--output", str(smoke_path)]) == 0
+        smoke = json.loads(smoke_path.read_text())
+        canonical = bench.canonical
+        for metric, tolerance in bench.floors:
+            floor = resolve(canonical, metric) * tolerance
+            assert resolve(smoke, metric) >= floor, (bench.name, metric)
 
 
 class TestFloorResolution:
     def test_nested_metric_paths(self):
-        floor = check_bench.Floor("a.b.c", 0.5)
-        assert floor.resolve({"a": {"b": {"c": 4.0}}}) == 4.0
+        assert resolve({"a": {"b": {"c": 4.0}}}, "a.b.c") == 4.0
         with pytest.raises(KeyError):
-            floor.resolve({"a": {}})
+            resolve({"a": {}}, "a.b.c")
 
     def test_registry_names_unique(self):
-        names = [b.name for b in check_bench.REGISTRY]
+        names = [gate.name for gate in GATES]
         assert len(names) == len(set(names))
+
+
+def test_every_file_in_benchmarks_is_gated():
+    expected = {"README.md"}
+    for gate in GATES:
+        expected |= {f"bench_{gate.name}.py", f"BENCH_{gate.name}.json"}
+    assert {path.name for path in BENCH_DIR.iterdir()
+            if path.name != "__pycache__"} == expected

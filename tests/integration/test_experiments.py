@@ -1,4 +1,8 @@
-"""Tests of the experiment drivers (small scales — the benches run them full size)."""
+"""Tests of the experiment drivers and their scorecard (small scales —
+``REPRODUCTION.json`` is the full-size run)."""
+
+import json
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +17,10 @@ from repro.experiments.fig5_degree import format_fig5, run_fig5
 from repro.experiments.fig6_routes import format_fig6, run_fig6
 from repro.experiments.fig7_slope import format_fig7, run_fig7
 from repro.experiments.fig8_longlinks import format_fig8, run_fig8
+from repro.experiments.common import Claim
 from repro.experiments.runner import EXPERIMENTS, main
+
+REPRODUCTION = Path(__file__).resolve().parents[2] / "REPRODUCTION.json"
 
 
 class TestCommonHelpers:
@@ -53,8 +60,8 @@ class TestFigureDrivers:
         assert "slope" in format_fig7(fit)
 
     def test_fig6_bulk_load_matches_shape(self):
-        """The bulk-load fast path feeds the same sweep machinery."""
-        sweep = run_fig6(scale=0.05, use_bulk_load=True)
+        """Overlays grown by ``bulk_load`` between checkpoints route every pair."""
+        sweep = run_fig6(scale=0.05)
         assert len(sweep.checkpoints) >= 3
         for series in sweep.series.values():
             assert len(series) == len(sweep.checkpoints)
@@ -126,3 +133,60 @@ class TestRunner:
     def test_cli_rejects_unknown_experiment(self):
         with pytest.raises(SystemExit):
             main(["does-not-exist"])
+
+
+def claim_ids(scorecard):
+    return {(name, row["claim"]) for name, entry in scorecard["experiments"].items()
+            for row in entry["claims"]}
+
+
+class TestScorecard:
+    @pytest.fixture(scope="class")
+    def scorecard(self, tmp_path_factory):
+        """``all`` at smoke scale; verdicts are scale-dependent, so the exit
+        code is not asserted here."""
+        path = tmp_path_factory.mktemp("scorecard") / "REPRODUCTION.json"
+        main(["all", "--scale", "0.05", "--output", str(path)])
+        return json.loads(path.read_text())
+
+    def test_every_experiment_reports_well_formed_claims(self, scorecard):
+        assert set(scorecard["experiments"]) == set(EXPERIMENTS)
+        for name, entry in scorecard["experiments"].items():
+            assert isinstance(entry["seed"], int), name
+            claims = [row["claim"] for row in entry["claims"]]
+            assert claims and len(set(claims)) == len(claims), name
+            for row in entry["claims"]:
+                assert set(row) == {"claim", "measured", "holds"}
+                assert isinstance(row["claim"], str) and row["claim"]
+                assert isinstance(row["holds"], bool)
+        assert scorecard["holds"] == all(
+            row["holds"] for entry in scorecard["experiments"].values()
+            for row in entry["claims"])
+
+    def test_fig7_fits_the_fig6_sweep_of_the_same_run(self, scorecard):
+        assert (scorecard["experiments"]["fig7"]["seed"]
+                == scorecard["experiments"]["fig6"]["seed"])
+
+    def test_committed_scorecard_is_current_and_holds(self, scorecard):
+        committed = json.loads(REPRODUCTION.read_text())
+        assert committed["scale"] == 1.0
+        assert claim_ids(committed) == claim_ids(scorecard)
+        assert committed["holds"]
+        assert all(row["holds"] for entry in committed["experiments"].values()
+                   for row in entry["claims"])
+
+    def test_failed_claim_fails_the_run(self, scorecard, monkeypatch, tmp_path, capsys):
+        run, format_result, claims = EXPERIMENTS["fig5"]
+
+        def one_forced_false(result):
+            rows = claims(result)
+            return [Claim(rows[0].claim, rows[0].measured, False)] + rows[1:]
+
+        monkeypatch.setitem(EXPERIMENTS, "fig5", (run, format_result, one_forced_false))
+        path = tmp_path / "scorecard.json"
+        assert main(["fig5", "--scale", "0.05", "--output", str(path)]) == 1
+        written = json.loads(path.read_text())
+        assert not written["holds"]
+        assert (len(written["experiments"]["fig5"]["claims"])
+                == len(scorecard["experiments"]["fig5"]["claims"]))
+        assert "FAILED" in capsys.readouterr().out

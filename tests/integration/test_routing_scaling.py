@@ -1,7 +1,7 @@
 """Scaled-down checks of the paper's headline routing claims.
 
 These are the evaluation's core qualitative results, verified at test-suite
-scale (the benchmarks run the full-size versions):
+scale (``REPRODUCTION.json`` records the full-size versions):
 
 * routes grow poly-logarithmically, not polynomially (Figure 6),
 * the log(H) vs log(log N)) slope is near 2 (Figure 7),
@@ -65,12 +65,12 @@ class TestDistributionInsensitivity:
 
 class TestBulkLoadSweep:
     def test_bulk_load_sweep_reaches_paper_scale(self):
-        """``use_bulk_load=True`` pushes the Figure 6 sweep to N = 10⁴ within
+        """Growing by ``bulk_load`` pushes the Figure 6 sweep to N = 10⁴ within
         the test-suite time budget, and routes still grow poly-log."""
         rng = RandomSource(41)
         positions = generate_objects(UniformDistribution(), 10_000, rng)
         points = sweep_overlay_sizes(positions, [2500, 5000, 10_000], rng,
-                                     num_pairs=150, use_bulk_load=True)
+                                     num_pairs=150)
         assert [p.size for p in points] == [2500, 5000, 10_000]
         assert all(p.stats.samples == 150 for p in points)
         assert all(p.stats.failures == 0 for p in points)
@@ -78,18 +78,17 @@ class TestBulkLoadSweep:
         assert growth < math.sqrt(10_000 / 2500)
 
     def test_bulk_load_sweep_measures_same_structure(self):
-        """At equal seeds, bulk-grown and join-grown sweeps route over the
-        same Voronoi/close structure (long links differ only in draw order),
-        so their mean hop counts agree closely."""
+        """The sweep's bulk-grown overlay and one grown by sequential routed
+        joins hold the same Voronoi/close structure (long links differ only
+        in draw order), so their mean hop counts agree closely."""
         positions = generate_objects(UniformDistribution(), 600,
                                      RandomSource(43))
-        means = {}
-        for use_bulk_load in (False, True):
-            points = sweep_overlay_sizes(
-                positions, [300, 600], RandomSource(44), num_pairs=200,
-                use_bulk_load=use_bulk_load)
-            means[use_bulk_load] = points[-1].mean_hops
-        assert means[True] == pytest.approx(means[False], rel=0.25)
+        points = sweep_overlay_sizes(positions, [300, 600], RandomSource(44),
+                                     num_pairs=200)
+        joined = VoroNet(n_max=600, seed=44)
+        joined.insert_many(positions)
+        sequential = measure_routing(joined, 200, RandomSource(45))
+        assert points[-1].mean_hops == pytest.approx(sequential.mean, rel=0.25)
 
 
 class TestLongLinkCount:
