@@ -1,19 +1,18 @@
-"""Benchmark SHARD — million-object substrate: sharded epochs at scale.
+"""Benchmark CACHE — million-object overlay: exact invalidation at scale.
 
-Demonstrates the Morton-shard substrate on one machine:
+Demonstrates the routing-table cache on one machine:
 
-* ``bulk_load`` of N = 10⁶ objects into the sharded node store, plus a
-  routing sweep over the result;
-* the per-shard epoch claim — **rebuild work grows with shard size, not
-  overlay size**: at each overlay size a fixed pool of warm routing
-  tables is churned and the tables rebuilt per churn event are counted.
-  A single global epoch would rebuild the whole pool on every event
-  (``warm_table_survival`` 0); per-shard epochs rebuild only the tables
-  whose shard the event touched, so survival approaches 1 as the shard
-  grid refines.
+* ``bulk_load`` of N = 10⁶ objects, plus a routing sweep over the result;
+* the locality claim — **a join or leave rebuilds the tables it names,
+  whatever the overlay size**: at each overlay size a fixed pool of warm
+  routing tables is churned and the tables rebuilt per churn event are
+  counted.  Invalidating overlay-wide would rebuild the whole pool on
+  every event (``warm_table_survival`` 0); a mutation drops only the
+  tables of the objects whose views it changed (a dozen ids), so an event
+  costs the pool only the few of those that happen to be in it.
 
-``python benchmarks/bench_shard_scale.py --sizes 62500 250000 1000000
---output benchmarks/BENCH_shard_scale.json`` produced the canonical
+``python benchmarks/bench_cache_scale.py --sizes 62500 250000 1000000
+--output benchmarks/BENCH_cache_scale.json`` produced the canonical
 million-object record — the one N = 10⁶ datum until the end-to-end
 benchmark (``perf/``) grows a scaling workload; tier 1 re-derives it at
 ``--sizes 4000 16000`` (``tests/integration/test_bench_gate.py``).
@@ -62,9 +61,9 @@ def _churn_probe(overlay: VoroNet, *, warm_tables: int, churn_events: int,
 
     Warms ``warm_tables`` tables, then alternates one insert+remove churn
     event with a full re-request of the warm pool, counting rebuilds per
-    event.  Per-shard epochs rebuild only the tables whose shard the
-    event touched; ``warm_table_survival`` is the share of the pool each
-    event leaves warm.
+    event.  Only the tables an event names are dropped;
+    ``warm_table_survival`` is the share of the pool each event leaves
+    warm.
     """
     rng = RandomSource(seed)
     ids = overlay.object_ids()
@@ -96,9 +95,9 @@ def _route_pairs(overlay: VoroNet, pairs: List[Tuple[int, int]]) -> Tuple[List[i
     return hops, len(results) - len(hops)
 
 
-def run_shard_scale(sizes: Sequence[int], seed: int, *, warm_tables: int,
+def run_cache_scale(sizes: Sequence[int], seed: int, *, warm_tables: int,
                     churn_events: int, num_pairs: int) -> dict:
-    """Run the shard-scale benchmark; returns the JSON bench record."""
+    """Run the cache-scale benchmark; returns the JSON bench record."""
     sizes = sorted(set(int(s) for s in sizes))
     rng = RandomSource(seed)
     per_size: List[dict] = []
@@ -108,7 +107,6 @@ def run_shard_scale(sizes: Sequence[int], seed: int, *, warm_tables: int,
         pool = min(warm_tables, max(64, size // 8))
 
         overlay, seconds_bulk = _build_overlay(positions, seed=seed)
-        level = overlay.shard_store.level
         probe = _churn_probe(overlay, warm_tables=pool,
                              churn_events=churn_events, seed=seed + 1)
         if size == sizes[-1]:
@@ -120,8 +118,6 @@ def run_shard_scale(sizes: Sequence[int], seed: int, *, warm_tables: int,
             seconds_routing = time.perf_counter() - started
             headline = {
                 "objects": size,
-                "shard_level": level,
-                "num_shards": overlay.shard_store.num_shards,
                 "seconds_bulk_load": round(seconds_bulk, 2),
                 "objects_per_second": round(size / seconds_bulk),
                 "consistency_problems": consistency_problems,
@@ -136,16 +132,14 @@ def run_shard_scale(sizes: Sequence[int], seed: int, *, warm_tables: int,
         del overlay
         per_size.append({
             "objects": size,
-            "shard_level": level,
-            "num_shards": 4 ** level,
-            "seconds_bulk_sharded": round(seconds_bulk, 2),
+            "seconds_bulk_load": round(seconds_bulk, 2),
             "warm_tables": pool,
-            "sharded_rebuilds_per_event": probe["rebuilds_per_event"],
+            "rebuilds_per_event": probe["rebuilds_per_event"],
             "warm_table_survival": probe["warm_table_survival"],
         })
 
     return {
-        "benchmark": "shard_scale",
+        "benchmark": "cache_scale",
         "seed": seed,
         "sizes": list(sizes),
         "churn_events": churn_events,
@@ -155,11 +149,10 @@ def run_shard_scale(sizes: Sequence[int], seed: int, *, warm_tables: int,
     }
 
 
-def format_shard_scale(record: dict) -> str:
-    """Multi-line human rendering of a shard-scale bench record."""
+def format_cache_scale(record: dict) -> str:
+    """Multi-line human rendering of a cache-scale bench record."""
     lines = [
-        f"Shard scale @ {record['objects']} objects "
-        f"(level {record['shard_level']}, {record['num_shards']} shards): "
+        f"Cache scale @ {record['objects']} objects: "
         f"bulk_load {record['seconds_bulk_load']:.0f}s "
         f"({record['objects_per_second']} obj/s), "
         f"routing {record['routing']['routes_per_second']:.0f} routes/s "
@@ -169,8 +162,8 @@ def format_shard_scale(record: dict) -> str:
     lines.append("rebuilds/churn-event (of the warm pool):")
     for row in record["per_size"]:
         lines.append(
-            f"  N={row['objects']:>9} level={row['shard_level']}: "
-            f"{row['sharded_rebuilds_per_event']:>7.1f} of "
+            f"  N={row['objects']:>9}: "
+            f"{row['rebuilds_per_event']:>7.1f} of "
             f"{row['warm_tables']:>5}  "
             f"(survival {row['warm_table_survival']:.4f})"
         )
@@ -178,9 +171,9 @@ def format_shard_scale(record: dict) -> str:
 
 
 def main(argv=None) -> int:
-    """Entry point of ``python benchmarks/bench_shard_scale.py``."""
+    """Entry point of ``python benchmarks/bench_cache_scale.py``."""
     parser = argparse.ArgumentParser(
-        description="Benchmark the Morton-sharded substrate at scale.")
+        description="Benchmark the routing-table cache at scale.")
     parser.add_argument("--sizes", type=int, nargs="+", default=list(DEFAULT_SIZES),
                         help=f"overlay sizes (default {list(DEFAULT_SIZES)})")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
@@ -191,11 +184,11 @@ def main(argv=None) -> int:
                         help="write the JSON bench record here")
     args = parser.parse_args(argv)
 
-    record = run_shard_scale(sizes=args.sizes, seed=args.seed,
+    record = run_cache_scale(sizes=args.sizes, seed=args.seed,
                              warm_tables=args.warm_tables,
                              churn_events=args.churn_events,
                              num_pairs=args.pairs)
-    print(format_shard_scale(record))
+    print(format_cache_scale(record))
     if args.output is not None:
         args.output.write_text(json.dumps(record, indent=2) + "\n")
         print(f"record written to {args.output}")

@@ -35,7 +35,7 @@ from repro.core.routing import (
     route_to_object,
     route_with_stopping_rule,
 )
-from repro.core.shards import MAX_SHARD_LEVEL, ShardedNodeStore, morton_shard_codes
+from repro.core.shards import RoutingTableCache
 from repro.core.stats import OperationStats, OverlayStats
 
 __all__ = [
@@ -65,7 +65,5 @@ __all__ = [
     "segment_query",
     "OperationStats",
     "OverlayStats",
-    "ShardedNodeStore",
-    "morton_shard_codes",
-    "MAX_SHARD_LEVEL",
+    "RoutingTableCache",
 ]

@@ -21,21 +21,10 @@ import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
-__all__ = ["VoroNetConfig", "DEFAULT_N_MAX", "DEFAULT_SHARD_OCCUPANCY"]
+__all__ = ["VoroNetConfig", "DEFAULT_N_MAX"]
 
 #: Default maximum overlay size used when the caller does not specify one.
 DEFAULT_N_MAX = 100_000
-
-#: Target number of objects per Morton shard (see
-#: ``VoroNetConfig.effective_shard_level``).  Smaller shards mean finer
-#: invalidation (less rebuild work per churn event) but more epoch
-#: bookkeeping per overlay-wide invalidation; 512 keeps both costs
-#: negligible from 10³ to 10⁷ objects.
-DEFAULT_SHARD_OCCUPANCY = 512
-
-#: Deepest supported shard level (kept in sync with repro.core.shards;
-#: duplicated here to avoid an import cycle at config time).
-_MAX_SHARD_LEVEL = 8
 
 
 @dataclass(frozen=True)
@@ -101,23 +90,6 @@ class VoroNetConfig:
         if self.d_min is not None:
             return self.d_min
         return 1.0 / math.sqrt(math.pi * self.n_max)
-
-    @property
-    def effective_shard_level(self) -> int:
-        """The Morton shard level actually used by the overlay's shard map.
-
-        The unit square is split into ``4 ** level`` Z-order shards, each
-        carrying its own routing-table epoch, so churn only invalidates
-        tables in the touched shards.  The level is the smallest one whose
-        shards keep the *dimensioned* population (``n_max``) at or under
-        ``DEFAULT_SHARD_OCCUPANCY`` objects per shard; small overlays
-        (``n_max <= DEFAULT_SHARD_OCCUPANCY``) get a single shard.
-        """
-        target_shards = self.n_max // DEFAULT_SHARD_OCCUPANCY
-        level = 0
-        while (1 << (2 * level)) < target_shards and level < _MAX_SHARD_LEVEL:
-            level += 1
-        return level
 
     @property
     def long_link_normalization(self) -> float:

@@ -55,9 +55,9 @@ def integrate_new_object(overlay: "VoroNet", object_id: int) -> int:
     messages = len(voronoi_neighbors)  # region-update notifications
     # Ids whose forwarding candidates this attach changes: the new object
     # itself plus every long-link source re-pointed at it.  Close
-    # registrations bump their own shards inside register_close_neighbors;
-    # back-registration moves alone change no routing candidates (BLRn is
-    # not routed on).
+    # registrations name both ends of each new pair themselves, inside
+    # register_close_neighbors; back-registration moves alone change no
+    # routing candidates (BLRn is not routed on).
     affected: List[int] = [object_id]
 
     # Close neighbours (skipped entirely under the ABL1 ablation).
@@ -180,7 +180,7 @@ def detach_object(overlay: "VoroNet", object_id: int) -> int:
     # object, every close neighbour that drops it, and every long-link
     # source re-pointed at a delegate.  (Back-registration moves and
     # deregistrations alone change no routing candidates.)  The caller
-    # bumps the ex-Voronoi-neighbours after the kernel removal.
+    # names the ex-Voronoi-neighbours after the kernel removal.
     affected: List[int] = [object_id]
 
     # Close-neighbour notifications.

@@ -23,12 +23,12 @@ every object acts only on its local view, lives in
 :mod:`repro.simulation.protocol` and is validated against this class in the
 integration tests.
 
-Epoch / invalidation contract
------------------------------
-Greedy forwarding is served from *flat routing tables*: per object and per
-variant (with long links / Delaunay-only), the object's forwarding
-candidates in ascending id order with their positions, equal at all times to
-the freshly assembled :attr:`NeighborView.routing_neighbors` of that object.
+Routing-table cache contract
+----------------------------
+**A cached table is a valid table; a mutation names the ids whose
+candidates it changed.**  Greedy forwarding is served from *flat routing
+tables*: per object and per variant (with long links / Delaunay-only), the
+object's forwarding candidates in ascending id order with their positions.
 Each table is held in **one representation, chosen by its size** when
 :meth:`VoroNet._routing_entry` builds it: below
 :data:`~repro.geometry.locate_grid.VECTOR_SCAN_THRESHOLD` candidates a list
@@ -36,43 +36,53 @@ of ``(id, x, y)`` tuples that the forwarding loop scans inline; from the
 threshold up an int64 id array aligned with a ``(k, 2)`` position array —
 one gather from the locate grid's coordinate column — that the loop takes
 an ``argmin`` over.  Nothing is converted later; :meth:`VoroNet.routing_table`
-returns the arrays of either form.  Tables are built lazily and
-invalidated by **per-shard epochs**: a
-:class:`~repro.core.shards.ShardedNodeStore` maps each object to its Morton
-shard, every cached entry records the epoch of its object's shard at build
-time, and a mutation bumps only the shards of the objects whose forwarding
-candidates it changed — :meth:`insert`, :meth:`remove`, long-link
-establishment/churn (:meth:`reset_long_links`) and the maintenance
-procedures (close-neighbour registration, back-link hand-over, long-link
-re-delegation) all pass their affected-id sets to
-:meth:`invalidate_routing_tables`, so churn rebuild work scales with shard
-occupancy instead of overlay size.  Overlay-wide events (:meth:`bulk_load`,
-crash injection, external view surgery) call
-:meth:`invalidate_routing_tables` with no arguments, which bumps every
-shard; :attr:`VoroNet.topology_epoch` remains a monotone generation counter
-of invalidation events (bumped exactly once per call) for observers that
-only need "did anything change".  Code that mutates
+returns the arrays of either form.
+
+Tables are built lazily and kept in a
+:class:`~repro.core.shards.RoutingTableCache`, where *presence is
+validity*: a lookup is one dict probe with nothing to compare, because a
+table stays cached exactly while it equals the freshly assembled
+:attr:`NeighborView.routing_neighbors` of its object.  Keeping that true is
+the mutation's job, and in the paper a mutation is local
+(``AddVoronoiRegion`` / ``RemoveVoronoiRegion``, Section 3.3 / 4.2, change
+O(1) views): :meth:`insert`, :meth:`remove`, long-link establishment and
+churn (:meth:`reset_long_links`) and the maintenance procedures
+(close-neighbour registration, back-link hand-over, long-link
+re-delegation) each pass the ids whose candidates they changed to
+:meth:`invalidate_routing_tables`, which drops exactly those tables — so a
+join or leave costs O(1) rebuilds whatever the overlay size.  Overlay-wide
+events (:meth:`bulk_load`, crash injection, external view surgery of
+unknown scope) call :meth:`invalidate_routing_tables` with no arguments,
+which drops every table; so does the one departure that is not local, a
+convex-hull object's, whose kernel rebuild may re-triangulate cocircular
+points anywhere (:meth:`withdraw_substrate`).
+:attr:`VoroNet.topology_epoch` counts the calls, for observers that only
+need "did anything change".  Code that mutates
 :class:`~repro.core.node.ObjectNode` view state outside those entry points
-MUST call :meth:`invalidate_routing_tables` afterwards — with the touched
-object ids when it knows them, bare otherwise — or cached tables go stale.
-A view that still names a departed object (crash damage before repair)
-fails the build with :class:`ObjectNotFoundError` in either form: a missing
-node, or a ``NaN`` row of the column.  Cache hits never change results: the
-parity tests route every request a second time with a reference router that
-assembles :meth:`VoroNet.neighbor_view` per hop and require identical owners
-and hop counts.
+MUST call :meth:`invalidate_routing_tables` afterwards — with **every**
+touched object id when it knows them, bare otherwise — or a cached table
+goes stale; :meth:`VoroNet.routing_cache_report` (part of
+:meth:`check_consistency`) compares every cached table with a fresh view
+and is what catches an incomplete id set.  A view that still names a
+departed object (crash damage before repair) fails the build with
+:class:`ObjectNotFoundError` in either form: a missing node, or a ``NaN``
+row of the column.  Cache hits never change results: the parity tests
+route every request a second time with a reference router that assembles
+:meth:`VoroNet.neighbor_view` per hop and require identical owners and hop
+counts.
 
 Membership
 ----------
 The kernel, the :class:`LocateGrid` buckets, the grid's coordinate column
 (a row per member id — what large routing tables, the close-neighbour
-filter and the bulk radius query gather positions from), the shard map and
-the cached routing tables each hold a record per member id.  Records are
-dropped in one place, :meth:`VoroNet.withdraw_substrate`
-(:meth:`VoroNet.remove` is the Section 3.3 hand-over followed by it, an
-injected crash is it alone), and :meth:`VoroNet.check_consistency` reports
-any that disagree — a member missing from a record, a leftover entry, or a
-column row that is not its node's position.
+filter and the bulk radius query gather positions from) and the routing
+cache (member ids, and a table only for a member) each hold a record per
+member id.  Records are dropped in one place,
+:meth:`VoroNet.withdraw_substrate` (:meth:`VoroNet.remove` is the Section
+3.3 hand-over followed by it, an injected crash is it alone), and
+:meth:`VoroNet.check_consistency` reports any that disagree — a member
+missing from a record, a leftover entry, or a column row that is not its
+node's position.
 """
 
 from __future__ import annotations
@@ -80,7 +90,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -98,7 +108,7 @@ from repro.core.neighbors import NeighborView
 from repro.core.node import ObjectNode
 from repro.core.routing import (RouteResult, greedy_route, missed_route,
                                 route_to_object)
-from repro.core.shards import ShardedNodeStore
+from repro.core.shards import RoutingTableCache
 from repro.core.stats import OverlayStats
 from repro.geometry.bounding import UNIT_SQUARE, BoundingBox
 from repro.geometry.delaunay import DelaunayTriangulation, DuplicatePointError
@@ -153,19 +163,10 @@ class VoroNet:
         self._next_id = 0
         self._join_counter = itertools.count()
         self._stats = OverlayStats()
-        # id → Morton shard plus the per-shard epoch list that scopes
-        # routing-table invalidation (see the module docstring).
-        self._store = ShardedNodeStore(config.effective_shard_level)
-        # Epoch-invalidated flat routing tables (see the module docstring):
-        # one dict per variant (with long links / Delaunay-only), each
-        # object_id → [shard epoch at build, candidate ids, (k, 2)
-        # positions, (id, x, y) scan block, shard index], holding either
-        # the scan block (ids and positions None) or the two arrays (block
-        # None) — one representation per entry, chosen by its size.  Two
-        # bare-int-keyed dicts instead of one tuple-keyed dict: the hot
-        # loop probes once per forwarding hop.
+        # Member ids and the flat routing tables cached for them (see the
+        # module docstring).
+        self._routing_cache = RoutingTableCache()
         self._topology_epoch = 0
-        self._routing_tables: Dict[bool, Dict[int, list]] = {True: {}, False: {}}
 
     # ------------------------------------------------------------------
     # basic accessors
@@ -253,31 +254,32 @@ class VoroNet:
     def topology_epoch(self) -> int:
         """Monotone generation counter of view-relevant topology changes.
 
-        Bumped exactly once by every :meth:`invalidate_routing_tables`
-        call — insert/remove/bulk load, long-link churn and the
-        maintenance procedures all flow through it — so "did anything
-        change" observers keep working.  Cache *validity* is finer: each
-        routing entry is checked against the epoch of its object's shard
-        (:attr:`shard_store`), which targeted invalidation bumps only for
-        the touched shards.
+        Advances exactly once per :meth:`invalidate_routing_tables` call —
+        insert/remove/bulk load, long-link churn and the maintenance
+        procedures all flow through it — for observers that only need "did
+        anything change".  Nothing is validated against it: a cached table
+        is a valid table, and each call drops the tables it names.
         """
         return self._topology_epoch
 
     @property
-    def shard_store(self) -> ShardedNodeStore:
-        """The id → Morton shard map and its per-shard epochs."""
-        return self._store
+    def routing_cache(self) -> RoutingTableCache:
+        """The member ids and the routing tables cached for them."""
+        return self._routing_cache
 
     def invalidate_routing_tables(self,
                                   object_ids: Optional[Iterable[int]] = None) -> None:
-        """Invalidate cached routing tables, lazily, by bumping shard epochs.
+        """Drop the cached routing tables a mutation made wrong.
 
-        With ``object_ids`` given, only the shards holding those objects
-        are bumped — the targeted form every churn-local mutation path
-        uses, which is what keeps rebuild work proportional to shard
-        occupancy.  Without arguments every shard is bumped (overlay-wide
+        A cached table is a valid table; a mutation names the ids whose
+        candidates it changed.  With ``object_ids`` given, exactly those
+        objects' tables (both variants) are dropped — the targeted form
+        every churn-local mutation path uses, so the set must be
+        *complete*: a changed view left out keeps routing on its old
+        table.  Without arguments every table is dropped (overlay-wide
         invalidation).  Either way the :attr:`topology_epoch` generation
-        counter advances exactly once.
+        counter advances exactly once, and a dropped table is rebuilt the
+        next time it is asked for.
 
         The overlay's own mutation entry points call this; external code
         that mutates per-object view state directly (tests, protocol
@@ -287,9 +289,9 @@ class VoroNet:
         """
         self._topology_epoch += 1
         if object_ids is None:
-            self._store.bump_all()
+            self._routing_cache.drop_all()
         else:
-            self._store.bump_object_ids(object_ids)
+            self._routing_cache.bump_object_ids(object_ids)
 
     def routing_table(self, object_id: int,
                       use_long_links: bool = True) -> Tuple[np.ndarray, np.ndarray]:
@@ -298,29 +300,33 @@ class VoroNet:
         Returns ``(ids, positions)``: an int64 array of the candidate
         neighbour ids (``vn ∪ cn ∪ LRn`` minus self, or without ``LRn`` for
         the Delaunay-only variant, sorted for determinism) and the aligned
-        ``(k, 2)`` float64 position array.  Cached against the epoch of
-        the object's shard; always equal to a freshly assembled
+        ``(k, 2)`` float64 position array.  Cached until a mutation names
+        the object; always equal to a freshly assembled
         :attr:`~repro.core.neighbors.NeighborView.routing_neighbors`.
         """
-        _epoch, ids, positions, block, _shard = self._routing_entry(object_id, use_long_links)
+        ids, positions, block = self._routing_entry(object_id, use_long_links)
         if block is not None:
             ids = np.asarray([cid for cid, _x, _y in block], dtype=np.int64)
             positions = np.asarray([(x, y) for _cid, x, y in block],
                                    dtype=np.float64).reshape(len(block), 2)
         return ids, positions
 
-    def _routing_entry(self, object_id: int, use_long_links: bool) -> list:
-        entry = self._routing_tables[use_long_links].get(object_id)
-        epochs = self._store.epochs
-        if entry is not None and entry[0] == epochs[entry[4]]:
-            return entry
-        self._stats.routing_table_rebuilds += 1
+    def _routing_candidates(self, object_id: int, use_long_links: bool) -> Set[int]:
+        """``vn ∪ cn (∪ LRn)`` minus self, assembled from the live view."""
         node = self.node(object_id)
         candidates = set(self._triangulation.neighbors(object_id))
         candidates.update(node.close_neighbors)
         if use_long_links:
             candidates.update(node.long_link_neighbors())
         candidates.discard(object_id)
+        return candidates
+
+    def _routing_entry(self, object_id: int, use_long_links: bool) -> tuple:
+        entry = self._routing_cache.tables[use_long_links].get(object_id)
+        if entry is not None:
+            return entry
+        self._stats.routing_table_rebuilds += 1
+        candidates = self._routing_candidates(object_id, use_long_links)
         ids = positions = block = None
         try:
             # A view referencing a departed object (e.g. crash damage before
@@ -334,9 +340,8 @@ class VoroNet:
                 block = [(cid,) + nodes[cid].position for cid in sorted(candidates)]
         except KeyError as exc:
             raise ObjectNotFoundError(exc.args[0]) from None
-        shard = self._store.shard_of(object_id)
-        entry = [epochs[shard], ids, positions, block, shard]
-        self._routing_tables[use_long_links][object_id] = entry
+        entry = (ids, positions, block)
+        self._routing_cache.cache_table(object_id, use_long_links, entry)
         return entry
 
     def degree_histogram(self) -> Dict[int, int]:
@@ -485,7 +490,7 @@ class VoroNet:
         # failed insert must never burn (and permanently skip) an auto id.
         self._next_id = max(self._next_id, object_id + 1)
         self._locate_index.insert(object_id, position)
-        self._store.insert(object_id, position)
+        self._routing_cache.insert(object_id)
         # The carve changed adjacency only inside the new region's star:
         # the new object and its Voronoi neighbours (every destroyed or
         # created Delaunay edge has both endpoints there).
@@ -575,8 +580,8 @@ class VoroNet:
         # is the only place adjacency changes, so these ex-neighbours (who
         # become adjacent to each other as the region is handed back) are
         # the whole invalidation set of the removal itself; detach_object
-        # bumps the maintenance-affected ids (close drops, delegated link
-        # sources/holders) separately.
+        # names the maintenance-affected ids (close drops, delegated link
+        # sources) separately.
         ex_neighbors = self._triangulation.neighbors(object_id)
         messages = detach_object(self, object_id)
         self.withdraw_substrate(object_id)
@@ -587,19 +592,24 @@ class VoroNet:
         """Forget an object in every membership record, with no hand-over.
 
         The one place an object stops being a member (and a hull
-        departure's kernel rebuild is counted).  :meth:`remove` wraps it in
-        the hand-over and the ex-neighbour invalidation; bare, it *is* a
-        crash, and the caller owes an overlay-wide invalidation.
+        departure's kernel rebuild is counted, and answered by dropping
+        every cached table).  :meth:`remove` wraps it in the hand-over and
+        the ex-neighbour invalidation; bare, it *is* a crash, and the
+        caller owes an overlay-wide invalidation.
         """
         kernel = self._triangulation
         rebuilds = kernel.rebuild_count
         kernel.remove(object_id)
-        self._stats.kernel_rebuilds += kernel.rebuild_count - rebuilds
+        rebuilt = kernel.rebuild_count - rebuilds
+        self._stats.kernel_rebuilds += rebuilt
         del self._nodes[object_id]
         self._locate_index.discard(object_id)
-        self._store.discard(object_id)
-        self._routing_tables[True].pop(object_id, None)
-        self._routing_tables[False].pop(object_id, None)
+        self._routing_cache.discard(object_id)
+        if rebuilt:
+            # A hull departure re-triangulates from scratch, and among
+            # cocircular points it may settle on other diagonals than the
+            # incremental history did — anywhere in the overlay.
+            self._routing_cache.drop_all()
 
     # ------------------------------------------------------------------
     # routing and lookups
@@ -761,10 +771,10 @@ class VoroNet:
                 join_order=next(self._join_counter),
             )
         self._locate_index.bulk_insert(zip(ids, batch))
-        self._store.bulk_insert(ids, batch)
+        self._routing_cache.bulk_insert(ids)
         self._next_id = ids[-1] + 1
-        # A batch lands everywhere at once; overlay-wide invalidation is
-        # the honest scope (and a no-op cost: tables are built lazily).
+        # A batch lands everywhere at once: overlay-wide invalidation is
+        # the honest scope.
         self.invalidate_routing_tables()
 
         bulk_integrate_objects(self, ids)
@@ -849,26 +859,48 @@ class VoroNet:
             self._triangulation.validate()
         except Exception as exc:  # pragma: no cover - defensive
             problems.append(f"triangulation invalid: {exc}")
-        problems.extend(self._membership_report())
+        problems.extend(membership_report(self._nodes, self._locate_index, (
+            ("kernel", self._triangulation),
+            ("routing cache", self._routing_cache))))
+        problems.extend(self.routing_cache_report())
         return problems
 
-    def _membership_report(self) -> List[str]:
-        """Check every derived record holds exactly the members' ids."""
+    def routing_cache_report(self) -> List[str]:
+        """Every cached routing table that is not a valid one (building none).
+
+        Presence in the cache is validity, so each cached table, of either
+        variant and either form, must list exactly the freshly assembled
+        ``vn ∪ cn (∪ LRn)`` minus self with each candidate's current
+        position.  An invalidation that left out an object whose view it
+        changed shows up here, as does a table kept for a non-member or
+        naming one (a dangling long link).
+        """
+        problems: List[str] = []
         nodes = self._nodes
-        store = self._store
-        problems = membership_report(nodes, self._locate_index, (
-            ("kernel", self._triangulation), ("shard store", store)))
-        for tables in self._routing_tables.values():
-            problems.extend(f"{object_id}: cached routing table of a non-member"
-                            for object_id in tables if object_id not in nodes)
-        for object_id, node in nodes.items():
-            if object_id not in store:
-                continue
-            expected = store.shard_of_point(node.position[0], node.position[1])
-            if store.shard_of(object_id) != expected:
-                problems.append(
-                    f"{object_id}: stored in shard {store.shard_of(object_id)}, "
-                    f"position maps to {expected}")
+        for use_long_links, tables in self._routing_cache.tables.items():
+            label = ("cached routing table" if use_long_links
+                     else "cached Delaunay-only routing table")
+            for object_id, (ids, positions, block) in tables.items():
+                if object_id not in nodes:
+                    problems.append(f"{object_id}: {label} of a non-member")
+                    continue
+                if block is None:
+                    block = [(cid, x, y) for cid, (x, y)
+                             in zip(ids.tolist(), positions.tolist())]
+                cached = {cid for cid, _x, _y in block}
+                fresh = self._routing_candidates(object_id, use_long_links)
+                if cached != fresh:
+                    problems.append(
+                        f"{object_id}: {label} is stale: still lists "
+                        f"{sorted(cached - fresh)}, lacks {sorted(fresh - cached)}")
+                for cid, x, y in block:
+                    member = nodes.get(cid)
+                    if member is None:
+                        problems.append(f"{object_id}: {label} names non-member {cid}")
+                    elif (x, y) != member.position:
+                        problems.append(
+                            f"{object_id}: {label} places {cid} at {(x, y)}, "
+                            f"not {member.position}")
         return problems
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -107,13 +107,13 @@ def _greedy_step(overlay: "VoroNet", current: int, target: Point,
                  use_long_links: bool) -> Optional[int]:
     """Neighbour of ``current`` strictly closer to ``target``, or ``None``.
 
-    One argmin over the epoch-cached routing table of ``current``, in the
-    form the entry holds: a scan block is walked inline, a position array
+    One argmin over the cached routing table of ``current``, in the form
+    the entry holds: a scan block is walked inline, a position array
     goes through the vectorised argmin.
     """
     tx, ty = target
     best_d = distance_sq(overlay.position_of(current), target)
-    _epoch, ids, positions, block, _shard = overlay._routing_entry(current, use_long_links)
+    ids, positions, block = overlay._routing_entry(current, use_long_links)
     if block is None:
         dx = positions[:, 0] - tx
         dy = positions[:, 1] - ty
@@ -166,32 +166,30 @@ def greedy_route(overlay: "VoroNet", source: int, target: Point, *,
     path = [source] if record else None
     current = source
     hops = 0
-    # Hot loop over the epoch-cached tables: the squared distance of the
-    # chosen candidate is carried into the next hop and the block scan
-    # is inlined, so each hop costs one dict probe plus one pass over an
+    # Hot loop over the cached tables: the squared distance of the chosen
+    # candidate is carried into the next hop and the block scan is
+    # inlined, so each hop costs one dict probe plus one pass over an
     # O(1)-size block — no per-hop view assembly, no re-measuring of the
     # current object, no per-hop function calls.
     tx, ty = target
     cx, cy = overlay.position_of(current)
     current_d = (cx - tx) * (cx - tx) + (cy - ty) * (cy - ty)
-    # The per-shard epoch list is hoisted once (it is mutated in
-    # place, never replaced, so the reference stays live), and each
-    # entry carries its shard index at build time: the per-hop cache
-    # probe is one dict.get, one list index and one int compare, with
-    # no method-call or key-tuple overhead.
-    tables = overlay._routing_tables[use_long_links]
-    epochs = overlay._store.epochs
+    # A cached table is a valid table, so the per-hop probe is one
+    # dict.get with nothing to compare.  The variant's table dict is
+    # hoisted once: the cache only ever mutates it in place, so the
+    # reference stays live.
+    tables = overlay._routing_cache.tables[use_long_links]
     build_entry = overlay._routing_entry
     while True:
         entry = tables.get(current)
-        if entry is None or entry[0] != epochs[entry[4]]:
+        if entry is None:
             entry = build_entry(current, use_long_links)
-        block = entry[3]
+        block = entry[2]
         nxt = None
         if block is None:
             # A table of VECTOR_SCAN_THRESHOLD or more candidates holds
             # arrays only: argmin straight off the entry the loop holds.
-            positions = entry[2]
+            positions = entry[1]
             dx = positions[:, 0] - tx
             dy = positions[:, 1] - ty
             distances = dx * dx + dy * dy
@@ -199,7 +197,7 @@ def greedy_route(overlay: "VoroNet", source: int, target: Point, *,
             d = distances[index]
             if d < current_d:
                 current_d = float(d)
-                nxt = int(entry[1][index])
+                nxt = int(entry[0][index])
         else:
             for cid, x, y in block:
                 dx = x - tx

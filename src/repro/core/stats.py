@@ -61,11 +61,10 @@ class OperationStats:
 class OverlayStats:
     """All per-overlay statistics, grouped by operation type.
 
-    ``routing_table_rebuilds`` counts how many per-object flat routing
-    tables were (re)built after a topology-epoch bump — the measurable
-    baseline for the ROADMAP's per-shard-epoch follow-up: a global epoch
-    invalidates every table on any churn, and this counter is exactly the
-    rebuild work that coarse invalidation causes.
+    ``routing_table_rebuilds`` counts every build of a per-object flat
+    routing table: the first request for it, and each request after a
+    mutation named the object and dropped its table.  Divided by routes it
+    is how cold routing runs (``perf/``'s ``table_rebuilds_per_route``).
 
     ``operation_timeouts`` / ``operation_retries`` count watchdog expiries
     and the retries they triggered on multi-message operations (join,

@@ -117,8 +117,8 @@ class LintConfig:
     slots_exempt: FrozenSet[str] = frozenset()
     #: Attributes whose mutation must bump ``view_epoch`` (SIM001).
     view_attrs: FrozenSet[str] = DEFAULT_VIEW_ATTRS
-    #: Scope of the shard-epoch rule (SIM006).
-    shard_epoch_paths: Tuple[str, ...] = ("repro/core",)
+    #: Scope of the routing-cache rule (SIM006).
+    routing_cache_paths: Tuple[str, ...] = ("repro/core",)
     #: Node containers whose mutation changes forwarding candidates
     #: (SIM006).  Back links are deliberately absent: BLRn is not routed
     #: on, so back-registration churn needs no invalidation.
@@ -130,10 +130,10 @@ class LintConfig:
         "set_long_link", "retarget_long_link",
         "add_close_neighbor", "discard_close_neighbor",
     })
-    #: Calls that discharge the per-shard epoch contract (SIM006):
-    #: the overlay entry point, or the sharded store's bump primitives.
+    #: Calls that discharge the routing-cache contract (SIM006): the
+    #: overlay entry point, or the cache's own targeted drop / drop-all.
     epoch_bump_calls: FrozenSet[str] = frozenset({
-        "invalidate_routing_tables", "bump_object_ids", "bump_all",
+        "invalidate_routing_tables", "bump_object_ids", "drop_all",
     })
     #: Class definitions SIM005 reads counter fields from.
     stats_classes: Tuple[str, ...] = ("OverlayStats", "OperationStats")

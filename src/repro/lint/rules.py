@@ -39,17 +39,20 @@ SIM005 stats-accounting
     ``OperationStats`` class definitions — a typo'd counter silently
     creates a fresh attribute and the intended one stays zero.
 
-SIM006 shard-epoch-contract
-    The oracle plane's counterpart of SIM001, for the per-shard epoch
-    scheme of :mod:`repro.core.shards`: any function under ``repro/core``
-    that mutates another node's routing-relevant containers
-    (``long_links`` / ``close_neighbors`` — directly or via the
-    ``ObjectNode`` mutator methods) must be followed, on every mutating
-    path, by ``invalidate_routing_tables(...)`` or a direct store bump
-    (``bump_object_ids`` / ``bump_all``).  Back-link churn is exempt
-    (``BLRn`` is not routed on), as are the primitive mutator bodies on
-    ``ObjectNode`` itself (bare-``self`` receivers) — they cannot reach
-    the overlay, so the contract binds their call sites.
+SIM006 routing-cache-contract
+    The oracle plane's counterpart of SIM001, for the routing-table cache
+    of :mod:`repro.core.shards` ("a cached table is a valid table"): any
+    function under ``repro/core`` that mutates another node's
+    routing-relevant containers (``long_links`` / ``close_neighbors`` —
+    directly or via the ``ObjectNode`` mutator methods) must be followed,
+    on every mutating path, by ``invalidate_routing_tables(...)`` or a
+    direct cache drop (``bump_object_ids`` / ``drop_all``).  Back-link
+    churn is exempt (``BLRn`` is not routed on), as are the primitive
+    mutator bodies on ``ObjectNode`` itself (bare-``self`` receivers) —
+    they cannot reach the overlay, so the contract binds their call sites.
+    The rule sees that *an* invalidation follows, not that the ids it
+    names are complete; that is ``VoroNet.routing_cache_report()``'s job
+    at run time.
 """
 
 from __future__ import annotations
@@ -67,7 +70,7 @@ __all__ = [
     "SlotsRule",
     "DispatchConsistencyRule",
     "StatsAccountingRule",
-    "ShardEpochContractRule",
+    "RoutingCacheContractRule",
     "collect_sent_kinds",
     "collect_handled_kinds",
 ]
@@ -278,7 +281,7 @@ class EpochContractRule(Rule):
 
 
 # ----------------------------------------------------------------------
-# SIM006 — shard epoch contract
+# SIM006 — routing cache contract
 # ----------------------------------------------------------------------
 def _external_topology_attr(node: ast.AST,
                             topology_attrs: FrozenSet[str]) -> Optional[str]:
@@ -288,7 +291,7 @@ def _external_topology_attr(node: ast.AST,
     ``overlay.node(nid).close_neighbors``) looking for a topology attribute.
     A chain rooted directly at bare ``self`` (``self.close_neighbors``) is
     *not* reported: those are the primitive mutator definitions on
-    ``ObjectNode`` itself, which cannot reach the overlay to bump epochs —
+    ``ObjectNode`` itself, which cannot reach the overlay's cache —
     the contract binds their call sites instead.
     """
     while isinstance(node, (ast.Attribute, ast.Subscript)):
@@ -302,16 +305,16 @@ def _external_topology_attr(node: ast.AST,
 
 
 @register
-class ShardEpochContractRule(Rule):
+class RoutingCacheContractRule(Rule):
     code = "SIM006"
-    name = "shard-epoch-contract"
+    name = "routing-cache-contract"
     summary = ("core code mutating a node's routing-relevant containers "
-               "must invalidate routing tables (per-shard epoch bump) on "
-               "every mutating path")
+               "must invalidate routing tables (drop the cached ones it "
+               "made wrong) on every mutating path")
 
     def check_module(self, module: ModuleInfo,
                      config: LintConfig) -> Iterable[Finding]:
-        if not path_in_scope(module.display, config.shard_epoch_paths):
+        if not path_in_scope(module.display, config.routing_cache_paths):
             return
         for node in ast.walk(module.tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -384,9 +387,9 @@ class ShardEpochContractRule(Rule):
                     col=node.col_offset + 1, rule=self.code,
                     message=(f"{fn.name!r} mutates routing-relevant "
                              f"{attr!r} without a following "
-                             f"invalidate_routing_tables()/per-shard epoch "
-                             f"bump on this path — cached routing tables "
-                             f"in the touched shards go stale"))
+                             f"invalidate_routing_tables()/cache drop "
+                             f"on this path — a cached routing table is "
+                             f"left stale"))
 
 
 # ----------------------------------------------------------------------

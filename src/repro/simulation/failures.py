@@ -180,14 +180,14 @@ class CrashInjector:  # simlint: ignore[SIM003] — one per experiment, not per 
                 fixed += 1
             dangling_back = {bl for bl in node.back_links if bl.source in crashed}
             if dangling_back:
-                # Back registrations are not routed on — no epoch impact.
+                # Back registrations are not routed on — no table to drop.
                 node.back_links -= dangling_back
                 fixed += len(dangling_back)
             if touched:
                 affected.append(object_id)
         # Retargeted links / dropped close entries changed forwarding
-        # candidates (epoch contract); unlike the crash itself, the scrub
-        # knows exactly whose, so the bump is per-shard targeted.
+        # candidates (routing-cache contract); unlike the crash itself,
+        # the scrub knows exactly whose, so it drops only their tables.
         overlay.invalidate_routing_tables(affected)
         return fixed
 

@@ -245,8 +245,7 @@ class MovingObjects:
 
     Updates route through the overlay's public ``remove``/``insert`` so
     all maintenance (close hand-over, long-link delegation, locate-grid
-    and shard-store sync, routing-table invalidation) runs as production
-    churn would.
+    sync, routing-table invalidation) runs as production churn would.
     """
 
     def __init__(self, seed: Optional[int] = None, *, step_sigma: float = 0.02,

@@ -7,7 +7,7 @@ from inspect import signature
 import pytest
 
 from repro.core.config import DEFAULT_N_MAX, VoroNetConfig
-from repro.core.shards import ShardedNodeStore
+from repro.core.shards import RoutingTableCache
 from repro.experiments.runner import build_parser
 from repro.simulation.faults import HeartbeatConfig, HeartbeatDetector
 from repro.simulation.protocol import TimeoutPolicy
@@ -124,9 +124,10 @@ def test_option_budget():
     assert {action.dest for action in build_parser()._actions} == {
         "help", "experiment", "scale", "seed", "output"}
 
-    # The shard map is the routing cache's epoch domain and nothing more:
-    # per-shard object data must arrive with a reader, as a reviewed diff.
-    assert {name for name in vars(ShardedNodeStore)
+    # The routing cache is the member ids plus the two table dicts and
+    # nothing more: anything else it is to own must arrive with a reader,
+    # as a reviewed diff.
+    assert {name for name in vars(RoutingTableCache)
             if not name.startswith("_")} == {
-        "level", "num_shards", "epochs", "shard_of_point", "shard_of",
-        "insert", "bulk_insert", "discard", "bump_object_ids", "bump_all"}
+        "tables", "insert", "bulk_insert", "discard", "cache_table",
+        "bump_object_ids", "drop_all"}

@@ -241,25 +241,31 @@ class TestExportsAndStats:
         lines = small_overlay.stats.describe()
         assert len(lines) == 10
 
-    def test_routing_table_rebuilds_counted_per_epoch_bump(self):
-        """The rebuild counter measures exactly the work a topology-epoch
-        bump causes — the baseline for the per-shard-epoch follow-up."""
+    def test_routing_table_rebuilds_counted_per_dropped_table(self):
+        """The rebuild counter counts builds: one per table asked for while
+        it is not cached — never built, or dropped since."""
         overlay = VoroNet(n_max=128, seed=3)
         rng = np.random.default_rng(3)
         ids = [overlay.insert(tuple(rng.random(2))) for _ in range(20)]
+        overlay.invalidate_routing_tables()
         overlay.stats.routing_table_rebuilds = 0
         for object_id in ids:
             overlay.routing_table(object_id)
         assert overlay.stats.routing_table_rebuilds == len(ids)
-        # Cache hits: same epoch, no further rebuilds.
+        # Cache hits: no further rebuilds.
         for object_id in ids:
             overlay.routing_table(object_id)
         assert overlay.stats.routing_table_rebuilds == len(ids)
-        # One epoch bump invalidates every table; each re-read rebuilds.
+        # A targeted invalidation drops the tables it names, once each …
+        overlay.invalidate_routing_tables([ids[3], ids[7], ids[3]])
+        for object_id in ids:
+            overlay.routing_table(object_id)
+        assert overlay.stats.routing_table_rebuilds == len(ids) + 2
+        # … and a bare one every table; each re-read rebuilds.
         overlay.invalidate_routing_tables()
         for object_id in ids:
             overlay.routing_table(object_id)
-        assert overlay.stats.routing_table_rebuilds == 2 * len(ids)
+        assert overlay.stats.routing_table_rebuilds == 2 * len(ids) + 2
 
     def test_random_object_id_is_member(self, small_overlay):
         assert small_overlay.random_object_id() in small_overlay

@@ -1,16 +1,24 @@
-"""Tests of the epoch-cached flat routing tables.
+"""Tests of the cached flat routing tables: a cached table is a valid table.
 
-Three layers of protection for the routing hot path:
+Layers of protection for the routing hot path:
 
 * a Hypothesis *stateful* machine interleaving inserts, removes, bulk
-  loads, crash+repair and long-link churn, asserting after every step
-  that each cached table equals a freshly assembled view (the
-  module-level contract of :mod:`repro.core.overlay`) and that routes
-  match the per-hop reference router of ``tests/reference_router.py``;
-* a churn stress test at N≈500 keeping ``owner_of`` / ``lookup`` /
-  ``route`` answers identical to the reference router through alternating
-  insert/remove/crash/link-reset bursts (locate-grid and table
-  invalidation under churn);
+  loads, crash+repair and long-link churn, on a uniform overlay and on one
+  holding a clique above ``VECTOR_SCAN_THRESHOLD``, asserting after every
+  rule that the program's own check (``VoroNet.routing_cache_report``:
+  each cached table equals a freshly assembled view, the module-level
+  contract of :mod:`repro.core.overlay`) is clean with every table cached,
+  and that routes match the per-hop reference router of
+  ``tests/reference_router.py``;
+* a churn stress test at N≈500, uniform and clustered, running that check
+  after every operation and keeping ``owner_of`` / ``lookup`` / ``route``
+  answers identical to the reference router through alternating
+  insert/remove/crash/link-reset bursts;
+* **exactness**: an insert, a remove and a long-link reset on a warm
+  overlay rebuild the tables of exactly the ids the operation handed to
+  ``invalidate_routing_tables`` and leave every other entry the same
+  object; between a crash and its repair only the survivors that still
+  name the victim fail to build;
 * direct parity regressions for ``route`` / ``route_many`` /
   ``lookup_many``, cold against warm passes, and the Algorithm 5 stopping
   rule;
@@ -36,49 +44,67 @@ from repro.workloads.generators import generate_routing_pairs
 from reference_router import assert_routes_match_reference, reference_greedy_route
 
 
-def many_shard_config(n_max, **fields):
-    """A config with ``n_max``'s close-neighbour radius but 64 shards.
-
-    With the few shards a small ``n_max`` derives, almost every targeted
-    invalidation also bumps the shard of its neighbours, which would mask
-    a missing invalidation call elsewhere.
-    """
-    return VoroNetConfig(n_max=32768,
-                         d_min=VoroNetConfig(n_max=n_max).effective_d_min,
-                         **fields)
+def small_d_min_config(n_max, **fields):
+    """``n_max``'s (large) close-neighbour radius without its size cap."""
+    return VoroNetConfig(n_max=n_max, allow_overflow=True, **fields)
 
 
-def fresh_routing_sets(overlay, object_id):
-    """Ground truth: forwarding candidates assembled from a fresh view."""
-    view = overlay.neighbor_view(object_id)
-    with_links = view.routing_neighbors
-    delaunay_only = set(view.voronoi) | set(view.close)
-    delaunay_only.discard(object_id)
-    return with_links, delaunay_only
+def clique_points(config, rng, members):
+    """``members`` points well inside one ``d_min`` disc: each sees the rest."""
+    side = config.effective_d_min / 4
+    return [tuple(np.array([0.4, 0.6]) + side * p) for p in rng.random((members, 2))]
+
+
+def warm_entries(overlay):
+    """Cache every table of both variants; ``(id, variant) → entry``."""
+    return {(object_id, use_long_links): overlay._routing_entry(object_id, use_long_links)
+            for object_id in overlay.object_ids() for use_long_links in (True, False)}
 
 
 def assert_tables_match_views(overlay):
-    """Every cached table equals the freshly assembled view of its object."""
-    for object_id in overlay.object_ids():
-        with_links, delaunay_only = fresh_routing_sets(overlay, object_id)
-        for use_long_links, expected in ((True, with_links),
-                                         (False, delaunay_only)):
-            ids, positions = overlay.routing_table(object_id, use_long_links)
-            assert set(int(i) for i in ids) == expected
-            assert positions.shape == (len(ids), 2)
-            for row, candidate in enumerate(ids):
-                assert tuple(positions[row]) == \
-                    overlay.position_of(int(candidate))
+    """With every table cached, the program's own check finds none stale.
+
+    A table already cached is returned as it is, so one a mutation should
+    have dropped and did not is still there to be compared.
+    """
+    warm_entries(overlay)
+    assert overlay.routing_cache_report() == []
+
+
+def named_by(overlay, operation):
+    """Run ``operation``; the ids it handed to ``invalidate_routing_tables``."""
+    named = set()
+    invalidate = overlay.invalidate_routing_tables
+
+    def spy(object_ids=None):
+        assert object_ids is not None, "churn must not invalidate overlay-wide"
+        object_ids = list(object_ids)
+        named.update(object_ids)
+        invalidate(object_ids)
+
+    overlay.invalidate_routing_tables = spy
+    try:
+        operation()
+    finally:
+        del overlay.invalidate_routing_tables
+    return named
 
 
 class RoutingCacheMachine(RuleBasedStateMachine):
     """Arbitrary interleavings of topology mutations never leave a cached
     routing table out of sync with the fresh ``NeighborView``."""
 
+    #: Size of the clique loaded first (so low removal tokens shrink it
+    #: through the threshold); 0 leaves the overlay uniform.
+    CLIQUE = 0
+
     def __init__(self):
         super().__init__()
-        self.overlay = VoroNet(many_shard_config(
-            64, num_long_links=2, seed=1202))
+        config = small_d_min_config(64, num_long_links=2, seed=1202)
+        self.overlay = VoroNet(config)
+        if self.CLIQUE:
+            self.overlay.bulk_load(clique_points(
+                config, np.random.default_rng(1204), self.CLIQUE))
         self.injector = CrashInjector(self.overlay, RandomSource(1203))
         self.last_epoch = self.overlay.topology_epoch
 
@@ -140,19 +166,39 @@ class RoutingCacheMachine(RuleBasedStateMachine):
                         use_long_links)
 
 
+class ClusteredRoutingCacheMachine(RoutingCacheMachine):
+    """The same interleavings where tables are held as arrays."""
+
+    CLIQUE = VECTOR_SCAN_THRESHOLD + 6
+
+
 TestRoutingCacheStateful = RoutingCacheMachine.TestCase
 TestRoutingCacheStateful.settings = settings(
     max_examples=15, stateful_step_count=25, deadline=None)
+TestClusteredRoutingCacheStateful = ClusteredRoutingCacheMachine.TestCase
+TestClusteredRoutingCacheStateful.settings = settings(
+    max_examples=8, stateful_step_count=25, deadline=None)
 
 
 class TestChurnStress:
     def test_churn_bursts_keep_answers_identical(self):
-        """Alternating insert/remove/crash/link-churn bursts at N≈500:
-        owner_of, lookup and route answer like the reference router, and
-        the locate grid stays exactly in sync."""
-        overlay = VoroNet(many_shard_config(2000, seed=501))
+        self._churn_bursts(clique=0)
+
+    def test_clustered_churn_bursts_keep_answers_identical(self):
+        """… with a fifth of the objects in one clique: array-form tables."""
+        self._churn_bursts(clique=2 * VECTOR_SCAN_THRESHOLD)
+
+    @staticmethod
+    def _churn_bursts(clique):
+        """Alternating insert/remove/crash/link-churn bursts at N≈500: no
+        operation leaves a stale table cached, owner_of, lookup and route
+        answer like the reference router, and the locate grid stays
+        exactly in sync."""
+        config = VoroNetConfig(n_max=2000, seed=501)
+        overlay = VoroNet(config)
         pool = np.random.default_rng(501)
-        overlay.bulk_load([tuple(p) for p in pool.random((500, 2))])
+        overlay.bulk_load([tuple(p) for p in pool.random((500 - clique, 2))]
+                          + clique_points(config, pool, clique))
         injector = CrashInjector(overlay, RandomSource(502))
 
         probe_rng = np.random.default_rng(777)
@@ -161,14 +207,18 @@ class TestChurnStress:
             doomed = probe_rng.choice(ids, size=44, replace=False)
             for object_id in doomed[:40]:
                 overlay.remove(int(object_id))
+                assert_tables_match_views(overlay)
             for object_id in doomed[40:]:
                 injector.crash(int(object_id))
             injector.repair()
+            assert_tables_match_views(overlay)
             for point in pool.random((40, 2)):
                 overlay.insert(tuple(point))
+                assert_tables_match_views(overlay)
             ids = overlay.object_ids()
             for object_id in probe_rng.choice(ids, size=10, replace=False):
                 overlay.reset_long_links(int(object_id))
+                assert_tables_match_views(overlay)
 
             # The locate grid is exactly in sync with the membership …
             ids = overlay.object_ids()
@@ -185,7 +235,6 @@ class TestChurnStress:
                                               overlay.route(int(a), int(b)))
 
         assert overlay.check_consistency() == []
-        assert_tables_match_views(overlay)
 
 
 class TestCacheParity:
@@ -282,6 +331,27 @@ class TestEpochContract:
         table_ids, _ = overlay.routing_table(ids[0])
         assert ids[2] in set(int(i) for i in table_ids)
 
+    @pytest.mark.parametrize("named", [(), (0,), (1,)])
+    def test_check_consistency_reports_a_stale_table(self, named):
+        """Presence is validity, so an invalidation that leaves out an
+        object whose view changed is a reported inconsistency."""
+        overlay = VoroNet(VoroNetConfig(n_max=64, seed=10))
+        ids = overlay.bulk_load([tuple(p) for p in np.random.default_rng(10).random((30, 2))])
+        assert_tables_match_views(overlay)
+        a = ids[0]
+        b = next(i for i in ids[1:] if i not in overlay.neighbor_view(a).routing_neighbors)
+        overlay.node(a).add_close_neighbor(b)
+        overlay.node(b).add_close_neighbor(a)
+        overlay.invalidate_routing_tables([(a, b)[i] for i in named])
+        left_out = {a, b} - {(a, b)[i] for i in named}
+        stale = [problem for problem in overlay.check_consistency()
+                 if "is stale" in problem]
+        # Both variants of each table left cached are reported.
+        assert sorted(int(problem.split(":")[0]) for problem in stale) \
+            == sorted(2 * list(left_out))
+        overlay.invalidate_routing_tables(left_out)
+        assert overlay.routing_cache_report() == []
+
     def test_removed_object_leaves_no_table_behind(self):
         overlay = VoroNet(VoroNetConfig(n_max=64, seed=11))
         ids = overlay.bulk_load([(0.1, 0.1), (0.9, 0.1), (0.5, 0.9), (0.5, 0.4)])
@@ -289,8 +359,171 @@ class TestEpochContract:
             overlay.routing_table(object_id)
         overlay.remove(ids[0])
         assert not any(ids[0] in variant
-                       for variant in overlay._routing_tables.values())
+                       for variant in overlay.routing_cache.tables.values())
         assert_tables_match_views(overlay)
+
+    def test_dangling_long_link_is_reported_not_raised(self):
+        """Without back links a leave cannot name the sources pointing at
+        it: their tables keep naming the departed object."""
+        overlay = VoroNet(VoroNetConfig(n_max=256, maintain_back_links=False, seed=12))
+        ids = overlay.bulk_load([tuple(p) for p in np.random.default_rng(12).random((80, 2))])
+        for object_id in ids:
+            overlay.routing_table(object_id)
+        source, victim = next(
+            (object_id, link.neighbor) for object_id in ids
+            for link in overlay.node(object_id).long_links
+            if object_id not in overlay.neighbor_view(link.neighbor).routing_neighbors
+            and object_id != link.neighbor
+            # (a hull departure would drop every table, this one included)
+            and not overlay.triangulation.is_hull_vertex(link.neighbor))
+        overlay.remove(victim)
+        problems = overlay.check_consistency()
+        assert f"{source}: cached routing table names non-member {victim}" in problems
+        assert f"{source}: long link 0 points at departed {victim}" in problems
+
+
+class TestExactInvalidation:
+    """A mutation drops exactly the tables it names."""
+
+    @pytest.fixture(scope="class")
+    def overlay(self):
+        overlay = VoroNet(VoroNetConfig(n_max=2048, num_long_links=2, seed=600))
+        overlay.bulk_load(np.random.default_rng(600).random((2000, 2)))
+        return overlay
+
+    @pytest.mark.parametrize("operation", ["insert", "remove", "reset_long_links"])
+    def test_rebuilds_are_the_ids_the_operation_named(self, overlay, operation):
+        before = warm_entries(overlay)
+        argument = (0.31, 0.62) if operation == "insert" else overlay.object_ids()[700]
+        stats = overlay.stats
+        built = stats.routing_table_rebuilds
+        result = []
+        named = named_by(overlay, lambda: result.append(getattr(overlay, operation)(argument)))
+        if operation == "remove":
+            assert stats.routing_table_rebuilds == built  # a leave routes nowhere
+        named_live = {object_id for object_id in named if object_id in overlay}
+        # O(1) views: the star, the close set, a few long-link sources.
+        assert 0 < len(named_live) < 40
+        if operation == "insert":
+            assert result[0] in named_live
+
+        # A named table the operation's own routes rebuilt after the drop
+        # is already back; every other named one is built now, once per
+        # variant, and nothing else is.
+        tables = overlay.routing_cache.tables
+        missing = sum(object_id not in tables[use_long_links]
+                      for object_id in named_live for use_long_links in (True, False))
+        built = stats.routing_table_rebuilds
+        after = warm_entries(overlay)
+        assert stats.routing_table_rebuilds - built == missing > 0
+        changed = {key for key, entry in after.items() if entry is not before.get(key)}
+        assert changed == {(object_id, use_long_links) for object_id in named_live
+                           for use_long_links in (True, False)}
+        assert overlay.routing_cache_report() == []
+
+
+    def test_kernel_rebuild_on_cocircular_points_leaves_no_stale_table(self):
+        """The one mutation that is not local: a hull departure rebuilds the
+        kernel, which on a lattice may pick the other diagonal of squares
+        nowhere near the departed corner — so it drops every table."""
+        overlay = VoroNet(VoroNetConfig(n_max=256, seed=620))
+        lattice = [((i + 0.5) / 10, (j + 0.5) / 10) for i in range(10) for j in range(10)]
+        np.random.default_rng(620).shuffle(lattice)
+        ids = [overlay.insert(tuple(point)) for point in lattice]
+        warm_entries(overlay)
+        corner = min(ids, key=lambda object_id: sum(overlay.position_of(object_id)))
+        overlay.remove(corner)
+        assert overlay.stats.kernel_rebuilds == 1
+        assert_tables_match_views(overlay)
+
+
+def corner_overlay():
+    """Filler grid plus dense corner clusters A (0.1,0.1) and B (0.9,0.9).
+
+    The filler keeps Delaunay adjacency local, so churn inside cluster A
+    cannot touch cluster B's forwarding candidates; ``num_long_links=0``
+    removes the one link type whose invalidation legitimately crosses the
+    square.  Every with-links table is warm on return.
+    """
+    overlay = VoroNet(VoroNetConfig(n_max=512, num_long_links=0, seed=77))
+    filler = [((i + 0.5) / 12, (j + 0.5) / 12)
+              for i in range(12) for j in range(12)]
+    rng = np.random.default_rng(77)
+    cluster_a = [(0.08 + 0.04 * x, 0.08 + 0.04 * y) for x, y in rng.random((15, 2))]
+    cluster_b = [(0.88 + 0.04 * x, 0.88 + 0.04 * y) for x, y in rng.random((15, 2))]
+    overlay.bulk_load(filler + cluster_a)
+    b_ids = overlay.bulk_load(cluster_b)
+    for object_id in overlay.object_ids():
+        overlay.routing_table(object_id)
+    return overlay, b_ids
+
+
+class TestTargetedInvalidation:
+    """Locality, seen from the tables: churn drops what is next to it."""
+
+    def test_distant_churn_leaves_tables_warm(self):
+        overlay, b_ids = corner_overlay()
+        kept = {object_id: overlay._routing_entry(object_id, True) for object_id in b_ids}
+        overlay.remove(overlay.insert((0.1, 0.12)))  # inside cluster A, far from B
+        before = overlay.stats.routing_table_rebuilds
+        for object_id in b_ids:
+            assert overlay._routing_entry(object_id, True) is kept[object_id]
+        assert overlay.stats.routing_table_rebuilds == before
+
+    def test_insert_and_remove_rebuild_only_named_ids(self):
+        overlay, _ = corner_overlay()
+        ids = overlay.object_ids()
+        kept = {object_id: overlay._routing_entry(object_id, True) for object_id in ids}
+        named = named_by(overlay, lambda: overlay.remove(overlay.insert((0.1, 0.12))))
+        named &= set(ids)
+        assert 0 < len(named) < 40
+        before = overlay.stats.routing_table_rebuilds
+        rebuilt = {object_id for object_id in ids
+                   if overlay._routing_entry(object_id, True) is not kept[object_id]}
+        assert rebuilt == named
+        assert overlay.stats.routing_table_rebuilds == before + len(named)
+        assert overlay.routing_cache_report() == []
+
+    def test_nearby_churn_drops_the_tables_it_names(self):
+        """Sanity check that the targeted drop is not simply never firing:
+        churn next to cluster B must rebuild some of B's tables."""
+        overlay, b_ids = corner_overlay()
+        overlay.remove(overlay.insert((0.9, 0.91)))
+        before = overlay.stats.routing_table_rebuilds
+        for object_id in b_ids:
+            overlay.routing_table(object_id)
+        assert 0 < overlay.stats.routing_table_rebuilds - before < len(b_ids)
+
+
+class TestCrashWindow:
+    def test_only_survivors_naming_the_victim_fail_until_repair(self):
+        """A crash drops every table and hands nothing over: until the
+        repair, a survivor whose view still names the victim cannot build
+        its table; every other survivor's builds and is valid."""
+        overlay = VoroNet(VoroNetConfig(n_max=1024, num_long_links=2, seed=610))
+        overlay.bulk_load(np.random.default_rng(610).random((400, 2)))
+        victim = overlay.object_ids()[123]
+        naming = {node.object_id for node in overlay.nodes()
+                  if node.object_id != victim
+                  and (victim in node.close_neighbors
+                       or victim in node.long_link_neighbors())}
+        assert naming
+        warm_entries(overlay)
+        injector = CrashInjector(overlay, RandomSource(611))
+        injector.crash(victim)
+        assert overlay.routing_cache.tables == {True: {}, False: {}}
+        for object_id in overlay.object_ids():
+            if object_id in naming:
+                with pytest.raises(ObjectNotFoundError) as raised:
+                    overlay.routing_table(object_id)
+                assert raised.value.object_id == victim
+            else:
+                overlay.routing_table(object_id)
+        assert overlay.routing_cache_report() == []
+        assert len(overlay.routing_cache.tables[True]) == len(overlay) - len(naming)
+        injector.repair()
+        assert_tables_match_views(overlay)
+        assert overlay.check_consistency() == []
 
 
 class TestTableForms:
@@ -301,13 +534,11 @@ class TestTableForms:
     @pytest.fixture
     def clustered(self):
         """60 spread objects and a clique well inside one ``d_min`` disc."""
-        config = many_shard_config(64, num_long_links=2, seed=41, track_paths=True)
+        config = small_d_min_config(64, num_long_links=2, seed=41, track_paths=True)
         overlay = VoroNet(config)
         rng = np.random.default_rng(41)
         spread = [tuple(p) for p in rng.random((60, 2))]
-        corner = np.array([0.4, 0.6])
-        side = config.effective_d_min / 4
-        clique = [tuple(corner + side * p) for p in rng.random((self.CLIQUE + 8, 2))]
+        clique = clique_points(config, rng, self.CLIQUE + 8)
         overlay.bulk_load(spread + clique[:self.CLIQUE])
         return overlay, clique[self.CLIQUE:], rng
 
@@ -354,8 +585,9 @@ class TestTableForms:
         forms = {True: 0, False: 0}
         for object_id in overlay.object_ids():
             entry = overlay._routing_entry(object_id, True)
-            holds_arrays = entry[3] is None
-            assert holds_arrays == (entry[1] is not None) == (entry[2] is not None)
+            assert len(entry) == 3  # ids, positions, block: nothing to validate against
+            holds_arrays = entry[2] is None
+            assert holds_arrays == (entry[0] is not None) == (entry[1] is not None)
             forms[holds_arrays] += 1
             ids, positions = overlay.routing_table(object_id)
             assert holds_arrays == (len(ids) >= VECTOR_SCAN_THRESHOLD)
@@ -369,7 +601,7 @@ class TestTableForms:
     def test_crashed_candidate_fails_the_build_in_either_form(self, members):
         """Crash damage surfaces as ``ObjectNotFoundError`` naming the victim
         until ``repair()``, from a scan block and from an array table alike."""
-        config = many_shard_config(64, num_long_links=1, seed=43)
+        config = small_d_min_config(64, num_long_links=1, seed=43)
         overlay = VoroNet(config)
         rng = np.random.default_rng(43)
         side = config.effective_d_min / 4

@@ -2,7 +2,7 @@
 
 ``benchmarks/`` keeps the records ``perf/`` cannot produce: the
 partition-merge parity matrix, the protocol-churn damage/repair census,
-the serving shoot-out and the N = 10⁶ shard-scale datum.  Each script is
+the serving shoot-out and the N = 10⁶ cache-scale datum.  Each script is
 re-run here at smoke scale through its one entry point, ``main(argv)``;
 the gate is its exit code (the script's own correctness bar) plus the
 record's *deterministic* metrics held to floors derived from the committed
@@ -67,12 +67,13 @@ GATES = (
           "--protocol-objects", "200", "--protocol-queries", "600",
           "--parity-objects", "120", "--parity-queries", "300"),
          (("systems.voronet.uniform.success_rate", 0.99), ("twin_parity.parity", 1.0))),
-    # Canonical survival at N=10^6 is 0.9998; the coarser shard grid at
-    # 16k yields ~0.99, a broken per-shard invalidation ~0.05.
-    Gate("shard_scale",
+    # Exact invalidation leaves 0.9994 of the pool warm at 16k (0.3
+    # rebuilds per event; canonical at N=10^6: 1.0).  The per-shard epochs
+    # it replaced read 0.9912 here (4.4 per event) and fail this floor.
+    Gate("cache_scale",
          ("--sizes", "4000", "16000", "--warm-tables", "500",
           "--churn-events", "10", "--pairs", "2000"),
-         (("warm_table_survival_at_largest", 0.9),)),
+         (("warm_table_survival_at_largest", 0.998),)),
 )
 
 

@@ -482,7 +482,7 @@ def test_sim005_suppressed(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# SIM006 — shard epoch contract
+# SIM006 — routing cache contract
 # ----------------------------------------------------------------------
 SIM006 = ["SIM006"]
 CORE = "repro/core/snippet.py"
@@ -539,12 +539,14 @@ def test_sim006_negative_loop_mutation_bump_after_loop(tmp_path):
 
 
 def test_sim006_negative_store_bump_discharges(tmp_path):
-    found = lint_snippet(tmp_path, """\
-        def surgery(store, node):
-            node.close_neighbors.add(9)
-            store.bump_object_ids([9])
-    """, name=CORE, select=SIM006)
-    assert found == []
+    # The cache's own targeted drop and its drop-all both discharge.
+    for drop in ("bump_object_ids([9])", "drop_all()"):
+        found = lint_snippet(tmp_path, f"""\
+            def surgery(cache, node):
+                node.close_neighbors.add(9)
+                cache.{drop}
+        """, name=CORE, select=SIM006)
+        assert found == []
 
 
 def test_sim006_negative_back_links_exempt(tmp_path):

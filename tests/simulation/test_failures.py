@@ -98,8 +98,8 @@ class TestCrashInjector:
             assert result.owner not in crashed
 
     def test_crash_invalidates_warmed_routing_tables(self, overlay, numpy_rng):
-        """Regression: crashes bypass VoroNet.remove, but must still bump
-        the topology epoch — otherwise warmed routing tables keep serving
+        """Regression: crashes bypass VoroNet.remove, but must still drop
+        the cached routing tables — otherwise warmed ones keep serving
         crashed ids as forwarding candidates."""
         for object_id in overlay.object_ids():
             overlay.routing_table(object_id)  # warm every table
@@ -122,10 +122,10 @@ class TestCrashInjector:
         injector = CrashInjector(overlay, rng=RandomSource(1))
         crashed = injector.crash_random(10)
         injector.repair()
-        tables = overlay._routing_tables
+        tables = overlay.routing_cache.tables
         assert not any(victim in variant
                        for victim in crashed for variant in tables.values())
         assert overlay.check_consistency() == []
-        tables[True][crashed[0]] = [0, None, None, [], 0]
+        tables[True][crashed[0]] = (None, None, [])
         assert overlay.check_consistency() == [
             f"{crashed[0]}: cached routing table of a non-member"]
