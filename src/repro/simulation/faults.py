@@ -37,7 +37,10 @@ Four pieces compose the subsystem:
   long-link/back-link edges on a deterministic sampling stride instead of
   every round — an order-of-magnitude cheaper steady state for a bounded
   increase in detection latency; with the defaults every reference is
-  probed every round.
+  probed every round.  Who a node probes is a function of its view, so a
+  round iterates each node's :meth:`ProtocolNode.probe_plan
+  <repro.simulation.protocol.ProtocolNode.probe_plan>`, cached against
+  ``view_epoch``, instead of rebuilding the sets.
 * :class:`RepairProtocol` — the crash-mode extension of the Section 3.3
   departure protocol.  Where a graceful leaver *pushes* its state out, the
   repair protocol lets the survivors *pull* the overlay back together in
@@ -52,6 +55,23 @@ Four pieces compose the subsystem:
   simulator's locate grid.  Rounds are retry-safe: a node keeps a suspect
   until no local reference to it survives, so repair messages lost to the
   fault plane are simply re-attempted next round.
+
+What a heal cycle caches, against what
+--------------------------------------
+A crash → detect → repair → verify cycle should cost what it sends, so
+the three things its drivers used to recompute are each kept against the
+token that invalidates them — and each leaves the message stream bit for
+bit where recomputing put it (``tests/simulation/test_heal_golden.py``):
+
+=====================  ================================  ==================
+cached                 valid while                       checked by
+=====================  ================================  ==================
+a node's probe plan    its ``view_epoch`` stands         ``verify_views()``
+a member's clean       ``(kernel.version, view_epoch)``  recomputed by every
+audit verdict          stands, within one ``repair()``   ``repair()`` call
+the plane's doubles    always (the next stretch of the   the scalar-stream
+                       one seeded stream, drawn early)   Hypothesis test
+=====================  ================================  ==================
 
 :class:`~repro.simulation.scenario.Scenario` wires the pieces into one
 reproducible experiment — bulk-join a population, churn it gracefully,
@@ -97,6 +117,9 @@ class FaultDecision:
 
 
 _DELIVER = FaultDecision(deliver=True)
+
+#: Doubles the fault plane draws from its generator per refill.
+_DRAW_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -214,6 +237,16 @@ class FaultPlane:
     seed and message sequence the decisions are deterministic (the
     Hypothesis suite pins this).
 
+    The plane owns that source exclusively and draws its doubles
+    ``_DRAW_BLOCK`` at a time.  The stream is the scalar one, bit for bit:
+    a message that reaches the loss check with ``loss_probability > 0``
+    consumes one ``Generator.uniform()``, one that survives it with
+    ``delay_probability > 0`` a second, and a delayed one a third,
+    ``uniform(low, high)`` — which numpy computes as
+    ``low + (high - low) * next_double``, the expression used here.
+    Settings toggled mid-block change which messages draw, never what the
+    next draw returns.
+
     Parameters
     ----------
     seed:
@@ -226,8 +259,8 @@ class FaultPlane:
         latency drawn uniformly from ``delay_range``.
     """
 
-    __slots__ = ("_rng", "seed", "_crashed", "_partitions", "_splits",
-                 "_heal_hooks", "in_flight_cuts",
+    __slots__ = ("_rng", "_doubles", "seed", "_crashed", "_partitions",
+                 "_splits", "_heal_hooks", "in_flight_cuts",
                  "loss_probability", "delay_probability", "delay_range",
                  "decisions", "drops_by_reason")
 
@@ -236,6 +269,8 @@ class FaultPlane:
                  delay_probability: float = 0.0,
                  delay_range: Tuple[float, float] = (0.0, 0.0)) -> None:
         self._rng = RandomSource(seed)
+        #: Drawn but not yet consumed doubles, next one last.
+        self._doubles: List[float] = []
         #: The seed the decision stream was built from (``None`` when the
         #: plane was deliberately left unseeded) — kept so reprs and
         #: experiment reports can state how to replay the fault schedule.
@@ -392,13 +427,21 @@ class FaultPlane:
                 if spec.active(now) and spec.separates(message.sender,
                                                        message.recipient):
                     return self._drop("partition")
-        if self.loss_probability > 0.0 and self._rng.uniform() < self.loss_probability:
+        if self.loss_probability > 0.0 and self._draw() < self.loss_probability:
             return self._drop("loss")
-        if self.delay_probability > 0.0 and self._rng.uniform() < self.delay_probability:
+        if self.delay_probability > 0.0 and self._draw() < self.delay_probability:
             low, high = self.delay_range
             return FaultDecision(deliver=True, reason="delayed",
-                                 extra_delay=self._rng.uniform(low, high))
+                                 extra_delay=low + (high - low) * self._draw())
         return _DELIVER
+
+    def _draw(self) -> float:
+        """The stream's next double in ``[0, 1)``."""
+        doubles = self._doubles
+        if not doubles:
+            doubles = self._doubles = (
+                self._rng.generator.random(_DRAW_BLOCK)[::-1].tolist())
+        return doubles.pop()
 
     def cuts_in_flight(self, message: Message, delivery_time: float) -> bool:
         """Delivery-time check for ``in_flight="cut"`` windows.
@@ -503,7 +546,11 @@ class HeartbeatConfig:
 
     With the defaults every node probes its full reference set every round
     (the parity suite pins the emitted messages); the switches below trade
-    detection latency for steady-state cost:
+    detection latency for steady-state cost.  None of them is read per
+    node: what depends on a node's view (its reference set in probing
+    order, and which of it is ``sample_fraction``'s long/back part) is its
+    probe plan, cached per view epoch; what depends on the round (stride,
+    freshness, pending suspicion) is tested per edge as the plan is walked.
 
     Attributes
     ----------
@@ -566,7 +613,18 @@ class HeartbeatDetector:  # simlint: ignore[SIM003] — one per experiment, not 
     the prober's local suspect list.  A :class:`HeartbeatConfig` with
     ``piggyback`` and/or ``sample_fraction`` set trades bounded extra
     detection latency for an order-of-magnitude cheaper steady state (see
-    the config docstring).  Two driving modes:
+    the config docstring).
+
+    A round walks each node's :meth:`ProtocolNode.probe_plan
+    <repro.simulation.protocol.ProtocolNode.probe_plan>` — the sorted
+    reference set and its long/back part, derived once per ``view_epoch``
+    — so it builds no set and sorts nothing per node; freshness is kept
+    per prober (and dropped with it), one read-only ``PING`` payload
+    serves the whole round, and the sweep settles the probes in the order
+    they were sent.  Every probe still goes through
+    :meth:`ProtocolSimulator.send
+    <repro.simulation.protocol.ProtocolSimulator.send>`, in the order and
+    number the per-round recomputation produced.  Two driving modes:
 
     * :meth:`run_round` — synchronous: send the probes, drain the engine,
       sweep the answers.  The repair protocol and the scenario pipeline
@@ -592,17 +650,22 @@ class HeartbeatDetector:  # simlint: ignore[SIM003] — one per experiment, not 
         self.miss_threshold = config.miss_threshold
         self.rounds_run = 0
         self._round = 0
-        self._outstanding: Dict[int, Set[int]] = {}
+        #: Probes of the round in flight: prober → peers in send order.
+        self._outstanding: Dict[int, List[int]] = {}
         self._scheduled: List = []
         #: Virtual start times of the last two rounds ([-1] is the current
         #: round's; the sweep treats contact during the round as an answer).
         self._round_starts: List[float] = []
-        #: Piggyback bookkeeping: round at which each (prober, peer) edge
-        #: was last observed fresh.  Freshness is aged in *rounds*, not
-        #: virtual time — synchronous rounds on an idle overlay do not
-        #: advance the clock, so a time-based window would freeze and a
-        #: crash on a quiet overlay would never be probed again.
-        self._fresh_round: Dict[Tuple[int, int], int] = {}
+        #: Piggyback bookkeeping: per prober, the round at which each of
+        #: its edges was last observed fresh.  Freshness is aged in
+        #: *rounds*, not virtual time — synchronous rounds on an idle
+        #: overlay do not advance the clock, so a time-based window would
+        #: freeze and a crash on a quiet overlay would never be probed
+        #: again.  A departed prober's map is dropped at the next round
+        #: (ids are never re-issued, so nobody could read it again); a live
+        #: prober keeps its per-peer entries, so an edge that disappears
+        #: and returns inside the freshness window is still fresh.
+        self._fresh_round: Dict[int, Dict[int, int]] = {}
         self._era: Optional[int] = None
         if config.piggyback:
             # Stays on for the simulator's lifetime (the measurement
@@ -614,18 +677,13 @@ class HeartbeatDetector:  # simlint: ignore[SIM003] — one per experiment, not 
             self._era = simulator.liveness_eras
 
     # ------------------------------------------------------------------
-    def _edge_due(self, object_id: int, peer: int, period: int) -> bool:
-        """Whether the sampled edge ``object_id → peer`` probes this round."""
-        phase = (object_id * self._PHASE_A + peer * self._PHASE_B) % period
-        return (self._round + phase) % period == 0
-
     def _send_pings(self) -> int:
         simulator = self.simulator
         config = self.config
         self._round += 1
         self._round_starts.append(simulator.engine.now)
         del self._round_starts[:-2]
-        self._outstanding = {}
+        outstanding = self._outstanding = {}
         pings = 0
         piggyback = config.piggyback
         period = config.sample_period
@@ -636,19 +694,28 @@ class HeartbeatDetector:  # simlint: ignore[SIM003] — one per experiment, not 
         # equals the old contact timestamp, which must *not* count again).
         previous_start = (self._round_starts[-2]
                           if len(self._round_starts) >= 2 else None)
+        nodes = simulator.nodes
         fresh_rounds = self._fresh_round
-        for object_id, node in list(simulator.nodes.items()):
-            peers = node.monitored_peers()
+        for departed in [prober for prober in fresh_rounds
+                         if prober not in nodes]:
+            del fresh_rounds[departed]
+        # One read-only payload (and probe stamp) serves the whole round.
+        stamp = (self._era, current_round)
+        payload = ({"round": current_round, "era": self._era} if piggyback
+                   else {"round": current_round})
+        send = simulator.send
+        phase_a, phase_b = self._PHASE_A, self._PHASE_B
+        for object_id, node in list(nodes.items()):
+            peers, sampled = node.probe_plan()
             if not peers:
                 continue
-            if period > 1:
-                core = set(node.voronoi)
-                core.update(node.close)
             missed = node.missed_heartbeats
             suspects = node.suspects
             last_contact = node.last_contact
-            probed: Set[int] = set()
-            for peer in sorted(peers):
+            last_ping_round = node.last_ping_round
+            fresh = fresh_rounds.get(object_id)
+            probed: List[int] = []
+            for peer in peers:
                 if peer not in suspects and not missed.get(peer, 0):
                     if piggyback:
                         contact = last_contact.get(peer)
@@ -656,42 +723,49 @@ class HeartbeatDetector:  # simlint: ignore[SIM003] — one per experiment, not 
                                 and contact > previous_start):
                             # Heard since last round began: fresh now, and
                             # for the next miss_threshold rounds.
-                            fresh_rounds[(object_id, peer)] = current_round
+                            if fresh is None:
+                                fresh = fresh_rounds[object_id] = {}
+                            fresh[peer] = current_round
                             continue
-                        fresh = fresh_rounds.get((object_id, peer))
-                        if (fresh is not None
-                                and current_round - fresh < threshold):
-                            continue  # within the freshness window
-                    if (period > 1 and peer not in core
-                            and not self._edge_due(object_id, peer, period)):
-                        continue  # sampled long/back edge, off-stride round
-                probed.add(peer)
+                        if fresh is not None:
+                            seen = fresh.get(peer)
+                            if (seen is not None
+                                    and current_round - seen < threshold):
+                                continue  # within the freshness window
+                    # A sampled long/back edge probes on its own stride:
+                    # the round its deterministic phase comes up.
+                    if (period > 1 and peer in sampled
+                            and (current_round + (object_id * phase_a
+                                                  + peer * phase_b) % period)
+                            % period):
+                        continue  # off-stride round
+                probed.append(peer)
                 if piggyback:
-                    node.last_ping_round[peer] = (self._era, current_round)
-                    simulator.send(node, peer, "PING",
-                                   {"round": current_round, "era": self._era})
-                else:
-                    simulator.send(node, peer, "PING", {"round": current_round})
-                pings += 1
+                    last_ping_round[peer] = stamp
+                send(node, peer, "PING", payload)
             if probed:
-                self._outstanding[object_id] = probed
+                outstanding[object_id] = probed
+                pings += len(probed)
         return pings
 
     def _sweep(self) -> List[Tuple[int, int]]:
         """Settle the previous round; returns newly created (prober, suspect)."""
         simulator = self.simulator
         piggyback = self.config.piggyback
+        current_round = self._round
         round_started = self._round_starts[-1] if self._round_starts else -math.inf
         new_suspects: List[Tuple[int, int]] = []
         for object_id, peers in self._outstanding.items():
             node = simulator.nodes.get(object_id)
             if node is None:  # the prober itself crashed mid-round
                 continue
-            for peer in sorted(peers):
-                if node.last_heard.get(peer) == self._round:
+            last_heard = node.last_heard
+            last_contact = node.last_contact
+            for peer in peers:  # in send order, which is id order
+                if last_heard.get(peer) == current_round:
                     continue
                 if (piggyback
-                        and node.last_contact.get(peer, -math.inf) >= round_started):
+                        and last_contact.get(peer, -math.inf) >= round_started):
                     continue  # any message during the round is an answer
                 misses = node.missed_heartbeats.get(peer, 0) + 1
                 node.missed_heartbeats[peer] = misses
@@ -799,12 +873,14 @@ class RepairProtocol:  # simlint: ignore[SIM003] — one per experiment, not per
     dropped on false suspicion) — then garbage-collects suspect entries
     that no local reference supports any more.
 
-    :meth:`repair` iterates rounds until every suspect list drains and a
-    final long-link audit (the same kernel consultation ``bulk_join``'s
-    hand-over phase uses) finds every link pointing at its target's true
-    owner, or ``max_rounds`` is exhausted.  Because nodes keep a suspect
-    while any stale reference survives, rounds are idempotent and
-    retry-safe under message loss.
+    :meth:`repair` iterates rounds until every suspect list drains and
+    the audit (:meth:`_audit`: long links at their target's true owner,
+    views equal to the kernel's, no close or back entry serving a departed
+    node) comes back empty, or ``max_rounds`` is exhausted — one predicate,
+    asked the same way at both exits.  Because nodes keep a suspect while
+    any stale reference survives, rounds are idempotent and retry-safe
+    under message loss.  Within one call the audit re-checks only members
+    whose ``(kernel.version, view_epoch)`` moved since they passed clean.
     """
 
     PHASES = ("probe", "notify", "scrub", "retarget", "close", "audit")
@@ -831,6 +907,9 @@ class RepairProtocol:  # simlint: ignore[SIM003] — one per experiment, not per
         self.scope = frozenset(scope) if scope is not None else None
         self._reissued = 0
         self._reissue_attempts: Dict[Tuple[int, int], int] = {}
+        #: Member → ``(kernel.version, view_epoch)`` at which it last passed
+        #: :meth:`_audit` clean; lives for one :meth:`repair` call.
+        self._audit_clean: Dict[int, Tuple[int, int]] = {}
 
     # ------------------------------------------------------------------
     def _members(self) -> List[int]:
@@ -912,8 +991,8 @@ class RepairProtocol:  # simlint: ignore[SIM003] — one per experiment, not per
             else:
                 affected = [object_id for object_id in members
                             if object_id in kernel
-                            and suspected_set
-                            & set(simulator.nodes[object_id].voronoi)]
+                            and not suspected_set.isdisjoint(
+                                simulator.nodes[object_id].voronoi)]
             version = kernel.version
             for object_id in affected:
                 if object_id not in simulator.nodes:
@@ -993,78 +1072,80 @@ class RepairProtocol:  # simlint: ignore[SIM003] — one per experiment, not per
         return phase_messages
 
     # ------------------------------------------------------------------
-    def _audit_long_links(self) -> List[Tuple[int, int]]:
-        """(object_id, link_index) pairs not pointing at their target's owner.
+    def _audit(self) -> Tuple[List[Tuple[int, int]], List[int],
+                              List[Tuple[int, Set[int]]]]:
+        """What suspicion-driven repair cannot see, over the in-scope members.
 
-        The same kernel consultation ``bulk_join``'s hand-over phase uses
-        to settle registrations — the simulator standing in for the
-        owner-side audit a deployment would run periodically.
+        Three lists, each in member order:
+
+        * ``(object_id, link_index)`` of long links not pointing at their
+          target's owner — the same kernel consultation ``bulk_join``'s
+          hand-over phase uses to settle registrations, the simulator
+          standing in for the owner-side audit a deployment would run
+          periodically.  A dead endpoint, or one outside this repairer's
+          kernel (a cross-side link under a scoped, split-era repair),
+          cannot stand either.
+        * ids whose Voronoi view disagrees with the shared kernel.  A view
+          can go stale with *no* suspect involved — a consolidated
+          ``REGION_UPDATE`` (or its sender) fed a crash mid-``bulk_join``
+          or mid-churn, so the recipient never heard about a live
+          neighbour — and nothing in such a view points at a dead node
+          for scrubbing to find.
+        * ``(holder, dead peers)`` for close entries and back registrations
+          serving departed nodes.  A crash that lands *mid-repair*, after
+          the detection sweep, leaves them with no surviving suspicion to
+          blame: heartbeats have stopped, so nothing re-suspects a peer
+          nobody probes anymore.  Under a scoped repair, peers outside
+          the scope are presumed dead by this side even though their node
+          objects survive across the cut.
+
+        Within one :meth:`repair` call a member's verdict is a function of
+        ``(kernel.version, node.view_epoch)`` alone — the kernel answers
+        every consultation above, membership of ``simulator.nodes`` only
+        changes through a kernel insertion or removal, and the epoch moves
+        with every edit of the four view components — so a member that
+        passed all three checks is stamped with that pair and skipped
+        until either half moves.  A later pass of the same call therefore
+        re-checks only the few dozen nodes the settlement in between
+        touched.
         """
         simulator = self.simulator
-        wrong: List[Tuple[int, int]] = []
-        for object_id in self._members():
-            node = simulator.nodes[object_id]
-            for index, link in enumerate(node.long_links):
-                if (link.neighbor not in simulator.nodes
-                        or link.neighbor not in simulator.kernel):
-                    # Dead endpoint — or one outside this repairer's
-                    # kernel (a cross-side link under a scoped, split-era
-                    # repair): either way the link cannot stand.
-                    wrong.append((object_id, index))
-                    continue
-                owner = simulator.kernel.nearest_vertex(link.target,
-                                                        hint=link.neighbor)
-                if owner != link.neighbor:
-                    wrong.append((object_id, index))
-        return wrong
-
-    def _audit_dead_references(self) -> List[Tuple[int, Set[int]]]:
-        """(holder, dead peers) for close/back entries serving departed nodes.
-
-        A crash that lands *mid-repair* — after the detection sweep and
-        the suspicion-driven scrubbing — can leave close entries and back
-        registrations pointing at the victim with no surviving suspicion
-        to blame: heartbeats have stopped, so nothing re-suspects a peer
-        nobody probes anymore.  Long links of that shape are caught by
-        :meth:`_audit_long_links` and stale Voronoi views by
-        :meth:`_audit_views`; this pass completes the audit for the two
-        reference kinds those do not cover.
-        """
-        simulator = self.simulator
+        nodes = simulator.nodes
+        kernel = simulator.kernel
         scope = self.scope
-        stale: List[Tuple[int, Set[int]]] = []
+        version = kernel.version
+        clean = self._audit_clean
+        wrong: List[Tuple[int, int]] = []
+        stale_views: List[int] = []
+        dead_refs: List[Tuple[int, Set[int]]] = []
         for object_id in self._members():
-            node = simulator.nodes[object_id]
-            # Under a scoped (split-era) repair, peers outside the scope
-            # are presumed dead by this side even though their node
-            # objects survive on the other side of the cut.
+            node = nodes[object_id]
+            stamp = (version, node.view_epoch)
+            if clean.get(object_id) == stamp:
+                continue
+            links = [(object_id, index)
+                     for index, link in enumerate(node.long_links)
+                     if link.neighbor not in nodes
+                     or link.neighbor not in kernel
+                     or kernel.nearest_vertex(
+                         link.target, hint=link.neighbor) != link.neighbor]
+            view_stale = (object_id in kernel and set(node.voronoi)
+                          != set(kernel.neighbors(object_id)))
             dead = {peer for peer in node.close
-                    if peer not in simulator.nodes
+                    if peer not in nodes
                     or (scope is not None and peer not in scope)}
             dead.update(source for source, _index in node.back_links
-                        if source not in simulator.nodes
+                        if source not in nodes
                         or (scope is not None and source not in scope))
+            if not links and not view_stale and not dead:
+                clean[object_id] = stamp
+                continue
+            wrong.extend(links)
+            if view_stale:
+                stale_views.append(object_id)
             if dead:
-                stale.append((object_id, dead))
-        return stale
-
-    def _audit_views(self) -> List[int]:
-        """Ids whose local Voronoi view disagrees with the shared kernel.
-
-        A view can go stale with *no* suspect involved: a consolidated
-        ``REGION_UPDATE`` (or its sender) fed a crash mid-``bulk_join`` or
-        mid-churn, so the recipient never heard about a live neighbour.
-        Suspicion-driven scrubbing cannot reach those — nothing in the
-        view points at a dead node — so convergence needs this explicit
-        anti-entropy pass over the same kernel consultation the scrub
-        phase uses.
-        """
-        simulator = self.simulator
-        kernel = simulator.kernel
-        return [object_id for object_id in self._members()
-                if object_id in kernel
-                and set(simulator.nodes[object_id].voronoi)
-                != set(kernel.neighbors(object_id))]
+                dead_refs.append((object_id, dead))
+        return wrong, stale_views, dead_refs
 
     def repair(self, max_rounds: Optional[int] = None) -> RepairReport:
         """Iterate repair rounds until the overlay converges (or the cap)."""
@@ -1074,6 +1155,7 @@ class RepairProtocol:  # simlint: ignore[SIM003] — one per experiment, not per
         processed: Set[int] = set()
         self._reissued = 0
         self._reissue_attempts = {}
+        self._audit_clean = {}
         rounds = 0
         converged = False
         while rounds < cap:
@@ -1081,9 +1163,7 @@ class RepairProtocol:  # simlint: ignore[SIM003] — one per experiment, not per
                 processed.update(simulator.nodes[object_id].suspects)
             result = self.repair_round()
             if result is None:
-                wrong = self._audit_long_links()
-                stale_views = self._audit_views()
-                dead_refs = self._audit_dead_references()
+                wrong, stale_views, dead_refs = self._audit()
                 if not wrong and not stale_views and not dead_refs:
                     converged = True
                     break
@@ -1128,8 +1208,8 @@ class RepairProtocol:  # simlint: ignore[SIM003] — one per experiment, not per
                 totals[phase] = totals.get(phase, 0) + count
             rounds += 1
         else:
-            converged = (not self._holders() and not self._audit_long_links()
-                         and not self._audit_views())
+            # Out of rounds: the same predicate, asked one last time.
+            converged = not self._holders() and not any(self._audit())
         residual = sum(len(simulator.nodes[object_id].suspects)
                        for object_id in self._members())
         return RepairReport(rounds=rounds, converged=converged,

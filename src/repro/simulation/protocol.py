@@ -43,7 +43,10 @@ Greedy forwarding reads each node's candidates from a lazily built flat
 which every view-mutating message handler bumps — the protocol-mode
 analogue of the oracle's epoch-cached routing tables.  The block always
 equals the freshly assembled :meth:`ProtocolNode.routing_candidates`,
-which is what the parity tests compare it against.
+which is what the parity tests compare it against.  The heartbeat
+detector's per-node probe plan (:meth:`ProtocolNode.probe_plan`) is cached
+against the same epoch, and :meth:`ProtocolSimulator.verify_views` compares
+every cached plan with its fresh derivation.
 
 Fault tolerance
 ---------------
@@ -286,12 +289,16 @@ class ProtocolNode:
     _block_epoch: int = field(default=-1, repr=False, init=False)
     _block: Optional[List[Tuple[int, float, float]]] = field(default=None, repr=False,
                                                              init=False)
+    _plan_epoch: int = field(default=-1, repr=False, init=False)
+    _plan: Tuple[Tuple[int, ...], Tuple[int, ...]] = field(
+        default=((), ()), repr=False, init=False)
 
     # ------------------------------------------------------------------
     # view helpers
     # ------------------------------------------------------------------
     def touch_view(self) -> None:
-        """Mark the local view changed, invalidating the cached routing block."""
+        """Mark the local view changed: the cached routing block and probe
+        plan are both stamped with the epoch and rebuilt on next use."""
         self.view_epoch += 1
 
     def routing_candidates(self) -> Dict[int, Point]:
@@ -359,6 +366,33 @@ class ProtocolNode:
         peers.update(source for source, _index in self.back_links)
         peers.discard(self.object_id)
         return peers
+
+    def derive_probe_plan(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+        """``(peers, sampled)`` assembled from the view as it stands now.
+
+        ``peers`` is :meth:`monitored_peers` in id order — the order the
+        heartbeat detector probes in — and ``sampled`` the ones among them
+        that are neither a Voronoi nor a close neighbour: the long-link
+        endpoints and back-link sources a sampling detector probes on a
+        stride instead of every round.
+        """
+        peers = tuple(sorted(self.monitored_peers()))
+        voronoi, close = self.voronoi, self.close
+        return peers, tuple(peer for peer in peers
+                            if peer not in voronoi and peer not in close)
+
+    def probe_plan(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+        """:meth:`derive_probe_plan`, cached per view epoch.
+
+        The same contract as :meth:`routing_block`: whoever mutates
+        ``voronoi``, ``close``, ``long_links`` or ``back_links`` calls
+        :meth:`touch_view`, so a cached plan is a valid plan —
+        :meth:`ProtocolSimulator.verify_views` checks exactly that.
+        """
+        if self._plan_epoch != self.view_epoch:
+            self._plan = self.derive_probe_plan()
+            self._plan_epoch = self.view_epoch
+        return self._plan
 
     def references(self, peer: int) -> bool:
         """Whether any local view entry still points at ``peer``."""
@@ -1786,6 +1820,7 @@ class ProtocolSimulator:  # simlint: ignore[SIM003] — one per experiment, not 
 
         Membership first, as in ``VoroNet.check_consistency``: kernel, locate
         grid and handlers ≡ :attr:`nodes`; no operation owned by a non-member.
+        Last, as there, the cache contract (:meth:`probe_plan_report`).
         """
         problems = self._membership_report()
         d_min = self.config.effective_d_min
@@ -1812,6 +1847,29 @@ class ProtocolSimulator:  # simlint: ignore[SIM003] — one per experiment, not 
                     problems.append(
                         f"{object_id}: long link points at {link.neighbor} but "
                         f"{owner} owns the target")
+        problems.extend(self.probe_plan_report())
+        return problems
+
+    def probe_plan_report(self) -> List[str]:
+        """Every cached probe plan that is not a valid one (deriving none anew).
+
+        A plan stamped with its node's current view epoch is what the next
+        heartbeat round probes from, so it must equal the fresh derivation
+        (``sorted(monitored_peers())`` and its part outside vn ∪ cn).  SIM001
+        holds message handlers to the ``touch_view()`` contract; this also
+        sees the sites that edit views from outside a handler (``bulk_join``,
+        the repair protocol's close re-discovery).
+        """
+        problems: List[str] = []
+        for object_id, node in self.nodes.items():
+            if node._plan_epoch != node.view_epoch:
+                continue  # no plan yet, or one the next round re-derives
+            fresh = node.derive_probe_plan()
+            if node._plan != fresh:
+                problems.append(
+                    f"{object_id}: cached probe plan is stale: probes "
+                    f"{list(node._plan[0])} (sampled {list(node._plan[1])}), "
+                    f"the view says {list(fresh[0])} (sampled {list(fresh[1])})")
         return problems
 
     def _membership_report(self) -> List[str]:

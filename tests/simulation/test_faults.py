@@ -6,11 +6,13 @@ repair protocol, protocol-vs-oracle crash parity, and the staged
 churn/crash/heal experiment on :class:`~repro.simulation.scenario.Scenario`.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import VoroNet, VoroNetConfig
+from repro.simulation import faults
 from repro.simulation.failures import CrashInjector
 from repro.simulation.faults import (
     FaultPlane,
@@ -143,6 +145,76 @@ class TestFaultPlane:
         ]
         assert decisions[0] == decisions[1]
         assert planes[0].drops_by_reason == planes[1].drops_by_reason
+
+    _PROBABILITY = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
+    _STEP = st.one_of(
+        st.tuples(st.just("loss"), _PROBABILITY),
+        st.tuples(st.just("delay"), _PROBABILITY,
+                  st.tuples(st.floats(0.0, 4.0), st.floats(0.0, 4.0))
+                  .map(sorted).map(tuple)),
+        st.tuples(st.just("crash"), st.integers(0, 12)),
+        st.tuples(st.just("decide"), st.integers(1, 400)))
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**20),
+           steps=st.lists(_STEP, min_size=4, max_size=16))
+    def test_block_drawn_stream_is_the_scalar_stream(self, seed, steps):
+        """Whatever is toggled between (and inside) refills, every decision
+        equals the one a plane drawing ``Generator.uniform`` scalars in the
+        documented order makes — compared with ``==``, not a tolerance."""
+        plane = FaultPlane(seed=seed)
+        generator = np.random.default_rng(seed)
+        crashed = set()
+        loss = delay_probability = 0.0
+        delay_range = (0.0, 0.0)
+        draws = 0
+
+        def scalar(*bounds):
+            nonlocal draws
+            draws += 1
+            return float(generator.uniform(*bounds))
+
+        def reference(sender, recipient):
+            if sender in crashed:
+                return (False, "crashed_sender", 0.0)
+            if recipient in crashed:
+                return (False, "crashed_recipient", 0.0)
+            if loss > 0.0 and scalar() < loss:
+                return (False, "loss", 0.0)
+            if delay_probability > 0.0 and scalar() < delay_probability:
+                return (True, "delayed", scalar(*delay_range))
+            return (True, "ok", 0.0)
+
+        def decide(sender, recipient):
+            decision = plane.decide(
+                Message(sender=sender, recipient=recipient, kind="X"), 0.0)
+            assert (decision.deliver, decision.reason,
+                    decision.extra_delay) == reference(sender, recipient)
+
+        sent = 0
+        for step in steps:
+            if step[0] == "loss":
+                loss = step[1]
+                plane.set_loss(loss)
+            elif step[0] == "delay":
+                delay_probability, delay_range = step[1], step[2]
+                plane.set_delay(delay_probability, delay_range)
+            elif step[0] == "crash":
+                crashed.add(step[1])
+                plane.crash(step[1])
+            else:
+                for _ in range(step[1]):
+                    decide(sent % 13, (sent * 7 + 3) % 13)
+                    sent += 1
+        # Then lossy traffic between two live endpoints across three more
+        # refills, wherever in a block the interleaving left off.
+        loss = 0.5
+        plane.set_loss(loss)
+        target = draws + 3 * faults._DRAW_BLOCK
+        while draws <= target:
+            decide(20, 21)
+            sent += 1
+        assert plane.decisions == sent
 
 
 # ----------------------------------------------------------------------
@@ -287,7 +359,153 @@ class TestHeartbeatConfig:
         assert counters[0] == counters[1]
 
 
+class ParentProbeRule:
+    """Who a round probes, decided the way the detector did before it
+    probed from per-view-epoch plans: every set rebuilt from the view on
+    every visit, freshness keyed by ``(prober, peer)``."""
+
+    def __init__(self, detector):
+        self.detector = detector
+        self.fresh_round = {}
+        self.round_starts = []
+
+    def next_round(self):
+        """Prober → probed peers (id order) of the round about to be sent."""
+        detector = self.detector
+        config = detector.config
+        simulator = detector.simulator
+        current_round = detector._round + 1
+        self.round_starts.append(simulator.engine.now)
+        previous_start = (self.round_starts[-2]
+                          if len(self.round_starts) >= 2 else None)
+        period = config.sample_period
+        expected = {}
+        for object_id, node in simulator.nodes.items():
+            core = set(node.voronoi) | set(node.close)
+            probed = []
+            for peer in sorted(node.monitored_peers()):
+                if (peer not in node.suspects
+                        and not node.missed_heartbeats.get(peer, 0)):
+                    if config.piggyback:
+                        contact = node.last_contact.get(peer)
+                        if (contact is not None and previous_start is not None
+                                and contact > previous_start):
+                            self.fresh_round[(object_id, peer)] = current_round
+                            continue
+                        fresh = self.fresh_round.get((object_id, peer))
+                        if (fresh is not None and
+                                current_round - fresh < config.miss_threshold):
+                            continue
+                    phase = (object_id * detector._PHASE_A
+                             + peer * detector._PHASE_B) % period
+                    if (period > 1 and peer not in core
+                            and (current_round + phase) % period != 0):
+                        continue
+                probed.append(peer)
+            if probed:
+                expected[object_id] = probed
+        return expected
+
+
+@pytest.fixture
+def probes_checked_against_parent_rule(monkeypatch):
+    """Every heartbeat round of the test probes exactly what
+    :class:`ParentProbeRule` says, whichever detector sends it; yields
+    the rounds sent so far (prober → probed peers, one dict per round)."""
+    rules = {}
+    rounds = []
+    send_pings = HeartbeatDetector._send_pings
+
+    def checked(detector):
+        rule = rules.setdefault(id(detector), ParentProbeRule(detector))
+        expected = rule.next_round()
+        pings = send_pings(detector)
+        assert detector._outstanding == expected
+        assert pings == sum(len(peers) for peers in expected.values())
+        rounds.append(expected)
+        return pings
+
+    monkeypatch.setattr(HeartbeatDetector, "_send_pings", checked)
+    yield rounds
+    assert rounds, "the test ran no heartbeat round"
+
+
+@pytest.mark.usefixtures("probes_checked_against_parent_rule")
 class TestPiggybackLiveness:
+    @pytest.mark.parametrize("case", ["suspect_until_exonerated",
+                                      "missed_heartbeat", "off_stride"])
+    def test_plan_probes_pending_suspicion_at_full_speed(
+            self, case, probes_checked_against_parent_rule):
+        """A sampled edge is probed on its stride only — unless suspicion
+        is in progress (a missed heartbeat, a standing suspect), which is
+        probed every round until a PONG settles it."""
+        rounds = probes_checked_against_parent_rule
+        # Without piggy-backing the stride is the only reason to skip.
+        config = HeartbeatConfig(piggyback=case != "off_stride",
+                                 sample_fraction=0.25)
+        simulator = build_simulator(count=60, seed=37)
+        detector = HeartbeatDetector(simulator, config=config)
+        node, peer = next(
+            (node, node.probe_plan()[1][0])
+            for _object_id, node in sorted(simulator.nodes.items())
+            if node.probe_plan()[1])     # a long/back edge outside vn ∪ cn
+        period = config.sample_period
+
+        def probed_this_round():
+            return peer in rounds[-1].get(node.object_id, ())
+
+        if case == "off_stride":
+            probes = []
+            for _ in range(2 * period):
+                detector.run_round()
+                probes.append(probed_this_round())
+            due = probes.index(True)
+            assert due < period
+            assert probes == [index % period == due
+                              for index in range(2 * period)]
+            return
+        detector.run_rounds(period)
+        if case == "missed_heartbeat":
+            node.missed_heartbeats[peer] = 1
+        else:
+            node.suspects.add(peer)
+        detector.run_round()
+        assert probed_this_round()                 # whatever the stride says
+        # The live peer's PONG settled it: no miss, no suspect ...
+        assert peer not in node.missed_heartbeats
+        assert peer not in node.suspects
+        assert (peer in node.rehabilitated) == (case != "missed_heartbeat")
+        # ... and the edge is fresh again, so the next round skips it.
+        detector.run_round()
+        assert not probed_this_round()
+
+    def test_freshness_bookkeeping_follows_membership(self):
+        """Freshness is kept per prober and a departed prober's map goes
+        with it; a long churn run holds entries for live probers only."""
+        simulator = build_simulator(count=80, seed=35)
+        detector = HeartbeatDetector(simulator, config=HeartbeatConfig(
+            piggyback=True, sample_fraction=0.25))
+        injector = ProtocolCrashInjector(simulator, rng=RandomSource(4))
+        rng = RandomSource(6)
+        departed = set()
+        for _ in range(3):
+            detector.run_rounds(2)
+            simulator.join(rng.random_point())
+            live = sorted(simulator.nodes)
+            leaver = live[rng.integer(0, len(live))]
+            simulator.leave(leaver)
+            departed.add(leaver)
+            departed.update(injector.crash_random(3))
+            detector.run_rounds(2)
+            assert detector._fresh_round
+            assert set(detector._fresh_round) <= set(simulator.nodes)
+            assert not departed & set(detector._fresh_round)
+        # Per-peer entries of live probers are kept (an edge that returns
+        # inside the freshness window is still fresh), ids only.
+        assert all(isinstance(peer, int) and isinstance(seen, int)
+                   for fresh in detector._fresh_round.values()
+                   for peer, seen in fresh.items())
+
     def test_healthy_overlay_stays_suspectless_and_cheaper(self):
         """Piggy-backed rounds on a healthy overlay create no suspicion and
         probe strictly less than full-probe rounds (alternation + PONG
@@ -526,6 +744,29 @@ class TestRepairProtocol:
         holes, total_after = close_state(simulator)
         assert holes == 0
         assert total_after == total_before
+        assert simulator.verify_views() == []
+
+    def test_out_of_rounds_asks_the_same_convergence_question(self):
+        """One predicate, two sites: a dead close reference nobody suspects
+        (a crash landing in the last settle drain leaves exactly this) is
+        not convergence, whether rounds remain or the cap is spent."""
+        simulator = build_simulator(count=60, seed=15)
+        injector = ProtocolCrashInjector(simulator, rng=RandomSource(7))
+        victim = injector.crash_random(5)[0]
+        detector = HeartbeatDetector(simulator, config=HeartbeatConfig())
+        detector.run_rounds(2)
+        repairer = RepairProtocol(simulator, detector=detector)
+        assert repairer.repair().converged
+        assert simulator.verify_views() == []
+        node = simulator.node(sorted(simulator.nodes)[0])
+        node.close[victim] = node.position
+        node.touch_view()
+        report = repairer.repair(max_rounds=0)
+        assert report.rounds == 0
+        assert report.converged is False
+        assert victim in node.close                # nothing ran, nothing hidden
+        assert repairer.repair().converged         # the audit scrubs it
+        assert victim not in node.close
         assert simulator.verify_views() == []
 
     def test_repaired_overlay_serves_queries(self):

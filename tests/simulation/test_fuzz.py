@@ -14,7 +14,8 @@ import json
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, initialize, rule
+from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant,
+                                 rule)
 
 from repro.simulation.faults import HeartbeatConfig
 from repro.simulation.fuzz import (
@@ -287,6 +288,12 @@ class CrashRecoveryMachine(RuleBasedStateMachine):
         assert outcome.pending_operations == ()
         assert self.simulator.engine.quiescent
         assert outcome.converged
+
+    @invariant()
+    def cached_probe_plans_are_valid(self):
+        # Heal cycles leave every survivor a cached probe plan; no join,
+        # leave or crash after them may leave one stale.
+        assert self.simulator.probe_plan_report() == []
 
     def teardown(self):
         # Whatever the interleaving left behind must still heal clean.

@@ -10,7 +10,9 @@ The protocol-level mirror of :mod:`tests.core.test_routing_cache`:
 * a simulator churned through joins, bulk joins and leaves whose query
   owners and hop counts equal a walk of the reference next-hop rule;
 * direct checks of the epoch/invalidation contract (`touch_view` on every
-  view-mutating handler).
+  view-mutating handler), which the heartbeat detector's cached probe
+  plans ride on too: ``verify_views()`` compares each with its fresh
+  derivation, after every rule of the machine.
 """
 
 import numpy as np
@@ -90,6 +92,15 @@ class NodeRoutingCacheMachine(RuleBasedStateMachine):
         assert_blocks_match_candidates(self.simulator)
 
     @invariant()
+    def cached_probe_plans_are_valid(self):
+        """``verify_views()`` compares every probe plan cached at its
+        node's current epoch with the fresh derivation; warming them all
+        here hands the next rule a full set of cached plans to get wrong."""
+        assert self.simulator.verify_views() == []
+        for object_id in self.simulator.object_ids():
+            self.simulator.node(object_id).probe_plan()
+
+    @invariant()
     def next_hops_equal_reference(self):
         for object_id in self.simulator.object_ids():
             node = self.simulator.node(object_id)
@@ -157,3 +168,28 @@ class TestEpochContract:
                      in simulator.node(survivor).routing_block()}
         assert ids[3] not in block_ids
         assert_blocks_match_candidates(simulator)
+
+    def test_verify_views_names_a_probe_plan_made_stale(self):
+        """A cached plan is a valid plan, and the program says so itself:
+        a view edited behind the epoch's back is reported by name."""
+        simulator = ProtocolSimulator(
+            VoroNetConfig(n_max=400, num_long_links=1, seed=11), seed=11)
+        simulator.bulk_join(
+            generate_objects(UniformDistribution(), 60, RandomSource(11)))
+        for object_id in simulator.object_ids():
+            simulator.node(object_id).probe_plan()
+        assert simulator.verify_views() == []
+        node = simulator.node(simulator.object_ids()[0])
+        stranger = next(object_id for object_id in simulator.object_ids()
+                        if object_id != node.object_id
+                        and object_id not in node.monitored_peers())
+        node.back_links[(stranger, 0)] = node.position   # no touch_view()
+        problems = simulator.verify_views()
+        assert len(problems) == 1
+        assert problems[0].startswith(
+            f"{node.object_id}: cached probe plan is stale")
+        assert problems == simulator.probe_plan_report()
+        node.touch_view()
+        assert simulator.verify_views() == []
+        peers, sampled = node.probe_plan()
+        assert stranger in peers and stranger in sampled
