@@ -2,7 +2,9 @@
 
 Demonstrates the routing-table cache on one machine:
 
-* ``bulk_load`` of N = 10⁶ objects, plus a routing sweep over the result;
+* ``bulk_load`` of N = 10⁶ objects, plus a routing sweep over the result,
+  twice over the same pairs — cold (every table on the way is built) and
+  warm (none is) — so the record carries both sides of "warm routing vs N";
 * the locality claim — **a join or leave rebuilds the tables it names,
   whatever the overlay size**: at each overlay size a fixed pool of warm
   routing tables is churned and the tables rebuilt per churn event are
@@ -113,9 +115,14 @@ def run_cache_scale(sizes: Sequence[int], seed: int, *, warm_tables: int,
             consistency_problems = len(overlay.check_consistency())
             pairs = generate_routing_pairs(overlay.object_ids(), num_pairs,
                                            RandomSource(seed + 2))
+            pairs = list(pairs)
             started = time.perf_counter()
-            hops, failures = _route_pairs(overlay, list(pairs))
+            hops, failures = _route_pairs(overlay, pairs)
             seconds_routing = time.perf_counter() - started
+            started = time.perf_counter()
+            warm_hops, warm_failures = _route_pairs(overlay, pairs)
+            seconds_warm = time.perf_counter() - started
+            failures += warm_failures + (warm_hops != hops)
             headline = {
                 "objects": size,
                 "seconds_bulk_load": round(seconds_bulk, 2),
@@ -125,6 +132,8 @@ def run_cache_scale(sizes: Sequence[int], seed: int, *, warm_tables: int,
                     "pairs": len(pairs),
                     "seconds": round(seconds_routing, 3),
                     "routes_per_second": round(len(pairs) / seconds_routing, 1),
+                    "seconds_warm": round(seconds_warm, 3),
+                    "routes_per_second_warm": round(len(pairs) / seconds_warm, 1),
                     "mean_hops": round(sum(hops) / max(len(hops), 1), 3),
                     "failures": failures,
                 },
@@ -155,7 +164,8 @@ def format_cache_scale(record: dict) -> str:
         f"Cache scale @ {record['objects']} objects: "
         f"bulk_load {record['seconds_bulk_load']:.0f}s "
         f"({record['objects_per_second']} obj/s), "
-        f"routing {record['routing']['routes_per_second']:.0f} routes/s "
+        f"routing {record['routing']['routes_per_second']:.0f} routes/s cold, "
+        f"{record['routing']['routes_per_second_warm']:.0f} warm "
         f"(mean {record['routing']['mean_hops']:.1f} hops, "
         f"{record['routing']['failures']} failures)"
     ]

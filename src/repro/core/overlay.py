@@ -106,9 +106,9 @@ from repro.core.maintenance import (bulk_integrate_objects, detach_object,
                                     integrate_new_object, membership_report)
 from repro.core.neighbors import NeighborView
 from repro.core.node import ObjectNode
-from repro.core.routing import (RouteResult, greedy_route, missed_route,
-                                route_to_object)
-from repro.core.shards import RoutingTableCache
+from repro.core.routing import (RouteResult, greedy_route, greedy_route_many,
+                                missed_route, route_to_object)
+from repro.core.shards import RoutingTableCache, arena_report
 from repro.core.stats import OverlayStats
 from repro.geometry.bounding import UNIT_SQUARE, BoundingBox
 from repro.geometry.delaunay import DelaunayTriangulation, DuplicatePointError
@@ -653,15 +653,27 @@ class VoroNet:
         """Route a batch of ``(source, target)`` messages.
 
         The batched form used by the experiment runner for route-length
-        sweeps and by the serving layer's traffic drivers; results are
-        identical to calling :meth:`route` per pair.
+        sweeps and by the serving layer's traffic drivers; results and
+        statistics are identical to calling :meth:`route` per pair.  A
+        batch is one traffic shape with one router,
+        :func:`~repro.core.routing.greedy_route_many`: from
+        ``VECTOR_SCAN_THRESHOLD`` pairs up it is advanced as a frontier,
+        every route one hop per numpy step; a shorter one is the loop over
+        :func:`~repro.core.routing.greedy_route`.
+
+        ``pairs`` is consumed once (a generator is fine) and **validated up
+        front**: the first pair, in batch order, that :meth:`route` would
+        refuse raises what :meth:`route` would raise for it, before any
+        route of the batch is run or recorded.  (Until the frontier router
+        the pairs ahead of the offending one were routed and counted
+        first.)
 
         ``missing`` selects what happens when a pair references an object
         that has departed (a schedule sampled before a remove, or churn
         interleaved with the batch):
 
-        * ``"raise"`` (default) — propagate :class:`ObjectNotFoundError`,
-          the historical sweep behaviour where a departed endpoint means a
+        * ``"raise"`` (default) — raise :class:`ObjectNotFoundError`, the
+          historical sweep behaviour where a departed endpoint means a
           broken experiment.
         * ``"miss"`` — answer that pair with the defined miss result of
           :func:`~repro.core.routing.missed_route` (``success=False``,
@@ -671,20 +683,41 @@ class VoroNet:
         if missing not in ("raise", "miss"):
             raise ValueError(
                 f'missing must be "raise" or "miss", got {missing!r}')
-        if missing == "raise":
-            return [self.route(source, target, use_long_links=use_long_links)
-                    for source, target in pairs]
-        results: List[RouteResult] = []
-        for source, target in pairs:
-            target_is_id = (isinstance(target, numbers.Integral)
-                            and not isinstance(target, bool))
-            if (int(source) not in self
-                    or (target_is_id and int(target) not in self)):
-                results.append(missed_route(source, target))
-                self._stats.query_misses += 1
+        pairs = list(pairs)
+        results: List[Optional[RouteResult]] = [None] * len(pairs)
+        nodes = self._nodes
+        live: List[int] = []
+        sources: List[int] = []
+        targets: List[Point] = []
+        destinations: List[Optional[int]] = []
+        for slot, (source, target) in enumerate(pairs):
+            destination = None
+            if isinstance(target, numbers.Integral) and not isinstance(target, bool):
+                destination = int(target)
+            if missing == "miss" and (int(source) not in nodes
+                                      or (destination is not None
+                                          and destination not in nodes)):
+                results[slot] = missed_route(source, target)
                 continue
-            results.append(self.route(source, target,
-                                      use_long_links=use_long_links))
+            # The refusals of route(), in its order.
+            if destination is not None and destination not in nodes:
+                raise ObjectNotFoundError(destination)
+            if not nodes:
+                raise EmptyOverlayError("cannot route on an empty overlay")
+            if source not in nodes:
+                raise ObjectNotFoundError(source)
+            targets.append(nodes[destination].position if destination is not None
+                           else (float(target[0]), float(target[1])))
+            sources.append(source)
+            destinations.append(destination)
+            live.append(slot)
+        self._stats.query_misses += len(pairs) - len(live)
+        routed = greedy_route_many(self, sources, targets, use_long_links=use_long_links)
+        for slot, destination, result in zip(live, destinations, routed):
+            if destination is not None:
+                result.success = result.owner == destination
+            results[slot] = result
+        self._stats.routes.record_many([result.hops for result in routed])
         return results
 
     def lookup_many(self, points: Iterable[Point],
@@ -873,7 +906,10 @@ class VoroNet:
         ``vn ∪ cn (∪ LRn)`` minus self with each candidate's current
         position.  An invalidation that left out an object whose view it
         changed shows up here, as does a table kept for a non-member or
-        naming one (a dangling long link).
+        naming one (a dangling long link).  A cached row is a valid row
+        too: the report ends with the batch router's id arena, brought
+        level and compared with the scan-block tables it indexes
+        (:func:`~repro.core.shards.arena_report`).
         """
         problems: List[str] = []
         nodes = self._nodes
@@ -901,6 +937,7 @@ class VoroNet:
                         problems.append(
                             f"{object_id}: {label} places {cid} at {(x, y)}, "
                             f"not {member.position}")
+        problems.extend(arena_report(self._routing_cache))
         return problems
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -9,7 +9,7 @@ reaches the object whose region contains ``P``, the algorithm always
 terminates at the correct owner; the long links are pure acceleration and
 give the ``O(log² N_max)`` expected hop count of Lemma 5.
 
-Two termination rules are provided:
+Two termination rules are provided, the first in two traffic shapes:
 
 * :func:`greedy_route` runs until no neighbour is closer — the rule used to
   measure route lengths in the paper's evaluation (Figures 6–8);
@@ -17,23 +17,45 @@ Two termination rules are provided:
   of Algorithm 5 (``d(z, Target) ≤ 1/3 · d(Target, Current)`` or
   ``d(Target, Current) ≤ d_min``), the form used by object insertion,
   long-link establishment and query handling, which Lemma 4 proves is
-  enough to finish the operation locally.
+  enough to finish the operation locally;
+* :func:`greedy_route_many` is :func:`greedy_route` for a batch — what the
+  paper's sweeps, the serving layer and ``VoroNet.route_many`` route.  From
+  ``VECTOR_SCAN_THRESHOLD`` pairs up the batch is one *frontier*: per step,
+  every route still moving takes one hop, its candidates gathered by id
+  from the routing cache's arena (:mod:`repro.core.shards`) and their
+  positions from the locate grid's coordinate column, so a hop costs a
+  share of a dozen numpy calls instead of a Python loop over a block.  Its
+  *tail* is :func:`greedy_route`'s own loop (``_descend``), entered from
+  where a route stands: by every route still moving once fewer than the
+  threshold are, and at once by a route that steps onto an object whose
+  table is held as arrays (a scalar hop there is one argmin already).  Its
+  *tie-break* is the scalar scan's: float64 ``dx*dx + dy*dy`` over the
+  candidates in ascending id order, a hop only to a distance strictly
+  below the carried one, and among equal minima the first — so owners,
+  hops, paths, distances and the tables built on the way are those of the
+  loop, bit for bit (``TESTING.md``, "A batch answers what the loop
+  answers").
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
-from typing import List, Optional, TYPE_CHECKING
+from typing import List, Optional, Sequence, Tuple, TYPE_CHECKING
+
+import numpy as np
 
 from repro.core.errors import EmptyOverlayError, ObjectNotFoundError, RoutingError
+from repro.core.shards import NO_ROW, segment_indices
+from repro.geometry.locate_grid import CHUNK_ELEMENTS, VECTOR_SCAN_THRESHOLD
 from repro.geometry.point import Point, distance, distance_sq
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.overlay import VoroNet
 
-__all__ = ["RouteResult", "greedy_route", "missed_route", "route_to_object",
-           "route_with_stopping_rule"]
+__all__ = ["RouteResult", "greedy_route", "greedy_route_many", "missed_route",
+           "route_to_object", "route_with_stopping_rule"]
 
 
 @dataclass
@@ -162,18 +184,37 @@ def greedy_route(overlay: "VoroNet", source: int, target: Point, *,
         raise ValueError(f"max_hops must be positive, got {max_hops}")
     target = (float(target[0]), float(target[1]))
     limit = max_hops if max_hops is not None else len(overlay) + 16
-    record = overlay.config.track_paths
-    path = [source] if record else None
-    current = source
-    hops = 0
+    path = [source] if overlay.config.track_paths else None
+    owner, hops = _descend(overlay, use_long_links, source, target, source,
+                           distance_sq(overlay.position_of(source), target), 0, path, limit)
+    return RouteResult(
+        source=source,
+        target=target,
+        owner=owner,
+        hops=hops,
+        success=True,
+        path=path,
+        final_distance=distance(overlay.position_of(owner), target),
+    )
+
+
+def _descend(overlay: "VoroNet", use_long_links: bool, source: int, target: Point,
+             current: int, current_d: float, hops: int,
+             path: Optional[List[int]], limit: int) -> Tuple[int, int]:
+    """Forward a route from where it stands to its local minimum.
+
+    The scalar forwarding loop, entered by :func:`greedy_route` at the
+    source and by :func:`greedy_route_many` wherever a route left the
+    frontier: ``current`` is ``current_d`` (squared) from ``target`` after
+    ``hops`` hops, ``path`` (when recorded) ends with it.  Returns
+    ``(owner, hops)``; ``path`` is extended in place.
+    """
     # Hot loop over the cached tables: the squared distance of the chosen
     # candidate is carried into the next hop and the block scan is
     # inlined, so each hop costs one dict probe plus one pass over an
     # O(1)-size block — no per-hop view assembly, no re-measuring of the
     # current object, no per-hop function calls.
     tx, ty = target
-    cx, cy = overlay.position_of(current)
-    current_d = (cx - tx) * (cx - tx) + (cy - ty) * (cy - ty)
     # A cached table is a valid table, so the per-hop probe is one
     # dict.get with nothing to compare.  The variant's table dict is
     # hoisted once: the cache only ever mutates it in place, so the
@@ -207,24 +248,153 @@ def greedy_route(overlay: "VoroNet", source: int, target: Point, *,
                     current_d = d
                     nxt = cid
         if nxt is None:
-            break
+            return current, hops
         current = nxt
         hops += 1
-        if record:
+        if path is not None:
             path.append(current)
         if hops > limit:
             raise RoutingError(
                 f"greedy route from {source} to {target} exceeded {limit} hops"
             )
-    return RouteResult(
-        source=source,
-        target=target,
-        owner=current,
-        hops=hops,
-        success=True,
-        path=path,
-        final_distance=distance(overlay.position_of(current), target),
-    )
+
+
+def _column_rows(overlay: "VoroNet", ids: np.ndarray) -> np.ndarray:
+    """Positions of ``ids`` from the coordinate column; a non-member is the overlay's error."""
+    try:
+        return overlay._locate_index.coordinates(ids)
+    except KeyError as exc:
+        raise ObjectNotFoundError(exc.args[0]) from None
+
+
+def greedy_route_many(overlay: "VoroNet", sources: Sequence[int],
+                      targets: Sequence[Point], *,
+                      use_long_links: bool = True) -> List[RouteResult]:
+    """``greedy_route(overlay, source, target)`` per pair, advanced as one frontier.
+
+    A batch below ``VECTOR_SCAN_THRESHOLD`` pairs is that loop — numpy's
+    fixed cost per call against a Python loop per element, the trade the
+    threshold names everywhere.  From the threshold up, every route still
+    in the frontier takes one hop per step: the candidate ids of the
+    objects the routes stand on are gathered from the routing cache's id
+    arena (:meth:`RoutingTableCache.sync
+    <repro.core.shards.RoutingTableCache.sync>`), their positions from the
+    locate grid's coordinate column, and one ``dx*dx + dy*dy`` plus one
+    segmented minimum picks each route's next object — the first candidate,
+    in table order, attaining a minimum strictly below the carried
+    distance, which is what the scalar scan picks.  A route leaves the
+    frontier where it reaches its local minimum, or for the scalar loop of
+    :func:`greedy_route` — continued from where the route stands — when it
+    steps onto an object whose table is held as arrays, and the frontier
+    dissolves into that loop once fewer than ``VECTOR_SCAN_THRESHOLD``
+    routes are left in it.  Results, and the tables built on the way, are
+    those of the per-pair calls, bit for bit.
+
+    ``targets`` are ``(float, float)`` tuples and are reported as given (a
+    batch allocates no second tuple per route).
+    """
+    count = len(sources)
+    if count < VECTOR_SCAN_THRESHOLD:
+        return [greedy_route(overlay, source, target, use_long_links=use_long_links)
+                for source, target in zip(sources, targets)]
+    if len(overlay) == 0:
+        raise EmptyOverlayError("cannot route on an empty overlay")
+    goals = np.array(targets, dtype=np.float64).reshape(count, 2)
+    owner = np.fromiter(sources, dtype=np.int64, count=count)
+    delta = _column_rows(overlay, owner) - goals
+    delta *= delta
+    #: Squared distance of each route's present object from its target.
+    carried = delta[:, 0] + delta[:, 1]
+    hops = np.zeros(count, dtype=np.int64)
+    limit = len(overlay) + 16
+    cache = overlay._routing_cache
+    build_entry = overlay._routing_entry
+    id_bound = overlay._next_id
+    #: Per step, the routes that moved and where to (when paths are recorded).
+    trail: Optional[list] = [] if overlay.config.track_paths else None
+    scalar: List[int] = []
+    active = np.arange(count)
+    step = 0
+    # A row is shorter than the threshold, so chunks cut at multiples of
+    # this many candidate pairs stay below CHUNK_ELEMENTS.
+    span = CHUNK_ELEMENTS - VECTOR_SCAN_THRESHOLD
+    while len(active) >= VECTOR_SCAN_THRESHOLD:
+        if step > limit:
+            raise RoutingError(
+                f"greedy route from {sources[active[0]]} to {targets[active[0]]} "
+                f"exceeded {limit} hops")
+        start, length, ids = cache.sync(use_long_links, id_bound)
+        current = owner[active]
+        rows = start[current]
+        cold = rows == NO_ROW
+        if cold.any():
+            for object_id in sorted(set(current[cold].tolist())):
+                # Keyed by the node's own id object, not this transient one:
+                # the table dict keeps its key alive.
+                build_entry(overlay.node(object_id).object_id, use_long_links)
+            start, length, ids = cache.sync(use_long_links, id_bound)
+            rows = start[current]
+        lengths = length[current]
+        # An array-form table (or an empty one: a lone object) is the
+        # scalar loop's; so would be a row the arena failed to serve.
+        leaving = (rows < 0) | (lengths == 0)
+        if leaving.any():
+            scalar.extend(active[leaving].tolist())
+            staying = ~leaving
+            active, rows, lengths = active[staying], rows[staying], lengths[staying]
+            if not len(active):
+                break
+        following = np.empty(len(active), dtype=ids.dtype)
+        nearest = np.empty(len(active), dtype=np.float64)
+        ends = np.cumsum(lengths)
+        cuts = np.searchsorted(ends, np.arange(span, int(ends[-1]) + span, span), side="right")
+        low = 0
+        for high in cuts.tolist():
+            indices, begins = segment_indices(rows[low:high], lengths[low:high])
+            candidates = ids[indices]
+            delta = _column_rows(overlay, candidates)
+            delta -= np.repeat(goals.take(active[low:high], axis=0), lengths[low:high], axis=0)
+            delta *= delta
+            distances = delta[:, 0] + delta[:, 1]
+            best = np.minimum.reduceat(distances, begins)
+            attaining = np.flatnonzero(distances == np.repeat(best, lengths[low:high]))
+            following[low:high] = candidates[attaining[np.searchsorted(attaining, begins)]]
+            nearest[low:high] = best
+            low = high
+        moved = nearest < carried[active]
+        active = active[moved]
+        following = following[moved]
+        owner[active] = following
+        carried[active] = nearest[moved]
+        step += 1
+        hops[active] = step
+        if trail is not None:
+            trail.append((active, following))
+    scalar.extend(active.tolist())
+
+    owners = owner.tolist()
+    hop_counts = hops.tolist()
+    paths: List[Optional[List[int]]] = [None] * count
+    if trail is not None:
+        # Route i took hops[i] frontier steps, the first hops[i] there were:
+        # its stretch of ``visited`` is filled one scatter per step.
+        ends = np.cumsum(hops)
+        begins = ends - hops
+        visited = np.empty(int(hops.sum()), dtype=np.int32)
+        for taken, (slots, following) in enumerate(trail):
+            visited[begins[slots] + taken] = following
+        visited = visited.tolist()
+        paths = [[source, *visited[begin:end]] for source, begin, end
+                 in zip(sources, begins.tolist(), ends.tolist())]
+    for slot in scalar:
+        owners[slot], hop_counts[slot] = _descend(
+            overlay, use_long_links, sources[slot], targets[slot], owners[slot],
+            float(carried[slot]), hop_counts[slot], paths[slot], limit)
+    delta = _column_rows(overlay, np.array(owners, dtype=np.int64)) - goals
+    return [RouteResult(source, target, reached, taken, True, path, final_distance)
+            for source, target, reached, taken, path, final_distance
+            in zip(sources, targets, owners, hop_counts, paths,
+                   map(math.hypot, delta[:, 0].tolist(), delta[:, 1].tolist()))]
 
 
 def route_to_object(overlay: "VoroNet", source: int, destination: int, *,

@@ -16,6 +16,41 @@ The two table dicts — one per variant, with long links and Delaunay-only —
 are only ever mutated in place, so a hot loop may hoist a reference to one
 across a whole route and still see every drop.
 
+The id arena
+------------
+The batch router (:func:`repro.core.routing.greedy_route_many`) advances
+thousands of routes per numpy step and cannot probe a dict per route, so
+beside each table dict the cache keeps an *arena*: an index **of that
+dict's scan-block tables**, ids only, in CSR form — ``start[id]`` and
+``length[id]`` (id-indexed int32) delimit the object's candidate ids, in
+table order, inside one flat int32 buffer.  ``start[id]`` is
+:data:`NO_ROW` for an id with no cached table and :data:`ARRAY_FORM` for
+one whose table already is a pair of arrays (``VECTOR_SCAN_THRESHOLD`` or
+more candidates: a scalar hop on those is one argmin already, and
+flattening them cost the skewed workload −18.5 % cold and −22.8 %
+under-churn routing and +10 % memory for nothing).  Positions are not
+copied: they have one owner, the locate grid's coordinate column, and a
+reader gathers them by the arena's ids.
+
+**Mutations never touch numpy.**  Keeping the arena current inside
+``cache_table`` / ``bump_object_ids`` / ``discard`` — one ``fromiter`` and
+one fancy assignment per call — measured +25 % on the p50 of a join and
++48 % on that of a leave (``perf/`` ``oracle_static``).  A mutation
+therefore only appends ids to two plain Python lists, *the two logs*: the
+ids a drop named, and the id of each table cached (no tuple, no reference
+to the table: a log entry allocates nothing and keeps nothing alive).
+:meth:`RoutingTableCache.sync` — called at the top of every step of the
+batch router, and by the consistency report — brings the arenas level in
+one vectorised pass: the rows of every logged id become
+``start[ids] = NO_ROW``, then each id of the second log is looked up and
+*the table its dict holds now* is appended (one cached, dropped and
+re-cached between two syncs ends with exactly the second one's row; one
+cached and dropped, with none).  A variant's arena is allocated on its
+first ``sync``; before that, and again after ``drop_all`` or once a log has
+outgrown ``CHUNK_ELEMENTS`` entries (an overlay that stopped routing
+batches), there is no arena and nothing is logged, and the next ``sync``
+indexes the dict afresh.
+
 (The module keeps the name of the Morton-sharded epoch domain it replaced,
 and the class its alias ``ShardedNodeStore``, for the benchmark's frozen
 ``perf/api_surface.txt``.)
@@ -23,9 +58,98 @@ and the class its alias ``ShardedNodeStore``, for the benchmark's frozen
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Set
+import itertools
+import operator
+from typing import Dict, Iterable, List, Set, Tuple
 
-__all__ = ["RoutingTableCache", "ShardedNodeStore"]
+import numpy as np
+
+from repro.geometry.locate_grid import CHUNK_ELEMENTS
+
+__all__ = ["ARRAY_FORM", "NO_ROW", "RoutingTableCache", "ShardedNodeStore",
+           "arena_report", "segment_indices"]
+
+_FIRST = operator.itemgetter(0)
+
+#: ``start`` value of an id that has no cached table (of that variant).
+NO_ROW = -1
+#: ``start`` value of an id whose cached table is held as arrays, not a block.
+ARRAY_FORM = -2
+
+
+def segment_indices(starts: np.ndarray, lengths: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Flat indices of the CSR rows ``[start, start + length)``, concatenated.
+
+    Returns ``(indices, begins)``: ``indices[begins[i]:begins[i] + lengths[i]]``
+    are the buffer positions of row ``i``.
+    """
+    ends = np.cumsum(lengths)
+    begins = ends - lengths
+    total = int(ends[-1]) if len(ends) else 0
+    return np.repeat(starts - begins, lengths) + np.arange(total), begins
+
+
+class _Arena:
+    """The CSR rows of one variant's scan-block tables (see the module docstring)."""
+
+    __slots__ = ("start", "length", "ids", "used")
+
+    def __init__(self) -> None:
+        self.start = np.empty(0, dtype=np.int32)
+        self.length = np.empty(0, dtype=np.int32)
+        self.ids = np.empty(0, dtype=np.int32)
+        #: Filled prefix of ``ids``; rows dropped since leave holes below it.
+        self.used = 0
+
+    def cover(self, rows: int) -> None:
+        """Make ``start`` / ``length`` indexable by every id below ``rows``."""
+        size = len(self.start)
+        if rows > size:
+            grown = 1 << (rows - 1).bit_length()
+            self.start = np.concatenate(
+                (self.start, np.full(grown - size, NO_ROW, dtype=np.int32)))
+            self.length = np.concatenate(
+                (self.length, np.zeros(grown - size, dtype=np.int32)))
+
+    def drop(self, object_ids: np.ndarray) -> None:
+        """Forget the rows of ``object_ids`` (any ids: a drop may name non-members)."""
+        self.start[object_ids[(object_ids >= 0) & (object_ids < len(self.start))]] = NO_ROW
+
+    def append(self, owners: List[int], entries: List[tuple]) -> None:
+        """Index the tables ``entries`` of ``owners``: a row per block, a mark per array pair."""
+        owners = [int(object_id) for object_id in owners]  # (a key may be a numpy integer)
+        blocks = [entry[2] or () for entry in entries]
+        self.cover(max(owners) + 1)
+        lengths = np.fromiter(map(len, blocks), dtype=np.int32, count=len(blocks))
+        total = int(lengths.sum())
+        if self.used + total > len(self.ids):
+            self._make_room(total)
+        self.ids[self.used:self.used + total] = np.fromiter(
+            map(_FIRST, itertools.chain.from_iterable(blocks)), dtype=np.int32, count=total)
+        starts = self.used + np.cumsum(lengths) - lengths
+        starts[[entry[2] is None for entry in entries]] = ARRAY_FORM
+        self.start[owners] = starts
+        self.length[owners] = lengths
+        self.used += total
+
+    def _make_room(self, incoming: int) -> None:
+        """A buffer twice what is kept plus ``incoming``; the holes closed once they are most of it.
+
+        (While most rows are live the filled prefix is copied as it is:
+        closing the holes of 36 000 rows materialises 8 MB of index
+        temporaries to win back a few per cent.)
+        """
+        owners = np.flatnonzero(self.start >= 0)
+        lengths = self.length[owners]
+        if 2 * int(lengths.sum()) < self.used:
+            indices, begins = segment_indices(self.start[owners], lengths)
+            kept = self.ids[indices]
+            self.start[owners] = begins
+        else:
+            kept = self.ids[:self.used]
+        self.ids = np.empty(max(1024, 2 * (len(kept) + incoming)), dtype=np.int32)
+        self.ids[:len(kept)] = kept
+        self.used = len(kept)
 
 
 class RoutingTableCache:
@@ -38,7 +162,7 @@ class RoutingTableCache:
     against the view it was built from.
     """
 
-    __slots__ = ("_members", "tables")
+    __slots__ = ("_members", "tables", "_arenas", "_dropped", "_cached")
 
     def __init__(self) -> None:
         self._members: Set[int] = set()
@@ -49,6 +173,11 @@ class RoutingTableCache:
         #: chose by size.  Two bare-int-keyed dicts instead of one
         #: tuple-keyed dict: the hot loop probes once per forwarding hop.
         self.tables: Dict[bool, Dict[int, tuple]] = {True: {}, False: {}}
+        # The arenas allocated so far, by variant, and the two id logs kept
+        # for them (see the module docstring).  No arena, nothing logged.
+        self._arenas: Dict[bool, _Arena] = {}
+        self._dropped: List[int] = []
+        self._cached: List[int] = []
 
     def __contains__(self, object_id: int) -> bool:
         return object_id in self._members
@@ -71,12 +200,18 @@ class RoutingTableCache:
         self._members.discard(object_id)
         for tables in self.tables.values():
             tables.pop(object_id, None)
+        if self._arenas:
+            self._dropped.append(object_id)
 
     def cache_table(self, object_id: int, use_long_links: bool, entry: tuple) -> None:
         """Keep ``entry`` as the table of a member until it is dropped."""
         if object_id not in self._members:
             raise KeyError(object_id)
         self.tables[use_long_links][object_id] = entry
+        if self._arenas:
+            self._cached.append(object_id)
+            if len(self._cached) > CHUNK_ELEMENTS:
+                self._forget_arenas()
 
     def bump_object_ids(self, object_ids: Iterable[int]) -> None:
         """The targeted drop: forget the tables (both variants) of ``object_ids``.
@@ -84,6 +219,11 @@ class RoutingTableCache:
         Ids without a cached table — never routed through, already dropped,
         or just departed — cost two failed dict probes.
         """
+        if self._arenas:
+            object_ids = tuple(object_ids)
+            self._dropped.extend(object_ids)
+            if len(self._dropped) > CHUNK_ELEMENTS:
+                self._forget_arenas()
         with_links = self.tables[True]
         delaunay_only = self.tables[False]
         for object_id in object_ids:
@@ -94,10 +234,79 @@ class RoutingTableCache:
         """Forget every table; the dicts are emptied in place."""
         for tables in self.tables.values():
             tables.clear()
+        self._forget_arenas()
+
+    def _forget_arenas(self) -> None:
+        self._arenas.clear()
+        self._dropped.clear()
+        self._cached.clear()
+
+    def sync(self, use_long_links: bool,
+             rows: int = 0) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Bring the arenas level with the table dicts; one variant's arrays.
+
+        Returns ``(start, length, ids)`` of the ``use_long_links`` arena
+        (see the module docstring), ``start`` and ``length`` indexable by
+        every id below ``rows``.  The arrays are replaced, not resized, when
+        they grow: re-read them after every call.
+        """
+        arenas = self._arenas
+        cached = self._cached
+        if use_long_links not in arenas:
+            # First use: every table the variant holds is news to its arena.
+            arenas[use_long_links] = _Arena()
+            cached.extend(self.tables[use_long_links])
+        if self._dropped or cached:
+            named = np.fromiter(itertools.chain(self._dropped, cached), dtype=np.int64,
+                                count=len(self._dropped) + len(cached))
+            fresh = list(dict.fromkeys(cached))
+            for variant, arena in arenas.items():
+                arena.drop(named)
+                tables = self.tables[variant]
+                owners = [object_id for object_id in fresh if object_id in tables]
+                if owners:
+                    arena.append(owners, [tables[object_id] for object_id in owners])
+            self._dropped.clear()
+            cached.clear()
+        arena = arenas[use_long_links]
+        arena.cover(rows)
+        return arena.start, arena.length, arena.ids
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"RoutingTableCache(members={len(self._members)}, "
                 f"tables={sum(len(tables) for tables in self.tables.values())})")
+
+
+def arena_report(cache: RoutingTableCache) -> List[str]:
+    """Where, after a :meth:`~RoutingTableCache.sync`, an arena is not its dict's index.
+
+    A scan-block table without a row equal to its ids, an array-pair table
+    without its :data:`ARRAY_FORM` mark, a row or mark kept for an id with
+    no such table, a row reaching outside the buffer.
+    """
+    problems: List[str] = []
+    for use_long_links, tables in cache.tables.items():
+        start, length, ids = cache.sync(use_long_links)
+        label = "arena" if use_long_links else "Delaunay-only arena"
+        for object_id in np.flatnonzero(start != NO_ROW).tolist():
+            if object_id not in tables:
+                problems.append(f"{object_id}: {label} keeps a row for an id with no cached table")
+        for object_id, entry in tables.items():
+            if object_id not in cache:
+                continue  # planted behind cache_table's back; reported as a non-member's
+            block = entry[2]
+            at = int(start[object_id]) if 0 <= object_id < len(start) else NO_ROW
+            if block is None:
+                if at != ARRAY_FORM:
+                    problems.append(f"{object_id}: {label} does not mark the array-form table")
+            elif at < 0:
+                problems.append(f"{object_id}: {label} has no row for the cached table")
+            elif at + len(block) > len(ids):
+                problems.append(f"{object_id}: {label} row reaches outside the buffer")
+            elif (length[object_id] != len(block)
+                  or ids[at:at + len(block)].tolist() != [cid for cid, _x, _y in block]):
+                problems.append(f"{object_id}: {label} row is not the cached table's ids")
+    return problems
 
 
 #: The name ``perf/api_surface.txt`` wraps the four overlay-facing calls under.

@@ -13,7 +13,7 @@ re-delegation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Sequence
 
 __all__ = ["OperationStats", "OverlayStats"]
 
@@ -35,6 +35,16 @@ class OperationStats:
         self.total_messages += messages
         self.max_hops = max(self.max_hops, hops)
         self.max_messages = max(self.max_messages, messages)
+
+    def record_many(self, hops: Sequence[int]) -> None:
+        """Record a batch of routes: one operation per entry, one message per hop."""
+        if hops:
+            total, longest = sum(hops), max(hops)
+            self.count += len(hops)
+            self.total_hops += total
+            self.total_messages += total
+            self.max_hops = max(self.max_hops, longest)
+            self.max_messages = max(self.max_messages, longest)
 
     @property
     def mean_hops(self) -> float:

@@ -64,6 +64,7 @@ the same neighbour structure on identical inputs.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import (TYPE_CHECKING, Callable, ClassVar, Dict, List, Optional,
                     Sequence, Set, Tuple)
@@ -1243,8 +1244,10 @@ class ProtocolSimulator:  # simlint: ignore[SIM003] — one per experiment, not 
                               virtual_time=self.engine.now)
 
         if introducer is None:
-            candidates = [oid for oid in self.nodes if oid != object_id]
-            introducer = candidates[self.rng.integer(0, len(candidates))]
+            # A uniform draw among the others: the joiner, attached a moment
+            # ago, is the last key, so the walk never reaches it.
+            introducer = next(itertools.islice(
+                self.nodes, self.rng.integer(0, len(self.nodes) - 1), None))
         self._last_routing_hops = 0
         self._join_outcomes.pop(object_id, None)
         self.start_operation(("join", object_id), self.timeouts.join_timeout,

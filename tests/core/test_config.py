@@ -126,8 +126,9 @@ def test_option_budget():
 
     # The routing cache is the member ids plus the two table dicts and
     # nothing more: anything else it is to own must arrive with a reader,
-    # as a reviewed diff.
+    # as a reviewed diff.  (``sync`` is the id arena's — the batch
+    # router's index of the scan-block tables — one reader.)
     assert {name for name in vars(RoutingTableCache)
             if not name.startswith("_")} == {
         "tables", "insert", "bulk_insert", "discard", "cache_table",
-        "bump_object_ids", "drop_all"}
+        "bump_object_ids", "drop_all", "sync"}

@@ -3,10 +3,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from repro.core import VoroNet, VoroNetConfig
+from repro.core import VoroNet, VoroNetConfig, routing
 from repro.core.errors import EmptyOverlayError, ObjectNotFoundError
-from repro.core.routing import greedy_route, route_to_object, route_with_stopping_rule
+from repro.core.routing import (MISS_OWNER, greedy_route, greedy_route_many, route_to_object,
+                                route_with_stopping_rule)
+from repro.geometry.locate_grid import VECTOR_SCAN_THRESHOLD
 from repro.geometry.point import distance
 
 
@@ -235,3 +239,178 @@ class TestOverlayRouteAPI:
         """Booleans are Integral in Python; they must not be treated as ids."""
         with pytest.raises(TypeError):
             small_overlay.route(small_overlay.object_ids()[0], True)
+
+
+LAYOUTS = ("uniform", "clustered", "lattice")
+
+
+def twin_overlays(layout, track_paths):
+    """Two equal overlays of a layout.
+
+    ``clustered`` adds a clique whose tables straddle
+    ``VECTOR_SCAN_THRESHOLD`` (scan blocks of 47, array pairs of 48 and 49);
+    ``lattice`` puts the objects on a dyadic grid, where distances tie
+    exactly and only the tie-break decides.
+    """
+    config = VoroNetConfig(n_max=64, allow_overflow=True, num_long_links=2, seed=97,
+                           track_paths=track_paths)
+    rng = np.random.default_rng(97)
+    if layout == "lattice":
+        points = [((i + 0.5) / 8, (j + 0.5) / 8) for i in range(8) for j in range(8)]
+    else:
+        points = [tuple(p) for p in rng.random((90, 2))]
+    if layout == "clustered":
+        side = config.effective_d_min / 4
+        points += [tuple(np.array([0.4, 0.6]) + side * p) for p in rng.random((47, 2))]
+    twins = VoroNet(config), VoroNet(config)
+    for overlay in twins:
+        overlay.bulk_load(points)
+    return twins
+
+
+@pytest.fixture(scope="module")
+def twins():
+    """``(layout, track_paths) → twin overlays``, built once and kept in step."""
+    return {(layout, track_paths): twin_overlays(layout, track_paths)
+            for layout in LAYOUTS for track_paths in (False, True)}
+
+
+def mixed_pairs(overlay, count, seed):
+    """Pairs mixing id, numpy-integer and point targets, ``source == target``
+    and sources that repeat.  Point targets are multiples of 1/16, some
+    outside the square: on the lattice, equidistant from two or four objects."""
+    rng = np.random.default_rng(seed)
+    ids = overlay.object_ids()
+    pairs = []
+    for index in range(count):
+        source = ids[0] if index % 5 == 4 else ids[int(rng.integers(len(ids)))]
+        if index % 7 == 3:
+            source = np.int32(source)
+        kind = int(rng.integers(4))
+        target = ids[int(rng.integers(len(ids)))]
+        if kind == 1:
+            target = np.int64(target)
+        elif kind == 2:
+            target = tuple((rng.integers(-1, 18, 2) / 16).tolist())
+        elif kind == 3:
+            target = int(source)
+        pairs.append((source, target))
+    return pairs
+
+
+class TestBatchEqualsLoop:
+    """A batch answers what the loop answers (``TESTING.md``)."""
+
+    @pytest.mark.parametrize("threshold", [1, VECTOR_SCAN_THRESHOLD, 10**9])
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(layout=st.sampled_from(LAYOUTS), track_paths=st.booleans(),
+           use_long_links=st.booleans(), count=st.sampled_from([0, 1, 47, 48, 49, 300]),
+           seed=st.integers(0, 2**32 - 1), cold=st.booleans())
+    def test_route_many_equals_route_per_pair(self, twins, monkeypatch, threshold, layout,
+                                              track_paths, use_long_links, count, seed, cold):
+        """Every ``RouteResult`` field (``final_distance`` compared with
+        ``==``) and every statistic, whatever the frontier threshold."""
+        monkeypatch.setattr(routing, "VECTOR_SCAN_THRESHOLD", threshold)
+        batched, looped = twins[layout, track_paths]
+        if cold:
+            for overlay in (batched, looped):
+                overlay.invalidate_routing_tables()
+        pairs = mixed_pairs(batched, count, seed)
+        batch = batched.route_many(iter(pairs), use_long_links=use_long_links)
+        loop = [looped.route(source, target, use_long_links=use_long_links)
+                for source, target in pairs]
+        assert batch == loop
+        assert all(type(result.final_distance) is float for result in batch)
+        assert batched.stats.routes == looped.stats.routes
+        assert batched.stats.routing_table_rebuilds == looped.stats.routing_table_rebuilds
+        assert batched.stats.query_misses == looped.stats.query_misses == 0
+        assert batched.routing_cache_report() == []
+
+    def test_the_clique_straddles_the_table_forms(self, twins):
+        overlay = twins["clustered", True][0]
+        sizes = {len(overlay.routing_table(object_id, use_long_links)[0])
+                 for object_id in overlay.object_ids()[90:] for use_long_links in (True, False)}
+        assert {47, 48, 49} <= sizes
+
+    def test_a_lone_object_answers_a_batch(self, monkeypatch):
+        """The one table without candidates: an empty arena row."""
+        monkeypatch.setattr(routing, "VECTOR_SCAN_THRESHOLD", 1)
+        overlay = VoroNet(VoroNetConfig(n_max=8, seed=1, track_paths=True))
+        only = overlay.insert((0.5, 0.5))
+        results = overlay.route_many([(only, only), (only, (0.1, 0.9))])
+        assert [(r.owner, r.hops, r.path) for r in results] == [(only, 0, [only])] * 2
+        assert overlay.check_consistency() == []
+
+    def test_greedy_route_many_checks_what_greedy_route_checks(self, small_overlay):
+        ids = small_overlay.object_ids()
+        sources, targets = ids[:60], [(0.5, 0.5)] * 60
+        with pytest.raises(EmptyOverlayError):
+            greedy_route_many(VoroNet(n_max=4, seed=1), sources, targets)
+        with pytest.raises(ObjectNotFoundError) as raised:
+            greedy_route_many(small_overlay, sources[:30] + [999] + sources[31:], targets)
+        assert raised.value.object_id == 999
+
+
+class TestBatchFailureSemantics:
+    """What a batch does about a pair ``route`` would refuse."""
+
+    @pytest.fixture
+    def overlay(self, numpy_rng):
+        overlay = VoroNet(VoroNetConfig(n_max=500, seed=7))
+        overlay.bulk_load(numpy_rng.random((120, 2)))
+        return overlay
+
+    @pytest.mark.parametrize("size", [3, 120])
+    @pytest.mark.parametrize("offender", ["source", "target", "bool"])
+    def test_raise_mode_refuses_like_the_loop_before_anything_is_recorded(
+            self, overlay, size, offender):
+        ids = overlay.object_ids()
+        gone, also_gone = ids[7], ids[9]
+        overlay.remove(gone)
+        overlay.remove(also_gone)
+        pairs = [(ids[i], ids[i + 20]) for i in range(10, 10 + size // 3)]
+        pairs.append({"source": (gone, ids[1]), "target": (ids[1], gone),
+                      "bool": (ids[1], True)}[offender])
+        pairs.append((also_gone, ids[2]))  # a later offender is not the one named
+        pairs += [(ids[i], (0.3, 0.3)) for i in range(10, 10 + size - len(pairs))]
+        with pytest.raises((ObjectNotFoundError, TypeError)) as looped:
+            for source, target in pairs:
+                overlay.route(source, target)
+        assert overlay.stats.routes.count == size // 3  # the loop's prefix was counted
+        recorded = overlay.stats.routes.count, overlay.stats.routing_table_rebuilds
+        with pytest.raises((ObjectNotFoundError, TypeError)) as batched:
+            overlay.route_many(pairs)
+        assert type(batched.value) is type(looped.value)
+        assert batched.value.args == looped.value.args
+        if offender != "bool":
+            assert batched.value.object_id == gone
+        assert (overlay.stats.routes.count, overlay.stats.routing_table_rebuilds) == recorded
+
+    @pytest.mark.parametrize("size", [5, 150])
+    def test_miss_mode_fills_the_right_slots(self, overlay, size):
+        ids = overlay.object_ids()
+        gone = ids[7]
+        overlay.remove(gone)
+        pairs = [(ids[10 + i % 50], ids[60 + i % 40]) for i in range(size)]
+        pairs[1] = (gone, ids[3])
+        pairs[3] = (ids[3], np.int64(gone))
+        pairs[4] = (ids[3], (0.2, 0.2))
+        results = overlay.route_many((pair for pair in pairs), missing="miss")  # consumed once
+        assert [i for i, r in enumerate(results) if not r.success] == [1, 3]
+        assert all(results[i].owner == MISS_OWNER and results[i].hops == 0 for i in (1, 3))
+        assert overlay.stats.query_misses == 2
+        assert overlay.stats.routes.count == size - 2
+        live = [pair for i, pair in enumerate(pairs) if i not in (1, 3)]
+        assert [r for r in results if r.success] == overlay.route_many(live)
+
+    def test_an_empty_overlay_and_an_empty_batch(self):
+        overlay = VoroNet(n_max=4, seed=1)
+        assert overlay.route_many([]) == []
+        with pytest.raises(EmptyOverlayError):
+            overlay.route_many([(0, (0.5, 0.5))])
+        with pytest.raises(ObjectNotFoundError):  # the destination is looked up first
+            overlay.route_many([(0, 1)])
+        assert [r.success for r in overlay.route_many([(0, 1)] * 60, missing="miss")] \
+            == [False] * 60
+        assert overlay.stats.routes.count == 0 and overlay.stats.query_misses == 60

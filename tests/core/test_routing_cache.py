@@ -7,9 +7,12 @@ Layers of protection for the routing hot path:
   holding a clique above ``VECTOR_SCAN_THRESHOLD``, asserting after every
   rule that the program's own check (``VoroNet.routing_cache_report``:
   each cached table equals a freshly assembled view, the module-level
-  contract of :mod:`repro.core.overlay`) is clean with every table cached,
-  and that routes match the per-hop reference router of
-  ``tests/reference_router.py``;
+  contract of :mod:`repro.core.overlay`, and the id arena is the index of
+  the scan-block tables) is clean with every table cached, that routes
+  match the per-hop reference router of ``tests/reference_router.py``, and
+  that every object routed to every (past 20 objects: to some) other as
+  one batch — through the frontier router, so every interleaving exercises
+  ``RoutingTableCache.sync`` — matches it path for path;
 * a churn stress test at N≈500, uniform and clustered, running that check
   after every operation and keeping ``owner_of`` / ``lookup`` / ``route``
   answers identical to the reference router through alternating
@@ -27,13 +30,15 @@ Layers of protection for the routing hot path:
   hop-for-hop equal to the reference router through churn.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from repro.core import VoroNet, VoroNetConfig
+from repro.core import VoroNet, VoroNetConfig, routing
 from repro.core.errors import DuplicateObjectError, ObjectNotFoundError
 from repro.geometry.locate_grid import VECTOR_SCAN_THRESHOLD
 from repro.core.routing import route_with_stopping_rule
@@ -41,7 +46,8 @@ from repro.simulation.failures import CrashInjector
 from repro.utils.rng import RandomSource
 from repro.workloads.generators import generate_routing_pairs
 
-from reference_router import assert_routes_match_reference, reference_greedy_route
+from reference_router import (assert_routes_match_reference, reference_greedy_route,
+                              reference_paths_to)
 
 
 def small_d_min_config(n_max, **fields):
@@ -100,7 +106,7 @@ class RoutingCacheMachine(RuleBasedStateMachine):
 
     def __init__(self):
         super().__init__()
-        config = small_d_min_config(64, num_long_links=2, seed=1202)
+        config = small_d_min_config(64, num_long_links=2, seed=1202, track_paths=True)
         self.overlay = VoroNet(config)
         if self.CLIQUE:
             self.overlay.bulk_load(clique_points(
@@ -164,6 +170,25 @@ class RoutingCacheMachine(RuleBasedStateMachine):
                         self.overlay.route(source, target,
                                            use_long_links=use_long_links),
                         use_long_links)
+
+    @invariant()
+    def batches_equal_reference(self):
+        """All pairs as one batch (past 20 objects: every object to as many
+        targets, spread over the ids, as keep it near 400 pairs), every hop
+        a frontier step — the threshold patched to 1, so only array-form
+        tables send a route to the scalar loop: the reference's paths, and
+        nothing left inconsistent."""
+        ids = self.overlay.object_ids()
+        targets = ids[::max(1, len(ids) * len(ids) // 400)]
+        pairs = [(source, target) for source in ids for target in targets]
+        with mock.patch.object(routing, "VECTOR_SCAN_THRESHOLD", 1):
+            for use_long_links in (True, False):
+                reference = reference_paths_to(self.overlay, targets, use_long_links)
+                results = self.overlay.route_many(pairs, use_long_links=use_long_links)
+                assert [result.path for result in results] \
+                    == [reference[pair] for pair in pairs]
+                assert all(result.success for result in results)
+        assert self.overlay.check_consistency() == []
 
 
 class ClusteredRoutingCacheMachine(RoutingCacheMachine):
@@ -524,6 +549,56 @@ class TestCrashWindow:
         injector.repair()
         assert_tables_match_views(overlay)
         assert overlay.check_consistency() == []
+
+
+    @pytest.mark.parametrize("members", [40, 56])
+    def test_crashed_candidate_fails_the_batch_in_either_form(self, members):
+        """A batch standing on a survivor that names the victim fails with
+        ``ObjectNotFoundError`` naming it until ``repair()`` — from the
+        frontier when the table would be a scan block, from the scalar
+        loop it leaves for when it would be arrays — and records nothing."""
+        config = small_d_min_config(64, num_long_links=1, seed=43)
+        overlay = VoroNet(config)
+        rng = np.random.default_rng(43)
+        side = config.effective_d_min / 4
+        overlay.bulk_load([tuple(p) for p in rng.random((30, 2))]
+                          + [tuple(0.5 + side * p) for p in rng.random((members, 2))])
+        witness, victim = overlay.object_ids()[-2:]
+        size = len(overlay.routing_table(witness)[0])
+        assert (size >= VECTOR_SCAN_THRESHOLD) == (members == 56)
+        pairs = [(source, (0.1, 0.1)) for source in overlay.object_ids()[:-1]]
+        assert len(pairs) >= VECTOR_SCAN_THRESHOLD
+        overlay.route_many(pairs)
+        recorded = overlay.stats.routes.count
+        injector = CrashInjector(overlay, RandomSource(44))
+        injector.crash(victim)
+        with pytest.raises(ObjectNotFoundError) as raised:
+            overlay.route_many(pairs)
+        assert raised.value.object_id == victim
+        assert overlay.stats.routes.count == recorded
+        injector.repair()
+        for result in overlay.route_many(pairs):
+            assert_routes_match_reference(overlay, result)
+        assert overlay.check_consistency() == []
+
+    def test_a_table_naming_a_departed_object_never_reaches_the_arithmetic(self):
+        """Without back links a leave cannot drop the tables of the sources
+        pointing at it.  The scalar loop scans the block's stale position;
+        the frontier gathers by id and would read the departed object's
+        ``NaN`` row — it raises the overlay's lookup error instead."""
+        overlay = VoroNet(VoroNetConfig(n_max=256, maintain_back_links=False, seed=12))
+        ids = overlay.bulk_load([tuple(p) for p in np.random.default_rng(12).random((80, 2))])
+        warm_entries(overlay)
+        source, victim = next(
+            (object_id, link.neighbor) for object_id in ids
+            for link in overlay.node(object_id).long_links
+            if object_id not in overlay.neighbor_view(link.neighbor).routing_neighbors
+            and object_id != link.neighbor
+            and not overlay.triangulation.is_hull_vertex(link.neighbor))
+        overlay.remove(victim)
+        with pytest.raises(ObjectNotFoundError) as raised:
+            overlay.route_many([(source, (0.5, 0.5))] * VECTOR_SCAN_THRESHOLD)
+        assert raised.value.object_id == victim
 
 
 class TestTableForms:

@@ -21,6 +21,17 @@ class TestOperationStats:
         assert stats.max_hops == 5
         assert stats.max_messages == 20
 
+    def test_record_many_equals_sequential_records(self):
+        """A batch of routes: one operation per entry, one message per hop."""
+        batched, sequential = OperationStats(), OperationStats()
+        for stats in (batched, sequential):
+            stats.record(9, 30)  # an earlier maximum must survive
+        for hops in ([3, 0, 12, 5], [], [7], [10, 10]):
+            batched.record_many(hops)
+            for route_hops in hops:
+                sequential.record(route_hops, route_hops)
+            assert batched == sequential
+
     def test_as_dict_keys(self):
         stats = OperationStats()
         stats.record(1, 2)

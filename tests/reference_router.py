@@ -9,6 +9,16 @@ epoch-cached routing tables / view-epoch-cached blocks they check.
 from repro.geometry.point import distance_sq
 
 
+def reference_candidates(overlay, object_id, use_long_links):
+    """``vn ∪ cn (∪ LRn)`` minus self from a freshly assembled view, ascending."""
+    view = overlay.neighbor_view(object_id)
+    candidates = set(view.voronoi) | set(view.close)
+    if use_long_links:
+        candidates |= set(view.long_range)
+    candidates.discard(object_id)
+    return sorted(candidates)
+
+
 def reference_greedy_route(overlay, source, target, use_long_links=True):
     """Path (source first, owner last) of greedy routing to the point ``target``.
 
@@ -18,19 +28,46 @@ def reference_greedy_route(overlay, source, target, use_long_links=True):
     path = [source]
     while True:
         current = path[-1]
-        view = overlay.neighbor_view(current)
-        candidates = set(view.voronoi) | set(view.close)
-        if use_long_links:
-            candidates |= set(view.long_range)
-        candidates.discard(current)
         best, best_d = None, distance_sq(overlay.position_of(current), target)
-        for neighbor in sorted(candidates):
+        for neighbor in reference_candidates(overlay, current, use_long_links):
             d = distance_sq(overlay.position_of(neighbor), target)
             if d < best_d:
                 best, best_d = neighbor, d
         if best is None:
             return path
         path.append(best)
+
+
+def reference_paths_to(overlay, targets, use_long_links=True):
+    """``{(source, target): path}`` of routing every object to each of ``targets``.
+
+    The reference rule, with each scan done once: where a message for a
+    target goes next depends only on the object it stands on, so the next
+    hop is tabulated per (object, target) from the freshly assembled views
+    and the paths are read off the table.
+    """
+    ids = overlay.object_ids()
+    position = {object_id: overlay.position_of(object_id) for object_id in ids}
+    candidates = {object_id: [(neighbor,) + position[neighbor] for neighbor
+                              in reference_candidates(overlay, object_id, use_long_links)]
+                  for object_id in ids}
+    paths = {}
+    for target in targets:
+        tx, ty = position[target]
+        following = {}
+        for object_id in ids:
+            best, best_d = None, distance_sq(position[object_id], (tx, ty))
+            for neighbor, x, y in candidates[object_id]:
+                d = (x - tx) * (x - tx) + (y - ty) * (y - ty)  # distance_sq, inlined
+                if d < best_d:
+                    best, best_d = neighbor, d
+            following[object_id] = best
+        for source in ids:
+            path = [source]
+            while following[path[-1]] is not None:
+                path.append(following[path[-1]])
+            paths[source, target] = path
+    return paths
 
 
 def assert_routes_match_reference(overlay, result, use_long_links=True):

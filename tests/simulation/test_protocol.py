@@ -7,6 +7,7 @@ from repro.core import VoroNetConfig
 from repro.geometry.point import distance
 from repro.simulation.protocol import ProtocolSimulator
 from repro.simulation.trace import TraceRecorder
+from repro.utils.rng import RandomSource
 
 
 @pytest.fixture
@@ -59,6 +60,43 @@ class TestJoins:
         report = simulator.join((0.123, 0.456), introducer=introducer)
         assert report.object_id in simulator.object_ids()
         assert simulator.verify_views() == []
+
+    def test_random_introducer_is_the_list_based_draw(self, monkeypatch):
+        """The introducer is drawn by walking ``nodes`` to a random index,
+        not by listing the other members: the joiner is the last key when
+        the draw is made, so the walk lands where the list indexed — the
+        same index from the same stream, over 200 joins between leaves."""
+        sim = ProtocolSimulator(VoroNetConfig(n_max=400, seed=9), seed=9)
+        draws, introducers = [], []
+        integer, send = RandomSource.integer, sim.send
+
+        def spy_integer(source, low, high):
+            value = integer(source, low, high)
+            if source is sim.rng:
+                draws.append((low, high, value))
+            return value
+
+        def spy_send(sender, recipient, kind, payload):
+            if kind == "ADD_OBJECT" and payload["hops"] == 0:
+                assert next(reversed(sim.nodes)) == payload["new_id"]
+                introducers.append(recipient)
+            send(sender, recipient, kind, payload)
+
+        monkeypatch.setattr(RandomSource, "integer", spy_integer)
+        monkeypatch.setattr(sim, "send", spy_send)
+        positions = np.random.default_rng(9).random((201, 2))
+        sim.join(tuple(positions[0]))
+        expected = []
+        for count, position in enumerate(positions[1:]):
+            if count % 7 == 6:  # holes, so key order is not id order
+                sim.leave(sim.object_ids()[count % len(sim)])
+            others = list(sim.nodes)
+            del draws[:]
+            sim.join(tuple(position))
+            low, high, index = draws[0]  # the join's first draw
+            assert (low, high) == (0, len(others))
+            expected.append(others[index])
+        assert introducers == expected and len(expected) == 200
 
     def test_every_object_has_configured_long_links(self, simulator):
         for oid in simulator.object_ids():
