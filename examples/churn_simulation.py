@@ -6,9 +6,8 @@ Demonstrates the dynamism machinery of the reproduction:
 * the message-level protocol simulator handles a burst of distributed
   joins/leaves and reports the per-operation message costs (the O(1)
   maintenance claim of Section 4.2);
-* a seeded churn trace (:mod:`repro.workloads.churn`) replays joins,
-  graceful leaves and crashes against an oracle-mode overlay in one
-  reproducible stream;
+* one seeded stream of joins, graceful leaves and crashes runs against an
+  oracle-mode overlay;
 * the crash injector removes objects *without* running the departure
   protocol, quantifies the dangling state survivors are left with, and runs
   a repair pass — the failure mode the paper's graceful-leave protocol does
@@ -27,7 +26,6 @@ from repro.core import VoroNet, VoroNetConfig
 from repro.simulation.failures import CrashInjector
 from repro.simulation.protocol import ProtocolSimulator
 from repro.utils.rng import RandomSource
-from repro.workloads.churn import generate_churn_trace, replay_churn
 from repro.workloads.distributions import UniformDistribution
 from repro.workloads.generators import generate_objects
 
@@ -59,22 +57,28 @@ def mixed_churn_trace() -> None:
     overlay = VoroNet(VoroNetConfig(n_max=5_000, seed=9))
     overlay.insert_many(generate_objects(UniformDistribution(), 400, RandomSource(9)))
     injector = CrashInjector(overlay, rng=RandomSource(11))
-    trace = generate_churn_trace(600, RandomSource(10), leave_probability=0.3,
-                                 crash_probability=0.1, warmup_joins=0)
+    rng = RandomSource(10)
+    alive = overlay.object_ids()
+    counts = {"join": 0, "leave": 0, "crash": 0}
     stale_seen = 0
-
-    def crash_and_repair(victim: int) -> None:
-        # Later joins route over the survivors' views, so the repair pass
-        # has to keep up with the crash stream.
-        nonlocal stale_seen
-        injector.crash(victim)
-        stale_seen += injector.assess_damage().total_stale_entries
-        injector.repair()
-
-    alive = replay_churn(overlay, trace, RandomSource(12), crash=crash_and_repair)
-    print(f"replayed {len(trace)} events: {trace.join_count} joins, "
-          f"{trace.leave_count} leaves, {trace.crash_count} crashes, "
-          f"population {len(alive)}")
+    for _ in range(600):
+        draw = rng.uniform()
+        kind = "leave" if draw < 0.3 else "crash" if draw < 0.4 else "join"
+        counts[kind] += 1
+        if kind == "join":
+            alive.append(overlay.insert(rng.random_point()))
+            continue
+        victim = alive.pop(rng.integer(0, len(alive)))
+        if kind == "leave":
+            overlay.remove(victim)
+        else:
+            # Later joins route over the survivors' views, so the repair
+            # pass has to keep up with the crash stream.
+            injector.crash(victim)
+            stale_seen += injector.assess_damage().total_stale_entries
+            injector.repair()
+    print(f"ran 600 events: {counts['join']} joins, {counts['leave']} leaves, "
+          f"{counts['crash']} crashes, population {len(alive)}")
     print(f"  stale entries the crashes left (repaired as they occurred): "
           f"{stale_seen}")
     print(f"  consistency: "

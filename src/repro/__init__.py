@@ -4,9 +4,8 @@ This package is a full reimplementation of the system described in
 *"VoroNet: A scalable object network based on Voronoi tessellations"*
 (Beaumont, Kermarrec, Marchal, Rivière — INRIA RR-5833 / IPDPS 2007),
 together with every substrate it needs: a robust incremental Delaunay /
-Voronoi kernel, a Kleinberg small-world substrate, a discrete-event
-message-level simulator, workload generators, baselines and analysis
-tooling.
+Voronoi kernel, a discrete-event message-level simulator, workload
+generators, baselines (Kleinberg's grid among them) and analysis tooling.
 
 Quick start
 -----------

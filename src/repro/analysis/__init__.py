@@ -6,8 +6,7 @@
 * :mod:`repro.analysis.regression` — the ``log(H)`` vs ``log(log(N))``
   straight-line fit whose slope confirms the ``O(log² N)`` bound (Figure 7),
 * :mod:`repro.analysis.plots` — ASCII rendering of histograms and series for
-  the experiment runner's output,
-* :mod:`repro.analysis.statistics` — summary-statistics helpers.
+  the experiment runner's output.
 """
 
 from repro.analysis.degree import DegreeSummary, degree_summary, merge_histograms
@@ -19,7 +18,6 @@ from repro.analysis.hops import (
 )
 from repro.analysis.regression import LogLogFit, fit_polylog_exponent
 from repro.analysis.plots import ascii_histogram, ascii_series, format_table
-from repro.analysis.statistics import Summary, summarize
 
 __all__ = [
     "DegreeSummary",
@@ -34,6 +32,4 @@ __all__ = [
     "ascii_histogram",
     "ascii_series",
     "format_table",
-    "Summary",
-    "summarize",
 ]

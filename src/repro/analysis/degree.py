@@ -38,12 +38,6 @@ class DegreeSummary:
     max_degree: int
     count: int
 
-    def fraction_at(self, degree: int) -> float:
-        """Fraction of objects with exactly this degree."""
-        if self.count == 0:
-            return 0.0
-        return self.histogram.get(degree, 0) / self.count
-
     def fraction_between(self, low: int, high: int) -> float:
         """Fraction of objects with degree in ``[low, high]`` inclusive."""
         if self.count == 0:

@@ -75,8 +75,8 @@ class RoutingSweepPoint:
         return self.stats.mean
 
 
-def measure_routing(overlay: VoroNet, num_pairs: int, rng: RandomSource, *,
-                    use_long_links: bool = True) -> HopStatistics:
+def measure_routing(overlay: VoroNet, num_pairs: int,
+                    rng: RandomSource) -> HopStatistics:
     """Measure greedy-route lengths between random pairs of distinct objects.
 
     Uses the overlay's batched :meth:`~repro.core.overlay.VoroNet.route_many`
@@ -85,7 +85,7 @@ def measure_routing(overlay: VoroNet, num_pairs: int, rng: RandomSource, *,
     """
     ids = overlay.object_ids()
     pairs = generate_routing_pairs(ids, num_pairs, rng)
-    results = overlay.route_many(pairs, use_long_links=use_long_links)
+    results = overlay.route_many(pairs)
     hops: List[int] = [r.hops for r in results if r.success]
     failures = sum(1 for r in results if not r.success)
     return HopStatistics.from_hops(hops, failures=failures)
@@ -95,8 +95,6 @@ def sweep_overlay_sizes(positions: Sequence, checkpoints: Sequence[int],
                         rng: RandomSource, *,
                         num_pairs: int = 1000,
                         overlay_factory: Optional[Callable[[], VoroNet]] = None,
-                        use_long_links: bool = True,
-                        progress: Optional[Callable[[int], None]] = None
                         ) -> List[RoutingSweepPoint]:
     """Grow an overlay through ``checkpoints`` and measure routing at each.
 
@@ -121,11 +119,6 @@ def sweep_overlay_sizes(positions: Sequence, checkpoints: Sequence[int],
     overlay_factory:
         Callable building the (empty) overlay; defaults to a
         :class:`VoroNet` dimensioned for the largest checkpoint.
-    use_long_links:
-        Disable to measure the Delaunay-only baseline on the same object
-        stream.
-    progress:
-        Optional callback invoked with each completed checkpoint size.
     """
     checkpoints = sorted(set(int(c) for c in checkpoints))
     if not checkpoints:
@@ -145,11 +138,8 @@ def sweep_overlay_sizes(positions: Sequence, checkpoints: Sequence[int],
         overlay.bulk_load([positions[index]
                            for index in range(inserted, checkpoint)])
         inserted = checkpoint
-        stats = measure_routing(overlay, num_pairs, rng,
-                                use_long_links=use_long_links)
+        stats = measure_routing(overlay, num_pairs, rng)
         results.append(RoutingSweepPoint(size=checkpoint, stats=stats))
-        if progress is not None:
-            progress(checkpoint)
     return results
 
 
@@ -180,7 +170,6 @@ def sweep_protocol_overlay_sizes(positions: Sequence, checkpoints: Sequence[int]
                                  rng: RandomSource, *,
                                  num_pairs: int = 1000,
                                  simulator_factory: Optional[Callable[[], "ProtocolSimulator"]] = None,
-                                 progress: Optional[Callable[[int], None]] = None
                                  ) -> List[RoutingSweepPoint]:
     """Message-level mirror of :func:`sweep_overlay_sizes`.
 
@@ -222,6 +211,4 @@ def sweep_protocol_overlay_sizes(positions: Sequence, checkpoints: Sequence[int]
         inserted = checkpoint
         stats = measure_protocol_routing(simulator, num_pairs, rng)
         results.append(RoutingSweepPoint(size=checkpoint, stats=stats))
-        if progress is not None:
-            progress(checkpoint)
     return results

@@ -37,12 +37,6 @@ class LogLogFit:
     intercept: float
     r_squared: float
 
-    def predict_hops(self, size: int) -> float:
-        """Predicted mean hop count for an overlay of ``size`` objects."""
-        if size <= 2:
-            raise ValueError("size must be > 2 for a log(log(N)) prediction")
-        return math.exp(self.intercept + self.slope * math.log(math.log(size)))
-
 
 def fit_polylog_exponent(sizes: Sequence[int],
                          mean_hops: Sequence[float]) -> LogLogFit:

@@ -16,13 +16,13 @@
 
 from repro.baselines.chord import ChordLookupResult, ChordRing
 from repro.baselines.delaunay_only import DelaunayOnlyOverlay
-from repro.baselines.kleinberg import KleinbergBaseline
+from repro.baselines.kleinberg import KleinbergGrid
 from repro.baselines.random_graph import RandomGraphOverlay
 
 __all__ = [
     "ChordRing",
     "ChordLookupResult",
     "DelaunayOnlyOverlay",
-    "KleinbergBaseline",
+    "KleinbergGrid",
     "RandomGraphOverlay",
 ]

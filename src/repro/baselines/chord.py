@@ -82,6 +82,9 @@ class ChordRing:
         self.bits = bits
         self._nodes: Dict[int, _ChordNode] = {}
         self._sorted_ids: List[int] = []
+        # Finger tables are derived state of the sorted id list: a
+        # membership change marks them stale, the next lookup rebuilds once.
+        self._fingers_stale = False
 
     # ------------------------------------------------------------------
     # membership
@@ -94,44 +97,23 @@ class ChordRing:
         return list(self._sorted_ids)
 
     def join(self, name: str) -> int:
-        """Add a node (identified by hashing ``name``) and rebuild fingers."""
+        """Add a node (identified by hashing ``name``)."""
         node_id = _sha1_id(name, self.bits)
         while node_id in self._nodes:  # extremely unlikely collision
             node_id = (node_id + 1) % (1 << self.bits)
         self._nodes[node_id] = _ChordNode(node_id)
         index = bisect_left(self._sorted_ids, node_id)
         self._sorted_ids.insert(index, node_id)
-        self._rebuild_fingers()
+        self._fingers_stale = True
         return node_id
 
-    def bulk_join(self, names: Sequence[str]) -> List[int]:
-        """Add a batch of nodes with one finger rebuild at the end.
-
-        :meth:`join` recomputes every finger table after each arrival,
-        which is the right model for incremental membership but costs
-        ``O(n² · m)`` when building a ring of ``n`` nodes — unusable at
-        the serving benchmark's 10⁴-node populations.  The batch form
-        inserts every identifier first and rebuilds once; the resulting
-        ring is identical to joining the same names one at a time.
-        """
-        ids: List[int] = []
-        for name in names:
-            node_id = _sha1_id(name, self.bits)
-            while node_id in self._nodes:  # extremely unlikely collision
-                node_id = (node_id + 1) % (1 << self.bits)
-            self._nodes[node_id] = _ChordNode(node_id)
-            ids.append(node_id)
-        self._sorted_ids = sorted(self._nodes)
-        self._rebuild_fingers()
-        return ids
-
     def leave(self, node_id: int) -> None:
-        """Remove a node from the ring and rebuild fingers."""
+        """Remove a node from the ring."""
         if node_id not in self._nodes:
             raise KeyError(f"unknown Chord node {node_id}")
         del self._nodes[node_id]
         self._sorted_ids.remove(node_id)
-        self._rebuild_fingers()
+        self._fingers_stale = True
 
     def _rebuild_fingers(self) -> None:
         """Recompute every node's finger table (idealised global knowledge)."""
@@ -140,6 +122,7 @@ class ChordRing:
                 self._successor((node.node_id + (1 << k)) % (1 << self.bits))
                 for k in range(self.bits)
             ]
+        self._fingers_stale = False
 
     def _successor(self, key: int) -> int:
         """The node responsible for ``key`` (first node clockwise from it)."""
@@ -168,6 +151,8 @@ class ChordRing:
         """Route a lookup for ``key`` using finger tables; count the hops."""
         if not self._sorted_ids:
             raise RuntimeError("the ring has no nodes")
+        if self._fingers_stale:
+            self._rebuild_fingers()
         key %= (1 << self.bits)
         owner = self._successor(key)
         current = start if start in self._nodes else self._sorted_ids[0]

@@ -29,20 +29,13 @@ class DelaunayOnlyOverlay:
         Maximum number of objects (same meaning as for VoroNet).
     seed:
         Seed of the underlying overlay.
-    keep_close_neighbors:
-        Whether the ``cn(o)`` sets are still maintained (they are part of
-        the tessellation machinery, not of the small-world mechanism, so
-        they default to on).
+
+    The ``cn(o)`` sets are still maintained: they are part of the
+    tessellation machinery, not of the small-world mechanism.
     """
 
-    def __init__(self, n_max: int, *, seed: Optional[int] = None,
-                 keep_close_neighbors: bool = True) -> None:
-        config = VoroNetConfig(
-            n_max=n_max,
-            num_long_links=0,
-            maintain_close_neighbors=keep_close_neighbors,
-            seed=seed,
-        )
+    def __init__(self, n_max: int, *, seed: Optional[int] = None) -> None:
+        config = VoroNetConfig(n_max=n_max, num_long_links=0, seed=seed)
         self._overlay = VoroNet(config)
 
     @property

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set
 
-from repro.geometry.kdtree import KDTree
 from repro.geometry.point import Point, distance_sq
 from repro.utils.rng import RandomSource
 
@@ -72,10 +71,14 @@ class RandomGraphOverlay:
                     self._adjacency[node].add(target)
                     self._adjacency[target].add(node)
         if connect_nearest:
-            tree = KDTree(self._positions)
-            for node, position in enumerate(self._positions):
-                ranked = tree.k_nearest(position, 2)
-                nearest = ranked[1] if ranked[0] == node else ranked[0]
+            # Imported here: scipy.spatial adds ~30 MB of resident memory,
+            # and the serving adapters import this package on every run.
+            from scipy.spatial import cKDTree
+
+            # Each object's two nearest points: itself and its nearest neighbour.
+            _, ranked = cKDTree(self._positions).query(self._positions, k=2)
+            for node, (first, second) in enumerate(ranked.tolist()):
+                nearest = second if first == node else first
                 self._adjacency[node].add(nearest)
                 self._adjacency[nearest].add(node)
 

@@ -18,7 +18,7 @@ is documented where the constant is defined.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 __all__ = ["VoroNetConfig", "DEFAULT_N_MAX"]
@@ -49,9 +49,6 @@ class VoroNetConfig:
         Ablation switch: when False the overlay keeps no ``cn(o)`` sets.
         Disabling them voids the routing-termination guarantee for highly
         clustered data (benchmark ABL1 demonstrates exactly this).
-    maintain_back_links:
-        Ablation switch for the ``BLRn(o)`` reverse pointers; disabling them
-        leaves dangling long links after departures.
     allow_overflow:
         Permit joining more than ``n_max`` objects (the routing bound then
         no longer applies; used by the dynamic-``N_max`` experiments).
@@ -67,7 +64,6 @@ class VoroNetConfig:
     num_long_links: int = 1
     d_min: Optional[float] = None
     maintain_close_neighbors: bool = True
-    maintain_back_links: bool = True
     allow_overflow: bool = False
     track_paths: bool = False
     seed: Optional[int] = None
@@ -91,19 +87,3 @@ class VoroNetConfig:
             return self.d_min
         return 1.0 / math.sqrt(math.pi * self.n_max)
 
-    @property
-    def long_link_normalization(self) -> float:
-        """Normalisation constant ``K = 2π ln(√2 / d_min)`` of Lemma 2.
-
-        The probability that a long-link target falls in a surface element
-        ``dS`` at distance ``d`` is ``dS / (K d²)``.
-        """
-        return 2.0 * math.pi * math.log(math.sqrt(2.0) / self.effective_d_min)
-
-    def expected_route_bound(self, alpha: float = 1.0) -> float:
-        """The paper's ``O(ln² N_max)`` routing bound, up to the constant ``alpha``."""
-        return alpha * math.log(self.n_max) ** 2
-
-    def with_updates(self, **changes) -> "VoroNetConfig":
-        """A copy of the configuration with the given fields replaced."""
-        return replace(self, **changes)

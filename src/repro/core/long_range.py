@@ -19,7 +19,7 @@ by the maintenance procedures as objects join and leave.
 from __future__ import annotations
 
 import math
-from typing import List, Tuple
+from typing import List
 
 import numpy as np
 
@@ -158,18 +158,3 @@ def expected_link_count_in_disk(distance_value: float, fraction: float,
     del distance_value  # the bound is distance-independent, kept for clarity
     normalisation = 2.0 * math.pi * math.log(_SQRT2 / d_min)
     return math.pi * fraction ** 2 / (normalisation * (1.0 + fraction) ** 2)
-
-
-def empirical_length_histogram(samples: List[Tuple[Point, Point]],
-                               bins: int = 32) -> Tuple[np.ndarray, np.ndarray]:
-    """Histogram of realised link lengths (source, target) pairs.
-
-    Returns ``(bin_edges, counts)``; used by tests to check the sampler
-    against :func:`link_length_density`.
-    """
-    lengths = np.array([
-        math.hypot(target[0] - source[0], target[1] - source[1])
-        for source, target in samples
-    ])
-    counts, edges = np.histogram(lengths, bins=bins)
-    return edges, counts

@@ -68,25 +68,24 @@ def integrate_new_object(overlay: "VoroNet", object_id: int) -> int:
     # Back-long-range hand-over: only the new Voronoi neighbours can lose
     # ownership of a long-link target to the new object, because the new
     # region is carved exclusively out of theirs.
-    if overlay.config.maintain_back_links:
-        position = node.position
-        for neighbor_id in voronoi_neighbors:
-            neighbor = overlay.node(neighbor_id)
-            if not neighbor.back_links:
-                continue
-            stolen: List[BackLink] = []
-            for back_link in neighbor.back_links:
-                if distance(position, back_link.target) < distance(
-                        neighbor.position, back_link.target):
-                    stolen.append(back_link)
-            for back_link in stolen:
-                neighbor.remove_back_link(back_link.source, back_link.link_index)
-                node.add_back_link(back_link.source, back_link.link_index,
-                                   back_link.target)
-                source = overlay.node(back_link.source)
-                source.retarget_long_link(back_link.link_index, object_id)
-                affected.append(back_link.source)
-                messages += 2  # hand-over to the new holder + notify the source
+    position = node.position
+    for neighbor_id in voronoi_neighbors:
+        neighbor = overlay.node(neighbor_id)
+        if not neighbor.back_links:
+            continue
+        stolen: List[BackLink] = []
+        for back_link in neighbor.back_links:
+            if distance(position, back_link.target) < distance(
+                    neighbor.position, back_link.target):
+                stolen.append(back_link)
+        for back_link in stolen:
+            neighbor.remove_back_link(back_link.source, back_link.link_index)
+            node.add_back_link(back_link.source, back_link.link_index,
+                               back_link.target)
+            source = overlay.node(back_link.source)
+            source.retarget_long_link(back_link.link_index, object_id)
+            affected.append(back_link.source)
+            messages += 2  # hand-over to the new holder + notify the source
     overlay.invalidate_routing_tables(affected)
     return messages
 
@@ -131,23 +130,22 @@ def bulk_integrate_objects(overlay: "VoroNet", object_ids: List[int]) -> int:
             messages += len(pre_existing)
             pairs_within_batch += len(declared) - len(pre_existing)
         messages += pairs_within_batch // 2
-    if overlay.config.maintain_back_links:
-        for object_id in overlay.object_ids():
-            if object_id in new_ids:
+    for object_id in overlay.object_ids():
+        if object_id in new_ids:
+            continue
+        holder = overlay.node(object_id)
+        if not holder.back_links:
+            continue
+        for back_link in list(holder.back_links):
+            owner = overlay.owner_of(back_link.target, hint=object_id)
+            if owner == object_id:
                 continue
-            holder = overlay.node(object_id)
-            if not holder.back_links:
-                continue
-            for back_link in list(holder.back_links):
-                owner = overlay.owner_of(back_link.target, hint=object_id)
-                if owner == object_id:
-                    continue
-                holder.remove_back_link(back_link.source, back_link.link_index)
-                overlay.node(owner).add_back_link(
-                    back_link.source, back_link.link_index, back_link.target)
-                overlay.node(back_link.source).retarget_long_link(
-                    back_link.link_index, owner)
-                messages += 2  # hand-over to the new holder + notify the source
+            holder.remove_back_link(back_link.source, back_link.link_index)
+            overlay.node(owner).add_back_link(
+                back_link.source, back_link.link_index, back_link.target)
+            overlay.node(back_link.source).retarget_long_link(
+                back_link.link_index, owner)
+            messages += 2  # hand-over to the new holder + notify the source
     # A batch attach touches close sets and link sources across the whole
     # overlay; the caller (bulk_load) already operates at overlay-wide
     # invalidation scope, so stay with the bare form here.
@@ -192,7 +190,7 @@ def detach_object(overlay: "VoroNet", object_id: int) -> int:
     node.close_neighbors.clear()
 
     # Delegate hosted long links to the neighbour now owning their target.
-    if overlay.config.maintain_back_links and node.back_links:
+    if node.back_links:
         candidates = [nid for nid in voronoi_neighbors if nid in overlay]
         for back_link in list(node.back_links):
             source_id = back_link.source
@@ -266,7 +264,7 @@ def view_consistency_report(overlay: "VoroNet") -> List[str]:
                     f"{object_id}: long link {index} points at {link.neighbor} "
                     f"but {owner} owns its target")
             endpoint = overlay.node(link.neighbor)
-            if overlay.config.maintain_back_links and link.neighbor != object_id:
+            if link.neighbor != object_id:
                 if not any(bl.source == object_id and bl.link_index == index
                            for bl in endpoint.back_links):
                     problems.append(

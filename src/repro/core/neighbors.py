@@ -58,13 +58,6 @@ class NeighborView:
         return combined
 
     @property
-    def all_neighbors(self) -> Set[int]:
-        """Every object this view references (including back links)."""
-        combined = self.routing_neighbors | set(self.back_long_range)
-        combined.discard(self.object_id)
-        return combined
-
-    @property
     def size(self) -> int:
         """Total number of view entries (the O(1) quantity of Section 4.1)."""
         return (

@@ -20,7 +20,7 @@ local copies instead, as a real deployment would.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, NamedTuple, Optional, Set, Tuple
+from typing import List, NamedTuple, Optional, Set
 
 from repro.geometry.point import Point
 
@@ -45,9 +45,6 @@ class LongLink:
 
     target: Point
     neighbor: int
-
-    def as_tuple(self) -> Tuple[Point, int]:
-        return (self.target, self.neighbor)
 
 
 class BackLink(NamedTuple):

@@ -392,10 +392,6 @@ class VoroNet:
             raise EmptyOverlayError("the overlay holds no objects")
         return self._locate_index.hint(point)
 
-    def objects_within(self, point: Point, radius: float) -> List[int]:
-        """Ids of every object within ``radius`` of ``point`` (exact, grid-backed)."""
-        return self._locate_index.within(point, radius)
-
     def distance_to_region(self, object_id: int, point: Point) -> float:
         """Distance from ``point`` to the Voronoi region of ``object_id``.
 
@@ -525,13 +521,12 @@ class VoroNet:
             # routed on), and the next link is resolved by routing *from*
             # this object — invalidate before that route runs.
             self.invalidate_routing_tables([object_id])
-            if self._config.maintain_back_links:
-                # Register the reverse pointer even when the owner is the
-                # object itself: a later joiner closer to the target must be
-                # able to steal the registration and re-point the link.
-                self.node(endpoint).add_back_link(object_id, index, target)
-                if endpoint != object_id:
-                    messages += 1
+            # Register the reverse pointer even when the owner is the
+            # object itself: a later joiner closer to the target must be
+            # able to steal the registration and re-point the link.
+            self.node(endpoint).add_back_link(object_id, index, target)
+            if endpoint != object_id:
+                messages += 1
             messages += hops
             self._stats.long_link_searches.record(hops, hops + 1)
         return messages
@@ -546,14 +541,13 @@ class VoroNet:
         """
         node = self.node(object_id)
         messages = 0
-        if self._config.maintain_back_links:
-            for index, link in enumerate(node.long_links):
-                # Self-pointing links also carry a (local) back
-                # registration — deregister those too, message-free.
-                if link.neighbor in self._nodes:
-                    self._nodes[link.neighbor].remove_back_link(object_id, index)
-                    if link.neighbor != object_id:
-                        messages += 1
+        for index, link in enumerate(node.long_links):
+            # Self-pointing links also carry a (local) back
+            # registration — deregister those too, message-free.
+            if link.neighbor in self._nodes:
+                self._nodes[link.neighbor].remove_back_link(object_id, index)
+                if link.neighbor != object_id:
+                    messages += 1
         node.long_links.clear()
         self.invalidate_routing_tables([object_id])
         return messages + self._establish_long_links(object_id)
@@ -850,8 +844,7 @@ class VoroNet:
                 target = flat_targets[i * k + index]
                 endpoint = endpoints[i * k + index]
                 node.set_long_link(index, target, endpoint)
-                if self._config.maintain_back_links:
-                    self._nodes[endpoint].add_back_link(object_id, index, target)
+                self._nodes[endpoint].add_back_link(object_id, index, target)
                 self._stats.long_link_searches.record(0, 1)
         self.invalidate_routing_tables()
 
@@ -860,28 +853,6 @@ class VoroNet:
         if not self._nodes:
             raise EmptyOverlayError("the overlay holds no objects")
         return self._sample_object_id()
-
-    def to_networkx(self):
-        """Export the overlay as a :class:`networkx.DiGraph`.
-
-        Nodes carry their position (``pos``); edges carry their kind
-        (``voronoi``, ``close`` or ``long``).  Voronoi and close edges are
-        emitted in both directions (they are symmetric relations).
-        """
-        import networkx as nx
-
-        graph = nx.DiGraph()
-        for object_id, node in self._nodes.items():
-            graph.add_node(object_id, pos=node.position)
-        for object_id, node in self._nodes.items():
-            for neighbor in self.voronoi_neighbors(object_id):
-                graph.add_edge(object_id, neighbor, kind="voronoi")
-            for neighbor in node.close_neighbors:
-                graph.add_edge(object_id, neighbor, kind="close")
-            for link in node.long_links:
-                if link.neighbor != object_id:
-                    graph.add_edge(object_id, link.neighbor, kind="long")
-        return graph
 
     def check_consistency(self) -> List[str]:
         """Run the cross-object invariant checks; returns a list of problems."""

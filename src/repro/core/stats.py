@@ -8,6 +8,10 @@ call sites.  The message counts follow the accounting of Section 4.2: one
 message per greedy forwarding step, one per neighbour notified during
 ``AddVoronoiRegion`` / ``RemoveVoronoiRegion``, and one per long-link
 re-delegation.
+
+Both classes are slotted dataclasses, so a mistyped counter — ``+=``, a
+method call or a plain assignment — raises ``AttributeError`` at the write
+instead of silently creating a fresh attribute.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from typing import Dict, List, Sequence
 __all__ = ["OperationStats", "OverlayStats"]
 
 
-@dataclass
+@dataclass(slots=True)
 class OperationStats:
     """Aggregated statistics for one operation type (join, leave, route, ...)."""
 
@@ -67,7 +71,7 @@ class OperationStats:
         }
 
 
-@dataclass
+@dataclass(slots=True)
 class OverlayStats:
     """All per-overlay statistics, grouped by operation type.
 

@@ -25,9 +25,9 @@ from repro.analysis.hops import measure_routing
 from repro.analysis.plots import format_table
 from repro.baselines.chord import ChordRing
 from repro.baselines.delaunay_only import DelaunayOnlyOverlay
-from repro.baselines.kleinberg import KleinbergBaseline
+from repro.baselines.kleinberg import KleinbergGrid
 from repro.baselines.random_graph import RandomGraphOverlay
-from repro.core import range_query
+from repro.core.queries import range_query
 from repro.experiments.common import CAPACITY_HEADROOM, Claim, build_overlay, scaled
 from repro.geometry.bounding import BoundingBox
 from repro.utils.rng import RandomSource
@@ -85,13 +85,14 @@ def run_baseline_comparison(scale: float = 1.0,
 
     # --- Kleinberg grid of comparable size ------------------------------
     side = max(4, int(round(count ** 0.5)))
-    grid = KleinbergBaseline(side, rng=RandomSource(seed + 5))
+    grid = KleinbergGrid(side, rng=RandomSource(seed + 5))
     mean_hops["kleinberg-grid"] = grid.mean_route_length(num_pairs, RandomSource(seed + 6))
     success["kleinberg-grid"] = 1.0
 
     # --- Chord -----------------------------------------------------------
     ring = ChordRing(bits=24)
-    ring.bulk_join([f"node-{i}" for i in range(count)])
+    for i in range(count):
+        ring.join(f"node-{i}")
     lookups = [ring.lookup_key(f"key-{i}").hops for i in range(num_pairs)]
     mean_hops["chord"] = float(np.mean(lookups))
     success["chord"] = 1.0

@@ -41,10 +41,6 @@ class ChurnProtocolResult:
     crash_fractions: List[float]
     reports: Dict[float, HealOutcome]
 
-    @property
-    def all_converged(self) -> bool:
-        return all(report.converged for report in self.reports.values())
-
 
 def run_ablation_churn_protocol(scale: float = 1.0, seed: int = 2007, *,
                                 crash_fractions: Sequence[float] = (0.05, 0.1, 0.2),

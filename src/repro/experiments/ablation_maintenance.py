@@ -45,18 +45,8 @@ class MaintenanceResult:
 
 
 def run_maintenance_experiment(scale: float = 1.0,
-                               seed: int = 2003, *,
-                               use_bulk_join: bool = False) -> MaintenanceResult:
-    """Measure join/leave message costs across overlay sizes.
-
-    With ``use_bulk_join=True`` the protocol-mode base population is built
-    through :meth:`~repro.simulation.protocol.ProtocolSimulator.bulk_join`
-    instead of sequential routed joins, and sampled at the *largest* sweep
-    size instead of the smallest — the probe joins/leaves still run the
-    full sequential protocol, so the measured per-operation costs keep
-    their paper semantics while the ground-truth sample reaches the sizes
-    the oracle sweep covers.
-    """
+                               seed: int = 2003) -> MaintenanceResult:
+    """Measure join/leave message costs across overlay sizes."""
     sizes = [scaled(base, scale) for base in (500, 1000, 2000, 4000)]
     probe_count = scaled(200, scale, minimum=20)
     join_messages: Dict[int, float] = {}
@@ -80,9 +70,9 @@ def run_maintenance_experiment(scale: float = 1.0,
             overlay.remove(victim)
         leave_messages[size] = overlay.stats.leaves.mean_messages
 
-    # Protocol-mode sample (message-level ground truth): built sequentially
-    # at the smallest size, or via the batched bulk join at the largest.
-    protocol_size = sizes[-1] if use_bulk_join else sizes[0]
+    # Protocol-mode sample (message-level ground truth): built by
+    # sequential routed joins at the smallest size.
+    protocol_size = sizes[0]
     protocol_probes = min(100, probe_count)
     simulator = ProtocolSimulator(
         VoroNetConfig(n_max=CAPACITY_HEADROOM * (protocol_size + protocol_probes),
@@ -90,11 +80,8 @@ def run_maintenance_experiment(scale: float = 1.0,
     rng = RandomSource(seed + 99)
     positions = generate_objects(UniformDistribution(),
                                  protocol_size + protocol_probes, rng)
-    if use_bulk_join:
-        simulator.bulk_join(positions[:protocol_size])
-    else:
-        for position in positions[:protocol_size]:
-            simulator.join(position)
+    for position in positions[:protocol_size]:
+        simulator.join(position)
     join_reports = [simulator.join(p) for p in positions[protocol_size:]]
     leave_reports = [simulator.leave(r.object_id) for r in join_reports]
     return MaintenanceResult(

@@ -52,8 +52,7 @@ class Fig6Result:
 
 def _sweep_one_distribution(distribution: ObjectDistribution, index: int,
                             seed: int, max_size: int, checkpoints: List[int],
-                            num_pairs: int, num_long_links: int,
-                            use_long_links: bool,
+                            num_pairs: int,
                             use_protocol: bool) -> List[RoutingSweepPoint]:
     """One distribution's full sweep, seeded by its index."""
     rng = RandomSource(seed + index)
@@ -63,7 +62,6 @@ def _sweep_one_distribution(distribution: ObjectDistribution, index: int,
         def protocol_factory(seed_offset=index) -> ProtocolSimulator:
             return ProtocolSimulator(VoroNetConfig(
                 n_max=CAPACITY_HEADROOM * max_size,
-                num_long_links=num_long_links,
                 seed=seed + 100 + seed_offset,
             ), seed=seed + 100 + seed_offset)
 
@@ -76,7 +74,6 @@ def _sweep_one_distribution(distribution: ObjectDistribution, index: int,
     def factory(seed_offset=index) -> VoroNet:
         return VoroNet(VoroNetConfig(
             n_max=CAPACITY_HEADROOM * max_size,
-            num_long_links=num_long_links,
             seed=seed + 100 + seed_offset,
         ))
 
@@ -84,13 +81,10 @@ def _sweep_one_distribution(distribution: ObjectDistribution, index: int,
         positions, checkpoints, rng,
         num_pairs=num_pairs,
         overlay_factory=factory,
-        use_long_links=use_long_links,
     )
 
 
 def run_fig6(scale: float = 1.0, seed: int = 1006, *,
-             num_long_links: int = 1,
-             use_long_links: bool = True,
              use_protocol: bool = False) -> Fig6Result:
     """Run the Figure 6 sweep.
 
@@ -99,27 +93,21 @@ def run_fig6(scale: float = 1.0, seed: int = 1006, *,
     scale:
         Size multiplier; 1.0 sweeps up to 6 000 objects in 6 checkpoints with
         600 measured pairs per checkpoint (the paper: 300 000 / 30 / 100 000).
-    num_long_links / use_long_links:
-        Overridden by the Figure 8 and baseline drivers to reuse the sweep.
     use_protocol:
         Run the sweep *message-level*: overlays grow through
         ``ProtocolSimulator.bulk_join`` and every measured route is a
         greedy ``QUERY`` over strictly local views — the ground-truth
         validation of the oracle sweep, now reaching N = 10⁴ thanks to the
         batched join pipeline (a sequential-join sweep capped out two
-        orders of magnitude lower).  ``use_long_links`` must stay on —
-        protocol nodes always route over their full view.
+        orders of magnitude lower).
     """
     max_size = scaled(6000, scale)
     checkpoints = checkpoint_schedule(max_size, 6)
     num_pairs = scaled(600, scale, minimum=50)
-    if use_protocol and not use_long_links:
-        raise ValueError("the protocol-mode sweep always routes over full "
-                         "views; use_long_links=False is oracle-only")
     series: Dict[str, List[RoutingSweepPoint]] = {
         distribution.name: _sweep_one_distribution(
             distribution, index, seed, max_size, checkpoints, num_pairs,
-            num_long_links, use_long_links, use_protocol)
+            use_protocol)
         for index, distribution in enumerate(evaluation_distributions())
     }
     return Fig6Result(seed=seed, checkpoints=checkpoints, num_pairs=num_pairs,

@@ -13,8 +13,6 @@ This package provides everything the overlay needs from geometry:
   clipped to the unit square,
 * :mod:`repro.geometry.locate_grid` — a grid-bucket index seeding point
   location and greedy descent with near-target hints,
-* :mod:`repro.geometry.kdtree` — an exact nearest-neighbour oracle used as
-  ground truth in tests and analysis,
 * :mod:`repro.geometry.scipy_backend` — a :mod:`scipy.spatial` based
   cross-check backend used to validate our own kernel.
 """
@@ -38,7 +36,6 @@ from repro.geometry.predicates import (
 from repro.geometry.delaunay import DelaunayTriangulation, DuplicatePointError
 from repro.geometry.locate_grid import LocateGrid
 from repro.geometry.voronoi import VoronoiCell, voronoi_cell, voronoi_cells
-from repro.geometry.kdtree import KDTree
 from repro.geometry.bounding import UNIT_SQUARE, BoundingBox, clip_polygon_to_box
 
 __all__ = [
@@ -60,7 +57,6 @@ __all__ = [
     "VoronoiCell",
     "voronoi_cell",
     "voronoi_cells",
-    "KDTree",
     "BoundingBox",
     "UNIT_SQUARE",
     "clip_polygon_to_box",

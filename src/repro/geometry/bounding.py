@@ -9,7 +9,7 @@ Sutherland–Hodgman pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 from repro.geometry.point import Point
 
@@ -45,16 +45,6 @@ class BoundingBox:
     def center(self) -> Point:
         return ((self.xmin + self.xmax) * 0.5, (self.ymin + self.ymax) * 0.5)
 
-    @property
-    def corners(self) -> Tuple[Point, Point, Point, Point]:
-        """Corners in counter-clockwise order starting at ``(xmin, ymin)``."""
-        return (
-            (self.xmin, self.ymin),
-            (self.xmax, self.ymin),
-            (self.xmax, self.ymax),
-            (self.xmin, self.ymax),
-        )
-
     def contains(self, point: Point, tolerance: float = 0.0) -> bool:
         """Whether ``point`` lies inside the box (inclusive, with tolerance)."""
         x, y = point
@@ -62,12 +52,6 @@ class BoundingBox:
             self.xmin - tolerance <= x <= self.xmax + tolerance
             and self.ymin - tolerance <= y <= self.ymax + tolerance
         )
-
-    def clamp(self, point: Point) -> Point:
-        """Project ``point`` onto the box (nearest point inside the box)."""
-        x = min(max(point[0], self.xmin), self.xmax)
-        y = min(max(point[1], self.ymin), self.ymax)
-        return (x, y)
 
     def sample(self, rng) -> Point:
         """Draw a point uniformly from the box using a RandomSource-like rng."""

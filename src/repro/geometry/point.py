@@ -98,12 +98,6 @@ def pairwise_distances(points: np.ndarray) -> np.ndarray:
     return np.hypot(delta[..., 0], delta[..., 1])
 
 
-def nearest_index(points: np.ndarray, target: Point) -> int:
-    """Index of the row of ``points`` closest to ``target`` (ties: lowest index)."""
-    dists = distances_to(points, target)
-    return int(np.argmin(dists))
-
-
 def centroid(points: Iterable[Point]) -> Point:
     """Arithmetic mean of a non-empty collection of points."""
     pts: List[Point] = list(points)

@@ -24,7 +24,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.lint",
         description=("simlint: repo-specific static analysis for the "
                      "simulation plane (epoch contract, determinism, "
-                     "slots, dispatch consistency, stats accounting)"))
+                     "slots, dispatch consistency, routing-cache contract)"))
     parser.add_argument(
         "paths", nargs="*", metavar="PATH",
         help="files or directories to lint (default: 'paths' from "

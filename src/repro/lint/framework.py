@@ -84,15 +84,6 @@ class ParseError(Exception):
 # ----------------------------------------------------------------------
 # configuration
 # ----------------------------------------------------------------------
-#: View-state attributes the epoch contract (SIM001) protects.  Covers the
-#: protocol node's local view and the oracle node's field names so the
-#: rule survives refactors that move handlers between the two planes.
-DEFAULT_VIEW_ATTRS = frozenset({
-    "voronoi", "close", "long_links", "back_links",
-    "voronoi_region", "close_neighbors",
-})
-
-
 @dataclass(frozen=True)
 class LintConfig:
     """Effective configuration of one lint run.
@@ -102,43 +93,17 @@ class LintConfig:
     ``determinism-paths``), and CLI ``--select``/``--ignore`` override the
     config file.  Path scopes are matched as substrings of the
     posix-rendered file path, so they work from the repo root, an absolute
-    path, or a subdirectory invocation alike.
+    path, or a subdirectory invocation alike.  What each contract rule
+    looks for (view attributes, topology mutators, invalidation calls) is
+    part of the rule, in :mod:`repro.lint.rules`.
     """
 
     paths: Tuple[str, ...] = ("src",)
     select: Optional[FrozenSet[str]] = None
-    ignore: FrozenSet[str] = frozenset()
     #: Scope of the determinism rule (SIM002).
     determinism_paths: Tuple[str, ...] = ("repro/simulation", "repro/core")
     #: Scope of the slots rule (SIM003).
     slots_paths: Tuple[str, ...] = ("repro/simulation",)
-    #: Class names SIM003 never flags (config-level exemption; inline
-    #: suppressions work too and carry their justification in-source).
-    slots_exempt: FrozenSet[str] = frozenset()
-    #: Attributes whose mutation must bump ``view_epoch`` (SIM001).
-    view_attrs: FrozenSet[str] = DEFAULT_VIEW_ATTRS
-    #: Scope of the routing-cache rule (SIM006).
-    routing_cache_paths: Tuple[str, ...] = ("repro/core",)
-    #: Node containers whose mutation changes forwarding candidates
-    #: (SIM006).  Back links are deliberately absent: BLRn is not routed
-    #: on, so back-registration churn needs no invalidation.
-    topology_attrs: FrozenSet[str] = frozenset({
-        "long_links", "close_neighbors",
-    })
-    #: ObjectNode methods that mutate a topology container (SIM006).
-    topology_mutators: FrozenSet[str] = frozenset({
-        "set_long_link", "retarget_long_link",
-        "add_close_neighbor", "discard_close_neighbor",
-    })
-    #: Calls that discharge the routing-cache contract (SIM006): the
-    #: overlay entry point, or the cache's own targeted drop / drop-all.
-    epoch_bump_calls: FrozenSet[str] = frozenset({
-        "invalidate_routing_tables", "bump_object_ids", "drop_all",
-    })
-    #: Class definitions SIM005 reads counter fields from.
-    stats_classes: Tuple[str, ...] = ("OverlayStats", "OperationStats")
-    #: Attribute names treated as "the stats object" in write sites.
-    stats_attr_names: Tuple[str, ...] = ("stats", "_stats")
 
     @classmethod
     def from_pyproject(cls, pyproject: Optional[Path]) -> "LintConfig":
@@ -158,14 +123,8 @@ class LintConfig:
             name = key.replace("-", "_")
             if name not in known:
                 raise ParseError(f"unknown [tool.simlint] key {key!r}")
-            if name == "select":
-                overrides[name] = frozenset(value)
-            elif name in ("ignore", "slots_exempt", "view_attrs",
-                          "topology_attrs", "topology_mutators",
-                          "epoch_bump_calls"):
-                overrides[name] = frozenset(value)
-            else:
-                overrides[name] = tuple(value)
+            overrides[name] = (frozenset(value) if name == "select"
+                               else tuple(value))
         return replace(config, **overrides)
 
     def active_rules(self, select: Optional[Iterable[str]] = None,
@@ -174,7 +133,7 @@ class LintConfig:
         chosen = frozenset(select) if select else self.select
         if chosen is None:
             chosen = frozenset(RULES)
-        dropped = frozenset(ignore) if ignore else self.ignore
+        dropped = frozenset(ignore or ())
         unknown = (chosen | dropped) - frozenset(RULES)
         if unknown:
             raise ParseError(

@@ -1,4 +1,4 @@
-"""The shipped simlint rules (SIM001–SIM006).
+"""The shipped simlint rules (SIM001–SIM004, SIM006).
 
 Each rule encodes one convention the simulation plane's correctness rests
 on; the module docstrings of :mod:`repro.simulation.protocol` and
@@ -7,10 +7,13 @@ repo root documents the rules, and the fixture suite under ``tests/lint``
 pins a true positive, a true negative and a suppressed case for each.
 
 SIM001 epoch-contract
-    Every message handler (``_on_*`` / ``handle_*`` method) that mutates a
-    view-state attribute must bump ``view_epoch`` — via ``touch_view()``
-    or a direct increment — on every mutating path; the per-node routing
-    cache is invalidated by exactly that bump.
+    Every method (``__init__`` excepted) of a class defining message
+    handlers (``_on_*`` / ``handle_*``) that mutates a view-state
+    attribute must bump ``view_epoch`` — via ``touch_view()`` or a direct
+    increment — on every mutating path; the per-node routing cache is
+    invalidated by exactly that bump.  Handlers delegate view mutations
+    to helper methods of the same class, so the helpers are held to the
+    contract too.
 
 SIM002 determinism
     Inside the deterministic-replay scope (``repro/simulation`` and
@@ -25,7 +28,7 @@ SIM002 determinism
 SIM003 slots
     Classes in ``repro/simulation`` that assign instance attributes in
     ``__init__`` must declare ``__slots__`` — the message plane's hot-path
-    discipline (dataclasses and exempted classes excluded).
+    discipline (dataclasses excluded).
 
 SIM004 dispatch-consistency
     Whole-program: every message ``kind`` string passed to a
@@ -33,18 +36,14 @@ SIM004 dispatch-consistency
     must have a registered ``_on_<kind>`` handler, and every handler's
     kind must be sent somewhere.
 
-SIM005 stats-accounting
-    Whole-program: attribute writes through a ``stats`` / ``_stats``
-    object must name counters that exist on the ``OverlayStats`` /
-    ``OperationStats`` class definitions — a typo'd counter silently
-    creates a fresh attribute and the intended one stays zero.
-
 SIM006 routing-cache-contract
     The oracle plane's counterpart of SIM001, for the routing-table cache
     of :mod:`repro.core.shards` ("a cached table is a valid table"): any
-    function under ``repro/core`` that mutates another node's
-    routing-relevant containers (``long_links`` / ``close_neighbors`` —
-    directly or via the ``ObjectNode`` mutator methods) must be followed,
+    function under ``repro/core`` or in ``repro/simulation/failures.py``
+    (the crash injector's scrub, the one mutator of oracle nodes outside
+    ``core``) that mutates another node's routing-relevant containers
+    (``long_links`` / ``close_neighbors`` — directly or via the
+    ``ObjectNode`` mutator methods) must be followed,
     on every mutating path, by ``invalidate_routing_tables(...)`` or a
     direct cache drop (``bump_object_ids`` / ``drop_all``).  Back-link
     churn is exempt (``BLRn`` is not routed on), as are the primitive
@@ -69,11 +68,40 @@ __all__ = [
     "DeterminismRule",
     "SlotsRule",
     "DispatchConsistencyRule",
-    "StatsAccountingRule",
     "RoutingCacheContractRule",
     "collect_sent_kinds",
     "collect_handled_kinds",
 ]
+
+
+# ----------------------------------------------------------------------
+# what the contract rules look for
+# ----------------------------------------------------------------------
+#: View-state attributes the epoch contract (SIM001) protects.  Covers the
+#: protocol node's local view and the oracle node's field names so the
+#: rule survives refactors that move handlers between the two planes.
+VIEW_ATTRS = frozenset({
+    "voronoi", "close", "long_links", "back_links",
+    "voronoi_region", "close_neighbors",
+})
+
+#: Scope of the routing-cache rule (SIM006): the oracle plane, and the one
+#: module outside it that mutates oracle nodes (``CrashInjector.repair``).
+ROUTING_CACHE_PATHS = ("repro/core", "repro/simulation/failures")
+#: Node containers whose mutation changes forwarding candidates (SIM006).
+#: Back links are deliberately absent: BLRn is not routed on, so
+#: back-registration churn needs no invalidation.
+TOPOLOGY_ATTRS = frozenset({"long_links", "close_neighbors"})
+#: ObjectNode methods that mutate a topology container (SIM006).
+TOPOLOGY_MUTATORS = frozenset({
+    "set_long_link", "retarget_long_link",
+    "add_close_neighbor", "discard_close_neighbor",
+})
+#: Calls that discharge the routing-cache contract (SIM006): the overlay
+#: entry point, or the cache's own targeted drop / drop-all.
+EPOCH_BUMP_CALLS = frozenset({
+    "invalidate_routing_tables", "bump_object_ids", "drop_all",
+})
 
 
 # ----------------------------------------------------------------------
@@ -89,7 +117,7 @@ def dotted_name(node: ast.AST) -> Optional[str]:
     return None
 
 
-def _self_view_attr(node: ast.AST, view_attrs: FrozenSet[str],
+def _self_view_attr(node: ast.AST,
                     aliases: Dict[str, str]) -> Optional[str]:
     """View attribute a target/receiver chain ultimately writes through.
 
@@ -100,7 +128,7 @@ def _self_view_attr(node: ast.AST, view_attrs: FrozenSet[str],
     while isinstance(node, (ast.Attribute, ast.Subscript)):
         if isinstance(node, ast.Attribute):
             if (isinstance(node.value, ast.Name) and node.value.id == "self"
-                    and node.attr in view_attrs):
+                    and node.attr in VIEW_ATTRS):
                 return node.attr
             node = node.value
         else:
@@ -190,8 +218,8 @@ def _covers(touch_path: Tuple[Tuple[int, int], ...], touch_line: int,
 class EpochContractRule(Rule):
     code = "SIM001"
     name = "epoch-contract"
-    summary = ("message handlers mutating view state must bump view_epoch "
-               "on every mutating path")
+    summary = ("methods of a message-handling class mutating view state "
+               "must bump view_epoch on every mutating path")
 
     _HANDLER_PREFIXES = ("_on_", "handle_")
 
@@ -200,19 +228,23 @@ class EpochContractRule(Rule):
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.ClassDef):
                 continue
-            for item in node.body:
-                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-                        and item.name.startswith(self._HANDLER_PREFIXES)):
-                    yield from self._check_handler(module, item, config)
+            methods = [item for item in node.body if isinstance(
+                item, (ast.FunctionDef, ast.AsyncFunctionDef))]
+            if not any(method.name.startswith(self._HANDLER_PREFIXES)
+                       for method in methods):
+                continue
+            # Handlers delegate view mutations to helpers of their class.
+            for method in methods:
+                if method.name != "__init__":
+                    yield from self._check_method(module, method)
 
-    def _check_handler(self, module: ModuleInfo, fn: ast.FunctionDef,
-                       config: LintConfig) -> Iterable[Finding]:
-        view_attrs = config.view_attrs
+    def _check_method(self, module: ModuleInfo,
+                      fn: ast.FunctionDef) -> Iterable[Finding]:
         aliases: Dict[str, str] = {}
         for node in ast.walk(fn):
             if (isinstance(node, ast.Assign) and len(node.targets) == 1
                     and isinstance(node.targets[0], ast.Name)):
-                attr = _self_view_attr(node.value, view_attrs, {})
+                attr = _self_view_attr(node.value, {})
                 if attr is not None:
                     aliases[node.targets[0].id] = attr
 
@@ -225,19 +257,19 @@ class EpochContractRule(Rule):
                     # mutation of the aliased container.
                     if isinstance(target, ast.Name):
                         continue
-                    attr = _self_view_attr(target, view_attrs, aliases)
+                    attr = _self_view_attr(target, aliases)
                     if attr is not None:
                         mutations.append((node, attr))
             elif isinstance(node, ast.AugAssign):
                 if self._is_epoch_target(node.target):
                     touches.append(node)
                     continue
-                attr = _self_view_attr(node.target, view_attrs, aliases)
+                attr = _self_view_attr(node.target, aliases)
                 if attr is not None:
                     mutations.append((node, attr))
             elif isinstance(node, ast.Delete):
                 for target in node.targets:
-                    attr = _self_view_attr(target, view_attrs, aliases)
+                    attr = _self_view_attr(target, aliases)
                     if attr is not None:
                         mutations.append((node, attr))
             elif isinstance(node, ast.Call):
@@ -246,8 +278,7 @@ class EpochContractRule(Rule):
                     if func.attr == "touch_view":
                         touches.append(node)
                     elif func.attr in _MUTATING_METHODS:
-                        attr = _self_view_attr(func.value, view_attrs,
-                                               aliases)
+                        attr = _self_view_attr(func.value, aliases)
                         if attr is not None:
                             mutations.append((node, attr))
         if not mutations:
@@ -269,7 +300,7 @@ class EpochContractRule(Rule):
                 yield Finding(
                     path=module.display, line=node.lineno,
                     col=node.col_offset + 1, rule=self.code,
-                    message=(f"handler {fn.name!r} mutates view attribute "
+                    message=(f"method {fn.name!r} mutates view attribute "
                              f"{attr!r} without bumping view_epoch on this "
                              f"path (call self.touch_view() after the "
                              f"mutation)"))
@@ -283,8 +314,7 @@ class EpochContractRule(Rule):
 # ----------------------------------------------------------------------
 # SIM006 — routing cache contract
 # ----------------------------------------------------------------------
-def _external_topology_attr(node: ast.AST,
-                            topology_attrs: FrozenSet[str]) -> Optional[str]:
+def _external_topology_attr(node: ast.AST) -> Optional[str]:
     """Topology container a receiver/target chain mutates on another node.
 
     Walks down attribute/subscript chains (``node.long_links[i].neighbor``,
@@ -295,7 +325,7 @@ def _external_topology_attr(node: ast.AST,
     the contract binds their call sites instead.
     """
     while isinstance(node, (ast.Attribute, ast.Subscript)):
-        if isinstance(node, ast.Attribute) and node.attr in topology_attrs:
+        if isinstance(node, ast.Attribute) and node.attr in TOPOLOGY_ATTRS:
             base = node.value
             if isinstance(base, ast.Name) and base.id == "self":
                 return None
@@ -314,11 +344,11 @@ class RoutingCacheContractRule(Rule):
 
     def check_module(self, module: ModuleInfo,
                      config: LintConfig) -> Iterable[Finding]:
-        if not path_in_scope(module.display, config.routing_cache_paths):
+        if not path_in_scope(module.display, ROUTING_CACHE_PATHS):
             return
         for node in ast.walk(module.tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield from self._check_function(module, node, config)
+                yield from self._check_function(module, node)
 
     @staticmethod
     def _walk_own_body(fn: ast.AST) -> Iterable[ast.AST]:
@@ -334,8 +364,8 @@ class RoutingCacheContractRule(Rule):
             yield node
             stack.extend(ast.iter_child_nodes(node))
 
-    def _check_function(self, module: ModuleInfo, fn: ast.FunctionDef,
-                        config: LintConfig) -> Iterable[Finding]:
+    def _check_function(self, module: ModuleInfo,
+                        fn: ast.FunctionDef) -> Iterable[Finding]:
         mutations: List[Tuple[ast.AST, str]] = []
         bumps: List[ast.AST] = []
         for node in self._walk_own_body(fn):
@@ -343,27 +373,24 @@ class RoutingCacheContractRule(Rule):
                 func = node.func
                 if not isinstance(func, ast.Attribute):
                     continue
-                if func.attr in config.epoch_bump_calls:
+                if func.attr in EPOCH_BUMP_CALLS:
                     bumps.append(node)
-                elif func.attr in config.topology_mutators:
+                elif func.attr in TOPOLOGY_MUTATORS:
                     receiver = func.value
                     if not (isinstance(receiver, ast.Name)
                             and receiver.id == "self"):
                         mutations.append((node, func.attr))
                 elif func.attr in _MUTATING_METHODS:
-                    attr = _external_topology_attr(
-                        func.value, config.topology_attrs)
+                    attr = _external_topology_attr(func.value)
                     if attr is not None:
                         mutations.append((node, attr))
             elif isinstance(node, (ast.Assign, ast.Delete)):
                 for target in node.targets:
-                    attr = _external_topology_attr(
-                        target, config.topology_attrs)
+                    attr = _external_topology_attr(target)
                     if attr is not None:
                         mutations.append((node, attr))
             elif isinstance(node, ast.AugAssign):
-                attr = _external_topology_attr(
-                    node.target, config.topology_attrs)
+                attr = _external_topology_attr(node.target)
                 if attr is not None:
                     mutations.append((node, attr))
         if not mutations:
@@ -632,8 +659,6 @@ class SlotsRule(Rule):
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.ClassDef):
                 continue
-            if node.name in config.slots_exempt:
-                continue
             if any(self._is_dataclass_decorator(dec)
                    for dec in node.decorator_list):
                 continue
@@ -785,87 +810,3 @@ class DispatchConsistencyRule(Rule):
                 path=path, line=line, col=col, rule=self.code,
                 message=(f"handler _on_{kind.lower()} is registered but "
                          f"kind {kind!r} is never sent"))
-
-
-# ----------------------------------------------------------------------
-# SIM005 — stats accounting
-# ----------------------------------------------------------------------
-@register
-class StatsAccountingRule(Rule):
-    code = "SIM005"
-    name = "stats-accounting"
-    summary = ("writes through a stats object must name counters defined "
-               "on the stats classes")
-
-    def check_program(self, modules: Sequence[ModuleInfo],
-                      config: LintConfig) -> Iterable[Finding]:
-        members = self._stats_members(modules, config)
-        if members is None:
-            return
-        names = config.stats_attr_names
-        for module in modules:
-            for node in ast.walk(module.tree):
-                targets: List[ast.AST] = []
-                if isinstance(node, ast.Assign):
-                    targets = list(node.targets)
-                elif isinstance(node, ast.AugAssign):
-                    targets = [node.target]
-                elif isinstance(node, ast.Delete):
-                    targets = list(node.targets)
-                elif isinstance(node, ast.Call) \
-                        and isinstance(node.func, ast.Attribute):
-                    targets = [node.func]
-                for target in targets:
-                    yield from self._check_chain(module, node, target,
-                                                 names, members)
-
-    @staticmethod
-    def _stats_members(modules: Sequence[ModuleInfo],
-                       config: LintConfig) -> Optional[FrozenSet[str]]:
-        members: Set[str] = set()
-        found = False
-        for module in modules:
-            for node in ast.walk(module.tree):
-                if not isinstance(node, ast.ClassDef) \
-                        or node.name not in config.stats_classes:
-                    continue
-                found = True
-                for item in node.body:
-                    if isinstance(item, ast.AnnAssign) \
-                            and isinstance(item.target, ast.Name):
-                        members.add(item.target.id)
-                    elif isinstance(item, ast.Assign):
-                        for target in item.targets:
-                            if isinstance(target, ast.Name):
-                                members.add(target.id)
-                    elif isinstance(item, (ast.FunctionDef,
-                                           ast.AsyncFunctionDef)):
-                        members.add(item.name)
-        return frozenset(members) if found else None
-
-    def _check_chain(self, module: ModuleInfo, site: ast.AST,
-                     target: ast.AST, stats_names: Sequence[str],
-                     members: FrozenSet[str]) -> Iterable[Finding]:
-        # Unwind the attribute chain top-down, e.g.
-        # self._stats.joins.count -> ["count", "joins", "_stats", ...].
-        chain: List[str] = []
-        node = target
-        while isinstance(node, (ast.Attribute, ast.Subscript)):
-            if isinstance(node, ast.Attribute):
-                chain.append(node.attr)
-            node = node.value
-        chain.reverse()  # base-first: ["_stats", "joins", "count"]
-        for index, attr in enumerate(chain[:-1]):
-            if attr in stats_names:
-                for member in chain[index + 1:]:
-                    if member not in members:
-                        yield Finding(
-                            path=module.display, line=site.lineno,
-                            col=site.col_offset + 1, rule=self.code,
-                            message=(f"{member!r} is not defined on the "
-                                     f"stats classes "
-                                     f"(OverlayStats/OperationStats); a "
-                                     f"typo'd counter silently creates a "
-                                     f"new attribute"))
-                        return
-                return

@@ -6,7 +6,7 @@ systems with three different native interfaces:
 
 * :class:`~repro.core.overlay.VoroNet` routes between object ids over
   the Voronoi/long-link views;
-* :class:`~repro.baselines.kleinberg.KleinbergBaseline` routes between
+* :class:`~repro.baselines.kleinberg.KleinbergGrid` routes between
   row-major lattice ids;
 * :class:`~repro.baselines.chord.ChordRing` looks up hashed keys from a
   start node.
@@ -23,7 +23,7 @@ import abc
 from typing import List, Optional, Sequence, Tuple
 
 from repro.baselines.chord import ChordRing
-from repro.baselines.kleinberg import KleinbergBaseline
+from repro.baselines.kleinberg import KleinbergGrid
 from repro.core.config import VoroNetConfig
 from repro.core.overlay import VoroNet
 from repro.geometry.point import Point
@@ -32,8 +32,9 @@ from repro.utils.rng import RandomSource
 __all__ = ["ServeOutcome", "ServingAdapter", "VoroNetServing",
            "KleinbergServing", "ChordServing"]
 
-#: Build-capacity slack over the initial population, leaving room for the
-#: moving-object mixin to re-insert near capacity without overflowing.
+#: Build-capacity slack over the initial population, leaving room for
+#: joins interleaved with the traffic (``perf/``'s churn phases) without
+#: overflowing.
 CAPACITY_HEADROOM = 1.25
 
 
@@ -81,11 +82,12 @@ class VoroNetServing(ServingAdapter):
 
     ``track_paths`` turns on per-route path recording (needed for load
     accounting; costs one list per route).  The ``ids`` list maps
-    population index → object id and is deliberately mutable state: the
-    moving-object churn mixin updates it on id-reusing moves, and leaves
-    it stale on turnover churn — stale entries are then served as defined
-    misses by the batched ``route_many(missing="miss")`` path, which is
-    exactly the race a schedule sampled before the churn would hit.
+    population index → object id and is deliberately mutable state: a
+    driver that churns the overlay between batches (``perf/systems.py``)
+    appends to it and leaves departed entries stale — stale entries are
+    then served as defined misses by the batched
+    ``route_many(missing="miss")`` path, which is exactly the race a
+    schedule sampled before the churn would hit.
     """
 
     name = "voronet"
@@ -141,16 +143,16 @@ class KleinbergServing(ServingAdapter):
                 f"Kleinberg population must be a perfect square, got {population}")
         super().__init__(population)
         self.track_paths = track_paths
-        self.baseline = KleinbergBaseline(
+        self.grid = KleinbergGrid(
             side, exponent=exponent, long_links_per_node=long_links_per_node,
             rng=RandomSource(seed))
 
     def route_index(self, source: int, target: int) -> ServeOutcome:
-        result = self.baseline.route(source, target,
-                                     record_path=self.track_paths)
+        result = self.grid.route(source, target,
+                                 record_path=self.track_paths)
         path = None
         if result.path is not None:
-            path = tuple(self.baseline.node_id(coord) for coord in result.path)
+            path = tuple(self.grid.node_id(coord) for coord in result.path)
         return ServeOutcome(result.hops, result.success, path)
 
     def node_count(self) -> int:
@@ -174,8 +176,8 @@ class ChordServing(ServingAdapter):
         super().__init__(population)
         self.track_paths = track_paths
         self.ring = ChordRing(bits=bits)
-        self.ids: List[int] = self.ring.bulk_join(
-            [f"object-{i}" for i in range(population)])
+        self.ids: List[int] = [self.ring.join(f"object-{i}")
+                               for i in range(population)]
 
     def route_index(self, source: int, target: int) -> ServeOutcome:
         result = self.ring.lookup(self.ids[target], start=self.ids[source],

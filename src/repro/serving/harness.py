@@ -22,20 +22,18 @@ result as ``BENCH_serving.json``.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence
 
 from repro.serving.adapters import (ChordServing, KleinbergServing,
                                     ServingAdapter, VoroNetServing)
 from repro.serving.traffic import (Schedule, build_schedule,
                                    serve_closed_loop,
                                    serve_protocol_closed_loop)
-from repro.simulation.metrics import MetricsRegistry
 from repro.simulation.protocol import ProtocolSimulator
 from repro.utils.rng import RandomSource
 from repro.workloads.distributions import UniformDistribution
 from repro.workloads.generators import generate_objects
-from repro.workloads.samplers import (FlashCrowdTargets, HotspotTargets,
-                                      TargetSampler, UniformTargets,
+from repro.workloads.samplers import (TargetSampler, UniformTargets,
                                       ZipfTargets)
 
 __all__ = ["build_adapters", "make_sampler", "run_shootout",
@@ -54,13 +52,12 @@ def build_adapters(population: int, *, seed: Optional[int] = 0,
                    systems: Sequence[str] = DEFAULT_SYSTEMS,
                    track_paths: bool = True,
                    num_long_links: int = 1,
-                   ) -> Tuple[list, Dict[str, ServingAdapter]]:
+                   ) -> Dict[str, ServingAdapter]:
     """Build every requested system over one shared object population.
 
     The population size must be a perfect square when ``kleinberg`` is
     requested (its construction needs the full lattice).  Returns the
-    positions (VoroNet's attribute coordinates, also used to build
-    spatial samplers) and the adapters keyed by system name.
+    adapters keyed by system name.
     """
     positions = _positions(population, seed)
     adapters: Dict[str, ServingAdapter] = {}
@@ -78,52 +75,21 @@ def build_adapters(population: int, *, seed: Optional[int] = 0,
                                             track_paths=track_paths)
         else:
             raise ValueError(f"unknown system {system!r}")
-    return positions, adapters
+    return adapters
 
 
-def make_sampler(workload: str, population: int, positions, *,
+def make_sampler(workload: str, population: int, *,
                  seed: Optional[int] = 0,
-                 zipf_alpha: float = 0.9,
-                 hotspot_fraction: float = 0.9,
-                 hotspot_radius: float = 0.1,
-                 flash_at: float = 0.5) -> TargetSampler:
+                 zipf_alpha: float = 0.9) -> TargetSampler:
     """Instantiate a named workload's target sampler.
 
-    ``uniform`` and ``zipf`` are the shoot-out's benchmark pair;
-    ``hotspot`` (a hot spatial disk) and ``flash`` (uniform traffic that
-    stampedes onto the hotspot mid-run at fraction ``flash_at`` of the
-    stream, then disperses) exercise the spatial and time-varying skew
-    paths.
+    ``uniform`` and ``zipf`` are the shoot-out's benchmark pair.
     """
     if workload == "uniform":
         return UniformTargets(population, seed=seed)
     if workload == "zipf":
         return ZipfTargets(population, alpha=zipf_alpha, seed=seed)
-    if workload == "hotspot":
-        return HotspotTargets(positions, hot_fraction=hotspot_fraction,
-                              radius=hotspot_radius, seed=seed)
-    if workload == "flash":
-        # Thirds: calm, crowd, dispersal — the boundaries land on the
-        # stream offsets the caller's query count implies.
-        raise ValueError(
-            "flash needs a stream length; use make_flash_sampler")
     raise ValueError(f"unknown workload {workload!r}")
-
-
-def make_flash_sampler(population: int, positions, queries: int, *,
-                       seed: Optional[int] = 0,
-                       hotspot_fraction: float = 0.95,
-                       hotspot_radius: float = 0.1) -> FlashCrowdTargets:
-    """Uniform → hotspot stampede → uniform again, in thirds of the stream."""
-    third = max(1, queries // 3)
-    return FlashCrowdTargets([
-        (0, UniformTargets(population, seed=seed)),
-        (third, HotspotTargets(positions, hot_fraction=hotspot_fraction,
-                               radius=hotspot_radius, seed=None if seed is None
-                               else seed + 1)),
-        (2 * third, UniformTargets(population, seed=None if seed is None
-                                   else seed + 2)),
-    ])
 
 
 def run_shootout(population: int, queries: int, *,
@@ -138,7 +104,6 @@ def run_shootout(population: int, queries: int, *,
                  window: Optional[float] = None,
                  keep_windows: int = 0,
                  quantile_buffer: int = 4096,
-                 metrics: Optional[MetricsRegistry] = None,
                  clock: Optional[Callable[[], float]] = None) -> Dict:
     """Serve every workload's schedule through every system; one record.
 
@@ -148,7 +113,7 @@ def run_shootout(population: int, queries: int, *,
     deterministic output (tests).  ``keep_windows`` caps how many windowed
     snapshot rows each report retains in the record (0 keeps all).
     """
-    positions, adapters = build_adapters(
+    adapters = build_adapters(
         population, seed=seed, systems=systems,
         track_paths=track_paths, num_long_links=num_long_links)
     record: Dict = {
@@ -163,7 +128,7 @@ def run_shootout(population: int, queries: int, *,
     }
     for workload_index, workload in enumerate(workloads):
         sampler_seed = None if seed is None else seed + 101 * (workload_index + 1)
-        sampler = make_sampler(workload, population, positions,
+        sampler = make_sampler(workload, population,
                                seed=sampler_seed, zipf_alpha=zipf_alpha)
         schedule = build_schedule(sampler, queries,
                                   seed=None if sampler_seed is None
@@ -172,7 +137,7 @@ def run_shootout(population: int, queries: int, *,
             started = clock() if clock is not None else None
             report = serve_closed_loop(
                 adapter, schedule, workload, concurrency=concurrency,
-                hop_latency=hop_latency, window=window, metrics=metrics,
+                hop_latency=hop_latency, window=window,
                 quantile_buffer=quantile_buffer)
             if started is not None:
                 wall = max(clock() - started, 1e-9)
@@ -190,7 +155,6 @@ def run_protocol_serving(population: int, queries: int, *,
                          workload: str = "uniform",
                          zipf_alpha: float = 0.9,
                          window: Optional[float] = None,
-                         metrics: Optional[MetricsRegistry] = None,
                          record_paths: bool = False) -> Dict:
     """Closed-loop serving over the message plane: contending QUERYs.
 
@@ -206,14 +170,14 @@ def run_protocol_serving(population: int, queries: int, *,
     simulator = ProtocolSimulator(reference.config)
     ids = simulator.bulk_join(positions).object_ids
     sampler_seed = None if seed is None else seed + 101
-    sampler = make_sampler(workload, population, positions,
+    sampler = make_sampler(workload, population,
                            seed=sampler_seed, zipf_alpha=zipf_alpha)
     schedule = build_schedule(sampler, queries,
                               seed=None if sampler_seed is None
                               else sampler_seed + 1)
     return serve_protocol_closed_loop(
         simulator, ids, schedule, workload, concurrency=concurrency,
-        window=window, metrics=metrics, record_paths=record_paths)
+        window=window, record_paths=record_paths)
 
 
 def twin_parity(population: int, queries: int, *,

@@ -8,10 +8,9 @@ Two trackers complement the streaming percentile estimators:
   work; counting every node on every route path makes that measurable
   under skewed demand.
 * :class:`WindowTracker` — periodic time-windowed snapshots (queries per
-  second, mean/max hops, mean latency per window of virtual time),
-  accumulated as plottable rows and exported through a
-  :class:`~repro.simulation.metrics.MetricsRegistry` so a throughput or
-  latency trajectory can be reconstructed after the run.
+  second, mean hops, mean latency per window of virtual time),
+  accumulated as plottable rows so a throughput or latency trajectory
+  can be reconstructed after the run.
 
 :class:`~repro.simulation.scenario.AvailabilityTracker` (per-side,
 per-phase query success during a network split, plus heal→converged
@@ -25,7 +24,6 @@ from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
-from repro.simulation.metrics import MetricsRegistry
 # Re-export: the dependency only ever points this way — ``repro.simulation``
 # never imports ``repro.serving``.
 from repro.simulation.scenario import AvailabilityTracker
@@ -111,28 +109,21 @@ class WindowTracker:
 
     Observations arrive as ``(time, hops, latency)`` with non-decreasing
     ``time`` (drivers sort completions before feeding the tracker); each
-    window that fills emits one snapshot row and, when a registry is
-    attached, one sample per ``<prefix>.window_*`` histogram — so the
-    registry's existing summary machinery (count/mean/p50/p95/max) works
-    across windows, while the rows keep the full trajectory.  Windows
-    that pass without traffic emit explicit zero-qps rows: a stall is a
-    data point, not a gap in the plot.
+    window that fills emits one snapshot row.  Windows that pass without
+    traffic emit explicit zero-qps rows: a stall is a data point, not a
+    gap in the plot.
 
     Call :meth:`finish` after the last observation to flush the final
     partial window.
     """
 
-    __slots__ = ("window", "metrics", "prefix", "snapshots",
+    __slots__ = ("window", "snapshots",
                  "_start", "_hops", "_latency", "_queries")
 
-    def __init__(self, window: float = 50.0,
-                 metrics: Optional[MetricsRegistry] = None,
-                 prefix: str = "serving") -> None:
+    def __init__(self, window: float = 50.0) -> None:
         if window <= 0:
             raise ValueError(f"window must be positive, got {window}")
         self.window = float(window)
-        self.metrics = metrics
-        self.prefix = prefix
         self.snapshots: List[Dict[str, float]] = []
         self._start: Optional[float] = None
         self._hops = 0.0
@@ -165,12 +156,6 @@ class WindowTracker:
             "mean_latency": self._latency / queries if queries else 0.0,
         }
         self.snapshots.append(row)
-        if self.metrics is not None:
-            self.metrics.observe(f"{self.prefix}.window_qps", row["qps"])
-            self.metrics.observe(f"{self.prefix}.window_mean_hops",
-                                 row["mean_hops"])
-            self.metrics.observe(f"{self.prefix}.window_mean_latency",
-                                 row["mean_latency"])
         self._start += self.window
         self._hops = 0.0
         self._latency = 0.0

@@ -1,23 +1,15 @@
 """Traffic drivers: sustained query streams against a serving adapter.
 
-Two loop disciplines, the standard pair from serving-system measurement:
+The loop discipline is closed (:func:`serve_closed_loop`): a fixed number
+of workers each keep exactly one query outstanding; a worker issues its
+next query the moment the previous answer returns.  Throughput is then
+*emergent* from route lengths: longer routes, fewer queries per unit of
+virtual time.
 
-* **Open loop** (:func:`serve_open_loop`) — queries arrive on a seeded
-  Poisson process at a fixed offered rate, regardless of how the system
-  keeps up.  Hop-latency per query is independent of the others (the
-  overlay forwards concurrently), so the driver routes in batches for
-  throughput and reconstructs per-query completion times analytically.
-* **Closed loop** (:func:`serve_closed_loop`) — a fixed number of
-  workers each keep exactly one query outstanding; a worker issues its
-  next query the moment the previous answer returns.  Throughput is then
-  *emergent* from route lengths: longer routes, fewer queries per unit
-  of virtual time.
-
-Both drivers serve index pairs from a :class:`Schedule` through an
+The driver serves index pairs from a :class:`Schedule` through an
 adapter's batched entry point (``route_many(missing="miss")`` for
-VoroNet — a departed endpoint is a defined miss, not a crash), can
-interleave moving-object churn with the traffic, and feed the
-observability layer (streaming hop/latency percentiles, per-node load
+VoroNet — a departed endpoint is a defined miss, not a crash) and feeds
+the observability layer (streaming hop/latency percentiles, per-node load
 counters, windowed throughput snapshots).
 
 :func:`serve_protocol_closed_loop` is the message-level twin of the
@@ -35,19 +27,20 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.serving.adapters import ServingAdapter, VoroNetServing
+from repro.serving.adapters import ServingAdapter
 from repro.serving.estimators import StreamingPercentiles
 from repro.serving.observability import LoadTracker, WindowTracker
-from repro.simulation.metrics import MetricsRegistry
 from repro.simulation.protocol import ProtocolSimulator
 from repro.utils.rng import RandomSource
-from repro.workloads.samplers import MovingObjects, TargetSampler
+from repro.workloads.samplers import TargetSampler
 
-__all__ = ["Schedule", "build_schedule", "serve_open_loop",
-           "serve_closed_loop", "serve_protocol_closed_loop"]
+__all__ = ["Schedule", "build_schedule", "serve_closed_loop",
+           "serve_protocol_closed_loop"]
 
 #: Quantiles every serving report tracks.
 SERVING_QUANTILES = (0.5, 0.9, 0.99)
+#: Index pairs handed to an adapter's batched entry point at a time.
+BATCH_SIZE = 2048
 
 
 class Schedule:
@@ -96,15 +89,14 @@ class _Aggregator:
                  "misses", "hop_sum", "hop_max", "served")
 
     def __init__(self, node_count: int, window: Optional[float],
-                 metrics: Optional[MetricsRegistry], prefix: str,
                  quantile_buffer: int) -> None:
         self.hops = StreamingPercentiles(SERVING_QUANTILES,
                                          buffer_size=quantile_buffer)
         self.latency = StreamingPercentiles(SERVING_QUANTILES,
                                             buffer_size=quantile_buffer)
         self.load = LoadTracker(population=node_count)
-        self.windows = (WindowTracker(window, metrics=metrics, prefix=prefix)
-                        if window is not None else None)
+        self.windows = (WindowTracker(window) if window is not None
+                        else None)
         self.completions: List[Tuple[float, int, float]] = []
         self.misses = 0
         self.hop_sum = 0
@@ -157,94 +149,14 @@ class _Aggregator:
         }
 
 
-def _batches(schedule: Schedule,
-             batch_size: int) -> List[Tuple[int, List[Tuple[int, int]]]]:
-    pairs = schedule.pairs()
-    return [(start, pairs[start:start + batch_size])
-            for start in range(0, len(pairs), batch_size)]
-
-
-def _apply_churn(adapter: ServingAdapter, churn: Optional[MovingObjects],
-                 moves: int) -> None:
-    """Replay ``moves`` position updates between two traffic batches."""
-    if churn is None or moves <= 0:
-        return
-    if not isinstance(adapter, VoroNetServing):
-        raise TypeError(
-            "moving-object churn requires the VoroNet adapter, got "
-            f"{type(adapter).__name__}")
-    overlay = adapter.overlay
-    for _ in range(moves):
-        old_id, new_id = churn.apply(overlay)
-        if old_id != new_id:
-            # Turnover churn: the published replacement gets a fresh id.
-            # The index map keeps the departed id on purpose — queries
-            # already scheduled against it must surface as defined misses.
-            continue
-
-
 # ----------------------------------------------------------------------
-# oracle-mode drivers
+# oracle-mode driver
 # ----------------------------------------------------------------------
-def serve_open_loop(adapter: ServingAdapter, schedule: Schedule,
-                    workload: str, *,
-                    arrival_rate: float,
-                    hop_latency: float = 1.0,
-                    seed: Optional[int] = 0,
-                    batch_size: int = 2048,
-                    window: Optional[float] = None,
-                    metrics: Optional[MetricsRegistry] = None,
-                    churn: Optional[MovingObjects] = None,
-                    churn_every: int = 0,
-                    quantile_buffer: int = 4096) -> Dict:
-    """Open-loop traffic: Poisson arrivals at a fixed offered rate.
-
-    Each query's virtual completion is ``arrival + hops · hop_latency``
-    (hops forward concurrently across queries; nothing queues in oracle
-    mode).  The report's ``virtual_duration`` is the makespan from first
-    arrival to last completion, so ``throughput_qps`` approaches the
-    offered rate whenever the overlay keeps hop counts bounded.
-    """
-    if arrival_rate <= 0:
-        raise ValueError(f"arrival_rate must be positive, got {arrival_rate}")
-    if hop_latency <= 0:
-        raise ValueError(f"hop_latency must be positive, got {hop_latency}")
-    count = len(schedule)
-    rng = RandomSource(seed)
-    arrivals = np.cumsum(rng.generator.exponential(1.0 / arrival_rate,
-                                                   size=count))
-    aggregate = _Aggregator(adapter.node_count(), window, metrics,
-                            f"serving.{adapter.name}.{workload}",
-                            quantile_buffer)
-    makespan_end = arrivals[0] if count else 0.0
-    since_churn = 0
-    for start, batch in _batches(schedule, batch_size):
-        outcomes = adapter.route_batch(batch)
-        for offset, outcome in enumerate(outcomes):
-            arrival = float(arrivals[start + offset])
-            latency = outcome.hops * hop_latency
-            completion = arrival + latency
-            if completion > makespan_end:
-                makespan_end = completion
-            aggregate.add(outcome.hops, outcome.success, outcome.path,
-                          arrival, latency)
-        if churn is not None and churn_every > 0:
-            since_churn += len(batch)
-            moves, since_churn = divmod(since_churn, churn_every)
-            _apply_churn(adapter, churn, moves)
-    duration = float(makespan_end - arrivals[0]) if count else 0.0
-    return aggregate.report(adapter.name, workload, "open", duration)
-
-
 def serve_closed_loop(adapter: ServingAdapter, schedule: Schedule,
                       workload: str, *,
                       concurrency: int,
                       hop_latency: float = 1.0,
-                      batch_size: int = 2048,
                       window: Optional[float] = None,
-                      metrics: Optional[MetricsRegistry] = None,
-                      churn: Optional[MovingObjects] = None,
-                      churn_every: int = 0,
                       quantile_buffer: int = 4096) -> Dict:
     """Closed-loop traffic: ``concurrency`` workers, one query in flight each.
 
@@ -258,18 +170,15 @@ def serve_closed_loop(adapter: ServingAdapter, schedule: Schedule,
         raise ValueError(f"concurrency must be >= 1, got {concurrency}")
     if hop_latency <= 0:
         raise ValueError(f"hop_latency must be positive, got {hop_latency}")
-    aggregate = _Aggregator(adapter.node_count(), window, metrics,
-                            f"serving.{adapter.name}.{workload}",
-                            quantile_buffer)
+    aggregate = _Aggregator(adapter.node_count(), window, quantile_buffer)
     # (virtual clock, worker id): heap order is deterministic because the
     # worker id breaks clock ties.
     workers = [(0.0, w) for w in range(concurrency)]
     heapq.heapify(workers)
     makespan = 0.0
-    since_churn = 0
-    for _start, batch in _batches(schedule, batch_size):
-        outcomes = adapter.route_batch(batch)
-        for outcome in outcomes:
+    pairs = schedule.pairs()
+    for start in range(0, len(pairs), BATCH_SIZE):
+        for outcome in adapter.route_batch(pairs[start:start + BATCH_SIZE]):
             clock, worker = heapq.heappop(workers)
             latency = outcome.hops * hop_latency
             completion = clock + latency
@@ -278,10 +187,6 @@ def serve_closed_loop(adapter: ServingAdapter, schedule: Schedule,
                 makespan = completion
             aggregate.add(outcome.hops, outcome.success, outcome.path,
                           completion, latency)
-        if churn is not None and churn_every > 0:
-            since_churn += len(batch)
-            moves, since_churn = divmod(since_churn, churn_every)
-            _apply_churn(adapter, churn, moves)
     return aggregate.report(adapter.name, workload, "closed", makespan)
 
 
@@ -294,7 +199,6 @@ def serve_protocol_closed_loop(simulator: ProtocolSimulator,
                                workload: str = "uniform", *,
                                concurrency: int = 4,
                                window: Optional[float] = None,
-                               metrics: Optional[MetricsRegistry] = None,
                                record_paths: bool = False,
                                quantile_buffer: int = 4096) -> Dict:
     """Closed-loop serving over genuinely contending ``QUERY`` messages.
@@ -311,8 +215,7 @@ def serve_protocol_closed_loop(simulator: ProtocolSimulator,
         raise ValueError(f"concurrency must be >= 1, got {concurrency}")
     count = len(schedule)
     total_nodes = len(simulator.nodes)
-    aggregate = _Aggregator(total_nodes, window, metrics,
-                            f"serving.protocol.{workload}", quantile_buffer)
+    aggregate = _Aggregator(total_nodes, window, quantile_buffer)
     # Targets resolve to positions up front (the protocol queries points).
     targets = [simulator.nodes[id_map[t]].position
                for t in schedule.targets.tolist()]

@@ -28,8 +28,8 @@ oracle handles:
   probes for paper-faithful per-operation costs.
 * **Per-node routing cache** — each ``ProtocolNode`` serves greedy
   forwarding from a flat candidate block cached against its local view
-  epoch, the protocol-mode analogue of the oracle's epoch-cached routing
-  tables; the block always equals the node's freshly assembled
+  epoch, the protocol-mode analogue of the oracle's routing-table cache;
+  the block always equals the node's freshly assembled
   ``routing_candidates()``.
 
 Fault injection and self-healing

@@ -5,8 +5,8 @@ the substrate forgets them, but the Section 3.3 leave protocol does not run
 — and reports how much state (dangling long links, stale close neighbours,
 dangling back registrations) the survivors are left with.  The paper gives
 no crash-repair protocol; quantifying the damage is how we exercise the
-limitation it acknowledges.  (Seeded streams mixing graceful churn with
-crashes come from :mod:`repro.workloads.churn`.)
+limitation it acknowledges.  (``examples/churn_simulation.py`` mixes
+graceful churn with crashes in one seeded stream.)
 
 The message-level counterpart — fault plane, heartbeat detection, repair
 protocol — lives in :mod:`repro.simulation.faults`.  Both modes and the
@@ -168,9 +168,8 @@ class CrashInjector:  # simlint: ignore[SIM003] — one per experiment, not per 
                 if link.neighbor in crashed:
                     new_owner = overlay.owner_of(link.target)
                     node.retarget_long_link(index, new_owner)
-                    if overlay.config.maintain_back_links:
-                        overlay.node(new_owner).add_back_link(object_id, index,
-                                                              link.target)
+                    overlay.node(new_owner).add_back_link(object_id, index,
+                                                          link.target)
                     touched = True
                     fixed += 1
             stale = {c for c in node.close_neighbors if c in crashed}

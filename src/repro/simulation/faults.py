@@ -318,9 +318,6 @@ class FaultPlane:
         """Mark a node crashed: every message to or from it is dropped."""
         self._crashed.add(object_id)
 
-    def is_crashed(self, object_id: int) -> bool:
-        return object_id in self._crashed
-
     @property
     def crashed(self) -> frozenset:
         """Ids currently marked crashed."""

@@ -177,10 +177,6 @@ class PartitionRuntime:  # simlint: ignore[SIM003] — one per experiment, not p
         """Current membership of one side (split-era joiners included)."""
         return set(self._sides[index].members)
 
-    def side_inserted(self, index: int) -> List[int]:
-        """Object ids published on ``index`` while the split was open."""
-        return list(self._sides[index].inserted)
-
     @contextmanager
     def side(self, index: int) -> Iterator[_SideState]:
         """Swap the simulator's kernel/locate for one side's fork.

@@ -1,61 +1,34 @@
 """Metric collection for simulations.
 
-A small registry of named counters and histograms, shared by the protocol
-simulator and churn experiments.  Values are plain Python numbers so the
-registry can be serialised (e.g. into benchmark JSON) without ceremony.
+A small registry of named counters, owned by the protocol simulator
+(operation retries and timeouts, kernel rebuilds, crashes, ...).  Values
+are plain Python numbers so the registry can be serialised (e.g. into
+benchmark JSON) without ceremony.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List
-
-import numpy as np
+from typing import Dict
 
 __all__ = ["MetricsRegistry"]
 
 
-@dataclass
-class _Histogram:
-    values: List[float] = field(default_factory=list)
-
-    def add(self, value: float) -> None:
-        self.values.append(float(value))
-
-    def summary(self) -> Dict[str, float]:
-        if not self.values:
-            return {"count": 0, "mean": 0.0, "p50": 0.0, "p95": 0.0, "max": 0.0}
-        array = np.asarray(self.values)
-        return {
-            "count": int(array.size),
-            "mean": float(array.mean()),
-            "p50": float(np.median(array)),
-            "p95": float(np.percentile(array, 95)),
-            "max": float(array.max()),
-        }
-
-
 class MetricsRegistry:
-    """Named counters and histograms.
+    """Named counters.
 
     Examples
     --------
     >>> metrics = MetricsRegistry()
     >>> metrics.increment("joins")
-    >>> metrics.observe("join_messages", 12)
     >>> metrics.counter("joins")
-    1
+    1.0
     """
 
-    __slots__ = ("_counters", "_histograms")
+    __slots__ = ("_counters",)
 
     def __init__(self) -> None:
         self._counters: Dict[str, float] = {}
-        self._histograms: Dict[str, _Histogram] = {}
 
-    # ------------------------------------------------------------------
-    # counters
-    # ------------------------------------------------------------------
     def increment(self, name: str, amount: float = 1.0) -> None:
         """Add ``amount`` to the named counter (creating it at zero)."""
         self._counters[name] = self._counters.get(name, 0.0) + amount
@@ -67,54 +40,3 @@ class MetricsRegistry:
     def counters(self) -> Dict[str, float]:
         """Copy of every counter."""
         return dict(self._counters)
-
-    # ------------------------------------------------------------------
-    # histograms
-    # ------------------------------------------------------------------
-    def observe(self, name: str, value: float) -> None:
-        """Record one observation into the named histogram."""
-        self._histograms.setdefault(name, _Histogram()).add(value)
-
-    def observe_many(self, name: str, values: Iterable[float]) -> None:
-        """Record a batch of observations into the named histogram."""
-        histogram = self._histograms.setdefault(name, _Histogram())
-        for value in values:
-            histogram.add(value)
-
-    def histogram_values(self, name: str) -> List[float]:
-        """Raw observations of a histogram (empty when unknown)."""
-        histogram = self._histograms.get(name)
-        return list(histogram.values) if histogram else []
-
-    def histogram_summary(self, name: str) -> Dict[str, float]:
-        """Count/mean/median/p95/max of the named histogram."""
-        histogram = self._histograms.get(name)
-        return histogram.summary() if histogram else _Histogram().summary()
-
-    # ------------------------------------------------------------------
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold ``other``'s counters and observations into this registry.
-
-        Sweep aggregation: each fuzz schedule runs against a fresh
-        simulator (and therefore a fresh registry); the sweep driver
-        merges them so retry/timeout totals can be reported across the
-        whole campaign.  Counters add; histogram observations concatenate.
-        """
-        for name, value in other._counters.items():
-            self.increment(name, value)
-        for name, histogram in other._histograms.items():
-            self.observe_many(name, histogram.values)
-
-    # ------------------------------------------------------------------
-    def as_dict(self) -> Dict[str, Dict]:
-        """Serialise the whole registry (counters + histogram summaries)."""
-        return {
-            "counters": self.counters(),
-            "histograms": {name: hist.summary()
-                           for name, hist in self._histograms.items()},
-        }
-
-    def reset(self) -> None:
-        """Clear every counter and histogram."""
-        self._counters.clear()
-        self._histograms.clear()

@@ -270,10 +270,6 @@ class Network:
                 if voided.sender != voided.recipient:
                     self.messages_dropped += 1
 
-    def is_registered(self, node_id: int) -> bool:
-        """Whether the node currently has a handler."""
-        return node_id in self._handlers
-
     def registered_ids(self) -> AbstractSet[int]:
         """Ids of every node that currently has a handler (a live view)."""
         return self._handlers.keys()
@@ -383,17 +379,3 @@ class Network:
         }
         counters.update({f"kind:{k}": v for k, v in self.sent_by_kind.items()})
         return counters
-
-    def counters_since(self, before: Dict[str, int]) -> Dict[str, int]:
-        """Counter deltas relative to an earlier :meth:`snapshot_counters`.
-
-        Zero-delta entries are dropped, so the result reads as "what this
-        operation cost": phase accounting in ``bulk_join`` benchmarks and
-        maintenance experiments diff snapshots through this helper.
-        """
-        deltas = {}
-        for key, value in self.snapshot_counters().items():
-            delta = value - before.get(key, 0)
-            if delta:
-                deltas[key] = delta
-        return deltas

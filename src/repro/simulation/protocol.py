@@ -41,9 +41,11 @@ Per-node routing cache
 Greedy forwarding reads each node's candidates from a lazily built flat
 ``(id, x, y)`` block cached against the node's :attr:`ProtocolNode.view_epoch`,
 which every view-mutating message handler bumps — the protocol-mode
-analogue of the oracle's epoch-cached routing tables.  The block always
-equals the freshly assembled :meth:`ProtocolNode.routing_candidates`,
-which is what the parity tests compare it against.  The heartbeat
+analogue of the oracle's routing-table cache (there a mutation drops
+exactly the tables it names; here it moves one node's epoch).  The block
+always equals the freshly assembled
+:meth:`ProtocolNode.routing_candidates`, which is what the parity tests
+compare it against.  The heartbeat
 detector's per-node probe plan (:meth:`ProtocolNode.probe_plan`) is cached
 against the same epoch, and :meth:`ProtocolSimulator.verify_views` compares
 every cached plan with its fresh derivation.
@@ -130,8 +132,7 @@ class BulkJoinReport:
     ``phase_messages`` breaks the total down by protocol phase
     (``carve`` / ``views`` / ``handover`` / ``close`` / ``long_links``);
     the same counts are recorded in the simulator's trace as
-    ``bulk_join_phase`` records and aggregated into the
-    ``bulk_join_messages`` histogram.
+    ``bulk_join_phase`` records.
 
     ``timed_out`` lists batch members that never made it into the overlay
     (they crashed mid-batch, or their carve could not be re-driven within
@@ -684,7 +685,6 @@ class ProtocolNode:
         link.neighbor = payload["neighbor"]
         link.neighbor_position = payload["neighbor_position"]
         self.touch_view()
-        self.simulator.metrics.observe("long_link_hops", payload["hops"])
         self.pending_link_indices.discard(index)
         self.simulator.operation_progress(("long_links", self.object_id))
         if not self.pending_link_indices:
@@ -1259,8 +1259,6 @@ class ProtocolSimulator:  # simlint: ignore[SIM003] — one per experiment, not 
         self.engine.run()
         self.metrics.increment("joins")
         messages = self.network.messages_sent - before
-        self.metrics.observe("join_messages", messages)
-        self.metrics.observe("join_routing_hops", self._last_routing_hops)
         outcome = self._join_outcomes.pop(object_id, "completed")
         return JoinReport(object_id=object_id,
                           routing_hops=self._last_routing_hops,
@@ -1509,10 +1507,6 @@ class ProtocolSimulator:  # simlint: ignore[SIM003] — one per experiment, not 
         # could race each other under interleaved insertions), so settle
         # every pre-existing registration once against the final
         # tessellation — the batched equivalent of the per-join steal.
-        # Not gated on maintain_back_links: the message-level handlers
-        # register and steal back links unconditionally (the ablation flag
-        # is honoured by the oracle overlay only), so a populated overlay
-        # always has registrations to settle.
         if had_existing:
             snapshot = self.network.messages_sent
             for holder_id, holder in list(self.nodes.items()):
@@ -1612,10 +1606,6 @@ class ProtocolSimulator:  # simlint: ignore[SIM003] — one per experiment, not 
 
         self.metrics.increment("joins", len(ids))
         messages = self.network.messages_sent - before_all
-        self.metrics.observe("bulk_join_messages", messages)
-        self.metrics.observe_many(
-            "view_size", [self.nodes[oid].view_size() for oid in ids
-                          if oid in self.nodes])
         for phase, count in phase_messages.items():
             self.trace.record(self.engine.now, "bulk_join_phase",
                               phase=phase, messages=count, objects=len(ids))
@@ -1668,7 +1658,6 @@ class ProtocolSimulator:  # simlint: ignore[SIM003] — one per experiment, not 
             # the carve phase only places the region and remembers who
             # carved it (the sender of the eventual CREATE_OBJECT).
             self._bulk_owners[new_id] = owner.object_id
-            self.metrics.observe("bulk_join_routing_hops", routing_hops)
             return
         affected = set(self.kernel.neighbors(new_id))
         if len(self.kernel) <= 8 or not self.kernel.has_triangulation:
@@ -1759,7 +1748,6 @@ class ProtocolSimulator:  # simlint: ignore[SIM003] — one per experiment, not 
         self.detach_node(object_id)
         self.metrics.increment("leaves")
         messages = self.network.messages_sent - before
-        self.metrics.observe("leave_messages", messages)
         return LeaveReport(object_id=object_id, messages=messages,
                            virtual_time=self.engine.now, outcome=outcome)
 
@@ -1783,7 +1771,6 @@ class ProtocolSimulator:  # simlint: ignore[SIM003] — one per experiment, not 
         messages = self.network.messages_sent - before
         answer = self._last_query_answer or {"owner": start, "hops": 0}
         self.metrics.increment("queries")
-        self.metrics.observe("query_hops", answer["hops"])
         return QueryReport(target=target, owner=answer["owner"],
                            routing_hops=answer["hops"], messages=messages)
 

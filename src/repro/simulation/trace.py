@@ -87,18 +87,6 @@ class TraceRecorder:
             counts[record.kind] = counts.get(record.kind, 0) + 1
         return counts
 
-    def operation_summary(self) -> Dict[str, int]:
-        """Counts of the operation-hardening kinds, zero-filled.
-
-        ``operation_timeout`` (a watchdog expired), ``operation_failed``
-        (its retries exhausted) and ``crash`` — the three kinds a fuzz
-        schedule's post-mortem always wants together, present even when
-        zero so failure reports diff cleanly across schedules.
-        """
-        counts = self.counts_by_kind()
-        return {kind: counts.get(kind, 0)
-                for kind in ("operation_timeout", "operation_failed", "crash")}
-
     def last(self, kind: str) -> Optional[TraceRecord]:
         """The most recent record of the given kind, or ``None``."""
         for record in reversed(self._records):

@@ -1,7 +1,7 @@
 """Seeded random-number management.
 
 Every stochastic component of the reproduction (workload generators, the
-Choose-LRT long-link sampler, churn traces, routing-pair selection) draws
+Choose-LRT long-link sampler, churn streams, routing-pair selection) draws
 from a :class:`RandomSource` so that experiments are reproducible end to
 end from a single integer seed.  Internally this wraps
 :class:`numpy.random.Generator`, which is the vectorisation-friendly RNG
@@ -80,10 +80,6 @@ class RandomSource:
     def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
         """Draw a single float uniformly from ``[low, high)``."""
         return float(self._generator.uniform(low, high))
-
-    def uniform_array(self, low: float, high: float, size: int) -> np.ndarray:
-        """Draw ``size`` floats uniformly from ``[low, high)`` as an array."""
-        return self._generator.uniform(low, high, size=size)
 
     def integer(self, low: int, high: int) -> int:
         """Draw a single integer uniformly from ``[low, high)``."""

@@ -1,12 +1,12 @@
-"""Workload generation: object placements, query mixes and churn traces.
+"""Workload generation: object placements, routing pairs and query targets.
 
 The paper's evaluation populates the unit square with 300 000 objects drawn
 from a uniform distribution and from power-law ("sparse") distributions of
 increasing skew (α = 1, 2, 5), then measures routing between random object
 pairs.  This package generates those placements plus the richer workloads
 used by the examples and ablation benchmarks, and — for the serving layer
-— the skewed *query-target* samplers of :mod:`repro.workloads.samplers`
-(Zipf popularity, spatial hotspots, flash crowds, moving-object churn).
+— the *query-target* samplers of :mod:`repro.workloads.samplers`
+(uniform and Zipf popularity).
 """
 
 from repro.workloads.distributions import (
@@ -19,17 +19,11 @@ from repro.workloads.distributions import (
     paper_distributions,
 )
 from repro.workloads.generators import (
-    QueryWorkload,
     RoutingPairs,
     generate_objects,
-    generate_query_workload,
     generate_routing_pairs,
 )
-from repro.workloads.churn import ChurnEvent, ChurnTrace, generate_churn_trace
 from repro.workloads.samplers import (
-    FlashCrowdTargets,
-    HotspotTargets,
-    MovingObjects,
     TargetSampler,
     UniformTargets,
     ZipfTargets,
@@ -45,16 +39,8 @@ __all__ = [
     "paper_distributions",
     "generate_objects",
     "generate_routing_pairs",
-    "generate_query_workload",
     "RoutingPairs",
-    "QueryWorkload",
-    "ChurnEvent",
-    "ChurnTrace",
-    "generate_churn_trace",
     "TargetSampler",
     "UniformTargets",
     "ZipfTargets",
-    "HotspotTargets",
-    "FlashCrowdTargets",
-    "MovingObjects",
 ]

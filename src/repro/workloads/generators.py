@@ -1,4 +1,4 @@
-"""Workload generators: object streams, routing pairs and query mixes."""
+"""Workload generators: object streams and routing pairs."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.geometry.bounding import BoundingBox
 from repro.geometry.point import Point
 from repro.utils.rng import RandomSource
 from repro.workloads.distributions import ObjectDistribution
@@ -16,9 +15,7 @@ __all__ = [
     "generate_objects",
     "generate_position_array",
     "generate_routing_pairs",
-    "generate_query_workload",
     "RoutingPairs",
-    "QueryWorkload",
 ]
 
 
@@ -90,73 +87,3 @@ def generate_routing_pairs(object_ids: Sequence[int], count: int,
         (int(ids[s]), int(ids[d])) for s, d in zip(sources, destinations)
     )
     return RoutingPairs(pairs=pairs)
-
-
-@dataclass(frozen=True)
-class QueryWorkload:
-    """A mixed batch of spatial queries.
-
-    Attributes
-    ----------
-    point_queries:
-        Target points for exact-match lookups.
-    range_queries:
-        Axis-aligned boxes for rectangular range queries.
-    radius_queries:
-        ``(center, radius)`` pairs for disk queries.
-    segment_queries:
-        ``(a, b)`` endpoints for one-attribute range (segment) queries.
-    """
-
-    point_queries: Tuple[Point, ...] = ()
-    range_queries: Tuple[BoundingBox, ...] = ()
-    radius_queries: Tuple[Tuple[Point, float], ...] = ()
-    segment_queries: Tuple[Tuple[Point, Point], ...] = ()
-
-    @property
-    def total(self) -> int:
-        return (len(self.point_queries) + len(self.range_queries)
-                + len(self.radius_queries) + len(self.segment_queries))
-
-
-def generate_query_workload(rng: RandomSource, *,
-                            num_point: int = 0,
-                            num_range: int = 0,
-                            num_radius: int = 0,
-                            num_segment: int = 0,
-                            range_extent: float = 0.1,
-                            radius: float = 0.05) -> QueryWorkload:
-    """Generate a mixed query workload over the unit square.
-
-    Parameters
-    ----------
-    range_extent:
-        Side length of generated range-query rectangles.
-    radius:
-        Radius of generated disk queries.
-    """
-    generator = rng.generator
-
-    def random_point() -> Point:
-        xy = generator.random(2)
-        return (float(xy[0]), float(xy[1]))
-
-    points = tuple(random_point() for _ in range(num_point))
-    ranges = []
-    for _ in range(num_range):
-        x0 = float(generator.uniform(0.0, 1.0 - range_extent))
-        y0 = float(generator.uniform(0.0, 1.0 - range_extent))
-        ranges.append(BoundingBox(x0, y0, x0 + range_extent, y0 + range_extent))
-    radii = tuple((random_point(), radius) for _ in range(num_radius))
-    segments = []
-    for _ in range(num_segment):
-        y = float(generator.uniform(0.05, 0.95))
-        x0 = float(generator.uniform(0.0, 0.7))
-        x1 = min(1.0, x0 + float(generator.uniform(0.1, 0.3)))
-        segments.append(((x0, y), (x1, y)))
-    return QueryWorkload(
-        point_queries=points,
-        range_queries=tuple(ranges),
-        radius_queries=radii,
-        segment_queries=tuple(segments),
-    )

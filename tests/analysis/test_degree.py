@@ -22,11 +22,6 @@ class TestDegreeSummary:
     def test_std_of_constant_histogram_is_zero(self):
         assert degree_summary({6: 100}).std == 0.0
 
-    def test_fraction_at(self):
-        summary = degree_summary({5: 25, 6: 75})
-        assert summary.fraction_at(6) == pytest.approx(0.75)
-        assert summary.fraction_at(9) == 0.0
-
     def test_fraction_between(self):
         summary = degree_summary({4: 10, 5: 20, 6: 30, 7: 40})
         assert summary.fraction_between(5, 6) == pytest.approx(0.5)

@@ -58,14 +58,6 @@ class TestSweep:
         points = sweep_overlay_sizes(positions, [100, 800], rng, num_pairs=120)
         assert points[-1].mean_hops > points[0].mean_hops
 
-    def test_progress_callback(self):
-        rng = RandomSource(6)
-        positions = generate_objects(UniformDistribution(), 120, rng)
-        seen = []
-        sweep_overlay_sizes(positions, [60, 120], rng, num_pairs=20,
-                            progress=seen.append)
-        assert seen == [60, 120]
-
 
 class TestRegression:
     def test_perfect_quadratic_polylog(self):
@@ -81,13 +73,6 @@ class TestRegression:
         fit = fit_polylog_exponent(sizes, hops)
         assert fit.slope == pytest.approx(1.0, abs=1e-9)
 
-    def test_predict_hops_round_trip(self):
-        sizes = [1000, 10_000, 100_000]
-        hops = [0.7 * math.log(n) ** 2 for n in sizes]
-        fit = fit_polylog_exponent(sizes, hops)
-        assert fit.predict_hops(50_000) == pytest.approx(
-            0.7 * math.log(50_000) ** 2, rel=1e-6)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             fit_polylog_exponent([10], [3.0])
@@ -99,8 +84,3 @@ class TestRegression:
             fit_polylog_exponent([10, 20], [0.0, 2.0])  # non-positive hops
         with pytest.raises(ValueError):
             fit_polylog_exponent([10, 100], [3.0, -1.0])
-
-    def test_predict_requires_reasonable_size(self):
-        fit = fit_polylog_exponent([100, 1000], [10.0, 20.0])
-        with pytest.raises(ValueError):
-            fit.predict_hops(2)

@@ -1,9 +1,8 @@
-"""Unit tests for ASCII plotting helpers and summary statistics."""
+"""Unit tests for ASCII plotting helpers."""
 
 import pytest
 
 from repro.analysis.plots import ascii_histogram, ascii_series, format_table
-from repro.analysis.statistics import relative_change, summarize
 
 
 class TestAsciiHistogram:
@@ -55,25 +54,3 @@ class TestFormatTable:
     def test_empty_rows(self):
         table = format_table(["x"], [])
         assert len(table.splitlines()) == 2
-
-
-class TestSummaries:
-    def test_summarize_empty(self):
-        assert summarize([]).count == 0
-
-    def test_summarize_basic(self):
-        summary = summarize([1, 2, 3, 4, 5])
-        assert summary.count == 5
-        assert summary.mean == pytest.approx(3.0)
-        assert summary.median == 3.0
-        assert summary.minimum == 1.0
-        assert summary.maximum == 5.0
-
-    def test_summary_as_dict(self):
-        keys = set(summarize([1.0]).as_dict())
-        assert {"count", "mean", "std", "min", "median", "max"} <= keys
-
-    def test_relative_change(self):
-        assert relative_change(10, 15) == pytest.approx(0.5)
-        assert relative_change(0, 15) == 0.0
-        assert relative_change(10, 5) == pytest.approx(-0.5)

@@ -1,6 +1,7 @@
 """Unit tests for the Chord DHT baseline."""
 
 import math
+from unittest import mock
 
 import pytest
 
@@ -36,6 +37,22 @@ class TestMembership:
     def test_invalid_bits(self):
         with pytest.raises(ValueError):
             ChordRing(bits=2)
+
+    def test_fingers_are_rebuilt_by_the_first_lookup_after_a_change(self):
+        """Finger tables are derived state: building a ring costs one
+        rebuild, not one per arrival."""
+        ring = ChordRing(bits=24)
+        with mock.patch.object(ChordRing, "_rebuild_fingers", autospec=True,
+                               side_effect=ChordRing._rebuild_fingers) as rebuild:
+            for i in range(64):
+                ring.join(f"node-{i}")
+            assert rebuild.call_count == 0
+            ring.lookup(12345)
+            ring.lookup(999)
+            assert rebuild.call_count == 1
+            ring.leave(ring.node_ids()[0])
+            ring.lookup(12345)
+            assert rebuild.call_count == 2
 
 
 class TestLookups:

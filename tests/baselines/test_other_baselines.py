@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.delaunay_only import DelaunayOnlyOverlay
-from repro.baselines.kleinberg import KleinbergBaseline
+from repro.baselines.kleinberg import KleinbergGrid
 from repro.baselines.random_graph import RandomGraphOverlay
 from repro.utils.rng import RandomSource
 
@@ -52,18 +52,18 @@ class TestDelaunayOnly:
 
 class TestKleinbergBaseline:
     def test_size_and_positions(self):
-        baseline = KleinbergBaseline(8, rng=RandomSource(1))
-        assert len(baseline) == 64
+        baseline = KleinbergGrid(8, rng=RandomSource(1))
+        assert baseline.size == 64
         x, y = baseline.position_of(0)
         assert 0 < x < 1 and 0 < y < 1
 
     def test_route_between_objects(self):
-        baseline = KleinbergBaseline(10, rng=RandomSource(2))
+        baseline = KleinbergGrid(10, rng=RandomSource(2))
         result = baseline.route(0, 99)
         assert result.success
 
     def test_mean_route_length(self):
-        baseline = KleinbergBaseline(10, rng=RandomSource(3))
+        baseline = KleinbergGrid(10, rng=RandomSource(3))
         assert baseline.mean_route_length(50, RandomSource(3)) > 0
 
 

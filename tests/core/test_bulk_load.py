@@ -9,11 +9,11 @@ descent everywhere.
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from repro.core import VoroNet, VoroNetConfig
 from repro.core.errors import DuplicateObjectError, OverlayFullError
 from repro.core.neighbors import brute_force_close_neighbors
-from repro.geometry.kdtree import KDTree
 from repro.geometry.scipy_backend import adjacency_of, compare_with_scipy
 from repro.utils.rng import RandomSource
 from repro.workloads.distributions import PowerLawDistribution, UniformDistribution
@@ -181,12 +181,12 @@ class TestHintedPointLocation:
 
     def test_owner_of_matches_unhinted_descent_and_kdtree(self, overlay, numpy_rng):
         ids = overlay.object_ids()
-        tree = KDTree([overlay.position_of(oid) for oid in ids])
+        tree = cKDTree([overlay.position_of(oid) for oid in ids])
         for _ in range(60):
             point = tuple(numpy_rng.random(2))
             hinted = overlay.owner_of(point)
             unhinted = overlay.triangulation.nearest_vertex(point, hint=None)
-            assert hinted == unhinted == ids[tree.nearest(point)]
+            assert hinted == unhinted == ids[tree.query(point)[1]]
 
     def test_lookup_owner_independent_of_entry_point(self, overlay, numpy_rng):
         starts = overlay.object_ids()[:5]

@@ -6,10 +6,15 @@ from inspect import signature
 
 import pytest
 
+from repro.baselines.chord import ChordRing
 from repro.core.config import DEFAULT_N_MAX, VoroNetConfig
 from repro.core.shards import RoutingTableCache
 from repro.experiments.runner import build_parser
+from repro.lint import LintConfig
+from repro.serving.harness import run_shootout
+from repro.serving.traffic import serve_closed_loop, serve_protocol_closed_loop
 from repro.simulation.faults import HeartbeatConfig, HeartbeatDetector
+from repro.simulation.metrics import MetricsRegistry
 from repro.simulation.protocol import TimeoutPolicy
 from repro.simulation.scenario import (Scenario, measure_steady_state_liveness,
                                        run_merge_scenario)
@@ -21,7 +26,6 @@ class TestDefaults:
         assert config.n_max == DEFAULT_N_MAX
         assert config.num_long_links == 1
         assert config.maintain_close_neighbors
-        assert config.maintain_back_links
         assert not config.allow_overflow
 
     def test_effective_d_min_formula(self):
@@ -36,17 +40,6 @@ class TestDefaults:
         small = VoroNetConfig(n_max=100).effective_d_min
         large = VoroNetConfig(n_max=100_000).effective_d_min
         assert large < small
-
-    def test_long_link_normalization(self):
-        config = VoroNetConfig(n_max=1000)
-        expected = 2 * math.pi * math.log(math.sqrt(2) / config.effective_d_min)
-        assert config.long_link_normalization == pytest.approx(expected)
-
-    def test_expected_route_bound(self):
-        config = VoroNetConfig(n_max=1000)
-        assert config.expected_route_bound() == pytest.approx(math.log(1000) ** 2)
-        assert config.expected_route_bound(alpha=2.0) == pytest.approx(
-            2 * math.log(1000) ** 2)
 
 
 class TestValidation:
@@ -73,24 +66,11 @@ class TestValidation:
             config.n_max = 5  # type: ignore[misc]
 
 
-class TestWithUpdates:
-    def test_with_updates_changes_field(self):
-        config = VoroNetConfig(n_max=500)
-        updated = config.with_updates(num_long_links=4)
-        assert updated.num_long_links == 4
-        assert updated.n_max == 500
-        assert config.num_long_links == 1
-
-    def test_with_updates_validates(self):
-        with pytest.raises(ValueError):
-            VoroNetConfig().with_updates(n_max=-5)
-
-
 def test_option_budget():
     """The exact knob sets: a new option must be a deliberate, reviewed diff."""
     assert {f.name for f in fields(VoroNetConfig)} == {
         "n_max", "num_long_links", "d_min", "maintain_close_neighbors",
-        "maintain_back_links", "allow_overflow", "track_paths", "seed"}
+        "allow_overflow", "track_paths", "seed"}
     assert {f.name for f in fields(TimeoutPolicy)} == {
         "join_timeout", "close_timeout", "long_link_timeout", "max_retries",
         "backoff"}
@@ -119,6 +99,28 @@ def test_option_budget():
     # piggyback + sampling (perf/systems.py).
     assert {f.name for f in fields(HeartbeatConfig)} == {
         "interval", "miss_threshold", "piggyback", "sample_fraction"}
+
+    # The serving drivers take what a record sets, and the one sink left
+    # on the simulator counts (a histogram nobody reads is not state to
+    # keep for the life of a run).
+    assert parameters(serve_closed_loop) == [
+        "adapter", "schedule", "workload",
+        "concurrency", "hop_latency", "window", "quantile_buffer"]
+    assert parameters(serve_protocol_closed_loop) == [
+        "simulator", "id_map", "schedule", "workload",
+        "concurrency", "window", "record_paths", "quantile_buffer"]
+    assert parameters(run_shootout) == [
+        "population", "queries", "seed", "workloads", "systems", "zipf_alpha",
+        "concurrency", "hop_latency", "num_long_links", "track_paths",
+        "window", "keep_windows", "quantile_buffer", "clock"]
+    assert {name for name in vars(MetricsRegistry)
+            if not name.startswith("_")} == {"increment", "counter", "counters"}
+    # One way to add a node to the Chord baseline.
+    assert {name for name in vars(ChordRing) if "join" in name} == {"join"}
+
+    # simlint: what a contract rule looks for is part of the rule.
+    assert {f.name for f in fields(LintConfig)} == {
+        "paths", "select", "determinism_paths", "slots_paths"}
 
     # The evaluation side: one runner, no environment variables.
     assert {action.dest for action in build_parser()._actions} == {

@@ -4,7 +4,9 @@ import pytest
 
 from repro.core import VoroNet, VoroNetConfig
 from repro.core.maintenance import view_consistency_report
+from repro.simulation.failures import CrashInjector
 from repro.simulation.protocol import ProtocolSimulator
+from repro.utils.rng import RandomSource
 
 
 @pytest.fixture
@@ -88,12 +90,13 @@ class TestLeaveMaintenance:
 
 class TestAblations:
     def test_without_back_links_departures_leave_dangling_links(self, numpy_rng):
-        overlay = VoroNet(VoroNetConfig(n_max=300, seed=23,
-                                        maintain_back_links=False))
+        overlay = VoroNet(VoroNetConfig(n_max=300, seed=23))
         ids = [overlay.insert(tuple(p)) for p in numpy_rng.random((120, 2))]
-        # Remove a third of the objects; without BLRn nothing re-points links.
+        # Crash a third of the objects: a crash runs no BLRn hand-over, so
+        # nothing re-points the links at the victims.
+        injector = CrashInjector(overlay, RandomSource(23))
         for victim in numpy_rng.choice(ids, size=40, replace=False):
-            overlay.remove(int(victim))
+            injector.crash(int(victim))
         dangling = 0
         for oid in overlay.object_ids():
             for link in overlay.node(oid).long_links:

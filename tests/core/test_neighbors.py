@@ -26,11 +26,6 @@ class TestNeighborView:
         assert view.routing_neighbors == {2, 3, 4, 5}
         assert 6 not in view.routing_neighbors
 
-    def test_all_neighbors_includes_back_links(self):
-        view = NeighborView(object_id=1, voronoi=frozenset({2}),
-                            back_long_range=frozenset({6}))
-        assert view.all_neighbors == {2, 6}
-
     def test_size_counts_all_sets(self):
         view = NeighborView(
             object_id=1,

@@ -27,10 +27,6 @@ class TestLongLinks:
         assert node.long_links[0].neighbor == 11
         assert node.long_links[0].target == (0.9, 0.9)
 
-    def test_long_link_as_tuple(self):
-        link = LongLink(target=(0.2, 0.3), neighbor=4)
-        assert link.as_tuple() == ((0.2, 0.3), 4)
-
 
 class TestBackLinks:
     def test_add_and_remove(self, node):

@@ -228,12 +228,6 @@ class TestOwnership:
 
 
 class TestExportsAndStats:
-    def test_to_networkx_node_and_edge_kinds(self, small_overlay):
-        graph = small_overlay.to_networkx()
-        assert graph.number_of_nodes() == len(small_overlay)
-        kinds = {data["kind"] for _, _, data in graph.edges(data=True)}
-        assert "voronoi" in kinds and "long" in kinds
-
     def test_stats_describe_lines(self, small_overlay):
         # 5 operation groups + routing_table_rebuilds + the two
         # operation-hardening counters (timeouts, retries) + kernel_rebuilds

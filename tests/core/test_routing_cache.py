@@ -388,9 +388,10 @@ class TestEpochContract:
         assert_tables_match_views(overlay)
 
     def test_dangling_long_link_is_reported_not_raised(self):
-        """Without back links a leave cannot name the sources pointing at
-        it: their tables keep naming the departed object."""
-        overlay = VoroNet(VoroNetConfig(n_max=256, maintain_back_links=False, seed=12))
+        """A crash hands nothing over, so it cannot name the sources
+        pointing at the victim: had it not dropped every table, theirs
+        would keep naming the departed object."""
+        overlay = VoroNet(VoroNetConfig(n_max=256, seed=12))
         ids = overlay.bulk_load([tuple(p) for p in np.random.default_rng(12).random((80, 2))])
         for object_id in ids:
             overlay.routing_table(object_id)
@@ -401,7 +402,8 @@ class TestEpochContract:
             and object_id != link.neighbor
             # (a hull departure would drop every table, this one included)
             and not overlay.triangulation.is_hull_vertex(link.neighbor))
-        overlay.remove(victim)
+        with mock.patch.object(VoroNet, "invalidate_routing_tables"):
+            CrashInjector(overlay, RandomSource(12)).crash(victim)
         problems = overlay.check_consistency()
         assert f"{source}: cached routing table names non-member {victim}" in problems
         assert f"{source}: long link 0 points at departed {victim}" in problems
@@ -582,11 +584,12 @@ class TestCrashWindow:
         assert overlay.check_consistency() == []
 
     def test_a_table_naming_a_departed_object_never_reaches_the_arithmetic(self):
-        """Without back links a leave cannot drop the tables of the sources
-        pointing at it.  The scalar loop scans the block's stale position;
-        the frontier gathers by id and would read the departed object's
-        ``NaN`` row — it raises the overlay's lookup error instead."""
-        overlay = VoroNet(VoroNetConfig(n_max=256, maintain_back_links=False, seed=12))
+        """A crash that kept the tables of the sources pointing at the
+        victim (its overlay-wide invalidation is patched out).  The scalar
+        loop scans the block's stale position; the frontier gathers by id
+        and would read the departed object's ``NaN`` row — it raises the
+        overlay's lookup error instead."""
+        overlay = VoroNet(VoroNetConfig(n_max=256, seed=12))
         ids = overlay.bulk_load([tuple(p) for p in np.random.default_rng(12).random((80, 2))])
         warm_entries(overlay)
         source, victim = next(
@@ -595,7 +598,8 @@ class TestCrashWindow:
             if object_id not in overlay.neighbor_view(link.neighbor).routing_neighbors
             and object_id != link.neighbor
             and not overlay.triangulation.is_hull_vertex(link.neighbor))
-        overlay.remove(victim)
+        with mock.patch.object(VoroNet, "invalidate_routing_tables"):
+            CrashInjector(overlay, RandomSource(12)).crash(victim)
         with pytest.raises(ObjectNotFoundError) as raised:
             overlay.route_many([(source, (0.5, 0.5))] * VECTOR_SCAN_THRESHOLD)
         assert raised.value.object_id == victim

@@ -1,5 +1,6 @@
 """Unit tests for operation statistics."""
 
+import pytest
 
 from repro.core.stats import OperationStats, OverlayStats
 
@@ -69,3 +70,7 @@ class TestOverlayStats:
         assert len(lines) == 10
         assert any("routes" in line for line in lines)
         assert any("routing_table_rebuilds" in line for line in lines)
+
+    def test_a_mistyped_counter_raises(self, small_overlay):
+        with pytest.raises(AttributeError):
+            small_overlay.stats.no_such_counter = 1

@@ -30,14 +30,6 @@ class TestBoundingBox:
     def test_contains_with_tolerance(self):
         assert UNIT_SQUARE.contains((1.0001, 0.5), tolerance=0.001)
 
-    def test_clamp(self):
-        assert UNIT_SQUARE.clamp((1.5, -0.2)) == (1.0, 0.0)
-        assert UNIT_SQUARE.clamp((0.4, 0.6)) == (0.4, 0.6)
-
-    def test_corners_ccw(self):
-        corners = BoundingBox(0, 0, 2, 1).corners
-        assert corners == ((0, 0), (2, 0), (2, 1), (0, 1))
-
     def test_expanded(self):
         box = UNIT_SQUARE.expanded(0.5)
         assert box.xmin == -0.5 and box.xmax == 1.5

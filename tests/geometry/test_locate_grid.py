@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from repro.geometry import locate_grid
-from repro.geometry.kdtree import KDTree
 from repro.geometry.locate_grid import LocateGrid
 from repro.geometry.point import distance
 
@@ -72,12 +72,12 @@ class TestHint:
     def test_hint_is_near_the_target(self, populated_grid, numpy_rng):
         """The hint is within a couple of cell diagonals of the true nearest."""
         grid, points = populated_grid
-        tree = KDTree(list(points.values()))
+        tree = cKDTree(list(points.values()))
         cell = 1.0 / grid.cells_per_axis
         for _ in range(50):
             query = tuple(numpy_rng.random(2))
             hint = grid.hint(query)
-            nearest = tree.nearest(query)
+            nearest = tree.query(query)[1]
             slack = 3.0 * math.sqrt(2.0) * cell
             assert distance(points[hint], query) <= \
                 distance(points[nearest], query) + slack

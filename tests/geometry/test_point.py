@@ -12,7 +12,6 @@ from repro.geometry.point import (
     distances_to,
     lerp,
     midpoint,
-    nearest_index,
     nearly_equal,
     pairwise_distances,
     points_to_array,
@@ -81,10 +80,6 @@ class TestVectorisedHelpers:
         assert matrix.shape == (20, 20)
         np.testing.assert_allclose(matrix, matrix.T)
         np.testing.assert_allclose(np.diag(matrix), 0.0)
-
-    def test_nearest_index(self):
-        points = np.array([[0.0, 0.0], [0.5, 0.5], [0.9, 0.9]])
-        assert nearest_index(points, (0.52, 0.48)) == 1
 
     def test_centroid(self):
         assert centroid([(0.0, 0.0), (1.0, 0.0), (0.5, 1.5)]) == (0.5, 0.5)

@@ -1,0 +1,52 @@
+"""Nothing in ``src/`` without a reader: every module is reached by a record.
+
+The import graph of ``src/repro`` is walked from the entry points of the
+committed records — ``perf/`` (``BENCHMARK.json``), ``benchmarks/``
+(``BENCH_*.json``), ``python -m repro.experiments`` (``REPRODUCTION.json``),
+the CI fuzz sweeps and the simlint gate.  Only direct imports count:
+``from repro.x import y`` reaches the module ``repro.x.y`` (or ``repro.x``),
+not everything ``repro/x/__init__.py`` re-exports, so an ``__init__`` is
+never walked through — it counts as reached with any module of its package.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+SRC = ROOT / "src"
+MODULES = {".".join(path.relative_to(SRC).with_suffix("").parts).removesuffix(".__init__"): path
+           for path in SRC.rglob("*.py")}
+ENTRY_MODULES = ("repro.experiments.__main__", "repro.simulation.fuzz", "repro.lint.__main__")
+#: Modules no record executes, each with the rule that keeps it.
+ALLOWED = {
+    "repro.geometry.scipy_backend":
+        "rule c: the second Delaunay implementation the kernel's tests compare against",
+}
+
+
+def imported_modules(path):
+    """The ``repro`` modules a file imports directly (anywhere in its body)."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names if alias.name in MODULES)
+        elif isinstance(node, ast.ImportFrom) and node.module in MODULES:
+            for alias in node.names:
+                submodule = f"{node.module}.{alias.name}"
+                yield submodule if submodule in MODULES else node.module
+
+
+def test_every_module_is_reached_by_a_record_or_allowed_with_its_reason():
+    entry_files = sorted((ROOT / "perf").rglob("*.py")) + sorted((ROOT / "benchmarks").glob("*.py"))
+    frontier = list(ENTRY_MODULES) + [name for path in entry_files
+                                      for name in imported_modules(path)]
+    reached = set()
+    while frontier:
+        name = frontier.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        if MODULES[name].name != "__init__.py":
+            frontier.extend(imported_modules(MODULES[name]))
+    reached |= {name.rsplit(".", depth)[0] for name in reached
+                for depth in range(1, name.count(".") + 1)}
+    assert set(MODULES) - reached == set(ALLOWED)

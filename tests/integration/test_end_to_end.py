@@ -4,15 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from repro import VoroNet, VoroNetConfig, point_query, radius_query, range_query
 from repro.analysis.degree import degree_summary
 from repro.analysis.hops import measure_routing
 from repro.geometry.bounding import BoundingBox
-from repro.geometry.kdtree import KDTree
 from repro.geometry.point import distance
 from repro.utils.rng import RandomSource
-from repro.workloads.churn import generate_churn_trace, replay_churn
 from repro.workloads.distributions import PowerLawDistribution, UniformDistribution
 from repro.workloads.generators import generate_objects, generate_routing_pairs
 
@@ -80,12 +79,12 @@ class TestRouting:
     def test_lookup_matches_kdtree_ground_truth(self, populated_overlay):
         ids = populated_overlay.object_ids()
         positions = [populated_overlay.position_of(i) for i in ids]
-        tree = KDTree(positions)
+        tree = cKDTree(positions)
         rng = RandomSource(9)
         for _ in range(40):
             point = rng.random_point()
             owner = populated_overlay.lookup(point).owner
-            expected = ids[tree.nearest(point)]
+            expected = ids[tree.query(point)[1]]
             assert distance(populated_overlay.position_of(owner), point) == \
                 pytest.approx(distance(populated_overlay.position_of(expected), point))
 
@@ -93,19 +92,19 @@ class TestRouting:
 class TestQueries:
     def test_range_query_matches_kdtree(self, populated_overlay):
         ids = populated_overlay.object_ids()
-        positions = [populated_overlay.position_of(i) for i in ids]
-        tree = KDTree(positions)
+        x, y = np.array([populated_overlay.position_of(i) for i in ids]).T
         box = BoundingBox(0.3, 0.35, 0.6, 0.62)
         result = range_query(populated_overlay, box)
-        expected = sorted(ids[i] for i in tree.query_box(box))
+        inside = (box.xmin <= x) & (x <= box.xmax) & (box.ymin <= y) & (y <= box.ymax)
+        expected = sorted(ids[i] for i in np.flatnonzero(inside))
         assert result.matches == expected
 
     def test_radius_query_matches_kdtree(self, populated_overlay):
         ids = populated_overlay.object_ids()
         positions = [populated_overlay.position_of(i) for i in ids]
-        tree = KDTree(positions)
+        tree = cKDTree(positions)
         result = radius_query(populated_overlay, (0.5, 0.5), 0.15)
-        expected = sorted(ids[i] for i in tree.query_radius((0.5, 0.5), 0.15))
+        expected = sorted(ids[i] for i in tree.query_ball_point((0.5, 0.5), 0.15))
         assert result.matches == expected
 
     def test_point_query_owner(self, populated_overlay):
@@ -116,8 +115,14 @@ class TestQueries:
 class TestChurn:
     def test_overlay_survives_heavy_churn(self):
         overlay = VoroNet(VoroNetConfig(n_max=600, seed=55))
-        trace = generate_churn_trace(400, RandomSource(55), leave_probability=0.4)
-        replay_churn(overlay, trace, RandomSource(56))
+        rng = RandomSource(55)
+        alive = []
+        for _ in range(400):
+            if len(alive) > 16 and rng.uniform() < 0.4:
+                overlay.remove(alive.pop(rng.integer(0, len(alive))))
+            else:
+                alive.append(overlay.insert(rng.random_point()))
+        assert sorted(alive) == sorted(overlay.object_ids())
         assert overlay.check_consistency() == []
         rng = RandomSource(57)
         ids = overlay.object_ids()

@@ -80,8 +80,6 @@ class TestFigureDrivers:
             assert series[-1].mean_hops > series[0].mean_hops * 0.9
         fit = run_fig7(sweep=sweep)
         assert set(fit.fits) == set(sweep.series)
-        with pytest.raises(ValueError):
-            run_fig6(scale=0.05, use_protocol=True, use_long_links=False)
 
     def test_fig8_small_scale(self):
         result = run_fig8(scale=0.05, link_counts=(1, 3, 6))
@@ -106,8 +104,8 @@ class TestFigureDrivers:
         result = run_ablation_churn_protocol(scale=0.15,
                                              crash_fractions=(0.05, 0.15))
         assert result.crash_fractions == [0.05, 0.15]
-        assert result.all_converged
         for report in result.reports.values():
+            assert report.converged
             assert report.verify_problems == 0
             assert report.damage.total_stale_entries > 0
             assert report.phase_messages["repair"] > 0

@@ -78,12 +78,12 @@ def test_from_pyproject_overrides_with_dashes(tmp_path):
         [tool.simlint]
         paths = ["lib"]
         determinism-paths = ["lib/sim"]
-        slots-exempt = ["BigCoordinator"]
+        select = ["SIM002"]
     """)
     config = LintConfig.from_pyproject(pyproject)
     assert config.paths == ("lib",)
     assert config.determinism_paths == ("lib/sim",)
-    assert config.slots_exempt == frozenset({"BigCoordinator"})
+    assert config.select == frozenset({"SIM002"})
 
 
 def test_from_pyproject_rejects_unknown_key(tmp_path):

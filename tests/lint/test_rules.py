@@ -120,6 +120,25 @@ def test_sim001_negative_non_handler_method(tmp_path):
     assert found == []
 
 
+def test_sim001_positive_helper_of_a_handler_class(tmp_path):
+    # The seeded deletion of ``_start_long_link_phase``'s bump: handlers
+    # delegate view mutations to helpers, which are held to the contract;
+    # ``__init__`` builds the view before any epoch can have been read.
+    found = lint_snippet(tmp_path, """\
+        class Node:
+            def __init__(self):
+                self.long_links = []
+
+            def _on_create_object(self, message):
+                self._start_long_link_phase()
+
+            def _start_long_link_phase(self):
+                for target in range(2):
+                    self.long_links.append(target)
+    """, select=SIM001)
+    assert found == ["SIM001:10"]
+
+
 def test_sim001_suppressed(tmp_path):
     found = lint_snippet(tmp_path, """\
         class Node:
@@ -407,81 +426,6 @@ def test_sim004_suppressed(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# SIM005 — stats accounting
-# ----------------------------------------------------------------------
-SIM005 = ["SIM005"]
-
-STATS_DEF = """\
-    class OverlayStats:
-        joins: int = 0
-        routes: int = 0
-
-        def reset(self):
-            self.joins = 0
-            self.routes = 0
-"""
-
-
-def test_sim005_positive_unknown_counter(tmp_path):
-    found = lint_snippet(tmp_path, STATS_DEF + """\
-
-        class Overlay:
-            def route(self):
-                self._stats.rouets += 1
-    """, select=SIM005)
-    assert found == ["SIM005:11"]
-
-
-def test_sim005_positive_unknown_record_call(tmp_path):
-    found = lint_snippet(tmp_path, STATS_DEF + """\
-
-        class Overlay:
-            def join(self):
-                self.stats.jonis.record(2)
-    """, select=SIM005)
-    assert found == ["SIM005:11"]
-
-
-def test_sim005_negative_known_counter(tmp_path):
-    found = lint_snippet(tmp_path, STATS_DEF + """\
-
-        class Overlay:
-            def route(self):
-                self._stats.routes += 1
-                self.stats.reset()
-    """, select=SIM005)
-    assert found == []
-
-
-def test_sim005_reads_are_not_flagged(tmp_path):
-    found = lint_snippet(tmp_path, STATS_DEF + """\
-
-        def summarize(overlay):
-            return overlay.stats.anything_at_all
-    """, select=SIM005)
-    assert found == []
-
-
-def test_sim005_skips_programs_without_stats_classes(tmp_path):
-    found = lint_snippet(tmp_path, """\
-        class Overlay:
-            def route(self):
-                self._stats.rouets += 1
-    """, select=SIM005)
-    assert found == []
-
-
-def test_sim005_suppressed(tmp_path):
-    found = lint_snippet(tmp_path, STATS_DEF + """\
-
-        class Overlay:
-            def route(self):
-                self._stats.shadow_counter += 1  # simlint: ignore[SIM005]
-    """, select=SIM005)
-    assert found == []
-
-
-# ----------------------------------------------------------------------
 # SIM006 — routing cache contract
 # ----------------------------------------------------------------------
 SIM006 = ["SIM006"]
@@ -568,6 +512,19 @@ def test_sim006_negative_self_receiver_is_primitive_mutator(tmp_path):
                 self.close_neighbors.add(object_id)
     """, name=CORE, select=SIM006)
     assert found == []
+
+
+def test_sim006_positive_crash_injector_scrub_is_in_scope(tmp_path):
+    # The seeded deletion of ``CrashInjector.repair``'s invalidation: the
+    # one mutator of oracle nodes outside ``repro/core``.
+    found = lint_snippet(tmp_path, """\
+        class CrashInjector:
+            def repair(self):
+                for node in self._overlay.nodes():
+                    node.retarget_long_link(0, 4)
+                    node.discard_close_neighbor(9)
+    """, name="repro/simulation/failures.py", select=SIM006)
+    assert found == ["SIM006:4", "SIM006:5"]
 
 
 def test_sim006_out_of_scope_paths_ignored(tmp_path):

@@ -3,7 +3,7 @@
 They read only the public per-object views — ``VoroNet.neighbor_view()`` in
 oracle mode, ``ProtocolNode.routing_candidates()`` in protocol mode — and
 re-assemble the candidate set at every hop, so they share no state with the
-epoch-cached routing tables / view-epoch-cached blocks they check.
+cached routing tables / view-epoch-cached blocks they check.
 """
 
 from repro.geometry.point import distance_sq

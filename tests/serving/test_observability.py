@@ -3,7 +3,6 @@
 import pytest
 
 from repro.serving.observability import LoadTracker, WindowTracker
-from repro.simulation.metrics import MetricsRegistry
 
 
 class TestLoadTracker:
@@ -92,17 +91,6 @@ class TestWindowTracker:
         tracker.observe(15.0, hops=1, latency=1.0)
         with pytest.raises(ValueError):
             tracker.observe(3.0, hops=1, latency=1.0)
-
-    def test_metrics_export(self):
-        registry = MetricsRegistry()
-        tracker = WindowTracker(window=10.0, metrics=registry, prefix="serving.x")
-        for time in (1.0, 2.0, 11.0, 25.0):
-            tracker.observe(time, hops=5, latency=5.0)
-        tracker.finish()
-        summary = registry.histogram_summary("serving.x.window_qps")
-        assert summary["count"] == 3
-        assert registry.histogram_summary(
-            "serving.x.window_mean_hops")["mean"] == pytest.approx(5.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -2,11 +2,9 @@
 
 import pytest
 
-from repro.serving.harness import (build_adapters, make_flash_sampler,
-                                   make_sampler, run_protocol_serving,
+from repro.serving.harness import (make_sampler, run_protocol_serving,
                                    run_shootout, twin_parity)
-from repro.workloads.samplers import (FlashCrowdTargets, HotspotTargets,
-                                      UniformTargets, ZipfTargets)
+from repro.workloads.samplers import UniformTargets, ZipfTargets
 
 
 class TestTwinParity:
@@ -28,25 +26,12 @@ class TestTwinParity:
 
 class TestSamplerFactory:
     def test_known_workloads(self):
-        positions, _adapters = build_adapters(64, seed=1, systems=("chord",))
-        assert isinstance(make_sampler("uniform", 64, positions),
-                          UniformTargets)
-        assert isinstance(make_sampler("zipf", 64, positions), ZipfTargets)
-        assert isinstance(make_sampler("hotspot", 64, positions),
-                          HotspotTargets)
-
-    def test_flash_needs_dedicated_factory(self):
-        positions, _adapters = build_adapters(64, seed=1, systems=("chord",))
-        with pytest.raises(ValueError, match="make_flash_sampler"):
-            make_sampler("flash", 64, positions)
-        flash = make_flash_sampler(64, positions, 300, seed=2)
-        assert isinstance(flash, FlashCrowdTargets)
-        assert len(flash.phases) == 3
+        assert isinstance(make_sampler("uniform", 64), UniformTargets)
+        assert isinstance(make_sampler("zipf", 64), ZipfTargets)
 
     def test_unknown_workload_rejected(self):
-        positions, _adapters = build_adapters(64, seed=1, systems=("chord",))
         with pytest.raises(ValueError):
-            make_sampler("bogus", 64, positions)
+            make_sampler("bogus", 64)
 
 
 class TestShootout:

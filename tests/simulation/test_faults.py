@@ -227,10 +227,11 @@ class TestNetworkIntegration:
         before = simulator.network.snapshot_counters()
         start = simulator.object_ids()[0]
         simulator.query((0.5, 0.5), start=start)
-        deltas = simulator.network.counters_since(before)
-        assert deltas.get("sent", 0) >= 1
-        assert deltas.get("lost", 0) == deltas.get("sent", 0)
-        assert "delivered" not in deltas
+        after = simulator.network.snapshot_counters()
+        sent = after["sent"] - before["sent"]
+        assert sent >= 1
+        assert after["lost"] - before["lost"] == sent
+        assert after["delivered"] == before["delivered"]
         simulator.faults.set_loss(0.0)
 
     def test_extra_delay_stretches_delivery(self):
@@ -788,6 +789,10 @@ class TestRepairProtocol:
 # the staged churn/crash/heal experiment
 # ----------------------------------------------------------------------
 class TestProtocolChurnHarness:
+    """``Scenario``'s build → churn → crash → heal stages.  (The class keeps
+    the name of the harness PR 13 folded into ``Scenario``: a rename moves
+    seven test ids and checks nothing new.)"""
+
     def test_validation(self):
         with pytest.raises(ValueError):
             Scenario(num_objects=20, seed=1).crash(1.0)

@@ -14,35 +14,6 @@ class TestMetricsRegistry:
         assert metrics.counter("joins") == 3
         assert metrics.counter("unknown") == 0
 
-    def test_histograms(self):
-        metrics = MetricsRegistry()
-        for value in (1, 2, 3, 4, 100):
-            metrics.observe("messages", value)
-        summary = metrics.histogram_summary("messages")
-        assert summary["count"] == 5
-        assert summary["max"] == 100
-        assert summary["p50"] == 3
-
-    def test_unknown_histogram_summary(self):
-        summary = MetricsRegistry().histogram_summary("nope")
-        assert summary["count"] == 0
-
-    def test_histogram_values(self):
-        metrics = MetricsRegistry()
-        metrics.observe("x", 1.5)
-        assert metrics.histogram_values("x") == [1.5]
-        assert metrics.histogram_values("missing") == []
-
-    def test_as_dict_and_reset(self):
-        metrics = MetricsRegistry()
-        metrics.increment("a")
-        metrics.observe("b", 2)
-        data = metrics.as_dict()
-        assert data["counters"] == {"a": 1}
-        assert "b" in data["histograms"]
-        metrics.reset()
-        assert metrics.as_dict() == {"counters": {}, "histograms": {}}
-
 
 class TestTraceRecorder:
     def test_records_and_filters(self):

@@ -50,7 +50,7 @@ class TestDelivery:
         network.send(Message(sender=0, recipient=1, kind="PING"))
         engine.run()
         assert received == []
-        assert not network.is_registered(1)
+        assert 1 not in network.registered_ids()
 
     def test_self_messages_not_counted(self, engine, network):
         received = []

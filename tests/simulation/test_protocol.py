@@ -130,7 +130,6 @@ class TestBulkJoins:
         for phase in ("carve", "views", "close", "long_links"):
             assert phase in report.phase_messages
         assert sim.metrics.counter("joins") == 60
-        assert sim.metrics.histogram_summary("bulk_join_messages")["count"] == 1
 
     def test_bulk_join_records_phase_trace(self, numpy_rng):
         from repro.simulation.trace import TraceRecorder

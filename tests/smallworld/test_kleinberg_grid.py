@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.smallworld.kleinberg_grid import KleinbergGrid
+from repro.baselines.kleinberg import KleinbergGrid
 from repro.utils.rng import RandomSource
 
 

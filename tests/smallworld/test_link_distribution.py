@@ -1,15 +1,11 @@
-"""Unit tests for small-world link-length distributions."""
-
-import math
+"""Unit tests for the Kleinberg grid's harmonic contact law."""
 
 import numpy as np
 import pytest
 
-from repro.smallworld.link_distribution import (
+from repro.baselines.kleinberg import (
     grid_harmonic_weights,
-    radial_offset_pdf,
     sample_grid_long_range_contact,
-    sample_radial_offset,
 )
 from repro.utils.rng import RandomSource
 
@@ -58,29 +54,3 @@ class TestGridSampling:
         rng = RandomSource(3)
         with pytest.raises(ValueError):
             sample_grid_long_range_contact(1, (0, 0), 2.0, rng)
-
-
-class TestRadialOffset:
-    def test_offset_length_within_support(self):
-        rng = RandomSource(4)
-        for _ in range(300):
-            dx, dy = sample_radial_offset(0.01, 1.0, rng)
-            assert 0.01 - 1e-12 <= math.hypot(dx, dy) <= 1.0 + 1e-12
-
-    def test_invalid_bounds_raise(self):
-        rng = RandomSource(5)
-        with pytest.raises(ValueError):
-            sample_radial_offset(0.0, 1.0, rng)
-        with pytest.raises(ValueError):
-            sample_radial_offset(0.5, 0.4, rng)
-
-    def test_pdf_zero_outside_support(self):
-        assert radial_offset_pdf(0.001, 0.01, 1.0) == 0.0
-        assert radial_offset_pdf(1.5, 0.01, 1.0) == 0.0
-
-    def test_pdf_integrates_to_one_over_plane(self):
-        # Integrate the radial density over the annulus: ∫ pdf(r) 2πr dr = 1.
-        d_min, d_max = 0.01, 1.0
-        rs = np.linspace(d_min, d_max, 20000)
-        integrand = [radial_offset_pdf(r, d_min, d_max) * 2 * math.pi * r for r in rs]
-        assert np.trapezoid(integrand, rs) == pytest.approx(1.0, rel=1e-3)

@@ -1,37 +1,22 @@
-"""Unit tests for navigability measurements."""
+"""Navigability of the Kleinberg grid across exponents and sizes."""
 
-from repro.smallworld.navigability import (
-    NavigabilityPoint,
-    measure_grid_routing,
-    sweep_exponents,
-)
+from repro.baselines.kleinberg import KleinbergGrid
 from repro.utils.rng import RandomSource
 
 
 class TestMeasurement:
-    def test_single_measurement_fields(self):
-        point = measure_grid_routing(10, exponent=2.0, num_pairs=40,
-                                     rng=RandomSource(1))
-        assert isinstance(point, NavigabilityPoint)
-        assert point.n == 10
-        assert point.exponent == 2.0
-        assert point.num_pairs == 40
-        assert point.mean_hops > 0
-
-    def test_sweep_returns_one_point_per_exponent(self):
-        points = sweep_exponents(10, [0.0, 2.0, 4.0], num_pairs=30,
-                                 rng=RandomSource(2))
-        assert [p.exponent for p in points] == [0.0, 2.0, 4.0]
-
     def test_exponent_two_beats_large_exponents(self):
         """Kleinberg's result: s=2 is better than strongly local links (s=4+),
         which degenerate towards lattice-only routing."""
-        points = sweep_exponents(24, [2.0, 6.0], num_pairs=150,
-                                 rng=RandomSource(3))
-        by_exponent = {p.exponent: p.mean_hops for p in points}
-        assert by_exponent[2.0] < by_exponent[6.0]
+        rng = RandomSource(3)
+        mean_hops = {
+            exponent: KleinbergGrid(24, exponent=exponent, rng=rng)
+            .mean_route_length(150, rng)
+            for exponent in (2.0, 6.0)
+        }
+        assert mean_hops[2.0] < mean_hops[6.0]
 
     def test_larger_grids_have_longer_routes(self):
-        small = measure_grid_routing(8, num_pairs=80, rng=RandomSource(4))
-        large = measure_grid_routing(24, num_pairs=80, rng=RandomSource(4))
-        assert large.mean_hops > small.mean_hops
+        small = KleinbergGrid(8, rng=RandomSource(4))
+        large = KleinbergGrid(24, rng=RandomSource(4))
+        assert large.mean_route_length(80) > small.mean_route_length(80)

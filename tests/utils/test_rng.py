@@ -37,9 +37,6 @@ class TestDraws:
         values = [rng.uniform(2.0, 3.0) for _ in range(200)]
         assert all(2.0 <= v < 3.0 for v in values)
 
-    def test_uniform_array_shape(self):
-        assert RandomSource(1).uniform_array(0, 1, 17).shape == (17,)
-
     def test_integer_bounds(self):
         rng = RandomSource(2)
         values = [rng.integer(3, 9) for _ in range(200)]

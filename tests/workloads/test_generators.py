@@ -4,11 +4,7 @@ import pytest
 
 from repro.utils.rng import RandomSource
 from repro.workloads.distributions import UniformDistribution
-from repro.workloads.generators import (
-    generate_objects,
-    generate_query_workload,
-    generate_routing_pairs,
-)
+from repro.workloads.generators import generate_objects, generate_routing_pairs
 
 
 class TestGenerateObjects:
@@ -45,31 +41,3 @@ class TestRoutingPairs:
     def test_iterable(self):
         pairs = generate_routing_pairs(list(range(5)), 10, RandomSource(7))
         assert len(list(iter(pairs))) == 10
-
-
-class TestQueryWorkload:
-    def test_counts(self):
-        workload = generate_query_workload(
-            RandomSource(8), num_point=3, num_range=4, num_radius=5, num_segment=2)
-        assert len(workload.point_queries) == 3
-        assert len(workload.range_queries) == 4
-        assert len(workload.radius_queries) == 5
-        assert len(workload.segment_queries) == 2
-        assert workload.total == 14
-
-    def test_range_boxes_inside_unit_square(self):
-        workload = generate_query_workload(RandomSource(9), num_range=20,
-                                           range_extent=0.2)
-        for box in workload.range_queries:
-            assert 0 <= box.xmin <= box.xmax <= 1
-            assert 0 <= box.ymin <= box.ymax <= 1
-            assert box.width == pytest.approx(0.2)
-
-    def test_segments_are_horizontal(self):
-        workload = generate_query_workload(RandomSource(10), num_segment=10)
-        for (a, b) in workload.segment_queries:
-            assert a[1] == b[1]
-            assert a[0] < b[0]
-
-    def test_empty_workload(self):
-        assert generate_query_workload(RandomSource(11)).total == 0
