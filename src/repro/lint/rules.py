@@ -13,7 +13,12 @@ SIM001 epoch-contract
     increment — on every mutating path; the per-node routing cache is
     invalidated by exactly that bump.  Handlers delegate view mutations
     to helper methods of the same class, so the helpers are held to the
-    contract too.
+    contract too.  Second half, under ``repro/simulation``: a write to a
+    protocol node's view attribute (``voronoi`` / ``close`` /
+    ``long_links`` / ``back_links``) through a receiver other than
+    ``self`` is a finding whatever follows it — no bump from outside the
+    node's class can be held to the every-path contract, so the edit
+    belongs in a node method.
 
 SIM002 determinism
     Inside the deterministic-replay scope (``repro/simulation`` and
@@ -32,7 +37,8 @@ SIM003 slots
 
 SIM004 dispatch-consistency
     Whole-program: every message ``kind`` string passed to a
-    ``send``/``send_message`` call (or a ``Message(...)`` construction)
+    ``send``/``send_message``/``send_snapshot`` call (or a
+    ``Message(...)`` construction)
     must have a registered ``_on_<kind>`` handler, and every handler's
     kind must be sent somewhere.
 
@@ -80,10 +86,10 @@ __all__ = [
 #: View-state attributes the epoch contract (SIM001) protects.  Covers the
 #: protocol node's local view and the oracle node's field names so the
 #: rule survives refactors that move handlers between the two planes.
-VIEW_ATTRS = frozenset({
-    "voronoi", "close", "long_links", "back_links",
-    "voronoi_region", "close_neighbors",
-})
+NODE_VIEW_ATTRS = frozenset({"voronoi", "close", "long_links", "back_links"})
+VIEW_ATTRS = NODE_VIEW_ATTRS | {"voronoi_region", "close_neighbors"}
+#: Scope of SIM001's second half: no view write from outside the node.
+NODE_VIEW_PATHS = ("repro/simulation",)
 
 #: Scope of the routing-cache rule (SIM006): the oracle plane, and the one
 #: module outside it that mutates oracle nodes (``CrashInjector.repair``).
@@ -143,6 +149,42 @@ _MUTATING_METHODS = frozenset({
     "append", "extend", "insert", "add", "update", "pop", "popitem",
     "clear", "remove", "discard", "setdefault", "sort", "reverse",
 })
+
+
+def _write_targets(nodes: Iterable[ast.AST]
+                   ) -> Iterable[Tuple[ast.AST, ast.AST]]:
+    """``(site, expression written through)`` for every assignment, ``del``,
+    augmented assignment and mutator call among ``nodes``."""
+    for node in nodes:
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            for target in node.targets:
+                yield node, target
+        elif isinstance(node, ast.AugAssign):
+            yield node, node.target
+        elif (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in _MUTATING_METHODS):
+            yield node, node.func.value
+
+
+def _external_attr(node: ast.AST, attrs: FrozenSet[str]) -> Optional[str]:
+    """Attribute among ``attrs`` a receiver/target chain writes on another
+    object.
+
+    Walks down attribute/subscript chains (``node.long_links[i].neighbor``,
+    ``overlay.node(nid).close_neighbors``).  A chain rooted directly at
+    bare ``self`` (``self.close_neighbors``) is *not* reported: that is
+    the owning class editing itself, which the contract rules judge by
+    the bump that follows (SIM001) or bind at the call site (SIM006).
+    """
+    while isinstance(node, (ast.Attribute, ast.Subscript)):
+        if isinstance(node, ast.Attribute) and node.attr in attrs:
+            base = node.value
+            if isinstance(base, ast.Name) and base.id == "self":
+                return None
+            return node.attr
+        node = node.value
+    return None
 
 
 def _block_paths(fn: ast.AST) -> Dict[int, Tuple[Tuple[int, int], ...]]:
@@ -225,6 +267,17 @@ class EpochContractRule(Rule):
 
     def check_module(self, module: ModuleInfo,
                      config: LintConfig) -> Iterable[Finding]:
+        if path_in_scope(module.display, NODE_VIEW_PATHS):
+            for site, target in _write_targets(ast.walk(module.tree)):
+                attr = _external_attr(target, NODE_VIEW_ATTRS)
+                if attr is not None:
+                    yield Finding(
+                        path=module.display, line=site.lineno,
+                        col=site.col_offset + 1, rule=self.code,
+                        message=(f"view attribute {attr!r} is written from "
+                                 f"outside its node: no bump from here can "
+                                 f"be held to the every-path contract (move "
+                                 f"the edit into a method of the node)"))
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.ClassDef):
                 continue
@@ -314,26 +367,6 @@ class EpochContractRule(Rule):
 # ----------------------------------------------------------------------
 # SIM006 — routing cache contract
 # ----------------------------------------------------------------------
-def _external_topology_attr(node: ast.AST) -> Optional[str]:
-    """Topology container a receiver/target chain mutates on another node.
-
-    Walks down attribute/subscript chains (``node.long_links[i].neighbor``,
-    ``overlay.node(nid).close_neighbors``) looking for a topology attribute.
-    A chain rooted directly at bare ``self`` (``self.close_neighbors``) is
-    *not* reported: those are the primitive mutator definitions on
-    ``ObjectNode`` itself, which cannot reach the overlay's cache —
-    the contract binds their call sites instead.
-    """
-    while isinstance(node, (ast.Attribute, ast.Subscript)):
-        if isinstance(node, ast.Attribute) and node.attr in TOPOLOGY_ATTRS:
-            base = node.value
-            if isinstance(base, ast.Name) and base.id == "self":
-                return None
-            return node.attr
-        node = node.value
-    return None
-
-
 @register
 class RoutingCacheContractRule(Rule):
     code = "SIM006"
@@ -368,11 +401,11 @@ class RoutingCacheContractRule(Rule):
                         fn: ast.FunctionDef) -> Iterable[Finding]:
         mutations: List[Tuple[ast.AST, str]] = []
         bumps: List[ast.AST] = []
-        for node in self._walk_own_body(fn):
-            if isinstance(node, ast.Call):
+        body = list(self._walk_own_body(fn))
+        for node in body:
+            if isinstance(node, ast.Call) \
+                    and isinstance(node.func, ast.Attribute):
                 func = node.func
-                if not isinstance(func, ast.Attribute):
-                    continue
                 if func.attr in EPOCH_BUMP_CALLS:
                     bumps.append(node)
                 elif func.attr in TOPOLOGY_MUTATORS:
@@ -380,19 +413,10 @@ class RoutingCacheContractRule(Rule):
                     if not (isinstance(receiver, ast.Name)
                             and receiver.id == "self"):
                         mutations.append((node, func.attr))
-                elif func.attr in _MUTATING_METHODS:
-                    attr = _external_topology_attr(func.value)
-                    if attr is not None:
-                        mutations.append((node, attr))
-            elif isinstance(node, (ast.Assign, ast.Delete)):
-                for target in node.targets:
-                    attr = _external_topology_attr(target)
-                    if attr is not None:
-                        mutations.append((node, attr))
-            elif isinstance(node, ast.AugAssign):
-                attr = _external_topology_attr(node.target)
-                if attr is not None:
-                    mutations.append((node, attr))
+        for site, target in _write_targets(body):
+            attr = _external_attr(target, TOPOLOGY_ATTRS)
+            if attr is not None:
+                mutations.append((site, attr))
         if not mutations:
             return
         paths = _block_paths(fn)
@@ -722,7 +746,9 @@ class SlotsRule(Rule):
 # ----------------------------------------------------------------------
 # SIM004 — dispatch consistency
 # ----------------------------------------------------------------------
-_SEND_METHOD_NAMES = frozenset({"send", "send_message"})
+#: ``send_snapshot`` is the simulator's view-carrying send; the kind sits
+#: where ``send`` has it.
+_SEND_METHOD_NAMES = frozenset({"send", "send_message", "send_snapshot"})
 _KIND_POSITION = 2  # send(sender, recipient, kind, ...) / Message(s, r, kind)
 
 

@@ -179,8 +179,9 @@ class CrashInjector:  # simlint: ignore[SIM003] — one per experiment, not per 
                 fixed += 1
             dangling_back = {bl for bl in node.back_links if bl.source in crashed}
             if dangling_back:
-                # Back registrations are not routed on — no table to drop.
-                node.back_links -= dangling_back
+                # Back registrations are not routed on — no table to drop
+                # (and an oracle ObjectNode has no view epoch to bump).
+                node.back_links -= dangling_back  # simlint: ignore[SIM001]
                 fixed += len(dangling_back)
             if touched:
                 affected.append(object_id)

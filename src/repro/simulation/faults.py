@@ -917,18 +917,18 @@ class RepairProtocol:  # simlint: ignore[SIM003] — one per experiment, not per
         return sorted(object_id for object_id in self.scope
                       if object_id in nodes)
 
-    def _holders(self) -> List[int]:
-        """Live in-scope nodes with a non-empty suspect list, in id order."""
+    def _holders(self, members: List[int]) -> List[int]:
+        """Those of ``members`` still live with a non-empty suspect list."""
         nodes = self.simulator.nodes
-        return [object_id for object_id in self._members()
-                if nodes[object_id].suspects]
+        return [object_id for object_id in members
+                if object_id in nodes and nodes[object_id].suspects]
 
     def repair_round(self) -> Optional[Dict[str, int]]:
         """Run one phased repair round; ``None`` when nothing is suspected."""
         simulator = self.simulator
         network = simulator.network
         members = self._members()
-        holders = self._holders()
+        holders = self._holders(members)
         rehabilitation_pending = any(simulator.nodes[object_id].rehabilitated
                                      for object_id in members)
         if not holders and not rehabilitation_pending:
@@ -952,7 +952,7 @@ class RepairProtocol:  # simlint: ignore[SIM003] — one per experiment, not per
                         simulator.send(node, suspect, "PING", {"round": 0})
             simulator.engine.run_until_quiescent()
             phase_messages["probe"] = network.messages_sent - before
-            holders = self._holders()
+            holders = self._holders(members)
 
         suspected = sorted(set().union(set(), *(
             simulator.nodes[object_id].suspects for object_id in holders)))
@@ -991,18 +991,15 @@ class RepairProtocol:  # simlint: ignore[SIM003] — one per experiment, not per
                             and not suspected_set.isdisjoint(
                                 simulator.nodes[object_id].voronoi)]
             version = kernel.version
+            scrub = {"crashed": suspected}
             for object_id in affected:
                 if object_id not in simulator.nodes:
                     continue  # crashed while this phase was being sent
                 sender_id = next((h for h in holders
                                   if h != object_id and h in simulator.nodes),
                                  object_id)
-                view = {nid: kernel.point(nid)
-                        for nid in kernel.neighbors(object_id)}
-                simulator.send(simulator.nodes[sender_id], object_id,
-                               "VIEW_SCRUB",
-                               {"voronoi": view, "version": version,
-                                "crashed": suspected})
+                simulator.send_snapshot(simulator.nodes[sender_id], object_id,
+                                        "VIEW_SCRUB", version, scrub)
             simulator.engine.run_until_quiescent()
             phase_messages["scrub"] = network.messages_sent - before
 
@@ -1036,25 +1033,13 @@ class RepairProtocol:  # simlint: ignore[SIM003] — one per experiment, not per
         # entry destructively, and by now the probe phase has already
         # emptied the suspect list that would otherwise select the node.
         before = network.messages_sent
-        d_min = simulator.config.effective_d_min
         for object_id in members:
             node = simulator.nodes.get(object_id)
             if node is None:
                 continue  # crashed while this phase was being sent
-            if not node.suspects and not node.rehabilitated:
-                continue
-            node.rehabilitated.clear()
-            found = False
-            for close_id in simulator.locate.within(node.position, d_min):
-                if (close_id == object_id or close_id in node.close
-                        or close_id not in simulator.nodes):
-                    continue
-                node.close[close_id] = simulator.nodes[close_id].position
-                found = True
-                simulator.send(node, close_id, "CLOSE_DECLARE",
-                               {"position": node.position})
-            if found:
-                node.touch_view()
+            if node.suspects or node.rehabilitated:
+                node.rehabilitated.clear()
+                node.discover_close()
         simulator.engine.run_until_quiescent()
         phase_messages["close"] = network.messages_sent - before
 
@@ -1179,13 +1164,9 @@ class RepairProtocol:  # simlint: ignore[SIM003] — one per experiment, not per
                 version = simulator.kernel.version
                 for object_id in stale_views:
                     node = simulator.nodes.get(object_id)
-                    if node is None:
-                        continue  # crashed while this pass was being sent
-                    view = {nid: simulator.kernel.point(nid)
-                            for nid in simulator.kernel.neighbors(object_id)}
-                    simulator.send(node, object_id, "VIEW_SCRUB",
-                                   {"voronoi": view, "version": version,
-                                    "crashed": []})
+                    if node is not None:  # else crashed while this pass was being sent
+                        simulator.send_snapshot(node, object_id, "VIEW_SCRUB",
+                                                version, {"crashed": []})
                 # Mis-held links (repair raced a stale view): re-issue the
                 # routed search for exactly those links — grid-seeded, this
                 # is the settlement pass — and check again.
@@ -1206,7 +1187,8 @@ class RepairProtocol:  # simlint: ignore[SIM003] — one per experiment, not per
             rounds += 1
         else:
             # Out of rounds: the same predicate, asked one last time.
-            converged = not self._holders() and not any(self._audit())
+            converged = (not self._holders(self._members())
+                         and not any(self._audit()))
         residual = sum(len(simulator.nodes[object_id].suspects)
                        for object_id in self._members())
         return RepairReport(rounds=rounds, converged=converged,

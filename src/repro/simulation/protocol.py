@@ -20,21 +20,40 @@ paper.  What the simulation therefore measures faithfully is the paper's
 own cost model: hops per routed operation and messages per maintenance
 operation.
 
-Batched construction (:meth:`ProtocolSimulator.bulk_join`)
-----------------------------------------------------------
-Sequential :meth:`ProtocolSimulator.join` runs every join to quiescence —
-N routed ``ADD_OBJECT`` walks from random introducers, N routed long-link
-searches — which caps protocol-mode experiments well below the overlay
-sizes the oracle reaches with :meth:`~repro.core.overlay.VoroNet.bulk_load`.
-:meth:`ProtocolSimulator.bulk_join` is the message-level mirror of that
-fast path: the batch is Morton-sorted, ``ADD_OBJECT`` routing is seeded
-from the simulator's :class:`~repro.geometry.locate_grid.LocateGrid` (the
-introducer is already next to the new region), and the protocol phases are
-pipelined across the whole batch — one engine drain per phase instead of
-one per join.  Every message is still explicit and counted; what the batch
-removes is the per-join quiescence barriers, the poly-log routing walks,
-and the repeated view snapshots a node receives while its neighbourhood
-fills in (each recipient gets its final view exactly once).
+Protocol moves
+--------------
+A join, a departure, a repair round or a merge is a handful of local
+procedures (``AddVoronoiRegion`` / ``RemoveVoronoiRegion``, Sections 3.3
+and 4.2).  Each is written once — on :class:`ProtocolNode` when it edits a
+view, on :class:`ProtocolSimulator` when it consults the kernel
+(``kernel_view``, ``send_snapshot``, ``_send_carve``) — and the drivers are
+sequences of calls to them.  Nothing outside :class:`ProtocolNode` writes
+``voronoi`` / ``close`` / ``long_links`` / ``back_links`` (simlint SIM001
+holds that), so the ``touch_view()`` an edit owes sits beside the edit.
+
+================  ======================  ====================================
+move              written once as         called by
+================  ======================  ====================================
+adopt a snapshot  ``apply_snapshot``      ``CREATE_OBJECT``, ``REGION_UPDATE``,
+                                          ``VIEW_SCRUB``, ``MERGE_DIGEST``
+send a snapshot   ``send_snapshot`` of    ``complete_insertion``, ``leave``,
+                  a ``kernel_view``       bulk views, repair scrub and audit
+hand over a back  ``hand_over``           ``REGION_UPDATE``, ``VIEW_SCRUB``,
+registration                              bulk handover, ``leave``
+close discovery   ``discover_close``      bulk close, repair close and audit,
+                                          ``MERGE_DIGEST``
+long-link search  ``_search_long_link``   ``add_long_link`` (join, bulk),
+                                          ``reissue_long_link`` (retry, repair)
+proof of life     ``exonerate``           ``handle``, ``PONG``, merge handlers
+corroboration     ``corroborated``        ``SUSPECT_NOTIFY``, ``VIEW_SCRUB``
+carve entry       ``_send_carve``         join retry, bulk carve and its audit
+================  ======================  ====================================
+
+:meth:`ProtocolSimulator.bulk_join` is the message-level mirror of
+:meth:`~repro.core.overlay.VoroNet.bulk_load`: the same moves pipelined
+across a Morton-sorted batch, one engine drain per phase instead of one
+per join (its docstring lists the phases); every message is still explicit
+and counted.
 
 Per-node routing cache
 ----------------------
@@ -440,6 +459,116 @@ class ProtocolNode:
         self.suspects = {peer for peer in self.suspects if self.references(peer)}
 
     # ------------------------------------------------------------------
+    # protocol moves (the module docstring's table: each written once)
+    # ------------------------------------------------------------------
+    def apply_snapshot(self, payload: Dict) -> bool:
+        """Adopt a version-stamped vn snapshot unless a fresher one was applied.
+
+        An overtaken snapshot (possible under non-FIFO latency models and
+        the pipelined bulk join) must not roll the view back; returns
+        whether this one was adopted.
+        """
+        version = payload.get("version", self.view_version)
+        if version < self.view_version:
+            return False
+        self.voronoi = dict(payload["voronoi"])
+        self.view_version = version
+        self.touch_view()
+        return True
+
+    def hand_over(self, key: Tuple[int, int], holder: int,
+                  holder_position: Point, notify_source: bool = True) -> None:
+        """Hand one hosted back registration over to ``holder``.
+
+        The Section 3.3 hand-over: the registration leaves this node, the
+        new holder is told to host it and the link's source to re-point.
+        ``notify_source`` is the omniscient caller's guard (``bulk_join``
+        knows a source that is gone); a handler cannot know and always
+        sends — the plane drops it, counted.
+        """
+        target = self.back_links.pop(key)
+        self.touch_view()
+        source, link_index = key
+        self.simulator.send(self, holder, "BACKLINK_TRANSFER",
+                            {"source": source, "link_index": link_index,
+                             "target": target})
+        if notify_source:
+            self.simulator.send(self, source, "LONG_LINK_RETARGET",
+                                {"link_index": link_index, "neighbor": holder,
+                                 "neighbor_position": holder_position})
+
+    def discover_close(self) -> None:
+        """Grid-exact close discovery: adopt and declare to every live peer
+        inside the ``d_min`` disc the view does not hold yet.
+
+        The locate-grid radius query produces the very set Lemma 1's
+        routed discovery would; each adopted peer hears one counted
+        ``CLOSE_DECLARE``.
+        """
+        simulator = self.simulator
+        found = False
+        for close_id in simulator.locate.within(
+                self.position, simulator.config.effective_d_min):
+            peer = simulator.nodes.get(close_id)
+            if (close_id == self.object_id or close_id in self.close
+                    or peer is None):  # crashed since the radius query ran
+                continue
+            self.close[close_id] = peer.position
+            found = True
+            simulator.send(self, close_id, "CLOSE_DECLARE",
+                           {"position": self.position})
+        if found:
+            self.touch_view()
+
+    def add_long_link(self, target: Point, seed: Optional[int] = None) -> None:
+        """Open a long-link slot for ``target`` and start its routed search.
+
+        The slot holds a self-loop placeholder (never a dangling id) until
+        ``LONG_LINK_ESTABLISHED`` lands.
+        """
+        self.long_links.append(_LocalLongLink(target=target,
+                                              neighbor=self.object_id,
+                                              neighbor_position=self.position))
+        self.touch_view()
+        self._search_long_link(len(self.long_links) - 1, seed)
+
+    def _search_long_link(self, index: int, seed: Optional[int]) -> None:
+        """Send the routed ``SEARCH_LONG_LINK`` for slot ``index``: from this
+        node, or from a live locate-grid ``seed`` next to the target."""
+        self.pending_link_indices.add(index)
+        start = seed if seed is not None else self.object_id
+        if start not in self.simulator.nodes:
+            start = self.object_id
+        self.simulator.send(self, start, "SEARCH_LONG_LINK",
+                            {"target": self.long_links[index].target,
+                             "requester": self.object_id,
+                             "link_index": index, "hops": 0})
+
+    def exonerate(self, peer: int) -> None:
+        """Proof of life from ``peer``: clear its miss counter and refute any
+        standing suspicion (false positives from lost heartbeats heal
+        themselves here).  The suspicion already scrubbed state
+        destructively, so the exoneration is remembered for the repair
+        round's close re-discovery."""
+        self.missed_heartbeats.pop(peer, None)
+        if peer in self.suspects:
+            self.suspects.discard(peer)
+            self.rehabilitated.add(peer)
+
+    def corroborated(self, accused: Sequence[int]) -> Set[int]:
+        """The accused peers local evidence supports: a standing suspicion,
+        or at least one missed heartbeat of our own.
+
+        Adopting accusations blindly would let one false suspicion — a
+        couple of heartbeats lost to an unreliable network — infect the
+        whole neighbourhood faster than probing exonerates it.
+        """
+        return {peer for peer in accused
+                if peer != self.object_id
+                and (peer in self.suspects
+                     or self.missed_heartbeats.get(peer, 0) > 0)}
+
+    # ------------------------------------------------------------------
     # message handling
     # ------------------------------------------------------------------
     #: Message kind → unbound handler, resolved once per kind instead of
@@ -462,11 +591,8 @@ class ProtocolNode:
             sender = message.sender
             if sender != self.object_id:
                 self.last_contact[sender] = simulator.engine.now
-                if self.missed_heartbeats:
-                    self.missed_heartbeats.pop(sender, None)
-                if sender in self.suspects:
-                    self.suspects.discard(sender)
-                    self.rehabilitated.add(sender)
+                if self.missed_heartbeats or self.suspects:
+                    self.exonerate(sender)
         cls = type(self)
         handler = cls._DISPATCH.get(message.kind)
         if handler is None:
@@ -494,11 +620,7 @@ class ProtocolNode:
     # ---------------- join phase 2: new node bootstraps ---------------
     def _on_create_object(self, message: Message) -> None:
         payload = message.payload
-        version = payload.get("version", self.view_version)
-        if version >= self.view_version:
-            self.voronoi = dict(payload["voronoi"])
-            self.view_version = version
-            self.touch_view()
+        self.apply_snapshot(payload)
         if self.bootstrapped:
             # Duplicate snapshot from a retried carve: the fresher view was
             # applied above (or rejected by the version stamp); the phases
@@ -603,23 +725,14 @@ class ProtocolNode:
         if count == 0:
             self.simulator.operation_finished(self.object_id)
             return
-        base = len(self.long_links)
-        self.pending_link_indices = set(range(base, base + count))
         self.simulator.start_operation(
             ("long_links", self.object_id),
             self.simulator.timeouts.long_link_timeout,
             retry=self._retry_long_links, fail=self._abandon_long_links)
         d_min = self.simulator.config.effective_d_min
-        for index in range(base, base + count):
-            target = choose_long_range_target(self.position, d_min,
-                                              self.simulator.rng)
-            self.long_links.append(_LocalLongLink(target=target,
-                                                  neighbor=self.object_id,
-                                                  neighbor_position=self.position))
-            self.simulator.send(self, self.object_id, "SEARCH_LONG_LINK",
-                                {"target": target, "requester": self.object_id,
-                                 "link_index": index, "hops": 0})
-        self.touch_view()
+        for _ in range(count):
+            self.add_long_link(choose_long_range_target(
+                self.position, d_min, self.simulator.rng))
 
     def _retry_long_links(self) -> bool:
         """Watchdog retry: re-run the routed search for unresolved slots.
@@ -694,14 +807,9 @@ class ProtocolNode:
     # ---------------- maintenance updates ------------------------------
     def _on_region_update(self, message: Message) -> None:
         payload = message.payload
-        version = payload.get("version", self.view_version)
-        if version >= self.view_version:
-            self.voronoi = dict(payload["voronoi"])
-            self.view_version = version
-            self.touch_view()
-        # An overtaken snapshot (possible under non-FIFO latency models)
-        # must not roll the view back — but the back-registration steal
-        # below compares positions, not snapshots, so it runs either way.
+        # The back-registration steal below compares positions, not
+        # snapshots, so it runs whether or not the snapshot was adopted.
+        self.apply_snapshot(payload)
         new_id = payload.get("new_id")
         new_position = payload.get("new_position")
         if new_id is None:
@@ -712,16 +820,7 @@ class ProtocolNode:
             if distance(new_position, target) < distance(self.position, target)
         ]
         for key in stolen:
-            target = self.back_links.pop(key)
-            source, link_index = key
-            self.simulator.send(self, new_id, "BACKLINK_TRANSFER",
-                                {"source": source, "link_index": link_index,
-                                 "target": target})
-            self.simulator.send(self, source, "LONG_LINK_RETARGET",
-                                {"link_index": link_index, "neighbor": new_id,
-                                 "neighbor_position": new_position})
-        if stolen:
-            self.touch_view()
+            self.hand_over(key, new_id, new_position)
 
     def _on_backlink_transfer(self, message: Message) -> None:
         payload = message.payload
@@ -764,57 +863,29 @@ class ProtocolNode:
                             {"round": round_number})
 
     def _on_pong(self, message: Message) -> None:
-        peer = message.sender
-        self.last_heard[peer] = message.payload["round"]
-        self.missed_heartbeats.pop(peer, None)
-        # A live peer answering a probe refutes any standing suspicion of
-        # it (false positives from lost heartbeats heal themselves here).
-        # The suspicion already scrubbed state destructively, so remember
-        # the exoneration for the repair round's close re-discovery.
-        if peer in self.suspects:
-            self.suspects.discard(peer)
-            self.rehabilitated.add(peer)
+        self.last_heard[message.sender] = message.payload["round"]
+        self.exonerate(message.sender)
 
     def _on_suspect_notify(self, message: Message) -> None:
-        # Accusations are only adopted when corroborated by local evidence
-        # (standing suspicion, or at least one missed heartbeat of our
-        # own).  Adopting them blindly would let one false suspicion — a
-        # couple of heartbeats lost to an unreliable network — infect the
-        # whole neighbourhood faster than probing exonerates it.
-        accused = set(message.payload["suspects"])
-        accused.discard(self.object_id)
-        corroborated = {peer for peer in accused
-                        if peer in self.suspects
-                        or self.missed_heartbeats.get(peer, 0) > 0}
+        corroborated = self.corroborated(message.payload["suspects"])
         if corroborated:
             self.suspects |= corroborated
             self.apply_suspicion(corroborated)
 
     def _on_view_scrub(self, message: Message) -> None:
         payload = message.payload
-        crashed = set(payload["crashed"])
-        crashed.discard(self.object_id)
         # Same corroboration rule as SUSPECT_NOTIFY: the version-stamped
         # view below is kernel truth either way, but close/back scrubbing
         # of the listed ids only happens with local evidence.
-        corroborated = {peer for peer in crashed
-                        if peer in self.suspects
-                        or self.missed_heartbeats.get(peer, 0) > 0}
-        version = payload.get("version", self.view_version)
-        changed = False
-        if version >= self.view_version:
-            self.voronoi = dict(payload["voronoi"])
-            self.view_version = version
-            changed = True
-        else:
+        corroborated = self.corroborated(payload["crashed"])
+        if not self.apply_snapshot(payload):
             # Overtaken snapshot: keep the fresher view but still scrub
             # the corroborated ids.
             for peer in sorted(corroborated):
                 if self.voronoi.pop(peer, None) is not None:
-                    changed = True
+                    self.touch_view()
         self.suspects |= corroborated
-        if self.apply_suspicion(corroborated):
-            changed = True
+        self.apply_suspicion(corroborated)
         # Re-check hosted registrations against the refreshed view: a crash
         # may have routed a repair search to this node while its view was
         # still stale, leaving it holding a link whose target a neighbour
@@ -827,19 +898,8 @@ class ProtocolNode:
                 d = distance(position, target)
                 if d < best_d:
                     best_id, best_d = neighbor, d
-            if best_id is None or best_id in self.suspects:
-                continue
-            del self.back_links[key]
-            source, link_index = key
-            self.simulator.send(self, best_id, "BACKLINK_TRANSFER",
-                                {"source": source, "link_index": link_index,
-                                 "target": target})
-            self.simulator.send(self, source, "LONG_LINK_RETARGET",
-                                {"link_index": link_index, "neighbor": best_id,
-                                 "neighbor_position": self.voronoi[best_id]})
-            changed = True
-        if changed:
-            self.touch_view()
+            if best_id is not None and best_id not in self.suspects:
+                self.hand_over(key, best_id, self.voronoi[best_id])
 
     def reissue_long_link(self, index: int, seed: Optional[int] = None) -> None:
         """Re-run the routed ``SEARCH_LONG_LINK`` for one dangling link.
@@ -862,13 +922,7 @@ class ProtocolNode:
                 and link.neighbor in self.simulator.nodes):
             self.simulator.send(self, link.neighbor, "BACKLINK_REMOVE",
                                 {"source": self.object_id, "link_index": index})
-        self.pending_link_indices.add(index)
-        start = seed if seed is not None else self.object_id
-        if start not in self.simulator.nodes:
-            start = self.object_id
-        self.simulator.send(self, start, "SEARCH_LONG_LINK",
-                            {"target": link.target, "requester": self.object_id,
-                             "link_index": index, "hops": 0})
+        self._search_long_link(index, seed)
 
     # ---------------- queries ------------------------------------------
     def _on_query(self, message: Message) -> None:
@@ -919,43 +973,24 @@ class ProtocolNode:
             return  # already reconciled this heal; the epidemic stops here
         self.merge_epoch = epoch
         simulator = self.simulator
-        kernel = simulator.kernel
-        changed = False
-        version = payload["version"]
-        if version >= self.view_version and self.object_id in kernel:
-            self.voronoi = {nid: kernel.point(nid)
-                            for nid in kernel.neighbors(self.object_id)}
-            self.view_version = version
-            changed = True
+        if self.object_id in simulator.kernel:
+            self.apply_snapshot({"voronoi": simulator.kernel_view(self.object_id),
+                                 "version": payload["version"]})
         # Split-era suspicion presumed the other side dead; every suspect
-        # the healed membership still carries is alive after all.  Move
-        # them to ``rehabilitated`` so the repair protocol's close
-        # re-discovery also revisits this node.
-        survivors = {peer for peer in self.suspects if peer in simulator.nodes}
-        if survivors:
-            self.suspects -= survivors
-            self.rehabilitated |= survivors
-            for peer in sorted(survivors):
-                self.missed_heartbeats.pop(peer, None)
-        # Close re-discovery across the healed cut (the repair close-phase
-        # idiom): suspicion scrubbed cross-side close entries; the grid
-        # consult restores any peer back inside the d_min disc.
-        d_min = simulator.config.effective_d_min
-        for close_id in simulator.locate.within(self.position, d_min):
-            if (close_id == self.object_id or close_id in self.close
-                    or close_id not in simulator.nodes):
-                continue
-            self.close[close_id] = simulator.nodes[close_id].position
-            simulator.send(self, close_id, "CLOSE_DECLARE",
-                           {"position": self.position})
-            changed = True
+        # the healed membership still carries is alive after all, and
+        # exonerating them makes the repair protocol's close re-discovery
+        # revisit this node too.
+        for peer in sorted(self.suspects):
+            if peer in simulator.nodes:
+                self.exonerate(peer)
+        # Suspicion scrubbed cross-side close entries; the grid consult
+        # restores any peer back inside the d_min disc.
+        self.discover_close()
         for neighbor in sorted(self.voronoi):
             if neighbor != self.object_id:
                 simulator.send(self, neighbor, "MERGE_DIGEST", payload)
         simulator.send(self, message.sender, "MERGE_RECONCILE",
                        {"epoch": epoch, "version": self.view_version})
-        if changed:
-            self.touch_view()
 
     def _on_merge_reconcile(self, message: Message) -> None:
         """Ack leg of the merge anti-entropy exchange.
@@ -965,11 +1000,7 @@ class ProtocolNode:
         every copy addressed to it was lost — is pulled into the epoch by
         its own ack traffic, making the exchange bidirectional.
         """
-        peer = message.sender
-        self.missed_heartbeats.pop(peer, None)
-        if peer in self.suspects:
-            self.suspects.discard(peer)
-            self.rehabilitated.add(peer)
+        self.exonerate(message.sender)
         if self.merge_epoch < message.payload["epoch"]:
             self._on_merge_digest(message)
 
@@ -1088,6 +1119,26 @@ class ProtocolSimulator:  # simlint: ignore[SIM003] — one per experiment, not 
         payload = dict(message.payload)
         payload["hops"] = payload.get("hops", 0) + 1
         self.send(sender, recipient, message.kind, payload)
+
+    def kernel_view(self, object_id: int) -> Dict[int, Point]:
+        """``object_id``'s Voronoi neighbours with their positions, as the
+        shared kernel — each object's local Voronoi computation — has them."""
+        kernel = self.kernel
+        return {nid: kernel.point(nid) for nid in kernel.neighbors(object_id)}
+
+    def send_snapshot(self, sender: ProtocolNode, recipient: int, kind: str,
+                      version: int, extra: Optional[Dict] = None) -> None:
+        """Send ``recipient`` the kernel's view of itself, stamped ``version``.
+
+        The caller reads ``kernel.version`` once where its loop starts: a
+        fault-plane crash can land between two sends of one loop and move
+        the kernel's version, and every snapshot of the loop must carry
+        the same stamp.  ``extra`` is what the kind carries beside the view.
+        """
+        payload = {"voronoi": self.kernel_view(recipient), "version": version}
+        if extra:
+            payload.update(extra)
+        self.send(sender, recipient, kind, payload)
 
     def operation_finished(self, object_id: int) -> None:
         """Callback from nodes when their multi-message operation completes."""
@@ -1277,15 +1328,23 @@ class ProtocolSimulator:  # simlint: ignore[SIM003] — one per experiment, not 
         """
         if object_id not in self.nodes:
             return False  # the joiner itself crashed; nothing to finish
+        return self._send_carve(object_id, position, bulk=False)
+
+    def _send_carve(self, object_id: int, position: Point, bulk: bool) -> bool:
+        """Send one ``ADD_OBJECT`` for ``object_id`` from the node its carve
+        request enters at: the locate-grid hint next to ``position``, else
+        the lowest live id.  ``False`` when no other node is left to route
+        through."""
         introducer = self.locate.hint(position)
         if introducer is None or introducer not in self.nodes:
             live = sorted(oid for oid in self.nodes if oid != object_id)
             if not live:
                 return False
             introducer = live[0]
-        starter = self.nodes[introducer]
-        self.send(starter, introducer, "ADD_OBJECT",
-                  {"new_id": object_id, "position": position, "hops": 0})
+        payload = {"new_id": object_id, "position": position, "hops": 0}
+        if bulk:
+            payload["bulk"] = True
+        self.send(self.nodes[introducer], introducer, "ADD_OBJECT", payload)
         return True
 
     def _fail_join(self, object_id: int) -> None:
@@ -1310,18 +1369,9 @@ class ProtocolSimulator:  # simlint: ignore[SIM003] — one per experiment, not 
         degenerates to the bootstrap direct insertion — there is nobody
         left to route through, but the joiner itself is still live.
         """
-        introducer = self.locate.hint(position)
-        if introducer is None or introducer not in self.nodes:
-            live = sorted(oid for oid in self.nodes if oid != object_id)
-            if not live:
-                self.carve(object_id, position)
-                self._bulk_owners[object_id] = object_id
-                return
-            introducer = live[0]
-        starter = self.nodes[introducer]
-        self.send(starter, introducer, "ADD_OBJECT",
-                  {"new_id": object_id, "position": position, "hops": 0,
-                   "bulk": True})
+        if not self._send_carve(object_id, position, bulk=True):
+            self.carve(object_id, position)
+            self._bulk_owners[object_id] = object_id
 
     def _bulk_snapshot_sender(self, recipient: int) -> int:
         """Pick the live node that sends ``recipient`` its phase-2 snapshot.
@@ -1489,16 +1539,13 @@ class ProtocolSimulator:  # simlint: ignore[SIM003] — one per experiment, not 
             for object_id in stale:
                 if object_id not in self.nodes:
                     continue  # crashed while this round was being sent
-                sender_id = self._bulk_snapshot_sender(object_id)
-                view = {nid: self.kernel.point(nid)
-                        for nid in self.kernel.neighbors(object_id)}
+                sender = self.nodes[self._bulk_snapshot_sender(object_id)]
                 if object_id in new_ids:
-                    self.send(self.nodes[sender_id], object_id, "CREATE_OBJECT",
-                              {"voronoi": view, "version": version,
-                               "bulk": True})
+                    self.send_snapshot(sender, object_id, "CREATE_OBJECT",
+                                       version, {"bulk": True})
                 else:
-                    self.send(self.nodes[sender_id], object_id, "REGION_UPDATE",
-                              {"voronoi": view, "version": version})
+                    self.send_snapshot(sender, object_id, "REGION_UPDATE",
+                                       version)
             self.engine.run_until_quiescent()
         phase_messages["views"] = self.network.messages_sent - snapshot
 
@@ -1518,42 +1565,19 @@ class ProtocolSimulator:  # simlint: ignore[SIM003] — one per experiment, not 
                     owner = self.kernel.nearest_vertex(target, hint=holder_id)
                     if owner == holder_id or owner not in self.nodes:
                         continue
-                    # Captured before the sends: a fault-plane trigger may
-                    # crash the new owner while the first is being counted.
-                    owner_position = self.nodes[owner].position
-                    holder.back_links.pop((source, link_index))
-                    holder.touch_view()
-                    self.send(holder, owner, "BACKLINK_TRANSFER",
-                              {"source": source, "link_index": link_index,
-                               "target": target})
-                    if source in self.nodes:
-                        self.send(holder, source, "LONG_LINK_RETARGET",
-                                  {"link_index": link_index, "neighbor": owner,
-                                   "neighbor_position": owner_position})
+                    holder.hand_over((source, link_index), owner,
+                                     self.nodes[owner].position,
+                                     notify_source=source in self.nodes)
             self.engine.run_until_quiescent()
             phase_messages["handover"] = self.network.messages_sent - snapshot
 
         # ---- phase 4: close neighbours ---------------------------------
         if self.config.maintain_close_neighbors:
             snapshot = self.network.messages_sent
-            d_min = self.config.effective_d_min
             for object_id in ids:
                 node = self.nodes.get(object_id)
-                if node is None:
-                    continue  # crashed while the phase was being sent
-                found = False
-                for close_id in self.locate.within(node.position, d_min):
-                    if close_id == object_id:
-                        continue
-                    peer = self.nodes.get(close_id)
-                    if peer is None:
-                        continue  # crashed since the radius query ran
-                    node.close[close_id] = peer.position
-                    found = True
-                    self.send(node, close_id, "CLOSE_DECLARE",
-                              {"position": node.position})
-                if found:
-                    node.touch_view()
+                if node is not None:  # else crashed while the phase was being sent
+                    node.discover_close()
             self.engine.run_until_quiescent()
             phase_messages["close"] = self.network.messages_sent - snapshot
 
@@ -1569,20 +1593,10 @@ class ProtocolSimulator:  # simlint: ignore[SIM003] — one per experiment, not 
                 node = self.nodes.get(object_id)
                 if node is None:
                     continue  # crashed while the phase was being sent
-                node.pending_link_indices = set(range(k))
                 for index in range(k):
                     target = (float(flat[i * k + index][0]),
                               float(flat[i * k + index][1]))
-                    node.long_links.append(_LocalLongLink(
-                        target=target, neighbor=object_id,
-                        neighbor_position=node.position))
-                    seed = self.locate.hint(target)
-                    if seed is None or seed not in self.nodes:
-                        seed = object_id
-                    self.send(node, seed, "SEARCH_LONG_LINK",
-                              {"target": target, "requester": object_id,
-                               "link_index": index, "hops": 0})
-                node.touch_view()
+                    node.add_long_link(target, seed=self.locate.hint(target))
             self.engine.run_until_quiescent()
             # Search audit: a crashed carrier or endpoint swallowed a walk;
             # re-drive the unresolved slots, grid-seeded, bounded like the
@@ -1637,13 +1651,9 @@ class ProtocolSimulator:  # simlint: ignore[SIM003] — one per experiment, not 
             # Duplicate retry: the region exists; re-deliver the snapshot
             # (heals a lost CREATE_OBJECT without touching the kernel).
             self.metrics.increment("duplicate_carves")
-            version = self.kernel.version
-            view = {nid: self.kernel.point(nid)
-                    for nid in self.kernel.neighbors(new_id)}
-            payload = {"voronoi": view, "version": version}
-            if bulk:
-                payload["bulk"] = True
-            self.send(owner, new_id, "CREATE_OBJECT", payload)
+            self.send_snapshot(owner, new_id, "CREATE_OBJECT",
+                               self.kernel.version,
+                               {"bulk": True} if bulk else None)
             return
         try:
             self.carve(new_id, position, hint=owner.object_id)
@@ -1666,17 +1676,13 @@ class ProtocolSimulator:  # simlint: ignore[SIM003] — one per experiment, not 
             # vertex the kernel holds.
             affected = set(self.kernel.vertex_ids()) - {new_id}
         version = self.kernel.version
-        new_view = {nid: self.kernel.point(nid) for nid in self.kernel.neighbors(new_id)}
-        self.send(owner, new_id, "CREATE_OBJECT",
-                  {"voronoi": new_view, "version": version})
+        self.send_snapshot(owner, new_id, "CREATE_OBJECT", version)
+        steal = {"new_id": new_id, "new_position": position}
         for neighbor_id in sorted(affected):
             if neighbor_id == new_id or neighbor_id not in self.nodes:
                 continue
-            view = {nid: self.kernel.point(nid)
-                    for nid in self.kernel.neighbors(neighbor_id)}
-            self.send(owner, neighbor_id, "REGION_UPDATE",
-                      {"voronoi": view, "version": version,
-                       "new_id": new_id, "new_position": position})
+            self.send_snapshot(owner, neighbor_id, "REGION_UPDATE", version,
+                               steal)
 
     def remove_vertex(self, kernel: DelaunayTriangulation,
                       object_id: int) -> None:
@@ -1706,12 +1712,8 @@ class ProtocolSimulator:  # simlint: ignore[SIM003] — one per experiment, not 
             affected = set(self.kernel.vertex_ids())
         # 1. Region updates to the neighbours inheriting the region.
         for neighbor_id in sorted(affected):
-            if neighbor_id not in self.nodes:
-                continue
-            view = {nid: self.kernel.point(nid)
-                    for nid in self.kernel.neighbors(neighbor_id)}
-            self.send(node, neighbor_id, "REGION_UPDATE",
-                      {"voronoi": view, "version": version})
+            if neighbor_id in self.nodes:
+                self.send_snapshot(node, neighbor_id, "REGION_UPDATE", version)
         # 2. Close-neighbour notifications.
         for close_id in list(node.close):
             if close_id in self.nodes:
@@ -1727,14 +1729,8 @@ class ProtocolSimulator:  # simlint: ignore[SIM003] — one per experiment, not 
                 continue
             new_holder = min(candidates,
                              key=lambda nid: distance(self.nodes[nid].position, target))
-            # Captured before the sends: a fault-plane trigger may crash
-            # the holder while the first message is being counted.
-            holder_position = self.nodes[new_holder].position
-            self.send(node, new_holder, "BACKLINK_TRANSFER",
-                      {"source": source, "link_index": link_index, "target": target})
-            self.send(node, source, "LONG_LINK_RETARGET",
-                      {"link_index": link_index, "neighbor": new_holder,
-                       "neighbor_position": holder_position})
+            node.hand_over((source, link_index), new_holder,
+                           self.nodes[new_holder].position)
         # 4. Deregister our own long links at their endpoints.
         for index, link in enumerate(node.long_links):
             if link.neighbor in self.nodes and link.neighbor != object_id:

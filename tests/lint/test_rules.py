@@ -139,6 +139,49 @@ def test_sim001_positive_helper_of_a_handler_class(tmp_path):
     assert found == ["SIM001:10"]
 
 
+def test_sim001_positive_close_written_from_the_repair_round(tmp_path):
+    # Second half: the parent's ``repair_round`` close re-discovery.  The
+    # bump that follows does not discharge it — nothing outside the node's
+    # class can be held to the every-path contract.
+    found = lint_snippet(tmp_path, """\
+        class RepairProtocol:
+            def repair_round(self):
+                for node in self.simulator.nodes.values():
+                    node.close[7] = node.position
+                    node.touch_view()
+    """, select=SIM001)
+    assert found == ["SIM001:4"]
+
+
+def test_sim001_positive_back_links_popped_from_bulk_join(tmp_path):
+    # Second half: the parent's ``bulk_join`` hand-over phase; ``del``,
+    # assignment and augmented assignment are writes like the mutator call.
+    found = lint_snippet(tmp_path, """\
+        def bulk_join(simulator, holder, key):
+            holder.back_links.pop(key)
+            holder.touch_view()
+            del simulator.nodes[3].long_links[0]
+            holder.voronoi = {}
+            holder.close |= {}
+    """, select=SIM001)
+    assert found == ["SIM001:2", "SIM001:4", "SIM001:5", "SIM001:6"]
+
+
+def test_sim001_negative_outside_writes_elsewhere_and_reads(tmp_path):
+    # The second half binds the simulation plane only (the oracle's nodes
+    # have SIM006), and reading another node's view is no write.
+    source = """\
+        def scrub(node, key):
+            node.back_links.pop(key)
+    """
+    assert lint_snippet(tmp_path, source, name="repro/core/snippet.py",
+                        select=SIM001) == []
+    assert lint_snippet(tmp_path, """\
+        def census(node):
+            return sorted(node.close), len(node.long_links)
+    """, select=SIM001) == []
+
+
 def test_sim001_suppressed(tmp_path):
     found = lint_snippet(tmp_path, """\
         class Node:

@@ -16,7 +16,10 @@ diverged forks.  The pin is now twenty; further growth still needs a
 design reason, not just a new code path.
 """
 
+import ast
 from pathlib import Path
+
+import pytest
 
 from repro.lint import iter_source_files, parse_modules
 from repro.lint.rules import collect_handled_kinds, collect_sent_kinds
@@ -66,3 +69,40 @@ def test_every_kind_dispatches_to_a_real_handler():
     for kind in EXPECTED_KINDS:
         assert callable(getattr(ProtocolNode, f"_on_{kind.lower()}", None)), \
             f"no handler for {kind}"
+
+
+def senders(kind):
+    """``(enclosing function, method called)`` of every send site of ``kind``."""
+    modules, _errors = parse_modules(iter_source_files([SRC]))
+    trees = {module.display: module.tree for module in modules}
+    found = []
+    for display, line, col in collect_sent_kinds(modules)[kind]:
+        enclosing = [node for node in ast.walk(trees[display])
+                     if isinstance(node, ast.FunctionDef)
+                     and node.lineno <= line <= node.end_lineno]
+        call = next(node for node in ast.walk(trees[display])
+                    if isinstance(node, ast.Call)
+                    and (node.lineno, node.col_offset + 1) == (line, col))
+        found.append((max(enclosing, key=lambda fn: fn.lineno).name,
+                      call.func.attr))
+    return found
+
+
+@pytest.mark.parametrize("kind, functions", [
+    ("BACKLINK_TRANSFER", {"hand_over"}),
+    ("LONG_LINK_RETARGET", {"hand_over"}),
+    ("SEARCH_LONG_LINK", {"_search_long_link"}),
+    ("CLOSE_DECLARE", {"_finish_close_phase", "discover_close"}),
+])
+def test_a_protocol_move_is_sent_from_one_function(kind, functions):
+    """The moves table of ``protocol.py``: a hand-over, a link search and
+    grid-exact close discovery are each written once, whoever drives them."""
+    sites = senders(kind)
+    assert {function for function, _method in sites} == functions
+    assert len(sites) == len(functions)
+
+
+@pytest.mark.parametrize("kind", ["CREATE_OBJECT", "REGION_UPDATE", "VIEW_SCRUB"])
+def test_views_travel_only_through_send_snapshot(kind):
+    """One place builds "the kernel's view of X, stamped ``version``"."""
+    assert {method for _function, method in senders(kind)} == {"send_snapshot"}
