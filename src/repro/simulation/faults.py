@@ -44,17 +44,14 @@ Four pieces compose the subsystem:
 * :class:`RepairProtocol` — the crash-mode extension of the Section 3.3
   departure protocol.  Where a graceful leaver *pushes* its state out, the
   repair protocol lets the survivors *pull* the overlay back together in
-  phased rounds: suspicion gossip (``SUSPECT_NOTIFY``, which also scrubs
-  close entries and dangling back registrations), Voronoi view repair
-  (``VIEW_SCRUB``, the survivors' ``RemoveVoronoiRegion`` — each wounded
-  view is refreshed from a version-stamped local kernel consultation, and
-  mis-held back registrations are handed one greedy step towards their
-  target's owner), dangling long-link re-resolution (re-running the routed
-  ``SEARCH_LONG_LINK`` machinery, which re-registers the back link and
-  answers ``LONG_LINK_ESTABLISHED``), and close re-discovery seeded by the
-  simulator's locate grid.  Rounds are retry-safe: a node keeps a suspect
-  until no local reference to it survives, so repair messages lost to the
-  fault plane are simply re-attempted next round.
+  phased rounds made of the protocol moves
+  (:mod:`repro.simulation.protocol` lists them): suspicion gossip
+  (``SUSPECT_NOTIFY``), ``send_snapshot`` of a ``VIEW_SCRUB`` — the
+  survivors' ``RemoveVoronoiRegion``, whose handler also ``hand_over``-s
+  mis-held back registrations — ``reissue_long_link`` for every dangling
+  link and ``discover_close``.  Rounds are retry-safe: a node keeps a
+  suspect until no local reference to it survives, so repair messages
+  lost to the fault plane are simply re-attempted next round.
 
 What a heal cycle caches, against what
 --------------------------------------
@@ -153,26 +150,19 @@ class SplitSpec:  # simlint: ignore[SIM003] — one per partition event, not per
     side membership tracks the population the merge protocol must
     reconcile.
 
-    ``in_flight`` pins the semantics for messages already travelling when
-    a window opens (see ``TESTING.md`` "Partitions & merge"):
-
-    * ``"deliver"`` (default): the fault decision is made at *send* time
-      only — a message sent before the window opens is a packet already
-      on the wire and is delivered even if its delivery lands mid-split.
-    * ``"cut"``: delivery-time enforcement — a cross-side message whose
-      delivery would land inside the window is dropped too.
+    The fault decision is made at *send* time only: a message sent before
+    the window opens is a packet already on the wire and is delivered even
+    if its delivery lands mid-split (see ``TESTING.md`` "Partitions &
+    merge").
     """
 
-    __slots__ = ("sides", "start", "end", "in_flight", "_side_of", "healed")
+    __slots__ = ("sides", "start", "end", "_side_of", "healed")
 
     def __init__(self, sides: Sequence[Sequence[int]], start: float,
-                 end: float, *, in_flight: str = "deliver") -> None:
+                 end: float) -> None:
         if end < start:
             raise ValueError(f"split window ends before it starts: "
                              f"[{start}, {end})")
-        if in_flight not in ("deliver", "cut"):
-            raise ValueError(f"in_flight must be 'deliver' or 'cut', "
-                             f"got {in_flight!r}")
         if len(sides) < 2:
             raise ValueError("a split needs at least two sides")
         self.sides: List[Set[int]] = [set(side) for side in sides]
@@ -185,13 +175,12 @@ class SplitSpec:  # simlint: ignore[SIM003] — one per partition event, not per
                 self._side_of[object_id] = index
         self.start = float(start)
         self.end = float(end)
-        self.in_flight = in_flight
         self.healed = False
 
     def __repr__(self) -> str:
         sizes = "/".join(str(len(side)) for side in self.sides)
         return (f"SplitSpec(sides={sizes}, start={self.start!r}, "
-                f"end={self.end!r}, in_flight={self.in_flight!r})")
+                f"end={self.end!r})")
 
     def active(self, now: float) -> bool:
         return not self.healed and self.start <= now < self.end
@@ -260,7 +249,7 @@ class FaultPlane:
     """
 
     __slots__ = ("_rng", "_doubles", "seed", "_crashed", "_partitions",
-                 "_splits", "_heal_hooks", "in_flight_cuts",
+                 "_splits", "_heal_hooks",
                  "loss_probability", "delay_probability", "delay_range",
                  "decisions", "drops_by_reason")
 
@@ -279,10 +268,6 @@ class FaultPlane:
         self._partitions: List[PartitionSpec] = []
         self._splits: List[SplitSpec] = []
         self._heal_hooks: List = []
-        #: Count of live specs with delivery-time (``in_flight="cut"``)
-        #: enforcement — the network's send hot path only consults
-        #: :meth:`cuts_in_flight` when this is non-zero.
-        self.in_flight_cuts = 0
         self.set_loss(loss_probability)
         self.set_delay(delay_probability, delay_range)
         self.decisions = 0
@@ -335,8 +320,7 @@ class FaultPlane:
         return spec
 
     def split(self, sides: Sequence[Sequence[int]], start: float,
-              end: float = math.inf, *,
-              in_flight: str = "deliver") -> SplitSpec:
+              end: float = math.inf) -> SplitSpec:
         """Open a k-way split: traffic between different ``sides`` is cut.
 
         Returns the :class:`SplitSpec`, whose :meth:`~SplitSpec.assign`
@@ -344,10 +328,8 @@ class FaultPlane:
         normally closed explicitly via :meth:`heal_partitions` (which
         fires the registered heal hooks) rather than by the clock.
         """
-        spec = SplitSpec(sides, start, end, in_flight=in_flight)
+        spec = SplitSpec(sides, start, end)
         self._splits.append(spec)
-        if in_flight == "cut":
-            self.in_flight_cuts += 1
         return spec
 
     def active_split(self, now: float) -> Optional[SplitSpec]:
@@ -385,8 +367,6 @@ class FaultPlane:
         self._partitions.clear()
         for spec in self._splits:
             spec.healed = True
-            if spec.in_flight == "cut":
-                self.in_flight_cuts -= 1
         self._splits.clear()
         for spec in healed:
             for hook in self._heal_hooks:
@@ -413,13 +393,7 @@ class FaultPlane:
                                                        message.recipient):
                     return self._drop("partition")
         if self._splits:
-            expired = [spec for spec in self._splits if spec.end <= now]
-            if expired:
-                for spec in expired:
-                    if spec.in_flight == "cut":
-                        self.in_flight_cuts -= 1
-                self._splits = [spec for spec in self._splits
-                                if spec.end > now]
+            self._splits = [spec for spec in self._splits if spec.end > now]
             for spec in self._splits:
                 if spec.active(now) and spec.separates(message.sender,
                                                        message.recipient):
@@ -439,23 +413,6 @@ class FaultPlane:
             doubles = self._doubles = (
                 self._rng.generator.random(_DRAW_BLOCK)[::-1].tolist())
         return doubles.pop()
-
-    def cuts_in_flight(self, message: Message, delivery_time: float) -> bool:
-        """Delivery-time check for ``in_flight="cut"`` windows.
-
-        Called by the network *after* the send-time :meth:`decide` said
-        deliver, with the computed delivery timestamp: a cross-side
-        message landing inside a cut-mode window is dropped even though
-        it was sent before the window opened.  Only consulted while
-        :attr:`in_flight_cuts` is non-zero, keeping the default
-        (send-time-only) semantics free on the hot path.
-        """
-        for spec in self._splits:
-            if (spec.in_flight == "cut" and spec.active(delivery_time)
-                    and spec.separates(message.sender, message.recipient)):
-                self._drop("partition_in_flight")
-                return True
-        return False
 
     def _drop(self, reason: str) -> FaultDecision:
         self.drops_by_reason[reason] = self.drops_by_reason.get(reason, 0) + 1
@@ -926,7 +883,6 @@ class RepairProtocol:  # simlint: ignore[SIM003] — one per experiment, not per
     def repair_round(self) -> Optional[Dict[str, int]]:
         """Run one phased repair round; ``None`` when nothing is suspected."""
         simulator = self.simulator
-        network = simulator.network
         members = self._members()
         holders = self._holders(members)
         rehabilitation_pending = any(simulator.nodes[object_id].rehabilitated
@@ -942,16 +898,14 @@ class RepairProtocol:  # simlint: ignore[SIM003] — one per experiment, not per
         # PONG clears the suspicion (and its miss counter) before any
         # destructive phase runs.
         if holders:
-            before = network.messages_sent
-            for object_id in holders:
-                node = simulator.nodes.get(object_id)
-                if node is None:
-                    continue
-                for suspect in sorted(node.suspects):
-                    for _ in range(self.PROBES_PER_SUSPECT):
-                        simulator.send(node, suspect, "PING", {"round": 0})
-            simulator.engine.run_until_quiescent()
-            phase_messages["probe"] = network.messages_sent - before
+            with simulator.counted_phase(phase_messages, "probe"):
+                for object_id in holders:
+                    node = simulator.nodes.get(object_id)
+                    if node is None:
+                        continue
+                    for suspect in sorted(node.suspects):
+                        for _ in range(self.PROBES_PER_SUSPECT):
+                            simulator.send(node, suspect, "PING", {"round": 0})
             holders = self._holders(members)
 
         suspected = sorted(set().union(set(), *(
@@ -960,18 +914,16 @@ class RepairProtocol:  # simlint: ignore[SIM003] — one per experiment, not per
 
         if holders:
             # ---- notify: gossip suspicion to the local neighbourhood ----
-            before = network.messages_sent
-            for object_id in holders:
-                node = simulator.nodes.get(object_id)
-                if node is None:
-                    continue
-                recipients = sorted((set(node.voronoi) | set(node.close))
-                                    - node.suspects - {object_id})
-                payload = {"suspects": sorted(node.suspects)}
-                for recipient in recipients:
-                    simulator.send(node, recipient, "SUSPECT_NOTIFY", payload)
-            simulator.engine.run_until_quiescent()
-            phase_messages["notify"] = network.messages_sent - before
+            with simulator.counted_phase(phase_messages, "notify"):
+                for object_id in holders:
+                    node = simulator.nodes.get(object_id)
+                    if node is None:
+                        continue
+                    recipients = sorted((set(node.voronoi) | set(node.close))
+                                        - node.suspects - {object_id})
+                    payload = {"suspects": sorted(node.suspects)}
+                    for recipient in recipients:
+                        simulator.send(node, recipient, "SUSPECT_NOTIFY", payload)
 
             # ---- scrub: refresh Voronoi views referencing a suspect -----
             # The sender — a node that detected the crash — plays the role
@@ -979,29 +931,27 @@ class RepairProtocol:  # simlint: ignore[SIM003] — one per experiment, not per
             # local topologically consistent Voronoi computation (the
             # shared kernel, exactly as AddVoronoiRegion does) and
             # distributes version-stamped views to the wounded survivors.
-            before = network.messages_sent
-            kernel = simulator.kernel
-            degenerate = len(kernel) <= 8 or not kernel.has_triangulation
-            if degenerate:
-                affected = [object_id for object_id in members
-                            if object_id in kernel]
-            else:
-                affected = [object_id for object_id in members
-                            if object_id in kernel
-                            and not suspected_set.isdisjoint(
-                                simulator.nodes[object_id].voronoi)]
-            version = kernel.version
-            scrub = {"crashed": suspected}
-            for object_id in affected:
-                if object_id not in simulator.nodes:
-                    continue  # crashed while this phase was being sent
-                sender_id = next((h for h in holders
-                                  if h != object_id and h in simulator.nodes),
-                                 object_id)
-                simulator.send_snapshot(simulator.nodes[sender_id], object_id,
-                                        "VIEW_SCRUB", version, scrub)
-            simulator.engine.run_until_quiescent()
-            phase_messages["scrub"] = network.messages_sent - before
+            with simulator.counted_phase(phase_messages, "scrub"):
+                kernel = simulator.kernel
+                degenerate = len(kernel) <= 8 or not kernel.has_triangulation
+                if degenerate:
+                    affected = [object_id for object_id in members
+                                if object_id in kernel]
+                else:
+                    affected = [object_id for object_id in members
+                                if object_id in kernel
+                                and not suspected_set.isdisjoint(
+                                    simulator.nodes[object_id].voronoi)]
+                version = kernel.version
+                scrub = {"crashed": suspected}
+                for object_id in affected:
+                    if object_id not in simulator.nodes:
+                        continue  # crashed while this phase was being sent
+                    sender_id = next((h for h in holders
+                                      if h != object_id and h in simulator.nodes),
+                                     object_id)
+                    simulator.send_snapshot(simulator.nodes[sender_id], object_id,
+                                            "VIEW_SCRUB", version, scrub)
 
             # ---- retarget: dangling long links re-run the routed search -
             # First attempt per link routes from the requester (the join
@@ -1009,39 +959,31 @@ class RepairProtocol:  # simlint: ignore[SIM003] — one per experiment, not per
             # hop or its reply to the fault plane — escalates to a
             # locate-grid seed next to the target, so each further attempt
             # needs only O(1) deliveries to land.
-            before = network.messages_sent
-            reissued = 0
-            for object_id in members:
-                node = simulator.nodes.get(object_id)
-                if node is None:
-                    continue  # crashed while this phase was being sent
-                for index, link in enumerate(node.long_links):
-                    if link.neighbor in node.suspects:
-                        key = (object_id, index)
-                        attempts = self._reissue_attempts.get(key, 0)
-                        seed = (None if attempts == 0
-                                else simulator.locate.hint(link.target))
-                        node.reissue_long_link(index, seed=seed)
-                        self._reissue_attempts[key] = attempts + 1
-                        reissued += 1
-            simulator.engine.run_until_quiescent()
-            phase_messages["retarget"] = network.messages_sent - before
-            self._reissued += reissued
+            with simulator.counted_phase(phase_messages, "retarget"):
+                for object_id in members:
+                    node = simulator.nodes.get(object_id)
+                    if node is None:
+                        continue  # crashed while this phase was being sent
+                    for index, link in enumerate(node.long_links):
+                        if link.neighbor in node.suspects:
+                            key = (object_id, index)
+                            attempts = self._reissue_attempts.get(key, 0)
+                            node.reissue_long_link(index, seeded=attempts > 0)
+                            self._reissue_attempts[key] = attempts + 1
+                            self._reissued += 1
 
         # ---- close: grid-seeded re-discovery (false-suspicion healing) --
         # Covers exonerated suspects too: suspicion scrubbed their close
         # entry destructively, and by now the probe phase has already
         # emptied the suspect list that would otherwise select the node.
-        before = network.messages_sent
-        for object_id in members:
-            node = simulator.nodes.get(object_id)
-            if node is None:
-                continue  # crashed while this phase was being sent
-            if node.suspects or node.rehabilitated:
-                node.rehabilitated.clear()
-                node.discover_close()
-        simulator.engine.run_until_quiescent()
-        phase_messages["close"] = network.messages_sent - before
+        with simulator.counted_phase(phase_messages, "close"):
+            for object_id in members:
+                node = simulator.nodes.get(object_id)
+                if node is None:
+                    continue  # crashed while this phase was being sent
+                if node.suspects or node.rehabilitated:
+                    node.rehabilitated.clear()
+                    node.discover_close()
 
         # ---- GC: drop suspicion no surviving reference supports ---------
         for object_id in members:
@@ -1157,29 +1099,25 @@ class RepairProtocol:  # simlint: ignore[SIM003] — one per experiment, not per
                     if node is None:
                         continue  # crashed while this pass was being sent
                     node.apply_suspicion(dead)
-                before = simulator.network.messages_sent
-                # Stale views (a lost snapshot with no suspect to blame):
-                # re-send the version-stamped kernel truth — the same
-                # VIEW_SCRUB the scrub phase uses, with nothing to scrub.
-                version = simulator.kernel.version
-                for object_id in stale_views:
-                    node = simulator.nodes.get(object_id)
-                    if node is not None:  # else crashed while this pass was being sent
-                        simulator.send_snapshot(node, object_id, "VIEW_SCRUB",
-                                                version, {"crashed": []})
-                # Mis-held links (repair raced a stale view): re-issue the
-                # routed search for exactly those links — grid-seeded, this
-                # is the settlement pass — and check again.
-                for object_id, index in wrong:
-                    node = simulator.nodes.get(object_id)
-                    if node is None:
-                        continue  # crashed while this pass was being sent
-                    seed = simulator.locate.hint(node.long_links[index].target)
-                    node.reissue_long_link(index, seed=seed)
-                    self._reissued += 1
-                simulator.engine.run_until_quiescent()
-                totals["audit"] = (totals.get("audit", 0)
-                                   + simulator.network.messages_sent - before)
+                with simulator.counted_phase(totals, "audit"):
+                    # Stale views (a lost snapshot with no suspect to blame):
+                    # re-send the version-stamped kernel truth — the same
+                    # VIEW_SCRUB the scrub phase uses, with nothing to scrub.
+                    version = simulator.kernel.version
+                    for object_id in stale_views:
+                        node = simulator.nodes.get(object_id)
+                        if node is not None:  # else crashed while this pass was being sent
+                            simulator.send_snapshot(node, object_id, "VIEW_SCRUB",
+                                                    version, {"crashed": []})
+                    # Mis-held links (repair raced a stale view): re-issue the
+                    # routed search for exactly those links — grid-seeded, this
+                    # is the settlement pass — and check again.
+                    for object_id, index in wrong:
+                        node = simulator.nodes.get(object_id)
+                        if node is None:
+                            continue  # crashed while this pass was being sent
+                        node.reissue_long_link(index, seeded=True)
+                        self._reissued += 1
                 rounds += 1
                 continue
             for phase, count in result.items():

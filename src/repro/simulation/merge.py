@@ -131,8 +131,7 @@ class PartitionRuntime:  # simlint: ignore[SIM003] — one per experiment, not p
     # ------------------------------------------------------------------
     # split lifecycle
     # ------------------------------------------------------------------
-    def open_split(self, sides: Sequence[Sequence[int]], *,
-                   in_flight: str = "deliver") -> SplitSpec:
+    def open_split(self, sides: Sequence[Sequence[int]]) -> SplitSpec:
         """Open a k-way split and fork the substrate per side.
 
         ``sides`` must partition the live population.  Each side's kernel
@@ -151,8 +150,7 @@ class PartitionRuntime:  # simlint: ignore[SIM003] — one per experiment, not p
         live = set(simulator.nodes)
         if assigned != live:
             raise ValueError("split sides must partition the live population")
-        spec = self.faults.split(sides, simulator.engine.now,
-                                 in_flight=in_flight)
+        spec = self.faults.split(sides, simulator.engine.now)
         self.spec = spec
         self._published_base = simulator._next_id
         self._global_kernel = simulator.kernel

@@ -328,13 +328,6 @@ class Network:
         delay = self._fixed_latency
         if delay is None:
             delay = self._latency.sample(message)
-        if (faults is not None and getattr(faults, "in_flight_cuts", 0)
-                and faults.cuts_in_flight(message,
-                                          self._engine.now + delay + extra_delay)):
-            # Delivery-time partition enforcement (in_flight="cut" splits):
-            # the packet would land inside an active cross-side window.
-            self.messages_lost += 1
-            return
         # Handler lookup hoisted to send time: the common registered case
         # puts the node's handler straight on the heap entry — delivery is
         # then one C-level tuple pop and one call into the handler.  The

@@ -86,9 +86,10 @@ the same neighbour structure on identical inputs.
 from __future__ import annotations
 
 import itertools
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import (TYPE_CHECKING, Callable, ClassVar, Dict, List, Optional,
-                    Sequence, Set, Tuple)
+from typing import (TYPE_CHECKING, Callable, ClassVar, Dict, Iterator, List,
+                    Optional, Sequence, Set, Tuple)
 
 import numpy as np
 
@@ -110,7 +111,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
 __all__ = ["ProtocolSimulator", "ProtocolNode", "JoinReport", "LeaveReport",
            "QueryReport", "BulkJoinReport", "TimeoutPolicy"]
 
-#: Default number of ``ADD_OBJECT`` sends pipelined between engine drains in
+#: Number of ``ADD_OBJECT`` sends pipelined between engine drains in
 #: :meth:`ProtocolSimulator.bulk_join`.  View snapshots are deferred to the
 #: dedicated views phase, so routing during the carve runs over pre-batch
 #: views either way (harmless: a stale view only shortens the walk to
@@ -520,7 +521,7 @@ class ProtocolNode:
         if found:
             self.touch_view()
 
-    def add_long_link(self, target: Point, seed: Optional[int] = None) -> None:
+    def add_long_link(self, target: Point, seeded: bool) -> None:
         """Open a long-link slot for ``target`` and start its routed search.
 
         The slot holds a self-loop placeholder (never a dangling id) until
@@ -530,18 +531,23 @@ class ProtocolNode:
                                               neighbor=self.object_id,
                                               neighbor_position=self.position))
         self.touch_view()
-        self._search_long_link(len(self.long_links) - 1, seed)
+        self._search_long_link(len(self.long_links) - 1, seeded)
 
-    def _search_long_link(self, index: int, seed: Optional[int]) -> None:
-        """Send the routed ``SEARCH_LONG_LINK`` for slot ``index``: from this
-        node, or from a live locate-grid ``seed`` next to the target."""
+    def _search_long_link(self, index: int, seeded: bool) -> None:
+        """Send the routed ``SEARCH_LONG_LINK`` for slot ``index``.
+
+        The search starts at this node — the join protocol's own walk —
+        or, ``seeded``, at the live locate-grid neighbour of the target:
+        O(1) greedy hops from the exact region owner, so a retry under
+        message loss needs few deliveries to land.
+        """
         self.pending_link_indices.add(index)
-        start = seed if seed is not None else self.object_id
-        if start not in self.simulator.nodes:
+        target = self.long_links[index].target
+        start = self.simulator.locate.hint(target) if seeded else None
+        if start is None or start not in self.simulator.nodes:
             start = self.object_id
         self.simulator.send(self, start, "SEARCH_LONG_LINK",
-                            {"target": self.long_links[index].target,
-                             "requester": self.object_id,
+                            {"target": target, "requester": self.object_id,
                              "link_index": index, "hops": 0})
 
     def exonerate(self, peer: int) -> None:
@@ -732,7 +738,7 @@ class ProtocolNode:
         d_min = self.simulator.config.effective_d_min
         for _ in range(count):
             self.add_long_link(choose_long_range_target(
-                self.position, d_min, self.simulator.rng))
+                self.position, d_min, self.simulator.rng), seeded=False)
 
     def _retry_long_links(self) -> bool:
         """Watchdog retry: re-run the routed search for unresolved slots.
@@ -746,8 +752,7 @@ class ProtocolNode:
         if not self.pending_link_indices:
             return False
         for index in sorted(self.pending_link_indices):
-            seed = self.simulator.locate.hint(self.long_links[index].target)
-            self.reissue_long_link(index, seed=seed)
+            self.reissue_long_link(index, seeded=True)
         return True
 
     def _abandon_long_links(self) -> None:
@@ -901,17 +906,13 @@ class ProtocolNode:
             if best_id is not None and best_id not in self.suspects:
                 self.hand_over(key, best_id, self.voronoi[best_id])
 
-    def reissue_long_link(self, index: int, seed: Optional[int] = None) -> None:
+    def reissue_long_link(self, index: int, seeded: bool) -> None:
         """Re-run the routed ``SEARCH_LONG_LINK`` for one dangling link.
 
         The repair protocol's ``LONG_LINK_RETARGET`` path: the link's fixed
         target point is re-resolved through the exact machinery a join
         uses — greedy routing to the target's region owner, which registers
-        the back link and answers ``LONG_LINK_ESTABLISHED``.  The search
-        starts at this node by default; a repair retry under message loss
-        passes a locate-grid ``seed`` next to the target instead (the
-        ``bulk_join`` phase-5 idiom), shrinking the number of messages the
-        lossy network must deliver for the attempt to land.  An endpoint
+        the back link and answers ``LONG_LINK_ESTABLISHED``.  An endpoint
         still believed alive is asked to drop its now-superseded back
         registration first (for a suspected endpoint the message would
         only feed the fault plane).
@@ -922,7 +923,7 @@ class ProtocolNode:
                 and link.neighbor in self.simulator.nodes):
             self.simulator.send(self, link.neighbor, "BACKLINK_REMOVE",
                                 {"source": self.object_id, "link_index": index})
-        self._search_long_link(index, seed)
+        self._search_long_link(index, seeded)
 
     # ---------------- queries ------------------------------------------
     def _on_query(self, message: Message) -> None:
@@ -1139,6 +1140,15 @@ class ProtocolSimulator:  # simlint: ignore[SIM003] — one per experiment, not 
         if extra:
             payload.update(extra)
         self.send(sender, recipient, kind, payload)
+
+    @contextmanager
+    def counted_phase(self, counts: Dict[str, int], name: str) -> Iterator[None]:
+        """One drained phase of a batched operation: run the block, drain
+        the engine, add the messages sent meanwhile to ``counts[name]``."""
+        before = self.network.messages_sent
+        yield
+        self.engine.run_until_quiescent()
+        counts[name] = counts.get(name, 0) + self.network.messages_sent - before
 
     def operation_finished(self, object_id: int) -> None:
         """Callback from nodes when their multi-message operation completes."""
@@ -1390,8 +1400,7 @@ class ProtocolSimulator:  # simlint: ignore[SIM003] — one per experiment, not 
                 return neighbor_id
         return recipient
 
-    def bulk_join(self, positions: Sequence[Point], *,
-                  chunk_size: Optional[int] = None) -> BulkJoinReport:
+    def bulk_join(self, positions: Sequence[Point]) -> BulkJoinReport:
         """Publish a batch of objects through the batched message pipeline.
 
         The message-level mirror of :meth:`VoroNet.bulk_load
@@ -1399,8 +1408,9 @@ class ProtocolSimulator:  # simlint: ignore[SIM003] — one per experiment, not 
         join to quiescence, the batch moves through five pipelined phases,
         each drained once by the event engine:
 
-        1. **carve** — the batch is Morton-sorted and, ``chunk_size`` sends
-           at a time, routed as ``ADD_OBJECT`` messages from locate-grid
+        1. **carve** — the batch is Morton-sorted and,
+           :data:`DEFAULT_BULK_CHUNK` sends at a time, routed as
+           ``ADD_OBJECT`` messages from locate-grid
            hinted introducers (already adjacent to the new region, so the
            routing walk is O(1) expected hops); region owners carve the
            kernel but defer view snapshots to the next phase — a join run
@@ -1411,17 +1421,14 @@ class ProtocolSimulator:  # simlint: ignore[SIM003] — one per experiment, not 
            region, and every pre-existing object bordering the batch
            receives one consolidated ``REGION_UPDATE``;
         3. **handover** — pre-existing back-long-range registrations whose
-           target a batch object now owns are transferred and their sources
-           re-pointed (``BACKLINK_TRANSFER`` / ``LONG_LINK_RETARGET``), the
-           batched equivalent of the per-join steal in ``REGION_UPDATE``;
-        4. **close** — every batch object discovers its close neighbours by
-           an exact locate-grid radius query (producing the very sets
-           Lemma 1's routed discovery would) and declares itself to each
-           with one counted ``CLOSE_DECLARE``;
+           target a batch object now owns change holder
+           (:meth:`ProtocolNode.hand_over`), the batched equivalent of the
+           per-join steal in ``REGION_UPDATE``;
+        4. **close** — every batch object discovers and declares its close
+           neighbours (:meth:`ProtocolNode.discover_close`);
         5. **long_links** — Choose-LRT targets for the whole batch come
-           from one vectorised draw, and each ``SEARCH_LONG_LINK`` is sent
-           straight to a locate-grid seed next to its target, finishing in
-           O(1) greedy hops at the exact region owner.
+           from one vectorised draw, and each search is grid-seeded
+           (:meth:`ProtocolNode.add_long_link`).
 
         The resulting per-node views are identical to the oracle's
         ``bulk_load`` on the same positions and seed (the integration suite
@@ -1434,8 +1441,7 @@ class ProtocolSimulator:  # simlint: ignore[SIM003] — one per experiment, not 
             When protocol messages are still in flight (the engine must be
             quiescent so the phase barriers drain only this batch), on a
             position duplicating a published object or another batch entry
-            (checked up front; nothing is mutated), or on a non-positive
-            ``chunk_size``.
+            (checked up front; nothing is mutated).
         """
         batch = [(float(p[0]), float(p[1])) for p in positions]
         if not batch:
@@ -1444,10 +1450,6 @@ class ProtocolSimulator:  # simlint: ignore[SIM003] — one per experiment, not 
         if not self.engine.quiescent:
             raise ValueError("bulk_join requires a quiescent engine "
                              "(pending protocol messages in flight)")
-        if chunk_size is None:
-            chunk_size = DEFAULT_BULK_CHUNK
-        if chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
         seen: set = set()
         for point in batch:
             existing = self.kernel.vertex_at(point)
@@ -1465,50 +1467,49 @@ class ProtocolSimulator:  # simlint: ignore[SIM003] — one per experiment, not 
         phase_messages: Dict[str, int] = {}
 
         # ---- phase 1: region carving (chunked ADD_OBJECT pipeline) ----
-        snapshot = self.network.messages_sent
-        order = morton_order(batch)
-        self._bulk_owners = {}
-        start = 0
-        if not self.nodes:
-            # Bootstrap exactly like the sequential first join: direct
-            # insertion, no messages (its long links come from phase 5).
-            first = order[0]
-            self._attach_node(ids[first], batch[first])
-            self.carve(ids[first], batch[first])
-            self._bulk_owners[ids[first]] = ids[first]
-            start = 1
-        for chunk_start in range(start, len(order), chunk_size):
-            for index in order[chunk_start:chunk_start + chunk_size]:
-                object_id, position = ids[index], batch[index]
-                self._attach_node(object_id, position)
-                self._send_bulk_carve(object_id, position)
-            self.engine.run_until_quiescent()
-        # Carve audit: a victim crashing mid-chunk can swallow ADD_OBJECT
-        # walks wholesale (a crashed carrier drops everything it holds), so
-        # re-drive uncarved survivors for a bounded number of rounds.  In a
-        # fault-free run every batch member carved on the first pass and
-        # the audit costs nothing.
-        for _ in range(self.timeouts.max_retries):
-            stalled = [i for i, oid in enumerate(ids)
-                       if oid in self.nodes and oid not in self.kernel]
-            if not stalled:
-                break
-            for i in stalled:
-                self._send_bulk_carve(ids[i], batch[i])
-            self.engine.run_until_quiescent()
-        timed_out = [oid for oid in ids
-                     if oid not in self.nodes or oid not in self.kernel]
-        if timed_out:
-            dead = set(timed_out)
-            for object_id in timed_out:
-                # Crashed mid-batch (already torn down), or uncarvable
-                # within the budget: no zombie handler outlives the batch.
-                self.detach_node(object_id)
-            survivors = [(oid, batch[i]) for i, oid in enumerate(ids)
-                         if oid not in dead]
-            ids = [oid for oid, _position in survivors]
-            batch = [position for _oid, position in survivors]
-        phase_messages["carve"] = self.network.messages_sent - snapshot
+        with self.counted_phase(phase_messages, "carve"):
+            order = morton_order(batch)
+            self._bulk_owners = {}
+            start = 0
+            if not self.nodes:
+                # Bootstrap exactly like the sequential first join: direct
+                # insertion, no messages (its long links come from phase 5).
+                first = order[0]
+                self._attach_node(ids[first], batch[first])
+                self.carve(ids[first], batch[first])
+                self._bulk_owners[ids[first]] = ids[first]
+                start = 1
+            for chunk_start in range(start, len(order), DEFAULT_BULK_CHUNK):
+                for index in order[chunk_start:chunk_start + DEFAULT_BULK_CHUNK]:
+                    object_id, position = ids[index], batch[index]
+                    self._attach_node(object_id, position)
+                    self._send_bulk_carve(object_id, position)
+                self.engine.run_until_quiescent()
+            # Carve audit: a victim crashing mid-chunk can swallow ADD_OBJECT
+            # walks wholesale (a crashed carrier drops everything it holds), so
+            # re-drive uncarved survivors for a bounded number of rounds.  In a
+            # fault-free run every batch member carved on the first pass and
+            # the audit costs nothing.
+            for _ in range(self.timeouts.max_retries):
+                stalled = [i for i, oid in enumerate(ids)
+                           if oid in self.nodes and oid not in self.kernel]
+                if not stalled:
+                    break
+                for i in stalled:
+                    self._send_bulk_carve(ids[i], batch[i])
+                self.engine.run_until_quiescent()
+            timed_out = [oid for oid in ids
+                         if oid not in self.nodes or oid not in self.kernel]
+            if timed_out:
+                dead = set(timed_out)
+                for object_id in timed_out:
+                    # Crashed mid-batch (already torn down), or uncarvable
+                    # within the budget: no zombie handler outlives the batch.
+                    self.detach_node(object_id)
+                survivors = [(oid, batch[i]) for i, oid in enumerate(ids)
+                             if oid not in dead]
+                ids = [oid for oid, _position in survivors]
+                batch = [position for _oid, position in survivors]
 
         # ---- phase 2: consolidated view distribution --------------------
         # A sequential join resends a node's view on every insertion that
@@ -1521,33 +1522,32 @@ class ProtocolSimulator:  # simlint: ignore[SIM003] — one per experiment, not 
         # sender — fed a crash) are re-sent in bounded re-drive rounds.
         # Version stamps make re-sends idempotent; a fault-free run takes
         # exactly one round with exactly the original message count.
-        snapshot = self.network.messages_sent
-        new_ids = set(ids)
-        recipients: Set[int] = set(ids)
-        for object_id in ids:
-            for neighbor_id in self.kernel.neighbors(object_id):
-                if neighbor_id not in new_ids and neighbor_id in self.nodes:
-                    recipients.add(neighbor_id)
-        for _ in range(1 + self.timeouts.max_retries):
-            version = self.kernel.version
-            stale = [
-                object_id for object_id in sorted(recipients)
-                if object_id in self.nodes
-                and self.nodes[object_id].view_version < version]
-            if not stale:
-                break
-            for object_id in stale:
-                if object_id not in self.nodes:
-                    continue  # crashed while this round was being sent
-                sender = self.nodes[self._bulk_snapshot_sender(object_id)]
-                if object_id in new_ids:
-                    self.send_snapshot(sender, object_id, "CREATE_OBJECT",
-                                       version, {"bulk": True})
-                else:
-                    self.send_snapshot(sender, object_id, "REGION_UPDATE",
-                                       version)
-            self.engine.run_until_quiescent()
-        phase_messages["views"] = self.network.messages_sent - snapshot
+        with self.counted_phase(phase_messages, "views"):
+            new_ids = set(ids)
+            recipients: Set[int] = set(ids)
+            for object_id in ids:
+                for neighbor_id in self.kernel.neighbors(object_id):
+                    if neighbor_id not in new_ids and neighbor_id in self.nodes:
+                        recipients.add(neighbor_id)
+            for _ in range(1 + self.timeouts.max_retries):
+                version = self.kernel.version
+                stale = [
+                    object_id for object_id in sorted(recipients)
+                    if object_id in self.nodes
+                    and self.nodes[object_id].view_version < version]
+                if not stale:
+                    break
+                for object_id in stale:
+                    if object_id not in self.nodes:
+                        continue  # crashed while this round was being sent
+                    sender = self.nodes[self._bulk_snapshot_sender(object_id)]
+                    if object_id in new_ids:
+                        self.send_snapshot(sender, object_id, "CREATE_OBJECT",
+                                           version, {"bulk": True})
+                    else:
+                        self.send_snapshot(sender, object_id, "REGION_UPDATE",
+                                           version)
+                self.engine.run_until_quiescent()
 
         # ---- phase 3: back-registration hand-over ----------------------
         # Bulk-mode REGION_UPDATEs carry no ``new_id`` (pipelined steals
@@ -1555,68 +1555,60 @@ class ProtocolSimulator:  # simlint: ignore[SIM003] — one per experiment, not 
         # every pre-existing registration once against the final
         # tessellation — the batched equivalent of the per-join steal.
         if had_existing:
-            snapshot = self.network.messages_sent
-            for holder_id, holder in list(self.nodes.items()):
-                if holder_id in new_ids or not holder.back_links:
-                    continue
-                for (source, link_index), target in list(holder.back_links.items()):
-                    if holder_id not in self.nodes:
-                        break  # the holder crashed while handing over
-                    owner = self.kernel.nearest_vertex(target, hint=holder_id)
-                    if owner == holder_id or owner not in self.nodes:
+            with self.counted_phase(phase_messages, "handover"):
+                for holder_id, holder in list(self.nodes.items()):
+                    if holder_id in new_ids or not holder.back_links:
                         continue
-                    holder.hand_over((source, link_index), owner,
-                                     self.nodes[owner].position,
-                                     notify_source=source in self.nodes)
-            self.engine.run_until_quiescent()
-            phase_messages["handover"] = self.network.messages_sent - snapshot
+                    for (source, link_index), target in list(holder.back_links.items()):
+                        if holder_id not in self.nodes:
+                            break  # the holder crashed while handing over
+                        owner = self.kernel.nearest_vertex(target, hint=holder_id)
+                        if owner == holder_id or owner not in self.nodes:
+                            continue
+                        holder.hand_over((source, link_index), owner,
+                                         self.nodes[owner].position,
+                                         notify_source=source in self.nodes)
 
         # ---- phase 4: close neighbours ---------------------------------
         if self.config.maintain_close_neighbors:
-            snapshot = self.network.messages_sent
-            for object_id in ids:
-                node = self.nodes.get(object_id)
-                if node is not None:  # else crashed while the phase was being sent
-                    node.discover_close()
-            self.engine.run_until_quiescent()
-            phase_messages["close"] = self.network.messages_sent - snapshot
+            with self.counted_phase(phase_messages, "close"):
+                for object_id in ids:
+                    node = self.nodes.get(object_id)
+                    if node is not None:  # else crashed while the phase was being sent
+                        node.discover_close()
 
         # ---- phase 5: long links ---------------------------------------
         k = self.config.num_long_links
         if k > 0 and ids:
-            snapshot = self.network.messages_sent
-            targets = choose_long_range_target_array(
-                np.asarray(batch, dtype=np.float64),
-                self.config.effective_d_min, k, self.rng)
-            flat = targets.reshape(-1, 2)
-            for i, object_id in enumerate(ids):
-                node = self.nodes.get(object_id)
-                if node is None:
-                    continue  # crashed while the phase was being sent
-                for index in range(k):
-                    target = (float(flat[i * k + index][0]),
-                              float(flat[i * k + index][1]))
-                    node.add_long_link(target, seed=self.locate.hint(target))
-            self.engine.run_until_quiescent()
-            # Search audit: a crashed carrier or endpoint swallowed a walk;
-            # re-drive the unresolved slots, grid-seeded, bounded like the
-            # carve audit.  Free in fault-free runs (nothing is pending).
-            for _ in range(self.timeouts.max_retries):
-                unresolved = [
-                    object_id for object_id in ids
-                    if object_id in self.nodes
-                    and self.nodes[object_id].pending_link_indices]
-                if not unresolved:
-                    break
-                for object_id in unresolved:
+            with self.counted_phase(phase_messages, "long_links"):
+                targets = choose_long_range_target_array(
+                    np.asarray(batch, dtype=np.float64),
+                    self.config.effective_d_min, k, self.rng)
+                flat = targets.reshape(-1, 2)
+                for i, object_id in enumerate(ids):
                     node = self.nodes.get(object_id)
                     if node is None:
-                        continue
-                    for index in sorted(node.pending_link_indices):
-                        seed = self.locate.hint(node.long_links[index].target)
-                        node.reissue_long_link(index, seed=seed)
+                        continue  # crashed while the phase was being sent
+                    for index in range(k):
+                        target = (float(flat[i * k + index][0]),
+                                  float(flat[i * k + index][1]))
+                        node.add_long_link(target, seeded=True)
                 self.engine.run_until_quiescent()
-            phase_messages["long_links"] = self.network.messages_sent - snapshot
+                # Search audit: a crashed carrier or endpoint swallowed a walk;
+                # re-drive the unresolved slots, grid-seeded, bounded like the
+                # carve audit.  Free in fault-free runs (nothing is pending).
+                for _ in range(self.timeouts.max_retries):
+                    unresolved = [
+                        object_id for object_id in ids
+                        if object_id in self.nodes
+                        and self.nodes[object_id].pending_link_indices]
+                    if not unresolved:
+                        break
+                    for object_id in unresolved:
+                        node = self.nodes.get(object_id)
+                        if node is not None:
+                            node._retry_long_links()
+                    self.engine.run_until_quiescent()
 
         self.metrics.increment("joins", len(ids))
         messages = self.network.messages_sent - before_all

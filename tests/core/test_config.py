@@ -13,9 +13,11 @@ from repro.experiments.runner import build_parser
 from repro.lint import LintConfig
 from repro.serving.harness import run_shootout
 from repro.serving.traffic import serve_closed_loop, serve_protocol_closed_loop
-from repro.simulation.faults import HeartbeatConfig, HeartbeatDetector
+from repro.simulation.faults import (FaultPlane, HeartbeatConfig,
+                                     HeartbeatDetector, SplitSpec)
+from repro.simulation.merge import PartitionRuntime
 from repro.simulation.metrics import MetricsRegistry
-from repro.simulation.protocol import TimeoutPolicy
+from repro.simulation.protocol import ProtocolSimulator, TimeoutPolicy
 from repro.simulation.scenario import (Scenario, measure_steady_state_liveness,
                                        run_merge_scenario)
 
@@ -99,6 +101,13 @@ def test_option_budget():
     # piggyback + sampling (perf/systems.py).
     assert {f.name for f in fields(HeartbeatConfig)} == {
         "interval", "miss_threshold", "piggyback", "sample_fraction"}
+
+    # A split is enforced at send time and nowhere else, and a batch is
+    # chunked by the module constant: neither knob had a setter in a record.
+    assert parameters(SplitSpec.__init__) == ["sides", "start", "end"]
+    assert parameters(FaultPlane.split) == ["sides", "start", "end"]
+    assert parameters(PartitionRuntime.open_split) == ["sides"]
+    assert parameters(ProtocolSimulator.bulk_join) == ["positions"]
 
     # The serving drivers take what a record sets, and the one sink left
     # on the simulator counts (a histogram nobody reads is not state to

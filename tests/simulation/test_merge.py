@@ -74,8 +74,6 @@ class TestSplitSpec:
             plane.split([[1], [1, 2]], start=0.0)          # id on two sides
         with pytest.raises(ValueError):
             plane.split([[1], [2]], start=5.0, end=1.0)    # ends before start
-        with pytest.raises(ValueError):
-            plane.split([[1], [2]], start=0.0, in_flight="nope")
 
     def test_side_tracking_and_assignment(self):
         plane = FaultPlane(seed=2)
@@ -129,56 +127,19 @@ class TestSplitSpec:
 class TestSplitInFlightSemantics:
     """Messages sent before a window opens but delivered inside it.
 
-    The committed default keeps the pinned send-time rule: a packet on
-    the wire when the cut lands still arrives (``deliver``).  The
-    explicit ``in_flight="cut"`` mode models physical-link severance:
-    delivery *time* inside an active cross-side window drops the message
-    with its own drop reason.
+    The fault decision is made at send time only: a packet on the wire
+    when the cut lands still arrives.
     """
 
-    def _network(self, in_flight):
+    def test_default_deliver_keeps_send_time_rule(self):
         engine = SimulationEngine()
         plane = FaultPlane(seed=6)
         network = Network(engine, latency=ConstantLatency(5.0), faults=plane)
         delivered = []
         network.register(1, delivered.append)
         network.register(2, delivered.append)
-        plane.split([[1], [2]], start=2.0, end=20.0, in_flight=in_flight)
+        plane.split([[1], [2]], start=2.0, end=20.0)
         # Sent at t=0 (before the window), delivered at t=5 (inside it).
-        network.send(Message(sender=1, recipient=2, kind="X"))
-        engine.run()
-        return network, plane, delivered
-
-    def test_default_deliver_keeps_send_time_rule(self):
-        network, plane, delivered = self._network("deliver")
-        assert len(delivered) == 1
-        assert network.messages_lost == 0
-        assert plane.in_flight_cuts == 0
-
-    def test_cut_mode_drops_at_delivery_time(self):
-        network, plane, delivered = self._network("cut")
-        assert delivered == []
-        assert network.messages_lost == 1
-        assert plane.drops_by_reason["partition_in_flight"] == 1
-
-    def test_cut_mode_counter_cleared_on_heal(self):
-        plane = FaultPlane(seed=7)
-        plane.split([[1], [2]], start=0.0, in_flight="cut")
-        assert plane.in_flight_cuts == 1
-        plane.heal_partitions()
-        assert plane.in_flight_cuts == 0
-
-    def test_cut_mode_spares_deliveries_outside_the_window(self):
-        # Sent at t=0 (pre-window), delivered at t=5 — but the window is
-        # [7, 9): neither the send-time rule nor the delivery-time rule
-        # touches it.
-        engine = SimulationEngine()
-        plane = FaultPlane(seed=8)
-        network = Network(engine, latency=ConstantLatency(5.0), faults=plane)
-        delivered = []
-        network.register(1, delivered.append)
-        network.register(2, delivered.append)
-        plane.split([[1], [2]], start=7.0, end=9.0, in_flight="cut")
         network.send(Message(sender=1, recipient=2, kind="X"))
         engine.run()
         assert len(delivered) == 1

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import VoroNetConfig
 from repro.geometry.point import distance
+from repro.simulation import protocol
 from repro.simulation.protocol import ProtocolSimulator
 from repro.simulation.trace import TraceRecorder
 from repro.utils.rng import RandomSource
@@ -160,11 +161,6 @@ class TestBulkJoins:
         assert len(sim) == 1
         assert sim.verify_views() == []
 
-    def test_invalid_chunk_size_is_rejected(self):
-        sim = ProtocolSimulator(VoroNetConfig(n_max=64, seed=6), seed=6)
-        with pytest.raises(ValueError):
-            sim.bulk_join([(0.25, 0.25)], chunk_size=0)
-
     def test_bulk_join_requires_quiescent_engine(self):
         sim = ProtocolSimulator(VoroNetConfig(n_max=64, seed=6), seed=6)
         sim.engine.schedule(5.0, lambda: None)
@@ -180,12 +176,13 @@ class TestBulkJoins:
         assert sim.query((0.5, 0.5)).owner in sim.object_ids()
         assert sim.verify_views() == []
 
-    def test_small_chunks_give_identical_structure(self, numpy_rng):
+    def test_small_chunks_give_identical_structure(self, numpy_rng, monkeypatch):
         positions = [tuple(p) for p in numpy_rng.random((60, 2))]
-        small = ProtocolSimulator(VoroNetConfig(n_max=300, seed=6), seed=6)
-        small.bulk_join(positions, chunk_size=7)
         default = ProtocolSimulator(VoroNetConfig(n_max=300, seed=6), seed=6)
         default.bulk_join(positions)
+        monkeypatch.setattr(protocol, "DEFAULT_BULK_CHUNK", 7)
+        small = ProtocolSimulator(VoroNetConfig(n_max=300, seed=6), seed=6)
+        small.bulk_join(positions)
         for oid in default.object_ids():
             assert set(small.node(oid).voronoi) == set(default.node(oid).voronoi)
             assert set(small.node(oid).close) == set(default.node(oid).close)
