@@ -19,13 +19,13 @@ Message accounting follows the paper:
 
 from __future__ import annotations
 
-from typing import Iterable, List, Mapping, Sized, TYPE_CHECKING, Tuple
+from typing import Callable, Iterable, List, Mapping, Sized, TYPE_CHECKING, Tuple
 
 import numpy as np
 
 from repro.core.neighbors import compute_close_neighbors, register_close_neighbors
 from repro.core.node import BackLink
-from repro.geometry.point import distance
+from repro.geometry.point import Point, distance
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.overlay import VoroNet
@@ -227,9 +227,24 @@ def detach_object(overlay: "VoroNet", object_id: int) -> int:
 
 
 def view_consistency_report(overlay: "VoroNet") -> List[str]:
+    """:func:`view_report` over the oracle overlay's nodes."""
+    return view_report(
+        {node.object_id: (node.position, node.close_neighbors, node.long_links,
+                          {(bl.source, bl.link_index) for bl in node.back_links})
+         for node in overlay.nodes()},
+        overlay.owner_of, overlay.config.effective_d_min)
+
+
+def view_report(views: Mapping[int, Tuple], owner_of: Callable[[Point, int], int],
+                d_min: float) -> List[str]:
     """Check cross-object view invariants; returns a list of problems.
 
-    Verified invariants (used heavily by the test suite):
+    One definition for both planes (``VoroNet.check_consistency`` and
+    ``ProtocolSimulator.verify_views``): ``views`` maps every member id to
+    ``(position, close ids, long links, back registrations)`` — long links
+    anything with ``.target`` / ``.neighbor``, back registrations a
+    container of ``(source, link_index)`` — and ``owner_of(point, hint)``
+    names the member owning a point.  Three families:
 
     * close-neighbour symmetry, and every recorded close neighbour is really
       within ``d_min``;
@@ -239,47 +254,41 @@ def view_consistency_report(overlay: "VoroNet") -> List[str]:
       every back registration has a matching long link at its source.
     """
     problems: List[str] = []
-    d_min = overlay.config.effective_d_min
-    ids = overlay.object_ids()
-    for object_id in ids:
-        node = overlay.node(object_id)
-        for close_id in node.close_neighbors:
-            if close_id not in overlay:
+    for object_id, (position, close, long_links, back_links) in views.items():
+        for close_id in close:
+            peer = views.get(close_id)
+            if peer is None:
                 problems.append(f"{object_id}: stale close neighbour {close_id}")
                 continue
-            if object_id not in overlay.node(close_id).close_neighbors:
+            if object_id not in peer[1]:
                 problems.append(
                     f"close-neighbour relation {object_id} → {close_id} not symmetric")
-            if distance(node.position, overlay.position_of(close_id)) > d_min * (1 + 1e-9):
+            if distance(position, peer[0]) > d_min * (1 + 1e-9):
                 problems.append(
                     f"{object_id}: close neighbour {close_id} farther than d_min")
-        for index, link in enumerate(node.long_links):
-            if link.neighbor not in overlay:
+        for index, link in enumerate(long_links):
+            endpoint = views.get(link.neighbor)
+            if endpoint is None:
                 problems.append(
                     f"{object_id}: long link {index} points at departed {link.neighbor}")
                 continue
-            owner = overlay.owner_of(link.target)
+            owner = owner_of(link.target, link.neighbor)
             if owner != link.neighbor:
                 problems.append(
                     f"{object_id}: long link {index} points at {link.neighbor} "
                     f"but {owner} owns its target")
-            endpoint = overlay.node(link.neighbor)
-            if link.neighbor != object_id:
-                if not any(bl.source == object_id and bl.link_index == index
-                           for bl in endpoint.back_links):
-                    problems.append(
-                        f"{object_id}: long link {index} missing back registration "
-                        f"at {link.neighbor}")
-        for back_link in node.back_links:
-            if back_link.source not in overlay:
+            if link.neighbor != object_id and (object_id, index) not in endpoint[3]:
                 problems.append(
-                    f"{object_id}: back link from departed {back_link.source}")
-                continue
-            source = overlay.node(back_link.source)
-            if (back_link.link_index >= len(source.long_links)
-                    or source.long_links[back_link.link_index].neighbor != object_id):
+                    f"{object_id}: long link {index} missing back registration "
+                    f"at {link.neighbor}")
+        for source, link_index in back_links:
+            holder = views.get(source)
+            if holder is None:
+                problems.append(f"{object_id}: back link from departed {source}")
+            elif (link_index >= len(holder[2])
+                    or holder[2][link_index].neighbor != object_id):
                 problems.append(
-                    f"{object_id}: back link from {back_link.source}#{back_link.link_index} "
+                    f"{object_id}: back link from {source}#{link_index} "
                     "does not match the source's long link")
     return problems
 

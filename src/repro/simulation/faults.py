@@ -828,9 +828,10 @@ class RepairProtocol:  # simlint: ignore[SIM003] — one per experiment, not per
     that no local reference supports any more.
 
     :meth:`repair` iterates rounds until every suspect list drains and
-    the audit (:meth:`_audit`: long links at their target's true owner,
-    views equal to the kernel's, no close or back entry serving a departed
-    node) comes back empty, or ``max_rounds`` is exhausted — one predicate,
+    the audit (:meth:`_audit`: long links at their target's true owner and
+    registered there, views equal to the kernel's, no close or back entry
+    serving a departed node, no orphan registration, no one-sided close
+    pair) comes back empty, or ``max_rounds`` is exhausted — one predicate,
     asked the same way at both exits.  Because nodes keep a suspect while
     any stale reference survives, rounds are idempotent and retry-safe
     under message loss.  Within one call the audit re-checks only members
@@ -997,10 +998,11 @@ class RepairProtocol:  # simlint: ignore[SIM003] — one per experiment, not per
 
     # ------------------------------------------------------------------
     def _audit(self) -> Tuple[List[Tuple[int, int]], List[int],
-                              List[Tuple[int, Set[int]]]]:
+                              List[Tuple[int, Set[int]]],
+                              List[Tuple[int, Tuple[int, int]]], List[int]]:
         """What suspicion-driven repair cannot see, over the in-scope members.
 
-        Three lists, each in member order:
+        Five lists, each in member order:
 
         * ``(object_id, link_index)`` of long links not pointing at their
           target's owner — the same kernel consultation ``bulk_join``'s
@@ -1008,7 +1010,10 @@ class RepairProtocol:  # simlint: ignore[SIM003] — one per experiment, not per
           standing in for the owner-side audit a deployment would run
           periodically.  A dead endpoint, or one outside this repairer's
           kernel (a cross-side link under a scoped, split-era repair),
-          cannot stand either.
+          cannot stand either — nor can an endpoint that holds no back
+          registration for the link (a lost ``BACKLINK_TRANSFER``, or a
+          false suspicion that dropped it): the next steal or leave of
+          that endpoint would strand the link.
         * ids whose Voronoi view disagrees with the shared kernel.  A view
           can go stale with *no* suspect involved — a consolidated
           ``REGION_UPDATE`` (or its sender) fed a crash mid-``bulk_join``
@@ -1022,16 +1027,25 @@ class RepairProtocol:  # simlint: ignore[SIM003] — one per experiment, not per
           nobody probes anymore.  Under a scoped repair, peers outside
           the scope are presumed dead by this side even though their node
           objects survive across the cut.
+        * ``(holder, key)`` of orphan back registrations: the source lives
+          but its link ``key[1]`` points elsewhere.
+        * ids missing a live peer that holds *them* as a close neighbour
+          (a lost ``CLOSE_DECLARE``, or one side of the pair dropped on a
+          false suspicion); each listed once, in id order.
 
-        Within one :meth:`repair` call a member's verdict is a function of
-        ``(kernel.version, node.view_epoch)`` alone — the kernel answers
-        every consultation above, membership of ``simulator.nodes`` only
+        Within one :meth:`repair` call a member's kernel verdict — link
+        owners, its Voronoi view, dead references — is a function of
+        ``(kernel.version, node.view_epoch)`` alone: the kernel answers
+        every such consultation, membership of ``simulator.nodes`` only
         changes through a kernel insertion or removal, and the epoch moves
         with every edit of the four view components — so a member that
-        passed all three checks is stamped with that pair and skipped
-        until either half moves.  A later pass of the same call therefore
+        passed them is stamped with that pair and they are skipped until
+        either half moves.  A later pass of the same call therefore
         re-checks only the few dozen nodes the settlement in between
-        touched.
+        touched.  The pairwise families (registration at the endpoint,
+        orphan registrations, close symmetry) read *another* member's
+        view, which no stamp of this one covers; they are a few dict
+        probes per member and are asked every pass.
         """
         simulator = self.simulator
         nodes = simulator.nodes
@@ -1042,34 +1056,48 @@ class RepairProtocol:  # simlint: ignore[SIM003] — one per experiment, not per
         wrong: List[Tuple[int, int]] = []
         stale_views: List[int] = []
         dead_refs: List[Tuple[int, Set[int]]] = []
+        orphans: List[Tuple[int, Tuple[int, int]]] = []
+        lonely: Set[int] = set()
         for object_id in self._members():
             node = nodes[object_id]
             stamp = (version, node.view_epoch)
-            if clean.get(object_id) == stamp:
-                continue
+            stamped = clean.get(object_id) == stamp
             links = [(object_id, index)
                      for index, link in enumerate(node.long_links)
                      if link.neighbor not in nodes
-                     or link.neighbor not in kernel
-                     or kernel.nearest_vertex(
-                         link.target, hint=link.neighbor) != link.neighbor]
-            view_stale = (object_id in kernel and set(node.voronoi)
-                          != set(kernel.neighbors(object_id)))
-            dead = {peer for peer in node.close
-                    if peer not in nodes
-                    or (scope is not None and peer not in scope)}
-            dead.update(source for source, _index in node.back_links
-                        if source not in nodes
-                        or (scope is not None and source not in scope))
-            if not links and not view_stale and not dead:
-                clean[object_id] = stamp
-                continue
+                     or (link.neighbor != object_id and (object_id, index)
+                         not in nodes[link.neighbor].back_links)
+                     or not stamped and (
+                         link.neighbor not in kernel
+                         or kernel.nearest_vertex(
+                             link.target, hint=link.neighbor) != link.neighbor)]
             wrong.extend(links)
-            if view_stale:
-                stale_views.append(object_id)
-            if dead:
-                dead_refs.append((object_id, dead))
-        return wrong, stale_views, dead_refs
+            dead: Set[int] = set()  # a stamped member passed with none
+            if not stamped:
+                view_stale = (object_id in kernel and set(node.voronoi)
+                              != set(kernel.neighbors(object_id)))
+                dead.update(peer for peer in node.close
+                            if peer not in nodes
+                            or (scope is not None and peer not in scope))
+                dead.update(source for source, _index in node.back_links
+                            if source not in nodes
+                            or (scope is not None and source not in scope))
+                if view_stale:
+                    stale_views.append(object_id)
+                if dead:
+                    dead_refs.append((object_id, dead))
+                if not links and not view_stale and not dead:
+                    clean[object_id] = stamp
+            orphans.extend(
+                (object_id, (source, index))
+                for source, index in node.back_links
+                if source not in dead and (
+                    index >= len(nodes[source].long_links)
+                    or nodes[source].long_links[index].neighbor != object_id))
+            lonely.update(peer for peer in node.close
+                          if peer not in dead
+                          and object_id not in nodes[peer].close)
+        return wrong, stale_views, dead_refs, orphans, sorted(lonely)
 
     def repair(self, max_rounds: Optional[int] = None) -> RepairReport:
         """Iterate repair rounds until the overlay converges (or the cap)."""
@@ -1087,37 +1115,46 @@ class RepairProtocol:  # simlint: ignore[SIM003] — one per experiment, not per
                 processed.update(simulator.nodes[object_id].suspects)
             result = self.repair_round()
             if result is None:
-                wrong, stale_views, dead_refs = self._audit()
-                if not wrong and not stale_views and not dead_refs:
+                audit = self._audit()
+                if not any(audit):
                     converged = True
                     break
+                wrong, stale_views, dead_refs, orphans, lonely = audit
+                nodes = simulator.nodes
+                # What is message-free first: a crash fires inside a counted
+                # send, so every member the audit listed is still there.
                 # References serving a departed peer (a crash that landed
-                # mid-repair, past the suspicion machinery): the same
-                # local scrub suspicion would have applied, message-free.
+                # mid-repair, past the suspicion machinery) get the local
+                # scrub suspicion would have applied; an orphan registration
+                # is dropped by its holder, a local hand-off.
                 for object_id, dead in dead_refs:
-                    node = simulator.nodes.get(object_id)
-                    if node is None:
-                        continue  # crashed while this pass was being sent
-                    node.apply_suspicion(dead)
+                    nodes[object_id].apply_suspicion(dead)
+                for object_id, (source, index) in orphans:
+                    simulator.send(nodes[object_id], object_id, "BACKLINK_REMOVE",
+                                   {"source": source, "link_index": index})
+                # Stale views (a lost snapshot with no suspect to blame):
+                # the node re-reads the version-stamped kernel truth — the
+                # VIEW_SCRUB of the scrub phase, self-addressed, with
+                # nothing to scrub.
+                version = simulator.kernel.version
+                for object_id in stale_views:
+                    simulator.send_snapshot(nodes[object_id], object_id,
+                                            "VIEW_SCRUB", version, {"crashed": []})
+                # Mis-held or unregistered links: re-issue the routed search
+                # for exactly those links — grid-seeded, this is the
+                # settlement pass.  A node a peer holds as a close neighbour
+                # but that does not hold the peer re-runs close discovery.
                 with simulator.counted_phase(totals, "audit"):
-                    # Stale views (a lost snapshot with no suspect to blame):
-                    # re-send the version-stamped kernel truth — the same
-                    # VIEW_SCRUB the scrub phase uses, with nothing to scrub.
-                    version = simulator.kernel.version
-                    for object_id in stale_views:
-                        node = simulator.nodes.get(object_id)
-                        if node is not None:  # else crashed while this pass was being sent
-                            simulator.send_snapshot(node, object_id, "VIEW_SCRUB",
-                                                    version, {"crashed": []})
-                    # Mis-held links (repair raced a stale view): re-issue the
-                    # routed search for exactly those links — grid-seeded, this
-                    # is the settlement pass — and check again.
                     for object_id, index in wrong:
-                        node = simulator.nodes.get(object_id)
+                        node = nodes.get(object_id)
                         if node is None:
                             continue  # crashed while this pass was being sent
                         node.reissue_long_link(index, seeded=True)
                         self._reissued += 1
+                    for object_id in lonely:
+                        node = nodes.get(object_id)
+                        if node is not None:
+                            node.discover_close()
                 rounds += 1
                 continue
             for phase, count in result.items():

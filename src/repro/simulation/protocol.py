@@ -94,7 +94,7 @@ from typing import (TYPE_CHECKING, Callable, ClassVar, Dict, Iterator, List,
 import numpy as np
 
 from repro.core.config import VoroNetConfig
-from repro.core.maintenance import membership_report
+from repro.core.maintenance import membership_report, view_report
 from repro.core.long_range import choose_long_range_target, choose_long_range_target_array
 from repro.geometry.delaunay import DelaunayTriangulation, DuplicatePointError, morton_order
 from repro.geometry.locate_grid import LocateGrid
@@ -1410,9 +1410,9 @@ class ProtocolSimulator:  # simlint: ignore[SIM003] — one per experiment, not 
 
         1. **carve** — the batch is Morton-sorted and,
            :data:`DEFAULT_BULK_CHUNK` sends at a time, routed as
-           ``ADD_OBJECT`` messages from locate-grid
-           hinted introducers (already adjacent to the new region, so the
-           routing walk is O(1) expected hops); region owners carve the
+           ``ADD_OBJECT`` messages from locate-grid hinted introducers
+           (already adjacent to the new region, so the routing walk is
+           O(1) expected hops); region owners carve the
            kernel but defer view snapshots to the next phase — a join run
            to quiescence resends a node's view on every insertion touching
            it, which a batch attach consolidates away;
@@ -1798,33 +1798,27 @@ class ProtocolSimulator:  # simlint: ignore[SIM003] — one per experiment, not 
 
         Membership first, as in ``VoroNet.check_consistency``: kernel, locate
         grid and handlers ≡ :attr:`nodes`; no operation owned by a non-member.
-        Last, as there, the cache contract (:meth:`probe_plan_report`).
+        Then vn ≡ the kernel's stars, and the oracle checker's three
+        families under its own definition
+        (:func:`~repro.core.maintenance.view_report`: close symmetry, long
+        links at their target's owner, links ⇄ back registrations).  Last,
+        as there, the cache contract (:meth:`probe_plan_report`).
         """
         problems = self._membership_report()
-        d_min = self.config.effective_d_min
+        kernel = self.kernel
         for object_id, node in self.nodes.items():
-            kernel_neighbors = set(self.kernel.neighbors(object_id))
+            kernel_neighbors = set(kernel.neighbors(object_id))
             local_neighbors = set(node.voronoi)
             if kernel_neighbors != local_neighbors:
                 problems.append(
                     f"{object_id}: local vn view {sorted(local_neighbors)} != "
                     f"kernel {sorted(kernel_neighbors)}")
-            for close_id, close_position in node.close.items():
-                if close_id not in self.nodes:
-                    problems.append(f"{object_id}: stale close neighbour {close_id}")
-                elif distance(node.position, close_position) > d_min * (1 + 1e-9):
-                    problems.append(
-                        f"{object_id}: close neighbour {close_id} beyond d_min")
-            for link in node.long_links:
-                if link.neighbor not in self.nodes:
-                    problems.append(
-                        f"{object_id}: long link to departed {link.neighbor}")
-                    continue
-                owner = self.kernel.nearest_vertex(link.target, hint=link.neighbor)
-                if owner != link.neighbor:
-                    problems.append(
-                        f"{object_id}: long link points at {link.neighbor} but "
-                        f"{owner} owns the target")
+        problems.extend(view_report(
+            {object_id: (node.position, node.close, node.long_links,
+                         node.back_links)
+             for object_id, node in self.nodes.items()},
+            lambda target, hint: kernel.nearest_vertex(target, hint=hint),
+            self.config.effective_d_min))
         problems.extend(self.probe_plan_report())
         return problems
 
@@ -1834,9 +1828,8 @@ class ProtocolSimulator:  # simlint: ignore[SIM003] — one per experiment, not 
         A plan stamped with its node's current view epoch is what the next
         heartbeat round probes from, so it must equal the fresh derivation
         (``sorted(monitored_peers())`` and its part outside vn ∪ cn).  SIM001
-        holds message handlers to the ``touch_view()`` contract; this also
-        sees the sites that edit views from outside a handler (``bulk_join``,
-        the repair protocol's close re-discovery).
+        holds every view edit to the ``touch_view()`` contract statically;
+        this sees, at run time, a plan an edit slipped past.
         """
         problems: List[str] = []
         for object_id, node in self.nodes.items():

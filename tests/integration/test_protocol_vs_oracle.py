@@ -189,3 +189,61 @@ class TestBulkJoinParity:
             assert set(oracle.node(object_id).close_neighbors) == \
                 set(protocol.node(object_id).close)
 
+
+
+class TestCheckerParity:
+    """``check_consistency()`` and ``verify_views()`` see the same pairwise
+    violations: the twins of ``both_bulk_modes`` hold identical ids, close
+    sets and long links, so one seeded defect is planted in both and each
+    plane's checker must name it, in the same family."""
+
+    @staticmethod
+    def seed_defect(case, oracle, protocol):
+        """Plant ``case`` in both planes; returns ``(problem, undo)``."""
+        source = next(object_id for object_id in oracle.object_ids()
+                      if oracle.node(object_id).long_links[0].neighbor != object_id)
+        link = oracle.node(source).long_links[0]
+
+        def host(holder, hosted):
+            """Whether ``holder`` hosts the registration of ``source``'s link 0."""
+            if hosted:
+                oracle.node(holder).add_back_link(source, 0, link.target)
+                protocol.node(holder).back_links[(source, 0)] = link.target
+            else:
+                oracle.node(holder).remove_back_link(source, 0)
+                del protocol.node(holder).back_links[(source, 0)]
+
+        if case == "missing registration":
+            host(link.neighbor, False)
+            return (f"{source}: long link 0 missing back registration at "
+                    f"{link.neighbor}", lambda: host(link.neighbor, True))
+        if case == "orphan registration":
+            holder = next(object_id for object_id in oracle.object_ids()
+                          if object_id not in (source, link.neighbor))
+            host(holder, True)
+            return (f"{holder}: back link from {source}#0 does not match the "
+                    f"source's long link", lambda: host(holder, False))
+        holder = next(object_id for object_id in oracle.object_ids()
+                      if oracle.node(object_id).close_neighbors)
+        peer = min(oracle.node(holder).close_neighbors)
+        oracle.node(holder).discard_close_neighbor(peer)
+        position = protocol.node(holder).close.pop(peer)
+
+        def undo():
+            oracle.node(holder).add_close_neighbor(peer)
+            protocol.node(holder).close[peer] = position
+        return f"close-neighbour relation {peer} → {holder} not symmetric", undo
+
+    @pytest.mark.parametrize("case", ["missing registration",
+                                      "orphan registration",
+                                      "one-sided close pair"])
+    def test_a_seeded_defect_is_named_by_both_checkers(self, both_bulk_modes, case):
+        oracle, _, protocol, _, _ = both_bulk_modes
+        problem, undo = self.seed_defect(case, oracle, protocol)
+        try:
+            assert oracle.check_consistency() == [problem]
+            assert protocol.verify_views() == [problem]
+        finally:
+            undo()
+        assert oracle.check_consistency() == []
+        assert protocol.verify_views() == []

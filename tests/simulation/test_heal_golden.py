@@ -20,10 +20,21 @@ Re-record ``PARENT_DIGEST`` (``python tests/simulation/test_heal_golden.py``
 prints the current one) only for a change that is *meant* to alter which
 messages a heal cycle sends, and say so beside the value — see
 ``TESTING.md``, "A heal cycle replays bit for bit".
+
+Re-recorded once since: ``650a804f…`` was the digest of cycles that ended
+``healed`` with six long links registered nowhere (``verify_views()`` did
+not look); the audit now re-searches such links, drops orphan
+registrations and re-declares one-sided close pairs, which is meant to
+change what a heal cycle sends (6 more ``SEARCH_LONG_LINK``, 5 more
+``BACKLINK_REMOVE``, same three rounds per cycle).  The refactor that
+preceded it — every protocol move written once — carried ``650a804f…``
+unchanged.
 """
 
 import hashlib
 import json
+
+import pytest
 
 from repro.core import VoroNetConfig
 from repro.simulation.faults import (
@@ -47,7 +58,7 @@ DETECTION_ROUNDS = 4
 HEARTBEAT = HeartbeatConfig(interval=8.0, miss_threshold=2, piggyback=True,
                             sample_fraction=0.25)
 
-PARENT_DIGEST = "650a804fde087b7feb996763b3c3baf2b548e4da3bdb963c8e4a6ca7be44228e"
+PARENT_DIGEST = "75b51e6be8c58fb0312e6667a16888415a535c430860988c7c6abecf4c2a60f7"
 
 
 def run_heal_cycles():
@@ -115,8 +126,28 @@ def heal_digest(simulator, reports):
     return hashlib.sha256(json.dumps(record).encode()).hexdigest()
 
 
-def test_heal_cycles_carry_the_parents_digest():
-    simulator, reports, healed = run_heal_cycles()
+@pytest.fixture(scope="module")
+def heal_cycles():
+    return run_heal_cycles()
+
+
+def test_heal_cycles_leave_no_pairwise_asymmetry(heal_cycles):
+    """Written out here, not read off ``verify_views()``: at the parent of
+    the re-record the cycles ended ``healed`` with six links unregistered."""
+    nodes = heal_cycles[0].nodes
+    assert [(object_id, index) for object_id, node in nodes.items()
+            for index, link in enumerate(node.long_links)
+            if link.neighbor != object_id
+            and (object_id, index) not in nodes[link.neighbor].back_links] == []
+    assert [(object_id, key) for object_id, node in nodes.items()
+            for key in node.back_links
+            if nodes[key[0]].long_links[key[1]].neighbor != object_id] == []
+    assert [(object_id, peer) for object_id, node in nodes.items()
+            for peer in node.close if object_id not in nodes[peer].close] == []
+
+
+def test_heal_cycles_carry_the_parents_digest(heal_cycles):
+    simulator, reports, healed = heal_cycles
     assert healed == [True] * CYCLES
     # The workload must actually exercise the plane and the audits.
     assert simulator.faults.drops_by_reason["loss"] > 0

@@ -17,6 +17,7 @@ design reason, not just a new code path.
 """
 
 import ast
+import functools
 from pathlib import Path
 
 import pytest
@@ -39,10 +40,15 @@ EXPECTED_KINDS = frozenset({
 })
 
 
-def collect():
+@functools.cache
+def parsed():
     modules, errors = parse_modules(iter_source_files([SRC]))
     assert errors == []
-    return collect_sent_kinds(modules), collect_handled_kinds(modules)
+    return modules
+
+
+def collect():
+    return collect_sent_kinds(parsed()), collect_handled_kinds(parsed())
 
 
 def test_sent_kinds_equal_handled_kinds():
@@ -73,10 +79,9 @@ def test_every_kind_dispatches_to_a_real_handler():
 
 def senders(kind):
     """``(enclosing function, method called)`` of every send site of ``kind``."""
-    modules, _errors = parse_modules(iter_source_files([SRC]))
-    trees = {module.display: module.tree for module in modules}
+    trees = {module.display: module.tree for module in parsed()}
     found = []
-    for display, line, col in collect_sent_kinds(modules)[kind]:
+    for display, line, col in collect_sent_kinds(parsed())[kind]:
         enclosing = [node for node in ast.walk(trees[display])
                      if isinstance(node, ast.FunctionDef)
                      and node.lineno <= line <= node.end_lineno]

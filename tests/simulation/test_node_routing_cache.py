@@ -184,12 +184,15 @@ class TestEpochContract:
                         if object_id != node.object_id
                         and object_id not in node.monitored_peers())
         node.back_links[(stranger, 0)] = node.position   # no touch_view()
-        problems = simulator.verify_views()
-        assert len(problems) == 1
-        assert problems[0].startswith(
+        # The planted registration is also an orphan (the stranger's link
+        # points elsewhere), which the shared view checker names first.
+        orphan = (f"{node.object_id}: back link from {stranger}#0 does not "
+                  f"match the source's long link")
+        stale_plan, = simulator.probe_plan_report()
+        assert stale_plan.startswith(
             f"{node.object_id}: cached probe plan is stale")
-        assert problems == simulator.probe_plan_report()
+        assert simulator.verify_views() == [orphan, stale_plan]
         node.touch_view()
-        assert simulator.verify_views() == []
+        assert simulator.verify_views() == [orphan]
         peers, sampled = node.probe_plan()
         assert stranger in peers and stranger in sampled
