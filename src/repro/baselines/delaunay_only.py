@@ -5,7 +5,10 @@ to the region owner) but costs ``Θ(√N)`` hops instead of ``O(log² N)``; the
 gap between this baseline and full VoroNet is exactly the contribution of
 the generalised Kleinberg mechanism.  The class wraps a regular
 :class:`~repro.core.overlay.VoroNet` configured with zero long links so the
-construction cost is comparable and the object placement identical.
+construction cost is comparable and the object placement identical — and
+that configuration is the whole baseline: with no link ever drawn, the one
+routing view ``vn ∪ cn ∪ LRn`` *is* ``vn ∪ cn``, so routes go through the
+same router, tables and cache as full VoroNet's.
 """
 
 from __future__ import annotations
@@ -64,5 +67,4 @@ class DelaunayOnlyOverlay:
 
     def route(self, source: int, destination: int) -> RouteResult:
         """Greedy route between two objects using only Voronoi/close links."""
-        return route_to_object(self._overlay, source, destination,
-                               use_long_links=False)
+        return route_to_object(self._overlay, source, destination)

@@ -20,7 +20,7 @@ from repro.core.long_range import (
     choose_long_range_targets,
 )
 from repro.core.neighbors import NeighborView
-from repro.core.node import BackLink, LongLink, ObjectNode
+from repro.core.node import LongLink, ObjectNode
 from repro.core.overlay import VoroNet
 from repro.core.queries import (
     QueryResult,
@@ -49,7 +49,6 @@ __all__ = [
     "RoutingError",
     "ObjectNode",
     "LongLink",
-    "BackLink",
     "NeighborView",
     "RouteResult",
     "greedy_route",

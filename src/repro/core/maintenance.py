@@ -24,7 +24,6 @@ from typing import Callable, Iterable, List, Mapping, Sized, TYPE_CHECKING, Tupl
 import numpy as np
 
 from repro.core.neighbors import compute_close_neighbors, register_close_neighbors
-from repro.core.node import BackLink
 from repro.geometry.point import Point, distance
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -73,18 +72,14 @@ def integrate_new_object(overlay: "VoroNet", object_id: int) -> int:
         neighbor = overlay.node(neighbor_id)
         if not neighbor.back_links:
             continue
-        stolen: List[BackLink] = []
-        for back_link in neighbor.back_links:
-            if distance(position, back_link.target) < distance(
-                    neighbor.position, back_link.target):
-                stolen.append(back_link)
-        for back_link in stolen:
-            neighbor.remove_back_link(back_link.source, back_link.link_index)
-            node.add_back_link(back_link.source, back_link.link_index,
-                               back_link.target)
-            source = overlay.node(back_link.source)
-            source.retarget_long_link(back_link.link_index, object_id)
-            affected.append(back_link.source)
+        stolen = [(source, link_index, target)
+                  for (source, link_index), target in neighbor.back_links.items()
+                  if distance(position, target) < distance(neighbor.position, target)]
+        for source, link_index, target in stolen:
+            neighbor.remove_back_link(source, link_index)
+            node.add_back_link(source, link_index, target)
+            overlay.node(source).retarget_long_link(link_index, object_id)
+            affected.append(source)
             messages += 2  # hand-over to the new holder + notify the source
     overlay.invalidate_routing_tables(affected)
     return messages
@@ -136,15 +131,13 @@ def bulk_integrate_objects(overlay: "VoroNet", object_ids: List[int]) -> int:
         holder = overlay.node(object_id)
         if not holder.back_links:
             continue
-        for back_link in list(holder.back_links):
-            owner = overlay.owner_of(back_link.target, hint=object_id)
+        for (source, link_index), target in list(holder.back_links.items()):
+            owner = overlay.owner_of(target, hint=object_id)
             if owner == object_id:
                 continue
-            holder.remove_back_link(back_link.source, back_link.link_index)
-            overlay.node(owner).add_back_link(
-                back_link.source, back_link.link_index, back_link.target)
-            overlay.node(back_link.source).retarget_long_link(
-                back_link.link_index, owner)
+            holder.remove_back_link(source, link_index)
+            overlay.node(owner).add_back_link(source, link_index, target)
+            overlay.node(source).retarget_long_link(link_index, owner)
             messages += 2  # hand-over to the new holder + notify the source
     # A batch attach touches close sets and link sources across the whole
     # overlay; the caller (bulk_load) already operates at overlay-wide
@@ -192,26 +185,23 @@ def detach_object(overlay: "VoroNet", object_id: int) -> int:
     # Delegate hosted long links to the neighbour now owning their target.
     if node.back_links:
         candidates = [nid for nid in voronoi_neighbors if nid in overlay]
-        for back_link in list(node.back_links):
-            source_id = back_link.source
+        for (source_id, link_index), target in node.back_links.items():
             if source_id not in overlay or source_id == object_id:
                 continue
             if candidates:
                 new_holder_id = min(
                     candidates,
-                    key=lambda nid: distance(overlay.position_of(nid), back_link.target),
+                    key=lambda nid: distance(overlay.position_of(nid), target),
                 )
             elif len(overlay) > 1:
                 new_holder_id = min(
                     (oid for oid in overlay.object_ids() if oid != object_id),
-                    key=lambda oid: distance(overlay.position_of(oid), back_link.target),
+                    key=lambda oid: distance(overlay.position_of(oid), target),
                 )
             else:
                 continue
-            new_holder = overlay.node(new_holder_id)
-            new_holder.add_back_link(source_id, back_link.link_index, back_link.target)
-            overlay.node(source_id).retarget_long_link(back_link.link_index,
-                                                       new_holder_id)
+            overlay.node(new_holder_id).add_back_link(source_id, link_index, target)
+            overlay.node(source_id).retarget_long_link(link_index, new_holder_id)
             affected.append(source_id)
             messages += 2  # delegate to the neighbour + notify the source
     node.back_links.clear()
@@ -230,7 +220,7 @@ def view_consistency_report(overlay: "VoroNet") -> List[str]:
     """:func:`view_report` over the oracle overlay's nodes."""
     return view_report(
         {node.object_id: (node.position, node.close_neighbors, node.long_links,
-                          {(bl.source, bl.link_index) for bl in node.back_links})
+                          node.back_links)
          for node in overlay.nodes()},
         overlay.owner_of, overlay.config.effective_d_min)
 

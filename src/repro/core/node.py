@@ -7,8 +7,7 @@ per-object state:
 * the ``k`` long-range links (target point + current endpoint object),
 * the back-long-range registrations (who points a long link at us, and at
   which target point), needed to re-delegate links when we leave,
-* the close-neighbour set ``cn(o)`` (objects within ``d_min``),
-* bookkeeping metadata (join sequence number, hosting address).
+* the close-neighbour set ``cn(o)`` (objects within ``d_min``).
 
 The Voronoi-neighbour set ``vn(o)`` is *not* duplicated here: in the
 library's "oracle" execution mode it is always derived from the shared
@@ -20,11 +19,11 @@ local copies instead, as a real deployment would.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, NamedTuple, Optional, Set
+from typing import Dict, List, Set, Tuple
 
 from repro.geometry.point import Point
 
-__all__ = ["LongLink", "BackLink", "ObjectNode"]
+__all__ = ["LongLink", "ObjectNode"]
 
 
 @dataclass
@@ -47,18 +46,6 @@ class LongLink:
     neighbor: int
 
 
-class BackLink(NamedTuple):
-    """A reverse registration: ``source``'s ``link_index``-th long link points at us.
-
-    A tuple led by its source, like protocol mode's ``(source, link_index)``
-    keys: the damage census reads either as ``registration[0]``.
-    """
-
-    source: int
-    link_index: int
-    target: Point
-
-
 @dataclass
 class ObjectNode:
     """State stored at one overlay object.
@@ -70,27 +57,22 @@ class ObjectNode:
     position:
         Coordinates in the attribute space; this *is* the object's overlay
         identifier in the semantic sense of the paper.
-    host:
-        Opaque label of the physical node hosting the object (an "IP
-        address" stand-in; purely informational in the simulation).
     long_links:
         The object's outgoing long-range links, ``num_long_links`` of them.
     back_links:
         Reverse registrations of other objects' long links whose target
-        point currently falls in this object's Voronoi region.
+        point currently falls in this object's Voronoi region:
+        ``(source, link_index) → target point``, the shape protocol mode's
+        ``ProtocolNode.back_links`` has.
     close_neighbors:
         Objects within distance ``d_min`` (symmetric relation).
-    join_order:
-        Monotonically increasing sequence number assigned at join time.
     """
 
     object_id: int
     position: Point
-    host: Optional[str] = None
     long_links: List[LongLink] = field(default_factory=list)
-    back_links: Set[BackLink] = field(default_factory=set)
+    back_links: Dict[Tuple[int, int], Point] = field(default_factory=dict)
     close_neighbors: Set[int] = field(default_factory=set)
-    join_order: int = 0
 
     # ------------------------------------------------------------------
     # long-link management
@@ -111,18 +93,15 @@ class ObjectNode:
 
     def add_back_link(self, source: int, link_index: int, target: Point) -> None:
         """Register that ``source``'s ``link_index``-th long link points at us."""
-        self.back_links.add(BackLink(source=source, link_index=link_index, target=target))
+        self.back_links[source, link_index] = target
 
     def remove_back_link(self, source: int, link_index: int) -> None:
         """Drop a reverse registration (if present)."""
-        self.back_links = {
-            bl for bl in self.back_links
-            if not (bl.source == source and bl.link_index == link_index)
-        }
+        self.back_links.pop((source, link_index), None)
 
     def back_link_sources(self) -> Set[int]:
         """Ids of every object holding a long link towards us."""
-        return {bl.source for bl in self.back_links}
+        return {source for source, _index in self.back_links}
 
     # ------------------------------------------------------------------
     # close neighbours

@@ -27,8 +27,8 @@ Routing-table cache contract
 ----------------------------
 **A cached table is a valid table; a mutation names the ids whose
 candidates it changed.**  Greedy forwarding is served from *flat routing
-tables*: per object and per variant (with long links / Delaunay-only), the
-object's forwarding candidates in ascending id order with their positions.
+tables*: per object, its forwarding candidates ``vn ∪ cn ∪ LRn`` in
+ascending id order with their positions.
 Each table is held in **one representation, chosen by its size** when
 :meth:`VoroNet._routing_entry` builds it: below
 :data:`~repro.geometry.locate_grid.VECTOR_SCAN_THRESHOLD` candidates a list
@@ -55,9 +55,7 @@ events (:meth:`bulk_load`, crash injection, external view surgery of
 unknown scope) call :meth:`invalidate_routing_tables` with no arguments,
 which drops every table; so does the one departure that is not local, a
 convex-hull object's, whose kernel rebuild may re-triangulate cocircular
-points anywhere (:meth:`withdraw_substrate`).
-:attr:`VoroNet.topology_epoch` counts the calls, for observers that only
-need "did anything change".  Code that mutates
+points anywhere (:meth:`withdraw_substrate`).  Code that mutates
 :class:`~repro.core.node.ObjectNode` view state outside those entry points
 MUST call :meth:`invalidate_routing_tables` afterwards — with **every**
 touched object id when it knows them, bare otherwise — or a cached table
@@ -113,7 +111,7 @@ from repro.core.stats import OverlayStats
 from repro.geometry.bounding import UNIT_SQUARE, BoundingBox
 from repro.geometry.delaunay import DelaunayTriangulation, DuplicatePointError
 from repro.geometry.locate_grid import VECTOR_SCAN_THRESHOLD, LocateGrid
-from repro.geometry.point import Point, distance
+from repro.geometry.point import Point, distance, distance_to_segment
 from repro.geometry.predicates import point_in_polygon
 from repro.geometry.voronoi import VoronoiCell, voronoi_cell
 from repro.utils.rng import RandomSource
@@ -161,12 +159,10 @@ class VoroNet:
         self._locate_index = LocateGrid()
         self._nodes: Dict[int, ObjectNode] = {}
         self._next_id = 0
-        self._join_counter = itertools.count()
         self._stats = OverlayStats()
         # Member ids and the flat routing tables cached for them (see the
         # module docstring).
         self._routing_cache = RoutingTableCache()
-        self._topology_epoch = 0
 
     # ------------------------------------------------------------------
     # basic accessors
@@ -251,18 +247,6 @@ class VoroNet:
         )
 
     @property
-    def topology_epoch(self) -> int:
-        """Monotone generation counter of view-relevant topology changes.
-
-        Advances exactly once per :meth:`invalidate_routing_tables` call —
-        insert/remove/bulk load, long-link churn and the maintenance
-        procedures all flow through it — for observers that only need "did
-        anything change".  Nothing is validated against it: a cached table
-        is a valid table, and each call drops the tables it names.
-        """
-        return self._topology_epoch
-
-    @property
     def routing_cache(self) -> RoutingTableCache:
         """The member ids and the routing tables cached for them."""
         return self._routing_cache
@@ -273,13 +257,11 @@ class VoroNet:
 
         A cached table is a valid table; a mutation names the ids whose
         candidates it changed.  With ``object_ids`` given, exactly those
-        objects' tables (both variants) are dropped — the targeted form
-        every churn-local mutation path uses, so the set must be
-        *complete*: a changed view left out keeps routing on its old
-        table.  Without arguments every table is dropped (overlay-wide
-        invalidation).  Either way the :attr:`topology_epoch` generation
-        counter advances exactly once, and a dropped table is rebuilt the
-        next time it is asked for.
+        objects' tables are dropped — the targeted form every churn-local
+        mutation path uses, so the set must be *complete*: a changed view
+        left out keeps routing on its old table.  Without arguments every
+        table is dropped (overlay-wide invalidation).  A dropped table is
+        rebuilt the next time it is asked for.
 
         The overlay's own mutation entry points call this; external code
         that mutates per-object view state directly (tests, protocol
@@ -287,46 +269,43 @@ class VoroNet:
         contract — with the affected ids when it knows them, bare when the
         damage is overlay-wide or unknown.
         """
-        self._topology_epoch += 1
         if object_ids is None:
             self._routing_cache.drop_all()
         else:
             self._routing_cache.bump_object_ids(object_ids)
 
-    def routing_table(self, object_id: int,
-                      use_long_links: bool = True) -> Tuple[np.ndarray, np.ndarray]:
+    def routing_table(self, object_id: int) -> Tuple[np.ndarray, np.ndarray]:
         """Flat greedy-forwarding table of one object.
 
         Returns ``(ids, positions)``: an int64 array of the candidate
-        neighbour ids (``vn ∪ cn ∪ LRn`` minus self, or without ``LRn`` for
-        the Delaunay-only variant, sorted for determinism) and the aligned
-        ``(k, 2)`` float64 position array.  Cached until a mutation names
-        the object; always equal to a freshly assembled
+        neighbour ids (``vn ∪ cn ∪ LRn`` minus self, sorted for
+        determinism) and the aligned ``(k, 2)`` float64 position array.
+        Cached until a mutation names the object; always equal to a
+        freshly assembled
         :attr:`~repro.core.neighbors.NeighborView.routing_neighbors`.
         """
-        ids, positions, block = self._routing_entry(object_id, use_long_links)
+        ids, positions, block = self._routing_entry(object_id)
         if block is not None:
             ids = np.asarray([cid for cid, _x, _y in block], dtype=np.int64)
             positions = np.asarray([(x, y) for _cid, x, y in block],
                                    dtype=np.float64).reshape(len(block), 2)
         return ids, positions
 
-    def _routing_candidates(self, object_id: int, use_long_links: bool) -> Set[int]:
-        """``vn ∪ cn (∪ LRn)`` minus self, assembled from the live view."""
+    def _routing_candidates(self, object_id: int) -> Set[int]:
+        """``vn ∪ cn ∪ LRn`` minus self, assembled from the live view."""
         node = self.node(object_id)
         candidates = set(self._triangulation.neighbors(object_id))
         candidates.update(node.close_neighbors)
-        if use_long_links:
-            candidates.update(node.long_link_neighbors())
+        candidates.update(node.long_link_neighbors())
         candidates.discard(object_id)
         return candidates
 
-    def _routing_entry(self, object_id: int, use_long_links: bool) -> tuple:
-        entry = self._routing_cache.tables[use_long_links].get(object_id)
+    def _routing_entry(self, object_id: int) -> tuple:
+        entry = self._routing_cache.tables.get(object_id)
         if entry is not None:
             return entry
         self._stats.routing_table_rebuilds += 1
-        candidates = self._routing_candidates(object_id, use_long_links)
+        candidates = self._routing_candidates(object_id)
         ids = positions = block = None
         try:
             # A view referencing a departed object (e.g. crash damage before
@@ -341,7 +320,7 @@ class VoroNet:
         except KeyError as exc:
             raise ObjectNotFoundError(exc.args[0]) from None
         entry = (ids, positions, block)
-        self._routing_cache.cache_table(object_id, use_long_links, entry)
+        self._routing_cache.cache_table(object_id, entry)
         return entry
 
     def degree_histogram(self) -> Dict[int, int]:
@@ -416,8 +395,7 @@ class VoroNet:
     # object publication (join)
     # ------------------------------------------------------------------
     def insert(self, position: Point, object_id: Optional[int] = None, *,
-               introducer: Optional[int] = None,
-               host: Optional[str] = None) -> int:
+               introducer: Optional[int] = None) -> int:
         """Publish a new object at ``position`` and return its id.
 
         The join follows Section 3.3: greedy routing from the ``introducer``
@@ -475,13 +453,7 @@ class VoroNet:
             raise DuplicateObjectError(
                 f"an object already sits at {position} (id {exc.existing_vertex})"
             ) from exc
-        node = ObjectNode(
-            object_id=object_id,
-            position=position,
-            host=host,
-            join_order=next(self._join_counter),
-        )
-        self._nodes[object_id] = node
+        self._nodes[object_id] = ObjectNode(object_id=object_id, position=position)
         # Commit the id allocation only now that the node is published: a
         # failed insert must never burn (and permanently skip) an auto id.
         self._next_id = max(self._next_id, object_id + 1)
@@ -608,8 +580,7 @@ class VoroNet:
     # ------------------------------------------------------------------
     # routing and lookups
     # ------------------------------------------------------------------
-    def route(self, source: int, target: Union[int, Point], *,
-              use_long_links: bool = True) -> RouteResult:
+    def route(self, source: int, target: Union[int, Point]) -> RouteResult:
         """Route a message from ``source`` to an object id or a point.
 
         Any integral ``target`` — Python ``int`` or :class:`numbers.Integral`
@@ -617,11 +588,9 @@ class VoroNet:
         length-2 sequence is treated as a point of the attribute space.
         """
         if isinstance(target, numbers.Integral) and not isinstance(target, bool):
-            result = route_to_object(self, source, int(target),
-                                     use_long_links=use_long_links)
+            result = route_to_object(self, source, int(target))
         else:
-            result = greedy_route(self, source, target,  # type: ignore[arg-type]
-                                  use_long_links=use_long_links)
+            result = greedy_route(self, source, target)  # type: ignore[arg-type]
         self._stats.routes.record(result.hops, result.messages)
         return result
 
@@ -642,7 +611,6 @@ class VoroNet:
         return result
 
     def route_many(self, pairs: Iterable[Tuple[int, Union[int, Point]]], *,
-                   use_long_links: bool = True,
                    missing: str = "raise") -> List[RouteResult]:
         """Route a batch of ``(source, target)`` messages.
 
@@ -706,18 +674,13 @@ class VoroNet:
             destinations.append(destination)
             live.append(slot)
         self._stats.query_misses += len(pairs) - len(live)
-        routed = greedy_route_many(self, sources, targets, use_long_links=use_long_links)
+        routed = greedy_route_many(self, sources, targets)
         for slot, destination, result in zip(live, destinations, routed):
             if destination is not None:
                 result.success = result.owner == destination
             results[slot] = result
         self._stats.routes.record_many([result.hops for result in routed])
         return results
-
-    def lookup_many(self, points: Iterable[Point],
-                    start: Optional[int] = None) -> List[RouteResult]:
-        """Resolve a batch of point lookups (see :meth:`lookup`)."""
-        return [self.lookup(point, start=start) for point in points]
 
     # ------------------------------------------------------------------
     # bulk helpers and exports
@@ -792,11 +755,7 @@ class VoroNet:
                 f"(conflicts with object id {exc.existing_vertex})"
             ) from exc
         for object_id, point in zip(ids, batch):
-            self._nodes[object_id] = ObjectNode(
-                object_id=object_id,
-                position=point,
-                join_order=next(self._join_counter),
-            )
+            self._nodes[object_id] = ObjectNode(object_id=object_id, position=point)
         self._locate_index.bulk_insert(zip(ids, batch))
         self._routing_cache.bulk_insert(ids)
         self._next_id = ids[-1] + 1
@@ -873,41 +832,38 @@ class VoroNet:
         """Every cached routing table that is not a valid one (building none).
 
         Presence in the cache is validity, so each cached table, of either
-        variant and either form, must list exactly the freshly assembled
-        ``vn ∪ cn (∪ LRn)`` minus self with each candidate's current
-        position.  An invalidation that left out an object whose view it
-        changed shows up here, as does a table kept for a non-member or
-        naming one (a dangling long link).  A cached row is a valid row
-        too: the report ends with the batch router's id arena, brought
-        level and compared with the scan-block tables it indexes
+        form, must list exactly the freshly assembled ``vn ∪ cn ∪ LRn``
+        minus self with each candidate's current position.  An
+        invalidation that left out an object whose view it changed shows
+        up here, as does a table kept for a non-member or naming one (a
+        dangling long link).  A cached row is a valid row too: the report
+        ends with the batch router's id arena, brought level and compared
+        with the scan-block tables it indexes
         (:func:`~repro.core.shards.arena_report`).
         """
         problems: List[str] = []
         nodes = self._nodes
-        for use_long_links, tables in self._routing_cache.tables.items():
-            label = ("cached routing table" if use_long_links
-                     else "cached Delaunay-only routing table")
-            for object_id, (ids, positions, block) in tables.items():
-                if object_id not in nodes:
-                    problems.append(f"{object_id}: {label} of a non-member")
-                    continue
-                if block is None:
-                    block = [(cid, x, y) for cid, (x, y)
-                             in zip(ids.tolist(), positions.tolist())]
-                cached = {cid for cid, _x, _y in block}
-                fresh = self._routing_candidates(object_id, use_long_links)
-                if cached != fresh:
+        for object_id, (ids, positions, block) in self._routing_cache.tables.items():
+            if object_id not in nodes:
+                problems.append(f"{object_id}: cached routing table of a non-member")
+                continue
+            if block is None:
+                block = [(cid, x, y) for cid, (x, y)
+                         in zip(ids.tolist(), positions.tolist())]
+            cached = {cid for cid, _x, _y in block}
+            fresh = self._routing_candidates(object_id)
+            if cached != fresh:
+                problems.append(
+                    f"{object_id}: cached routing table is stale: still lists "
+                    f"{sorted(cached - fresh)}, lacks {sorted(fresh - cached)}")
+            for cid, x, y in block:
+                member = nodes.get(cid)
+                if member is None:
+                    problems.append(f"{object_id}: cached routing table names non-member {cid}")
+                elif (x, y) != member.position:
                     problems.append(
-                        f"{object_id}: {label} is stale: still lists "
-                        f"{sorted(cached - fresh)}, lacks {sorted(fresh - cached)}")
-                for cid, x, y in block:
-                    member = nodes.get(cid)
-                    if member is None:
-                        problems.append(f"{object_id}: {label} names non-member {cid}")
-                    elif (x, y) != member.position:
-                        problems.append(
-                            f"{object_id}: {label} places {cid} at {(x, y)}, "
-                            f"not {member.position}")
+                        f"{object_id}: cached routing table places {cid} at {(x, y)}, "
+                        f"not {member.position}")
         problems.extend(arena_report(self._routing_cache))
         return problems
 
@@ -935,18 +891,5 @@ def _distance_to_polygon(point: Point, polygon: Sequence[Point]) -> float:
     for i in range(n):
         a = polygon[i]
         b = polygon[(i + 1) % n]
-        best = min(best, _distance_to_segment(point, a, b))
+        best = min(best, distance_to_segment(point, a, b))
     return best
-
-
-def _distance_to_segment(point: Point, a: Point, b: Point) -> float:
-    ax, ay = a
-    bx, by = b
-    px, py = point
-    dx, dy = bx - ax, by - ay
-    length_sq = dx * dx + dy * dy
-    if length_sq == 0.0:
-        return math.hypot(px - ax, py - ay)
-    t = max(0.0, min(1.0, ((px - ax) * dx + (py - ay) * dy) / length_sq))
-    cx, cy = ax + t * dx, ay + t * dy
-    return math.hypot(px - cx, py - cy)

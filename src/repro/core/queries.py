@@ -21,14 +21,13 @@ hop/message cost split into the routing phase and the spreading phase.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Set, TYPE_CHECKING
 
 from repro.core.errors import EmptyOverlayError
 from repro.core.routing import RouteResult, greedy_route
 from repro.geometry.bounding import UNIT_SQUARE, BoundingBox, clip_polygon_to_box
-from repro.geometry.point import Point, distance
+from repro.geometry.point import Point, distance, distance_to_segment
 from repro.geometry.predicates import point_in_polygon
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -202,7 +201,7 @@ def _polygon_intersects_disk(polygon: List[Point], center: Point,
         return True
     n = len(polygon)
     for i in range(n):
-        if _segment_distance(polygon[i], polygon[(i + 1) % n], center) <= radius:
+        if distance_to_segment(center, polygon[i], polygon[(i + 1) % n]) <= radius:
             return True
     return False
 
@@ -218,18 +217,6 @@ def _polygon_intersects_segment(polygon: List[Point], a: Point, b: Point) -> boo
         if _segments_intersect(polygon[i], polygon[(i + 1) % n], a, b):
             return True
     return False
-
-
-def _segment_distance(a: Point, b: Point, point: Point) -> float:
-    ax, ay = a
-    bx, by = b
-    px, py = point
-    dx, dy = bx - ax, by - ay
-    length_sq = dx * dx + dy * dy
-    if length_sq == 0.0:
-        return math.hypot(px - ax, py - ay)
-    t = max(0.0, min(1.0, ((px - ax) * dx + (py - ay) * dy) / length_sq))
-    return math.hypot(px - (ax + t * dx), py - (ay + t * dy))
 
 
 def _segments_intersect(p1: Point, p2: Point, q1: Point, q2: Point) -> bool:

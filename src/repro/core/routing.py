@@ -7,7 +7,10 @@ distance, stopping when no neighbour improves on the current object.
 Because the Voronoi neighbours alone already guarantee that greedy descent
 reaches the object whose region contains ``P``, the algorithm always
 terminates at the correct owner; the long links are pure acceleration and
-give the ``O(log² N_max)`` expected hop count of Lemma 5.
+give the ``O(log² N_max)`` expected hop count of Lemma 5.  Every router here
+forwards over that one view, ``vn ∪ cn ∪ LRn``: routing over the bare
+tessellation is routing on an overlay built with ``num_long_links=0``
+(:class:`~repro.baselines.delaunay_only.DelaunayOnlyOverlay`), not a mode.
 
 Two termination rules are provided, the first in two traffic shapes:
 
@@ -125,8 +128,7 @@ def missed_route(source: int, target) -> RouteResult:
                        final_distance=float("inf"))
 
 
-def _greedy_step(overlay: "VoroNet", current: int, target: Point,
-                 use_long_links: bool) -> Optional[int]:
+def _greedy_step(overlay: "VoroNet", current: int, target: Point) -> Optional[int]:
     """Neighbour of ``current`` strictly closer to ``target``, or ``None``.
 
     One argmin over the cached routing table of ``current``, in the form
@@ -135,7 +137,7 @@ def _greedy_step(overlay: "VoroNet", current: int, target: Point,
     """
     tx, ty = target
     best_d = distance_sq(overlay.position_of(current), target)
-    ids, positions, block = overlay._routing_entry(current, use_long_links)
+    ids, positions, block = overlay._routing_entry(current)
     if block is None:
         dx = positions[:, 0] - tx
         dy = positions[:, 1] - ty
@@ -153,7 +155,6 @@ def _greedy_step(overlay: "VoroNet", current: int, target: Point,
 
 
 def greedy_route(overlay: "VoroNet", source: int, target: Point, *,
-                 use_long_links: bool = True,
                  max_hops: Optional[int] = None) -> RouteResult:
     """Route greedily from ``source`` towards ``target`` until a local minimum.
 
@@ -168,9 +169,6 @@ def greedy_route(overlay: "VoroNet", source: int, target: Point, *,
         Starting object id.
     target:
         Target point (any point of the plane; objects' positions included).
-    use_long_links:
-        When False only Voronoi and close neighbours are used — the
-        "Delaunay-only" baseline of the ablation benchmarks.
     max_hops:
         Safety cap; defaults to the overlay size plus a margin.  Exceeding
         it raises :class:`RoutingError` since greedy progress is strictly
@@ -185,7 +183,7 @@ def greedy_route(overlay: "VoroNet", source: int, target: Point, *,
     target = (float(target[0]), float(target[1]))
     limit = max_hops if max_hops is not None else len(overlay) + 16
     path = [source] if overlay.config.track_paths else None
-    owner, hops = _descend(overlay, use_long_links, source, target, source,
+    owner, hops = _descend(overlay, source, target, source,
                            distance_sq(overlay.position_of(source), target), 0, path, limit)
     return RouteResult(
         source=source,
@@ -198,7 +196,7 @@ def greedy_route(overlay: "VoroNet", source: int, target: Point, *,
     )
 
 
-def _descend(overlay: "VoroNet", use_long_links: bool, source: int, target: Point,
+def _descend(overlay: "VoroNet", source: int, target: Point,
              current: int, current_d: float, hops: int,
              path: Optional[List[int]], limit: int) -> Tuple[int, int]:
     """Forward a route from where it stands to its local minimum.
@@ -216,15 +214,14 @@ def _descend(overlay: "VoroNet", use_long_links: bool, source: int, target: Poin
     # current object, no per-hop function calls.
     tx, ty = target
     # A cached table is a valid table, so the per-hop probe is one
-    # dict.get with nothing to compare.  The variant's table dict is
-    # hoisted once: the cache only ever mutates it in place, so the
-    # reference stays live.
-    tables = overlay._routing_cache.tables[use_long_links]
+    # dict.get with nothing to compare.  The table dict is hoisted once:
+    # the cache only ever mutates it in place, so the reference stays live.
+    tables = overlay._routing_cache.tables
     build_entry = overlay._routing_entry
     while True:
         entry = tables.get(current)
         if entry is None:
-            entry = build_entry(current, use_long_links)
+            entry = build_entry(current)
         block = entry[2]
         nxt = None
         if block is None:
@@ -268,8 +265,7 @@ def _column_rows(overlay: "VoroNet", ids: np.ndarray) -> np.ndarray:
 
 
 def greedy_route_many(overlay: "VoroNet", sources: Sequence[int],
-                      targets: Sequence[Point], *,
-                      use_long_links: bool = True) -> List[RouteResult]:
+                      targets: Sequence[Point]) -> List[RouteResult]:
     """``greedy_route(overlay, source, target)`` per pair, advanced as one frontier.
 
     A batch below ``VECTOR_SCAN_THRESHOLD`` pairs is that loop — numpy's
@@ -295,7 +291,7 @@ def greedy_route_many(overlay: "VoroNet", sources: Sequence[int],
     """
     count = len(sources)
     if count < VECTOR_SCAN_THRESHOLD:
-        return [greedy_route(overlay, source, target, use_long_links=use_long_links)
+        return [greedy_route(overlay, source, target)
                 for source, target in zip(sources, targets)]
     if len(overlay) == 0:
         raise EmptyOverlayError("cannot route on an empty overlay")
@@ -323,7 +319,7 @@ def greedy_route_many(overlay: "VoroNet", sources: Sequence[int],
             raise RoutingError(
                 f"greedy route from {sources[active[0]]} to {targets[active[0]]} "
                 f"exceeded {limit} hops")
-        start, length, ids = cache.sync(use_long_links, id_bound)
+        start, length, ids = cache.sync(id_bound)
         current = owner[active]
         rows = start[current]
         cold = rows == NO_ROW
@@ -331,8 +327,8 @@ def greedy_route_many(overlay: "VoroNet", sources: Sequence[int],
             for object_id in sorted(set(current[cold].tolist())):
                 # Keyed by the node's own id object, not this transient one:
                 # the table dict keeps its key alive.
-                build_entry(overlay.node(object_id).object_id, use_long_links)
-            start, length, ids = cache.sync(use_long_links, id_bound)
+                build_entry(overlay.node(object_id).object_id)
+            start, length, ids = cache.sync(id_bound)
             rows = start[current]
         lengths = length[current]
         # An array-form table (or an empty one: a lone object) is the
@@ -388,7 +384,7 @@ def greedy_route_many(overlay: "VoroNet", sources: Sequence[int],
                  in zip(sources, begins.tolist(), ends.tolist())]
     for slot in scalar:
         owners[slot], hop_counts[slot] = _descend(
-            overlay, use_long_links, sources[slot], targets[slot], owners[slot],
+            overlay, sources[slot], targets[slot], owners[slot],
             float(carried[slot]), hop_counts[slot], paths[slot], limit)
     delta = _column_rows(overlay, np.array(owners, dtype=np.int64)) - goals
     return [RouteResult(source, target, reached, taken, True, path, final_distance)
@@ -398,7 +394,6 @@ def greedy_route_many(overlay: "VoroNet", sources: Sequence[int],
 
 
 def route_to_object(overlay: "VoroNet", source: int, destination: int, *,
-                    use_long_links: bool = True,
                     max_hops: Optional[int] = None) -> RouteResult:
     """Route from one object to another (the Figure 6/8 measurement).
 
@@ -407,10 +402,8 @@ def route_to_object(overlay: "VoroNet", source: int, destination: int, *,
     """
     if destination not in overlay:
         raise ObjectNotFoundError(destination)
-    result = greedy_route(
-        overlay, source, overlay.position_of(destination),
-        use_long_links=use_long_links, max_hops=max_hops,
-    )
+    result = greedy_route(overlay, source, overlay.position_of(destination),
+                          max_hops=max_hops)
     result.success = result.owner == destination
     return result
 
@@ -446,7 +439,7 @@ def route_with_stopping_rule(overlay: "VoroNet", source: int, target: Point, *,
         z_distance = overlay.distance_to_region(current, target)
         if z_distance <= current_distance / 3.0:
             break
-        nxt = _greedy_step(overlay, current, target, use_long_links=True)
+        nxt = _greedy_step(overlay, current, target)
         if nxt is None:
             break
         current = nxt

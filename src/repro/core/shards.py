@@ -12,15 +12,17 @@ whatever the overlay size; overlay-wide events (bulk loads, crash injection,
 a hull departure's kernel rebuild, external view surgery of unknown scope)
 drop everything (:meth:`RoutingTableCache.drop_all`).
 
-The two table dicts — one per variant, with long links and Delaunay-only —
-are only ever mutated in place, so a hot loop may hoist a reference to one
-across a whole route and still see every drop.
+The table dict is only ever mutated in place, so a hot loop may hoist a
+reference to it across a whole route and still see every drop.  (One table
+per object: an overlay routes on the one view ``vn ∪ cn ∪ LRn`` of Section
+3.2, and the Delaunay-only comparison is an overlay built with
+``num_long_links=0``, whose tables simply hold no long link.)
 
 The id arena
 ------------
 The batch router (:func:`repro.core.routing.greedy_route_many`) advances
 thousands of routes per numpy step and cannot probe a dict per route, so
-beside each table dict the cache keeps an *arena*: an index **of that
+beside the table dict the cache keeps an *arena*: an index **of the
 dict's scan-block tables**, ids only, in CSR form — ``start[id]`` and
 ``length[id]`` (id-indexed int32) delimit the object's candidate ids, in
 table order, inside one flat int32 buffer.  ``start[id]`` is
@@ -40,13 +42,13 @@ therefore only appends ids to two plain Python lists, *the two logs*: the
 ids a drop named, and the id of each table cached (no tuple, no reference
 to the table: a log entry allocates nothing and keeps nothing alive).
 :meth:`RoutingTableCache.sync` — called at the top of every step of the
-batch router, and by the consistency report — brings the arenas level in
+batch router, and by the consistency report — brings the arena level in
 one vectorised pass: the rows of every logged id become
 ``start[ids] = NO_ROW``, then each id of the second log is looked up and
-*the table its dict holds now* is appended (one cached, dropped and
+*the table the dict holds now* is appended (one cached, dropped and
 re-cached between two syncs ends with exactly the second one's row; one
-cached and dropped, with none).  A variant's arena is allocated on its
-first ``sync``; before that, and again after ``drop_all`` or once a log has
+cached and dropped, with none).  The arena is allocated on the first
+``sync``; before that, and again after ``drop_all`` or once a log has
 outgrown ``CHUNK_ELEMENTS`` entries (an overlay that stopped routing
 batches), there is no arena and nothing is logged, and the next ``sync``
 indexes the dict afresh.
@@ -60,7 +62,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -71,7 +73,7 @@ __all__ = ["ARRAY_FORM", "NO_ROW", "RoutingTableCache", "ShardedNodeStore",
 
 _FIRST = operator.itemgetter(0)
 
-#: ``start`` value of an id that has no cached table (of that variant).
+#: ``start`` value of an id that has no cached table.
 NO_ROW = -1
 #: ``start`` value of an id whose cached table is held as arrays, not a block.
 ARRAY_FORM = -2
@@ -90,7 +92,7 @@ def segment_indices(starts: np.ndarray, lengths: np.ndarray) -> Tuple[np.ndarray
 
 
 class _Arena:
-    """The CSR rows of one variant's scan-block tables (see the module docstring)."""
+    """The CSR rows of the scan-block tables (see the module docstring)."""
 
     __slots__ = ("start", "length", "ids", "used")
 
@@ -162,20 +164,18 @@ class RoutingTableCache:
     against the view it was built from.
     """
 
-    __slots__ = ("_members", "tables", "_arenas", "_dropped", "_cached")
+    __slots__ = ("_members", "tables", "_arena", "_dropped", "_cached")
 
     def __init__(self) -> None:
         self._members: Set[int] = set()
-        #: One dict per variant (``use_long_links``), each object id →
-        #: ``(candidate ids, (k, 2) positions, (id, x, y) scan block)``
-        #: holding either the scan block (ids and positions ``None``) or
-        #: the two arrays (block ``None``), as ``VoroNet._routing_entry``
-        #: chose by size.  Two bare-int-keyed dicts instead of one
-        #: tuple-keyed dict: the hot loop probes once per forwarding hop.
-        self.tables: Dict[bool, Dict[int, tuple]] = {True: {}, False: {}}
-        # The arenas allocated so far, by variant, and the two id logs kept
-        # for them (see the module docstring).  No arena, nothing logged.
-        self._arenas: Dict[bool, _Arena] = {}
+        #: Object id → ``(candidate ids, (k, 2) positions, (id, x, y) scan
+        #: block)`` holding either the scan block (ids and positions
+        #: ``None``) or the two arrays (block ``None``), as
+        #: ``VoroNet._routing_entry`` chose by size.
+        self.tables: Dict[int, tuple] = {}
+        # The arena, once a batch was routed, and the two id logs kept for
+        # it (see the module docstring).  No arena, nothing logged.
+        self._arena: Optional[_Arena] = None
         self._dropped: List[int] = []
         self._cached: List[int] = []
 
@@ -196,116 +196,105 @@ class RoutingTableCache:
         self._members.update(object_ids)
 
     def discard(self, object_id: int) -> None:
-        """Forget one member and its tables (a no-op when absent)."""
+        """Forget one member and its table (a no-op when absent)."""
         self._members.discard(object_id)
-        for tables in self.tables.values():
-            tables.pop(object_id, None)
-        if self._arenas:
+        self.tables.pop(object_id, None)
+        if self._arena is not None:
             self._dropped.append(object_id)
 
-    def cache_table(self, object_id: int, use_long_links: bool, entry: tuple) -> None:
+    def cache_table(self, object_id: int, entry: tuple) -> None:
         """Keep ``entry`` as the table of a member until it is dropped."""
         if object_id not in self._members:
             raise KeyError(object_id)
-        self.tables[use_long_links][object_id] = entry
-        if self._arenas:
+        self.tables[object_id] = entry
+        if self._arena is not None:
             self._cached.append(object_id)
             if len(self._cached) > CHUNK_ELEMENTS:
-                self._forget_arenas()
+                self._forget_arena()
 
     def bump_object_ids(self, object_ids: Iterable[int]) -> None:
-        """The targeted drop: forget the tables (both variants) of ``object_ids``.
+        """The targeted drop: forget the tables of ``object_ids``.
 
         Ids without a cached table — never routed through, already dropped,
-        or just departed — cost two failed dict probes.
+        or just departed — cost one failed dict probe.
         """
-        if self._arenas:
+        if self._arena is not None:
             object_ids = tuple(object_ids)
             self._dropped.extend(object_ids)
             if len(self._dropped) > CHUNK_ELEMENTS:
-                self._forget_arenas()
-        with_links = self.tables[True]
-        delaunay_only = self.tables[False]
+                self._forget_arena()
+        tables = self.tables
         for object_id in object_ids:
-            with_links.pop(object_id, None)
-            delaunay_only.pop(object_id, None)
+            tables.pop(object_id, None)
 
     def drop_all(self) -> None:
-        """Forget every table; the dicts are emptied in place."""
-        for tables in self.tables.values():
-            tables.clear()
-        self._forget_arenas()
+        """Forget every table; the dict is emptied in place."""
+        self.tables.clear()
+        self._forget_arena()
 
-    def _forget_arenas(self) -> None:
-        self._arenas.clear()
+    def _forget_arena(self) -> None:
+        self._arena = None
         self._dropped.clear()
         self._cached.clear()
 
-    def sync(self, use_long_links: bool,
-             rows: int = 0) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Bring the arenas level with the table dicts; one variant's arrays.
+    def sync(self, rows: int = 0) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Bring the arena level with the table dict; its arrays.
 
-        Returns ``(start, length, ids)`` of the ``use_long_links`` arena
-        (see the module docstring), ``start`` and ``length`` indexable by
-        every id below ``rows``.  The arrays are replaced, not resized, when
-        they grow: re-read them after every call.
+        Returns ``(start, length, ids)`` (see the module docstring),
+        ``start`` and ``length`` indexable by every id below ``rows``.  The
+        arrays are replaced, not resized, when they grow: re-read them
+        after every call.
         """
-        arenas = self._arenas
+        arena = self._arena
         cached = self._cached
-        if use_long_links not in arenas:
-            # First use: every table the variant holds is news to its arena.
-            arenas[use_long_links] = _Arena()
-            cached.extend(self.tables[use_long_links])
+        tables = self.tables
+        if arena is None:
+            # First use: every table held is news to the arena.
+            arena = self._arena = _Arena()
+            cached.extend(tables)
         if self._dropped or cached:
-            named = np.fromiter(itertools.chain(self._dropped, cached), dtype=np.int64,
-                                count=len(self._dropped) + len(cached))
-            fresh = list(dict.fromkeys(cached))
-            for variant, arena in arenas.items():
-                arena.drop(named)
-                tables = self.tables[variant]
-                owners = [object_id for object_id in fresh if object_id in tables]
-                if owners:
-                    arena.append(owners, [tables[object_id] for object_id in owners])
+            arena.drop(np.fromiter(itertools.chain(self._dropped, cached), dtype=np.int64,
+                                   count=len(self._dropped) + len(cached)))
+            owners = [object_id for object_id in dict.fromkeys(cached) if object_id in tables]
+            if owners:
+                arena.append(owners, [tables[object_id] for object_id in owners])
             self._dropped.clear()
             cached.clear()
-        arena = arenas[use_long_links]
         arena.cover(rows)
         return arena.start, arena.length, arena.ids
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"RoutingTableCache(members={len(self._members)}, "
-                f"tables={sum(len(tables) for tables in self.tables.values())})")
+        return f"RoutingTableCache(members={len(self._members)}, tables={len(self.tables)})"
 
 
 def arena_report(cache: RoutingTableCache) -> List[str]:
-    """Where, after a :meth:`~RoutingTableCache.sync`, an arena is not its dict's index.
+    """Where, after a :meth:`~RoutingTableCache.sync`, the arena is not the dict's index.
 
     A scan-block table without a row equal to its ids, an array-pair table
     without its :data:`ARRAY_FORM` mark, a row or mark kept for an id with
     no such table, a row reaching outside the buffer.
     """
     problems: List[str] = []
-    for use_long_links, tables in cache.tables.items():
-        start, length, ids = cache.sync(use_long_links)
-        label = "arena" if use_long_links else "Delaunay-only arena"
-        for object_id in np.flatnonzero(start != NO_ROW).tolist():
-            if object_id not in tables:
-                problems.append(f"{object_id}: {label} keeps a row for an id with no cached table")
-        for object_id, entry in tables.items():
-            if object_id not in cache:
-                continue  # planted behind cache_table's back; reported as a non-member's
-            block = entry[2]
-            at = int(start[object_id]) if 0 <= object_id < len(start) else NO_ROW
-            if block is None:
-                if at != ARRAY_FORM:
-                    problems.append(f"{object_id}: {label} does not mark the array-form table")
-            elif at < 0:
-                problems.append(f"{object_id}: {label} has no row for the cached table")
-            elif at + len(block) > len(ids):
-                problems.append(f"{object_id}: {label} row reaches outside the buffer")
-            elif (length[object_id] != len(block)
-                  or ids[at:at + len(block)].tolist() != [cid for cid, _x, _y in block]):
-                problems.append(f"{object_id}: {label} row is not the cached table's ids")
+    tables = cache.tables
+    start, length, ids = cache.sync()
+    for object_id in np.flatnonzero(start != NO_ROW).tolist():
+        if object_id not in tables:
+            problems.append(f"{object_id}: arena keeps a row for an id with no cached table")
+    for object_id, entry in tables.items():
+        if object_id not in cache:
+            continue  # planted behind cache_table's back; reported as a non-member's
+        block = entry[2]
+        at = int(start[object_id]) if 0 <= object_id < len(start) else NO_ROW
+        if block is None:
+            if at != ARRAY_FORM:
+                problems.append(f"{object_id}: arena does not mark the array-form table")
+        elif at < 0:
+            problems.append(f"{object_id}: arena has no row for the cached table")
+        elif at + len(block) > len(ids):
+            problems.append(f"{object_id}: arena row reaches outside the buffer")
+        elif (length[object_id] != len(block)
+              or ids[at:at + len(block)].tolist() != [cid for cid, _x, _y in block]):
+            problems.append(f"{object_id}: arena row is not the cached table's ids")
     return problems
 
 

@@ -19,6 +19,7 @@ __all__ = [
     "Point",
     "distance",
     "distance_sq",
+    "distance_to_segment",
     "midpoint",
     "lerp",
     "as_point",
@@ -53,6 +54,18 @@ def distance_sq(a: Point, b: Point) -> float:
 def distance(a: Point, b: Point) -> float:
     """Euclidean distance between two points."""
     return math.hypot(a[0] - b[0], a[1] - b[1])
+
+
+def distance_to_segment(point: Point, a: Point, b: Point) -> float:
+    """Euclidean distance from ``point`` to the closed segment ``ab``."""
+    ax, ay = a
+    px, py = point
+    dx, dy = b[0] - ax, b[1] - ay
+    length_sq = dx * dx + dy * dy
+    if length_sq == 0.0:
+        return math.hypot(px - ax, py - ay)
+    t = max(0.0, min(1.0, ((px - ax) * dx + (py - ay) * dy) / length_sq))
+    return math.hypot(px - (ax + t * dx), py - (ay + t * dy))
 
 
 def midpoint(a: Point, b: Point) -> Point:

@@ -177,12 +177,12 @@ class CrashInjector:  # simlint: ignore[SIM003] — one per experiment, not per 
                 node.discard_close_neighbor(close_id)
                 touched = True
                 fixed += 1
-            dangling_back = {bl for bl in node.back_links if bl.source in crashed}
-            if dangling_back:
-                # Back registrations are not routed on — no table to drop
-                # (and an oracle ObjectNode has no view epoch to bump).
-                node.back_links -= dangling_back  # simlint: ignore[SIM001]
-                fixed += len(dangling_back)
+            dangling_back = [registration for registration in node.back_links
+                             if registration[0] in crashed]
+            for source, index in dangling_back:
+                # Back registrations are not routed on — no table to drop.
+                node.remove_back_link(source, index)
+            fixed += len(dangling_back)
             if touched:
                 affected.append(object_id)
         # Retargeted links / dropped close entries changed forwarding

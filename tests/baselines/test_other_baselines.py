@@ -33,6 +33,42 @@ class TestDelaunayOnly:
         assert victim not in baseline.object_ids()
         assert len(baseline) == 149
 
+    def test_routes_are_the_vn_cn_walk_of_a_linked_overlay(self, numpy_rng):
+        """Building without long links *is* routing without them: pair for
+        pair, the baseline's owner and hops are those of a greedy walk over
+        ``vn ∪ cn`` — written out here, ties to the lowest id — on an
+        overlay of the same positions that does hold long links."""
+        from repro.core import VoroNet, VoroNetConfig
+        from repro.geometry.point import distance_sq
+
+        positions = [tuple(p) for p in numpy_rng.random((300, 2))]
+        baseline = DelaunayOnlyOverlay(n_max=400, seed=3)
+        ids = baseline.insert_many(positions)
+        linked = VoroNet(VoroNetConfig(n_max=400, num_long_links=2, seed=3))
+        assert linked.bulk_load(positions) == ids
+        assert all(len(linked.node(oid).long_links) == 2 for oid in ids)
+
+        def walk(source, destination):
+            target = linked.position_of(destination)
+            current, hops = source, 0
+            while True:
+                view = linked.neighbor_view(current)
+                best, best_d = None, distance_sq(linked.position_of(current), target)
+                for candidate in sorted((view.voronoi | view.close) - {current}):
+                    d = distance_sq(linked.position_of(candidate), target)
+                    if d < best_d:
+                        best, best_d = candidate, d
+                if best is None:
+                    return current, hops
+                current, hops = best, hops + 1
+
+        shorter = 0
+        for a, b in numpy_rng.choice(ids, size=(300, 2)).tolist():
+            result = baseline.route(a, b)
+            assert (result.owner, result.hops) == walk(a, b)
+            shorter += linked.route(a, b).hops < result.hops
+        assert shorter > 100  # and the links the walk ignores do shorten routes
+
     def test_slower_than_voronet_on_average(self, numpy_rng):
         """The whole point of the long links: VoroNet beats Delaunay-only."""
         from repro.core import VoroNet, VoroNetConfig

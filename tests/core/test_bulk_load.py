@@ -209,8 +209,7 @@ class TestHintedPointLocation:
 
     def test_lookup_many_matches_owner_of(self, overlay, numpy_rng):
         points = [tuple(p) for p in numpy_rng.random((25, 2))]
-        results = overlay.lookup_many(points)
-        assert [r.owner for r in results] == [overlay.owner_of(p) for p in points]
+        assert [overlay.lookup(p).owner for p in points] == [overlay.owner_of(p) for p in points]
 
     def test_hinted_insert_same_structure_as_random_introducer(self, numpy_rng):
         """A grid-hinted introducer carves the same regions, just cheaper joins."""

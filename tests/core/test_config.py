@@ -8,6 +8,9 @@ import pytest
 
 from repro.baselines.chord import ChordRing
 from repro.core.config import DEFAULT_N_MAX, VoroNetConfig
+from repro.core.node import ObjectNode
+from repro.core.overlay import VoroNet
+from repro.core.routing import greedy_route, greedy_route_many, route_to_object
 from repro.core.shards import RoutingTableCache
 from repro.experiments.runner import build_parser
 from repro.lint import LintConfig
@@ -135,11 +138,31 @@ def test_option_budget():
     assert {action.dest for action in build_parser()._actions} == {
         "help", "experiment", "scale", "seed", "output"}
 
-    # The routing cache is the member ids plus the two table dicts and
-    # nothing more: anything else it is to own must arrive with a reader,
-    # as a reviewed diff.  (``sync`` is the id arena's — the batch
-    # router's index of the scan-block tables — one reader.)
+    # The routing cache is the member ids plus one table dict (and, once a
+    # batch was routed, its one id arena with the two logs) and nothing
+    # more: anything else it is to own must arrive with a reader, as a
+    # reviewed diff.  (``sync`` is the id arena's — the batch router's
+    # index of the scan-block tables — one reader.)
     assert {name for name in vars(RoutingTableCache)
             if not name.startswith("_")} == {
         "tables", "insert", "bulk_insert", "discard", "cache_table",
         "bump_object_ids", "drop_all", "sync"}
+    assert RoutingTableCache.__slots__ == (
+        "_members", "tables", "_arena", "_dropped", "_cached")
+    assert RoutingTableCache().tables == {}
+    assert parameters(RoutingTableCache.cache_table) == ["object_id", "entry"]
+    assert parameters(RoutingTableCache.sync) == ["rows"]
+
+    # An overlay routes on one view, ``vn ∪ cn ∪ LRn``: the Delaunay-only
+    # comparison is an overlay built with ``num_long_links=0``, not a
+    # switch on the routers.
+    assert parameters(greedy_route) == ["overlay", "source", "target", "max_hops"]
+    assert parameters(greedy_route_many) == ["overlay", "sources", "targets"]
+    assert parameters(route_to_object) == ["overlay", "source", "destination", "max_hops"]
+    assert parameters(VoroNet.route) == ["source", "target"]
+    assert parameters(VoroNet.route_many) == ["pairs", "missing"]
+    assert parameters(VoroNet.routing_table) == ["object_id"]
+    assert parameters(VoroNet._routing_entry) == ["object_id"]
+    assert parameters(VoroNet.insert) == ["position", "object_id", "introducer"]
+    assert {f.name for f in fields(ObjectNode)} == {
+        "object_id", "position", "long_links", "back_links", "close_neighbors"}

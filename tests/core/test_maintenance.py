@@ -33,8 +33,7 @@ class TestJoinMaintenance:
         for oid in overlay.object_ids():
             for index, link in enumerate(overlay.node(oid).long_links):
                 endpoint = overlay.node(link.neighbor)
-                assert any(bl.source == oid and bl.link_index == index
-                           for bl in endpoint.back_links)
+                assert endpoint.back_links[oid, index] == link.target
 
     def test_join_message_cost_is_local(self, overlay):
         """Mean join messages must be far below the overlay size (O(1) + routing)."""

@@ -1,8 +1,8 @@
-"""Unit tests for per-object state (ObjectNode, LongLink, BackLink)."""
+"""Unit tests for per-object state (ObjectNode, LongLink)."""
 
 import pytest
 
-from repro.core.node import BackLink, LongLink, ObjectNode
+from repro.core.node import ObjectNode
 
 
 @pytest.fixture
@@ -39,17 +39,11 @@ class TestBackLinks:
         node.add_back_link(3, 0, (0.5, 0.5))
         node.add_back_link(3, 1, (0.6, 0.6))
         node.remove_back_link(3, 0)
-        assert len(node.back_links) == 1
+        assert node.back_links == {(3, 1): (0.6, 0.6)}
 
     def test_remove_missing_is_noop(self, node):
         node.remove_back_link(99, 0)
-        assert node.back_links == set()
-
-    def test_back_link_is_hashable_value_object(self):
-        a = BackLink(source=1, link_index=0, target=(0.1, 0.2))
-        b = BackLink(source=1, link_index=0, target=(0.1, 0.2))
-        assert a == b
-        assert len({a, b}) == 1
+        assert node.back_links == {}
 
 
 class TestCloseNeighbors:

@@ -1,5 +1,6 @@
 """Unit tests for greedy routing."""
 
+import itertools
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from repro.core.routing import (MISS_OWNER, greedy_route, greedy_route_many, rou
                                 route_with_stopping_rule)
 from repro.geometry.locate_grid import VECTOR_SCAN_THRESHOLD
 from repro.geometry.point import distance
+
+from reference_router import assert_routes_match_reference, zero_link_twin
 
 
 class TestGreedyRoute:
@@ -91,24 +94,26 @@ class TestGreedyRoute:
 
 class TestLongLinkEffect:
     def test_long_links_do_not_hurt_routing(self, numpy_rng):
-        """With long links enabled the mean hop count must not be worse than
-        the Delaunay-only routing on the same overlay."""
+        """With long links the mean hop count must not be worse than on the
+        same objects joined without any (the Delaunay-only overlay)."""
         overlay = VoroNet(VoroNetConfig(n_max=600, seed=9))
         ids = [overlay.insert(tuple(p)) for p in numpy_rng.random((400, 2))]
+        bare = zero_link_twin(overlay)
         pairs = [tuple(numpy_rng.choice(ids, size=2, replace=False)) for _ in range(80)]
         with_links = np.mean([
             route_to_object(overlay, int(a), int(b)).hops for a, b in pairs])
         without_links = np.mean([
-            route_to_object(overlay, int(a), int(b), use_long_links=False).hops
-            for a, b in pairs])
+            route_to_object(bare, int(a), int(b)).hops for a, b in pairs])
         assert with_links <= without_links
 
     def test_route_without_long_links_still_succeeds(self, small_overlay, numpy_rng):
         ids = small_overlay.object_ids()
+        bare = zero_link_twin(small_overlay)
         for _ in range(20):
             a, b = numpy_rng.choice(ids, size=2, replace=False)
-            result = route_to_object(small_overlay, int(a), int(b), use_long_links=False)
+            result = route_to_object(bare, int(a), int(b))
             assert result.success
+            assert_routes_match_reference(bare, result)
 
 
 class TestStoppingRule:
@@ -244,7 +249,7 @@ class TestOverlayRouteAPI:
 LAYOUTS = ("uniform", "clustered", "lattice")
 
 
-def twin_overlays(layout, track_paths):
+def twin_overlays(layout, track_paths, num_long_links):
     """Two equal overlays of a layout.
 
     ``clustered`` adds a clique whose tables straddle
@@ -252,8 +257,8 @@ def twin_overlays(layout, track_paths):
     ``lattice`` puts the objects on a dyadic grid, where distances tie
     exactly and only the tie-break decides.
     """
-    config = VoroNetConfig(n_max=64, allow_overflow=True, num_long_links=2, seed=97,
-                           track_paths=track_paths)
+    config = VoroNetConfig(n_max=64, allow_overflow=True, num_long_links=num_long_links,
+                           seed=97, track_paths=track_paths)
     rng = np.random.default_rng(97)
     if layout == "lattice":
         points = [((i + 0.5) / 8, (j + 0.5) / 8) for i in range(8) for j in range(8)]
@@ -270,9 +275,9 @@ def twin_overlays(layout, track_paths):
 
 @pytest.fixture(scope="module")
 def twins():
-    """``(layout, track_paths) → twin overlays``, built once and kept in step."""
-    return {(layout, track_paths): twin_overlays(layout, track_paths)
-            for layout in LAYOUTS for track_paths in (False, True)}
+    """``(layout, track_paths, num_long_links) → twin overlays``, built once and kept in step."""
+    return {key: twin_overlays(*key)
+            for key in itertools.product(LAYOUTS, (False, True), (0, 2))}
 
 
 def mixed_pairs(overlay, count, seed):
@@ -305,21 +310,21 @@ class TestBatchEqualsLoop:
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(layout=st.sampled_from(LAYOUTS), track_paths=st.booleans(),
-           use_long_links=st.booleans(), count=st.sampled_from([0, 1, 47, 48, 49, 300]),
+           num_long_links=st.sampled_from([0, 2]),
+           count=st.sampled_from([0, 1, 47, 48, 49, 300]),
            seed=st.integers(0, 2**32 - 1), cold=st.booleans())
     def test_route_many_equals_route_per_pair(self, twins, monkeypatch, threshold, layout,
-                                              track_paths, use_long_links, count, seed, cold):
+                                              track_paths, num_long_links, count, seed, cold):
         """Every ``RouteResult`` field (``final_distance`` compared with
         ``==``) and every statistic, whatever the frontier threshold."""
         monkeypatch.setattr(routing, "VECTOR_SCAN_THRESHOLD", threshold)
-        batched, looped = twins[layout, track_paths]
+        batched, looped = twins[layout, track_paths, num_long_links]
         if cold:
             for overlay in (batched, looped):
                 overlay.invalidate_routing_tables()
         pairs = mixed_pairs(batched, count, seed)
-        batch = batched.route_many(iter(pairs), use_long_links=use_long_links)
-        loop = [looped.route(source, target, use_long_links=use_long_links)
-                for source, target in pairs]
+        batch = batched.route_many(iter(pairs))
+        loop = [looped.route(source, target) for source, target in pairs]
         assert batch == loop
         assert all(type(result.final_distance) is float for result in batch)
         assert batched.stats.routes == looped.stats.routes
@@ -328,9 +333,11 @@ class TestBatchEqualsLoop:
         assert batched.routing_cache_report() == []
 
     def test_the_clique_straddles_the_table_forms(self, twins):
-        overlay = twins["clustered", True][0]
-        sizes = {len(overlay.routing_table(object_id, use_long_links)[0])
-                 for object_id in overlay.object_ids()[90:] for use_long_links in (True, False)}
+        sizes = set()
+        for num_long_links in (0, 2):
+            overlay = twins["clustered", True, num_long_links][0]
+            sizes |= {len(overlay.routing_table(object_id)[0])
+                      for object_id in overlay.object_ids()[90:]}
         assert {47, 48, 49} <= sizes
 
     def test_a_lone_object_answers_a_batch(self, monkeypatch):

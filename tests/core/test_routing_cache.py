@@ -4,8 +4,10 @@ Layers of protection for the routing hot path:
 
 * a Hypothesis *stateful* machine interleaving inserts, removes, bulk
   loads, crash+repair and long-link churn, on a uniform overlay and on one
-  holding a clique above ``VECTOR_SCAN_THRESHOLD``, asserting after every
-  rule that the program's own check (``VoroNet.routing_cache_report``:
+  holding a clique above ``VECTOR_SCAN_THRESHOLD`` — each beside its
+  zero-link twin (the same objects joined with ``num_long_links=0``: the
+  Delaunay-only overlay), kept in step — asserting after every rule that
+  the program's own check (``VoroNet.routing_cache_report``:
   each cached table equals a freshly assembled view, the module-level
   contract of :mod:`repro.core.overlay`, and the id arena is the index of
   the scan-block tables) is clean with every table cached, that routes
@@ -22,9 +24,9 @@ Layers of protection for the routing hot path:
   ``invalidate_routing_tables`` and leave every other entry the same
   object; between a crash and its repair only the survivors that still
   name the victim fail to build;
-* direct parity regressions for ``route`` / ``route_many`` /
-  ``lookup_many``, cold against warm passes, and the Algorithm 5 stopping
-  rule;
+* direct parity regressions for ``route`` / ``route_many`` / ``lookup``
+  (with long links and on the zero-link twin), cold against warm passes,
+  and the Algorithm 5 stopping rule;
 * a clustered overlay whose tables straddle ``VECTOR_SCAN_THRESHOLD`` — the
   size at which an entry holds arrays instead of a scan block — kept
   hop-for-hop equal to the reference router through churn.
@@ -47,7 +49,7 @@ from repro.utils.rng import RandomSource
 from repro.workloads.generators import generate_routing_pairs
 
 from reference_router import (assert_routes_match_reference, reference_greedy_route,
-                              reference_paths_to)
+                              reference_paths_to, zero_link_twin)
 
 
 def small_d_min_config(n_max, **fields):
@@ -62,9 +64,8 @@ def clique_points(config, rng, members):
 
 
 def warm_entries(overlay):
-    """Cache every table of both variants; ``(id, variant) → entry``."""
-    return {(object_id, use_long_links): overlay._routing_entry(object_id, use_long_links)
-            for object_id in overlay.object_ids() for use_long_links in (True, False)}
+    """Cache every table; ``id → entry``."""
+    return {object_id: overlay._routing_entry(object_id) for object_id in overlay.object_ids()}
 
 
 def assert_tables_match_views(overlay):
@@ -98,7 +99,9 @@ def named_by(overlay, operation):
 
 class RoutingCacheMachine(RuleBasedStateMachine):
     """Arbitrary interleavings of topology mutations never leave a cached
-    routing table out of sync with the fresh ``NeighborView``."""
+    routing table out of sync with the fresh ``NeighborView`` — on an
+    overlay with long links and on its zero-link twin, which every rule
+    mutates alike (the same objects under the same ids)."""
 
     #: Size of the clique loaded first (so low removal tokens shrink it
     #: through the threshold); 0 leaves the overlay uniform.
@@ -106,13 +109,18 @@ class RoutingCacheMachine(RuleBasedStateMachine):
 
     def __init__(self):
         super().__init__()
-        config = small_d_min_config(64, num_long_links=2, seed=1202, track_paths=True)
-        self.overlay = VoroNet(config)
-        if self.CLIQUE:
-            self.overlay.bulk_load(clique_points(
-                config, np.random.default_rng(1204), self.CLIQUE))
-        self.injector = CrashInjector(self.overlay, RandomSource(1203))
-        self.last_epoch = self.overlay.topology_epoch
+        self.overlays = []
+        self.injectors = []
+        for num_long_links in (2, 0):
+            config = small_d_min_config(64, num_long_links=num_long_links, seed=1202,
+                                        track_paths=True)
+            overlay = VoroNet(config)
+            if self.CLIQUE:
+                overlay.bulk_load(clique_points(
+                    config, np.random.default_rng(1204), self.CLIQUE))
+            self.overlays.append(overlay)
+            self.injectors.append(CrashInjector(overlay, RandomSource(1203)))
+        self.overlay = self.overlays[0]
 
     def _pick(self, token):
         ids = self.overlay.object_ids()
@@ -120,56 +128,59 @@ class RoutingCacheMachine(RuleBasedStateMachine):
 
     @rule(x=st.floats(0.01, 0.99), y=st.floats(0.01, 0.99))
     def insert_object(self, x, y):
-        try:
-            self.overlay.insert((x, y))
-        except DuplicateObjectError:
-            pass
+        for overlay in self.overlays:
+            try:
+                overlay.insert((x, y))
+            except DuplicateObjectError:
+                pass
 
     @rule(xs=st.lists(st.tuples(st.floats(0.01, 0.99), st.floats(0.01, 0.99)),
                       min_size=1, max_size=4))
     def bulk_load_batch(self, xs):
-        try:
-            self.overlay.bulk_load(xs)
-        except DuplicateObjectError:
-            pass
+        for overlay in self.overlays:
+            try:
+                overlay.bulk_load(xs)
+            except DuplicateObjectError:
+                pass
 
     @precondition(lambda self: len(self.overlay) > 1)
     @rule(token=st.integers(min_value=0))
     def remove_object(self, token):
-        self.overlay.remove(self._pick(token))
+        victim = self._pick(token)
+        for overlay in self.overlays:
+            overlay.remove(victim)
 
     @precondition(lambda self: len(self.overlay) > 0)
     @rule(token=st.integers(min_value=0))
     def churn_long_links(self, token):
-        self.overlay.reset_long_links(self._pick(token))
+        object_id = self._pick(token)
+        for overlay in self.overlays:
+            overlay.reset_long_links(object_id)
 
     @precondition(lambda self: len(self.overlay) > 3)
     @rule(token=st.integers(min_value=0))
     def crash_and_repair(self, token):
-        self.injector.crash(self._pick(token))
-        self.injector.repair()
+        victim = self._pick(token)
+        for injector in self.injectors:
+            injector.crash(victim)
+            injector.repair()
 
     @invariant()
-    def epoch_is_monotone(self):
-        epoch = self.overlay.topology_epoch
-        assert epoch >= self.last_epoch
-        self.last_epoch = epoch
+    def twins_hold_the_same_objects(self):
+        assert self.overlays[0].positions() == self.overlays[1].positions()
 
     @invariant()
     def tables_equal_fresh_views(self):
-        assert_tables_match_views(self.overlay)
+        for overlay in self.overlays:
+            assert_tables_match_views(overlay)
 
     @invariant()
     def routes_equal_reference(self):
         ids = self.overlay.object_ids()
         for source in ids[:1] + ids[-1:]:
             for target in ((0.5, 0.5), self.overlay.position_of(ids[len(ids) // 2])):
-                for use_long_links in (True, False):
-                    assert_routes_match_reference(
-                        self.overlay,
-                        self.overlay.route(source, target,
-                                           use_long_links=use_long_links),
-                        use_long_links)
+                for overlay in self.overlays:
+                    assert_routes_match_reference(overlay, overlay.route(source, target))
 
     @invariant()
     def batches_equal_reference(self):
@@ -182,13 +193,14 @@ class RoutingCacheMachine(RuleBasedStateMachine):
         targets = ids[::max(1, len(ids) * len(ids) // 400)]
         pairs = [(source, target) for source in ids for target in targets]
         with mock.patch.object(routing, "VECTOR_SCAN_THRESHOLD", 1):
-            for use_long_links in (True, False):
-                reference = reference_paths_to(self.overlay, targets, use_long_links)
-                results = self.overlay.route_many(pairs, use_long_links=use_long_links)
+            for overlay in self.overlays:
+                reference = reference_paths_to(overlay, targets)
+                results = overlay.route_many(pairs)
                 assert [result.path for result in results] \
                     == [reference[pair] for pair in pairs]
                 assert all(result.success for result in results)
-        assert self.overlay.check_consistency() == []
+        for overlay in self.overlays:
+            assert overlay.check_consistency() == []
 
 
 class ClusteredRoutingCacheMachine(RoutingCacheMachine):
@@ -270,22 +282,26 @@ class TestCacheParity:
             overlay.insert(tuple(point))
         return overlay
 
-    @pytest.mark.parametrize("use_long_links", [True, False])
-    def test_route_parity(self, overlay, use_long_links):
+    @pytest.fixture(scope="class")
+    def overlays(self, overlay):
+        """By ``long_links``: the overlay, and its zero-link twin."""
+        return {True: overlay, False: zero_link_twin(overlay)}
+
+    @pytest.mark.parametrize("long_links", [True, False])
+    def test_route_parity(self, overlays, long_links):
+        overlay = overlays[long_links]
         ids = overlay.object_ids()
         rng = np.random.default_rng(5)
         for a, b in [rng.choice(ids, size=2, replace=False) for _ in range(40)]:
-            assert_routes_match_reference(
-                overlay,
-                overlay.route(int(a), int(b), use_long_links=use_long_links),
-                use_long_links)
+            assert_routes_match_reference(overlay, overlay.route(int(a), int(b)))
 
-    @pytest.mark.parametrize("use_long_links", [True, False])
-    def test_route_many_parity(self, overlay, use_long_links):
+    @pytest.mark.parametrize("long_links", [True, False])
+    def test_route_many_parity(self, overlays, long_links):
+        overlay = overlays[long_links]
         pairs = list(generate_routing_pairs(
             overlay.object_ids(), 60, RandomSource(6)))
-        for result in overlay.route_many(pairs, use_long_links=use_long_links):
-            assert_routes_match_reference(overlay, result, use_long_links)
+        for result in overlay.route_many(pairs):
+            assert_routes_match_reference(overlay, result)
 
     def test_warm_pass_repeats_the_cold_pass(self):
         """Routing a batch twice: the second pass builds no table and
@@ -305,8 +321,8 @@ class TestCacheParity:
 
     def test_lookup_many_parity(self, overlay):
         points = [tuple(p) for p in np.random.default_rng(7).random((60, 2))]
-        for result in overlay.lookup_many(points):
-            assert_routes_match_reference(overlay, result)
+        for point in points:
+            assert_routes_match_reference(overlay, overlay.lookup(point))
 
     def test_stopping_rule_parity(self, overlay):
         """The Algorithm 5 stopping rule walks a prefix of the reference path."""
@@ -322,28 +338,6 @@ class TestCacheParity:
 
 
 class TestEpochContract:
-    def test_epoch_bumps_on_every_mutation_kind(self):
-        overlay = VoroNet(VoroNetConfig(n_max=64, seed=9))
-        epoch = overlay.topology_epoch
-        a = overlay.insert((0.2, 0.2))
-        assert overlay.topology_epoch > epoch
-
-        epoch = overlay.topology_epoch
-        overlay.bulk_load([(0.7, 0.3), (0.4, 0.8), (0.6, 0.6)])
-        assert overlay.topology_epoch > epoch
-
-        epoch = overlay.topology_epoch
-        overlay.reset_long_links(a)
-        assert overlay.topology_epoch > epoch
-
-        epoch = overlay.topology_epoch
-        overlay.remove(a)
-        assert overlay.topology_epoch > epoch
-
-        epoch = overlay.topology_epoch
-        overlay.invalidate_routing_tables()
-        assert overlay.topology_epoch == epoch + 1
-
     def test_stale_table_rebuilt_after_direct_view_mutation(self):
         """External node mutations must call invalidate_routing_tables —
         after which the table reflects the new state."""
@@ -371,9 +365,7 @@ class TestEpochContract:
         left_out = {a, b} - {(a, b)[i] for i in named}
         stale = [problem for problem in overlay.check_consistency()
                  if "is stale" in problem]
-        # Both variants of each table left cached are reported.
-        assert sorted(int(problem.split(":")[0]) for problem in stale) \
-            == sorted(2 * list(left_out))
+        assert sorted(int(problem.split(":")[0]) for problem in stale) == sorted(left_out)
         overlay.invalidate_routing_tables(left_out)
         assert overlay.routing_cache_report() == []
 
@@ -383,8 +375,7 @@ class TestEpochContract:
         for object_id in ids:
             overlay.routing_table(object_id)
         overlay.remove(ids[0])
-        assert not any(ids[0] in variant
-                       for variant in overlay.routing_cache.tables.values())
+        assert ids[0] not in overlay.routing_cache.tables
         assert_tables_match_views(overlay)
 
     def test_dangling_long_link_is_reported_not_raised(self):
@@ -435,17 +426,15 @@ class TestExactInvalidation:
             assert result[0] in named_live
 
         # A named table the operation's own routes rebuilt after the drop
-        # is already back; every other named one is built now, once per
-        # variant, and nothing else is.
+        # is already back; every other named one is built now, once, and
+        # nothing else is.
         tables = overlay.routing_cache.tables
-        missing = sum(object_id not in tables[use_long_links]
-                      for object_id in named_live for use_long_links in (True, False))
+        missing = sum(object_id not in tables for object_id in named_live)
         built = stats.routing_table_rebuilds
         after = warm_entries(overlay)
         assert stats.routing_table_rebuilds - built == missing > 0
         changed = {key for key, entry in after.items() if entry is not before.get(key)}
-        assert changed == {(object_id, use_long_links) for object_id in named_live
-                           for use_long_links in (True, False)}
+        assert changed == named_live
         assert overlay.routing_cache_report() == []
 
 
@@ -470,7 +459,7 @@ def corner_overlay():
     The filler keeps Delaunay adjacency local, so churn inside cluster A
     cannot touch cluster B's forwarding candidates; ``num_long_links=0``
     removes the one link type whose invalidation legitimately crosses the
-    square.  Every with-links table is warm on return.
+    square.  Every table is warm on return.
     """
     overlay = VoroNet(VoroNetConfig(n_max=512, num_long_links=0, seed=77))
     filler = [((i + 0.5) / 12, (j + 0.5) / 12)
@@ -490,23 +479,23 @@ class TestTargetedInvalidation:
 
     def test_distant_churn_leaves_tables_warm(self):
         overlay, b_ids = corner_overlay()
-        kept = {object_id: overlay._routing_entry(object_id, True) for object_id in b_ids}
+        kept = {object_id: overlay._routing_entry(object_id) for object_id in b_ids}
         overlay.remove(overlay.insert((0.1, 0.12)))  # inside cluster A, far from B
         before = overlay.stats.routing_table_rebuilds
         for object_id in b_ids:
-            assert overlay._routing_entry(object_id, True) is kept[object_id]
+            assert overlay._routing_entry(object_id) is kept[object_id]
         assert overlay.stats.routing_table_rebuilds == before
 
     def test_insert_and_remove_rebuild_only_named_ids(self):
         overlay, _ = corner_overlay()
         ids = overlay.object_ids()
-        kept = {object_id: overlay._routing_entry(object_id, True) for object_id in ids}
+        kept = {object_id: overlay._routing_entry(object_id) for object_id in ids}
         named = named_by(overlay, lambda: overlay.remove(overlay.insert((0.1, 0.12))))
         named &= set(ids)
         assert 0 < len(named) < 40
         before = overlay.stats.routing_table_rebuilds
         rebuilt = {object_id for object_id in ids
-                   if overlay._routing_entry(object_id, True) is not kept[object_id]}
+                   if overlay._routing_entry(object_id) is not kept[object_id]}
         assert rebuilt == named
         assert overlay.stats.routing_table_rebuilds == before + len(named)
         assert overlay.routing_cache_report() == []
@@ -538,7 +527,7 @@ class TestCrashWindow:
         warm_entries(overlay)
         injector = CrashInjector(overlay, RandomSource(611))
         injector.crash(victim)
-        assert overlay.routing_cache.tables == {True: {}, False: {}}
+        assert overlay.routing_cache.tables == {}
         for object_id in overlay.object_ids():
             if object_id in naming:
                 with pytest.raises(ObjectNotFoundError) as raised:
@@ -547,7 +536,7 @@ class TestCrashWindow:
             else:
                 overlay.routing_table(object_id)
         assert overlay.routing_cache_report() == []
-        assert len(overlay.routing_cache.tables[True]) == len(overlay) - len(naming)
+        assert len(overlay.routing_cache.tables) == len(overlay) - len(naming)
         injector.repair()
         assert_tables_match_views(overlay)
         assert overlay.check_consistency() == []
@@ -612,33 +601,35 @@ class TestTableForms:
 
     @pytest.fixture
     def clustered(self):
-        """60 spread objects and a clique well inside one ``d_min`` disc."""
-        config = small_d_min_config(64, num_long_links=2, seed=41, track_paths=True)
-        overlay = VoroNet(config)
+        """60 spread objects and a clique well inside one ``d_min`` disc,
+        with two long links each and — the same objects — with none."""
         rng = np.random.default_rng(41)
-        spread = [tuple(p) for p in rng.random((60, 2))]
-        clique = clique_points(config, rng, self.CLIQUE + 8)
-        overlay.bulk_load(spread + clique[:self.CLIQUE])
-        return overlay, clique[self.CLIQUE:], rng
+        overlays = []
+        for num_long_links in (2, 0):
+            config = small_d_min_config(64, num_long_links=num_long_links, seed=41,
+                                        track_paths=True)
+            if not overlays:
+                spread = [tuple(p) for p in rng.random((60, 2))]
+                clique = clique_points(config, rng, self.CLIQUE + 8)
+            overlays.append(VoroNet(config))
+            overlays[-1].bulk_load(spread + clique[:self.CLIQUE])
+        return overlays, clique[self.CLIQUE:], rng
 
     @staticmethod
     def _table_sizes(overlay):
-        return {len(overlay.routing_table(object_id, use_long_links)[0])
-                for object_id in overlay.object_ids() for use_long_links in (True, False)}
+        return {len(overlay.routing_table(object_id)[0]) for object_id in overlay.object_ids()}
 
     @staticmethod
     def _assert_paths_match_reference(overlay, rng):
         ids = overlay.object_ids()
-        for use_long_links in (True, False):
-            pairs = [(int(a), int(b)) for a, b in rng.choice(ids, size=(12, 2))]
-            for result in overlay.route_many(pairs, use_long_links=use_long_links):
-                assert result.path == reference_greedy_route(
-                    overlay, result.source, result.target, use_long_links)
+        pairs = [(int(a), int(b)) for a, b in rng.choice(ids, size=(12, 2))]
+        for result in overlay.route_many(pairs):
+            assert result.path == reference_greedy_route(overlay, result.source, result.target)
 
     def test_tables_straddling_the_threshold_route_like_the_reference(self, clustered):
-        overlay, spare, rng = clustered
+        overlays, spare, rng = clustered
         assert VECTOR_SCAN_THRESHOLD == 48  # the sizes below are built around it
-        clique = overlay.object_ids()[60:]
+        clique = overlays[0].object_ids()[60:]
         seen = set()
         # Grow the clique past the threshold one join at a time, churn long
         # links of members on both sides of it, then shrink it back below.
@@ -646,24 +637,30 @@ class TestTableForms:
         steps += [("remove", None)] * (len(spare) + 3)
         for action, point in steps:
             if action == "insert":
-                clique.append(overlay.insert(point))
+                clique.append(overlays[0].insert(point))
+                assert overlays[1].insert(point) == clique[-1]
             else:
-                overlay.remove(clique.pop(int(rng.integers(len(clique)))))
+                victim = clique.pop(int(rng.integers(len(clique))))
+                for overlay in overlays:
+                    overlay.remove(victim)
             for object_id in rng.choice(clique, size=3, replace=False).tolist():
-                overlay.reset_long_links(object_id)
-            seen |= self._table_sizes(overlay)
-            assert_tables_match_views(overlay)
-            self._assert_paths_match_reference(overlay, rng)
+                for overlay in overlays:
+                    overlay.reset_long_links(object_id)
+            for overlay in overlays:
+                seen |= self._table_sizes(overlay)
+                assert_tables_match_views(overlay)
+                self._assert_paths_match_reference(overlay, rng)
         assert {47, 48, 49} <= seen
-        assert overlay.check_consistency() == []
+        for overlay in overlays:
+            assert overlay.check_consistency() == []
 
     def test_routing_table_arrays_are_equal_from_either_form(self, clustered):
-        overlay, spare, _ = clustered
+        (overlay, _bare), spare, _ = clustered
         for point in spare[:4]:
             overlay.insert(point)
         forms = {True: 0, False: 0}
         for object_id in overlay.object_ids():
-            entry = overlay._routing_entry(object_id, True)
+            entry = overlay._routing_entry(object_id)
             assert len(entry) == 3  # ids, positions, block: nothing to validate against
             holds_arrays = entry[2] is None
             assert holds_arrays == (entry[0] is not None) == (entry[1] is not None)

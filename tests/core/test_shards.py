@@ -36,11 +36,10 @@ class TestStoreMembership:
         cache = RoutingTableCache()
         cache.insert(7)
         assert 7 in cache and len(cache) == 1
-        for use_long_links in (True, False):
-            cache.cache_table(7, use_long_links, TABLE)
+        cache.cache_table(7, TABLE)
         cache.discard(7)
         assert 7 not in cache and len(cache) == 0
-        assert cache.tables == {True: {}, False: {}}
+        assert cache.tables == {}
         cache.discard(7)  # absent: a no-op
 
     def test_duplicate_insert_rejected(self):
@@ -64,11 +63,11 @@ class TestStoreMembership:
         cache = RoutingTableCache()
         cache.insert(1)
         with pytest.raises(KeyError):
-            cache.cache_table(2, True, TABLE)
+            cache.cache_table(2, TABLE)
         cache.discard(1)
         with pytest.raises(KeyError):
-            cache.cache_table(1, False, TABLE)
-        assert cache.tables == {True: {}, False: {}}
+            cache.cache_table(1, TABLE)
+        assert cache.tables == {}
 
 
 class TestDrops:
@@ -77,29 +76,25 @@ class TestDrops:
         cache = RoutingTableCache()
         cache.bulk_insert(range(6))
         for object_id in range(6):
-            for use_long_links in (True, False):
-                cache.cache_table(object_id, use_long_links, (object_id, use_long_links))
+            cache.cache_table(object_id, (object_id,))
         return cache
 
     def test_targeted_drop_forgets_exactly_the_named_tables(self, warm):
-        kept = {variant: dict(tables) for variant, tables in warm.tables.items()}
+        kept = dict(warm.tables)
         # Repeats, ids without a table and ids never stored are all fine.
         warm.bump_object_ids(iter([1, 4, 4, 99]))
         warm.bump_object_ids([1])
-        for use_long_links in (True, False):
-            tables = warm.tables[use_long_links]
-            assert sorted(tables) == [0, 2, 3, 5]
-            assert all(tables[i] is kept[use_long_links][i] for i in tables)
+        assert sorted(warm.tables) == [0, 2, 3, 5]
+        assert all(warm.tables[i] is kept[i] for i in warm.tables)
         assert len(warm) == 6  # the members stay; only their tables go
 
     def test_drop_all_empties_in_place(self, warm):
-        """Hot loops hoist one of the table dicts across a whole route."""
-        hoisted = warm.tables[True], warm.tables[False]
+        """Hot loops hoist the table dict across a whole route."""
+        hoisted = warm.tables
         warm.drop_all()
-        assert warm.tables[True] is hoisted[0] and warm.tables[False] is hoisted[1]
-        assert hoisted == ({}, {})
-        warm.cache_table(3, True, TABLE)
-        assert hoisted[0] == {3: TABLE}
+        assert warm.tables is hoisted and hoisted == {}
+        warm.cache_table(3, TABLE)
+        assert hoisted == {3: TABLE}
 
 
 def block(*ids):
@@ -112,9 +107,9 @@ def arrays(*ids):
     return (np.array(ids), np.zeros((len(ids), 2)), None)
 
 
-def rows_of(cache, use_long_links=True):
+def rows_of(cache):
     """``sync()`` read back: ``id → candidate ids`` (or ``ARRAY_FORM``) per row."""
-    start, length, ids = cache.sync(use_long_links)
+    start, length, ids = cache.sync()
     return {object_id: ARRAY_FORM if start[object_id] == ARRAY_FORM
             else ids[start[object_id]:start[object_id] + length[object_id]].tolist()
             for object_id in np.flatnonzero(start != NO_ROW).tolist()}
@@ -130,46 +125,44 @@ class TestArena:
         return cache
 
     def test_sync_indexes_what_is_cached_when_it_runs(self, cache):
-        cache.cache_table(3, True, block(1, 2, 5))
-        cache.cache_table(4, False, block(9))
+        cache.cache_table(3, block(1, 2, 5))
         assert rows_of(cache) == {3: [1, 2, 5]}  # first use: the dict as it stands
-        cache.cache_table(7, True, block())
-        cache.cache_table(8, True, arrays(*range(10, 30)))
-        cache.cache_table(30, True, block(3, 4))
+        cache.cache_table(7, block())
+        cache.cache_table(8, arrays(*range(10, 30)))
+        cache.cache_table(30, block(3, 4))
         assert rows_of(cache) == {3: [1, 2, 5], 7: [], 8: ARRAY_FORM, 30: [3, 4]}
-        assert rows_of(cache, False) == {4: [9]}
-        start, length, _ids = cache.sync(True, 100)
+        start, length, _ids = cache.sync(100)
         assert len(start) >= 100 and len(length) >= 100 and (start[40:] == NO_ROW).all()
         assert arena_report(cache) == []
 
     def test_cached_dropped_and_recached_between_two_syncs(self, cache):
         """… ends with exactly the second table's row; dropped and not
         re-cached, with none."""
-        cache.sync(True)
+        cache.sync()
         first, second = block(1, 2), block(2, 3, 4)
-        cache.cache_table(5, True, first)
-        cache.cache_table(6, True, block(1))
+        cache.cache_table(5, first)
+        cache.cache_table(6, block(1))
         cache.bump_object_ids([5, 6])
-        cache.cache_table(5, True, second)
+        cache.cache_table(5, second)
         assert rows_of(cache) == {5: [2, 3, 4]}
         cache.discard(5)
-        cache.cache_table(6, True, block(7))
+        cache.cache_table(6, block(7))
         assert rows_of(cache) == {6: [7]}
         assert arena_report(cache) == []
 
     def test_drops_may_name_anything(self, cache):
-        cache.cache_table(39, True, block(1))
-        cache.sync(True)
+        cache.cache_table(39, block(1))
+        cache.sync()
         cache.bump_object_ids([-1, 10**9, 12, 12])
         assert rows_of(cache) == {39: [1]}
 
     def test_drop_all_leaves_no_row(self, cache):
         for object_id in range(10):
-            cache.cache_table(object_id, True, block(object_id + 1))
+            cache.cache_table(object_id, block(object_id + 1))
         assert len(rows_of(cache)) == 10
         cache.drop_all()
-        assert rows_of(cache) == {} and rows_of(cache, False) == {}
-        cache.cache_table(2, True, block(3))
+        assert rows_of(cache) == {}
+        cache.cache_table(2, block(3))
         assert rows_of(cache) == {2: [3]}
 
     def test_the_buffer_is_compacted_as_rows_come_and_go(self, cache):
@@ -177,35 +170,34 @@ class TestArena:
         for round_ in range(60):
             for object_id in range(40):
                 cache.bump_object_ids([object_id])
-                cache.cache_table(object_id, True,
-                                  block(*range(round_, round_ + object_id % 30)))
+                cache.cache_table(object_id, block(*range(round_, round_ + object_id % 30)))
             assert rows_of(cache) == {object_id: list(range(round_, round_ + object_id % 30))
                                       for object_id in range(40)}
             assert arena_report(cache) == []
-        assert len(cache.sync(True)[2]) < 8 * sum(object_id % 30 for object_id in range(40))
+        assert len(cache.sync()[2]) < 8 * sum(object_id % 30 for object_id in range(40))
 
     def test_a_log_that_outgrows_its_bound_forgets_the_arenas(self, cache, monkeypatch):
         """An overlay that stopped routing batches must not log forever:
         the next sync indexes the dict afresh."""
         monkeypatch.setattr(shards, "CHUNK_ELEMENTS", 16)
-        cache.sync(True)
+        cache.sync()
         for object_id in range(20):
-            cache.cache_table(object_id, True, block(object_id))
-        assert cache._arenas == {} and cache._cached == [] and cache._dropped == []
+            cache.cache_table(object_id, block(object_id))
+        assert cache._arena is None and cache._cached == [] and cache._dropped == []
         for object_id in range(20, 30):  # no arena, nothing logged
-            cache.cache_table(object_id, True, block(object_id))
+            cache.cache_table(object_id, block(object_id))
         cache.bump_object_ids(range(5))
         assert cache._cached == [] and cache._dropped == []
         assert rows_of(cache) == {object_id: [object_id] for object_id in range(5, 30)}
         for _ in range(5):
             cache.bump_object_ids([31, 32, 33, 34])
-        assert cache._arenas == {}
+        assert cache._arena is None
         assert rows_of(cache) == {object_id: [object_id] for object_id in range(5, 30)}
 
     def test_report_names_a_row_made_stale_on_purpose(self, cache):
-        cache.cache_table(1, True, block(2, 3))
-        cache.cache_table(2, True, block(1))
-        cache.cache_table(3, True, arrays(*range(50)))
+        cache.cache_table(1, block(2, 3))
+        cache.cache_table(2, block(1))
+        cache.cache_table(3, arrays(*range(50)))
         assert arena_report(cache) == []
         # A row kept after bump_object_ids: the drop never reached the log.
         cache.bump_object_ids([1])
@@ -214,13 +206,13 @@ class TestArena:
         cache.bump_object_ids([1])
         assert arena_report(cache) == []
         # A table cached behind the log's back, either form.
-        cache.tables[True][4] = block(5)
-        cache.tables[True][5] = arrays(*range(50))
+        cache.tables[4] = block(5)
+        cache.tables[5] = arrays(*range(50))
         assert arena_report(cache) == ["4: arena has no row for the cached table",
                                        "5: arena does not mark the array-form table"]
         cache.bump_object_ids([4, 5])
         # A row that is not the table's ids; an offset out of bounds.
-        start, _length, ids = cache.sync(True)
+        start, _length, ids = cache.sync()
         ids[start[2]] = 7
         assert arena_report(cache) == ["2: arena row is not the cached table's ids"]
         start[2] = len(ids)
@@ -232,7 +224,7 @@ class TestArena:
         overlay.route_many([(a, b) for a in ids[:10] for b in ids[10:20]])
         assert overlay.check_consistency() == []
         cache = overlay.routing_cache
-        victim = next(iter(cache.tables[True]))
+        victim = next(iter(cache.tables))
         overlay.invalidate_routing_tables([victim])
         del cache._dropped[:]
         assert overlay.check_consistency() == [
@@ -281,7 +273,7 @@ class TestShardedFlatEquivalence:
         for object_id in ids[:10]:
             overlay.remove(object_id)
             assert object_id not in cache
-            assert object_id not in cache.tables[True]
+            assert object_id not in cache.tables
         newcomer = overlay.insert((0.5, 0.5))
         assert newcomer in cache
         assert len(cache) == len(overlay)

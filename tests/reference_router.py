@@ -4,22 +4,35 @@ They read only the public per-object views — ``VoroNet.neighbor_view()`` in
 oracle mode, ``ProtocolNode.routing_candidates()`` in protocol mode — and
 re-assemble the candidate set at every hop, so they share no state with the
 cached routing tables / view-epoch-cached blocks they check.
+
+An overlay routes on one view, ``vn ∪ cn ∪ LRn``; routing over the bare
+tessellation is routing on :func:`zero_link_twin`'s overlay, held to the
+same reference.
 """
 
+from dataclasses import replace
+
+from repro.core import VoroNet
 from repro.geometry.point import distance_sq
 
 
-def reference_candidates(overlay, object_id, use_long_links):
-    """``vn ∪ cn (∪ LRn)`` minus self from a freshly assembled view, ascending."""
+def zero_link_twin(overlay):
+    """The same objects (ids, positions, config) joined to an overlay with no long links."""
+    twin = VoroNet(replace(overlay.config, num_long_links=0))
+    for object_id, position in overlay.positions().items():
+        twin.insert(position, object_id)
+    return twin
+
+
+def reference_candidates(overlay, object_id):
+    """``vn ∪ cn ∪ LRn`` minus self from a freshly assembled view, ascending."""
     view = overlay.neighbor_view(object_id)
-    candidates = set(view.voronoi) | set(view.close)
-    if use_long_links:
-        candidates |= set(view.long_range)
+    candidates = set(view.voronoi) | set(view.close) | set(view.long_range)
     candidates.discard(object_id)
     return sorted(candidates)
 
 
-def reference_greedy_route(overlay, source, target, use_long_links=True):
+def reference_greedy_route(overlay, source, target):
     """Path (source first, owner last) of greedy routing to the point ``target``.
 
     Candidates are scanned in ascending id order and forwarding requires a
@@ -29,7 +42,7 @@ def reference_greedy_route(overlay, source, target, use_long_links=True):
     while True:
         current = path[-1]
         best, best_d = None, distance_sq(overlay.position_of(current), target)
-        for neighbor in reference_candidates(overlay, current, use_long_links):
+        for neighbor in reference_candidates(overlay, current):
             d = distance_sq(overlay.position_of(neighbor), target)
             if d < best_d:
                 best, best_d = neighbor, d
@@ -38,7 +51,7 @@ def reference_greedy_route(overlay, source, target, use_long_links=True):
         path.append(best)
 
 
-def reference_paths_to(overlay, targets, use_long_links=True):
+def reference_paths_to(overlay, targets):
     """``{(source, target): path}`` of routing every object to each of ``targets``.
 
     The reference rule, with each scan done once: where a message for a
@@ -49,7 +62,7 @@ def reference_paths_to(overlay, targets, use_long_links=True):
     ids = overlay.object_ids()
     position = {object_id: overlay.position_of(object_id) for object_id in ids}
     candidates = {object_id: [(neighbor,) + position[neighbor] for neighbor
-                              in reference_candidates(overlay, object_id, use_long_links)]
+                              in reference_candidates(overlay, object_id)]
                   for object_id in ids}
     paths = {}
     for target in targets:
@@ -70,10 +83,9 @@ def reference_paths_to(overlay, targets, use_long_links=True):
     return paths
 
 
-def assert_routes_match_reference(overlay, result, use_long_links=True):
+def assert_routes_match_reference(overlay, result):
     """A ``RouteResult`` has the reference router's owner and hop count."""
-    path = reference_greedy_route(overlay, result.source, result.target,
-                                  use_long_links)
+    path = reference_greedy_route(overlay, result.source, result.target)
     assert (result.owner, result.hops) == (path[-1], len(path) - 1)
 
 

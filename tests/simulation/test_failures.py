@@ -51,7 +51,7 @@ class TestCrashInjector:
         crashed = set(injector._crashed)  # noqa: SLF001 - test introspection
         counted = sum(
             1 for oid in overlay.object_ids()
-            for bl in overlay.node(oid).back_links if bl.source in crashed)
+            for source, _index in overlay.node(oid).back_links if source in crashed)
         assert counted == report.dangling_back_links
 
     def test_repair_fixes_dangling_links(self, overlay):
@@ -65,7 +65,7 @@ class TestCrashInjector:
         assert report.dangling_back_links == 0
         crashed = set(injector._crashed)  # noqa: SLF001 - test introspection
         for oid in overlay.object_ids():
-            assert not {bl.source for bl in overlay.node(oid).back_links} & crashed
+            assert not overlay.node(oid).back_link_sources() & crashed
 
     def test_routing_still_works_after_repair(self, overlay, numpy_rng):
         injector = CrashInjector(overlay, rng=RandomSource(1))
@@ -123,9 +123,8 @@ class TestCrashInjector:
         crashed = injector.crash_random(10)
         injector.repair()
         tables = overlay.routing_cache.tables
-        assert not any(victim in variant
-                       for victim in crashed for variant in tables.values())
+        assert not any(victim in tables for victim in crashed)
         assert overlay.check_consistency() == []
-        tables[True][crashed[0]] = (None, None, [])
+        tables[crashed[0]] = (None, None, [])
         assert overlay.check_consistency() == [
             f"{crashed[0]}: cached routing table of a non-member"]
