@@ -31,8 +31,10 @@ tables*: per object, its forwarding candidates ``vn ∪ cn ∪ LRn`` in
 ascending id order with their positions.
 Each table is held in **one representation, chosen by its size** when
 :meth:`VoroNet._routing_entry` builds it: below
-:data:`~repro.geometry.locate_grid.VECTOR_SCAN_THRESHOLD` candidates a list
-of ``(id, x, y)`` tuples that the forwarding loop scans inline; from the
+:data:`~repro.geometry.locate_grid.VECTOR_SCAN_THRESHOLD` candidates a tuple
+of the kernel's ``(id, x, y)`` records
+(:attr:`~repro.geometry.delaunay.DelaunayTriangulation.records`, shared,
+not copied) that the forwarding loop scans inline; from the
 threshold up an int64 id array aligned with a ``(k, 2)`` position array —
 one gather from the locate grid's coordinate column — that the loop takes
 an ``argmin`` over.  Nothing is converted later; :meth:`VoroNet.routing_table`
@@ -85,7 +87,6 @@ node's position.
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
@@ -117,6 +118,80 @@ from repro.geometry.voronoi import VoronoiCell, voronoi_cell
 from repro.utils.rng import RandomSource
 
 __all__ = ["VoroNet"]
+
+
+class _MemberOrder:
+    """The members in node-table order, for the k-th one in O(log N).
+
+    The overlay's node table is a dict, so it iterates in insertion order:
+    a departure leaves a hole, an insertion (of a re-used id too) goes last.
+    Each insertion takes the next *slot*, and a Fenwick tree over the
+    slots' live flags finds the slot of the k-th live member in O(log N),
+    where walking the dict took O(k).  Once most slots are holes, the live
+    ones are numbered afresh, in order.
+    """
+
+    __slots__ = ("_ids", "_slots", "_tree")
+
+    def __init__(self) -> None:
+        #: Slot → member id, or ``None`` once the member left.
+        self._ids: List[Optional[int]] = []
+        #: Member id → slot.
+        self._slots: Dict[int, int] = {}
+        #: 1-based Fenwick tree over the slots' live flags.
+        self._tree: List[int] = [0]
+
+    def reset(self, object_ids: Iterable[int]) -> None:
+        """Number ``object_ids`` afresh, in order: every slot is live."""
+        self._ids = list(object_ids)
+        self._slots = {object_id: slot for slot, object_id in enumerate(self._ids)}
+        # A tree of live flags only: node i covers the lowbit(i) slots up to i.
+        self._tree = [i & -i for i in range(len(self._ids) + 1)]
+
+    def append(self, object_id: int) -> None:
+        """Give a new member the next slot."""
+        tree = self._tree
+        node = len(tree)
+        self._slots[object_id] = len(self._ids)
+        self._ids.append(object_id)
+        # Node ``node`` covers (node - lowbit(node), node]: the live slots
+        # before this one there are a difference of two prefix counts.
+        tree.append(1 + self._prefix(node - 1) - self._prefix(node - (node & -node)))
+
+    def discard(self, object_id: int) -> None:
+        """Vacate a departed member's slot."""
+        slot = self._slots.pop(object_id)
+        self._ids[slot] = None
+        tree = self._tree
+        node = slot + 1
+        while node < len(tree):
+            tree[node] -= 1
+            node += node & -node
+        if 2 * len(self._slots) < len(self._ids):
+            self.reset([member for member in self._ids if member is not None])
+
+    def kth(self, k: int) -> int:
+        """The member ``k`` places into the node table's order (0-based)."""
+        tree = self._tree
+        size = len(tree)
+        node = 0
+        step = 1 << size.bit_length()
+        while step:
+            ahead = node + step
+            if ahead < size and tree[ahead] <= k:
+                node = ahead
+                k -= tree[ahead]
+            step >>= 1
+        return self._ids[node]
+
+    def _prefix(self, node: int) -> int:
+        """Live members in the first ``node`` slots."""
+        tree = self._tree
+        count = 0
+        while node:
+            count += tree[node]
+            node &= node - 1
+        return count
 
 
 class VoroNet:
@@ -158,6 +233,8 @@ class VoroNet:
         self._triangulation = DelaunayTriangulation()
         self._locate_index = LocateGrid()
         self._nodes: Dict[int, ObjectNode] = {}
+        # The node table's order, indexed for introducer draws.
+        self._member_order = _MemberOrder()
         self._next_id = 0
         self._stats = OverlayStats()
         # Member ids and the flat routing tables cached for them (see the
@@ -315,8 +392,11 @@ class VoroNet:
                 ids.sort()
                 positions = self._locate_index.coordinates(ids)
             else:
-                nodes = self._nodes
-                block = [(cid,) + nodes[cid].position for cid in sorted(candidates)]
+                # The kernel's own records, not copies: the block allocates
+                # one tuple, which the collector stops tracking at its first
+                # pass (geometry.delaunay, "Caches").
+                block = tuple(map(self._triangulation.records.__getitem__,
+                                  sorted(candidates)))
         except KeyError as exc:
             raise ObjectNotFoundError(exc.args[0]) from None
         entry = (ids, positions, block)
@@ -454,6 +534,7 @@ class VoroNet:
                 f"an object already sits at {position} (id {exc.existing_vertex})"
             ) from exc
         self._nodes[object_id] = ObjectNode(object_id=object_id, position=position)
+        self._member_order.append(object_id)
         # Commit the id allocation only now that the node is published: a
         # failed insert must never burn (and permanently skip) an auto id.
         self._next_id = max(self._next_id, object_id + 1)
@@ -525,9 +606,12 @@ class VoroNet:
         return messages + self._establish_long_links(object_id)
 
     def _sample_object_id(self) -> int:
-        """A uniformly random already-published object id (the introducer)."""
-        nodes = self._nodes
-        return next(itertools.islice(nodes, self._rng.integer(0, len(nodes)), None))
+        """A uniformly random already-published object id (the introducer).
+
+        The k-th key of the node table for one RNG draw k, found in
+        O(log N) (:class:`_MemberOrder`).
+        """
+        return self._member_order.kth(self._rng.integer(0, len(self._nodes)))
 
     # ------------------------------------------------------------------
     # departure (leave)
@@ -569,6 +653,7 @@ class VoroNet:
         rebuilt = kernel.rebuild_count - rebuilds
         self._stats.kernel_rebuilds += rebuilt
         del self._nodes[object_id]
+        self._member_order.discard(object_id)
         self._locate_index.discard(object_id)
         self._routing_cache.discard(object_id)
         if rebuilt:
@@ -756,6 +841,7 @@ class VoroNet:
             ) from exc
         for object_id, point in zip(ids, batch):
             self._nodes[object_id] = ObjectNode(object_id=object_id, position=point)
+        self._member_order.reset(self._nodes)
         self._locate_index.bulk_insert(zip(ids, batch))
         self._routing_cache.bulk_insert(ids)
         self._next_id = ids[-1] + 1
@@ -791,8 +877,8 @@ class VoroNet:
             self._config.effective_d_min, k, self._rng)
         locate = self._locate_index
         # One batched kernel descent over all n·k targets: grid hints seed
-        # every walk, the shared neighbour-block cache stays warm across the
-        # whole batch, and endpoints are identical to per-target calls.
+        # every walk, the kernel's star cache stays warm across the whole
+        # batch, and endpoints are identical to per-target calls.
         flat = targets.reshape(-1, 2)
         flat_targets = [(float(x), float(y)) for x, y in flat]
         endpoints = self._triangulation.nearest_vertices(
@@ -826,6 +912,7 @@ class VoroNet:
             ("kernel", self._triangulation),
             ("routing cache", self._routing_cache))))
         problems.extend(self.routing_cache_report())
+        problems.extend(self._triangulation.star_cache_report())
         return problems
 
     def routing_cache_report(self) -> List[str]:

@@ -23,7 +23,8 @@ The id arena
 The batch router (:func:`repro.core.routing.greedy_route_many`) advances
 thousands of routes per numpy step and cannot probe a dict per route, so
 beside the table dict the cache keeps an *arena*: an index **of the
-dict's scan-block tables**, ids only, in CSR form — ``start[id]`` and
+dict's scan-block tables** (each a tuple of the kernel's ``(id, x, y)``
+records), ids only, in CSR form — ``start[id]`` and
 ``length[id]`` (id-indexed int32) delimit the object's candidate ids, in
 table order, inside one flat int32 buffer.  ``start[id]`` is
 :data:`NO_ROW` for an id with no cached table and :data:`ARRAY_FORM` for
@@ -168,10 +169,13 @@ class RoutingTableCache:
 
     def __init__(self) -> None:
         self._members: Set[int] = set()
-        #: Object id → ``(candidate ids, (k, 2) positions, (id, x, y) scan
-        #: block)`` holding either the scan block (ids and positions
-        #: ``None``) or the two arrays (block ``None``), as
-        #: ``VoroNet._routing_entry`` chose by size.
+        #: Object id → ``(candidate ids, (k, 2) positions, scan block)``
+        #: holding either the scan block (ids and positions ``None``) or the
+        #: two arrays (block ``None``), as ``VoroNet._routing_entry`` chose
+        #: by size.  A scan block is a tuple of the kernel's own ``(id, x,
+        #: y)`` records (``DelaunayTriangulation.records``), in id order:
+        #: nothing in it is a copy, and the collector stops tracking it at
+        #: its first pass.
         self.tables: Dict[int, tuple] = {}
         # The arena, once a batch was routed, and the two id logs kept for
         # it (see the module docstring).  No arena, nothing logged.

@@ -53,6 +53,59 @@ Operations
   graph, which provably reaches the vertex whose Voronoi cell contains the
   query point.
 
+Caches
+------
+* **One record per vertex.**  Each vertex has one ``(id, x, y)`` tuple,
+  created with the vertex and dropped with it
+  (:attr:`~DelaunayTriangulation.records`).  A rebuild re-inserts vertices
+  but keeps their records.  Whoever needs a neighbour's id and position
+  together holds that tuple, not a copy: the kernel's stars and the
+  overlay's routing tables do.
+* **A cached star is a valid star.**  A vertex's finite neighbours are
+  cached as a tuple of their records, in
+  :meth:`~DelaunayTriangulation.star_ring` order, and each mutation drops
+  exactly the stars it changed.  These are the vertices whose
+  ``_vertex_edge`` entry ``_add_triangle`` resets, so a walk that starts
+  over from that entry lists a star that is still cached element for
+  element:
+
+  - an insertion drops the vertices on its cavity boundary (the new vertex
+    has no entry: removing a vertex drops its entry, so a reused id has
+    none either);
+  - an interior removal drops the departing vertex and its ring;
+  - the first bootstrap and every :meth:`~DelaunayTriangulation.rebuild`
+    drop every star.  Nothing is cached while the points are degenerate
+    (fewer than three that are not collinear).
+
+  :meth:`~DelaunayTriangulation.nearest_vertex` fills the cache on a miss.
+  :meth:`~DelaunayTriangulation.neighbors` (and through it the overlay's
+  routing-table assembly) reads it but, on a miss, walks without filling
+  it.  Its misses on the mutation paths always follow an invalidation, so
+  a star cached there would be dropped again by the next mutation nearby,
+  and the protocol's joins and leaves, which read mostly there, measured
+  slower when it was.
+  :meth:`~DelaunayTriangulation.star_cache_report` compares every cached
+  star with a fresh walk.
+* **Why tuples.**  CPython stops tracking a tuple once a collection finds
+  all its items atomic (ints, floats) or untracked tuples.  A record, a
+  star and a routing-table block built from records are untracked by their
+  first young collection, and a tuple holding such a block by the next
+  pass of its generation.  None of them reaches the oldest generation: the
+  garbage collector neither triggers a full collection for them nor
+  traverses them during one.
+* **Why the maps stay tracked.**  The maps that hold them are the other
+  way round.  A plain dict whose keys and values are all atomic or
+  untracked is untracked by every full collection, and the next insertion
+  of a fresh tuple tracks it again *in the youngest generation*, where the
+  next one or two young collections walk every entry.  For this kernel's
+  maps at N = 5·10⁴ (about 600 k entries with the locate grid's) that cost
+  20–25 ms per collection, and where it fell depended on allocation
+  counts: in the first mutations after a full collection or in whatever
+  ran next.
+  The kernel's maps and the locate grid's point map are
+  :class:`TrackedDict`, which the collector never untracks, so they stay in
+  the oldest generation and only full collections walk them.
+
 All topological decisions go through the robust predicates of
 :mod:`repro.geometry.predicates`, so the structure stays consistent under
 near-degenerate inputs (the property the paper gets from Sugihara–Iri).
@@ -60,7 +113,7 @@ near-degenerate inputs (the property the paper gets from Sugihara–Iri).
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -75,6 +128,18 @@ INFINITE_VERTEX = -1
 
 Triangle = Tuple[int, int, int]
 DirectedEdge = Tuple[int, int]
+#: ``(id, x, y)``: the one record the kernel keeps per vertex.
+Record = Tuple[int, float, float]
+
+
+class TrackedDict(dict):
+    """A dict the garbage collector never untracks (module docstring, Caches).
+
+    CPython untracks only exact dicts; a subclass stays where its
+    collections promoted it.
+    """
+
+    __slots__ = ()
 
 
 class DuplicatePointError(ValueError):
@@ -149,19 +214,20 @@ class DelaunayTriangulation:
     """
 
     def __init__(self, points: Optional[Sequence[Point]] = None) -> None:
-        self._points: Dict[int, Point] = {}
-        self._coord_index: Dict[Point, int] = {}
-        self._apex: Dict[DirectedEdge, int] = {}
-        self._vertex_edge: Dict[int, DirectedEdge] = {}
+        self._points: Dict[int, Point] = TrackedDict()
+        self._records: Dict[int, Record] = TrackedDict()
+        self._coord_index: Dict[Point, int] = TrackedDict()
+        self._apex: Dict[DirectedEdge, int] = TrackedDict()
+        self._vertex_edge: Dict[int, DirectedEdge] = TrackedDict()
         self._has_triangulation = False
         self._next_id = 0
         self._last_vertex: Optional[int] = None
-        # Monotone structure version: bumped on every topological mutation
-        # (insert, remove, rebuild).  Per-vertex neighbour blocks are cached
-        # against it so repeated point locations between mutations never
-        # re-walk a vertex star.
+        # Monotone structure version, bumped on every topological mutation
+        # (insert, remove, rebuild) for consumers outside the kernel.
         self._version = 0
-        self._neighbor_cache: Dict[int, Tuple[int, List[Tuple[int, float, float]]]] = {}
+        # Vertex → its finite neighbours' records in star order, dropped by
+        # id when a mutation changes the star (module docstring, Caches).
+        self._stars: Dict[int, Tuple[Record, ...]] = TrackedDict()
         #: Calls of :meth:`rebuild` so far — one per departed hull vertex
         #: plus any made directly.  A plain counter, never reset.
         self.rebuild_count = 0
@@ -191,6 +257,15 @@ class DelaunayTriangulation:
         """Coordinates of a vertex."""
         return self._points[vertex_id]
 
+    @property
+    def records(self) -> Mapping[int, Record]:
+        """Every vertex's one ``(id, x, y)`` record, by id.
+
+        The kernel's own map, for reading only: ``records[v]`` is the same
+        object for as long as ``v`` is a vertex.
+        """
+        return self._records
+
     def points(self) -> Dict[int, Point]:
         """A copy of the id → coordinates mapping."""
         return dict(self._points)
@@ -208,11 +283,11 @@ class DelaunayTriangulation:
     def version(self) -> int:
         """Monotone structure version, bumped on every topological mutation.
 
-        Consumers caching anything derived from the adjacency (neighbour
-        blocks, routing tables) compare their stored version against this
-        value and rebuild lazily on mismatch.  It is an invalidation token,
-        not a mutation counter: one operation may advance it more than once
-        (e.g. a rebuild re-inserting every vertex).
+        A token for consumers outside the kernel: they stamp what they
+        derived from the adjacency (view snapshots, repair-audit verdicts)
+        with it and compare the stamp with this value.  It is not a mutation
+        counter: one operation may advance it more than once (e.g. a rebuild
+        re-inserting every vertex).
         """
         return self._version
 
@@ -243,6 +318,19 @@ class DelaunayTriangulation:
         del self._apex[(u, v)]
         del self._apex[(v, w)]
         del self._apex[(w, u)]
+
+    def _register(self, vertex_id: int, point: Point) -> None:
+        """Create a vertex's coordinate entries and its record."""
+        self._points[vertex_id] = point
+        self._coord_index[point] = vertex_id
+        self._records[vertex_id] = (vertex_id,) + point
+
+    def _unregister(self, vertex_id: int) -> None:
+        """Drop everything kept for a departed vertex, its star included."""
+        self._coord_index.pop(self._points.pop(vertex_id), None)
+        del self._records[vertex_id]
+        self._vertex_edge.pop(vertex_id, None)
+        self._stars.pop(vertex_id, None)
 
     def triangles(self) -> Iterator[Triangle]:
         """Iterate over the finite triangles, each exactly once, CCW."""
@@ -314,6 +402,7 @@ class DelaunayTriangulation:
             b, c = c, b
         self._apex.clear()
         self._vertex_edge.clear()
+        self._stars.clear()
         self._add_triangle(a, b, c)
         # Ghost triangles: one per hull edge, keyed by the reversed edge.
         self._add_triangle(b, a, INFINITE_VERTEX)
@@ -398,8 +487,7 @@ class DelaunayTriangulation:
             if vertex_id in self._points:
                 raise ValueError(f"vertex id {vertex_id} already in use")
             self._next_id = max(self._next_id, vertex_id + 1)
-        self._points[vertex_id] = point
-        self._coord_index[point] = vertex_id
+        self._register(vertex_id, point)
         if not self._has_triangulation:
             self._try_bootstrap()
             # Degenerate-path insertions (< 3 non-collinear points) change
@@ -479,10 +567,11 @@ class DelaunayTriangulation:
             vid, point = ids[index], pts[index]
             if self._has_triangulation:
                 # Validated by the caller: bypass insert()'s re-checks and
-                # go straight to the hinted Bowyer–Watson step.  Registering
-                # is a no-op for the vertices a rebuild re-inserts.
-                self._points[vid] = point
-                self._coord_index[point] = vid
+                # go straight to the hinted Bowyer–Watson step.  The
+                # vertices a rebuild re-inserts are registered already, and
+                # keep their records.
+                if vid not in self._records:
+                    self._register(vid, point)
                 self._insert_into_triangulation(vid, hint)
             else:
                 self.insert(point, vertex_id=vid)
@@ -629,6 +718,12 @@ class DelaunayTriangulation:
             del apex[edge]
         for a, b in boundary:
             self._add_triangle(a, b, vertex_id)
+        stars = self._stars
+        if stars:
+            # Every boundary vertex starts one boundary edge; these are
+            # the stars the new fan changed.
+            for a, _b in boundary:
+                stars.pop(a, None)
         self._version += 1
 
     # ------------------------------------------------------------------
@@ -648,11 +743,8 @@ class DelaunayTriangulation:
         if vertex_id not in self._points:
             raise KeyError(f"unknown vertex {vertex_id}")
         self._version += 1
-        self._neighbor_cache.pop(vertex_id, None)
-        point = self._points[vertex_id]
         if not self._has_triangulation:
-            del self._points[vertex_id]
-            self._coord_index.pop(point, None)
+            self._unregister(vertex_id)
             self._fix_last_vertex()
             return
         if len(self._points) <= 4:
@@ -676,9 +768,10 @@ class DelaunayTriangulation:
             return
         for tri in new_triangles:
             self._add_triangle(*tri)
-        del self._points[vertex_id]
-        self._coord_index.pop(point, None)
-        self._vertex_edge.pop(vertex_id, None)
+        stars = self._stars
+        for neighbor in ring:
+            stars.pop(neighbor, None)
+        self._unregister(vertex_id)
         self._fix_last_vertex()
 
     def _fix_last_vertex(self) -> None:
@@ -686,9 +779,7 @@ class DelaunayTriangulation:
             self._last_vertex = next(iter(self._points)) if self._points else None
 
     def _delete_and_rebuild(self, vertex_id: int) -> None:
-        point = self._points.pop(vertex_id)
-        self._coord_index.pop(point, None)
-        self._vertex_edge.pop(vertex_id, None)
+        self._unregister(vertex_id)
         self.rebuild()
         self._fix_last_vertex()
 
@@ -709,7 +800,7 @@ class DelaunayTriangulation:
         self._vertex_edge.clear()
         self._has_triangulation = False
         self._version += 1
-        self._neighbor_cache.clear()
+        self._stars.clear()
         self._try_bootstrap()
 
     def _triangulate_star_polygon(self, ring: List[int]) -> Optional[List[Triangle]]:
@@ -777,12 +868,47 @@ class DelaunayTriangulation:
         return ring
 
     def neighbors(self, vertex_id: int) -> List[int]:
-        """Finite Delaunay neighbours of a vertex (the Voronoi neighbours)."""
+        """Finite Delaunay neighbours of a vertex (the Voronoi neighbours).
+
+        In star order: read from the cached star, or walked without caching
+        it (module docstring, Caches).
+        """
+        star = self._stars.get(vertex_id)
+        if star is not None:
+            return [record[0] for record in star]
+        return self._walk_neighbors(vertex_id)
+
+    def _walk_neighbors(self, vertex_id: int) -> List[int]:
         if vertex_id not in self._points:
             raise KeyError(f"unknown vertex {vertex_id}")
         if not self._has_triangulation:
             return self._degenerate_neighbors(vertex_id)
         return [v for v in self.star_ring(vertex_id) if v != INFINITE_VERTEX]
+
+    def star_cache_report(self) -> List[str]:
+        """Every cached star that is not a fresh walk's (caching none).
+
+        A star kept for a departed vertex, or one whose ids or their order
+        differ from a fresh :meth:`star_ring` walk, or whose records are not
+        ``(id,) + point(id)``.
+        """
+        problems: List[str] = []
+        points = self._points
+        for vertex_id, star in self._stars.items():
+            if vertex_id not in points:
+                problems.append(f"{vertex_id}: cached star of a departed vertex")
+                continue
+            cached = [record[0] for record in star]
+            fresh = self._walk_neighbors(vertex_id)
+            if cached != fresh:
+                problems.append(
+                    f"{vertex_id}: cached star {cached} is not the walk {fresh}")
+            for record in star:
+                point = points.get(record[0])
+                if point is None or record != (record[0],) + point:
+                    problems.append(
+                        f"{vertex_id}: cached star holds {record}, not the vertex's record")
+        return problems
 
     def degree(self, vertex_id: int) -> int:
         """Number of finite Delaunay neighbours of a vertex."""
@@ -824,20 +950,6 @@ class DelaunayTriangulation:
             result.append((vertex_id, a, b))
         return result
 
-    def _neighbor_block(self, vertex_id: int) -> List[Tuple[int, float, float]]:
-        """``(id, x, y)`` triples of a vertex's finite neighbours, cached.
-
-        The block is rebuilt lazily when the structure version moved since
-        it was stored, so point location between mutations never re-walks a
-        vertex star and never touches the apex map.
-        """
-        entry = self._neighbor_cache.get(vertex_id)
-        if entry is not None and entry[0] == self._version:
-            return entry[1]
-        block = [(nb,) + self._points[nb] for nb in self.neighbors(vertex_id)]
-        self._neighbor_cache[vertex_id] = (self._version, block)
-        return block
-
     def nearest_vertex(self, point: Point, hint: Optional[int] = None) -> int:
         """Vertex whose Voronoi region contains ``point`` (greedy graph descent).
 
@@ -855,9 +967,18 @@ class DelaunayTriangulation:
         current_d = (cx - px) * (cx - px) + (cy - py) * (cy - py)
         guard = 0
         limit = len(self._points) + 8
+        stars = self._stars
         while True:
             best, best_d = current, current_d
-            for nb, nx, ny in self._neighbor_block(current):
+            star = stars.get(current)
+            if star is None:
+                # A miss: walk the star into a tuple of records, and cache
+                # it unless the points are degenerate.
+                records = self._records
+                star = tuple([records[v] for v in self._walk_neighbors(current)])
+                if self._has_triangulation:
+                    stars[current] = star
+            for nb, nx, ny in star:
                 d = (nx - px) * (nx - px) + (ny - py) * (ny - py)
                 if d < best_d:
                     best, best_d = nb, d
@@ -874,8 +995,8 @@ class DelaunayTriangulation:
         """Voronoi-region owners of a whole batch of query points.
 
         The batched form of :meth:`nearest_vertex` used for bulk long-link
-        resolution: every descent runs over the version-cached neighbour
-        blocks (warmed by the batch itself), and a query without an explicit
+        resolution: every descent runs over the cached stars (warmed by the
+        batch itself), and a query without an explicit
         hint starts from the previous query's answer, which for spatially
         correlated batches keeps each walk O(1).  Owners are exact and
         identical to per-point :meth:`nearest_vertex` calls with the same

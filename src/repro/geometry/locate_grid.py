@@ -58,6 +58,7 @@ from typing import (Collection, Dict, Iterable, Iterator, List, Optional, Sequen
 
 import numpy as np
 
+from repro.geometry.delaunay import TrackedDict
 from repro.geometry.point import Point, distance, distance_sq
 
 __all__ = ["CHUNK_ELEMENTS", "LocateGrid", "VECTOR_SCAN_THRESHOLD"]
@@ -121,7 +122,8 @@ class LocateGrid:
         self._target_occupancy = float(target_occupancy)
         self._cells_per_axis = 1
         self._cells: Dict[Tuple[int, int], Set[int]] = {}
-        self._points: Dict[int, Point] = {}
+        # Tracked for good, as the kernel's maps (geometry.delaunay, "Caches").
+        self._points: Dict[int, Point] = TrackedDict()
         # The id-indexed coordinate column (see the module docstring).
         self._xy = np.full((64, 2), np.nan)
 

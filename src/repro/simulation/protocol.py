@@ -58,11 +58,15 @@ and counted.
 Per-node routing cache
 ----------------------
 Greedy forwarding reads each node's candidates from a lazily built flat
-``(id, x, y)`` block cached against the node's :attr:`ProtocolNode.view_epoch`,
-which every view-mutating message handler bumps — the protocol-mode
-analogue of the oracle's routing-table cache (there a mutation drops
-exactly the tables it names; here it moves one node's epoch).  The block
-always equals the freshly assembled
+block cached against the node's :attr:`ProtocolNode.view_epoch`, which
+every view-mutating message handler bumps — the protocol-mode analogue of
+the oracle's routing-table cache (there a mutation drops exactly the
+tables it names; here it moves one node's epoch).  The block is a tuple of
+``(id, x, y)`` tuples built from the node's own view (positions it was
+sent, not the kernel's records): the collector stops tracking the items at
+their first pass and the block at the next pass of its generation, so
+blocks never reach the oldest generation, as the oracle's tables do not.
+It always equals the freshly assembled
 :meth:`ProtocolNode.routing_candidates`, which is what the parity tests
 compare it against.  The heartbeat
 detector's per-node probe plan (:meth:`ProtocolNode.probe_plan`) is cached
@@ -309,8 +313,8 @@ class ProtocolNode:
     #: silent instead of re-flooding.
     merge_epoch: int = -1
     _block_epoch: int = field(default=-1, repr=False, init=False)
-    _block: Optional[List[Tuple[int, float, float]]] = field(default=None, repr=False,
-                                                             init=False)
+    _block: Optional[Tuple[Tuple[int, float, float], ...]] = field(default=None, repr=False,
+                                                                   init=False)
     _plan_epoch: int = field(default=-1, repr=False, init=False)
     _plan: Tuple[Tuple[int, ...], Tuple[int, ...]] = field(
         default=((), ()), repr=False, init=False)
@@ -334,16 +338,19 @@ class ProtocolNode:
         candidates.pop(self.object_id, None)
         return candidates
 
-    def routing_block(self) -> List[Tuple[int, float, float]]:
+    def routing_block(self) -> Tuple[Tuple[int, float, float], ...]:
         """Flat ``(id, x, y)`` forwarding candidates, cached per view epoch.
 
         Rebuilt lazily from :meth:`routing_candidates` whenever the view
         epoch moved, so the block is always equal to the freshly assembled
         candidate dict — the invariant the protocol-level cache tests pin.
+        A tuple of tuples of numbers, which the collector stops tracking
+        before it reaches the oldest generation (``geometry.delaunay``,
+        "Caches").
         """
         if self._block is None or self._block_epoch != self.view_epoch:
-            self._block = [(neighbor, position[0], position[1])
-                           for neighbor, position in self.routing_candidates().items()]
+            self._block = tuple([(neighbor, position[0], position[1])
+                                 for neighbor, position in self.routing_candidates().items()])
             self._block_epoch = self.view_epoch
         return self._block
 
@@ -1802,7 +1809,9 @@ class ProtocolSimulator:  # simlint: ignore[SIM003] — one per experiment, not 
         families under its own definition
         (:func:`~repro.core.maintenance.view_report`: close symmetry, long
         links at their target's owner, links ⇄ back registrations).  Last,
-        as there, the cache contract (:meth:`probe_plan_report`).
+        as there, the cache contracts: the probe plans
+        (:meth:`probe_plan_report`) and the kernel's cached stars
+        (:meth:`~repro.geometry.delaunay.DelaunayTriangulation.star_cache_report`).
         """
         problems = self._membership_report()
         kernel = self.kernel
@@ -1820,6 +1829,7 @@ class ProtocolSimulator:  # simlint: ignore[SIM003] — one per experiment, not 
             lambda target, hint: kernel.nearest_vertex(target, hint=hint),
             self.config.effective_d_min))
         problems.extend(self.probe_plan_report())
+        problems.extend(kernel.star_cache_report())
         return problems
 
     def probe_plan_report(self) -> List[str]:

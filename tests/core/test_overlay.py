@@ -1,8 +1,11 @@
 """Unit tests for the VoroNet overlay (join, leave, views, ownership)."""
 
+import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import VoroNet, VoroNetConfig
 from repro.core.errors import (
@@ -12,6 +15,8 @@ from repro.core.errors import (
     OverlayFullError,
 )
 from repro.geometry.point import distance
+from repro.simulation.failures import CrashInjector
+from repro.utils.rng import RandomSource
 
 
 class TestInsertion:
@@ -283,6 +288,38 @@ class TestExportsAndStats:
         assert len(set(introducers)) > 10
         assert sampled.object_ids() == indexed.object_ids()
         assert sampled.stats.joins.total_hops == indexed.stats.joins.total_hops
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(["insert", "reinsert", "remove", "bulk", "crash"]),
+                              st.integers(min_value=0, max_value=10**6)),
+                    min_size=1, max_size=40))
+    def test_the_kth_member_is_the_kth_key_of_the_node_table(self, operations):
+        """The introducer index answers what walking the node table did —
+        ``next(islice(nodes, k, None))`` for every k — through inserts
+        (of fresh and of re-used ids), removals, bulk loads and crashes."""
+        overlay = VoroNet(VoroNetConfig(n_max=8, allow_overflow=True, seed=41))
+        injector = CrashInjector(overlay, RandomSource(41))
+        rng = np.random.default_rng(41)
+        left = []  # ids that left gracefully (the injector keeps crashed ones)
+        for kind, token in operations:
+            ids = overlay.object_ids()
+            if kind == "insert" or (kind == "reinsert" and not left):
+                overlay.insert(tuple(rng.random(2)))
+            elif kind == "reinsert":
+                overlay.insert(tuple(rng.random(2)), object_id=left.pop(token % len(left)))
+            elif kind == "bulk":
+                overlay.bulk_load([tuple(p) for p in rng.random((1 + token % 5, 2))])
+            elif len(ids) > 1:
+                victim = ids[token % len(ids)]
+                if kind == "remove":
+                    overlay.remove(victim)
+                    left.append(victim)
+                else:
+                    injector.crash(victim)
+                    injector.repair()
+            nodes = overlay._nodes
+            assert [overlay._member_order.kth(k) for k in range(len(nodes))] == \
+                [next(itertools.islice(nodes, k, None)) for k in range(len(nodes))]
 
     def test_random_object_id_empty_raises(self):
         with pytest.raises(EmptyOverlayError):
