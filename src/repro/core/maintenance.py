@@ -19,7 +19,9 @@ Message accounting follows the paper:
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Mapping, Sized, TYPE_CHECKING, Tuple
+from operator import attrgetter
+from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional, Sized,
+                    TYPE_CHECKING, Tuple)
 
 import numpy as np
 
@@ -30,7 +32,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.overlay import VoroNet
     from repro.geometry.locate_grid import LocateGrid
 
-__all__ = ["integrate_new_object", "bulk_integrate_objects", "detach_object"]
+__all__ = ["integrate_new_object", "bulk_integrate_objects", "detach_object",
+           "MemberOrder"]
 
 
 def integrate_new_object(overlay: "VoroNet", object_id: int) -> int:
@@ -219,22 +222,24 @@ def detach_object(overlay: "VoroNet", object_id: int) -> int:
 def view_consistency_report(overlay: "VoroNet") -> List[str]:
     """:func:`view_report` over the oracle overlay's nodes."""
     return view_report(
-        {node.object_id: (node.position, node.close_neighbors, node.long_links,
-                          node.back_links)
-         for node in overlay.nodes()},
+        {node.object_id: node for node in overlay.nodes()},
+        attrgetter("position", "close_neighbors", "long_links", "back_links"),
         overlay.owner_of, overlay.config.effective_d_min)
 
 
-def view_report(views: Mapping[int, Tuple], owner_of: Callable[[Point, int], int],
-                d_min: float) -> List[str]:
+def view_report(members: Mapping[int, Any], view_of: Callable[[Any], Tuple],
+                owner_of: Callable[[Point, int], int], d_min: float) -> List[str]:
     """Check cross-object view invariants; returns a list of problems.
 
     One definition for both planes (``VoroNet.check_consistency`` and
-    ``ProtocolSimulator.verify_views``): ``views`` maps every member id to
-    ``(position, close ids, long links, back registrations)`` — long links
-    anything with ``.target`` / ``.neighbor``, back registrations a
-    container of ``(source, link_index)`` — and ``owner_of(point, hint)``
-    names the member owning a point.  Three families:
+    ``ProtocolSimulator.verify_views``): ``members`` maps every member id to
+    its node, and ``view_of(node)`` gives ``(position, close ids, long links,
+    back registrations)`` — long links anything with ``.target`` /
+    ``.neighbor``, back registrations a container of ``(source,
+    link_index)``.  The view tuples are built as they are read, so a check
+    of 10⁴ members holds none of them for the collector to promote.
+    ``owner_of(point, hint)`` names the member owning a point.  Three
+    families:
 
     * close-neighbour symmetry, and every recorded close neighbour is really
       within ``d_min``;
@@ -244,20 +249,22 @@ def view_report(views: Mapping[int, Tuple], owner_of: Callable[[Point, int], int
       every back registration has a matching long link at its source.
     """
     problems: List[str] = []
-    for object_id, (position, close, long_links, back_links) in views.items():
+    for object_id, member in members.items():
+        position, close, long_links, back_links = view_of(member)
         for close_id in close:
-            peer = views.get(close_id)
+            peer = members.get(close_id)
             if peer is None:
                 problems.append(f"{object_id}: stale close neighbour {close_id}")
                 continue
-            if object_id not in peer[1]:
+            peer_position, peer_close, _links, _back = view_of(peer)
+            if object_id not in peer_close:
                 problems.append(
                     f"close-neighbour relation {object_id} → {close_id} not symmetric")
-            if distance(position, peer[0]) > d_min * (1 + 1e-9):
+            if distance(position, peer_position) > d_min * (1 + 1e-9):
                 problems.append(
                     f"{object_id}: close neighbour {close_id} farther than d_min")
         for index, link in enumerate(long_links):
-            endpoint = views.get(link.neighbor)
+            endpoint = members.get(link.neighbor)
             if endpoint is None:
                 problems.append(
                     f"{object_id}: long link {index} points at departed {link.neighbor}")
@@ -267,20 +274,99 @@ def view_report(views: Mapping[int, Tuple], owner_of: Callable[[Point, int], int
                 problems.append(
                     f"{object_id}: long link {index} points at {link.neighbor} "
                     f"but {owner} owns its target")
-            if link.neighbor != object_id and (object_id, index) not in endpoint[3]:
+            if (link.neighbor != object_id
+                    and (object_id, index) not in view_of(endpoint)[3]):
                 problems.append(
                     f"{object_id}: long link {index} missing back registration "
                     f"at {link.neighbor}")
         for source, link_index in back_links:
-            holder = views.get(source)
+            holder = members.get(source)
             if holder is None:
                 problems.append(f"{object_id}: back link from departed {source}")
-            elif (link_index >= len(holder[2])
-                    or holder[2][link_index].neighbor != object_id):
+                continue
+            holder_links = view_of(holder)[2]
+            if (link_index >= len(holder_links)
+                    or holder_links[link_index].neighbor != object_id):
                 problems.append(
                     f"{object_id}: back link from {source}#{link_index} "
                     "does not match the source's long link")
     return problems
+
+
+class MemberOrder:
+    """The members in node-table order, for the k-th one in O(log N).
+
+    Both planes draw a join's introducer as the k-th key of their node
+    table (``VoroNet._sample_object_id``, ``ProtocolSimulator.join``).  A
+    node table is a dict, so it iterates in insertion order: a departure
+    leaves a hole, an insertion (of a re-used id too) goes last.
+    Each insertion takes the next *slot*, and a Fenwick tree over the
+    slots' live flags finds the slot of the k-th live member in O(log N),
+    where walking the dict took O(k).  Once most slots are holes, the live
+    ones are numbered afresh, in order.
+    """
+
+    __slots__ = ("_ids", "_slots", "_tree")
+
+    def __init__(self) -> None:
+        #: Slot → member id, or ``None`` once the member left.
+        self._ids: List[Optional[int]] = []
+        #: Member id → slot.
+        self._slots: Dict[int, int] = {}
+        #: 1-based Fenwick tree over the slots' live flags.
+        self._tree: List[int] = [0]
+
+    def reset(self, object_ids: Iterable[int]) -> None:
+        """Number ``object_ids`` afresh, in order: every slot is live."""
+        self._ids = list(object_ids)
+        self._slots = {object_id: slot for slot, object_id in enumerate(self._ids)}
+        # A tree of live flags only: node i covers the lowbit(i) slots up to i.
+        self._tree = [i & -i for i in range(len(self._ids) + 1)]
+
+    def append(self, object_id: int) -> None:
+        """Give a new member the next slot."""
+        tree = self._tree
+        node = len(tree)
+        self._slots[object_id] = len(self._ids)
+        self._ids.append(object_id)
+        # Node ``node`` covers (node - lowbit(node), node]: the live slots
+        # before this one there are a difference of two prefix counts.
+        tree.append(1 + self._prefix(node - 1) - self._prefix(node - (node & -node)))
+
+    def discard(self, object_id: int) -> None:
+        """Vacate a departed member's slot."""
+        slot = self._slots.pop(object_id)
+        self._ids[slot] = None
+        tree = self._tree
+        node = slot + 1
+        while node < len(tree):
+            tree[node] -= 1
+            node += node & -node
+        if 2 * len(self._slots) < len(self._ids):
+            self.reset([member for member in self._ids if member is not None])
+
+    def kth(self, k: int) -> int:
+        """The member ``k`` places into the node table's order (0-based)."""
+        tree = self._tree
+        size = len(tree)
+        node = 0
+        step = 1 << size.bit_length()
+        while step:
+            ahead = node + step
+            if ahead < size and tree[ahead] <= k:
+                node = ahead
+                k -= tree[ahead]
+            step >>= 1
+        return self._ids[node]
+
+    def _prefix(self, node: int) -> int:
+        """Live members in the first ``node`` slots."""
+        tree = self._tree
+        count = 0
+        while node:
+            count += tree[node]
+            node &= node - 1
+        return count
 
 
 def membership_report(nodes: Mapping[int, object], locate: "LocateGrid",

@@ -101,7 +101,7 @@ from repro.core.errors import (
     OverlayFullError,
 )
 from repro.core.long_range import choose_long_range_target, choose_long_range_target_array
-from repro.core.maintenance import (bulk_integrate_objects, detach_object,
+from repro.core.maintenance import (MemberOrder, bulk_integrate_objects, detach_object,
                                     integrate_new_object, membership_report)
 from repro.core.neighbors import NeighborView
 from repro.core.node import ObjectNode
@@ -118,80 +118,6 @@ from repro.geometry.voronoi import VoronoiCell, voronoi_cell
 from repro.utils.rng import RandomSource
 
 __all__ = ["VoroNet"]
-
-
-class _MemberOrder:
-    """The members in node-table order, for the k-th one in O(log N).
-
-    The overlay's node table is a dict, so it iterates in insertion order:
-    a departure leaves a hole, an insertion (of a re-used id too) goes last.
-    Each insertion takes the next *slot*, and a Fenwick tree over the
-    slots' live flags finds the slot of the k-th live member in O(log N),
-    where walking the dict took O(k).  Once most slots are holes, the live
-    ones are numbered afresh, in order.
-    """
-
-    __slots__ = ("_ids", "_slots", "_tree")
-
-    def __init__(self) -> None:
-        #: Slot → member id, or ``None`` once the member left.
-        self._ids: List[Optional[int]] = []
-        #: Member id → slot.
-        self._slots: Dict[int, int] = {}
-        #: 1-based Fenwick tree over the slots' live flags.
-        self._tree: List[int] = [0]
-
-    def reset(self, object_ids: Iterable[int]) -> None:
-        """Number ``object_ids`` afresh, in order: every slot is live."""
-        self._ids = list(object_ids)
-        self._slots = {object_id: slot for slot, object_id in enumerate(self._ids)}
-        # A tree of live flags only: node i covers the lowbit(i) slots up to i.
-        self._tree = [i & -i for i in range(len(self._ids) + 1)]
-
-    def append(self, object_id: int) -> None:
-        """Give a new member the next slot."""
-        tree = self._tree
-        node = len(tree)
-        self._slots[object_id] = len(self._ids)
-        self._ids.append(object_id)
-        # Node ``node`` covers (node - lowbit(node), node]: the live slots
-        # before this one there are a difference of two prefix counts.
-        tree.append(1 + self._prefix(node - 1) - self._prefix(node - (node & -node)))
-
-    def discard(self, object_id: int) -> None:
-        """Vacate a departed member's slot."""
-        slot = self._slots.pop(object_id)
-        self._ids[slot] = None
-        tree = self._tree
-        node = slot + 1
-        while node < len(tree):
-            tree[node] -= 1
-            node += node & -node
-        if 2 * len(self._slots) < len(self._ids):
-            self.reset([member for member in self._ids if member is not None])
-
-    def kth(self, k: int) -> int:
-        """The member ``k`` places into the node table's order (0-based)."""
-        tree = self._tree
-        size = len(tree)
-        node = 0
-        step = 1 << size.bit_length()
-        while step:
-            ahead = node + step
-            if ahead < size and tree[ahead] <= k:
-                node = ahead
-                k -= tree[ahead]
-            step >>= 1
-        return self._ids[node]
-
-    def _prefix(self, node: int) -> int:
-        """Live members in the first ``node`` slots."""
-        tree = self._tree
-        count = 0
-        while node:
-            count += tree[node]
-            node &= node - 1
-        return count
 
 
 class VoroNet:
@@ -234,7 +160,7 @@ class VoroNet:
         self._locate_index = LocateGrid()
         self._nodes: Dict[int, ObjectNode] = {}
         # The node table's order, indexed for introducer draws.
-        self._member_order = _MemberOrder()
+        self._member_order = MemberOrder()
         self._next_id = 0
         self._stats = OverlayStats()
         # Member ids and the flat routing tables cached for them (see the
@@ -609,7 +535,7 @@ class VoroNet:
         """A uniformly random already-published object id (the introducer).
 
         The k-th key of the node table for one RNG draw k, found in
-        O(log N) (:class:`_MemberOrder`).
+        O(log N) (:class:`MemberOrder`).
         """
         return self._member_order.kth(self._rng.integer(0, len(self._nodes)))
 

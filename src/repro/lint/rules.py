@@ -37,10 +37,9 @@ SIM003 slots
 
 SIM004 dispatch-consistency
     Whole-program: every message ``kind`` string passed to a
-    ``send``/``send_message``/``send_snapshot`` call (or a
-    ``Message(...)`` construction)
-    must have a registered ``_on_<kind>`` handler, and every handler's
-    kind must be sent somewhere.
+    ``send``/``send_message``/``send_snapshot`` call must have a
+    registered ``_on_<kind>`` handler, and every handler's kind must be
+    sent somewhere.
 
 SIM006 routing-cache-contract
     The oracle plane's counterpart of SIM001, for the routing-table cache
@@ -749,7 +748,7 @@ class SlotsRule(Rule):
 #: ``send_snapshot`` is the simulator's view-carrying send; the kind sits
 #: where ``send`` has it.
 _SEND_METHOD_NAMES = frozenset({"send", "send_message", "send_snapshot"})
-_KIND_POSITION = 2  # send(sender, recipient, kind, ...) / Message(s, r, kind)
+_KIND_POSITION = 2  # send(sender, recipient, kind, ...)
 
 
 def collect_sent_kinds(modules: Sequence[ModuleInfo]
@@ -757,10 +756,9 @@ def collect_sent_kinds(modules: Sequence[ModuleInfo]
     """Every literal message kind sent, with its send sites.
 
     Collected from ``*.send(sender, recipient, "KIND", ...)`` /
-    ``*.send_message(...)`` calls and ``Message(..., kind="KIND")``
-    constructions.  Dynamic kinds (forwarding ``message.kind``) are
-    invisible to this pass by design — every forwarded kind was first
-    sent somewhere with a literal.
+    ``*.send_message(...)`` / ``*.send_snapshot(...)`` calls.  Dynamic
+    kinds are invisible to this pass by design, and so are forwards — a
+    forwarded kind was first sent somewhere with a literal.
     """
     sent: Dict[str, List[Tuple[str, int, int]]] = {}
     for module in modules:
@@ -776,11 +774,7 @@ def collect_sent_kinds(modules: Sequence[ModuleInfo]
 
 def _literal_kind(node: ast.Call) -> Optional[str]:
     func = node.func
-    is_send = (isinstance(func, ast.Attribute)
-               and func.attr in _SEND_METHOD_NAMES)
-    name = dotted_name(func) or ""
-    is_message = name.split(".")[-1] == "Message"
-    if not is_send and not is_message:
+    if not (isinstance(func, ast.Attribute) and func.attr in _SEND_METHOD_NAMES):
         return None
     for keyword in node.keywords:
         if keyword.arg == "kind":

@@ -9,23 +9,45 @@ and :meth:`SimulationEngine.run`.
 Hot-path design
 ---------------
 The engine is the floor under every message-level experiment, so the inner
-loop is deliberately flat.  The heap stores 4-tuples
-``(time, sequence, action, arg)`` — compared entirely at C level by
-``heapq``, since the unique ``(time, sequence)`` prefix settles every
-comparison — and comes in two flavours:
+loop is deliberately flat.  The heap holds 4-tuples
+``(time, sequence, target, arg)``, compared entirely at C level, since the
+unique ``(time, sequence)`` prefix settles every comparison:
 
-* **API entries** carry a cancellable :class:`Event` in the action slot
+* **API entries** carry a cancellable :class:`Event` in the target slot
   (marked by the sentinel arg ``_EVENT_ENTRY``): what :meth:`schedule` /
   :meth:`schedule_call` return, supporting ``cancel()`` and inspection.
-* **Raw entries** carry a bare ``(callable, argument)`` pair: the
-  network's per-message delivery fast path (:meth:`push_call`), which
-  allocates nothing but the tuple.  Raw entries cannot be cancelled
-  individually — the network voids in-flight deliveries wholesale through
-  :meth:`cancel_actions` (on ``unregister``), which rebuilds the heap.
+  They always go on the heap.
+* **Raw entries** carry an int *port* and the argument: the network's
+  per-message delivery path (:meth:`push_call`).  A port indexes the
+  engine's table of handlers (:meth:`open_port`), so a raw entry holds no
+  callable.  Raw entries cannot be cancelled individually — the network
+  voids a closed node's deliveries wholesale through
+  :meth:`cancel_actions` (on ``unregister``), which filters both queues.
+
+Beside the heap sits a **FIFO lane** for the raw entries whose delay is
+:attr:`lane_delay` (the network's fixed latency).  The clock never runs
+backwards and sequence numbers only grow, so entries appended at
+``now + lane_delay`` arrive already sorted by ``(time, sequence)``.  Every
+pop takes whichever head of the two queues is smaller: exactly the single
+heap's order with the same sequence numbers, at the price of an append and
+a ``popleft`` instead of two ``O(log n)`` heap walks.
+
+The lane keeps each entry as a key ``(time, sequence, port)`` in one deque
+and its argument in a second, moved in step, so that an in-flight message
+costs the full collections nothing.  CPython untracks a tuple once it
+finds every item untracked, and a message tuple of atomic values is
+untracked at its first young collection.  But the collector examines a
+holder before the fresh tuple only the holder reaches, so a heap entry
+holding a fresh message is untracked one collection later than the
+message, and every generation-1 pass promotes the entries of the last
+young window (about 8 % of a 10⁴-node heartbeat round).  A lane key holds
+only atomics, and a message the deque reaches directly is examined where
+it sits, so both halves are untracked at their first young collection and
+none is ever promoted.
 
 Quiescence — the phase barrier of ``bulk_join`` and the repair protocol —
 is O(1): a counter of cancelled-but-still-queued events is maintained
-incrementally, and the queue is compacted in place when cancelled entries
+incrementally, and the heap is compacted in place when cancelled entries
 outnumber live ones, so mass cancellation (churn teardown, heartbeat
 ``stop``) cannot leave the heap dominated by dead entries.
 """
@@ -33,7 +55,8 @@ outnumber live ones, so mass cancellation (churn teardown, heartbeat
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, List, Optional, Tuple
+from collections import deque
+from typing import Any, Callable, Deque, List, Optional, Tuple
 
 from repro.simulation.events import NO_ARG, Event
 
@@ -71,17 +94,28 @@ class SimulationEngine:
     ['a', 'b']
     """
 
-    __slots__ = ("_queue", "_sequence", "_now", "_processed", "_cancelled")
+    __slots__ = ("_queue", "_lane", "_lane_args", "_ports", "lane_delay",
+                 "_sequence", "_now", "_processed", "_cancelled")
 
     def __init__(self) -> None:
         self._queue: List[Tuple[float, int, Any, Any]] = []
+        #: The FIFO lane (module docstring): keys ``(time, sequence, port)``
+        #: of the raw entries pushed with delay :attr:`lane_delay`, in
+        #: ``(time, sequence)`` order by construction, and their arguments.
+        self._lane: Deque[Tuple[float, int, int]] = deque()
+        self._lane_args: Deque[Any] = deque()
+        #: Port → handler; a closed port holds ``None``.
+        self._ports: List[Optional[Callable[[Any], None]]] = []
+        #: Delay of the raw entries the FIFO lane takes (``None``: none).
+        #: The network sets it to its fixed latency before its first send.
+        self.lane_delay: Optional[float] = None
         self._sequence = 0
         self._now = 0.0
         self._processed = 0
-        #: Cancelled events still sitting in the queue.  Maintained by
+        #: Cancelled events still sitting in the heap.  Maintained by
         #: Event.cancel() (via ``_note_cancelled``), the pop paths and
         #: compaction; ``quiescent`` is the O(1) comparison of this
-        #: against the queue length.
+        #: against the queue lengths.
         self._cancelled = 0
 
     # ------------------------------------------------------------------
@@ -98,12 +132,12 @@ class SimulationEngine:
     @property
     def pending_events(self) -> int:
         """Number of events still queued (including cancelled ones)."""
-        return len(self._queue)
+        return len(self._queue) + len(self._lane)
 
     @property
     def runnable_events(self) -> int:
         """Number of non-cancelled events still queued (O(1))."""
-        return len(self._queue) - self._cancelled
+        return len(self._queue) + len(self._lane) - self._cancelled
 
     @property
     def quiescent(self) -> bool:
@@ -114,9 +148,9 @@ class SimulationEngine:
         drain consumed *their* messages, which only holds when nothing
         unrelated was in flight to begin with.  The check compares the
         incrementally maintained cancelled-event count against the queue
-        length, so polling it is free even with 10⁵ events queued.
+        lengths, so polling it is free even with 10⁵ events queued.
         """
-        return len(self._queue) == self._cancelled
+        return not self._lane and len(self._queue) == self._cancelled
 
     # ------------------------------------------------------------------
     def schedule(self, delay: float, action: Callable[[], None],
@@ -151,21 +185,35 @@ class SimulationEngine:
         heapq.heappush(self._queue, (time, sequence, event, _EVENT_ENTRY))
         return event
 
-    def push_call(self, delay: float, action: Callable[[Any], None],
-                  arg: Any) -> None:
-        """Schedule ``action(arg)`` with no event object — the delivery path.
+    def open_port(self, handler: Callable[[Any], None]) -> int:
+        """Enter ``handler`` in the port table; returns its port."""
+        self._ports.append(handler)
+        return len(self._ports) - 1
 
-        The entry is the bare heap tuple: nothing is allocated beyond it,
-        and the run loop invokes ``action(arg)`` without cancellation or
-        bookkeeping checks.  No handle is returned; such entries are only
-        removable wholesale via :meth:`cancel_actions`.  The caller
-        guarantees ``delay`` is non-negative (latency models and the fault
-        plane already enforce this).
+    def close_port(self, port: int) -> None:
+        """Retire ``port``; no entry addressed to it may still be queued."""
+        self._ports[port] = None
+
+    def push_call(self, delay: float, port: int, arg: Any) -> None:
+        """Schedule ``handler(arg)`` for the handler behind ``port``, with
+        no event object — the delivery path.
+
+        The entry goes on the FIFO lane when ``delay`` is :attr:`lane_delay`
+        and on the heap otherwise; the run loop invokes the handler without
+        cancellation or bookkeeping checks.  No handle
+        is returned; such entries are only removable wholesale via
+        :meth:`cancel_actions`.  The caller guarantees ``delay`` is
+        non-negative (latency models and the fault plane already enforce
+        this).
         """
         time = self._now + delay
         sequence = self._sequence
         self._sequence = sequence + 1
-        heapq.heappush(self._queue, (time, sequence, action, arg))
+        if delay == self.lane_delay:
+            self._lane.append((time, sequence, port))
+            self._lane_args.append(arg)
+        else:
+            heapq.heappush(self._queue, (time, sequence, port, arg))
 
     def schedule_at(self, time: float, action: Callable[[], None],
                     label: Optional[str] = None) -> Event:
@@ -202,32 +250,24 @@ class SimulationEngine:
         heapq.heapify(self._queue)
         self._cancelled = 0
 
-    def cancel_actions(self, action: Callable[..., None]) -> List[Any]:
-        """Remove every pending entry whose action is ``action`` (by identity).
+    def cancel_actions(self, port: int) -> List[Any]:
+        """Remove every pending raw entry addressed to ``port``.
 
-        Returns the removed entries' arguments (``NO_ARG`` for thunk
-        events), so the caller can account for what was voided.  Matches
-        both raw delivery entries and API events (the latter are marked
-        cancelled and dropped).  The network layer uses this on
+        Returns the removed entries' arguments, so the caller can account
+        for what was voided.  The network layer uses this on
         ``unregister`` to void in-flight deliveries to a node that just
-        left or crashed — its delivery entries all carry the handler bound
-        at registration time.  The pass doubles as a compaction: already
-        cancelled events are dropped too (unreported).
+        left or crashed.  Both queues are filtered in place (a running
+        drain loop holds aliases of them); the heap pass doubles as a
+        compaction: cancelled events are dropped too (unreported).
         """
         removed: List[Any] = []
         keep = []
         for entry in self._queue:
-            target = entry[2]
             if entry[3] is _EVENT_ENTRY:
-                if target.cancelled:
-                    target._engine = None
+                if entry[2].cancelled:
+                    entry[2]._engine = None
                     continue
-                if target.action is action:
-                    target.cancelled = True
-                    target._engine = None
-                    removed.append(target.arg)
-                    continue
-            elif target is action:
+            elif entry[2] == port:
                 removed.append(entry[3])
                 continue
             keep.append(entry)
@@ -235,16 +275,31 @@ class SimulationEngine:
             self._queue[:] = keep
             heapq.heapify(self._queue)
         self._cancelled = 0
+        lane, args = self._lane, self._lane_args
+        if any(key[2] == port for key in lane):
+            entries = list(zip(lane, args))
+            lane.clear()
+            args.clear()
+            for key, arg in entries:
+                if key[2] == port:
+                    removed.append(arg)
+                else:
+                    lane.append(key)
+                    args.append(arg)
         return removed
 
     # ------------------------------------------------------------------
     def step(self) -> bool:
         """Execute the next pending event; returns False when none is left."""
-        queue = self._queue
-        while queue:
-            time, _sequence, action, arg = heapq.heappop(queue)
+        queue, lane = self._queue, self._lane
+        while queue or lane:
+            if lane and not (queue and queue[0] < lane[0]):
+                time, _sequence, target = lane.popleft()
+                arg = self._lane_args.popleft()
+            else:
+                time, _sequence, target, arg = heapq.heappop(queue)
             if arg is _EVENT_ENTRY:
-                event = action
+                event = target
                 if event.cancelled:
                     self._cancelled -= 1
                     continue
@@ -257,26 +312,35 @@ class SimulationEngine:
                     event.action(event_arg)
             else:
                 self._now = time
-                action(arg)
+                self._ports[target](arg)
             self._processed += 1
             return True
         return False
 
     def run(self, max_events: Optional[int] = None) -> int:
         """Run until the queue drains (or ``max_events`` is hit); returns events run."""
-        queue = self._queue
-        pop = heapq.heappop
-        event_entry = _EVENT_ENTRY
-        no_arg = NO_ARG
         executed = 0
         if max_events is None:
             # The unbounded drain is the phase barrier of every protocol
             # operation — inline the step loop so a message delivery costs
-            # one C-level tuple pop and one call.
-            while queue:
-                time, _sequence, action, arg = pop(queue)
+            # one C-level tuple comparison, one pop and one call.
+            queue, lane, ports = self._queue, self._lane, self._ports
+            pop, popleft, popleft_arg = heapq.heappop, lane.popleft, self._lane_args.popleft
+            event_entry = _EVENT_ENTRY
+            no_arg = NO_ARG
+            while True:
+                if lane:
+                    if queue and queue[0] < lane[0]:
+                        time, _sequence, target, arg = pop(queue)
+                    else:
+                        time, _sequence, target = popleft()
+                        arg = popleft_arg()
+                elif queue:
+                    time, _sequence, target, arg = pop(queue)
+                else:
+                    break
                 if arg is event_entry:
-                    event = action
+                    event = target
                     if event.cancelled:
                         self._cancelled -= 1
                         continue
@@ -289,7 +353,7 @@ class SimulationEngine:
                         event.action(arg)
                 else:
                     self._now = time
-                    action(arg)
+                    ports[target](arg)
                 executed += 1
             self._processed += executed
             return executed
@@ -312,15 +376,20 @@ class SimulationEngine:
     def run_until(self, time: float) -> int:
         """Run every event scheduled up to and including ``time``."""
         executed = 0
-        queue = self._queue
-        while queue:
-            head = queue[0]
-            if head[3] is _EVENT_ENTRY and head[2].cancelled:
-                heapq.heappop(queue)
+        queue, lane = self._queue, self._lane
+        while True:
+            if queue and queue[0][3] is _EVENT_ENTRY and queue[0][2].cancelled:
+                # Cancelled events (on the heap only) go as they surface.
+                heapq.heappop(queue)[2]._engine = None
                 self._cancelled -= 1
-                head[2]._engine = None
                 continue
-            if head[0] > time:
+            if lane and not (queue and queue[0] < lane[0]):
+                head_time = lane[0][0]
+            elif queue:
+                head_time = queue[0][0]
+            else:
+                break
+            if head_time > time:
                 break
             self.step()
             executed += 1
@@ -333,6 +402,8 @@ class SimulationEngine:
             if entry[3] is _EVENT_ENTRY:
                 entry[2]._engine = None
         self._queue.clear()
+        self._lane.clear()
+        self._lane_args.clear()
         self._cancelled = 0
         self._now = 0.0
         self._processed = 0

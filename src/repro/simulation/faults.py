@@ -84,7 +84,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.simulation.failures import CrashDamageReport, crash_damage_report
-from repro.simulation.network import Message
 from repro.simulation.protocol import ProtocolSimulator
 from repro.utils.rng import RandomSource
 
@@ -376,12 +375,13 @@ class FaultPlane:
     # ------------------------------------------------------------------
     # the decision hook
     # ------------------------------------------------------------------
-    def decide(self, message: Message, now: float) -> FaultDecision:
-        """Fate of one message sent at virtual time ``now``."""
+    def decide(self, sender: int, recipient: int, now: float) -> FaultDecision:
+        """Fate of one message from ``sender`` to ``recipient`` sent at
+        virtual time ``now``."""
         self.decisions += 1
-        if message.sender in self._crashed:
+        if sender in self._crashed:
             return self._drop("crashed_sender")
-        if message.recipient in self._crashed:
+        if recipient in self._crashed:
             return self._drop("crashed_recipient")
         if self._partitions:
             # Prune expired windows first: decide() sits on the per-message
@@ -389,14 +389,12 @@ class FaultPlane:
             self._partitions = [spec for spec in self._partitions
                                 if spec.end > now]
             for spec in self._partitions:
-                if spec.active(now) and spec.separates(message.sender,
-                                                       message.recipient):
+                if spec.active(now) and spec.separates(sender, recipient):
                     return self._drop("partition")
         if self._splits:
             self._splits = [spec for spec in self._splits if spec.end > now]
             for spec in self._splits:
-                if spec.active(now) and spec.separates(message.sender,
-                                                       message.recipient):
+                if spec.active(now) and spec.separates(sender, recipient):
                     return self._drop("partition")
         if self.loss_probability > 0.0 and self._draw() < self.loss_probability:
             return self._drop("loss")
@@ -605,7 +603,7 @@ class HeartbeatDetector:  # simlint: ignore[SIM003] — one per experiment, not 
         self.rounds_run = 0
         self._round = 0
         #: Probes of the round in flight: prober → peers in send order.
-        self._outstanding: Dict[int, List[int]] = {}
+        self._outstanding: Dict[int, Tuple[int, ...]] = {}
         self._scheduled: List = []
         #: Virtual start times of the last two rounds ([-1] is the current
         #: round's; the sweep treats contact during the round as an answer).
@@ -641,64 +639,73 @@ class HeartbeatDetector:  # simlint: ignore[SIM003] — one per experiment, not 
         pings = 0
         piggyback = config.piggyback
         period = config.sample_period
-        threshold = config.miss_threshold
         current_round = self._round
         # Contact strictly after the previous round began re-marks an edge
         # fresh (strict: with a frozen clock the previous round's start
         # equals the old contact timestamp, which must *not* count again).
         previous_start = (self._round_starts[-2]
-                          if len(self._round_starts) >= 2 else None)
+                          if len(self._round_starts) >= 2 else math.inf)
+        # An edge marked fresh in a later round than this is still fresh.
+        fresh_after = current_round - config.miss_threshold
         nodes = simulator.nodes
         fresh_rounds = self._fresh_round
         for departed in [prober for prober in fresh_rounds
                          if prober not in nodes]:
             del fresh_rounds[departed]
-        # One read-only payload (and probe stamp) serves the whole round.
-        stamp = (self._era, current_round)
-        payload = ({"round": current_round, "era": self._era} if piggyback
-                   else {"round": current_round})
+        # One payload serves the whole round.
+        era = self._era
+        payload = (current_round, era)
         send = simulator.send
-        phase_a, phase_b = self._PHASE_A, self._PHASE_B
-        for object_id, node in list(nodes.items()):
+        phase_b = self._PHASE_B
+        sampling = period > 1
+        never = -math.inf
+        # A node that crashes mid-round is still probed from: the round
+        # walks the membership it started with.
+        for node in tuple(nodes.values()):
             peers, sampled = node.probe_plan()
             if not peers:
                 continue
+            object_id = node.object_id
             missed = node.missed_heartbeats
             suspects = node.suspects
+            # Suspicion in progress (a standing suspect, a missed heartbeat)
+            # is probed every round; most probers have none to look up.
+            pending = suspects or missed
             last_contact = node.last_contact
-            last_ping_round = node.last_ping_round
+            # This detector's probe stamps at the node (the PING handler
+            # reads them, ``ProtocolNode.last_ping_round``).
+            pinged = node.last_ping_round.get(era) if piggyback else None
             fresh = fresh_rounds.get(object_id)
+            # The stride test below is ``(round + phase(edge)) % period``,
+            # with the prober's half of the phase folded in once.
+            stride_base = current_round + object_id * self._PHASE_A
             probed: List[int] = []
             for peer in peers:
-                if peer not in suspects and not missed.get(peer, 0):
+                if not pending or (peer not in suspects and not missed.get(peer, 0)):
                     if piggyback:
-                        contact = last_contact.get(peer)
-                        if (contact is not None and previous_start is not None
-                                and contact > previous_start):
+                        if last_contact.get(peer, never) > previous_start:
                             # Heard since last round began: fresh now, and
                             # for the next miss_threshold rounds.
                             if fresh is None:
                                 fresh = fresh_rounds[object_id] = {}
                             fresh[peer] = current_round
                             continue
-                        if fresh is not None:
-                            seen = fresh.get(peer)
-                            if (seen is not None
-                                    and current_round - seen < threshold):
-                                continue  # within the freshness window
+                        if fresh is not None and fresh.get(peer, never) > fresh_after:
+                            continue  # within the freshness window
                     # A sampled long/back edge probes on its own stride:
                     # the round its deterministic phase comes up.
-                    if (period > 1 and peer in sampled
-                            and (current_round + (object_id * phase_a
-                                                  + peer * phase_b) % period)
-                            % period):
+                    if (sampling and peer in sampled
+                            and (stride_base + peer * phase_b) % period):
                         continue  # off-stride round
                 probed.append(peer)
                 if piggyback:
-                    last_ping_round[peer] = stamp
+                    if pinged is None:
+                        pinged = node.last_ping_round[era] = {}
+                    pinged[peer] = current_round
                 send(node, peer, "PING", payload)
             if probed:
-                outstanding[object_id] = probed
+                outstanding[object_id] = (peers if len(probed) == len(peers)
+                                          else tuple(probed))
                 pings += len(probed)
         return pings
 
@@ -798,6 +805,11 @@ class HeartbeatDetector:  # simlint: ignore[SIM003] — one per experiment, not 
 # ----------------------------------------------------------------------
 # the repair protocol
 # ----------------------------------------------------------------------
+#: A repair-phase probe's ``PING`` payload: round 0 and no detector era, so
+#: a crossed piggy-backed probe never suppresses its ``PONG``.
+_REPAIR_PING = (0, None)
+
+
 @dataclass(frozen=True)
 class RepairReport:
     """Outcome of a repair session."""
@@ -906,12 +918,12 @@ class RepairProtocol:  # simlint: ignore[SIM003] — one per experiment, not per
                         continue
                     for suspect in sorted(node.suspects):
                         for _ in range(self.PROBES_PER_SUSPECT):
-                            simulator.send(node, suspect, "PING", {"round": 0})
+                            simulator.send(node, suspect, "PING", _REPAIR_PING)
             holders = self._holders(members)
 
         suspected = sorted(set().union(set(), *(
             simulator.nodes[object_id].suspects for object_id in holders)))
-        suspected_set = set(suspected)
+        suspected_set = frozenset(suspected)
 
         if holders:
             # ---- notify: gossip suspicion to the local neighbourhood ----
@@ -922,7 +934,7 @@ class RepairProtocol:  # simlint: ignore[SIM003] — one per experiment, not per
                         continue
                     recipients = sorted((set(node.voronoi) | set(node.close))
                                         - node.suspects - {object_id})
-                    payload = {"suspects": sorted(node.suspects)}
+                    payload = (frozenset(node.suspects),)
                     for recipient in recipients:
                         simulator.send(node, recipient, "SUSPECT_NOTIFY", payload)
 
@@ -944,7 +956,7 @@ class RepairProtocol:  # simlint: ignore[SIM003] — one per experiment, not per
                                 and not suspected_set.isdisjoint(
                                     simulator.nodes[object_id].voronoi)]
                 version = kernel.version
-                scrub = {"crashed": suspected}
+                scrub = (suspected_set,)
                 for object_id in affected:
                     if object_id not in simulator.nodes:
                         continue  # crashed while this phase was being sent
@@ -1131,7 +1143,7 @@ class RepairProtocol:  # simlint: ignore[SIM003] — one per experiment, not per
                     nodes[object_id].apply_suspicion(dead)
                 for object_id, (source, index) in orphans:
                     simulator.send(nodes[object_id], object_id, "BACKLINK_REMOVE",
-                                   {"source": source, "link_index": index})
+                                   (source, index))
                 # Stale views (a lost snapshot with no suspect to blame):
                 # the node re-reads the version-stamped kernel truth — the
                 # VIEW_SCRUB of the scrub phase, self-addressed, with
@@ -1139,7 +1151,7 @@ class RepairProtocol:  # simlint: ignore[SIM003] — one per experiment, not per
                 version = simulator.kernel.version
                 for object_id in stale_views:
                     simulator.send_snapshot(nodes[object_id], object_id,
-                                            "VIEW_SCRUB", version, {"crashed": []})
+                                            "VIEW_SCRUB", version, (frozenset(),))
                 # Mis-held or unregistered links: re-issue the routed search
                 # for exactly those links — grid-seeded, this is the
                 # settlement pass.  A node a peer holds as a close neighbour

@@ -47,7 +47,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
-from repro.simulation.network import Message
+from repro.simulation.network import SENDER, Message
 from repro.simulation.protocol import ProtocolSimulator
 from repro.simulation.scenario import MIN_POPULATION, HealOutcome, Scenario
 from repro.utils.rng import RandomSource
@@ -112,8 +112,8 @@ class CrashEvent:
         live = sorted(simulator.nodes)
         if len(live) <= MIN_POPULATION:
             return  # too small to amputate; run continues fault-free
-        if self.victim == "coordinator" and message.sender in simulator.nodes:
-            victim = message.sender
+        if self.victim == "coordinator" and message[SENDER] in simulator.nodes:
+            victim = message[SENDER]
         else:
             victim = live[self.victim_rank % len(live)]
         scenario.crash_phases.append(scenario.phase)

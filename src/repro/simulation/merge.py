@@ -425,8 +425,7 @@ class MergeProtocol:  # simlint: ignore[SIM003] — one per heal, not per messag
                 sender = simulator.nodes.get(u)
                 if sender is None or v not in simulator.nodes:
                     continue
-                simulator.send(sender, v, "MERGE_DIGEST",
-                               {"epoch": epoch, "version": version})
+                simulator.send(sender, v, "MERGE_DIGEST", (epoch, version))
             simulator.engine.run_until_quiescent()
             digest_total += (network.sent_by_kind.get("MERGE_DIGEST", 0)
                              - digest_before)

@@ -1,25 +1,37 @@
 """Message-passing network layer over the event engine.
 
-Every protocol interaction in the message-level simulator is a
-:class:`Message` delivered through a :class:`Network`: the sender hands the
-message to the network, the network schedules its delivery after a latency
-drawn from the configured :class:`LatencyModel`, and the recipient's
-registered handler is invoked at delivery time.  The network keeps the
-per-type message counters that maintenance-cost experiments report.
+Every protocol interaction in the message-level simulator is a message
+delivered through a :class:`Network`: the sender hands it to the network,
+the network schedules its delivery after a latency drawn from the
+configured :class:`LatencyModel`, and the recipient's registered handler
+is invoked at delivery time.  The network keeps the per-type message
+counters that maintenance-cost experiments report.
+
+A message is the 4-tuple ``(sender, recipient, kind, payload)``, read by
+position (:data:`SENDER`, :data:`RECIPIENT`, :data:`KIND`,
+:data:`PAYLOAD`); each kind's payload is a tuple with a fixed layout of its
+own (``repro.simulation.protocol`` tabulates them).
 
 Hot-path design
 ---------------
-``send`` is executed once per protocol message, so the plane avoids every
-per-message allocation it can: :class:`Message` is a hand-rolled
-``__slots__`` class, the recipient's handler is resolved *at send time*
-and pushed straight onto the engine heap as a raw ``(handler, message)``
-delivery entry — no closure, no event object (``unregister`` voids the
-handler's in-flight entries, so a departed node can never be handed a
-message), per-kind counters are a :class:`collections.Counter`, a
-:class:`ConstantLatency` model is read as a plain float instead of a
-virtual ``sample`` dispatch, and ``messages_delivered`` is derived from
-the exact sent/lost/dropped counters instead of being bumped per
-delivery.
+``send`` is executed once per protocol message, so the plane allocates
+nothing per message but the message and its engine entry, and both drop
+out of the collector's view: ``register`` enters each handler in the
+engine's port table once, so an entry holds an int port — no callable, no
+event object.  A delivery at the fixed latency with no fault-plane extra
+delay goes on the engine's FIFO lane (``repro.simulation.engine``), in the
+order the heap would have popped it, as a key ``(time, sequence, port)``
+beside the message; any other is the heap entry ``(time, sequence, port,
+message)``.  A message whose payload holds only atomic values (a
+heartbeat, a query, a routed join or link search) is untracked by CPython
+at its first young collection, and so is its lane key, so 10⁵ of them in
+flight cost full collections nothing.  The recipient's port is resolved
+*at send time* (``unregister`` voids the port's in-flight entries, so a
+departed node can never be handed a message).  Per-kind counters are a
+:class:`collections.Counter`, a :class:`ConstantLatency` model is read as
+a plain float instead of a virtual ``sample`` dispatch, and
+``messages_delivered`` is derived from the exact sent/lost/dropped
+counters instead of being bumped per delivery.
 
 Fault injection
 ---------------
@@ -38,7 +50,7 @@ from __future__ import annotations
 import abc
 from collections import Counter
 from heapq import heappush
-from typing import TYPE_CHECKING, AbstractSet, Any, Callable, Dict, Optional
+from typing import TYPE_CHECKING, AbstractSet, Callable, Dict, List, Optional, Tuple
 
 from repro.simulation.engine import SimulationEngine
 from repro.utils.rng import RandomSource
@@ -46,54 +58,14 @@ from repro.utils.rng import RandomSource
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from repro.simulation.faults import FaultPlane
 
-__all__ = ["Message", "LatencyModel", "ConstantLatency", "UniformLatency", "Network"]
+__all__ = ["Message", "SENDER", "RECIPIENT", "KIND", "PAYLOAD", "LatencyModel",
+           "ConstantLatency", "UniformLatency", "Network"]
 
+#: One protocol message: ``(sender, recipient, kind, payload)``.
+Message = Tuple[int, int, str, tuple]
 
-class Message:
-    """One protocol message.
-
-    A hand-rolled ``__slots__`` class (one is allocated per protocol
-    message — the dataclass machinery measurably showed in profiles);
-    field-wise equality and repr match the former dataclass.
-
-    Attributes
-    ----------
-    sender / recipient:
-        Object ids of the endpoints (the network does not interpret them
-        beyond handler lookup).
-    kind:
-        Message type (e.g. ``"ADD_OBJECT"``); used for accounting.
-    payload:
-        Arbitrary content (kept as a dict of plain values).
-    hop_index:
-        Position of this message within a multi-hop operation (filled in by
-        the protocol layer; informational).
-    """
-
-    __slots__ = ("sender", "recipient", "kind", "payload", "hop_index")
-
-    def __init__(self, sender: int, recipient: int, kind: str,
-                 payload: Optional[Dict[str, Any]] = None,
-                 hop_index: int = 0) -> None:
-        self.sender = sender
-        self.recipient = recipient
-        self.kind = kind
-        self.payload = {} if payload is None else payload
-        self.hop_index = hop_index
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Message):
-            return NotImplemented
-        return (self.sender == other.sender
-                and self.recipient == other.recipient
-                and self.kind == other.kind
-                and self.payload == other.payload
-                and self.hop_index == other.hop_index)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"Message(sender={self.sender!r}, recipient={self.recipient!r}, "
-                f"kind={self.kind!r}, payload={self.payload!r}, "
-                f"hop_index={self.hop_index!r})")
+#: Field positions of a message.
+SENDER, RECIPIENT, KIND, PAYLOAD = 0, 1, 2, 3
 
 
 class LatencyModel(abc.ABC):
@@ -185,10 +157,10 @@ class UniformLatency(LatencyModel):
 class Network:
     """Delivers messages between registered handlers via the event engine."""
 
-    __slots__ = ("_engine", "_latency", "_fixed_latency", "_handlers",
-                 "_replaced_handlers", "faults", "messages_sent",
-                 "messages_dropped", "messages_lost", "sent_by_kind",
-                 "_send_triggers")
+    __slots__ = ("_engine", "_latency", "_fixed_latency", "_fifo", "_fifo_args",
+                 "_ports", "_replaced_ports", "_deliver_port", "faults",
+                 "messages_sent", "messages_dropped", "messages_lost",
+                 "sent_by_kind", "_send_triggers")
 
     def __init__(self, engine: SimulationEngine,
                  latency: Optional[LatencyModel] = None,
@@ -201,14 +173,26 @@ class Network:
         self._fixed_latency: Optional[float] = (
             self._latency.latency if type(self._latency) is ConstantLatency
             else None)
-        self._handlers: Dict[int, Callable[[Message], None]] = {}
-        #: Handlers displaced by a re-registration, kept until the node
-        #: unregisters: in-flight deliveries still point at them, and
+        if engine.lane_delay is None:
+            engine.lane_delay = self._fixed_latency
+        #: The engine's FIFO lane — its keys and its arguments — when it
+        #: takes this network's fixed-latency deliveries, else ``None``
+        #: (every delivery goes on the heap).
+        lane = (self._fixed_latency is not None
+                and engine.lane_delay == self._fixed_latency)
+        self._fifo = engine._lane if lane else None
+        self._fifo_args = engine._lane_args if lane else None
+        #: Node id → the port of its current handler.
+        self._ports: Dict[int, int] = {}
+        #: Ports of handlers displaced by a re-registration, kept until the
+        #: node unregisters: in-flight deliveries still address them, and
         #: ``unregister`` promises to void *all* of a node's deliveries.
-        self._replaced_handlers: Dict[int, list] = {}
+        self._replaced_ports: Dict[int, List[int]] = {}
+        #: Port of the delivery-time lookup (:meth:`_deliver`).
+        self._deliver_port = engine.open_port(self._deliver)
         #: Optional fault-injection hook (see the module docstring); any
-        #: object with a ``decide(message, now)`` method returning a
-        #: decision with ``deliver`` / ``extra_delay`` attributes works.
+        #: object with a ``decide(sender, recipient, now)`` method returning
+        #: a decision with ``deliver`` / ``extra_delay`` attributes works.
         self.faults = faults
         self.messages_sent = 0
         self.messages_dropped = 0
@@ -241,38 +225,44 @@ class Network:
     def register(self, node_id: int, handler: Callable[[Message], None]) -> None:
         """Register (or replace) the delivery handler of a node.
 
-        Sends resolve the handler at send time, so replacing a live
-        handler re-routes *future* sends only; messages already in flight
-        deliver to the handler they were sent to (the displaced handler is
-        remembered so a later :meth:`unregister` can void those too).
+        The handler gets a port of its own.  Sends resolve the port at send
+        time, so replacing a live handler re-routes *future* sends only;
+        messages already in flight deliver to the handler they were sent to
+        (the displaced handler keeps its port until :meth:`unregister`
+        voids its deliveries too).
         """
-        previous = self._handlers.get(node_id)
-        if previous is not None and previous is not handler:
-            self._replaced_handlers.setdefault(node_id, []).append(previous)
-        self._handlers[node_id] = handler
+        engine = self._engine
+        previous = self._ports.get(node_id)
+        if previous is not None:
+            if engine._ports[previous] is handler:
+                return
+            self._replaced_ports.setdefault(node_id, []).append(previous)
+        self._ports[node_id] = engine.open_port(handler)
 
     def unregister(self, node_id: int) -> None:
         """Remove a node's handler; messages to it are dropped.
 
         In-flight deliveries are voided too (their entries are removed
-        from the engine queue, including any still bound to a handler the
-        node replaced), counted in :attr:`messages_dropped` — the sender
-        paid for them but nobody is left to receive them.  Local self
-        hand-offs in flight are voided without counting, consistent with
-        :meth:`send` treating them as free local functions.
+        from both engine queues, including any still addressed to a
+        handler the node replaced, and every one of the node's ports is
+        closed), counted in :attr:`messages_dropped` — the sender paid for
+        them but nobody is left to receive them.  Local self hand-offs in
+        flight are voided without counting, consistent with :meth:`send`
+        treating them as free local functions.
         """
-        handler = self._handlers.pop(node_id, None)
-        if handler is None:
+        port = self._ports.pop(node_id, None)
+        if port is None:
             return
-        handlers = [handler] + self._replaced_handlers.pop(node_id, [])
-        for target in handlers:
-            for voided in self._engine.cancel_actions(target):
-                if voided.sender != voided.recipient:
+        engine = self._engine
+        for target in [port] + self._replaced_ports.pop(node_id, []):
+            for voided in engine.cancel_actions(target):
+                if voided[SENDER] != voided[RECIPIENT]:
                     self.messages_dropped += 1
+            engine.close_port(target)
 
     def registered_ids(self) -> AbstractSet[int]:
         """Ids of every node that currently has a handler (a live view)."""
-        return self._handlers.keys()
+        return self._ports.keys()
 
     def at_message(self, index: int, action: Callable[[Message], None]) -> None:
         """Run ``action(message)`` when the ``index``-th counted send occurs.
@@ -292,8 +282,9 @@ class Network:
         self._send_triggers.setdefault(index, []).append(action)
 
     # ------------------------------------------------------------------
-    def send(self, message: Message) -> None:
-        """Send a message; it is delivered after the model's latency.
+    def send(self, sender: int, recipient: int, kind: str,
+             payload: tuple = ()) -> None:
+        """Send ``kind`` with ``payload``; it is delivered after the model's latency.
 
         Messages a node "sends to itself" (local hand-offs used to keep the
         protocol code uniform) are delivered with zero latency and are not
@@ -301,17 +292,16 @@ class Network:
         time, as dropped — matching the paper's definition of a *local*
         function.
         """
-        recipient = message.recipient
-        if message.sender == recipient:
+        message = (sender, recipient, kind, payload)
+        engine = self._engine
+        if sender == recipient:
             # Local hand-off: zero latency, no counters.  The raw handler
             # (not the counting dispatcher) rides on the entry.
-            handler = self._handlers.get(recipient)
-            self._engine.push_call(
-                0.0, handler if handler is not None else self._deliver,
-                message)
+            engine.push_call(0.0, self._ports.get(recipient, self._deliver_port),
+                             message)
             return
         self.messages_sent += 1
-        self.sent_by_kind[message.kind] += 1
+        self.sent_by_kind[kind] += 1
         if self._send_triggers:
             actions = self._send_triggers.pop(self.messages_sent, None)
             if actions is not None:
@@ -320,7 +310,7 @@ class Network:
         extra_delay = 0.0
         faults = self.faults
         if faults is not None:
-            decision = faults.decide(message, self._engine.now)
+            decision = faults.decide(sender, recipient, engine._now)
             if not decision.deliver:
                 self.messages_lost += 1
                 return
@@ -328,24 +318,23 @@ class Network:
         delay = self._fixed_latency
         if delay is None:
             delay = self._latency.sample(message)
-        # Handler lookup hoisted to send time: the common registered case
-        # puts the node's handler straight on the heap entry — delivery is
-        # then one C-level tuple pop and one call into the handler.  The
-        # rare unregistered-at-send case falls back to a delivery-time
-        # lookup (the recipient may legitimately register while the
-        # message is in flight).  The entry is pushed inline — the
-        # equivalent of ``engine.push_call`` minus one call frame, on the
-        # one code path hot enough to care (latencies are non-negative by
-        # model contract, so the delay validation is vacuous here).
-        action = self._handlers.get(recipient)
-        if action is None:
-            action = self._deliver
-        engine = self._engine
+        # Port lookup hoisted to send time: the common registered case puts
+        # the node's port straight on the entry.  The rare
+        # unregistered-at-send case falls back to a delivery-time lookup
+        # (the recipient may legitimately register while the message is in
+        # flight).  The entry is pushed inline — ``engine.push_call`` minus
+        # one call frame, on the one code path hot enough to care
+        # (latencies are non-negative by model contract).
+        port = self._ports.get(recipient, self._deliver_port)
         sequence = engine._sequence
         engine._sequence = sequence + 1
-        heappush(engine._queue,
-                 (engine._now + delay + extra_delay, sequence, action,
-                  message))
+        fifo = self._fifo
+        if fifo is not None and not extra_delay:
+            fifo.append((engine._now + delay, sequence, port))
+            self._fifo_args.append(message)
+        else:
+            heappush(engine._queue, (engine._now + delay + extra_delay,
+                                     sequence, port, message))
 
     def _deliver(self, message: Message) -> None:
         """Slow path: resolve the handler at delivery time.
@@ -354,21 +343,10 @@ class Network:
         *self* hand-offs are free — ``send`` defines local hand-offs as
         uncounted, so their drop is uncounted too.
         """
-        handler = self._handlers.get(message.recipient)
-        if handler is None:
-            if message.sender != message.recipient:
+        sender, recipient = message[SENDER], message[RECIPIENT]
+        port = self._ports.get(recipient)
+        if port is None:
+            if sender != recipient:
                 self.messages_dropped += 1
             return
-        handler(message)
-
-    # ------------------------------------------------------------------
-    def snapshot_counters(self) -> Dict[str, int]:
-        """Copy of the global counters (useful for before/after accounting)."""
-        counters = {
-            "sent": self.messages_sent,
-            "delivered": self.messages_delivered,
-            "dropped": self.messages_dropped,
-            "lost": self.messages_lost,
-        }
-        counters.update({f"kind:{k}": v for k, v in self.sent_by_kind.items()})
-        return counters
+        self._engine._ports[port](message)

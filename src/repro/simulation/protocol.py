@@ -4,7 +4,7 @@ This module runs Algorithms 1–5 of the paper the way a deployment would:
 every object is a :class:`ProtocolNode` owning *only its local view*
 (positions of its Voronoi neighbours, close neighbours, long-range contacts
 and back registrations), and every interaction between objects is an
-explicit :class:`~repro.simulation.network.Message` delivered through the
+explicit message (:mod:`repro.simulation.network`) delivered through the
 event engine and counted.  Greedy forwarding decisions are taken purely
 from the local view of the node currently holding the message.
 
@@ -49,6 +49,45 @@ corroboration     ``corroborated``        ``SUSPECT_NOTIFY``, ``VIEW_SCRUB``
 carve entry       ``_send_carve``         join retry, bulk carve and its audit
 ================  ======================  ====================================
 
+Message layouts
+---------------
+A payload is a tuple with one fixed layout per kind, unpacked whole by the
+kind's handler.  A routed kind starts with the point it is routed to and
+ends with its hop count (:data:`HOPS`), which :meth:`ProtocolSimulator.forward`
+bumps; a view snapshot starts with the view — ``(id, position)`` pairs —
+and its version stamp.  Heartbeats, queries, routed joins and link
+searches hold only numbers and tuples of numbers, so the collector
+untracks them in flight (``repro.simulation.network``).
+
+=========================  ===============================================
+kind                       payload
+=========================  ===============================================
+``ADD_OBJECT``             ``(position, new_id, bulk, hops)``
+``CREATE_OBJECT``          ``(view, version, bulk)``
+``REGION_UPDATE``          ``(view, version, new_id, new_position)``;
+                           ``new_id`` is ``None`` when nothing is stolen
+``VIEW_SCRUB``             ``(view, version, crashed)``, a frozenset
+``CLOSE_REQUEST``          ``(position,)``
+``CLOSE_REPLY``            ``(candidates,)``, a dict id → position
+``CLOSE_DECLARE``          ``(position,)``
+``CLOSE_LEAVE``            ``()``
+``SEARCH_LONG_LINK``       ``(target, requester, link_index, hops)``
+``LONG_LINK_ESTABLISHED``  ``(link_index, neighbor, neighbor_position, hops)``
+``LONG_LINK_RETARGET``     ``(link_index, neighbor, neighbor_position)``
+``BACKLINK_TRANSFER``      ``(source, link_index, target)``
+``BACKLINK_REMOVE``        ``(source, link_index)``
+``PING``                   ``(round, era)``; ``era`` is ``None`` unless a
+                           piggy-backing detector sent it
+``PONG``                   ``(round,)``
+``SUSPECT_NOTIFY``         ``(accused,)``, a frozenset
+``QUERY``                  ``(target, requester, query_id, path, hops)``;
+                           ``query_id`` / ``path`` (a tuple of the ids
+                           visited) are ``None`` unless set
+``QUERY_ANSWER``           ``(target, owner, query_id, path, hops)``
+``MERGE_DIGEST``           ``(epoch, version)``
+``MERGE_RECONCILE``        ``(epoch, version)``
+=========================  ===============================================
+
 :meth:`ProtocolSimulator.bulk_join` is the message-level mirror of
 :meth:`~repro.core.overlay.VoroNet.bulk_load`: the same moves pipelined
 across a Morton-sorted batch, one engine drain per phase instead of one
@@ -89,16 +128,16 @@ the same neighbour structure on identical inputs.
 
 from __future__ import annotations
 
-import itertools
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import (TYPE_CHECKING, Callable, ClassVar, Dict, Iterator, List,
-                    Optional, Sequence, Set, Tuple)
+from operator import attrgetter
+from typing import (TYPE_CHECKING, AbstractSet, Callable, ClassVar, Dict, Iterator,
+                    List, Optional, Sequence, Set, Tuple)
 
 import numpy as np
 
 from repro.core.config import VoroNetConfig
-from repro.core.maintenance import membership_report, view_report
+from repro.core.maintenance import MemberOrder, membership_report, view_report
 from repro.core.long_range import choose_long_range_target, choose_long_range_target_array
 from repro.geometry.delaunay import DelaunayTriangulation, DuplicatePointError, morton_order
 from repro.geometry.locate_grid import LocateGrid
@@ -124,6 +163,9 @@ __all__ = ["ProtocolSimulator", "ProtocolNode", "JoinReport", "LeaveReport",
 #: introducer hints O(1) from their targets, and it bounds how many
 #: messages sit in flight at once.
 DEFAULT_BULK_CHUNK = 128
+
+#: Position of a routed payload's hop count (the module docstring's layouts).
+HOPS = -1
 
 
 # ----------------------------------------------------------------------
@@ -229,14 +271,14 @@ class TimeoutPolicy:
 # ----------------------------------------------------------------------
 # per-object state
 # ----------------------------------------------------------------------
-@dataclass
+@dataclass(slots=True)
 class _LocalLongLink:
     target: Point
     neighbor: int
     neighbor_position: Point
 
 
-@dataclass
+@dataclass(slots=True)
 class ProtocolNode:
     """One object and its strictly local view.
 
@@ -284,15 +326,16 @@ class ProtocolNode:
     missed_heartbeats: Dict[int, int] = field(default_factory=dict)
     suspects: Set[int] = field(default_factory=set)
     #: Piggy-backed liveness (``HeartbeatConfig.piggyback``): virtual time
-    #: this node last received *any* message from a peer, and the
-    #: ``(detector era, round)`` in which this node last pinged a peer
-    #: (the era scopes entries to one detector, so bookkeeping left by a
-    #: retired detector can never suppress answers to a new one).
+    #: this node last received *any* message from a peer, and per detector
+    #: era the round in which this node last pinged each peer (the era
+    #: scopes entries to one detector, so bookkeeping left by a retired
+    #: detector can never suppress answers to a new one).  Every value is
+    #: a number, so the collector untracks these maps for good.
     #: Maintained only while the simulator's ``piggyback_liveness`` switch
     #: is on; like the detector bookkeeping above, not part of the
     #: routing view.
     last_contact: Dict[int, float] = field(default_factory=dict)
-    last_ping_round: Dict[int, Tuple[Optional[int], int]] = field(
+    last_ping_round: Dict[int, Dict[int, int]] = field(
         default_factory=dict)
     #: Peers exonerated after being suspected (their PONG refuted the
     #: suspicion).  Suspicion scrubbed their close entry destructively, so
@@ -390,9 +433,10 @@ class ProtocolNode:
         the victim, so monitoring the full reference set is what makes
         detection complete.
         """
-        peers = set(self.voronoi) | set(self.close)
-        peers.update(link.neighbor for link in self.long_links)
-        peers.update(source for source, _index in self.back_links)
+        peers = set(self.voronoi)
+        peers.update(self.close)
+        peers.update([link.neighbor for link in self.long_links])
+        peers.update([source for source, _index in self.back_links])
         peers.discard(self.object_id)
         return peers
 
@@ -405,10 +449,10 @@ class ProtocolNode:
         endpoints and back-link sources a sampling detector probes on a
         stride instead of every round.
         """
-        peers = tuple(sorted(self.monitored_peers()))
-        voronoi, close = self.voronoi, self.close
-        return peers, tuple(peer for peer in peers
-                            if peer not in voronoi and peer not in close)
+        peers = self.monitored_peers()
+        sampled = peers.difference(self.voronoi)
+        sampled.difference_update(self.close)
+        return tuple(sorted(peers)), tuple(sorted(sampled))
 
     def probe_plan(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
         """:meth:`derive_probe_plan`, cached per view epoch.
@@ -462,24 +506,28 @@ class ProtocolNode:
         reference to a suspect has been scrubbed or retargeted, the node's
         part in that suspect's repair is over.  A suspect with a surviving
         reference is kept, which is what makes repair retry-safe when
-        repair messages are themselves lost.
+        repair messages are themselves lost.  An empty list is left as it is:
+        a fresh empty set per member per round is what the collector would
+        otherwise promote into its oldest generation, 10⁴ at a time.
         """
-        self.suspects = {peer for peer in self.suspects if self.references(peer)}
+        if self.suspects:
+            self.suspects = {peer for peer in self.suspects if self.references(peer)}
 
     # ------------------------------------------------------------------
     # protocol moves (the module docstring's table: each written once)
     # ------------------------------------------------------------------
-    def apply_snapshot(self, payload: Dict) -> bool:
+    def apply_snapshot(self, view: Sequence[Tuple[int, Point]],
+                       version: int) -> bool:
         """Adopt a version-stamped vn snapshot unless a fresher one was applied.
 
-        An overtaken snapshot (possible under non-FIFO latency models and
-        the pipelined bulk join) must not roll the view back; returns
-        whether this one was adopted.
+        ``view`` is the snapshot's ``(id, position)`` pairs.  An overtaken
+        snapshot (possible under non-FIFO latency models and the pipelined
+        bulk join) must not roll the view back; returns whether this one
+        was adopted.
         """
-        version = payload.get("version", self.view_version)
         if version < self.view_version:
             return False
-        self.voronoi = dict(payload["voronoi"])
+        self.voronoi = dict(view)
         self.view_version = version
         self.touch_view()
         return True
@@ -498,12 +546,10 @@ class ProtocolNode:
         self.touch_view()
         source, link_index = key
         self.simulator.send(self, holder, "BACKLINK_TRANSFER",
-                            {"source": source, "link_index": link_index,
-                             "target": target})
+                            (source, link_index, target))
         if notify_source:
             self.simulator.send(self, source, "LONG_LINK_RETARGET",
-                                {"link_index": link_index, "neighbor": holder,
-                                 "neighbor_position": holder_position})
+                                (link_index, holder, holder_position))
 
     def discover_close(self) -> None:
         """Grid-exact close discovery: adopt and declare to every live peer
@@ -523,8 +569,7 @@ class ProtocolNode:
                 continue
             self.close[close_id] = peer.position
             found = True
-            simulator.send(self, close_id, "CLOSE_DECLARE",
-                           {"position": self.position})
+            simulator.send(self, close_id, "CLOSE_DECLARE", (self.position,))
         if found:
             self.touch_view()
 
@@ -554,8 +599,7 @@ class ProtocolNode:
         if start is None or start not in self.simulator.nodes:
             start = self.object_id
         self.simulator.send(self, start, "SEARCH_LONG_LINK",
-                            {"target": target, "requester": self.object_id,
-                             "link_index": index, "hops": 0})
+                            (target, self.object_id, index, 0))
 
     def exonerate(self, peer: int) -> None:
         """Proof of life from ``peer``: clear its miss counter and refute any
@@ -568,18 +612,21 @@ class ProtocolNode:
             self.suspects.discard(peer)
             self.rehabilitated.add(peer)
 
-    def corroborated(self, accused: Sequence[int]) -> Set[int]:
+    def corroborated(self, accused: AbstractSet[int]) -> Set[int]:
         """The accused peers local evidence supports: a standing suspicion,
         or at least one missed heartbeat of our own.
 
         Adopting accusations blindly would let one false suspicion — a
         couple of heartbeats lost to an unreliable network — infect the
-        whole neighbourhood faster than probing exonerates it.
+        whole neighbourhood faster than probing exonerates it.  Read from
+        this node's side: its evidence is a handful of peers, while one
+        accused set serves a whole repair phase.
         """
-        return {peer for peer in accused
-                if peer != self.object_id
-                and (peer in self.suspects
-                     or self.missed_heartbeats.get(peer, 0) > 0)}
+        found = {peer for peer in self.suspects if peer in accused}
+        found.update(peer for peer, misses in self.missed_heartbeats.items()
+                     if misses > 0 and peer in accused)
+        found.discard(self.object_id)
+        return found
 
     # ------------------------------------------------------------------
     # message handling
@@ -591,56 +638,56 @@ class ProtocolNode:
     _DISPATCH: ClassVar[Dict[str, Callable]] = {}
 
     def __init_subclass__(cls, **kwargs) -> None:
-        super().__init_subclass__(**kwargs)
+        # Explicit: ``slots=True`` rebuilds the class, which a zero-argument
+        # ``super()`` would not see.
+        super(ProtocolNode, cls).__init_subclass__(**kwargs)
         cls._DISPATCH = {}
 
     def handle(self, message: Message) -> None:
-        """Dispatch an incoming message to its protocol handler."""
+        """Dispatch an incoming message to its kind's handler, which is
+        called with the sender and the payload."""
+        sender, _recipient, kind, payload = message
         simulator = self.simulator
-        if simulator.piggyback_liveness:
+        if simulator.piggyback_liveness and sender != self.object_id:
             # Any delivered message is proof of life: record the contact
             # and exonerate a suspected sender (the generalisation of the
             # PONG handler's exoneration to all protocol traffic).
-            sender = message.sender
-            if sender != self.object_id:
-                self.last_contact[sender] = simulator.engine.now
-                if self.missed_heartbeats or self.suspects:
-                    self.exonerate(sender)
+            self.last_contact[sender] = simulator.engine.now
+            if self.missed_heartbeats or self.suspects:
+                self.exonerate(sender)
         cls = type(self)
-        handler = cls._DISPATCH.get(message.kind)
+        handler = cls._DISPATCH.get(kind)
         if handler is None:
-            handler = getattr(cls, f"_on_{message.kind.lower()}", None)
+            handler = getattr(cls, f"_on_{kind.lower()}", None)
             if handler is None:
-                raise ValueError(f"unknown message kind {message.kind!r}")
-            cls._DISPATCH[message.kind] = handler
-        handler(self, message)
+                raise ValueError(f"unknown message kind {kind!r}")
+            cls._DISPATCH[kind] = handler
+        handler(self, sender, payload)
 
     # ---------------- join phase 1: routing the ADD_OBJECT -------------
-    def _on_add_object(self, message: Message) -> None:
-        payload = message.payload
-        target: Point = payload["position"]
-        self.simulator.operation_progress(("join", payload["new_id"]))
+    def _on_add_object(self, _sender: int, payload: tuple) -> None:
+        target, new_id, bulk, hops = payload
+        self.simulator.operation_progress(("join", new_id))
         next_hop = self.greedy_next_hop(target)
         if next_hop is not None:
-            self.simulator.forward(self, next_hop, message)
+            self.simulator.forward(self, next_hop, "ADD_OBJECT", payload)
             return
         # This node owns the region containing the new object: carve it out.
-        self.simulator.complete_insertion(owner=self, new_id=payload["new_id"],
+        self.simulator.complete_insertion(owner=self, new_id=new_id,
                                           position=target,
-                                          routing_hops=payload["hops"],
-                                          bulk=payload.get("bulk", False))
+                                          routing_hops=hops, bulk=bulk)
 
     # ---------------- join phase 2: new node bootstraps ---------------
-    def _on_create_object(self, message: Message) -> None:
-        payload = message.payload
-        self.apply_snapshot(payload)
+    def _on_create_object(self, _sender: int, payload: tuple) -> None:
+        view, version, bulk = payload
+        self.apply_snapshot(view, version)
         if self.bootstrapped:
             # Duplicate snapshot from a retried carve: the fresher view was
             # applied above (or rejected by the version stamp); the phases
             # below already ran and must not run twice.
             return
         self.bootstrapped = True
-        if payload.get("bulk"):
+        if bulk:
             # bulk_join drives close discovery and long links as its own
             # pipelined phases; the view snapshot is all this message carries.
             return
@@ -654,13 +701,12 @@ class ProtocolNode:
                 retry=self._retry_close_phase, fail=self._abandon_close_phase)
             for neighbor in sorted(self.voronoi):
                 self.simulator.send(self, neighbor, "CLOSE_REQUEST",
-                                    {"position": self.position})
+                                    (self.position,))
         else:
             self._start_long_link_phase()
 
-    def _on_close_request(self, message: Message) -> None:
-        origin = message.sender
-        origin_position: Point = message.payload["position"]
+    def _on_close_request(self, origin: int, payload: tuple) -> None:
+        (origin_position,) = payload
         d_min = self.simulator.config.effective_d_min
         candidates: Dict[int, Point] = {self.object_id: self.position}
         candidates.update(self.voronoi)
@@ -669,16 +715,17 @@ class ProtocolNode:
             oid: pos for oid, pos in candidates.items()
             if oid != origin and distance(pos, origin_position) <= d_min
         }
-        self.simulator.send(self, origin, "CLOSE_REPLY", {"candidates": close})
+        self.simulator.send(self, origin, "CLOSE_REPLY", (close,))
 
-    def _on_close_reply(self, message: Message) -> None:
+    def _on_close_reply(self, sender: int, payload: tuple) -> None:
+        (candidates,) = payload
         d_min = self.simulator.config.effective_d_min
-        for oid, pos in sorted(message.payload["candidates"].items()):
+        for oid, pos in sorted(candidates.items()):
             if oid != self.object_id and distance(pos, self.position) <= d_min:
                 self.close[oid] = pos
         self.touch_view()
-        if message.sender in self.pending_close_peers:
-            self.pending_close_peers.discard(message.sender)
+        if sender in self.pending_close_peers:
+            self.pending_close_peers.discard(sender)
             self.simulator.operation_progress(("close", self.object_id))
             if not self.pending_close_peers:
                 self._finish_close_phase()
@@ -690,8 +737,7 @@ class ProtocolNode:
         self.close_phase_done = True
         self.simulator.finish_operation(("close", self.object_id))
         for neighbor in sorted(self.close):
-            self.simulator.send(self, neighbor, "CLOSE_DECLARE",
-                                {"position": self.position})
+            self.simulator.send(self, neighbor, "CLOSE_DECLARE", (self.position,))
         self._start_long_link_phase()
 
     def _retry_close_phase(self) -> bool:
@@ -710,8 +756,7 @@ class ProtocolNode:
             self._finish_close_phase()
             return True
         for peer in sorted(self.pending_close_peers):
-            self.simulator.send(self, peer, "CLOSE_REQUEST",
-                                {"position": self.position})
+            self.simulator.send(self, peer, "CLOSE_REQUEST", (self.position,))
         return True
 
     def _abandon_close_phase(self) -> None:
@@ -724,12 +769,13 @@ class ProtocolNode:
         self.pending_close_peers.clear()
         self._finish_close_phase()
 
-    def _on_close_declare(self, message: Message) -> None:
-        self.close[message.sender] = message.payload["position"]
+    def _on_close_declare(self, sender: int, payload: tuple) -> None:
+        (position,) = payload
+        self.close[sender] = position
         self.touch_view()
 
-    def _on_close_leave(self, message: Message) -> None:
-        self.close.pop(message.sender, None)
+    def _on_close_leave(self, sender: int, _payload: tuple) -> None:
+        self.close.pop(sender, None)
         self.touch_view()
 
     # ---------------- join phase 3: long links ------------------------
@@ -771,27 +817,21 @@ class ProtocolNode:
         """
         self.simulator._join_outcomes[self.object_id] = "timed_out"
 
-    def _on_search_long_link(self, message: Message) -> None:
-        payload = message.payload
-        target: Point = payload["target"]
-        self.simulator.operation_progress(("long_links", payload["requester"]))
+    def _on_search_long_link(self, _sender: int, payload: tuple) -> None:
+        target, requester, link_index, hops = payload
+        self.simulator.operation_progress(("long_links", requester))
         next_hop = self.greedy_next_hop(target)
         if next_hop is not None:
-            self.simulator.forward(self, next_hop, message)
+            self.simulator.forward(self, next_hop, "SEARCH_LONG_LINK", payload)
             return
         # This node owns the target's region: it becomes the long-range contact.
-        requester = payload["requester"]
-        self.back_links[(requester, payload["link_index"])] = target
+        self.back_links[(requester, link_index)] = target
         self.touch_view()
         self.simulator.send(self, requester, "LONG_LINK_ESTABLISHED",
-                            {"link_index": payload["link_index"],
-                             "neighbor": self.object_id,
-                             "neighbor_position": self.position,
-                             "hops": payload["hops"]})
+                            (link_index, self.object_id, self.position, hops))
 
-    def _on_long_link_established(self, message: Message) -> None:
-        payload = message.payload
-        index = payload["link_index"]
+    def _on_long_link_established(self, _sender: int, payload: tuple) -> None:
+        index, neighbor, neighbor_position, _hops = payload
         if index >= len(self.long_links):
             return
         if index not in self.pending_link_indices:
@@ -800,15 +840,14 @@ class ProtocolNode:
             # drop the registration it just created for us (unless it *is*
             # the established endpoint, whose registration must stand).
             link = self.long_links[index]
-            if (payload["neighbor"] != link.neighbor
-                    and payload["neighbor"] in self.simulator.nodes):
-                self.simulator.send(self, payload["neighbor"], "BACKLINK_REMOVE",
-                                    {"source": self.object_id,
-                                     "link_index": index})
+            if (neighbor != link.neighbor
+                    and neighbor in self.simulator.nodes):
+                self.simulator.send(self, neighbor, "BACKLINK_REMOVE",
+                                    (self.object_id, index))
             return
         link = self.long_links[index]
-        link.neighbor = payload["neighbor"]
-        link.neighbor_position = payload["neighbor_position"]
+        link.neighbor = neighbor
+        link.neighbor_position = neighbor_position
         self.touch_view()
         self.pending_link_indices.discard(index)
         self.simulator.operation_progress(("long_links", self.object_id))
@@ -817,13 +856,11 @@ class ProtocolNode:
             self.simulator.operation_finished(self.object_id)
 
     # ---------------- maintenance updates ------------------------------
-    def _on_region_update(self, message: Message) -> None:
-        payload = message.payload
+    def _on_region_update(self, _sender: int, payload: tuple) -> None:
+        view, version, new_id, new_position = payload
         # The back-registration steal below compares positions, not
         # snapshots, so it runs whether or not the snapshot was adopted.
-        self.apply_snapshot(payload)
-        new_id = payload.get("new_id")
-        new_position = payload.get("new_position")
+        self.apply_snapshot(view, version)
         if new_id is None:
             return
         # Hand over back registrations whose target the new object now owns.
@@ -834,22 +871,21 @@ class ProtocolNode:
         for key in stolen:
             self.hand_over(key, new_id, new_position)
 
-    def _on_backlink_transfer(self, message: Message) -> None:
-        payload = message.payload
-        self.back_links[(payload["source"], payload["link_index"])] = payload["target"]
+    def _on_backlink_transfer(self, _sender: int, payload: tuple) -> None:
+        source, link_index, target = payload
+        self.back_links[(source, link_index)] = target
         self.touch_view()
 
-    def _on_long_link_retarget(self, message: Message) -> None:
-        payload = message.payload
-        index = payload["link_index"]
+    def _on_long_link_retarget(self, _sender: int, payload: tuple) -> None:
+        index, neighbor, neighbor_position = payload
         if index < len(self.long_links):
-            self.long_links[index].neighbor = payload["neighbor"]
-            self.long_links[index].neighbor_position = payload["neighbor_position"]
+            self.long_links[index].neighbor = neighbor
+            self.long_links[index].neighbor_position = neighbor_position
             self.touch_view()
 
-    def _on_backlink_remove(self, message: Message) -> None:
-        payload = message.payload
-        self.back_links.pop((payload["source"], payload["link_index"]), None)
+    def _on_backlink_remove(self, _sender: int, payload: tuple) -> None:
+        source, link_index = payload
+        self.back_links.pop((source, link_index), None)
         self.touch_view()
 
     # ---------------- failure detection & repair ------------------------
@@ -857,12 +893,11 @@ class ProtocolNode:
     # (:mod:`repro.simulation.faults`): heartbeat probing, suspicion
     # gossip, and view scrubbing.  Every view-mutating one bumps the view
     # epoch, per the routing-cache contract.
-    def _on_ping(self, message: Message) -> None:
-        payload = message.payload
-        round_number = payload["round"]
-        if (self.simulator.piggyback_liveness
-                and self.last_ping_round.get(message.sender)
-                == (payload.get("era"), round_number)):
+    def _on_ping(self, sender: int, payload: tuple) -> None:
+        round_number, era = payload
+        pinged = (self.last_ping_round.get(era)
+                  if self.simulator.piggyback_liveness else None)
+        if pinged is not None and pinged.get(sender) == round_number:
             # Crossed probes: our own PING of the same round *of the same
             # detector* (the era disambiguates detectors, so a stale
             # entry from an earlier detector can never suppress answers
@@ -871,26 +906,27 @@ class ProtocolNode:
             # PONG would be redundant.  (Full-probe and repair-phase
             # probes carry no era, which never matches.)
             return
-        self.simulator.send(self, message.sender, "PONG",
-                            {"round": round_number})
+        self.simulator.send(self, sender, "PONG", (round_number,))
 
-    def _on_pong(self, message: Message) -> None:
-        self.last_heard[message.sender] = message.payload["round"]
-        self.exonerate(message.sender)
+    def _on_pong(self, sender: int, payload: tuple) -> None:
+        (round_number,) = payload
+        self.last_heard[sender] = round_number
+        self.exonerate(sender)
 
-    def _on_suspect_notify(self, message: Message) -> None:
-        corroborated = self.corroborated(message.payload["suspects"])
+    def _on_suspect_notify(self, _sender: int, payload: tuple) -> None:
+        (accused,) = payload
+        corroborated = self.corroborated(accused)
         if corroborated:
             self.suspects |= corroborated
             self.apply_suspicion(corroborated)
 
-    def _on_view_scrub(self, message: Message) -> None:
-        payload = message.payload
+    def _on_view_scrub(self, _sender: int, payload: tuple) -> None:
+        view, version, crashed = payload
         # Same corroboration rule as SUSPECT_NOTIFY: the version-stamped
         # view below is kernel truth either way, but close/back scrubbing
         # of the listed ids only happens with local evidence.
-        corroborated = self.corroborated(payload["crashed"])
-        if not self.apply_snapshot(payload):
+        corroborated = self.corroborated(crashed)
+        if not self.apply_snapshot(view, version):
             # Overtaken snapshot: keep the fresher view but still scrub
             # the corroborated ids.
             for peer in sorted(corroborated):
@@ -929,39 +965,33 @@ class ProtocolNode:
                 and link.neighbor not in self.suspects
                 and link.neighbor in self.simulator.nodes):
             self.simulator.send(self, link.neighbor, "BACKLINK_REMOVE",
-                                {"source": self.object_id, "link_index": index})
+                                (self.object_id, index))
         self._search_long_link(index, seeded)
 
     # ---------------- queries ------------------------------------------
-    def _on_query(self, message: Message) -> None:
-        payload = message.payload
-        target: Point = payload["target"]
-        if "path" in payload:
-            # Path recording for load accounting: the visited list is
-            # shared (not copied) down the forwarding chain — safe because
-            # a query is a single linear chain of custody.
-            payload["path"].append(self.object_id)
+    def _on_query(self, _sender: int, payload: tuple) -> None:
+        target, requester, query_id, path, hops = payload
+        if path is not None:
+            # Path recording for load accounting: each holder appends
+            # itself to the tuple of visited ids.
+            path += (self.object_id,)
+            payload = (target, requester, query_id, path, hops)
         next_hop = self.greedy_next_hop(target)
         if next_hop is not None:
-            self.simulator.forward(self, next_hop, message)
+            self.simulator.forward(self, next_hop, "QUERY", payload)
             return
-        answer = {"target": target, "owner": self.object_id,
-                  "hops": payload["hops"]}
-        # Serving-layer extensions ride along as extra payload fields (no
-        # new message kind — the pinned kind set only grows for genuinely
-        # new protocol phases): the query id lets many QUERYs contend in
+        # Serving-layer extensions ride along as payload fields (no new
+        # message kind — the pinned kind set only grows for genuinely new
+        # protocol phases): the query id lets many QUERYs contend in
         # flight, the path feeds per-node load counters.
-        if "query_id" in payload:
-            answer["query_id"] = payload["query_id"]
-        if "path" in payload:
-            answer["path"] = payload["path"]
-        self.simulator.send(self, payload["requester"], "QUERY_ANSWER", answer)
+        self.simulator.send(self, requester, "QUERY_ANSWER",
+                            (target, self.object_id, query_id, path, hops))
 
-    def _on_query_answer(self, message: Message) -> None:
-        self.simulator.record_query_answer(message.payload)
+    def _on_query_answer(self, _sender: int, payload: tuple) -> None:
+        self.simulator.record_query_answer(*payload)
 
     # ---------------- partition merge (anti-entropy) -------------------
-    def _on_merge_digest(self, message: Message) -> None:
+    def _on_merge_digest(self, sender: int, payload: tuple) -> None:
         """Epidemic anti-entropy after a partition heals.
 
         A version-stamped digest floods outward from the boundary nodes
@@ -975,15 +1005,13 @@ class ProtocolNode:
         neighbour-notify shape, terminated by the epoch guard — and acks
         the sender with ``MERGE_RECONCILE``.
         """
-        payload = message.payload
-        epoch = payload["epoch"]
+        epoch, version = payload
         if self.merge_epoch >= epoch:
             return  # already reconciled this heal; the epidemic stops here
         self.merge_epoch = epoch
         simulator = self.simulator
         if self.object_id in simulator.kernel:
-            self.apply_snapshot({"voronoi": simulator.kernel_view(self.object_id),
-                                 "version": payload["version"]})
+            self.apply_snapshot(simulator.kernel_view(self.object_id), version)
         # Split-era suspicion presumed the other side dead; every suspect
         # the healed membership still carries is alive after all, and
         # exonerating them makes the repair protocol's close re-discovery
@@ -997,10 +1025,10 @@ class ProtocolNode:
         for neighbor in sorted(self.voronoi):
             if neighbor != self.object_id:
                 simulator.send(self, neighbor, "MERGE_DIGEST", payload)
-        simulator.send(self, message.sender, "MERGE_RECONCILE",
-                       {"epoch": epoch, "version": self.view_version})
+        simulator.send(self, sender, "MERGE_RECONCILE",
+                       (epoch, self.view_version))
 
-    def _on_merge_reconcile(self, message: Message) -> None:
+    def _on_merge_reconcile(self, sender: int, payload: tuple) -> None:
         """Ack leg of the merge anti-entropy exchange.
 
         The ack is itself liveness evidence (the sender is reachable
@@ -1008,9 +1036,10 @@ class ProtocolNode:
         every copy addressed to it was lost — is pulled into the epoch by
         its own ack traffic, making the exchange bidirectional.
         """
-        self.exonerate(message.sender)
-        if self.merge_epoch < message.payload["epoch"]:
-            self._on_merge_digest(message)
+        epoch, _version = payload
+        self.exonerate(sender)
+        if self.merge_epoch < epoch:
+            self._on_merge_digest(sender, payload)
 
 
 # ----------------------------------------------------------------------
@@ -1085,6 +1114,8 @@ class ProtocolSimulator:  # simlint: ignore[SIM003] — one per experiment, not 
         self.kernel = DelaunayTriangulation()
         self.locate = LocateGrid()
         self.nodes: Dict[int, ProtocolNode] = {}
+        #: :attr:`nodes` in its own order, for the k-th member in O(log N).
+        self._member_order = MemberOrder()
         self._next_id = 0
         self._last_routing_hops = 0
         self._last_query_answer: Optional[Dict] = None
@@ -1113,40 +1144,40 @@ class ProtocolSimulator:  # simlint: ignore[SIM003] — one per experiment, not 
         return self.network.faults
 
     def send(self, sender: ProtocolNode, recipient: int, kind: str,
-             payload: Dict) -> None:
-        """Send one protocol message from ``sender`` to ``recipient``."""
+             payload: tuple) -> None:
+        """Send one protocol message from ``sender`` to ``recipient``;
+        ``payload`` has ``kind``'s layout (the module docstring's table)."""
         trace = self.trace
         if trace.enabled:
             trace.record(self.engine.now, "send", message_kind=kind,
                          sender=sender.object_id, recipient=recipient)
-        self.network.send(Message(sender=sender.object_id, recipient=recipient,
-                                  kind=kind, payload=payload))
+        self.network.send(sender.object_id, recipient, kind, payload)
 
-    def forward(self, sender: ProtocolNode, recipient: int, message: Message) -> None:
-        """Forward a routed message one greedy hop further."""
-        payload = dict(message.payload)
-        payload["hops"] = payload.get("hops", 0) + 1
-        self.send(sender, recipient, message.kind, payload)
+    def forward(self, sender: ProtocolNode, recipient: int, kind: str,
+                payload: tuple) -> None:
+        """Forward a routed message one greedy hop further: the same
+        payload with its hop count (the last field) one higher."""
+        self.send(sender, recipient, kind, payload[:HOPS] + (payload[HOPS] + 1,))
 
-    def kernel_view(self, object_id: int) -> Dict[int, Point]:
-        """``object_id``'s Voronoi neighbours with their positions, as the
-        shared kernel — each object's local Voronoi computation — has them."""
+    def kernel_view(self, object_id: int) -> Tuple[Tuple[int, Point], ...]:
+        """``object_id``'s Voronoi neighbours as ``(id, position)`` pairs,
+        as the shared kernel — each object's local Voronoi computation —
+        has them."""
         kernel = self.kernel
-        return {nid: kernel.point(nid) for nid in kernel.neighbors(object_id)}
+        point = kernel.point
+        return tuple([(nid, point(nid)) for nid in kernel.neighbors(object_id)])
 
     def send_snapshot(self, sender: ProtocolNode, recipient: int, kind: str,
-                      version: int, extra: Optional[Dict] = None) -> None:
+                      version: int, extra: tuple) -> None:
         """Send ``recipient`` the kernel's view of itself, stamped ``version``.
 
         The caller reads ``kernel.version`` once where its loop starts: a
         fault-plane crash can land between two sends of one loop and move
         the kernel's version, and every snapshot of the loop must carry
-        the same stamp.  ``extra`` is what the kind carries beside the view.
+        the same stamp.  ``extra`` is the rest of the kind's layout.
         """
-        payload = {"voronoi": self.kernel_view(recipient), "version": version}
-        if extra:
-            payload.update(extra)
-        self.send(sender, recipient, kind, payload)
+        self.send(sender, recipient, kind,
+                  (self.kernel_view(recipient), version) + extra)
 
     @contextmanager
     def counted_phase(self, counts: Dict[str, int], name: str) -> Iterator[None]:
@@ -1234,14 +1265,22 @@ class ProtocolSimulator:  # simlint: ignore[SIM003] — one per experiment, not 
         if op.fail is not None:
             op.fail()
 
-    def record_query_answer(self, payload: Dict) -> None:
-        self._last_query_answer = payload
-        query_id = payload.get("query_id")
+    def record_query_answer(self, target: Point, owner: int,
+                            query_id: Optional[int], path: Optional[Tuple[int, ...]],
+                            hops: int) -> None:
+        """File one ``QUERY_ANSWER`` as the answer dict readers expect:
+        ``target``, ``owner`` and ``hops``, plus ``query_id``, ``path`` and
+        ``completed_at`` for an identified serving query."""
+        answer = {"target": target, "owner": owner, "hops": hops}
+        self._last_query_answer = answer
         if query_id is not None:
-            payload["completed_at"] = self.engine.now
-            self.query_answers[query_id] = payload
+            answer["query_id"] = query_id
+            if path is not None:
+                answer["path"] = path
+            answer["completed_at"] = self.engine.now
+            self.query_answers[query_id] = answer
             if self.on_query_answer is not None:
-                self.on_query_answer(payload)
+                self.on_query_answer(answer)
 
     # ------------------------------------------------------------------
     # membership operations
@@ -1261,6 +1300,7 @@ class ProtocolSimulator:  # simlint: ignore[SIM003] — one per experiment, not 
         """Create a node's local state and register its message handler."""
         node = ProtocolNode(object_id=object_id, position=position, simulator=self)
         self.nodes[object_id] = node
+        self._member_order.append(object_id)
         self.network.register(object_id, node.handle)
         return node
 
@@ -1273,7 +1313,8 @@ class ProtocolSimulator:  # simlint: ignore[SIM003] — one per experiment, not 
         closed out, a pending join surfacing as ``timed_out``.  Idempotent.
         """
         self.network.unregister(object_id)
-        self.nodes.pop(object_id, None)
+        if self.nodes.pop(object_id, None) is not None:
+            self._member_order.discard(object_id)
         for kind, owner in self.pending_operations():
             if owner == object_id:
                 self.finish_operation((kind, owner))
@@ -1313,17 +1354,16 @@ class ProtocolSimulator:  # simlint: ignore[SIM003] — one per experiment, not 
 
         if introducer is None:
             # A uniform draw among the others: the joiner, attached a moment
-            # ago, is the last key, so the walk never reaches it.
-            introducer = next(itertools.islice(
-                self.nodes, self.rng.integer(0, len(self.nodes) - 1), None))
+            # ago, is the last key, so the draw never reaches it.
+            introducer = self._member_order.kth(
+                self.rng.integer(0, len(self.nodes) - 1))
         self._last_routing_hops = 0
         self._join_outcomes.pop(object_id, None)
         self.start_operation(("join", object_id), self.timeouts.join_timeout,
                              retry=lambda: self._retry_join(object_id, position),
                              fail=lambda: self._fail_join(object_id))
         starter = self.nodes[introducer]
-        self.send(starter, introducer, "ADD_OBJECT",
-                  {"new_id": object_id, "position": position, "hops": 0})
+        self.send(starter, introducer, "ADD_OBJECT", (position, object_id, False, 0))
         self.engine.run()
         self.metrics.increment("joins")
         messages = self.network.messages_sent - before
@@ -1358,10 +1398,8 @@ class ProtocolSimulator:  # simlint: ignore[SIM003] — one per experiment, not 
             if not live:
                 return False
             introducer = live[0]
-        payload = {"new_id": object_id, "position": position, "hops": 0}
-        if bulk:
-            payload["bulk"] = True
-        self.send(self.nodes[introducer], introducer, "ADD_OBJECT", payload)
+        self.send(self.nodes[introducer], introducer, "ADD_OBJECT",
+                  (position, object_id, bulk, 0))
         return True
 
     def _fail_join(self, object_id: int) -> None:
@@ -1550,10 +1588,10 @@ class ProtocolSimulator:  # simlint: ignore[SIM003] — one per experiment, not 
                     sender = self.nodes[self._bulk_snapshot_sender(object_id)]
                     if object_id in new_ids:
                         self.send_snapshot(sender, object_id, "CREATE_OBJECT",
-                                           version, {"bulk": True})
+                                           version, (True,))
                     else:
                         self.send_snapshot(sender, object_id, "REGION_UPDATE",
-                                           version)
+                                           version, (None, None))
                 self.engine.run_until_quiescent()
 
         # ---- phase 3: back-registration hand-over ----------------------
@@ -1651,8 +1689,7 @@ class ProtocolSimulator:  # simlint: ignore[SIM003] — one per experiment, not 
             # (heals a lost CREATE_OBJECT without touching the kernel).
             self.metrics.increment("duplicate_carves")
             self.send_snapshot(owner, new_id, "CREATE_OBJECT",
-                               self.kernel.version,
-                               {"bulk": True} if bulk else None)
+                               self.kernel.version, (bulk,))
             return
         try:
             self.carve(new_id, position, hint=owner.object_id)
@@ -1675,8 +1712,8 @@ class ProtocolSimulator:  # simlint: ignore[SIM003] — one per experiment, not 
             # vertex the kernel holds.
             affected = set(self.kernel.vertex_ids()) - {new_id}
         version = self.kernel.version
-        self.send_snapshot(owner, new_id, "CREATE_OBJECT", version)
-        steal = {"new_id": new_id, "new_position": position}
+        self.send_snapshot(owner, new_id, "CREATE_OBJECT", version, (False,))
+        steal = (new_id, position)
         for neighbor_id in sorted(affected):
             if neighbor_id == new_id or neighbor_id not in self.nodes:
                 continue
@@ -1712,11 +1749,12 @@ class ProtocolSimulator:  # simlint: ignore[SIM003] — one per experiment, not 
         # 1. Region updates to the neighbours inheriting the region.
         for neighbor_id in sorted(affected):
             if neighbor_id in self.nodes:
-                self.send_snapshot(node, neighbor_id, "REGION_UPDATE", version)
+                self.send_snapshot(node, neighbor_id, "REGION_UPDATE", version,
+                                   (None, None))
         # 2. Close-neighbour notifications.
         for close_id in list(node.close):
             if close_id in self.nodes:
-                self.send(node, close_id, "CLOSE_LEAVE", {})
+                self.send(node, close_id, "CLOSE_LEAVE", ())
         # 3. Delegate hosted long links to the neighbour owning their target.
         for (source, link_index), target in list(node.back_links.items()):
             if source not in self.nodes or source == object_id:
@@ -1733,8 +1771,7 @@ class ProtocolSimulator:  # simlint: ignore[SIM003] — one per experiment, not 
         # 4. Deregister our own long links at their endpoints.
         for index, link in enumerate(node.long_links):
             if link.neighbor in self.nodes and link.neighbor != object_id:
-                self.send(node, link.neighbor, "BACKLINK_REMOVE",
-                          {"source": object_id, "link_index": index})
+                self.send(node, link.neighbor, "BACKLINK_REMOVE", (object_id, index))
         self.engine.run()
         # A leaver that crashed while its own hand-over was draining was
         # already torn down by the injector: to the survivors this became
@@ -1755,13 +1792,11 @@ class ProtocolSimulator:  # simlint: ignore[SIM003] — one per experiment, not 
             raise RuntimeError("the overlay holds no objects")
         target = (float(target[0]), float(target[1]))
         if start is None:
-            ids = list(self.nodes)
-            start = ids[self.rng.integer(0, len(ids))]
+            start = self._member_order.kth(self.rng.integer(0, len(self.nodes)))
         before = self.network.messages_sent
         self._last_query_answer = None
         starter = self.nodes[start]
-        self.send(starter, start, "QUERY",
-                  {"target": target, "requester": start, "hops": 0})
+        self.send(starter, start, "QUERY", (target, start, None, None, 0))
         self.engine.run()
         messages = self.network.messages_sent - before
         answer = self._last_query_answer or {"owner": start, "hops": 0}
@@ -1787,13 +1822,9 @@ class ProtocolSimulator:  # simlint: ignore[SIM003] — one per experiment, not 
             raise RuntimeError("the overlay holds no objects")
         target = (float(target[0]), float(target[1]))
         if start is None:
-            ids = list(self.nodes)
-            start = ids[self.rng.integer(0, len(ids))]
-        payload: Dict = {"target": target, "requester": start, "hops": 0,
-                         "query_id": query_id}
-        if record_path:
-            payload["path"] = []
-        self.send(self.nodes[start], start, "QUERY", payload)
+            start = self._member_order.kth(self.rng.integer(0, len(self.nodes)))
+        self.send(self.nodes[start], start, "QUERY",
+                  (target, start, query_id, () if record_path else None, 0))
         self.metrics.increment("queries")
         return start
 
@@ -1823,9 +1854,7 @@ class ProtocolSimulator:  # simlint: ignore[SIM003] — one per experiment, not 
                     f"{object_id}: local vn view {sorted(local_neighbors)} != "
                     f"kernel {sorted(kernel_neighbors)}")
         problems.extend(view_report(
-            {object_id: (node.position, node.close, node.long_links,
-                         node.back_links)
-             for object_id, node in self.nodes.items()},
+            self.nodes, attrgetter("position", "close", "long_links", "back_links"),
             lambda target, hint: kernel.nearest_vertex(target, hint=hint),
             self.config.effective_d_min))
         problems.extend(self.probe_plan_report())

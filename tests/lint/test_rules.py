@@ -432,16 +432,22 @@ def test_sim004_negative_balanced_kinds(tmp_path):
     assert found == []
 
 
-def test_sim004_message_construction_counts_as_send(tmp_path):
+def test_sim004_only_send_calls_name_a_kind(tmp_path):
+    # A message is a plain tuple: building one names no kind, while a
+    # send_snapshot call does (the kind sits where send has it).
     found = lint_snippet(tmp_path, """\
         class Node:
             def _on_query(self, message):
                 pass
 
-        def ask(network, a, b):
+            def _on_view_scrub(self, message):
+                pass
+
+        def ask(simulator, network, a, b):
             network.deliver(Message(a, b, "QUERY"))
+            simulator.send_snapshot(a, b, "VIEW_SCRUB", 0, ())
     """, select=SIM004)
-    assert found == []
+    assert found == ["SIM004:2"]
 
 
 def test_sim004_skips_programs_without_handlers(tmp_path):

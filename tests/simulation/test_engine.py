@@ -127,33 +127,55 @@ class TestFastPaths:
     def test_push_call_fires_in_order_with_events(self):
         engine = SimulationEngine()
         fired = []
+        port = engine.open_port(fired.append)
         engine.schedule(2.0, lambda: fired.append("event"))
-        engine.push_call(1.0, fired.append, "raw-early")
-        engine.push_call(2.0, fired.append, "raw-tie-later")
+        engine.push_call(1.0, port, "raw-early")
+        engine.push_call(2.0, port, "raw-tie-later")
         engine.run()
         # Ties break by scheduling order: the event entry was pushed first.
         assert fired == ["raw-early", "event", "raw-tie-later"]
 
+    def test_lane_interleaves_with_the_heap_in_sequence_order(self):
+        engine = SimulationEngine()
+        engine.lane_delay = 1.0
+        fired = []
+        port = engine.open_port(fired.append)
+        engine.push_call(1.0, port, "lane-1")
+        engine.push_call(0.5, port, "heap-0.5")
+        engine.push_call(1.0, port, "lane-2")
+        engine.schedule(1.0, lambda: fired.append("event-1"))
+        engine.push_call(2.0, port, "heap-2")
+        assert engine.pending_events == 5
+        engine.run()
+        assert fired == ["heap-0.5", "lane-1", "lane-2", "event-1", "heap-2"]
+        assert engine.quiescent
+
     def test_cancel_actions_removes_matching_entries(self):
         engine = SimulationEngine()
+        engine.lane_delay = 2.0
         fired = []
         other = []
-        append = fired.append  # one identity, like a registered handler
-        engine.push_call(1.0, append, "a")
-        engine.push_call(2.0, append, "b")
-        engine.schedule_call(3.0, append, "c")
-        engine.push_call(1.5, other.append, "other-action")
-        removed = engine.cancel_actions(append)
-        assert sorted(removed) == ["a", "b", "c"]
+        port = engine.open_port(fired.append)
+        other_port = engine.open_port(other.append)
+        engine.push_call(1.0, port, "a")
+        engine.push_call(2.0, port, "b")          # on the lane
+        engine.schedule_call(3.0, fired.append, "c")
+        engine.push_call(1.5, other_port, "other-action")
+        removed = engine.cancel_actions(port)
+        # Raw entries addressed to the port, from both queues; cancellable
+        # events are the caller's to cancel.
+        assert sorted(removed) == ["a", "b"]
+        engine.close_port(port)
         engine.run()
-        assert fired == []
+        assert fired == ["c"]
         assert other == ["other-action"]
         assert engine.quiescent
 
     def test_run_until_quiescent_drains(self):
         engine = SimulationEngine()
         fired = []
-        engine.schedule(1.0, lambda: engine.push_call(1.0, fired.append, "x"))
+        port = engine.open_port(fired.append)
+        engine.schedule(1.0, lambda: engine.push_call(1.0, port, "x"))
         executed = engine.run_until_quiescent()
         assert executed == 2
         assert fired == ["x"]

@@ -1,8 +1,9 @@
 """Property tests of the discrete-event engine's ordering and accounting.
 
-The engine rewrite (tuple-keyed heap, raw delivery entries, incremental
-runnable counter, lazy compaction) must be observationally identical to
-the specification: events fire in ``(time, sequence)`` order, cancellation
+The engine (tuple-keyed heap, raw delivery entries on ports, the FIFO lane
+beside the heap, incremental runnable counter, lazy compaction) must be
+observationally identical to the specification — one heap: entries fire
+in ``(time, sequence)`` order, cancellation
 removes exactly the cancelled events, ``quiescent``/``runnable_events``
 agree with a brute-force scan of the queue at every step, and compaction
 never drops a runnable event.  A small interpreter drives random command
@@ -18,8 +19,8 @@ from repro.simulation.engine import SimulationEngine, _EVENT_ENTRY
 
 
 def _scan_runnable(engine):
-    """Brute-force count of runnable entries in the engine's queue."""
-    count = 0
+    """Brute-force count of runnable entries in the engine's two queues."""
+    count = len(engine._lane)  # raw deliveries only, never cancelled
     for entry in engine._queue:
         if entry[3] is _EVENT_ENTRY and entry[2].cancelled:
             continue
@@ -27,8 +28,15 @@ def _scan_runnable(engine):
     return count
 
 
+#: The engine's FIFO-lane delay in the oracle runs below.
+_LANE_DELAY = 1.0
+
+
 class _Oracle:
-    """Specification model: a sorted list of (time, seq, id, cancelled)."""
+    """Specification model: one heap of ``[time, seq, port, cancelled]``
+    (``port`` is ``None`` for a cancellable event), popped in ``(time,
+    seq)`` order — what the engine's lane plus heap must be equivalent to.
+    An entry's id is its sequence number."""
 
     def __init__(self):
         self.pending = []
@@ -36,92 +44,135 @@ class _Oracle:
         self.sequence = 0
         self.fired = []
 
-    def schedule(self, delay):
-        entry = [self.now + delay, self.sequence, self.sequence, False]
+    def schedule(self, delay, port=None):
+        entry = [self.now + delay, self.sequence, port, False]
         self.sequence += 1
         heapq.heappush(self.pending, entry)
         return entry
 
-    def _fire_next(self):
-        entry = heapq.heappop(self.pending)
-        if entry[3]:
-            return
-        self.now = entry[0]
-        self.fired.append(entry[2])
-
-    def run(self):
+    def step(self):
         while self.pending:
-            self._fire_next()
+            entry = heapq.heappop(self.pending)
+            if entry[3]:
+                continue
+            self.now = entry[0]
+            self.fired.append((entry[0], entry[1]))
+            return True
+        return False
+
+    def run(self, max_events=None):
+        executed = 0
+        while (max_events is None or executed < max_events) and self.step():
+            executed += 1
+        return executed
 
     def run_until(self, time):
-        while self.pending and self.pending[0][0] <= time:
-            self._fire_next()
+        executed = 0
+        while True:
+            while self.pending and self.pending[0][3]:
+                heapq.heappop(self.pending)
+            if not self.pending or self.pending[0][0] > time:
+                break
+            self.step()
+            executed += 1
         self.now = max(self.now, time)
+        return executed
+
+    def cancel_port(self, port):
+        removed = sorted(entry[1] for entry in self.pending
+                         if entry[2] == port and not entry[3])
+        self.pending = [entry for entry in self.pending if entry[2] != port]
+        heapq.heapify(self.pending)
+        return removed
 
     def runnable(self):
         return sum(1 for entry in self.pending if not entry[3])
 
 
+_DELAYS = st.floats(0.0, 10.0, allow_nan=False)
+
 _COMMANDS = st.lists(
     st.one_of(
-        st.tuples(st.just("schedule"), st.floats(0.0, 10.0, allow_nan=False)),
-        st.tuples(st.just("push_call"), st.floats(0.0, 10.0, allow_nan=False)),
+        st.tuples(st.just("schedule"), _DELAYS),
+        st.tuples(st.just("schedule_call"), _DELAYS),
+        # Raw deliveries at varied delays take the heap; at the lane
+        # delay, the FIFO lane.
+        st.tuples(st.just("push_call"), st.tuples(_DELAYS, st.integers(0, 1))),
+        st.tuples(st.just("push_lane"), st.integers(0, 1)),
         st.tuples(st.just("cancel"), st.integers(0, 200)),
+        st.tuples(st.just("cancel_actions"), st.integers(0, 1)),
         st.tuples(st.just("run_until"), st.floats(0.0, 12.0, allow_nan=False)),
-        st.tuples(st.just("run"), st.just(0.0)),
+        st.tuples(st.just("run_bounded"), st.integers(0, 5)),
+        st.tuples(st.just("step"), st.just(0)),
+        st.tuples(st.just("run"), st.just(0)),
     ),
-    min_size=1, max_size=60,
+    min_size=1, max_size=80,
 )
 
 
 class TestEngineAgainstOracle:
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(commands=_COMMANDS)
     def test_interleaved_schedule_cancel_run(self, commands):
-        """(time, sequence) ordering, accounting and quiescence all match
-        the oracle under arbitrary interleavings."""
+        """The FIFO lane plus the heap run the same ``(time, sequence)``
+        sequence as one heap, reach the same ``now`` and give the same
+        counts, under arbitrary interleavings of every entry point."""
         engine = SimulationEngine()
+        engine.lane_delay = _LANE_DELAY
         oracle = _Oracle()
         fired = []
+        ports = [engine.open_port(lambda sequence: fired.append(
+            (engine.now, sequence))) for _ in range(2)]
         events = []  # (engine event, oracle entry) pairs, in creation order
 
-        def make_action(event_id):
-            return lambda: fired.append(event_id)
+        def make_action(sequence):
+            return lambda: fired.append((engine.now, sequence))
 
         for command, value in commands:
             if command == "schedule":
-                oracle_entry = oracle.schedule(value)
-                event = engine.schedule(value, make_action(oracle_entry[2]))
-                events.append((event, oracle_entry))
-            elif command == "push_call":
-                # Raw entries share the ordering key space with events but
-                # cannot be cancelled; fire through the same recorder.
-                oracle_entry = oracle.schedule(value)
-                engine.push_call(value, fired.append, oracle_entry[2])
-                events.append((None, oracle_entry))
+                entry = oracle.schedule(value)
+                events.append((engine.schedule(value, make_action(entry[1])),
+                               entry))
+            elif command == "schedule_call":
+                entry = oracle.schedule(value)
+                events.append((engine.schedule_call(
+                    value, lambda sequence: fired.append((engine.now, sequence)),
+                    entry[1]), entry))
+            elif command in ("push_call", "push_lane"):
+                delay, port = value if command == "push_call" else (_LANE_DELAY,
+                                                                     value)
+                entry = oracle.schedule(delay, port)
+                engine.push_call(delay, ports[port], entry[1])
             elif command == "cancel":
                 if events:
-                    event, oracle_entry = events[value % len(events)]
-                    if event is not None:
-                        event.cancel()
-                        oracle_entry[3] = True
+                    event, entry = events[value % len(events)]
+                    event.cancel()
+                    entry[3] = True
+            elif command == "cancel_actions":
+                assert sorted(engine.cancel_actions(ports[value])) == \
+                    oracle.cancel_port(value)
             elif command == "run_until":
                 target = engine.now + value
-                engine.run_until(target)
-                oracle.run_until(target)
+                assert engine.run_until(target) == oracle.run_until(target)
+            elif command == "run_bounded":
+                assert engine.run(max_events=value) == oracle.run(value)
+            elif command == "step":
+                assert engine.step() == oracle.step()
             else:
-                engine.run()
-                oracle.run()
+                assert engine.run() == oracle.run()
+            assert fired == oracle.fired
+            assert engine.now == oracle.now
+            assert engine.processed_events == len(oracle.fired)
             # Quiescence bookkeeping is exact at every step.
-            assert engine.runnable_events == _scan_runnable(engine)
+            assert engine.runnable_events == _scan_runnable(engine) \
+                == oracle.runnable()
             assert engine.quiescent == (engine.runnable_events == 0)
             assert engine.pending_events >= engine.runnable_events
 
-        engine.run()
-        oracle.run()
+        assert engine.run() == oracle.run()
         assert fired == oracle.fired
         assert engine.quiescent
-        assert engine.now == oracle.now or not oracle.fired
+        assert engine.now == oracle.now
 
     @settings(max_examples=60, deadline=None)
     @given(

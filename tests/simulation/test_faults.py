@@ -21,7 +21,7 @@ from repro.simulation.faults import (
     ProtocolCrashInjector,
     RepairProtocol,
 )
-from repro.simulation.network import Message
+from repro.simulation.network import KIND
 from repro.simulation.protocol import ProtocolSimulator
 from repro.simulation.scenario import Scenario, measure_steady_state_liveness
 from repro.utils.rng import RandomSource
@@ -74,9 +74,9 @@ class TestFaultPlane:
     def test_crashed_endpoints_drop(self):
         plane = FaultPlane(seed=1)
         plane.crash(7)
-        to_dead = plane.decide(Message(sender=1, recipient=7, kind="X"), 0.0)
-        from_dead = plane.decide(Message(sender=7, recipient=1, kind="X"), 0.0)
-        alive = plane.decide(Message(sender=1, recipient=2, kind="X"), 0.0)
+        to_dead = plane.decide(1, 7, 0.0)
+        from_dead = plane.decide(7, 1, 0.0)
+        alive = plane.decide(1, 2, 0.0)
         assert not to_dead.deliver and to_dead.reason == "crashed_recipient"
         assert not from_dead.deliver and from_dead.reason == "crashed_sender"
         assert alive.deliver
@@ -86,25 +86,24 @@ class TestFaultPlane:
     def test_partition_cuts_only_inside_window(self):
         plane = FaultPlane(seed=2)
         plane.partition([1, 2], start=10.0, end=20.0)
-        crossing = Message(sender=1, recipient=5, kind="X")
-        internal = Message(sender=1, recipient=2, kind="X")
-        assert plane.decide(crossing, 5.0).deliver          # before the window
-        assert not plane.decide(crossing, 10.0).deliver     # inside
-        assert plane.decide(internal, 15.0).deliver         # same side
-        assert plane.decide(crossing, 20.0).deliver         # half-open end
+        crossing = (1, 5)
+        internal = (1, 2)
+        assert plane.decide(*crossing, 5.0).deliver          # before the window
+        assert not plane.decide(*crossing, 10.0).deliver     # inside
+        assert plane.decide(*internal, 15.0).deliver         # same side
+        assert plane.decide(*crossing, 20.0).deliver         # half-open end
         # The expired window was pruned by the decide() above; only the
         # newly added spec is left for heal to drop.
         plane.partition([5], start=30.0, end=40.0)
         assert plane.heal_partitions() == 1
-        assert plane.decide(crossing, 15.0).deliver
+        assert plane.decide(*crossing, 15.0).deliver
 
     def test_loss_and_delay_draws(self):
         plane = FaultPlane(seed=3, loss_probability=0.5,
                            delay_probability=1.0, delay_range=(2.0, 4.0))
         delivered = dropped = 0
         for index in range(200):
-            decision = plane.decide(
-                Message(sender=0, recipient=index + 1, kind="X"), 0.0)
+            decision = plane.decide(0, index + 1, 0.0)
             if decision.deliver:
                 delivered += 1
                 assert 2.0 <= decision.extra_delay <= 4.0
@@ -136,11 +135,9 @@ class TestFaultPlane:
                 plane.crash(object_id)
             plane.partition([0, 1, 2], start=5.0, end=9.0)
             planes.append(plane)
-        messages = [Message(sender=a, recipient=b, kind="X")
-                    for a, b in endpoints]
         decisions = [
-            [plane.decide(message, float(index % 12))
-             for index, message in enumerate(messages)]
+            [plane.decide(sender, recipient, float(index % 12))
+             for index, (sender, recipient) in enumerate(endpoints)]
             for plane in planes
         ]
         assert decisions[0] == decisions[1]
@@ -186,8 +183,7 @@ class TestFaultPlane:
             return (True, "ok", 0.0)
 
         def decide(sender, recipient):
-            decision = plane.decide(
-                Message(sender=sender, recipient=recipient, kind="X"), 0.0)
+            decision = plane.decide(sender, recipient, 0.0)
             assert (decision.deliver, decision.reason,
                     decision.extra_delay) == reference(sender, recipient)
 
@@ -224,14 +220,15 @@ class TestNetworkIntegration:
     def test_lost_messages_counted_sent_but_not_delivered(self):
         simulator = build_simulator(count=60, seed=5)
         simulator.faults.set_loss(1.0)
-        before = simulator.network.snapshot_counters()
+        network = simulator.network
+        sent_before, lost_before = network.messages_sent, network.messages_lost
+        delivered_before = network.messages_delivered
         start = simulator.object_ids()[0]
         simulator.query((0.5, 0.5), start=start)
-        after = simulator.network.snapshot_counters()
-        sent = after["sent"] - before["sent"]
+        sent = network.messages_sent - sent_before
         assert sent >= 1
-        assert after["lost"] - before["lost"] == sent
-        assert after["delivered"] == before["delivered"]
+        assert network.messages_lost - lost_before == sent
+        assert network.messages_delivered == delivered_before
         simulator.faults.set_loss(0.0)
 
     def test_extra_delay_stretches_delivery(self):
@@ -356,7 +353,9 @@ class TestHeartbeatConfig:
                                                       miss_threshold=2))
             detector.run_rounds(3)
             assert not simulator.piggyback_liveness
-            counters.append(simulator.network.snapshot_counters())
+            network = simulator.network
+            counters.append((network.messages_sent, network.messages_lost,
+                             network.messages_dropped, dict(network.sent_by_kind)))
         assert counters[0] == counters[1]
 
 
@@ -404,7 +403,7 @@ class ParentProbeRule:
                         continue
                 probed.append(peer)
             if probed:
-                expected[object_id] = probed
+                expected[object_id] = tuple(probed)
         return expected
 
 
@@ -882,15 +881,14 @@ class TestPartitionEdgeCases:
         received = []
         network.register(1, lambda message: None)
         network.register(2, lambda message: received.append(
-            (engine.now, message.kind)))
+            (engine.now, message[KIND])))
         plane.partition([2], start=5.0, end=20.0)
         # Sent at t=0 (window closed), delivered at t=10 (window open):
         # the decision was taken at send time, so it goes through.
-        network.send(Message(sender=1, recipient=2, kind="EARLY"))
+        network.send(1, 2, "EARLY")
         # Sent at t=6 (window open): cut, even though its delivery at
         # t=16 would also land inside the window.
-        engine.schedule(6.0, lambda: network.send(
-            Message(sender=1, recipient=2, kind="INSIDE")))
+        engine.schedule(6.0, lambda: network.send(1, 2, "INSIDE"))
         engine.run()
         assert received == [(10.0, "EARLY")]
         assert plane.drops_by_reason == {"partition": 1}
@@ -905,17 +903,15 @@ class TestPartitionEdgeCases:
         network.faults = plane
         received = []
         network.register(1, lambda message: None)
-        network.register(2, lambda message: received.append(message.kind))
+        network.register(2, lambda message: received.append(message[KIND]))
         plane.partition([2], start=5.0, end=10.0)
         # t=5 exactly: the half-open window includes its start — cut.
-        engine.schedule(5.0, lambda: network.send(
-            Message(sender=1, recipient=2, kind="AT_START")))
+        engine.schedule(5.0, lambda: network.send(1, 2, "AT_START"))
         # t=10 exactly: the window excludes its end, but a crash lands on
         # the same boundary instant first — the fixed decision order
         # (crash before partition) must classify the drop as a crash.
         engine.schedule(10.0, lambda: plane.crash(2))
-        engine.schedule(10.0, lambda: network.send(
-            Message(sender=1, recipient=2, kind="AT_END")))
+        engine.schedule(10.0, lambda: network.send(1, 2, "AT_END"))
         engine.run()
         assert received == []
         assert plane.drops_by_reason == {"partition": 1,
@@ -941,8 +937,7 @@ class TestPartitionEdgeCases:
             if crash_on_boundary:
                 plane.crash(1)
             now = end if at_end else start
-            decisions.append(plane.decide(
-                Message(sender=1, recipient=2, kind="X"), now))
+            decisions.append(plane.decide(1, 2, now))
         assert decisions[0] == decisions[1]
         decision = decisions[0]
         if crash_on_boundary:

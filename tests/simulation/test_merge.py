@@ -21,7 +21,7 @@ from repro.simulation.faults import (FaultPlane, HeartbeatDetector,
                                      RepairProtocol)
 from repro.simulation.merge import MergeProtocol, PartitionRuntime
 from repro.simulation.scenario import run_merge_scenario
-from repro.simulation.network import ConstantLatency, Message, Network
+from repro.simulation.network import ConstantLatency, Network
 from repro.simulation.protocol import ProtocolSimulator
 from repro.core.config import VoroNetConfig
 from repro.utils.rng import RandomSource
@@ -90,11 +90,11 @@ class TestSplitSpec:
     def test_cross_side_messages_dropped_as_partition(self):
         plane = FaultPlane(seed=3)
         plane.split([[1, 2], [3, 4]], start=0.0, end=10.0)
-        crossing = Message(sender=1, recipient=3, kind="X")
-        internal = Message(sender=3, recipient=4, kind="X")
-        assert not plane.decide(crossing, 5.0).deliver
-        assert plane.decide(internal, 5.0).deliver
-        assert plane.decide(crossing, 10.0).deliver        # half-open end
+        crossing = (1, 3)
+        internal = (3, 4)
+        assert not plane.decide(*crossing, 5.0).deliver
+        assert plane.decide(*internal, 5.0).deliver
+        assert plane.decide(*crossing, 10.0).deliver        # half-open end
         assert plane.drops_by_reason["partition"] == 1
 
     def test_heal_hooks_fire_once_per_explicit_heal(self):
@@ -115,8 +115,8 @@ class TestSplitSpec:
         healed = []
         plane.on_heal(healed.append)
         plane.split([[1], [2]], start=0.0, end=10.0)
-        crossing = Message(sender=1, recipient=2, kind="X")
-        assert plane.decide(crossing, 20.0).deliver        # expired; pruned
+        crossing = (1, 2)
+        assert plane.decide(*crossing, 20.0).deliver        # expired; pruned
         assert healed == []
         assert plane.heal_partitions() == 0
 
@@ -140,7 +140,7 @@ class TestSplitInFlightSemantics:
         network.register(2, delivered.append)
         plane.split([[1], [2]], start=2.0, end=20.0)
         # Sent at t=0 (before the window), delivered at t=5 (inside it).
-        network.send(Message(sender=1, recipient=2, kind="X"))
+        network.send(1, 2, "X")
         engine.run()
         assert len(delivered) == 1
         assert network.messages_lost == 0

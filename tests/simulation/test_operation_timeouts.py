@@ -14,6 +14,7 @@ import pytest
 from repro.core import VoroNetConfig
 from repro.simulation.engine import SimulationEngine, Watchdog
 from repro.simulation.faults import FaultPlane, ProtocolCrashInjector, RepairProtocol
+from repro.simulation.network import KIND
 from repro.simulation.protocol import ProtocolSimulator, TimeoutPolicy
 from repro.utils.rng import RandomSource
 from repro.workloads.distributions import UniformDistribution
@@ -118,7 +119,7 @@ class TestAtMessage:
         seen = []
         index = simulator.network.messages_sent + 3
         simulator.network.at_message(index, lambda message: seen.append(
-            (simulator.network.messages_sent, message.kind)))
+            (simulator.network.messages_sent, message[KIND])))
         simulator.join((0.31, 0.62))
         simulator.join((0.62, 0.31))
         assert seen == [(index, seen[0][1])]
@@ -309,10 +310,9 @@ class TestIdempotency:
         node = simulator.nodes[report.object_id]
         links_before = len(node.long_links)
         sender = simulator.nodes[sorted(simulator.nodes)[0]]
-        view = {nid: simulator.kernel.point(nid)
-                for nid in simulator.kernel.neighbors(report.object_id)}
+        view = simulator.kernel_view(report.object_id)
         simulator.send(sender, report.object_id, "CREATE_OBJECT",
-                       {"voronoi": view, "version": simulator.kernel.version})
+                       (view, simulator.kernel.version, False))
         simulator.engine.run_until_quiescent()
         assert len(simulator.nodes[report.object_id].long_links) == links_before
         assert simulator.pending_operations() == []

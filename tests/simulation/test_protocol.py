@@ -1,7 +1,11 @@
 """Unit and integration tests for the message-level VoroNet protocol."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import VoroNetConfig
 from repro.geometry.point import distance
@@ -21,12 +25,9 @@ def simulator(numpy_rng):
 
 class TestMessageDispatch:
     def test_unknown_message_kind_raises(self, simulator):
-        from repro.simulation.network import Message
-
         node = simulator.node(simulator.object_ids()[0])
         with pytest.raises(ValueError, match="unknown message kind"):
-            node.handle(Message(sender=1, recipient=node.object_id,
-                                kind="NO_SUCH_KIND"))
+            node.handle((1, node.object_id, "NO_SUCH_KIND", ()))
 
     def test_dispatch_table_resolves_kinds_once(self, simulator):
         from repro.simulation.protocol import ProtocolNode
@@ -78,9 +79,11 @@ class TestJoins:
             return value
 
         def spy_send(sender, recipient, kind, payload):
-            if kind == "ADD_OBJECT" and payload["hops"] == 0:
-                assert next(reversed(sim.nodes)) == payload["new_id"]
-                introducers.append(recipient)
+            if kind == "ADD_OBJECT":
+                _position, new_id, _bulk, hops = payload
+                if hops == 0:
+                    assert next(reversed(sim.nodes)) == new_id
+                    introducers.append(recipient)
             send(sender, recipient, kind, payload)
 
         monkeypatch.setattr(RandomSource, "integer", spy_integer)
@@ -98,6 +101,38 @@ class TestJoins:
             assert (low, high) == (0, len(others))
             expected.append(others[index])
         assert introducers == expected and len(expected) == 200
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(["join", "leave", "crash", "bulk",
+                                               "duplicate"]),
+                              st.integers(min_value=0, max_value=10**6)),
+                    min_size=1, max_size=30))
+    def test_the_kth_member_is_the_kth_key_of_the_node_table(self, operations):
+        """The introducer index answers what walking ``nodes`` did —
+        ``next(islice(nodes, k, None))`` for every k — through joins,
+        refused joins, leaves, crashes and bulk joins."""
+        from repro.simulation.faults import ProtocolCrashInjector
+
+        sim = ProtocolSimulator(VoroNetConfig(n_max=64, seed=13), seed=13)
+        injector = ProtocolCrashInjector(sim, RandomSource(13))
+        rng = np.random.default_rng(13)
+        for kind, token in operations:
+            ids = sim.object_ids()
+            if kind == "join" or (kind == "duplicate" and not ids):
+                sim.join(tuple(rng.random(2)))
+            elif kind == "duplicate":
+                sim.join(sim.nodes[ids[token % len(ids)]].position)  # refused
+            elif kind == "bulk":
+                sim.bulk_join([tuple(p) for p in rng.random((1 + token % 5, 2))])
+            elif len(ids) > 1:
+                victim = ids[token % len(ids)]
+                if kind == "leave":
+                    sim.leave(victim)
+                else:
+                    injector.crash(victim)
+            nodes = sim.nodes
+            assert [sim._member_order.kth(k) for k in range(len(nodes))] == \
+                [next(itertools.islice(nodes, k, None)) for k in range(len(nodes))]
 
     def test_every_object_has_configured_long_links(self, simulator):
         for oid in simulator.object_ids():

@@ -6,7 +6,7 @@ every stochastic component can say which stream it draws from.
 
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.faults import FaultPlane
-from repro.simulation.network import (ConstantLatency, Message, Network,
+from repro.simulation.network import (ConstantLatency, Network,
                                       UniformLatency)
 from repro.utils.rng import RandomSource
 
@@ -94,8 +94,7 @@ def _delivery_times(seed: int, n: int = 50):
     times = []
     network.register(1, lambda message: times.append(engine.now))
     for index in range(n):
-        network.send(Message(sender=0, recipient=1, kind="PING",
-                             payload={"index": index}))
+        network.send(0, 1, "PING", (index,))
     engine.run()
     return times
 
@@ -111,7 +110,7 @@ def test_different_seed_different_latency_schedule():
 def test_same_seed_same_fault_decisions():
     def decisions(seed):
         plane = FaultPlane(seed=seed, loss_probability=0.5)
-        return [plane.decide(Message(0, 1, "PING"), now=float(index)).deliver
+        return [plane.decide(0, 1, now=float(index)).deliver
                 for index in range(100)]
 
     assert decisions(9) == decisions(9)
