@@ -121,9 +121,8 @@ def format_protocol_churn(record: dict) -> str:
         text += (
             f"; steady-state liveness over {steady['rounds']:.0f} rounds "
             f"(+{steady['queries_per_round']:.0f} queries/round): "
-            f"{steady['full_probe_messages']:.0f} full-probe → "
-            f"{steady['piggyback_messages']:.0f} piggyback+sampled msgs "
-            f"({steady['reduction']:.1f}× fewer)"
+            f"{steady['liveness_messages']:.0f} PING+PONG, "
+            f"{steady['messages_per_member_round']:.3f} per member-round"
         )
     return text
 

@@ -58,7 +58,9 @@ Jepsen-style harness: ``run_trace`` arms a ``Scenario`` to crash victims
 at exact global message indices — multi-crash sequences and partition windows
 armed the same way — and asserts convergence back to clean views, with
 every failure replayable from its serialized ``FuzzTrace`` (see
-``TESTING.md``).
+``TESTING.md``).  Its names are imported from the module, not from this
+package: re-exporting them would execute the module once more under
+``python -m repro.simulation.fuzz``.
 
 Partitions and merge
 --------------------
@@ -100,15 +102,6 @@ from repro.simulation.faults import (
     RepairProtocol,
     RepairReport,
     SplitSpec,
-)
-from repro.simulation.fuzz import (
-    CrashEvent,
-    FuzzOutcome,
-    FuzzSweepReport,
-    FuzzTrace,
-    PartitionEvent,
-    run_sweep,
-    run_trace,
 )
 from repro.simulation.merge import (
     HealSummary,
@@ -166,13 +159,6 @@ __all__ = [
     "LeaveReport",
     "QueryReport",
     "TimeoutPolicy",
-    "CrashEvent",
-    "FuzzOutcome",
-    "FuzzSweepReport",
-    "FuzzTrace",
-    "PartitionEvent",
-    "run_sweep",
-    "run_trace",
     "Scenario",
     "HealOutcome",
     "measure_steady_state_liveness",

@@ -30,15 +30,14 @@ Four pieces compose the subsystem:
   endpoints and back-link sources).  A peer missing ``miss_threshold``
   consecutive rounds lands on the prober's local suspect list; a live
   suspect that later answers a probe is exonerated by the ``PONG``
-  handler, so lost heartbeats self-correct.  :class:`HeartbeatConfig`
-  optionally piggy-backs freshness on ordinary protocol traffic (any
-  delivered message exonerates its sender, recently heard peers are not
-  probed, crossed probes suppress the redundant ``PONG``) and probes
-  long-link/back-link edges on a deterministic sampling stride instead of
-  every round — an order-of-magnitude cheaper steady state for a bounded
-  increase in detection latency; with the defaults every reference is
-  probed every round.  Who a node probes is a function of its view, so a
-  round iterates each node's :meth:`ProtocolNode.probe_plan
+  handler, so lost heartbeats self-correct.  Freshness is piggy-backed on
+  ordinary protocol traffic (any delivered message exonerates its sender,
+  recently heard peers are not probed, crossed probes suppress the
+  redundant ``PONG``) and long-link/back-link edges are probed on a
+  deterministic sampling stride instead of every round — the one liveness
+  policy, its detection latency bounded (:class:`HeartbeatConfig`).  Who
+  a node probes is a function of its view, so a round iterates each
+  node's :meth:`ProtocolNode.probe_plan
   <repro.simulation.protocol.ProtocolNode.probe_plan>`, cached against
   ``view_epoch``, instead of rebuilding the sets.
 * :class:`RepairProtocol` — the crash-mode extension of the Section 3.3
@@ -80,7 +79,7 @@ accounting; the ``ablation_churn_protocol`` experiment and the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.simulation.failures import CrashDamageReport, crash_damage_report
@@ -494,15 +493,30 @@ class ProtocolCrashInjector:  # simlint: ignore[SIM003] — one per experiment, 
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class HeartbeatConfig:
-    """Parameters of the liveness subsystem.
+    """Parameters of the liveness policy — piggy-backed, sampled probing.
 
-    With the defaults every node probes its full reference set every round
-    (the parity suite pins the emitted messages); the switches below trade
-    detection latency for steady-state cost.  None of them is read per
-    node: what depends on a node's view (its reference set in probing
-    order, and which of it is ``sample_fraction``'s long/back part) is its
-    probe plan, cached per view epoch; what depends on the round (stride,
-    freshness, pending suspicion) is tested per edge as the plan is walked.
+    There is one policy.  Freshness rides on ordinary protocol traffic:
+    every delivered message counts as proof of life for its sender (and
+    exonerates a suspected one), peers heard from within the last
+    ``miss_threshold`` rounds are not probed at all — evidence that recent
+    cannot support a suspicion anyway — and a ``PONG`` is suppressed when
+    the recipient's own ``PING`` of the same round is already in flight to
+    the sender (crossed probes prove liveness both ways).  On an idle
+    overlay probing therefore alternates instead of firing every round; on
+    a busy one, edges carrying traffic are never probed.  Long-link and
+    back-link edges are probed on a stride (``sample_fraction``).
+
+    Detection latency is bounded: no peer is suspected before
+    ``miss_threshold`` rounds, and every stale reference to a crashed peer
+    is suspected within ``2 · miss_threshold + sample_period + 2`` rounds
+    — the freshness window doubles the threshold and the stride adds one
+    period.
+
+    None of the parameters is read per node: what depends on a node's view
+    (its reference set in probing order, and which of it is
+    ``sample_fraction``'s long/back part) is its probe plan, cached per
+    view epoch; what depends on the round (stride, freshness, pending
+    suspicion) is tested per edge as the plan is walked.
 
     Attributes
     ----------
@@ -511,35 +525,28 @@ class HeartbeatConfig:
         round" for bookkeeping.
     miss_threshold:
         Consecutive unanswered rounds before a peer is suspected.
-    piggyback:
-        Piggy-back freshness on ordinary protocol traffic: every delivered
-        message counts as proof of life for its sender (and exonerates a
-        suspected one), peers heard from within the last ``miss_threshold``
-        rounds are not probed at all — evidence that recent cannot support
-        a suspicion anyway — and a ``PONG`` is suppressed when the
-        recipient's own ``PING`` of the same round is already in flight to
-        the sender (crossed probes prove liveness both ways).  On an idle
-        overlay probing therefore alternates instead of firing every
-        round; on a busy one, edges carrying traffic are never probed.
-        Worst-case detection latency grows by the freshness window:
-        ``2 · miss_threshold`` rounds instead of ``miss_threshold``.
     sample_fraction:
         Fraction of *long-link/back-link* edges probed per round (Voronoi
         and close neighbours — the structural core — are always probed).
         Sampled edges are probed on a deterministic per-edge stride of
         period ``round(1 / sample_fraction)``, so every edge is covered
-        once per period and worst-case detection latency for a dangling
-        long link grows by one period.  A peer with a missed heartbeat or
-        on the suspect list is always probed, so suspicion in progress
-        resolves at full speed.
+        once per period.  A peer with a missed heartbeat or on the suspect
+        list is always probed, so suspicion in progress resolves at full
+        speed.
+    piggyback:
+        Init-only and ``True`` only: ``perf/systems.py`` still names the
+        policy it times.
     """
 
     interval: float = 8.0
     miss_threshold: int = 2
-    piggyback: bool = False
-    sample_fraction: float = 1.0
+    sample_fraction: float = 0.25
+    piggyback: InitVar[bool] = True
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, piggyback: bool) -> None:
+        if not piggyback:
+            raise ValueError("piggy-backed, sampled probing is the only "
+                             "liveness policy; piggyback must be True")
         if self.interval <= 0:
             raise ValueError(f"interval must be positive, got {self.interval}")
         if self.miss_threshold < 1:
@@ -558,14 +565,18 @@ class HeartbeatConfig:
 class HeartbeatDetector:  # simlint: ignore[SIM003] — one per experiment, not per message
     """Periodic ``PING``/``PONG`` probing with per-node suspect lists.
 
-    In the default full-probe configuration every live node probes its
-    full reference set (:meth:`ProtocolNode.monitored_peers
-    <repro.simulation.protocol.ProtocolNode.monitored_peers>`) each round;
+    Each round every live node probes the part of its reference set
+    (:meth:`ProtocolNode.monitored_peers
+    <repro.simulation.protocol.ProtocolNode.monitored_peers>`) that is
+    neither fresh nor off its sampling stride (:class:`HeartbeatConfig`);
     a peer that misses ``miss_threshold`` consecutive rounds is added to
-    the prober's local suspect list.  A :class:`HeartbeatConfig` with
-    ``piggyback`` and/or ``sample_fraction`` set trades bounded extra
-    detection latency for an order-of-magnitude cheaper steady state (see
-    the config docstring).
+    the prober's local suspect list.  Attaching a detector turns on the
+    simulator's ``detector_attached`` switch for good: from then on every
+    delivery stamps a contact at its recipient, which is what freshness
+    reads.  Rounds are numbered by the simulator's ``heartbeat_round``
+    counter, shared by every detector on it, so a ``PING`` stamp left by
+    one detector can never suppress a ``PONG`` owed to another; the
+    stride and the freshness window count this detector's own rounds.
 
     A round walks each node's :meth:`ProtocolNode.probe_plan
     <repro.simulation.protocol.ProtocolNode.probe_plan>` — the sorted
@@ -601,15 +612,19 @@ class HeartbeatDetector:  # simlint: ignore[SIM003] — one per experiment, not 
         self.interval = config.interval
         self.miss_threshold = config.miss_threshold
         self.rounds_run = 0
+        #: This detector's rounds so far (stride and freshness age on it),
+        #: and the simulator-wide number of its current round (the PING
+        #: payload, and what the PONG carries back).
         self._round = 0
+        self._stamp = 0
         #: Probes of the round in flight: prober → peers in send order.
         self._outstanding: Dict[int, Tuple[int, ...]] = {}
         self._scheduled: List = []
         #: Virtual start times of the last two rounds ([-1] is the current
         #: round's; the sweep treats contact during the round as an answer).
         self._round_starts: List[float] = []
-        #: Piggyback bookkeeping: per prober, the round at which each of
-        #: its edges was last observed fresh.  Freshness is aged in
+        #: Per prober, the round at which each of its edges was last
+        #: observed fresh.  Freshness is aged in
         #: *rounds*, not virtual time — synchronous rounds on an idle
         #: overlay do not advance the clock, so a time-based window would
         #: freeze and a crash on a quiet overlay would never be probed
@@ -618,26 +633,19 @@ class HeartbeatDetector:  # simlint: ignore[SIM003] — one per experiment, not 
         #: prober keeps its per-peer entries, so an edge that disappears
         #: and returns inside the freshness window is still fresh.
         self._fresh_round: Dict[int, Dict[int, int]] = {}
-        self._era: Optional[int] = None
-        if config.piggyback:
-            # Stays on for the simulator's lifetime (the measurement
-            # harness restores it explicitly); the era keeps this
-            # detector's probe bookkeeping from ever being confused with
-            # an earlier detector's.
-            simulator.piggyback_liveness = True
-            simulator.liveness_eras += 1
-            self._era = simulator.liveness_eras
+        simulator.detector_attached = True
 
     # ------------------------------------------------------------------
     def _send_pings(self) -> int:
         simulator = self.simulator
         config = self.config
         self._round += 1
+        simulator.heartbeat_round += 1
+        stamp = self._stamp = simulator.heartbeat_round
         self._round_starts.append(simulator.engine.now)
         del self._round_starts[:-2]
         outstanding = self._outstanding = {}
         pings = 0
-        piggyback = config.piggyback
         period = config.sample_period
         current_round = self._round
         # Contact strictly after the previous round began re-marks an edge
@@ -653,8 +661,7 @@ class HeartbeatDetector:  # simlint: ignore[SIM003] — one per experiment, not 
                          if prober not in nodes]:
             del fresh_rounds[departed]
         # One payload serves the whole round.
-        era = self._era
-        payload = (current_round, era)
+        payload = (stamp,)
         send = simulator.send
         phase_b = self._PHASE_B
         sampling = period > 1
@@ -672,9 +679,8 @@ class HeartbeatDetector:  # simlint: ignore[SIM003] — one per experiment, not 
             # is probed every round; most probers have none to look up.
             pending = suspects or missed
             last_contact = node.last_contact
-            # This detector's probe stamps at the node (the PING handler
-            # reads them, ``ProtocolNode.last_ping_round``).
-            pinged = node.last_ping_round.get(era) if piggyback else None
+            # The node's probe stamps (the PING handler reads them).
+            pinged = node.last_ping_round
             fresh = fresh_rounds.get(object_id)
             # The stride test below is ``(round + phase(edge)) % period``,
             # with the prober's half of the phase folded in once.
@@ -682,26 +688,22 @@ class HeartbeatDetector:  # simlint: ignore[SIM003] — one per experiment, not 
             probed: List[int] = []
             for peer in peers:
                 if not pending or (peer not in suspects and not missed.get(peer, 0)):
-                    if piggyback:
-                        if last_contact.get(peer, never) > previous_start:
-                            # Heard since last round began: fresh now, and
-                            # for the next miss_threshold rounds.
-                            if fresh is None:
-                                fresh = fresh_rounds[object_id] = {}
-                            fresh[peer] = current_round
-                            continue
-                        if fresh is not None and fresh.get(peer, never) > fresh_after:
-                            continue  # within the freshness window
+                    if last_contact.get(peer, never) > previous_start:
+                        # Heard since last round began: fresh now, and
+                        # for the next miss_threshold rounds.
+                        if fresh is None:
+                            fresh = fresh_rounds[object_id] = {}
+                        fresh[peer] = current_round
+                        continue
+                    if fresh is not None and fresh.get(peer, never) > fresh_after:
+                        continue  # within the freshness window
                     # A sampled long/back edge probes on its own stride:
                     # the round its deterministic phase comes up.
                     if (sampling and peer in sampled
                             and (stride_base + peer * phase_b) % period):
                         continue  # off-stride round
                 probed.append(peer)
-                if piggyback:
-                    if pinged is None:
-                        pinged = node.last_ping_round[era] = {}
-                    pinged[peer] = current_round
+                pinged[peer] = stamp
                 send(node, peer, "PING", payload)
             if probed:
                 outstanding[object_id] = (peers if len(probed) == len(peers)
@@ -712,8 +714,7 @@ class HeartbeatDetector:  # simlint: ignore[SIM003] — one per experiment, not 
     def _sweep(self) -> List[Tuple[int, int]]:
         """Settle the previous round; returns newly created (prober, suspect)."""
         simulator = self.simulator
-        piggyback = self.config.piggyback
-        current_round = self._round
+        stamp = self._stamp
         round_started = self._round_starts[-1] if self._round_starts else -math.inf
         new_suspects: List[Tuple[int, int]] = []
         for object_id, peers in self._outstanding.items():
@@ -723,10 +724,9 @@ class HeartbeatDetector:  # simlint: ignore[SIM003] — one per experiment, not 
             last_heard = node.last_heard
             last_contact = node.last_contact
             for peer in peers:  # in send order, which is id order
-                if last_heard.get(peer) == current_round:
+                if last_heard.get(peer) == stamp:
                     continue
-                if (piggyback
-                        and last_contact.get(peer, -math.inf) >= round_started):
+                if last_contact.get(peer, -math.inf) >= round_started:
                     continue  # any message during the round is an answer
                 misses = node.missed_heartbeats.get(peer, 0) + 1
                 node.missed_heartbeats[peer] = misses
@@ -805,9 +805,9 @@ class HeartbeatDetector:  # simlint: ignore[SIM003] — one per experiment, not 
 # ----------------------------------------------------------------------
 # the repair protocol
 # ----------------------------------------------------------------------
-#: A repair-phase probe's ``PING`` payload: round 0 and no detector era, so
-#: a crossed piggy-backed probe never suppresses its ``PONG``.
-_REPAIR_PING = (0, None)
+#: A repair-phase probe's ``PING`` payload: round 0, which no detector
+#: round stamps, so a crossed probe never suppresses its ``PONG``.
+_REPAIR_PING = (0,)
 
 
 @dataclass(frozen=True)

@@ -76,8 +76,8 @@ kind                       payload
 ``LONG_LINK_RETARGET``     ``(link_index, neighbor, neighbor_position)``
 ``BACKLINK_TRANSFER``      ``(source, link_index, target)``
 ``BACKLINK_REMOVE``        ``(source, link_index)``
-``PING``                   ``(round, era)``; ``era`` is ``None`` unless a
-                           piggy-backing detector sent it
+``PING``                   ``(round,)``, the simulator-wide heartbeat round
+                           (``0`` for a repair-phase probe)
 ``PONG``                   ``(round,)``
 ``SUSPECT_NOTIFY``         ``(accused,)``, a frozenset
 ``QUERY``                  ``(target, requester, query_id, path, hops)``;
@@ -325,18 +325,15 @@ class ProtocolNode:
     last_heard: Dict[int, int] = field(default_factory=dict)
     missed_heartbeats: Dict[int, int] = field(default_factory=dict)
     suspects: Set[int] = field(default_factory=set)
-    #: Piggy-backed liveness (``HeartbeatConfig.piggyback``): virtual time
-    #: this node last received *any* message from a peer, and per detector
-    #: era the round in which this node last pinged each peer (the era
-    #: scopes entries to one detector, so bookkeeping left by a retired
-    #: detector can never suppress answers to a new one).  Every value is
-    #: a number, so the collector untracks these maps for good.
-    #: Maintained only while the simulator's ``piggyback_liveness`` switch
-    #: is on; like the detector bookkeeping above, not part of the
-    #: routing view.
+    #: Piggy-backed liveness: virtual time this node last received *any*
+    #: message from a peer (stamped only while the simulator's
+    #: ``detector_attached`` switch is on), and the simulator-wide
+    #: heartbeat round in which this node last pinged each peer.  Every
+    #: key and value is a number, so the collector untracks these maps for
+    #: good; like the detector bookkeeping above, not part of the routing
+    #: view.
     last_contact: Dict[int, float] = field(default_factory=dict)
-    last_ping_round: Dict[int, Dict[int, int]] = field(
-        default_factory=dict)
+    last_ping_round: Dict[int, int] = field(default_factory=dict)
     #: Peers exonerated after being suspected (their PONG refuted the
     #: suspicion).  Suspicion scrubbed their close entry destructively, so
     #: the repair protocol's close re-discovery must revisit this node
@@ -648,7 +645,7 @@ class ProtocolNode:
         called with the sender and the payload."""
         sender, _recipient, kind, payload = message
         simulator = self.simulator
-        if simulator.piggyback_liveness and sender != self.object_id:
+        if simulator.detector_attached and sender != self.object_id:
             # Any delivered message is proof of life: record the contact
             # and exonerate a suspected sender (the generalisation of the
             # PONG handler's exoneration to all protocol traffic).
@@ -894,17 +891,13 @@ class ProtocolNode:
     # gossip, and view scrubbing.  Every view-mutating one bumps the view
     # epoch, per the routing-cache contract.
     def _on_ping(self, sender: int, payload: tuple) -> None:
-        round_number, era = payload
-        pinged = (self.last_ping_round.get(era)
-                  if self.simulator.piggyback_liveness else None)
-        if pinged is not None and pinged.get(sender) == round_number:
-            # Crossed probes: our own PING of the same round *of the same
-            # detector* (the era disambiguates detectors, so a stale
-            # entry from an earlier detector can never suppress answers
-            # to a new one) is already in flight to the sender, and with
-            # piggy-backed liveness its delivery is proof of life — the
-            # PONG would be redundant.  (Full-probe and repair-phase
-            # probes carry no era, which never matches.)
+        (round_number,) = payload
+        if self.last_ping_round.get(sender) == round_number:
+            # Crossed probes: our own PING of the same round is already in
+            # flight to the sender, and its delivery is proof of life — the
+            # PONG would be redundant.  Rounds are numbered simulator-wide,
+            # so a stamp left by another detector never matches, and a
+            # repair-phase probe (round 0) never does either.
             return
         self.simulator.send(self, sender, "PONG", (round_number,))
 
@@ -1103,14 +1096,14 @@ class ProtocolSimulator:  # simlint: ignore[SIM003] — one per experiment, not 
         # stream (unless the caller supplied their own rng), so latency
         # draws are reproducible end-to-end from the simulator seed.
         self.network.latency.bind_rng(self.rng.fork())
-        #: Piggy-backed liveness switch (set by a HeartbeatDetector whose
-        #: config enables it): every delivered message then records a
-        #: last-contact timestamp and exonerates a suspected sender.
-        self.piggyback_liveness = False
-        #: Serial of piggyback-mode detectors attached so far; each gets a
-        #: distinct era stamped into its probes, so bookkeeping left by a
-        #: retired detector can never be mistaken for the current one's.
-        self.liveness_eras = 0
+        #: Set for good by the first HeartbeatDetector attached: every
+        #: delivered message then records a last-contact timestamp and
+        #: exonerates a suspected sender.  Runs with no detector pay for
+        #: neither.
+        self.detector_attached = False
+        #: Heartbeat rounds sent so far by every detector on this simulator;
+        #: a round's number is its ``PING`` payload.
+        self.heartbeat_round = 0
         self.kernel = DelaunayTriangulation()
         self.locate = LocateGrid()
         self.nodes: Dict[int, ProtocolNode] = {}

@@ -41,8 +41,7 @@ from repro.geometry.delaunay import DelaunayTriangulation
 from repro.simulation.failures import (CrashDamageReport,
                                        PartitionDamageReport,
                                        assess_partition_damage)
-from repro.simulation.faults import (FaultPlane, HeartbeatConfig,
-                                     HeartbeatDetector,
+from repro.simulation.faults import (FaultPlane, HeartbeatDetector,
                                      ProtocolCrashInjector, RepairProtocol,
                                      RepairReport, SplitSpec)
 from repro.simulation.merge import MergeProtocol, MergeReport, PartitionRuntime
@@ -65,10 +64,6 @@ __all__ = [
 #: Below this population neither churn leaves nor trace-armed crashes
 #: remove anyone: an overlay that small cannot be repaired around.
 MIN_POPULATION = 6
-
-#: Long-link/back-link sampling of the piggy-backed phase of
-#: :func:`measure_steady_state_liveness`.
-_LIVENESS_SAMPLE_FRACTION = 0.25
 
 #: Repair-round budget of each side's scoped repair while split.
 _SIDE_REPAIR_ROUNDS = 6
@@ -111,7 +106,6 @@ class Scenario:  # simlint: ignore[SIM003] — one per experiment, not per messa
     """
 
     def __init__(self, *, num_objects: int, seed: int, churn_events: int = 0,
-                 heartbeat: Optional[HeartbeatConfig] = None,
                  events: Sequence = (),
                  trace: Optional[TraceRecorder] = None) -> None:
         if num_objects < 4:
@@ -126,7 +120,7 @@ class Scenario:  # simlint: ignore[SIM003] — one per experiment, not per messa
                                            faults=self.faults, trace=trace)
         self.injector = ProtocolCrashInjector(self.simulator,
                                               rng=RandomSource(seed + 2))
-        self.detector = HeartbeatDetector(self.simulator, config=heartbeat)
+        self.detector = HeartbeatDetector(self.simulator)
         self.repairer = RepairProtocol(self.simulator, detector=self.detector)
         #: Name of the stage running now, and the global message count at
         #: which each stage began (trace events record where they fired;
@@ -291,64 +285,43 @@ def measure_steady_state_liveness(simulator: ProtocolSimulator, *,
                                   rounds: int = 4,
                                   queries_per_round: int = 25,
                                   ) -> Dict[str, float]:
-    """Liveness message cost over a healthy overlay, both ways.
+    """Liveness message cost over a healthy overlay.
 
-    Runs ``rounds`` synchronous heartbeat rounds twice over the current
-    (healthy, loss-free) population — once with the full-probe default
-    and once with piggy-backed freshness plus long-link sampling —
-    interleaving ``queries_per_round`` routed point queries per round as
-    the "ordinary protocol traffic" the piggyback mode feeds on (both
-    phases issue the same queries from the same seeded stream, so the
-    comparison is apples to apples).  Each phase is preceded by one
-    uncounted warm-up round: steady state is what's being measured, not
-    the cold start.  Returns the PING/PONG counts of both phases and
-    their ratio.
+    Runs ``rounds`` synchronous rounds of a fresh detector over the
+    current (healthy, loss-free) population, interleaving
+    ``queries_per_round`` routed point queries per round as the ordinary
+    protocol traffic freshness feeds on.  One uncounted warm-up round
+    comes first: steady state is what's being measured, not the cold
+    start.  Returns the ``PING`` + ``PONG`` count, its cost per
+    member-round, and the inverse — member-rounds per liveness message,
+    the higher-is-better form a floor can gate.
     """
     query_rng = RandomSource(simulator.config.seed + 9)
-    # One target batch per (warm-up + measured) round, shared by both
-    # phases so routed traffic is identical.
-    target_batches = [[query_rng.random_point()
-                       for _ in range(queries_per_round)]
-                      for _ in range(rounds + 1)]
-    # The measurement must not change how the experiment's own detection
-    # behaves afterwards: restore the switch the detectors below flip.
-    configured = simulator.piggyback_liveness
+    kinds = simulator.network.sent_by_kind
+    detector = HeartbeatDetector(simulator)
 
     def liveness_messages() -> int:
-        kinds = simulator.network.sent_by_kind
         return kinds.get("PING", 0) + kinds.get("PONG", 0)
 
-    def run_phase(config: HeartbeatConfig) -> int:
-        detector = HeartbeatDetector(simulator, config=config)
-        for target in target_batches[0]:  # warm-up round (uncounted)
-            simulator.query(target)
-        detector.run_round()
+    def run_round() -> int:
         before = liveness_messages()
-        for batch in target_batches[1:]:
-            for target in batch:
-                simulator.query(target)
-            detector.run_round()
-        spent = liveness_messages() - before
-        for node in simulator.nodes.values():
-            node.last_heard.clear()
-            node.missed_heartbeats.clear()
-            node.last_contact.clear()
-            node.last_ping_round.clear()
-        return spent
+        for _ in range(queries_per_round):
+            simulator.query(query_rng.random_point())
+        detector.run_round()
+        return liveness_messages() - before
 
-    full_probe = run_phase(HeartbeatConfig())
-    piggyback = run_phase(HeartbeatConfig(
-        piggyback=True, sample_fraction=_LIVENESS_SAMPLE_FRACTION))
-    simulator.piggyback_liveness = configured
+    run_round()  # warm-up (uncounted)
+    spent = sum(run_round() for _ in range(rounds))
+    member_rounds = len(simulator) * rounds
     return {
         "rounds": float(rounds),
         "queries_per_round": float(queries_per_round),
-        "sample_fraction": _LIVENESS_SAMPLE_FRACTION,
-        "full_probe_messages": float(full_probe),
-        "piggyback_messages": float(piggyback),
-        # max(1, ·): a zero-message piggyback phase (degenerate tiny
-        # overlay) must not put a non-JSON Infinity in bench records.
-        "reduction": full_probe / max(piggyback, 1),
+        "members": float(len(simulator)),
+        "liveness_messages": float(spent),
+        "messages_per_member_round": spent / member_rounds,
+        # max(1, ·): a zero-message run (degenerate tiny overlay) must
+        # not put a non-JSON Infinity in bench records.
+        "member_rounds_per_message": member_rounds / max(spent, 1),
     }
 
 

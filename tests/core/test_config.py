@@ -84,9 +84,9 @@ def test_option_budget():
         return [name for name in signature(function).parameters
                 if name != "self"]
 
-    # The staged fault-experiment pipeline (23 settable values in all).
+    # The staged fault-experiment pipeline (22 settable values in all).
     assert parameters(Scenario.__init__) == [
-        "num_objects", "seed", "churn_events", "heartbeat", "events", "trace"]
+        "num_objects", "seed", "churn_events", "events", "trace"]
     assert parameters(Scenario.build) == []
     assert parameters(Scenario.churn) == []
     assert parameters(Scenario.crash) == ["fraction"]
@@ -100,10 +100,13 @@ def test_option_budget():
     assert parameters(measure_steady_state_liveness) == [
         "simulator", "rounds", "queries_per_round"]
     assert parameters(HeartbeatDetector.__init__) == ["simulator", "config"]
-    # Two liveness policies are in use: full probe (the defaults) and
-    # piggyback + sampling (perf/systems.py).
     assert {f.name for f in fields(HeartbeatConfig)} == {
-        "interval", "miss_threshold", "piggyback", "sample_fraction"}
+        "interval", "miss_threshold", "sample_fraction"}
+    # One liveness policy: the default is what perf/systems.py passes.
+    assert HeartbeatConfig() == HeartbeatConfig(
+        interval=8.0, miss_threshold=2, piggyback=True, sample_fraction=0.25)
+    with pytest.raises(ValueError):
+        HeartbeatConfig(piggyback=False)
 
     # A split is enforced at send time and nowhere else, and a batch is
     # chunked by the module constant: neither knob had a setter in a record.

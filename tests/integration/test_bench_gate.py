@@ -57,11 +57,13 @@ GATES = (
     # Every scenario converged, every side served every stable-phase query.
     Gate("partition_merge", ("--objects", "48", "--queries-per-side", "6"),
          (("converged_fraction", 1.0), ("stable_success_rate_min", 1.0))),
-    # Piggy-backed + sampled liveness against full-probe heartbeats: 8.0x
-    # fewer messages at the canonical N=1000 and on this overlay alike.
+    # The liveness policy's absolute steady-state cost: 0.550 member-rounds
+    # per PING/PONG at the canonical N=1000 (1.82 messages per member-round),
+    # 0.577 on this overlay.  Probing every reference every round sends
+    # ~8x more and reads ~0.07.
     Gate("protocol_churn",
          ("--objects", "300", "--crash-fraction", "0.1", "--max-repair-rounds", "6"),
-         (("steady_state_liveness.reduction", 0.5),)),
+         (("steady_state_liveness.member_rounds_per_message", 0.9),)),
     Gate("serving",
          ("--objects", "2500", "--queries", "5000",
           "--protocol-objects", "200", "--protocol-queries", "600",

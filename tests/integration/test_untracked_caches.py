@@ -29,7 +29,7 @@ import numpy as np
 from repro.core import VoroNet, VoroNetConfig
 from repro.geometry.delaunay import DelaunayTriangulation
 from repro.geometry.locate_grid import VECTOR_SCAN_THRESHOLD
-from repro.simulation.faults import HeartbeatConfig, HeartbeatDetector
+from repro.simulation.faults import HeartbeatDetector
 from repro.simulation.network import KIND
 from repro.simulation.protocol import ProtocolSimulator
 
@@ -130,15 +130,14 @@ def test_protocol_routing_blocks_are_untracked():
 def test_a_heartbeat_send_phase_leaves_nothing_tracked_in_flight():
     """One sampled, piggy-backed send phase at N = 2 000, not drained: after a
     single young collection no queued PING — its lane key, its message or a
-    heap entry — is tracked, and neither are the probers' per-era stamp maps
+    heap entry — is tracked, and neither are the probers' stamp maps
     (peer → round), which the round writes to, so a send phase of 10⁵ probes
     promotes nothing into the oldest generation."""
     rng = np.random.default_rng(2003)
     simulator = ProtocolSimulator(VoroNetConfig(n_max=4000, num_long_links=1, seed=2003),
                                   seed=2003)
     simulator.bulk_join([tuple(p) for p in rng.random((2000, 2))])
-    detector = HeartbeatDetector(
-        simulator, config=HeartbeatConfig(piggyback=True, sample_fraction=0.25))
+    detector = HeartbeatDetector(simulator)
     detector.run_round()  # plans derived, stamps and freshness in place
     engine = simulator.engine
     assert engine.quiescent
@@ -148,8 +147,8 @@ def test_a_heartbeat_send_phase_leaves_nothing_tracked_in_flight():
     messages = [message for _key, message in lane] + [entry[3] for entry in entries]
     assert pings > 0 and len(messages) == pings
     assert all(message[KIND] == "PING" for message in messages)
-    stamps = [pinged for node in simulator.nodes.values()
-              for pinged in node.last_ping_round.values()]
+    stamps = [node.last_ping_round for node in simulator.nodes.values()
+              if node.last_ping_round]
     assert stamps
     gc.collect(0)
     assert not any(gc.is_tracked(key) for key, _message in lane)

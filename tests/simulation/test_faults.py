@@ -30,12 +30,11 @@ from repro.workloads.generators import generate_objects
 
 
 def run_churn_experiment(*, num_objects, seed, churn_events, crash_fraction,
-                         liveness=None, trace=None, heartbeat=None, **heal):
+                         liveness=None, trace=None, **heal):
     """The staged experiment the benchmark and ABL4 script: build, churn,
     (optionally measure steady-state liveness,) crash, heal."""
     scenario = Scenario(num_objects=num_objects, seed=seed,
-                        churn_events=churn_events, heartbeat=heartbeat,
-                        trace=trace)
+                        churn_events=churn_events, trace=trace)
     scenario.build()
     joins, leaves = scenario.churn()
     steady = (measure_steady_state_liveness(scenario.simulator, **liveness)
@@ -55,6 +54,20 @@ def build_simulator(count=150, seed=77, num_long_links=2, loss=0.0):
                                  RandomSource(seed))
     simulator.bulk_join(positions)
     return simulator
+
+
+def detection_budget(config):
+    """Rounds within which every stale reference is suspected
+    (:class:`HeartbeatConfig`'s documented bound)."""
+    return 2 * config.miss_threshold + config.sample_period + 2
+
+
+def assert_damage_suspected(simulator, victims):
+    """Every surviving reference to a victim sits on its holder's suspect list."""
+    for node in simulator.nodes.values():
+        for peer in node.monitored_peers():
+            if peer in victims:
+                assert peer in node.suspects
 
 
 # ----------------------------------------------------------------------
@@ -264,37 +277,37 @@ class TestHeartbeatDetector:
         simulator = build_simulator(count=80, seed=7)
         injector = ProtocolCrashInjector(simulator, rng=RandomSource(1))
         victims = set(injector.crash_random(8))
-        detector = HeartbeatDetector(simulator, config=HeartbeatConfig(miss_threshold=3))
-        assert detector.run_rounds(2) == []          # below the threshold
-        created = detector.run_round()               # third miss trips it
+        config = HeartbeatConfig(miss_threshold=3)
+        detector = HeartbeatDetector(simulator, config=config)
+        below = config.miss_threshold - 1
+        assert detector.run_rounds(below) == []      # below the threshold
+        created = detector.run_rounds(detection_budget(config) - below)
         assert created
         assert {suspect for _prober, suspect in created} <= victims
-        # Every surviving holder of a reference to a victim now suspects it.
-        for node in simulator.nodes.values():
-            for peer in node.monitored_peers():
-                if peer in victims:
-                    assert peer in node.suspects
+        assert_damage_suspected(simulator, victims)
 
     def test_suspicion_scrubs_back_links_and_close_locally(self):
         simulator = build_simulator(count=80, seed=8)
         injector = ProtocolCrashInjector(simulator, rng=RandomSource(2))
         victims = set(injector.crash_random(10))
-        HeartbeatDetector(simulator, config=HeartbeatConfig(miss_threshold=2)).run_rounds(2)
+        config = HeartbeatConfig()
+        HeartbeatDetector(simulator, config=config).run_rounds(detection_budget(config))
         for node in simulator.nodes.values():
             assert not victims & set(node.close)
             assert not {source for source, _ in node.back_links} & victims
 
     def test_clock_driven_partition_window(self):
-        """A partition long enough to cross the miss threshold creates
-        suspicion; once healed, probes exonerate the live suspects."""
+        """A partition outlasting the detection budget creates suspicion;
+        once healed, probes exonerate the live suspects."""
         simulator = build_simulator(count=60, seed=10)
         plane = simulator.faults
         isolated = simulator.object_ids()[:6]
-        detector = HeartbeatDetector(simulator, config=HeartbeatConfig(
-            interval=5.0, miss_threshold=2))
+        config = HeartbeatConfig(interval=5.0)
+        detector = HeartbeatDetector(simulator, config=config)
+        span = detection_budget(config) * config.interval
         start = simulator.engine.now
-        plane.partition(isolated, start=start, end=start + 18.0)
-        detector.start(duration=20.0)
+        plane.partition(isolated, start=start, end=start + 2 * span)
+        detector.start(duration=span)
         simulator.engine.run()
         detector.stop()
         suspected = {suspect for suspects in detector.suspected().values()
@@ -324,8 +337,8 @@ class TestHeartbeatConfig:
             HeartbeatConfig(sample_fraction=1.5)
 
     def test_sample_period(self):
-        assert HeartbeatConfig().sample_period == 1
-        assert HeartbeatConfig(sample_fraction=0.25).sample_period == 4
+        assert HeartbeatConfig(sample_fraction=1.0).sample_period == 1
+        assert HeartbeatConfig().sample_period == 4
         assert HeartbeatConfig(sample_fraction=0.1).sample_period == 10
 
     def test_detector_rejects_config_plus_kwargs(self):
@@ -338,25 +351,12 @@ class TestHeartbeatConfig:
         with pytest.raises(TypeError):
             HeartbeatDetector(simulator, miss_threshold=3)
 
-    def test_full_probe_config_is_byte_identical_to_kwargs(self):
-        """Parity pin: with piggyback/sampling off, a detector built from
-        an explicit config sends exactly what the default-constructed one
-        does — identical counters on twin overlays."""
-        counters = []
-        for construct in ("default", "config"):
-            simulator = build_simulator(count=80, seed=21)
-            if construct == "default":
-                detector = HeartbeatDetector(simulator)
-            else:
-                detector = HeartbeatDetector(
-                    simulator, config=HeartbeatConfig(interval=8.0,
-                                                      miss_threshold=2))
-            detector.run_rounds(3)
-            assert not simulator.piggyback_liveness
-            network = simulator.network
-            counters.append((network.messages_sent, network.messages_lost,
-                             network.messages_dropped, dict(network.sent_by_kind)))
-        assert counters[0] == counters[1]
+
+def stride_phase(detector, prober, peer):
+    """The deterministic stride phase of the sampled edge ``prober → peer``:
+    the edge is probed in the rounds ``r`` with ``(r + phase) % period == 0``."""
+    return ((prober * detector._PHASE_A + peer * detector._PHASE_B)
+            % detector.config.sample_period)
 
 
 class ParentProbeRule:
@@ -386,18 +386,16 @@ class ParentProbeRule:
             for peer in sorted(node.monitored_peers()):
                 if (peer not in node.suspects
                         and not node.missed_heartbeats.get(peer, 0)):
-                    if config.piggyback:
-                        contact = node.last_contact.get(peer)
-                        if (contact is not None and previous_start is not None
-                                and contact > previous_start):
-                            self.fresh_round[(object_id, peer)] = current_round
-                            continue
-                        fresh = self.fresh_round.get((object_id, peer))
-                        if (fresh is not None and
-                                current_round - fresh < config.miss_threshold):
-                            continue
-                    phase = (object_id * detector._PHASE_A
-                             + peer * detector._PHASE_B) % period
+                    contact = node.last_contact.get(peer)
+                    if (contact is not None and previous_start is not None
+                            and contact > previous_start):
+                        self.fresh_round[(object_id, peer)] = current_round
+                        continue
+                    fresh = self.fresh_round.get((object_id, peer))
+                    if (fresh is not None and
+                            current_round - fresh < config.miss_threshold):
+                        continue
+                    phase = stride_phase(detector, object_id, peer)
                     if (period > 1 and peer not in core
                             and (current_round + phase) % period != 0):
                         continue
@@ -440,16 +438,24 @@ class TestPiggybackLiveness:
         is in progress (a missed heartbeat, a standing suspect), which is
         probed every round until a PONG settles it."""
         rounds = probes_checked_against_parent_rule
-        # Without piggy-backing the stride is the only reason to skip.
-        config = HeartbeatConfig(piggyback=case != "off_stride",
-                                 sample_fraction=0.25)
+        config = HeartbeatConfig()
         simulator = build_simulator(count=60, seed=37)
         detector = HeartbeatDetector(simulator, config=config)
-        node, peer = next(
-            (node, node.probe_plan()[1][0])
-            for _object_id, node in sorted(simulator.nodes.items())
-            if node.probe_plan()[1])     # a long/back edge outside vn ∪ cn
         period = config.sample_period
+
+        def refreshed_by_reverse_probe(node, peer):
+            # The peer's own probe of the node lands 1..miss_threshold
+            # rounds before the edge is due, so the edge is fresh then.
+            lead = (stride_phase(detector, peer, node.object_id)
+                    - stride_phase(detector, node.object_id, peer)) % period
+            return 1 <= lead <= config.miss_threshold
+
+        # A long/back edge outside vn ∪ cn that only its stride skips.
+        node, peer = next(
+            (node, peer)
+            for _object_id, node in sorted(simulator.nodes.items())
+            for peer in node.probe_plan()[1]
+            if not refreshed_by_reverse_probe(node, peer))
 
         def probed_this_round():
             return peer in rounds[-1].get(node.object_id, ())
@@ -483,8 +489,7 @@ class TestPiggybackLiveness:
         """Freshness is kept per prober and a departed prober's map goes
         with it; a long churn run holds entries for live probers only."""
         simulator = build_simulator(count=80, seed=35)
-        detector = HeartbeatDetector(simulator, config=HeartbeatConfig(
-            piggyback=True, sample_fraction=0.25))
+        detector = HeartbeatDetector(simulator)
         injector = ProtocolCrashInjector(simulator, rng=RandomSource(4))
         rng = RandomSource(6)
         departed = set()
@@ -507,30 +512,27 @@ class TestPiggybackLiveness:
                    for peer, seen in fresh.items())
 
     def test_healthy_overlay_stays_suspectless_and_cheaper(self):
-        """Piggy-backed rounds on a healthy overlay create no suspicion and
-        probe strictly less than full-probe rounds (alternation + PONG
-        suppression + long-link sampling)."""
+        """Rounds on a healthy overlay create no suspicion and send less than
+        half of what probing every reference every round would (a PING and a
+        PONG per reference): alternation, PONG suppression and long-link
+        sampling."""
         simulator = build_simulator(count=80, seed=31)
-        full = HeartbeatDetector(simulator, config=HeartbeatConfig())
+        references = sum(len(node.monitored_peers())
+                         for node in simulator.nodes.values())
+        detector = HeartbeatDetector(simulator)
+        assert simulator.detector_attached
         before = simulator.network.messages_sent
-        assert full.run_rounds(4) == []
-        full_cost = simulator.network.messages_sent - before
-
-        simulator = build_simulator(count=80, seed=31)
-        piggy = HeartbeatDetector(simulator, config=HeartbeatConfig(
-            piggyback=True, sample_fraction=0.25))
-        assert simulator.piggyback_liveness
-        before = simulator.network.messages_sent
-        assert piggy.run_rounds(4) == []
-        piggy_cost = simulator.network.messages_sent - before
-        assert piggy_cost < full_cost / 2
-        assert piggy.suspected() == {}
+        assert detector.run_rounds(4) == []
+        cost = simulator.network.messages_sent - before
+        assert cost < 4 * references          # half of 4 · 2 · references
+        assert detector.suspected() == {}
 
     def test_ordinary_traffic_substitutes_for_probes(self):
         """A peer heard from through protocol traffic is not probed."""
         simulator = build_simulator(count=60, seed=32)
+        # Every edge due every round: only freshness skips a probe.
         detector = HeartbeatDetector(simulator, config=HeartbeatConfig(
-            piggyback=True))
+            sample_fraction=1.0))
         detector.run_round()  # seeds freshness via crossing probes
         cost_idle = simulator.network.sent_by_kind.get("PING", 0)
         rng = RandomSource(5)
@@ -540,17 +542,22 @@ class TestPiggybackLiveness:
         detector.run_round()
         assert detector.suspected() == {}
         # With traffic continuously refreshing edges, total pings stay far
-        # below two additional full-probe rounds.
+        # below two additional rounds of the first one's size.
         assert simulator.network.sent_by_kind.get("PING", 0) < 3 * cost_idle
 
-    def test_retired_piggyback_detector_cannot_poison_full_probe(self):
-        """Regression: a piggyback detector's leftover probe bookkeeping
-        (round numbers in ``last_ping_round``) must never suppress PONGs
-        answered to a *later* full-probe detector — the eras stamped into
-        piggyback probes keep the entries from matching."""
+    def test_detectors_never_suppress_each_others_pong(self):
+        """Two detectors on one simulator: a probe stamp one left at a node
+        (``last_ping_round``) never suppresses the PONG owed to the other.
+        The first probes every edge in its round 1; an interval later the
+        second's round 1 probes sampled edges whose reverse is off its
+        stride, so were rounds numbered per detector, the stale stamps
+        would match, the PONGs would be withheld and nothing else would
+        answer."""
         simulator = build_simulator(count=40, seed=36)
-        HeartbeatDetector(simulator, config=HeartbeatConfig(
-            piggyback=True)).run_rounds(2)
+        first = HeartbeatDetector(simulator, config=HeartbeatConfig(
+            sample_fraction=1.0))
+        first.run_round()
+        simulator.engine.run_until(simulator.engine.now + first.interval)
         follow_up = HeartbeatDetector(
             simulator, config=HeartbeatConfig(miss_threshold=1))
         assert follow_up.run_round() == []
@@ -563,62 +570,55 @@ class TestPiggybackLiveness:
         a time-based freshness window freezes after the first probing
         round and a later crash would never be probed again.  Idle rounds
         first, then a crash, then detection within the documented
-        2·miss_threshold + sample_period budget."""
-        config = HeartbeatConfig(piggyback=True, sample_fraction=0.25)
+        2·miss_threshold + sample_period + 2 budget."""
         simulator = build_simulator(count=60, seed=34)
-        detector = HeartbeatDetector(simulator, config=config)
+        detector = HeartbeatDetector(simulator)
         detector.run_rounds(5)  # idle: no traffic besides the probes
         assert detector.suspected() == {}
         injector = ProtocolCrashInjector(simulator, rng=RandomSource(8))
         victims = set(injector.crash_random(5))
-        budget = 2 * config.miss_threshold + config.sample_period + 2
-        detector.run_rounds(budget)
-        for node in simulator.nodes.values():
-            for peer in node.monitored_peers():
-                if peer in victims:
-                    assert peer in node.suspects
+        detector.run_rounds(detection_budget(detector.config))
+        assert_damage_suspected(simulator, victims)
 
     def test_sampled_detection_still_finds_all_damage(self):
         """Long-link/back-link edges are probed on a stride; every stale
         reference to a crashed peer must still be suspected within the
         threshold + freshness window + sampling period budget."""
-        config = HeartbeatConfig(piggyback=True, sample_fraction=0.25)
         simulator = build_simulator(count=100, seed=33, num_long_links=2)
         injector = ProtocolCrashInjector(simulator, rng=RandomSource(3))
         victims = set(injector.crash_random(10))
-        detector = HeartbeatDetector(simulator, config=config)
-        budget = (2 * config.miss_threshold + config.sample_period + 2)
-        for _ in range(budget):
-            detector.run_round()
-        for node in simulator.nodes.values():
-            for peer in node.monitored_peers():
-                if peer in victims:
-                    assert peer in node.suspects
+        detector = HeartbeatDetector(simulator)
+        detector.run_rounds(detection_budget(detector.config))
+        assert_damage_suspected(simulator, victims)
         report = RepairProtocol(simulator, detector=detector).repair()
         assert report.converged
         assert injector.assess_damage().total_stale_entries == 0
         assert simulator.verify_views() == []
 
     def test_piggyback_repair_converges_under_heavy_loss(self):
-        """The acceptance scenario: 10% crash, 30% loss, piggyback and
-        sampling on — detection and repair still converge in budget."""
+        """The acceptance scenario: 10% crash, 30% loss — piggy-backed,
+        sampled detection and repair still converge in budget."""
         _, _, _, report = run_churn_experiment(
             num_objects=200, seed=33, churn_events=16, crash_fraction=0.1,
             loss_probability=0.3,
-            heartbeat=HeartbeatConfig(piggyback=True, sample_fraction=0.25),
             max_detection_rounds=16, max_repair_rounds=32)
         assert report.converged
         assert report.verify_problems == 0
         assert report.residual_damage.total_stale_entries == 0
 
-    def test_steady_state_measurement_reports_reduction(self):
+    def test_steady_state_cost_per_member_round(self):
         _, _, steady, report = run_churn_experiment(
             num_objects=150, seed=41, churn_events=0, crash_fraction=0.1,
             liveness=dict(rounds=3, queries_per_round=15))
-        assert steady is not None
-        assert steady["full_probe_messages"] > 0
-        assert steady["piggyback_messages"] > 0
-        assert steady["reduction"] >= 3.0
+        member_rounds = steady["members"] * 3
+        assert steady["liveness_messages"] > 0
+        assert steady["messages_per_member_round"] == \
+            steady["liveness_messages"] / member_rounds
+        assert steady["member_rounds_per_message"] == \
+            member_rounds / steady["liveness_messages"]
+        # Probing every reference every round costs a PING and a PONG per
+        # reference, ~15 per member-round; the policy sends under 3.
+        assert steady["messages_per_member_round"] < 3.0
         # The measurement must not break the experiment itself.
         assert report.converged
         assert report.verify_problems == 0

@@ -10,6 +10,10 @@ any failing interleaving to a minimal one.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
@@ -17,7 +21,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant,
                                  rule)
 
-from repro.simulation.faults import HeartbeatConfig
+import repro
 from repro.simulation.fuzz import (
     MAX_DETECTION_ROUNDS,
     MAX_HEAL_CYCLES,
@@ -182,8 +186,7 @@ class TestFuzzTrace:
         until then instead of leaving at the ``miss_threshold`` minimum
         with the pre-heal damage (here: none) accounted for.
         """
-        config = HeartbeatConfig(piggyback=True, sample_fraction=0.25)
-        size = dict(num_objects=30, seed=23, churn_events=4, heartbeat=config)
+        size = dict(num_objects=30, seed=23, churn_events=4)
         baseline = Scenario(**size)
         baseline.build()
         baseline.churn()
@@ -206,7 +209,8 @@ class TestFuzzTrace:
         assert scenario.crash_phases == ["heal"]
         rounds, suspected = exits[0]
         assert suspected                   # left because the victim is suspected,
-        assert config.miss_threshold < rounds < 16   # not at the minimum or the cap
+        # not at the minimum or the cap
+        assert scenario.detector.miss_threshold < rounds < 16
         assert outcome.converged
 
     def test_trace_replay_is_deterministic(self):
@@ -310,6 +314,19 @@ TestCrashRecovery = CrashRecoveryMachine.TestCase
 # CLI
 # ----------------------------------------------------------------------
 class TestCli:
+    def test_module_executes_once(self):
+        """``python -m`` runs the module once, which runpy only does when
+        importing the package has not imported the module already (it
+        warns otherwise — an error here)."""
+        src = Path(repro.__file__).resolve().parents[1]
+        result = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning",
+             "-m", "repro.simulation.fuzz", "--seed", "1", "--schedules", "2"],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, check=False)
+        assert result.returncode == 0, result.stderr
+        assert "0 failures" in result.stdout
+
     def test_sweep_smoke_exits_zero(self, capsys):
         assert main(["--seed", "5", "--schedules", "4",
                      "--objects", "10", "--churn", "2"]) == 0

@@ -28,7 +28,9 @@ registrations and re-declares one-sided close pairs, which is meant to
 change what a heal cycle sends (6 more ``SEARCH_LONG_LINK``, 5 more
 ``BACKLINK_REMOVE``, same three rounds per cycle).  The refactor that
 preceded it — every protocol move written once — carried ``650a804f…``
-unchanged.
+unchanged.  Deleting the full-probe detector (and with it the detector
+eras in ``PING``) left ``75b51e6b…`` as it was: this workload already ran
+the one policy left.
 """
 
 import hashlib
@@ -54,9 +56,8 @@ SEED = 4242
 CYCLES = 3
 CRASHES_PER_CYCLE = 10
 DETECTION_ROUNDS = 4
-#: ``perf/systems.py``'s detector: sampled long/back edges, piggy-backed.
-HEARTBEAT = HeartbeatConfig(interval=8.0, miss_threshold=2, piggyback=True,
-                            sample_fraction=0.25)
+#: ``perf/systems.py``'s detector, the one liveness policy.
+HEARTBEAT = HeartbeatConfig(interval=8.0, miss_threshold=2, sample_fraction=0.25)
 
 PARENT_DIGEST = "75b51e6be8c58fb0312e6667a16888415a535c430860988c7c6abecf4c2a60f7"
 
