@@ -16,19 +16,37 @@ is the classic trick that makes insertion outside the hull, hull updates
 and vertex stars completely uniform — no special boundary cases in the
 combinatorial machinery.
 
-The only container is a map from every *directed* edge ``(u, v)`` to the
-apex ``w`` of the triangle ``(u, v, w)`` lying to the left of the edge.
-The neighbouring triangle across ``(u, v)`` is the one stored under the
-reverse edge ``(v, u)``.
+Triangles live in flat *slots*.  Triangle ``t`` owns slots ``3t`` to
+``3t + 2`` of two lists of ints.  The vertex list holds its three vertices,
+counter-clockwise.  The neighbour list holds, at slot ``3t + i``, the
+triangle across the edge that runs from the vertex at slot ``3t + i`` to the
+next one.  Everywhere, a triangle is named by its first slot, ``3t``.  The
+slots of the triangles a mutation takes away go on a free list, and the
+next triangles it makes take them, so the lists grow only to the largest
+triangulation held; a slot left free holds ``_FREE``.
+
+Each vertex keeps one *corner*: its slot in the triangle last written with
+it.  :meth:`~DelaunayTriangulation.star_ring` starts there, at the next
+vertex of that triangle, and turns counter-clockwise across the neighbour
+slots.  The corners are a list indexed by vertex id; the infinite vertex
+(``-1``) writes to its last element, which no vertex id reaches.  Every
+mutation rewrites or clears the corner of each vertex of each triangle it
+takes away, so corners are exact: one that does not hold its vertex is a
+:class:`TriangulationCorruptionError`, never a search.
+
+Beyond the registered points, this costs about 190 bytes per vertex
+(``tests/geometry/test_kernel_memory.py``, N = 2·10⁴); the map from every
+directed edge to its apex and the edge tuple per vertex that it replaced
+cost about 950.
 
 Operations
 ----------
 * **Insertion** is Bowyer–Watson: locate a seed triangle whose circumdisk
   contains the new point by a visibility walk, grow the cavity of all such
-  triangles by breadth-first search, and re-triangulate the cavity boundary
-  as a fan around the new point.  Ghost triangles use Shewchuk's rule: their
-  "circumdisk" is the open half-plane beyond their hull edge plus the open
-  edge itself.
+  triangles by depth-first search over the neighbour slots, and
+  re-triangulate the cavity boundary as a fan around the new point, in the
+  freed slots.  Ghost triangles use Shewchuk's rule: their "circumdisk" is
+  the open half-plane beyond their hull edge plus the open edge itself.
 * **Batches** — :meth:`~DelaunayTriangulation.bulk_insert`, the first
   bootstrap and :meth:`~DelaunayTriangulation.rebuild` — go through one
   loop: the points are sorted along a Morton (Z-order) curve and each
@@ -64,13 +82,12 @@ Caches
 * **A cached star is a valid star.**  A vertex's finite neighbours are
   cached as a tuple of their records, in
   :meth:`~DelaunayTriangulation.star_ring` order, and each mutation drops
-  exactly the stars it changed.  These are the vertices whose
-  ``_vertex_edge`` entry ``_add_triangle`` resets, so a walk that starts
-  over from that entry lists a star that is still cached element for
-  element:
+  exactly the stars it changed.  These are the vertices whose corner it
+  rewrites, so a walk that starts over from the corner lists a star that is
+  still cached element for element:
 
   - an insertion drops the vertices on its cavity boundary (the new vertex
-    has no entry: removing a vertex drops its entry, so a reused id has
+    has no corner: removing a vertex clears its corner, so a reused id has
     none either);
   - an interior removal drops the departing vertex and its ring;
   - the first bootstrap and every :meth:`~DelaunayTriangulation.rebuild`
@@ -98,13 +115,16 @@ Caches
   untracked is untracked by every full collection, and the next insertion
   of a fresh tuple tracks it again *in the youngest generation*, where the
   next one or two young collections walk every entry.  For this kernel's
-  maps at N = 5·10⁴ (about 600 k entries with the locate grid's) that cost
-  20–25 ms per collection, and where it fell depended on allocation
-  counts: in the first mutations after a full collection or in whatever
-  ran next.
+  maps at N = 5·10⁴ that cost 20–25 ms per collection, measured when they
+  held about 600 k entries with the locate grid's (the triangles were then
+  an edge map; after ``oracle_static``'s build and a route pass they now
+  hold about 230 k), and where it fell depended on allocation counts: in
+  the first mutations after a full collection or in whatever ran next.
   The kernel's maps and the locate grid's point map are
   :class:`TrackedDict`, which the collector never untracks, so they stay in
-  the oldest generation and only full collections walk them.
+  the oldest generation and only full collections walk them.  The slot and
+  corner lists are lists, which the collector never untracks either, and
+  they are cleared in place, never replaced.
 
 All topological decisions go through the robust predicates of
 :mod:`repro.geometry.predicates`, so the structure stays consistent under
@@ -113,7 +133,7 @@ near-degenerate inputs (the property the paper gets from Sugihara–Iri).
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -126,8 +146,15 @@ __all__ = ["DelaunayTriangulation", "DuplicatePointError", "INFINITE_VERTEX",
 #: Sentinel id of the vertex at infinity used by ghost triangles.
 INFINITE_VERTEX = -1
 
+#: What the vertex slots of a freed triangle hold (vertex ids are >= -1).
+_FREE = -2
+#: The corner of a vertex that is in no triangle.
+_NO_CORNER = -1
+#: Corner after / before corner ``i`` of a triangle, counter-clockwise.
+_NEXT = (1, 2, 0)
+_PREV = (2, 0, 1)
+
 Triangle = Tuple[int, int, int]
-DirectedEdge = Tuple[int, int]
 #: ``(id, x, y)``: the one record the kernel keeps per vertex.
 Record = Tuple[int, float, float]
 
@@ -217,8 +244,11 @@ class DelaunayTriangulation:
         self._points: Dict[int, Point] = TrackedDict()
         self._records: Dict[int, Record] = TrackedDict()
         self._coord_index: Dict[Point, int] = TrackedDict()
-        self._apex: Dict[DirectedEdge, int] = TrackedDict()
-        self._vertex_edge: Dict[int, DirectedEdge] = TrackedDict()
+        # The triangle slots and the corners (module docstring, Design).
+        self._vertices: List[int] = []
+        self._across: List[int] = []
+        self._free: List[int] = []
+        self._corners: List[int] = [_NO_CORNER]
         self._has_triangulation = False
         self._next_id = 0
         self._last_vertex: Optional[int] = None
@@ -306,51 +336,91 @@ class DelaunayTriangulation:
     # ------------------------------------------------------------------
     # triangle bookkeeping
     # ------------------------------------------------------------------
-    def _add_triangle(self, u: int, v: int, w: int) -> None:
-        self._apex[(u, v)] = w
-        self._apex[(v, w)] = u
-        self._apex[(w, u)] = v
-        self._vertex_edge[u] = (u, v)
-        self._vertex_edge[v] = (v, w)
-        self._vertex_edge[w] = (w, u)
+    def _add_triangle(self, u: int, v: int, w: int) -> int:
+        """Write the CCW triangle ``(u, v, w)`` into free or new slots.
 
-    def _remove_triangle(self, u: int, v: int, w: int) -> None:
-        del self._apex[(u, v)]
-        del self._apex[(v, w)]
-        del self._apex[(w, u)]
+        Sets the three corners, in this order, and returns the triangle's
+        first slot; the caller links its neighbour slots.
+        """
+        vertices = self._vertices
+        if self._free:
+            tri = self._free.pop()
+            vertices[tri] = u
+            vertices[tri + 1] = v
+            vertices[tri + 2] = w
+        else:
+            tri = len(vertices)
+            vertices += (u, v, w)
+            self._across.extend((_FREE, _FREE, _FREE))
+        corners = self._corners
+        corners[u] = tri
+        corners[v] = tri + 1
+        corners[w] = tri + 2
+        return tri
+
+    def _glue(self, slot: int, twin: int) -> None:
+        """Make the edges at ``slot`` and ``twin`` (reversed) neighbours."""
+        self._across[slot] = twin - twin % 3
+        self._across[twin] = slot - slot % 3
+
+    def _slot_of(self, vertex_id: int, tri: int) -> int:
+        """The slot of ``vertex_id`` in the triangle at ``tri``."""
+        vertices = self._vertices
+        if vertices[tri] == vertex_id:
+            return tri
+        return tri + 1 if vertices[tri + 1] == vertex_id else tri + 2
+
+    def _corner(self, vertex_id: int) -> int:
+        """``vertex_id``'s corner, checked against the slot it names."""
+        slot = self._corners[vertex_id]
+        if slot < 0 or self._vertices[slot] != vertex_id:
+            raise TriangulationCorruptionError(
+                f"vertex {vertex_id} has no corner in a live triangle "
+                f"(corner slot {slot})"
+            )
+        return slot
 
     def _register(self, vertex_id: int, point: Point) -> None:
-        """Create a vertex's coordinate entries and its record."""
+        """Create a vertex's coordinate entries, its record and its corner."""
         self._points[vertex_id] = point
         self._coord_index[point] = vertex_id
         self._records[vertex_id] = (vertex_id,) + point
+        corners = self._corners
+        missing = vertex_id + 2 - len(corners)
+        if missing > 0:
+            # The last element, the infinite vertex's, becomes an unset
+            # vertex corner; a new last element follows the new ids.
+            corners[-1] = _NO_CORNER
+            corners.extend([_NO_CORNER] * missing)
 
     def _unregister(self, vertex_id: int) -> None:
         """Drop everything kept for a departed vertex, its star included."""
         self._coord_index.pop(self._points.pop(vertex_id), None)
         del self._records[vertex_id]
-        self._vertex_edge.pop(vertex_id, None)
+        self._corners[vertex_id] = _NO_CORNER
         self._stars.pop(vertex_id, None)
 
     def triangles(self) -> Iterator[Triangle]:
         """Iterate over the finite triangles, each exactly once, CCW."""
-        seen: Set[Triangle] = set()
-        for (u, v), w in self._apex.items():
-            if u == INFINITE_VERTEX or v == INFINITE_VERTEX or w == INFINITE_VERTEX:
-                continue
-            tri = _normalize(u, v, w)
-            if tri not in seen:
-                seen.add(tri)
-                yield tri
+        vertices = self._vertices
+        for u, v, w in zip(vertices[::3], vertices[1::3], vertices[2::3]):
+            if u >= 0 and v >= 0 and w >= 0:
+                yield _normalize(u, v, w)
 
     def edges(self) -> Iterator[Tuple[int, int]]:
         """Iterate over finite undirected edges as ``(u, v)`` with ``u < v``."""
         if self._has_triangulation:
-            for (u, v) in self._apex:
-                if u == INFINITE_VERTEX or v == INFINITE_VERTEX:
-                    continue
-                if u < v:
+            # Each is one directed edge of a live triangle, the other way
+            # round in the triangle across it; ghosts and free slots hold
+            # negative ids.
+            vertices = self._vertices
+            for u, v, w in zip(vertices[::3], vertices[1::3], vertices[2::3]):
+                if 0 <= u < v:
                     yield (u, v)
+                if 0 <= v < w:
+                    yield (v, w)
+                if 0 <= w < u:
+                    yield (w, u)
         else:
             ids = list(self._points)
             for i, u in enumerate(ids):
@@ -400,14 +470,17 @@ class DelaunayTriangulation:
         pa, pb, pc = self._points[a], self._points[b], self._points[c]
         if orient2d(pa, pb, pc) < 0:
             b, c = c, b
-        self._apex.clear()
-        self._vertex_edge.clear()
-        self._stars.clear()
-        self._add_triangle(a, b, c)
-        # Ghost triangles: one per hull edge, keyed by the reversed edge.
-        self._add_triangle(b, a, INFINITE_VERTEX)
-        self._add_triangle(c, b, INFINITE_VERTEX)
-        self._add_triangle(a, c, INFINITE_VERTEX)
+        abc = self._add_triangle(a, b, c)
+        # Ghost triangles: one per hull edge, across the reversed edge.
+        ba = self._add_triangle(b, a, INFINITE_VERTEX)
+        cb = self._add_triangle(c, b, INFINITE_VERTEX)
+        ac = self._add_triangle(a, c, INFINITE_VERTEX)
+        self._glue(abc, ba)
+        self._glue(abc + 1, cb)
+        self._glue(abc + 2, ac)
+        self._glue(ba + 1, ac + 2)
+        self._glue(ba + 2, cb + 1)
+        self._glue(cb + 2, ac + 1)
         self._has_triangulation = True
         remaining = [vid for vid in self._points if vid not in (a, b, c)]
         self._insert_sorted(remaining, [self._points[vid] for vid in remaining], a)
@@ -578,69 +651,70 @@ class DelaunayTriangulation:
             hint = vid
         return hint
 
-    def _finite_triangle_at(self, vertex_id: int) -> Triangle:
-        """Some finite triangle incident to ``vertex_id``."""
-        edge = self._vertex_edge.get(vertex_id)
-        if edge is None or edge not in self._apex or edge[0] != vertex_id:
-            edge = self._rescan_vertex_edge(vertex_id)
-        u, v = edge
-        start = v
-        w = self._apex[(u, v)]
-        guard = 0
-        while INFINITE_VERTEX in (v, w):
-            v, w = w, self._apex[(u, w)]
-            guard += 1
-            if v == start or guard > len(self._apex):
+    def _finite_corner(self, vertex_id: int) -> int:
+        """The slot of ``vertex_id`` in some finite incident triangle.
+
+        Turns CCW from its corner past the ghost triangles.
+        """
+        vertices = self._vertices
+        slot = self._corner(vertex_id)
+        first = slot - slot % 3
+        while True:
+            i = slot % 3
+            tri = slot - i
+            if (vertices[tri + _NEXT[i]] != INFINITE_VERTEX
+                    and vertices[tri + _PREV[i]] != INFINITE_VERTEX):
+                return slot
+            tri = self._across[tri + _PREV[i]]
+            if tri == first:
                 raise TriangulationCorruptionError(
                     f"vertex {vertex_id} has no finite incident triangle"
                 )
-        return (u, v, w)
+            slot = self._slot_of(vertex_id, tri)
 
-    def _rescan_vertex_edge(self, vertex_id: int) -> DirectedEdge:
-        for edge in self._apex:
-            if edge[0] == vertex_id:
-                self._vertex_edge[vertex_id] = edge
-                return edge
-        raise TriangulationCorruptionError(
-            f"vertex {vertex_id} has no incident triangles"
-        )
+    def _walk_to_seed(self, point: Point, hint: Optional[int]) -> int:
+        """A triangle whose circumdisk contains ``point`` (visibility walk).
 
-    def _walk_to_seed(self, point: Point, hint: Optional[int]) -> Triangle:
-        """Find a triangle whose circumdisk contains ``point`` (visibility walk)."""
-        start = hint if hint is not None and hint in self._points else self._last_vertex
-        if start is None or start not in self._points:
-            start = next(iter(self._points))
-        try:
-            tri = self._finite_triangle_at(start)
-        except TriangulationCorruptionError:
-            # The hinted vertex is not (yet) part of the triangle structure,
-            # e.g. during a rebuild; start from any triangulated vertex.
-            start = next(u for (u, _v) in self._apex if u != INFINITE_VERTEX)
-            tri = self._finite_triangle_at(start)
-        max_steps = 4 * max(len(self._apex), 8)
-        for _ in range(max_steps):
-            u, v, w = tri
-            pu, pv, pw = self._points[u], self._points[v], self._points[w]
-            moved = False
-            for a, b, pa, pb in ((u, v, pu, pv), (v, w, pv, pw), (w, u, pw, pu)):
+        Returned as a slot: the triangle is read CCW from there.
+        """
+        points = self._points
+        start = hint if hint is not None and hint in points else self._last_vertex
+        if start is None or start not in points:
+            start = next(iter(points))
+        slot = self._finite_corner(start)
+        vertices = self._vertices
+        across = self._across
+        for _ in range(4 * max(len(vertices), 8)):
+            i = slot % 3
+            tri = slot - i
+            v_slot = tri + _NEXT[i]
+            w_slot = tri + _PREV[i]
+            pu = points[vertices[slot]]
+            pv = points[vertices[v_slot]]
+            pw = points[vertices[w_slot]]
+            for edge, pa, pb in ((slot, pu, pv), (v_slot, pv, pw), (w_slot, pw, pu)):
                 if orient2d(pa, pb, point) < 0:
-                    apex = self._apex[(b, a)]
-                    if apex == INFINITE_VERTEX:
+                    # Step across the edge a → b: the triangle beyond reads
+                    # (b, a, apex) from b's slot.
+                    outer = across[edge]
+                    a_slot = self._slot_of(vertices[edge], outer)
+                    slot = outer + _PREV[a_slot - outer]
+                    if vertices[outer + _NEXT[a_slot - outer]] == INFINITE_VERTEX:
                         # point lies strictly beyond the hull edge (a, b): the
                         # ghost triangle's half-plane circumdisk contains it.
-                        return (b, a, INFINITE_VERTEX)
-                    tri = (b, a, apex)
-                    moved = True
+                        return slot
                     break
-            if not moved:
-                return tri
+            else:
+                return slot
         return self._brute_force_seed(point)
 
-    def _brute_force_seed(self, point: Point) -> Triangle:
+    def _brute_force_seed(self, point: Point) -> int:
         """Fallback seed search scanning every triangle (used only on walk failure)."""
-        for (u, v), w in self._apex.items():
-            if self._in_circumdisk((u, v, w), point):
-                return (u, v, w)
+        vertices = self._vertices
+        for tri in range(0, len(vertices), 3):
+            if vertices[tri] != _FREE and self._in_circumdisk(
+                    (vertices[tri], vertices[tri + 1], vertices[tri + 2]), point):
+                return tri
         raise TriangulationCorruptionError(
             f"no triangle circumdisk contains {point!r}"
         )
@@ -667,62 +741,79 @@ class DelaunayTriangulation:
         return incircle(self._points[u], self._points[v], self._points[w], point) > 0
 
     def _insert_into_triangulation(self, vertex_id: int, hint: Optional[int]) -> None:
-        # Bowyer–Watson with the cavity tracked as a set of *directed edges*
-        # (every directed edge belongs to exactly one triangle, so edge
-        # membership is triangle membership without normalising triples) and
-        # the boundary collected during the same breadth-first growth: an
-        # edge whose outer triangle fails the circumdisk test is a boundary
-        # edge.  This runs for every insertion, sequential or bulk — it is
-        # the dominant cost of bulk construction.
+        # Bowyer–Watson over the slots: the cavity is a set of triangles
+        # (first slots), grown depth-first from the seed across the edges
+        # on the stack; an edge whose outer triangle fails the circumdisk
+        # test is a boundary edge.  This runs for every insertion,
+        # sequential or bulk — it is the dominant cost of bulk construction.
         point = self._points[vertex_id]
-        apex = self._apex
         points = self._points
-        u, v, w = self._walk_to_seed(point, hint)
-        cavity_edges: Set[DirectedEdge] = {(u, v), (v, w), (w, u)}
-        stack: List[DirectedEdge] = [(u, v), (v, w), (w, u)]
-        boundary: List[DirectedEdge] = []
+        vertices = self._vertices
+        across = self._across
+        seed = self._walk_to_seed(point, hint)
+        i = seed % 3
+        tri = seed - i
+        cavity = {tri}
+        stack = [seed, tri + _NEXT[i], tri + _PREV[i]]
+        # (a, b, outer triangle, slot of b in it) per boundary edge a → b.
+        boundary: List[Tuple[int, int, int, int]] = []
         while stack:
-            a, b = stack.pop()
-            if (b, a) in cavity_edges:
+            edge = stack.pop()
+            outer = across[edge]
+            if outer in cavity:
                 continue  # the outer triangle joined the cavity meanwhile
-            outer_apex = apex.get((b, a))
-            if outer_apex is None:
-                boundary.append((a, b))
-                continue
-            # Circumdisk test of the outer triangle (b, a, outer_apex),
+            a = vertices[edge]
+            # The outer triangle reads (b, a, apex) CCW.
+            if vertices[outer] == a:
+                k = 0
+            elif vertices[outer + 1] == a:
+                k = 1
+            else:
+                k = 2
+            b_slot = outer + _PREV[k]
+            b = vertices[b_slot]
+            apex = vertices[outer + _NEXT[k]]
+            # Circumdisk test of the outer triangle (b, a, apex),
             # inlined from _in_circumdisk for this innermost loop; the rare
             # case of an infinite *edge endpoint* (reached when the cavity
             # already contains ghost triangles) keeps using the general
             # rotation logic of _in_circumdisk.
-            if outer_apex == INFINITE_VERTEX:
+            if apex == INFINITE_VERTEX:
                 pb, pa = points[b], points[a]
                 o = orient2d(pb, pa, point)
                 in_disk = o > 0 or (
                     o == 0 and segment_contains(pb, pa, point, strict=True))
             elif a == INFINITE_VERTEX or b == INFINITE_VERTEX:
-                in_disk = self._in_circumdisk((b, a, outer_apex), point)
+                in_disk = self._in_circumdisk((b, a, apex), point)
             else:
-                in_disk = incircle(points[b], points[a], points[outer_apex],
+                in_disk = incircle(points[b], points[a], points[apex],
                                    point) > 0
             if in_disk:
-                e2 = (a, outer_apex)
-                e3 = (outer_apex, b)
-                cavity_edges.add((b, a))
-                cavity_edges.add(e2)
-                cavity_edges.add(e3)
-                stack.append(e2)
-                stack.append(e3)
+                cavity.add(outer)
+                stack.append(outer + k)            # a → apex
+                stack.append(outer + _NEXT[k])     # apex → b
             else:
-                boundary.append((a, b))
-        for edge in cavity_edges:
-            del apex[edge]
-        for a, b in boundary:
-            self._add_triangle(a, b, vertex_id)
+                boundary.append((a, b, outer, b_slot))
+        # The fan reuses the cavity's slots first.
+        self._free += cavity
+        add = self._add_triangle
+        fan = []
+        starting_at = {}
+        for a, b, outer, b_slot in boundary:
+            new = add(a, b, vertex_id)
+            across[new] = outer
+            across[b_slot] = new
+            starting_at[a] = new
+            fan.append(new)
+        for (_a, b, _outer, _b_slot), new in zip(boundary, fan):
+            after = starting_at[b]
+            across[new + 1] = after
+            across[after + 2] = new
         stars = self._stars
         if stars:
             # Every boundary vertex starts one boundary edge; these are
             # the stars the new fan changed.
-            for a, _b in boundary:
+            for a, _b, _outer, _b_slot in boundary:
                 stars.pop(a, None)
         self._version += 1
 
@@ -750,24 +841,40 @@ class DelaunayTriangulation:
         if len(self._points) <= 4:
             self._delete_and_rebuild(vertex_id)
             return
-        ring = self.star_ring(vertex_id)
+        vertices = self._vertices
+        ring_slots = self._star_slots(vertex_id)
+        ring = [vertices[slot] for slot in ring_slots]
         if INFINITE_VERTEX in ring:
             self._delete_and_rebuild(vertex_id)
             return
-        # Remove the star triangles.
-        k = len(ring)
-        for i in range(k):
-            self._remove_triangle(vertex_id, ring[i], ring[(i + 1) % k])
         new_triangles = self._triangulate_star_polygon(ring)
         if new_triangles is None:
-            # Degenerate ear-clipping failure: restore nothing locally and
-            # rebuild from scratch (correct, merely slower).
-            for i in range(k):
-                self._add_triangle(vertex_id, ring[i], ring[(i + 1) % k])
+            # Degenerate ear-clipping failure: rebuild from scratch
+            # (correct, merely slower).
             self._delete_and_rebuild(vertex_id)
             return
-        for tri in new_triangles:
-            self._add_triangle(*tri)
+        # Every edge p → q of the polygon left to fill, by the slot of q in
+        # the triangle across it: first the ring edges, with the triangles
+        # outside the star.
+        sides = {}
+        for index, slot in enumerate(ring_slots):
+            p, q = ring[index], ring[index + 1 - len(ring)]
+            sides[(p, q)] = self._slot_of(q, self._across[slot])
+        # The k - 2 ears take the star's slots; the two left over are freed.
+        # An ear's edge is glued to what lies across it, or is a diagonal:
+        # an edge of the polygon left to fill, with the ear across it.
+        free = self._free
+        free += [slot - slot % 3 for slot in ring_slots]
+        for a, b, c in new_triangles:
+            new = self._add_triangle(a, b, c)
+            for slot, p, q in ((new, a, b), (new + 1, b, c), (new + 2, c, a)):
+                twin = sides.pop((p, q), None)
+                if twin is None:
+                    sides[(q, p)] = slot
+                else:
+                    self._glue(slot, twin)
+        for tri in free[-2:]:
+            vertices[tri] = vertices[tri + 1] = vertices[tri + 2] = _FREE
         stars = self._stars
         for neighbor in ring:
             stars.pop(neighbor, None)
@@ -796,8 +903,10 @@ class DelaunayTriangulation:
         The version advances once, then once per re-inserted vertex.
         """
         self.rebuild_count += 1
-        self._apex.clear()
-        self._vertex_edge.clear()
+        self._vertices.clear()
+        self._across.clear()
+        self._free.clear()
+        self._corners[:] = [_NO_CORNER] * len(self._corners)
         self._has_triangulation = False
         self._version += 1
         self._stars.clear()
@@ -846,26 +955,42 @@ class DelaunayTriangulation:
     # ------------------------------------------------------------------
     # adjacency and location
     # ------------------------------------------------------------------
+    def _star_slots(self, vertex_id: int) -> List[int]:
+        """The slots of ``vertex_id``'s neighbours, one per incident triangle.
+
+        In :meth:`star_ring` order: the neighbour after the vertex in each
+        triangle, turning CCW from the vertex's corner.  The edge at each
+        slot is a ring edge.
+        """
+        vertices = self._vertices
+        across = self._across
+        slot = self._corner(vertex_id)
+        i = slot % 3
+        tri = first = slot - i
+        slots = [tri + _NEXT[i]]
+        limit = len(vertices)
+        while True:
+            tri = across[tri + _PREV[i]]
+            if tri == first:
+                return slots
+            if vertices[tri] == vertex_id:
+                i = 0
+            elif vertices[tri + 1] == vertex_id:
+                i = 1
+            else:
+                i = 2
+            slots.append(tri + _NEXT[i])
+            if len(slots) > limit:
+                raise TriangulationCorruptionError(
+                    f"non-closing star around vertex {vertex_id}"
+                )
+
     def star_ring(self, vertex_id: int) -> List[int]:
         """Neighbours of ``vertex_id`` in CCW order (may contain the infinite vertex)."""
         if vertex_id not in self._points:
             raise KeyError(f"unknown vertex {vertex_id}")
-        edge = self._vertex_edge.get(vertex_id)
-        if edge is None or edge not in self._apex or edge[0] != vertex_id:
-            edge = self._rescan_vertex_edge(vertex_id)
-        start = edge[1]
-        ring = [start]
-        current = self._apex[(vertex_id, start)]
-        guard = 0
-        while current != start:
-            ring.append(current)
-            current = self._apex[(vertex_id, current)]
-            guard += 1
-            if guard > len(self._apex):
-                raise TriangulationCorruptionError(
-                    f"non-closing star around vertex {vertex_id}"
-                )
-        return ring
+        vertices = self._vertices
+        return [vertices[slot] for slot in self._star_slots(vertex_id)]
 
     def neighbors(self, vertex_id: int) -> List[int]:
         """Finite Delaunay neighbours of a vertex (the Voronoi neighbours).
@@ -915,7 +1040,7 @@ class DelaunayTriangulation:
         return len(self.neighbors(vertex_id))
 
     def degree_map(self) -> Dict[int, int]:
-        """Degrees of *all* finite vertices in one pass over the edge map.
+        """Degrees of *all* finite vertices in one pass over the triangle slots.
 
         Equivalent to ``{vid: self.degree(vid) for vid in self.vertex_ids()}``
         but linear in the number of edges instead of walking every vertex
@@ -924,10 +1049,16 @@ class DelaunayTriangulation:
         if not self._has_triangulation:
             return {vid: len(self._degenerate_neighbors(vid))
                     for vid in self._points}
+        # One per directed finite edge leaving the vertex.
         degrees = {vid: 0 for vid in self._points}
-        for (u, v) in self._apex:
-            if u != INFINITE_VERTEX and v != INFINITE_VERTEX:
+        vertices = self._vertices
+        for u, v, w in zip(vertices[::3], vertices[1::3], vertices[2::3]):
+            if u >= 0 and v >= 0:
                 degrees[u] += 1
+            if v >= 0 and w >= 0:
+                degrees[v] += 1
+            if w >= 0 and u >= 0:
+                degrees[w] += 1
         return degrees
 
     def is_hull_vertex(self, vertex_id: int) -> bool:
@@ -1024,46 +1155,73 @@ class DelaunayTriangulation:
     def validate(self) -> None:
         """Check structural and Delaunay invariants; raise on violation.
 
-        Intended for tests and debugging; cost is linear in the number of
-        triangles (plus predicate evaluations).
+        The slots (free triangles marked, every edge's neighbour slot
+        pointing back across the same edge), every corner, CCW orientation
+        and the local Delaunay property.  Intended for tests and debugging;
+        cost is linear in the number of triangles (plus predicate
+        evaluations).
         """
+        vertices = self._vertices
+        across = self._across
         if not self._has_triangulation:
-            if self._apex:
+            if vertices:
                 raise TriangulationCorruptionError(
                     "degenerate triangulation should have no triangles"
                 )
             return
-        if len(self._apex) % 3 != 0:
-            raise TriangulationCorruptionError("apex map size not a multiple of 3")
-        for (u, v), w in self._apex.items():
-            if self._apex.get((v, w)) != u or self._apex.get((w, u)) != v:
-                raise TriangulationCorruptionError(
-                    f"inconsistent triangle around edge ({u}, {v})"
-                )
-            if (v, u) not in self._apex:
-                raise TriangulationCorruptionError(
-                    f"edge ({u}, {v}) has no opposite triangle"
-                )
-        for tri in self.triangles():
-            u, v, w = tri
-            pu, pv, pw = self._points[u], self._points[v], self._points[w]
-            if orient2d(pu, pv, pw) <= 0:
-                raise TriangulationCorruptionError(f"triangle {tri} is not CCW")
-            # Local Delaunay check across each edge implies the global property.
-            for a, b in ((u, v), (v, w), (w, u)):
-                opposite = self._apex.get((b, a))
-                if opposite is None or opposite == INFINITE_VERTEX:
-                    continue
-                if incircle(pu, pv, pw, self._points[opposite]) > 0:
+        if len(vertices) % 3 != 0 or len(across) != len(vertices):
+            raise TriangulationCorruptionError("slot lists out of step")
+        free = set(self._free)
+        if len(free) != len(self._free):
+            raise TriangulationCorruptionError("a triangle is freed twice")
+        points = self._points
+        for tri in range(0, len(vertices), 3):
+            held = vertices[tri:tri + 3]
+            if tri in free:
+                if held != [_FREE] * 3:
                     raise TriangulationCorruptionError(
-                        f"Delaunay violation: {opposite} inside circumcircle of {tri}"
-                    )
-        # Every finite vertex must be reachable from the triangle structure.
-        covered = {v for edge in self._apex for v in edge if v != INFINITE_VERTEX}
-        covered.update(w for w in self._apex.values() if w != INFINITE_VERTEX)
-        missing = set(self._points) - covered
-        if missing:
-            raise TriangulationCorruptionError(f"vertices missing from structure: {missing}")
+                        f"freed triangle at slot {tri} holds {held}")
+                continue
+            if (len(set(held)) != 3 or held.count(INFINITE_VERTEX) > 1
+                    or any(v != INFINITE_VERTEX and v not in points for v in held)):
+                raise TriangulationCorruptionError(
+                    f"triangle at slot {tri} holds {held}")
+            u, v, w = held
+            finite = INFINITE_VERTEX not in held
+            if finite:
+                pu, pv, pw = points[u], points[v], points[w]
+                if orient2d(pu, pv, pw) <= 0:
+                    raise TriangulationCorruptionError(
+                        f"triangle {(u, v, w)} is not CCW")
+            for i in range(3):
+                a, b = vertices[tri + i], vertices[tri + _NEXT[i]]
+                outer = across[tri + i]
+                if outer % 3 or not 0 <= outer < len(vertices) or outer in free:
+                    raise TriangulationCorruptionError(
+                        f"edge ({a}, {b}) has no live triangle across it")
+                twin = self._slot_of(b, outer)
+                if (vertices[twin] != b or vertices[outer + _NEXT[twin - outer]] != a
+                        or across[twin] != tri):
+                    raise TriangulationCorruptionError(
+                        f"edge ({a}, {b}) and the triangle across it disagree")
+                opposite = vertices[outer + _PREV[twin - outer]]
+                # Local Delaunay check across each edge implies the global property.
+                if finite and opposite != INFINITE_VERTEX and incircle(
+                        pu, pv, pw, points[opposite]) > 0:
+                    raise TriangulationCorruptionError(
+                        f"Delaunay violation: {opposite} inside circumcircle of "
+                        f"{(u, v, w)}")
+        corners = self._corners
+        if any(vertex_id >= len(corners) - 1 for vertex_id in points):
+            raise TriangulationCorruptionError("a vertex id beyond the corner list")
+        for vertex_id, slot in enumerate(corners[:-1]):
+            if vertex_id not in points:
+                if slot != _NO_CORNER:
+                    raise TriangulationCorruptionError(
+                        f"departed vertex {vertex_id} keeps corner slot {slot}")
+            elif not 0 <= slot < len(vertices) or vertices[slot] != vertex_id:
+                raise TriangulationCorruptionError(
+                    f"vertex {vertex_id} has a stale corner (slot {slot})")
 
     # ------------------------------------------------------------------
     # convenience

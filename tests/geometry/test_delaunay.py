@@ -268,11 +268,12 @@ class TestStructure:
         after = {v: set(triangulation.neighbors(v)) for v in triangulation.vertex_ids()}
         assert before == after
         assert set(triangulation.triangles()) == triangles
-        # A second rebuild is a fixed point, down to the edge → apex map.
-        apex = dict(triangulation._apex)
+        # A second rebuild is a fixed point, down to where every star starts.
+        rings = {v: triangulation.star_ring(v) for v in triangulation.vertex_ids()}
         triangulation.rebuild()
         triangulation.validate()
-        assert triangulation._apex == apex
+        assert {v: triangulation.star_ring(v) for v in triangulation.vertex_ids()} == rings
+        assert set(triangulation.triangles()) == triangles
         assert triangulation.rebuild_count == 2
 
 

@@ -11,9 +11,10 @@ stars it changed (``repro.geometry.delaunay``, "Caches").  Here:
 * a Hypothesis state machine interleaves single and batch insertions,
   interior and hull removals, rebuilds, point locations and neighbour
   reads, on uniform points and on a cocircular grid, and after every step
-  finds the report empty and ``neighbors(v)`` equal to the star walk, in
-  order — with every star cached before the next step, so a mutation that
-  forgets one has a stale star to leave behind;
+  finds ``validate()`` passing (triangle slots, corners, Delaunay), the
+  report empty and ``neighbors(v)`` equal to the star walk, in order — with
+  every star cached before the next step, so a mutation that forgets one
+  has a stale star to leave behind;
 * records: one per vertex, the same object through a rebuild, dropped with
   the vertex.
 """
@@ -195,6 +196,7 @@ class StarCacheMachine(RuleBasedStateMachine):
     @invariant()
     def cached_stars_are_walks(self):
         dt = self.dt
+        dt.validate()  # the slots, every corner, the Delaunay property
         assert dt.star_cache_report() == []
         assert set(dt.records) == set(dt.vertex_ids())
         if dt.has_triangulation:

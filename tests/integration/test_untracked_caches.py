@@ -15,9 +15,10 @@ where a regression shows as a failure rather than as a benchmark number:
 * the pass walks the star of each object it tables at most once, and only
   where the kernel had none cached; a second pass walks none and builds no
   table.  Walks are counted by wrapping ``star_ring``;
-* the maps that hold them go the other way: the kernel's maps and the
-  locate grid's point map stay tracked through a full collection, so the
-  next join puts none of them back in a young generation.
+* the maps that hold them go the other way: the kernel's maps, its
+  triangle slot lists and the locate grid's point map stay tracked through
+  a full collection, so the next join puts none of them back in a young
+  generation.
 """
 
 import gc
@@ -98,15 +99,16 @@ def test_a_cold_pass_builds_untracked_tables_over_the_kernels_records():
 
 
 def test_the_kernel_and_grid_maps_stay_out_of_the_young_generations():
-    """A full collection leaves the big maps tracked; a join adds none of them
-    to the youngest generation, where every young collection would walk them."""
+    """A full collection leaves the big maps and slot lists tracked; a join
+    adds none of them to the youngest generation, where every young
+    collection would walk them."""
     rng = np.random.default_rng(2002)
     overlay = VoroNet(VoroNetConfig(n_max=1000, num_long_links=1, seed=2002))
     overlay.bulk_load([tuple(p) for p in rng.random((500, 2))])
     kernel = overlay.triangulation
     maps = {name: getattr(kernel, name)
-            for name in ("_points", "_records", "_coord_index", "_apex", "_vertex_edge",
-                         "_stars")}
+            for name in ("_points", "_records", "_coord_index", "_stars",
+                         "_vertices", "_across", "_free", "_corners")}
     maps["grid _points"] = overlay.locate_index._points
     collect()
     assert all(gc.is_tracked(mapping) for mapping in maps.values())
