@@ -19,8 +19,10 @@ Message accounting follows the paper:
 
 from __future__ import annotations
 
+from array import array
+from itertools import repeat
 from operator import attrgetter
-from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional, Sized,
+from typing import (Any, Callable, Iterable, List, Mapping, Optional, Sized,
                     TYPE_CHECKING, Tuple)
 
 import numpy as np
@@ -114,11 +116,11 @@ def bulk_integrate_objects(overlay: "VoroNet", object_ids: List[int]) -> int:
         pairs_within_batch = 0
         for index, found in locate.within_many(positions, overlay.config.effective_d_min):
             object_id = object_ids[index]
-            close = overlay.node(object_id).close_neighbors
+            node = overlay.node(object_id)
             declared = set(found)
             declared.discard(object_id)
-            declared -= close
-            close |= declared
+            declared -= node.close_neighbors
+            node.add_close_neighbors(declared)
             # Two batch members find each other, each in its own query
             # (hypot is symmetric); only a pre-existing object has to be
             # told.  One declaration per new pair either way.
@@ -183,7 +185,7 @@ def detach_object(overlay: "VoroNet", object_id: int) -> int:
             overlay.node(close_id).discard_close_neighbor(object_id)
             affected.append(close_id)
             messages += 1
-    node.close_neighbors.clear()
+    node.clear_close_neighbors()
 
     # Delegate hosted long links to the neighbour now owning their target.
     if node.back_links:
@@ -304,22 +306,37 @@ class MemberOrder:
     slots' live flags finds the slot of the k-th live member in O(log N),
     where walking the dict took O(k).  Once most slots are holes, the live
     ones are numbered afresh, in order.
+
+    Ids are row numbers, as in the locate grid's coordinate column, so the
+    id → slot map is an ``array('q')`` indexed by id, ``-1`` for an id that
+    is not a member: 8 bytes per id ever seen instead of a dict entry and
+    an int per member.
     """
 
-    __slots__ = ("_ids", "_slots", "_tree")
+    __slots__ = ("_ids", "_slots", "_tree", "_live")
 
     def __init__(self) -> None:
         #: Slot → member id, or ``None`` once the member left.
         self._ids: List[Optional[int]] = []
-        #: Member id → slot.
-        self._slots: Dict[int, int] = {}
+        #: Member id → slot, ``-1`` for a non-member.
+        self._slots = array("q")
         #: 1-based Fenwick tree over the slots' live flags.
         self._tree: List[int] = [0]
+        #: Number of live slots.
+        self._live = 0
 
     def reset(self, object_ids: Iterable[int]) -> None:
         """Number ``object_ids`` afresh, in order: every slot is live."""
+        slots = self._slots
+        for object_id in self._ids:
+            if object_id is not None:
+                slots[object_id] = -1
         self._ids = list(object_ids)
-        self._slots = {object_id: slot for slot, object_id in enumerate(self._ids)}
+        self._live = len(self._ids)
+        if self._ids:
+            self._reserve(max(self._ids))
+        for slot, object_id in enumerate(self._ids):
+            slots[object_id] = slot
         # A tree of live flags only: node i covers the lowbit(i) slots up to i.
         self._tree = [i & -i for i in range(len(self._ids) + 1)]
 
@@ -327,23 +344,35 @@ class MemberOrder:
         """Give a new member the next slot."""
         tree = self._tree
         node = len(tree)
+        self._reserve(object_id)
         self._slots[object_id] = len(self._ids)
         self._ids.append(object_id)
+        self._live += 1
         # Node ``node`` covers (node - lowbit(node), node]: the live slots
         # before this one there are a difference of two prefix counts.
         tree.append(1 + self._prefix(node - 1) - self._prefix(node - (node & -node)))
 
     def discard(self, object_id: int) -> None:
         """Vacate a departed member's slot."""
-        slot = self._slots.pop(object_id)
+        slot = self._slots[object_id] if object_id < len(self._slots) else -1
+        if slot < 0:
+            raise KeyError(object_id)
+        self._slots[object_id] = -1
         self._ids[slot] = None
+        self._live -= 1
         tree = self._tree
         node = slot + 1
         while node < len(tree):
             tree[node] -= 1
             node += node & -node
-        if 2 * len(self._slots) < len(self._ids):
+        if 2 * self._live < len(self._ids):
             self.reset([member for member in self._ids if member is not None])
+
+    def _reserve(self, object_id: int) -> None:
+        """Grow the id → slot map to hold ``object_id``."""
+        missing = object_id + 1 - len(self._slots)
+        if missing > 0:
+            self._slots.extend(repeat(-1, missing))
 
     def kth(self, k: int) -> int:
         """The member ``k`` places into the node table's order (0-based)."""

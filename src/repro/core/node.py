@@ -14,19 +14,45 @@ library's "oracle" execution mode it is always derived from the shared
 Delaunay kernel so it can never drift out of sync; the message-level
 protocol simulator (:mod:`repro.simulation.protocol`) keeps its own fully
 local copies instead, as a real deployment would.
+
+Memory
+------
+The oracle holds one node per object, so a node costs only what it holds
+(the paper's O(1) state per object, at N up to 10⁶):
+
+* :class:`ObjectNode` and :class:`LongLink` are slotted dataclasses, with no
+  per-instance ``__dict__``;
+* ``position`` is the one ``(x, y)`` tuple of the object: the overlay
+  coerces an input point once (:func:`~repro.geometry.point.as_point`, which
+  keeps a tuple of two floats as it is) and hands that same tuple to the
+  Delaunay kernel and the locate grid, so all three share it;
+* a node without close neighbours holds the shared empty
+  :data:`NO_CLOSE_NEIGHBORS` instead of a set of its own.
+
+Only :class:`ObjectNode`'s methods write ``close_neighbors``.  They swap a
+real ``set`` in on the first add and put the sentinel back when the last
+entry leaves, so ``not node.close_neighbors`` holds exactly when it is the
+sentinel.  A batch is added to a fresh ``set()`` with ``|=``: a set's table
+size depends on how it was built, and ``set(found)`` sizes a skewed
+overlay's close sets differently from the ``set()`` then ``|=`` they have
+always been built by.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Set, Tuple
+from typing import AbstractSet, Dict, FrozenSet, List, Set, Tuple
 
 from repro.geometry.point import Point
 
-__all__ = ["LongLink", "ObjectNode"]
+__all__ = ["LongLink", "NO_CLOSE_NEIGHBORS", "ObjectNode"]
+
+#: The close-neighbour set of every node that has none: one shared, immutable
+#: empty set (module docstring, Memory).
+NO_CLOSE_NEIGHBORS: FrozenSet[int] = frozenset()
 
 
-@dataclass
+@dataclass(slots=True)
 class LongLink:
     """One long-range link of an object.
 
@@ -46,9 +72,14 @@ class LongLink:
     neighbor: int
 
 
-@dataclass
+@dataclass(slots=True)
 class ObjectNode:
     """State stored at one overlay object.
+
+    Slotted, sharing its ``position`` tuple with the kernel and the locate
+    grid, and holding :data:`NO_CLOSE_NEIGHBORS` while it has no close
+    neighbour; only its own methods write ``close_neighbors``, through
+    ``set()`` then ``|=`` (module docstring, Memory).
 
     Attributes
     ----------
@@ -65,14 +96,15 @@ class ObjectNode:
         ``(source, link_index) → target point``, the shape protocol mode's
         ``ProtocolNode.back_links`` has.
     close_neighbors:
-        Objects within distance ``d_min`` (symmetric relation).
+        Objects within distance ``d_min`` (symmetric relation); read-only
+        outside the class.
     """
 
     object_id: int
     position: Point
     long_links: List[LongLink] = field(default_factory=list)
     back_links: Dict[Tuple[int, int], Point] = field(default_factory=dict)
-    close_neighbors: Set[int] = field(default_factory=set)
+    close_neighbors: AbstractSet[int] = NO_CLOSE_NEIGHBORS
 
     # ------------------------------------------------------------------
     # long-link management
@@ -109,11 +141,29 @@ class ObjectNode:
     def add_close_neighbor(self, object_id: int) -> None:
         """Record an object within ``d_min`` (no-op for ourselves)."""
         if object_id != self.object_id:
-            self.close_neighbors.add(object_id)
+            close = self.close_neighbors
+            if close is NO_CLOSE_NEIGHBORS:
+                close = self.close_neighbors = set()
+            close.add(object_id)
+
+    def add_close_neighbors(self, object_ids: Set[int]) -> None:
+        """Record a batch of objects within ``d_min`` (ourselves excluded)."""
+        if object_ids:
+            if self.close_neighbors is NO_CLOSE_NEIGHBORS:
+                self.close_neighbors = set()
+            self.close_neighbors |= object_ids
 
     def discard_close_neighbor(self, object_id: int) -> None:
         """Forget a close neighbour (no error if absent)."""
-        self.close_neighbors.discard(object_id)
+        close = self.close_neighbors
+        if object_id in close:
+            close.discard(object_id)
+            if not close:
+                self.close_neighbors = NO_CLOSE_NEIGHBORS
+
+    def clear_close_neighbors(self) -> None:
+        """Forget every close neighbour."""
+        self.close_neighbors = NO_CLOSE_NEIGHBORS
 
     # ------------------------------------------------------------------
     # introspection

@@ -112,7 +112,7 @@ from repro.core.stats import OverlayStats
 from repro.geometry.bounding import UNIT_SQUARE, BoundingBox
 from repro.geometry.delaunay import DelaunayTriangulation, DuplicatePointError
 from repro.geometry.locate_grid import VECTOR_SCAN_THRESHOLD, LocateGrid
-from repro.geometry.point import Point, distance, distance_to_segment
+from repro.geometry.point import Point, as_point, distance, distance_to_segment
 from repro.geometry.predicates import point_in_polygon
 from repro.geometry.voronoi import VoronoiCell, voronoi_cell
 from repro.utils.rng import RandomSource
@@ -425,7 +425,7 @@ class VoroNet:
         """
         if len(self._nodes) >= self._config.n_max and not self._config.allow_overflow:
             raise OverlayFullError(self._config.n_max)
-        position = (float(position[0]), float(position[1]))
+        position = as_point(position)
         if not UNIT_SQUARE.contains(position):
             raise ValueError(f"object position {position} outside the unit square")
         if object_id is None:
@@ -742,7 +742,7 @@ class VoroNet:
         """
         batch: List[Point] = []
         for position in positions:
-            point = (float(position[0]), float(position[1]))
+            point = as_point(position)
             if not UNIT_SQUARE.contains(point):
                 raise ValueError(f"object position {point} outside the unit square")
             batch.append(point)

@@ -78,7 +78,10 @@ Caches
   (:attr:`~DelaunayTriangulation.records`).  A rebuild re-inserts vertices
   but keeps their records.  Whoever needs a neighbour's id and position
   together holds that tuple, not a copy: the kernel's stars and the
-  overlay's routing tables do.
+  overlay's routing tables do.  The point itself is the caller's tuple
+  when that is already a tuple of two floats
+  (:func:`~repro.geometry.point.as_point`), so the overlay's node, this
+  kernel and the locate grid hold one position tuple per object.
 * **A cached star is a valid star.**  A vertex's finite neighbours are
   cached as a tuple of their records, in
   :meth:`~DelaunayTriangulation.star_ring` order, and each mutation drops
@@ -137,7 +140,7 @@ from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.geometry.point import Point
+from repro.geometry.point import Point, as_point
 from repro.geometry.predicates import incircle, orient2d, segment_contains
 
 __all__ = ["DelaunayTriangulation", "DuplicatePointError", "INFINITE_VERTEX",
@@ -302,7 +305,7 @@ class DelaunayTriangulation:
 
     def vertex_at(self, point: Point) -> Optional[int]:
         """The vertex with exactly these coordinates, if any."""
-        return self._coord_index.get((float(point[0]), float(point[1])))
+        return self._coord_index.get(as_point(point))
 
     @property
     def last_vertex(self) -> Optional[int]:
@@ -547,7 +550,7 @@ class DelaunayTriangulation:
             starts there, making insertion effectively constant time when the
             hint is the nearest vertex (as it is during VoroNet joins).
         """
-        point = (float(point[0]), float(point[1]))
+        point = as_point(point)
         existing = self._coord_index.get(point)
         if existing is not None:
             raise DuplicatePointError(point, existing)
@@ -598,7 +601,7 @@ class DelaunayTriangulation:
         -------
         The vertex ids in **input order** (not insertion order).
         """
-        pts = [(float(p[0]), float(p[1])) for p in points]
+        pts = [as_point(p) for p in points]
         if vertex_ids is None:
             ids = list(range(self._next_id, self._next_id + len(pts)))
         else:

@@ -59,7 +59,7 @@ from typing import (Collection, Dict, Iterable, Iterator, List, Optional, Sequen
 import numpy as np
 
 from repro.geometry.delaunay import TrackedDict
-from repro.geometry.point import Point, distance, distance_sq
+from repro.geometry.point import Point, as_point, distance, distance_sq
 
 __all__ = ["CHUNK_ELEMENTS", "LocateGrid", "VECTOR_SCAN_THRESHOLD"]
 
@@ -156,11 +156,9 @@ class LocateGrid:
             raise ValueError(f"vertex id {vertex_id} already indexed")
         if vertex_id < 0:
             raise ValueError(f"vertex id {vertex_id} is negative")
-        point = (float(point[0]), float(point[1]))
+        point = as_point(point)
         if vertex_id >= len(self._xy):
-            grown = np.full((max(2 * len(self._xy), vertex_id + 1), 2), np.nan)
-            grown[:len(self._xy)] = self._xy
-            self._xy = grown
+            self._grow_column(max(2 * len(self._xy), vertex_id + 1))
         self._points[vertex_id] = point
         self._xy[vertex_id] = point
         self._cells.setdefault(self._cell_of(point), set()).add(vertex_id)
@@ -181,9 +179,62 @@ class LocateGrid:
         self._maybe_resize()
 
     def bulk_insert(self, items: Iterable[Tuple[int, Point]]) -> None:
-        """Register a batch of ``(vertex_id, point)`` pairs."""
-        for vertex_id, point in items:
-            self.insert(vertex_id, point)
+        """Register a batch of ``(vertex_id, point)`` pairs.
+
+        Leaves the grid exactly as one :meth:`insert` per pair would: the
+        same resolution, column and buckets, every bucket iterating in the
+        same order.  The batch is checked up front and applied in one pass.
+        The hysteresis rule is replayed over the growing count for the final
+        resolution.  The column grows as the pairwise doublings would and
+        takes the batch in one assignment.  Without a resize the buckets
+        take the batch in order; after one they are rebuilt from the points
+        in insertion order, as the last resize of the pairwise path did
+        before the pairs after it were added.
+        """
+        batch = [(vertex_id, as_point(point)) for vertex_id, point in items]
+        if not batch:
+            return
+        points = self._points
+        ids = [vertex_id for vertex_id, _point in batch]
+        fresh = set(ids)
+        if len(fresh) != len(ids) or not fresh.isdisjoint(points):
+            seen = set(points)
+            for vertex_id in ids:
+                if vertex_id in seen:
+                    raise ValueError(f"vertex id {vertex_id} already indexed")
+                seen.add(vertex_id)
+        if min(ids) < 0:
+            raise ValueError(f"vertex id {min(ids)} is negative")
+        size = len(self._xy)
+        if max(ids) >= size:
+            for vertex_id in ids:
+                if vertex_id >= size:
+                    size = max(2 * size, vertex_id + 1)
+            self._grow_column(size)
+        counts = np.arange(len(points) + 1, len(points) + len(batch) + 1)
+        desired = np.sqrt(counts / self._target_occupancy).astype(np.int64)
+        np.maximum(desired, 1, out=desired)
+        m = self._cells_per_axis
+        resized = False
+        at = 0  # counts before ``at`` are replayed
+        while True:
+            moved = np.flatnonzero((desired[at:] > 2 * m) | (2 * desired[at:] < m))
+            if not len(moved):
+                break
+            at += int(moved[0]) + 1
+            m = int(desired[at - 1])
+            resized = True
+        points.update(batch)
+        self._xy[ids] = [point for _vertex_id, point in batch]
+        if resized:
+            self._rebuild(m)
+        else:
+            self._fill(ids, [point for _vertex_id, point in batch])
+
+    def _grow_column(self, size: int) -> None:
+        grown = np.full((size, 2), np.nan)
+        grown[:len(self._xy)] = self._xy
+        self._xy = grown
 
     def _maybe_resize(self) -> None:
         n = max(len(self._points), 1)
@@ -195,8 +246,17 @@ class LocateGrid:
     def _rebuild(self, cells_per_axis: int) -> None:
         self._cells_per_axis = cells_per_axis
         self._cells = {}
-        for vertex_id, point in self._points.items():
-            self._cells.setdefault(self._cell_of(point), set()).add(vertex_id)
+        self._fill(list(self._points), list(self._points.values()))
+
+    def _fill(self, ids: Sequence[int], points: Sequence[Point]) -> None:
+        """Add ``ids`` to their buckets, in order: :meth:`_cell_of`, vectorised."""
+        m = self._cells_per_axis
+        cells = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+        cells = (np.clip(cells, 0.0, 1.0) * m).astype(np.int64)
+        np.minimum(cells, m - 1, out=cells)
+        buckets = self._cells
+        for vertex_id, cell in zip(ids, zip(*cells.T.tolist())):
+            buckets.setdefault(cell, set()).add(vertex_id)
 
     # ------------------------------------------------------------------
     # the coordinate column

@@ -34,7 +34,17 @@ Point = Tuple[float, float]
 
 
 def as_point(value: Sequence[float]) -> Point:
-    """Coerce a length-2 sequence into a ``(float, float)`` tuple."""
+    """Coerce a length-2 sequence into a ``(float, float)`` tuple.
+
+    A value that already is exactly a ``tuple`` of two ``float`` objects is
+    returned as it is, not copied: the overlay coerces each object's
+    position once and the node, the Delaunay kernel and the locate grid
+    then share that one tuple.  Anything else — a list, ints, numpy scalars,
+    a ``tuple`` subclass — becomes a fresh tuple.
+    """
+    if (type(value) is tuple and len(value) == 2
+            and type(value[0]) is float and type(value[1]) is float):
+        return value
     if len(value) != 2:
         raise ValueError(f"expected a 2-D point, got {value!r}")
     return (float(value[0]), float(value[1]))

@@ -100,7 +100,8 @@ TOPOLOGY_ATTRS = frozenset({"long_links", "close_neighbors"})
 #: ObjectNode methods that mutate a topology container (SIM006).
 TOPOLOGY_MUTATORS = frozenset({
     "set_long_link", "retarget_long_link",
-    "add_close_neighbor", "discard_close_neighbor",
+    "add_close_neighbor", "add_close_neighbors", "discard_close_neighbor",
+    "clear_close_neighbors",
 })
 #: Calls that discharge the routing-cache contract (SIM006): the overlay
 #: entry point, or the cache's own targeted drop / drop-all.

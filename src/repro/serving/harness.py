@@ -26,8 +26,7 @@ from typing import Callable, Dict, Optional, Sequence
 
 from repro.serving.adapters import (ChordServing, KleinbergServing,
                                     ServingAdapter, VoroNetServing)
-from repro.serving.traffic import (Schedule, build_schedule,
-                                   serve_closed_loop,
+from repro.serving.traffic import (build_schedule, serve_closed_loop,
                                    serve_protocol_closed_loop)
 from repro.simulation.protocol import ProtocolSimulator
 from repro.utils.rng import RandomSource

@@ -141,7 +141,7 @@ from repro.core.maintenance import MemberOrder, membership_report, view_report
 from repro.core.long_range import choose_long_range_target, choose_long_range_target_array
 from repro.geometry.delaunay import DelaunayTriangulation, DuplicatePointError, morton_order
 from repro.geometry.locate_grid import LocateGrid
-from repro.geometry.point import Point, distance
+from repro.geometry.point import Point, as_point, distance
 from repro.simulation.engine import SimulationEngine, Watchdog
 from repro.simulation.metrics import MetricsRegistry
 from repro.simulation.network import ConstantLatency, LatencyModel, Message, Network
@@ -1332,7 +1332,7 @@ class ProtocolSimulator:  # simlint: ignore[SIM003] — one per experiment, not 
 
     def join(self, position: Point, introducer: Optional[int] = None) -> JoinReport:
         """Publish an object through the full distributed join protocol."""
-        position = (float(position[0]), float(position[1]))
+        position = as_point(position)
         object_id = self._next_id
         self._next_id += 1
         self._attach_node(object_id, position)
@@ -1481,7 +1481,7 @@ class ProtocolSimulator:  # simlint: ignore[SIM003] — one per experiment, not 
             position duplicating a published object or another batch entry
             (checked up front; nothing is mutated).
         """
-        batch = [(float(p[0]), float(p[1])) for p in positions]
+        batch = [as_point(p) for p in positions]
         if not batch:
             return BulkJoinReport(object_ids=[], messages=0, phase_messages={},
                                   virtual_time=self.engine.now)

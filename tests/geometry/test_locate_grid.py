@@ -62,6 +62,54 @@ class TestMembership:
             assert grid.within(point, 0.0) == [vid]
 
 
+def grid_state(grid):
+    """Everything a grid holds, bucket iteration order included."""
+    return (grid.cells_per_axis,
+            [(cell, list(bucket)) for cell, bucket in grid._cells.items()],
+            list(grid._points.items()),
+            grid._xy.shape, grid._xy.tobytes())
+
+
+class TestBulkInsert:
+    """One pass leaves the grid exactly as one ``insert`` per pair does."""
+
+    @pytest.mark.parametrize("base, count, departed, resizes", [
+        (0, 1, 0, False),
+        (0, 3_000, 0, True),  # several resizes and column doublings
+        (300, 40, 0, False),
+        (300, 1_500, 0, True),
+        (900, 700, 400, False),  # populated with holes
+        (900, 2_000, 400, True),
+    ])
+    def test_matches_per_point_inserts(self, base, count, departed, resizes):
+        rng = np.random.default_rng(base + count)
+        points = [tuple(p) for p in rng.random((base + count, 2)).tolist()]
+        ids = rng.permutation(2 * (base + count))[:base + count].tolist()
+        one_by_one, batched = LocateGrid(), LocateGrid()
+        for grid in (one_by_one, batched):
+            for vertex_id, point in zip(ids[:base], points[:base]):
+                grid.insert(vertex_id, point)
+            for vertex_id in ids[:departed]:
+                grid.discard(vertex_id)
+        before = batched.cells_per_axis
+        for vertex_id, point in zip(ids[base:], points[base:]):
+            one_by_one.insert(vertex_id, point)
+        batched.bulk_insert(zip(ids[base:], points[base:]))
+        assert grid_state(batched) == grid_state(one_by_one)
+        assert (batched.cells_per_axis != before) == resizes
+        assert all(batched._points[i] is p for i, p in zip(ids[base:], points[base:]))
+
+    def test_a_bad_batch_changes_nothing(self, populated_grid):
+        grid, _points = populated_grid
+        state = grid_state(grid)
+        for batch in ([(1_000, (0.5, 0.5)), (1_000, (0.6, 0.6))],
+                      [(1_000, (0.5, 0.5)), (7, (0.6, 0.6))],
+                      [(1_000, (0.5, 0.5)), (-1, (0.6, 0.6))]):
+            with pytest.raises(ValueError):
+                grid.bulk_insert(batch)
+            assert grid_state(grid) == state
+
+
 class TestHint:
     def test_hint_is_a_member(self, populated_grid, numpy_rng):
         grid, points = populated_grid

@@ -4,6 +4,7 @@
 import numpy as np
 import pytest
 
+from repro.core import VoroNet, VoroNetConfig
 from repro.geometry.point import (
     as_point,
     centroid,
@@ -16,6 +17,7 @@ from repro.geometry.point import (
     pairwise_distances,
     points_to_array,
 )
+from repro.simulation.protocol import ProtocolSimulator
 
 
 class TestBasicOperations:
@@ -50,6 +52,24 @@ class TestBasicOperations:
     def test_as_point_rejects_wrong_length(self):
         with pytest.raises(ValueError):
             as_point((1.0, 2.0, 3.0))
+
+    def test_as_point_keeps_a_float_pair(self):
+        point = (0.25, 0.5)
+        assert as_point(point) is point
+
+    @pytest.mark.parametrize("value", [
+        [0.25, 0.5],
+        (1, 2),
+        (0.25, 2),
+        (np.float64(0.25), np.float64(0.5)),
+        np.array([0.25, 0.5]),
+    ])
+    def test_as_point_coerces_anything_else_into_a_fresh_tuple(self, value):
+        point = as_point(value)
+        assert point is not value
+        assert type(point) is tuple
+        assert [type(coordinate) for coordinate in point] == [float, float]
+        assert point == (float(value[0]), float(value[1]))
 
     def test_nearly_equal(self):
         assert nearly_equal((0.1, 0.2), (0.1 + 1e-14, 0.2))
@@ -87,3 +107,34 @@ class TestVectorisedHelpers:
     def test_centroid_empty_raises(self):
         with pytest.raises(ValueError):
             centroid([])
+
+
+class TestOnePositionTuplePerObject:
+    """The node, the kernel and the locate grid hold the same tuple."""
+
+    @staticmethod
+    def assert_shared(nodes, kernel, locate, ids):
+        for object_id in ids:
+            position = nodes[object_id].position
+            assert kernel.point(object_id) is position
+            assert locate._points[object_id] is position
+
+    def test_oracle(self):
+        overlay = VoroNet(VoroNetConfig(n_max=200, seed=3))
+        points = [tuple(p) for p in np.random.default_rng(3).random((40, 2)).tolist()]
+        ids = overlay.bulk_load(points[:30])
+        ids += overlay.bulk_load(np.random.default_rng(4).random((5, 2)))
+        ids.append(overlay.insert(points[30]))
+        ids.append(overlay.insert([0.123, 0.456]))
+        assert overlay.position_of(ids[0]) is points[0]
+        assert overlay.position_of(ids[-2]) is points[30]
+        self.assert_shared(overlay._nodes, overlay.triangulation, overlay.locate_index, ids)
+
+    def test_protocol(self):
+        sim = ProtocolSimulator(VoroNetConfig(n_max=200, seed=3), seed=3)
+        points = [tuple(p) for p in np.random.default_rng(3).random((40, 2)).tolist()]
+        ids = list(sim.bulk_join(points[:30]).object_ids)
+        ids.append(sim.join(points[30]).object_id)
+        ids.append(sim.join([0.123, 0.456]).object_id)
+        assert sim.nodes[ids[0]].position is points[0]
+        self.assert_shared(sim.nodes, sim.kernel, sim.locate, ids)
