@@ -1,4 +1,4 @@
-"""Benchmark PARTITION-MERGE — split-brain service and anti-entropy heal.
+"""Benchmark PARTITION-MERGE — split-brain service and the heal that settles it.
 
 Drives the partition-merge subsystem (:mod:`repro.simulation.merge`)
 through its scenario matrix: a 2-way even split, an asymmetric 80/20
@@ -8,10 +8,16 @@ published ids the heal must resolve) and per-side query service measured
 in both the degraded window (views still reference the far side) and the
 stabilised window (each side repaired against its own fork).
 
+A heal is the union rebuild (``PartitionRuntime.heal()``) followed by
+one standing ``RepairProtocol.repair()``; ``merge_rounds`` are the
+repair's rounds and ``merge_messages`` every message sent between the
+heal and the end of the repair.
+
 The record asserts the acceptance bar of the subsystem, not mere
 completion: every scenario must heal to a clean ``verify_views()``,
 per-node views byte-identical to a never-split oracle tessellation built
-from the union population, zero routing-parity mismatches on sampled
+from the union population (close sets included: every live peer inside
+the ``d_min`` disc), zero routing-parity mismatches on sampled
 lookups, and 100% stable-phase availability on every side.  Headline
 gated metrics: ``converged_fraction`` (1.0 — any scenario failing to
 merge is a regression) and ``stable_success_rate_min``.
@@ -76,10 +82,7 @@ def run_scenario(name: str, params: dict, *, inserts_per_side: int,
         "routing_parity_queries": report.routing_parity_queries,
         "routing_parity_mismatches": report.routing_parity_mismatches,
         "final_verify_problems": report.final_verify_problems,
-        "boundary_edges": [m.boundary_edges for m in merges],
         "merge_rounds": [m.rounds for m in merges],
-        "digest_messages": sum(m.digest_messages for m in merges),
-        "reconcile_messages": sum(m.reconcile_messages for m in merges),
         "merge_messages": sum(m.messages for m in merges),
         "id_collisions_resolved": sum(m.id_collisions_resolved
                                       for m in merges),

@@ -69,11 +69,11 @@ Partitions and merge
 the substrate per side, so **every** side keeps serving queries and
 accepting inserts against its own tessellation; on heal, the union
 kernel is rebuilt deterministically (lowest-id wins coordinate and
-published-id collisions) and ``MergeProtocol`` floods version-stamped
-``MERGE_DIGEST`` anti-entropy across the healed cut until views verify
-clean.  ``run_merge_scenario`` scripts the scenario matrix (k-way,
-asymmetric, flapping) on a ``Scenario`` with per-side availability
-accounting.
+published-id collisions) and the standing ``RepairProtocol`` settles
+every view against it until views verify clean — no merge-specific
+message exists.  ``run_merge_scenario`` scripts the scenario matrix
+(k-way, asymmetric, flapping) on a ``Scenario`` with per-side
+availability accounting.
 """
 
 from repro.simulation.engine import SimulationEngine, Watchdog
@@ -105,7 +105,6 @@ from repro.simulation.faults import (
 )
 from repro.simulation.merge import (
     HealSummary,
-    MergeProtocol,
     MergeReport,
     PartitionRuntime,
 )
@@ -150,7 +149,6 @@ __all__ = [
     "RepairProtocol",
     "RepairReport",
     "HealSummary",
-    "MergeProtocol",
     "MergeReport",
     "PartitionRuntime",
     "ProtocolSimulator",

@@ -199,10 +199,9 @@ class PartitionDamageReport:
     The partition analogue of :class:`CrashDamageReport`: instead of
     references to *crashed* peers it counts references that cross the cut
     — entries each side must scrub while split (the peer is unreachable
-    and presumed dead) and the merge protocol must restore on heal.
+    and presumed dead) and the repair after the heal must restore.
     ``boundary_objects`` is how many live objects hold at least one
-    cross-side reference: the population the anti-entropy flood starts
-    from.
+    cross-side reference.
     """
 
     sides: int

@@ -145,8 +145,7 @@ class SplitSpec:  # simlint: ignore[SIM003] — one per partition event, not per
     a split names every side: traffic within a side flows, traffic
     between any two different sides is cut while the window is active.
     Nodes joining mid-split are assigned a side with :meth:`assign`, so
-    side membership tracks the population the merge protocol must
-    reconcile.
+    side membership tracks the population the heal must reconcile.
 
     The fault decision is made at *send* time only: a message sent before
     the window opens is a packet already on the wire and is delivered even
@@ -247,7 +246,7 @@ class FaultPlane:
     """
 
     __slots__ = ("_rng", "_doubles", "seed", "_crashed", "_partitions",
-                 "_splits", "_heal_hooks",
+                 "_splits",
                  "loss_probability", "delay_probability", "delay_range",
                  "decisions", "drops_by_reason")
 
@@ -265,7 +264,6 @@ class FaultPlane:
         self._crashed: Set[int] = set()
         self._partitions: List[PartitionSpec] = []
         self._splits: List[SplitSpec] = []
-        self._heal_hooks: List = []
         self.set_loss(loss_probability)
         self.set_delay(delay_probability, delay_range)
         self.decisions = 0
@@ -323,8 +321,8 @@ class FaultPlane:
 
         Returns the :class:`SplitSpec`, whose :meth:`~SplitSpec.assign`
         tracks split-era joiners.  ``end`` defaults to +inf — a split is
-        normally closed explicitly via :meth:`heal_partitions` (which
-        fires the registered heal hooks) rather than by the clock.
+        normally closed explicitly via :meth:`heal_partitions` rather than
+        by the clock.
         """
         spec = SplitSpec(sides, start, end)
         self._splits.append(spec)
@@ -342,33 +340,17 @@ class FaultPlane:
         spec = self.active_split(now)
         return None if spec is None else spec.side_of(object_id)
 
-    def on_heal(self, hook) -> None:
-        """Register ``hook(spec)`` to fire when a split/partition heals.
-
-        Hooks fire once per healed spec, in registration order, from
-        :meth:`heal_partitions` — the explicit heal path.  Windows that
-        merely expire on the virtual clock are passive (pruned on the
-        ``decide`` hot path without firing hooks); drive the heal
-        explicitly when merge bookkeeping must run.
-        """
-        self._heal_hooks.append(hook)
-
     def heal_partitions(self) -> int:
         """Drop every partition/split spec; returns how many were open.
 
-        Fires the :meth:`on_heal` hooks for each dropped spec so higher
-        layers (the merge runtime) can start anti-entropy bookkeeping at
-        the moment connectivity returns.
+        Windows that merely expire on the virtual clock are pruned
+        passively on the ``decide`` hot path instead.
         """
         count = len(self._partitions) + len(self._splits)
-        healed: List = list(self._partitions) + list(self._splits)
         self._partitions.clear()
         for spec in self._splits:
             spec.healed = True
         self._splits.clear()
-        for spec in healed:
-            for hook in self._heal_hooks:
-                hook(spec)
         return count
 
     # ------------------------------------------------------------------

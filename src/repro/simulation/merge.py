@@ -1,4 +1,4 @@
-"""Partition merge: split-brain service and anti-entropy reconciliation.
+"""Partition merge: split-brain service, then one union and one repair.
 
 The fault plane can *open* clock-windowed partitions; this module is the
 other half of the WAN story — what happens while the overlay is split,
@@ -11,25 +11,26 @@ and how the two (or k) diverged halves become one overlay again:
   locate grid, so **both sides keep serving queries and accepting
   inserts** against their own topologically consistent tessellation.
   Split-era inserts publish side-local ids drawn from the id space every
-  side believes is next — the collision the merge resolves.
+  side believes is next — the collision the heal resolves.
 * On heal, :meth:`PartitionRuntime.heal` rebuilds the union: the
   pre-split kernel absorbs every side's inserts (ascending id — the
   deterministic lowest-id rule — with coordinate-overlap losers torn
   down and re-carved ids re-assigned from the healed allocator) and its
   version is advanced past every side's fork, so the union dominates the
-  kernel-version partial order.
-* :class:`MergeProtocol` then runs the epidemic anti-entropy phase:
-  boundary nodes of the healed cut exchange version-stamped
-  ``MERGE_DIGEST`` views that flood to each node's refreshed neighbours
-  (the epidemic neighbour-notify shape), exonerating split-era suspicion
-  and re-running close discovery across the cut; the existing
-  :class:`~repro.simulation.faults.RepairProtocol` settles long-link
-  retargeting and any stragglers, until ``verify_views()`` is clean.
+  kernel-version partial order.  Close pairs across the cut are marked
+  for re-discovery; no message is sent.
+* Once the substrate is whole again a heal needs nothing beyond the
+  paper's local procedures: the standing
+  :class:`~repro.simulation.faults.RepairProtocol` settles it.  Its probe
+  phase exonerates the peers each side presumed dead, its scrub and audit
+  re-send every stale view from the union kernel, and its retarget and
+  close phases re-resolve long links and close pairs across the healed
+  cut, until ``verify_views()`` is clean.
 
 :func:`~repro.simulation.scenario.run_merge_scenario` scripts the whole
 experiment — split, per-side stabilisation (a *scoped* repair against
 the side kernel), both-side inserts and queries (availability measured
-per side and phase), heal, merge, and a final parity check against a
+per side and phase), heal, repair, and a final parity check against a
 never-split oracle overlay built from the union — for the test-suite and
 ``benchmarks/bench_partition_merge.py``.
 """
@@ -44,22 +45,14 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 from repro.geometry.delaunay import DelaunayTriangulation, DuplicatePointError
 from repro.geometry.locate_grid import LocateGrid
 from repro.geometry.point import Point
-from repro.simulation.faults import (FaultPlane, HeartbeatDetector,
-                                     RepairProtocol, SplitSpec)
+from repro.simulation.faults import FaultPlane, SplitSpec
 from repro.simulation.protocol import JoinReport, ProtocolSimulator
 
 __all__ = [
     "PartitionRuntime",
     "HealSummary",
-    "MergeProtocol",
     "MergeReport",
 ]
-
-#: Rounds-per-epoch stride: each merge round floods under a fresh epoch
-#: (``base * stride + round``) so a second round can re-flood where the
-#: first round's copies fed the fault plane, while epochs still increase
-#: strictly across repeated (flapping) heals.
-_EPOCH_STRIDE = 64
 
 
 class _SideState:  # simlint: ignore[SIM003] — one per split side, not per message
@@ -83,7 +76,6 @@ class HealSummary:
     """Union-rebuild accounting from one :meth:`PartitionRuntime.heal`."""
 
     spec: SplitSpec
-    epoch: int
     union_inserts: int
     union_removals: int
     coordinate_conflicts: int
@@ -115,18 +107,9 @@ class PartitionRuntime:  # simlint: ignore[SIM003] — one per experiment, not p
         self._global_kernel: Optional[DelaunayTriangulation] = None
         self._global_locate: Optional[LocateGrid] = None
         self._published_base = 0
-        self._epoch = 0
         # Query ids far above the serving layer's range, so a runtime
         # riding on a serving simulator never collides in query_answers.
         self._query_seq = 1 << 40
-        #: ``(virtual time, spec)`` for every heal the fault plane fired
-        #: our hook for — the heal-hook seam ``FaultPlane.on_heal`` exists
-        #: for.
-        self.heal_log: List[Tuple[float, object]] = []
-        self.faults.on_heal(self._note_heal)
-
-    def _note_heal(self, spec: object) -> None:
-        self.heal_log.append((self.simulator.engine.now, spec))
 
     # ------------------------------------------------------------------
     # split lifecycle
@@ -262,16 +245,17 @@ class PartitionRuntime:  # simlint: ignore[SIM003] — one per experiment, not p
     def heal(self) -> HealSummary:
         """Close the split and rebuild the shared substrate as the union.
 
-        Restores the pre-split kernel/locate, heals the fault plane (the
-        registered heal hooks fire), then applies every side's delta:
-        departed vertices are removed, split-era inserts are carved into
-        the union in ascending object-id order — the deterministic
-        lowest-id rule; an insert whose exact coordinates are already
-        taken (both sides carved the same point: a region overlap) loses
-        and is torn down — and published-id collisions are re-assigned
-        from the healed allocator.  Finally the union kernel's version is
-        advanced past every side fork, so its snapshots dominate the
-        partial order at every node.
+        Restores the pre-split kernel/locate, heals the fault plane, then
+        applies every side's delta: departed vertices are removed,
+        split-era inserts are carved into the union in ascending object-id
+        order — the deterministic lowest-id rule; an insert whose exact
+        coordinates are already taken (both sides carved the same point: a
+        region overlap) loses and is torn down.  The union kernel's
+        version is advanced past every side fork, so its snapshots
+        dominate the partial order at every node; close pairs across the
+        cut are marked for re-discovery, and published-id collisions are
+        re-assigned from the healed allocator.  No message is sent: the
+        caller settles the views with ``RepairProtocol.repair()``.
         """
         simulator = self.simulator
         spec = self.spec
@@ -310,6 +294,19 @@ class PartitionRuntime:  # simlint: ignore[SIM003] — one per experiment, not p
                 continue
             inserts += 1
         kernel.advance_version(max(side_versions, default=0) + 1)
+        # The cut hid every close pair straddling it: the pre-split pairs
+        # each side scrubbed as dead, and every pair a split-era joiner
+        # would have formed across it.  Nothing suspects those peers any
+        # more, so the lower id of each pair is marked rehabilitated — the
+        # mark a refuted suspicion leaves — and the repair's close
+        # re-discovery restores the pair.
+        d_min = simulator.config.effective_d_min
+        for object_id in sorted(simulator.nodes):
+            node = simulator.nodes[object_id]
+            side = spec.side_of(object_id)
+            for peer in simulator.locate.within(node.position, d_min):
+                if peer > object_id and spec.side_of(peer) != side:
+                    node.rehabilitated.add(peer)
         # Published-id collisions: objects inserted on different sides
         # minted the same side-local id.  The lowest object id keeps the
         # published identity; every loser re-publishes under a fresh id
@@ -330,8 +327,7 @@ class PartitionRuntime:  # simlint: ignore[SIM003] — one per experiment, not p
                 simulator.nodes[loser].published_id = simulator._next_id
                 simulator._next_id += 1
                 collisions += 1
-        self._epoch += 1
-        summary = HealSummary(spec=spec, epoch=self._epoch,
+        summary = HealSummary(spec=spec,
                               union_inserts=inserts, union_removals=removals,
                               coordinate_conflicts=conflicts,
                               id_collisions_resolved=collisions,
@@ -344,113 +340,17 @@ class PartitionRuntime:  # simlint: ignore[SIM003] — one per experiment, not p
 
 @dataclass(frozen=True)
 class MergeReport:
-    """Outcome of one heal + anti-entropy merge."""
+    """Outcome of one heal: the union rebuild, then the repair settling it.
+
+    ``rounds`` are the repair's rounds; ``time_to_converge`` runs on the
+    virtual clock from the heal to the end of the repair, and
+    ``messages`` counts every message sent in between.
+    """
 
     converged: bool
     rounds: int
     time_to_converge: float
-    digest_messages: int
-    reconcile_messages: int
-    repair_messages: Dict[str, int]
+    messages: int
     union_inserts: int
-    union_removals: int
     coordinate_conflicts: int
     id_collisions_resolved: int
-    boundary_edges: int
-    verify_problems: int
-
-    @property
-    def messages(self) -> int:
-        return (self.digest_messages + self.reconcile_messages
-                + sum(self.repair_messages.values()))
-
-
-class MergeProtocol:  # simlint: ignore[SIM003] — one per heal, not per message
-    """Epidemic anti-entropy across a healed cut, settled by repair.
-
-    Each round: every boundary edge of the healed split (union-kernel
-    edges whose endpoints sat on different sides) carries one
-    version-stamped ``MERGE_DIGEST`` from its lower endpoint; the digest
-    floods epoch-guarded through the refreshed neighbourhoods, refreshing
-    views, exonerating split-era suspicion and re-running close discovery
-    across the cut, with ``MERGE_RECONCILE`` acks pulling in nodes whose
-    digest copies were lost.  The standing :class:`RepairProtocol` then
-    settles what flooding cannot — long links retargeted *within* a side
-    re-resolve to their union owners via the routed search, and any view
-    the flood missed is scrubbed by the audit pass — until
-    ``verify_views()`` is clean or ``max_rounds`` is spent.
-    """
-
-    def __init__(self, simulator: ProtocolSimulator, spec: SplitSpec, *,
-                 epoch_base: int = 1,
-                 max_rounds: int = 4,
-                 max_repair_rounds: int = 8,
-                 detector: Optional[HeartbeatDetector] = None) -> None:
-        self.simulator = simulator
-        self.spec = spec
-        self.epoch_base = epoch_base
-        self.max_rounds = max_rounds
-        self.repairer = RepairProtocol(simulator, detector=detector,
-                                       max_rounds=max_repair_rounds)
-
-    def boundary_edges(self) -> List[Tuple[int, int]]:
-        """Union-kernel edges crossing the healed cut, each once, sorted."""
-        spec = self.spec
-        edges: Set[Tuple[int, int]] = set()
-        for u, v in self.simulator.kernel.edges():
-            side_u = spec.side_of(u)
-            side_v = spec.side_of(v)
-            if side_u is not None and side_v is not None and side_u != side_v:
-                edges.add((min(u, v), max(u, v)))
-        return sorted(edges)
-
-    def run(self, union: Optional[HealSummary] = None) -> MergeReport:
-        """Run digest + settle rounds until clean views (or the cap)."""
-        simulator = self.simulator
-        network = simulator.network
-        heal_time = simulator.engine.now
-        boundary = self.boundary_edges()
-        digest_total = reconcile_total = 0
-        repair_messages: Dict[str, int] = {}
-        rounds = 0
-        converged = False
-        problems: List[str] = []
-        for round_index in range(self.max_rounds):
-            rounds += 1
-            epoch = self.epoch_base * _EPOCH_STRIDE + round_index
-            version = simulator.kernel.version
-            digest_before = network.sent_by_kind.get("MERGE_DIGEST", 0)
-            reconcile_before = network.sent_by_kind.get("MERGE_RECONCILE", 0)
-            for u, v in boundary:
-                sender = simulator.nodes.get(u)
-                if sender is None or v not in simulator.nodes:
-                    continue
-                simulator.send(sender, v, "MERGE_DIGEST", (epoch, version))
-            simulator.engine.run_until_quiescent()
-            digest_total += (network.sent_by_kind.get("MERGE_DIGEST", 0)
-                             - digest_before)
-            reconcile_total += (network.sent_by_kind.get("MERGE_RECONCILE", 0)
-                                - reconcile_before)
-            settle = self.repairer.repair()
-            for phase, count in settle.phase_messages.items():
-                repair_messages[phase] = repair_messages.get(phase, 0) + count
-            problems = simulator.verify_views()
-            if settle.converged and not problems:
-                converged = True
-                break
-        simulator.trace.record(simulator.engine.now, "partition_merge",
-                               rounds=rounds, converged=converged,
-                               boundary_edges=len(boundary))
-        return MergeReport(
-            converged=converged, rounds=rounds,
-            time_to_converge=simulator.engine.now - heal_time,
-            digest_messages=digest_total,
-            reconcile_messages=reconcile_total,
-            repair_messages=repair_messages,
-            union_inserts=union.union_inserts if union else 0,
-            union_removals=union.union_removals if union else 0,
-            coordinate_conflicts=union.coordinate_conflicts if union else 0,
-            id_collisions_resolved=(union.id_collisions_resolved
-                                    if union else 0),
-            boundary_edges=len(boundary),
-            verify_problems=len(problems))

@@ -22,29 +22,30 @@ operation.
 
 Protocol moves
 --------------
-A join, a departure, a repair round or a merge is a handful of local
-procedures (``AddVoronoiRegion`` / ``RemoveVoronoiRegion``, Sections 3.3
-and 4.2).  Each is written once — on :class:`ProtocolNode` when it edits a
-view, on :class:`ProtocolSimulator` when it consults the kernel
-(``kernel_view``, ``send_snapshot``, ``_send_carve``) — and the drivers are
-sequences of calls to them.  Nothing outside :class:`ProtocolNode` writes
-``voronoi`` / ``close`` / ``long_links`` / ``back_links`` (simlint SIM001
-holds that), so the ``touch_view()`` an edit owes sits beside the edit.
+A join, a departure or a repair round (a healed split included) is a
+handful of local procedures (``AddVoronoiRegion`` /
+``RemoveVoronoiRegion``, Sections 3.3 and 4.2).  Each is written once —
+on :class:`ProtocolNode` when it edits a view, on
+:class:`ProtocolSimulator` when it consults the kernel (``kernel_view``,
+``send_snapshot``, ``_send_carve``; no node method reads the kernel) —
+and the drivers are sequences of calls to them.  Nothing outside
+:class:`ProtocolNode` writes ``voronoi`` / ``close`` / ``long_links`` /
+``back_links`` (simlint SIM001 holds that), so the ``touch_view()`` an
+edit owes sits beside the edit.
 
 ================  ======================  ====================================
 move              written once as         called by
 ================  ======================  ====================================
 adopt a snapshot  ``apply_snapshot``      ``CREATE_OBJECT``, ``REGION_UPDATE``,
-                                          ``VIEW_SCRUB``, ``MERGE_DIGEST``
+                                          ``VIEW_SCRUB``
 send a snapshot   ``send_snapshot`` of    ``complete_insertion``, ``leave``,
                   a ``kernel_view``       bulk views, repair scrub and audit
 hand over a back  ``hand_over``           ``REGION_UPDATE``, ``VIEW_SCRUB``,
 registration                              bulk handover, ``leave``
-close discovery   ``discover_close``      bulk close, repair close and audit,
-                                          ``MERGE_DIGEST``
+close discovery   ``discover_close``      bulk close, repair close and audit
 long-link search  ``_search_long_link``   ``add_long_link`` (join, bulk),
                                           ``reissue_long_link`` (retry, repair)
-proof of life     ``exonerate``           ``handle``, ``PONG``, merge handlers
+proof of life     ``exonerate``           ``handle``, ``PONG``
 corroboration     ``corroborated``        ``SUSPECT_NOTIFY``, ``VIEW_SCRUB``
 carve entry       ``_send_carve``         join retry, bulk carve and its audit
 ================  ======================  ====================================
@@ -84,8 +85,6 @@ kind                       payload
                            ``query_id`` / ``path`` (a tuple of the ids
                            visited) are ``None`` unless set
 ``QUERY_ANSWER``           ``(target, owner, query_id, path, hops)``
-``MERGE_DIGEST``           ``(epoch, version)``
-``MERGE_RECONCILE``        ``(epoch, version)``
 =========================  ===============================================
 
 :meth:`ProtocolSimulator.bulk_join` is the message-level mirror of
@@ -335,23 +334,18 @@ class ProtocolNode:
     last_contact: Dict[int, float] = field(default_factory=dict)
     last_ping_round: Dict[int, int] = field(default_factory=dict)
     #: Peers exonerated after being suspected (their PONG refuted the
-    #: suspicion).  Suspicion scrubbed their close entry destructively, so
-    #: the repair protocol's close re-discovery must revisit this node
-    #: even once its suspect list is empty; the repair round clears the
-    #: set after re-discovering.
+    #: suspicion), and after a heal the peers across the healed cut inside
+    #: the ``d_min`` disc.  Suspicion or the cut scrubbed their close entry
+    #: destructively, so the repair protocol's close re-discovery must
+    #: revisit this node even once its suspect list is empty; the repair
+    #: round clears the set after re-discovering.
     rehabilitated: Set[int] = field(default_factory=set)
     #: Externally published identity.  Normally ``None`` (the object id is
     #: the identity); objects inserted *during* a network split publish a
     #: side-local id drawn from the id space both sides believe is next —
-    #: the collision the merge protocol resolves deterministically on heal
-    #: (lowest object id keeps the claim, losers are re-assigned from the
-    #: healed allocator).
+    #: the collision the heal resolves deterministically (lowest object id
+    #: keeps the claim, losers are re-assigned from the healed allocator).
     published_id: Optional[int] = None
-    #: Newest merge epoch this node has reconciled (``MERGE_DIGEST``
-    #: handling).  The epoch guard is what terminates the epidemic flood:
-    #: a node hearing a digest for an epoch it already processed stays
-    #: silent instead of re-flooding.
-    merge_epoch: int = -1
     _block_epoch: int = field(default=-1, repr=False, init=False)
     _block: Optional[Tuple[Tuple[int, float, float], ...]] = field(default=None, repr=False,
                                                                    init=False)
@@ -982,57 +976,6 @@ class ProtocolNode:
 
     def _on_query_answer(self, _sender: int, payload: tuple) -> None:
         self.simulator.record_query_answer(*payload)
-
-    # ---------------- partition merge (anti-entropy) -------------------
-    def _on_merge_digest(self, sender: int, payload: tuple) -> None:
-        """Epidemic anti-entropy after a partition heals.
-
-        A version-stamped digest floods outward from the boundary nodes
-        of the healed cut (:class:`~repro.simulation.merge.MergeProtocol`
-        seeds it).  Each node, once per merge epoch: refreshes its region
-        view from the reconciled union tessellation (the version stamp
-        dominates every side's fork, so the standard monotonicity guard
-        accepts it), exonerates peers it presumed dead during the split,
-        re-runs close discovery across the healed cut, then re-floods the
-        digest to its *refreshed* neighbours — the epidemic
-        neighbour-notify shape, terminated by the epoch guard — and acks
-        the sender with ``MERGE_RECONCILE``.
-        """
-        epoch, version = payload
-        if self.merge_epoch >= epoch:
-            return  # already reconciled this heal; the epidemic stops here
-        self.merge_epoch = epoch
-        simulator = self.simulator
-        if self.object_id in simulator.kernel:
-            self.apply_snapshot(simulator.kernel_view(self.object_id), version)
-        # Split-era suspicion presumed the other side dead; every suspect
-        # the healed membership still carries is alive after all, and
-        # exonerating them makes the repair protocol's close re-discovery
-        # revisit this node too.
-        for peer in sorted(self.suspects):
-            if peer in simulator.nodes:
-                self.exonerate(peer)
-        # Suspicion scrubbed cross-side close entries; the grid consult
-        # restores any peer back inside the d_min disc.
-        self.discover_close()
-        for neighbor in sorted(self.voronoi):
-            if neighbor != self.object_id:
-                simulator.send(self, neighbor, "MERGE_DIGEST", payload)
-        simulator.send(self, sender, "MERGE_RECONCILE",
-                       (epoch, self.view_version))
-
-    def _on_merge_reconcile(self, sender: int, payload: tuple) -> None:
-        """Ack leg of the merge anti-entropy exchange.
-
-        The ack is itself liveness evidence (the sender is reachable
-        again) and carries the epoch: a node that never saw the digest —
-        every copy addressed to it was lost — is pulled into the epoch by
-        its own ack traffic, making the exchange bidirectional.
-        """
-        epoch, _version = payload
-        self.exonerate(sender)
-        if self.merge_epoch < epoch:
-            self._on_merge_digest(sender, payload)
 
 
 # ----------------------------------------------------------------------

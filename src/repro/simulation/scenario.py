@@ -38,13 +38,14 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import VoroNetConfig
 from repro.geometry.delaunay import DelaunayTriangulation
+from repro.geometry.point import distance
 from repro.simulation.failures import (CrashDamageReport,
                                        PartitionDamageReport,
                                        assess_partition_damage)
 from repro.simulation.faults import (FaultPlane, HeartbeatDetector,
                                      ProtocolCrashInjector, RepairProtocol,
                                      RepairReport, SplitSpec)
-from repro.simulation.merge import MergeProtocol, MergeReport, PartitionRuntime
+from repro.simulation.merge import MergeReport, PartitionRuntime
 from repro.simulation.protocol import BulkJoinReport, ProtocolSimulator
 from repro.simulation.trace import TraceRecorder
 from repro.utils.rng import RandomSource
@@ -480,7 +481,8 @@ def run_merge_scenario(*, num_objects: int = 120, seed: int = 7,
     detection suspect the cut and run a **scoped repair per side** so
     each half converges to its own fork, insert ``inserts_per_side``
     objects on *every* side (minting colliding published ids), measure
-    *stable* per-side availability, then heal and merge.  After the last
+    *stable* per-side availability, then heal (one union kernel) and
+    settle the union with the scenario's repairer.  After the last
     cycle the overlay must be byte-identical to a never-split oracle
     tessellation built from the union, including routing parity on
     sampled lookups.
@@ -534,26 +536,41 @@ def run_merge_scenario(*, num_objects: int = 120, seed: int = 7,
                 runtime.side_join(index, activity.random_point())
         # Stable phase: each side serves from its own tessellation.
         serve_side_queries("stable", queries_per_side)
+        # Heal: one union kernel, then the standing repair settles every
+        # view against it.
         summary = runtime.heal()
-        availability.mark_heal(simulator.engine.now)
-        report = MergeProtocol(simulator, summary.spec,
-                               epoch_base=summary.epoch,
-                               detector=scenario.detector).run(summary)
-        if report.converged:
+        healed_at = simulator.engine.now
+        availability.mark_heal(healed_at)
+        before = simulator.network.messages_sent
+        repair = scenario.repairer.repair()
+        converged = repair.converged and not simulator.verify_views()
+        if converged:
             availability.mark_converged(simulator.engine.now)
-        cycle_reports.append(report)
+        cycle_reports.append(MergeReport(
+            converged=converged, rounds=repair.rounds,
+            time_to_converge=simulator.engine.now - healed_at,
+            messages=simulator.network.messages_sent - before,
+            union_inserts=summary.union_inserts,
+            coordinate_conflicts=summary.coordinate_conflicts,
+            id_collisions_resolved=summary.id_collisions_resolved))
     # Never-split oracle: one tessellation built from the union
     # population.  Delaunay triangulations are unique in general
     # position, so insertion order cannot matter — byte-identical views
-    # here mean the merge truly erased the split.
+    # here mean the merge truly erased the split.  Close sets are held to
+    # every live peer inside the d_min disc, found by brute force.
     oracle = DelaunayTriangulation()
     live = sorted(simulator.nodes)
     for object_id in live:
         oracle.insert(simulator.nodes[object_id].position,
                       vertex_id=object_id)
-    view_parity = all(set(simulator.nodes[object_id].voronoi)
-                      == set(oracle.neighbors(object_id))
-                      for object_id in live)
+    d_min = simulator.config.effective_d_min
+    nodes = simulator.nodes
+    view_parity = all(
+        set(node.voronoi) == set(oracle.neighbors(object_id))
+        and set(node.close) == {peer for peer in live if peer != object_id
+                                and distance(nodes[peer].position,
+                                             node.position) <= d_min}
+        for object_id, node in nodes.items())
     mismatches = 0
     parity_rng = RandomSource(seed + 11)
     for k in range(_PARITY_QUERIES):

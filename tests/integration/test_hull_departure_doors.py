@@ -33,7 +33,7 @@ from repro.simulation.faults import (
     ProtocolCrashInjector,
     RepairProtocol,
 )
-from repro.simulation.merge import MergeProtocol, PartitionRuntime
+from repro.simulation.merge import PartitionRuntime
 from repro.simulation.protocol import ProtocolSimulator, TimeoutPolicy
 from repro.utils.rng import RandomSource
 from repro.workloads.distributions import UniformDistribution
@@ -182,8 +182,7 @@ def merge_heal_coordinate_conflict(simulator):
     summary = runtime.heal()
     assert summary.coordinate_conflicts == 1
     assert winner in simulator.nodes
-    assert MergeProtocol(simulator, summary.spec,
-                         epoch_base=summary.epoch).run(summary).converged
+    assert RepairProtocol(simulator, detector=detector).repair().converged
     return loser
 
 

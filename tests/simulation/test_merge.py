@@ -1,10 +1,11 @@
 """Tests of the partition-merge subsystem.
 
-Covers the k-way ``SplitSpec`` (side tracking, heal hooks, the pinned
-in-flight semantics of both ``deliver`` and ``cut`` windows), the
-partition damage census, the split-brain runtime (per-side service,
-published-id collisions, the deterministic union rebuild), the
-anti-entropy merge protocol, the full harness scenario matrix (2-way,
+Covers the k-way ``SplitSpec`` (side tracking, explicit and clock-expired
+heals, the pinned in-flight semantics of both ``deliver`` and ``cut``
+windows), the partition damage census, the split-brain runtime (per-side
+service, published-id collisions, the deterministic union rebuild), the
+heal settled by the standing repair protocol (with and without per-side
+stabilisation, under loss), the full harness scenario matrix (2-way,
 asymmetric, k-way, flapping), and a Hypothesis property pinning post-heal
 views byte-identical to a never-split oracle overlay built from the
 union population.
@@ -15,11 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry.delaunay import DelaunayTriangulation
+from repro.geometry.point import distance
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.failures import assess_partition_damage
 from repro.simulation.faults import (FaultPlane, HeartbeatDetector,
                                      RepairProtocol)
-from repro.simulation.merge import MergeProtocol, PartitionRuntime
+from repro.simulation.merge import PartitionRuntime
 from repro.simulation.scenario import run_merge_scenario
 from repro.simulation.network import ConstantLatency, Network
 from repro.simulation.protocol import ProtocolSimulator
@@ -41,8 +43,13 @@ def build_simulator(count=40, seed=7, num_long_links=1, capacity_slack=16):
 
 
 def split_halves(simulator):
+    return split_ways(simulator, 2)
+
+
+def split_ways(simulator, ways):
     live = sorted(simulator.nodes)
-    return [live[: len(live) // 2], live[len(live) // 2:]]
+    return [live[side * len(live) // ways:(side + 1) * len(live) // ways]
+            for side in range(ways)]
 
 
 def stabilize_sides(simulator, runtime):
@@ -97,27 +104,20 @@ class TestSplitSpec:
         assert plane.decide(*crossing, 10.0).deliver        # half-open end
         assert plane.drops_by_reason["partition"] == 1
 
-    def test_heal_hooks_fire_once_per_explicit_heal(self):
+    def test_explicit_heal_closes_every_window(self):
         plane = FaultPlane(seed=4)
-        healed = []
-        plane.on_heal(healed.append)
         spec = plane.split([[1], [2]], start=0.0)
         assert plane.heal_partitions() == 1
-        assert healed == [spec]
         assert not spec.active(1.0)
-        # Nothing left: a second heal is a no-op and refires nothing.
+        # Nothing left: a second heal is a no-op.
         assert plane.heal_partitions() == 0
-        assert healed == [spec]
 
     def test_clock_expired_window_is_passive(self):
-        """A window that lapses on the clock does not fire heal hooks."""
+        """A window that lapses on the clock is pruned, not healed."""
         plane = FaultPlane(seed=5)
-        healed = []
-        plane.on_heal(healed.append)
         plane.split([[1], [2]], start=0.0, end=10.0)
         crossing = (1, 2)
         assert plane.decide(*crossing, 20.0).deliver        # expired; pruned
-        assert healed == []
         assert plane.heal_partitions() == 0
 
 
@@ -268,7 +268,7 @@ class TestPartitionRuntime:
 
 
 # ----------------------------------------------------------------------
-# merge protocol + harness scenario matrix
+# harness scenario matrix
 # ----------------------------------------------------------------------
 def run_harness(**kwargs):
     defaults = dict(num_objects=40, seed=31, queries_per_side=4,
@@ -285,8 +285,6 @@ class TestMergeHarness:
         assert report.oracle_view_parity
         assert report.routing_parity_mismatches == 0
         merge = report.cycle_reports[0]
-        assert merge.boundary_edges > 0
-        assert merge.digest_messages > 0
         assert merge.id_collisions_resolved >= 1
         assert merge.time_to_converge > 0
 
@@ -336,29 +334,52 @@ class TestMergeHarness:
             run_merge_scenario(num_objects=10, num_sides=2)
 
 
-class TestMergeProtocolUnits:
-    def test_boundary_edges_cross_the_healed_cut(self):
-        simulator = build_simulator(count=30, seed=41)
-        runtime = PartitionRuntime(simulator)
-        spec = runtime.open_split(split_halves(simulator))
-        summary = runtime.heal()
-        merge = MergeProtocol(simulator, summary.spec, epoch_base=1)
-        edges = merge.boundary_edges()
-        assert edges
-        for u, v in edges:
-            assert u < v
-            assert spec.side_of(u) != spec.side_of(v)
+def assert_never_split_parity(simulator):
+    """Clean views, each equal to what a never-split overlay holds: the
+    star in a tessellation built from the union, and every live peer
+    inside the ``d_min`` disc as a close neighbour."""
+    assert simulator.verify_views() == []
+    nodes = simulator.nodes
+    oracle = DelaunayTriangulation()
+    for object_id in sorted(nodes):
+        oracle.insert(nodes[object_id].position, vertex_id=object_id)
+    d_min = simulator.config.effective_d_min
+    for object_id, node in nodes.items():
+        assert set(node.voronoi) == set(oracle.neighbors(object_id))
+        assert set(node.close) == {
+            peer for peer in nodes if peer != object_id
+            and distance(nodes[peer].position, node.position) <= d_min}
 
-    def test_merge_reports_convergence_and_counts(self):
+
+class TestHealThenRepair:
+    """A heal is the union rebuild plus one standing ``repair()``."""
+
+    def test_unstabilised_heal_converges_in_one_repair(self):
         simulator = build_simulator(count=30, seed=42)
         runtime = PartitionRuntime(simulator)
         runtime.open_split(split_halves(simulator))
-        summary = runtime.heal()
-        report = MergeProtocol(simulator, summary.spec,
-                               epoch_base=summary.epoch).run(summary)
-        assert report.converged
-        assert simulator.verify_views() == []
-        assert report.messages >= report.digest_messages > 0
+        runtime.heal()
+        assert RepairProtocol(simulator).repair().converged
+        assert_never_split_parity(simulator)
+
+    @pytest.mark.parametrize("ways", [2, 3])
+    @pytest.mark.parametrize("seed", [51, 52, 53])
+    def test_lossy_heal_converges_to_never_split_parity(self, seed, ways):
+        simulator = build_simulator(count=45, seed=seed)
+        runtime = PartitionRuntime(simulator)
+        runtime.open_split(split_ways(simulator, ways))
+        stabilize_sides(simulator, runtime)
+        rng = RandomSource(seed + 100)
+        for side in range(ways):
+            runtime.side_join(side, rng.random_point())
+        runtime.heal()
+        lost = simulator.network.messages_lost
+        simulator.faults.set_loss(0.05)
+        repair = RepairProtocol(simulator).repair()
+        simulator.faults.set_loss(0.0)
+        assert repair.converged
+        assert simulator.network.messages_lost > lost
+        assert_never_split_parity(simulator)
 
 
 # ----------------------------------------------------------------------

@@ -7,13 +7,14 @@ fails here with a named diff even before the CI lint gate runs.
 The crash-at-any-message hardening (operation watchdogs, idempotent
 retries, the fuzz harness) deliberately added **no** new kinds: a retry
 re-sends one of the existing eighteen, and timeouts are engine-scheduled
-events, not messages.  The partition-merge subsystem *did* grow the set
-— deliberately, as a genuinely new protocol phase: ``MERGE_DIGEST``
-(version-stamped anti-entropy flood across a healed cut) and
-``MERGE_RECONCILE`` (its bidirectional ack) have no equivalent among the
-repair kinds, whose scrubs presume a shared live kernel rather than two
-diverged forks.  The pin is now twenty; further growth still needs a
-design reason, not just a new code path.
+events, not messages.  Neither does a partition heal.  It once had two
+kinds of its own, an anti-entropy flood across the healed cut and its
+ack, on the grounds that the repair kinds presume a shared live kernel
+rather than two diverged forks.  That no longer holds:
+``PartitionRuntime.heal()`` restores one union kernel, whose version
+dominates every fork, before any message is sent, so the repair kinds
+settle a heal exactly as they settle a crash.  The pin is eighteen;
+growth needs a design reason, not just a new code path.
 """
 
 import ast
@@ -34,7 +35,6 @@ EXPECTED_KINDS = frozenset({
     "SEARCH_LONG_LINK", "LONG_LINK_ESTABLISHED", "LONG_LINK_RETARGET",
     "REGION_UPDATE", "BACKLINK_TRANSFER", "BACKLINK_REMOVE",
     "VIEW_SCRUB", "SUSPECT_NOTIFY",
-    "MERGE_DIGEST", "MERGE_RECONCILE",
     "PING", "PONG",
     "QUERY", "QUERY_ANSWER",
 })
@@ -75,6 +75,27 @@ def test_every_kind_dispatches_to_a_real_handler():
     for kind in EXPECTED_KINDS:
         assert callable(getattr(ProtocolNode, f"_on_{kind.lower()}", None)), \
             f"no handler for {kind}"
+
+
+def test_no_protocol_node_method_reads_the_kernel():
+    """Handlers know only what they were told.
+
+    The shared kernel is consulted on the simulator side only
+    (``kernel_view``, ``send_snapshot`` and the drivers that call them);
+    a node adopts the views it is sent.
+    """
+    tree = next(module.tree for module in parsed()
+                if module.display.endswith("simulation/protocol.py"))
+    node_class = next(node for node in tree.body
+                      if isinstance(node, ast.ClassDef)
+                      and node.name == "ProtocolNode")
+    reads = [(function.name, node.lineno)
+             for function in node_class.body
+             if isinstance(function, ast.FunctionDef)
+             for node in ast.walk(function)
+             if isinstance(node, ast.Attribute)
+             and node.attr in {"kernel", "kernel_view", "send_snapshot"}]
+    assert reads == []
 
 
 def senders(kind):

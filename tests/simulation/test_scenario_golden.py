@@ -21,7 +21,10 @@ pairwise invariants ``verify_views()`` gained from the oracle's checker
 moved two partition traces and the ``flapping`` scenario.  The third,
 ``MOVED_BY_ONE_LIVENESS_POLICY``, moved every trace and all four
 scenarios, so the fingerprints of the two before it (commit 5e0d5ee's
-version of this file) no longer decide anything here.
+version of this file) no longer decide anything here.  The fourth moved
+the four scenarios only: a heal became the union rebuild plus one standing
+repair, and the merge flood's fields left the record (the comment above
+``MERGE_SCENARIOS``).
 """
 
 import sys
@@ -86,6 +89,19 @@ MOVED_BY_ONE_LIVENESS_POLICY = {
 # the message totals move (2 299 -> 2 476, 2 245 -> 2 103, 2 407 -> 2 882,
 # 5 288 -> 5 626).  Convergence, parity, collisions, availability rates and
 # every time_to_converge are unchanged.
+#
+# Re-recorded again when a heal became the union rebuild plus one standing
+# RepairProtocol.repair(), with no merge flood: boundary_edges,
+# digest_messages and reconcile_messages left the record with the flood;
+# merge_rounds now counts the repair's rounds (1 -> 3, flapping [1, 1, 1] ->
+# [2, 3, 3]); merge_messages fall (474 -> 94, 451 -> 94, 562 -> 162,
+# 1 200 -> 270) and the totals with them (2 476 -> 2 086, 2 103 -> 1 743,
+# 2 882 -> 2 475, 5 626 -> 4 944); every time_to_converge falls to 4.0
+# (6.0, and 7.0 for asymmetric), so the later flapping cycles start one and
+# three time units sooner (194 -> 193, 289 -> 286).  oracle_view_parity
+# now also holds every close set to the peers inside the d_min disc.
+# Convergence, parity, collisions, union inserts, the cross references at
+# each split and the availability rates are unchanged.
 MERGE_SCENARIOS = {'two_way': {'scenario': 'two_way',
              'objects': 48,
              'sides': 2,
@@ -95,15 +111,12 @@ MERGE_SCENARIOS = {'two_way': {'scenario': 'two_way',
              'routing_parity_queries': 32,
              'routing_parity_mismatches': 0,
              'final_verify_problems': 0,
-             'boundary_edges': [79],
-             'merge_rounds': [1],
-             'digest_messages': 365,
-             'reconcile_messages': 52,
-             'merge_messages': 474,
+             'merge_rounds': [3],
+             'merge_messages': 94,
              'id_collisions_resolved': 2,
              'coordinate_conflicts': 0,
              'union_inserts': 4,
-             'time_to_converge_max': 6.0,
+             'time_to_converge_max': 4.0,
              'cross_references_at_split': [186],
              'availability': {'sides': {'0': {'degraded': {'queries': 4.0,
                                                            'served': 1.0,
@@ -120,11 +133,11 @@ MERGE_SCENARIOS = {'two_way': {'scenario': 'two_way',
                               'degraded_success_rate': 0.125,
                               'stable_success_rate': 1.0,
                               'heals': [{'healed_at': 101.0,
-                                         'converged_at': 107.0,
-                                         'time_to_converge': 6.0}],
-                              'time_to_converge_max': 6.0},
-             'messages': 2476,
-             'virtual_time': 237.0},
+                                         'converged_at': 105.0,
+                                         'time_to_converge': 4.0}],
+                              'time_to_converge_max': 4.0},
+             'messages': 2086,
+             'virtual_time': 235.0},
  'two_way_asymmetric': {'scenario': 'two_way_asymmetric',
                         'objects': 48,
                         'sides': 2,
@@ -134,15 +147,12 @@ MERGE_SCENARIOS = {'two_way': {'scenario': 'two_way',
                         'routing_parity_queries': 32,
                         'routing_parity_mismatches': 0,
                         'final_verify_problems': 0,
-                        'boundary_edges': [55],
-                        'merge_rounds': [1],
-                        'digest_messages': 341,
-                        'reconcile_messages': 52,
-                        'merge_messages': 451,
+                        'merge_rounds': [3],
+                        'merge_messages': 94,
                         'id_collisions_resolved': 2,
                         'coordinate_conflicts': 0,
                         'union_inserts': 4,
-                        'time_to_converge_max': 7.0,
+                        'time_to_converge_max': 4.0,
                         'cross_references_at_split': [130],
                         'availability': {'sides': {'0': {'degraded': {'queries': 4.0,
                                                                       'served': 1.0,
@@ -159,11 +169,11 @@ MERGE_SCENARIOS = {'two_way': {'scenario': 'two_way',
                                          'degraded_success_rate': 0.25,
                                          'stable_success_rate': 1.0,
                                          'heals': [{'healed_at': 104.0,
-                                                    'converged_at': 111.0,
-                                                    'time_to_converge': 7.0}],
-                                         'time_to_converge_max': 7.0},
-                        'messages': 2103,
-                        'virtual_time': 238.0},
+                                                    'converged_at': 108.0,
+                                                    'time_to_converge': 4.0}],
+                                         'time_to_converge_max': 4.0},
+                        'messages': 1743,
+                        'virtual_time': 235.0},
  'three_way': {'scenario': 'three_way',
                'objects': 48,
                'sides': 3,
@@ -173,15 +183,12 @@ MERGE_SCENARIOS = {'two_way': {'scenario': 'two_way',
                'routing_parity_queries': 32,
                'routing_parity_mismatches': 0,
                'final_verify_problems': 0,
-               'boundary_edges': [108],
-               'merge_rounds': [1],
-               'digest_messages': 410,
-               'reconcile_messages': 54,
-               'merge_messages': 562,
+               'merge_rounds': [3],
+               'merge_messages': 162,
                'id_collisions_resolved': 4,
                'coordinate_conflicts': 0,
                'union_inserts': 6,
-               'time_to_converge_max': 6.0,
+               'time_to_converge_max': 4.0,
                'cross_references_at_split': [266],
                'availability': {'sides': {'0': {'degraded': {'queries': 4.0,
                                                              'served': 2.0,
@@ -204,15 +211,11 @@ MERGE_SCENARIOS = {'two_way': {'scenario': 'two_way',
                                 'degraded_success_rate': 0.25,
                                 'stable_success_rate': 1.0,
                                 'heals': [{'healed_at': 111.0,
-                                           'converged_at': 117.0,
-                                           'time_to_converge': 6.0}],
-                                'time_to_converge_max': 6.0},
-               'messages': 2882,
-               'virtual_time': 257.0},
- # Re-recorded once before, when the pairwise audit began dropping the
- # orphan registrations re-searched links leave at suspected endpoints, so
- # the next split's scrub phases refreshed fewer views (5 294 -> 5 288
- # messages, every later heal 2-4 time units earlier, same 6.0 to converge).
+                                           'converged_at': 115.0,
+                                           'time_to_converge': 4.0}],
+                                'time_to_converge_max': 4.0},
+               'messages': 2475,
+               'virtual_time': 255.0},
  'flapping': {'scenario': 'flapping',
               'objects': 36,
               'sides': 2,
@@ -222,15 +225,12 @@ MERGE_SCENARIOS = {'two_way': {'scenario': 'two_way',
               'routing_parity_queries': 32,
               'routing_parity_mismatches': 0,
               'final_verify_problems': 0,
-              'boundary_edges': [60, 55, 67],
-              'merge_rounds': [1, 1, 1],
-              'digest_messages': 904,
-              'reconcile_messages': 132,
-              'merge_messages': 1200,
+              'merge_rounds': [2, 3, 3],
+              'merge_messages': 270,
               'id_collisions_resolved': 6,
               'coordinate_conflicts': 0,
               'union_inserts': 12,
-              'time_to_converge_max': 6.0,
+              'time_to_converge_max': 4.0,
               'cross_references_at_split': [136, 144, 168],
               'availability': {'sides': {'0': {'degraded': {'queries': 12.0,
                                                             'served': 2.0,
@@ -247,18 +247,17 @@ MERGE_SCENARIOS = {'two_way': {'scenario': 'two_way',
                                'degraded_success_rate': 0.25,
                                'stable_success_rate': 1.0,
                                'heals': [{'healed_at': 86.0,
-                                          'converged_at': 92.0,
-                                          'time_to_converge': 6.0},
-                                         {'healed_at': 194.0,
-                                          'converged_at': 200.0,
-                                          'time_to_converge': 6.0},
-                                         {'healed_at': 289.0,
-                                          'converged_at': 295.0,
-                                          'time_to_converge': 6.0}],
-                               'time_to_converge_max': 6.0},
-              'messages': 5626,
-              'virtual_time': 420.0}}
-
+                                          'converged_at': 90.0,
+                                          'time_to_converge': 4.0},
+                                         {'healed_at': 193.0,
+                                          'converged_at': 197.0,
+                                          'time_to_converge': 4.0},
+                                         {'healed_at': 286.0,
+                                          'converged_at': 290.0,
+                                          'time_to_converge': 4.0}],
+                               'time_to_converge_max': 4.0},
+              'messages': 4944,
+              'virtual_time': 415.0}}
 
 @pytest.mark.parametrize("sweep", sorted(SWEEPS))
 def test_fuzz_fingerprints_match_the_parent(sweep):
