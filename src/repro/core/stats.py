@@ -80,11 +80,11 @@ class OverlayStats:
     mutation named the object and dropped its table.  Divided by routes it
     is how cold routing runs (``perf/``'s ``table_rebuilds_per_route``).
 
-    ``operation_timeouts`` / ``operation_retries`` count watchdog expiries
-    and the retries they triggered on multi-message operations (join,
-    close discovery, long-link search) — the protocol-hardening vocabulary
-    shared with the message-level simulator's metrics registry.  Both stay
-    zero in fault-free runs.
+    ``operation_timeouts`` / ``operation_retries`` are always 0: the
+    oracle runs no multi-message operation, so it has no watchdog to
+    expire.  The message-level simulator counts its expiries and retries
+    under the same names on ``simulator.metrics``; the two fields stay
+    because ``perf/systems.py`` reads them.
 
     ``kernel_rebuilds`` counts departures (leaves and crashes) that took
     the geometry kernel's slow door: the object sat on the convex hull, so

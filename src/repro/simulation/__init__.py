@@ -2,8 +2,9 @@
 
 The paper evaluates VoroNet by simulation; this package provides the
 simulator: an event engine with virtual time, a message-passing network
-layer with latency models and per-message accounting, metric and trace
-collection, churn/failure injection, and — most importantly — the
+layer with latency models and per-message accounting (sends by kind on
+``Network.sent_by_kind``, crashes, timeouts and retries on the simulator's
+``MetricsRegistry``), churn/failure injection, and — most importantly — the
 *message-level* implementation of the VoroNet protocol
 (:mod:`repro.simulation.protocol`) in which every object acts only on its
 local view and every exchanged message is explicit.  The oracle-mode
@@ -50,8 +51,9 @@ Crash-at-any-message hardening and fuzzing
 ------------------------------------------
 Multi-message operations (join carving, close discovery, long-link
 search, leave hand-over) are guarded by engine-scheduled ``Watchdog``
-timeouts with idempotent, version-stamped retries under a
-``TimeoutPolicy``; a node dying mid-conversation surfaces as a
+timeouts with idempotent, version-stamped retries (the protocol module's
+``OPERATION_TIMEOUT`` quiet window, ``OPERATION_RETRIES`` re-issues and
+``OPERATION_BACKOFF``); a node dying mid-conversation surfaces as a
 ``timed_out`` outcome instead of wedging the protocol.
 :mod:`repro.simulation.fuzz` turns the simulator's determinism into a
 Jepsen-style harness: ``run_trace`` arms a ``Scenario`` to crash victims
@@ -85,7 +87,6 @@ from repro.simulation.network import (
     UniformLatency,
 )
 from repro.simulation.metrics import MetricsRegistry
-from repro.simulation.trace import TraceRecorder
 from repro.simulation.failures import (
     CrashDamageReport,
     CrashInjector,
@@ -114,7 +115,6 @@ from repro.simulation.protocol import (
     LeaveReport,
     ProtocolSimulator,
     QueryReport,
-    TimeoutPolicy,
 )
 from repro.simulation.scenario import (
     AvailabilityTracker,
@@ -134,7 +134,6 @@ __all__ = [
     "ConstantLatency",
     "UniformLatency",
     "MetricsRegistry",
-    "TraceRecorder",
     "CrashDamageReport",
     "CrashInjector",
     "PartitionDamageReport",
@@ -156,7 +155,6 @@ __all__ = [
     "JoinReport",
     "LeaveReport",
     "QueryReport",
-    "TimeoutPolicy",
     "Scenario",
     "HealOutcome",
     "measure_steady_state_liveness",

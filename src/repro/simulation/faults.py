@@ -458,8 +458,6 @@ class ProtocolCrashInjector:  # simlint: ignore[SIM003] — one per experiment, 
         simulator.uncarve(object_id)
         simulator.detach_node(object_id)
         self._crashed.append(object_id)
-        simulator.trace.record(simulator.engine.now, "crash",
-                               object_id=object_id)
         simulator.metrics.increment("crashes")
 
     def assess_damage(self) -> CrashDamageReport:
@@ -503,8 +501,9 @@ class HeartbeatConfig:
     Attributes
     ----------
     interval:
-        Spacing of clock-driven rounds, and the detector's notion of "one
-        round" for bookkeeping.
+        Init-only and positive: ``perf/systems.py`` still passes it.
+        Rounds are synchronous (:meth:`HeartbeatDetector.run_round`), so
+        nothing reads it.
     miss_threshold:
         Consecutive unanswered rounds before a peer is suspected.
     sample_fraction:
@@ -520,17 +519,17 @@ class HeartbeatConfig:
         policy it times.
     """
 
-    interval: float = 8.0
+    interval: InitVar[float] = 8.0
     miss_threshold: int = 2
     sample_fraction: float = 0.25
     piggyback: InitVar[bool] = True
 
-    def __post_init__(self, piggyback: bool) -> None:
+    def __post_init__(self, interval: float, piggyback: bool) -> None:
         if not piggyback:
             raise ValueError("piggy-backed, sampled probing is the only "
                              "liveness policy; piggyback must be True")
-        if self.interval <= 0:
-            raise ValueError(f"interval must be positive, got {self.interval}")
+        if interval <= 0:
+            raise ValueError(f"interval must be positive, got {interval}")
         if self.miss_threshold < 1:
             raise ValueError(
                 f"miss_threshold must be >= 1, got {self.miss_threshold}")
@@ -569,15 +568,9 @@ class HeartbeatDetector:  # simlint: ignore[SIM003] — one per experiment, not 
     they were sent.  Every probe still goes through
     :meth:`ProtocolSimulator.send
     <repro.simulation.protocol.ProtocolSimulator.send>`, in the order and
-    number the per-round recomputation produced.  Two driving modes:
-
-    * :meth:`run_round` — synchronous: send the probes, drain the engine,
-      sweep the answers.  The repair protocol and the scenario pipeline
-      drive detection this way for bounded, countable rounds.
-    * :meth:`start` — clock-driven: rounds are scheduled every ``interval``
-      on the virtual clock (each tick sweeps the previous round before
-      probing), composing with other scheduled activity such as churn or
-      partition windows; :meth:`stop` cancels the remaining ticks.
+    number the per-round recomputation produced.  Rounds are synchronous
+    (:meth:`run_round`: send the probes, drain the engine, sweep the
+    answers), so detection runs in bounded, countable rounds.
     """
 
     #: Multiplier on ``object_id``/``peer`` in the deterministic stride
@@ -591,9 +584,7 @@ class HeartbeatDetector:  # simlint: ignore[SIM003] — one per experiment, not 
             config = HeartbeatConfig()
         self.simulator = simulator
         self.config = config
-        self.interval = config.interval
         self.miss_threshold = config.miss_threshold
-        self.rounds_run = 0
         #: This detector's rounds so far (stride and freshness age on it),
         #: and the simulator-wide number of its current round (the PING
         #: payload, and what the PONG carries back).
@@ -601,7 +592,6 @@ class HeartbeatDetector:  # simlint: ignore[SIM003] — one per experiment, not 
         self._stamp = 0
         #: Probes of the round in flight: prober → peers in send order.
         self._outstanding: Dict[int, Tuple[int, ...]] = {}
-        self._scheduled: List = []
         #: Virtual start times of the last two rounds ([-1] is the current
         #: round's; the sweep treats contact during the round as an answer).
         self._round_starts: List[float] = []
@@ -694,10 +684,10 @@ class HeartbeatDetector:  # simlint: ignore[SIM003] — one per experiment, not 
         return pings
 
     def _sweep(self) -> List[Tuple[int, int]]:
-        """Settle the previous round; returns newly created (prober, suspect)."""
+        """Settle the round just drained; returns newly created (prober, suspect)."""
         simulator = self.simulator
         stamp = self._stamp
-        round_started = self._round_starts[-1] if self._round_starts else -math.inf
+        round_started = self._round_starts[-1]
         new_suspects: List[Tuple[int, int]] = []
         for object_id, peers in self._outstanding.items():
             node = simulator.nodes.get(object_id)
@@ -716,10 +706,7 @@ class HeartbeatDetector:  # simlint: ignore[SIM003] — one per experiment, not 
                     node.suspects.add(peer)
                     node.apply_suspicion({peer})
                     new_suspects.append((object_id, peer))
-                    simulator.trace.record(simulator.engine.now, "suspect",
-                                           prober=object_id, suspect=peer)
         self._outstanding = {}
-        self.rounds_run += 1
         return new_suspects
 
     # ------------------------------------------------------------------
@@ -738,43 +725,6 @@ class HeartbeatDetector:  # simlint: ignore[SIM003] — one per experiment, not 
         for _ in range(count):
             created.extend(self.run_round())
         return created
-
-    # ------------------------------------------------------------------
-    def start(self, duration: float) -> int:
-        """Schedule clock-driven rounds over the next ``duration`` time units.
-
-        Returns the number of ticks scheduled.  The caller drives the
-        engine (``engine.run()`` or ``run_until``); each tick sweeps the
-        round before it, and a trailing tick settles the final round.
-        """
-        engine = self.simulator.engine
-        ticks = int(duration / self.interval)
-        for index in range(1, ticks + 1):
-            event = engine.schedule(index * self.interval, self._tick,
-                                    label="heartbeat")
-            self._scheduled.append(event)
-        # The trailing sweep: answers to the final round's probes arrive
-        # within a latency, long before another full interval elapses.
-        event = engine.schedule((ticks + 1) * self.interval, self._sweep,
-                                label="heartbeat-final")
-        self._scheduled.append(event)
-        return ticks
-
-    def _tick(self) -> None:
-        if self._outstanding:
-            self._sweep()
-        self._send_pings()
-
-    def stop(self) -> int:
-        """Cancel every scheduled tick still pending; returns how many."""
-        engine = self.simulator.engine
-        cancelled = 0
-        for event in self._scheduled:
-            if not event.cancelled and event.time > engine.now:
-                cancelled += 1
-            event.cancel()
-        self._scheduled.clear()
-        return cancelled
 
     # ------------------------------------------------------------------
     def suspected(self) -> Dict[int, Set[int]]:
@@ -830,6 +780,11 @@ class RepairProtocol:  # simlint: ignore[SIM003] — one per experiment, not per
     any stale reference survives, rounds are idempotent and retry-safe
     under message loss.  Within one call the audit re-checks only members
     whose ``(kernel.version, view_epoch)`` moved since they passed clean.
+
+    Repair acts on the suspect lists the nodes hold, whoever filled them;
+    it drives no detection itself.  ``detector`` is stored as passed (no
+    detector is built when it is omitted) and read by nothing here: the
+    parameter stays because ``perf/systems.py`` passes it.
     """
 
     PHASES = ("probe", "notify", "scrub", "retarget", "close", "audit")
@@ -845,8 +800,7 @@ class RepairProtocol:  # simlint: ignore[SIM003] — one per experiment, not per
                  max_rounds: int = 8,
                  scope: Optional[Set[int]] = None) -> None:
         self.simulator = simulator
-        self.detector = detector if detector is not None \
-            else HeartbeatDetector(simulator)
+        self.detector = detector
         self.max_rounds = max_rounds
         #: Optional id set this repairer confines itself to.  A scoped
         #: repairer (one side of a network split healing against its own
@@ -903,9 +857,8 @@ class RepairProtocol:  # simlint: ignore[SIM003] — one per experiment, not per
                             simulator.send(node, suspect, "PING", _REPAIR_PING)
             holders = self._holders(members)
 
-        suspected = sorted(set().union(set(), *(
-            simulator.nodes[object_id].suspects for object_id in holders)))
-        suspected_set = frozenset(suspected)
+        suspected_set = frozenset().union(*(
+            simulator.nodes[object_id].suspects for object_id in holders))
 
         if holders:
             # ---- notify: gossip suspicion to the local neighbourhood ----
@@ -985,9 +938,6 @@ class RepairProtocol:  # simlint: ignore[SIM003] — one per experiment, not per
             node = simulator.nodes.get(object_id)
             if node is not None:
                 node.gc_suspects()
-        simulator.trace.record(simulator.engine.now, "repair_round",
-                               suspects=len(suspected),
-                               messages=sum(phase_messages.values()))
         return phase_messages
 
     # ------------------------------------------------------------------

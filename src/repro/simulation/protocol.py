@@ -144,14 +144,13 @@ from repro.geometry.point import Point, as_point, distance
 from repro.simulation.engine import SimulationEngine, Watchdog
 from repro.simulation.metrics import MetricsRegistry
 from repro.simulation.network import ConstantLatency, LatencyModel, Message, Network
-from repro.simulation.trace import TraceRecorder
 from repro.utils.rng import RandomSource
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from repro.simulation.faults import FaultPlane
 
 __all__ = ["ProtocolSimulator", "ProtocolNode", "JoinReport", "LeaveReport",
-           "QueryReport", "BulkJoinReport", "TimeoutPolicy"]
+           "QueryReport", "BulkJoinReport"]
 
 #: Number of ``ADD_OBJECT`` sends pipelined between engine drains in
 #: :meth:`ProtocolSimulator.bulk_join`.  View snapshots are deferred to the
@@ -165,6 +164,19 @@ DEFAULT_BULK_CHUNK = 128
 
 #: Position of a routed payload's hop count (the module docstring's layouts).
 HOPS = -1
+
+#: Quiet window of every watchdog-tracked operation (join, close
+#: discovery, long links).  It is not an operation budget: the watchdog is
+#: poked on every forwarding hop and partial reply, so a long but healthy
+#: routed walk never expires; only a wedged one does (its in-flight
+#: message fed to a crash, loss or partition).
+OPERATION_TIMEOUT = 12.0
+#: Expiries an operation survives: each re-issues its idempotent,
+#: version-stamped messages and stretches the window by
+#: ``OPERATION_BACKOFF``; the next one abandons it as ``timed_out``.  The
+#: bulk join's carve, view and search audits run this many re-drives too.
+OPERATION_RETRIES = 3
+OPERATION_BACKOFF = 2.0
 
 
 # ----------------------------------------------------------------------
@@ -195,9 +207,7 @@ class BulkJoinReport:
     """Cost of one batched distributed construction.
 
     ``phase_messages`` breaks the total down by protocol phase
-    (``carve`` / ``views`` / ``handover`` / ``close`` / ``long_links``);
-    the same counts are recorded in the simulator's trace as
-    ``bulk_join_phase`` records.
+    (``carve`` / ``views`` / ``handover`` / ``close`` / ``long_links``).
 
     ``timed_out`` lists batch members that never made it into the overlay
     (they crashed mid-batch, or their carve could not be re-driven within
@@ -234,37 +244,6 @@ class QueryReport:
     owner: int
     routing_hops: int
     messages: int
-
-
-@dataclass(frozen=True)
-class TimeoutPolicy:
-    """Per-operation timeout/retry/backoff parameters.
-
-    The timeouts are *quiet windows*, not operation budgets: each tracked
-    operation runs a progress-aware :class:`~repro.simulation.engine.Watchdog`
-    that is poked on every forwarding hop and partial reply, so a long but
-    healthy routed walk never expires — only a genuinely wedged operation
-    (its in-flight message fed to a crash, loss or partition) does.  On
-    expiry the operation's retry hook re-issues its idempotent,
-    version-stamped messages and the window is stretched by ``backoff``;
-    after ``max_retries`` expiries the operation is abandoned and surfaced
-    as a ``timed_out`` outcome.
-    """
-
-    join_timeout: float = 12.0
-    close_timeout: float = 12.0
-    long_link_timeout: float = 12.0
-    max_retries: int = 3
-    backoff: float = 2.0
-
-    def __post_init__(self) -> None:
-        for name in ("join_timeout", "close_timeout", "long_link_timeout"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.backoff < 1.0:
-            raise ValueError(f"backoff must be >= 1, got {self.backoff}")
 
 
 # ----------------------------------------------------------------------
@@ -688,7 +667,6 @@ class ProtocolNode:
             self.pending_close_peers = set(self.voronoi)
             self.simulator.start_operation(
                 ("close", self.object_id),
-                self.simulator.timeouts.close_timeout,
                 retry=self._retry_close_phase, fail=self._abandon_close_phase)
             for neighbor in sorted(self.voronoi):
                 self.simulator.send(self, neighbor, "CLOSE_REQUEST",
@@ -773,11 +751,9 @@ class ProtocolNode:
     def _start_long_link_phase(self) -> None:
         count = self.simulator.config.num_long_links
         if count == 0:
-            self.simulator.operation_finished(self.object_id)
             return
         self.simulator.start_operation(
             ("long_links", self.object_id),
-            self.simulator.timeouts.long_link_timeout,
             retry=self._retry_long_links, fail=self._abandon_long_links)
         d_min = self.simulator.config.effective_d_min
         for _ in range(count):
@@ -844,7 +820,6 @@ class ProtocolNode:
         self.simulator.operation_progress(("long_links", self.object_id))
         if not self.pending_link_indices:
             self.simulator.finish_operation(("long_links", self.object_id))
-            self.simulator.operation_finished(self.object_id)
 
     # ---------------- maintenance updates ------------------------------
     def _on_region_update(self, _sender: int, payload: tuple) -> None:
@@ -986,13 +961,12 @@ class _PendingOperation:
 
     __slots__ = ("key", "watchdog", "attempts", "timeout", "retry", "fail")
 
-    def __init__(self, key: Tuple[str, int], timeout: float,
-                 retry: Callable[[], bool],
+    def __init__(self, key: Tuple[str, int], retry: Callable[[], bool],
                  fail: Optional[Callable[[], None]]) -> None:
         self.key = key
         self.watchdog: Optional[Watchdog] = None
         self.attempts = 0
-        self.timeout = timeout
+        self.timeout = OPERATION_TIMEOUT
         self.retry = retry
         self.fail = fail
 
@@ -1025,15 +999,12 @@ class ProtocolSimulator:  # simlint: ignore[SIM003] — one per experiment, not 
     def __init__(self, config: Optional[VoroNetConfig] = None, *,
                  latency: Optional[LatencyModel] = None,
                  seed: Optional[int] = None,
-                 trace: Optional[TraceRecorder] = None,
-                 faults: Optional["FaultPlane"] = None,
-                 timeouts: Optional[TimeoutPolicy] = None) -> None:
+                 faults: Optional["FaultPlane"] = None) -> None:
         self.config = config if config is not None else VoroNetConfig()
         self.engine = SimulationEngine()
         self.network = Network(self.engine, latency or ConstantLatency(1.0),
                                faults=faults)
         self.metrics = MetricsRegistry()
-        self.trace = trace if trace is not None else TraceRecorder(enabled=False)
         self.rng = RandomSource(seed if seed is not None else self.config.seed)
         # Stochastic latency models adopt a child of the simulator's seeded
         # stream (unless the caller supplied their own rng), so latency
@@ -1064,8 +1035,6 @@ class ProtocolSimulator:  # simlint: ignore[SIM003] — one per experiment, not 
         #: fixed number contending in flight.
         self.on_query_answer: Optional[Callable[[Dict], None]] = None
         self._bulk_owners: Dict[int, int] = {}
-        #: Per-operation timeout/retry policy (see :class:`TimeoutPolicy`).
-        self.timeouts = timeouts if timeouts is not None else TimeoutPolicy()
         self._pending_ops: Dict[Tuple[str, int], _PendingOperation] = {}
         #: Non-completed outcome recorded for a join in flight (read and
         #: cleared by :meth:`join` when building its report).
@@ -1083,10 +1052,6 @@ class ProtocolSimulator:  # simlint: ignore[SIM003] — one per experiment, not 
              payload: tuple) -> None:
         """Send one protocol message from ``sender`` to ``recipient``;
         ``payload`` has ``kind``'s layout (the module docstring's table)."""
-        trace = self.trace
-        if trace.enabled:
-            trace.record(self.engine.now, "send", message_kind=kind,
-                         sender=sender.object_id, recipient=recipient)
         self.network.send(sender.object_id, recipient, kind, payload)
 
     def forward(self, sender: ProtocolNode, recipient: int, kind: str,
@@ -1124,33 +1089,28 @@ class ProtocolSimulator:  # simlint: ignore[SIM003] — one per experiment, not 
         self.engine.run_until_quiescent()
         counts[name] = counts.get(name, 0) + self.network.messages_sent - before
 
-    def operation_finished(self, object_id: int) -> None:
-        """Callback from nodes when their multi-message operation completes."""
-        self.trace.record(self.engine.now, "operation_finished", object_id=object_id)
-
     # ------------------------------------------------------------------
     # operation timeout/retry tracking
     # ------------------------------------------------------------------
-    def start_operation(self, key: Tuple[str, int], timeout: float,
-                        retry: Callable[[], bool],
+    def start_operation(self, key: Tuple[str, int], retry: Callable[[], bool],
                         fail: Optional[Callable[[], None]] = None) -> None:
         """Arm a progress-aware watchdog over one multi-message operation.
 
         ``key`` is ``(operation_name, object_id)``.  While the operation
         makes progress (:meth:`operation_progress` is called from its
         message handlers) the watchdog never fires; after a full quiet
-        window it does, ``retry()`` is invoked to re-issue the operation's
-        idempotent messages (returning ``False`` declines — e.g. the
-        subject crashed), and the window is stretched by the policy's
-        backoff.  After ``max_retries`` expiries — or a declined retry —
-        the operation is abandoned and ``fail()`` (if any) runs.  Tracking
-        is idempotent per key.
+        window (``OPERATION_TIMEOUT``) it does, ``retry()`` is invoked to
+        re-issue the operation's idempotent messages (returning ``False``
+        declines — e.g. the subject crashed), and the window is stretched
+        by ``OPERATION_BACKOFF``.  After ``OPERATION_RETRIES`` expiries —
+        or a declined retry — the operation is abandoned and ``fail()``
+        (if any) runs.  Tracking is idempotent per key.
         """
         if key in self._pending_ops:
             return
-        op = _PendingOperation(key, timeout, retry, fail)
+        op = _PendingOperation(key, retry, fail)
         self._pending_ops[key] = op
-        op.watchdog = Watchdog(self.engine, timeout,
+        op.watchdog = Watchdog(self.engine, op.timeout,
                                lambda: self._operation_expired(key),
                                label=f"timeout:{key[0]}:{key[1]}")
 
@@ -1181,23 +1141,18 @@ class ProtocolSimulator:  # simlint: ignore[SIM003] — one per experiment, not 
             return
         op.attempts += 1
         self.metrics.increment("operation_timeouts")
-        self.trace.record(self.engine.now, "operation_timeout",
-                          operation=key[0], object_id=key[1],
-                          attempt=op.attempts)
-        if op.attempts <= self.timeouts.max_retries and op.retry():
+        if op.attempts <= OPERATION_RETRIES and op.retry():
             self.metrics.increment("operation_retries")
             if key in self._pending_ops:
                 # The retry may itself have finished the operation (e.g.
                 # every awaited peer turned out dead); only a still-pending
                 # one re-arms, with backoff.
-                op.timeout *= self.timeouts.backoff
+                op.timeout *= OPERATION_BACKOFF
                 op.watchdog.rearm(op.timeout)
             return
         self._pending_ops.pop(key, None)
         op.watchdog.cancel()
         self.metrics.increment("operation_failures")
-        self.trace.record(self.engine.now, "operation_failed",
-                          operation=key[0], object_id=key[1])
         if op.fail is not None:
             op.fail()
 
@@ -1295,7 +1250,7 @@ class ProtocolSimulator:  # simlint: ignore[SIM003] — one per experiment, not 
                 self.rng.integer(0, len(self.nodes) - 1))
         self._last_routing_hops = 0
         self._join_outcomes.pop(object_id, None)
-        self.start_operation(("join", object_id), self.timeouts.join_timeout,
+        self.start_operation(("join", object_id),
                              retry=lambda: self._retry_join(object_id, position),
                              fail=lambda: self._fail_join(object_id))
         starter = self.nodes[introducer]
@@ -1471,7 +1426,7 @@ class ProtocolSimulator:  # simlint: ignore[SIM003] — one per experiment, not 
             # re-drive uncarved survivors for a bounded number of rounds.  In a
             # fault-free run every batch member carved on the first pass and
             # the audit costs nothing.
-            for _ in range(self.timeouts.max_retries):
+            for _ in range(OPERATION_RETRIES):
                 stalled = [i for i, oid in enumerate(ids)
                            if oid in self.nodes and oid not in self.kernel]
                 if not stalled:
@@ -1510,7 +1465,7 @@ class ProtocolSimulator:  # simlint: ignore[SIM003] — one per experiment, not 
                 for neighbor_id in self.kernel.neighbors(object_id):
                     if neighbor_id not in new_ids and neighbor_id in self.nodes:
                         recipients.add(neighbor_id)
-            for _ in range(1 + self.timeouts.max_retries):
+            for _ in range(1 + OPERATION_RETRIES):
                 version = self.kernel.version
                 stale = [
                     object_id for object_id in sorted(recipients)
@@ -1578,7 +1533,7 @@ class ProtocolSimulator:  # simlint: ignore[SIM003] — one per experiment, not 
                 # Search audit: a crashed carrier or endpoint swallowed a walk;
                 # re-drive the unresolved slots, grid-seeded, bounded like the
                 # carve audit.  Free in fault-free runs (nothing is pending).
-                for _ in range(self.timeouts.max_retries):
+                for _ in range(OPERATION_RETRIES):
                     unresolved = [
                         object_id for object_id in ids
                         if object_id in self.nodes
@@ -1593,9 +1548,6 @@ class ProtocolSimulator:  # simlint: ignore[SIM003] — one per experiment, not 
 
         self.metrics.increment("joins", len(ids))
         messages = self.network.messages_sent - before_all
-        for phase, count in phase_messages.items():
-            self.trace.record(self.engine.now, "bulk_join_phase",
-                              phase=phase, messages=count, objects=len(ids))
         return BulkJoinReport(object_ids=ids, messages=messages,
                               phase_messages=phase_messages,
                               virtual_time=self.engine.now,

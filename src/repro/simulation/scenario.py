@@ -47,7 +47,6 @@ from repro.simulation.faults import (FaultPlane, HeartbeatDetector,
                                      RepairReport, SplitSpec)
 from repro.simulation.merge import MergeReport, PartitionRuntime
 from repro.simulation.protocol import BulkJoinReport, ProtocolSimulator
-from repro.simulation.trace import TraceRecorder
 from repro.utils.rng import RandomSource
 from repro.workloads.distributions import UniformDistribution
 from repro.workloads.generators import generate_objects
@@ -107,8 +106,7 @@ class Scenario:  # simlint: ignore[SIM003] — one per experiment, not per messa
     """
 
     def __init__(self, *, num_objects: int, seed: int, churn_events: int = 0,
-                 events: Sequence = (),
-                 trace: Optional[TraceRecorder] = None) -> None:
+                 events: Sequence = ()) -> None:
         if num_objects < 4:
             raise ValueError(f"num_objects must be >= 4, got {num_objects}")
         self.num_objects = num_objects
@@ -118,7 +116,7 @@ class Scenario:  # simlint: ignore[SIM003] — one per experiment, not per messa
             n_max=4 * (num_objects + churn_events + 8), seed=seed)
         self.faults = FaultPlane(seed=seed + 1)
         self.simulator = ProtocolSimulator(self.config, seed=seed,
-                                           faults=self.faults, trace=trace)
+                                           faults=self.faults)
         self.injector = ProtocolCrashInjector(self.simulator,
                                               rng=RandomSource(seed + 2))
         self.detector = HeartbeatDetector(self.simulator)

@@ -20,7 +20,7 @@ from repro.simulation.faults import (FaultPlane, HeartbeatConfig,
                                      HeartbeatDetector, SplitSpec)
 from repro.simulation.merge import PartitionRuntime
 from repro.simulation.metrics import MetricsRegistry
-from repro.simulation.protocol import ProtocolSimulator, TimeoutPolicy
+from repro.simulation.protocol import ProtocolSimulator
 from repro.simulation.scenario import (Scenario, measure_steady_state_liveness,
                                        run_merge_scenario)
 
@@ -76,17 +76,19 @@ def test_option_budget():
     assert {f.name for f in fields(VoroNetConfig)} == {
         "n_max", "num_long_links", "d_min", "maintain_close_neighbors",
         "allow_overflow", "track_paths", "seed"}
-    assert {f.name for f in fields(TimeoutPolicy)} == {
-        "join_timeout", "close_timeout", "long_link_timeout", "max_retries",
-        "backoff"}
 
     def parameters(function):
         return [name for name in signature(function).parameters
                 if name != "self"]
 
-    # The staged fault-experiment pipeline (22 settable values in all).
+    # The message-level simulator: timeouts and retries are module
+    # constants, and what a run did is counted, not traced.
+    assert parameters(ProtocolSimulator.__init__) == [
+        "config", "latency", "seed", "faults"]
+
+    # The staged fault-experiment pipeline (21 settable values in all).
     assert parameters(Scenario.__init__) == [
-        "num_objects", "seed", "churn_events", "events", "trace"]
+        "num_objects", "seed", "churn_events", "events"]
     assert parameters(Scenario.build) == []
     assert parameters(Scenario.churn) == []
     assert parameters(Scenario.crash) == ["fraction"]
@@ -101,7 +103,7 @@ def test_option_budget():
         "simulator", "rounds", "queries_per_round"]
     assert parameters(HeartbeatDetector.__init__) == ["simulator", "config"]
     assert {f.name for f in fields(HeartbeatConfig)} == {
-        "interval", "miss_threshold", "sample_fraction"}
+        "miss_threshold", "sample_fraction"}
     # One liveness policy: the default is what perf/systems.py passes.
     assert HeartbeatConfig() == HeartbeatConfig(
         interval=8.0, miss_threshold=2, piggyback=True, sample_fraction=0.25)

@@ -10,6 +10,7 @@ never walked through — it counts as reached with any module of its package.
 """
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[2]
@@ -50,3 +51,30 @@ def test_every_module_is_reached_by_a_record_or_allowed_with_its_reason():
     reached |= {name.rsplit(".", depth)[0] for name in reached
                 for depth in range(1, name.count(".") + 1)}
     assert set(MODULES) - reached == set(ALLOWED)
+
+
+#: Names the benchmark's surface test slates for deletion that ``src/``
+#: still defines, each with the record that reads it.
+SLATED_ALLOWED = {
+    "run_shootout": "benchmarks/bench_serving.py drives it",
+}
+
+
+def slated_for_deletion():
+    """``SLATED_FOR_DELETION`` of ``perf/tests/test_surface.py``, read with
+    ``ast`` (the test module is not imported)."""
+    tree = ast.parse((ROOT / "perf" / "tests" / "test_surface.py").read_text())
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and [target.id for target in node.targets] == ["SLATED_FOR_DELETION"]):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perf/tests/test_surface.py defines no SLATED_FOR_DELETION")
+
+
+def test_nothing_slated_for_deletion_is_left_in_src():
+    slated = slated_for_deletion()
+    assert set(SLATED_ALLOWED) <= set(slated)
+    left = {name: sorted(str(path.relative_to(ROOT)) for path in SRC.rglob("*.py")
+                         if re.search(rf"\b{name}\b", path.read_text()))
+            for name in slated if name not in SLATED_ALLOWED}
+    assert {name: paths for name, paths in left.items() if paths} == {}

@@ -34,7 +34,8 @@ from repro.simulation.faults import (
     RepairProtocol,
 )
 from repro.simulation.merge import PartitionRuntime
-from repro.simulation.protocol import ProtocolSimulator, TimeoutPolicy
+from repro.simulation import protocol
+from repro.simulation.protocol import ProtocolSimulator
 from repro.utils.rng import RandomSource
 from repro.workloads.distributions import UniformDistribution
 from repro.workloads.generators import generate_objects
@@ -138,11 +139,12 @@ def test_protocol_hull_departure(depart):
 def failed_join(simulator):
     """The ADD_OBJECT walk is lost and the retry budget is zero: the
     never-carved joiner is torn back down."""
-    simulator.timeouts = TimeoutPolicy(max_retries=0)
     simulator.faults.set_loss(1.0)
     far = min(simulator.nodes,
               key=lambda oid: sum(simulator.nodes[oid].position))
-    report = simulator.join((0.97, 0.97), introducer=far)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(protocol, "OPERATION_RETRIES", 0)
+        report = simulator.join((0.97, 0.97), introducer=far)
     simulator.faults.set_loss(0.0)
     assert report.outcome == "timed_out"
     return report.object_id

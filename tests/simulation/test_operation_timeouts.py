@@ -2,7 +2,8 @@
 
 Covers the engine-level ``Watchdog`` (progress-aware timeout events that
 cancel cleanly and replay identically), ``Network.at_message`` crash
-triggers, the ``TimeoutPolicy`` retry contracts on joins, close
+triggers, the retry contracts (``OPERATION_TIMEOUT``,
+``OPERATION_RETRIES``, ``OPERATION_BACKOFF``) on joins, close
 discovery and long-link search, idempotency of duplicate retries, and the
 satellite fix: an operation whose only state-holder crashes surfaces as a
 ``timed_out`` outcome on ``JoinReport``/``LeaveReport`` instead of
@@ -13,21 +14,21 @@ import pytest
 
 from repro.core import VoroNetConfig
 from repro.simulation.engine import SimulationEngine, Watchdog
-from repro.simulation.faults import FaultPlane, ProtocolCrashInjector, RepairProtocol
+from repro.simulation import protocol
+from repro.simulation.faults import (FaultPlane, HeartbeatDetector,
+                                     ProtocolCrashInjector, RepairProtocol)
 from repro.simulation.network import KIND
-from repro.simulation.protocol import ProtocolSimulator, TimeoutPolicy
+from repro.simulation.protocol import ProtocolSimulator
 from repro.utils.rng import RandomSource
 from repro.workloads.distributions import UniformDistribution
 from repro.workloads.generators import generate_objects
 
 
-def build_simulator(count=30, seed=11, num_long_links=1,
-                    timeouts=None):
+def build_simulator(count=30, seed=11, num_long_links=1):
     config = VoroNetConfig(n_max=4 * count + 64,
                            num_long_links=num_long_links, seed=seed)
     simulator = ProtocolSimulator(config, seed=seed,
-                                  faults=FaultPlane(seed=seed + 1),
-                                  timeouts=timeouts)
+                                  faults=FaultPlane(seed=seed + 1))
     positions = generate_objects(UniformDistribution(), count,
                                  RandomSource(seed + 3))
     simulator.bulk_join(positions)
@@ -135,24 +136,15 @@ class TestAtMessage:
 
 
 # ----------------------------------------------------------------------
-# TimeoutPolicy
+# the retry budget
 # ----------------------------------------------------------------------
 class TestTimeoutPolicy:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            TimeoutPolicy(join_timeout=0.0)
-        with pytest.raises(ValueError):
-            TimeoutPolicy(max_retries=-1)
-        with pytest.raises(ValueError):
-            TimeoutPolicy(backoff=0.5)
-
     def test_defaults_enabled(self):
-        """The default policy retries, and tracked operations are armed."""
-        policy = TimeoutPolicy()
-        assert policy.max_retries >= 1
+        """The budget retries, and tracked operations are armed."""
+        assert protocol.OPERATION_RETRIES >= 1
         simulator = build_simulator(count=4, seed=2)
         key = ("join", 99)
-        simulator.start_operation(key, policy.join_timeout, lambda: False)
+        simulator.start_operation(key, lambda: False)
         assert simulator.pending_operations() == [key]
         simulator.finish_operation(key)
         assert simulator.engine.quiescent
@@ -260,9 +252,8 @@ class TestOperationOutcomes:
         assert report.outcome == "timed_out"
         assert victim not in simulator.nodes
         # The survivors must be repairable back to clean views.
-        repairer = RepairProtocol(simulator)
-        repairer.detector.run_rounds(3)
-        repair = repairer.repair()
+        HeartbeatDetector(simulator).run_rounds(3)
+        repair = RepairProtocol(simulator).repair()
         assert repair.converged
         assert simulator.verify_views() == []
 

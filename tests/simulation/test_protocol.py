@@ -11,7 +11,6 @@ from repro.core import VoroNetConfig
 from repro.geometry.point import distance
 from repro.simulation import protocol
 from repro.simulation.protocol import ProtocolSimulator
-from repro.simulation.trace import TraceRecorder
 from repro.utils.rng import RandomSource
 
 
@@ -167,17 +166,6 @@ class TestBulkJoins:
             assert phase in report.phase_messages
         assert sim.metrics.counter("joins") == 60
 
-    def test_bulk_join_records_phase_trace(self, numpy_rng):
-        from repro.simulation.trace import TraceRecorder
-
-        trace = TraceRecorder(enabled=True)
-        sim = ProtocolSimulator(VoroNetConfig(n_max=600, seed=6), seed=6,
-                                trace=trace)
-        sim.bulk_join([tuple(p) for p in numpy_rng.random((40, 2))])
-        phases = {r.details["phase"] for r in trace.records("bulk_join_phase")}
-        assert "views" in phases
-        assert trace.last("bulk_join_phase") is not None
-
     def test_empty_batch_is_a_noop(self):
         sim = ProtocolSimulator(VoroNetConfig(n_max=64, seed=6), seed=6)
         report = sim.bulk_join([])
@@ -295,15 +283,6 @@ class TestViewSizeAndTrace:
 
     def test_mean_view_size_empty(self):
         assert ProtocolSimulator(seed=1).mean_view_size() == 0.0
-
-    def test_trace_records_messages_when_enabled(self, numpy_rng):
-        trace = TraceRecorder(enabled=True)
-        sim = ProtocolSimulator(VoroNetConfig(n_max=64, seed=2), seed=2, trace=trace)
-        for p in numpy_rng.random((10, 2)):
-            sim.join(tuple(p))
-        kinds = {r.details["message_kind"] for r in trace.records("send")}
-        assert "ADD_OBJECT" in kinds
-        assert "CREATE_OBJECT" in kinds
 
     def test_duplicate_position_join_is_refused(self):
         sim = ProtocolSimulator(VoroNetConfig(n_max=64, seed=3), seed=3)
