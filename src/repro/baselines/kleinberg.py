@@ -74,7 +74,6 @@ class GridRouteResult:
     source: GridCoord
     target: GridCoord
     hops: int
-    success: bool
     path: Optional[Tuple[GridCoord, ...]] = None
 
 
@@ -96,8 +95,8 @@ class KleinbergGrid:
     --------
     >>> grid = KleinbergGrid(16, exponent=2.0, rng=RandomSource(3))
     >>> result = grid.greedy_route((0, 0), (15, 15))
-    >>> result.success
-    True
+    >>> result.target
+    (15, 15)
     """
 
     def __init__(self, n: int, *, long_links_per_node: int = 1,
@@ -206,7 +205,7 @@ class KleinbergGrid:
             if record_path:
                 path.append(current)
         return GridRouteResult(source=source, target=target, hops=hops,
-                               success=True, path=tuple(path) if path else None)
+                               path=tuple(path) if path else None)
 
     def mean_route_length(self, num_pairs: int, rng: Optional[RandomSource] = None) -> float:
         """Mean greedy route length over random source/target pairs."""

@@ -10,7 +10,7 @@ terminates at the correct owner; the long links are pure acceleration and
 give the ``O(log² N_max)`` expected hop count of Lemma 5.  Every router here
 forwards over that one view, ``vn ∪ cn ∪ LRn``: routing over the bare
 tessellation is routing on an overlay built with ``num_long_links=0``
-(:class:`~repro.baselines.delaunay_only.DelaunayOnlyOverlay`), not a mode.
+(the Delaunay-only baseline of :mod:`repro.baselines`), not a mode.
 
 Two termination rules are provided, the first in two traffic shapes:
 

@@ -24,9 +24,10 @@ import numpy as np
 from repro.analysis.hops import measure_routing
 from repro.analysis.plots import format_table
 from repro.baselines.chord import ChordRing
-from repro.baselines.delaunay_only import DelaunayOnlyOverlay
 from repro.baselines.kleinberg import KleinbergGrid
 from repro.baselines.random_graph import RandomGraphOverlay
+from repro.core.config import VoroNetConfig
+from repro.core.overlay import VoroNet
 from repro.core.queries import range_query
 from repro.experiments.common import CAPACITY_HEADROOM, Claim, build_overlay, scaled
 from repro.geometry.bounding import BoundingBox
@@ -69,8 +70,9 @@ def run_baseline_comparison(scale: float = 1.0,
     success["voronet"] = 1.0
 
     # --- Delaunay-only --------------------------------------------------
-    delaunay = DelaunayOnlyOverlay(n_max=CAPACITY_HEADROOM * count, seed=seed)
-    delaunay.overlay.bulk_load(positions)
+    delaunay = VoroNet(VoroNetConfig(n_max=CAPACITY_HEADROOM * count,
+                                     num_long_links=0, seed=seed))
+    delaunay.bulk_load(positions)
     pairs = generate_routing_pairs(delaunay.object_ids(), num_pairs, RandomSource(seed + 2))
     hops = [delaunay.route(a, b).hops for a, b in pairs]
     mean_hops["delaunay-only"] = float(np.mean(hops))

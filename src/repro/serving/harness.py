@@ -49,29 +49,26 @@ def _positions(population: int, seed: Optional[int]):
 
 def build_adapters(population: int, *, seed: Optional[int] = 0,
                    systems: Sequence[str] = DEFAULT_SYSTEMS,
-                   track_paths: bool = True,
-                   num_long_links: int = 1,
                    ) -> Dict[str, ServingAdapter]:
     """Build every requested system over one shared object population.
 
-    The population size must be a perfect square when ``kleinberg`` is
-    requested (its construction needs the full lattice).  Returns the
-    adapters keyed by system name.
+    Each system gets one long link per node and records its paths (the
+    load tracker reads them).  The population size must be a perfect
+    square when ``kleinberg`` is requested (its construction needs the
+    full lattice).  Returns the adapters keyed by system name.
     """
     positions = _positions(population, seed)
     adapters: Dict[str, ServingAdapter] = {}
     for system in systems:
         if system == "voronet":
             adapters[system] = VoroNetServing(
-                positions, seed=seed, num_long_links=num_long_links,
-                track_paths=track_paths)
+                positions, seed=seed, num_long_links=1, track_paths=True)
         elif system == "kleinberg":
             adapters[system] = KleinbergServing(
-                population, seed=seed, long_links_per_node=num_long_links,
-                track_paths=track_paths)
+                population, seed=seed, long_links_per_node=1,
+                track_paths=True)
         elif system == "chord":
-            adapters[system] = ChordServing(population,
-                                            track_paths=track_paths)
+            adapters[system] = ChordServing(population, track_paths=True)
         else:
             raise ValueError(f"unknown system {system!r}")
     return adapters
@@ -97,12 +94,8 @@ def run_shootout(population: int, queries: int, *,
                  systems: Sequence[str] = DEFAULT_SYSTEMS,
                  zipf_alpha: float = 0.9,
                  concurrency: int = 8,
-                 hop_latency: float = 1.0,
-                 num_long_links: int = 1,
-                 track_paths: bool = True,
                  window: Optional[float] = None,
                  keep_windows: int = 0,
-                 quantile_buffer: int = 4096,
                  clock: Optional[Callable[[], float]] = None) -> Dict:
     """Serve every workload's schedule through every system; one record.
 
@@ -112,16 +105,13 @@ def run_shootout(population: int, queries: int, *,
     deterministic output (tests).  ``keep_windows`` caps how many windowed
     snapshot rows each report retains in the record (0 keeps all).
     """
-    adapters = build_adapters(
-        population, seed=seed, systems=systems,
-        track_paths=track_paths, num_long_links=num_long_links)
+    adapters = build_adapters(population, seed=seed, systems=systems)
     record: Dict = {
         "population": population,
         "queries_per_workload": queries,
         "seed": seed,
         "zipf_alpha": zipf_alpha,
         "concurrency": concurrency,
-        "num_long_links": num_long_links,
         "workloads": list(workloads),
         "systems": {name: {} for name in adapters},
     }
@@ -136,8 +126,7 @@ def run_shootout(population: int, queries: int, *,
             started = clock() if clock is not None else None
             report = serve_closed_loop(
                 adapter, schedule, workload, concurrency=concurrency,
-                hop_latency=hop_latency, window=window,
-                quantile_buffer=quantile_buffer)
+                window=window)
             if started is not None:
                 wall = max(clock() - started, 1e-9)
                 report["wall_seconds"] = wall

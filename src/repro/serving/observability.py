@@ -120,7 +120,7 @@ class WindowTracker:
     __slots__ = ("window", "snapshots",
                  "_start", "_hops", "_latency", "_queries")
 
-    def __init__(self, window: float = 50.0) -> None:
+    def __init__(self, window: float) -> None:
         if window <= 0:
             raise ValueError(f"window must be positive, got {window}")
         self.window = float(window)

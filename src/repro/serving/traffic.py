@@ -30,6 +30,7 @@ import numpy as np
 from repro.serving.adapters import ServingAdapter
 from repro.serving.estimators import StreamingPercentiles
 from repro.serving.observability import LoadTracker, WindowTracker
+from repro.simulation.engine import LATENCY
 from repro.simulation.protocol import ProtocolSimulator
 from repro.utils.rng import RandomSource
 from repro.workloads.samplers import TargetSampler
@@ -39,6 +40,10 @@ __all__ = ["Schedule", "build_schedule", "serve_closed_loop",
 
 #: Quantiles every serving report tracks.
 SERVING_QUANTILES = (0.5, 0.9, 0.99)
+#: Exact-sample buffer of each report's percentile estimators: the
+#: committed records were produced with it, so it is not the estimator's
+#: own default.
+QUANTILE_BUFFER = 4096
 #: Index pairs handed to an adapter's batched entry point at a time.
 BATCH_SIZE = 2048
 
@@ -88,12 +93,11 @@ class _Aggregator:
     __slots__ = ("hops", "latency", "load", "windows", "completions",
                  "misses", "hop_sum", "hop_max", "served")
 
-    def __init__(self, node_count: int, window: Optional[float],
-                 quantile_buffer: int) -> None:
+    def __init__(self, node_count: int, window: Optional[float]) -> None:
         self.hops = StreamingPercentiles(SERVING_QUANTILES,
-                                         buffer_size=quantile_buffer)
+                                         buffer_size=QUANTILE_BUFFER)
         self.latency = StreamingPercentiles(SERVING_QUANTILES,
-                                            buffer_size=quantile_buffer)
+                                            buffer_size=QUANTILE_BUFFER)
         self.load = LoadTracker(population=node_count)
         self.windows = (WindowTracker(window) if window is not None
                         else None)
@@ -155,22 +159,19 @@ class _Aggregator:
 def serve_closed_loop(adapter: ServingAdapter, schedule: Schedule,
                       workload: str, *,
                       concurrency: int,
-                      hop_latency: float = 1.0,
-                      window: Optional[float] = None,
-                      quantile_buffer: int = 4096) -> Dict:
+                      window: Optional[float] = None) -> Dict:
     """Closed-loop traffic: ``concurrency`` workers, one query in flight each.
 
     The next free worker (smallest virtual clock) takes the next schedule
-    entry; its query completes ``hops · hop_latency`` later.  Throughput
+    entry; its query completes ``hops · LATENCY`` later — a hop costs what
+    one message delivery costs on the protocol plane.  Throughput
     is emergent: the report's ``virtual_duration`` is the time the last
     worker finishes, so systems with longer routes serve measurably fewer
     queries per unit of virtual time — the number the shoot-out compares.
     """
     if concurrency < 1:
         raise ValueError(f"concurrency must be >= 1, got {concurrency}")
-    if hop_latency <= 0:
-        raise ValueError(f"hop_latency must be positive, got {hop_latency}")
-    aggregate = _Aggregator(adapter.node_count(), window, quantile_buffer)
+    aggregate = _Aggregator(adapter.node_count(), window)
     # (virtual clock, worker id): heap order is deterministic because the
     # worker id breaks clock ties.
     workers = [(0.0, w) for w in range(concurrency)]
@@ -180,7 +181,7 @@ def serve_closed_loop(adapter: ServingAdapter, schedule: Schedule,
     for start in range(0, len(pairs), BATCH_SIZE):
         for outcome in adapter.route_batch(pairs[start:start + BATCH_SIZE]):
             clock, worker = heapq.heappop(workers)
-            latency = outcome.hops * hop_latency
+            latency = outcome.hops * LATENCY
             completion = clock + latency
             heapq.heappush(workers, (completion, worker))
             if completion > makespan:
@@ -199,8 +200,7 @@ def serve_protocol_closed_loop(simulator: ProtocolSimulator,
                                workload: str = "uniform", *,
                                concurrency: int = 4,
                                window: Optional[float] = None,
-                               record_paths: bool = False,
-                               quantile_buffer: int = 4096) -> Dict:
+                               record_paths: bool = False) -> Dict:
     """Closed-loop serving over genuinely contending ``QUERY`` messages.
 
     ``concurrency`` queries are injected up front; every answer that
@@ -215,7 +215,7 @@ def serve_protocol_closed_loop(simulator: ProtocolSimulator,
         raise ValueError(f"concurrency must be >= 1, got {concurrency}")
     count = len(schedule)
     total_nodes = len(simulator.nodes)
-    aggregate = _Aggregator(total_nodes, window, quantile_buffer)
+    aggregate = _Aggregator(total_nodes, window)
     # Targets resolve to positions up front (the protocol queries points).
     targets = [simulator.nodes[id_map[t]].position
                for t in schedule.targets.tolist()]

@@ -2,7 +2,8 @@
 
 The paper evaluates VoroNet by simulation; this package provides the
 simulator: an event engine with virtual time, a message-passing network
-layer with latency models and per-message accounting (sends by kind on
+layer in which every counted message takes one time unit (``LATENCY``:
+one hop costs one unit) with per-message accounting (sends by kind on
 ``Network.sent_by_kind``, crashes, timeouts and retries on the simulator's
 ``MetricsRegistry``), churn/failure injection, and — most importantly — the
 *message-level* implementation of the VoroNet protocol
@@ -37,7 +38,7 @@ Fault injection and self-healing
 --------------------------------
 :mod:`repro.simulation.faults` adds the crash story the paper leaves
 open: a ``FaultPlane`` woven into the network layer (crashed nodes,
-probabilistic loss/delay, partitions on the virtual clock), heartbeat
+probabilistic loss, partitions on the virtual clock), heartbeat
 failure detection with per-node suspect lists, and a phased repair
 protocol that heals surviving views — Voronoi scrubs, long-link
 re-resolution through the routed search machinery, close re-discovery —
@@ -78,14 +79,9 @@ message exists.  ``run_merge_scenario`` scripts the scenario matrix
 availability accounting.
 """
 
-from repro.simulation.engine import SimulationEngine, Watchdog
+from repro.simulation.engine import LATENCY, SimulationEngine, Watchdog
 from repro.simulation.events import Event
-from repro.simulation.network import (
-    ConstantLatency,
-    Message,
-    Network,
-    UniformLatency,
-)
+from repro.simulation.network import Message, Network
 from repro.simulation.metrics import MetricsRegistry
 from repro.simulation.failures import (
     CrashDamageReport,
@@ -126,13 +122,12 @@ from repro.simulation.scenario import (
 )
 
 __all__ = [
+    "LATENCY",
     "SimulationEngine",
     "Watchdog",
     "Event",
     "Network",
     "Message",
-    "ConstantLatency",
-    "UniformLatency",
     "MetricsRegistry",
     "CrashDamageReport",
     "CrashInjector",

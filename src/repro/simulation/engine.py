@@ -24,13 +24,15 @@ unique ``(time, sequence)`` prefix settles every comparison:
   voids a closed node's deliveries wholesale through
   :meth:`cancel_actions` (on ``unregister``), which filters both queues.
 
-Beside the heap sits a **FIFO lane** for the raw entries whose delay is
-:attr:`lane_delay` (the network's fixed latency).  The clock never runs
-backwards and sequence numbers only grow, so entries appended at
-``now + lane_delay`` arrive already sorted by ``(time, sequence)``.  Every
-pop takes whichever head of the two queues is smaller: exactly the single
-heap's order with the same sequence numbers, at the price of an append and
-a ``popleft`` instead of two ``O(log n)`` heap walks.
+Beside the heap sits a **FIFO lane** for the raw entries due
+:data:`LATENCY` after their push: every counted delivery, since one hop
+costs one time unit.  The clock never runs backwards and sequence numbers
+only grow, so entries appended at ``now + LATENCY`` arrive already sorted
+by ``(time, sequence)``.  Every pop takes whichever head of the two queues
+is smaller: exactly the single heap's order with the same sequence
+numbers, at the price of an append and a ``popleft`` instead of two
+``O(log n)`` heap walks.  The heap keeps the cancellable events (the
+watchdogs) and the zero-delay local hand-offs.
 
 The lane keeps each entry as a key ``(time, sequence, port)`` in one deque
 and its argument in a second, moved in step, so that an in-flight message
@@ -60,7 +62,11 @@ from typing import Any, Callable, Deque, List, Optional, Tuple
 
 from repro.simulation.events import NO_ARG, Event
 
-__all__ = ["SimulationEngine", "Watchdog"]
+__all__ = ["LATENCY", "SimulationEngine", "Watchdog"]
+
+#: Delivery delay of every counted message, in virtual time units: one hop
+#: costs one unit, so a routed operation's virtual duration is its hop count.
+LATENCY = 1.0
 
 #: Queues smaller than this are never compacted — rebuilding them costs
 #: more than lazily popping the handful of cancelled entries.
@@ -94,21 +100,18 @@ class SimulationEngine:
     ['a', 'b']
     """
 
-    __slots__ = ("_queue", "_lane", "_lane_args", "_ports", "lane_delay",
+    __slots__ = ("_queue", "_lane", "_lane_args", "_ports",
                  "_sequence", "_now", "_processed", "_cancelled")
 
     def __init__(self) -> None:
         self._queue: List[Tuple[float, int, Any, Any]] = []
         #: The FIFO lane (module docstring): keys ``(time, sequence, port)``
-        #: of the raw entries pushed with delay :attr:`lane_delay`, in
+        #: of the raw entries pushed with delay :data:`LATENCY`, in
         #: ``(time, sequence)`` order by construction, and their arguments.
         self._lane: Deque[Tuple[float, int, int]] = deque()
         self._lane_args: Deque[Any] = deque()
         #: Port → handler; a closed port holds ``None``.
         self._ports: List[Optional[Callable[[Any], None]]] = []
-        #: Delay of the raw entries the FIFO lane takes (``None``: none).
-        #: The network sets it to its fixed latency before its first send.
-        self.lane_delay: Optional[float] = None
         self._sequence = 0
         self._now = 0.0
         self._processed = 0
@@ -198,18 +201,17 @@ class SimulationEngine:
         """Schedule ``handler(arg)`` for the handler behind ``port``, with
         no event object — the delivery path.
 
-        The entry goes on the FIFO lane when ``delay`` is :attr:`lane_delay`
+        The entry goes on the FIFO lane when ``delay`` is :data:`LATENCY`
         and on the heap otherwise; the run loop invokes the handler without
         cancellation or bookkeeping checks.  No handle
         is returned; such entries are only removable wholesale via
         :meth:`cancel_actions`.  The caller guarantees ``delay`` is
-        non-negative (latency models and the fault plane already enforce
-        this).
+        non-negative.
         """
         time = self._now + delay
         sequence = self._sequence
         self._sequence = sequence + 1
-        if delay == self.lane_delay:
+        if delay == LATENCY:
             self._lane.append((time, sequence, port))
             self._lane_args.append(arg)
         else:

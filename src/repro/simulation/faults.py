@@ -16,9 +16,9 @@ Four pieces compose the subsystem:
   :meth:`Network.send <repro.simulation.network.Network.send>` for every
   non-local message.  It drops traffic to/from crashed nodes, cuts
   messages crossing an active partition (a set of ids isolated for a
-  window of the virtual clock), and loses or delays messages
-  probabilistically from a dedicated seeded random source, so delivery
-  decisions are reproducible end to end.
+  window of the virtual clock), and loses messages probabilistically
+  from a dedicated seeded random source, so delivery decisions are
+  reproducible end to end.
 * :class:`ProtocolCrashInjector` — crashes live protocol nodes abruptly.
   Exactly mirroring the oracle injector, the *substrate* is repaired (the
   shared kernel, the locate grid and the network handler table forget the
@@ -108,7 +108,6 @@ class FaultDecision:
 
     deliver: bool
     reason: str = "ok"
-    extra_delay: float = 0.0
 
 
 _DELIVER = FaultDecision(deliver=True)
@@ -218,42 +217,34 @@ class FaultPlane:
     directly).  Every non-local send is then submitted to :meth:`decide`.
 
     Decision order is fixed — crashed sender, crashed recipient, partition
-    cut, probabilistic loss, probabilistic delay — and random draws come
-    from a dedicated :class:`~repro.utils.rng.RandomSource`, so for a given
-    seed and message sequence the decisions are deterministic (the
-    Hypothesis suite pins this).
+    cut, probabilistic loss — and random draws come from a dedicated
+    :class:`~repro.utils.rng.RandomSource`, so for a given seed and message
+    sequence the decisions are deterministic (the Hypothesis suite pins
+    this).  A message the plane lets through is delivered at the one
+    latency, :data:`~repro.simulation.engine.LATENCY`.
 
     The plane owns that source exclusively and draws its doubles
     ``_DRAW_BLOCK`` at a time.  The stream is the scalar one, bit for bit:
-    a message that reaches the loss check with ``loss_probability > 0``
-    consumes one ``Generator.uniform()``, one that survives it with
-    ``delay_probability > 0`` a second, and a delayed one a third,
-    ``uniform(low, high)`` — which numpy computes as
-    ``low + (high - low) * next_double``, the expression used here.
-    Settings toggled mid-block change which messages draw, never what the
-    next draw returns.
+    one draw per message that reaches the loss check with
+    ``loss_probability > 0``, equal to what one ``Generator.uniform()``
+    call would return.  A loss probability toggled mid-block changes which
+    messages draw, never what the next draw returns.
 
     Parameters
     ----------
     seed:
-        Seed of the loss/delay random source.
+        Seed of the loss random source.
     loss_probability:
         Per-message probability of silent loss (applied after crash and
         partition checks).
-    delay_probability / delay_range:
-        Probability that a delivered message is stretched by an extra
-        latency drawn uniformly from ``delay_range``.
     """
 
     __slots__ = ("_rng", "_doubles", "seed", "_crashed", "_partitions",
-                 "_splits",
-                 "loss_probability", "delay_probability", "delay_range",
+                 "_splits", "loss_probability",
                  "decisions", "drops_by_reason")
 
     def __init__(self, *, seed: Optional[int] = None,
-                 loss_probability: float = 0.0,
-                 delay_probability: float = 0.0,
-                 delay_range: Tuple[float, float] = (0.0, 0.0)) -> None:
+                 loss_probability: float = 0.0) -> None:
         self._rng = RandomSource(seed)
         #: Drawn but not yet consumed doubles, next one last.
         self._doubles: List[float] = []
@@ -265,15 +256,12 @@ class FaultPlane:
         self._partitions: List[PartitionSpec] = []
         self._splits: List[SplitSpec] = []
         self.set_loss(loss_probability)
-        self.set_delay(delay_probability, delay_range)
         self.decisions = 0
         self.drops_by_reason: Dict[str, int] = {}
 
     def __repr__(self) -> str:
         return (f"FaultPlane(seed={self.seed!r}, "
-                f"loss_probability={self.loss_probability!r}, "
-                f"delay_probability={self.delay_probability!r}, "
-                f"delay_range={self.delay_range!r})")
+                f"loss_probability={self.loss_probability!r})")
 
     # ------------------------------------------------------------------
     # configuration
@@ -283,17 +271,6 @@ class FaultPlane:
         if not 0.0 <= probability <= 1.0:
             raise ValueError(f"loss probability must be in [0, 1], got {probability}")
         self.loss_probability = probability
-
-    def set_delay(self, probability: float,
-                  delay_range: Tuple[float, float]) -> None:
-        """Set the extra-delay probability and its uniform range."""
-        if not 0.0 <= probability <= 1.0:
-            raise ValueError(f"delay probability must be in [0, 1], got {probability}")
-        low, high = delay_range
-        if not 0.0 <= low <= high:
-            raise ValueError(f"need 0 <= low <= high, got {delay_range}")
-        self.delay_probability = probability
-        self.delay_range = (float(low), float(high))
 
     def crash(self, object_id: int) -> None:
         """Mark a node crashed: every message to or from it is dropped."""
@@ -379,10 +356,6 @@ class FaultPlane:
                     return self._drop("partition")
         if self.loss_probability > 0.0 and self._draw() < self.loss_probability:
             return self._drop("loss")
-        if self.delay_probability > 0.0 and self._draw() < self.delay_probability:
-            low, high = self.delay_range
-            return FaultDecision(deliver=True, reason="delayed",
-                                 extra_delay=low + (high - low) * self._draw())
         return _DELIVER
 
     def _draw(self) -> float:

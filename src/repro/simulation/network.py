@@ -2,10 +2,10 @@
 
 Every protocol interaction in the message-level simulator is a message
 delivered through a :class:`Network`: the sender hands it to the network,
-the network schedules its delivery after a latency drawn from the
-configured :class:`LatencyModel`, and the recipient's registered handler
-is invoked at delivery time.  The network keeps the per-type message
-counters that maintenance-cost experiments report.
+the network schedules its delivery :data:`~repro.simulation.engine.LATENCY`
+(one time unit) later, and the recipient's registered handler is invoked
+at delivery time.  The network keeps the per-type message counters that
+maintenance-cost experiments report.
 
 A message is the 4-tuple ``(sender, recipient, kind, payload)``, read by
 position (:data:`SENDER`, :data:`RECIPIENT`, :data:`KIND`,
@@ -18,48 +18,42 @@ Hot-path design
 nothing per message but the message and its engine entry, and both drop
 out of the collector's view: ``register`` enters each handler in the
 engine's port table once, so an entry holds an int port — no callable, no
-event object.  A delivery at the fixed latency with no fault-plane extra
-delay goes on the engine's FIFO lane (``repro.simulation.engine``), in the
+event object.  Every counted delivery is due ``LATENCY`` after its send,
+so it goes on the engine's FIFO lane (``repro.simulation.engine``), in the
 order the heap would have popped it, as a key ``(time, sequence, port)``
-beside the message; any other is the heap entry ``(time, sequence, port,
-message)``.  A message whose payload holds only atomic values (a
+beside the message.  A message whose payload holds only atomic values (a
 heartbeat, a query, a routed join or link search) is untracked by CPython
 at its first young collection, and so is its lane key, so 10⁵ of them in
 flight cost full collections nothing.  The recipient's port is resolved
 *at send time* (``unregister`` voids the port's in-flight entries, so a
 departed node can never be handed a message).  Per-kind counters are a
-:class:`collections.Counter`, a :class:`ConstantLatency` model is read as
-a plain float instead of a virtual ``sample`` dispatch, and
-``messages_delivered`` is derived from the exact sent/lost/dropped
-counters instead of being bumped per delivery.
+:class:`collections.Counter`, and ``messages_delivered`` is derived from
+the exact sent/lost/dropped counters instead of being bumped per delivery.
 
 Fault injection
 ---------------
 A :class:`~repro.simulation.faults.FaultPlane` can be attached (via the
 ``faults`` constructor argument or the :attr:`Network.faults` attribute).
 When present, every non-local send is submitted to its
-:meth:`~repro.simulation.faults.FaultPlane.decide` hook, which may drop the
-message (crashed endpoint, partition cut, probabilistic loss) or stretch
-its delivery latency.  Dropped messages still count as *sent* — the sender
-paid for them — and are tallied in :attr:`Network.messages_lost`, separate
-from :attr:`Network.messages_dropped` (no handler by delivery time).
+:meth:`~repro.simulation.faults.FaultPlane.decide` hook, which either
+drops the message (crashed endpoint, partition cut, probabilistic loss)
+or lets it through at the one latency.  Dropped messages still count as
+*sent* — the sender paid for them — and are tallied in
+:attr:`Network.messages_lost`, separate from :attr:`Network.messages_dropped`
+(no handler by delivery time).
 """
 
 from __future__ import annotations
 
-import abc
 from collections import Counter
-from heapq import heappush
 from typing import TYPE_CHECKING, AbstractSet, Callable, Dict, List, Optional, Tuple
 
-from repro.simulation.engine import SimulationEngine
-from repro.utils.rng import RandomSource
+from repro.simulation.engine import LATENCY, SimulationEngine
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from repro.simulation.faults import FaultPlane
 
-__all__ = ["Message", "SENDER", "RECIPIENT", "KIND", "PAYLOAD", "LatencyModel",
-           "ConstantLatency", "UniformLatency", "Network"]
+__all__ = ["Message", "SENDER", "RECIPIENT", "KIND", "PAYLOAD", "Network"]
 
 #: One protocol message: ``(sender, recipient, kind, payload)``.
 Message = Tuple[int, int, str, tuple]
@@ -68,120 +62,21 @@ Message = Tuple[int, int, str, tuple]
 SENDER, RECIPIENT, KIND, PAYLOAD = 0, 1, 2, 3
 
 
-class LatencyModel(abc.ABC):
-    """Delivery-latency model for point-to-point messages."""
-
-    __slots__ = ()
-
-    @abc.abstractmethod
-    def sample(self, message: Message) -> float:
-        """Latency (virtual time units) for delivering ``message``."""
-
-    def bind_rng(self, rng: RandomSource) -> None:
-        """Adopt a seeded random source, unless one was supplied explicitly.
-
-        The protocol simulator threads its own seeded stream through here
-        so stochastic latency models are reproducible end-to-end from the
-        simulator seed.  Deterministic models ignore the call.
-        """
-
-
-class ConstantLatency(LatencyModel):
-    """Every message takes the same time to deliver."""
-
-    __slots__ = ("latency",)
-
-    def __init__(self, latency: float = 1.0) -> None:
-        if latency < 0:
-            raise ValueError("latency must be non-negative")
-        self.latency = latency
-
-    def sample(self, message: Message) -> float:
-        return self.latency
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"ConstantLatency(latency={self.latency!r})"
-
-
-class UniformLatency(LatencyModel):
-    """Latency drawn uniformly from ``[low, high]`` per message.
-
-    Without an explicit ``rng`` the model starts on an unseeded source and
-    adopts the first stream offered through :meth:`bind_rng` — which the
-    protocol simulator does at construction, so latency draws derive from
-    the simulator seed.  A standalone :class:`Network` performs no such
-    binding; pass ``rng`` explicitly there for reproducibility.
-    """
-
-    __slots__ = ("low", "high", "_rng", "_rng_defaulted")
-
-    def __init__(self, low: float, high: float,
-                 rng: Optional[RandomSource] = None) -> None:
-        if not 0 <= low <= high:
-            raise ValueError("need 0 <= low <= high")
-        self.low = low
-        self.high = high
-        # Placeholder stream, replaced by the simulator's seeded fork via
-        # bind_rng (see the class docstring).
-        self._rng = rng if rng is not None else RandomSource()  # simlint: ignore[SIM002]
-        self._rng_defaulted = rng is None
-
-    def bind_rng(self, rng: RandomSource) -> None:
-        if self._rng_defaulted:
-            self._rng = rng
-            self._rng_defaulted = False
-
-    def sample(self, message: Message) -> float:
-        return self._rng.uniform(self.low, self.high)
-
-    @property
-    def effective_seed(self) -> Optional[int]:
-        """Seed of the stream latencies actually draw from, if known.
-
-        ``None`` either because the model is still on its unseeded
-        placeholder stream (``rng_pending`` in the repr) or because the
-        bound stream was itself derived (e.g. a spawned child); the repr
-        distinguishes the two so SIM002 audits can tell which it is.
-        """
-        return self._rng.seed
-
-    def __repr__(self) -> str:
-        if self._rng_defaulted:
-            provenance = "rng_pending"
-        else:
-            provenance = f"effective_seed={self._rng.provenance!r}"
-        return (f"UniformLatency(low={self.low!r}, high={self.high!r}, "
-                f"{provenance})")
-
-
 class Network:
     """Delivers messages between registered handlers via the event engine."""
 
-    __slots__ = ("_engine", "_latency", "_fixed_latency", "_fifo", "_fifo_args",
+    __slots__ = ("_engine", "_fifo", "_fifo_args",
                  "_ports", "_replaced_ports", "_deliver_port", "faults",
                  "messages_sent", "messages_dropped", "messages_lost",
                  "sent_by_kind", "_send_triggers")
 
     def __init__(self, engine: SimulationEngine,
-                 latency: Optional[LatencyModel] = None,
                  faults: Optional["FaultPlane"] = None) -> None:
         self._engine = engine
-        self._latency = latency if latency is not None else ConstantLatency(1.0)
-        # Fast path: a plain ConstantLatency is read as a float at send
-        # time instead of a virtual sample() dispatch.  Exact type check —
-        # a subclass may well override sample().
-        self._fixed_latency: Optional[float] = (
-            self._latency.latency if type(self._latency) is ConstantLatency
-            else None)
-        if engine.lane_delay is None:
-            engine.lane_delay = self._fixed_latency
-        #: The engine's FIFO lane — its keys and its arguments — when it
-        #: takes this network's fixed-latency deliveries, else ``None``
-        #: (every delivery goes on the heap).
-        lane = (self._fixed_latency is not None
-                and engine.lane_delay == self._fixed_latency)
-        self._fifo = engine._lane if lane else None
-        self._fifo_args = engine._lane_args if lane else None
+        #: The engine's FIFO lane — its keys and its arguments — which
+        #: takes every counted delivery.
+        self._fifo = engine._lane
+        self._fifo_args = engine._lane_args
         #: Node id → the port of its current handler.
         self._ports: Dict[int, int] = {}
         #: Ports of handlers displaced by a re-registration, kept until the
@@ -192,7 +87,7 @@ class Network:
         self._deliver_port = engine.open_port(self._deliver)
         #: Optional fault-injection hook (see the module docstring); any
         #: object with a ``decide(sender, recipient, now)`` method returning
-        #: a decision with ``deliver`` / ``extra_delay`` attributes works.
+        #: a decision with a ``deliver`` attribute works.
         self.faults = faults
         self.messages_sent = 0
         self.messages_dropped = 0
@@ -201,11 +96,6 @@ class Network:
         #: Message-index triggers (see :meth:`at_message`); empty in every
         #: ordinary run, so the hot path pays one falsy check.
         self._send_triggers: Dict[int, list] = {}
-
-    @property
-    def latency(self) -> LatencyModel:
-        """The latency model delivery delays are drawn from."""
-        return self._latency
 
     @property
     def messages_delivered(self) -> int:
@@ -284,7 +174,7 @@ class Network:
     # ------------------------------------------------------------------
     def send(self, sender: int, recipient: int, kind: str,
              payload: tuple = ()) -> None:
-        """Send ``kind`` with ``payload``; it is delivered after the model's latency.
+        """Send ``kind`` with ``payload``; it is delivered ``LATENCY`` later.
 
         Messages a node "sends to itself" (local hand-offs used to keep the
         protocol code uniform) are delivered with zero latency and are not
@@ -307,34 +197,23 @@ class Network:
             if actions is not None:
                 for trigger in actions:
                     trigger(message)
-        extra_delay = 0.0
         faults = self.faults
-        if faults is not None:
-            decision = faults.decide(sender, recipient, engine._now)
-            if not decision.deliver:
-                self.messages_lost += 1
-                return
-            extra_delay = decision.extra_delay
-        delay = self._fixed_latency
-        if delay is None:
-            delay = self._latency.sample(message)
+        if faults is not None and not faults.decide(sender, recipient,
+                                                    engine._now).deliver:
+            self.messages_lost += 1
+            return
         # Port lookup hoisted to send time: the common registered case puts
         # the node's port straight on the entry.  The rare
         # unregistered-at-send case falls back to a delivery-time lookup
         # (the recipient may legitimately register while the message is in
-        # flight).  The entry is pushed inline — ``engine.push_call`` minus
-        # one call frame, on the one code path hot enough to care
-        # (latencies are non-negative by model contract).
-        port = self._ports.get(recipient, self._deliver_port)
+        # flight).  The entry is appended to the lane inline —
+        # ``engine.push_call`` minus one call frame, on the one code path
+        # hot enough to care.
         sequence = engine._sequence
         engine._sequence = sequence + 1
-        fifo = self._fifo
-        if fifo is not None and not extra_delay:
-            fifo.append((engine._now + delay, sequence, port))
-            self._fifo_args.append(message)
-        else:
-            heappush(engine._queue, (engine._now + delay + extra_delay,
-                                     sequence, port, message))
+        self._fifo.append((engine._now + LATENCY, sequence,
+                           self._ports.get(recipient, self._deliver_port)))
+        self._fifo_args.append(message)
 
     def _deliver(self, message: Message) -> None:
         """Slow path: resolve the handler at delivery time.

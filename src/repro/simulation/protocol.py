@@ -143,7 +143,7 @@ from repro.geometry.locate_grid import LocateGrid
 from repro.geometry.point import Point, as_point, distance
 from repro.simulation.engine import SimulationEngine, Watchdog
 from repro.simulation.metrics import MetricsRegistry
-from repro.simulation.network import ConstantLatency, LatencyModel, Message, Network
+from repro.simulation.network import Message, Network
 from repro.utils.rng import RandomSource
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
@@ -264,8 +264,8 @@ class ProtocolNode:
     changes the view bumps it (via :meth:`touch_view`), invalidating the
     node's cached flat routing block.  ``view_version`` tracks the newest
     kernel version whose snapshot this node has applied, so a view update
-    overtaken in flight (possible under non-FIFO latency models and the
-    pipelined bulk join) can never overwrite a fresher one.
+    overtaken in flight (possible under the pipelined bulk join) can never
+    overwrite a fresher one.
     """
 
     object_id: int
@@ -491,9 +491,8 @@ class ProtocolNode:
         """Adopt a version-stamped vn snapshot unless a fresher one was applied.
 
         ``view`` is the snapshot's ``(id, position)`` pairs.  An overtaken
-        snapshot (possible under non-FIFO latency models and the pipelined
-        bulk join) must not roll the view back; returns whether this one
-        was adopted.
+        snapshot (possible under the pipelined bulk join) must not roll the
+        view back; returns whether this one was adopted.
         """
         if version < self.view_version:
             return False
@@ -978,8 +977,6 @@ class ProtocolSimulator:  # simlint: ignore[SIM003] — one per experiment, not 
     ----------
     config:
         Overlay configuration (``n_max``, ``d_min``, number of long links).
-    latency:
-        Per-message latency model (constant 1 time unit by default).
     seed:
         Seed of the simulator's random source (long-link targets,
         introducer selection).
@@ -997,19 +994,13 @@ class ProtocolSimulator:  # simlint: ignore[SIM003] — one per experiment, not 
     """
 
     def __init__(self, config: Optional[VoroNetConfig] = None, *,
-                 latency: Optional[LatencyModel] = None,
                  seed: Optional[int] = None,
                  faults: Optional["FaultPlane"] = None) -> None:
         self.config = config if config is not None else VoroNetConfig()
         self.engine = SimulationEngine()
-        self.network = Network(self.engine, latency or ConstantLatency(1.0),
-                               faults=faults)
+        self.network = Network(self.engine, faults=faults)
         self.metrics = MetricsRegistry()
         self.rng = RandomSource(seed if seed is not None else self.config.seed)
-        # Stochastic latency models adopt a child of the simulator's seeded
-        # stream (unless the caller supplied their own rng), so latency
-        # draws are reproducible end-to-end from the simulator seed.
-        self.network.latency.bind_rng(self.rng.fork())
         #: Set for good by the first HeartbeatDetector attached: every
         #: delivered message then records a last-contact timestamp and
         #: exonerates a suspected sender.  Runs with no detector pay for

@@ -14,12 +14,15 @@ from repro.core.routing import greedy_route, greedy_route_many, route_to_object
 from repro.core.shards import RoutingTableCache
 from repro.experiments.runner import build_parser
 from repro.lint import LintConfig
-from repro.serving.harness import run_shootout
+from repro.serving.adapters import KleinbergServing
+from repro.serving.harness import build_adapters, run_shootout
+from repro.serving.observability import WindowTracker
 from repro.serving.traffic import serve_closed_loop, serve_protocol_closed_loop
 from repro.simulation.faults import (FaultPlane, HeartbeatConfig,
                                      HeartbeatDetector, SplitSpec)
 from repro.simulation.merge import PartitionRuntime
 from repro.simulation.metrics import MetricsRegistry
+from repro.simulation.network import Network
 from repro.simulation.protocol import ProtocolSimulator
 from repro.simulation.scenario import (Scenario, measure_steady_state_liveness,
                                        run_merge_scenario)
@@ -81,10 +84,13 @@ def test_option_budget():
         return [name for name in signature(function).parameters
                 if name != "self"]
 
-    # The message-level simulator: timeouts and retries are module
-    # constants, and what a run did is counted, not traced.
+    # The message-level simulator: timeouts, retries and the one-hop
+    # latency are module constants, and what a run did is counted, not
+    # traced; the fault plane loses messages but never delays them.
     assert parameters(ProtocolSimulator.__init__) == [
-        "config", "latency", "seed", "faults"]
+        "config", "seed", "faults"]
+    assert parameters(Network.__init__) == ["engine", "faults"]
+    assert parameters(FaultPlane.__init__) == ["seed", "loss_probability"]
 
     # The staged fault-experiment pipeline (21 settable values in all).
     assert parameters(Scenario.__init__) == [
@@ -117,19 +123,23 @@ def test_option_budget():
     assert parameters(PartitionRuntime.open_split) == ["sides"]
     assert parameters(ProtocolSimulator.bulk_join) == ["positions"]
 
-    # The serving drivers take what a record sets, and the one sink left
+    # The serving drivers take what a record sets (a hop costs LATENCY,
+    # the estimators keep QUANTILE_BUFFER samples), and the one sink left
     # on the simulator counts (a histogram nobody reads is not state to
     # keep for the life of a run).
     assert parameters(serve_closed_loop) == [
-        "adapter", "schedule", "workload",
-        "concurrency", "hop_latency", "window", "quantile_buffer"]
+        "adapter", "schedule", "workload", "concurrency", "window"]
     assert parameters(serve_protocol_closed_loop) == [
         "simulator", "id_map", "schedule", "workload",
-        "concurrency", "window", "record_paths", "quantile_buffer"]
+        "concurrency", "window", "record_paths"]
     assert parameters(run_shootout) == [
         "population", "queries", "seed", "workloads", "systems", "zipf_alpha",
-        "concurrency", "hop_latency", "num_long_links", "track_paths",
-        "window", "keep_windows", "quantile_buffer", "clock"]
+        "concurrency", "window", "keep_windows", "clock"]
+    assert parameters(build_adapters) == ["population", "seed", "systems"]
+    assert parameters(KleinbergServing.__init__) == [
+        "population", "seed", "long_links_per_node", "track_paths"]
+    with pytest.raises(TypeError):
+        WindowTracker()  # the window width is the caller's, no default
     assert {name for name in vars(MetricsRegistry)
             if not name.startswith("_")} == {"increment", "counter", "counters"}
     # One way to add a node to the Chord baseline.

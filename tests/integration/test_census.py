@@ -78,3 +78,26 @@ def test_nothing_slated_for_deletion_is_left_in_src():
                          if re.search(rf"\b{name}\b", path.read_text()))
             for name in slated if name not in SLATED_ALLOWED}
     assert {name: paths for name, paths in left.items() if paths} == {}
+
+
+#: Names retired when one hop became one time unit (``LATENCY``) and the
+#: serving knobs no record set became constants; none may come back.
+RETIRED = (
+    "LatencyModel",
+    "ConstantLatency",
+    "UniformLatency",
+    "set_delay",
+    "delay_probability",
+    "extra_delay",
+    "lane_delay",
+    "hop_latency",
+    "quantile_buffer",
+    "DelaunayOnlyOverlay",
+)
+
+
+def test_no_retired_name_is_back_in_src():
+    back = {name: sorted(str(path.relative_to(ROOT)) for path in SRC.rglob("*.py")
+                         if re.search(rf"\b{name}\b", path.read_text()))
+            for name in RETIRED}
+    assert {name: paths for name, paths in back.items() if paths} == {}

@@ -4,7 +4,7 @@ import time as _time
 
 import pytest
 
-from repro.simulation.engine import SimulationEngine
+from repro.simulation.engine import LATENCY, SimulationEngine
 from repro.simulation.events import NO_ARG, Event
 
 
@@ -137,14 +137,14 @@ class TestFastPaths:
 
     def test_lane_interleaves_with_the_heap_in_sequence_order(self):
         engine = SimulationEngine()
-        engine.lane_delay = 1.0
         fired = []
         port = engine.open_port(fired.append)
-        engine.push_call(1.0, port, "lane-1")
+        engine.push_call(LATENCY, port, "lane-1")
         engine.push_call(0.5, port, "heap-0.5")
-        engine.push_call(1.0, port, "lane-2")
-        engine.schedule(1.0, lambda: fired.append("event-1"))
+        engine.push_call(LATENCY, port, "lane-2")
+        engine.schedule(LATENCY, lambda: fired.append("event-1"))
         engine.push_call(2.0, port, "heap-2")
+        assert len(engine._lane) == 2
         assert engine.pending_events == 5
         engine.run()
         assert fired == ["heap-0.5", "lane-1", "lane-2", "event-1", "heap-2"]
@@ -152,13 +152,12 @@ class TestFastPaths:
 
     def test_cancel_actions_removes_matching_entries(self):
         engine = SimulationEngine()
-        engine.lane_delay = 2.0
         fired = []
         other = []
         port = engine.open_port(fired.append)
         other_port = engine.open_port(other.append)
-        engine.push_call(1.0, port, "a")
-        engine.push_call(2.0, port, "b")          # on the lane
+        engine.push_call(0.5, port, "a")
+        engine.push_call(LATENCY, port, "b")      # on the lane
         engine.schedule_call(3.0, fired.append, "c")
         engine.push_call(1.5, other_port, "other-action")
         removed = engine.cancel_actions(port)

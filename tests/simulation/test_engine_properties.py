@@ -15,7 +15,7 @@ import heapq
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simulation.engine import SimulationEngine, _EVENT_ENTRY
+from repro.simulation.engine import LATENCY, SimulationEngine, _EVENT_ENTRY
 
 
 def _scan_runnable(engine):
@@ -26,10 +26,6 @@ def _scan_runnable(engine):
             continue
         count += 1
     return count
-
-
-#: The engine's FIFO-lane delay in the oracle runs below.
-_LANE_DELAY = 1.0
 
 
 class _Oracle:
@@ -95,8 +91,8 @@ _COMMANDS = st.lists(
     st.one_of(
         st.tuples(st.just("schedule"), _DELAYS),
         st.tuples(st.just("schedule_call"), _DELAYS),
-        # Raw deliveries at varied delays take the heap; at the lane
-        # delay, the FIFO lane.
+        # Raw deliveries at varied delays take the heap; at LATENCY, the
+        # FIFO lane.
         st.tuples(st.just("push_call"), st.tuples(_DELAYS, st.integers(0, 1))),
         st.tuples(st.just("push_lane"), st.integers(0, 1)),
         st.tuples(st.just("cancel"), st.integers(0, 200)),
@@ -118,7 +114,6 @@ class TestEngineAgainstOracle:
         sequence as one heap, reach the same ``now`` and give the same
         counts, under arbitrary interleavings of every entry point."""
         engine = SimulationEngine()
-        engine.lane_delay = _LANE_DELAY
         oracle = _Oracle()
         fired = []
         ports = [engine.open_port(lambda sequence: fired.append(
@@ -139,7 +134,7 @@ class TestEngineAgainstOracle:
                     value, lambda sequence: fired.append((engine.now, sequence)),
                     entry[1]), entry))
             elif command in ("push_call", "push_lane"):
-                delay, port = value if command == "push_call" else (_LANE_DELAY,
+                delay, port = value if command == "push_call" else (LATENCY,
                                                                      value)
                 entry = oracle.schedule(delay, port)
                 engine.push_call(delay, ports[port], entry[1])

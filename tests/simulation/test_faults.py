@@ -80,10 +80,6 @@ class TestFaultPlane:
         with pytest.raises(ValueError):
             FaultPlane(loss_probability=1.5)
         with pytest.raises(ValueError):
-            FaultPlane(delay_probability=-0.1)
-        with pytest.raises(ValueError):
-            FaultPlane(delay_probability=0.5, delay_range=(3.0, 1.0))
-        with pytest.raises(ValueError):
             FaultPlane().partition([1, 2], start=5.0, end=1.0)
 
     def test_crashed_endpoints_drop(self):
@@ -114,14 +110,18 @@ class TestFaultPlane:
         assert plane.decide(*crossing, 15.0).deliver
 
     def test_loss_and_delay_draws(self):
-        plane = FaultPlane(seed=3, loss_probability=0.5,
-                           delay_probability=1.0, delay_range=(2.0, 4.0))
+        """A lossy plane draws once per message and delays none: the
+        ``k``-th decision is the ``k``-th double against the loss
+        probability, and a delivered message carries no delay."""
+        plane = FaultPlane(seed=3, loss_probability=0.5)
+        doubles = np.random.default_rng(3).random(200).tolist()
         delivered = dropped = 0
-        for index in range(200):
+        for index, double in enumerate(doubles):
             decision = plane.decide(0, index + 1, 0.0)
+            assert decision.deliver == (double >= 0.5)
             if decision.deliver:
                 delivered += 1
-                assert 2.0 <= decision.extra_delay <= 4.0
+                assert decision == faults.FaultDecision(deliver=True)
             else:
                 dropped += 1
         assert delivered > 0 and dropped > 0
@@ -131,21 +131,17 @@ class TestFaultPlane:
     @given(
         seed=st.integers(0, 2**20),
         loss=st.floats(0.0, 1.0),
-        delay_probability=st.floats(0.0, 1.0),
         endpoints=st.lists(
             st.tuples(st.integers(0, 30), st.integers(0, 30)),
             min_size=1, max_size=60),
         crashed=st.sets(st.integers(0, 30), max_size=5),
     )
     def test_decisions_deterministic_under_fixed_seed(self, seed, loss,
-                                                      delay_probability,
                                                       endpoints, crashed):
         """Two planes with the same seed and message sequence agree exactly."""
         planes = []
         for _ in range(2):
-            plane = FaultPlane(seed=seed, loss_probability=loss,
-                               delay_probability=delay_probability,
-                               delay_range=(1.0, 2.0))
+            plane = FaultPlane(seed=seed, loss_probability=loss)
             for object_id in crashed:
                 plane.crash(object_id)
             plane.partition([0, 1, 2], start=5.0, end=9.0)
@@ -161,8 +157,8 @@ class TestFaultPlane:
     _PROBABILITY = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
     _STEP = st.one_of(
         st.tuples(st.just("loss"), _PROBABILITY),
-        st.tuples(st.just("delay"), _PROBABILITY,
-                  st.tuples(st.floats(0.0, 4.0), st.floats(0.0, 4.0))
+        st.tuples(st.just("partition"), st.frozensets(st.integers(0, 12)),
+                  st.tuples(st.floats(0.0, 30.0), st.floats(0.0, 30.0))
                   .map(sorted).map(tuple)),
         st.tuples(st.just("crash"), st.integers(0, 12)),
         st.tuples(st.just("decide"), st.integers(1, 400)))
@@ -173,43 +169,48 @@ class TestFaultPlane:
     def test_block_drawn_stream_is_the_scalar_stream(self, seed, steps):
         """Whatever is toggled between (and inside) refills, every decision
         equals the one a plane drawing ``Generator.uniform`` scalars in the
-        documented order makes — compared with ``==``, not a tolerance."""
+        documented order makes — compared with ``==``, not a tolerance.
+        The clock advances 1/16 per message, so partition windows open,
+        cut and expire between draws."""
         plane = FaultPlane(seed=seed)
         generator = np.random.default_rng(seed)
         crashed = set()
-        loss = delay_probability = 0.0
-        delay_range = (0.0, 0.0)
+        windows = []
+        loss = 0.0
         draws = 0
 
-        def scalar(*bounds):
+        def scalar():
             nonlocal draws
             draws += 1
-            return float(generator.uniform(*bounds))
+            return float(generator.uniform())
 
-        def reference(sender, recipient):
+        def reference(sender, recipient, now):
             if sender in crashed:
-                return (False, "crashed_sender", 0.0)
+                return (False, "crashed_sender")
             if recipient in crashed:
-                return (False, "crashed_recipient", 0.0)
+                return (False, "crashed_recipient")
+            for members, (start, end) in windows:
+                if (start <= now < end
+                        and (sender in members) != (recipient in members)):
+                    return (False, "partition")
             if loss > 0.0 and scalar() < loss:
-                return (False, "loss", 0.0)
-            if delay_probability > 0.0 and scalar() < delay_probability:
-                return (True, "delayed", scalar(*delay_range))
-            return (True, "ok", 0.0)
+                return (False, "loss")
+            return (True, "ok")
 
         def decide(sender, recipient):
-            decision = plane.decide(sender, recipient, 0.0)
-            assert (decision.deliver, decision.reason,
-                    decision.extra_delay) == reference(sender, recipient)
+            now = sent / 16
+            decision = plane.decide(sender, recipient, now)
+            assert (decision.deliver, decision.reason) == reference(
+                sender, recipient, now)
 
         sent = 0
         for step in steps:
             if step[0] == "loss":
                 loss = step[1]
                 plane.set_loss(loss)
-            elif step[0] == "delay":
-                delay_probability, delay_range = step[1], step[2]
-                plane.set_delay(delay_probability, delay_range)
+            elif step[0] == "partition":
+                windows.append(step[1:])
+                plane.partition(step[1], *step[2])
             elif step[0] == "crash":
                 crashed.add(step[1])
                 plane.crash(step[1])
@@ -245,16 +246,6 @@ class TestNetworkIntegration:
         assert network.messages_lost - lost_before == sent
         assert network.messages_delivered == delivered_before
         simulator.faults.set_loss(0.0)
-
-    def test_extra_delay_stretches_delivery(self):
-        simulator = ProtocolSimulator(
-            VoroNetConfig(n_max=64, seed=9), seed=9,
-            faults=FaultPlane(seed=9, delay_probability=1.0,
-                              delay_range=(5.0, 5.0)))
-        simulator.join((0.3, 0.3))
-        simulator.join((0.7, 0.7))
-        # Every counted message took latency 1 + exactly 5 extra.
-        assert simulator.engine.now >= 6.0
 
 
 # ----------------------------------------------------------------------
@@ -864,34 +855,34 @@ class TestPartitionEdgeCases:
     """
 
     def test_message_sent_before_window_delivers_inside_it(self):
-        from repro.simulation.engine import SimulationEngine
-        from repro.simulation.network import ConstantLatency, Network
+        from repro.simulation.engine import LATENCY, SimulationEngine
+        from repro.simulation.network import Network
 
         engine = SimulationEngine()
-        network = Network(engine, ConstantLatency(10.0))
+        network = Network(engine)
         plane = FaultPlane(seed=5)
         network.faults = plane
         received = []
         network.register(1, lambda message: None)
         network.register(2, lambda message: received.append(
             (engine.now, message[KIND])))
-        plane.partition([2], start=5.0, end=20.0)
-        # Sent at t=0 (window closed), delivered at t=10 (window open):
-        # the decision was taken at send time, so it goes through.
+        plane.partition([2], start=0.5 * LATENCY, end=20.0)
+        # Sent at t=0 (window closed), delivered at t=LATENCY (window
+        # open): the decision was taken at send time, so it goes through.
         network.send(1, 2, "EARLY")
-        # Sent at t=6 (window open): cut, even though its delivery at
-        # t=16 would also land inside the window.
+        # Sent at t=6 (window open): cut, even though its delivery
+        # would also land inside the window.
         engine.schedule(6.0, lambda: network.send(1, 2, "INSIDE"))
         engine.run()
-        assert received == [(10.0, "EARLY")]
+        assert received == [(LATENCY, "EARLY")]
         assert plane.drops_by_reason == {"partition": 1}
 
     def test_crash_landing_exactly_on_window_boundary(self):
         from repro.simulation.engine import SimulationEngine
-        from repro.simulation.network import ConstantLatency, Network
+        from repro.simulation.network import Network
 
         engine = SimulationEngine()
-        network = Network(engine, ConstantLatency(1.0))
+        network = Network(engine)
         plane = FaultPlane(seed=6)
         network.faults = plane
         received = []

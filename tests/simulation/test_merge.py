@@ -17,13 +17,13 @@ from hypothesis import strategies as st
 
 from repro.geometry.delaunay import DelaunayTriangulation
 from repro.geometry.point import distance
-from repro.simulation.engine import SimulationEngine
+from repro.simulation.engine import LATENCY, SimulationEngine
 from repro.simulation.failures import assess_partition_damage
 from repro.simulation.faults import (FaultPlane, HeartbeatDetector,
                                      RepairProtocol)
 from repro.simulation.merge import PartitionRuntime
 from repro.simulation.scenario import run_merge_scenario
-from repro.simulation.network import ConstantLatency, Network
+from repro.simulation.network import Network
 from repro.simulation.protocol import ProtocolSimulator
 from repro.core.config import VoroNetConfig
 from repro.utils.rng import RandomSource
@@ -134,12 +134,12 @@ class TestSplitInFlightSemantics:
     def test_default_deliver_keeps_send_time_rule(self):
         engine = SimulationEngine()
         plane = FaultPlane(seed=6)
-        network = Network(engine, latency=ConstantLatency(5.0), faults=plane)
+        network = Network(engine, faults=plane)
         delivered = []
         network.register(1, delivered.append)
         network.register(2, delivered.append)
-        plane.split([[1], [2]], start=2.0, end=20.0)
-        # Sent at t=0 (before the window), delivered at t=5 (inside it).
+        plane.split([[1], [2]], start=0.5 * LATENCY, end=20.0)
+        # Sent at t=0 (before the window), delivered at t=LATENCY (inside it).
         network.send(1, 2, "X")
         engine.run()
         assert len(delivered) == 1

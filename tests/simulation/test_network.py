@@ -2,14 +2,8 @@
 
 import pytest
 
-from repro.simulation.engine import SimulationEngine
-from repro.simulation.network import (
-    KIND,
-    ConstantLatency,
-    Network,
-    UniformLatency,
-)
-from repro.utils.rng import RandomSource
+from repro.simulation.engine import LATENCY, SimulationEngine
+from repro.simulation.network import KIND, Network
 
 
 @pytest.fixture
@@ -19,7 +13,7 @@ def engine():
 
 @pytest.fixture
 def network(engine):
-    return Network(engine, ConstantLatency(2.0))
+    return Network(engine)
 
 
 class TestDelivery:
@@ -37,7 +31,7 @@ class TestDelivery:
         network.register(1, lambda m: times.append(engine.now))
         network.send(0, 1, "PING")
         engine.run()
-        assert times == [2.0]
+        assert times == [LATENCY]
 
     def test_unregistered_recipient_drops_message(self, engine, network):
         network.send(0, 9, "PING")
@@ -117,12 +111,9 @@ class TestDropAccounting:
 
     def test_unregister_voids_both_queues_and_closes_every_port(self, engine,
                                                                 network):
-        """In-flight deliveries sit on the FIFO lane (fixed latency) or the
-        heap (a fault-plane delay, a local hand-off); unregister voids them
-        in both, for the current and the replaced handler, counting only
-        the counted sends."""
-        from repro.simulation.faults import FaultPlane
-
+        """In-flight deliveries sit on the FIFO lane (every counted send) or
+        the heap (a local hand-off); unregister voids them in both, for the
+        current and the replaced handler, counting only the counted sends."""
         old_received, new_received = [], []
         network.register(1, old_received.append)
         old_port = network._ports[1]
@@ -130,19 +121,15 @@ class TestDropAccounting:
         network.register(1, new_received.append)
         new_port = network._ports[1]
         network.send(1, 1, "LOCAL")                 # heap, zero delay
-        network.faults = FaultPlane(seed=1, delay_probability=1.0,
-                                    delay_range=(3.0, 3.0))
-        network.send(0, 1, "PING")                  # heap, delayed
-        network.faults = None
         network.send(2, 1, "PING")                  # lane, new handler
-        assert len(engine._lane) == 2 and len(engine._queue) == 2
+        assert len(engine._lane) == 2 and len(engine._queue) == 1
         network.unregister(1)
         assert engine.pending_events == 0 and engine.quiescent
         assert engine._ports[old_port] is None
         assert engine._ports[new_port] is None
         engine.run()
         assert old_received == [] and new_received == []
-        assert network.messages_dropped == 3
+        assert network.messages_dropped == 2
         assert network.messages_delivered == 0
 
     def test_late_registration_still_delivers(self, engine, network):
@@ -164,58 +151,3 @@ class TestDropAccounting:
         assert network.messages_sent == (network.messages_delivered
                                          + network.messages_dropped
                                          + network.messages_lost)
-
-
-class TestLatencyModels:
-    def test_constant_latency_validation(self):
-        with pytest.raises(ValueError):
-            ConstantLatency(-1.0)
-
-    def test_uniform_latency_within_bounds(self):
-        model = UniformLatency(1.0, 3.0, rng=RandomSource(1))
-        message = (0, 1, "X", ())
-        for _ in range(100):
-            assert 1.0 <= model.sample(message) <= 3.0
-
-    def test_uniform_latency_validation(self):
-        with pytest.raises(ValueError):
-            UniformLatency(3.0, 1.0)
-        with pytest.raises(ValueError):
-            UniformLatency(-1.0, 1.0)
-
-    def test_bind_rng_adopts_stream_only_when_defaulted(self):
-        explicit = UniformLatency(1.0, 3.0, rng=RandomSource(1))
-        reference = UniformLatency(1.0, 3.0, rng=RandomSource(1))
-        explicit.bind_rng(RandomSource(999))
-        message = (0, 1, "X", ())
-        draws = [explicit.sample(message) for _ in range(10)]
-        assert draws == [reference.sample(message) for _ in range(10)]
-
-        defaulted = UniformLatency(1.0, 3.0)
-        defaulted.bind_rng(RandomSource(7))
-        rebound = UniformLatency(1.0, 3.0, rng=RandomSource(7))
-        assert [defaulted.sample(message) for _ in range(10)] == \
-            [rebound.sample(message) for _ in range(10)]
-
-    def test_simulator_seeds_default_uniform_latency(self):
-        """End-to-end reproducibility: an unseeded UniformLatency adopts a
-        child of the simulator's seeded stream, so identical seeds give
-        identical virtual timelines."""
-        from repro.core.config import VoroNetConfig
-        from repro.simulation.protocol import ProtocolSimulator
-
-        def run(seed):
-            simulator = ProtocolSimulator(
-                VoroNetConfig(n_max=256, seed=seed), seed=seed,
-                latency=UniformLatency(0.5, 2.5))
-            rng = RandomSource(seed)
-            for _ in range(12):
-                simulator.join(rng.random_point())
-            network = simulator.network
-            return (simulator.engine.now, network.messages_sent,
-                    dict(network.sent_by_kind))
-
-        assert run(11) == run(11)
-        # Different seeds must actually draw different latencies (the
-        # pre-fix behaviour was an unseeded global default either way).
-        assert run(11)[0] != run(12)[0]

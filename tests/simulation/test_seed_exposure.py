@@ -6,8 +6,7 @@ every stochastic component can say which stream it draws from.
 
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.faults import FaultPlane
-from repro.simulation.network import (ConstantLatency, Network,
-                                      UniformLatency)
+from repro.simulation.network import Network
 from repro.utils.rng import RandomSource
 
 
@@ -54,47 +53,20 @@ def test_fault_plane_exposes_seed():
     assert "loss_probability=0.25" in repr(plane)
 
 
-def test_uniform_latency_repr_pending_until_bound():
-    model = UniformLatency(0.5, 1.5)
-    assert model.effective_seed is None
-    assert "rng_pending" in repr(model)
-    model.bind_rng(RandomSource(99))
-    assert model.effective_seed == 99
-    assert "effective_seed='99'" in repr(model)
-
-
-def test_uniform_latency_repr_with_explicit_rng():
-    model = UniformLatency(0.5, 1.5, rng=RandomSource(11))
-    assert model.effective_seed == 11
-    assert "effective_seed='11'" in repr(model)
-    # An explicit stream is not displaced by a later bind.
-    model.bind_rng(RandomSource(12))
-    assert model.effective_seed == 11
-
-
-def test_uniform_latency_repr_with_spawned_stream_is_auditable():
-    model = UniformLatency(0.5, 1.5)
-    model.bind_rng(RandomSource(3).fork())
-    assert model.effective_seed is None  # derived, not a direct seed...
-    assert "effective_seed='3.spawn[0]'" in repr(model)  # ...but auditable
-
-
-def test_constant_latency_repr():
-    assert repr(ConstantLatency(2.0)) == "ConstantLatency(latency=2.0)"
-
-
 # ----------------------------------------------------------------------
 # same seed ⇒ same behaviour
 # ----------------------------------------------------------------------
 def _delivery_times(seed: int, n: int = 50):
+    """When each of ``n`` pings, one sent per time unit through a seeded
+    lossy plane, arrives: every hop costs the one latency, so the seed
+    decides the schedule through which messages are lost."""
     engine = SimulationEngine()
-    model = UniformLatency(0.5, 1.5)
-    model.bind_rng(RandomSource(seed))
-    network = Network(engine, latency=model)
+    network = Network(engine, faults=FaultPlane(seed=seed,
+                                                loss_probability=0.5))
     times = []
     network.register(1, lambda message: times.append(engine.now))
     for index in range(n):
-        network.send(0, 1, "PING", (index,))
+        engine.schedule(float(index), lambda: network.send(0, 1, "PING"))
     engine.run()
     return times
 

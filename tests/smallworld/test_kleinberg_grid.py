@@ -58,16 +58,16 @@ class TestLattice:
 
 class TestRouting:
     def test_route_to_self_is_zero_hops(self, grid):
-        result = grid.greedy_route((3, 3), (3, 3))
-        assert result.hops == 0 and result.success
+        result = grid.greedy_route((3, 3), (3, 3), record_path=True)
+        assert result.hops == 0 and result.path == ((3, 3),)
 
     def test_route_always_succeeds(self, grid):
         rng = RandomSource(9)
         for _ in range(60):
             source = (rng.integer(0, grid.n), rng.integer(0, grid.n))
             target = (rng.integer(0, grid.n), rng.integer(0, grid.n))
-            result = grid.greedy_route(source, target)
-            assert result.success
+            result = grid.greedy_route(source, target, record_path=True)
+            assert result.path[-1] == target
 
     def test_route_never_longer_than_lattice_distance(self, grid):
         rng = RandomSource(10)
