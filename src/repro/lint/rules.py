@@ -18,7 +18,11 @@ SIM001 epoch-contract
     ``long_links`` / ``back_links``) through a receiver other than
     ``self`` is a finding whatever follows it — no bump from outside the
     node's class can be held to the every-path contract, so the edit
-    belongs in a node method.
+    belongs in a node method.  The node's liveness and pending containers
+    (``suspects``, ``missed_heartbeats``, ``rehabilitated``, …) are held to
+    the same "written only by the node" half, with no bump asked: an empty
+    one is a shared immutable sentinel that only the node's own methods
+    swap for a real container.
 
 SIM002 determinism
     Inside the deterministic-replay scope (``repro/simulation`` and
@@ -87,7 +91,16 @@ __all__ = [
 #: rule survives refactors that move handlers between the two planes.
 NODE_VIEW_ATTRS = frozenset({"voronoi", "close", "long_links", "back_links"})
 VIEW_ATTRS = NODE_VIEW_ATTRS | {"voronoi_region", "close_neighbors"}
-#: Scope of SIM001's second half: no view write from outside the node.
+#: Protocol-node containers that are not view state (no epoch bump) but,
+#: like the views, are written only by the node's own methods: an empty one
+#: is a shared immutable sentinel (``repro.simulation.protocol``, "Memory").
+NODE_LIVENESS_ATTRS = frozenset({
+    "pending_close_peers", "pending_link_indices", "suspects",
+    "rehabilitated", "last_heard", "missed_heartbeats",
+})
+NODE_OWNED_ATTRS = NODE_VIEW_ATTRS | NODE_LIVENESS_ATTRS
+#: Scope of SIM001's second half: no view or liveness write from outside
+#: the node.
 NODE_VIEW_PATHS = ("repro/simulation",)
 
 #: Scope of the routing-cache rule (SIM006): the oracle plane, and the one
@@ -269,15 +282,18 @@ class EpochContractRule(Rule):
                      config: LintConfig) -> Iterable[Finding]:
         if path_in_scope(module.display, NODE_VIEW_PATHS):
             for site, target in _write_targets(ast.walk(module.tree)):
-                attr = _external_attr(target, NODE_VIEW_ATTRS)
+                attr = _external_attr(target, NODE_OWNED_ATTRS)
                 if attr is not None:
+                    why = ("no bump from here can be held to the every-path "
+                           "contract" if attr in NODE_VIEW_ATTRS else
+                           "an empty one is a shared sentinel only the node "
+                           "may swap")
                     yield Finding(
                         path=module.display, line=site.lineno,
                         col=site.col_offset + 1, rule=self.code,
-                        message=(f"view attribute {attr!r} is written from "
-                                 f"outside its node: no bump from here can "
-                                 f"be held to the every-path contract (move "
-                                 f"the edit into a method of the node)"))
+                        message=(f"node attribute {attr!r} is written from "
+                                 f"outside its node: {why} (move the edit "
+                                 f"into a method of the node)"))
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.ClassDef):
                 continue

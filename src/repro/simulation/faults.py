@@ -673,11 +673,7 @@ class HeartbeatDetector:  # simlint: ignore[SIM003] — one per experiment, not 
                     continue
                 if last_contact.get(peer, -math.inf) >= round_started:
                     continue  # any message during the round is an answer
-                misses = node.missed_heartbeats.get(peer, 0) + 1
-                node.missed_heartbeats[peer] = misses
-                if misses >= self.miss_threshold and peer not in node.suspects:
-                    node.suspects.add(peer)
-                    node.apply_suspicion({peer})
+                if node.miss_heartbeat(peer, self.miss_threshold):
                     new_suspects.append((object_id, peer))
         self._outstanding = {}
         return new_suspects
@@ -903,8 +899,7 @@ class RepairProtocol:  # simlint: ignore[SIM003] — one per experiment, not per
                 if node is None:
                     continue  # crashed while this phase was being sent
                 if node.suspects or node.rehabilitated:
-                    node.rehabilitated.clear()
-                    node.discover_close()
+                    node.rediscover_close()
 
         # ---- GC: drop suspicion no surviving reference supports ---------
         for object_id in members:

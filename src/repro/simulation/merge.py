@@ -306,7 +306,7 @@ class PartitionRuntime:  # simlint: ignore[SIM003] — one per experiment, not p
             side = spec.side_of(object_id)
             for peer in simulator.locate.within(node.position, d_min):
                 if peer > object_id and spec.side_of(peer) != side:
-                    node.rehabilitated.add(peer)
+                    node.rehabilitate(peer)
         # Published-id collisions: objects inserted on different sides
         # minted the same side-local id.  The lowest object id keeps the
         # published identity; every loser re-publishes under a fresh id

@@ -21,10 +21,14 @@ engine's port table once, so an entry holds an int port — no callable, no
 event object.  Every counted delivery is due ``LATENCY`` after its send,
 so it goes on the engine's FIFO lane (``repro.simulation.engine``), in the
 order the heap would have popped it, as a key ``(time, sequence, port)``
-beside the message.  A message whose payload holds only atomic values (a
-heartbeat, a query, a routed join or link search) is untracked by CPython
-at its first young collection, and so is its lane key, so 10⁵ of them in
-flight cost full collections nothing.  The recipient's port is resolved
+beside the message.  ``send`` computes the delivery time ``now + LATENCY``
+once per virtual instant, so every key of an instant holds the same float
+object; the engine's clock takes that object as each key is popped, and
+the contact stamps the deliveries leave (``ProtocolNode.last_contact``)
+hold it too, not a float each.  A message whose payload holds only atomic
+values (a heartbeat, a query, a routed join or link search) is untracked
+by CPython at its first young collection, and so is its lane key, so 10⁵
+of them in flight cost full collections nothing.  The recipient's port is resolved
 *at send time* (``unregister`` voids the port's in-flight entries, so a
 departed node can never be handed a message).  Per-kind counters are a
 :class:`collections.Counter`, and ``messages_delivered`` is derived from
@@ -65,7 +69,7 @@ SENDER, RECIPIENT, KIND, PAYLOAD = 0, 1, 2, 3
 class Network:
     """Delivers messages between registered handlers via the event engine."""
 
-    __slots__ = ("_engine", "_fifo", "_fifo_args",
+    __slots__ = ("_engine", "_fifo", "_fifo_args", "_instant", "_due",
                  "_ports", "_replaced_ports", "_deliver_port", "faults",
                  "messages_sent", "messages_dropped", "messages_lost",
                  "sent_by_kind", "_send_triggers")
@@ -77,6 +81,11 @@ class Network:
         #: takes every counted delivery.
         self._fifo = engine._lane
         self._fifo_args = engine._lane_args
+        #: The virtual instant of the last counted send and its delivery
+        #: time ``_instant + LATENCY``, computed once per instant so that
+        #: every lane key of the instant shares one float.
+        self._instant: Optional[float] = None
+        self._due = LATENCY
         #: Node id → the port of its current handler.
         self._ports: Dict[int, int] = {}
         #: Ports of handlers displaced by a re-registration, kept until the
@@ -209,9 +218,13 @@ class Network:
         # flight).  The entry is appended to the lane inline —
         # ``engine.push_call`` minus one call frame, on the one code path
         # hot enough to care.
+        now = engine._now
+        if now != self._instant:
+            self._instant = now
+            self._due = now + LATENCY
         sequence = engine._sequence
         engine._sequence = sequence + 1
-        self._fifo.append((engine._now + LATENCY, sequence,
+        self._fifo.append((self._due, sequence,
                            self._ports.get(recipient, self._deliver_port)))
         self._fifo_args.append(message)
 

@@ -111,6 +111,37 @@ detector's per-node probe plan (:meth:`ProtocolNode.probe_plan`) is cached
 against the same epoch, and :meth:`ProtocolSimulator.verify_views` compares
 every cached plan with its fresh derivation.
 
+Memory
+------
+A node costs only what it holds, as an oracle node does
+(``repro.core.node``, "Memory"):
+
+* :class:`ProtocolNode` and its long links are slotted dataclasses, with no
+  per-instance ``__dict__``;
+* a set the node holds only while something is pending or suspected —
+  ``pending_close_peers``, ``pending_link_indices``, ``suspects``,
+  ``rehabilitated`` — is the shared empty :data:`NO_IDS` while it is empty;
+* so is a dict that is empty — ``last_heard``, ``missed_heartbeats`` and
+  the ``close`` / ``back_links`` views — the shared read-only
+  :data:`NO_ENTRIES`;
+* the counted sends of one virtual instant share one delivery time
+  (``repro.simulation.network``, "Hot-path design"), so the contact stamps
+  their deliveries leave in ``last_contact`` hold no float of their own.
+
+Only :class:`ProtocolNode`'s methods write these containers (simlint SIM001
+holds that): the detector's sweep calls :meth:`ProtocolNode.miss_heartbeat`,
+the repair's close phase :meth:`ProtocolNode.rediscover_close` and a heal
+:meth:`ProtocolNode.rehabilitate`.  Each write goes through ``_with_id`` /
+``_with_ids`` / ``_without_id`` or ``_with_entry`` / ``_without_entry``,
+which swap a real container in on the first entry and put the sentinel back
+when the last entry leaves, so a container is empty exactly when it is the
+sentinel.  A batch of suspects is added to a fresh ``set()`` with ``|=``,
+as it was added to a node's own empty set before the sentinel: a set's
+table, and with it the set's size and iteration order, depends on how the
+set was built, and ``set(batch)`` builds another one.  ``last_contact``
+and ``last_ping_round`` stay plain dicts: the first detector round fills
+them at every node.
+
 Fault tolerance
 ---------------
 Crash/loss/partition injection and the self-healing protocol live in
@@ -130,8 +161,9 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import (TYPE_CHECKING, AbstractSet, Callable, ClassVar, Dict, Iterator,
-                    List, Optional, Sequence, Set, Tuple)
+from types import MappingProxyType
+from typing import (TYPE_CHECKING, AbstractSet, Callable, ClassVar, Dict, FrozenSet,
+                    Iterator, List, Mapping, Optional, Sequence, Set, Tuple)
 
 import numpy as np
 
@@ -177,6 +209,56 @@ OPERATION_TIMEOUT = 12.0
 #: bulk join's carve, view and search audits run this many re-drives too.
 OPERATION_RETRIES = 3
 OPERATION_BACKOFF = 2.0
+
+#: The id set of every node whose pending or liveness set is empty: one
+#: shared, immutable empty set (module docstring, Memory).
+NO_IDS: FrozenSet[int] = frozenset()
+#: Likewise for the node's dicts: one shared, read-only empty mapping.
+NO_ENTRIES: Mapping = MappingProxyType({})
+
+
+def _with_id(ids: AbstractSet[int], member: int) -> Set[int]:
+    """``ids`` plus ``member``; a set of the node's own replaces the sentinel."""
+    if ids is NO_IDS:
+        ids = set()
+    ids.add(member)
+    return ids
+
+
+def _with_ids(ids: AbstractSet[int], members: AbstractSet[int]) -> AbstractSet[int]:
+    """``ids`` plus ``members``, added by ``|=`` (module docstring, Memory)."""
+    if members:
+        if ids is NO_IDS:
+            ids = set()
+        ids |= members
+    return ids
+
+
+def _without_id(ids: AbstractSet[int], member: int) -> AbstractSet[int]:
+    """``ids`` minus ``member``; the sentinel once nothing is left."""
+    if member in ids:
+        ids.discard(member)
+        if not ids:
+            return NO_IDS
+    return ids
+
+
+def _with_entry(entries: Mapping, key, value) -> Dict:
+    """``entries`` with ``key`` mapped to ``value``; a dict of the node's own
+    replaces the sentinel."""
+    if entries is NO_ENTRIES:
+        entries = {}
+    entries[key] = value
+    return entries
+
+
+def _without_entry(entries: Mapping, key) -> Mapping:
+    """``entries`` minus ``key``; the sentinel once nothing is left."""
+    if key in entries:
+        del entries[key]
+        if not entries:
+            return NO_ENTRIES
+    return entries
 
 
 # ----------------------------------------------------------------------
@@ -266,27 +348,31 @@ class ProtocolNode:
     kernel version whose snapshot this node has applied, so a view update
     overtaken in flight (possible under the pipelined bulk join) can never
     overwrite a fresher one.
+
+    An empty pending, liveness or view container is a shared sentinel
+    (:data:`NO_IDS`, :data:`NO_ENTRIES`), and only the node's own methods
+    write one (module docstring, Memory).
     """
 
     object_id: int
     position: Point
     simulator: "ProtocolSimulator" = field(repr=False)
     voronoi: Dict[int, Point] = field(default_factory=dict)
-    close: Dict[int, Point] = field(default_factory=dict)
+    close: Mapping[int, Point] = field(default_factory=lambda: NO_ENTRIES)
     long_links: List[_LocalLongLink] = field(default_factory=list)
-    back_links: Dict[Tuple[int, int], Point] = field(default_factory=dict)
+    back_links: Mapping[Tuple[int, int], Point] = field(default_factory=lambda: NO_ENTRIES)
     #: Voronoi neighbours whose ``CLOSE_REPLY`` is still awaited, and
     #: whether the close phase already completed.  Set-based (not a bare
     #: counter) so duplicate and late replies are idempotent: a reply from
     #: a peer not in the set changes nothing, and the long-link phase can
     #: never be double-started by a retried request's second answer.
-    pending_close_peers: Set[int] = field(default_factory=set)
+    pending_close_peers: AbstractSet[int] = NO_IDS
     close_phase_done: bool = False
     #: Long-link slots whose ``LONG_LINK_ESTABLISHED`` is still awaited.
     #: First establishment wins; a late duplicate (a retried search whose
     #: original answer survived after all) is told to drop its redundant
     #: back registration instead of overwriting the link.
-    pending_link_indices: Set[int] = field(default_factory=set)
+    pending_link_indices: AbstractSet[int] = NO_IDS
     #: Whether this node already applied its first ``CREATE_OBJECT`` view
     #: snapshot.  A duplicate (retried carve re-sending the snapshot)
     #: refreshes the view but must not restart close discovery or append
@@ -300,9 +386,9 @@ class ProtocolNode:
     #: counts its consecutive unanswered rounds, and ``suspects`` is this
     #: node's local list of peers presumed crashed.  None of these are part
     #: of the routing view, so they never bump ``view_epoch``.
-    last_heard: Dict[int, int] = field(default_factory=dict)
-    missed_heartbeats: Dict[int, int] = field(default_factory=dict)
-    suspects: Set[int] = field(default_factory=set)
+    last_heard: Mapping[int, int] = field(default_factory=lambda: NO_ENTRIES)
+    missed_heartbeats: Mapping[int, int] = field(default_factory=lambda: NO_ENTRIES)
+    suspects: AbstractSet[int] = NO_IDS
     #: Piggy-backed liveness: virtual time this node last received *any*
     #: message from a peer (stamped only while the simulator's
     #: ``detector_attached`` switch is on), and the simulator-wide
@@ -317,8 +403,8 @@ class ProtocolNode:
     #: the ``d_min`` disc.  Suspicion or the cut scrubbed their close entry
     #: destructively, so the repair protocol's close re-discovery must
     #: revisit this node even once its suspect list is empty; the repair
-    #: round clears the set after re-discovering.
-    rehabilitated: Set[int] = field(default_factory=set)
+    #: round spends the marks when it re-discovers.
+    rehabilitated: AbstractSet[int] = NO_IDS
     #: Externally published identity.  Normally ``None`` (the object id is
     #: the identity); objects inserted *during* a network split publish a
     #: side-local id drawn from the id space both sides believe is next —
@@ -459,11 +545,12 @@ class ProtocolNode:
         """
         changed = False
         for peer in sorted(peers):
-            if self.close.pop(peer, None) is not None:
+            if peer in self.close:
+                self.close = _without_entry(self.close, peer)
                 changed = True
         stale_back = [key for key in self.back_links if key[0] in peers]
         for key in stale_back:
-            del self.back_links[key]
+            self.back_links = _without_entry(self.back_links, key)
             changed = True
         if changed:
             self.touch_view()
@@ -476,12 +563,14 @@ class ProtocolNode:
         reference to a suspect has been scrubbed or retargeted, the node's
         part in that suspect's repair is over.  A suspect with a surviving
         reference is kept, which is what makes repair retry-safe when
-        repair messages are themselves lost.  An empty list is left as it is:
-        a fresh empty set per member per round is what the collector would
-        otherwise promote into its oldest generation, 10⁴ at a time.
+        repair messages are themselves lost.  A list left empty is the
+        shared :data:`NO_IDS` (module docstring, Memory): a fresh empty set
+        per member per round is what the collector would otherwise promote
+        into its oldest generation, 10⁴ at a time.
         """
         if self.suspects:
-            self.suspects = {peer for peer in self.suspects if self.references(peer)}
+            self.suspects = ({peer for peer in self.suspects if self.references(peer)}
+                             or NO_IDS)
 
     # ------------------------------------------------------------------
     # protocol moves (the module docstring's table: each written once)
@@ -511,7 +600,8 @@ class ProtocolNode:
         knows a source that is gone); a handler cannot know and always
         sends — the plane drops it, counted.
         """
-        target = self.back_links.pop(key)
+        target = self.back_links[key]
+        self.back_links = _without_entry(self.back_links, key)
         self.touch_view()
         source, link_index = key
         self.simulator.send(self, holder, "BACKLINK_TRANSFER",
@@ -536,7 +626,7 @@ class ProtocolNode:
             if (close_id == self.object_id or close_id in self.close
                     or peer is None):  # crashed since the radius query ran
                 continue
-            self.close[close_id] = peer.position
+            self.close = _with_entry(self.close, close_id, peer.position)
             found = True
             simulator.send(self, close_id, "CLOSE_DECLARE", (self.position,))
         if found:
@@ -562,7 +652,7 @@ class ProtocolNode:
         O(1) greedy hops from the exact region owner, so a retry under
         message loss needs few deliveries to land.
         """
-        self.pending_link_indices.add(index)
+        self.pending_link_indices = _with_id(self.pending_link_indices, index)
         target = self.long_links[index].target
         start = self.simulator.locate.hint(target) if seeded else None
         if start is None or start not in self.simulator.nodes:
@@ -576,10 +666,39 @@ class ProtocolNode:
         themselves here).  The suspicion already scrubbed state
         destructively, so the exoneration is remembered for the repair
         round's close re-discovery."""
-        self.missed_heartbeats.pop(peer, None)
+        self.missed_heartbeats = _without_entry(self.missed_heartbeats, peer)
         if peer in self.suspects:
-            self.suspects.discard(peer)
-            self.rehabilitated.add(peer)
+            self.suspects = _without_id(self.suspects, peer)
+            self.rehabilitate(peer)
+
+    def rehabilitate(self, peer: int) -> None:
+        """Mark ``peer`` for the repair round's close re-discovery: a refuted
+        suspicion, or a close pair across a healed cut, scrubbed its close
+        entry destructively."""
+        self.rehabilitated = _with_id(self.rehabilitated, peer)
+
+    def rediscover_close(self) -> None:
+        """The repair round's close phase at this node: spend the
+        rehabilitation marks and re-run grid-exact close discovery."""
+        self.rehabilitated = NO_IDS
+        self.discover_close()
+
+    def suspect(self, peers: AbstractSet[int]) -> None:
+        """Add ``peers`` to the local suspect list.  Scrubbing what served
+        them is :meth:`apply_suspicion`, the caller's next step."""
+        self.suspects = _with_ids(self.suspects, peers)
+
+    def miss_heartbeat(self, peer: int, threshold: int) -> bool:
+        """``peer`` left a probe unanswered: count the miss and, at
+        ``threshold`` consecutive ones, suspect it and scrub what served it.
+        Returns whether a suspicion was created."""
+        misses = self.missed_heartbeats.get(peer, 0) + 1
+        self.missed_heartbeats = _with_entry(self.missed_heartbeats, peer, misses)
+        if misses < threshold or peer in self.suspects:
+            return False
+        self.suspect({peer})
+        self.apply_suspicion({peer})
+        return True
 
     def corroborated(self, accused: AbstractSet[int]) -> Set[int]:
         """The accused peers local evidence supports: a standing suspicion,
@@ -690,10 +809,10 @@ class ProtocolNode:
         d_min = self.simulator.config.effective_d_min
         for oid, pos in sorted(candidates.items()):
             if oid != self.object_id and distance(pos, self.position) <= d_min:
-                self.close[oid] = pos
+                self.close = _with_entry(self.close, oid, pos)
         self.touch_view()
         if sender in self.pending_close_peers:
-            self.pending_close_peers.discard(sender)
+            self.pending_close_peers = _without_id(self.pending_close_peers, sender)
             self.simulator.operation_progress(("close", self.object_id))
             if not self.pending_close_peers:
                 self._finish_close_phase()
@@ -719,7 +838,7 @@ class ProtocolNode:
         dead = [peer for peer in sorted(self.pending_close_peers)
                 if peer not in self.simulator.nodes]
         for peer in dead:
-            self.pending_close_peers.discard(peer)
+            self.pending_close_peers = _without_id(self.pending_close_peers, peer)
         if not self.pending_close_peers:
             self._finish_close_phase()
             return True
@@ -734,16 +853,16 @@ class ProtocolNode:
         contributed; the repair protocol's grid-seeded close re-discovery
         is the standing mechanism that restores such entries.
         """
-        self.pending_close_peers.clear()
+        self.pending_close_peers = NO_IDS
         self._finish_close_phase()
 
     def _on_close_declare(self, sender: int, payload: tuple) -> None:
         (position,) = payload
-        self.close[sender] = position
+        self.close = _with_entry(self.close, sender, position)
         self.touch_view()
 
     def _on_close_leave(self, sender: int, _payload: tuple) -> None:
-        self.close.pop(sender, None)
+        self.close = _without_entry(self.close, sender)
         self.touch_view()
 
     # ---------------- join phase 3: long links ------------------------
@@ -791,7 +910,7 @@ class ProtocolNode:
             self.simulator.forward(self, next_hop, "SEARCH_LONG_LINK", payload)
             return
         # This node owns the target's region: it becomes the long-range contact.
-        self.back_links[(requester, link_index)] = target
+        self.back_links = _with_entry(self.back_links, (requester, link_index), target)
         self.touch_view()
         self.simulator.send(self, requester, "LONG_LINK_ESTABLISHED",
                             (link_index, self.object_id, self.position, hops))
@@ -815,7 +934,7 @@ class ProtocolNode:
         link.neighbor = neighbor
         link.neighbor_position = neighbor_position
         self.touch_view()
-        self.pending_link_indices.discard(index)
+        self.pending_link_indices = _without_id(self.pending_link_indices, index)
         self.simulator.operation_progress(("long_links", self.object_id))
         if not self.pending_link_indices:
             self.simulator.finish_operation(("long_links", self.object_id))
@@ -838,7 +957,7 @@ class ProtocolNode:
 
     def _on_backlink_transfer(self, _sender: int, payload: tuple) -> None:
         source, link_index, target = payload
-        self.back_links[(source, link_index)] = target
+        self.back_links = _with_entry(self.back_links, (source, link_index), target)
         self.touch_view()
 
     def _on_long_link_retarget(self, _sender: int, payload: tuple) -> None:
@@ -850,7 +969,7 @@ class ProtocolNode:
 
     def _on_backlink_remove(self, _sender: int, payload: tuple) -> None:
         source, link_index = payload
-        self.back_links.pop((source, link_index), None)
+        self.back_links = _without_entry(self.back_links, (source, link_index))
         self.touch_view()
 
     # ---------------- failure detection & repair ------------------------
@@ -871,14 +990,14 @@ class ProtocolNode:
 
     def _on_pong(self, sender: int, payload: tuple) -> None:
         (round_number,) = payload
-        self.last_heard[sender] = round_number
+        self.last_heard = _with_entry(self.last_heard, sender, round_number)
         self.exonerate(sender)
 
     def _on_suspect_notify(self, _sender: int, payload: tuple) -> None:
         (accused,) = payload
         corroborated = self.corroborated(accused)
         if corroborated:
-            self.suspects |= corroborated
+            self.suspect(corroborated)
             self.apply_suspicion(corroborated)
 
     def _on_view_scrub(self, _sender: int, payload: tuple) -> None:
@@ -893,7 +1012,7 @@ class ProtocolNode:
             for peer in sorted(corroborated):
                 if self.voronoi.pop(peer, None) is not None:
                     self.touch_view()
-        self.suspects |= corroborated
+        self.suspect(corroborated)
         self.apply_suspicion(corroborated)
         # Re-check hosted registrations against the refreshed view: a crash
         # may have routed a repair search to this node while its view was

@@ -206,12 +206,16 @@ class TestCheckerParity:
 
         def host(holder, hosted):
             """Whether ``holder`` hosts the registration of ``source``'s link 0."""
+            # A protocol node's view may be the shared read-only empty
+            # mapping, so the defect is planted in a copy of it.
+            back_links = dict(protocol.node(holder).back_links)
             if hosted:
                 oracle.node(holder).add_back_link(source, 0, link.target)
-                protocol.node(holder).back_links[(source, 0)] = link.target
+                back_links[(source, 0)] = link.target
             else:
                 oracle.node(holder).remove_back_link(source, 0)
-                del protocol.node(holder).back_links[(source, 0)]
+                del back_links[(source, 0)]
+            protocol.node(holder).back_links = back_links
 
         if case == "missing registration":
             host(link.neighbor, False)
@@ -227,11 +231,13 @@ class TestCheckerParity:
                       if oracle.node(object_id).close_neighbors)
         peer = min(oracle.node(holder).close_neighbors)
         oracle.node(holder).discard_close_neighbor(peer)
-        position = protocol.node(holder).close.pop(peer)
+        close = dict(protocol.node(holder).close)
+        position = close.pop(peer)
+        protocol.node(holder).close = close
 
         def undo():
             oracle.node(holder).add_close_neighbor(peer)
-            protocol.node(holder).close[peer] = position
+            protocol.node(holder).close = {**protocol.node(holder).close, peer: position}
         return f"close-neighbour relation {peer} → {holder} not symmetric", undo
 
     @pytest.mark.parametrize("case", ["missing registration",

@@ -167,6 +167,25 @@ def test_sim001_positive_back_links_popped_from_bulk_join(tmp_path):
     assert found == ["SIM001:2", "SIM001:4", "SIM001:5", "SIM001:6"]
 
 
+def test_sim001_positive_liveness_written_from_the_detector_sweep(tmp_path):
+    # Second half, liveness containers: the detector sweep and repair close
+    # phase as written before ``miss_heartbeat`` / ``rediscover_close``.  An
+    # empty one is a shared sentinel, so only the node may swap it; a call
+    # to the node's method is no write, and reads stay free.
+    found = lint_snippet(tmp_path, """\
+        def sweep(node, peer, threshold):
+            misses = node.missed_heartbeats.get(peer, 0) + 1
+            node.missed_heartbeats[peer] = misses
+            if misses >= threshold and peer not in node.suspects:
+                node.suspects.add(peer)
+                node.apply_suspicion({peer})
+            if node.suspects or node.rehabilitated:
+                node.rehabilitated.clear()
+            node.miss_heartbeat(peer, threshold)
+    """, select=SIM001)
+    assert found == ["SIM001:3", "SIM001:5", "SIM001:8"]
+
+
 def test_sim001_negative_outside_writes_elsewhere_and_reads(tmp_path):
     # The second half binds the simulation plane only (the oracle's nodes
     # have SIM006), and reading another node's view is no write.

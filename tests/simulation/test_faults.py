@@ -462,9 +462,9 @@ class TestPiggybackLiveness:
             return
         detector.run_rounds(period)
         if case == "missed_heartbeat":
-            node.missed_heartbeats[peer] = 1
+            node.miss_heartbeat(peer, config.miss_threshold)
         else:
-            node.suspects.add(peer)
+            node.suspect({peer})
         detector.run_round()
         assert probed_this_round()                 # whatever the stride says
         # The live peer's PONG settled it: no miss, no suspect ...
@@ -749,7 +749,7 @@ class TestRepairProtocol:
         assert repairer.repair().converged
         assert simulator.verify_views() == []
         node = simulator.node(sorted(simulator.nodes)[0])
-        node.close[victim] = node.position
+        node.close = {**node.close, victim: node.position}
         node.touch_view()
         report = repairer.repair(max_rounds=0)
         assert report.rounds == 0

@@ -2,8 +2,14 @@
 
 import pytest
 
+from repro.core import VoroNetConfig
 from repro.simulation.engine import LATENCY, SimulationEngine
+from repro.simulation.faults import HeartbeatDetector
 from repro.simulation.network import KIND, Network
+from repro.simulation.protocol import ProtocolSimulator
+from repro.utils.rng import RandomSource
+from repro.workloads.distributions import UniformDistribution
+from repro.workloads.generators import generate_objects
 
 
 @pytest.fixture
@@ -151,3 +157,33 @@ class TestDropAccounting:
         assert network.messages_sent == (network.messages_delivered
                                          + network.messages_dropped
                                          + network.messages_lost)
+
+
+class TestDeliveryInstant:
+    def test_one_instant_shares_one_delivery_time(self):
+        """The counted sends of one virtual instant are due at one float: the
+        lane keys share it, and so do the contact stamps their deliveries
+        leave.  Order, sequence numbers and counts are one per message."""
+        simulator = ProtocolSimulator(VoroNetConfig(n_max=200, seed=3), seed=3)
+        simulator.bulk_join(generate_objects(UniformDistribution(), 40, RandomSource(3)))
+        HeartbeatDetector(simulator)    # deliveries now stamp last_contact
+        engine, network = simulator.engine, simulator.network
+        sender = simulator.node(0)
+        recipients = sorted(simulator.nodes)[1:6]
+        sequence, sent = engine._sequence, network.messages_sent
+        for recipient in recipients:
+            simulator.send(sender, recipient, "PING", (0,))
+        keys = list(engine._lane)
+        assert [key[1] for key in keys] == list(range(sequence, sequence + 5))
+        due = keys[0][0]
+        assert due == engine.now + LATENCY
+        assert all(key[0] is due for key in keys)
+        assert [key[2] for key in keys] == [network._ports[r] for r in recipients]
+        engine.run()
+        assert all(simulator.node(recipient).last_contact[0] is due
+                   for recipient in recipients)
+        # The PONGs were all sent at ``due``: one later float serves them.
+        answered = [sender.last_contact[recipient] for recipient in recipients]
+        assert answered[0] == due + LATENCY
+        assert all(stamp is answered[0] for stamp in answered)
+        assert network.messages_sent - sent == 10

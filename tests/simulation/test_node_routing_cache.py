@@ -183,7 +183,7 @@ class TestEpochContract:
         stranger = next(object_id for object_id in simulator.object_ids()
                         if object_id != node.object_id
                         and object_id not in node.monitored_peers())
-        node.back_links[(stranger, 0)] = node.position   # no touch_view()
+        node.back_links = {**node.back_links, (stranger, 0): node.position}  # no touch_view()
         # The planted registration is also an orphan (the stranger's link
         # points elsewhere), which the shared view checker names first.
         orphan = (f"{node.object_id}: back link from {stranger}#0 does not "

@@ -1,0 +1,96 @@
+"""What a protocol object costs, measured with ``tracemalloc``.
+
+``ProtocolSimulator.bulk_join`` of 5 000 uniform points, then four rounds of
+the benchmark's detector (``interval=8.0, miss_threshold=2,
+sample_fraction=0.25``), keeps 3 532 B per object: the node and its views,
+its liveness bookkeeping, its share of the kernel, the locate grid and the
+engine.  Before a node's empty containers were the shared sentinels and a
+virtual instant's deliveries shared one delivery time, it kept 4 765 B, and
+fails this guard.  Tracing every allocation makes this test slow (~12 s).
+"""
+
+import gc
+import tracemalloc
+
+import numpy as np
+
+from repro.core import VoroNetConfig
+from repro.simulation.faults import (FaultPlane, HeartbeatConfig, HeartbeatDetector,
+                                     ProtocolCrashInjector, RepairProtocol)
+from repro.simulation.protocol import (NO_ENTRIES, NO_IDS, ProtocolNode, ProtocolSimulator,
+                                       _LocalLongLink)
+from repro.utils.rng import RandomSource
+from repro.workloads.distributions import UniformDistribution
+from repro.workloads.generators import generate_objects
+
+OBJECTS = 5_000
+BYTES_PER_OBJECT = 3_700
+#: The benchmark's detector (``perf/systems.py``).
+DETECTOR = HeartbeatConfig(interval=8.0, miss_threshold=2, sample_fraction=0.25)
+
+#: The containers a node holds only while something is pending or
+#: suspected, and the views that may end up empty.
+SETS = ("pending_close_peers", "pending_link_indices", "suspects", "rehabilitated")
+DICTS = ("last_heard", "missed_heartbeats", "close", "back_links")
+
+
+def test_bulk_join_and_four_rounds_keep_at_most_3700_bytes_per_object():
+    points = [tuple(p) for p in np.random.default_rng(7).random((OBJECTS, 2)).tolist()]
+    simulator = ProtocolSimulator(
+        VoroNetConfig(n_max=4 * OBJECTS, num_long_links=1, seed=7), seed=7)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        simulator.bulk_join(points)
+        HeartbeatDetector(simulator, config=DETECTOR).run_rounds(4)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(simulator) == OBJECTS
+    assert grown / OBJECTS <= BYTES_PER_OBJECT, grown / OBJECTS
+
+
+def test_nodes_and_links_have_no_instance_dict():
+    simulator = ProtocolSimulator(VoroNetConfig(n_max=64, seed=1), seed=1)
+    node = ProtocolNode(object_id=1, position=(0.5, 0.5), simulator=simulator)
+    assert not hasattr(node, "__dict__")
+    assert not hasattr(_LocalLongLink((0.1, 0.1), 2, (0.2, 0.2)), "__dict__")
+
+
+def test_every_empty_container_is_the_shared_sentinel_after_a_heal_cycle():
+    """Crash, detect under loss, repair, verify: whatever a node held while
+    suspicion or a join was pending, it holds nothing of its own once the
+    cycle settles, and nothing ever wrote into the sentinels."""
+    config = VoroNetConfig(n_max=1_200, num_long_links=2, seed=21)
+    simulator = ProtocolSimulator(config, seed=21, faults=FaultPlane(seed=22))
+    simulator.bulk_join(generate_objects(UniformDistribution(), 240, RandomSource(21)))
+    for position in generate_objects(UniformDistribution(), 6, RandomSource(23)):
+        assert simulator.join(position).outcome == "completed"
+    simulator.faults.set_loss(0.1)
+    ProtocolCrashInjector(simulator, rng=RandomSource(24)).crash_random(12)
+    detector = HeartbeatDetector(simulator, config=DETECTOR)
+    detector.run_rounds(4)
+    nodes = simulator.nodes.values()
+    assert any(node.suspects for node in nodes)
+    assert any(node.missed_heartbeats for node in nodes)
+    assert RepairProtocol(simulator, detector=detector).repair().converged
+    assert simulator.verify_views() == []
+    held = {name: 0 for name in SETS + DICTS}
+    for node in nodes:
+        for name in SETS:
+            container = getattr(node, name)
+            if container:
+                assert isinstance(container, set), (node.object_id, name)
+                held[name] += 1
+            else:
+                assert container is NO_IDS, (node.object_id, name)
+        for name in DICTS:
+            container = getattr(node, name)
+            if container:
+                assert isinstance(container, dict), (node.object_id, name)
+                held[name] += 1
+            else:
+                assert container is NO_ENTRIES, (node.object_id, name)
+    assert held["close"] and held["back_links"] and held["last_heard"]
+    assert not NO_IDS and not NO_ENTRIES
