@@ -51,10 +51,11 @@ damage accounting without message simulation.
 Crash-at-any-message hardening and fuzzing
 ------------------------------------------
 Multi-message operations (join carving, close discovery, long-link
-search, leave hand-over) are guarded by engine-scheduled ``Watchdog``
-timeouts with idempotent, version-stamped retries (the protocol module's
-``OPERATION_TIMEOUT`` quiet window, ``OPERATION_RETRIES`` re-issues and
-``OPERATION_BACKOFF``); a node dying mid-conversation surfaces as a
+search, leave hand-over) are guarded by a ``Watchdog`` — one plain
+engine entry at its deadline, voided by its sequence number when the
+operation completes — with idempotent, version-stamped retries (the
+protocol module's ``OPERATION_TIMEOUT`` quiet window,
+``OPERATION_RETRIES`` re-issues and ``OPERATION_BACKOFF``); a node dying mid-conversation surfaces as a
 ``timed_out`` outcome instead of wedging the protocol.
 :mod:`repro.simulation.fuzz` turns the simulator's determinism into a
 Jepsen-style harness: ``run_trace`` arms a ``Scenario`` to crash victims
@@ -80,7 +81,6 @@ availability accounting.
 """
 
 from repro.simulation.engine import LATENCY, SimulationEngine, Watchdog
-from repro.simulation.events import Event
 from repro.simulation.network import Message, Network
 from repro.simulation.metrics import MetricsRegistry
 from repro.simulation.failures import (
@@ -125,7 +125,6 @@ __all__ = [
     "LATENCY",
     "SimulationEngine",
     "Watchdog",
-    "Event",
     "Network",
     "Message",
     "MetricsRegistry",

@@ -685,7 +685,7 @@ class HeartbeatDetector:  # simlint: ignore[SIM003] — one per experiment, not 
         Returns the (prober, suspect) pairs created by this round.
         """
         self._send_pings()
-        self.simulator.engine.run_until_quiescent()
+        self.simulator.engine.run()
         return self._sweep()
 
     def run_rounds(self, count: int) -> List[Tuple[int, int]]:

@@ -17,8 +17,8 @@ Hot-path design
 ``send`` is executed once per protocol message, so the plane allocates
 nothing per message but the message and its engine entry, and both drop
 out of the collector's view: ``register`` enters each handler in the
-engine's port table once, so an entry holds an int port — no callable, no
-event object.  Every counted delivery is due ``LATENCY`` after its send,
+engine's port table once, so an entry holds an int port and the message,
+no callable.  Every counted delivery is due ``LATENCY`` after its send,
 so it goes on the engine's FIFO lane (``repro.simulation.engine``), in the
 order the heap would have popped it, as a key ``(time, sequence, port)``
 beside the message.  ``send`` computes the delivery time ``now + LATENCY``

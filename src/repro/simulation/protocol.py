@@ -1196,7 +1196,7 @@ class ProtocolSimulator:  # simlint: ignore[SIM003] — one per experiment, not 
         the engine, add the messages sent meanwhile to ``counts[name]``."""
         before = self.network.messages_sent
         yield
-        self.engine.run_until_quiescent()
+        self.engine.run()
         counts[name] = counts.get(name, 0) + self.network.messages_sent - before
 
     # ------------------------------------------------------------------
@@ -1221,8 +1221,7 @@ class ProtocolSimulator:  # simlint: ignore[SIM003] — one per experiment, not 
         op = _PendingOperation(key, retry, fail)
         self._pending_ops[key] = op
         op.watchdog = Watchdog(self.engine, op.timeout,
-                               lambda: self._operation_expired(key),
-                               label=f"timeout:{key[0]}:{key[1]}")
+                               lambda: self._operation_expired(key))
 
     def operation_progress(self, key: Tuple[str, int]) -> None:
         """Record progress on a tracked operation (no-op when untracked)."""
@@ -1530,7 +1529,7 @@ class ProtocolSimulator:  # simlint: ignore[SIM003] — one per experiment, not 
                     object_id, position = ids[index], batch[index]
                     self._attach_node(object_id, position)
                     self._send_bulk_carve(object_id, position)
-                self.engine.run_until_quiescent()
+                self.engine.run()
             # Carve audit: a victim crashing mid-chunk can swallow ADD_OBJECT
             # walks wholesale (a crashed carrier drops everything it holds), so
             # re-drive uncarved survivors for a bounded number of rounds.  In a
@@ -1543,7 +1542,7 @@ class ProtocolSimulator:  # simlint: ignore[SIM003] — one per experiment, not 
                     break
                 for i in stalled:
                     self._send_bulk_carve(ids[i], batch[i])
-                self.engine.run_until_quiescent()
+                self.engine.run()
             timed_out = [oid for oid in ids
                          if oid not in self.nodes or oid not in self.kernel]
             if timed_out:
@@ -1593,7 +1592,7 @@ class ProtocolSimulator:  # simlint: ignore[SIM003] — one per experiment, not 
                     else:
                         self.send_snapshot(sender, object_id, "REGION_UPDATE",
                                            version, (None, None))
-                self.engine.run_until_quiescent()
+                self.engine.run()
 
         # ---- phase 3: back-registration hand-over ----------------------
         # Bulk-mode REGION_UPDATEs carry no ``new_id`` (pipelined steals
@@ -1639,7 +1638,7 @@ class ProtocolSimulator:  # simlint: ignore[SIM003] — one per experiment, not 
                         target = (float(flat[i * k + index][0]),
                                   float(flat[i * k + index][1]))
                         node.add_long_link(target, seeded=True)
-                self.engine.run_until_quiescent()
+                self.engine.run()
                 # Search audit: a crashed carrier or endpoint swallowed a walk;
                 # re-drive the unresolved slots, grid-seeded, bounded like the
                 # carve audit.  Free in fault-free runs (nothing is pending).
@@ -1654,7 +1653,7 @@ class ProtocolSimulator:  # simlint: ignore[SIM003] — one per experiment, not 
                         node = self.nodes.get(object_id)
                         if node is not None:
                             node._retry_long_links()
-                    self.engine.run_until_quiescent()
+                    self.engine.run()
 
         self.metrics.increment("joins", len(ids))
         messages = self.network.messages_sent - before_all

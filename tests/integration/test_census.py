@@ -80,8 +80,11 @@ def test_nothing_slated_for_deletion_is_left_in_src():
     assert {name: paths for name, paths in left.items() if paths} == {}
 
 
-#: Names retired when one hop became one time unit (``LATENCY``) and the
-#: serving knobs no record set became constants; none may come back.
+#: Names retired when one hop became one time unit (``LATENCY``), when the
+#: serving knobs no record set became constants, and when the engine came
+#: to hold one kind of entry (a watchdog deadline is a plain heap entry
+#: voided by its sequence number, and ``run`` is the one drain); none may
+#: come back.
 RETIRED = (
     "LatencyModel",
     "ConstantLatency",
@@ -93,6 +96,16 @@ RETIRED = (
     "hop_latency",
     "quantile_buffer",
     "DelaunayOnlyOverlay",
+    "Event",
+    "NO_ARG",
+    "_EVENT_ENTRY",
+    "schedule_call",
+    "schedule_at",
+    "run_until",
+    "run_until_quiescent",
+    "runnable_events",
+    "pending_events",
+    "_note_cancelled",
 )
 
 

@@ -1,13 +1,13 @@
 """Property tests of the discrete-event engine's ordering and accounting.
 
-The engine (tuple-keyed heap, raw delivery entries on ports, the FIFO lane
-beside the heap, incremental runnable counter, lazy compaction) must be
+The engine (tuple-keyed heap, entries addressed to ports, the FIFO lane
+beside the heap, scheduled calls voided by their sequence numbers) must be
 observationally identical to the specification — one heap: entries fire
-in ``(time, sequence)`` order, cancellation
-removes exactly the cancelled events, ``quiescent``/``runnable_events``
-agree with a brute-force scan of the queue at every step, and compaction
-never drops a runnable event.  A small interpreter drives random command
-sequences against both the engine and a list-based oracle.
+in ``(time, sequence)`` order, cancellation removes exactly the cancelled
+calls and nothing else, a voided entry neither moves the clock nor counts,
+and ``quiescent`` agrees with a brute-force scan of the queues at every
+step.  A small interpreter drives random command sequences against both
+the engine and a list-based oracle.
 """
 
 import heapq
@@ -15,24 +15,20 @@ import heapq
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simulation.engine import LATENCY, SimulationEngine, _EVENT_ENTRY
+from repro.simulation.engine import LATENCY, SimulationEngine
 
 
 def _scan_runnable(engine):
     """Brute-force count of runnable entries in the engine's two queues."""
-    count = len(engine._lane)  # raw deliveries only, never cancelled
-    for entry in engine._queue:
-        if entry[3] is _EVENT_ENTRY and entry[2].cancelled:
-            continue
-        count += 1
-    return count
+    return len(engine._lane) + sum(1 for entry in engine._queue
+                                   if entry[1] not in engine._void)
 
 
 class _Oracle:
     """Specification model: one heap of ``[time, seq, port, cancelled]``
-    (``port`` is ``None`` for a cancellable event), popped in ``(time,
-    seq)`` order — what the engine's lane plus heap must be equivalent to.
-    An entry's id is its sequence number."""
+    (``port`` is ``None`` for a scheduled call), popped in ``(time, seq)``
+    order — what the engine's lane plus heap must be equivalent to.  An
+    entry's id is its sequence number."""
 
     def __init__(self):
         self.pending = []
@@ -46,43 +42,30 @@ class _Oracle:
         heapq.heappush(self.pending, entry)
         return entry
 
-    def step(self):
+    def run(self):
+        executed = 0
         while self.pending:
             entry = heapq.heappop(self.pending)
             if entry[3]:
                 continue
             self.now = entry[0]
             self.fired.append((entry[0], entry[1]))
-            return True
-        return False
-
-    def run(self, max_events=None):
-        executed = 0
-        while (max_events is None or executed < max_events) and self.step():
             executed += 1
-        return executed
-
-    def run_until(self, time):
-        executed = 0
-        while True:
-            while self.pending and self.pending[0][3]:
-                heapq.heappop(self.pending)
-            if not self.pending or self.pending[0][0] > time:
-                break
-            self.step()
-            executed += 1
-        self.now = max(self.now, time)
         return executed
 
     def cancel_port(self, port):
-        removed = sorted(entry[1] for entry in self.pending
-                         if entry[2] == port and not entry[3])
+        removed = sorted(entry[1] for entry in self.pending if entry[2] == port)
         self.pending = [entry for entry in self.pending if entry[2] != port]
         heapq.heapify(self.pending)
         return removed
 
-    def runnable(self):
-        return sum(1 for entry in self.pending if not entry[3])
+    def horizon(self):
+        """A delay that puts a new entry past every pending one."""
+        return max((entry[0] for entry in self.pending), default=self.now) \
+            - self.now + 1.0
+
+    def quiescent(self):
+        return all(entry[3] for entry in self.pending)
 
 
 _DELAYS = st.floats(0.0, 10.0, allow_nan=False)
@@ -90,16 +73,15 @@ _DELAYS = st.floats(0.0, 10.0, allow_nan=False)
 _COMMANDS = st.lists(
     st.one_of(
         st.tuples(st.just("schedule"), _DELAYS),
-        st.tuples(st.just("schedule_call"), _DELAYS),
-        # Raw deliveries at varied delays take the heap; at LATENCY, the
-        # FIFO lane.
-        st.tuples(st.just("push_call"), st.tuples(_DELAYS, st.integers(0, 1))),
-        st.tuples(st.just("push_lane"), st.integers(0, 1)),
+        # The network's two delays: a local hand-off (heap) and a counted
+        # delivery (the FIFO lane).
+        st.tuples(st.just("push_call"),
+                  st.tuples(st.sampled_from((0.0, LATENCY)), st.integers(0, 1))),
         st.tuples(st.just("cancel"), st.integers(0, 200)),
+        st.tuples(st.just("cancel_fired"), st.integers(0, 200)),
+        st.tuples(st.just("cancel_twice"), st.integers(0, 200)),
+        st.tuples(st.just("cancel_late"), st.just(0)),
         st.tuples(st.just("cancel_actions"), st.integers(0, 1)),
-        st.tuples(st.just("run_until"), st.floats(0.0, 12.0, allow_nan=False)),
-        st.tuples(st.just("run_bounded"), st.integers(0, 5)),
-        st.tuples(st.just("step"), st.just(0)),
         st.tuples(st.just("run"), st.just(0)),
     ),
     min_size=1, max_size=80,
@@ -112,127 +94,79 @@ class TestEngineAgainstOracle:
     def test_interleaved_schedule_cancel_run(self, commands):
         """The FIFO lane plus the heap run the same ``(time, sequence)``
         sequence as one heap, reach the same ``now`` and give the same
-        counts, under arbitrary interleavings of every entry point."""
+        counts, under arbitrary interleavings of every entry point —
+        cancelling a call that already fired, cancelling one twice, and
+        voiding a call due after every delivery included."""
         engine = SimulationEngine()
         oracle = _Oracle()
         fired = []
         ports = [engine.open_port(lambda sequence: fired.append(
             (engine.now, sequence))) for _ in range(2)]
-        events = []  # (engine event, oracle entry) pairs, in creation order
+        calls = []  # oracle entries of the scheduled calls, in creation order
 
-        def make_action(sequence):
-            return lambda: fired.append((engine.now, sequence))
+        def schedule(delay):
+            entry = oracle.schedule(delay)
+            handle = engine.schedule(
+                delay, lambda: fired.append((engine.now, entry[1])))
+            assert handle == entry[1]
+            calls.append(entry)
+            return entry
+
+        def cancel(entry):
+            engine.cancel(entry[1])
+            if entry in oracle.pending:
+                entry[3] = True
 
         for command, value in commands:
             if command == "schedule":
-                entry = oracle.schedule(value)
-                events.append((engine.schedule(value, make_action(entry[1])),
-                               entry))
-            elif command == "schedule_call":
-                entry = oracle.schedule(value)
-                events.append((engine.schedule_call(
-                    value, lambda sequence: fired.append((engine.now, sequence)),
-                    entry[1]), entry))
-            elif command in ("push_call", "push_lane"):
-                delay, port = value if command == "push_call" else (LATENCY,
-                                                                     value)
+                schedule(value)
+            elif command == "push_call":
+                delay, port = value
                 entry = oracle.schedule(delay, port)
                 engine.push_call(delay, ports[port], entry[1])
             elif command == "cancel":
-                if events:
-                    event, entry = events[value % len(events)]
-                    event.cancel()
-                    entry[3] = True
+                if calls:
+                    cancel(calls[value % len(calls)])
+            elif command == "cancel_fired":
+                done = [entry for entry in calls
+                        if (entry[0], entry[1]) in oracle.fired]
+                if done:
+                    cancel(done[value % len(done)])
+            elif command == "cancel_twice":
+                if calls:
+                    entry = calls[value % len(calls)]
+                    cancel(entry)
+                    cancel(entry)
+            elif command == "cancel_late":
+                cancel(schedule(oracle.horizon()))
             elif command == "cancel_actions":
                 assert sorted(engine.cancel_actions(ports[value])) == \
                     oracle.cancel_port(value)
-            elif command == "run_until":
-                target = engine.now + value
-                assert engine.run_until(target) == oracle.run_until(target)
-            elif command == "run_bounded":
-                assert engine.run(max_events=value) == oracle.run(value)
-            elif command == "step":
-                assert engine.step() == oracle.step()
             else:
                 assert engine.run() == oracle.run()
             assert fired == oracle.fired
             assert engine.now == oracle.now
             assert engine.processed_events == len(oracle.fired)
-            # Quiescence bookkeeping is exact at every step.
-            assert engine.runnable_events == _scan_runnable(engine) \
-                == oracle.runnable()
-            assert engine.quiescent == (engine.runnable_events == 0)
-            assert engine.pending_events >= engine.runnable_events
+            # Quiescence is exact at every step.
+            assert engine.quiescent == oracle.quiescent() \
+                == (_scan_runnable(engine) == 0)
 
         assert engine.run() == oracle.run()
         assert fired == oracle.fired
         assert engine.quiescent
         assert engine.now == oracle.now
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        total=st.integers(70, 160),
-        cancel_stride=st.integers(1, 3),
-        seed=st.integers(0, 2**16),
-    )
-    def test_compaction_never_drops_runnable_events(self, total,
-                                                    cancel_stride, seed):
-        """Cancelling more than half the queue triggers compaction (the
-        queue shrinks in place); every surviving runnable event still
-        fires, in (time, sequence) order."""
-        engine = SimulationEngine()
-        fired = []
-        survivors = []
-        events = []
-        for index in range(total):
-            delay = float((index * 7 + seed) % 23)
-            events.append((engine.schedule(delay, lambda i=index: fired.append(i)),
-                           delay, index))
-        for position, (event, delay, index) in enumerate(events):
-            if position % (cancel_stride + 1) != 0:
-                event.cancel()
-            else:
-                survivors.append((engine.now + delay, index))
-        if total - len(survivors) > total // 2:
-            # Compaction must have removed the cancelled majority.
-            assert engine.pending_events <= len(survivors) + total // 2
-        assert engine.runnable_events == len(survivors)
-        engine.run()
-        assert fired == [index for _time, index in sorted(survivors)]
-        assert engine.quiescent
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        delays=st.lists(st.floats(0.0, 5.0, allow_nan=False),
-                        min_size=1, max_size=40),
-        horizon=st.floats(0.0, 6.0, allow_nan=False),
-    )
-    def test_run_until_boundary_inclusive(self, delays, horizon):
-        """run_until fires exactly the events with time <= horizon."""
-        engine = SimulationEngine()
-        fired = []
-        for index, delay in enumerate(delays):
-            engine.schedule(delay, lambda i=index: fired.append(i))
-        engine.run_until(horizon)
-        expected = [index for index, delay in sorted(
-            enumerate(delays), key=lambda pair: (pair[1], pair[0]))
-            if delay <= horizon]
-        assert fired == expected
-        assert engine.now >= horizon
+        assert engine.processed_events == len(oracle.fired)
 
 
 # ----------------------------------------------------------------------
 # timeout events (crash-at-any-message hardening)
 # ----------------------------------------------------------------------
 class TestTimeoutEventAccounting:
-    """Watchdog timeout events obey the engine's quiescence contract.
+    """Watchdog timeout calls obey the engine's quiescence contract.
 
     Operation watchdogs are armed and cancelled on the protocol hot path,
-    so the O(1) quiescence counter must stay exact under any mix of
-    cancellations, pokes and re-arms — and a perpetually-retrying
-    operation (a watchdog that re-arms itself on every expiry) must be
-    boundable by ``run(max_events)``, the round budget the fuzzing
-    harness leans on.
+    so the O(1) quiescence check must stay exact under any mix of
+    cancellations, pokes and re-arms.
     """
 
     def test_quiescence_counter_exact_under_cancelled_watchdogs(self):
@@ -243,10 +177,11 @@ class TestTimeoutEventAccounting:
                 for index in range(40)]
         for dog in dogs[::2]:
             dog.cancel()
-        assert engine.runnable_events == _scan_runnable(engine) == 20
+        assert _scan_runnable(engine) == 20
+        assert not engine.quiescent
         engine.run()
         assert engine.quiescent
-        assert engine.runnable_events == _scan_runnable(engine) == 0
+        assert _scan_runnable(engine) == 0
         assert sum(dog.fired for dog in dogs) == 20
 
     @settings(max_examples=50, deadline=None)
@@ -259,9 +194,10 @@ class TestTimeoutEventAccounting:
     def test_counter_matches_scan_under_watchdog_churn(self, total,
                                                        cancel_stride,
                                                        poke_stride, horizon):
-        """Arm N watchdogs, cancel and poke strided subsets, run part way:
-        the O(1) counter equals the brute-force queue scan at every stage,
-        and cancelled watchdogs never fire."""
+        """Arm N watchdogs, cancel and poke strided subsets, run: the O(1)
+        check agrees with the brute-force queue scan before the run, at
+        ``horizon`` within it and after it, and cancelled watchdogs never
+        fire."""
         from repro.simulation.engine import Watchdog
 
         engine = SimulationEngine()
@@ -274,51 +210,32 @@ class TestTimeoutEventAccounting:
                 cancelled.add(index)
             elif index % (poke_stride + 1) == 0:
                 dog.poke()
-        assert engine.runnable_events == _scan_runnable(engine)
-        engine.run_until(horizon)
-        assert engine.runnable_events == _scan_runnable(engine)
+        assert engine.quiescent == (_scan_runnable(engine) == 0)
+        midway = []
+        engine.schedule(horizon, lambda: midway.append(
+            (engine.quiescent, _scan_runnable(engine) == 0)))
         engine.run()
+        assert len(midway) == 1 and midway[0][0] == midway[0][1]
         assert engine.quiescent
-        assert engine.runnable_events == _scan_runnable(engine) == 0
+        assert _scan_runnable(engine) == 0
         for index, dog in enumerate(dogs):
             assert dog.fired == (0 if index in cancelled else 1)
-
-    def test_perpetual_retry_bounded_by_event_budget(self):
-        """A watchdog that re-arms on every expiry models an operation
-        that retries forever; run(max_events) bounds termination, and the
-        engine is honestly non-quiescent afterwards."""
-        from repro.simulation.engine import Watchdog
-
-        engine = SimulationEngine()
-        fires = []
-
-        def expire():
-            fires.append(engine.now)
-            dog.rearm(dog.timeout * 2.0)  # exponential backoff, forever
-
-        dog = Watchdog(engine, 1.0, expire)
-        executed = engine.run(max_events=25)
-        assert executed == 25
-        assert len(fires) == 25
-        assert fires == sorted(fires)
-        assert not engine.quiescent       # the retry loop is still armed
-        assert engine.runnable_events == _scan_runnable(engine) == 1
-        dog.cancel()                      # budget exhausted: caller aborts
-        assert engine.quiescent
 
     def test_poked_watchdog_reschedules_without_firing(self):
         """A poke inside the quiet window defers expiry: the fire handler
         runs only once, at last_progress + timeout, and the intermediate
-        rescheduled event keeps the quiescence accounting exact."""
+        rescheduled call keeps the quiescence accounting exact."""
         from repro.simulation.engine import Watchdog
 
         engine = SimulationEngine()
         fired = []
         dog = Watchdog(engine, 4.0, lambda: fired.append(engine.now))
         engine.schedule(3.0, dog.poke)
-        engine.run_until(5.0)             # original deadline has passed
-        assert fired == []                # ...but progress deferred it
-        assert engine.runnable_events == _scan_runnable(engine) == 1
+        midway = []
+        # At t=5 the original deadline has passed, but progress deferred it.
+        engine.schedule(5.0, lambda: midway.append(
+            (list(fired), _scan_runnable(engine), engine.quiescent)))
         engine.run()
+        assert midway == [([], 1, False)]
         assert fired == [7.0]
         assert engine.quiescent

@@ -547,7 +547,8 @@ class TestPiggybackLiveness:
         first = HeartbeatDetector(simulator, config=HeartbeatConfig(
             sample_fraction=1.0))
         first.run_round()
-        simulator.engine.run_until(simulator.engine.now + 8.0)
+        simulator.engine.schedule(8.0, lambda: None)   # let 8 time units pass
+        simulator.engine.run()
         follow_up = HeartbeatDetector(
             simulator, config=HeartbeatConfig(miss_threshold=1))
         assert follow_up.run_round() == []

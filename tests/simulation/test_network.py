@@ -130,7 +130,7 @@ class TestDropAccounting:
         network.send(2, 1, "PING")                  # lane, new handler
         assert len(engine._lane) == 2 and len(engine._queue) == 1
         network.unregister(1)
-        assert engine.pending_events == 0 and engine.quiescent
+        assert not engine._lane and not engine._queue and engine.quiescent
         assert engine._ports[old_port] is None
         assert engine._ports[new_port] is None
         engine.run()

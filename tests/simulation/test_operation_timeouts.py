@@ -62,9 +62,8 @@ class TestWatchdog:
         engine = SimulationEngine()
         fired = []
         dog = Watchdog(engine, 5.0, lambda: fired.append(True))
-        assert engine.runnable_events == 1
+        assert not engine.quiescent
         dog.cancel()
-        assert engine.runnable_events == 0
         assert engine.quiescent
         engine.run()
         assert fired == []
@@ -290,7 +289,7 @@ class TestIdempotency:
         simulator.complete_insertion(owner=simulator.nodes[owner_id],
                                      new_id=report.object_id,
                                      position=node.position, routing_hops=0)
-        simulator.engine.run_until_quiescent()
+        simulator.engine.run()
         assert simulator.metrics.counter("duplicate_carves") == 1
         assert simulator.kernel.version == version_before
         assert dict(simulator.nodes[report.object_id].voronoi) == view_before
@@ -304,7 +303,7 @@ class TestIdempotency:
         view = simulator.kernel_view(report.object_id)
         simulator.send(sender, report.object_id, "CREATE_OBJECT",
                        (view, simulator.kernel.version, False))
-        simulator.engine.run_until_quiescent()
+        simulator.engine.run()
         assert len(simulator.nodes[report.object_id].long_links) == links_before
         assert simulator.pending_operations() == []
         assert simulator.verify_views() == []
