@@ -15,18 +15,21 @@ arrive already sorted by ``(time, sequence)``, and every pop takes the
 smaller of the two heads: exactly one heap's order, at the price of an
 append and a ``popleft`` instead of two ``O(log n)`` heap walks.
 
-The lane keeps each entry as a key ``(time, sequence, port)`` in one deque
-and its argument in a second, moved in step, so that an in-flight message
-costs the full collections nothing.  CPython untracks a tuple once it
-finds every item untracked, and a message tuple of atomic values is
-untracked at its first young collection.  But the collector examines a
-holder before the fresh tuple only the holder reaches, so a heap entry
-holding a fresh message is untracked one collection later than the
-message, and every generation-1 pass promotes the entries of the last
-young window (about 8 % of a 10⁴-node heartbeat round).  A lane key holds
-only atomics, and a message the deque reaches directly is examined where
-it sits, so both halves are untracked at their first young collection and
-none is ever promoted.
+The lane keeps an entry as its port and its argument, in two deques moved
+in step, and what a key ``(time, sequence, port)`` would repeat per entry
+once per **run**: a list ``[time, first_sequence, count]`` in a third,
+short deque.  A run is the lane entries pushed one after another at one
+delivery time, with no heap entry between them, so its sequence numbers are
+consecutive and no heap entry's falls inside its span: one comparison with
+the heap's head orders the whole run.  Since one virtual instant's sends
+share one delivery time (``repro.simulation.network``), an instant is one
+run, however many messages it sends.  An in-flight message costs two deque
+slots and no object of its own (its port is the int the network's port
+table holds), and a message of atomic values is untracked by CPython at its
+first young collection, so 10⁵ queued probes cost the full collections
+nothing.  :meth:`~SimulationEngine.cancel_actions` lowers a run's count
+when it takes entries out (the span is still free of heap entries) and
+drops the runs it empties.
 
 A scheduled thunk's handle is its entry's sequence number.
 :meth:`~SimulationEngine.cancel` voids the entry where it lies: its number
@@ -65,16 +68,19 @@ class SimulationEngine:
     ['a', 'b']
     """
 
-    __slots__ = ("_queue", "_lane", "_lane_args", "_ports", "_calls",
+    __slots__ = ("_queue", "_lane", "_lane_args", "_runs", "_ports", "_calls",
                  "_call_port", "_void", "_sequence", "_now", "_processed")
 
     def __init__(self) -> None:
         self._queue: List[Tuple[float, int, int, Any]] = []
-        #: The FIFO lane (module docstring): keys ``(time, sequence, port)``
-        #: of the entries pushed with delay :data:`LATENCY`, in
-        #: ``(time, sequence)`` order by construction, and their arguments.
-        self._lane: Deque[Tuple[float, int, int]] = deque()
+        #: The FIFO lane (module docstring): the ports and the arguments of
+        #: the entries pushed with delay :data:`LATENCY`, in
+        #: ``(time, sequence)`` order by construction, and their runs
+        #: ``[time, first_sequence, count]``.  Every run holds an entry,
+        #: but the one being drained.
+        self._lane: Deque[int] = deque()
         self._lane_args: Deque[Any] = deque()
+        self._runs: Deque[List[Any]] = deque()
         #: Port → handler; a closed port holds ``None``.
         self._ports: List[Optional[Callable[[Any], None]]] = []
         #: Handle → thunk of every scheduled call neither fired nor voided.
@@ -153,7 +159,13 @@ class SimulationEngine:
         sequence = self._sequence
         self._sequence = sequence + 1
         if delay == LATENCY:
-            self._lane.append((time, sequence, port))
+            runs = self._runs
+            last = runs[-1] if runs else None
+            if last is not None and last[1] + last[2] == sequence and last[0] == time:
+                last[2] += 1
+            else:
+                runs.append([time, sequence, 1])
+            self._lane.append(port)
             self._lane_args.append(arg)
         else:
             heapq.heappush(self._queue, (time, sequence, port, arg))
@@ -172,17 +184,24 @@ class SimulationEngine:
         if removed:
             queue[:] = [entry for entry in queue if entry[2] != port]
             heapq.heapify(queue)
-        lane, args = self._lane, self._lane_args
-        if any(key[2] == port for key in lane):
-            entries = list(zip(lane, args))
-            lane.clear()
-            args.clear()
-            for key, arg in entries:
-                if key[2] == port:
-                    removed.append(arg)
-                else:
-                    lane.append(key)
-                    args.append(arg)
+        lane, args, runs = self._lane, self._lane_args, self._runs
+        if port in lane:
+            kept: List[int] = []
+            kept_args: List[Any] = []
+            for run in runs:
+                for _ in range(run[2]):
+                    target, arg = lane.popleft(), args.popleft()
+                    if target == port:
+                        removed.append(arg)
+                        run[2] -= 1
+                    else:
+                        kept.append(target)
+                        kept_args.append(arg)
+            lane.extend(kept)
+            args.extend(kept_args)
+            live = [run for run in runs if run[2]]
+            runs.clear()
+            runs.extend(live)
         return removed
 
     # ------------------------------------------------------------------
@@ -190,23 +209,39 @@ class SimulationEngine:
         """Dispatch every pending entry in ``(time, sequence)`` order,
         including those pushed meanwhile; returns how many ran.
 
-        The phase barrier of every protocol operation, so a lane delivery
-        costs one C-level tuple comparison, one pop and one call.
+        The phase barrier of every protocol operation.  A run is checked
+        against the heap's head once: an entry pushed while it drains is
+        due no earlier and numbered later, so it sorts after the whole run,
+        and a lane delivery then costs two ``popleft`` calls and one call.
+        The run's count is lowered before each call, and the run leaves
+        before its last entry's call, so a handler that voids entries
+        (:meth:`cancel_actions`) finds the lane and its runs in step.
         """
-        queue, lane, ports, void = self._queue, self._lane, self._ports, self._void
-        pop, popleft, popleft_arg = heapq.heappop, lane.popleft, self._lane_args.popleft
+        queue, runs, ports, void = self._queue, self._runs, self._ports, self._void
+        pop, popleft, popleft_arg = heapq.heappop, self._lane.popleft, self._lane_args.popleft
         executed = 0
         while True:
-            if lane and not (queue and queue[0] < lane[0]):
-                time, _sequence, port = popleft()
-                arg = popleft_arg()
-            elif queue:
-                time, sequence, port, arg = pop(queue)
-                if sequence in void:
-                    void.remove(sequence)
+            if runs:
+                run = runs[0]
+                time = run[0]
+                if not queue or time < (head := queue[0])[0] or (
+                        time == head[0] and run[1] < head[1]):
+                    self._now = time
+                    count = run[2]
+                    while count:
+                        run[2] = count - 1
+                        if count == 1:
+                            runs.popleft()
+                        ports[popleft()](popleft_arg())
+                        executed += 1
+                        count = run[2]
                     continue
-            else:
+            elif not queue:
                 break
+            time, sequence, port, arg = pop(queue)
+            if sequence in void:
+                void.remove(sequence)
+                continue
             self._now = time
             ports[port](arg)
             executed += 1

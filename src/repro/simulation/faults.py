@@ -80,10 +80,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.simulation.failures import CrashDamageReport, crash_damage_report
-from repro.simulation.protocol import ProtocolSimulator
+from repro.simulation.protocol import NO_ENTRIES, ProtocolSimulator
 from repro.utils.rng import RandomSource
 
 __all__ = [
@@ -528,17 +528,21 @@ class HeartbeatDetector:  # simlint: ignore[SIM003] — one per experiment, not 
     simulator's ``detector_attached`` switch for good: from then on every
     delivery stamps a contact at its recipient, which is what freshness
     reads.  Rounds are numbered by the simulator's ``heartbeat_round``
-    counter, shared by every detector on it, so a ``PING`` stamp left by
-    one detector can never suppress a ``PONG`` owed to another; the
-    stride and the freshness window count this detector's own rounds.
+    counter, shared by every detector on it; the stride and the freshness
+    window count this detector's own rounds.  A round's probes, prober →
+    peers in send order, are published as the simulator's
+    ``heartbeat_probes`` from the send phase to the sweep: a ``PING``
+    handler suppresses its ``PONG`` when the round is the current one and
+    it probed the sender itself, so one detector's probes can never
+    suppress a ``PONG`` owed to another, and no node keeps a probe stamp.
 
     A round walks each node's :meth:`ProtocolNode.probe_plan
     <repro.simulation.protocol.ProtocolNode.probe_plan>` — the sorted
     reference set and its long/back part, derived once per ``view_epoch``
     — so it builds no set and sorts nothing per node; freshness is kept
-    per prober (and dropped with it), one read-only ``PING`` payload
-    serves the whole round, and the sweep settles the probes in the order
-    they were sent.  Every probe still goes through
+    per prober and edge (and dropped with the prober), one read-only
+    ``PING`` payload serves the whole round, and the sweep settles the
+    probes in the order they were sent.  Every probe still goes through
     :meth:`ProtocolSimulator.send
     <repro.simulation.protocol.ProtocolSimulator.send>`, in the order and
     number the per-round recomputation produced.  Rounds are synchronous
@@ -563,8 +567,9 @@ class HeartbeatDetector:  # simlint: ignore[SIM003] — one per experiment, not 
         #: payload, and what the PONG carries back).
         self._round = 0
         self._stamp = 0
-        #: Probes of the round in flight: prober → peers in send order.
-        self._outstanding: Dict[int, Tuple[int, ...]] = {}
+        #: Probes of the round in flight: prober → peers in send order; the
+        #: simulator's ``heartbeat_probes`` until the sweep releases them.
+        self._outstanding: Mapping[int, Tuple[int, ...]] = NO_ENTRIES
         #: Virtual start times of the last two rounds ([-1] is the current
         #: round's; the sweep treats contact during the round as an answer).
         self._round_starts: List[float] = []
@@ -576,7 +581,10 @@ class HeartbeatDetector:  # simlint: ignore[SIM003] — one per experiment, not 
         #: again.  A departed prober's map is dropped at the next round
         #: (ids are never re-issued, so nobody could read it again); a live
         #: prober keeps its per-peer entries, so an edge that disappears
-        #: and returns inside the freshness window is still fresh.
+        #: and returns inside the freshness window is still fresh.  The
+        #: marks are per edge, not a window over ``last_contact``: contact
+        #: received while an edge is out of the probe plan marks nothing,
+        #: so the edge is probed when it enters the plan.
         self._fresh_round: Dict[int, Dict[int, int]] = {}
         simulator.detector_attached = True
 
@@ -589,7 +597,7 @@ class HeartbeatDetector:  # simlint: ignore[SIM003] — one per experiment, not 
         stamp = self._stamp = simulator.heartbeat_round
         self._round_starts.append(simulator.engine.now)
         del self._round_starts[:-2]
-        outstanding = self._outstanding = {}
+        outstanding = self._outstanding = simulator.heartbeat_probes = {}
         pings = 0
         period = config.sample_period
         current_round = self._round
@@ -624,8 +632,6 @@ class HeartbeatDetector:  # simlint: ignore[SIM003] — one per experiment, not 
             # is probed every round; most probers have none to look up.
             pending = suspects or missed
             last_contact = node.last_contact
-            # The node's probe stamps (the PING handler reads them).
-            pinged = node.last_ping_round
             fresh = fresh_rounds.get(object_id)
             # The stride test below is ``(round + phase(edge)) % period``,
             # with the prober's half of the phase folded in once.
@@ -648,9 +654,9 @@ class HeartbeatDetector:  # simlint: ignore[SIM003] — one per experiment, not 
                             and (stride_base + peer * phase_b) % period):
                         continue  # off-stride round
                 probed.append(peer)
-                pinged[peer] = stamp
                 send(node, peer, "PING", payload)
             if probed:
+                # Published before any delivery: sends only queue.
                 outstanding[object_id] = (peers if len(probed) == len(peers)
                                           else tuple(probed))
                 pings += len(probed)
@@ -675,7 +681,7 @@ class HeartbeatDetector:  # simlint: ignore[SIM003] — one per experiment, not 
                     continue  # any message during the round is an answer
                 if node.miss_heartbeat(peer, self.miss_threshold):
                     new_suspects.append((object_id, peer))
-        self._outstanding = {}
+        self._outstanding = simulator.heartbeat_probes = NO_ENTRIES
         return new_suspects
 
     # ------------------------------------------------------------------
@@ -707,7 +713,7 @@ class HeartbeatDetector:  # simlint: ignore[SIM003] — one per experiment, not 
 # the repair protocol
 # ----------------------------------------------------------------------
 #: A repair-phase probe's ``PING`` payload: round 0, which no detector
-#: round stamps, so a crossed probe never suppresses its ``PONG``.
+#: round is numbered, so a crossed probe never suppresses its ``PONG``.
 _REPAIR_PING = (0,)
 
 

@@ -20,17 +20,18 @@ out of the collector's view: ``register`` enters each handler in the
 engine's port table once, so an entry holds an int port and the message,
 no callable.  Every counted delivery is due ``LATENCY`` after its send,
 so it goes on the engine's FIFO lane (``repro.simulation.engine``), in the
-order the heap would have popped it, as a key ``(time, sequence, port)``
-beside the message.  ``send`` computes the delivery time ``now + LATENCY``
-once per virtual instant, so every key of an instant holds the same float
-object; the engine's clock takes that object as each key is popped, and
-the contact stamps the deliveries leave (``ProtocolNode.last_contact``)
-hold it too, not a float each.  A message whose payload holds only atomic
-values (a heartbeat, a query, a routed join or link search) is untracked
-by CPython at its first young collection, and so is its lane key, so 10⁵
-of them in flight cost full collections nothing.  The recipient's port is resolved
-*at send time* (``unregister`` voids the port's in-flight entries, so a
-departed node can never be handed a message).  Per-kind counters are a
+order the heap would have popped it, as its port beside the message.
+``send`` computes the delivery time ``now + LATENCY`` once per virtual
+instant and extends the instant's lane run ``[time, first_sequence,
+count]`` while nothing else was pushed since, so an instant's sends cost
+one run, not a key each; the engine's clock takes the run's float object,
+and the contact stamps the deliveries leave
+(``ProtocolNode.last_contact``) hold it too, not a float each.  A message
+whose payload holds only atomic values (a heartbeat, a query, a routed join
+or link search) is untracked by CPython at its first young collection, so
+10⁵ of them in flight cost full collections nothing.  The recipient's port
+is resolved *at send time* (``unregister`` voids the port's in-flight
+entries, so a departed node can never be handed a message).  Per-kind counters are a
 :class:`collections.Counter`, and ``messages_delivered`` is derived from
 the exact sent/lost/dropped counters instead of being bumped per delivery.
 
@@ -69,23 +70,25 @@ SENDER, RECIPIENT, KIND, PAYLOAD = 0, 1, 2, 3
 class Network:
     """Delivers messages between registered handlers via the event engine."""
 
-    __slots__ = ("_engine", "_fifo", "_fifo_args", "_instant", "_due",
-                 "_ports", "_replaced_ports", "_deliver_port", "faults",
+    __slots__ = ("_engine", "_fifo", "_fifo_args", "_runs", "_run", "_instant",
+                 "_due", "_ports", "_replaced_ports", "_deliver_port", "faults",
                  "messages_sent", "messages_dropped", "messages_lost",
                  "sent_by_kind", "_send_triggers")
 
     def __init__(self, engine: SimulationEngine,
                  faults: Optional["FaultPlane"] = None) -> None:
         self._engine = engine
-        #: The engine's FIFO lane — its keys and its arguments — which
-        #: takes every counted delivery.
+        #: The engine's FIFO lane — its ports, its arguments and its runs —
+        #: which takes every counted delivery.
         self._fifo = engine._lane
         self._fifo_args = engine._lane_args
-        #: The virtual instant of the last counted send and its delivery
-        #: time ``_instant + LATENCY``, computed once per instant so that
-        #: every lane key of the instant shares one float.
+        self._runs = engine._runs
+        #: The virtual instant of the last counted send, its delivery time
+        #: ``_instant + LATENCY`` (computed once per instant, so that the
+        #: instant's run holds one float) and the run it extends.
         self._instant: Optional[float] = None
         self._due = LATENCY
+        self._run: List = [LATENCY, -1, 0]
         #: Node id → the port of its current handler.
         self._ports: Dict[int, int] = {}
         #: Ports of handlers displaced by a re-registration, kept until the
@@ -217,15 +220,25 @@ class Network:
         # (the recipient may legitimately register while the message is in
         # flight).  The entry is appended to the lane inline —
         # ``engine.push_call`` minus one call frame, on the one code path
-        # hot enough to care.
+        # hot enough to care.  The instant's run is extended only while its
+        # sequence numbers stay consecutive: nothing else was pushed since,
+        # so it is still the lane's last run, and no void shortened it.
         now = engine._now
-        if now != self._instant:
-            self._instant = now
-            self._due = now + LATENCY
         sequence = engine._sequence
         engine._sequence = sequence + 1
-        self._fifo.append((self._due, sequence,
-                           self._ports.get(recipient, self._deliver_port)))
+        if now != self._instant:
+            self._instant = now
+            due = self._due = now + LATENCY
+            self._run = run = [due, sequence, 1]
+            self._runs.append(run)
+        else:
+            run = self._run
+            if run[1] + run[2] == sequence:
+                run[2] += 1
+            else:
+                self._run = run = [self._due, sequence, 1]
+                self._runs.append(run)
+        self._fifo.append(self._ports.get(recipient, self._deliver_port))
         self._fifo_args.append(message)
 
     def _deliver(self, message: Message) -> None:

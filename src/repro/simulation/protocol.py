@@ -126,7 +126,10 @@ A node costs only what it holds, as an oracle node does
   :data:`NO_ENTRIES`;
 * the counted sends of one virtual instant share one delivery time
   (``repro.simulation.network``, "Hot-path design"), so the contact stamps
-  their deliveries leave in ``last_contact`` hold no float of their own.
+  their deliveries leave in ``last_contact`` hold no float of their own;
+* a node keeps no probe stamps: the probes of the heartbeat round in flight
+  are the detector's own map, which the simulator publishes
+  (``heartbeat_probes``) for the ``PING`` handler and drops at the sweep.
 
 Only :class:`ProtocolNode`'s methods write these containers (simlint SIM001
 holds that): the detector's sweep calls :meth:`ProtocolNode.miss_heartbeat`,
@@ -139,8 +142,7 @@ sentinel.  A batch of suspects is added to a fresh ``set()`` with ``|=``,
 as it was added to a node's own empty set before the sentinel: a set's
 table, and with it the set's size and iteration order, depends on how the
 set was built, and ``set(batch)`` builds another one.  ``last_contact``
-and ``last_ping_round`` stay plain dicts: the first detector round fills
-them at every node.
+stays a plain dict: the first detector round fills it at every node.
 
 Fault tolerance
 ---------------
@@ -391,13 +393,12 @@ class ProtocolNode:
     suspects: AbstractSet[int] = NO_IDS
     #: Piggy-backed liveness: virtual time this node last received *any*
     #: message from a peer (stamped only while the simulator's
-    #: ``detector_attached`` switch is on), and the simulator-wide
-    #: heartbeat round in which this node last pinged each peer.  Every
-    #: key and value is a number, so the collector untracks these maps for
-    #: good; like the detector bookkeeping above, not part of the routing
-    #: view.
+    #: ``detector_attached`` switch is on).  Every key and value is a
+    #: number, so the collector untracks this map for good; like the
+    #: detector bookkeeping above, not part of the routing view.  The probes
+    #: this node sent in the current heartbeat round are the detector's,
+    #: published as the simulator's ``heartbeat_probes``.
     last_contact: Dict[int, float] = field(default_factory=dict)
-    last_ping_round: Dict[int, int] = field(default_factory=dict)
     #: Peers exonerated after being suspected (their PONG refuted the
     #: suspicion), and after a heal the peers across the healed cut inside
     #: the ``d_min`` disc.  Suspicion or the cut scrubbed their close entry
@@ -979,12 +980,14 @@ class ProtocolNode:
     # epoch, per the routing-cache contract.
     def _on_ping(self, sender: int, payload: tuple) -> None:
         (round_number,) = payload
-        if self.last_ping_round.get(sender) == round_number:
+        simulator = self.simulator
+        if (round_number == simulator.heartbeat_round
+                and sender in simulator.heartbeat_probes.get(self.object_id, ())):
             # Crossed probes: our own PING of the same round is already in
             # flight to the sender, and its delivery is proof of life — the
             # PONG would be redundant.  Rounds are numbered simulator-wide,
-            # so a stamp left by another detector never matches, and a
-            # repair-phase probe (round 0) never does either.
+            # so another detector's probes never match, and a repair-phase
+            # probe (round 0) never does either.
             return
         self.simulator.send(self, sender, "PONG", (round_number,))
 
@@ -1126,8 +1129,12 @@ class ProtocolSimulator:  # simlint: ignore[SIM003] — one per experiment, not 
         #: neither.
         self.detector_attached = False
         #: Heartbeat rounds sent so far by every detector on this simulator;
-        #: a round's number is its ``PING`` payload.
+        #: a round's number is its ``PING`` payload.  The probes of the
+        #: round in flight, prober → peers, published by its detector and
+        #: released at its sweep: what the ``PING`` handler reads to
+        #: suppress the ``PONG`` of a crossed probe.
         self.heartbeat_round = 0
+        self.heartbeat_probes: Mapping[int, Tuple[int, ...]] = NO_ENTRIES
         self.kernel = DelaunayTriangulation()
         self.locate = LocateGrid()
         self.nodes: Dict[int, ProtocolNode] = {}

@@ -83,8 +83,9 @@ def test_nothing_slated_for_deletion_is_left_in_src():
 #: Names retired when one hop became one time unit (``LATENCY``), when the
 #: serving knobs no record set became constants, and when the engine came
 #: to hold one kind of entry (a watchdog deadline is a plain heap entry
-#: voided by its sequence number, and ``run`` is the one drain); none may
-#: come back.
+#: voided by its sequence number, and ``run`` is the one drain), and when
+#: nodes stopped keeping probe stamps (the detector publishes a round's
+#: probes on the simulator); none may come back.
 RETIRED = (
     "LatencyModel",
     "ConstantLatency",
@@ -106,6 +107,7 @@ RETIRED = (
     "runnable_events",
     "pending_events",
     "_note_cancelled",
+    "last_ping_round",
 )
 
 

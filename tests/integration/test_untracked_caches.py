@@ -130,30 +130,25 @@ def test_protocol_routing_blocks_are_untracked():
 
 
 def test_a_heartbeat_send_phase_leaves_nothing_tracked_in_flight():
-    """One sampled, piggy-backed send phase at N = 2 000, not drained: after a
-    single young collection no queued PING — its lane key, its message or a
-    heap entry — is tracked, and neither are the probers' stamp maps
-    (peer → round), which the round writes to, so a send phase of 10⁵ probes
-    promotes nothing into the oldest generation."""
+    """One sampled, piggy-backed send phase at N = 2 000, not drained: the
+    whole phase is one lane run, and after a single young collection no
+    queued PING — its message or a heap entry — is tracked, so a send phase
+    of 10⁵ probes promotes nothing into the oldest generation."""
     rng = np.random.default_rng(2003)
     simulator = ProtocolSimulator(VoroNetConfig(n_max=4000, num_long_links=1, seed=2003),
                                   seed=2003)
     simulator.bulk_join([tuple(p) for p in rng.random((2000, 2))])
     detector = HeartbeatDetector(simulator)
-    detector.run_round()  # plans derived, stamps and freshness in place
+    detector.run_round()  # plans derived, freshness in place
     engine = simulator.engine
     assert engine.quiescent
+    sequence = engine._sequence
     pings = detector._send_pings()
-    lane = list(zip(engine._lane, engine._lane_args))
+    assert [run[1:] for run in engine._runs] == [[sequence, pings]]
     entries = [entry for entry in engine._queue if entry[3][KIND] == "PING"]
-    messages = [message for _key, message in lane] + [entry[3] for entry in entries]
+    messages = list(engine._lane_args) + [entry[3] for entry in entries]
     assert pings > 0 and len(messages) == pings
     assert all(message[KIND] == "PING" for message in messages)
-    stamps = [node.last_ping_round for node in simulator.nodes.values()
-              if node.last_ping_round]
-    assert stamps
     gc.collect(0)
-    assert not any(gc.is_tracked(key) for key, _message in lane)
     assert not any(gc.is_tracked(message) for message in messages)
     assert not any(gc.is_tracked(entry) for entry in entries)
-    assert not any(gc.is_tracked(stamp) for stamp in stamps)

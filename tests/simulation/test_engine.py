@@ -98,6 +98,32 @@ class TestFastPaths:
         assert fired == ["heap-0.5", "lane-1", "lane-2", "event-1", "heap-2"]
         assert engine.quiescent
 
+    def test_a_handler_voids_entries_of_the_run_it_drains(self):
+        """A handler that voids a port mid-run (a crash at delivery) takes
+        the rest of the run being drained, and a later run's entry, off the
+        lane; the other entries still fire in order, and a hand-off pushed
+        meanwhile sorts after the whole run."""
+        engine = SimulationEngine()
+        fired, voided = [], []
+        victim = engine.open_port(lambda arg: fired.append(("victim", arg)))
+        other = engine.open_port(lambda arg: fired.append(("other", arg)))
+
+        def crash(arg):
+            fired.append(("crash", arg))
+            voided.extend(engine.cancel_actions(victim))
+            engine.push_call(0.0, other, "after")
+
+        trigger = engine.open_port(crash)
+        for port, arg in ((other, 1), (trigger, 2), (victim, 3), (other, 4), (victim, 5)):
+            engine.push_call(LATENCY, port, arg)
+        engine.schedule(0.5, lambda: engine.push_call(LATENCY, victim, 6))
+        assert [run[1:] for run in engine._runs] == [[0, 5]]
+        assert engine.run() == 5
+        assert fired == [("other", 1), ("crash", 2), ("other", 4), ("other", "after")]
+        assert sorted(voided) == [3, 5, 6]
+        assert engine.now == 1.0
+        assert engine.quiescent and not engine._runs
+
     def test_cancel_actions_removes_matching_entries(self):
         engine = SimulationEngine()
         fired = []

@@ -24,11 +24,13 @@ from repro.simulation.faults import (
     RepairProtocol,
 )
 from repro.simulation.network import KIND
-from repro.simulation.protocol import ProtocolSimulator
+from repro.simulation.protocol import NO_ENTRIES, ProtocolNode, ProtocolSimulator
 from repro.simulation.scenario import Scenario, measure_steady_state_liveness
 from repro.utils.rng import RandomSource
 from repro.workloads.distributions import UniformDistribution
 from repro.workloads.generators import generate_objects
+
+from reference_detector import ReferenceCheck, stride_phase
 
 
 def run_churn_experiment(*, num_objects, seed, churn_events, crash_fraction,
@@ -342,80 +344,16 @@ class TestHeartbeatConfig:
             HeartbeatDetector(simulator, miss_threshold=3)
 
 
-def stride_phase(detector, prober, peer):
-    """The deterministic stride phase of the sampled edge ``prober → peer``:
-    the edge is probed in the rounds ``r`` with ``(r + phase) % period == 0``."""
-    return ((prober * detector._PHASE_A + peer * detector._PHASE_B)
-            % detector.config.sample_period)
-
-
-class ParentProbeRule:
-    """Who a round probes, decided the way the detector did before it
-    probed from per-view-epoch plans: every set rebuilt from the view on
-    every visit, freshness keyed by ``(prober, peer)``."""
-
-    def __init__(self, detector):
-        self.detector = detector
-        self.fresh_round = {}
-        self.round_starts = []
-
-    def next_round(self):
-        """Prober → probed peers (id order) of the round about to be sent."""
-        detector = self.detector
-        config = detector.config
-        simulator = detector.simulator
-        current_round = detector._round + 1
-        self.round_starts.append(simulator.engine.now)
-        previous_start = (self.round_starts[-2]
-                          if len(self.round_starts) >= 2 else None)
-        period = config.sample_period
-        expected = {}
-        for object_id, node in simulator.nodes.items():
-            core = set(node.voronoi) | set(node.close)
-            probed = []
-            for peer in sorted(node.monitored_peers()):
-                if (peer not in node.suspects
-                        and not node.missed_heartbeats.get(peer, 0)):
-                    contact = node.last_contact.get(peer)
-                    if (contact is not None and previous_start is not None
-                            and contact > previous_start):
-                        self.fresh_round[(object_id, peer)] = current_round
-                        continue
-                    fresh = self.fresh_round.get((object_id, peer))
-                    if (fresh is not None and
-                            current_round - fresh < config.miss_threshold):
-                        continue
-                    phase = stride_phase(detector, object_id, peer)
-                    if (period > 1 and peer not in core
-                            and (current_round + phase) % period != 0):
-                        continue
-                probed.append(peer)
-            if probed:
-                expected[object_id] = tuple(probed)
-        return expected
-
-
 @pytest.fixture
 def probes_checked_against_parent_rule(monkeypatch):
-    """Every heartbeat round of the test probes exactly what
-    :class:`ParentProbeRule` says, whichever detector sends it; yields
-    the rounds sent so far (prober → probed peers, one dict per round)."""
-    rules = {}
-    rounds = []
-    send_pings = HeartbeatDetector._send_pings
-
-    def checked(detector):
-        rule = rules.setdefault(id(detector), ParentProbeRule(detector))
-        expected = rule.next_round()
-        pings = send_pings(detector)
-        assert detector._outstanding == expected
-        assert pings == sum(len(peers) for peers in expected.values())
-        rounds.append(expected)
-        return pings
-
-    monkeypatch.setattr(HeartbeatDetector, "_send_pings", checked)
-    yield rounds
-    assert rounds, "the test ran no heartbeat round"
+    """Every heartbeat round of the test probes and answers exactly as
+    ``tests/reference_detector.py`` says, whichever detector sends it;
+    yields the rounds sent so far (prober → probed peers, one dict per
+    round)."""
+    check = ReferenceCheck()
+    check.install(monkeypatch)
+    yield check.rounds
+    assert check.rounds, "the test ran no heartbeat round"
 
 
 @pytest.mark.usefixtures("probes_checked_against_parent_rule")
@@ -477,7 +415,9 @@ class TestPiggybackLiveness:
 
     def test_freshness_bookkeeping_follows_membership(self):
         """Freshness is kept per prober and a departed prober's map goes
-        with it; a long churn run holds entries for live probers only."""
+        with it; a long churn run holds entries for live probers only.  A
+        round's probes are published on the simulator only until its sweep,
+        and no node keeps a probe stamp."""
         simulator = build_simulator(count=80, seed=35)
         detector = HeartbeatDetector(simulator)
         injector = ProtocolCrashInjector(simulator, rng=RandomSource(4))
@@ -495,11 +435,15 @@ class TestPiggybackLiveness:
             assert detector._fresh_round
             assert set(detector._fresh_round) <= set(simulator.nodes)
             assert not departed & set(detector._fresh_round)
+            assert len(detector._round_starts) == 2
+            assert detector._outstanding == {}
+            assert simulator.heartbeat_probes is NO_ENTRIES
         # Per-peer entries of live probers are kept (an edge that returns
         # inside the freshness window is still fresh), ids only.
         assert all(isinstance(peer, int) and isinstance(seen, int)
                    for fresh in detector._fresh_round.values()
                    for peer, seen in fresh.items())
+        assert "last_ping_round" not in ProtocolNode.__slots__
 
     def test_healthy_overlay_stays_suspectless_and_cheaper(self):
         """Rounds on a healthy overlay create no suspicion and send less than

@@ -161,9 +161,9 @@ class TestDropAccounting:
 
 class TestDeliveryInstant:
     def test_one_instant_shares_one_delivery_time(self):
-        """The counted sends of one virtual instant are due at one float: the
-        lane keys share it, and so do the contact stamps their deliveries
-        leave.  Order, sequence numbers and counts are one per message."""
+        """The counted sends of one virtual instant are one lane run, due at
+        one float, and the contact stamps their deliveries leave share it.
+        Order, sequence numbers and counts are one per message."""
         simulator = ProtocolSimulator(VoroNetConfig(n_max=200, seed=3), seed=3)
         simulator.bulk_join(generate_objects(UniformDistribution(), 40, RandomSource(3)))
         HeartbeatDetector(simulator)    # deliveries now stamp last_contact
@@ -173,12 +173,14 @@ class TestDeliveryInstant:
         sequence, sent = engine._sequence, network.messages_sent
         for recipient in recipients:
             simulator.send(sender, recipient, "PING", (0,))
-        keys = list(engine._lane)
-        assert [key[1] for key in keys] == list(range(sequence, sequence + 5))
-        due = keys[0][0]
+        (run,) = engine._runs
+        due, first, count = run
+        assert (first, count) == (sequence, 5)
+        assert engine._sequence == sequence + 5
         assert due == engine.now + LATENCY
-        assert all(key[0] is due for key in keys)
-        assert [key[2] for key in keys] == [network._ports[r] for r in recipients]
+        assert due is network._due
+        assert list(engine._lane) == [network._ports[r] for r in recipients]
+        assert [message[1] for message in engine._lane_args] == recipients
         engine.run()
         assert all(simulator.node(recipient).last_contact[0] is due
                    for recipient in recipients)

@@ -2,12 +2,13 @@
 
 ``ProtocolSimulator.bulk_join`` of 5 000 uniform points, then four rounds of
 the benchmark's detector (``interval=8.0, miss_threshold=2,
-sample_fraction=0.25``), keeps 3 532 B per object: the node and its views,
-its liveness bookkeeping, its share of the kernel, the locate grid and the
-engine.  Before a node's empty containers were the shared sentinels and a
-virtual instant's deliveries shared one delivery time, it kept 4 765 B, and
-fails this guard.  Tracing every allocation makes this test slow (~12 s).
-"""
+sample_fraction=0.25``), keeps 2 790 B per object on CPython 3.11: the node
+and its views, its liveness bookkeeping, its share of the kernel, the
+locate grid and the engine.  While every node kept a probe stamp per peer
+it kept 3 162 B, and before a node's empty containers were the shared
+sentinels and a virtual instant's deliveries shared one delivery time,
+more; both fail this guard.  Tracing every allocation makes this test slow
+(~12 s)."""
 
 import gc
 import tracemalloc
@@ -24,7 +25,8 @@ from repro.workloads.distributions import UniformDistribution
 from repro.workloads.generators import generate_objects
 
 OBJECTS = 5_000
-BYTES_PER_OBJECT = 3_700
+BYTES_PER_OBJECT = 3_000
+BYTES_PER_QUEUED_PING = 120
 #: The benchmark's detector (``perf/systems.py``).
 DETECTOR = HeartbeatConfig(interval=8.0, miss_threshold=2, sample_fraction=0.25)
 
@@ -34,7 +36,7 @@ SETS = ("pending_close_peers", "pending_link_indices", "suspects", "rehabilitate
 DICTS = ("last_heard", "missed_heartbeats", "close", "back_links")
 
 
-def test_bulk_join_and_four_rounds_keep_at_most_3700_bytes_per_object():
+def test_bulk_join_and_four_rounds_keep_at_most_3000_bytes_per_object():
     points = [tuple(p) for p in np.random.default_rng(7).random((OBJECTS, 2)).tolist()]
     simulator = ProtocolSimulator(
         VoroNetConfig(n_max=4 * OBJECTS, num_long_links=1, seed=7), seed=7)
@@ -49,6 +51,30 @@ def test_bulk_join_and_four_rounds_keep_at_most_3700_bytes_per_object():
         tracemalloc.stop()
     assert len(simulator) == OBJECTS
     assert grown / OBJECTS <= BYTES_PER_OBJECT, grown / OBJECTS
+
+
+def test_a_send_phase_keeps_at_most_120_bytes_per_queued_ping():
+    """A lane entry is its port and its message.  After four rounds, the
+    first send phase of a new benchmark detector — a heal cycle's, with no
+    edge fresh yet — not drained, grows by the queued PINGs and the round's
+    probe map only: 103 B per PING, against 199 B while each lane entry
+    kept a key ``(time, sequence, port)``."""
+    points = [tuple(p) for p in np.random.default_rng(7).random((OBJECTS, 2)).tolist()]
+    simulator = ProtocolSimulator(
+        VoroNetConfig(n_max=4 * OBJECTS, num_long_links=1, seed=7), seed=7)
+    simulator.bulk_join(points)
+    HeartbeatDetector(simulator, config=DETECTOR).run_rounds(4)
+    detector = HeartbeatDetector(simulator, config=DETECTOR)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        pings = detector._send_pings()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert pings > OBJECTS
+    assert grown / pings <= BYTES_PER_QUEUED_PING, grown / pings
 
 
 def test_nodes_and_links_have_no_instance_dict():
