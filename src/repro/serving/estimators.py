@@ -34,7 +34,7 @@ __all__ = ["StreamingPercentiles"]
 class _P2Marker:
     """One P² five-marker estimate of a single quantile."""
 
-    __slots__ = ("p", "heights", "positions", "count")
+    __slots__ = ("p", "fractions", "heights", "positions", "count")
 
     #: Marker fractions: min, halfway-to-p, p, halfway-to-max, max.
     @staticmethod
@@ -47,7 +47,8 @@ class _P2Marker:
         n = len(data)
         marker = cls.__new__(cls)
         marker.p = p
-        positions = [1 + round(f * (n - 1)) for f in cls._fractions(p)]
+        marker.fractions = cls._fractions(p)
+        positions = [1 + round(f * (n - 1)) for f in marker.fractions]
         # The rounded ideal positions can collide near the ends for
         # extreme quantiles; force strict monotonicity without leaving
         # the [1, n] range.
@@ -77,7 +78,7 @@ class _P2Marker:
         for i in range(cell + 1, 5):
             positions[i] += 1
         self.count += 1
-        fractions = self._fractions(self.p)
+        fractions = self.fractions
         for i in (1, 2, 3):
             desired = 1.0 + (self.count - 1) * fractions[i]
             delta = desired - positions[i]

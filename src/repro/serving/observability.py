@@ -59,9 +59,15 @@ class LoadTracker:
         self.total += amount
 
     def record_path(self, path: Iterable[int]) -> None:
-        """Count one unit for every node a route visited."""
+        """Count one unit for every node a route visited, in one pass: the
+        same counts as one :meth:`record` per node."""
+        counts = self.counts
+        get = counts.get
+        visited = 0
         for node_id in path:
-            self.record(node_id)
+            counts[node_id] = get(node_id, 0) + 1
+            visited += 1
+        self.total += visited
 
     # ------------------------------------------------------------------
     def values(self) -> np.ndarray:

@@ -206,7 +206,10 @@ def serve_protocol_closed_loop(simulator: ProtocolSimulator,
     ``concurrency`` queries are injected up front; every answer that
     lands triggers injection of the next schedule entry *from inside the
     running engine* (via :attr:`ProtocolSimulator.on_query_answer`), so
-    the message plane always carries that many queries at once.  Latency
+    the message plane always carries that many queries at once.  The hook
+    receives each answer with its query id and, with ``record_paths``, the
+    ids its query visited, which feed the load counters here and are
+    retained nowhere.  Latency
     is real virtual transit time — issue to answer delivery, including
     the answer message — and hop counts are identical to the oracle
     driver's on the same schedule (twin parity).
@@ -233,11 +236,11 @@ def serve_protocol_closed_loop(simulator: ProtocolSimulator,
         simulator.start_query(targets[index], start=sources[index],
                               query_id=index, record_path=record_paths)
 
-    def on_answer(payload: Dict) -> None:
-        query_id = payload["query_id"]
-        latency = payload["completed_at"] - issued_at.pop(query_id)
-        aggregate.add(payload["hops"], True, payload.get("path"),
-                      payload["completed_at"], latency)
+    def on_answer(query_id: int, answer: Dict,
+                  path: Optional[Tuple[int, ...]]) -> None:
+        completed_at = answer["completed_at"]
+        latency = completed_at - issued_at.pop(query_id)
+        aggregate.add(answer["hops"], True, path, completed_at, latency)
         issue_next()
 
     previous_hook = simulator.on_query_answer

@@ -54,9 +54,11 @@ Message layouts
 ---------------
 A payload is a tuple with one fixed layout per kind, unpacked whole by the
 kind's handler.  A routed kind starts with the point it is routed to and
-ends with its hop count (:data:`HOPS`), which :meth:`ProtocolSimulator.forward`
-bumps; a view snapshot starts with the view — ``(id, position)`` pairs —
-and its version stamp.  Heartbeats, queries, routed joins and link
+ends with its hop count; the handler that forwards it builds the next
+payload once, from the fields it unpacked, with the count one higher, and
+hands it to :meth:`ProtocolSimulator.forward` — one tuple per hop.  A view
+snapshot starts with the view — ``(id, position)`` pairs — and its version
+stamp.  Heartbeats, queries, routed joins and link
 searches hold only numbers and tuples of numbers, so the collector
 untracks them in flight (``repro.simulation.network``).
 
@@ -99,14 +101,15 @@ Greedy forwarding reads each node's candidates from a lazily built flat
 block cached against the node's :attr:`ProtocolNode.view_epoch`, which
 every view-mutating message handler bumps — the protocol-mode analogue of
 the oracle's routing-table cache (there a mutation drops exactly the
-tables it names; here it moves one node's epoch).  The block is a tuple of
-``(id, x, y)`` tuples built from the node's own view (positions it was
-sent, not the kernel's records): the collector stops tracking the items at
-their first pass and the block at the next pass of its generation, so
-blocks never reach the oldest generation, as the oracle's tables do not.
-It always equals the freshly assembled
-:meth:`ProtocolNode.routing_candidates`, which is what the parity tests
-compare it against.  The heartbeat
+tables it names; here it moves one node's epoch).  The block is one flat
+tuple ``(id, x, y, id, x, y, …)`` built from the node's own view (positions
+it was sent, not the kernel's records), which
+:meth:`ProtocolNode.greedy_next_hop` walks as triples: one object of
+numbers per node instead of one per candidate, which the collector stops
+tracking at its first pass, so blocks never reach the oldest generation,
+as the oracle's tables do not.  Its triples always equal the freshly
+assembled :meth:`ProtocolNode.routing_candidates`, which is what the
+parity tests compare it against.  The heartbeat
 detector's per-node probe plan (:meth:`ProtocolNode.probe_plan`) is cached
 against the same epoch, and :meth:`ProtocolSimulator.verify_views` compares
 every cached plan with its fresh derivation.
@@ -129,7 +132,11 @@ A node costs only what it holds, as an oracle node does
   their deliveries leave in ``last_contact`` hold no float of their own;
 * a node keeps no probe stamps: the probes of the heartbeat round in flight
   are the detector's own map, which the simulator publishes
-  (``heartbeat_probes``) for the ``PING`` handler and drops at the sweep.
+  (``heartbeat_probes``) for the ``PING`` handler and drops at the sweep;
+* a served query leaves behind only what its readers read:
+  ``query_answers[query_id]`` is ``{"owner", "hops", "completed_at"}``.
+  Its visited path and its id reach the ``on_query_answer`` hook, and
+  nothing retains them or its target.
 
 Only :class:`ProtocolNode`'s methods write these containers (simlint SIM001
 holds that): the detector's sweep calls :meth:`ProtocolNode.miss_heartbeat`,
@@ -195,9 +202,6 @@ __all__ = ["ProtocolSimulator", "ProtocolNode", "JoinReport", "LeaveReport",
 #: introducer hints O(1) from their targets, and it bounds how many
 #: messages sit in flight at once.
 DEFAULT_BULK_CHUNK = 128
-
-#: Position of a routed payload's hop count (the module docstring's layouts).
-HOPS = -1
 
 #: Quiet window of every watchdog-tracked operation (join, close
 #: discovery, long links).  It is not an operation budget: the watchdog is
@@ -413,8 +417,7 @@ class ProtocolNode:
     #: keeps the claim, losers are re-assigned from the healed allocator).
     published_id: Optional[int] = None
     _block_epoch: int = field(default=-1, repr=False, init=False)
-    _block: Optional[Tuple[Tuple[int, float, float], ...]] = field(default=None, repr=False,
-                                                                   init=False)
+    _block: Optional[Tuple] = field(default=None, repr=False, init=False)
     _plan_epoch: int = field(default=-1, repr=False, init=False)
     _plan: Tuple[Tuple[int, ...], Tuple[int, ...]] = field(
         default=((), ()), repr=False, init=False)
@@ -438,19 +441,21 @@ class ProtocolNode:
         candidates.pop(self.object_id, None)
         return candidates
 
-    def routing_block(self) -> Tuple[Tuple[int, float, float], ...]:
-        """Flat ``(id, x, y)`` forwarding candidates, cached per view epoch.
+    def routing_block(self) -> Tuple:
+        """Flat ``(id, x, y, id, x, y, …)`` forwarding candidates, cached per
+        view epoch.
 
         Rebuilt lazily from :meth:`routing_candidates` whenever the view
         epoch moved, so the block is always equal to the freshly assembled
         candidate dict — the invariant the protocol-level cache tests pin.
-        A tuple of tuples of numbers, which the collector stops tracking
-        before it reaches the oldest generation (``geometry.delaunay``,
-        "Caches").
+        One tuple of numbers, which the collector stops tracking before it
+        reaches the oldest generation (``geometry.delaunay``, "Caches").
         """
         if self._block is None or self._block_epoch != self.view_epoch:
-            self._block = tuple([(neighbor, position[0], position[1])
-                                 for neighbor, position in self.routing_candidates().items()])
+            block: List = []
+            for neighbor, (x, y) in self.routing_candidates().items():
+                block += (neighbor, x, y)
+            self._block = tuple(block)
             self._block_epoch = self.view_epoch
         return self._block
 
@@ -461,18 +466,23 @@ class ProtocolNode:
         presumed-crashed node would silently lose the message, so routed
         repair traffic (and any operation racing a repair) detours around
         suspects instead.  Suspicion is not view state, so the cached
-        routing block is filtered at selection time rather than rebuilt.
+        routing block is filtered at selection time rather than rebuilt —
+        and only for a candidate that beats the best distance so far: a
+        suspect never becomes the best, so skipping it there or up front
+        selects the same neighbour.
         """
         tx, ty = target
         px, py = self.position
         best = None
         best_d = (px - tx) * (px - tx) + (py - ty) * (py - ty)
-        suspects = self.suspects if self.suspects else None
-        for neighbor, x, y in self.routing_block():
-            if suspects is not None and neighbor in suspects:
-                continue
+        block = self._block
+        if block is None or self._block_epoch != self.view_epoch:
+            block = self.routing_block()
+        suspects = self.suspects
+        it = iter(block)
+        for neighbor, x, y in zip(it, it, it):
             d = (x - tx) * (x - tx) + (y - ty) * (y - ty)
-            if d < best_d:
+            if d < best_d and neighbor not in suspects:
                 best, best_d = neighbor, d
         return best
 
@@ -759,7 +769,8 @@ class ProtocolNode:
         self.simulator.operation_progress(("join", new_id))
         next_hop = self.greedy_next_hop(target)
         if next_hop is not None:
-            self.simulator.forward(self, next_hop, "ADD_OBJECT", payload)
+            self.simulator.forward(self, next_hop, "ADD_OBJECT",
+                                   (target, new_id, bulk, hops + 1))
             return
         # This node owns the region containing the new object: carve it out.
         self.simulator.complete_insertion(owner=self, new_id=new_id,
@@ -908,7 +919,8 @@ class ProtocolNode:
         self.simulator.operation_progress(("long_links", requester))
         next_hop = self.greedy_next_hop(target)
         if next_hop is not None:
-            self.simulator.forward(self, next_hop, "SEARCH_LONG_LINK", payload)
+            self.simulator.forward(self, next_hop, "SEARCH_LONG_LINK",
+                                   (target, requester, link_index, hops + 1))
             return
         # This node owns the target's region: it becomes the long-range contact.
         self.back_links = _with_entry(self.back_links, (requester, link_index), target)
@@ -1058,10 +1070,10 @@ class ProtocolNode:
             # Path recording for load accounting: each holder appends
             # itself to the tuple of visited ids.
             path += (self.object_id,)
-            payload = (target, requester, query_id, path, hops)
         next_hop = self.greedy_next_hop(target)
         if next_hop is not None:
-            self.simulator.forward(self, next_hop, "QUERY", payload)
+            self.simulator.forward(self, next_hop, "QUERY",
+                                   (target, requester, query_id, path, hops + 1))
             return
         # Serving-layer extensions ride along as payload fields (no new
         # message kind — the pinned kind set only grows for genuinely new
@@ -1143,14 +1155,18 @@ class ProtocolSimulator:  # simlint: ignore[SIM003] — one per experiment, not 
         self._next_id = 0
         self._last_routing_hops = 0
         self._last_query_answer: Optional[Dict] = None
-        #: Answers of in-flight serving queries, keyed by ``query_id``
-        #: (each stamped with its virtual completion time).
+        #: Answers of identified serving queries, keyed by ``query_id``:
+        #: ``{"owner", "hops", "completed_at"}`` (virtual completion time),
+        #: nothing else.
         self.query_answers: Dict[int, Dict] = {}
-        #: Serving-driver hook: called with each answered query's payload
-        #: as it lands, while the engine is still running — the mechanism
-        #: a closed-loop driver uses to inject the next query and keep a
-        #: fixed number contending in flight.
-        self.on_query_answer: Optional[Callable[[Dict], None]] = None
+        #: Serving-driver hook: called as ``hook(query_id, answer, path)``
+        #: with each identified query's answer as it lands, while the
+        #: engine is still running — the mechanism a closed-loop driver
+        #: uses to inject the next query and keep a fixed number contending
+        #: in flight.  ``path`` (the ids visited, or ``None`` unless
+        #: recorded) reaches the hook only; nothing retains it.
+        self.on_query_answer: Optional[
+            Callable[[int, Dict, Optional[Tuple[int, ...]]], None]] = None
         self._bulk_owners: Dict[int, int] = {}
         self._pending_ops: Dict[Tuple[str, int], _PendingOperation] = {}
         #: Non-completed outcome recorded for a join in flight (read and
@@ -1173,9 +1189,10 @@ class ProtocolSimulator:  # simlint: ignore[SIM003] — one per experiment, not 
 
     def forward(self, sender: ProtocolNode, recipient: int, kind: str,
                 payload: tuple) -> None:
-        """Forward a routed message one greedy hop further: the same
-        payload with its hop count (the last field) one higher."""
-        self.send(sender, recipient, kind, payload[:HOPS] + (payload[HOPS] + 1,))
+        """Forward a routed message one greedy hop further.  The handler
+        built ``payload`` once, from the fields it unpacked, with the hop
+        count (the last field) one higher."""
+        self.network.send(sender.object_id, recipient, kind, payload)
 
     def kernel_view(self, object_id: int) -> Tuple[Tuple[int, Point], ...]:
         """``object_id``'s Voronoi neighbours as ``(id, position)`` pairs,
@@ -1276,18 +1293,17 @@ class ProtocolSimulator:  # simlint: ignore[SIM003] — one per experiment, not 
                             query_id: Optional[int], path: Optional[Tuple[int, ...]],
                             hops: int) -> None:
         """File one ``QUERY_ANSWER`` as the answer dict readers expect:
-        ``target``, ``owner`` and ``hops``, plus ``query_id``, ``path`` and
-        ``completed_at`` for an identified serving query."""
-        answer = {"target": target, "owner": owner, "hops": hops}
+        ``owner`` and ``hops``, plus ``completed_at`` for an identified
+        serving query, which is all :attr:`query_answers` retains of it.
+        Its ``query_id`` and ``path`` reach only the :attr:`on_query_answer`
+        hook; the ``target`` is the asker's own."""
+        answer = {"owner": owner, "hops": hops}
         self._last_query_answer = answer
         if query_id is not None:
-            answer["query_id"] = query_id
-            if path is not None:
-                answer["path"] = path
             answer["completed_at"] = self.engine.now
             self.query_answers[query_id] = answer
             if self.on_query_answer is not None:
-                self.on_query_answer(answer)
+                self.on_query_answer(query_id, answer, path)
 
     # ------------------------------------------------------------------
     # membership operations
@@ -1816,10 +1832,11 @@ class ProtocolSimulator:  # simlint: ignore[SIM003] — one per experiment, not 
         unlike :meth:`query` (inject, drain, read the answer — one query
         at a time), this only *launches* the query; the caller runs the
         engine, typically with many queries in flight at once, and
-        collects answers from :attr:`query_answers` (each stamped with its
-        virtual ``completed_at``) or reactively through the
-        :attr:`on_query_answer` hook.  ``record_path`` makes the answer
-        carry the full list of visited nodes for per-node load accounting.
+        collects answers — ``owner``, ``hops`` and the virtual
+        ``completed_at`` — from :attr:`query_answers` or reactively
+        through the :attr:`on_query_answer` hook.  ``record_path`` makes
+        the query carry the ids of the nodes it visits, which the hook
+        receives for per-node load accounting; no answer retains them.
         Returns the id of the node the query entered the overlay at.
         """
         if not self.nodes:

@@ -1,5 +1,6 @@
 """Load imbalance summaries and windowed throughput snapshots."""
 
+import numpy as np
 import pytest
 
 from repro.serving.observability import LoadTracker, WindowTracker
@@ -36,6 +37,19 @@ class TestLoadTracker:
         tracker.record_path([1, 2, 3])
         assert tracker.counts == {0: 1, 1: 2, 2: 2, 3: 1}
         assert tracker.total == 6
+
+    def test_record_path_counts_like_one_record_per_node(self):
+        rng = np.random.default_rng(5)
+        paths = [rng.integers(0, 30, size=rng.integers(0, 12)).tolist()
+                 for _ in range(200)]
+        by_path, by_node = LoadTracker(population=30), LoadTracker(population=30)
+        for path in paths:
+            by_path.record_path(tuple(path))
+            for node_id in path:
+                by_node.record(node_id)
+        assert list(by_path.counts.items()) == list(by_node.counts.items())
+        assert by_path.total == by_node.total
+        assert by_path.summary() == by_node.summary()
 
     def test_empty_tracker(self):
         tracker = LoadTracker(population=10)

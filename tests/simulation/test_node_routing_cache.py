@@ -29,14 +29,21 @@ from repro.workloads.generators import generate_objects
 from reference_router import reference_next_hop, reference_query_walk
 
 
+def triples(block):
+    """The ``(id, x, y)`` candidates of a flat routing block."""
+    it = iter(block)
+    return list(zip(it, it, it))
+
+
 def assert_blocks_match_candidates(simulator):
     """Every cached block equals the fresh candidate dict of its node."""
     for object_id in simulator.object_ids():
         node = simulator.node(object_id)
         candidates = node.routing_candidates()
         block = node.routing_block()
-        assert {neighbor for neighbor, _x, _y in block} == set(candidates)
-        for neighbor, x, y in block:
+        assert len(block) % 3 == 0
+        assert {neighbor for neighbor, _x, _y in triples(block)} == set(candidates)
+        for neighbor, x, y in triples(block):
             assert (x, y) == candidates[neighbor]
 
 
@@ -165,7 +172,7 @@ class TestEpochContract:
         simulator.node(survivor).routing_block()  # warm the cache
         simulator.leave(ids[3])
         block_ids = {neighbor for neighbor, _x, _y
-                     in simulator.node(survivor).routing_block()}
+                     in triples(simulator.node(survivor).routing_block())}
         assert ids[3] not in block_ids
         assert_blocks_match_candidates(simulator)
 
