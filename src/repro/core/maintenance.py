@@ -301,7 +301,8 @@ class MemberOrder:
     Both planes draw a join's introducer as the k-th key of their node
     table (``VoroNet._sample_object_id``, ``ProtocolSimulator.join``).  A
     node table is a dict, so it iterates in insertion order: a departure
-    leaves a hole, an insertion (of a re-used id too) goes last.
+    leaves a hole, an insertion goes last.  Both planes issue ids in
+    increasing order and never reuse one, so that order is id order.
     Each insertion takes the next *slot*, and a Fenwick tree over the
     slots' live flags finds the slot of the k-th live member in O(log N),
     where walking the dict took O(k).  Once most slots are holes, the live

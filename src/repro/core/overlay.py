@@ -52,10 +52,12 @@ churn (:meth:`reset_long_links`) and the maintenance procedures
 (close-neighbour registration, back-link hand-over, long-link
 re-delegation) each pass the ids whose candidates they changed to
 :meth:`invalidate_routing_tables`, which drops exactly those tables — so a
-join or leave costs O(1) rebuilds whatever the overlay size.  Overlay-wide
-events (:meth:`bulk_load`, crash injection, external view surgery of
-unknown scope) call :meth:`invalidate_routing_tables` with no arguments,
-which drops every table; so does the one departure that is not local, a
+join or leave costs O(1) rebuilds whatever the overlay size; so does an
+injected crash, which names the victim's ex-neighbours and the survivors
+that reference it (:class:`~repro.simulation.failures.CrashInjector`).
+Overlay-wide events (:meth:`bulk_load`, external view surgery of unknown
+scope) call :meth:`invalidate_routing_tables` with no arguments, which
+drops every table; so does the one departure that is not local, a
 convex-hull object's, whose kernel rebuild may re-triangulate cocircular
 points anywhere (:meth:`withdraw_substrate`).  Code that mutates
 :class:`~repro.core.node.ObjectNode` view state outside those entry points
@@ -158,6 +160,8 @@ class VoroNet:
         self._rng = RandomSource(config.seed)
         self._triangulation = DelaunayTriangulation()
         self._locate_index = LocateGrid()
+        # The node table.  Ids are issued in increasing order and never
+        # reused, so its order (a dict's insertion order) is id order.
         self._nodes: Dict[int, ObjectNode] = {}
         # The node table's order, indexed for introducer draws.
         self._member_order = MemberOrder()
@@ -400,9 +404,11 @@ class VoroNet:
     # ------------------------------------------------------------------
     # object publication (join)
     # ------------------------------------------------------------------
-    def insert(self, position: Point, object_id: Optional[int] = None, *,
-               introducer: Optional[int] = None) -> int:
+    def insert(self, position: Point, *, introducer: Optional[int] = None) -> int:
         """Publish a new object at ``position`` and return its id.
+
+        The id is the next one never issued: ids grow with every
+        publication and are not reused after a departure.
 
         The join follows Section 3.3: greedy routing from the ``introducer``
         (any already-published object; a random one when omitted) locates
@@ -420,18 +426,14 @@ class VoroNet:
             When the overlay already holds ``n_max`` objects and overflow is
             not allowed.
         DuplicateObjectError
-            When an object already sits at exactly the same coordinates or
-            the requested id is in use.
+            When an object already sits at exactly the same coordinates.
         """
         if len(self._nodes) >= self._config.n_max and not self._config.allow_overflow:
             raise OverlayFullError(self._config.n_max)
         position = as_point(position)
         if not UNIT_SQUARE.contains(position):
             raise ValueError(f"object position {position} outside the unit square")
-        if object_id is None:
-            object_id = self._next_id
-        elif object_id in self._nodes or object_id < 0:
-            raise DuplicateObjectError(f"object id {object_id} is invalid or in use")
+        object_id = self._next_id
 
         route_hops = 0
         messages = 0
@@ -462,8 +464,8 @@ class VoroNet:
         self._nodes[object_id] = ObjectNode(object_id=object_id, position=position)
         self._member_order.append(object_id)
         # Commit the id allocation only now that the node is published: a
-        # failed insert must never burn (and permanently skip) an auto id.
-        self._next_id = max(self._next_id, object_id + 1)
+        # failed insert must never burn (and permanently skip) an id.
+        self._next_id = object_id + 1
         self._locate_index.insert(object_id, position)
         self._routing_cache.insert(object_id)
         # The carve changed adjacency only inside the new region's star:
@@ -570,8 +572,13 @@ class VoroNet:
         The one place an object stops being a member (and a hull
         departure's kernel rebuild is counted, and answered by dropping
         every cached table).  :meth:`remove` wraps it in the hand-over and
-        the ex-neighbour invalidation; bare, it *is* a crash, and the
-        caller owes an overlay-wide invalidation.
+        the ex-neighbour invalidation.  Bare, it *is* a crash, and the
+        caller owes the invalidation of every table it made wrong: the
+        ex-Voronoi-neighbours' (read before this call) and those of the
+        survivors whose views still name the object — which the object's
+        own view names, since every reference is registered both ways
+        (:meth:`CrashInjector.crash
+        <repro.simulation.failures.CrashInjector.crash>`).
         """
         kernel = self._triangulation
         rebuilds = kernel.rebuild_count

@@ -52,7 +52,9 @@ SIM006 routing-cache-contract
     (the crash injector's scrub, the one mutator of oracle nodes outside
     ``core``) that mutates another node's routing-relevant containers
     (``long_links`` / ``close_neighbors`` — directly or via the
-    ``ObjectNode`` mutator methods) must be followed,
+    ``ObjectNode`` mutator methods), or withdraws a member
+    (``withdraw_substrate(...)``, which changes its ex-neighbours'
+    adjacency and leaves every view naming it stale), must be followed,
     on every mutating path, by ``invalidate_routing_tables(...)`` or a
     direct cache drop (``bump_object_ids`` / ``drop_all``).  Back-link
     churn is exempt (``BLRn`` is not routed on), as are the primitive
@@ -116,6 +118,9 @@ TOPOLOGY_MUTATORS = frozenset({
     "add_close_neighbor", "add_close_neighbors", "discard_close_neighbor",
     "clear_close_neighbors",
 })
+#: Calls that withdraw a member (SIM006): whatever the receiver, the tables
+#: of its ex-neighbours and of every view naming it are wrong until dropped.
+WITHDRAWAL_CALLS = frozenset({"withdraw_substrate"})
 #: Calls that discharge the routing-cache contract (SIM006): the overlay
 #: entry point, or the cache's own targeted drop / drop-all.
 EPOCH_BUMP_CALLS = frozenset({
@@ -424,6 +429,8 @@ class RoutingCacheContractRule(Rule):
                 func = node.func
                 if func.attr in EPOCH_BUMP_CALLS:
                     bumps.append(node)
+                elif func.attr in WITHDRAWAL_CALLS:
+                    mutations.append((node, func.attr))
                 elif func.attr in TOPOLOGY_MUTATORS:
                     receiver = func.value
                     if not (isinstance(receiver, ast.Name)
@@ -449,11 +456,12 @@ class RoutingCacheContractRule(Rule):
                 and _covers(bump_path, bump_line, mut_path, node.lineno)
                 for bump_path, bump_line in bump_sites)
             if not covered:
+                what = (f"calls {attr!r}" if attr in WITHDRAWAL_CALLS
+                        else f"mutates routing-relevant {attr!r}")
                 yield Finding(
                     path=module.display, line=node.lineno,
                     col=node.col_offset + 1, rule=self.code,
-                    message=(f"{fn.name!r} mutates routing-relevant "
-                             f"{attr!r} without a following "
+                    message=(f"{fn.name!r} {what} without a following "
                              f"invalidate_routing_tables()/cache drop "
                              f"on this path — a cached routing table is "
                              f"left stale"))

@@ -8,6 +8,17 @@ no crash-repair protocol; quantifying the damage is how we exercise the
 limitation it acknowledges.  (``examples/churn_simulation.py`` mixes
 graceful churn with crashes in one seeded stream.)
 
+A crash costs only its victim's neighbourhood, as ``RemoveVoronoiRegion``
+does (Section 4.2).  Every oracle reference is registered both ways —
+close neighbours are symmetric, each long link has a back registration at
+its endpoint — so the victim's view, read as it crashes, names every
+survivor that can hold a reference to it: :meth:`CrashInjector.crash`
+records those *holders*, and :meth:`CrashInjector.repair` scrubs them
+alone: a close neighbour drops its close entry, a back-link source
+re-resolves its long link, a long-link endpoint drops the victim's back
+registration.  :meth:`CrashInjector.assess_damage` stays a census of every
+survivor, which is what says whether a repair healed.
+
 The message-level counterpart — fault plane, heartbeat detection, repair
 protocol — lives in :mod:`repro.simulation.faults`.  Both modes and the
 partition-merge scenario measure damage with one walk,
@@ -19,7 +30,7 @@ ids on another side of a split.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import AbstractSet, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import AbstractSet, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.overlay import VoroNet
 from repro.utils.rng import RandomSource
@@ -109,7 +120,10 @@ class CrashInjector:  # simlint: ignore[SIM003] — one per experiment, not per 
     The triangulation itself is repaired (the hosting substrate notices the
     peer vanished), but none of the protocol-level hand-overs run, so other
     objects are left with dangling long links and stale close-neighbour
-    entries — exactly what :meth:`assess_damage` quantifies.
+    entries — exactly what :meth:`assess_damage` quantifies.  Each crash
+    records the survivors that can reference its victim (its *holders*),
+    and :meth:`repair` scrubs only those, as ``RemoveVoronoiRegion``
+    touches only the departing object's neighbours (Section 4.2).
     """
 
     def __init__(self, overlay: VoroNet, rng: Optional[RandomSource] = None) -> None:
@@ -117,6 +131,8 @@ class CrashInjector:  # simlint: ignore[SIM003] — one per experiment, not per 
         # Interactive/standalone default; experiments pass a seeded stream.
         self._rng = rng if rng is not None else RandomSource()  # simlint: ignore[SIM002]
         self._crashed: List[int] = []
+        #: Ids that referenced a victim when it crashed, until the next repair.
+        self._holders: Set[int] = set()
 
     def crash_random(self, count: int) -> List[int]:
         """Crash ``count`` uniformly random objects; returns their ids."""
@@ -133,16 +149,38 @@ class CrashInjector:  # simlint: ignore[SIM003] — one per experiment, not per 
     def crash(self, object_id: int) -> None:
         """Crash one object: :meth:`VoroNet.remove` minus the hand-over.
 
-        The invalidation is overlay-wide (bare call): any survivor,
-        anywhere, may hold a long link at the victim, and a crash runs
-        none of the hand-overs that would enumerate them.
+        Every oracle reference has a reverse registration — close
+        neighbours are symmetric, and each long link is registered at its
+        endpoint (the invariants ``check_consistency`` checks) — so the
+        victim's own view, read before the withdrawal, names every survivor
+        that can reference it: its close neighbours (each lists it back),
+        the sources of its back registrations (each has a long link at it)
+        and the endpoints of its long links (each holds a registration
+        from it).  Those holders are recorded for :meth:`repair`.
+
+        The invalidation is local, like :meth:`VoroNet.remove`'s: the
+        holders (a table that names the victim belongs to one of them) and
+        the ex-Voronoi-neighbours, read before the kernel removal, whose
+        adjacency the withdrawal changes.  A hull victim's kernel rebuild
+        still drops every table, inside :meth:`VoroNet.withdraw_substrate`.
         """
-        self._overlay.withdraw_substrate(object_id)
-        self._overlay.invalidate_routing_tables()
+        overlay = self._overlay
+        node = overlay.node(object_id)
+        holders = node.back_link_sources()
+        holders.update(node.long_link_neighbors())
+        holders |= node.close_neighbors
+        ex_neighbors = overlay.voronoi_neighbors(object_id)
+        overlay.withdraw_substrate(object_id)
+        overlay.invalidate_routing_tables(holders.union(ex_neighbors))
+        self._holders |= holders
         self._crashed.append(object_id)
 
     def assess_damage(self) -> CrashDamageReport:
-        """Count dangling references the crashes left in surviving objects."""
+        """Count dangling references the crashes left in surviving objects.
+
+        A census of every survivor, independent of the holders the crashes
+        recorded: it is what says whether a repair healed.
+        """
         crashed = set(self._crashed)
         # Voronoi views are derived from the shared kernel: never stale.
         return crash_damage_report(crashed, (
@@ -152,16 +190,23 @@ class CrashInjector:  # simlint: ignore[SIM003] — one per experiment, not per 
     def repair(self) -> int:
         """Scrub dangling references (a minimal anti-entropy pass).
 
-        Returns the number of entries fixed.  Long links pointing at crashed
-        objects are re-resolved by looking up the owner of their target
-        point; stale close neighbours and back registrations whose source
-        crashed are dropped.
+        Returns the number of entries fixed.  Only the holders recorded
+        since the last repair can reference a crashed id, so only those
+        still members are visited, in id order — the node table's order,
+        since ids are issued in increasing order and never reused, so the
+        scrub runs in the order a scan of every survivor would.  Each
+        holder re-resolves its long links at crashed ids to the owner of
+        their target point (and registers them there), and drops its close
+        neighbours that crashed and its back registrations whose source
+        crashed.
         """
         overlay = self._overlay
         crashed = set(self._crashed)
         fixed = 0
         affected: List[int] = []
-        for object_id in overlay.object_ids():
+        for object_id in sorted(self._holders):
+            if object_id not in overlay:
+                continue
             node = overlay.node(object_id)
             touched = False
             for index, link in enumerate(node.long_links):
@@ -172,11 +217,12 @@ class CrashInjector:  # simlint: ignore[SIM003] — one per experiment, not per 
                                                           link.target)
                     touched = True
                     fixed += 1
-            stale = {c for c in node.close_neighbors if c in crashed}
-            for close_id in sorted(stale):
-                node.discard_close_neighbor(close_id)
+            stale = crashed.intersection(node.close_neighbors)
+            if stale:
+                for close_id in sorted(stale):
+                    node.discard_close_neighbor(close_id)
                 touched = True
-                fixed += 1
+                fixed += len(stale)
             dangling_back = [registration for registration in node.back_links
                              if registration[0] in crashed]
             for source, index in dangling_back:
@@ -185,9 +231,9 @@ class CrashInjector:  # simlint: ignore[SIM003] — one per experiment, not per 
             fixed += len(dangling_back)
             if touched:
                 affected.append(object_id)
+        self._holders.clear()
         # Retargeted links / dropped close entries changed forwarding
-        # candidates (routing-cache contract); unlike the crash itself,
-        # the scrub knows exactly whose, so it drops only their tables.
+        # candidates (routing-cache contract): drop exactly those tables.
         overlay.invalidate_routing_tables(affected)
         return fixed
 

@@ -178,6 +178,6 @@ def test_option_budget():
     assert parameters(VoroNet.route_many) == ["pairs", "missing"]
     assert parameters(VoroNet.routing_table) == ["object_id"]
     assert parameters(VoroNet._routing_entry) == ["object_id"]
-    assert parameters(VoroNet.insert) == ["position", "object_id", "introducer"]
+    assert parameters(VoroNet.insert) == ["position", "introducer"]
     assert {f.name for f in fields(ObjectNode)} == {
         "object_id", "position", "long_links", "back_links", "close_neighbors"}

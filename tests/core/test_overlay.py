@@ -34,12 +34,6 @@ class TestInsertion:
         with pytest.raises(DuplicateObjectError):
             overlay.insert((0.5, 0.5))
 
-    def test_insert_duplicate_id_rejected(self):
-        overlay = VoroNet(n_max=10, seed=1)
-        overlay.insert((0.5, 0.5), object_id=3)
-        with pytest.raises(DuplicateObjectError):
-            overlay.insert((0.6, 0.6), object_id=3)
-
     def test_insert_with_unknown_introducer_rejected(self):
         overlay = VoroNet(n_max=10, seed=1)
         overlay.insert((0.5, 0.5))
@@ -84,12 +78,15 @@ class TestInsertion:
         assert overlay.insert((0.25, 0.75)) == 1
 
     def test_failed_explicit_id_insert_does_not_advance_next_id(self):
+        """A failed insert after a departure issues nothing either: ids
+        continue above the highest ever issued, the departed one unused."""
         overlay = VoroNet(n_max=10, seed=1)
         overlay.insert((0.5, 0.5))
+        overlay.insert((0.25, 0.25))
+        overlay.remove(1)
         with pytest.raises(DuplicateObjectError):
-            overlay.insert((0.5, 0.5), object_id=7)
-        # The rejected id-7 insert never published, so auto ids continue at 1.
-        assert overlay.insert((0.25, 0.75)) == 1
+            overlay.insert((0.5, 0.5))
+        assert overlay.insert((0.25, 0.75)) == 2
 
 
 class TestRemoval:
@@ -290,34 +287,31 @@ class TestExportsAndStats:
         assert sampled.stats.joins.total_hops == indexed.stats.joins.total_hops
 
     @settings(max_examples=40, deadline=None)
-    @given(st.lists(st.tuples(st.sampled_from(["insert", "reinsert", "remove", "bulk", "crash"]),
+    @given(st.lists(st.tuples(st.sampled_from(["insert", "remove", "bulk", "crash"]),
                               st.integers(min_value=0, max_value=10**6)),
                     min_size=1, max_size=40))
     def test_the_kth_member_is_the_kth_key_of_the_node_table(self, operations):
         """The introducer index answers what walking the node table did —
-        ``next(islice(nodes, k, None))`` for every k — through inserts
-        (of fresh and of re-used ids), removals, bulk loads and crashes."""
+        ``next(islice(nodes, k, None))`` for every k — through inserts,
+        removals, bulk loads and crashes."""
         overlay = VoroNet(VoroNetConfig(n_max=8, allow_overflow=True, seed=41))
         injector = CrashInjector(overlay, RandomSource(41))
         rng = np.random.default_rng(41)
-        left = []  # ids that left gracefully (the injector keeps crashed ones)
         for kind, token in operations:
             ids = overlay.object_ids()
-            if kind == "insert" or (kind == "reinsert" and not left):
+            if kind == "insert":
                 overlay.insert(tuple(rng.random(2)))
-            elif kind == "reinsert":
-                overlay.insert(tuple(rng.random(2)), object_id=left.pop(token % len(left)))
             elif kind == "bulk":
                 overlay.bulk_load([tuple(p) for p in rng.random((1 + token % 5, 2))])
             elif len(ids) > 1:
                 victim = ids[token % len(ids)]
                 if kind == "remove":
                     overlay.remove(victim)
-                    left.append(victim)
                 else:
                     injector.crash(victim)
                     injector.repair()
             nodes = overlay._nodes
+            assert list(nodes) == sorted(nodes)  # ids are never reused
             assert [overlay._member_order.kth(k) for k in range(len(nodes))] == \
                 [next(itertools.islice(nodes, k, None)) for k in range(len(nodes))]
 

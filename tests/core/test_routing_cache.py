@@ -513,9 +513,9 @@ class TestTargetedInvalidation:
 
 class TestCrashWindow:
     def test_only_survivors_naming_the_victim_fail_until_repair(self):
-        """A crash drops every table and hands nothing over: until the
-        repair, a survivor whose view still names the victim cannot build
-        its table; every other survivor's builds and is valid."""
+        """A crash drops the tables it made wrong and hands nothing over:
+        until the repair, a survivor whose view still names the victim
+        cannot build its table; every other survivor's builds and is valid."""
         overlay = VoroNet(VoroNetConfig(n_max=1024, num_long_links=2, seed=610))
         overlay.bulk_load(np.random.default_rng(610).random((400, 2)))
         victim = overlay.object_ids()[123]
@@ -527,7 +527,8 @@ class TestCrashWindow:
         warm_entries(overlay)
         injector = CrashInjector(overlay, RandomSource(611))
         injector.crash(victim)
-        assert overlay.routing_cache.tables == {}
+        assert not naming & overlay.routing_cache.tables.keys()
+        assert overlay.routing_cache_report() == []
         for object_id in overlay.object_ids():
             if object_id in naming:
                 with pytest.raises(ObjectNotFoundError) as raised:

@@ -595,6 +595,41 @@ def test_sim006_positive_crash_injector_scrub_is_in_scope(tmp_path):
     assert found == ["SIM006:4", "SIM006:5"]
 
 
+def test_sim006_positive_withdrawal_without_invalidation(tmp_path):
+    # A crash that forgets its invalidation: the withdrawal changed the
+    # victim's ex-neighbours' adjacency and left every view naming it stale.
+    found = lint_snippet(tmp_path, """\
+        class CrashInjector:
+            def crash(self, object_id):
+                self._overlay.withdraw_substrate(object_id)
+                self._crashed.append(object_id)
+    """, name="repro/simulation/failures.py", select=SIM006)
+    assert found == ["SIM006:3"]
+
+
+def test_sim006_negative_withdrawal_then_invalidation(tmp_path):
+    # Either the overlay entry point (any receiver, targeted or bare) or
+    # the cache's own drop discharges a withdrawal.
+    for drop in ("self._overlay.invalidate_routing_tables(holders)",
+                 "self._overlay.invalidate_routing_tables()",
+                 "self._overlay.routing_cache.drop_all()"):
+        found = lint_snippet(tmp_path, f"""\
+            class CrashInjector:
+                def crash(self, object_id, holders):
+                    self._overlay.withdraw_substrate(object_id)
+                    {drop}
+        """, name="repro/simulation/failures.py", select=SIM006)
+        assert found == []
+    found = lint_snippet(tmp_path, """\
+        class VoroNet:
+            def remove(self, object_id):
+                ex_neighbors = self._triangulation.neighbors(object_id)
+                self.withdraw_substrate(object_id)
+                self.invalidate_routing_tables(ex_neighbors)
+    """, name=CORE, select=SIM006)
+    assert found == []
+
+
 def test_sim006_out_of_scope_paths_ignored(tmp_path):
     found = lint_snippet(tmp_path, """\
         def integrate(overlay, node):

@@ -17,10 +17,14 @@ from repro.geometry.point import distance_sq
 
 
 def zero_link_twin(overlay):
-    """The same objects (ids, positions, config) joined to an overlay with no long links."""
+    """The same objects (ids, positions, config) joined to an overlay with no long links.
+
+    Ids are issued in increasing order, so the twin's match only for an
+    overlay nothing has left (ids ``0 … n-1``); asserted per object.
+    """
     twin = VoroNet(replace(overlay.config, num_long_links=0))
     for object_id, position in overlay.positions().items():
-        twin.insert(position, object_id)
+        assert twin.insert(position) == object_id
     return twin
 
 

@@ -1,5 +1,8 @@
 """Unit tests for oracle-mode crash injection."""
 
+from unittest import mock
+
+import numpy as np
 import pytest
 
 from repro.core import VoroNet, VoroNetConfig
@@ -128,3 +131,51 @@ class TestCrashInjector:
         tables[crashed[0]] = (None, None, [])
         assert overlay.check_consistency() == [
             f"{crashed[0]}: cached routing table of a non-member"]
+
+
+class TestCrashLocality:
+    """A crash costs the oracle only its victim's neighbourhood."""
+
+    def test_repair_reads_only_the_victims_holders(self):
+        """50 crashes in 20 000 objects: the repair reads each holder once
+        and each retargeted link's new owner once, never the other
+        survivors (a scan of every survivor reads ~19 950)."""
+        overlay = VoroNet(VoroNetConfig(n_max=20_000, seed=2701))
+        ids = overlay.bulk_load(np.random.default_rng(2701).random((20_000, 2)))
+        injector = CrashInjector(overlay, rng=RandomSource(2702))
+        view_sizes = 0
+        for victim in np.random.default_rng(2703).choice(ids, size=50, replace=False):
+            view_sizes += overlay.neighbor_view(int(victim)).size
+            injector.crash(int(victim))
+        retargets = injector.assess_damage().dangling_long_links
+        assert retargets > 0
+        reads = []
+        node = overlay.node
+        with mock.patch.object(overlay, "node",
+                               side_effect=lambda object_id: reads.append(object_id)
+                               or node(object_id)):
+            injector.repair()
+        assert 0 < len(reads) <= view_sizes + retargets
+        assert injector.assess_damage().total_stale_entries == 0
+
+    def test_a_crash_keeps_the_tables_it_did_not_touch(self, numpy_rng):
+        overlay = VoroNet(VoroNetConfig(n_max=300, seed=9))
+        overlay.bulk_load(numpy_rng.random((120, 2)))
+        for object_id in overlay.object_ids():
+            overlay.routing_table(object_id)  # warm every table
+        victim = next(object_id for object_id in overlay.object_ids()
+                      if not overlay.triangulation.is_hull_vertex(object_id)
+                      and overlay.node(object_id).close_neighbors)
+        # The victim, its Voronoi neighbours and every object its view names.
+        node = overlay.node(victim)
+        touched = {victim, *overlay.voronoi_neighbors(victim), *node.close_neighbors,
+                   *node.long_link_neighbors(), *node.back_link_sources()}
+        injector = CrashInjector(overlay, rng=RandomSource(1))
+        injector.crash(victim)
+        assert overlay.routing_cache_report() == []
+        tables = overlay.routing_cache.tables
+        untouched = set(overlay.object_ids()) - touched
+        assert untouched and untouched <= tables.keys()
+        assert not touched & tables.keys()
+        injector.repair()
+        assert overlay.check_consistency() == []
