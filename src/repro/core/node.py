@@ -114,10 +114,19 @@ class ObjectNode:
         return [link.neighbor for link in self.long_links]
 
     def set_long_link(self, index: int, target: Point, neighbor: int) -> None:
-        """Install or replace the ``index``-th long link."""
-        while len(self.long_links) <= index:
-            self.long_links.append(LongLink(target=self.position, neighbor=self.object_id))
-        self.long_links[index] = LongLink(target=target, neighbor=neighbor)
+        """Install or replace the ``index``-th long link.
+
+        The next index appends; one further on first fills the gap with
+        placeholder links at the object itself.
+        """
+        long_links = self.long_links
+        while len(long_links) < index:
+            long_links.append(LongLink(target=self.position, neighbor=self.object_id))
+        link = LongLink(target=target, neighbor=neighbor)
+        if index == len(long_links):
+            long_links.append(link)
+        else:
+            long_links[index] = link
 
     def retarget_long_link(self, index: int, neighbor: int) -> None:
         """Point the ``index``-th long link at a new endpoint (same target point)."""

@@ -106,7 +106,7 @@ from repro.core.long_range import choose_long_range_target, choose_long_range_ta
 from repro.core.maintenance import (MemberOrder, bulk_integrate_objects, detach_object,
                                     integrate_new_object, membership_report)
 from repro.core.neighbors import NeighborView
-from repro.core.node import ObjectNode
+from repro.core.node import LongLink, ObjectNode
 from repro.core.routing import (RouteResult, greedy_route, greedy_route_many,
                                 missed_route, route_to_object)
 from repro.core.shards import RoutingTableCache, arena_report
@@ -717,17 +717,24 @@ class VoroNet:
     def bulk_load(self, positions: Iterable[Point]) -> List[int]:
         """Publish a batch of objects through the bulk-construction fast path.
 
-        Instead of ``N`` independent routed joins, the batch is:
+        Instead of ``N`` independent routed joins, the batch costs the
+        kernel's insertion loop plus whole-batch array passes:
 
         1. inserted into the Delaunay kernel in one spatially sorted pass
-           with last-insert hints (each insertion walks O(1) triangles),
+           with last-insert hints (each insertion walks O(1) triangles, its
+           predicate filters inline),
         2. attached as overlay nodes and indexed in the locate grid,
-        3. given its close neighbours by exact grid radius queries (no
-           per-object neighbourhood exploration),
+        3. given its close neighbours by one batched exact radius query of
+           the grid (:meth:`~repro.geometry.locate_grid.LocateGrid.within_many`:
+           the sparse queries as array passes over the buckets they touch,
+           no per-object neighbourhood exploration),
         4. given its long links from one vectorised Choose-LRT draw
            (:func:`~repro.core.long_range.choose_long_range_target_array`),
-           each endpoint resolved by hinted kernel descent instead of a
-           greedy overlay route.
+           every endpoint resolved by kernel descent
+           (:meth:`~repro.geometry.delaunay.DelaunayTriangulation.nearest_vertex`)
+           from a batched grid hint instead of a greedy overlay route, and
+           installed in one pass — each link and its back registration
+           written directly, the searches counted in one statistics update.
 
         The resulting Voronoi adjacency and close-neighbour sets are
         identical to sequential insertion of the same positions, and long
@@ -801,7 +808,13 @@ class VoroNet:
 
     def _establish_long_links_bulk(self, ids: Sequence[int],
                                    batch: Sequence[Point]) -> None:
-        """Vectorised long-link establishment for a bulk-loaded batch."""
+        """Vectorised long-link establishment for a bulk-loaded batch.
+
+        The batch's nodes are fresh, so their links are appended in index
+        order; the state is what :meth:`ObjectNode.set_long_link` and
+        :meth:`ObjectNode.add_back_link` per link, and one
+        ``long_link_searches.record(0, 1)`` per link, would leave.
+        """
         k = self._config.num_long_links
         if k == 0 or not ids:
             return
@@ -812,18 +825,19 @@ class VoroNet:
         # One batched kernel descent over all n·k targets: grid hints seed
         # every walk, the kernel's star cache stays warm across the whole
         # batch, and endpoints are identical to per-target calls.
-        flat = targets.reshape(-1, 2)
-        flat_targets = [(float(x), float(y)) for x, y in flat]
+        flat_targets = list(map(tuple, targets.reshape(-1, 2).tolist()))
         endpoints = self._triangulation.nearest_vertices(
             flat_targets, hints=locate.hints(flat_targets))
-        for i, object_id in enumerate(ids):
-            node = self._nodes[object_id]
+        nodes = self._nodes
+        links = zip(flat_targets, endpoints)
+        for object_id in ids:
+            node = nodes[object_id]
             for index in range(k):
-                target = flat_targets[i * k + index]
-                endpoint = endpoints[i * k + index]
-                node.set_long_link(index, target, endpoint)
-                self._nodes[endpoint].add_back_link(object_id, index, target)
-                self._stats.long_link_searches.record(0, 1)
+                target, endpoint = next(links)
+                node.long_links.append(LongLink(target, endpoint))
+                nodes[endpoint].back_links[object_id, index] = target
+        # One search per link, each a zero-hop descent and one message.
+        self._stats.long_link_searches.record_repeated(len(flat_targets), 0, 1)
         self.invalidate_routing_tables()
 
     def random_object_id(self) -> int:

@@ -50,6 +50,16 @@ class OperationStats:
             self.max_hops = max(self.max_hops, longest)
             self.max_messages = max(self.max_messages, longest)
 
+    def record_repeated(self, count: int, hops: int, messages: int) -> None:
+        """Record ``count`` operations of one cost, as ``count`` calls of
+        :meth:`record` would."""
+        if count:
+            self.count += count
+            self.total_hops += count * hops
+            self.total_messages += count * messages
+            self.max_hops = max(self.max_hops, hops)
+            self.max_messages = max(self.max_messages, messages)
+
     @property
     def mean_hops(self) -> float:
         """Mean number of routing hops per operation (0 when unused)."""

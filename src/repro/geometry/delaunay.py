@@ -47,6 +47,13 @@ Operations
   re-triangulate the cavity boundary as a fan around the new point, in the
   freed slots.  Ghost triangles use Shewchuk's rule: their "circumdisk" is
   the open half-plane beyond their hull edge plus the open edge itself.
+  The walk and the cavity search evaluate the ``orient2d`` / ``incircle``
+  float filter of :mod:`repro.geometry.predicates` inline — the same
+  expressions and error bounds — and call the exact predicates where the
+  filter cannot decide, so every sign is the one the predicate functions
+  give; the walk does not re-ask the edge it just crossed, whose sign the
+  step decided.  ``tests/reference_kernel.py`` keeps the loop that called
+  the functions, and twins built by the two hold the same slots.
 * **Batches** — :meth:`~DelaunayTriangulation.bulk_insert`, the first
   bootstrap and :meth:`~DelaunayTriangulation.rebuild` — go through one
   loop: the points are sorted along a Morton (Z-order) curve and each
@@ -129,8 +136,9 @@ Caches
   corner lists are lists, which the collector never untracks either, and
   they are cleared in place, never replaced.
 
-All topological decisions go through the robust predicates of
-:mod:`repro.geometry.predicates`, so the structure stays consistent under
+All topological decisions are the robust predicates of
+:mod:`repro.geometry.predicates` — called, or inlined in the insertion
+loop with the same exact fallback — so the structure stays consistent under
 near-degenerate inputs (the property the paper gets from Sugihara–Iri).
 """
 
@@ -141,7 +149,9 @@ from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.geometry.point import Point, as_point
-from repro.geometry.predicates import incircle, orient2d, segment_contains
+from repro.geometry.predicates import (_INCIRCLE_ERRBOUND, _INCIRCLE_FLOOR, _ORIENT_ERRBOUND,
+                                       _incircle_exact, _orient2d_exact, incircle, orient2d,
+                                       segment_contains)
 
 __all__ = ["DelaunayTriangulation", "DuplicatePointError", "INFINITE_VERTEX",
            "morton_order"]
@@ -678,15 +688,21 @@ class DelaunayTriangulation:
     def _walk_to_seed(self, point: Point, hint: Optional[int]) -> int:
         """A triangle whose circumdisk contains ``point`` (visibility walk).
 
-        Returned as a slot: the triangle is read CCW from there.
+        Returned as a slot: the triangle is read CCW from there.  Each
+        ``orient2d(a, b, point)`` is its float filter, inline, and the exact
+        predicate where the filter cannot decide.  The edge just stepped
+        across is not asked again: ``point`` lies strictly left of it the
+        other way round, exactly.
         """
         points = self._points
         start = hint if hint is not None and hint in points else self._last_vertex
         if start is None or start not in points:
             start = next(iter(points))
         slot = self._finite_corner(start)
+        crossed = -1
         vertices = self._vertices
         across = self._across
+        px, py = point
         for _ in range(4 * max(len(vertices), 8)):
             i = slot % 3
             tri = slot - i
@@ -696,12 +712,22 @@ class DelaunayTriangulation:
             pv = points[vertices[v_slot]]
             pw = points[vertices[w_slot]]
             for edge, pa, pb in ((slot, pu, pv), (v_slot, pv, pw), (w_slot, pw, pu)):
-                if orient2d(pa, pb, point) < 0:
+                if edge == crossed:
+                    continue
+                acx = pa[0] - px
+                acy = pa[1] - py
+                bcx = pb[0] - px
+                bcy = pb[1] - py
+                left = acx * bcy
+                right = acy * bcx
+                det = left - right
+                if (det < 0 if abs(det) > _ORIENT_ERRBOUND * (abs(left) + abs(right))
+                        else _orient2d_exact(pa, pb, point) < 0):
                     # Step across the edge a → b: the triangle beyond reads
                     # (b, a, apex) from b's slot.
                     outer = across[edge]
                     a_slot = self._slot_of(vertices[edge], outer)
-                    slot = outer + _PREV[a_slot - outer]
+                    slot = crossed = outer + _PREV[a_slot - outer]
                     if vertices[outer + _NEXT[a_slot - outer]] == INFINITE_VERTEX:
                         # point lies strictly beyond the hull edge (a, b): the
                         # ghost triangle's half-plane circumdisk contains it.
@@ -750,6 +776,7 @@ class DelaunayTriangulation:
         # test is a boundary edge.  This runs for every insertion,
         # sequential or bulk — it is the dominant cost of bulk construction.
         point = self._points[vertex_id]
+        px, py = point
         points = self._points
         vertices = self._vertices
         across = self._across
@@ -780,30 +807,80 @@ class DelaunayTriangulation:
             # inlined from _in_circumdisk for this innermost loop; the rare
             # case of an infinite *edge endpoint* (reached when the cavity
             # already contains ghost triangles) keeps using the general
-            # rotation logic of _in_circumdisk.
+            # rotation logic of _in_circumdisk.  Each predicate is its float
+            # filter, inline, and the exact predicate where the filter cannot
+            # decide: the expressions and error bounds of
+            # repro.geometry.predicates, so every sign is theirs.
             if apex == INFINITE_VERTEX:
                 pb, pa = points[b], points[a]
-                o = orient2d(pb, pa, point)
-                in_disk = o > 0 or (
-                    o == 0 and segment_contains(pb, pa, point, strict=True))
+                acx = pb[0] - px
+                acy = pb[1] - py
+                bcx = pa[0] - px
+                bcy = pa[1] - py
+                left = acx * bcy
+                right = acy * bcx
+                det = left - right
+                if abs(det) > _ORIENT_ERRBOUND * (abs(left) + abs(right)):
+                    in_disk = det > 0
+                else:
+                    o = _orient2d_exact(pb, pa, point)
+                    in_disk = o > 0 or (
+                        o == 0 and segment_contains(pb, pa, point, strict=True))
             elif a == INFINITE_VERTEX or b == INFINITE_VERTEX:
                 in_disk = self._in_circumdisk((b, a, apex), point)
             else:
-                in_disk = incircle(points[b], points[a], points[apex],
-                                   point) > 0
+                pb, pa, pc = points[b], points[a], points[apex]
+                adx = pb[0] - px
+                ady = pb[1] - py
+                bdx = pa[0] - px
+                bdy = pa[1] - py
+                cdx = pc[0] - px
+                cdy = pc[1] - py
+                bdxcdy = bdx * cdy
+                cdxbdy = cdx * bdy
+                alift = adx * adx + ady * ady
+                cdxady = cdx * ady
+                adxcdy = adx * cdy
+                blift = bdx * bdx + bdy * bdy
+                adxbdy = adx * bdy
+                bdxady = bdx * ady
+                clift = cdx * cdx + cdy * cdy
+                det = (alift * (bdxcdy - cdxbdy)
+                       + blift * (cdxady - adxcdy)
+                       + clift * (adxbdy - bdxady))
+                permanent = ((abs(bdxcdy) + abs(cdxbdy)) * alift
+                             + (abs(cdxady) + abs(adxcdy)) * blift
+                             + (abs(adxbdy) + abs(bdxady)) * clift)
+                if abs(det) > _INCIRCLE_ERRBOUND * permanent > _INCIRCLE_FLOOR:
+                    in_disk = det > 0
+                else:
+                    in_disk = _incircle_exact(pb, pa, pc, point) > 0
             if in_disk:
                 cavity.add(outer)
                 stack.append(outer + k)            # a → apex
                 stack.append(outer + _NEXT[k])     # apex → b
             else:
                 boundary.append((a, b, outer, b_slot))
-        # The fan reuses the cavity's slots first.
-        self._free += cavity
-        add = self._add_triangle
+        # The fan reuses the cavity's slots first; each triangle is written
+        # as _add_triangle writes it, inline.
+        free = self._free
+        free += cavity
+        corners = self._corners
         fan = []
         starting_at = {}
         for a, b, outer, b_slot in boundary:
-            new = add(a, b, vertex_id)
+            if free:
+                new = free.pop()
+                vertices[new] = a
+                vertices[new + 1] = b
+                vertices[new + 2] = vertex_id
+            else:
+                new = len(vertices)
+                vertices += (a, b, vertex_id)
+                across.extend((_FREE, _FREE, _FREE))
+            corners[a] = new
+            corners[b] = new + 1
+            corners[vertex_id] = new + 2
             across[new] = outer
             across[b_slot] = new
             starting_at[a] = new
@@ -1102,6 +1179,7 @@ class DelaunayTriangulation:
         guard = 0
         limit = len(self._points) + 8
         stars = self._stars
+        vertices = self._vertices
         while True:
             best, best_d = current, current_d
             star = stars.get(current)
@@ -1109,9 +1187,13 @@ class DelaunayTriangulation:
                 # A miss: walk the star into a tuple of records, and cache
                 # it unless the points are degenerate.
                 records = self._records
-                star = tuple([records[v] for v in self._walk_neighbors(current)])
                 if self._has_triangulation:
+                    star = tuple([records[v] for v in map(vertices.__getitem__,
+                                                          self._star_slots(current))
+                                  if v != INFINITE_VERTEX])
                     stars[current] = star
+                else:
+                    star = tuple([records[v] for v in self._degenerate_neighbors(current)])
             for nb, nx, ny in star:
                 d = (nx - px) * (nx - px) + (ny - py) * (ny - py)
                 if d < best_d:

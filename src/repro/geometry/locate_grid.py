@@ -17,6 +17,10 @@ sync, which the overlay does on every insert, remove and bulk load.
 The index also answers exact radius queries (:meth:`LocateGrid.within`,
 batched as :meth:`LocateGrid.within_many`), which the bulk-construction
 path uses to discover close neighbours without any per-object routing.
+The batched forms answer a whole batch in array passes: the sparse queries
+of :meth:`~LocateGrid.within_many` and :meth:`~LocateGrid.hints` (those
+with fewer than :data:`VECTOR_SCAN_THRESHOLD` candidates) make no call of
+the scalar query, and read only the buckets their own cells hold.
 
 The coordinate column
 ---------------------
@@ -37,16 +41,19 @@ Python loop over entries.  Smaller scans keep the inline loop over the
 reading a three-id bucket costs 0.36 µs from the dict, 1.7 µs element-wise
 from the column and 5.2 µs through a gather, so the dict stays for them.
 
-Both branches return the same answer bit for bit.  Squared distances use
-the same IEEE operations either way, so :meth:`~LocateGrid.hint` keeps its
-first-strictly-smaller tie-break (``argmin`` returns the first minimum);
+Both branches, and the batches, return the same answer bit for bit.
+Squared distances use the same IEEE operations either way, so
+:meth:`~LocateGrid.hint` keeps its first-strictly-smaller tie-break
+(``argmin`` and the batch's first index attaining each minimum return the
+first minimum);
 the radius test ``math.hypot(dx, dy) <= radius`` is decided on squared
 distances except for pairs within a relative ``1e-12`` of the radius, which
 are handed to ``math.hypot`` itself.  :meth:`~LocateGrid.within` returns
 ids in *cell-then-bucket order* — cells of the disk's bounding box column
-by column, each bucket in its set's iteration order — on either branch;
-protocol mode sends CLOSE_DECLAREs in that order, so it is part of the
-contract.
+by column, each bucket in its set's iteration order — on either branch,
+and :meth:`~LocateGrid.within_many` returns the same lists in the same
+order; protocol mode sends CLOSE_DECLAREs in that order, and a bulk load
+builds close sets from it, so it is part of the contract.
 """
 
 from __future__ import annotations
@@ -94,6 +101,34 @@ def _disc_mask(dx: np.ndarray, dy: np.ndarray, radius: float) -> np.ndarray:
     for index in zip(*np.nonzero(inside & (d2 >= r2 - slack))):
         inside[index] = math.hypot(dx[index], dy[index]) <= radius
     return inside
+
+
+def _box_cells(x0: np.ndarray, y0: np.ndarray, x1: np.ndarray, y1: np.ndarray,
+               boxes: np.ndarray, m: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Every (query, cell) pair of the boxes ``[x0, x1) x [y0, y1)``.
+
+    The query's index and the cell's code ``ix * m + iy``, query by query
+    and each box column by column, as :meth:`LocateGrid.within` visits it;
+    ``boxes`` holds each box's cell count.
+    """
+    owners = np.repeat(np.arange(len(boxes)), boxes)
+    step = np.arange(len(owners)) - np.repeat(np.cumsum(boxes) - boxes, boxes)
+    height = (y1 - y0)[owners]
+    return owners, (x0[owners] + step // height) * m + y0[owners] + step % height
+
+
+def _chunks(costs: np.ndarray) -> Iterator[Tuple[int, int]]:
+    """``(start, stop)`` runs of ``costs`` summing to at most ``CHUNK_ELEMENTS``.
+
+    A single entry above the bound is a run of its own.
+    """
+    reach = np.cumsum(costs)
+    at = 0
+    while at < len(reach):
+        bound = (int(reach[at - 1]) if at else 0) + CHUNK_ELEMENTS
+        stop = max(int(np.searchsorted(reach, bound, side="right")), at + 1)
+        yield at, stop
+        at = stop
 
 
 class LocateGrid:
@@ -369,8 +404,10 @@ class LocateGrid:
         batch in one vectorised pass and the queries are then resolved
         *grouped by cell* — every query landing in the same bucket (the
         grid's micro-shard) shares one bucket lookup and one candidate
-        materialisation (a dense bucket answers its whole group with one
-        chunked distance matrix).  Only queries whose own cell is empty fall
+        materialisation: a dense bucket answers its whole group with one
+        chunked distance matrix, and the groups of every sparse bucket are
+        answered together, their query x member pairs measured in chunks of
+        at most ``CHUNK_ELEMENTS``.  Only queries whose own cell is empty fall
         back to the scalar ring search.  Tie-breaking matches the scalar
         path: the first strictly-smaller candidate in bucket iteration
         order wins.
@@ -391,41 +428,76 @@ class LocateGrid:
         boundaries = np.flatnonzero(np.diff(sorted_codes)) + 1
         starts = np.concatenate(([0], boundaries, [len(order)]))
         results: List[Optional[int]] = [None] * len(pts)
-        points_map = self._points
-        for g in range(len(starts) - 1):
-            lo, hi = int(starts[g]), int(starts[g + 1])
-            code = int(sorted_codes[lo])
-            bucket = self._cells.get((code // m, code % m))
-            group = order[lo:hi]
+        cells_map = self._cells
+        buckets = [cells_map.get(divmod(code, m), ())
+                   for code in sorted_codes[starts[:-1]].tolist()]
+        sizes = np.fromiter(map(len, buckets), dtype=np.int64, count=len(buckets))
+        sparse = (sizes > 0) & (sizes < VECTOR_SCAN_THRESHOLD)
+        for g in np.flatnonzero(~sparse).tolist():
+            group = order[starts[g]:starts[g + 1]]
+            bucket = buckets[g]
             if not bucket:
                 for q in group:
                     results[q] = self.hint(pts[q])
-            elif len(bucket) >= VECTOR_SCAN_THRESHOLD:
-                members, rows = self._gather(bucket, len(bucket))
-                step = max(1, CHUNK_ELEMENTS // len(members))
-                for at in range(0, len(group), step):
-                    chunk = group[at:at + step]
-                    dx = rows[:, 0] - arr[chunk, 0, None]
-                    dy = rows[:, 1] - arr[chunk, 1, None]
-                    dx *= dx
-                    dy *= dy
-                    dx += dy
-                    for q, best in zip(chunk.tolist(), members[dx.argmin(axis=1)].tolist()):
-                        results[q] = best
-            else:
-                candidates = [(points_map[cid], cid) for cid in bucket]
-                for q in group:
-                    px, py = pts[q]
-                    best = None
-                    best_d = math.inf
-                    for (vx, vy), cid in candidates:
-                        dx = vx - px
-                        dy = vy - py
-                        d = dx * dx + dy * dy
-                        if d < best_d:
-                            best, best_d = cid, d
+                continue
+            members, rows = self._gather(bucket, len(bucket))
+            step = max(1, CHUNK_ELEMENTS // len(members))
+            for at in range(0, len(group), step):
+                chunk = group[at:at + step]
+                dx = rows[:, 0] - arr[chunk, 0, None]
+                dy = rows[:, 1] - arr[chunk, 1, None]
+                dx *= dx
+                dy *= dy
+                dx += dy
+                for q, best in zip(chunk.tolist(), members[dx.argmin(axis=1)].tolist()):
                     results[q] = best
+        if sparse.any():
+            self._hints_sparse(arr, order, starts, sparse, buckets, sizes, results)
         return results
+
+    def _hints_sparse(self, arr: np.ndarray, order: np.ndarray, starts: np.ndarray,
+                      sparse: np.ndarray, buckets: List[Set[int]], sizes: np.ndarray,
+                      results: List[Optional[int]]) -> None:
+        """:meth:`hint` for the queries of the ``sparse`` groups.
+
+        Group ``g`` is the queries ``order[starts[g]:starts[g + 1]]``, all in
+        the cell of ``buckets[g]``, which holds ``sizes[g]`` ids.  The
+        buckets of the sparse groups are gathered once, and the query x
+        member pairs measured in chunks of at most ``CHUNK_ELEMENTS``; each
+        query takes the first member, in bucket order, at its minimum
+        distance (``np.minimum.reduceat``, then the first index attaining
+        it) — the first strictly smaller one the scalar loop keeps.
+        """
+        members, rows = self._gather(
+            itertools.chain.from_iterable(itertools.compress(buckets, sparse.tolist())),
+            int(sizes[sparse].sum()))
+        groups = np.flatnonzero(sparse)
+        counts = starts[groups + 1] - starts[groups]
+        # The queries group by group, and the first row and length of each
+        # one's bucket.
+        queries = np.repeat(starts[groups] - (np.cumsum(counts) - counts), counts)
+        queries += np.arange(len(queries))
+        queries = order[queries]
+        sizes = sizes[groups]
+        lengths = np.repeat(sizes, counts)
+        firsts = np.repeat(np.cumsum(sizes) - sizes, counts)
+        for at, stop in _chunks(lengths):
+            spans = lengths[at:stop]
+            begins = np.cumsum(spans) - spans
+            row = np.repeat(firsts[at:stop] - begins, spans)
+            row += np.arange(len(row))
+            chunk = queries[at:stop]
+            owners = np.repeat(chunk, spans)
+            dx = rows[row, 0] - arr[owners, 0]
+            dy = rows[row, 1] - arr[owners, 1]
+            dx *= dx
+            dy *= dy
+            dx += dy
+            best = np.minimum.reduceat(dx, begins)
+            attaining = np.flatnonzero(dx == np.repeat(best, spans))
+            chosen = members[row[attaining[np.searchsorted(attaining, begins)]]]
+            for q, vertex_id in zip(chunk.tolist(), chosen.tolist()):
+                results[q] = vertex_id
 
     def _ring(self, cx: int, cy: int, radius: int) -> Iterable[Tuple[int, int]]:
         """Cells at Chebyshev distance ``radius`` from ``(cx, cy)``, in-grid."""
@@ -482,15 +554,25 @@ class LocateGrid:
         """Batched :meth:`within`: yields ``(i, within(points[i], radius))``.
 
         Every query is answered exactly once, in an unspecified order, with
-        the very list :meth:`within` returns for it.  Queries whose bounding
-        box holds fewer than :data:`VECTOR_SCAN_THRESHOLD` candidates take
-        the scalar scan.  The others are grouped by the cell range their
-        bounding box covers (the grouping :meth:`hints` does by cell): the
-        buckets of a range are gathered from the coordinate column once and
-        filtered against the whole group as a distance matrix, in chunks of
-        at most ``CHUNK_ELEMENTS`` pairs — a generator, so neither the
-        matrices nor the result lists of a dense clique are ever alive
-        together.
+        the list :meth:`within` returns for it: the same ids, the very
+        ``int`` objects of the buckets, in cell-then-bucket order.
+
+        The queries go in index order, in chunks whose query x cell pairs,
+        and candidate pairs when sparse, stay within ``CHUNK_ELEMENTS``.  A
+        chunk reads the buckets of the cells its boxes touch, once, and
+        nothing else of the grid (the cost follows the batch), which counts
+        each query's candidates.
+        Queries whose box holds fewer than :data:`VECTOR_SCAN_THRESHOLD` —
+        nearly all of a bulk load's close-neighbour discovery — are answered
+        there, with no call of :meth:`within`: the buckets they read are
+        gathered from the coordinate column once, and their query x cell x
+        member pairs expanded by segment arithmetic and filtered by
+        :func:`_disc_mask`.  The others are grouped by the cell range their
+        box covers (the grouping :meth:`hints` does by cell): the buckets of
+        a range are gathered once and filtered against the whole group as a
+        distance matrix.  Either way no temporary exceeds ``CHUNK_ELEMENTS``
+        pairs, and this is a generator, so neither the matrices nor the
+        result lists of a dense clique are ever alive together.
         """
         if radius < 0:
             raise ValueError("radius must be non-negative")
@@ -504,20 +586,18 @@ class LocateGrid:
         high = (np.clip(arr + radius, 0.0, 1.0) * m).astype(np.int64)
         np.clip(low, 0, m - 1, out=low)
         np.clip(high, 0, m - 1, out=high)
-        # Candidates per query from a summed-area table of bucket sizes.
-        area = np.zeros((m + 1, m + 1), dtype=np.int64)
-        for (ix, iy), bucket in self._cells.items():
-            area[ix + 1, iy + 1] = len(bucket)
-        area = area.cumsum(axis=0).cumsum(axis=1)
         # Cells x0 <= ix < x1, y0 <= iy < y1 (upper bounds exclusive).
         x0, y0, x1, y1 = low[:, 0], low[:, 1], high[:, 0] + 1, high[:, 1] + 1
-        candidates = area[x1, y1] - area[x0, y1] - area[x1, y0] + area[x0, y0]
-        dense = candidates >= VECTOR_SCAN_THRESHOLD
-        for i in np.flatnonzero(~dense).tolist():
-            yield i, self.within(arr[i], radius)
-        queries = np.flatnonzero(dense)
-        if not len(queries):
+        boxes = (x1 - x0) * (y1 - y0)
+        dense: List[int] = []
+        # A chunk's cell pairs, and the candidate pairs of its sparse
+        # queries (fewer than VECTOR_SCAN_THRESHOLD each), stay within
+        # CHUNK_ELEMENTS.
+        for at, stop in _chunks(boxes + VECTOR_SCAN_THRESHOLD):
+            yield from self._within_sparse(arr, at, stop, x0, y0, x1, y1, boxes, radius, dense)
+        if not dense:
             return
+        queries = np.asarray(dense, dtype=np.int64)
         base = m + 1
         codes = (((x0 * base + x1) * base + y0) * base + y1)[queries]
         order = np.argsort(codes, kind="stable")
@@ -541,6 +621,56 @@ class LocateGrid:
                 ends = np.searchsorted(query_rows, np.arange(len(chunk) + 1)).tolist()
                 for row, i in enumerate(chunk.tolist()):
                     yield i, found[ends[row]:ends[row + 1]]
+
+    def _within_sparse(self, arr: np.ndarray, at: int, stop: int, x0: np.ndarray,
+                       y0: np.ndarray, x1: np.ndarray, y1: np.ndarray, boxes: np.ndarray,
+                       radius: float, dense: List[int]) -> Iterator[Tuple[int, List[int]]]:
+        """``(i, within(arr[i], radius))`` for the sparse queries ``at <= i < stop``.
+
+        The box of query ``i`` is its cells ``[x0, x1) x [y0, y1)``; it is
+        sparse when their buckets hold fewer than
+        :data:`VECTOR_SCAN_THRESHOLD` ids, and the others are appended to
+        ``dense``.  The buckets of the chunk's cells are read once, those
+        the sparse queries need gathered once, and their query x cell x
+        member pairs filtered by one :func:`_disc_mask`.  The pairs run
+        query by query, each box column by column and each bucket in its
+        iteration order, so every answer is in cell-then-bucket order.
+        """
+        m = self._cells_per_axis
+        spans = boxes[at:stop]
+        owners, codes = _box_cells(x0[at:stop], y0[at:stop], x1[at:stop], y1[at:stop],
+                                   spans, m)
+        unique, inverse = np.unique(codes, return_inverse=True)
+        cells = self._cells
+        buckets = [cells.get(divmod(code, m), ()) for code in unique.tolist()]
+        sizes = np.fromiter(map(len, buckets), dtype=np.int64, count=len(buckets))
+        candidates = np.add.reduceat(sizes[inverse], np.cumsum(spans) - spans)
+        sparse = candidates < VECTOR_SCAN_THRESHOLD
+        dense.extend((np.flatnonzero(~sparse) + at).tolist())
+        queries = np.flatnonzero(sparse)
+        if not len(queries):
+            return
+        # The cell pairs of the sparse queries, and the buckets they read.
+        kept = sparse[owners]
+        inverse = inverse[kept]
+        read = np.zeros(len(buckets), dtype=bool)
+        read[inverse] = True
+        sizes *= read
+        members, rows = self._gather(
+            itertools.chain.from_iterable(itertools.compress(buckets, read.tolist())),
+            int(sizes.sum()))
+        # Cell pair p covers rows firsts[p] .. firsts[p] + lengths[p] - 1.
+        lengths = sizes[inverse]
+        firsts = (np.cumsum(sizes) - sizes)[inverse]
+        row = np.repeat(firsts - (np.cumsum(lengths) - lengths), lengths)
+        row += np.arange(len(row))
+        owner = np.repeat((np.cumsum(sparse) - 1)[owners[kept]], lengths)
+        centres = arr[at:stop][queries]
+        inside = _disc_mask(rows[row, 0] - centres[owner, 0],
+                            rows[row, 1] - centres[owner, 1], radius)
+        found = members[row[inside]].tolist()
+        ends = np.searchsorted(owner[inside], np.arange(len(queries) + 1)).tolist()
+        yield from zip((queries + at).tolist(), map(found.__getitem__, map(slice, ends, ends[1:])))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

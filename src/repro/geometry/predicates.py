@@ -5,8 +5,9 @@ floating-point Voronoi maintenance breaks down under calculation degeneracy
 (near-collinear or near-cocircular objects).  We obtain the same resilience
 differently: the ``orient2d`` and ``incircle`` predicates below are first
 evaluated in fast floating point; when the result falls within a
-conservative forward-error bound of zero, they are re-evaluated exactly
-with :class:`fractions.Fraction` arithmetic.  Floats convert to rationals
+conservative forward-error bound of zero (for ``incircle``, also when that
+bound is so small that a product may have underflowed), they are
+re-evaluated exactly with :class:`fractions.Fraction` arithmetic.  Floats convert to rationals
 exactly, so the fallback gives the mathematically exact sign.
 
 Only the *signs* of these determinants drive the triangulation logic, so
@@ -40,6 +41,14 @@ __all__ = [
 # necessary.  The exact path is cheap at our scales and only rarely taken.
 _ORIENT_ERRBOUND = 4.0e-16
 _INCIRCLE_ERRBOUND = 1.2e-15
+#: ``incircle`` trusts its float sign only while its error bound exceeds
+#: this.  The bounds above are relative; a product that underflows to a
+#: subnormal carries an absolute error of up to 2**-1075 that they do not
+#: cover (``incircle((ε, 0.4), (ε, 0.6), (0, 0.8), (0, 0))`` with
+#: ``ε = 5e-324`` reads +1 in floats and is -1 exactly).  Below the floor —
+#: points within about 1e-64 of each other, or subnormal coordinate
+#: differences — the exact predicate decides.
+_INCIRCLE_FLOOR = 2.0 ** -900
 
 
 class Orientation(IntEnum):
@@ -138,7 +147,7 @@ def incircle(a: Point, b: Point, c: Point, d: Point) -> int:
         + (abs(cdxady) + abs(adxcdy)) * blift
         + (abs(adxbdy) + abs(bdxady)) * clift
     )
-    if abs(det) > _INCIRCLE_ERRBOUND * permanent:
+    if abs(det) > _INCIRCLE_ERRBOUND * permanent > _INCIRCLE_FLOOR:
         return 1 if det > 0 else -1
     return _incircle_exact(a, b, c, d)
 

@@ -786,7 +786,8 @@ class RepairProtocol:  # simlint: ignore[SIM003] — one per experiment, not per
         self._reissued = 0
         self._reissue_attempts: Dict[Tuple[int, int], int] = {}
         #: Member → ``(kernel.version, view_epoch)`` at which it last passed
-        #: :meth:`_audit` clean; lives for one :meth:`repair` call.
+        #: :meth:`_audit` clean; lives for one :meth:`repair` call, emptied
+        #: when it starts and when it returns.
         self._audit_clean: Dict[int, Tuple[int, int]] = {}
 
     # ------------------------------------------------------------------
@@ -1084,6 +1085,7 @@ class RepairProtocol:  # simlint: ignore[SIM003] — one per experiment, not per
                          and not any(self._audit()))
         residual = sum(len(simulator.nodes[object_id].suspects)
                        for object_id in self._members())
+        self._audit_clean = {}
         return RepairReport(rounds=rounds, converged=converged,
                             suspects_processed=len(processed),
                             reissued_long_links=self._reissued,

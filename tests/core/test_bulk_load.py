@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+from bulk_load_digest import bulk_load_digest, loaded_overlay
 from repro.core import VoroNet, VoroNetConfig
 from repro.core.errors import DuplicateObjectError, OverlayFullError
 from repro.core.neighbors import brute_force_close_neighbors
@@ -112,6 +113,28 @@ class TestIncrementalBulkLoad:
         for oid in overlay.object_ids():
             for link in overlay.node(oid).long_links:
                 assert overlay.owner_of(link.target) == link.neighbor
+
+
+class TestStateDigest:
+    """The state a bulk load leaves, element for element and in every order
+    (``tests/bulk_load_digest.py``), pinned to what the build left before
+    close discovery, hint resolution and link installation ran as batch
+    passes and the kernel filtered its predicates inline.  CI holds
+    ``oracle_static``'s own 50 000-object build at seed 4242 the same way."""
+
+    @pytest.mark.parametrize("alpha, seed, digest", [
+        (0.0, 2000, "21ed3f47290ed5568bde654a9921df57367820d759bf3bfeef3dd2f85f65d3f2"),
+        (2.0, 2001, "8c8b4a6ea353249d6648bd02b1de0913398994ccc94d1c815371397f8700e013"),
+    ])
+    def test_two_thousand_objects(self, alpha, seed, digest):
+        assert bulk_load_digest(loaded_overlay(2000, seed, alpha)) == digest
+
+    def test_the_digest_sees_orders(self):
+        overlay = loaded_overlay(300, 5, 2.0)
+        before = bulk_load_digest(overlay)
+        node = next(node for node in overlay.nodes() if len(node.back_links) > 1)
+        node.back_links = dict(reversed(list(node.back_links.items())))
+        assert bulk_load_digest(overlay) != before
 
 
 class TestBulkLoadGuards:

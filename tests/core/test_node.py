@@ -7,7 +7,8 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 
 from repro.core import VoroNet, VoroNetConfig
 from repro.core.errors import DuplicateObjectError
-from repro.core.node import NO_CLOSE_NEIGHBORS, ObjectNode
+from repro.core import node as node_module
+from repro.core.node import NO_CLOSE_NEIGHBORS, LongLink, ObjectNode
 from repro.simulation.failures import CrashInjector
 from repro.utils.rng import RandomSource
 
@@ -27,6 +28,26 @@ class TestLongLinks:
         node.set_long_link(2, target=(0.1, 0.1), neighbor=5)
         assert len(node.long_links) == 3
         assert node.long_links[2].neighbor == 5
+
+    def test_next_index_allocates_only_the_link(self, node, monkeypatch):
+        """Appending, replacing and filling a gap: a placeholder link is made
+        only for the index skipped over, never for the one being set."""
+        made = []
+
+        def counted(**fields):
+            made.append(fields)
+            return LongLink(**fields)
+
+        monkeypatch.setattr(node_module, "LongLink", counted)
+        node.set_long_link(0, target=(0.9, 0.9), neighbor=3)
+        node.set_long_link(1, target=(0.2, 0.1), neighbor=4)
+        node.set_long_link(0, target=(0.3, 0.3), neighbor=6)
+        assert len(made) == 3
+        node.set_long_link(3, target=(0.1, 0.1), neighbor=5)
+        assert len(made) == 5
+        assert made[3] == {"target": node.position, "neighbor": node.object_id}
+        assert [(link.target, link.neighbor) for link in node.long_links] == [
+            ((0.3, 0.3), 6), ((0.2, 0.1), 4), (node.position, node.object_id), ((0.1, 0.1), 5)]
 
     def test_retarget_long_link(self, node):
         node.set_long_link(0, target=(0.9, 0.9), neighbor=3)

@@ -33,6 +33,17 @@ class TestOperationStats:
                 sequential.record(route_hops, route_hops)
             assert batched == sequential
 
+    def test_record_repeated_equals_sequential_records(self):
+        """A batch of operations of one cost."""
+        batched, sequential = OperationStats(), OperationStats()
+        for stats in (batched, sequential):
+            stats.record(9, 30)  # an earlier maximum must survive
+        for count, hops, messages in ((3, 12, 40), (0, 50, 50), (5, 0, 1)):
+            batched.record_repeated(count, hops, messages)
+            for _ in range(count):
+                sequential.record(hops, messages)
+            assert batched == sequential
+
     def test_as_dict_keys(self):
         stats = OperationStats()
         stats.record(1, 2)

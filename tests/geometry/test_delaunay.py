@@ -20,6 +20,14 @@ def build(points):
 
 
 class TestSmallConfigurations:
+    def test_subnormal_sliver_is_delaunay(self):
+        """A quadrilateral one subnormal wide: every incircle test on it
+        underflows, and only the exact predicate picks the diagonal."""
+        tiny = 5e-324
+        dt, (c, a, b, d) = build([(tiny, 0.4), (tiny, 0.6), (0.0, 0.8), (0.0, 0.0)])
+        dt.validate()
+        assert sorted(dt.triangles()) == [(c, a, b), (c, b, d)]
+
     def test_empty(self):
         dt = DelaunayTriangulation()
         assert len(dt) == 0

@@ -345,3 +345,125 @@ class TestDenseBuckets:
             tracemalloc.stop()
         assert pairs > 2000 * 100
         assert peak < 6 * 2**20
+
+
+class ReadCells(dict):
+    """A bucket map that records which cells were read, and whether it was
+    iterated whole."""
+
+    def __init__(self, cells):
+        super().__init__(cells)
+        self.read = set()
+        self.scanned = False
+
+    def get(self, cell, default=None):
+        self.read.add(cell)
+        return super().get(cell, default)
+
+    def __getitem__(self, cell):
+        self.read.add(cell)
+        return super().__getitem__(cell)
+
+    def items(self):
+        self.scanned = True
+        return super().items()
+
+    def values(self):
+        self.scanned = True
+        return super().values()
+
+    def __iter__(self):
+        self.scanned = True
+        return super().__iter__()
+
+
+def box_cells(grid, point, radius):
+    """The cells :meth:`LocateGrid.within` scans for one query."""
+    m = grid.cells_per_axis
+
+    def cell(value):
+        return min(m - 1, max(0, int(min(max(value, 0.0), 1.0) * m)))
+
+    return {(ix, iy)
+            for ix in range(cell(point[0] - radius), cell(point[0] + radius) + 1)
+            for iy in range(cell(point[1] - radius), cell(point[1] + radius) + 1)}
+
+
+class TestSparseBatch:
+    """``within_many`` and ``hints`` answer every query of a batch as the
+    scalar calls do, sparse and dense queries mixed in one batch."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), background=st.integers(0, 600),
+           clique=st.sampled_from([0, 60, 400]), threshold=st.sampled_from([1, 48, 10**9]),
+           data=st.data())
+    def test_batches_answer_every_query_as_the_scalar_calls(self, seed, background, clique,
+                                                           threshold, data):
+        rng = np.random.default_rng(seed)
+        corner = rng.random(2) * 0.9
+        coordinates = np.vstack([rng.random((background, 2)),
+                                 corner + 2e-3 * rng.random((clique, 2))])
+        points = {int(i): (float(x), float(y))
+                  for i, (x, y) in zip(rng.permutation(2 * len(coordinates)),
+                                       coordinates.tolist())}
+        grid = LocateGrid()
+        grid.bulk_insert(points.items())
+        queries = list(points.values())[:300]
+        queries += [tuple(p) for p in rng.random((40, 2)).tolist()]
+        queries += [tuple(p) for p in (4 * rng.random((20, 2)) - 1.5).tolist()]
+        radius = data.draw(st.one_of(
+            st.sampled_from([0.0, 1e-3, 0.01, 0.3, 3.0]),
+            st.floats(0.0, 0.05),
+            st.sampled_from(knife_edge_radii(points, rng, 3) if len(points) > 1 else [0.0])))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(locate_grid, "VECTOR_SCAN_THRESHOLD", threshold)
+            batched = list(grid.within_many(queries, radius))
+            assert sorted(i for i, _found in batched) == list(range(len(queries)))
+            found = dict(batched)
+            assert [found[i] for i in range(len(queries))] == \
+                [grid.within(query, radius) for query in queries]
+            assert grid.hints(queries) == [grid.hint(query) for query in queries]
+        # The answers are the buckets' own int objects.
+        bucket_ints = {id(vertex_id) for bucket in grid._cells.values() for vertex_id in bucket}
+        assert all(id(vertex_id) in bucket_ints for ids in found.values() for vertex_id in ids)
+
+    def test_empty_grid_and_empty_batch(self):
+        grid = LocateGrid()
+        queries = [(0.5, 0.5), (2.0, -1.0)]
+        assert list(grid.within_many(queries, 0.1)) == [(0, []), (1, [])]
+        assert grid.hints(queries) == [None, None]
+        grid.insert(4, (0.25, 0.25))
+        assert list(grid.within_many([], 0.1)) == []
+        assert grid.hints([]) == []
+        assert dict(grid.within_many(queries + [(0.25, 0.25)], 0.0)) == \
+            {0: [], 1: [], 2: [4]}
+
+    def test_a_small_batch_reads_only_its_own_cells(self):
+        """Ten queries against a 50 000-object grid gather the buckets of
+        their own boxes and nothing else: the cost follows the batch."""
+        rng = np.random.default_rng(8)
+        positions = rng.random((50_000, 2))
+        grid = LocateGrid()
+        grid.bulk_insert((i, (float(x), float(y))) for i, (x, y) in enumerate(positions.tolist()))
+        queries = [tuple(p) for p in positions[rng.choice(50_000, 10, replace=False)].tolist()]
+        radius = 1.0 / math.sqrt(math.pi * 62_500)
+        expected = [grid.within(query, radius) for query in queries]
+        own = set().union(*(box_cells(grid, query, radius) for query in queries))
+        gathered = []
+        gather = LocateGrid._gather
+
+        def counted_gather(self, ids, count):
+            gathered.append(count)
+            return gather(self, ids, count)
+
+        grid._cells = ReadCells(grid._cells)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(LocateGrid, "_gather", counted_gather)
+            assert [found for _i, found in sorted(grid.within_many(queries, radius))] == expected
+        assert not grid._cells.scanned
+        assert grid._cells.read <= own
+        assert sum(gathered) == sum(len(grid._cells.get(cell, ())) for cell in own)
+        grid._cells.read.clear()
+        assert grid.hints(queries) == [grid.hint(query) for query in queries]
+        assert not grid._cells.scanned
+        assert grid._cells.read <= {grid._cell_of(query) for query in queries}

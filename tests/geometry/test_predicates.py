@@ -76,6 +76,13 @@ class TestIncircle:
         assert incircle(a, b, c, d_in) == 1
         assert incircle(a, b, c, d_out) == -1
 
+    def test_underflowing_products_are_decided_exactly(self):
+        """Subnormal coordinate differences: the products underflow, the
+        float determinant reads +5e-324 where the exact one is negative."""
+        tiny = 5e-324
+        a, b, c, d = (tiny, 0.4), (tiny, 0.6), (0.0, 0.8), (0.0, 0.0)
+        assert incircle(a, b, c, d) == -1
+
 
 class TestCircumcircle:
     def test_circumcenter_equidistant(self):

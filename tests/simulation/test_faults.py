@@ -704,6 +704,29 @@ class TestRepairProtocol:
         assert victim not in node.close
         assert simulator.verify_views() == []
 
+    def test_audit_stamps_die_with_the_repair_call(self):
+        """The clean stamps serve the later audit passes of one ``repair()``
+        and are gone when it returns; the re-issue counts stay, since a
+        standalone ``repair_round()`` reads them."""
+        simulator = build_simulator(count=120, seed=14)
+        injector = ProtocolCrashInjector(simulator, rng=RandomSource(5))
+        injector.crash_random(12)
+        detector = HeartbeatDetector(simulator, config=HeartbeatConfig(miss_threshold=2))
+        detector.run_rounds(2)
+        repairer = RepairProtocol(simulator, detector=detector)
+        audit = repairer._audit
+        stamped = []
+
+        def counted_audit():
+            found = audit()
+            stamped.append(len(repairer._audit_clean))
+            return found
+
+        repairer._audit = counted_audit
+        assert repairer.repair().converged
+        assert max(stamped) > 0
+        assert repairer._audit_clean == {}
+
     def test_repaired_overlay_serves_queries(self):
         simulator = build_simulator(count=120, seed=14)
         injector = ProtocolCrashInjector(simulator, rng=RandomSource(5))
