@@ -20,10 +20,11 @@ Message accounting follows the paper:
 from __future__ import annotations
 
 from array import array
+from enum import Enum
 from itertools import repeat
 from operator import attrgetter
-from typing import (Any, Callable, Iterable, List, Mapping, Optional, Sized,
-                    TYPE_CHECKING, Tuple)
+from typing import (Any, Callable, Container, Iterable, Iterator, List, Mapping,
+                    NamedTuple, Optional, Sized, TYPE_CHECKING, Tuple)
 
 import numpy as np
 
@@ -222,77 +223,110 @@ def detach_object(overlay: "VoroNet", object_id: int) -> int:
 
 
 def view_consistency_report(overlay: "VoroNet") -> List[str]:
-    """:func:`view_report` over the oracle overlay's nodes."""
-    return view_report(
+    """:func:`view_report` over the oracle overlay's nodes, in words."""
+    return [str(finding) for finding in view_report(
         {node.object_id: node for node in overlay.nodes()},
         attrgetter("position", "close_neighbors", "long_links", "back_links"),
-        overlay.owner_of, overlay.config.effective_d_min)
+        overlay.owner_of, overlay.config.effective_d_min)]
+
+
+class Family(Enum):
+    """One family of view defect; its value is the words a checker prints."""
+
+    STALE_CLOSE = "{object_id}: stale close neighbour {peer}"
+    ONE_SIDED_CLOSE = "close-neighbour relation {object_id} → {peer} not symmetric"
+    FAR_CLOSE = "{object_id}: close neighbour {peer} farther than d_min"
+    DEPARTED_LINK = "{object_id}: long link {index} points at departed {peer}"
+    MISOWNED_LINK = "{object_id}: long link {index} points at {peer} but {detail} owns its target"
+    UNREGISTERED_LINK = "{object_id}: long link {index} missing back registration at {peer}"
+    DEPARTED_BACK = "{object_id}: back link from departed {peer}"
+    ORPHAN_BACK = ("{object_id}: back link from {peer}#{index} "
+                   "does not match the source's long link")
+    STALE_VN = "{object_id}: local vn view {detail[0]} != kernel {detail[1]}"
+
+
+class Finding(NamedTuple):
+    """One view defect: ``object_id`` holds the entry, ``peer`` is its other
+    end and ``index`` its long link; ``detail`` is the owner of a mis-owned
+    link's target, or a stale vn's sorted ``(local view, kernel star)``."""
+
+    family: Family
+    object_id: int
+    peer: int = -1
+    index: int = -1
+    detail: Any = None
+
+    def __str__(self) -> str:
+        return self.family.value.format(**self._asdict())
 
 
 def view_report(members: Mapping[int, Any], view_of: Callable[[Any], Tuple],
-                owner_of: Callable[[Point, int], int], d_min: float) -> List[str]:
-    """Check cross-object view invariants; returns a list of problems.
+                owner_of: Callable[[Point, int], int], d_min: float,
+                vn_of: Optional[Callable[[int, Any], Optional[Tuple]]] = None,
+                settled: Container[int] = ()) -> Iterator[Finding]:
+    """Walk the cross-object view invariants; yields one finding per defect.
 
-    One definition for both planes (``VoroNet.check_consistency`` and
-    ``ProtocolSimulator.verify_views``): ``members`` maps every member id to
-    its node, and ``view_of(node)`` gives ``(position, close ids, long links,
-    back registrations)`` — long links anything with ``.target`` /
-    ``.neighbor``, back registrations a container of ``(source,
-    link_index)``.  The view tuples are built as they are read, so a check
-    of 10⁴ members holds none of them for the collector to promote.
-    ``owner_of(point, hint)`` names the member owning a point.  Three
-    families:
+    One definition for both planes' checkers (``VoroNet.check_consistency``
+    and ``ProtocolSimulator.verify_views`` print the findings) and for the
+    protocol plane's repair (``RepairProtocol`` settles them).  ``members``
+    maps every member id to its node, in the order walked; a peer missing
+    from it has departed.  ``view_of(node)`` gives ``(position, close ids,
+    long links, back registrations)``, built as read so a check of 10⁴
+    members holds none for the collector to promote; ``owner_of(point,
+    hint)`` names a point's owner.  Member by member:
 
-    * close-neighbour symmetry, and every recorded close neighbour is really
-      within ``d_min``;
-    * every long link points at the object owning the region containing its
-      target point (i.e. the object closest to the target);
-    * every long link has a matching back registration at its endpoint, and
-      every back registration has a matching long link at its source.
+    * vn (protocol plane): ``vn_of(object_id, node)`` is the local view and
+      the kernel's star, or ``None`` without a star; both name the same ids;
+    * close entries: the peer is a member, holds this one, within ``d_min``;
+    * long links: the endpoint is a member, owns the link's target point
+      and holds the link's back registration;
+    * back registrations: the source's long link at that index points here.
+
+    A member in ``settled`` is not asked the two kernel consultations (vn,
+    link owners): its caller knows their verdict still holds.
     """
-    problems: List[str] = []
     for object_id, member in members.items():
         position, close, long_links, back_links = view_of(member)
+        kernel_checked = object_id not in settled
+        if vn_of is not None and kernel_checked:
+            views = vn_of(object_id, member)
+            if views is not None:
+                local, star = set(views[0]), set(views[1])
+                if local != star:
+                    yield Finding(Family.STALE_VN, object_id,
+                                  detail=(sorted(local), sorted(star)))
         for close_id in close:
             peer = members.get(close_id)
             if peer is None:
-                problems.append(f"{object_id}: stale close neighbour {close_id}")
+                yield Finding(Family.STALE_CLOSE, object_id, close_id)
                 continue
             peer_position, peer_close, _links, _back = view_of(peer)
             if object_id not in peer_close:
-                problems.append(
-                    f"close-neighbour relation {object_id} → {close_id} not symmetric")
+                yield Finding(Family.ONE_SIDED_CLOSE, object_id, close_id)
             if distance(position, peer_position) > d_min * (1 + 1e-9):
-                problems.append(
-                    f"{object_id}: close neighbour {close_id} farther than d_min")
+                yield Finding(Family.FAR_CLOSE, object_id, close_id)
         for index, link in enumerate(long_links):
-            endpoint = members.get(link.neighbor)
+            neighbor = link.neighbor
+            endpoint = members.get(neighbor)
             if endpoint is None:
-                problems.append(
-                    f"{object_id}: long link {index} points at departed {link.neighbor}")
+                yield Finding(Family.DEPARTED_LINK, object_id, neighbor, index)
                 continue
-            owner = owner_of(link.target, link.neighbor)
-            if owner != link.neighbor:
-                problems.append(
-                    f"{object_id}: long link {index} points at {link.neighbor} "
-                    f"but {owner} owns its target")
-            if (link.neighbor != object_id
-                    and (object_id, index) not in view_of(endpoint)[3]):
-                problems.append(
-                    f"{object_id}: long link {index} missing back registration "
-                    f"at {link.neighbor}")
+            if kernel_checked:
+                owner = owner_of(link.target, neighbor)
+                if owner != neighbor:
+                    yield Finding(Family.MISOWNED_LINK, object_id, neighbor,
+                                  index, owner)
+            if neighbor != object_id and (object_id, index) not in view_of(endpoint)[3]:
+                yield Finding(Family.UNREGISTERED_LINK, object_id, neighbor, index)
         for source, link_index in back_links:
             holder = members.get(source)
             if holder is None:
-                problems.append(f"{object_id}: back link from departed {source}")
+                yield Finding(Family.DEPARTED_BACK, object_id, source)
                 continue
             holder_links = view_of(holder)[2]
             if (link_index >= len(holder_links)
                     or holder_links[link_index].neighbor != object_id):
-                problems.append(
-                    f"{object_id}: back link from {source}#{link_index} "
-                    "does not match the source's long link")
-    return problems
+                yield Finding(Family.ORPHAN_BACK, object_id, source, link_index)
 
 
 class MemberOrder:

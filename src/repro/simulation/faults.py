@@ -64,7 +64,7 @@ cached                 valid while                       checked by
 =====================  ================================  ==================
 a node's probe plan    its ``view_epoch`` stands         ``verify_views()``
 a member's clean       ``(kernel.version, view_epoch)``  recomputed by every
-audit verdict          stands, within one ``repair()``   ``repair()`` call
+vn and link owners     stands, within one ``repair()``   ``repair()`` call
 the plane's doubles    always (the next stretch of the   the scalar-stream
                        one seeded stream, drawn early)   Hypothesis test
 =====================  ================================  ==================
@@ -80,8 +80,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
+from repro.core.maintenance import Family, Finding
 from repro.simulation.failures import CrashDamageReport, crash_damage_report
 from repro.simulation.protocol import NO_ENTRIES, ProtocolSimulator
 from repro.utils.rng import RandomSource
@@ -747,14 +748,14 @@ class RepairProtocol:  # simlint: ignore[SIM003] — one per experiment, not per
     that no local reference supports any more.
 
     :meth:`repair` iterates rounds until every suspect list drains and
-    the audit (:meth:`_audit`: long links at their target's true owner and
-    registered there, views equal to the kernel's, no close or back entry
-    serving a departed node, no orphan registration, no one-sided close
-    pair) comes back empty, or ``max_rounds`` is exhausted — one predicate,
-    asked the same way at both exits.  Because nodes keep a suspect while
-    any stale reference survives, rounds are idempotent and retry-safe
-    under message loss.  Within one call the audit re-checks only members
-    whose ``(kernel.version, view_epoch)`` moved since they passed clean.
+    the view walk ``verify_views()`` prints finds nothing over the in-scope
+    members, or ``max_rounds`` is exhausted — one predicate, asked the same
+    way at both exits.  It settles the walk's findings (:meth:`_settle`)
+    once the suspect lists drain, and after a round that left every
+    holder's suspect list as it found it: damage nobody suspects can keep
+    a retargeted search failing round after round.  Because nodes keep a
+    suspect while any stale reference survives, rounds are idempotent and
+    retry-safe under message loss.
 
     Repair acts on the suspect lists the nodes hold, whoever filled them;
     it drives no detection itself.  ``detector`` is stored as passed (no
@@ -779,16 +780,17 @@ class RepairProtocol:  # simlint: ignore[SIM003] — one per experiment, not per
         self.max_rounds = max_rounds
         #: Optional id set this repairer confines itself to.  A scoped
         #: repairer (one side of a network split healing against its own
-        #: kernel fork) only probes, scrubs, retargets and audits members
+        #: kernel fork) only probes, scrubs, retargets and settles members
         #: of the scope; unscoped behaviour is byte-identical to before
         #: the parameter existed.
         self.scope = frozenset(scope) if scope is not None else None
         self._reissued = 0
+        #: Re-searches per ``(holder, link index)``, and member →
+        #: ``(kernel.version, view_epoch)`` at which the walk last found
+        #: nothing of it; both live for one :meth:`repair` call, emptied when
+        #: it starts and when it returns.
         self._reissue_attempts: Dict[Tuple[int, int], int] = {}
-        #: Member → ``(kernel.version, view_epoch)`` at which it last passed
-        #: :meth:`_audit` clean; lives for one :meth:`repair` call, emptied
-        #: when it starts and when it returns.
-        self._audit_clean: Dict[int, Tuple[int, int]] = {}
+        self._settled: Dict[int, Tuple[int, int]] = {}
 
     # ------------------------------------------------------------------
     def _members(self) -> List[int]:
@@ -916,107 +918,92 @@ class RepairProtocol:  # simlint: ignore[SIM003] — one per experiment, not per
         return phase_messages
 
     # ------------------------------------------------------------------
-    def _audit(self) -> Tuple[List[Tuple[int, int]], List[int],
-                              List[Tuple[int, Set[int]]],
-                              List[Tuple[int, Tuple[int, int]]], List[int]]:
-        """What suspicion-driven repair cannot see, over the in-scope members.
-
-        Five lists, each in member order:
-
-        * ``(object_id, link_index)`` of long links not pointing at their
-          target's owner — the same kernel consultation ``bulk_join``'s
-          hand-over phase uses to settle registrations, the simulator
-          standing in for the owner-side audit a deployment would run
-          periodically.  A dead endpoint, or one outside this repairer's
-          kernel (a cross-side link under a scoped, split-era repair),
-          cannot stand either — nor can an endpoint that holds no back
-          registration for the link (a lost ``BACKLINK_TRANSFER``, or a
-          false suspicion that dropped it): the next steal or leave of
-          that endpoint would strand the link.
-        * ids whose Voronoi view disagrees with the shared kernel.  A view
-          can go stale with *no* suspect involved — a consolidated
-          ``REGION_UPDATE`` (or its sender) fed a crash mid-``bulk_join``
-          or mid-churn, so the recipient never heard about a live
-          neighbour — and nothing in such a view points at a dead node
-          for scrubbing to find.
-        * ``(holder, dead peers)`` for close entries and back registrations
-          serving departed nodes.  A crash that lands *mid-repair*, after
-          the detection sweep, leaves them with no surviving suspicion to
-          blame: heartbeats have stopped, so nothing re-suspects a peer
-          nobody probes anymore.  Under a scoped repair, peers outside
-          the scope are presumed dead by this side even though their node
-          objects survive across the cut.
-        * ``(holder, key)`` of orphan back registrations: the source lives
-          but its link ``key[1]`` points elsewhere.
-        * ids missing a live peer that holds *them* as a close neighbour
-          (a lost ``CLOSE_DECLARE``, or one side of the pair dropped on a
-          false suspicion); each listed once, in id order.
-
-        Within one :meth:`repair` call a member's kernel verdict — link
-        owners, its Voronoi view, dead references — is a function of
-        ``(kernel.version, node.view_epoch)`` alone: the kernel answers
-        every such consultation, membership of ``simulator.nodes`` only
-        changes through a kernel insertion or removal, and the epoch moves
-        with every edit of the four view components — so a member that
-        passed them is stamped with that pair and they are skipped until
-        either half moves.  A later pass of the same call therefore
-        re-checks only the few dozen nodes the settlement in between
-        touched.  The pairwise families (registration at the endpoint,
-        orphan registrations, close symmetry) read *another* member's
-        view, which no stamp of this one covers; they are a few dict
-        probes per member and are asked every pass.
-        """
+    def _findings(self) -> List[Finding]:
+        """The view walk over the in-scope members, in id order; a peer
+        outside the scope reads as departed.  Within one :meth:`repair`
+        call a member's vn and link owners are a function of
+        ``(kernel.version, view_epoch)`` alone, so a member the walk found
+        nothing of is stamped with that pair and settled until it moves."""
         simulator = self.simulator
         nodes = simulator.nodes
-        kernel = simulator.kernel
-        scope = self.scope
-        version = kernel.version
-        clean = self._audit_clean
-        wrong: List[Tuple[int, int]] = []
-        stale_views: List[int] = []
-        dead_refs: List[Tuple[int, Set[int]]] = []
-        orphans: List[Tuple[int, Tuple[int, int]]] = []
-        lonely: Set[int] = set()
-        for object_id in self._members():
-            node = nodes[object_id]
-            stamp = (version, node.view_epoch)
-            stamped = clean.get(object_id) == stamp
-            links = [(object_id, index)
-                     for index, link in enumerate(node.long_links)
-                     if link.neighbor not in nodes
-                     or (link.neighbor != object_id and (object_id, index)
-                         not in nodes[link.neighbor].back_links)
-                     or not stamped and (
-                         link.neighbor not in kernel
-                         or kernel.nearest_vertex(
-                             link.target, hint=link.neighbor) != link.neighbor)]
-            wrong.extend(links)
-            dead: Set[int] = set()  # a stamped member passed with none
-            if not stamped:
-                view_stale = (object_id in kernel and set(node.voronoi)
-                              != set(kernel.neighbors(object_id)))
-                dead.update(peer for peer in node.close
-                            if peer not in nodes
-                            or (scope is not None and peer not in scope))
-                dead.update(source for source, _index in node.back_links
-                            if source not in nodes
-                            or (scope is not None and source not in scope))
-                if view_stale:
-                    stale_views.append(object_id)
-                if dead:
-                    dead_refs.append((object_id, dead))
-                if not links and not view_stale and not dead:
-                    clean[object_id] = stamp
-            orphans.extend(
-                (object_id, (source, index))
-                for source, index in node.back_links
-                if source not in dead and (
-                    index >= len(nodes[source].long_links)
-                    or nodes[source].long_links[index].neighbor != object_id))
-            lonely.update(peer for peer in node.close
-                          if peer not in dead
-                          and object_id not in nodes[peer].close)
-        return wrong, stale_views, dead_refs, orphans, sorted(lonely)
+        version = simulator.kernel.version
+        members = {object_id: nodes[object_id] for object_id in self._members()}
+        memo = self._settled
+        settled = {object_id for object_id, node in members.items()
+                   if memo.get(object_id) == (version, node.view_epoch)}
+        findings = list(simulator.view_findings(members, settled))
+        flagged = {finding.object_id for finding in findings}
+        for object_id, node in members.items():
+            if object_id not in flagged:
+                memo[object_id] = (version, node.view_epoch)
+        return findings
+
+    @staticmethod
+    def _work_lists(findings: List[Finding]) -> Tuple[List, List, List, List, List]:
+        """In walk order: each long link with a finding, once, as
+        ``(holder, index)``; stale vns; ``(holder, dead peers)``; orphan
+        registrations as ``(holder, (source, index))``; and in id order the
+        peers not holding a member that holds them as a close neighbour.  A
+        close entry beyond ``d_min`` has none: no protocol move adopts or
+        settles one, so the repair reports it unconverged."""
+        def of(*families: Family) -> List[Finding]:
+            return [finding for finding in findings if finding.family in families]
+
+        dead: Dict[int, Set[int]] = {}
+        for finding in of(Family.STALE_CLOSE, Family.DEPARTED_BACK):
+            dead.setdefault(finding.object_id, set()).add(finding.peer)
+        links = of(Family.DEPARTED_LINK, Family.MISOWNED_LINK, Family.UNREGISTERED_LINK)
+        return (list(dict.fromkeys((finding.object_id, finding.index) for finding in links)),
+                [finding.object_id for finding in of(Family.STALE_VN)],
+                list(dead.items()),
+                [(finding.object_id, (finding.peer, finding.index))
+                 for finding in of(Family.ORPHAN_BACK)],
+                sorted({finding.peer for finding in of(Family.ONE_SIDED_CLOSE)}))
+
+    def _settle(self, findings: List[Finding], totals: Dict[str, int]) -> None:
+        """Settle the walk's findings with the protocol moves alone."""
+        simulator = self.simulator
+        nodes = simulator.nodes
+        links, stale_views, dead_refs, orphans, lonely = self._work_lists(findings)
+        # What is message-free first: a crash fires inside a counted send,
+        # so every member the walk listed is still there.  References
+        # serving a departed peer (a crash that landed mid-repair, past the
+        # suspicion machinery) get the local scrub suspicion would have
+        # applied; an orphan registration is dropped by its holder, a local
+        # hand-off.
+        for object_id, dead in dead_refs:
+            nodes[object_id].apply_suspicion(dead)
+        for object_id, (source, index) in orphans:
+            simulator.send(nodes[object_id], object_id, "BACKLINK_REMOVE",
+                           (source, index))
+        # Stale views (a lost snapshot with no suspect to blame): the node
+        # re-reads the version-stamped kernel truth — the VIEW_SCRUB of the
+        # scrub phase, self-addressed, with nothing to scrub.
+        version = simulator.kernel.version
+        for object_id in stale_views:
+            simulator.send_snapshot(nodes[object_id], object_id,
+                                    "VIEW_SCRUB", version, (frozenset(),))
+        # Mis-held or unregistered links: re-issue the routed search for
+        # exactly those links — grid-seeded, this is the settlement pass.
+        # A node a peer holds as a close neighbour but that does not hold
+        # the peer re-runs close discovery.
+        with simulator.counted_phase(totals, "audit"):
+            for object_id, index in links:
+                node = nodes.get(object_id)
+                if node is None:
+                    continue  # crashed while this pass was being sent
+                node.reissue_long_link(index, seeded=True)
+                self._reissued += 1
+            for object_id in lonely:
+                node = nodes.get(object_id)
+                if node is not None:
+                    node.discover_close()
+
+    def _suspicion(self, members: List[int]) -> Dict[int, FrozenSet[int]]:
+        """The holders' suspect lists, copied."""
+        nodes = self.simulator.nodes
+        return {object_id: frozenset(nodes[object_id].suspects)
+                for object_id in self._holders(members)}
 
     def repair(self, max_rounds: Optional[int] = None) -> RepairReport:
         """Iterate repair rounds until the overlay converges (or the cap)."""
@@ -1026,66 +1013,35 @@ class RepairProtocol:  # simlint: ignore[SIM003] — one per experiment, not per
         processed: Set[int] = set()
         self._reissued = 0
         self._reissue_attempts = {}
-        self._audit_clean = {}
+        self._settled = {}
         rounds = 0
         converged = False
         while rounds < cap:
-            for object_id in self._members():
-                processed.update(simulator.nodes[object_id].suspects)
+            members = self._members()
+            suspicion = self._suspicion(members)
+            processed.update(*suspicion.values())
             result = self.repair_round()
-            if result is None:
-                audit = self._audit()
-                if not any(audit):
+            for phase, count in (result or {}).items():
+                totals[phase] = totals.get(phase, 0) + count
+            # Settle the walk's findings once the suspect lists drain, and
+            # when a round moved none of them: damage nobody suspects, which
+            # only the walk sees, can keep them from draining.
+            if result is None or suspicion and self._suspicion(members) == suspicion:
+                findings = self._findings()
+                if result is None and not findings:
                     converged = True
                     break
-                wrong, stale_views, dead_refs, orphans, lonely = audit
-                nodes = simulator.nodes
-                # What is message-free first: a crash fires inside a counted
-                # send, so every member the audit listed is still there.
-                # References serving a departed peer (a crash that landed
-                # mid-repair, past the suspicion machinery) get the local
-                # scrub suspicion would have applied; an orphan registration
-                # is dropped by its holder, a local hand-off.
-                for object_id, dead in dead_refs:
-                    nodes[object_id].apply_suspicion(dead)
-                for object_id, (source, index) in orphans:
-                    simulator.send(nodes[object_id], object_id, "BACKLINK_REMOVE",
-                                   (source, index))
-                # Stale views (a lost snapshot with no suspect to blame):
-                # the node re-reads the version-stamped kernel truth — the
-                # VIEW_SCRUB of the scrub phase, self-addressed, with
-                # nothing to scrub.
-                version = simulator.kernel.version
-                for object_id in stale_views:
-                    simulator.send_snapshot(nodes[object_id], object_id,
-                                            "VIEW_SCRUB", version, (frozenset(),))
-                # Mis-held or unregistered links: re-issue the routed search
-                # for exactly those links — grid-seeded, this is the
-                # settlement pass.  A node a peer holds as a close neighbour
-                # but that does not hold the peer re-runs close discovery.
-                with simulator.counted_phase(totals, "audit"):
-                    for object_id, index in wrong:
-                        node = nodes.get(object_id)
-                        if node is None:
-                            continue  # crashed while this pass was being sent
-                        node.reissue_long_link(index, seeded=True)
-                        self._reissued += 1
-                    for object_id in lonely:
-                        node = nodes.get(object_id)
-                        if node is not None:
-                            node.discover_close()
-                rounds += 1
-                continue
-            for phase, count in result.items():
-                totals[phase] = totals.get(phase, 0) + count
+                if findings:
+                    self._settle(findings, totals)
             rounds += 1
         else:
             # Out of rounds: the same predicate, asked one last time.
             converged = (not self._holders(self._members())
-                         and not any(self._audit()))
+                         and not self._findings())
         residual = sum(len(simulator.nodes[object_id].suspects)
                        for object_id in self._members())
-        self._audit_clean = {}
+        self._reissue_attempts = {}
+        self._settled = {}
         return RepairReport(rounds=rounds, converged=converged,
                             suspects_processed=len(processed),
                             reissued_long_links=self._reissued,

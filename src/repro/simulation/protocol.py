@@ -171,13 +171,14 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from operator import attrgetter
 from types import MappingProxyType
-from typing import (TYPE_CHECKING, AbstractSet, Callable, ClassVar, Dict, FrozenSet,
-                    Iterator, List, Mapping, Optional, Sequence, Set, Tuple)
+from typing import (TYPE_CHECKING, AbstractSet, Callable, ClassVar, Container, Dict,
+                    FrozenSet, Iterator, List, Mapping, Optional, Sequence, Set, Tuple)
 
 import numpy as np
 
 from repro.core.config import VoroNetConfig
-from repro.core.maintenance import MemberOrder, membership_report, view_report
+from repro.core.maintenance import (Finding, MemberOrder, membership_report,
+                                    view_report)
 from repro.core.long_range import choose_long_range_target, choose_long_range_target_array
 from repro.geometry.delaunay import DelaunayTriangulation, DuplicatePointError, morton_order
 from repro.geometry.locate_grid import LocateGrid
@@ -1857,30 +1858,32 @@ class ProtocolSimulator:  # simlint: ignore[SIM003] — one per experiment, not 
 
         Membership first, as in ``VoroNet.check_consistency``: kernel, locate
         grid and handlers ≡ :attr:`nodes`; no operation owned by a non-member.
-        Then vn ≡ the kernel's stars, and the oracle checker's three
-        families under its own definition
-        (:func:`~repro.core.maintenance.view_report`: close symmetry, long
-        links at their target's owner, links ⇄ back registrations).  Last,
-        as there, the cache contracts: the probe plans
+        Then :meth:`view_findings` in words: vn ≡ the kernel's stars, and the
+        oracle checker's families under its own definition (close symmetry,
+        long links at their target's owner, links ⇄ back registrations).
+        Last, as there, the cache contracts: the probe plans
         (:meth:`probe_plan_report`) and the kernel's cached stars
         (:meth:`~repro.geometry.delaunay.DelaunayTriangulation.star_cache_report`).
         """
         problems = self._membership_report()
-        kernel = self.kernel
-        for object_id, node in self.nodes.items():
-            kernel_neighbors = set(kernel.neighbors(object_id))
-            local_neighbors = set(node.voronoi)
-            if kernel_neighbors != local_neighbors:
-                problems.append(
-                    f"{object_id}: local vn view {sorted(local_neighbors)} != "
-                    f"kernel {sorted(kernel_neighbors)}")
-        problems.extend(view_report(
-            self.nodes, attrgetter("position", "close", "long_links", "back_links"),
-            lambda target, hint: kernel.nearest_vertex(target, hint=hint),
-            self.config.effective_d_min))
+        problems.extend(str(finding) for finding in self.view_findings(self.nodes))
         problems.extend(self.probe_plan_report())
-        problems.extend(kernel.star_cache_report())
+        problems.extend(self.kernel.star_cache_report())
         return problems
+
+    def view_findings(self, members: Mapping[int, "ProtocolNode"],
+                      settled: Container[int] = ()) -> Iterator[Finding]:
+        """:func:`~repro.core.maintenance.view_report` over ``members``
+        against the kernel installed now: what :meth:`verify_views` prints
+        and what ``RepairProtocol`` settles."""
+        kernel = self.kernel
+        return view_report(
+            members, attrgetter("position", "close", "long_links", "back_links"),
+            lambda target, hint: kernel.nearest_vertex(target, hint=hint),
+            self.config.effective_d_min,
+            lambda object_id, node: ((node.voronoi, kernel.neighbors(object_id))
+                                     if object_id in kernel else None),
+            settled)
 
     def probe_plan_report(self) -> List[str]:
         """Every cached probe plan that is not a valid one (deriving none anew).

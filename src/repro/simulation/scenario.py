@@ -44,7 +44,7 @@ from repro.simulation.failures import (CrashDamageReport,
                                        assess_partition_damage)
 from repro.simulation.faults import (FaultPlane, HeartbeatDetector,
                                      ProtocolCrashInjector, RepairProtocol,
-                                     RepairReport, SplitSpec)
+                                     RepairReport)
 from repro.simulation.merge import MergeReport, PartitionRuntime
 from repro.simulation.protocol import BulkJoinReport, ProtocolSimulator
 from repro.utils.rng import RandomSource
@@ -200,12 +200,8 @@ class Scenario:  # simlint: ignore[SIM003] — one per experiment, not per messa
         Reads the injector's crash list live, so a victim that dies while
         detection or repair is already running is waited for too.
         """
-        dead = set(self.injector.crashed)
-        for node in self.simulator.nodes.values():
-            for peer in node.monitored_peers():
-                if peer in dead and peer not in node.suspects:
-                    return False
-        return True
+        crashed = set(self.injector.crashed)
+        return _all_suspected(self.simulator, lambda _holder, peer: peer in crashed)
 
     def detect(self, until: Optional[Callable[[], bool]] = None,
                max_rounds: int = 8) -> int:
@@ -447,17 +443,13 @@ def _assign_sides(live: List[int], rng: RandomSource,
     return sides
 
 
-def _cross_side_suspected(simulator: ProtocolSimulator,
-                          spec: SplitSpec) -> bool:
-    """Has every monitored cross-side peer landed on a suspect list?"""
+def _all_suspected(simulator: ProtocolSimulator,
+                   dead: Callable[[int, int], bool]) -> bool:
+    """Does every node suspect each peer it monitors that ``dead(node, peer)``
+    holds dead — a crashed peer, or one across a split's cut?"""
     for object_id, node in simulator.nodes.items():
-        own = spec.side_of(object_id)
-        if own is None:
-            continue
         for peer in node.monitored_peers():
-            peer_side = spec.side_of(peer)
-            if (peer_side is not None and peer_side != own
-                    and peer not in node.suspects):
+            if peer not in node.suspects and dead(object_id, peer):
                 return False
     return True
 
@@ -521,7 +513,7 @@ def run_merge_scenario(*, num_objects: int = 120, seed: int = 7,
         # whose greedy next hop crosses the cut dies silently.
         serve_side_queries("degraded", degraded_queries_per_side)
         # Detection, then per-side stabilisation against each fork.
-        scenario.detect(until=partial(_cross_side_suspected, simulator, spec))
+        scenario.detect(until=partial(_all_suspected, simulator, spec.separates))
         for index in range(num_sides):
             with runtime.side(index):
                 RepairProtocol(simulator, detector=scenario.detector,

@@ -705,27 +705,49 @@ class TestRepairProtocol:
         assert simulator.verify_views() == []
 
     def test_audit_stamps_die_with_the_repair_call(self):
-        """The clean stamps serve the later audit passes of one ``repair()``
-        and are gone when it returns; the re-issue counts stay, since a
-        standalone ``repair_round()`` reads them."""
+        """The clean stamps serve the later walks of one ``repair()`` and
+        are gone when it returns, and so are the per-link re-search counts."""
         simulator = build_simulator(count=120, seed=14)
         injector = ProtocolCrashInjector(simulator, rng=RandomSource(5))
         injector.crash_random(12)
         detector = HeartbeatDetector(simulator, config=HeartbeatConfig(miss_threshold=2))
         detector.run_rounds(2)
         repairer = RepairProtocol(simulator, detector=detector)
-        audit = repairer._audit
-        stamped = []
+        findings = repairer._findings
+        stamped, attempts = [], []
 
-        def counted_audit():
-            found = audit()
-            stamped.append(len(repairer._audit_clean))
+        def counted_findings():
+            found = findings()
+            stamped.append(len(repairer._settled))
+            attempts.append(len(repairer._reissue_attempts))
             return found
 
-        repairer._audit = counted_audit
+        repairer._findings = counted_findings
         assert repairer.repair().converged
         assert max(stamped) > 0
-        assert repairer._audit_clean == {}
+        assert max(attempts) > 0
+        assert repairer._settled == {}
+        assert repairer._reissue_attempts == {}
+
+    def test_damage_nobody_suspects_cannot_stall_the_suspect_lists(self):
+        """A round that leaves every holder's suspect list as it found it
+        settles the walk's findings before the next round.  Here holder 165
+        keeps crashed 31 suspected because its link 1 still points there.
+        Each round re-searches that link from grid hint 151, whose own link
+        0 points at 31 unsuspected (three sampled detector rounds never
+        probed it), so greedy forwarding hands the search to 31 and the
+        fault plane drops it.  Settling only once the suspect lists drained,
+        the repair spent all 24 rounds on it."""
+        simulator = build_simulator(count=200, seed=33)
+        injector = ProtocolCrashInjector(simulator, rng=RandomSource(35))
+        injector.crash_random(8)
+        detector = HeartbeatDetector(simulator)
+        detector.run_rounds(3)
+        report = RepairProtocol(simulator, detector=detector, max_rounds=24).repair()
+        assert report.converged
+        assert report.rounds == 4
+        assert simulator.verify_views() == []
+        assert injector.assess_damage().total_stale_entries == 0
 
     def test_repaired_overlay_serves_queries(self):
         simulator = build_simulator(count=120, seed=14)
