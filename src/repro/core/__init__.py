@@ -17,10 +17,9 @@ from repro.core.errors import (
 from repro.core.long_range import (
     choose_long_range_target,
     choose_long_range_target_array,
-    choose_long_range_targets,
 )
 from repro.core.neighbors import NeighborView
-from repro.core.node import LongLink, ObjectNode
+from repro.core.node import LinkRecord, ObjectNode
 from repro.core.overlay import VoroNet
 from repro.core.queries import (
     QueryResult,
@@ -48,14 +47,13 @@ __all__ = [
     "EmptyOverlayError",
     "RoutingError",
     "ObjectNode",
-    "LongLink",
+    "LinkRecord",
     "NeighborView",
     "RouteResult",
     "greedy_route",
     "route_to_object",
     "route_with_stopping_rule",
     "choose_long_range_target",
-    "choose_long_range_targets",
     "choose_long_range_target_array",
     "QueryResult",
     "point_query",

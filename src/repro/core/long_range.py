@@ -19,7 +19,6 @@ by the maintenance procedures as objects join and leave.
 from __future__ import annotations
 
 import math
-from typing import List
 
 import numpy as np
 
@@ -28,7 +27,6 @@ from repro.utils.rng import RandomSource
 
 __all__ = [
     "choose_long_range_target",
-    "choose_long_range_targets",
     "choose_long_range_target_array",
     "link_length_density",
     "target_area_density",
@@ -67,26 +65,6 @@ def choose_long_range_target(position: Point, d_min: float,
     )
 
 
-def choose_long_range_targets(position: Point, d_min: float, count: int,
-                              rng: RandomSource) -> List[Point]:
-    """Draw ``count`` independent long-link targets (vectorised).
-
-    Used when objects keep several long links (the Figure 8 experiment);
-    every link is drawn with the same distribution, as in the paper.
-    """
-    if count <= 0:
-        return []
-    if not 0.0 < d_min < _SQRT2:
-        raise ValueError(f"d_min must lie in (0, sqrt(2)), got {d_min}")
-    generator = rng.generator
-    a = generator.uniform(math.log(d_min), math.log(_SQRT2), size=count)
-    theta = generator.uniform(0.0, 2.0 * math.pi, size=count)
-    radius = np.exp(a)
-    xs = position[0] + radius * np.cos(theta)
-    ys = position[1] + radius * np.sin(theta)
-    return [(float(x), float(y)) for x, y in zip(xs, ys)]
-
-
 def choose_long_range_target_array(positions: np.ndarray, d_min: float,
                                    count: int, rng: RandomSource) -> np.ndarray:
     """Draw ``count`` long-link targets for *every* position in one batch.
@@ -101,8 +79,11 @@ def choose_long_range_target_array(positions: np.ndarray, d_min: float,
     ----------
     positions:
         ``(n, 2)`` array of object coordinates.
-    d_min / count / rng:
-        As in :func:`choose_long_range_targets`.
+    d_min / rng:
+        As in :func:`choose_long_range_target`.
+    count:
+        Links per object (the Figure 8 experiment keeps several, each drawn
+        with the same distribution, as in the paper).
 
     Returns
     -------

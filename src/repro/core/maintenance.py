@@ -84,7 +84,7 @@ def integrate_new_object(overlay: "VoroNet", object_id: int) -> int:
         for source, link_index, target in stolen:
             neighbor.remove_back_link(source, link_index)
             node.add_back_link(source, link_index, target)
-            overlay.node(source).retarget_long_link(link_index, object_id)
+            overlay.node(source).retarget_long_link(link_index, object_id, position)
             affected.append(source)
             messages += 2  # hand-over to the new holder + notify the source
     overlay.invalidate_routing_tables(affected)
@@ -143,7 +143,7 @@ def bulk_integrate_objects(overlay: "VoroNet", object_ids: List[int]) -> int:
                 continue
             holder.remove_back_link(source, link_index)
             overlay.node(owner).add_back_link(source, link_index, target)
-            overlay.node(source).retarget_long_link(link_index, owner)
+            overlay.node(source).retarget_long_link(link_index, owner, overlay.position_of(owner))
             messages += 2  # hand-over to the new holder + notify the source
     # A batch attach touches close sets and link sources across the whole
     # overlay; the caller (bulk_load) already operates at overlay-wide
@@ -207,14 +207,14 @@ def detach_object(overlay: "VoroNet", object_id: int) -> int:
             else:
                 continue
             overlay.node(new_holder_id).add_back_link(source_id, link_index, target)
-            overlay.node(source_id).retarget_long_link(link_index, new_holder_id)
+            overlay.node(source_id).retarget_long_link(link_index, new_holder_id,
+                                                       overlay.position_of(new_holder_id))
             affected.append(source_id)
             messages += 2  # delegate to the neighbour + notify the source
     node.back_links.clear()
 
     # Deregister our own long links at their endpoints.
-    for index, link in enumerate(node.long_links):
-        endpoint = link.neighbor
+    for index, (_target, endpoint, _position) in enumerate(node.long_links):
         if endpoint in overlay and endpoint != object_id:
             overlay.node(endpoint).remove_back_link(object_id, index)
             messages += 1
@@ -272,8 +272,9 @@ def view_report(members: Mapping[int, Any], view_of: Callable[[Any], Tuple],
     maps every member id to its node, in the order walked; a peer missing
     from it has departed.  ``view_of(node)`` gives ``(position, close ids,
     long links, back registrations)``, built as read so a check of 10⁴
-    members holds none for the collector to promote; ``owner_of(point,
-    hint)`` names a point's owner.  Member by member:
+    members holds none for the collector to promote (each link is a
+    :data:`~repro.core.node.LinkRecord`); ``owner_of(point, hint)`` names a
+    point's owner.  Member by member:
 
     * vn (protocol plane): ``vn_of(object_id, node)`` is the local view and
       the kernel's star, or ``None`` without a star; both name the same ids;
@@ -305,14 +306,13 @@ def view_report(members: Mapping[int, Any], view_of: Callable[[Any], Tuple],
                 yield Finding(Family.ONE_SIDED_CLOSE, object_id, close_id)
             if distance(position, peer_position) > d_min * (1 + 1e-9):
                 yield Finding(Family.FAR_CLOSE, object_id, close_id)
-        for index, link in enumerate(long_links):
-            neighbor = link.neighbor
+        for index, (target, neighbor, _position) in enumerate(long_links):
             endpoint = members.get(neighbor)
             if endpoint is None:
                 yield Finding(Family.DEPARTED_LINK, object_id, neighbor, index)
                 continue
             if kernel_checked:
-                owner = owner_of(link.target, neighbor)
+                owner = owner_of(target, neighbor)
                 if owner != neighbor:
                     yield Finding(Family.MISOWNED_LINK, object_id, neighbor,
                                   index, owner)
@@ -324,9 +324,11 @@ def view_report(members: Mapping[int, Any], view_of: Callable[[Any], Tuple],
                 yield Finding(Family.DEPARTED_BACK, object_id, source)
                 continue
             holder_links = view_of(holder)[2]
-            if (link_index >= len(holder_links)
-                    or holder_links[link_index].neighbor != object_id):
-                yield Finding(Family.ORPHAN_BACK, object_id, source, link_index)
+            if link_index < len(holder_links):
+                _target, holder_neighbor, _position = holder_links[link_index]
+                if holder_neighbor == object_id:
+                    continue
+            yield Finding(Family.ORPHAN_BACK, object_id, source, link_index)
 
 
 class MemberOrder:

@@ -4,7 +4,8 @@ Each application object published in VoroNet is represented by an
 :class:`ObjectNode` holding the parts of its *view* that are genuinely
 per-object state:
 
-* the ``k`` long-range links (target point + current endpoint object),
+* the ``k`` long-range links (target point, current endpoint object and
+  its position),
 * the back-long-range registrations (who points a long link at us, and at
   which target point), needed to re-delegate links when we leave,
 * the close-neighbour set ``cn(o)`` (objects within ``d_min``).
@@ -20,14 +21,28 @@ Memory
 The oracle holds one node per object, so a node costs only what it holds
 (the paper's O(1) state per object, at N up to 10⁶):
 
-* :class:`ObjectNode` and :class:`LongLink` are slotted dataclasses, with no
-  per-instance ``__dict__``;
+* :class:`ObjectNode` is a slotted dataclass, with no per-instance
+  ``__dict__``;
+* a long link is one plain tuple, :data:`LinkRecord`
+  ``(target, neighbor, neighbor_position)``: the fixed target point ``LRt``
+  drawn by Choose-LRT, the contact ``LRn`` that owns its region and the
+  contact's position tuple (shared, like every position).  A node's
+  ``long_links`` is a tuple of these records, the shared empty ``()`` while
+  it has none.  Both planes hold this one form (the protocol node of
+  ``repro.simulation.protocol`` too), and readers unpack it whole
+  (``target, neighbor, _position = link``).  A tuple of numbers and tuples
+  of numbers is untracked by the collector at its first collection, so a
+  node's links never reach the oldest generation's walk;
 * ``position`` is the one ``(x, y)`` tuple of the object: the overlay
   coerces an input point once (:func:`~repro.geometry.point.as_point`, which
   keeps a tuple of two floats as it is) and hands that same tuple to the
   Delaunay kernel and the locate grid, so all three share it;
 * a node without close neighbours holds the shared empty
   :data:`NO_CLOSE_NEIGHBORS` instead of a set of its own.
+
+A link is never edited in place: :func:`with_link` is the one write of
+both planes, and it replaces the node's whole tuple (a re-delegation, a
+retarget or an established search all go through it).
 
 Only :class:`ObjectNode`'s methods write ``close_neighbors``.  They swap a
 real ``set`` in on the first add and put the sentinel back when the last
@@ -45,31 +60,30 @@ from typing import AbstractSet, Dict, FrozenSet, List, Set, Tuple
 
 from repro.geometry.point import Point
 
-__all__ = ["LongLink", "NO_CLOSE_NEIGHBORS", "ObjectNode"]
+__all__ = ["LinkRecord", "NO_CLOSE_NEIGHBORS", "ObjectNode", "with_link"]
+
+#: One long-range link: ``(target, neighbor, neighbor_position)`` (module
+#: docstring, Memory).  ``target`` is fixed for the link's lifetime and may
+#: lie outside the unit square; ``neighbor`` is the object currently owning
+#: the Voronoi region containing it, re-delegated as objects join and leave.
+LinkRecord = Tuple[Point, int, Point]
 
 #: The close-neighbour set of every node that has none: one shared, immutable
 #: empty set (module docstring, Memory).
 NO_CLOSE_NEIGHBORS: FrozenSet[int] = frozenset()
 
 
-@dataclass(slots=True)
-class LongLink:
-    """One long-range link of an object.
+def with_link(links: Tuple[LinkRecord, ...], index: int, target: Point,
+              neighbor: int, position: Point) -> Tuple[LinkRecord, ...]:
+    """``links`` with slot ``index`` holding ``(target, neighbor, position)``.
 
-    Attributes
-    ----------
-    target:
-        The long-link *target point* ``LRt`` drawn by Choose-LRT.  It is a
-        fixed point of the plane (possibly outside the unit square) and
-        never changes for the lifetime of the link.
-    neighbor:
-        The object currently responsible for the Voronoi region containing
-        ``target`` — the actual routing contact ``LRn``.  Re-delegated when
-        objects join or leave around the target point.
+    The one write of a long link, in both planes: the node's tuple is
+    replaced whole.  ``index == len(links)`` appends; a slot further on is
+    an error, since no caller leaves a gap.
     """
-
-    target: Point
-    neighbor: int
+    if index > len(links):
+        raise IndexError(f"long link {index} of {len(links)} would leave a gap")
+    return links[:index] + ((target, neighbor, position),) + links[index + 1:]
 
 
 @dataclass(slots=True)
@@ -77,9 +91,10 @@ class ObjectNode:
     """State stored at one overlay object.
 
     Slotted, sharing its ``position`` tuple with the kernel and the locate
-    grid, and holding :data:`NO_CLOSE_NEIGHBORS` while it has no close
-    neighbour; only its own methods write ``close_neighbors``, through
-    ``set()`` then ``|=`` (module docstring, Memory).
+    grid, holding its long links as one tuple of :data:`LinkRecord` and
+    :data:`NO_CLOSE_NEIGHBORS` while it has no close neighbour; only its own
+    methods write ``close_neighbors``, through ``set()`` then ``|=`` (module
+    docstring, Memory).
 
     Attributes
     ----------
@@ -89,7 +104,8 @@ class ObjectNode:
         Coordinates in the attribute space; this *is* the object's overlay
         identifier in the semantic sense of the paper.
     long_links:
-        The object's outgoing long-range links, ``num_long_links`` of them.
+        The object's outgoing long-range links, ``num_long_links``
+        :data:`LinkRecord` triples; replaced whole, never edited.
     back_links:
         Reverse registrations of other objects' long links whose target
         point currently falls in this object's Voronoi region:
@@ -102,7 +118,7 @@ class ObjectNode:
 
     object_id: int
     position: Point
-    long_links: List[LongLink] = field(default_factory=list)
+    long_links: Tuple[LinkRecord, ...] = ()
     back_links: Dict[Tuple[int, int], Point] = field(default_factory=dict)
     close_neighbors: AbstractSet[int] = NO_CLOSE_NEIGHBORS
 
@@ -111,26 +127,19 @@ class ObjectNode:
     # ------------------------------------------------------------------
     def long_link_neighbors(self) -> List[int]:
         """Ids of the current long-range contacts (may contain duplicates)."""
-        return [link.neighbor for link in self.long_links]
+        return [neighbor for _target, neighbor, _position in self.long_links]
 
-    def set_long_link(self, index: int, target: Point, neighbor: int) -> None:
-        """Install or replace the ``index``-th long link.
+    def set_long_link(self, index: int, target: Point, neighbor: int,
+                      position: Point) -> None:
+        """Install or replace the ``index``-th long link; the next index
+        appends.  ``position`` is ``neighbor``'s."""
+        self.long_links = with_link(self.long_links, index, target, neighbor, position)
 
-        The next index appends; one further on first fills the gap with
-        placeholder links at the object itself.
-        """
-        long_links = self.long_links
-        while len(long_links) < index:
-            long_links.append(LongLink(target=self.position, neighbor=self.object_id))
-        link = LongLink(target=target, neighbor=neighbor)
-        if index == len(long_links):
-            long_links.append(link)
-        else:
-            long_links[index] = link
-
-    def retarget_long_link(self, index: int, neighbor: int) -> None:
-        """Point the ``index``-th long link at a new endpoint (same target point)."""
-        self.long_links[index].neighbor = neighbor
+    def retarget_long_link(self, index: int, neighbor: int, position: Point) -> None:
+        """Point the ``index``-th long link at a new endpoint at ``position``
+        (same target point)."""
+        target, _neighbor, _position = self.long_links[index]
+        self.long_links = with_link(self.long_links, index, target, neighbor, position)
 
     def add_back_link(self, source: int, link_index: int, target: Point) -> None:
         """Register that ``source``'s ``link_index``-th long link points at us."""

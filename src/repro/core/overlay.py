@@ -106,7 +106,7 @@ from repro.core.long_range import choose_long_range_target, choose_long_range_ta
 from repro.core.maintenance import (MemberOrder, bulk_integrate_objects, detach_object,
                                     integrate_new_object, membership_report)
 from repro.core.neighbors import NeighborView
-from repro.core.node import LongLink, ObjectNode
+from repro.core.node import ObjectNode
 from repro.core.routing import (RouteResult, greedy_route, greedy_route_many,
                                 missed_route, route_to_object)
 from repro.core.shards import RoutingTableCache, arena_report
@@ -496,7 +496,7 @@ class VoroNet:
                 route = greedy_route(self, object_id, target)
                 endpoint = route.owner
                 hops = route.hops
-            node.set_long_link(index, target, endpoint)
+            node.set_long_link(index, target, endpoint, self._nodes[endpoint].position)
             # Each installed link changes this object's own forwarding
             # candidates (and only its own: back registrations are not
             # routed on), and the next link is resolved by routing *from*
@@ -522,14 +522,14 @@ class VoroNet:
         """
         node = self.node(object_id)
         messages = 0
-        for index, link in enumerate(node.long_links):
+        for index, (_target, neighbor, _position) in enumerate(node.long_links):
             # Self-pointing links also carry a (local) back
             # registration — deregister those too, message-free.
-            if link.neighbor in self._nodes:
-                self._nodes[link.neighbor].remove_back_link(object_id, index)
-                if link.neighbor != object_id:
+            if neighbor in self._nodes:
+                self._nodes[neighbor].remove_back_link(object_id, index)
+                if neighbor != object_id:
                     messages += 1
-        node.long_links.clear()
+        node.long_links = ()
         self.invalidate_routing_tables([object_id])
         return messages + self._establish_long_links(object_id)
 
@@ -810,10 +810,11 @@ class VoroNet:
                                    batch: Sequence[Point]) -> None:
         """Vectorised long-link establishment for a bulk-loaded batch.
 
-        The batch's nodes are fresh, so their links are appended in index
-        order; the state is what :meth:`ObjectNode.set_long_link` and
-        :meth:`ObjectNode.add_back_link` per link, and one
-        ``long_link_searches.record(0, 1)`` per link, would leave.
+        The batch's nodes are fresh, so each node's link tuple is built in
+        one step, in index order; the state is what
+        :meth:`ObjectNode.set_long_link` and :meth:`ObjectNode.add_back_link`
+        per link, and one ``long_link_searches.record(0, 1)`` per link, would
+        leave.
         """
         k = self._config.num_long_links
         if k == 0 or not ids:
@@ -832,10 +833,13 @@ class VoroNet:
         links = zip(flat_targets, endpoints)
         for object_id in ids:
             node = nodes[object_id]
+            records = []
             for index in range(k):
                 target, endpoint = next(links)
-                node.long_links.append(LongLink(target, endpoint))
-                nodes[endpoint].back_links[object_id, index] = target
+                holder = nodes[endpoint]
+                records.append((target, endpoint, holder.position))
+                holder.back_links[object_id, index] = target
+            node.long_links = tuple(records)
         # One search per link, each a zero-hop descent and one message.
         self._stats.long_link_searches.record_repeated(len(flat_targets), 0, 1)
         self.invalidate_routing_tables()

@@ -45,8 +45,8 @@ def count_stale_references(views: Iterable[Tuple]) -> Tuple[int, int, int, int, 
 
     ``views`` yields one row per live holder: the *set* of ids it must not
     reference (the crashed ids; the ids on another side of a split), then
-    its Voronoi ids, close ids, long links (``.neighbor``) and back
-    registrations (tuples led by their source).  Returns how many
+    its Voronoi ids, close ids, long links (``(target, neighbor, position)``
+    triples) and back registrations (tuples led by source).  Returns how many
     ``(voronoi, close, long-link, back-registration)`` entries name a stale
     peer and how many holders have at least one.  Stale is a set probe,
     not a predicate call: the walk sits inside the measured heal cycle.
@@ -62,8 +62,8 @@ def count_stale_references(views: Iterable[Tuple]) -> Tuple[int, int, int, int, 
         if close_ids and not stale.isdisjoint(close_ids):
             close += len(stale.intersection(close_ids))
             hit = True
-        for link in long_links:
-            if link.neighbor in stale:
+        for _target, neighbor, _position in long_links:
+            if neighbor in stale:
                 longs += 1
                 hit = True
         for registration in back_links:
@@ -209,12 +209,12 @@ class CrashInjector:  # simlint: ignore[SIM003] — one per experiment, not per 
                 continue
             node = overlay.node(object_id)
             touched = False
-            for index, link in enumerate(node.long_links):
-                if link.neighbor in crashed:
-                    new_owner = overlay.owner_of(link.target)
-                    node.retarget_long_link(index, new_owner)
-                    overlay.node(new_owner).add_back_link(object_id, index,
-                                                          link.target)
+            for index, (target, neighbor, _position) in enumerate(node.long_links):
+                if neighbor in crashed:
+                    new_owner = overlay.node(overlay.owner_of(target))
+                    node.retarget_long_link(index, new_owner.object_id,
+                                            new_owner.position)
+                    new_owner.add_back_link(object_id, index, target)
                     touched = True
                     fixed += 1
             stale = crashed.intersection(node.close_neighbors)

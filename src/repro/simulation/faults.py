@@ -758,9 +758,12 @@ class RepairProtocol:  # simlint: ignore[SIM003] — one per experiment, not per
     retry-safe under message loss.
 
     Repair acts on the suspect lists the nodes hold, whoever filled them;
-    it drives no detection itself.  ``detector`` is stored as passed (no
-    detector is built when it is omitted) and read by nothing here: the
-    parameter stays because ``perf/systems.py`` passes it.
+    it drives no detection itself.  With no detector the walk is the only
+    evidence: a link it finds pointing at a departed endpoint makes its
+    holder suspect that endpoint while the settlement re-searches it.
+    ``detector`` is stored as passed (no detector is built when it is
+    omitted) and read by nothing here: the parameter stays because
+    ``perf/systems.py`` passes it.
     """
 
     PHASES = ("probe", "notify", "scrub", "retarget", "close", "audit")
@@ -890,8 +893,9 @@ class RepairProtocol:  # simlint: ignore[SIM003] — one per experiment, not per
                     node = simulator.nodes.get(object_id)
                     if node is None:
                         continue  # crashed while this phase was being sent
-                    for index, link in enumerate(node.long_links):
-                        if link.neighbor in node.suspects:
+                    for index, (_target, neighbor, _position) in enumerate(
+                            node.long_links):
+                        if neighbor in node.suspects:
                             key = (object_id, index)
                             attempts = self._reissue_attempts.get(key, 0)
                             node.reissue_long_link(index, seeded=attempts > 0)
@@ -973,6 +977,20 @@ class RepairProtocol:  # simlint: ignore[SIM003] — one per experiment, not per
         # hand-off.
         for object_id, dead in dead_refs:
             nodes[object_id].apply_suspicion(dead)
+        # A link whose endpoint has left: while this pass's searches run,
+        # its holder suspects the endpoint, as detection would have, so no
+        # search is forwarded along that link into the dead node — the
+        # search for a target the holder now owns routes back through it.
+        # The suspicion ends with the pass; a link still dangling is
+        # settled again on the next.  A peer outside the scope is alive
+        # across a cut, and no suspicion is made of it.
+        departed = [(nodes[finding.object_id], frozenset({finding.peer}))
+                    for finding in findings
+                    if finding.family is Family.DEPARTED_LINK
+                    and finding.peer not in nodes
+                    and finding.peer not in nodes[finding.object_id].suspects]
+        for node, peer in departed:
+            node.suspect(peer)
         for object_id, (source, index) in orphans:
             simulator.send(nodes[object_id], object_id, "BACKLINK_REMOVE",
                            (source, index))
@@ -998,6 +1016,8 @@ class RepairProtocol:  # simlint: ignore[SIM003] — one per experiment, not per
                 node = nodes.get(object_id)
                 if node is not None:
                     node.discover_close()
+        for node, peer in departed:
+            node.unsuspect(peer)
 
     def _suspicion(self, members: List[int]) -> Dict[int, FrozenSet[int]]:
         """The holders' suspect lists, copied."""

@@ -309,7 +309,7 @@ def fingerprint(simulator: ProtocolSimulator) -> str:
     for object_id in sorted(simulator.nodes):
         node = simulator.nodes[object_id]
         links = ";".join(
-            f"{link.neighbor}@{link.target!r}" for link in node.long_links)
+            f"{neighbor}@{target!r}" for target, neighbor, _position in node.long_links)
         digest.update(
             f"|{object_id}:{sorted(node.voronoi)}:{sorted(node.close)}"
             f":{links}:{node.view_version}".encode())

@@ -107,9 +107,6 @@ class PartitionRuntime:  # simlint: ignore[SIM003] — one per experiment, not p
         self._global_kernel: Optional[DelaunayTriangulation] = None
         self._global_locate: Optional[LocateGrid] = None
         self._published_base = 0
-        # Query ids far above the serving layer's range, so a runtime
-        # riding on a serving simulator never collides in query_answers.
-        self._query_seq = 1 << 40
 
     # ------------------------------------------------------------------
     # split lifecycle
@@ -216,28 +213,21 @@ class PartitionRuntime:  # simlint: ignore[SIM003] — one per experiment, not p
         return report
 
     def side_query(self, index: int, target: Point, *,
-                   start: Optional[int] = None) -> Optional[Dict]:
-        """Serve one query from a side; ``None`` when no answer arrived.
-
-        Unlike :meth:`ProtocolSimulator.query` — which silently
-        substitutes the start node when the walk dies — this surfaces an
-        unanswered query as a miss, which is the honest availability
-        signal during a split (a walk whose next hop crosses the cut
-        feeds the fault plane and never answers).
+                   start: Optional[int] = None) -> Optional[int]:
+        """Serve one query from a side: the owner that answered, ``None``
+        when no answer arrived — the honest availability signal during a
+        split (a walk whose next hop crosses the cut feeds the fault plane
+        and never answers).  Starts at the side's lowest live id unless
+        ``start`` is given.
         """
-        state = self._sides[index]
-        simulator = self.simulator
-        live = sorted(object_id for object_id in state.members
-                      if object_id in simulator.nodes)
         if start is None:
+            simulator = self.simulator
+            live = [object_id for object_id in self._sides[index].members
+                    if object_id in simulator.nodes]
             if not live:
                 return None
-            start = live[0]
-        query_id = self._query_seq
-        self._query_seq += 1
-        simulator.start_query(target, start=start, query_id=query_id)
-        simulator.engine.run()
-        return simulator.query_answers.pop(query_id, None)
+            start = min(live)
+        return self.simulator.query(target, start=start).owner
 
     # ------------------------------------------------------------------
     # heal: union rebuild

@@ -84,8 +84,8 @@ kind                       payload
 ``PONG``                   ``(round,)``
 ``SUSPECT_NOTIFY``         ``(accused,)``, a frozenset
 ``QUERY``                  ``(target, requester, query_id, path, hops)``;
-                           ``query_id`` / ``path`` (a tuple of the ids
-                           visited) are ``None`` unless set
+                           ``path`` (a tuple of the ids visited) is
+                           ``None`` unless recorded
 ``QUERY_ANSWER``           ``(target, owner, query_id, path, hops)``
 =========================  ===============================================
 
@@ -119,8 +119,13 @@ Memory
 A node costs only what it holds, as an oracle node does
 (``repro.core.node``, "Memory"):
 
-* :class:`ProtocolNode` and its long links are slotted dataclasses, with no
-  per-instance ``__dict__``;
+* :class:`ProtocolNode` is a slotted dataclass, with no per-instance
+  ``__dict__``;
+* its long links are the oracle's one form (``repro.core.node``, "Memory"):
+  a tuple of ``(target, neighbor, neighbor_position)`` triples, the shared
+  empty ``()`` while there are none, replaced whole through
+  :func:`~repro.core.node.with_link` — a slot opened, established or
+  retargeted — and never edited in place;
 * a set the node holds only while something is pending or suspected —
   ``pending_close_peers``, ``pending_link_indices``, ``suspects``,
   ``rehabilitated`` — is the shared empty :data:`NO_IDS` while it is empty;
@@ -180,6 +185,7 @@ from repro.core.config import VoroNetConfig
 from repro.core.maintenance import (Finding, MemberOrder, membership_report,
                                     view_report)
 from repro.core.long_range import choose_long_range_target, choose_long_range_target_array
+from repro.core.node import LinkRecord, with_link
 from repro.geometry.delaunay import DelaunayTriangulation, DuplicatePointError, morton_order
 from repro.geometry.locate_grid import LocateGrid
 from repro.geometry.point import Point, as_point, distance
@@ -327,10 +333,11 @@ class LeaveReport:
 
 @dataclass(frozen=True)
 class QueryReport:
-    """Cost and answer of one distributed point query."""
+    """Cost and answer of one distributed point query; ``owner`` is
+    ``None`` when no answer arrived (the walk fed the fault plane)."""
 
     target: Point
-    owner: int
+    owner: Optional[int]
     routing_hops: int
     messages: int
 
@@ -338,13 +345,6 @@ class QueryReport:
 # ----------------------------------------------------------------------
 # per-object state
 # ----------------------------------------------------------------------
-@dataclass(slots=True)
-class _LocalLongLink:
-    target: Point
-    neighbor: int
-    neighbor_position: Point
-
-
 @dataclass(slots=True)
 class ProtocolNode:
     """One object and its strictly local view.
@@ -366,7 +366,7 @@ class ProtocolNode:
     simulator: "ProtocolSimulator" = field(repr=False)
     voronoi: Dict[int, Point] = field(default_factory=dict)
     close: Mapping[int, Point] = field(default_factory=lambda: NO_ENTRIES)
-    long_links: List[_LocalLongLink] = field(default_factory=list)
+    long_links: Tuple[LinkRecord, ...] = ()
     back_links: Mapping[Tuple[int, int], Point] = field(default_factory=lambda: NO_ENTRIES)
     #: Voronoi neighbours whose ``CLOSE_REPLY`` is still awaited, and
     #: whether the close phase already completed.  Set-based (not a bare
@@ -436,9 +436,9 @@ class ProtocolNode:
         candidates: Dict[int, Point] = {}
         candidates.update(self.voronoi)
         candidates.update(self.close)
-        for link in self.long_links:
-            if link.neighbor != self.object_id:
-                candidates[link.neighbor] = link.neighbor_position
+        for _target, neighbor, position in self.long_links:
+            if neighbor != self.object_id:
+                candidates[neighbor] = position
         candidates.pop(self.object_id, None)
         return candidates
 
@@ -503,7 +503,7 @@ class ProtocolNode:
         """
         peers = set(self.voronoi)
         peers.update(self.close)
-        peers.update([link.neighbor for link in self.long_links])
+        peers.update([neighbor for _target, neighbor, _position in self.long_links])
         peers.update([source for source, _index in self.back_links])
         peers.discard(self.object_id)
         return peers
@@ -538,7 +538,8 @@ class ProtocolNode:
     def references(self, peer: int) -> bool:
         """Whether any local view entry still points at ``peer``."""
         return (peer in self.voronoi or peer in self.close
-                or any(link.neighbor == peer for link in self.long_links)
+                or any(neighbor == peer
+                       for _target, neighbor, _position in self.long_links)
                 or any(source == peer for source, _index in self.back_links))
 
     def apply_suspicion(self, peers: Set[int]) -> bool:
@@ -650,11 +651,11 @@ class ProtocolNode:
         The slot holds a self-loop placeholder (never a dangling id) until
         ``LONG_LINK_ESTABLISHED`` lands.
         """
-        self.long_links.append(_LocalLongLink(target=target,
-                                              neighbor=self.object_id,
-                                              neighbor_position=self.position))
+        index = len(self.long_links)
+        self.long_links = with_link(self.long_links, index, target,
+                                    self.object_id, self.position)
         self.touch_view()
-        self._search_long_link(len(self.long_links) - 1, seeded)
+        self._search_long_link(index, seeded)
 
     def _search_long_link(self, index: int, seeded: bool) -> None:
         """Send the routed ``SEARCH_LONG_LINK`` for slot ``index``.
@@ -665,7 +666,7 @@ class ProtocolNode:
         message loss needs few deliveries to land.
         """
         self.pending_link_indices = _with_id(self.pending_link_indices, index)
-        target = self.long_links[index].target
+        target, _neighbor, _position = self.long_links[index]
         start = self.simulator.locate.hint(target) if seeded else None
         if start is None or start not in self.simulator.nodes:
             start = self.object_id
@@ -699,6 +700,12 @@ class ProtocolNode:
         """Add ``peers`` to the local suspect list.  Scrubbing what served
         them is :meth:`apply_suspicion`, the caller's next step."""
         self.suspects = _with_ids(self.suspects, peers)
+
+    def unsuspect(self, peers: AbstractSet[int]) -> None:
+        """Take ``peers`` off the local suspect list.  No proof of life came
+        from them, so unlike :meth:`exonerate` nothing is rehabilitated."""
+        for peer in sorted(peers):
+            self.suspects = _without_id(self.suspects, peer)
 
     def miss_heartbeat(self, peer: int, threshold: int) -> bool:
         """``peer`` left a probe unanswered: count the miss and, at
@@ -938,15 +945,15 @@ class ProtocolNode:
             # after all.  First establishment won; tell the late owner to
             # drop the registration it just created for us (unless it *is*
             # the established endpoint, whose registration must stand).
-            link = self.long_links[index]
-            if (neighbor != link.neighbor
+            _target, established, _position = self.long_links[index]
+            if (neighbor != established
                     and neighbor in self.simulator.nodes):
                 self.simulator.send(self, neighbor, "BACKLINK_REMOVE",
                                     (self.object_id, index))
             return
-        link = self.long_links[index]
-        link.neighbor = neighbor
-        link.neighbor_position = neighbor_position
+        target, _neighbor, _position = self.long_links[index]
+        self.long_links = with_link(self.long_links, index, target, neighbor,
+                                    neighbor_position)
         self.touch_view()
         self.pending_link_indices = _without_id(self.pending_link_indices, index)
         self.simulator.operation_progress(("long_links", self.object_id))
@@ -977,8 +984,9 @@ class ProtocolNode:
     def _on_long_link_retarget(self, _sender: int, payload: tuple) -> None:
         index, neighbor, neighbor_position = payload
         if index < len(self.long_links):
-            self.long_links[index].neighbor = neighbor
-            self.long_links[index].neighbor_position = neighbor_position
+            target, _neighbor, _position = self.long_links[index]
+            self.long_links = with_link(self.long_links, index, target, neighbor,
+                                        neighbor_position)
             self.touch_view()
 
     def _on_backlink_remove(self, _sender: int, payload: tuple) -> None:
@@ -1056,11 +1064,11 @@ class ProtocolNode:
         registration first (for a suspected endpoint the message would
         only feed the fault plane).
         """
-        link = self.long_links[index]
-        if (link.neighbor != self.object_id
-                and link.neighbor not in self.suspects
-                and link.neighbor in self.simulator.nodes):
-            self.simulator.send(self, link.neighbor, "BACKLINK_REMOVE",
+        _target, neighbor, _position = self.long_links[index]
+        if (neighbor != self.object_id
+                and neighbor not in self.suspects
+                and neighbor in self.simulator.nodes):
+            self.simulator.send(self, neighbor, "BACKLINK_REMOVE",
                                 (self.object_id, index))
         self._search_long_link(index, seeded)
 
@@ -1155,13 +1163,15 @@ class ProtocolSimulator:  # simlint: ignore[SIM003] — one per experiment, not 
         self._member_order = MemberOrder()
         self._next_id = 0
         self._last_routing_hops = 0
-        self._last_query_answer: Optional[Dict] = None
-        #: Answers of identified serving queries, keyed by ``query_id``:
-        #: ``{"owner", "hops", "completed_at"}`` (virtual completion time),
-        #: nothing else.
+        #: Id of the next :meth:`query`, far above the serving layer's ids so
+        #: the two never collide in :attr:`query_answers`.
+        self._query_seq = 1 << 40
+        #: Answers of queries, keyed by ``query_id``: ``{"owner", "hops",
+        #: "completed_at"}`` (virtual completion time), nothing else;
+        #: :meth:`query` pops its own.
         self.query_answers: Dict[int, Dict] = {}
         #: Serving-driver hook: called as ``hook(query_id, answer, path)``
-        #: with each identified query's answer as it lands, while the
+        #: with each query's answer as it lands, while the
         #: engine is still running — the mechanism a closed-loop driver
         #: uses to inject the next query and keep a fixed number contending
         #: in flight.  ``path`` (the ids visited, or ``None`` unless
@@ -1290,21 +1300,17 @@ class ProtocolSimulator:  # simlint: ignore[SIM003] — one per experiment, not 
         if op.fail is not None:
             op.fail()
 
-    def record_query_answer(self, target: Point, owner: int,
-                            query_id: Optional[int], path: Optional[Tuple[int, ...]],
-                            hops: int) -> None:
+    def record_query_answer(self, target: Point, owner: int, query_id: int,
+                            path: Optional[Tuple[int, ...]], hops: int) -> None:
         """File one ``QUERY_ANSWER`` as the answer dict readers expect:
-        ``owner`` and ``hops``, plus ``completed_at`` for an identified
-        serving query, which is all :attr:`query_answers` retains of it.
+        ``owner``, ``hops`` and ``completed_at``, which is all
+        :attr:`query_answers` retains of it.
         Its ``query_id`` and ``path`` reach only the :attr:`on_query_answer`
         hook; the ``target`` is the asker's own."""
-        answer = {"owner": owner, "hops": hops}
-        self._last_query_answer = answer
-        if query_id is not None:
-            answer["completed_at"] = self.engine.now
-            self.query_answers[query_id] = answer
-            if self.on_query_answer is not None:
-                self.on_query_answer(query_id, answer, path)
+        answer = {"owner": owner, "hops": hops, "completed_at": self.engine.now}
+        self.query_answers[query_id] = answer
+        if self.on_query_answer is not None:
+            self.on_query_answer(query_id, answer, path)
 
     # ------------------------------------------------------------------
     # membership operations
@@ -1790,9 +1796,9 @@ class ProtocolSimulator:  # simlint: ignore[SIM003] — one per experiment, not 
             node.hand_over((source, link_index), new_holder,
                            self.nodes[new_holder].position)
         # 4. Deregister our own long links at their endpoints.
-        for index, link in enumerate(node.long_links):
-            if link.neighbor in self.nodes and link.neighbor != object_id:
-                self.send(node, link.neighbor, "BACKLINK_REMOVE", (object_id, index))
+        for index, (_target, neighbor, _position) in enumerate(node.long_links):
+            if neighbor in self.nodes and neighbor != object_id:
+                self.send(node, neighbor, "BACKLINK_REMOVE", (object_id, index))
         self.engine.run()
         # A leaver that crashed while its own hand-over was draining was
         # already torn down by the injector: to the survivors this became
@@ -1808,32 +1814,29 @@ class ProtocolSimulator:  # simlint: ignore[SIM003] — one per experiment, not 
     # queries
     # ------------------------------------------------------------------
     def query(self, target: Point, start: Optional[int] = None) -> QueryReport:
-        """Distributed point query: greedy routing plus one answer message."""
-        if not self.nodes:
-            raise RuntimeError("the overlay holds no objects")
-        target = (float(target[0]), float(target[1]))
-        if start is None:
-            start = self._member_order.kth(self.rng.integer(0, len(self.nodes)))
+        """Distributed point query: :meth:`start_query`, one drain, and the
+        answer popped from :attr:`query_answers` — greedy routing plus one
+        answer message.  A query whose answer never arrived reports
+        ``owner=None`` and no hops."""
         before = self.network.messages_sent
-        self._last_query_answer = None
-        starter = self.nodes[start]
-        self.send(starter, start, "QUERY", (target, start, None, None, 0))
+        query_id = self._query_seq
+        self._query_seq += 1
+        self.start_query(target, start, query_id=query_id)
         self.engine.run()
-        messages = self.network.messages_sent - before
-        answer = self._last_query_answer or {"owner": start, "hops": 0}
-        self.metrics.increment("queries")
-        return QueryReport(target=target, owner=answer["owner"],
-                           routing_hops=answer["hops"], messages=messages)
+        answer = self.query_answers.pop(query_id, {"owner": None, "hops": 0})
+        return QueryReport(target=(float(target[0]), float(target[1])),
+                           owner=answer["owner"], routing_hops=answer["hops"],
+                           messages=self.network.messages_sent - before)
 
     def start_query(self, target: Point, start: Optional[int] = None, *,
                     query_id: int, record_path: bool = False) -> int:
         """Inject one identified query without draining the engine.
 
-        The serving-layer primitive behind genuinely contending traffic:
-        unlike :meth:`query` (inject, drain, read the answer — one query
-        at a time), this only *launches* the query; the caller runs the
-        engine, typically with many queries in flight at once, and
-        collects answers — ``owner``, ``hops`` and the virtual
+        The serving-layer primitive behind genuinely contending traffic,
+        and the first step of :meth:`query` (inject, drain, pop the answer
+        — one query at a time).  Alone it only *launches* the query: the
+        caller runs the engine, typically with many queries in flight at
+        once, and collects answers — ``owner``, ``hops`` and the virtual
         ``completed_at`` — from :attr:`query_answers` or reactively
         through the :attr:`on_query_answer` hook.  ``record_path`` makes
         the query carry the ids of the nodes it visits, which the hook

@@ -498,8 +498,8 @@ def run_merge_scenario(*, num_objects: int = 120, seed: int = 7,
     def serve_side_queries(phase: str, count: int) -> None:
         for index in range(num_sides):
             for _ in range(count):
-                answer = runtime.side_query(index, activity.random_point())
-                availability.record(index, phase, answer is not None)
+                owner = runtime.side_query(index, activity.random_point())
+                availability.record(index, phase, owner is not None)
 
     scenario.build()
     cycle_reports: List[MergeReport] = []

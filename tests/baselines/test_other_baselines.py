@@ -23,7 +23,7 @@ class TestDelaunayOnly:
 
     def test_no_long_links(self, baseline):
         for oid in baseline.object_ids():
-            assert baseline.node(oid).long_links == []
+            assert baseline.node(oid).long_links == ()
 
     def test_routing_succeeds(self, baseline, numpy_rng):
         ids = baseline.object_ids()

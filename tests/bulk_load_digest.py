@@ -41,7 +41,7 @@ def bulk_load_digest(overlay: VoroNet) -> str:
     for object_id in overlay.object_ids():
         node = overlay.node(object_id)
         feed(object_id, list(node.close_neighbors),
-             [(link.target, link.neighbor) for link in node.long_links],
+             [(target, neighbor) for target, neighbor, _position in node.long_links],
              list(node.back_links.items()))
     searches = overlay.stats.long_link_searches
     feed("long_link_searches", searches.count, searches.total_hops, searches.total_messages,
@@ -58,16 +58,20 @@ def loaded_overlay(count: int, seed: int, alpha: float = 0.0) -> VoroNet:
     return overlay
 
 
-def oracle_static_digest(seed: int) -> str:
-    """The digest of ``oracle_static``'s build at ``seed``."""
+def oracle_static_build(seed: int):
+    """``oracle_static``'s build at ``seed``: the serving adapter over it."""
     sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
     from perf import inputs, workloads
     from repro.serving.adapters import VoroNetServing
 
     workload = workloads.WORKLOADS["oracle_static"]
     data = inputs.generate(workload.sizes, workload.skew, workload.hull_departure, seed)
-    adapter = VoroNetServing(data.positions, seed=seed, num_long_links=1, track_paths=True)
-    return bulk_load_digest(adapter.overlay)
+    return VoroNetServing(data.positions, seed=seed, num_long_links=1, track_paths=True)
+
+
+def oracle_static_digest(seed: int) -> str:
+    """The digest of ``oracle_static``'s build at ``seed``."""
+    return bulk_load_digest(oracle_static_build(seed).overlay)
 
 
 if __name__ == "__main__":

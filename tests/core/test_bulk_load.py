@@ -65,8 +65,8 @@ class TestStructuralEquivalence:
         for oid in bulk.object_ids():
             links = bulk.node(oid).long_links
             assert len(links) == 3
-            for link in links:
-                assert bulk.owner_of(link.target) == link.neighbor
+            for target, neighbor, _position in links:
+                assert bulk.owner_of(target) == neighbor
         assert bulk.check_consistency() == []
 
 
@@ -111,8 +111,8 @@ class TestIncrementalBulkLoad:
         overlay.insert_many(positions[:100])
         overlay.bulk_load(positions[100:])
         for oid in overlay.object_ids():
-            for link in overlay.node(oid).long_links:
-                assert overlay.owner_of(link.target) == link.neighbor
+            for target, neighbor, _position in overlay.node(oid).long_links:
+                assert overlay.owner_of(target) == neighbor
 
 
 class TestStateDigest:

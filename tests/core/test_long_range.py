@@ -1,4 +1,8 @@
-"""Unit tests for the Choose-LRT long-range target sampler."""
+"""Unit tests for the Choose-LRT long-range target sampler.
+
+Choose-LRT has two forms: the scalar sampler a join draws from, and the
+array form a bulk load draws from.  Every distribution test runs on both
+(:func:`both_forms`)."""
 
 import math
 
@@ -7,7 +11,7 @@ import pytest
 
 from repro.core.long_range import (
     choose_long_range_target,
-    choose_long_range_targets,
+    choose_long_range_target_array,
     expected_link_count_in_disk,
     link_length_density,
     target_area_density,
@@ -15,23 +19,28 @@ from repro.core.long_range import (
 from repro.utils.rng import RandomSource
 
 
+def both_forms(position, d_min, count, seed):
+    """``count`` targets around ``position`` from each form in turn: the
+    scalar sampler called ``count`` times, then one row of the array form."""
+    rng = RandomSource(seed)
+    yield [choose_long_range_target(position, d_min, rng) for _ in range(count)]
+    row = choose_long_range_target_array(np.array([position]), d_min, count,
+                                         RandomSource(seed))[0]
+    yield [(float(x), float(y)) for x, y in row]
+
+
 class TestChooseTarget:
     def test_length_within_support(self):
-        rng = RandomSource(1)
         d_min = 0.01
-        for _ in range(500):
-            target = choose_long_range_target((0.5, 0.5), d_min, rng)
-            length = math.dist((0.5, 0.5), target)
-            assert d_min - 1e-12 <= length <= math.sqrt(2) + 1e-12
+        for targets in both_forms((0.5, 0.5), d_min, 500, 1):
+            for target in targets:
+                length = math.dist((0.5, 0.5), target)
+                assert d_min - 1e-12 <= length <= math.sqrt(2) + 1e-12
 
     def test_target_may_leave_unit_square(self):
-        rng = RandomSource(2)
-        outside = 0
-        for _ in range(500):
-            target = choose_long_range_target((0.05, 0.05), 0.01, rng)
-            if not (0 <= target[0] <= 1 and 0 <= target[1] <= 1):
-                outside += 1
-        assert outside > 0  # corners frequently shoot outside, as the paper allows
+        for targets in both_forms((0.05, 0.05), 0.01, 500, 2):
+            outside = sum(not (0 <= x <= 1 and 0 <= y <= 1) for x, y in targets)
+            assert outside > 0  # corners frequently shoot outside, as the paper allows
 
     def test_invalid_d_min_raises(self):
         rng = RandomSource(3)
@@ -47,46 +56,46 @@ class TestChooseTarget:
 
     def test_lengths_are_log_uniform(self):
         """The log of the link length must be (approximately) uniform."""
-        rng = RandomSource(4)
         d_min = 0.001
-        logs = []
-        for _ in range(4000):
-            target = choose_long_range_target((0.5, 0.5), d_min, rng)
-            logs.append(math.log(math.dist((0.5, 0.5), target)))
-        logs = np.array(logs)
         lo, hi = math.log(d_min), math.log(math.sqrt(2))
         # Compare quartiles of the empirical distribution with the uniform ones.
         expected_quartiles = lo + (hi - lo) * np.array([0.25, 0.5, 0.75])
-        observed_quartiles = np.percentile(logs, [25, 50, 75])
-        np.testing.assert_allclose(observed_quartiles, expected_quartiles, atol=0.12)
+        for targets in both_forms((0.5, 0.5), d_min, 4000, 4):
+            logs = [math.log(math.dist((0.5, 0.5), target)) for target in targets]
+            observed_quartiles = np.percentile(logs, [25, 50, 75])
+            np.testing.assert_allclose(observed_quartiles, expected_quartiles, atol=0.12)
 
     def test_angles_are_uniform(self):
-        rng = RandomSource(5)
-        angles = []
-        for _ in range(4000):
-            target = choose_long_range_target((0.5, 0.5), 0.01, rng)
-            angles.append(math.atan2(target[1] - 0.5, target[0] - 0.5))
-        quadrants = np.histogram(angles, bins=4, range=(-math.pi, math.pi))[0]
-        assert quadrants.min() > 0.8 * quadrants.max()
+        for targets in both_forms((0.5, 0.5), 0.01, 4000, 5):
+            angles = [math.atan2(y - 0.5, x - 0.5) for x, y in targets]
+            quadrants = np.histogram(angles, bins=4, range=(-math.pi, math.pi))[0]
+            assert quadrants.min() > 0.8 * quadrants.max()
 
 
 class TestBatchSampling:
+    """The array form's shape and argument checks."""
+
     def test_count(self):
-        targets = choose_long_range_targets((0.5, 0.5), 0.01, 10, RandomSource(1))
-        assert len(targets) == 10
+        positions = np.array([(0.5, 0.5), (0.1, 0.9), (0.3, 0.2)])
+        targets = choose_long_range_target_array(positions, 0.01, 10, RandomSource(1))
+        assert targets.shape == (3, 10, 2)
 
     def test_zero_count(self):
-        assert choose_long_range_targets((0.5, 0.5), 0.01, 0, RandomSource(1)) == []
+        targets = choose_long_range_target_array(np.array([(0.5, 0.5)]), 0.01, 0,
+                                                 RandomSource(1))
+        assert targets.shape == (1, 0, 2)
 
     def test_invalid_d_min(self):
         with pytest.raises(ValueError):
-            choose_long_range_targets((0.5, 0.5), 0.0, 3, RandomSource(1))
+            choose_long_range_target_array(np.array([(0.5, 0.5)]), 0.0, 3, RandomSource(1))
 
     def test_batch_lengths_within_support(self):
-        targets = choose_long_range_targets((0.2, 0.8), 0.05, 200, RandomSource(2))
-        for target in targets:
-            length = math.dist((0.2, 0.8), target)
-            assert 0.05 - 1e-12 <= length <= math.sqrt(2) + 1e-12
+        positions = np.array([(0.2, 0.8), (0.9, 0.1)])
+        targets = choose_long_range_target_array(positions, 0.05, 200, RandomSource(2))
+        for position, row in zip(positions, targets):
+            for target in row:
+                length = math.dist(position, target)
+                assert 0.05 - 1e-12 <= length <= math.sqrt(2) + 1e-12
 
 
 class TestDensities:
@@ -118,18 +127,14 @@ class TestDensities:
     def test_empirical_hit_rate_respects_lemma3_bound(self):
         """The probability of the target landing in a remote disk is at least
         the Lemma 3 lower bound."""
-        rng = RandomSource(6)
         d_min = 0.01
         source = (0.2, 0.2)
         center = (0.7, 0.7)
         r = math.dist(source, center)
         fraction = 1 / 6
         radius = fraction * r
-        hits = 0
         samples = 8000
-        for _ in range(samples):
-            target = choose_long_range_target(source, d_min, rng)
-            if math.dist(target, center) <= radius:
-                hits += 1
         bound = expected_link_count_in_disk(r, fraction, d_min)
-        assert hits / samples >= bound * 0.8  # generous slack for sampling noise
+        for targets in both_forms(source, d_min, samples, 6):
+            hits = sum(math.dist(target, center) <= radius for target in targets)
+            assert hits / samples >= bound * 0.8  # generous slack for sampling noise

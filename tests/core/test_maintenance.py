@@ -26,14 +26,16 @@ class TestJoinMaintenance:
         for p in numpy_rng.random((60, 2)):
             overlay.insert(tuple(p))
             for oid in overlay.object_ids():
-                for link in overlay.node(oid).long_links:
-                    assert overlay.owner_of(link.target) == link.neighbor
+                for target, neighbor, _position in overlay.node(oid).long_links:
+                    assert overlay.owner_of(target) == neighbor
 
     def test_back_links_match_long_links(self, overlay):
         for oid in overlay.object_ids():
-            for index, link in enumerate(overlay.node(oid).long_links):
-                endpoint = overlay.node(link.neighbor)
-                assert endpoint.back_links[oid, index] == link.target
+            for index, (target, neighbor, position) in enumerate(
+                    overlay.node(oid).long_links):
+                endpoint = overlay.node(neighbor)
+                assert endpoint.back_links[oid, index] == target
+                assert endpoint.position is position
 
     def test_join_message_cost_is_local(self, overlay):
         """Mean join messages must be far below the overlay size (O(1) + routing)."""
@@ -49,8 +51,8 @@ class TestLeaveMaintenance:
         for victim in victims:
             overlay.remove(int(victim))
             for oid in overlay.object_ids():
-                for link in overlay.node(oid).long_links:
-                    assert link.neighbor in overlay
+                for neighbor in overlay.node(oid).long_link_neighbors():
+                    assert neighbor in overlay
         assert view_consistency_report(overlay) == []
 
     def test_leave_cleans_close_neighbors(self, numpy_rng):
@@ -66,8 +68,8 @@ class TestLeaveMaintenance:
 
     def test_leave_cleans_back_registrations(self, overlay):
         victim = overlay.object_ids()[0]
-        endpoints = [link.neighbor for link in overlay.node(victim).long_links
-                     if link.neighbor != victim]
+        endpoints = [neighbor for neighbor in overlay.node(victim).long_link_neighbors()
+                     if neighbor != victim]
         overlay.remove(victim)
         for endpoint in endpoints:
             if endpoint in overlay:
@@ -82,7 +84,7 @@ class TestLeaveMaintenance:
     def test_view_consistency_detects_dangling_link(self, overlay):
         # Manually corrupt a long link to point at a non-existent object.
         oid = overlay.object_ids()[0]
-        overlay.node(oid).long_links[0].neighbor = 10_000
+        overlay.node(oid).retarget_long_link(0, 10_000, (2.0, 2.0))
         problems = view_consistency_report(overlay)
         assert any("departed" in p or "points at" in p for p in problems)
 
@@ -98,8 +100,8 @@ class TestAblations:
             injector.crash(int(victim))
         dangling = 0
         for oid in overlay.object_ids():
-            for link in overlay.node(oid).long_links:
-                if link.neighbor not in overlay:
+            for neighbor in overlay.node(oid).long_link_neighbors():
+                if neighbor not in overlay:
                     dangling += 1
         assert dangling > 0
 

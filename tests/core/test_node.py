@@ -1,4 +1,4 @@
-"""Unit tests for per-object state (ObjectNode, LongLink)."""
+"""Unit tests for per-object state (ObjectNode and its long-link records)."""
 
 import pytest
 from hypothesis import settings
@@ -7,8 +7,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 
 from repro.core import VoroNet, VoroNetConfig
 from repro.core.errors import DuplicateObjectError
-from repro.core import node as node_module
-from repro.core.node import NO_CLOSE_NEIGHBORS, LongLink, ObjectNode
+from repro.core.node import NO_CLOSE_NEIGHBORS, ObjectNode
 from repro.simulation.failures import CrashInjector
 from repro.utils.rng import RandomSource
 
@@ -20,40 +19,35 @@ def node():
 
 class TestLongLinks:
     def test_set_long_link(self, node):
-        node.set_long_link(0, target=(0.9, 0.9), neighbor=3)
-        assert node.long_links[0].target == (0.9, 0.9)
+        node.set_long_link(0, target=(0.9, 0.9), neighbor=3, position=(0.8, 0.7))
+        assert node.long_links == (((0.9, 0.9), 3, (0.8, 0.7)),)
         assert node.long_link_neighbors() == [3]
 
-    def test_set_long_link_extends_list(self, node):
-        node.set_long_link(2, target=(0.1, 0.1), neighbor=5)
-        assert len(node.long_links) == 3
-        assert node.long_links[2].neighbor == 5
+    def test_a_gap_is_refused(self, node):
+        """No caller leaves a gap, so no placeholder fills one: a slot past
+        the next one is an error, and the links stay as they were."""
+        node.set_long_link(0, target=(0.9, 0.9), neighbor=3, position=(0.8, 0.7))
+        before = node.long_links
+        with pytest.raises(IndexError):
+            node.set_long_link(2, target=(0.1, 0.1), neighbor=5, position=(0.2, 0.2))
+        assert node.long_links is before
 
-    def test_next_index_allocates_only_the_link(self, node, monkeypatch):
-        """Appending, replacing and filling a gap: a placeholder link is made
-        only for the index skipped over, never for the one being set."""
-        made = []
-
-        def counted(**fields):
-            made.append(fields)
-            return LongLink(**fields)
-
-        monkeypatch.setattr(node_module, "LongLink", counted)
-        node.set_long_link(0, target=(0.9, 0.9), neighbor=3)
-        node.set_long_link(1, target=(0.2, 0.1), neighbor=4)
-        node.set_long_link(0, target=(0.3, 0.3), neighbor=6)
-        assert len(made) == 3
-        node.set_long_link(3, target=(0.1, 0.1), neighbor=5)
-        assert len(made) == 5
-        assert made[3] == {"target": node.position, "neighbor": node.object_id}
-        assert [(link.target, link.neighbor) for link in node.long_links] == [
-            ((0.3, 0.3), 6), ((0.2, 0.1), 4), (node.position, node.object_id), ((0.1, 0.1), 5)]
+    def test_next_index_allocates_only_the_link(self, node):
+        """Appending and replacing: the next index adds exactly its record,
+        with no placeholder, and a replaced slot keeps its neighbours."""
+        node.set_long_link(0, target=(0.9, 0.9), neighbor=3, position=(0.8, 0.7))
+        node.set_long_link(1, target=(0.2, 0.1), neighbor=4, position=(0.3, 0.1))
+        node.set_long_link(0, target=(0.3, 0.3), neighbor=6, position=(0.3, 0.4))
+        assert node.long_links == (((0.3, 0.3), 6, (0.3, 0.4)),
+                                   ((0.2, 0.1), 4, (0.3, 0.1)))
 
     def test_retarget_long_link(self, node):
-        node.set_long_link(0, target=(0.9, 0.9), neighbor=3)
-        node.retarget_long_link(0, 11)
-        assert node.long_links[0].neighbor == 11
-        assert node.long_links[0].target == (0.9, 0.9)
+        node.set_long_link(0, target=(0.9, 0.9), neighbor=3, position=(0.8, 0.7))
+        node.retarget_long_link(0, 11, (0.95, 0.85))
+        assert node.long_links == (((0.9, 0.9), 11, (0.95, 0.85)),)
+
+    def test_a_node_without_links_holds_the_empty_tuple(self, node):
+        assert node.long_links == ()
 
 
 class TestBackLinks:
@@ -115,7 +109,7 @@ class TestCloseNeighbors:
 
 class TestViewSize:
     def test_view_size_counts_everything(self, node):
-        node.set_long_link(0, (0.9, 0.9), 3)
+        node.set_long_link(0, (0.9, 0.9), 3, (0.8, 0.7))
         node.add_back_link(4, 0, (0.2, 0.2))
         node.add_close_neighbor(5)
         assert node.view_size(voronoi_neighbor_count=6) == 6 + 1 + 1 + 1

@@ -117,9 +117,9 @@ class TestRemoval:
         victim = small_overlay.object_ids()[10]
         small_overlay.remove(victim)
         for oid in small_overlay.object_ids():
-            for link in small_overlay.node(oid).long_links:
-                assert link.neighbor != victim
-                assert small_overlay.owner_of(link.target) == link.neighbor
+            for target, neighbor, _position in small_overlay.node(oid).long_links:
+                assert neighbor != victim
+                assert small_overlay.owner_of(target) == neighbor
 
 
 class TestViews:

@@ -387,12 +387,12 @@ class TestEpochContract:
         for object_id in ids:
             overlay.routing_table(object_id)
         source, victim = next(
-            (object_id, link.neighbor) for object_id in ids
-            for link in overlay.node(object_id).long_links
-            if object_id not in overlay.neighbor_view(link.neighbor).routing_neighbors
-            and object_id != link.neighbor
+            (object_id, neighbor) for object_id in ids
+            for neighbor in overlay.node(object_id).long_link_neighbors()
+            if object_id not in overlay.neighbor_view(neighbor).routing_neighbors
+            and object_id != neighbor
             # (a hull departure would drop every table, this one included)
-            and not overlay.triangulation.is_hull_vertex(link.neighbor))
+            and not overlay.triangulation.is_hull_vertex(neighbor))
         with mock.patch.object(VoroNet, "invalidate_routing_tables"):
             CrashInjector(overlay, RandomSource(12)).crash(victim)
         problems = overlay.check_consistency()
@@ -583,11 +583,11 @@ class TestCrashWindow:
         ids = overlay.bulk_load([tuple(p) for p in np.random.default_rng(12).random((80, 2))])
         warm_entries(overlay)
         source, victim = next(
-            (object_id, link.neighbor) for object_id in ids
-            for link in overlay.node(object_id).long_links
-            if object_id not in overlay.neighbor_view(link.neighbor).routing_neighbors
-            and object_id != link.neighbor
-            and not overlay.triangulation.is_hull_vertex(link.neighbor))
+            (object_id, neighbor) for object_id in ids
+            for neighbor in overlay.node(object_id).long_link_neighbors()
+            if object_id not in overlay.neighbor_view(neighbor).routing_neighbors
+            and object_id != neighbor
+            and not overlay.triangulation.is_hull_vertex(neighbor))
         with mock.patch.object(VoroNet, "invalidate_routing_tables"):
             CrashInjector(overlay, RandomSource(12)).crash(victim)
         with pytest.raises(ObjectNotFoundError) as raised:

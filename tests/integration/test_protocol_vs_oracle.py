@@ -141,15 +141,15 @@ class TestBulkJoinParity:
 
     def test_same_long_links(self, both_bulk_modes):
         """Out-degrees match the configuration and, with identical seeds,
-        the targets and endpoints match the oracle draw exactly."""
+        the whole link records match the oracle draw exactly: targets,
+        endpoints and the endpoints' positions."""
         oracle, oracle_ids, protocol, report, _ = both_bulk_modes
         k = oracle.config.num_long_links
         for oracle_id, protocol_id in zip(oracle_ids, report.object_ids):
             oracle_links = oracle.node(oracle_id).long_links
             protocol_links = protocol.node(protocol_id).long_links
             assert len(protocol_links) == k
-            assert [(link.target, link.neighbor) for link in oracle_links] == \
-                [(link.target, link.neighbor) for link in protocol_links]
+            assert oracle_links == protocol_links
 
     def test_both_bulk_modes_internally_consistent(self, both_bulk_modes):
         oracle, _, protocol, _, _ = both_bulk_modes
@@ -201,8 +201,8 @@ class TestCheckerParity:
     def seed_defect(case, oracle, protocol):
         """Plant ``case`` in both planes; returns ``(problem, undo)``."""
         source = next(object_id for object_id in oracle.object_ids()
-                      if oracle.node(object_id).long_links[0].neighbor != object_id)
-        link = oracle.node(source).long_links[0]
+                      if oracle.node(object_id).long_link_neighbors()[0] != object_id)
+        target, neighbor, _position = oracle.node(source).long_links[0]
 
         def host(holder, hosted):
             """Whether ``holder`` hosts the registration of ``source``'s link 0."""
@@ -210,20 +210,20 @@ class TestCheckerParity:
             # mapping, so the defect is planted in a copy of it.
             back_links = dict(protocol.node(holder).back_links)
             if hosted:
-                oracle.node(holder).add_back_link(source, 0, link.target)
-                back_links[(source, 0)] = link.target
+                oracle.node(holder).add_back_link(source, 0, target)
+                back_links[(source, 0)] = target
             else:
                 oracle.node(holder).remove_back_link(source, 0)
                 del back_links[(source, 0)]
             protocol.node(holder).back_links = back_links
 
         if case == "missing registration":
-            host(link.neighbor, False)
+            host(neighbor, False)
             return (f"{source}: long link 0 missing back registration at "
-                    f"{link.neighbor}", lambda: host(link.neighbor, True))
+                    f"{neighbor}", lambda: host(neighbor, True))
         if case == "orphan registration":
             holder = next(object_id for object_id in oracle.object_ids()
-                          if object_id not in (source, link.neighbor))
+                          if object_id not in (source, neighbor))
             host(holder, True)
             return (f"{holder}: back link from {source}#0 does not match the "
                     f"source's long link", lambda: host(holder, False))

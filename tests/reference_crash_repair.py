@@ -43,12 +43,12 @@ class FullScanCrashInjector(CrashInjector):
         for object_id in overlay.object_ids():
             node = overlay.node(object_id)
             touched = False
-            for index, link in enumerate(node.long_links):
-                if link.neighbor in crashed:
-                    new_owner = overlay.owner_of(link.target)
-                    node.retarget_long_link(index, new_owner)
-                    overlay.node(new_owner).add_back_link(object_id, index,
-                                                          link.target)
+            for index, (target, neighbor, _position) in enumerate(node.long_links):
+                if neighbor in crashed:
+                    new_owner = overlay.owner_of(target)
+                    node.retarget_long_link(index, new_owner,
+                                            overlay.position_of(new_owner))
+                    overlay.node(new_owner).add_back_link(object_id, index, target)
                     touched = True
                     fixed += 1
             stale = {c for c in node.close_neighbors if c in crashed}

@@ -88,14 +88,15 @@ class ReferenceAudit:
             stamp = (version, node.view_epoch)
             stamped = clean.get(object_id) == stamp
             links = [(object_id, index)
-                     for index, link in enumerate(node.long_links)
-                     if link.neighbor not in nodes
-                     or (link.neighbor != object_id and (object_id, index)
-                         not in nodes[link.neighbor].back_links)
+                     for index, (target, neighbor, _position)
+                     in enumerate(node.long_links)
+                     if neighbor not in nodes
+                     or (neighbor != object_id and (object_id, index)
+                         not in nodes[neighbor].back_links)
                      or not stamped and (
-                         link.neighbor not in kernel
+                         neighbor not in kernel
                          or kernel.nearest_vertex(
-                             link.target, hint=link.neighbor) != link.neighbor)]
+                             target, hint=neighbor) != neighbor)]
             wrong.extend(links)
             dead: Set[int] = set()  # a stamped member passed with none
             if not stamped:
@@ -118,7 +119,7 @@ class ReferenceAudit:
                 for source, index in node.back_links
                 if source not in dead and (
                     index >= len(nodes[source].long_links)
-                    or nodes[source].long_links[index].neighbor != object_id))
+                    or nodes[source].long_links[index][1] != object_id))
             lonely.update(peer for peer in node.close
                           if peer not in dead
                           and object_id not in nodes[peer].close)

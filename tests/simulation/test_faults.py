@@ -764,6 +764,48 @@ class TestRepairProtocol:
             assert answer.owner == destination
 
 
+#: The crash scan every repair must settle: 60 uniform objects with two long
+#: links each, ``n_max`` at the default and at 60, 120 and 240, seeds 5–29.
+SCAN = [(n_max, seed) for n_max in (None, 60, 120, 240) for seed in range(5, 30)]
+#: Heartbeat rounds the detector arm runs before repairing.
+SCAN_DETECTION_ROUNDS = 6
+SCAN_MAX_ROUNDS = 20
+
+
+def scan_repair_converges(n_max, seed, detector, loss):
+    """Build the scan's overlay, crash four objects, detect (or not) and
+    repair, all under ``loss``; whether the repair converged to clean views."""
+    config = (VoroNetConfig(num_long_links=2, seed=seed) if n_max is None
+              else VoroNetConfig(num_long_links=2, seed=seed, n_max=n_max))
+    simulator = ProtocolSimulator(config, seed=seed, faults=FaultPlane(seed=seed + 2))
+    rng = RandomSource(seed)
+    simulator.bulk_join([rng.random_point() for _ in range(60)])
+    ProtocolCrashInjector(simulator, RandomSource(seed + 1)).crash_random(4)
+    simulator.faults.set_loss(loss)
+    watcher = None
+    if detector:
+        watcher = HeartbeatDetector(simulator)
+        watcher.run_rounds(SCAN_DETECTION_ROUNDS)
+    report = RepairProtocol(simulator, detector=watcher).repair(SCAN_MAX_ROUNDS)
+    simulator.faults.set_loss(0.0)
+    return report.converged and simulator.verify_views() == []
+
+
+class TestRepairConvergesOnTheCrashScan:
+    """With no detector the view walk is the repair's only evidence.  A link
+    at a departed endpoint whose target its own holder now owns used to be
+    re-searched into the dead node every round: the search routed back to
+    the holder, which forwarded it along the very link being repaired.
+    Without a detector 52 of the scan's 100 runs ended unconverged (at any
+    loss); now the holder suspects the endpoint first."""
+
+    @pytest.mark.parametrize("loss", [0.0, 0.1, 0.2])
+    @pytest.mark.parametrize("detector", [False, True], ids=["no-detector", "detector"])
+    def test_every_run_of_the_scan_converges(self, detector, loss):
+        assert [(n_max, seed) for n_max, seed in SCAN
+                if not scan_repair_converges(n_max, seed, detector, loss)] == []
+
+
 # ----------------------------------------------------------------------
 # the staged churn/crash/heal experiment
 # ----------------------------------------------------------------------

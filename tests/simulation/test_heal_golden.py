@@ -105,8 +105,8 @@ def heal_digest(simulator, reports):
         [object_id,
          sorted(node.voronoi.items()),
          sorted(node.close.items()),
-         [[link.target, link.neighbor, link.neighbor_position]
-          for link in node.long_links],
+         [[target, neighbor, position]
+          for target, neighbor, position in node.long_links],
          sorted(node.back_links.items())]
         for object_id, node in sorted(simulator.nodes.items())]
     record = {
@@ -137,12 +137,12 @@ def test_heal_cycles_leave_no_pairwise_asymmetry(heal_cycles):
     the re-record the cycles ended ``healed`` with six links unregistered."""
     nodes = heal_cycles[0].nodes
     assert [(object_id, index) for object_id, node in nodes.items()
-            for index, link in enumerate(node.long_links)
-            if link.neighbor != object_id
-            and (object_id, index) not in nodes[link.neighbor].back_links] == []
-    assert [(object_id, key) for object_id, node in nodes.items()
-            for key in node.back_links
-            if nodes[key[0]].long_links[key[1]].neighbor != object_id] == []
+            for index, (_target, neighbor, _position) in enumerate(node.long_links)
+            if neighbor != object_id
+            and (object_id, index) not in nodes[neighbor].back_links] == []
+    assert [(object_id, (source, index)) for object_id, node in nodes.items()
+            for source, index in node.back_links
+            if nodes[source].long_links[index][1] != object_id] == []
     assert [(object_id, peer) for object_id, node in nodes.items()
             for peer in node.close if object_id not in nodes[peer].close] == []
 

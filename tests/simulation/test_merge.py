@@ -167,7 +167,7 @@ class TestPartitionDamage:
             node = simulator.nodes[object_id]
             own = spec.side_of(object_id)
             refs = (set(node.voronoi) - {object_id}) | set(node.close)
-            refs |= {link.neighbor for link in node.long_links}
+            refs |= {neighbor for _target, neighbor, _position in node.long_links}
             refs |= {source for source, _index in node.back_links}
             if any(spec.side_of(peer) not in (None, own) for peer in refs):
                 boundary += 1
@@ -263,8 +263,8 @@ class TestPartitionRuntime:
         # A target owned (globally) by side 1 still gets *an* answer from
         # side 0's fork after per-side stabilisation is not required for
         # this to terminate: the walk either answers or dies at the cut.
-        answer = runtime.side_query(0, (0.5, 0.5))
-        assert answer is None or answer["owner"] in simulator.nodes
+        owner = runtime.side_query(0, (0.5, 0.5))
+        assert owner is None or owner in simulator.nodes
 
 
 # ----------------------------------------------------------------------

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repro.core import VoroNetConfig
 from repro.geometry.point import distance
 from repro.simulation import protocol
+from repro.simulation.faults import FaultPlane
 from repro.simulation.protocol import ProtocolSimulator
 from repro.utils.rng import RandomSource
 
@@ -248,8 +249,8 @@ class TestLeaves:
         for source in sources:
             if source not in simulator.object_ids():
                 continue
-            for link in simulator.node(source).long_links:
-                assert link.neighbor != endpoint
+            for _target, neighbor, _position in simulator.node(source).long_links:
+                assert neighbor != endpoint
         assert simulator.verify_views() == []
 
 
@@ -275,6 +276,21 @@ class TestQueries:
         start = simulator.object_ids()[3]
         report = simulator.query((0.9, 0.1), start=start)
         assert report.owner in simulator.object_ids()
+
+    def test_an_unanswered_query_reports_no_owner(self, simulator):
+        """A walk lost to the fault plane has no answer: the report says so
+        instead of naming the start node, and keeps no answer behind."""
+        start = min(simulator.object_ids(),
+                    key=lambda i: distance(simulator.node(i).position, (0.1, 0.1)))
+        simulator.network.faults = FaultPlane(seed=1, loss_probability=1.0)
+        report = simulator.query((0.9, 0.9), start=start)
+        assert (report.owner, report.routing_hops) == (None, 0)
+        assert report.messages == 1
+        assert simulator.query_answers == {}
+
+    def test_a_query_keeps_no_answer_behind(self, simulator):
+        simulator.query((0.3, 0.3))
+        assert simulator.query_answers == {}
 
 
 class TestViewSizeAndTrace:

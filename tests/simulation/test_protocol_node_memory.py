@@ -26,8 +26,7 @@ from repro.core import VoroNetConfig
 from repro.serving.traffic import build_schedule, serve_protocol_closed_loop
 from repro.simulation.faults import (FaultPlane, HeartbeatConfig, HeartbeatDetector,
                                      ProtocolCrashInjector, RepairProtocol)
-from repro.simulation.protocol import (NO_ENTRIES, NO_IDS, ProtocolNode, ProtocolSimulator,
-                                       _LocalLongLink)
+from repro.simulation.protocol import NO_ENTRIES, NO_IDS, ProtocolNode, ProtocolSimulator
 from repro.utils.rng import RandomSource
 from repro.workloads.distributions import UniformDistribution
 from repro.workloads.generators import generate_objects
@@ -134,10 +133,28 @@ def test_a_served_answer_keeps_at_most_256_bytes():
 
 
 def test_nodes_and_links_have_no_instance_dict():
+    """A node is slotted; its links are the oracle's plain triples."""
     simulator = ProtocolSimulator(VoroNetConfig(n_max=64, seed=1), seed=1)
-    node = ProtocolNode(object_id=1, position=(0.5, 0.5), simulator=simulator)
+    simulator.bulk_join([(0.2, 0.3), (0.7, 0.6), (0.4, 0.9)])
+    node = simulator.node(0)
     assert not hasattr(node, "__dict__")
-    assert not hasattr(_LocalLongLink((0.1, 0.1), 2, (0.2, 0.2)), "__dict__")
+    assert type(node.long_links) is tuple
+    assert [type(link) for link in node.long_links] == [tuple]
+    assert ProtocolNode(object_id=9, position=(0.5, 0.5),
+                        simulator=simulator).long_links == ()
+
+
+def test_no_node_keeps_its_long_links_on_the_collectors_books():
+    """As in the oracle plane: after a bulk join and two full collections no
+    node's link tuple, and no link, is tracked by the collector."""
+    simulator = ProtocolSimulator(
+        VoroNetConfig(n_max=8_000, num_long_links=2, seed=11), seed=11)
+    simulator.bulk_join(generate_objects(UniformDistribution(), 2_000, RandomSource(11)))
+    gc.collect()
+    gc.collect()
+    assert [object_id for object_id, node in simulator.nodes.items()
+            if gc.is_tracked(node.long_links)
+            or any(map(gc.is_tracked, node.long_links))] == []
 
 
 def test_every_empty_container_is_the_shared_sentinel_after_a_heal_cycle():
