@@ -4,35 +4,34 @@ The paper measures "mean route lengths for 100 000 random couples of
 different objects in the overlay, computed after every 10 000 adds of
 objects" — i.e. a sweep over overlay sizes, with a batch of random-pair
 greedy routes measured at each size.  :func:`measure_routing` performs one
-such batch; :func:`sweep_overlay_sizes` grows an overlay through a size
-schedule, measuring at every checkpoint, and is the common engine behind
-the Figure 6 and 7 experiments.
+such batch on an oracle overlay; :func:`sweep_overlay_sizes` grows an
+overlay through a size schedule, measuring at every checkpoint, and is the
+one engine behind the Figure 6 and 7 experiments.
 
-:func:`sweep_protocol_overlay_sizes` is the message-level twin: the
-overlay grows through :meth:`ProtocolSimulator.bulk_join
-<repro.simulation.protocol.ProtocolSimulator.bulk_join>` and every
-measured route is an actual greedy ``QUERY`` walk over per-node local
-views — ground truth for the oracle sweep's routing figures at sizes the
-sequential join protocol could never reach.
+The sweep measures both planes.  Beside the oracle overlay it grows the
+message-level twin, a :class:`~repro.simulation.protocol.ProtocolSimulator`
+on the same config fed the same batches through ``bulk_join``, and routes
+every measured pair a second time as a greedy ``QUERY`` walk over strictly
+local views.  The reported hop statistics are the oracle's; the protocol
+plane is held to them route for route, and each checkpoint counts the pairs
+where it differs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
 from repro.core.overlay import VoroNet
+from repro.core.routing import RouteResult
+from repro.simulation.protocol import ProtocolSimulator
 from repro.utils.rng import RandomSource
 from repro.workloads.generators import generate_routing_pairs
 
-if TYPE_CHECKING:  # pragma: no cover - avoids a hard simulation dependency
-    from repro.simulation.protocol import ProtocolSimulator
-
 __all__ = ["HopStatistics", "RoutingSweepPoint", "measure_routing",
-           "sweep_overlay_sizes", "measure_protocol_routing",
-           "sweep_protocol_overlay_sizes"]
+           "sweep_overlay_sizes"]
 
 
 @dataclass(frozen=True)
@@ -65,14 +64,26 @@ class HopStatistics:
 
 @dataclass(frozen=True)
 class RoutingSweepPoint:
-    """One checkpoint of a size sweep: overlay size plus its hop statistics."""
+    """One checkpoint of a size sweep.
+
+    ``stats`` summarises the oracle's routes; ``mismatches`` counts the
+    measured pairs whose protocol ``QUERY`` walk ended at another owner or
+    took another number of hops.
+    """
 
     size: int
     stats: HopStatistics
+    mismatches: int
 
     @property
     def mean_hops(self) -> float:
         return self.stats.mean
+
+
+def _route_statistics(routes: Sequence[RouteResult]) -> HopStatistics:
+    """Summarise routed results: successes count hops, the rest fail."""
+    hops = [r.hops for r in routes if r.success]
+    return HopStatistics.from_hops(hops, failures=len(routes) - len(hops))
 
 
 def measure_routing(overlay: VoroNet, num_pairs: int,
@@ -83,12 +94,8 @@ def measure_routing(overlay: VoroNet, num_pairs: int,
     API; per-pair results are identical to individual
     :func:`~repro.core.routing.route_to_object` calls.
     """
-    ids = overlay.object_ids()
-    pairs = generate_routing_pairs(ids, num_pairs, rng)
-    results = overlay.route_many(pairs)
-    hops: List[int] = [r.hops for r in results if r.success]
-    failures = sum(1 for r in results if not r.success)
-    return HopStatistics.from_hops(hops, failures=failures)
+    pairs = generate_routing_pairs(overlay.object_ids(), num_pairs, rng)
+    return _route_statistics(overlay.route_many(pairs))
 
 
 def sweep_overlay_sizes(positions: Sequence, checkpoints: Sequence[int],
@@ -96,13 +103,24 @@ def sweep_overlay_sizes(positions: Sequence, checkpoints: Sequence[int],
                         num_pairs: int = 1000,
                         overlay_factory: Optional[Callable[[], VoroNet]] = None,
                         ) -> List[RoutingSweepPoint]:
-    """Grow an overlay through ``checkpoints`` and measure routing at each.
+    """Grow an overlay and its protocol twin through ``checkpoints``; route
+    the same pairs on both at each.
 
-    The overlay grows between checkpoints through
-    :meth:`~repro.core.overlay.VoroNet.bulk_load`: the Voronoi and close
-    structure of the same objects joining one by one, long links from the
-    same distribution, at a fraction of the construction cost — which is
-    what lets the Figure 5–8 sweeps reach paper scale (N ≥ 10⁴) on laptops.
+    Both planes grow between checkpoints by the same batch: the oracle
+    through :meth:`~repro.core.overlay.VoroNet.bulk_load` (the Voronoi and
+    close structure of the same objects joining one by one, long links from
+    the same distribution, at a fraction of the construction cost — which
+    is what lets the Figure 5–8 sweeps reach paper scale, N ≥ 10⁴, on
+    laptops) and the twin, ``ProtocolSimulator(overlay.config)``, through
+    :meth:`~repro.simulation.protocol.ProtocolSimulator.bulk_join`, whose
+    per-node views are pinned identical to ``bulk_load``'s.  Both assign
+    ids in input order, so an id names the same object on both planes.
+
+    At each checkpoint the pairs are drawn once, from the oracle's ids, and
+    routed by :meth:`~repro.core.overlay.VoroNet.route_many` and, one at a
+    time, by :meth:`~repro.simulation.protocol.ProtocolSimulator.query`
+    from the source to the destination's position.  The twin draws nothing
+    from ``rng``, so the oracle's statistics do not depend on it.
 
     Parameters
     ----------
@@ -117,8 +135,9 @@ def sweep_overlay_sizes(positions: Sequence, checkpoints: Sequence[int],
     num_pairs:
         Routes measured per checkpoint.
     overlay_factory:
-        Callable building the (empty) overlay; defaults to a
-        :class:`VoroNet` dimensioned for the largest checkpoint.
+        Callable building the (empty) oracle overlay; defaults to a
+        :class:`VoroNet` dimensioned for the largest checkpoint.  The twin
+        is built from its config.
     """
     checkpoints = sorted(set(int(c) for c in checkpoints))
     if not checkpoints:
@@ -132,83 +151,23 @@ def sweep_overlay_sizes(positions: Sequence, checkpoints: Sequence[int],
         overlay = VoroNet(n_max=max(largest, 2), seed=rng.integer(0, 2**31 - 1))
     else:
         overlay = overlay_factory()
+    simulator = ProtocolSimulator(overlay.config)
     results: List[RoutingSweepPoint] = []
     inserted = 0
     for checkpoint in checkpoints:
-        overlay.bulk_load([positions[index]
-                           for index in range(inserted, checkpoint)])
+        batch = [positions[index] for index in range(inserted, checkpoint)]
+        overlay.bulk_load(batch)
+        simulator.bulk_join(batch)
         inserted = checkpoint
-        stats = measure_routing(overlay, num_pairs, rng)
-        results.append(RoutingSweepPoint(size=checkpoint, stats=stats))
-    return results
-
-
-def measure_protocol_routing(simulator, num_pairs: int,
-                             rng: RandomSource) -> HopStatistics:
-    """Measure greedy route lengths between random pairs, message-level.
-
-    Each pair ``(start, destination)`` routes one ``QUERY`` from ``start``
-    to the destination's position; since the destination is a published
-    object, the owner of its position is the destination itself, so a
-    query answered by anyone else counts as a routing failure.
-    """
-    ids = simulator.object_ids()
-    pairs = generate_routing_pairs(ids, num_pairs, rng)
-    hops: List[int] = []
-    failures = 0
-    for start, destination in pairs:
-        report = simulator.query(simulator.node(destination).position,
-                                 start=start)
-        if report.owner == destination:
-            hops.append(report.routing_hops)
-        else:
-            failures += 1
-    return HopStatistics.from_hops(hops, failures=failures)
-
-
-def sweep_protocol_overlay_sizes(positions: Sequence, checkpoints: Sequence[int],
-                                 rng: RandomSource, *,
-                                 num_pairs: int = 1000,
-                                 simulator_factory: Optional[Callable[[], "ProtocolSimulator"]] = None,
-                                 ) -> List[RoutingSweepPoint]:
-    """Message-level mirror of :func:`sweep_overlay_sizes`.
-
-    The overlay grows between checkpoints through
-    :meth:`~repro.simulation.protocol.ProtocolSimulator.bulk_join` — the
-    batched message pipeline whose per-node views are pinned identical to
-    ``bulk_load`` — and each checkpoint measures
-    :func:`measure_protocol_routing` batches, so every reported hop count
-    comes from greedy forwarding over strictly local views.  This is what
-    gives the Figure 6/7 oracle sweeps message-level ground truth at
-    N = 10⁴ and beyond.
-    """
-    from repro.core.config import VoroNetConfig
-    from repro.simulation.protocol import ProtocolSimulator
-
-    checkpoints = sorted(set(int(c) for c in checkpoints))
-    if not checkpoints:
-        raise ValueError("need at least one checkpoint")
-    largest = checkpoints[-1]
-    if len(positions) < largest:
-        raise ValueError(
-            f"need {largest} positions for the largest checkpoint, got {len(positions)}"
-        )
-    if simulator_factory is None:
-        # Dimension exactly like the oracle sweep's default overlay:
-        # d_min and the long-link distribution derive from n_max, so a
-        # different capacity would measure a structurally different
-        # overlay, not the oracle's message-level mirror.
-        seed = rng.integer(0, 2**31 - 1)
-        simulator = ProtocolSimulator(
-            VoroNetConfig(n_max=max(largest, 2), seed=seed), seed=seed)
-    else:
-        simulator = simulator_factory()
-    results: List[RoutingSweepPoint] = []
-    inserted = 0
-    for checkpoint in checkpoints:
-        simulator.bulk_join([positions[index]
-                             for index in range(inserted, checkpoint)])
-        inserted = checkpoint
-        stats = measure_protocol_routing(simulator, num_pairs, rng)
-        results.append(RoutingSweepPoint(size=checkpoint, stats=stats))
+        pairs = generate_routing_pairs(overlay.object_ids(), num_pairs, rng)
+        routes = overlay.route_many(pairs)
+        mismatches = 0
+        for (source, destination), route in zip(pairs, routes):
+            report = simulator.query(overlay.position_of(destination),
+                                     start=source)
+            if (report.owner, report.routing_hops) != (route.owner, route.hops):
+                mismatches += 1
+        results.append(RoutingSweepPoint(size=checkpoint,
+                                         stats=_route_statistics(routes),
+                                         mismatches=mismatches))
     return results

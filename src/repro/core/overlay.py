@@ -211,7 +211,7 @@ class VoroNet:
         return object_id in self._nodes
 
     def object_ids(self) -> List[int]:
-        """Ids of every object currently published in the overlay."""
+        """Ids of every object currently published in the overlay, in id order."""
         return list(self._nodes.keys())
 
     def node(self, object_id: int) -> ObjectNode:

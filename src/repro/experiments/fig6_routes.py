@@ -5,7 +5,11 @@ route length over 100 000 random object pairs after every 10 000 joins,
 for the uniform and the three power-law distributions, with one long link
 per object.  The curves are poly-logarithmic and essentially independent of
 the distribution.  This driver performs the same sweep at a configurable
-scale.
+scale, on both planes: every measured pair is routed by the oracle and as
+a greedy ``QUERY`` walk over the bulk-joined protocol twin's local views
+(:func:`~repro.analysis.hops.sweep_overlay_sizes`).  The series are the
+oracle's; one claim per distribution and checkpoint states that the
+protocol plane matched them route for route.
 """
 
 from __future__ import annotations
@@ -14,11 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List
 
-from repro.analysis.hops import (
-    RoutingSweepPoint,
-    sweep_overlay_sizes,
-    sweep_protocol_overlay_sizes,
-)
+from repro.analysis.hops import RoutingSweepPoint, sweep_overlay_sizes
 from repro.analysis.plots import ascii_series, format_table
 from repro.core import VoroNet, VoroNetConfig
 from repro.experiments.common import (
@@ -28,7 +28,6 @@ from repro.experiments.common import (
     evaluation_distributions,
     scaled,
 )
-from repro.simulation.protocol import ProtocolSimulator
 from repro.utils.rng import RandomSource
 from repro.workloads.distributions import ObjectDistribution
 from repro.workloads.generators import generate_objects
@@ -52,29 +51,15 @@ class Fig6Result:
 
 def _sweep_one_distribution(distribution: ObjectDistribution, index: int,
                             seed: int, max_size: int, checkpoints: List[int],
-                            num_pairs: int,
-                            use_protocol: bool) -> List[RoutingSweepPoint]:
+                            num_pairs: int) -> List[RoutingSweepPoint]:
     """One distribution's full sweep, seeded by its index."""
     rng = RandomSource(seed + index)
     positions = generate_objects(distribution, max_size, rng)
 
-    if use_protocol:
-        def protocol_factory(seed_offset=index) -> ProtocolSimulator:
-            return ProtocolSimulator(VoroNetConfig(
-                n_max=CAPACITY_HEADROOM * max_size,
-                seed=seed + 100 + seed_offset,
-            ), seed=seed + 100 + seed_offset)
-
-        return sweep_protocol_overlay_sizes(
-            positions, checkpoints, rng,
-            num_pairs=num_pairs,
-            simulator_factory=protocol_factory,
-        )
-
-    def factory(seed_offset=index) -> VoroNet:
+    def factory() -> VoroNet:
         return VoroNet(VoroNetConfig(
             n_max=CAPACITY_HEADROOM * max_size,
-            seed=seed + 100 + seed_offset,
+            seed=seed + 100 + index,
         ))
 
     return sweep_overlay_sizes(
@@ -84,30 +69,21 @@ def _sweep_one_distribution(distribution: ObjectDistribution, index: int,
     )
 
 
-def run_fig6(scale: float = 1.0, seed: int = 1006, *,
-             use_protocol: bool = False) -> Fig6Result:
-    """Run the Figure 6 sweep.
+def run_fig6(scale: float = 1.0, seed: int = 1006) -> Fig6Result:
+    """Run the Figure 6 sweep on both planes.
 
     Parameters
     ----------
     scale:
         Size multiplier; 1.0 sweeps up to 6 000 objects in 6 checkpoints with
         600 measured pairs per checkpoint (the paper: 300 000 / 30 / 100 000).
-    use_protocol:
-        Run the sweep *message-level*: overlays grow through
-        ``ProtocolSimulator.bulk_join`` and every measured route is a
-        greedy ``QUERY`` over strictly local views — the ground-truth
-        validation of the oracle sweep, now reaching N = 10⁴ thanks to the
-        batched join pipeline (a sequential-join sweep capped out two
-        orders of magnitude lower).
     """
     max_size = scaled(6000, scale)
     checkpoints = checkpoint_schedule(max_size, 6)
     num_pairs = scaled(600, scale, minimum=50)
     series: Dict[str, List[RoutingSweepPoint]] = {
         distribution.name: _sweep_one_distribution(
-            distribution, index, seed, max_size, checkpoints, num_pairs,
-            use_protocol)
+            distribution, index, seed, max_size, checkpoints, num_pairs)
         for index, distribution in enumerate(evaluation_distributions())
     }
     return Fig6Result(seed=seed, checkpoints=checkpoints, num_pairs=num_pairs,
@@ -137,7 +113,8 @@ def format_fig6(result: Fig6Result) -> str:
 
 
 def claims(result: Fig6Result) -> List[Claim]:
-    """Figure 6: poly-logarithmic routes, insensitive to the distribution."""
+    """Figure 6: poly-logarithmic routes, insensitive to the distribution,
+    and the same routes on the message plane as on the oracle."""
     smallest, largest = result.checkpoints[0], result.checkpoints[-1]
     uniform_final = result.series["uniform"][-1].mean_hops
     rows = []
@@ -155,4 +132,12 @@ def claims(result: Fig6Result) -> List[Claim]:
             # The paper's curves almost coincide; skew may only help at small scale.
             rows.append(Claim(f"{name}: final mean hops under 1.6x the uniform overlay's",
                               round(final / uniform_final, 3), final < 1.6 * uniform_final))
+    for name, points in result.series.items():
+        for rung, point in enumerate(points, start=1):
+            rows.append(Claim(
+                f"{name}, checkpoint {rung} of {len(points)}: protocol QUERY "
+                "walks match the oracle route for route",
+                {"objects": point.size, "pairs": result.num_pairs,
+                 "mismatches": point.mismatches},
+                point.mismatches == 0))
     return rows

@@ -3,7 +3,9 @@
 The paper replots the Figure 6 data as ``log(H)`` vs ``log(log |O|)`` and
 observes straight lines of slope ``x`` close to 2 for every distribution,
 confirming the ``O(log² N)`` analysis.  This driver reuses the Figure 6
-sweep and fits the slope per distribution.
+sweep and fits the slope per distribution on its oracle series — which is
+the protocol plane's too, pair for pair, wherever Figure 6's parity claims
+hold.
 """
 
 from __future__ import annotations
@@ -36,17 +38,10 @@ class Fig7Result:
 
 
 def run_fig7(scale: float = 1.0, seed: int = 1007,
-             sweep: Optional[Fig6Result] = None, *,
-             use_protocol: bool = False) -> Fig7Result:
-    """Run the Figure 7 fit (optionally reusing an existing Figure 6 sweep).
-
-    ``use_protocol=True`` fits the slope on the *message-level* sweep
-    (``run_fig6(use_protocol=True)``): the poly-log exponent is then
-    measured on actual greedy walks over per-node local views, validating
-    the oracle-mode fit with protocol ground truth.
-    """
+             sweep: Optional[Fig6Result] = None) -> Fig7Result:
+    """Run the Figure 7 fit (optionally reusing an existing Figure 6 sweep)."""
     if sweep is None:
-        sweep = run_fig6(scale=scale, seed=seed, use_protocol=use_protocol)
+        sweep = run_fig6(scale=scale, seed=seed)
     fits = {
         name: fit_polylog_exponent(
             [point.size for point in points],

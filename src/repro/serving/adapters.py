@@ -97,14 +97,24 @@ class VoroNetServing(ServingAdapter):
                  num_long_links: int = 1,
                  track_paths: bool = False) -> None:
         super().__init__(len(positions))
-        self.config = VoroNetConfig(
-            n_max=max(16, int(len(positions) * CAPACITY_HEADROOM)),
+        self.config = self.config_for(len(positions), seed=seed,
+                                      num_long_links=num_long_links,
+                                      track_paths=track_paths)
+        self.overlay = VoroNet(config=self.config)
+        self.ids: List[int] = self.overlay.bulk_load(positions)
+
+    @staticmethod
+    def config_for(population: int, *, seed: Optional[int] = 0,
+                   num_long_links: int = 1,
+                   track_paths: bool = False) -> VoroNetConfig:
+        """The config an adapter over ``population`` objects runs on:
+        ``n_max`` leaves :data:`CAPACITY_HEADROOM` room over the population."""
+        return VoroNetConfig(
+            n_max=max(16, int(population * CAPACITY_HEADROOM)),
             num_long_links=num_long_links,
             track_paths=track_paths,
             seed=seed,
         )
-        self.overlay = VoroNet(config=self.config)
-        self.ids: List[int] = self.overlay.bulk_load(positions)
 
     def route_index(self, source: int, target: int) -> ServeOutcome:
         result = self.overlay.route(self.ids[source], self.ids[target])

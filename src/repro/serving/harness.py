@@ -152,10 +152,9 @@ def run_protocol_serving(population: int, queries: int, *,
     observable the oracle plane has no notion of.
     """
     positions = _positions(population, seed)
-    # Byte-identical twin of the oracle adapter built from the same
-    # positions/seed — the config seed drives both planes' link draws.
-    reference = VoroNetServing(positions, seed=seed, track_paths=False)
-    simulator = ProtocolSimulator(reference.config)
+    # The oracle adapter's config: its seed drives the link draws, so the
+    # overlay is the byte-identical twin of the adapter's.
+    simulator = ProtocolSimulator(VoroNetServing.config_for(population, seed=seed))
     ids = simulator.bulk_join(positions).object_ids
     sampler_seed = None if seed is None else seed + 101
     sampler = make_sampler(workload, population,

@@ -90,6 +90,7 @@ from repro.utils.rng import RandomSource
 __all__ = [
     "FaultDecision",
     "FaultPlane",
+    "attach_fault_plane",
     "PartitionSpec",
     "SplitSpec",
     "ProtocolCrashInjector",
@@ -372,6 +373,17 @@ class FaultPlane:
         return FaultDecision(deliver=False, reason=reason)
 
 
+def attach_fault_plane(simulator: ProtocolSimulator) -> FaultPlane:
+    """The simulator's fault plane, attached first if it has none.
+
+    An attached plane is seeded from ``simulator.config.seed``, so a loss
+    probability set on it later draws the same decisions on every run.
+    """
+    if simulator.network.faults is None:
+        simulator.network.faults = FaultPlane(seed=simulator.config.seed)
+    return simulator.network.faults
+
+
 # ----------------------------------------------------------------------
 # protocol-mode crash injection
 # ----------------------------------------------------------------------
@@ -392,8 +404,7 @@ class ProtocolCrashInjector:  # simlint: ignore[SIM003] — one per experiment, 
     def __init__(self, simulator: ProtocolSimulator,
                  rng: Optional[RandomSource] = None) -> None:
         self._simulator = simulator
-        if simulator.network.faults is None:
-            simulator.network.faults = FaultPlane()
+        attach_fault_plane(simulator)
         # Interactive/standalone default; experiments pass a seeded stream.
         self._rng = rng if rng is not None else RandomSource()  # simlint: ignore[SIM002]
         self._crashed: List[int] = []

@@ -45,7 +45,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 from repro.geometry.delaunay import DelaunayTriangulation, DuplicatePointError
 from repro.geometry.locate_grid import LocateGrid
 from repro.geometry.point import Point
-from repro.simulation.faults import FaultPlane, SplitSpec
+from repro.simulation.faults import SplitSpec, attach_fault_plane
 from repro.simulation.protocol import JoinReport, ProtocolSimulator
 
 __all__ = [
@@ -98,10 +98,8 @@ class PartitionRuntime:  # simlint: ignore[SIM003] — one per experiment, not p
     """
 
     def __init__(self, simulator: ProtocolSimulator) -> None:
-        if simulator.network.faults is None:
-            simulator.network.faults = FaultPlane()
         self.simulator = simulator
-        self.faults: FaultPlane = simulator.network.faults
+        self.faults = attach_fault_plane(simulator)
         self.spec: Optional[SplitSpec] = None
         self._sides: List[_SideState] = []
         self._global_kernel: Optional[DelaunayTriangulation] = None

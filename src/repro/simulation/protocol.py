@@ -1319,7 +1319,10 @@ class ProtocolSimulator:  # simlint: ignore[SIM003] — one per experiment, not 
         return len(self.nodes)
 
     def object_ids(self) -> List[int]:
-        """Ids of the currently published objects."""
+        """Ids of the currently published objects, in attach order — Morton
+        order inside a :meth:`bulk_join` batch, so not id order as in
+        ``VoroNet.object_ids``; sort it, or draw from the oracle's ids, to
+        name the same objects on both planes."""
         return list(self.nodes.keys())
 
     def node(self, object_id: int) -> ProtocolNode:

@@ -41,6 +41,7 @@ class TestSweep:
         points = sweep_overlay_sizes(positions, [100, 200, 300], rng, num_pairs=40)
         assert [p.size for p in points] == [100, 200, 300]
         assert all(p.mean_hops > 0 for p in points)
+        assert [p.mismatches for p in points] == [0, 0, 0]
 
     def test_sweep_requires_enough_positions(self):
         rng = RandomSource(3)

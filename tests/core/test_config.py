@@ -6,12 +6,15 @@ from inspect import signature
 
 import pytest
 
+from repro.analysis.hops import sweep_overlay_sizes
 from repro.baselines.chord import ChordRing
 from repro.core.config import DEFAULT_N_MAX, VoroNetConfig
 from repro.core.node import ObjectNode
 from repro.core.overlay import VoroNet
 from repro.core.routing import greedy_route, greedy_route_many, route_to_object
 from repro.core.shards import RoutingTableCache
+from repro.experiments.fig6_routes import run_fig6
+from repro.experiments.fig7_slope import run_fig7
 from repro.experiments.runner import build_parser
 from repro.lint import LintConfig
 from repro.serving.adapters import KleinbergServing
@@ -152,6 +155,12 @@ def test_option_budget():
     # The evaluation side: one runner, no environment variables.
     assert {action.dest for action in build_parser()._actions} == {
         "help", "experiment", "scale", "seed", "output"}
+    # Figs. 6 and 7 have one sweep, which routes every pair on both planes:
+    # no switch picks a plane.
+    assert parameters(run_fig6) == ["scale", "seed"]
+    assert parameters(run_fig7) == ["scale", "seed", "sweep"]
+    assert parameters(sweep_overlay_sizes) == [
+        "positions", "checkpoints", "rng", "num_pairs", "overlay_factory"]
 
     # The routing cache is the member ids plus one table dict (and, once a
     # batch was routed, its one id arena with the two logs) and nothing

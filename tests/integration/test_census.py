@@ -85,7 +85,9 @@ def test_nothing_slated_for_deletion_is_left_in_src():
 #: to hold one kind of entry (a watchdog deadline is a plain heap entry
 #: voided by its sequence number, and ``run`` is the one drain), and when
 #: nodes stopped keeping probe stamps (the detector publishes a round's
-#: probes on the simulator); none may come back.
+#: probes on the simulator), and when the Figs. 6/7 sweep came to route
+#: every pair on both planes (no plane switch, no protocol-only sweep);
+#: none may come back.
 RETIRED = (
     "LatencyModel",
     "ConstantLatency",
@@ -108,6 +110,9 @@ RETIRED = (
     "pending_events",
     "_note_cancelled",
     "last_ping_round",
+    "use_protocol",
+    "sweep_protocol_overlay_sizes",
+    "measure_protocol_routing",
 )
 
 

@@ -14,11 +14,13 @@ from repro.experiments.ablation_close_neighbors import format_ablation_close, ru
 from repro.experiments.ablation_maintenance import format_maintenance, run_maintenance_experiment
 from repro.experiments.common import checkpoint_schedule, evaluation_distributions, scaled
 from repro.experiments.fig5_degree import format_fig5, run_fig5
+from repro.experiments.fig6_routes import claims as fig6_claims
 from repro.experiments.fig6_routes import format_fig6, run_fig6
 from repro.experiments.fig7_slope import format_fig7, run_fig7
 from repro.experiments.fig8_longlinks import format_fig8, run_fig8
 from repro.experiments.common import Claim
 from repro.experiments.runner import EXPERIMENTS, main
+from repro.simulation.protocol import ProtocolNode
 
 REPRODUCTION = Path(__file__).resolve().parents[2] / "REPRODUCTION.json"
 
@@ -50,10 +52,19 @@ class TestFigureDrivers:
         assert "Figure 5" in text and "uniform" in text
 
     def test_fig6_and_fig7_small_scale(self):
+        """Every measured pair is also a greedy QUERY walk over the
+        bulk-joined twin's local views: same owner, same hops, at every
+        rung — one holding claim per rung — and fig7 fits the sweep."""
         sweep = run_fig6(scale=0.05)
         assert len(sweep.checkpoints) >= 3
         for series in sweep.series.values():
             assert len(series) == len(sweep.checkpoints)
+            assert [point.mismatches for point in series] == [0] * len(series)
+        parity = [row for row in fig6_claims(sweep) if "route for route" in row.claim]
+        assert len(parity) == len(sweep.series) * len(sweep.checkpoints)
+        assert all(row.holds for row in parity)
+        assert parity[0].measured == {"objects": sweep.checkpoints[0],
+                                      "pairs": sweep.num_pairs, "mismatches": 0}
         assert "Figure 6" in format_fig6(sweep)
         fit = run_fig7(sweep=sweep)
         assert set(fit.fits) == set(sweep.series)
@@ -67,19 +78,29 @@ class TestFigureDrivers:
             assert len(series) == len(sweep.checkpoints)
             assert all(point.stats.failures == 0 for point in series)
 
-    def test_fig6_protocol_mode_ground_truth(self):
-        """The message-level sweep: bulk-joined overlays, greedy QUERY
-        walks over strictly local views, every route reaching its exact
-        destination — and the fig7 fit consumes it unchanged."""
-        sweep = run_fig6(scale=0.05, use_protocol=True)
-        assert len(sweep.checkpoints) >= 3
-        for series in sweep.series.values():
-            assert len(series) == len(sweep.checkpoints)
-            assert all(point.stats.failures == 0 for point in series)
-            # Routes lengthen with overlay size (poly-log growth).
-            assert series[-1].mean_hops > series[0].mean_hops * 0.9
-        fit = run_fig7(sweep=sweep)
-        assert set(fit.fits) == set(sweep.series)
+    def test_fig6_counts_a_planted_protocol_divergence(self, monkeypatch):
+        """A protocol next hop gone wrong is counted, not hidden: object 0
+        answers every QUERY it holds instead of forwarding it.  The oracle
+        series does not move; the rungs it touched fail their claim."""
+        honest = run_fig6(scale=0.05)
+
+        def answer_at_zero(node, sender, payload):
+            if node.object_id != 0:
+                return ProtocolNode._on_query(node, sender, payload)
+            target, requester, query_id, path, hops = payload
+            node.simulator.send(node, requester, "QUERY_ANSWER",
+                                (target, node.object_id, query_id, path, hops))
+
+        monkeypatch.setitem(ProtocolNode._DISPATCH, "QUERY", answer_at_zero)
+        planted = run_fig6(scale=0.05)
+        for name, series in planted.series.items():
+            assert [p.stats for p in series] == [p.stats for p in honest.series[name]]
+        mismatches = [point.mismatches for series in planted.series.values()
+                      for point in series]
+        assert sum(mismatches) > 0
+        parity = [row for row in fig6_claims(planted) if "route for route" in row.claim]
+        assert [row.holds for row in parity] == [count == 0 for count in mismatches]
+        assert [row.measured["mismatches"] for row in parity] == mismatches
 
     def test_fig8_small_scale(self):
         result = run_fig8(scale=0.05, link_counts=(1, 3, 6))

@@ -66,7 +66,8 @@ class TestDistributionInsensitivity:
 class TestBulkLoadSweep:
     def test_bulk_load_sweep_reaches_paper_scale(self):
         """Growing by ``bulk_load`` pushes the Figure 6 sweep to N = 10⁴ within
-        the test-suite time budget, and routes still grow poly-log."""
+        the test-suite time budget, routes still grow poly-log, and the
+        bulk-joined protocol twin walks every pair the oracle's way."""
         rng = RandomSource(41)
         positions = generate_objects(UniformDistribution(), 10_000, rng)
         points = sweep_overlay_sizes(positions, [2500, 5000, 10_000], rng,
@@ -74,6 +75,7 @@ class TestBulkLoadSweep:
         assert [p.size for p in points] == [2500, 5000, 10_000]
         assert all(p.stats.samples == 150 for p in points)
         assert all(p.stats.failures == 0 for p in points)
+        assert [p.mismatches for p in points] == [0, 0, 0]
         growth = points[-1].mean_hops / points[0].mean_hops
         assert growth < math.sqrt(10_000 / 2500)
 

@@ -655,6 +655,27 @@ class TestRepairProtocol:
         assert injector.assess_damage().total_stale_entries == 0
         assert simulator.verify_views() == []
 
+    def test_attached_fault_plane_replays_a_lossy_repair(self):
+        """An injector on a simulator without a fault plane attaches one
+        seeded from the config, so a loss set afterwards draws the same
+        decisions on every run: equal rounds and messages, run twice."""
+        def repair_outcomes():
+            outcomes = []
+            for seed in range(5, 15):
+                simulator = ProtocolSimulator(
+                    VoroNetConfig(n_max=240, num_long_links=2, seed=seed))
+                simulator.bulk_join(generate_objects(UniformDistribution(), 60,
+                                                     RandomSource(seed)))
+                ProtocolCrashInjector(simulator, RandomSource(seed)).crash_random(4)
+                simulator.faults.set_loss(0.2)
+                sent = simulator.network.messages_sent
+                report = RepairProtocol(simulator).repair(20)
+                outcomes.append((report.rounds,
+                                 simulator.network.messages_sent - sent))
+            return outcomes
+
+        assert repair_outcomes() == repair_outcomes()
+
     def test_false_suspicion_restores_close_entries(self):
         """Suspicion scrubs close entries destructively; once a live
         suspect is exonerated, close re-discovery must restore the entry

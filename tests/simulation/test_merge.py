@@ -194,6 +194,12 @@ class TestPartitionRuntime:
         with pytest.raises(RuntimeError):
             runtime.open_split([live[:10], live[10:]])     # already open
 
+    def test_attached_fault_plane_is_seeded_from_the_config(self):
+        simulator = ProtocolSimulator(VoroNetConfig(n_max=64, seed=19))
+        runtime = PartitionRuntime(simulator)
+        assert runtime.faults is simulator.faults
+        assert runtime.faults.seed == 19
+
     def test_fork_rebuilds_reach_the_kernel_rebuilds_metric(self):
         simulator = build_simulator(count=30, seed=23)
         runtime = PartitionRuntime(simulator)
