@@ -32,7 +32,6 @@ from repro.core.routing import (
     RouteResult,
     greedy_route,
     route_to_object,
-    route_with_stopping_rule,
 )
 from repro.core.shards import RoutingTableCache
 from repro.core.stats import OperationStats, OverlayStats
@@ -52,7 +51,6 @@ __all__ = [
     "RouteResult",
     "greedy_route",
     "route_to_object",
-    "route_with_stopping_rule",
     "choose_long_range_target",
     "choose_long_range_target_array",
     "QueryResult",

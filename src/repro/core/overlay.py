@@ -114,8 +114,7 @@ from repro.core.stats import OverlayStats
 from repro.geometry.bounding import UNIT_SQUARE, BoundingBox
 from repro.geometry.delaunay import DelaunayTriangulation, DuplicatePointError
 from repro.geometry.locate_grid import VECTOR_SCAN_THRESHOLD, LocateGrid
-from repro.geometry.point import Point, as_point, distance, distance_to_segment
-from repro.geometry.predicates import point_in_polygon
+from repro.geometry.point import Point, as_point
 from repro.geometry.voronoi import VoronoiCell, voronoi_cell
 from repro.utils.rng import RandomSource
 
@@ -380,26 +379,6 @@ class VoroNet:
         if not self._nodes:
             raise EmptyOverlayError("the overlay holds no objects")
         return self._locate_index.hint(point)
-
-    def distance_to_region(self, object_id: int, point: Point) -> float:
-        """Distance from ``point`` to the Voronoi region of ``object_id``.
-
-        This is the ``DistanceToRegion`` primitive of Section 4.2.3; it
-        returns 0 when the point already lies inside the region.
-        """
-        if object_id not in self._nodes:
-            raise ObjectNotFoundError(object_id)
-        if len(self._nodes) == 1:
-            return 0.0
-        if self.owner_of(point, hint=object_id) == object_id:
-            return 0.0
-        margin = 4.0
-        cell = voronoi_cell(self._triangulation, object_id,
-                            UNIT_SQUARE.expanded(margin))
-        polygon = cell.polygon
-        if len(polygon) < 2:
-            return distance(self.position_of(object_id), point)
-        return _distance_to_polygon(point, polygon)
 
     # ------------------------------------------------------------------
     # object publication (join)
@@ -669,7 +648,6 @@ class VoroNet:
         live: List[int] = []
         sources: List[int] = []
         targets: List[Point] = []
-        destinations: List[Optional[int]] = []
         for slot, (source, target) in enumerate(pairs):
             destination = None
             if isinstance(target, numbers.Integral) and not isinstance(target, bool):
@@ -686,16 +664,17 @@ class VoroNet:
                 raise EmptyOverlayError("cannot route on an empty overlay")
             if source not in nodes:
                 raise ObjectNotFoundError(source)
+            if destination is None:
+                target = (float(target[0]), float(target[1]))
+                if not (math.isfinite(target[0]) and math.isfinite(target[1])):
+                    raise ValueError(f"cannot route to a non-finite target {target}")
             targets.append(nodes[destination].position if destination is not None
-                           else (float(target[0]), float(target[1])))
+                           else target)
             sources.append(source)
-            destinations.append(destination)
             live.append(slot)
         self._stats.query_misses += len(pairs) - len(live)
         routed = greedy_route_many(self, sources, targets)
-        for slot, destination, result in zip(live, destinations, routed):
-            if destination is not None:
-                result.success = result.owner == destination
+        for slot, result in zip(live, routed):
             results[slot] = result
         self._stats.routes.record_many([result.hops for result in routed])
         return results
@@ -911,23 +890,3 @@ class VoroNet:
             f"long_links={self._config.num_long_links})"
         )
 
-
-def _distance_to_polygon(point: Point, polygon: Sequence[Point]) -> float:
-    """Distance from a point to a polygon (0 if inside or on the boundary).
-
-    Boundary inclusion matters: ``DistanceToRegion`` must report 0 for a
-    point the object owns, and points on a shared Voronoi edge are owned by
-    both incident objects.  A bare ray cast calls such points outside and
-    returns a small positive distance, perturbing the Algorithm-5 stopping
-    rule; :func:`repro.geometry.predicates.point_in_polygon` classifies
-    them exactly.
-    """
-    if point_in_polygon(point, polygon, include_boundary=True):
-        return 0.0
-    best = math.inf
-    n = len(polygon)
-    for i in range(n):
-        a = polygon[i]
-        b = polygon[(i + 1) % n]
-        best = min(best, distance_to_segment(point, a, b))
-    return best

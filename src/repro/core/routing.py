@@ -3,7 +3,7 @@
 Routing (Section 3.2 and 4.2.3) is deliberately simple: the object holding
 a message for target point ``P`` forwards it to whichever of its neighbours
 — Voronoi, close, or long-range — is closest to ``P`` in Euclidean
-distance, stopping when no neighbour improves on the current object.
+distance, stopping when no neighbour is closer than the current object.
 Because the Voronoi neighbours alone already guarantee that greedy descent
 reaches the object whose region contains ``P``, the algorithm always
 terminates at the correct owner; the long links are pure acceleration and
@@ -12,15 +12,22 @@ forwards over that one view, ``vn ∪ cn ∪ LRn``: routing over the bare
 tessellation is routing on an overlay built with ``num_long_links=0``
 (the Delaunay-only baseline of :mod:`repro.baselines`), not a mode.
 
-Two termination rules are provided, the first in two traffic shapes:
+**The rule** is :func:`repro.geometry.predicates.greedy_hop`: a hop goes to
+the candidate with the smallest float squared distance ``dx*dx + dy*dy``,
+the first of equal minima in the table's ascending id order, while that
+minimum is clearly below the holder's distance; a minimum within the
+float error bound of the holder's is a near-tie, settled exactly.  Each
+descent scans inline and takes a clear hop there; a stop or a near-tie
+goes to :func:`~repro.geometry.predicates.settle`.  Every hop is exactly
+closer, so a route ends at an owner of the target's region — the kernel's
+``nearest_vertex`` and a protocol node's ``greedy_next_hop`` decide by the
+same rule.
 
-* :func:`greedy_route` runs until no neighbour is closer — the rule used to
-  measure route lengths in the paper's evaluation (Figures 6–8);
-* :func:`route_with_stopping_rule` implements the weaker stopping condition
-  of Algorithm 5 (``d(z, Target) ≤ 1/3 · d(Target, Current)`` or
-  ``d(Target, Current) ≤ d_min``), the form used by object insertion,
-  long-link establishment and query handling, which Lemma 4 proves is
-  enough to finish the operation locally;
+One router, in two traffic shapes:
+
+* :func:`greedy_route` runs one route to its owner — the measure of the
+  paper's evaluation (Figures 6–8), and the route insertion and long-link
+  search take;
 * :func:`greedy_route_many` is :func:`greedy_route` for a batch — what the
   paper's sweeps, the serving layer and ``VoroNet.route_many`` route.  From
   ``VECTOR_SCAN_THRESHOLD`` pairs up the batch is one *frontier*: per step,
@@ -30,14 +37,12 @@ Two termination rules are provided, the first in two traffic shapes:
   share of a dozen numpy calls instead of a Python loop over a block.  Its
   *tail* is :func:`greedy_route`'s own loop (``_descend``), entered from
   where a route stands: by every route still moving once fewer than the
-  threshold are, and at once by a route that steps onto an object whose
-  table is held as arrays (a scalar hop there is one argmin already).  Its
-  *tie-break* is the scalar scan's: float64 ``dx*dx + dy*dy`` over the
-  candidates in ascending id order, a hop only to a distance strictly
-  below the carried one, and among equal minima the first — so owners,
-  hops, paths, distances and the tables built on the way are those of the
-  loop, bit for bit (``TESTING.md``, "A batch answers what the loop
-  answers").
+  threshold are, at once by a route that steps onto an object whose table
+  is held as arrays (a scalar hop there is one argmin already), and by a
+  route whose hop is a near-tie.  The frontier's minimum is the scalar
+  scan's, so owners, hops, paths, distances and the tables built on the
+  way are those of the loop, bit for bit (``TESTING.md``, "A batch answers
+  what the loop answers").
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Iterator, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 import numpy as np
 
@@ -53,12 +58,13 @@ from repro.core.errors import EmptyOverlayError, ObjectNotFoundError, RoutingErr
 from repro.core.shards import NO_ROW, segment_indices
 from repro.geometry.locate_grid import CHUNK_ELEMENTS, VECTOR_SCAN_THRESHOLD
 from repro.geometry.point import Point, distance, distance_sq
+from repro.geometry.predicates import DISTANCE_FLOOR, FARTHER, NEARER, settle
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.overlay import VoroNet
 
 __all__ = ["RouteResult", "greedy_route", "greedy_route_many", "missed_route",
-           "route_to_object", "route_with_stopping_rule"]
+           "route_to_object"]
 
 
 @dataclass
@@ -78,8 +84,9 @@ class RouteResult:
     hops:
         Number of forwarding steps taken (0 when source already terminal).
     success:
-        Whether routing terminated normally (always True for well-formed
-        overlays; kept for baseline comparisons where greedy can fail).
+        Whether ``owner``'s Voronoi region contains ``target``.  Every
+        descent ends at such an owner, so only a :func:`missed_route` — a
+        query whose endpoint departed — reports ``False``.
     path:
         The sequence of object ids visited, including source and owner —
         only recorded when the overlay is configured with ``track_paths``.
@@ -128,32 +135,6 @@ def missed_route(source: int, target) -> RouteResult:
                        final_distance=float("inf"))
 
 
-def _greedy_step(overlay: "VoroNet", current: int, target: Point) -> Optional[int]:
-    """Neighbour of ``current`` strictly closer to ``target``, or ``None``.
-
-    One argmin over the cached routing table of ``current``, in the form
-    the entry holds: a scan block is walked inline, a position array
-    goes through the vectorised argmin.
-    """
-    tx, ty = target
-    best_d = distance_sq(overlay.position_of(current), target)
-    ids, positions, block = overlay._routing_entry(current)
-    if block is None:
-        dx = positions[:, 0] - tx
-        dy = positions[:, 1] - ty
-        distances = dx * dx + dy * dy
-        index = distances.argmin()
-        return int(ids[index]) if distances[index] < best_d else None
-    best = None
-    for cid, x, y in block:
-        dx = x - tx
-        dy = y - ty
-        d = dx * dx + dy * dy
-        if d < best_d:
-            best, best_d = cid, d
-    return best
-
-
 def greedy_route(overlay: "VoroNet", source: int, target: Point, *,
                  max_hops: Optional[int] = None) -> RouteResult:
     """Route greedily from ``source`` towards ``target`` until a local minimum.
@@ -168,7 +149,8 @@ def greedy_route(overlay: "VoroNet", source: int, target: Point, *,
     source:
         Starting object id.
     target:
-        Target point (any point of the plane; objects' positions included).
+        Target point (any finite point of the plane; objects' positions
+        included).  A non-finite one raises :class:`ValueError`.
     max_hops:
         Safety cap; defaults to the overlay size plus a margin.  Exceeding
         it raises :class:`RoutingError` since greedy progress is strictly
@@ -181,6 +163,10 @@ def greedy_route(overlay: "VoroNet", source: int, target: Point, *,
     if max_hops is not None and max_hops <= 0:
         raise ValueError(f"max_hops must be positive, got {max_hops}")
     target = (float(target[0]), float(target[1]))
+    if not (math.isfinite(target[0]) and math.isfinite(target[1])):
+        # No comparison with a NaN or infinite distance is true: the
+        # descent would stop at ``source`` and call it the owner.
+        raise ValueError(f"cannot route to a non-finite target {target}")
     limit = max_hops if max_hops is not None else len(overlay) + 16
     path = [source] if overlay.config.track_paths else None
     owner, hops = _descend(overlay, source, target, source,
@@ -211,7 +197,10 @@ def _descend(overlay: "VoroNet", source: int, target: Point,
     # candidate is carried into the next hop and the block scan is
     # inlined, so each hop costs one dict probe plus one pass over an
     # O(1)-size block — no per-hop view assembly, no re-measuring of the
-    # current object, no per-hop function calls.
+    # current object, no per-hop function calls.  The scan keeps the
+    # block's float minimum below a bar just past the carried distance; a
+    # clear hop is taken here, and a stop or a near-tie goes to
+    # predicates.settle (predicates.greedy_hop with the scan inlined).
     tx, ty = target
     # A cached table is a valid table, so the per-hop probe is one
     # dict.get with nothing to compare.  The table dict is hoisted once:
@@ -223,7 +212,8 @@ def _descend(overlay: "VoroNet", source: int, target: Point,
         if entry is None:
             entry = build_entry(current)
         block = entry[2]
-        nxt = None
+        # A candidate at or past the bar is clearly farther than ``current``.
+        nxt, best_d = None, current_d * FARTHER + DISTANCE_FLOOR
         if block is None:
             # A table of VECTOR_SCAN_THRESHOLD or more candidates holds
             # arrays only: argmin straight off the entry the loop holds.
@@ -232,21 +222,25 @@ def _descend(overlay: "VoroNet", source: int, target: Point,
             dy = positions[:, 1] - ty
             distances = dx * dx + dy * dy
             index = distances.argmin()
-            d = distances[index]
-            if d < current_d:
-                current_d = float(d)
+            if distances[index] < best_d:
+                best_d = float(distances[index])
                 nxt = int(entry[0][index])
         else:
             for cid, x, y in block:
                 dx = x - tx
                 dy = y - ty
                 d = dx * dx + dy * dy
-                if d < current_d:
-                    current_d = d
+                if d < best_d:
+                    best_d = d
                     nxt = cid
-        if nxt is None:
-            return current, hops
+        if not best_d < current_d * NEARER - DISTANCE_FLOOR:
+            # Not a clear hop: a stop or a near-tie, which settle decides.
+            nxt, best_d = settle(nxt, best_d, current_d, target, overlay.position_of(current),
+                                 block if block is not None else _records(entry))
+            if nxt is None:
+                return current, hops
         current = nxt
+        current_d = best_d
         hops += 1
         if path is not None:
             path.append(current)
@@ -262,6 +256,11 @@ def _column_rows(overlay: "VoroNet", ids: np.ndarray) -> np.ndarray:
         return overlay._locate_index.coordinates(ids)
     except KeyError as exc:
         raise ObjectNotFoundError(exc.args[0]) from None
+
+
+def _records(entry) -> Iterator[Tuple[int, float, float]]:
+    """An array-form table's ``(id, x, y)`` records, made only when read."""
+    yield from zip(entry[0].tolist(), *entry[1].T.tolist())
 
 
 def greedy_route_many(overlay: "VoroNet", sources: Sequence[int],
@@ -357,7 +356,12 @@ def greedy_route_many(overlay: "VoroNet", sources: Sequence[int],
             following[low:high] = candidates[attaining[np.searchsorted(attaining, begins)]]
             nearest[low:high] = best
             low = high
-        moved = nearest < carried[active]
+        ahead = carried[active]
+        moved = nearest < ahead * NEARER - DISTANCE_FLOOR
+        # A near-tie is the scalar loop's to settle, from where it stands.
+        tied = ~moved & (nearest < ahead * FARTHER + DISTANCE_FLOOR)
+        if tied.any():
+            scalar.extend(active[tied].tolist())
         active = active[moved]
         following = following[moved]
         owner[active] = following
@@ -397,65 +401,11 @@ def route_to_object(overlay: "VoroNet", source: int, destination: int, *,
                     max_hops: Optional[int] = None) -> RouteResult:
     """Route from one object to another (the Figure 6/8 measurement).
 
-    Routing to an object's own coordinates always terminates exactly at that
-    object, since it is the unique closest object to its own position.
+    Routing to an object's own coordinates terminates exactly at that
+    object: a duplicate position is refused with ``DuplicateObjectError``,
+    so the destination is the one object closest to its own position.
     """
     if destination not in overlay:
         raise ObjectNotFoundError(destination)
-    result = greedy_route(overlay, source, overlay.position_of(destination),
-                          max_hops=max_hops)
-    result.success = result.owner == destination
-    return result
-
-
-def route_with_stopping_rule(overlay: "VoroNet", source: int, target: Point, *,
-                             max_hops: Optional[int] = None) -> RouteResult:
-    """Greedy routing with the Algorithm 5 stopping condition.
-
-    Forwarding stops as soon as the current object ``y`` satisfies
-    ``d(z, Target) ≤ 1/3 · d(Target, y)`` where ``z`` is the point of
-    ``y``'s Voronoi region closest to the target, or when the current object
-    is within ``d_min`` of the target.  Lemma 4 shows the target's region
-    can then be carved out locally at ``y``; Lemma 5 bounds the number of
-    forwarding steps by ``O(ln² N_max)``.
-    """
-    if len(overlay) == 0:
-        raise EmptyOverlayError("cannot route on an empty overlay")
-    if source not in overlay:
-        raise ObjectNotFoundError(source)
-    if max_hops is not None and max_hops <= 0:
-        raise ValueError(f"max_hops must be positive, got {max_hops}")
-    target = (float(target[0]), float(target[1]))
-    d_min = overlay.config.effective_d_min
-    limit = max_hops if max_hops is not None else len(overlay) + 16
-    record = overlay.config.track_paths
-    path = [source] if record else None
-    current = source
-    hops = 0
-    while True:
-        current_distance = distance(overlay.position_of(current), target)
-        if current_distance <= d_min:
-            break
-        z_distance = overlay.distance_to_region(current, target)
-        if z_distance <= current_distance / 3.0:
-            break
-        nxt = _greedy_step(overlay, current, target)
-        if nxt is None:
-            break
-        current = nxt
-        hops += 1
-        if record:
-            path.append(current)
-        if hops > limit:
-            raise RoutingError(
-                f"stopping-rule route from {source} to {target} exceeded {limit} hops"
-            )
-    return RouteResult(
-        source=source,
-        target=target,
-        owner=current,
-        hops=hops,
-        success=True,
-        path=path,
-        final_distance=distance(overlay.position_of(current), target),
-    )
+    return greedy_route(overlay, source, overlay.position_of(destination),
+                        max_hops=max_hops)

@@ -76,7 +76,12 @@ Operations
   polygon corner) is the open follow-up.
 * **Point location** (``nearest_vertex``) is greedy descent on the Delaunay
   graph, which provably reaches the vertex whose Voronoi cell contains the
-  query point.
+  query point — with "closer" decided exactly: the star's float minimum
+  below a bar just past the holder's distance hops while it is clearly
+  below that distance, and a stop or a near-tie goes to
+  :func:`~repro.geometry.predicates.settle`
+  (:func:`~repro.geometry.predicates.greedy_hop` with the scan inlined).  On
+  equal float minima the first in ring order wins.
 
 Caches
 ------
@@ -150,8 +155,9 @@ import numpy as np
 
 from repro.geometry.point import Point, as_point
 from repro.geometry.predicates import (_INCIRCLE_ERRBOUND, _INCIRCLE_FLOOR, _ORIENT_ERRBOUND,
-                                       _incircle_exact, _orient2d_exact, incircle, orient2d,
-                                       segment_contains)
+                                       DISTANCE_FLOOR, FARTHER, NEARER, _incircle_exact,
+                                       _orient2d_exact, incircle, orient2d, segment_contains,
+                                       settle)
 
 __all__ = ["DelaunayTriangulation", "DuplicatePointError", "INFINITE_VERTEX",
            "morton_order"]
@@ -1170,18 +1176,19 @@ class DelaunayTriangulation:
         """
         if not self._points:
             raise ValueError("empty triangulation has no nearest vertex")
-        px, py = float(point[0]), float(point[1])
-        current = hint if hint is not None and hint in self._points else self._last_vertex
-        if current is None or current not in self._points:
-            current = next(iter(self._points))
-        cx, cy = self._points[current]
+        target = (float(point[0]), float(point[1]))
+        px, py = target
+        points = self._points
+        current = hint if hint is not None and hint in points else self._last_vertex
+        if current is None or current not in points:
+            current = next(iter(points))
+        cx, cy = points[current]
         current_d = (cx - px) * (cx - px) + (cy - py) * (cy - py)
         guard = 0
         limit = len(self._points) + 8
         stars = self._stars
         vertices = self._vertices
         while True:
-            best, best_d = current, current_d
             star = stars.get(current)
             if star is None:
                 # A miss: walk the star into a tuple of records, and cache
@@ -1194,12 +1201,16 @@ class DelaunayTriangulation:
                     stars[current] = star
                 else:
                     star = tuple([records[v] for v in self._degenerate_neighbors(current)])
+            best, best_d = None, current_d * FARTHER + DISTANCE_FLOOR
             for nb, nx, ny in star:
                 d = (nx - px) * (nx - px) + (ny - py) * (ny - py)
                 if d < best_d:
                     best, best_d = nb, d
-            if best == current:
-                return current
+            if not best_d < current_d * NEARER - DISTANCE_FLOOR:
+                # Not a clear hop: a stop or a near-tie, which settle decides.
+                best, best_d = settle(best, best_d, current_d, target, points[current], star)
+                if best is None:
+                    return current
             current, current_d = best, best_d
             guard += 1
             if guard > limit:  # pragma: no cover - defensive

@@ -12,6 +12,13 @@ exactly, so the fallback gives the mathematically exact sign.
 
 Only the *signs* of these determinants drive the triangulation logic, so
 exactness of the sign is all that is needed for topological consistency.
+
+Greedy descent — kernel point location, the overlay's routers, a protocol
+node's next hop — decides "closer" the same way: :func:`greedy_hop` is the
+rule.  Every descent scans its candidates inline for their float minimum
+and takes a clear hop itself, one comparison with the holder's distance;
+a stop or a near-tie goes to :func:`settle`, and :func:`exact_hop`
+decides the near-tie with rationals.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from __future__ import annotations
 import math
 from enum import IntEnum
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence, Tuple
 
 from repro.geometry.point import Point
 
@@ -27,6 +34,12 @@ __all__ = [
     "Orientation",
     "orient2d",
     "incircle",
+    "greedy_hop",
+    "settle",
+    "exact_hop",
+    "NEARER",
+    "FARTHER",
+    "DISTANCE_FLOOR",
     "circumcenter",
     "circumradius",
     "point_in_triangle",
@@ -49,6 +62,23 @@ _INCIRCLE_ERRBOUND = 1.2e-15
 #: points within about 1e-64 of each other, or subnormal coordinate
 #: differences — the exact predicate decides.
 _INCIRCLE_FLOOR = 2.0 ** -900
+#: Relative error of one float squared distance ``dx*dx + dy*dy`` of float
+#: coordinates: five roundings (two differences, two squares, the sum),
+#: 4u + O(u²) ≈ 4.4e-16, inflated like the bounds above.
+_DISTANCE_ERRBOUND = 1.0e-15
+#: A descent holding ``holder_d`` whose candidates' float minimum is
+#: ``best_d`` hops on floats alone while ``best_d < holder_d * NEARER -
+#: DISTANCE_FLOOR`` and stops on floats alone while ``best_d >= holder_d *
+#: FARTHER + DISTANCE_FLOOR``: either way the float order is the exact
+#: order.  Between the two lies a near-tie, which :func:`settle` hands to
+#: :func:`exact_hop`.
+NEARER = 1.0 - 2.0 * _DISTANCE_ERRBOUND
+FARTHER = 1.0 + 2.0 * _DISTANCE_ERRBOUND
+#: The bound above is relative; a square that underflows carries an
+#: absolute error of up to 2**-1075 that it does not cover, so distances
+#: this small are compared exactly, as ``_INCIRCLE_FLOOR`` has ``incircle``
+#: do.  A route standing on its target (distance 0) is not a near-tie.
+DISTANCE_FLOOR = 2.0 ** -900
 
 
 class Orientation(IntEnum):
@@ -152,6 +182,81 @@ def incircle(a: Point, b: Point, c: Point, d: Point) -> int:
     return _incircle_exact(a, b, c, d)
 
 
+def greedy_hop(target: Point, holder: Point,
+               candidates: Sequence[Tuple[int, float, float]]) -> Optional[int]:
+    """Where greedy descent forwards from ``holder`` towards ``target``, or ``None``.
+
+    The routing rule of Sections 3.2 and 4.2.3, decided exactly: a hop goes
+    to a candidate whose exact squared distance to ``target`` is strictly
+    below the holder's; with none, the descent stops.  ``candidates`` are
+    ``(id, x, y)`` records.  The scan keeps their float minimum below a bar
+    just past the holder's distance, the first of equal minima (a table
+    listed in id order gives the lowest id), and :func:`settle` decides the
+    hop from it.  So every step is exactly closer, and a descent over
+    Delaunay neighbours ends at an object whose Voronoi region contains the
+    target.  The hot descents inline this scan and :func:`settle`'s first
+    test, so a clear hop costs them no call.
+    """
+    tx, ty = target
+    hx, hy = holder
+    holder_d = (hx - tx) * (hx - tx) + (hy - ty) * (hy - ty)
+    # A candidate at or past the bar is clearly farther than the holder.
+    best, best_d = None, holder_d * FARTHER + DISTANCE_FLOOR
+    for cid, x, y in candidates:
+        d = (x - tx) * (x - tx) + (y - ty) * (y - ty)
+        if d < best_d:
+            best, best_d = cid, d
+    return settle(best, best_d, holder_d, target, holder, candidates)[0]
+
+
+def settle(best: Optional[int], best_d: float, holder_d: float, target: Point,
+           holder: Point, candidates: Iterable[Tuple[int, float, float]]
+           ) -> Tuple[Optional[int], float]:
+    """One descent step's hop from its scan: ``(hop, its squared distance)``,
+    or ``(None, holder_d)`` to stop.
+
+    ``best`` is the first candidate attaining the scan's float minimum
+    ``best_d`` below the bar ``holder_d * FARTHER + DISTANCE_FLOOR``, or
+    ``None`` when no candidate is below it; ``holder_d`` is the float
+    squared distance of ``holder`` from ``target``.  A minimum below
+    ``holder_d * NEARER - DISTANCE_FLOOR`` is the hop; between the two
+    bounds lies a near-tie, which :func:`exact_hop` settles over
+    ``candidates`` — read only then, so a caller may pass a generator.
+
+    The hot descents take a clear hop without calling this: a call per hop
+    costs the kernel's walk about a quarter of its time.
+    """
+    if best is None or best_d < holder_d * NEARER - DISTANCE_FLOOR:
+        return best, best_d
+    record = exact_hop(target, holder, candidates)
+    if record is None:
+        return None, holder_d
+    hop, x, y = record
+    tx, ty = target
+    return hop, (x - tx) * (x - tx) + (y - ty) * (y - ty)
+
+
+def exact_hop(target: Point, holder: Point,
+              candidates: Iterable[Tuple[int, float, float]]
+              ) -> Optional[Tuple[int, float, float]]:
+    """The ``(id, x, y)`` record of the lowest id among the candidates
+    exactly nearest ``target``, if that is strictly nearer than ``holder``.
+
+    Floats convert to rationals exactly, so the comparison is the
+    mathematically exact one.  :func:`settle` calls it only where the float
+    filter cannot decide, so its cost is paid on near-ties alone.
+    """
+    tx, ty = Fraction(target[0]), Fraction(target[1])
+    hx, hy = Fraction(holder[0]) - tx, Fraction(holder[1]) - ty
+    best, best_d = None, hx * hx + hy * hy
+    for record in candidates:
+        dx, dy = Fraction(record[1]) - tx, Fraction(record[2]) - ty
+        d = dx * dx + dy * dy
+        if d < best_d or (d == best_d and best is not None and record[0] < best[0]):
+            best, best_d = record, d
+    return best
+
+
 def triangle_area(a: Point, b: Point, c: Point) -> float:
     """Unsigned area of triangle ``abc`` (floating point)."""
     return abs(
@@ -213,9 +318,7 @@ def point_in_polygon(point: Point, polygon: Sequence[Point], *,
     The interior test is the even-odd ray cast; points lying exactly on an
     edge or vertex are classified by :func:`segment_contains`, so with
     ``include_boundary=True`` (the default) an on-boundary point counts as
-    inside.  A bare ray cast misclassifies such points unpredictably, which
-    is exactly the failure mode that perturbed the overlay's
-    ``DistanceToRegion`` primitive for points on a Voronoi cell edge.
+    inside.  A bare ray cast misclassifies such points unpredictably.
     """
     n = len(polygon)
     if n == 0:

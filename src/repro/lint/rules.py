@@ -781,9 +781,9 @@ def collect_sent_kinds(modules: Sequence[ModuleInfo]
     """Every literal message kind sent, with its send sites.
 
     Collected from ``*.send(sender, recipient, "KIND", ...)`` /
-    ``*.send_message(...)`` / ``*.send_snapshot(...)`` calls.  Dynamic
-    kinds are invisible to this pass by design, and so are forwards — a
-    forwarded kind was first sent somewhere with a literal.
+    ``*.send_message(...)`` / ``*.send_snapshot(...)`` calls, a routed
+    kind's forwarding hop in its own handler included.  Dynamic kinds are
+    invisible to this pass by design.
     """
     sent: Dict[str, List[Tuple[str, int, int]]] = {}
     for module in modules:

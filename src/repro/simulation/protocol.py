@@ -56,11 +56,10 @@ A payload is a tuple with one fixed layout per kind, unpacked whole by the
 kind's handler.  A routed kind starts with the point it is routed to and
 ends with its hop count; the handler that forwards it builds the next
 payload once, from the fields it unpacked, with the count one higher, and
-hands it to :meth:`ProtocolSimulator.forward` — one tuple per hop.  A view
-snapshot starts with the view — ``(id, position)`` pairs — and its version
-stamp.  Heartbeats, queries, routed joins and link
-searches hold only numbers and tuples of numbers, so the collector
-untracks them in flight (``repro.simulation.network``).
+sends it on — one tuple per hop.  A view snapshot starts with the view —
+``(id, position)`` pairs — and its version stamp.  Heartbeats, queries,
+routed joins and link searches hold only numbers and tuples of numbers, so
+the collector untracks them in flight (``repro.simulation.network``).
 
 =========================  ===============================================
 kind                       payload
@@ -189,6 +188,7 @@ from repro.core.node import LinkRecord, with_link
 from repro.geometry.delaunay import DelaunayTriangulation, DuplicatePointError, morton_order
 from repro.geometry.locate_grid import LocateGrid
 from repro.geometry.point import Point, as_point, distance
+from repro.geometry.predicates import DISTANCE_FLOOR, FARTHER, NEARER, greedy_hop, settle
 from repro.simulation.engine import SimulationEngine, Watchdog
 from repro.simulation.metrics import MetricsRegistry
 from repro.simulation.network import Message, Network
@@ -272,6 +272,16 @@ def _without_entry(entries: Mapping, key) -> Mapping:
         if not entries:
             return NO_ENTRIES
     return entries
+
+
+def _unsuspected(block: Tuple, suspects: Container[int]
+                 ) -> Iterator[Tuple[int, float, float]]:
+    """A flat routing block's ``(id, x, y)`` records bar the suspects',
+    made only when read."""
+    it = iter(block)
+    for neighbor, x, y in zip(it, it, it):
+        if neighbor not in suspects:
+            yield neighbor, x, y
 
 
 # ----------------------------------------------------------------------
@@ -443,8 +453,9 @@ class ProtocolNode:
         return candidates
 
     def routing_block(self) -> Tuple:
-        """Flat ``(id, x, y, id, x, y, …)`` forwarding candidates, cached per
-        view epoch.
+        """Flat ``(id, x, y, id, x, y, …)`` forwarding candidates in id order
+        — the oracle's table order, so equal float minima break alike —
+        cached per view epoch.
 
         Rebuilt lazily from :meth:`routing_candidates` whenever the view
         epoch moved, so the block is always equal to the freshly assembled
@@ -453,29 +464,37 @@ class ProtocolNode:
         reaches the oldest generation (``geometry.delaunay``, "Caches").
         """
         if self._block is None or self._block_epoch != self.view_epoch:
+            candidates = self.routing_candidates()
             block: List = []
-            for neighbor, (x, y) in self.routing_candidates().items():
+            # Sorting the bare ids (int comparisons) costs about what the
+            # unsorted walk over items() does; sorting the items does not.
+            for neighbor in sorted(candidates):
+                x, y = candidates[neighbor]
                 block += (neighbor, x, y)
             self._block = tuple(block)
             self._block_epoch = self.view_epoch
         return self._block
 
     def greedy_next_hop(self, target: Point) -> Optional[int]:
-        """Neighbour strictly closer to ``target`` than this node, if any.
+        """Neighbour the descent rule forwards to, if any
+        (:func:`~repro.geometry.predicates.greedy_hop` with the scan inlined:
+        the block's float minimum hops while clearly below this node's
+        distance, and :func:`~repro.geometry.predicates.settle` decides a
+        stop or a near-tie).
 
         Peers on the local suspect list are never selected: forwarding to a
         presumed-crashed node would silently lose the message, so routed
         repair traffic (and any operation racing a repair) detours around
         suspects instead.  Suspicion is not view state, so the cached
         routing block is filtered at selection time rather than rebuilt —
-        and only for a candidate that beats the best distance so far: a
-        suspect never becomes the best, so skipping it there or up front
-        selects the same neighbour.
+        and only for a candidate that beats the minimum so far: a suspect
+        never becomes the best, so skipping it there or up front selects
+        the same neighbour.
         """
         tx, ty = target
         px, py = self.position
-        best = None
-        best_d = (px - tx) * (px - tx) + (py - ty) * (py - ty)
+        current_d = (px - tx) * (px - tx) + (py - ty) * (py - ty)
+        best, best_d = None, current_d * FARTHER + DISTANCE_FLOOR
         block = self._block
         if block is None or self._block_epoch != self.view_epoch:
             block = self.routing_block()
@@ -485,7 +504,11 @@ class ProtocolNode:
             d = (x - tx) * (x - tx) + (y - ty) * (y - ty)
             if d < best_d and neighbor not in suspects:
                 best, best_d = neighbor, d
-        return best
+        if best_d < current_d * NEARER - DISTANCE_FLOOR:
+            return best
+        # Not a clear hop: a stop or a near-tie, which settle decides.
+        return settle(best, best_d, current_d, target, self.position,
+                      _unsuspected(block, suspects))[0]
 
     def view_size(self) -> int:
         """Total number of entries stored at this object."""
@@ -777,8 +800,8 @@ class ProtocolNode:
         self.simulator.operation_progress(("join", new_id))
         next_hop = self.greedy_next_hop(target)
         if next_hop is not None:
-            self.simulator.forward(self, next_hop, "ADD_OBJECT",
-                                   (target, new_id, bulk, hops + 1))
+            self.simulator.send(self, next_hop, "ADD_OBJECT",
+                                (target, new_id, bulk, hops + 1))
             return
         # This node owns the region containing the new object: carve it out.
         self.simulator.complete_insertion(owner=self, new_id=new_id,
@@ -927,8 +950,8 @@ class ProtocolNode:
         self.simulator.operation_progress(("long_links", requester))
         next_hop = self.greedy_next_hop(target)
         if next_hop is not None:
-            self.simulator.forward(self, next_hop, "SEARCH_LONG_LINK",
-                                   (target, requester, link_index, hops + 1))
+            self.simulator.send(self, next_hop, "SEARCH_LONG_LINK",
+                                (target, requester, link_index, hops + 1))
             return
         # This node owns the target's region: it becomes the long-range contact.
         self.back_links = _with_entry(self.back_links, (requester, link_index), target)
@@ -1043,13 +1066,13 @@ class ProtocolNode:
         # still stale, leaving it holding a link whose target a neighbour
         # is strictly closer to.  Handing such links one greedy step over
         # (the generalised Section 3.3 hand-over) moves every mis-held
-        # registration monotonically towards the target's true owner.
+        # registration monotonically towards the target's true owner; a
+        # suspected best neighbour gets nothing.
+        if not self.back_links:
+            return
+        neighbors = sorted([(neighbor, x, y) for neighbor, (x, y) in self.voronoi.items()])
         for key, target in list(self.back_links.items()):
-            best_id, best_d = None, distance(self.position, target)
-            for neighbor, position in self.voronoi.items():
-                d = distance(position, target)
-                if d < best_d:
-                    best_id, best_d = neighbor, d
+            best_id = greedy_hop(target, self.position, neighbors)
             if best_id is not None and best_id not in self.suspects:
                 self.hand_over(key, best_id, self.voronoi[best_id])
 
@@ -1081,8 +1104,8 @@ class ProtocolNode:
             path += (self.object_id,)
         next_hop = self.greedy_next_hop(target)
         if next_hop is not None:
-            self.simulator.forward(self, next_hop, "QUERY",
-                                   (target, requester, query_id, path, hops + 1))
+            self.simulator.send(self, next_hop, "QUERY",
+                                (target, requester, query_id, path, hops + 1))
             return
         # Serving-layer extensions ride along as payload fields (no new
         # message kind — the pinned kind set only grows for genuinely new
@@ -1196,13 +1219,6 @@ class ProtocolSimulator:  # simlint: ignore[SIM003] — one per experiment, not 
              payload: tuple) -> None:
         """Send one protocol message from ``sender`` to ``recipient``;
         ``payload`` has ``kind``'s layout (the module docstring's table)."""
-        self.network.send(sender.object_id, recipient, kind, payload)
-
-    def forward(self, sender: ProtocolNode, recipient: int, kind: str,
-                payload: tuple) -> None:
-        """Forward a routed message one greedy hop further.  The handler
-        built ``payload`` once, from the fields it unpacked, with the hop
-        count (the last field) one higher."""
         self.network.send(sender.object_id, recipient, kind, payload)
 
     def kernel_view(self, object_id: int) -> Tuple[Tuple[int, Point], ...]:

@@ -187,47 +187,6 @@ class TestOwnership:
         with pytest.raises(EmptyOverlayError):
             VoroNet(n_max=4, seed=1).owner_of((0.5, 0.5))
 
-    def test_distance_to_region_zero_for_owner(self, small_overlay):
-        point = (0.42, 0.57)
-        owner = small_overlay.owner_of(point)
-        assert small_overlay.distance_to_region(owner, point) == 0.0
-
-    def test_distance_to_region_positive_for_non_owner(self, small_overlay):
-        point = (0.42, 0.57)
-        owner = small_overlay.owner_of(point)
-        far = max(small_overlay.object_ids(),
-                  key=lambda i: distance(small_overlay.position_of(i), point))
-        assert far != owner
-        assert small_overlay.distance_to_region(far, point) > 0.0
-
-    def test_distance_to_region_zero_on_shared_cell_boundary(self):
-        """Regression: an on-boundary point is owned by both incident cells.
-
-        Four objects on a symmetric grid give exactly representable cell
-        boundaries at x = 0.5 and y = 0.5; every point on them must report
-        distance 0 to both adjacent regions (the Algorithm-5 stopping rule
-        depends on it).
-        """
-        overlay = VoroNet(n_max=16, seed=1)
-        ids = overlay.bulk_load([(0.25, 0.25), (0.75, 0.25),
-                                 (0.25, 0.75), (0.75, 0.75)])
-        for point, owners in [((0.5, 0.25), (ids[0], ids[1])),
-                              ((0.5, 0.1), (ids[0], ids[1])),
-                              ((0.25, 0.5), (ids[0], ids[2])),
-                              ((0.5, 0.5), ids)]:
-            for oid in owners:
-                assert overlay.distance_to_region(oid, point) == 0.0
-
-    def test_distance_to_polygon_zero_on_boundary(self):
-        """Regression for the raw helper: boundary points are inside."""
-        from repro.core.overlay import _distance_to_polygon
-
-        square = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
-        assert _distance_to_polygon((1.0, 0.5), square) == 0.0  # on an edge
-        assert _distance_to_polygon((0.5, 0.0), square) == 0.0  # bottom edge
-        assert _distance_to_polygon((0.0, 0.0), square) == 0.0  # vertex
-        assert _distance_to_polygon((1.2, 0.5), square) == pytest.approx(0.2)
-
 
 class TestExportsAndStats:
     def test_stats_describe_lines(self, small_overlay):

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from repro.core import VoroNet, VoroNetConfig, routing
 from repro.core.errors import EmptyOverlayError, ObjectNotFoundError
-from repro.core.routing import (MISS_OWNER, greedy_route, greedy_route_many, route_to_object,
-                                route_with_stopping_rule)
+from repro.core.routing import MISS_OWNER, greedy_route, greedy_route_many, route_to_object
 from repro.geometry.locate_grid import VECTOR_SCAN_THRESHOLD
 from repro.geometry.point import distance
 
@@ -116,49 +115,6 @@ class TestLongLinkEffect:
             assert_routes_match_reference(bare, result)
 
 
-class TestStoppingRule:
-    def test_stopping_rule_lands_near_target(self, small_overlay, numpy_rng):
-        """Algorithm 5's weak termination: the final object's region is within
-        1/3 of the remaining distance, or within d_min of the target."""
-        ids = small_overlay.object_ids()
-        d_min = small_overlay.config.effective_d_min
-        for _ in range(20):
-            source = int(numpy_rng.choice(ids))
-            target = tuple(numpy_rng.random(2))
-            result = route_with_stopping_rule(small_overlay, source, target)
-            remaining = distance(small_overlay.position_of(result.owner), target)
-            region_distance = small_overlay.distance_to_region(result.owner, target)
-            assert (remaining <= d_min + 1e-12
-                    or region_distance <= remaining / 3.0 + 1e-12)
-
-    def test_stopping_rule_not_longer_than_full_greedy(self, small_overlay, numpy_rng):
-        ids = small_overlay.object_ids()
-        for _ in range(20):
-            source = int(numpy_rng.choice(ids))
-            target = tuple(numpy_rng.random(2))
-            early = route_with_stopping_rule(small_overlay, source, target)
-            full = greedy_route(small_overlay, source, target)
-            assert early.hops <= full.hops
-
-    def test_stopping_rule_empty_overlay_raises(self):
-        with pytest.raises(EmptyOverlayError):
-            route_with_stopping_rule(VoroNet(n_max=4, seed=1), 0, (0.5, 0.5))
-
-    def test_stopping_rule_unknown_source_raises(self, tiny_overlay):
-        with pytest.raises(ObjectNotFoundError):
-            route_with_stopping_rule(tiny_overlay, 999, (0.5, 0.5))
-
-    def test_stopping_rule_records_path_when_enabled(self, numpy_rng):
-        """Regression: the stopping-rule variant must honour track_paths."""
-        overlay = VoroNet(VoroNetConfig(n_max=200, seed=4, track_paths=True))
-        ids = [overlay.insert(tuple(p)) for p in numpy_rng.random((80, 2))]
-        result = route_with_stopping_rule(overlay, ids[0], (0.93, 0.91))
-        assert result.path is not None
-        assert result.path[0] == ids[0]
-        assert result.path[-1] == result.owner
-        assert len(result.path) == result.hops + 1
-
-
 class TestMaxHopsValidation:
     """User-supplied max_hops ≤ 0 must be rejected, not silently explode."""
 
@@ -177,13 +133,6 @@ class TestMaxHopsValidation:
             route_to_object(tiny_overlay, ids[0], ids[1],
                             max_hops=bad_max_hops)
 
-    @pytest.mark.parametrize("bad_max_hops", [0, -1])
-    def test_stopping_rule_rejects_non_positive_max_hops(self, tiny_overlay,
-                                                         bad_max_hops):
-        with pytest.raises(ValueError, match="max_hops"):
-            route_with_stopping_rule(tiny_overlay, tiny_overlay.object_ids()[0],
-                                     (0.9, 0.9), max_hops=bad_max_hops)
-
     def test_positive_max_hops_still_enforced(self, small_overlay):
         """A tight positive cap keeps raising RoutingError as before."""
         from repro.core.errors import RoutingError
@@ -195,6 +144,37 @@ class TestMaxHopsValidation:
                 for b in ids[-10:]:
                     if a != b:
                         route_to_object(small_overlay, a, b, max_hops=1)
+
+
+class TestNonFiniteTargets:
+    """A NaN or infinite target has no owner: every routing entry refuses it,
+    as ``owner_of`` does, rather than answering the route's source."""
+
+    BAD = [(float("nan"), 0.5), (0.5, float("inf")), (float("-inf"), float("nan"))]
+
+    @pytest.mark.parametrize("target", BAD)
+    def test_scalar_routes_refuse(self, tiny_overlay, target):
+        source = tiny_overlay.object_ids()[0]
+        for route in (lambda: greedy_route(tiny_overlay, source, target),
+                      lambda: tiny_overlay.route(source, target),
+                      lambda: tiny_overlay.lookup(target, start=source)):
+            with pytest.raises(ValueError, match="non-finite"):
+                route()
+        with pytest.raises(ValueError):  # the locate grid's entry point refuses first
+            tiny_overlay.lookup(target)
+        assert tiny_overlay.stats.routes.count == tiny_overlay.stats.queries.count == 0
+
+    @pytest.mark.parametrize("size", [3, VECTOR_SCAN_THRESHOLD + 2])
+    @pytest.mark.parametrize("target", BAD)
+    def test_a_batch_refuses_before_anything_is_recorded(self, small_overlay,
+                                                         size, target):
+        ids = small_overlay.object_ids()
+        pairs = [(ids[i % len(ids)], (0.3, 0.3)) for i in range(size)]
+        pairs[size // 2] = (ids[0], target)
+        for missing in ("raise", "miss"):
+            with pytest.raises(ValueError, match="non-finite"):
+                small_overlay.route_many(pairs, missing=missing)
+        assert small_overlay.stats.routes.count == 0
 
 
 class TestOverlayRouteAPI:
@@ -331,6 +311,23 @@ class TestBatchEqualsLoop:
         assert batched.stats.routing_table_rebuilds == looped.stats.routing_table_rebuilds
         assert batched.stats.query_misses == looped.stats.query_misses == 0
         assert batched.routing_cache_report() == []
+
+    def test_a_near_tie_is_handed_to_the_loop(self, monkeypatch):
+        """The frontier hands a near-tied route to the scalar loop, which
+        settles it exactly and carries on: the batch still answers what the
+        loop answers, path and distance included.  Objects 2 and 3 are the
+        same binary64 distance from object 1; 2 is exactly nearer."""
+        monkeypatch.setattr(routing, "VECTOR_SCAN_THRESHOLD", 1)
+        config = VoroNetConfig(n_max=64, allow_overflow=True, seed=1202, track_paths=True)
+        points = [(0.5, 0.75), (0.5, 0.125), (0.010000000000000002, 0.01), (0.01, 0.01)]
+        batched, looped = VoroNet(config), VoroNet(config)
+        for overlay in (batched, looped):
+            overlay.bulk_load(points)
+        pairs = [(source, target) for source in range(4) for target in range(4)]
+        batch = batched.route_many(pairs)
+        assert batch == [looped.route(source, target) for source, target in pairs]
+        assert [result.owner for result in batch] == [target for _source, target in pairs]
+        assert all(result.success for result in batch)
 
     def test_the_clique_straddles_the_table_forms(self, twins):
         sizes = set()

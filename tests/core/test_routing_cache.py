@@ -25,8 +25,8 @@ Layers of protection for the routing hot path:
   object; between a crash and its repair only the survivors that still
   name the victim fail to build;
 * direct parity regressions for ``route`` / ``route_many`` / ``lookup``
-  (with long links and on the zero-link twin), cold against warm passes,
-  and the Algorithm 5 stopping rule;
+  (with long links and on the zero-link twin) and cold against warm
+  passes;
 * a clustered overlay whose tables straddle ``VECTOR_SCAN_THRESHOLD`` — the
   size at which an entry holds arrays instead of a scan block — kept
   hop-for-hop equal to the reference router through churn.
@@ -43,7 +43,6 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 from repro.core import VoroNet, VoroNetConfig, routing
 from repro.core.errors import DuplicateObjectError, ObjectNotFoundError
 from repro.geometry.locate_grid import VECTOR_SCAN_THRESHOLD
-from repro.core.routing import route_with_stopping_rule
 from repro.simulation.failures import CrashInjector
 from repro.utils.rng import RandomSource
 from repro.workloads.generators import generate_routing_pairs
@@ -323,18 +322,6 @@ class TestCacheParity:
         points = [tuple(p) for p in np.random.default_rng(7).random((60, 2))]
         for point in points:
             assert_routes_match_reference(overlay, overlay.lookup(point))
-
-    def test_stopping_rule_parity(self, overlay):
-        """The Algorithm 5 stopping rule walks a prefix of the reference path."""
-        ids = overlay.object_ids()
-        rng = np.random.default_rng(8)
-        for _ in range(40):
-            source = int(rng.choice(ids))
-            target = tuple(rng.random(2))
-            early = route_with_stopping_rule(overlay, source, target)
-            path = reference_greedy_route(overlay, source, target)
-            assert early.hops < len(path)
-            assert early.owner == path[early.hops]
 
 
 class TestEpochContract:

@@ -2,13 +2,22 @@
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.geometry import predicates
 from repro.geometry.predicates import (
+    _DISTANCE_ERRBOUND,
+    DISTANCE_FLOOR,
     circumcenter,
     circumradius,
     collinear,
+    exact_hop,
+    greedy_hop,
+    settle,
     incircle,
     orient2d,
     point_in_polygon,
@@ -167,3 +176,102 @@ class TestPointInPolygon:
 
     def test_empty_polygon(self):
         assert not point_in_polygon((0.5, 0.5), [])
+
+
+def exact_distance(point, target):
+    dx = Fraction(point[0]) - Fraction(target[0])
+    dy = Fraction(point[1]) - Fraction(target[1])
+    return dx * dx + dy * dy
+
+
+#: Coordinates a few ulps apart: float distances from such points tie or
+#: fall within the error bound of each other.
+near = st.integers(-4, 4).map(lambda steps: 0.3 + steps * math.ulp(0.3))
+crowded = st.tuples(near, st.sampled_from([0.01, 0.1, 0.3, 0.7]))
+
+
+class TestGreedyHop:
+    """The descent rule: a hop only to an exactly nearer candidate."""
+
+    def test_a_clearly_nearer_candidate_is_the_hop(self):
+        assert greedy_hop((0.0, 0.0), (1.0, 0.0), [(7, 0.9, 0.0), (5, 0.5, 0.0)]) == 5
+
+    def test_without_a_nearer_candidate_the_descent_stops(self):
+        assert greedy_hop((0.0, 0.0), (0.5, 0.0), [(7, 0.9, 0.0), (5, 0.0, -0.6)]) is None
+        assert greedy_hop((0.0, 0.0), (0.5, 0.0), []) is None
+
+    def test_the_first_of_equal_minima_wins(self):
+        """Listed in id order, that is the lowest id."""
+        candidates = [(4, -0.5, 0.0), (9, 0.5, 0.0), (11, 0.0, 0.5)]
+        assert greedy_hop((0.0, 0.0), (2.0, 0.0), candidates) == 4
+
+    def test_a_binary64_tie_is_settled_exactly(self):
+        """``0.5 - 0.010000000000000002 == 0.5 - 0.01`` in binary64."""
+        target, holder, candidate = (0.5, 0.125), (0.01, 0.01), (0.010000000000000002, 0.01)
+        holder_d = (holder[0] - target[0]) ** 2 + (holder[1] - target[1]) ** 2
+        candidate_d = (candidate[0] - target[0]) ** 2 + (candidate[1] - target[1]) ** 2
+        assert holder_d == candidate_d
+        assert exact_distance(candidate, target) < exact_distance(holder, target)
+        assert greedy_hop(target, holder, [(2, *candidate)]) == 2
+        assert greedy_hop(target, candidate, [(3, *holder)]) is None
+
+    def test_a_candidate_exactly_as_far_as_the_holder_is_no_hop(self):
+        assert greedy_hop((0.0, 0.0), (1.0, 0.0), [(2, -1.0, 0.0), (3, 0.0, 1.0)]) is None
+
+    def test_underflowed_squares_are_compared_exactly(self):
+        target, holder, candidate = (0.0, 0.0), (1e-200, 0.0), (5e-201, 0.0)
+        assert holder[0] * holder[0] == candidate[0] * candidate[0] == 0.0
+        assert greedy_hop(target, holder, [(1, *candidate)]) == 1
+        assert greedy_hop(target, candidate, [(1, *holder)]) is None
+
+    def test_a_holder_on_its_target_takes_no_exact_path(self):
+        """Distance 0 is not a near-tie: a route ending on its own
+        destination decides on floats alone."""
+        target = (0.25, 0.75)
+        with mock.patch.object(predicates, "exact_hop", side_effect=AssertionError):
+            assert greedy_hop(target, target, [(1, 0.25, 0.7500000000000001),
+                                               (2, 0.5, 0.5)]) is None
+
+    def test_exact_hop_prefers_the_lowest_id_among_exact_minima(self):
+        candidates = [(9, 0.5, 0.0), (4, -0.5, 0.0), (6, 0.0, 0.5), (2, 0.9, 0.0)]
+        assert exact_hop((0.0, 0.0), (1.0, 0.0), candidates) == (4, -0.5, 0.0)
+        assert exact_hop((0.0, 0.0), (0.5, 0.0), candidates) is None
+
+    def test_settle_reports_the_hop_with_its_float_distance(self):
+        """A clear hop passes through, the candidates unread; a near-tie is
+        re-decided, and the distance carried on is the new hop's."""
+        unread = iter(())
+        assert settle(5, 0.25, 1.0, (0.0, 0.0), (1.0, 0.0), unread) == (5, 0.25)
+        assert settle(None, 1.0, 1.0, (0.0, 0.0), (1.0, 0.0), unread) == (None, 1.0)
+        target, holder, candidate = (0.5, 0.125), (0.01, 0.01), (0.010000000000000002, 0.01)
+        holder_d = (holder[0] - target[0]) ** 2 + (holder[1] - target[1]) ** 2
+        records = [(3, 0.9, 0.9), (2, *candidate)]
+        assert settle(2, holder_d, holder_d, target, holder, records) == (2, holder_d)
+        assert settle(2, holder_d, holder_d, target, candidate, [(3, *holder)]) \
+            == (None, holder_d)
+
+    @settings(max_examples=300, deadline=None)
+    @given(target=crowded, holder=crowded,
+           candidates=st.lists(crowded, max_size=6, unique=True))
+    def test_every_hop_is_exactly_nearer(self, target, holder, candidates):
+        """Against rationals: ``None`` exactly when no candidate is nearer
+        than the holder, else an exactly nearer candidate — so a descent
+        stops only at an exact owner."""
+        records = [(index, x, y) for index, (x, y) in enumerate(candidates)]
+        hop = greedy_hop(target, holder, records)
+        holder_d = exact_distance(holder, target)
+        distances = [exact_distance(point, target) for point in candidates]
+        if not any(d < holder_d for d in distances):
+            assert hop is None
+        else:
+            assert hop is not None and distances[hop] < holder_d
+
+    @settings(max_examples=300, deadline=None)
+    @given(point=st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)),
+           target=st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)))
+    def test_the_error_bound_covers_one_float_distance(self, point, target):
+        """What the filter's ``NEARER`` / ``FARTHER`` margins rest on."""
+        dx, dy = point[0] - target[0], point[1] - target[1]
+        exact = exact_distance(point, target)
+        error = abs(Fraction(dx * dx + dy * dy) - exact)
+        assert error <= _DISTANCE_ERRBOUND * exact + Fraction(DISTANCE_FLOOR) * _DISTANCE_ERRBOUND

@@ -86,7 +86,9 @@ def test_nothing_slated_for_deletion_is_left_in_src():
 #: voided by its sequence number, and ``run`` is the one drain), and when
 #: nodes stopped keeping probe stamps (the detector publishes a round's
 #: probes on the simulator), and when the Figs. 6/7 sweep came to route
-#: every pair on both planes (no plane switch, no protocol-only sweep);
+#: every pair on both planes (no plane switch, no protocol-only sweep),
+#: and when greedy routing came to one rule and one router (Algorithm 5's
+#: stopping-rule router and its region distance had no caller);
 #: none may come back.
 RETIRED = (
     "LatencyModel",
@@ -113,6 +115,10 @@ RETIRED = (
     "use_protocol",
     "sweep_protocol_overlay_sizes",
     "measure_protocol_routing",
+    "route_with_stopping_rule",
+    "_greedy_step",
+    "distance_to_region",
+    "_distance_to_polygon",
 )
 
 

@@ -12,6 +12,7 @@ both must route to the same owners.
 import pytest
 
 from repro.core import VoroNet, VoroNetConfig
+from repro.geometry.point import distance_sq
 from repro.simulation.protocol import ProtocolSimulator
 from repro.utils.rng import RandomSource
 from repro.workloads.distributions import UniformDistribution
@@ -162,6 +163,30 @@ class TestBulkJoinParity:
         for _ in range(20):
             point = rng.random_point()
             assert oracle.owner_of(point) == protocol.query(point).owner
+
+    def test_equal_float_minima_go_to_the_lowest_id_on_both_planes(self):
+        """Objects 0 and 1 are exactly as far from the target as each other,
+        and both clearly nearer than objects 2 and 4, whose views list 1
+        first.  The descent rule hops to the lowest of equal minima: the
+        oracle's tables are in id order, and a node's routing block must be
+        too, or its query answers 1 where the oracle answers 0."""
+        positions = [(0.5, 0.6), (0.6, 0.5), (0.703, 0.944), (0.127, 0.865), (0.653, 0.274)]
+        target = (0.5, 0.5)
+        config = VoroNetConfig(n_max=64, num_long_links=0, seed=1202)
+        oracle = VoroNet(config)
+        assert oracle.bulk_load(positions) == [0, 1, 2, 3, 4]
+        protocol = ProtocolSimulator(config)
+        protocol.bulk_join(positions)
+        assert distance_sq(positions[0], target) == distance_sq(positions[1], target)
+        for holder in (2, 4):
+            ahead = list(protocol.node(holder).routing_candidates())
+            assert ahead.index(1) < ahead.index(0)
+        answers = [(result.owner, result.hops)
+                   for result in (oracle.route(source, target) for source in range(5))]
+        assert answers == [(0, 0), (1, 0), (0, 1), (0, 1), (0, 1)]
+        assert [(report.owner, report.routing_hops)
+                for report in (protocol.query(target, start=source) for source in range(5))] \
+            == answers
 
     def test_bulk_into_populated_overlay_stays_consistent(self):
         """bulk_join after sequential joins settles pre-existing back

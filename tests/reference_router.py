@@ -5,6 +5,10 @@ oracle mode, ``ProtocolNode.routing_candidates()`` in protocol mode — and
 re-assemble the candidate set at every hop, so they share no state with the
 cached routing tables / view-epoch-cached blocks they check.
 
+Every hop applies the descent rule as stated,
+:func:`repro.geometry.predicates.greedy_hop`, to candidates listed in
+ascending id order (the order both planes' tables hold).
+
 An overlay routes on one view, ``vn ∪ cn ∪ LRn``; routing over the bare
 tessellation is routing on :func:`zero_link_twin`'s overlay, held to the
 same reference.
@@ -13,7 +17,7 @@ same reference.
 from dataclasses import replace
 
 from repro.core import VoroNet
-from repro.geometry.point import distance_sq
+from repro.geometry.predicates import greedy_hop
 
 
 def zero_link_twin(overlay):
@@ -37,22 +41,16 @@ def reference_candidates(overlay, object_id):
 
 
 def reference_greedy_route(overlay, source, target):
-    """Path (source first, owner last) of greedy routing to the point ``target``.
-
-    Candidates are scanned in ascending id order and forwarding requires a
-    strictly smaller distance, the routing tables' tie-break.
-    """
+    """Path (source first, owner last) of greedy routing to the point ``target``."""
     path = [source]
     while True:
         current = path[-1]
-        best, best_d = None, distance_sq(overlay.position_of(current), target)
-        for neighbor in reference_candidates(overlay, current):
-            d = distance_sq(overlay.position_of(neighbor), target)
-            if d < best_d:
-                best, best_d = neighbor, d
-        if best is None:
+        following = greedy_hop(target, overlay.position_of(current),
+                               [(neighbor,) + overlay.position_of(neighbor) for neighbor
+                                in reference_candidates(overlay, current)])
+        if following is None:
             return path
-        path.append(best)
+        path.append(following)
 
 
 def reference_paths_to(overlay, targets):
@@ -70,15 +68,9 @@ def reference_paths_to(overlay, targets):
                   for object_id in ids}
     paths = {}
     for target in targets:
-        tx, ty = position[target]
-        following = {}
-        for object_id in ids:
-            best, best_d = None, distance_sq(position[object_id], (tx, ty))
-            for neighbor, x, y in candidates[object_id]:
-                d = (x - tx) * (x - tx) + (y - ty) * (y - ty)  # distance_sq, inlined
-                if d < best_d:
-                    best, best_d = neighbor, d
-            following[object_id] = best
+        following = {object_id: greedy_hop(position[target], position[object_id],
+                                           candidates[object_id])
+                     for object_id in ids}
         for source in ids:
             path = [source]
             while following[path[-1]] is not None:
@@ -104,17 +96,12 @@ def reference_query_walk(simulator, start, target):
 
 
 def reference_next_hop(node, target):
-    """Neighbour of a protocol node strictly closer to ``target``, or ``None``.
+    """Where a protocol node forwards a message for ``target``, or ``None``.
 
-    Scans the freshly assembled candidate dict in its own order (the order
-    the node's cached block is built in, so exact distance ties break the
-    same way) and skips locally suspected peers.
+    The rule over the freshly assembled candidate dict, in id order,
+    with locally suspected peers skipped.
     """
-    best, best_d = None, distance_sq(node.position, target)
-    for neighbor, position in node.routing_candidates().items():
-        if neighbor in node.suspects:
-            continue
-        d = distance_sq(position, target)
-        if d < best_d:
-            best, best_d = neighbor, d
-    return best
+    candidates = sorted((neighbor,) + position
+                        for neighbor, position in node.routing_candidates().items()
+                        if neighbor not in node.suspects)
+    return greedy_hop(target, node.position, candidates)

@@ -98,8 +98,12 @@ def test_no_protocol_node_method_reads_the_kernel():
     assert reads == []
 
 
-def senders(kind):
-    """``(enclosing function, method called)`` of every send site of ``kind``."""
+#: The routed kinds: each one's handler passes it one greedy hop on.
+ROUTED_KINDS = ("ADD_OBJECT", "SEARCH_LONG_LINK", "QUERY")
+
+
+def send_sites(kind):
+    """``(enclosing function, call)`` of every send site of ``kind``."""
     trees = {module.display: module.tree for module in parsed()}
     found = []
     for display, line, col in collect_sent_kinds(parsed())[kind]:
@@ -109,9 +113,37 @@ def senders(kind):
         call = next(node for node in ast.walk(trees[display])
                     if isinstance(node, ast.Call)
                     and (node.lineno, node.col_offset + 1) == (line, col))
-        found.append((max(enclosing, key=lambda fn: fn.lineno).name,
-                      call.func.attr))
+        found.append((max(enclosing, key=lambda fn: fn.lineno).name, call))
     return found
+
+
+def forwards_a_hop(kind, function, call):
+    """Whether ``call`` is routed ``kind``'s own handler sending it one hop
+    on: a payload tuple whose last field, the hop count, is ``hops + 1``."""
+    if kind not in ROUTED_KINDS or function != f"_on_{kind.lower()}":
+        return False
+    payload = call.args[-1]
+    if not (isinstance(payload, ast.Tuple) and payload.elts):
+        return False
+    count = payload.elts[-1]
+    return (isinstance(count, ast.BinOp) and isinstance(count.op, ast.Add)
+            and isinstance(count.left, ast.Name) and count.left.id == "hops"
+            and isinstance(count.right, ast.Constant) and count.right.value == 1)
+
+
+def senders(kind):
+    """``(enclosing function, method called)`` of every send site of
+    ``kind`` but a routed kind's forwarding hop, which starts no new move."""
+    return [(function, call.func.attr) for function, call in send_sites(kind)
+            if not forwards_a_hop(kind, function, call)]
+
+
+@pytest.mark.parametrize("kind", ROUTED_KINDS)
+def test_a_routed_kind_is_forwarded_once_from_its_handler(kind):
+    """Each routed kind has exactly one forwarding hop, a plain ``send``."""
+    hops = [(function, call.func.attr) for function, call in send_sites(kind)
+            if forwards_a_hop(kind, function, call)]
+    assert hops == [(f"_on_{kind.lower()}", "send")]
 
 
 @pytest.mark.parametrize("kind, functions", [
